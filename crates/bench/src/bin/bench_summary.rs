@@ -459,6 +459,11 @@ fn main() {
         .snapshot;
     let probe_rejects_per_link = obs_snapshot.counter("ledger.probe.reject") as f64
         / obs_snapshot.counter("greedy.links").max(1) as f64;
+    let victim_reject_share_pct = (obs_snapshot.counter("ledger.victim.reject")
+        + obs_snapshot.counter("ledger.victim.memo_reject"))
+        as f64
+        / obs_snapshot.counter("ledger.probe.reject").max(1) as f64
+        * 100.0;
     let farfield_hits = obs_snapshot.counter("ledger.farfield.accept")
         + obs_snapshot.counter("ledger.farfield.skip_existing");
     let exact_fallbacks = obs_snapshot.counter("ledger.exact.fallback")
@@ -590,6 +595,7 @@ fn main() {
     ratios.extend(fdd_channel_ratios);
     let observability = [
         ("probe_rejects_per_link", probe_rejects_per_link),
+        ("victim_reject_share_pct", victim_reject_share_pct),
         ("farfield_hit_rate_pct", farfield_hit_rate_pct),
         ("obs_profile_links", obs_profile_links as f64),
     ];

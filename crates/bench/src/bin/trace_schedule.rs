@@ -6,7 +6,8 @@
 //!
 //! * default — human-readable tables: every counter, gauge and histogram in
 //!   the final [`Snapshot`](scream_obs::Snapshot), plus the derived probe
-//!   profile (rejects per link, far-field hit rate, trace-ring fill);
+//!   profile (rejects per link, the share of them the binding-victim screen
+//!   decided, far-field hit rate, trace-ring fill);
 //! * `--json` — the slot-clock trace as JSONL (one event object per line,
 //!   stamped with slot/round/epoch/probe — never a wall clock), terminated
 //!   by one `{"snapshot": ...}` line with the full registry. Byte-identical
@@ -83,10 +84,16 @@ fn main() {
     let farfield = report.snapshot.counter("ledger.farfield.accept");
     let exact = report.snapshot.counter("ledger.exact.fallback");
     let screened = farfield + exact;
+    let by_victim = report.snapshot.counter("ledger.victim.reject")
+        + report.snapshot.counter("ledger.victim.memo_reject");
     let mut derived = Table::new("Derived probe profile", &["metric", "value"]);
     derived.push_row(vec![
         "probe_rejects_per_link".to_string(),
         format!("{:.2}", rejects as f64 / links as f64),
+    ]);
+    derived.push_row(vec![
+        "victim_reject_share_pct".to_string(),
+        format!("{:.2}", by_victim as f64 / rejects.max(1) as f64 * 100.0),
     ]);
     derived.push_row(vec![
         "farfield_hit_rate_pct".to_string(),

@@ -61,6 +61,31 @@
 //!
 //! [`assign`]: SlotLedger::assign
 //!
+//! # Binding-victim screen
+//!
+//! A slot that first-fit has filled is *saturated*: some assigned link sits
+//! at float-dust slack, and any further transmitter breaks it. Most probes
+//! against such a slot are rejections, and the scans above pay O(nearby)
+//! (plus, often, the exact O(k) fallbacks) to discover what one conjunct
+//! would have shown. [`assign`]'s update loop therefore also tracks, per
+//! handshake direction, the assigned link of least absolute slack
+//! `signal/β − noise − interference` (the *binding victims*), and a `Cell`
+//! memo remembers the last link whose existing-links re-check failed —
+//! consecutive candidates probing one slot tend to be neighbours and to
+//! break the same victim. [`can_add`](SlotLedger::can_add) evaluates those
+//! ≤ 3 links' exact re-check expressions right after the endpoint screen, in
+//! the exact and the pruned regime alike, and rejects when one fails.
+//!
+//! Soundness is a matter of conjunction order: the accept verdict is the
+//! conjunction, over every assigned link and both directions, of
+//! `signal_i / (noise + interference_i + extra_i(candidate)) ≥ β` (and of
+//! the candidate's own handshake). The screen evaluates some of those very
+//! conjuncts — same expression, same operands — so a failing one makes the
+//! verdict `false` whatever the others say, and a passing one decides
+//! nothing: the probe proceeds as if the screen were absent. Which links
+//! the screen picks (the slack ranking, the memo's history) can therefore
+//! change a probe's cost but never its verdict.
+//!
 //! # Fidelity to the from-scratch computation
 //!
 //! The ledger mirrors [`RadioEnvironment::handshake_ok`] exactly, including
@@ -137,6 +162,14 @@ pub struct LedgerProbe {
     pub tentative_ok: Vec<bool>,
 }
 
+/// One conjunct of the accept verdict: handshake direction `data` (else ACK)
+/// of the assigned link at `index`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Victim {
+    index: usize,
+    data: bool,
+}
+
 /// Incremental interference state of one STDMA slot under construction.
 ///
 /// See the [module docs](self) for the representation; in short, the ledger
@@ -148,6 +181,8 @@ pub struct SlotLedger<'a> {
     env: &'a RadioEnvironment,
     /// Cached linear SINR threshold β.
     beta: f64,
+    /// 1/β, so ranking links by absolute slack costs no division.
+    inv_beta: f64,
     /// Cached noise floor in milliwatts.
     noise_mw: f64,
     links: Vec<Link>,
@@ -168,6 +203,14 @@ pub struct SlotLedger<'a> {
     disjoint: bool,
     /// Spatial pruning state; `None` for an [`exact`](Self::exact) ledger.
     pruning: Option<Pruning>,
+    /// The binding victims: per direction (data, ACK), the assigned link of
+    /// least absolute slack `signal/β − noise − interference`. Maintained by
+    /// [`assign`](Self::assign), `None` after [`clear`](Self::clear).
+    binding: [Option<Victim>; 2],
+    /// The last victim that failed an existing-links re-check. Only steers
+    /// which conjunct a probe evaluates first, never a verdict (see the
+    /// module docs), hence interior mutability behind `&self` probes.
+    failed_memo: Cell<Option<Victim>>,
 }
 
 /// How a [`SlotLedger`] decides whether to build spatial-pruning state.
@@ -282,6 +325,7 @@ impl<'a> SlotLedger<'a> {
         Self {
             env,
             beta: env.config().sinr_threshold_linear(),
+            inv_beta: 1.0 / env.config().sinr_threshold_linear(),
             noise_mw: env.config().noise_floor_mw(),
             links: Vec::new(),
             data_signal: Vec::new(),
@@ -291,6 +335,8 @@ impl<'a> SlotLedger<'a> {
             endpoint_uses: vec![0; env.node_count()],
             disjoint: true,
             pruning,
+            binding: [None; 2],
+            failed_memo: Cell::new(None),
         }
     }
 
@@ -337,6 +383,8 @@ impl<'a> SlotLedger<'a> {
         self.data_interference.clear();
         self.ack_interference.clear();
         self.disjoint = true;
+        self.binding = [None; 2];
+        self.failed_memo.set(None);
         if let Some(p) = &mut self.pruning {
             p.buckets.clear();
             p.min_sinr = f64::INFINITY;
@@ -402,6 +450,13 @@ impl<'a> SlotLedger<'a> {
             scream_obs::counter_add("ledger.probe.reject_endpoint", 1);
             return false;
         }
+        let tentative = std::slice::from_ref(&candidate);
+        if let Some((victim, counter)) = self.failing_binding_victim(tentative) {
+            scream_obs::counter_add("ledger.probe.reject", 1);
+            scream_obs::counter_add(counter, 1);
+            self.trace_reject(candidate, victim);
+            return false;
+        }
         let verdict = match &self.pruning {
             Some(p) if !self.links.is_empty() => self.can_add_pruned(p, candidate),
             _ => self.candidate_handshake_exact(candidate) && self.existing_ok_exact(candidate),
@@ -415,6 +470,79 @@ impl<'a> SlotLedger<'a> {
             1,
         );
         verdict
+    }
+
+    /// The binding-victim screen (see the [module docs](self)): re-checks
+    /// the two least-slack links, then the memoised last-failed link, with
+    /// `tentative` transmitting, and returns the first that fails together
+    /// with the counter its rejection is booked under. Each check is a
+    /// conjunct of the verdict, evaluated exactly as the full loop would, so
+    /// a failure decides the probe and a pass decides nothing.
+    fn failing_binding_victim(&self, tentative: &[Link]) -> Option<(Victim, &'static str)> {
+        for victim in self.binding.into_iter().flatten() {
+            if !self.victim_ok(victim, tentative) {
+                return Some((victim, "ledger.victim.reject"));
+            }
+        }
+        let memo = self.failed_memo.get()?;
+        (!self.binding.contains(&Some(memo)) && !self.victim_ok(memo, tentative))
+            .then_some((memo, "ledger.victim.memo_reject"))
+    }
+
+    /// One conjunct of the accept verdict: whether `victim`'s handshake
+    /// direction still meets β with the `tentative` links' interference
+    /// added, in order, on top of its cached sum.
+    #[inline]
+    fn victim_ok(&self, victim: Victim, tentative: &[Link]) -> bool {
+        let i = victim.index;
+        let link = self.links[i];
+        if victim.data {
+            let mut interference_mw = self.data_interference[i];
+            for t in tentative {
+                if let Some(term) = data_term(self.env, t.head, link) {
+                    interference_mw += term;
+                }
+            }
+            self.meets_beta(self.data_signal[i], interference_mw)
+        } else {
+            let mut interference_mw = self.ack_interference[i];
+            for t in tentative {
+                if let Some(term) = ack_term(self.env, t.tail, link) {
+                    interference_mw += term;
+                }
+            }
+            self.meets_beta(self.ack_signal[i], interference_mw)
+        }
+    }
+
+    /// The first assigned link (data direction before ACK) that `tentative`
+    /// would push below β, memoised for the next probe's screen.
+    fn first_disturbed(&self, tentative: &[Link]) -> Option<Victim> {
+        for index in 0..self.links.len() {
+            for data in [true, false] {
+                let victim = Victim { index, data };
+                if !self.victim_ok(victim, tentative) {
+                    self.failed_memo.set(Some(victim));
+                    return Some(victim);
+                }
+            }
+        }
+        None
+    }
+
+    /// Emits the reject trace event naming the victim that decided it.
+    fn trace_reject(&self, candidate: Link, victim: Victim) {
+        let link = self.links[victim.index];
+        scream_obs::event(
+            "ledger.reject",
+            &[
+                ("head", candidate.head.index() as u64),
+                ("tail", candidate.tail.index() as u64),
+                ("victim_head", link.head.index() as u64),
+                ("victim_tail", link.tail.index() as u64),
+                ("victim_data", victim.data as u64),
+            ],
+        );
     }
 
     /// The candidate's own two-way handshake against the accumulated slot,
@@ -433,16 +561,13 @@ impl<'a> SlotLedger<'a> {
     /// Every assigned link's handshake with the candidate's contribution
     /// added on top of its cached interference sums.
     fn existing_ok_exact(&self, candidate: Link) -> bool {
-        for (i, &link) in self.links.iter().enumerate() {
-            let data_extra = data_term(self.env, candidate.head, link).unwrap_or(0.0);
-            let ack_extra = ack_term(self.env, candidate.tail, link).unwrap_or(0.0);
-            if !self.meets_beta(self.data_signal[i], self.data_interference[i] + data_extra)
-                || !self.meets_beta(self.ack_signal[i], self.ack_interference[i] + ack_extra)
-            {
-                return false;
+        match self.first_disturbed(std::slice::from_ref(&candidate)) {
+            Some(victim) => {
+                self.trace_reject(candidate, victim);
+                false
             }
+            None => true,
         }
-        true
     }
 
     /// The spatially-pruned feasibility probe. Self-link and half-duplex
@@ -553,12 +678,12 @@ impl<'a> SlotLedger<'a> {
         let rect = geometry.cells_intersecting(center, p.far.cutoff_m);
         let near_sum = Cell::new(0.0f64);
         let near_count = Cell::new(0usize);
-        let link_failed = Cell::new(false);
+        let failed_link = Cell::new(None);
         let scanned_entries = Cell::new(0u64);
         rect.visit_rings(
             geometry.cell_of(center),
             |cx, cy| {
-                if link_failed.get() {
+                if failed_link.get().is_some() {
                     return;
                 }
                 for &entry in p.buckets.entries(geometry.cell_index(cx, cy)) {
@@ -587,31 +712,26 @@ impl<'a> SlotLedger<'a> {
                         // Exact re-check of the disc link's opposite
                         // direction — the same expression the exact
                         // existing-links loop evaluates.
-                        let ok = if want_head {
-                            let ack_extra = ack_term(self.env, candidate.tail, link).unwrap_or(0.0);
-                            self.meets_beta(
-                                self.ack_signal[i],
-                                self.ack_interference[i] + ack_extra,
-                            )
-                        } else {
-                            let data_extra =
-                                data_term(self.env, candidate.head, link).unwrap_or(0.0);
-                            self.meets_beta(
-                                self.data_signal[i],
-                                self.data_interference[i] + data_extra,
-                            )
+                        let victim = Victim {
+                            index: i,
+                            data: !want_head,
                         };
-                        if !ok {
-                            link_failed.set(true);
+                        if !self.victim_ok(victim, std::slice::from_ref(&candidate)) {
+                            failed_link.set(Some(victim));
                             return;
                         }
                     }
                 }
             },
-            || link_failed.get() || self.surely_fails_beta(signal_mw, near_sum.get()),
+            || failed_link.get().is_some() || self.surely_fails_beta(signal_mw, near_sum.get()),
         );
         scream_obs::observe("ledger.scan.entries", scanned_entries.get());
-        if link_failed.get() || self.surely_fails_beta(signal_mw, near_sum.get()) {
+        if let Some(victim) = failed_link.get() {
+            self.failed_memo.set(Some(victim));
+            self.trace_reject(candidate, victim);
+            return None;
+        }
+        if self.surely_fails_beta(signal_mw, near_sum.get()) {
             return None;
         }
         Some((near_sum.get(), near_count.get()))
@@ -627,14 +747,7 @@ impl<'a> SlotLedger<'a> {
             self.disjoint = false;
         }
         let (data_intf, ack_intf) = self.interference_on(link);
-        for (i, &existing) in self.links.iter().enumerate() {
-            if let Some(term) = data_term(self.env, link.head, existing) {
-                self.data_interference[i] += term;
-            }
-            if let Some(term) = ack_term(self.env, link.tail, existing) {
-                self.ack_interference[i] += term;
-            }
-        }
+        let k = self.links.len();
         self.endpoint_uses[link.head.index()] += 1;
         self.endpoint_uses[link.tail.index()] += 1;
         self.links.push(link);
@@ -644,21 +757,54 @@ impl<'a> SlotLedger<'a> {
             .push(self.env.received_power_mw(link.tail, link.head));
         self.data_interference.push(data_intf);
         self.ack_interference.push(ack_intf);
+        // One pass over the slot: charge the newcomer's interference to the
+        // `k` links already there, and — every cached sum may have grown —
+        // re-derive the binding victims and the pruned regime's slot-wide
+        // SINR headroom over all `k + 1`.
+        let track_sinr = self.pruning.is_some();
+        let (noise_mw, inv_beta) = (self.noise_mw, self.inv_beta);
+        let (mut data_least_mw, mut ack_least_mw) = (f64::INFINITY, f64::INFINITY);
+        let (mut data_binding, mut ack_binding) = (k, k);
+        let mut min_sinr = f64::INFINITY;
+        for i in 0..=k {
+            let (mut data_intf, mut ack_intf) =
+                (self.data_interference[i], self.ack_interference[i]);
+            if i < k {
+                let existing = self.links[i];
+                if let Some(term) = data_term(self.env, link.head, existing) {
+                    data_intf += term;
+                    self.data_interference[i] = data_intf;
+                }
+                if let Some(term) = ack_term(self.env, link.tail, existing) {
+                    ack_intf += term;
+                    self.ack_interference[i] = ack_intf;
+                }
+            }
+            let (data_signal, ack_signal) = (self.data_signal[i], self.ack_signal[i]);
+            let data_slack_mw = data_signal * inv_beta - noise_mw - data_intf;
+            if data_slack_mw < data_least_mw {
+                data_least_mw = data_slack_mw;
+                data_binding = i;
+            }
+            let ack_slack_mw = ack_signal * inv_beta - noise_mw - ack_intf;
+            if ack_slack_mw < ack_least_mw {
+                ack_least_mw = ack_slack_mw;
+                ack_binding = i;
+            }
+            if track_sinr {
+                min_sinr = min_sinr
+                    .min(data_signal / (noise_mw + data_intf))
+                    .min(ack_signal / (noise_mw + ack_intf));
+            }
+        }
+        self.binding = [(data_binding, true), (ack_binding, false)]
+            .map(|(index, data)| Some(Victim { index, data }));
         if let Some(p) = &mut self.pruning {
             p.buckets.insert(
-                (self.links.len() - 1) as u32,
+                k as u32,
                 self.env.position(link.head),
                 self.env.position(link.tail),
             );
-            // Every cached interference sum may have grown, so the slot-wide
-            // headroom is recomputed over the (just-updated) caches — an O(k)
-            // pass folded into the already-O(k) assign.
-            let mut min_sinr = f64::INFINITY;
-            for i in 0..self.links.len() {
-                min_sinr = min_sinr
-                    .min(self.data_signal[i] / (self.noise_mw + self.data_interference[i]))
-                    .min(self.ack_signal[i] / (self.noise_mw + self.ack_interference[i]));
-            }
             p.min_sinr = min_sinr;
         }
     }
@@ -699,28 +845,32 @@ impl<'a> SlotLedger<'a> {
     /// screen; this raw variant exists for analysis and for cross-checking
     /// against the from-scratch handshake computation.
     pub fn probe(&self, tentative: &[Link]) -> LedgerProbe {
-        // Assigned links: cached sums plus the tentative contributions.
-        let mut existing_ok = true;
-        for (i, &link) in self.links.iter().enumerate() {
-            let mut data = self.data_interference[i];
-            let mut ack = self.ack_interference[i];
-            for &t in tentative {
-                if let Some(term) = data_term(self.env, t.head, link) {
-                    data += term;
-                }
-                if let Some(term) = ack_term(self.env, t.tail, link) {
-                    ack += term;
-                }
-            }
-            if !self.meets_beta(self.data_signal[i], data)
-                || !self.meets_beta(self.ack_signal[i], ack)
-            {
-                existing_ok = false;
-                break;
-            }
+        LedgerProbe {
+            existing_ok: self.existing_survive(tentative),
+            tentative_ok: self.price_tentative(tentative),
         }
-        // Tentative links: ledger interference plus the other tentatives'.
-        let tentative_ok = tentative
+    }
+
+    /// [`probe`](Self::probe) for a caller that discards the claims of a
+    /// vetoed slot: the tentative links are priced only when every assigned
+    /// link survives them, `None` otherwise.
+    fn probe_unless_vetoed(&self, tentative: &[Link]) -> Option<Vec<bool>> {
+        self.existing_survive(tentative)
+            .then(|| self.price_tentative(tentative))
+    }
+
+    /// Whether every assigned link still completes its handshake with the
+    /// tentative links' interference on top of its cached sums — the binding
+    /// victims first, since one failure settles it.
+    fn existing_survive(&self, tentative: &[Link]) -> bool {
+        self.failing_binding_victim(tentative).is_none()
+            && self.first_disturbed(tentative).is_none()
+    }
+
+    /// Each tentative link's handshake against the ledger's interference
+    /// plus the other tentative links', in input order.
+    fn price_tentative(&self, tentative: &[Link]) -> Vec<bool> {
+        tentative
             .iter()
             .map(|&t| {
                 let (mut data, mut ack) = self.interference_on(t);
@@ -738,11 +888,7 @@ impl<'a> SlotLedger<'a> {
                 self.meets_beta(self.env.received_power_mw(t.head, t.tail), data)
                     && self.meets_beta(self.env.received_power_mw(t.tail, t.head), ack)
             })
-            .collect();
-        LedgerProbe {
-            existing_ok,
-            tentative_ok,
-        }
+            .collect()
     }
 
     /// The slot-claim check: [`probe`](Self::probe) plus the half-duplex
@@ -1097,18 +1243,17 @@ impl<'a> ChannelSlotLedger<'a> {
             }
             links.clear();
             links.extend(unassigned.iter().map(|&i| tentative[i]));
-            let probe = ledger.probe(&links);
-            if !probe.existing_ok {
+            let Some(tentative_ok) = ledger.probe_unless_vetoed(&links) else {
                 // Veto on this channel: its scheduled links were disturbed,
                 // so nobody claims it; the whole set carries to the next
                 // channel.
                 existing_ok = false;
                 continue;
-            }
+            };
             let channel = ChannelId::new(c as u16);
             unassigned = unassigned
                 .iter()
-                .zip(&probe.tentative_ok)
+                .zip(&tentative_ok)
                 .filter_map(|(&idx, &ok)| {
                     if ok && claimable[idx] {
                         assignments[idx] = Some(channel);
@@ -1147,7 +1292,10 @@ impl RadioEnvironment {
 mod tests {
     use super::*;
     use crate::propagation::PropagationModel;
-    use scream_topology::{Deployment, GridDeployment, Point2, Rect};
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use scream_topology::{Deployment, GridDeployment, Point2, Rect, UniformDeployment};
 
     fn line_env(count: usize, spacing: f64) -> RadioEnvironment {
         let positions: Vec<Point2> = (0..count)
@@ -1594,6 +1742,240 @@ mod tests {
             exact.assign(candidate);
         }
         assert_eq!(pruned.margins(), exact.margins());
+    }
+
+    /// The accept verdict written out as the full conjunction — endpoint
+    /// screen, the candidate's own handshake, then every assigned link in
+    /// both directions — with neither the binding-victim screen nor the
+    /// spatial scans in the way, and without touching the memo.
+    fn reference_can_add(ledger: &SlotLedger<'_>, candidate: Link) -> bool {
+        if candidate.head == candidate.tail || !ledger.endpoints_free(candidate) {
+            return false;
+        }
+        if !ledger.candidate_handshake_exact(candidate) {
+            return false;
+        }
+        ledger.links.iter().enumerate().all(|(i, &link)| {
+            let data_extra = data_term(ledger.env, candidate.head, link).unwrap_or(0.0);
+            let ack_extra = ack_term(ledger.env, candidate.tail, link).unwrap_or(0.0);
+            ledger.meets_beta(
+                ledger.data_signal[i],
+                ledger.data_interference[i] + data_extra,
+            ) && ledger.meets_beta(ledger.ack_signal[i], ledger.ack_interference[i] + ack_extra)
+        })
+    }
+
+    /// Seeded worlds for the screen's property tests: even seeds draw a
+    /// jittered 120 × 3 lattice with streamed gains (0 dBm over 21.5 m hops
+    /// keeps the 2.15 km far-field cutoff inside its 2.6 km extent, so
+    /// `SlotLedger::new` prunes), odd seeds a shadowed uniform mesh with a
+    /// dense gain matrix (narrower than its cutoff, so `new` probes exactly).
+    fn seeded_world(seed: u64) -> RadioEnvironment {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        if seed.is_multiple_of(2) {
+            let (columns, rows, step_m) = (120usize, 3usize, 21.5);
+            let positions: Vec<Point2> = (0..columns * rows)
+                .map(|i| {
+                    let (dx, dy): (f64, f64) = (rng.gen_range(-0.1..0.1), rng.gen_range(-0.1..0.1));
+                    Point2::new(
+                        ((i % columns) as f64 + 0.5 + dx) * step_m,
+                        ((i / columns) as f64 + 0.5 + dy) * step_m,
+                    )
+                })
+                .collect();
+            let region = Rect::new(
+                Point2::new(0.0, 0.0),
+                Point2::new(columns as f64 * step_m, rows as f64 * step_m),
+            );
+            let d = Deployment::from_positions(&positions, 0.0, region).unwrap();
+            RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .streamed_gains()
+                .build(&d)
+        } else {
+            let nodes = rng.gen_range(12usize..=40);
+            let d = UniformDeployment::new(nodes, 150.0 * (nodes as f64).sqrt()).build(&mut rng);
+            RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .shadowing(rng.gen_range(0.0..8.0), seed)
+                .config(
+                    crate::radio::RadioConfig::mesh_default()
+                        .with_sinr_threshold_db(rng.gen_range(4.0..12.0)),
+                )
+                .build(&d)
+        }
+    }
+
+    /// A random link between two distinct nodes, short hops preferred so a
+    /// fair share of the draws is decodable at all.
+    fn draw_link(env: &RadioEnvironment, rng: &mut ChaCha8Rng) -> Link {
+        let n = env.node_count() as u32;
+        let head = rng.gen_range(0..n);
+        let hop = if rng.gen_bool(0.7) {
+            1
+        } else {
+            rng.gen_range(1..n)
+        };
+        link(head, (head + hop) % n)
+    }
+
+    /// Probes `probes` random candidates, asserting each verdict against the
+    /// reference conjunction and assigning the accepted ones.
+    fn probe_and_fill(
+        ledger: &mut SlotLedger<'_>,
+        rng: &mut ChaCha8Rng,
+        probes: usize,
+        what: &str,
+    ) {
+        for _ in 0..probes {
+            let candidate = draw_link(ledger.env, rng);
+            let verdict = ledger.can_add(candidate);
+            assert_eq!(
+                verdict,
+                reference_can_add(ledger, candidate),
+                "{what}: screen changed the verdict on {candidate} against {:?}",
+                ledger.links()
+            );
+            if verdict {
+                ledger.assign(candidate);
+            }
+        }
+    }
+
+    #[test]
+    fn binding_victim_screen_never_changes_a_verdict() {
+        // `new`, `pruned` and `exact`, by the mode each one opens with.
+        let constructors = [
+            ("new", PruningMode::Auto),
+            ("pruned", PruningMode::Forced),
+            ("exact", PruningMode::Off),
+        ];
+        let mut pruned_by_default = 0;
+        for seed in 0..40u64 {
+            let env = seeded_world(seed);
+            for (name, mode) in constructors {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+                let mut ledger = SlotLedger::with_pruning(&env, mode);
+                pruned_by_default += usize::from(name == "new" && ledger.is_pruned());
+                probe_and_fill(&mut ledger, &mut rng, 120, name);
+                assert!(!ledger.is_empty(), "{name}/{seed}: nothing was admitted");
+
+                // A clone carries the victims and the memo with it.
+                let mut cloned = ledger.clone();
+                probe_and_fill(&mut cloned, &mut rng, 40, "clone");
+
+                // Force-assign a link some assigned link cannot survive: the
+                // slot now holds negative slack, and screen and reference
+                // alike must refuse everybody.
+                let breaker = (0..400)
+                    .map(|_| draw_link(&env, &mut rng))
+                    .find(|&l| ledger.endpoints_free(l) && !ledger.can_add(l));
+                if let Some(breaker) = breaker {
+                    ledger.assign(breaker);
+                    if !ledger.all_links_ok() {
+                        for _ in 0..40 {
+                            let candidate = draw_link(&env, &mut rng);
+                            assert!(
+                                !ledger.can_add(candidate),
+                                "{name}/{seed}: broken slot admitted {candidate}"
+                            );
+                            assert!(!reference_can_add(&ledger, candidate));
+                        }
+                    }
+                }
+
+                // clear() drops the victims with the links they index; the
+                // refilled (shorter, different) slot must never see them.
+                ledger.clear();
+                assert_eq!(ledger.binding, [None; 2]);
+                assert_eq!(ledger.failed_memo.get(), None);
+                probe_and_fill(&mut ledger, &mut rng, 60, "refill");
+            }
+        }
+        assert_eq!(
+            pruned_by_default, 20,
+            "every lattice world must exercise the auto-pruned regime"
+        );
+    }
+
+    #[test]
+    fn binding_victim_screen_is_verdict_neutral_on_two_channels() {
+        for seed in 0..20u64 {
+            let env = seeded_world(seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xc2);
+            let mut set = ChannelSlotLedger::new(&env, 2);
+            for _ in 0..200 {
+                let candidate = draw_link(&env, &mut rng);
+                let channel = ChannelId::new(rng.gen_range(0..2u16));
+                let other = ChannelId::new(1 - channel.index() as u16);
+                let radio_free = set
+                    .links(other)
+                    .iter()
+                    .all(|l| !l.shares_endpoint(&candidate));
+                let verdict = set.can_add(channel, candidate);
+                assert_eq!(
+                    verdict,
+                    radio_free && reference_can_add(set.channel(channel), candidate),
+                    "seed {seed}: {candidate} on {channel}"
+                );
+                if verdict {
+                    set.assign(channel, candidate);
+                }
+            }
+            assert!(set.len() > 1, "seed {seed}: nothing was admitted");
+        }
+    }
+
+    #[test]
+    fn probe_order_never_changes_a_verdict() {
+        // The memo remembers the last failed victim, so its content depends
+        // on the order candidates were probed in — verdicts must not.
+        for seed in 0..20u64 {
+            let env = seeded_world(seed);
+            for mode in [PruningMode::Forced, PruningMode::Off] {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0dde);
+                let mut ledger = SlotLedger::with_pruning(&env, mode);
+                probe_and_fill(&mut ledger, &mut rng, 120, "fill");
+                let mut candidates: Vec<Link> =
+                    (0..60).map(|_| draw_link(&env, &mut rng)).collect();
+                let verdict_of = |ledger: &SlotLedger<'_>, order: &[Link]| -> Vec<(Link, bool)> {
+                    let mut verdicts: Vec<(Link, bool)> =
+                        order.iter().map(|&c| (c, ledger.can_add(c))).collect();
+                    verdicts.sort_by_key(|&(c, _)| (c.head, c.tail));
+                    verdicts
+                };
+                let first = verdict_of(&ledger, &candidates);
+                assert!(
+                    first.iter().any(|&(_, ok)| !ok),
+                    "seed {seed}: no rejection to memoise"
+                );
+                for _ in 0..4 {
+                    candidates.shuffle(&mut rng);
+                    assert_eq!(verdict_of(&ledger, &candidates), first, "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn veto_first_probe_matches_the_full_probe() {
+        for seed in 0..30u64 {
+            let env = seeded_world(seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7e70);
+            let mut ledger = SlotLedger::new(&env);
+            probe_and_fill(&mut ledger, &mut rng, 60, "fill");
+            for _ in 0..40 {
+                let tentative: Vec<Link> = (0..rng.gen_range(0..4usize))
+                    .map(|_| draw_link(&env, &mut rng))
+                    .collect();
+                let full = ledger.probe(&tentative);
+                assert_eq!(
+                    ledger.probe_unless_vetoed(&tentative),
+                    full.existing_ok.then_some(full.tentative_ok),
+                    "seed {seed}: {tentative:?}"
+                );
+            }
+        }
     }
 
     #[test]

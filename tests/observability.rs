@@ -168,3 +168,97 @@ fn a_zero_capacity_ring_drops_events_but_keeps_the_registry() {
         "every event the full ring saw is counted as dropped"
     );
 }
+
+/// A 100 × 40 lattice (250 m step, ± 10 % jitter from a local SplitMix64
+/// stream, 32 dBm, streamed gains) carrying 2 000 endpoint-disjoint
+/// unit-demand links: 25 km wide, so its diagonal clears the 25.1 km
+/// far-field cutoff and `GreedyPhysical` probes through the pruned ledger.
+/// Everything in it is IEEE add/mul/div/sqrt over locally generated
+/// positions, so the counters below do not depend on the machine.
+fn jittered_lattice_2k() -> (RadioEnvironment, LinkDemands) {
+    let (columns, rows, step_m) = (100usize, 40usize, 250.0);
+    let mut state = 0x5c4e_a11a_771c_e000u64;
+    let mut jitter = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.2
+    };
+    let positions: Vec<Point2> = (0..columns * rows)
+        .map(|i| {
+            let (dx, dy) = (jitter(), jitter());
+            Point2::new(
+                ((i % columns) as f64 + 0.5 + dx) * step_m,
+                ((i / columns) as f64 + 0.5 + dy) * step_m,
+            )
+        })
+        .collect();
+    let region = Rect::new(
+        Point2::new(0.0, 0.0),
+        Point2::new(columns as f64 * step_m, rows as f64 * step_m),
+    );
+    let deployment =
+        Deployment::from_positions(&positions, 32.0, region).expect("contiguous node ids");
+    let env = RadioEnvironment::builder()
+        .propagation(PropagationModel::log_distance(3.0))
+        .streamed_gains()
+        .build(&deployment);
+    let links: Vec<(Link, u64)> = (0..columns * rows / 2)
+        .map(|pair| {
+            let tail = 2 * pair as u32;
+            (Link::new(NodeId::new(tail + 1), NodeId::new(tail)), 1)
+        })
+        .collect();
+    let demands =
+        LinkDemands::from_links(deployment.len(), &links).expect("distinct in-range links");
+    (env, demands)
+}
+
+/// The binding-victim screen changes what a rejected probe *costs*, never
+/// how many probes first-fit makes: `greedy.runs.probed` is the value the
+/// screenless ledger produced on this instance, while the exact O(k)
+/// fallbacks fell from its 38 374 (19.2 per placed link) to 24. All of these
+/// are logical counts, so a change that silently disables the screen — or
+/// perturbs the schedule — fails here on any machine.
+#[test]
+fn the_victim_screen_keeps_probe_counts_and_removes_exact_fallbacks() {
+    let (env, demands) = jittered_lattice_2k();
+    let (schedule, report) = observed(|| GreedyPhysical::paper_baseline().schedule(&env, &demands));
+    let counter = |name| report.snapshot.counter(name);
+
+    assert_eq!(counter("greedy.links"), 2_000);
+    assert_eq!(schedule.length(), 64);
+    assert_eq!(counter("greedy.runs.probed"), 61_379);
+    assert_eq!(counter("greedy.runs.rejected"), 59_443);
+    assert_eq!(
+        counter("ledger.probe.reject"),
+        counter("greedy.runs.rejected"),
+        "every rejected run is one rejected ledger probe, screen or no screen"
+    );
+    assert_eq!(
+        counter("ledger.exact.fallback") + counter("ledger.exact.fallback_existing"),
+        24,
+        "exact O(k) fallbacks per link left their pinned 24 / 2 000"
+    );
+    let by_victim = counter("ledger.victim.reject") + counter("ledger.victim.memo_reject");
+    assert!(
+        by_victim * 10 >= counter("ledger.probe.reject") * 9,
+        "the screen decided only {by_victim} of {} rejections",
+        counter("ledger.probe.reject")
+    );
+    // Each of those rejections names the link and direction that decided it.
+    let reject = report
+        .trace
+        .iter()
+        .find(|event| event.name == "ledger.reject")
+        .expect("the ring keeps the first rejections");
+    let victim = Link::new(
+        NodeId::new(reject.field("victim_head").expect("victim head") as u32),
+        NodeId::new(reject.field("victim_tail").expect("victim tail") as u32),
+    );
+    assert!(demands.demand_of_link(victim).is_some());
+    assert!(reject.field("victim_data").is_some_and(|data| data <= 1));
+    assert!(reject.field("head").is_some() && reject.field("tail").is_some());
+}
