@@ -140,11 +140,8 @@ impl<E: Eq> EventQueue<E> {
         F: FnMut(&mut Self, ScheduledEvent<E>),
     {
         let mut count = 0;
-        while let Some(t) = self.peek_time() {
-            if t > until {
-                break;
-            }
-            let ev = self.pop().expect("peeked event must exist");
+        while self.peek_time().is_some_and(|t| t <= until) {
+            let Some(ev) = self.pop() else { break };
             handler(self, ev);
             count += 1;
         }

@@ -16,8 +16,9 @@ use serde::{Deserialize, Serialize};
 
 use scream_topology::{Link, LinkDemands};
 
-use crate::feasibility::{ChannelId, ChannelSlotAccumulator, SlotFeasibility};
-use crate::schedule::{Schedule, SlotPattern};
+use crate::feasibility::SlotFeasibility;
+use crate::placement::OpenRuns;
+use crate::schedule::Schedule;
 
 /// Order in which GreedyPhysical considers the edges.
 ///
@@ -128,126 +129,31 @@ impl GreedyPhysical {
     pub fn schedule<M: SlotFeasibility>(&self, model: &M, demands: &LinkDemands) -> Schedule {
         let mut edges: Vec<(Link, u64)> = demands.demanded_links().collect();
         self.ordering.sort(&mut edges);
-        let channel_count = model.channel_count().max(1);
-        let channels: Vec<ChannelId> = (0..channel_count)
-            .map(|c| ChannelId::new(c as u16))
-            .collect();
-
-        // Open runs under construction: one accumulator per distinct
-        // consecutive pattern, with the number of slots sharing it.
-        struct OpenRun<'m> {
-            accumulator: Box<dyn ChannelSlotAccumulator + 'm>,
-            count: u64,
-        }
-        /// Rebuilds a fresh accumulator holding `run`'s assignments plus
-        /// `(channel, link)` — O(k²), but a split ends the link's scan, so it
-        /// happens at most once per link.
-        fn augment<'m, M: SlotFeasibility + ?Sized>(
-            model: &'m M,
-            run: &OpenRun<'m>,
-            channel: ChannelId,
-            link: Link,
-        ) -> Box<dyn ChannelSlotAccumulator + 'm> {
-            let mut augmented = model.open_channel_slot();
-            for c in 0..run.accumulator.channel_count() {
-                let c = ChannelId::new(c as u16);
-                for &l in run.accumulator.links(c) {
-                    augmented.assign(c, l);
-                }
-            }
-            augmented.assign(channel, link);
-            augmented
-        }
-
-        let mut runs: Vec<OpenRun<'_>> = Vec::new();
+        let mut runs = OpenRuns::new(model);
         for (link, demand) in edges {
-            let mut remaining = demand;
-            let mut idx = 0usize;
-            // Per-link probe profile, flushed to the obs sink after the scan
-            // (plain u64 locals — free when no sink is installed).
-            let mut probed_runs: u64 = 0;
-            let mut rejected_runs: u64 = 0;
-            let mut first_fit_depth: Option<u64> = None;
-            'slots: while remaining > 0 && idx < runs.len() {
-                let run = &mut runs[idx];
-                if !run.accumulator.contains_link(link) {
-                    for &channel in &channels {
-                        probed_runs += 1;
-                        if !run.accumulator.can_add(channel, link) {
-                            rejected_runs += 1;
-                            continue;
-                        }
-                        if first_fit_depth.is_none() {
-                            first_fit_depth = Some(idx as u64);
-                        }
-                        if remaining >= run.count {
-                            // The link joins every slot of the run.
-                            run.accumulator.assign(channel, link);
-                            remaining -= run.count;
-                            break;
-                        }
-                        // The link joins only the first `remaining` slots:
-                        // split the run, keeping the augmented part first so
-                        // slot order matches the per-unit first-fit exactly.
-                        let augmented = augment(model, run, channel, link);
-                        run.count -= remaining;
-                        runs.insert(
-                            idx,
-                            OpenRun {
-                                accumulator: augmented,
-                                count: remaining,
-                            },
-                        );
-                        remaining = 0;
-                        scream_obs::counter_add("greedy.splits", 1);
-                        break 'slots;
-                    }
-                }
-                idx += 1;
-            }
+            let placed = runs.place(link, demand);
+            // Per-link probe profile (free when no sink is installed).
             scream_obs::counter_add("greedy.links", 1);
-            scream_obs::counter_add("greedy.runs.probed", probed_runs);
-            scream_obs::counter_add("greedy.runs.rejected", rejected_runs);
-            if remaining > 0 {
+            scream_obs::counter_add("greedy.runs.probed", placed.probed);
+            scream_obs::counter_add("greedy.runs.rejected", placed.rejected);
+            if placed.split {
+                scream_obs::counter_add("greedy.splits", 1);
+            }
+            if placed.solo {
                 scream_obs::counter_add("greedy.solo_runs", 1);
             }
-            scream_obs::observe(
-                "greedy.firstfit.depth",
-                first_fit_depth.unwrap_or(runs.len() as u64),
-            );
+            scream_obs::observe("greedy.firstfit.depth", placed.first_fit_depth);
             scream_obs::event(
                 "greedy.link",
                 &[
                     ("head", link.head.index() as u64),
                     ("tail", link.tail.index() as u64),
-                    ("probed", probed_runs),
-                    ("rejected", rejected_runs),
+                    ("probed", placed.probed),
+                    ("rejected", placed.rejected),
                 ],
             );
-            if remaining > 0 {
-                // No existing (slot, channel) pair accepts the leftover
-                // demand: append it as one solo run on the first channel. A
-                // single link alone is always feasible if the link is usable
-                // at all; if even the solo slot is infeasible (link out of
-                // range under `model`) we still allocate it so the demand
-                // accounting stays consistent — the verifier will flag the
-                // infeasibility explicitly.
-                // lint:allow(H1.alloc, reason = "one solo-run accumulator per leftover link, not per probe")
-                let mut accumulator = model.open_channel_slot();
-                accumulator.assign(ChannelId::ZERO, link);
-                runs.push(OpenRun {
-                    accumulator,
-                    count: remaining,
-                });
-            }
         }
-        let schedule = Schedule::from_pattern_runs(runs.into_iter().map(|run| {
-            let entries: Vec<(ChannelId, Link)> = channels
-                .iter()
-                .flat_map(|&c| run.accumulator.links(c).iter().map(move |&l| (c, l)))
-                .collect();
-            (SlotPattern::from_entries(entries), run.count)
-        }));
+        let schedule = runs.into_schedule();
         scream_obs::gauge_set("greedy.schedule.length", schedule.length() as u64);
         scream_obs::gauge_set("greedy.schedule.patterns", schedule.pattern_count() as u64);
         scream_obs::set_slot(schedule.length() as u64);

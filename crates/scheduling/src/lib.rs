@@ -47,6 +47,7 @@ pub mod frame;
 pub mod greedy;
 pub mod linear;
 pub mod metrics;
+mod placement;
 pub mod repair;
 pub mod schedule;
 pub mod verify;

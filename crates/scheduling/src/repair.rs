@@ -29,9 +29,10 @@ use std::collections::BTreeMap;
 use scream_netsim::ChannelId;
 use scream_topology::{Link, LinkDemands};
 
-use crate::feasibility::{ChannelSlotAccumulator, SlotFeasibility};
+use crate::feasibility::SlotFeasibility;
 use crate::greedy::{EdgeOrdering, GreedyPhysical};
-use crate::schedule::{Schedule, SlotPattern};
+use crate::placement::OpenRuns;
+use crate::schedule::Schedule;
 use crate::verify::verify_schedule;
 
 /// Which path produced the repaired schedule.
@@ -135,23 +136,8 @@ pub fn repair_schedule<M: SlotFeasibility>(
     runs.retain(|(entries, _)| !entries.is_empty());
 
     // Pass 3: place deficits with the batched first-fit probe. Rebuild one
-    // accumulator per surviving run (assignment only — no probing), then scan
-    // them for each deficit link exactly as `GreedyPhysical::schedule` does.
-    struct OpenRun<'m> {
-        accumulator: Box<dyn ChannelSlotAccumulator + 'm>,
-        count: u64,
-    }
-    fn rebuild<'m, M: SlotFeasibility + ?Sized>(
-        model: &'m M,
-        entries: &[(ChannelId, Link)],
-    ) -> Box<dyn ChannelSlotAccumulator + 'm> {
-        let mut accumulator = model.open_channel_slot();
-        for &(channel, link) in entries {
-            accumulator.assign(channel, link);
-        }
-        accumulator
-    }
-
+    // accumulator per surviving run (assignment only — no probing), then
+    // first-fit each deficit link exactly as `GreedyPhysical::schedule` does.
     let mut deficits: Vec<(Link, u64)> = want
         .iter()
         .filter_map(|(&link, &w)| {
@@ -162,83 +148,20 @@ pub fn repair_schedule<M: SlotFeasibility>(
     EdgeOrdering::DecreasingHeadId.sort(&mut deficits);
     let added: u64 = deficits.iter().map(|&(_, d)| d).sum();
 
-    let channel_count = model.channel_count().max(1);
-    let channels: Vec<ChannelId> = (0..channel_count)
-        .map(|c| ChannelId::new(c as u16))
-        .collect();
-    let mut open_runs: Vec<OpenRun<'_>> = runs
-        .iter()
-        .map(|(entries, count)| OpenRun {
-            accumulator: rebuild(model, entries),
-            count: *count,
-        })
-        .collect();
+    let mut open_runs = OpenRuns::new(model);
+    for (entries, count) in runs {
+        open_runs.push_run(entries, count);
+    }
     for (link, demand) in deficits {
-        let mut remaining = demand;
-        let mut idx = 0usize;
-        // Refill probe profile, flushed to the obs sink after the scan.
-        let mut probed_runs: u64 = 0;
-        let mut rejected_runs: u64 = 0;
-        'slots: while remaining > 0 && idx < open_runs.len() {
-            let run = &mut open_runs[idx];
-            if !run.accumulator.contains_link(link) {
-                for &channel in &channels {
-                    probed_runs += 1;
-                    if !run.accumulator.can_add(channel, link) {
-                        rejected_runs += 1;
-                        continue;
-                    }
-                    if remaining >= run.count {
-                        run.accumulator.assign(channel, link);
-                        remaining -= run.count;
-                        break;
-                    }
-                    // Split the run, augmented part first (first-fit order).
-                    // lint:allow(H1.alloc, reason = "a split ends this link's scan, so at most one rebuild per deficit link")
-                    let mut augmented = model.open_channel_slot();
-                    for c in 0..run.accumulator.channel_count() {
-                        let c = ChannelId::new(c as u16);
-                        for &l in run.accumulator.links(c) {
-                            augmented.assign(c, l);
-                        }
-                    }
-                    augmented.assign(channel, link);
-                    run.count -= remaining;
-                    open_runs.insert(
-                        idx,
-                        OpenRun {
-                            accumulator: augmented,
-                            count: remaining,
-                        },
-                    );
-                    remaining = 0;
-                    break 'slots;
-                }
-            }
-            idx += 1;
-        }
+        let placed = open_runs.place(link, demand);
         scream_obs::counter_add("repair.refill.links", 1);
-        scream_obs::counter_add("repair.runs.probed", probed_runs);
-        scream_obs::counter_add("repair.runs.rejected", rejected_runs);
-        if remaining > 0 {
+        scream_obs::counter_add("repair.runs.probed", placed.probed);
+        scream_obs::counter_add("repair.runs.rejected", placed.rejected);
+        if placed.solo {
             scream_obs::counter_add("repair.refill.solo_runs", 1);
-            // lint:allow(H1.alloc, reason = "one solo-run accumulator per leftover deficit link, not per probe")
-            let mut accumulator = model.open_channel_slot();
-            accumulator.assign(ChannelId::ZERO, link);
-            open_runs.push(OpenRun {
-                accumulator,
-                count: remaining,
-            });
         }
     }
-
-    let repaired = Schedule::from_pattern_runs(open_runs.into_iter().map(|run| {
-        let entries: Vec<(ChannelId, Link)> = channels
-            .iter()
-            .flat_map(|&c| run.accumulator.links(c).iter().map(move |&l| (c, l)))
-            .collect();
-        (SlotPattern::from_entries(entries), run.count)
-    }));
+    let repaired = open_runs.into_schedule();
 
     scream_obs::counter_add("repair.stripped_allocation", removed);
     scream_obs::counter_add("repair.added_allocation", added);

@@ -1,42 +1,20 @@
-//! The packet-level traffic engine.
+//! The packet-level traffic engine: the run-to-a-horizon front end of the
+//! packet model (the crate-private `sim` module, `src/sim.rs`).
 //!
 //! [`TrafficEngine`] drives a [`FlowSet`] over a repeating TDMA frame (any
 //! run-length [`Schedule`], indexed by [`FrameService`] so million-slot
-//! frames cost nothing per slot) on the deterministic discrete-event engine
-//! of `scream_netsim::des`. Each link runs a FIFO queue served one packet
-//! per scheduled `(channel, link)` slot entry; packets hop along their
-//! flow's route and are measured end to end.
-//!
-//! # Event structure
-//!
-//! The simulation is event-driven, never slot-driven: the only events are
-//! packet **arrivals** (drawn from each flow's [`ArrivalProcess`]) and
-//! per-hop **departures**. A departure slot is assigned the moment a packet
-//! reaches the head-of-line position context allows — because service is
-//! FIFO and each scheduled slot serves a fixed number of packets, every
-//! packet's departure slot is determined when it joins the queue:
-//!
-//! > `departure(p) = next scheduled slot ≥ max(packet ready slot,
-//! >  first slot the server is free after the previous packet)`
-//!
-//! which [`FrameService::next_service_slot`] answers in O(log #windows).
-//! The cost of a run is therefore O(packet-hops · log #windows + events),
-//! independent of the frame's slot count — an idle million-slot frame is
-//! exactly as cheap as an idle ten-slot frame.
-//!
-//! Determinism: arrivals are seeded per flow (ChaCha), the event queue
-//! breaks timestamp ties in scheduling order (the contract `des.rs` pins),
-//! and no wall-clock value enters the simulation, so the same inputs
-//! reproduce the same [`TrafficReport`] byte for byte.
+//! frames cost nothing per slot). Packets are **source-routed**: each hops
+//! along its flow's fixed route and is measured end to end. A run is one
+//! uninterrupted segment of the shared simulator over `horizon_frames`
+//! frame repetitions; the event structure, the departure rule and the
+//! determinism guarantee are documented there, once.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-use scream_netsim::{EventQueue, SimTime};
+use scream_netsim::SimTime;
 use scream_scheduling::{FrameService, Schedule};
-use scream_topology::Link;
 
-use crate::flow::{ArrivalSampler, FlowSet};
-use crate::report::{DelayStats, LinkLoad, StabilityVerdict, TrafficReport};
+use crate::flow::FlowSet;
+use crate::report::{LinkLoad, StabilityVerdict, TrafficReport};
+use crate::sim::{analytic_loads, Links, NextHop, Router, Sim};
 
 /// Configuration of a traffic run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +63,14 @@ pub enum TrafficError {
     ZeroHorizon,
     /// The slot duration is zero.
     ZeroSlotDuration,
+    /// A flow's route has no links ([`Flow`](crate::Flow)'s fields are
+    /// public, so a route can bypass [`Flow::new`](crate::Flow::new)).
+    EmptyRoute {
+        /// Index of the offending flow in the flow set.
+        flow: usize,
+    },
+    /// `horizon_frames × frame length` does not fit in a `u64` slot count.
+    HorizonOverflow,
 }
 
 impl std::fmt::Display for TrafficError {
@@ -94,36 +80,39 @@ impl std::fmt::Display for TrafficError {
             Self::NoFlows => write!(f, "the flow set is empty"),
             Self::ZeroHorizon => write!(f, "the horizon must be at least one frame"),
             Self::ZeroSlotDuration => write!(f, "the slot duration must be positive"),
+            Self::EmptyRoute { flow } => write!(f, "flow {flow} has an empty route"),
+            Self::HorizonOverflow => write!(f, "the horizon in slots overflows a u64"),
         }
     }
 }
 
 impl std::error::Error for TrafficError {}
 
-/// A packet in flight: which flow it belongs to, which hop of the route it
-/// is queued at, and when it was created.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Packet {
-    flow: u32,
-    hop: u32,
-    created: SimTime,
+/// Source routing: `hop_links[f][h]` is the registry index of hop `h` of
+/// flow `f`, and a packet's tag is its `(flow, hop)` position.
+struct SourceRoutes {
+    hop_links: Vec<Vec<u32>>,
 }
 
-/// The DES event payload: a flow's next packet arrival, or the departure of
-/// the head-of-line packet at a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TrafficEvent {
-    Arrival { flow: u32 },
-    Departure { link: u32 },
-}
+impl Router for SourceRoutes {
+    type Tag = (u32, u32);
 
-/// Per-link FIFO queue plus the TDMA server cursor (the last slot departures
-/// were assigned to, and how much of its capacity is used).
-#[derive(Debug, Default)]
-struct LinkQueue {
-    queue: VecDeque<Packet>,
-    /// `(slot, used, capacity)` of the most recently assigned service slot.
-    cursor: Option<(u64, u32, u32)>,
+    fn first_hop(&self, source: u32, _: &mut Links<Self::Tag>) -> Option<(u32, Self::Tag)> {
+        let first = *self.hop_links[source as usize].first()?;
+        Some((first, (source, 0)))
+    }
+
+    fn next_hop(
+        &self,
+        _: u32,
+        (flow, hop): Self::Tag,
+        _: &mut Links<Self::Tag>,
+    ) -> NextHop<Self::Tag> {
+        match self.hop_links[flow as usize].get(hop as usize + 1) {
+            Some(&next) => NextHop::Forward(next, (flow, hop + 1)),
+            None => NextHop::Deliver,
+        }
+    }
 }
 
 /// The packet-level traffic engine. See the module docs for the model.
@@ -132,6 +121,8 @@ pub struct TrafficEngine {
     frame: FrameService,
     flows: FlowSet,
     config: TrafficConfig,
+    /// `horizon_frames × frame length`, checked at construction.
+    horizon_slots: u64,
 }
 
 impl TrafficEngine {
@@ -140,7 +131,8 @@ impl TrafficEngine {
     ///
     /// # Errors
     ///
-    /// Rejects empty frames, empty flow sets and degenerate configurations.
+    /// Rejects empty frames, empty flow sets, flows without a route,
+    /// degenerate configurations and horizons whose slot count overflows.
     pub fn new(
         frame: FrameService,
         flows: FlowSet,
@@ -152,16 +144,24 @@ impl TrafficEngine {
         if flows.is_empty() {
             return Err(TrafficError::NoFlows);
         }
+        if let Some(flow) = flows.flows().iter().position(|f| f.route.is_empty()) {
+            return Err(TrafficError::EmptyRoute { flow });
+        }
         if config.horizon_frames == 0 {
             return Err(TrafficError::ZeroHorizon);
         }
         if config.slot_duration == SimTime::ZERO {
             return Err(TrafficError::ZeroSlotDuration);
         }
+        let horizon_slots = config
+            .horizon_frames
+            .checked_mul(frame.frame_slots())
+            .ok_or(TrafficError::HorizonOverflow)?;
         Ok(Self {
             frame,
             flows,
             config,
+            horizon_slots,
         })
     }
 
@@ -186,232 +186,55 @@ impl TrafficEngine {
     }
 
     /// The per-link offered load vs. service share, and the resulting
-    /// analytic stability verdict — computable without simulating.
+    /// analytic stability verdict — computable without simulating. A flow
+    /// contributes its rate once per *distinct* link on its route.
     pub fn link_loads(&self) -> (Vec<LinkLoad>, StabilityVerdict) {
-        // One pass over the flows with an index map: a flow contributes its
-        // rate once per *distinct* link on its route, and links keep
-        // first-appearance order — the same loads `offered_on` per link
-        // would produce, at O(total hops) instead of O(links²). BTreeMap so
-        // no hash-ordered container feeds the verdict (D1.iter).
-        let mut index: BTreeMap<Link, usize> = BTreeMap::new();
-        let mut loads: Vec<LinkLoad> = Vec::new();
-        for flow in self.flows.flows() {
-            let rate = flow.arrival.mean_rate();
-            for (hop, &link) in flow.route.iter().enumerate() {
-                if flow.route[..hop].contains(&link) {
-                    continue;
-                }
-                let i = *index.entry(link).or_insert_with(|| {
-                    loads.push(LinkLoad {
-                        link,
-                        offered_per_slot: 0.0,
-                        service_share: self.frame.service_share(link),
-                    });
-                    loads.len() - 1
-                });
-                loads[i].offered_per_slot += rate;
-            }
-        }
-        let bottlenecks: Vec<LinkLoad> = loads.iter().filter(|l| !l.is_stable()).copied().collect();
-        let verdict = if bottlenecks.is_empty() {
-            StabilityVerdict::Stable
-        } else {
-            StabilityVerdict::Overloaded { bottlenecks }
-        };
-        (loads, verdict)
+        let paths = self.flows.flows().iter().map(|flow| {
+            let distinct = flow
+                .route
+                .iter()
+                .enumerate()
+                .filter(|&(hop, link)| !flow.route[..hop].contains(link))
+                .map(|(_, &link)| link);
+            (flow.arrival.mean_rate(), distinct)
+        });
+        analytic_loads(paths, |link| self.frame.service_share(link))
     }
 
     /// Runs the simulation over `horizon_frames` frame repetitions and
     /// returns the measurements. Deterministic: rerunning the same engine
     /// yields an identical report.
     pub fn run(&self) -> TrafficReport {
-        Simulation::new(self).run()
-    }
-}
-
-/// One simulation run's mutable state.
-struct Simulation<'a> {
-    engine: &'a TrafficEngine,
-    slot_ns: u64,
-    horizon: SimTime,
-    samplers: Vec<ArrivalSampler>,
-    /// Link index per flow hop: `hop_links[f][h]` indexes into `queues`.
-    hop_links: Vec<Vec<u32>>,
-    links: Vec<Link>,
-    queues: Vec<LinkQueue>,
-    injected: u64,
-    delivered: u64,
-    in_flight: u64,
-    peak_backlog: u64,
-    delays_slots: Vec<f64>,
-}
-
-impl<'a> Simulation<'a> {
-    fn new(engine: &'a TrafficEngine) -> Self {
-        let slot_ns = engine.config.slot_duration.as_nanos();
-        let horizon_slots = engine.config.horizon_frames * engine.frame.frame_slots();
-        let mut links: Vec<Link> = Vec::new();
-        let mut link_index: HashMap<Link, u32> = HashMap::new();
-        let mut hop_links = Vec::with_capacity(engine.flows.len());
-        for flow in engine.flows.flows() {
-            let hops = flow
-                .route
-                .iter()
-                .map(|&link| {
-                    *link_index.entry(link).or_insert_with(|| {
-                        links.push(link);
-                        (links.len() - 1) as u32
-                    })
-                })
-                .collect();
-            hop_links.push(hops);
-        }
-        let samplers = engine
-            .flows
-            .flows()
+        let flows = self.flows.flows();
+        let mut links = Links::default();
+        let hop_links = flows
             .iter()
-            .enumerate()
-            .map(|(i, flow)| {
-                let seed = engine
-                    .config
-                    .seed
-                    .wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                ArrivalSampler::new(flow.arrival, seed)
-            })
+            .map(|flow| flow.route.iter().map(|&link| links.idx(link)).collect())
             .collect();
-        let queues = links.iter().map(|_| LinkQueue::default()).collect();
-        Self {
-            engine,
-            slot_ns,
-            horizon: engine.config.slot_duration.saturating_mul(horizon_slots),
-            samplers,
-            hop_links,
+        let mut sim = Sim::new(
+            SourceRoutes { hop_links },
             links,
-            queues,
-            injected: 0,
-            delivered: 0,
-            in_flight: 0,
-            peak_backlog: 0,
-            delays_slots: Vec::new(),
-        }
-    }
-
-    /// The first slot whose service a packet becoming ready at `time` can
-    /// use: the slot starting at or after `time`.
-    fn ready_slot(&self, time: SimTime) -> u64 {
-        time.as_nanos().div_ceil(self.slot_ns)
-    }
-
-    /// Assigns the departure slot for a packet joining `link`'s FIFO queue
-    /// with the given ready slot, honoring per-slot service capacity.
-    /// Returns `None` when the frame never serves the link (the packet is
-    /// parked forever).
-    fn assign_departure(&mut self, link_idx: u32, ready: u64) -> Option<u64> {
-        let link = self.links[link_idx as usize];
-        let cursor = &mut self.queues[link_idx as usize].cursor;
-        if let Some((slot, used, capacity)) = *cursor {
-            if ready <= slot {
-                if used < capacity {
-                    *cursor = Some((slot, used + 1, capacity));
-                    return Some(slot);
-                }
-                let next = self.engine.frame.next_service_slot(link, slot + 1)?;
-                self.queues[link_idx as usize].cursor = Some((next.slot, 1, next.capacity));
-                return Some(next.slot);
-            }
-        }
-        let next = self.engine.frame.next_service_slot(link, ready)?;
-        self.queues[link_idx as usize].cursor = Some((next.slot, 1, next.capacity));
-        Some(next.slot)
-    }
-
-    /// Enqueues `packet` at `link`, assigning its departure and scheduling
-    /// the departure event (at the end of the assigned slot).
-    fn enqueue(
-        &mut self,
-        queue: &mut EventQueue<TrafficEvent>,
-        link_idx: u32,
-        packet: Packet,
-        ready: u64,
-    ) {
-        let departure = self.assign_departure(link_idx, ready);
-        self.queues[link_idx as usize].queue.push_back(packet);
-        if let Some(slot) = departure {
-            let at = self.engine.config.slot_duration.saturating_mul(slot + 1);
-            queue.schedule(at, TrafficEvent::Departure { link: link_idx });
-        }
-    }
-
-    fn schedule_next_arrival(&mut self, queue: &mut EventQueue<TrafficEvent>, flow: u32) {
-        let slots = self.samplers[flow as usize].next_arrival_slots();
-        let at = SimTime::from_nanos((slots * self.slot_ns as f64).round() as u64);
-        if at < self.horizon {
-            queue.schedule(at.max(queue.now()), TrafficEvent::Arrival { flow });
-        }
-    }
-
-    fn handle(&mut self, queue: &mut EventQueue<TrafficEvent>, event: TrafficEvent, now: SimTime) {
-        match event {
-            TrafficEvent::Arrival { flow } => {
-                self.injected += 1;
-                self.in_flight += 1;
-                self.peak_backlog = self.peak_backlog.max(self.in_flight);
-                let packet = Packet {
-                    flow,
-                    hop: 0,
-                    created: now,
-                };
-                let first = self.hop_links[flow as usize][0];
-                self.enqueue(queue, first, packet, self.ready_slot(now));
-                self.schedule_next_arrival(queue, flow);
-            }
-            TrafficEvent::Departure { link } => {
-                let mut packet = self.queues[link as usize]
-                    .queue
-                    .pop_front()
-                    .expect("departure events match queued packets one to one");
-                packet.hop += 1;
-                let route = &self.hop_links[packet.flow as usize];
-                if (packet.hop as usize) < route.len() {
-                    let next = route[packet.hop as usize];
-                    self.enqueue(queue, next, packet, self.ready_slot(now));
-                } else {
-                    self.delivered += 1;
-                    self.in_flight -= 1;
-                    let delay = now.saturating_sub(packet.created);
-                    self.delays_slots
-                        .push(delay.as_nanos() as f64 / self.slot_ns as f64);
-                }
-            }
-        }
-    }
-
-    fn run(mut self) -> TrafficReport {
-        let mut queue: EventQueue<TrafficEvent> = EventQueue::new();
-        for flow in 0..self.engine.flows.len() as u32 {
-            self.schedule_next_arrival(&mut queue, flow);
-        }
-        let horizon = self.horizon;
-        queue.run_until(horizon, |q, ev| self.handle(q, ev.event, ev.time));
-        let horizon_slots = self.engine.config.horizon_frames * self.engine.frame.frame_slots();
-        let (link_loads, verdict) = self.engine.link_loads();
-        let delay = DelayStats::from_delays(std::mem::take(&mut self.delays_slots));
+            flows.iter().map(|flow| flow.arrival),
+            &self.config,
+        );
+        let run = sim.advance(&self.frame, self.horizon_slots);
+        let (link_loads, verdict) = self.link_loads();
         TrafficReport {
-            frame_slots: self.engine.frame.frame_slots(),
-            horizon_slots,
-            flow_count: self.engine.flows.len(),
-            offered_per_slot: self.engine.flows.total_offered(),
-            injected: self.injected,
-            delivered: self.delivered,
-            sustained_throughput_per_slot: self.delivered as f64 / horizon_slots as f64,
-            sustained_throughput_pct: if self.injected == 0 {
+            frame_slots: self.frame.frame_slots(),
+            horizon_slots: self.horizon_slots,
+            flow_count: flows.len(),
+            offered_per_slot: self.flows.total_offered(),
+            injected: run.injected,
+            delivered: run.delivered,
+            sustained_throughput_per_slot: run.delivered as f64 / self.horizon_slots as f64,
+            sustained_throughput_pct: if run.injected == 0 {
                 100.0
             } else {
-                100.0 * self.delivered as f64 / self.injected as f64
+                100.0 * run.delivered as f64 / run.injected as f64
             },
-            delay,
-            peak_backlog: self.peak_backlog,
-            final_backlog: self.injected - self.delivered,
+            delay: run.delay,
+            peak_backlog: sim.totals.peak_backlog,
+            final_backlog: run.injected - run.delivered,
             link_loads,
             verdict,
         }
@@ -422,7 +245,7 @@ impl<'a> Simulation<'a> {
 mod tests {
     use super::*;
     use crate::flow::{ArrivalProcess, Flow, FlowSet};
-    use scream_topology::NodeId;
+    use scream_topology::{Link, NodeId};
 
     fn link(a: u32, b: u32) -> Link {
         Link::new(NodeId::new(a), NodeId::new(b))
@@ -471,6 +294,39 @@ mod tests {
                 TrafficConfig::new(1).with_slot_duration(SimTime::ZERO)
             ),
             Err(TrafficError::ZeroSlotDuration)
+        );
+    }
+
+    #[test]
+    fn a_flow_without_a_route_is_a_typed_error() {
+        // `Flow`'s fields are public, so a route can skip `Flow::new`'s checks.
+        let l = link(1, 0);
+        let routed = Flow::new(l.head, vec![l], ArrivalProcess::deterministic(0.1));
+        let unrouted = Flow {
+            route: Vec::new(),
+            ..routed.clone()
+        };
+        assert_eq!(
+            TrafficEngine::on_schedule(
+                &fractional_frame(l, 1, 2),
+                FlowSet::new(vec![routed, unrouted]),
+                TrafficConfig::new(1)
+            ),
+            Err(TrafficError::EmptyRoute { flow: 1 })
+        );
+    }
+
+    #[test]
+    fn a_horizon_beyond_the_slot_clock_is_a_typed_error() {
+        let l = link(1, 0);
+        let flows = FlowSet::single_hop(vec![(l, ArrivalProcess::deterministic(0.1))]);
+        assert_eq!(
+            TrafficEngine::on_schedule(
+                &fractional_frame(l, 1, 2),
+                flows,
+                TrafficConfig::new(u64::MAX / 2 + 1)
+            ),
+            Err(TrafficError::HorizonOverflow)
         );
     }
 

@@ -22,6 +22,13 @@
 //!   verdict](StabilityVerdict) — offered load strictly below every link's
 //!   per-frame service share sustains the load; anything else saturates.
 //!
+//! There is one packet model with two front ends: [`TrafficEngine`] runs it
+//! to a horizon over fixed source routes, and [`TrafficSession`] runs it in
+//! resumable segments over a [`ForwardingTable`], so links can fail, frames
+//! be swapped and routes change mid-run. Queues, service cursors, arrival
+//! seeding, the event loop and delivery accounting exist once, in the
+//! crate-private `sim` module.
+//!
 //! # Example: the stability knee on a two-slot frame
 //!
 //! ```
@@ -53,6 +60,7 @@ pub mod engine;
 pub mod flow;
 pub mod report;
 pub mod session;
+mod sim;
 
 pub use engine::{TrafficConfig, TrafficEngine, TrafficError};
 pub use flow::{ArrivalProcess, Flow, FlowSet};

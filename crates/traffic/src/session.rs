@@ -1,12 +1,12 @@
-//! Resumable, fault-aware traffic simulation: the epoch-driven counterpart
-//! of [`TrafficEngine`](crate::TrafficEngine).
+//! Resumable, fault-aware traffic simulation: the epoch-driven front end of
+//! the packet model (the crate-private `sim` module, `src/sim.rs`) and
+//! counterpart of [`TrafficEngine`](crate::TrafficEngine).
 //!
-//! [`TrafficSession`] simulates the same packet model as the engine — FIFO
-//! per-link queues served by a repeating TDMA frame, event-driven, seeded
-//! arrivals — but in **segments**: [`advance`](TrafficSession::advance) runs
-//! the clock forward a given number of slots and returns, leaving queues,
-//! arrival samplers and in-flight packets intact so the caller can mutate
-//! the world between segments:
+//! [`TrafficSession`] runs the shared simulator in **segments**:
+//! [`advance`](TrafficSession::advance) runs the clock forward a given
+//! number of slots and returns, leaving queues, arrival samplers and
+//! in-flight packets intact so the caller can mutate the world between
+//! segments:
 //!
 //! * [`fail_link`](TrafficSession::fail_link) /
 //!   [`restore_link`](TrafficSession::restore_link) — a dead link stops
@@ -27,23 +27,21 @@
 //! Routing is by **forwarding table** (one uplink per node, gateway sinks),
 //! the hop-by-hop reading of a
 //! [`RoutingForest`](scream_topology::RoutingForest) — which is what makes
-//! online rerouting well-defined for packets already mid-path. With a fixed
-//! frame, fixed routes and no faults, a session over one uninterrupted
-//! segment reproduces the engine's aggregate measurements exactly (pinned by
-//! the `session_matches_engine_*` tests), and segmentation itself is
-//! transparent: departure assignments are FIFO-reconstructed from the queue
-//! state at every segment start, which yields the same slots a continuous
-//! run would have assigned.
+//! online rerouting well-defined for packets already mid-path. Every
+//! mutator is an edit of the simulator's state between two segments; the
+//! FIFO reconstruction at each segment start (see the packet-model docs) is
+//! what makes those edits, and segmentation itself, safe. The model is
+//! checked against a slot-stepped reference that shares none of this code
+//! in `tests/packet_model.rs`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-use scream_netsim::{EventQueue, SimTime};
+use scream_netsim::SimTime;
 use scream_scheduling::FrameService;
 use scream_topology::{Link, NodeId, RoutingForest};
 
 use crate::engine::{TrafficConfig, TrafficError};
-use crate::flow::{ArrivalProcess, ArrivalSampler};
+use crate::flow::ArrivalProcess;
 use crate::report::{DelayStats, LinkLoad, StabilityVerdict};
+use crate::sim::{analytic_loads, Links, NextHop, Router, Sim};
 
 /// Hop-by-hop routing state: each node's uplink toward its gateway, plus
 /// which nodes are sinks (gateways). Built from a routing forest — including
@@ -114,25 +112,32 @@ pub struct Source {
     pub arrival: ArrivalProcess,
 }
 
-/// A packet in a session queue.
-#[derive(Debug, Clone, Copy)]
-struct SessionPacket {
-    created: SimTime,
+/// Table routing: packets carry nothing and are forwarded on the current
+/// table's uplink of whatever node they reached.
+#[derive(Debug)]
+struct TableRouter {
+    routes: ForwardingTable,
+    sources: Vec<Source>,
 }
 
-/// Per-link FIFO queue plus the TDMA server cursor, as in the engine.
-#[derive(Debug, Default)]
-struct SessionQueue {
-    queue: VecDeque<SessionPacket>,
-    /// `(absolute slot, used, capacity)` of the last assigned service slot.
-    cursor: Option<(u64, u32, u32)>,
-    dead: bool,
-}
+impl Router for TableRouter {
+    type Tag = ();
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SessionEvent {
-    Arrival { source: u32 },
-    Departure { link: u32 },
+    fn first_hop(&self, source: u32, links: &mut Links<()>) -> Option<(u32, ())> {
+        let first = self.routes.next_hop(self.sources[source as usize].node)?;
+        Some((links.idx(first), ()))
+    }
+
+    fn next_hop(&self, served: u32, (): (), links: &mut Links<()>) -> NextHop<()> {
+        let node = links.queues[served as usize].link.tail;
+        if self.routes.is_sink(node) {
+            return NextHop::Deliver;
+        }
+        match self.routes.next_hop(node) {
+            Some(next) => NextHop::Forward(links.idx(next), ()),
+            None => NextHop::Drop,
+        }
+    }
 }
 
 /// Measurements of one [`advance`](TrafficSession::advance) segment.
@@ -187,23 +192,7 @@ pub struct SessionTotals {
 #[derive(Debug)]
 pub struct TrafficSession {
     frame: FrameService,
-    /// Absolute slot at which `frame` was installed (its slot 0).
-    frame_epoch: u64,
-    routes: ForwardingTable,
-    sources: Vec<Source>,
-    samplers: Vec<ArrivalSampler>,
-    /// Next undelivered arrival instant per source, in absolute slots.
-    pending_arrival: Vec<Option<f64>>,
-    paused: Vec<bool>,
-    /// Link registry: stable indices across frame swaps and reroutes.
-    links: Vec<Link>,
-    link_index: HashMap<Link, u32>,
-    queues: Vec<SessionQueue>,
-    now_slot: u64,
-    slot_ns: u64,
-    slot_duration: SimTime,
-    totals: SessionTotals,
-    delays_slots: Vec<f64>,
+    sim: Sim<TableRouter>,
 }
 
 impl TrafficSession {
@@ -234,40 +223,19 @@ impl TrafficSession {
         if config.slot_duration == SimTime::ZERO {
             return Err(TrafficError::ZeroSlotDuration);
         }
-        let samplers = sources
-            .iter()
-            .enumerate()
-            .map(|(i, source)| {
-                let seed = config
-                    .seed
-                    .wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                ArrivalSampler::new(source.arrival, seed)
-            })
-            .collect();
-        let pending_arrival = vec![None; sources.len()];
-        let paused = vec![false; sources.len()];
-        Ok(Self {
-            frame,
-            frame_epoch: 0,
-            routes,
-            samplers,
-            pending_arrival,
-            paused,
-            sources,
-            links: Vec::new(),
-            link_index: HashMap::new(),
-            queues: Vec::new(),
-            now_slot: 0,
-            slot_ns: config.slot_duration.as_nanos(),
-            slot_duration: config.slot_duration,
-            totals: SessionTotals::default(),
-            delays_slots: Vec::new(),
-        })
+        let arrivals: Vec<ArrivalProcess> = sources.iter().map(|s| s.arrival).collect();
+        let sim = Sim::new(
+            TableRouter { routes, sources },
+            Links::default(),
+            arrivals.into_iter(),
+            &config,
+        );
+        Ok(Self { frame, sim })
     }
 
     /// The current absolute slot (start of the next segment).
     pub fn now_slot(&self) -> u64 {
-        self.now_slot
+        self.sim.now_slot()
     }
 
     /// The frame currently being served.
@@ -277,51 +245,37 @@ impl TrafficSession {
 
     /// The current forwarding table.
     pub fn routes(&self) -> &ForwardingTable {
-        &self.routes
+        &self.sim.router.routes
     }
 
     /// Cumulative counters since the session started.
     pub fn totals(&self) -> SessionTotals {
-        self.totals
+        self.sim.totals
     }
 
     /// End-to-end delay statistics over every packet delivered so far.
     pub fn delay(&self) -> DelayStats {
-        DelayStats::from_delays(self.delays_slots.clone())
-    }
-
-    fn link_idx(&mut self, link: Link) -> u32 {
-        if let Some(&idx) = self.link_index.get(&link) {
-            return idx;
-        }
-        let idx = self.links.len() as u32;
-        self.links.push(link);
-        self.queues.push(SessionQueue::default());
-        self.link_index.insert(link, idx);
-        idx
+        self.sim.delay()
     }
 
     /// Marks `link` dead: it stops serving and packets queued on it strand
     /// (until [`rescue_stranded`](Self::rescue_stranded) or
     /// [`restore_link`](Self::restore_link)).
     pub fn fail_link(&mut self, link: Link) {
-        let idx = self.link_idx(link);
-        self.queues[idx as usize].dead = true;
+        let idx = self.sim.links.idx(link);
+        self.sim.links.queues[idx as usize].dead = true;
         scream_obs::counter_add("traffic.link_failures", 1);
     }
 
     /// Brings a failed link back into service.
     pub fn restore_link(&mut self, link: Link) {
-        let idx = self.link_idx(link);
-        self.queues[idx as usize].dead = false;
+        let idx = self.sim.links.idx(link);
+        self.sim.links.queues[idx as usize].dead = false;
     }
 
     /// Whether `link` is currently marked dead.
     pub fn is_link_dead(&self, link: Link) -> bool {
-        self.link_index
-            .get(&link)
-            .map(|&i| self.queues[i as usize].dead)
-            .unwrap_or(false)
+        self.sim.links.get(link).is_some_and(|q| q.dead)
     }
 
     /// Installs a repaired frame. The new frame's slot 0 is the current
@@ -333,10 +287,7 @@ impl TrafficSession {
             return Err(TrafficError::EmptyFrame);
         }
         self.frame = frame;
-        self.frame_epoch = self.now_slot;
-        for queue in &mut self.queues {
-            queue.cursor = None;
-        }
+        self.sim.restart_frame();
         scream_obs::counter_add("traffic.frame_swaps", 1);
         Ok(())
     }
@@ -344,14 +295,18 @@ impl TrafficSession {
     /// Installs a new forwarding table. Packets already in flight follow it
     /// from their current position at their next hop.
     pub fn set_routes(&mut self, routes: ForwardingTable) {
-        self.routes = routes;
+        self.sim.router.routes = routes;
+    }
+
+    fn source_index(&self, node: NodeId) -> Option<usize> {
+        self.sim.router.sources.iter().position(|s| s.node == node)
     }
 
     /// Pauses a source (admission control): it injects nothing until
     /// resumed. Unknown nodes are ignored.
     pub fn pause_source(&mut self, node: NodeId) {
-        if let Some(i) = self.sources.iter().position(|s| s.node == node) {
-            self.paused[i] = true;
+        if let Some(i) = self.source_index(node) {
+            self.sim.pause(i);
         }
     }
 
@@ -359,33 +314,15 @@ impl TrafficSession {
     /// paused interval (arrivals that would have occurred while paused are
     /// discarded, not batched).
     pub fn resume_source(&mut self, node: NodeId) {
-        let Some(i) = self.sources.iter().position(|s| s.node == node) else {
-            return;
-        };
-        if !self.paused[i] {
-            return;
+        if let Some(i) = self.source_index(node) {
+            self.sim.resume(i);
         }
-        self.paused[i] = false;
-        let now = self.now_slot as f64;
-        let mut next = self.pending_arrival[i];
-        while next.map(|t| t < now).unwrap_or(true) {
-            let drawn = self.samplers[i].next_arrival_slots();
-            if drawn >= now {
-                next = Some(drawn);
-                break;
-            }
-            next = Some(drawn);
-        }
-        self.pending_arrival[i] = next;
     }
 
     /// Whether `node`'s source is currently paused.
     pub fn is_source_paused(&self, node: NodeId) -> bool {
-        self.sources
-            .iter()
-            .position(|s| s.node == node)
-            .map(|i| self.paused[i])
-            .unwrap_or(false)
+        self.source_index(node)
+            .is_some_and(|i| self.sim.is_paused(i))
     }
 
     /// Re-homes packets stranded on links that are dead or no longer served
@@ -395,34 +332,29 @@ impl TrafficSession {
     pub fn rescue_stranded(&mut self) -> (u64, u64) {
         let mut rescued = 0u64;
         let mut dropped = 0u64;
-        for idx in 0..self.links.len() {
-            let link = self.links[idx];
-            let stranded = {
-                let q = &self.queues[idx];
-                q.dead || self.frame.service_slots(link) == 0
-            };
-            if !stranded || self.queues[idx].queue.is_empty() {
+        let links = &mut self.sim.links;
+        for idx in 0..links.queues.len() {
+            let q = &mut links.queues[idx];
+            let link = q.link;
+            let stranded = q.dead || self.frame.service_slots(link) == 0;
+            if !stranded || q.queue.is_empty() {
                 continue;
             }
-            let packets: Vec<SessionPacket> = self.queues[idx].queue.drain(..).collect();
-            self.queues[idx].cursor = None;
-            let target = self.routes.next_hop(link.head).filter(|&t| t != link);
-            match target {
+            // The merged queue is booked afresh at the next segment start.
+            let packets = std::mem::take(&mut q.queue);
+            let target = self.sim.router.routes.next_hop(link.head);
+            match target.filter(|&t| t != link) {
                 Some(target) => {
-                    let tidx = self.link_idx(target) as usize;
+                    let tidx = links.idx(target) as usize;
                     rescued += packets.len() as u64;
-                    self.queues[tidx].queue.extend(packets);
-                    // Fresh assignments for the merged queue next segment.
-                    self.queues[tidx].cursor = None;
+                    links.queues[tidx].queue.extend(packets);
                 }
-                None => {
-                    dropped += packets.len() as u64;
-                    self.totals.in_flight -= packets.len() as u64;
-                }
+                None => dropped += packets.len() as u64,
             }
         }
-        self.totals.rescued += rescued;
-        self.totals.dropped += dropped;
+        self.sim.totals.in_flight -= dropped;
+        self.sim.totals.rescued += rescued;
+        self.sim.totals.dropped += dropped;
         scream_obs::counter_add("traffic.rescued", rescued);
         scream_obs::counter_add("traffic.rescue_dropped", dropped);
         (rescued, dropped)
@@ -433,265 +365,28 @@ impl TrafficSession {
     /// verdict. Dead links count as zero service, so any offered load on
     /// them is an infinite bottleneck.
     pub fn analytic_loads(&self) -> (Vec<LinkLoad>, StabilityVerdict) {
-        // Report path: BTreeMap so no hash-ordered container feeds the
-        // verdict, even though this index is lookup-only (D1.iter).
-        let mut index: BTreeMap<Link, usize> = BTreeMap::new();
-        let mut loads: Vec<LinkLoad> = Vec::new();
-        for (i, source) in self.sources.iter().enumerate() {
-            if self.paused[i] {
-                continue;
+        let router = &self.sim.router;
+        let paths = router
+            .sources
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !self.sim.is_paused(i))
+            .map(|(_, s)| (s.arrival.mean_rate(), router.routes.path_links(s.node)));
+        analytic_loads(paths, |link| {
+            if self.is_link_dead(link) {
+                0.0
+            } else {
+                self.frame.service_share(link)
             }
-            let rate = source.arrival.mean_rate();
-            for link in self.routes.path_links(source.node) {
-                let entry = *index.entry(link).or_insert_with(|| {
-                    let share = if self.is_link_dead(link) {
-                        0.0
-                    } else {
-                        self.frame.service_share(link)
-                    };
-                    loads.push(LinkLoad {
-                        link,
-                        offered_per_slot: 0.0,
-                        service_share: share,
-                    });
-                    loads.len() - 1
-                });
-                loads[entry].offered_per_slot += rate;
-            }
-        }
-        let bottlenecks: Vec<LinkLoad> = loads.iter().filter(|l| !l.is_stable()).copied().collect();
-        let verdict = if bottlenecks.is_empty() {
-            StabilityVerdict::Stable
-        } else {
-            StabilityVerdict::Overloaded { bottlenecks }
-        };
-        (loads, verdict)
+        })
     }
 
-    /// `FrameService::next_service_slot` in absolute session slots: the
-    /// frame repeats from `frame_epoch`, not from slot 0.
-    fn next_service_abs(&self, link: Link, from_abs: u64) -> Option<(u64, u32)> {
-        let from_rel = from_abs.saturating_sub(self.frame_epoch);
-        self.frame
-            .next_service_slot(link, from_rel)
-            .map(|n| (n.slot + self.frame_epoch, n.capacity))
-    }
-
-    /// Assigns the departure slot for a packet joining `link`'s queue with
-    /// the given ready slot — the engine's cursor logic, in absolute slots.
-    /// `None` for dead links and links the frame never serves.
-    fn assign_departure(&mut self, link_idx: u32, ready: u64) -> Option<u64> {
-        let link = self.links[link_idx as usize];
-        if self.queues[link_idx as usize].dead {
-            return None;
-        }
-        if let Some((slot, used, capacity)) = self.queues[link_idx as usize].cursor {
-            if ready <= slot {
-                if used < capacity {
-                    self.queues[link_idx as usize].cursor = Some((slot, used + 1, capacity));
-                    return Some(slot);
-                }
-                let (next, capacity) = self.next_service_abs(link, slot + 1)?;
-                self.queues[link_idx as usize].cursor = Some((next, 1, capacity));
-                return Some(next);
-            }
-        }
-        let (next, capacity) = self.next_service_abs(link, ready)?;
-        self.queues[link_idx as usize].cursor = Some((next, 1, capacity));
-        Some(next)
-    }
-
-    fn enqueue(
-        &mut self,
-        queue: &mut EventQueue<SessionEvent>,
-        end: SimTime,
-        link_idx: u32,
-        packet: SessionPacket,
-        ready: u64,
-    ) {
-        let departure = self.assign_departure(link_idx, ready);
-        self.queues[link_idx as usize].queue.push_back(packet);
-        if let Some(slot) = departure {
-            let at = self.slot_duration.saturating_mul(slot + 1);
-            if at <= end {
-                queue.schedule(at, SessionEvent::Departure { link: link_idx });
-            }
-        }
-    }
-
-    fn ready_slot(&self, time: SimTime) -> u64 {
-        time.as_nanos().div_ceil(self.slot_ns)
-    }
-
-    fn schedule_next_arrival(
-        &mut self,
-        queue: &mut EventQueue<SessionEvent>,
-        end: SimTime,
-        source: u32,
-    ) {
-        let i = source as usize;
-        let slots = match self.pending_arrival[i] {
-            Some(slots) => slots,
-            None => {
-                let drawn = self.samplers[i].next_arrival_slots();
-                self.pending_arrival[i] = Some(drawn);
-                drawn
-            }
-        };
-        let at = SimTime::from_nanos((slots * self.slot_ns as f64).round() as u64);
-        if at < end {
-            queue.schedule(at.max(queue.now()), SessionEvent::Arrival { source });
-        }
-    }
-
-    fn handle(
-        &mut self,
-        queue: &mut EventQueue<SessionEvent>,
-        end: SimTime,
-        event: SessionEvent,
-        now: SimTime,
-        segment: &mut SegmentReport,
-    ) {
-        match event {
-            SessionEvent::Arrival { source } => {
-                self.pending_arrival[source as usize] = None;
-                let node = self.sources[source as usize].node;
-                match self.routes.next_hop(node) {
-                    Some(first) => {
-                        self.totals.injected += 1;
-                        self.totals.in_flight += 1;
-                        self.totals.peak_backlog =
-                            self.totals.peak_backlog.max(self.totals.in_flight);
-                        segment.injected += 1;
-                        let idx = self.link_idx(first);
-                        let packet = SessionPacket { created: now };
-                        self.enqueue(queue, end, idx, packet, self.ready_slot(now));
-                    }
-                    None => {
-                        // A cut-off source: the packet is lost at injection.
-                        self.totals.injected += 1;
-                        self.totals.dropped += 1;
-                        segment.injected += 1;
-                        segment.dropped += 1;
-                    }
-                }
-                self.schedule_next_arrival(queue, end, source);
-            }
-            SessionEvent::Departure { link } => {
-                let packet = self.queues[link as usize]
-                    .queue
-                    .pop_front()
-                    .expect("departure events match queued packets one to one");
-                let node = self.links[link as usize].tail;
-                if self.routes.is_sink(node) {
-                    self.totals.delivered += 1;
-                    self.totals.in_flight -= 1;
-                    segment.delivered += 1;
-                    let delay = now.saturating_sub(packet.created);
-                    let slots = delay.as_nanos() as f64 / self.slot_ns as f64;
-                    self.delays_slots.push(slots);
-                    segment_push_delay(segment, slots);
-                } else {
-                    match self.routes.next_hop(node) {
-                        Some(next) => {
-                            let idx = self.link_idx(next);
-                            self.enqueue(queue, end, idx, packet, self.ready_slot(now));
-                        }
-                        None => {
-                            self.totals.dropped += 1;
-                            self.totals.in_flight -= 1;
-                            segment.dropped += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs the simulation forward `slots` slots and returns the segment's
-    /// measurements. Departure assignments are FIFO-reconstructed from the
-    /// queue state at the segment start, so pausing and resuming at any
-    /// boundary does not change what a continuous run would have done.
+    /// Runs the simulation forward `slots` slots (saturating at the end of
+    /// the `u64` slot clock) and returns the segment's measurements.
+    /// Pausing and resuming at any boundary does not change what a
+    /// continuous run would have done.
     pub fn advance(&mut self, slots: u64) -> SegmentReport {
-        let start_slot = self.now_slot;
-        let end_slot = start_slot + slots;
-        let end = self.slot_duration.saturating_mul(end_slot);
-        let mut segment = SegmentReport {
-            start_slot,
-            end_slot,
-            injected: 0,
-            delivered: 0,
-            dropped: 0,
-            backlog_end: 0,
-            delay: DelayStats::default(),
-        };
-        let mut queue: EventQueue<SessionEvent> = EventQueue::new();
-
-        // Reconstruct departure assignments for everything queued: reset
-        // cursors, then re-assign in FIFO order with ready = segment start.
-        for q in &mut self.queues {
-            q.cursor = None;
-        }
-        for idx in 0..self.links.len() as u32 {
-            let backlog = self.queues[idx as usize].queue.len();
-            for _ in 0..backlog {
-                if let Some(slot) = self.assign_departure(idx, start_slot) {
-                    let at = self.slot_duration.saturating_mul(slot + 1);
-                    if at <= end {
-                        queue.schedule(at, SessionEvent::Departure { link: idx });
-                    }
-                }
-            }
-        }
-        // Arm arrivals for every unpaused source.
-        for i in 0..self.sources.len() as u32 {
-            if !self.paused[i as usize] {
-                self.schedule_next_arrival(&mut queue, end, i);
-            }
-        }
-
-        queue.run_until(end, |q, ev| {
-            // Split-borrow dance: `handle` needs `&mut self` and the report.
-            let event = ev.event;
-            let time = ev.time;
-            self.handle(q, end, event, time, &mut segment);
-        });
-        self.now_slot = end_slot;
-        segment.backlog_end = self.totals.in_flight;
-        finalize_segment_delay(&mut segment);
-        scream_obs::set_slot(end_slot);
-        scream_obs::counter_add("traffic.injected", segment.injected);
-        scream_obs::counter_add("traffic.delivered", segment.delivered);
-        scream_obs::counter_add("traffic.dropped", segment.dropped);
-        scream_obs::gauge_set("traffic.backlog", segment.backlog_end);
-        scream_obs::event(
-            "traffic.segment",
-            &[
-                ("injected", segment.injected),
-                ("delivered", segment.delivered),
-                ("dropped", segment.dropped),
-                ("backlog", segment.backlog_end),
-            ],
-        );
-        segment
-    }
-}
-
-/// Accumulates one delay sample into the segment's running stats buffer.
-/// (Kept outside the struct to avoid borrowing `self` twice in `handle`.)
-fn segment_push_delay(segment: &mut SegmentReport, slots: f64) {
-    // `DelayStats` is assembled at segment end; stash samples in `mean_slots`
-    // as a running sum and `count` until then.
-    segment.delay.count += 1;
-    segment.delay.mean_slots += slots;
-    segment.delay.max_slots = segment.delay.max_slots.max(slots);
-}
-
-/// Converts the running sum stashed by [`segment_push_delay`] into a mean.
-/// Percentiles are only tracked session-wide ([`TrafficSession::delay`]).
-fn finalize_segment_delay(segment: &mut SegmentReport) {
-    if segment.delay.count > 0 {
-        segment.delay.mean_slots /= segment.delay.count as f64;
+        self.sim.advance(&self.frame, slots)
     }
 }
 
@@ -873,11 +568,7 @@ mod tests {
         s.advance(20);
         s.fail_link(dead);
         s.advance(20);
-        let stranded = s
-            .link_index
-            .get(&dead)
-            .map(|&i| s.queues[i as usize].queue.len())
-            .unwrap_or(0);
+        let stranded = s.sim.links.get(dead).map_or(0, |q| q.queue.len());
         assert!(stranded > 0, "packets pile on the dead link");
 
         // Reroute around the failure and rescue: 2's packets re-home via
@@ -939,6 +630,20 @@ mod tests {
         assert!(resumed.injected > 0);
         // Fast-forward: roughly the paused interval's arrivals are gone.
         assert!(resumed.injected <= 11);
+    }
+
+    #[test]
+    fn advance_saturates_at_the_end_of_the_slot_clock() {
+        let (frame, table) = path_setup();
+        let mut s = session(&frame, table, 0.25, 5);
+        s.pause_source(NodeId::new(3));
+        s.advance(10);
+        // Nothing queued and nothing arriving: the segment is empty, and its
+        // end is the last representable slot rather than a wrapped one.
+        let rest = s.advance(u64::MAX);
+        assert_eq!((rest.start_slot, rest.end_slot), (10, u64::MAX));
+        assert_eq!(s.now_slot(), u64::MAX);
+        assert_eq!(s.advance(1).end_slot, u64::MAX);
     }
 
     #[test]

@@ -283,3 +283,62 @@ fn flows_with_demand(forest: &RoutingForest, demands: &DemandVector) -> usize {
         .filter(|(v, _)| demands.demand(*v) > 0)
         .count()
 }
+
+#[test]
+fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
+    // Captured at ae1eebc, the last commit where `TrafficSession` was a
+    // simulator of its own: 11 reschedules (fail / reroute / repair / swap /
+    // rescue / pause) over 45 epochs, so every session mutator is on
+    // the path to these numbers.
+    let deployment = GridDeployment::new(5, 5, 180.0).build();
+    let env = RadioEnvironment::builder().build(&deployment);
+    let gateways = deployment.corner_nodes();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let demands =
+        DemandVector::generate(deployment.len(), DemandConfig::PAPER, &gateways, &mut rng);
+    let graph = env.communication_graph();
+    let links: Vec<Link> = graph.edges().map(|(u, v)| Link::new(u, v)).collect();
+    let nodes: Vec<NodeId> = (0..deployment.len() as u32)
+        .map(NodeId::new)
+        .filter(|v| !gateways.contains(v))
+        .collect();
+    let churn = ChurnConfig {
+        horizon_slots: 6000,
+        link_failures: 6,
+        node_failures: 2,
+        flow_churns: 3,
+        fades: 1,
+        mean_outage_slots: 500.0,
+        fade_sigma_db: 2.0,
+    };
+    let trace = FaultPlan::new()
+        .random_churn(churn, &links, &nodes, 17)
+        .build();
+    let report = ResilienceHarness::new(env, gateways, demands, 0.8)
+        .run(&trace, 6000, 9)
+        .unwrap();
+    assert_eq!(
+        report.totals,
+        SessionTotals {
+            injected: 3987,
+            delivered: 3897,
+            dropped: 8,
+            rescued: 180,
+            in_flight: 82,
+            peak_backlog: 132,
+        }
+    );
+    assert!(report.final_verdict_stable);
+    assert_eq!(
+        (report.repairs.len(), report.incremental_repairs()),
+        (11, 11)
+    );
+    assert_eq!((report.epochs.len(), report.deferred_flows), (45, 0));
+    assert_eq!(report.frame_slots_initial, 134);
+    assert_eq!(report.time_to_recover_slots, Some(1022));
+    assert_eq!(report.outage_delivery_pct.to_bits(), 0x4055_4afa_fafa_fafb);
+    assert_eq!(
+        report.post_recovery_delivery_pct.to_bits(),
+        0x4058_184d_703e_9c1d
+    );
+}

@@ -103,6 +103,34 @@ fn churn_tracing_is_deterministic() {
     );
 }
 
+/// Emission lives in the shared packet model, so an engine run is observable
+/// like a session: the counters are the report's own counts, two runs
+/// snapshot byte-identically, and the report is the one an uninstalled sink
+/// produces.
+#[test]
+fn engine_runs_emit_their_counts_into_the_sink() {
+    let instance = paper_instance(7);
+    let schedule = instance.run_centralized();
+    let run = || instance.run_traffic(&schedule, 0.8, 50);
+
+    assert!(!obs::is_installed());
+    let plain = run();
+    let (traced_a, report_a) = observed(run);
+    let (traced_b, report_b) = observed(run);
+    assert_eq!(plain, traced_a, "the sink must not change the report");
+    assert_eq!(traced_a, traced_b);
+    assert_byte_identical(&report_a, &report_b);
+    assert!(plain.injected > 0 && plain.delivered > 0);
+    assert_eq!(
+        report_a.snapshot.counter("traffic.injected"),
+        plain.injected
+    );
+    assert_eq!(
+        report_a.snapshot.counter("traffic.delivered"),
+        plain.delivered
+    );
+}
+
 /// With no sink installed, emission is a no-op: the schedules and reports
 /// produced are byte-identical to the instrumented ones, so observability
 /// can never change a verdict.
