@@ -1,15 +1,10 @@
 //! Criterion bench for the heavy-demand fast path: batched run-level
-//! placement vs the seed's per-unit first-fit loop, swept over demand
-//! magnitude on the fixed 64-link instance of
+//! placement swept over demand magnitude on the fixed 64-link instance of
 //! [`scream_bench::heavy_demand_instance`].
 //!
 //! `batched` is `GreedyPhysical::schedule` (run-length schedules, one probe
-//! per pattern per link); `per_unit_baseline` is
-//! `GreedyPhysical::schedule_per_unit`, the pre-batching implementation kept
-//! as a baseline shim. The baseline materializes one slot per unit of demand
-//! — O(total demand) time and memory — so it is benched only up to
-//! demand 10⁴ (at 10⁶ a single iteration would take minutes); the batched
-//! path runs the full sweep to 10⁶, where its cost is visibly flat.
+//! per pattern per link): its cost must be flat from demand 1 to 10⁶, since
+//! the work is O(#links · #patterns) whatever each link demands.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scream_bench::{heavy_demand_instance, heavy_demand_instance_on_channels};
@@ -25,15 +20,6 @@ fn bench_heavy_demand(c: &mut Criterion) {
             &demands,
             |b, demands| b.iter(|| GreedyPhysical::paper_baseline().schedule(&env, demands)),
         );
-        if demand <= 10_000 {
-            group.bench_with_input(
-                BenchmarkId::new("per_unit_baseline", demand),
-                &demands,
-                |b, demands| {
-                    b.iter(|| GreedyPhysical::paper_baseline().schedule_per_unit(&env, demands))
-                },
-            );
-        }
     }
     group.finish();
 }

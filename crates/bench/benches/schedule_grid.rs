@@ -1,16 +1,9 @@
 //! Criterion bench for the Figure 6 pipeline (planned grid): centralized
 //! GreedyPhysical, FDD and PDD on a reduced grid instance.
-//!
-//! `centralized` runs through the interference-ledger accumulator;
-//! `centralized_from_scratch` pins the pre-ledger implementation (every
-//! probe re-checks the whole slot) on the same instance, so the end-to-end
-//! speedup of the ledger refactor is visible directly in this bench's
-//! output.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scream_bench::PaperScenario;
 use scream_core::ProtocolKind;
-use scream_scheduling::{FromScratch, GreedyPhysical};
 
 fn bench_schedule_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_grid_schedule");
@@ -23,14 +16,6 @@ fn bench_schedule_grid(c: &mut Criterion) {
             BenchmarkId::new("centralized", density as u64),
             &instance,
             |b, inst| b.iter(|| inst.run_centralized()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("centralized_from_scratch", density as u64),
-            &instance,
-            |b, inst| {
-                let model = FromScratch(&inst.env);
-                b.iter(|| GreedyPhysical::paper_baseline().schedule(&model, &inst.link_demands))
-            },
         );
         group.bench_with_input(
             BenchmarkId::new("fdd", density as u64),

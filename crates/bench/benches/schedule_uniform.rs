@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scream_bench::PaperScenario;
 use scream_core::ProtocolKind;
-use scream_scheduling::{FromScratch, GreedyPhysical};
 
 fn bench_schedule_uniform(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_uniform_schedule");
@@ -13,10 +12,6 @@ fn bench_schedule_uniform(c: &mut Criterion) {
         .with_node_count(36)
         .instantiate(2);
     group.bench_function("centralized", |b| b.iter(|| instance.run_centralized()));
-    group.bench_function("centralized_from_scratch", |b| {
-        let model = FromScratch(&instance.env);
-        b.iter(|| GreedyPhysical::paper_baseline().schedule(&model, &instance.link_demands))
-    });
     group.bench_with_input(BenchmarkId::new("fdd", 36), &instance, |b, inst| {
         b.iter(|| inst.run_protocol(ProtocolKind::Fdd))
     });

@@ -1,7 +1,6 @@
 //! Quick deterministic bench summary: times the scheduling/feasibility hot
 //! paths with `std::time::Instant` (median of a few repetitions, fixed
 //! instances, no randomness) and writes the results — including the
-//! batched-vs-per-unit and ledger-vs-from-scratch speedup ratios, the
 //! channel-ablation length ratios and the traffic engine's packets/sec on
 //! the 64-link heavy-demand frame — to `BENCH_schedule.json`, so the perf
 //! trajectory is tracked across PRs.
@@ -37,9 +36,7 @@ use scream_bench::{
 };
 use scream_core::{DistributedScheduler, ProtocolConfig};
 use scream_netsim::SlotLedger;
-use scream_scheduling::{
-    repair_schedule, verify_schedule, FromScratch, GreedyPhysical, RepairOutcome,
-};
+use scream_scheduling::{repair_schedule, verify_schedule, GreedyPhysical, RepairOutcome};
 use scream_topology::{Link, LinkDemands};
 use scream_traffic::{ArrivalProcess, FlowSet, TrafficConfig, TrafficEngine};
 
@@ -115,8 +112,8 @@ fn main() {
 
     let mut measurements = Vec::new();
 
-    // Heavy-demand scheduling: batched run-level placement vs the per-unit
-    // baseline on the fixed 64-link instance.
+    // Heavy-demand scheduling: batched run-level placement on the fixed
+    // 64-link instance.
     let (env, demands) = heavy_demand_instance(heavy_demand);
     eprintln!("# timing batched placement (demand {heavy_demand}/link, 64 links)...");
     let batched = time_median(reps, || {
@@ -126,16 +123,6 @@ fn main() {
         name: "greedy_batched_heavy",
         median_secs: batched,
         reps,
-    });
-    eprintln!("# timing per-unit baseline (same instance)...");
-    let per_unit_reps = if quick { 1 } else { 3 };
-    let per_unit = time_median(per_unit_reps, || {
-        GreedyPhysical::paper_baseline().schedule_per_unit(&env, &demands)
-    });
-    measurements.push(Measurement {
-        name: "greedy_per_unit_heavy",
-        median_secs: per_unit,
-        reps: per_unit_reps,
     });
 
     // Run-length verification of the million-scale schedule (batched path's
@@ -155,26 +142,17 @@ fn main() {
         reps,
     });
 
-    // Paper-scenario end-to-end scheduling: ledger-backed vs from-scratch
-    // feasibility on a 36-node fig6-style instance (the schedule_grid bench's
-    // comparison, in deterministic quick form).
+    // Paper-scenario end-to-end scheduling on a 36-node fig6-style instance
+    // (the schedule_grid bench's `centralized` arm, in deterministic quick
+    // form).
     let instance = PaperScenario::grid(2_000.0)
         .with_node_count(36)
         .instantiate(1);
-    eprintln!("# timing fig6-style centralized scheduling (ledger vs from-scratch)...");
+    eprintln!("# timing fig6-style centralized scheduling...");
     let ledger = time_median(reps, || instance.run_centralized());
     measurements.push(Measurement {
         name: "fig6_centralized_ledger",
         median_secs: ledger,
-        reps,
-    });
-    let from_scratch = time_median(reps, || {
-        GreedyPhysical::paper_baseline()
-            .schedule(&FromScratch(&instance.env), &instance.link_demands)
-    });
-    measurements.push(Measurement {
-        name: "fig6_centralized_from_scratch",
-        median_secs: from_scratch,
         reps,
     });
 
@@ -580,8 +558,6 @@ fn main() {
     ];
 
     let mut ratios = vec![
-        ("batched_over_per_unit", per_unit / batched.max(1e-12)),
-        ("ledger_over_from_scratch", from_scratch / ledger.max(1e-12)),
         (
             "scale_pruned_over_exact_probe",
             probe_exact / probe_pruned.max(1e-12),

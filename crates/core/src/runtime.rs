@@ -102,11 +102,13 @@ impl DistributedScheduler {
     /// elections, and each iteration's handshake step spans one sub-slot per
     /// channel (a one-radio node probes the channels sequentially).
     ///
-    /// With one channel the claims degenerate to the single-channel probe,
-    /// the announcement costs zero bits and the run is byte-for-byte the
-    /// pre-channel runtime — schedule, [`ProtocolTiming`] and [`RunStats`] —
-    /// which is retained as [`run_single_channel`](Self::run_single_channel)
-    /// and pinned by the `single_channel_runtime_reduction_is_exact` property
+    /// With one channel — the paper's setting — the assignment phase has one
+    /// sub-phase, the announcement costs zero bits and every iteration is
+    /// charged exactly one handshake slot: the paper's protocol is the
+    /// `C = 1` value of this loop, not a second one. Capping a multi-channel
+    /// environment at one channel equals running on the same geometry built
+    /// with one channel — schedule, [`ProtocolTiming`] and [`RunStats`] — as
+    /// pinned by the `single_channel_runtime_reduction_is_exact` property
     /// test.
     ///
     /// # Errors
@@ -348,221 +350,6 @@ impl DistributedScheduler {
         })
     }
 
-    /// The pre-channel-aware runtime: identical to [`run`](Self::run) except
-    /// that every claim goes through the single-channel
-    /// [`SlotLedger`](scream_netsim::SlotLedger) and any extra channels the
-    /// environment provides are ignored.
-    ///
-    /// Kept (like `GreedyPhysical::schedule_per_unit` and `FromScratch` for
-    /// the ledger) as the reduction baseline: the
-    /// `single_channel_runtime_reduction_is_exact` property test pins that
-    /// [`run`](Self::run) on a single-channel environment reproduces this
-    /// baseline byte for byte — schedule, timing and statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_single_channel(
-        &self,
-        env: &RadioEnvironment,
-        demands: &LinkDemands,
-    ) -> Result<DistributedRun, ProtocolError> {
-        self.config.validate()?;
-        if env.node_count() != demands.node_count() {
-            return Err(ProtocolError::NodeCountMismatch {
-                environment: env.node_count(),
-                demands: demands.node_count(),
-            });
-        }
-        let channel = ScreamChannel::new(env, &self.config)?;
-        let n = env.node_count();
-        let slot_timing = SlotTiming::derive(
-            env.config(),
-            self.config.scream_bytes,
-            self.config.clock_skew,
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let election = LeaderElection::new();
-        let id_bits = LeaderElection::id_bits(n) as u64;
-
-        let (link_of, mut remaining) = per_node_links(demands)?;
-        let round_limit = self.config.round_limit(demands.total_demand());
-
-        let mut timing = ProtocolTiming::new();
-        let mut stats = RunStats::new();
-        let mut schedule = Schedule::new();
-        let mut controller: Option<usize> = None;
-        // One interference ledger reused (cleared, not reallocated) across
-        // every round's slot construction.
-        let mut ledger = env.open_slot_ledger();
-
-        loop {
-            if controller.is_none() {
-                // A new controller must be elected among the nodes that still
-                // have pending demand; completed nodes participate passively.
-                timing.add_sync_step();
-                let candidates: Vec<bool> = remaining.iter().map(|&r| r > 0).collect();
-                let winner = election.elect(&channel, &candidates, &mut timing);
-                stats.elections += 1;
-                stats.scream_invocations += id_bits;
-
-                // Termination detection: the winner (if any) screams; if the
-                // OR comes back false, every node learns that no demand is
-                // left and the algorithm terminates.
-                timing.add_sync_step();
-                let mut exists = vec![false; n];
-                if let Some(w) = winner {
-                    exists[w.index()] = true;
-                }
-                let any_controller = channel.network_or(&exists, &mut timing)[0];
-                stats.scream_invocations += 1;
-                if !any_controller {
-                    break;
-                }
-                controller = winner.map(|w| w.index());
-            }
-            let ctrl = controller.expect("controller is set when the loop body runs");
-
-            // Same round-limit boundary as `run`: checked before the round.
-            if stats.rounds >= round_limit {
-                return Err(ProtocolError::RoundLimitExceeded {
-                    limit: round_limit,
-                    rounds_executed: stats.rounds,
-                    unsatisfied_links: remaining.iter().filter(|&&r| r > 0).count(),
-                    slots_built: schedule.length(),
-                });
-            }
-
-            // ---- GreedyScheduleSlot (one round, one slot) ----
-            let mut state: Vec<NodeState> = (0..n)
-                .map(|i| {
-                    if i == ctrl {
-                        NodeState::Control
-                    } else if remaining[i] > 0 {
-                        NodeState::Dormant
-                    } else {
-                        NodeState::Complete
-                    }
-                })
-                .collect();
-
-            // Interference ledger for the slot under construction: the
-            // controller's edge plus every allocated edge, with cumulative
-            // per-receiver interference cached so each iteration's handshake
-            // and veto checks cost O((k + a) · a) instead of O((k + a)²).
-            ledger.clear();
-            ledger.assign(link_of[ctrl].expect("the controller has pending demand"));
-
-            loop {
-                stats.slot_iterations += 1;
-
-                // SelectActive: the only place the three protocol variants
-                // differ.
-                let actives = self.select_active(
-                    &state,
-                    &channel,
-                    &election,
-                    &mut rng,
-                    &mut timing,
-                    &mut stats,
-                );
-                for &a in &actives {
-                    state[a] = NodeState::Active;
-                }
-
-                // Handshake time step: every CONTROL/ALLOCATED/ACTIVE edge
-                // performs its two-way handshake concurrently. The ledger
-                // prices the tentative active edges against the already
-                // scheduled ones (and each other) in one batched probe.
-                timing.add_sync_step();
-                timing.add_handshake_slot();
-                stats.handshake_steps += 1;
-                let active_links: Vec<Link> = actives
-                    .iter()
-                    .map(|&i| link_of[i].expect("active nodes have pending demand"))
-                    .collect();
-                // `probe_claims` = SINR handshakes + the half-duplex screen:
-                // an active edge touching a node already busy in this slot
-                // cannot complete a handshake, which the SINR checks alone
-                // miss (the exclusion rule skips a busy shared node). See
-                // the regression test
-                // `half_duplex_is_enforced_at_low_sinr_thresholds`.
-                let probe = ledger.probe_claims(&active_links);
-
-                // Verification time step: previously scheduled edges hold
-                // veto power — if any of them failed its handshake, it
-                // SCREAMs and every tentative active edge withdraws.
-                timing.add_sync_step();
-                let vetoed = !probe.existing_ok;
-                // The veto travels by SCREAM: one network-wide OR either way.
-                let mut veto_flags = vec![false; n];
-                veto_flags[ctrl] = vetoed;
-                let vetoed = channel.network_or(&veto_flags, &mut timing)[0];
-                stats.scream_invocations += 1;
-                if vetoed {
-                    stats.vetoes += 1;
-                    scream_obs::counter_add("runtime.vetoes", 1);
-                }
-                for (idx, &i) in actives.iter().enumerate() {
-                    if vetoed || !probe.tentative_ok[idx] {
-                        state[i] = NodeState::Tried;
-                        stats.tried_transitions += 1;
-                    } else {
-                        state[i] = NodeState::Allocated;
-                        ledger.assign(active_links[idx]);
-                    }
-                }
-
-                // stillActives check: dormant nodes scream so that everyone
-                // learns whether another iteration is needed.
-                timing.add_sync_step();
-                let dormant_flags: Vec<bool> =
-                    (0..n).map(|i| state[i] == NodeState::Dormant).collect();
-                let still_actives = channel.network_or(&dormant_flags, &mut timing)[0];
-                stats.scream_invocations += 1;
-                if !still_actives {
-                    break;
-                }
-            }
-
-            // Seal the slot: the controller's edge plus every allocated edge
-            // — exactly the ledger's contents.
-            let slot_links: Vec<Link> = ledger.links().to_vec();
-            for link in &slot_links {
-                let i = link.head.index();
-                remaining[i] = remaining[i].saturating_sub(1);
-            }
-            let sealed_links = slot_links.len() as u64;
-            schedule.push_slot(slot_links);
-            stats.rounds += 1;
-            scream_obs::set_round(stats.rounds);
-            scream_obs::set_slot(schedule.length() as u64);
-            scream_obs::counter_add("runtime.rounds", 1);
-            scream_obs::counter_add("runtime.claims", sealed_links);
-            scream_obs::event("runtime.round", &[("claims", sealed_links)]);
-
-            // Control-release check: the controller screams iff its demand is
-            // now satisfied, releasing control for the next round.
-            timing.add_sync_step();
-            let mut release = vec![false; n];
-            release[ctrl] = remaining[ctrl] == 0;
-            let released = channel.network_or(&release, &mut timing)[0];
-            stats.scream_invocations += 1;
-            if released {
-                controller = None;
-            }
-        }
-
-        stats.terminated = remaining.iter().all(|&r| r == 0);
-        Ok(DistributedRun {
-            kind: self.kind,
-            schedule,
-            timing,
-            slot_timing,
-            stats,
-        })
-    }
-
     /// The `SelectActive()` function of Section III: PDD activates each
     /// dormant node independently with probability `p`; FDD elects the
     /// highest-id dormant node through a full leader election; AFDD announces
@@ -641,8 +428,8 @@ fn channel_announcement_bits(channels: usize) -> u64 {
 
 /// Charges one channel announcement — `bits` SCREAM invocations of `K` slots
 /// each, mirroring the per-bit cost of the elections — to the tallies. A
-/// no-op at `C = 1` (`bits == 0`), which is part of the exact single-channel
-/// reduction.
+/// no-op at `C = 1` (`bits == 0`): the single shared channel needs no
+/// announcement.
 fn charge_channel_announcement(
     bits: u64,
     channel: &ScreamChannel<'_>,
@@ -1089,15 +876,6 @@ mod tests {
                 node: NodeId::new(1)
             }
         );
-        // The retained single-channel baseline applies the same defense.
-        let err = DistributedScheduler::fdd()
-            .with_config(config_for(&env))
-            .run_single_channel(&env, &ld)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ProtocolError::ConflictingLinkOwnership { .. }
-        ));
     }
 
     /// Builds a grid instance whose radio config provides `channels`
@@ -1225,46 +1003,38 @@ mod tests {
 
     #[test]
     fn max_channels_caps_the_runtime_below_the_environment() {
-        // A 2-channel environment run with max_channels = 1 must reproduce
-        // the single-channel schedule exactly (the cap is how sweeps compare
-        // the runtime against its single-channel self on one instance).
-        let (env2, ld) = channel_grid_instance(4, 150.0, 5, 2);
-        let capped = DistributedScheduler::fdd()
-            .with_config(config_for(&env2).with_max_channels(1))
-            .run(&env2, &ld)
-            .unwrap();
-        let baseline = DistributedScheduler::fdd()
-            .with_config(config_for(&env2))
-            .run_single_channel(&env2, &ld)
-            .unwrap();
-        assert_eq!(capped.schedule, baseline.schedule);
-        assert_eq!(capped.timing, baseline.timing);
-        assert_eq!(capped.stats, baseline.stats);
-        assert!(capped.schedule.runs().all(|(p, _)| p.is_single_channel()));
-    }
-
-    #[test]
-    fn single_channel_run_reduces_exactly_to_the_baseline_runtime() {
-        // The C = 1 reduction, the unit-test twin of the
-        // `single_channel_runtime_reduction_is_exact` property test: on a
-        // single-channel environment the channel-aware path must reproduce
-        // the retained baseline byte for byte — schedule, timing, stats —
-        // for every protocol variant.
-        let (_, env, ld) = grid_instance(4, 150.0, 17);
+        // C = 1 is a value of the one runtime, not a second runtime: a
+        // 2-channel environment capped at max_channels = 1 must equal the
+        // same geometry built with one channel — schedule, timing, stats —
+        // for every protocol variant (the cap is how sweeps compare the
+        // runtime against its single-channel self on one instance), with one
+        // handshake slot per iteration and no channel announcement.
+        let (env1, ld) = channel_grid_instance(4, 150.0, 5, 1);
+        let (env2, ld2) = channel_grid_instance(4, 150.0, 5, 2);
+        assert_eq!(ld, ld2, "the instance draw is channel-independent");
         for scheduler in [
             DistributedScheduler::fdd(),
             DistributedScheduler::afdd(),
             DistributedScheduler::pdd(0.6).unwrap(),
         ] {
-            let generic = scheduler
-                .with_config(config_for(&env))
-                .run(&env, &ld)
+            scream_obs::install();
+            let capped = scheduler
+                .with_config(config_for(&env2).with_max_channels(1))
+                .run(&env2, &ld)
                 .unwrap();
-            let baseline = scheduler
-                .with_config(config_for(&env))
-                .run_single_channel(&env, &ld)
+            let observed = scream_obs::uninstall().expect("installed above").snapshot;
+            assert_eq!(observed.counter("runtime.announcement_bits"), 0);
+            assert!(
+                observed.counter("runtime.rounds") > 0,
+                "the run was observed"
+            );
+            let single = scheduler
+                .with_config(config_for(&env1))
+                .run(&env1, &ld)
                 .unwrap();
-            assert_eq!(generic, baseline, "{:?} diverged at C = 1", scheduler.kind);
+            assert_eq!(capped, single, "{:?} diverged at C = 1", scheduler.kind);
+            assert!(capped.schedule.runs().all(|(p, _)| p.is_single_channel()));
+            assert_eq!(capped.stats.handshake_steps, capped.stats.slot_iterations);
         }
     }
 

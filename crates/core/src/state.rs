@@ -31,8 +31,8 @@ impl NodeState {
     // (CONTROL/ALLOCATED/ACTIVE transmit) and veto power (CONTROL/ALLOCATED
     // scream on a failed handshake) are no longer dispatched through
     // per-state predicates here — the runtime tracks the slot's confirmed
-    // edges in a `SlotLedger` and prices tentative actives with
-    // `SlotLedger::probe_claims`, which encodes exactly those two roles.
+    // edges in a `ChannelSlotLedger` and prices tentative actives with
+    // its `probe_claims`, which encodes exactly those two roles.
 
     /// Whether a node in this state still has pending demand to schedule in
     /// future rounds (i.e. it competes in the next leader election).

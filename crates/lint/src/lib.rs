@@ -7,7 +7,7 @@
 //! |--------|-------|-----------|
 //! | **D1** | `D1.iter`, `D1.clock` | determinism: no hash-order iteration, no wall clocks / unseeded rng |
 //! | **P1** | `P1.panic` | panic-freedom: `unwrap`/`expect`/`panic!` need an allow or the committed baseline |
-//! | **H1** | `H1.hot`, `H1.alloc` | hot-path: no `.slots()` expansion / per-unit baselines; no ledger construction in loops |
+//! | **H1** | `H1.hot`, `H1.alloc` | hot-path: no `.slots()` expansion; no ledger/accumulator construction in loops |
 //! | **F1** | `F1.cmp`, `F1.eq` | float hygiene: `total_cmp` over `partial_cmp(..).unwrap()`; no exact float equality in verdicts |
 //! | **U1** | `U1.mix`, `U1.bind`, `U1.conv` | unit hygiene: no cross-unit arithmetic/binding on suffix-tagged quantities; honest conversion calls |
 //! | **O1** | `O1.sink` | observability: obs emission arguments stay allocation-free (`&'static str` + `u64`), so a disabled sink is a true no-op |

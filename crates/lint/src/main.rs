@@ -27,7 +27,7 @@ RULES:
     D1.iter   hash-order iteration in deterministic library code
     D1.clock  Instant::now / SystemTime / thread_rng outside bench surfaces
     P1.panic  unwrap/expect/panic! without an allow (baseline-ratcheted)
-    H1.hot    .slots() / schedule_per_unit / FromScratch outside tests
+    H1.hot    .slots() expansion outside tests
     H1.alloc  ledger/accumulator construction inside loop bodies
     F1.cmp    partial_cmp(..).unwrap() — use total_cmp
     F1.eq     exact float comparison in verdict code (warn by default)

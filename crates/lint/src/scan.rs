@@ -17,7 +17,7 @@ pub enum RuleCode {
     D1Clock,
     /// `unwrap`/`expect`/`panic!`-family in non-test library code.
     P1Panic,
-    /// `.slots()` / `schedule_per_unit` / `FromScratch` outside tests.
+    /// `.slots()` expansion outside tests.
     H1Hot,
     /// Ledger/accumulator construction inside a loop body.
     H1Alloc,
@@ -152,12 +152,7 @@ const HASH_ITER_METHODS: &[&str] = &[
     "into_values",
 ];
 
-const ACCUMULATOR_OPENERS: &[&str] = &[
-    "open_slot",
-    "open_channel_slot",
-    "open_slot_ledger",
-    "open_channel_slot_ledger",
-];
+const ACCUMULATOR_OPENERS: &[&str] = &["open_slot", "open_slot_ledger", "open_channel_ledger"];
 
 const LEDGER_TYPES: &[&str] = &["SlotLedger", "ChannelSlotLedger"];
 
@@ -690,27 +685,6 @@ pub fn scan_file(path: &str, src: &str, policy: ScanPolicy) -> FileScan {
                         ),
                     );
                 }
-                // H1.hot — per-unit baseline identifiers.
-                if id == "schedule_per_unit" {
-                    push(
-                        &mut diags,
-                        RuleCode::H1Hot,
-                        toks[i].line,
-                        "`schedule_per_unit` is the O(total demand) baseline; production \
-                         paths use `GreedyPhysical::schedule`"
-                            .to_string(),
-                    );
-                }
-                if id == "FromScratch" {
-                    push(
-                        &mut diags,
-                        RuleCode::H1Hot,
-                        toks[i].line,
-                        "`FromScratch` is the O(k^2) baseline model; production paths use \
-                         the incremental ledger"
-                            .to_string(),
-                    );
-                }
                 // H1.alloc — ledger type constructions inside loops.
                 if ctx[i].loop_depth >= 1
                     && LEDGER_TYPES.contains(&id.as_str())
@@ -1160,16 +1134,14 @@ fn f() -> &'static str {
     // ---- H1 ----
 
     #[test]
-    fn h1_flags_slots_and_baselines() {
+    fn h1_flags_slots_expansion() {
         let src = r#"
 fn f(s: &Schedule) -> usize {
     let n = s.slots().len();
-    let sched = greedy.schedule_per_unit(&model, &demands);
-    let m = FromScratch(EndpointOnly);
     n
 }
 "#;
-        assert_eq!(codes(src), vec!["H1.hot", "H1.hot", "H1.hot"]);
+        assert_eq!(codes(src), vec!["H1.hot"]);
     }
 
     #[test]
@@ -1194,7 +1166,7 @@ fn fine(env: &Environment) {
 fn bad(env: &Environment, xs: &[u32]) {
     for _x in xs {
         let mut ledger = SlotLedger::new(env);
-        let acc = model.open_channel_slot();
+        let acc = model.open_slot();
     }
 }
 "#;

@@ -101,11 +101,14 @@ impl RadioEnvironment {
         &self.config
     }
 
-    /// Number of orthogonal channels the configuration provides. Interference
-    /// (and hence every SINR feasibility question) only accrues among links
-    /// that share a channel; the gain matrix itself is channel-independent.
+    /// Number of orthogonal channels the configuration provides, at least
+    /// one: `RadioConfig::channel_count` is a public field, so a literal can
+    /// carry the zero `with_channel_count` refuses, and every consumer reads
+    /// the count here. Interference (and hence every SINR feasibility
+    /// question) only accrues among links that share a channel; the gain
+    /// matrix itself is channel-independent.
     pub fn channel_count(&self) -> usize {
-        self.config.channel_count
+        self.config.channel_count.max(1)
     }
 
     /// The deterministic propagation model in force.

@@ -25,6 +25,15 @@
 //! ([`probe`](SlotLedger::probe)) prices a whole tentative active set in
 //! O((k + a)·a) instead of O((k + a)²).
 //!
+//! A `SlotLedger` is one channel. What the schedulers, the verifier and the
+//! distributed runtime hold is a [`ChannelSlotLedger`]: one `SlotLedger` per
+//! orthogonal channel plus a node-occupancy table for the one-radio-per-node
+//! rule, with the slot-claim check
+//! ([`probe_claims`](ChannelSlotLedger::probe_claims)) on top. The paper's
+//! single shared channel is that type with one channel — the cross-channel
+//! rule is vacuous and every decision is the plain ledger's, as the
+//! `single_channel_*_degenerates_*` tests pin — not a separate code path.
+//!
 //! # Spatial pruning
 //!
 //! At 10⁵–10⁶ links even the O(k) `can_add` pass dominates: a slot holds
@@ -841,7 +850,7 @@ impl<'a> SlotLedger<'a> {
     /// a slot link can "pass", because the interferer-exclusion rule skips
     /// the shared node precisely when it is busy with its own packet.
     /// Schedulers claiming slot membership must use
-    /// [`probe_claims`](Self::probe_claims), which adds the half-duplex
+    /// [`ChannelSlotLedger::probe_claims`], which adds the half-duplex
     /// screen; this raw variant exists for analysis and for cross-checking
     /// against the from-scratch handshake computation.
     pub fn probe(&self, tentative: &[Link]) -> LedgerProbe {
@@ -889,34 +898,6 @@ impl<'a> SlotLedger<'a> {
                     && self.meets_beta(self.env.received_power_mw(t.tail, t.head), ack)
             })
             .collect()
-    }
-
-    /// The slot-claim check: [`probe`](Self::probe) plus the half-duplex
-    /// screen. A tentative link additionally fails if it is a self-link,
-    /// touches a node already transmitting or receiving in the slot, or
-    /// shares an endpoint with another tentative link — a node cannot
-    /// complete a handshake on two links in the same slot, which the
-    /// per-direction SINR checks alone cannot see (the interferer-exclusion
-    /// rule skips a shared node exactly because it is busy with its own
-    /// packet).
-    ///
-    /// This is what the distributed runtime uses for its per-iteration
-    /// handshake + SCREAM-veto step; admitting claims through the raw
-    /// [`probe`](Self::probe) instead reintroduces endpoint-sharing chains
-    /// at low β that [`slot_feasible`](Self::slot_feasible) (and the
-    /// verifier) reject.
-    pub fn probe_claims(&self, tentative: &[Link]) -> LedgerProbe {
-        let mut result = self.probe(tentative);
-        for (idx, link) in tentative.iter().enumerate() {
-            let half_duplex_ok = link.head != link.tail
-                && self.endpoints_free(*link)
-                && tentative
-                    .iter()
-                    .enumerate()
-                    .all(|(other, l)| other == idx || !l.shares_endpoint(link));
-            result.tentative_ok[idx] &= half_duplex_ok;
-        }
-        result
     }
 
     /// Per-link SINR margins of the current slot, in dB relative to β.
@@ -1184,9 +1165,10 @@ impl<'a> ChannelSlotLedger<'a> {
         self.channels[channel.index()].margins()
     }
 
-    /// The multi-channel slot-claim check: each tentative link first-fits
-    /// into the cheapest channel whose handshake it completes, mirroring
-    /// [`SlotLedger::probe_claims`] channel by channel.
+    /// The slot-claim check of the distributed runtime's per-iteration
+    /// handshake + SCREAM-veto step: each tentative link first-fits into the
+    /// cheapest channel whose handshake it completes —
+    /// [`SlotLedger::probe`] plus the half-duplex screen, channel by channel.
     ///
     /// The phase runs one sub-phase per channel, in increasing channel order.
     /// In sub-phase `c` every still-unassigned tentative link transmits on
@@ -1199,16 +1181,22 @@ impl<'a> ChannelSlotLedger<'a> {
     /// * the half-duplex screen admits it: not a self-link, both endpoints
     ///   idle on **every** channel (one radio per node), and no endpoint
     ///   shared with another tentative link (two claims cannot both complete
-    ///   through one radio, whatever their channels), and
+    ///   through one radio, whatever their channels) — the per-direction SINR
+    ///   checks alone cannot see this, because the interferer-exclusion rule
+    ///   skips a shared node exactly when it is busy with its own packet, so
+    ///   admitting claims through the raw probe reintroduces endpoint-sharing
+    ///   chains at low β that [`slot_feasible`](Self::slot_feasible) (and the
+    ///   verifier) reject — and
     /// * channel `c`'s already-assigned links all survive the sub-phase —
     ///   otherwise the sub-phase is vetoed and **no** link claims `c`,
     ///   exactly like the single-channel SCREAM veto.
     ///
     /// Links left unassigned after the last channel withdraw (`None`).
-    /// With one channel the result degenerates exactly to
-    /// [`SlotLedger::probe_claims`]: `existing_ok` is the same aggregate
-    /// check and `assignments[i]` is `Some(ch0)` iff that probe admitted
-    /// claim `i` and no veto fired.
+    /// With one channel there is one sub-phase: `existing_ok` is
+    /// [`LedgerProbe::existing_ok`] on the full tentative set, and
+    /// `assignments[i]` is `Some(ch0)` iff no veto fired,
+    /// [`LedgerProbe::tentative_ok`]`[i]` holds and the screen admits
+    /// claim `i`.
     pub fn probe_claims(&self, tentative: &[Link]) -> ChannelLedgerProbe {
         // The half-duplex screen is channel-independent: a link failing it
         // can claim no channel at all, but it keeps transmitting (and hence
@@ -1405,24 +1393,28 @@ mod tests {
             .propagation(PropagationModel::log_distance(3.0))
             .config(crate::radio::RadioConfig::mesh_default().with_sinr_threshold_db(6.0))
             .build(&d);
-        let ledger = SlotLedger::with_links(&env, &[link(2, 1)]);
+        let mut ledger = ChannelSlotLedger::new(&env, 1);
+        ledger.assign(ChannelId::ZERO, link(2, 1));
         let chained = link(1, 0);
         assert!(
-            ledger.probe(&[chained]).tentative_ok[0],
+            ledger
+                .channel(ChannelId::ZERO)
+                .probe(&[chained])
+                .tentative_ok[0],
             "raw SINR probe admits the chain"
         );
-        assert!(
-            !ledger.probe_claims(&[chained]).tentative_ok[0],
+        assert_eq!(
+            ledger.probe_claims(&[chained]).assignments,
+            vec![None],
             "probe_claims must reject the endpoint-sharing claim"
         );
-        // Tentative links sharing an endpoint with each other both fail.
+        // Tentative links sharing an endpoint with each other both fail, and
+        // self-link claims are screened too.
         let claims = ledger.probe_claims(&[link(4, 3), link(3, 5), link(3, 3)]);
-        assert!(!claims.tentative_ok[0]);
-        assert!(!claims.tentative_ok[1]);
-        assert!(!claims.tentative_ok[2], "self-link claims are screened too");
+        assert_eq!(claims.assignments, vec![None, None, None]);
         // A genuinely free claim still passes through probe_claims.
         let free = ledger.probe_claims(&[link(4, 5)]);
-        assert!(free.tentative_ok[0]);
+        assert_eq!(free.assignments, vec![Some(ChannelId::ZERO)]);
         assert!(free.existing_ok);
     }
 
@@ -1572,9 +1564,10 @@ mod tests {
 
     #[test]
     fn single_channel_probe_claims_degenerates_to_the_plain_probe() {
-        // On one channel the multi-channel claim check must agree claim-for-
-        // claim (and on existing_ok) with SlotLedger::probe_claims, for
-        // passing, SINR-failing, half-duplex-failing and self-link claims.
+        // On one channel the claim check is the plain ledger's raw probe plus
+        // the half-duplex screen (spelled out here) with the veto folded into
+        // the claim — for passing, SINR-failing, half-duplex-failing and
+        // self-link claims.
         let positions: Vec<Point2> = (0..8).map(|i| Point2::new(i as f64 * 150.0, 0.0)).collect();
         let d = Deployment::from_positions(&positions, 20.0, Rect::square(1200.0)).unwrap();
         let env = RadioEnvironment::builder()
@@ -1591,16 +1584,17 @@ mod tests {
             vec![link(4, 5), link(7, 6), link(3, 3)], // mixed with a self-link
         ] {
             let multi = set.probe_claims(&tentative);
-            let single = plain.probe_claims(&tentative);
+            let single = plain.probe(&tentative);
             assert_eq!(multi.existing_ok, single.existing_ok, "{tentative:?}");
-            for (i, ok) in single.tentative_ok.iter().enumerate() {
-                // The single-channel runtime applies the veto globally after
-                // the probe; the channel-aware probe folds it into the claim.
-                let expected = if *ok && single.existing_ok {
-                    Some(ChannelId::ZERO)
-                } else {
-                    None
-                };
+            for (i, &claim) in tentative.iter().enumerate() {
+                let half_duplex_ok = claim.head != claim.tail
+                    && plain.endpoints_free(claim)
+                    && tentative
+                        .iter()
+                        .enumerate()
+                        .all(|(j, other)| j == i || !other.shares_endpoint(&claim));
+                let admitted = single.existing_ok && single.tentative_ok[i] && half_duplex_ok;
+                let expected = admitted.then_some(ChannelId::ZERO);
                 assert_eq!(
                     multi.assignments[i], expected,
                     "claim {i} diverged for {tentative:?}"
@@ -1639,13 +1633,13 @@ mod tests {
     fn probe_claims_reports_unhealthy_channels_even_with_no_open_claims() {
         // A force-assigned link that cannot complete its handshake even
         // undisturbed (100 km apart) must surface through existing_ok — on
-        // an empty tentative set (mirroring SlotLedger::probe_claims) and
-        // when every claim resolves on an earlier channel.
+        // an empty tentative set (mirroring SlotLedger::probe) and when
+        // every claim resolves on an earlier channel.
         let env = line_env(4, 100_000.0);
         let mut set = ChannelSlotLedger::new(&env, 1);
         set.assign(ChannelId::ZERO, link(0, 1));
         let plain = SlotLedger::with_links(&env, &[link(0, 1)]);
-        assert!(!plain.probe_claims(&[]).existing_ok);
+        assert!(!plain.probe(&[]).existing_ok);
         assert!(
             !set.probe_claims(&[]).existing_ok,
             "the empty-claim probe must still check the assigned links"

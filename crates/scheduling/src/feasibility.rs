@@ -7,13 +7,20 @@
 //! [`SlotAccumulator`] returned by [`open_slot`](SlotFeasibility::open_slot)
 //! is what makes the third one cheap.
 //!
+//! A slot is always a set of `(channel, link)` entries: interference accrues
+//! within a channel, and every node has one radio, so it may appear on at
+//! most one channel of a slot (the cross-channel half-duplex rule). The
+//! single shared channel of the original SCREAM setting is the value
+//! `C = 1` of that one representation — the cross-channel rule is vacuous
+//! and every entry sits on channel 0 — not a second code path.
+//!
 //! Two implementations are provided:
 //!
 //! * [`RadioEnvironment`](scream_netsim::RadioEnvironment) — the physical
 //!   (SINR) interference model of Section II, the paper's subject. Its
-//!   accumulator is the [`SlotLedger`](scream_netsim::SlotLedger): O(k)
-//!   probes against cached per-receiver interference sums instead of the
-//!   O(k²) from-scratch recomputation;
+//!   accumulator is the [`ChannelSlotLedger`]: O(k) probes against cached
+//!   per-receiver interference sums instead of the O(k²) from-scratch
+//!   recomputation, and an O(1) node-occupancy table across channels;
 //! * [`ProtocolModel`] — the conservative protocol interference model that
 //!   CSMA/CA-style scheduling corresponds to, provided as the comparison
 //!   baseline the paper's introduction argues against. It precomputes the
@@ -22,9 +29,9 @@
 //!   O(k).
 //!
 //! Any other implementation gets a correct [`SlotAccumulator`] for free: the
-//! provided `open_slot` keeps the link list and re-checks candidates with
-//! [`can_add`](SlotFeasibility::can_add). Implementations must be
-//! *downward-closed* (every subset of a feasible set is feasible) for
+//! provided `open_slot` keeps the per-channel link lists and re-checks
+//! candidates with [`can_add`](SlotFeasibility::can_add). Implementations
+//! must be *downward-closed* (every subset of a feasible set is feasible) for
 //! incremental building to coincide with whole-set feasibility; interference
 //! models are, since removing a transmitter can only reduce interference.
 
@@ -32,69 +39,29 @@ pub use scream_netsim::{ChannelId, LinkSinrMargin, SlotLedger};
 use scream_netsim::{ChannelSlotLedger, RadioEnvironment};
 use scream_topology::{Graph, Link, NodeId};
 
-/// Stateful, incrementally-built view of one slot under construction.
+/// Stateful, incrementally-built view of one slot under construction: one
+/// sub-slot per orthogonal channel plus the cross-channel half-duplex rule.
 ///
 /// Obtained from [`SlotFeasibility::open_slot`]; the schedulers keep one
-/// accumulator per open slot so that every feasibility probe is answered
+/// accumulator per open run so that every feasibility probe is answered
 /// from accumulated state instead of re-deriving it from the link list.
 pub trait SlotAccumulator {
-    /// Whether `candidate` can join the slot without breaking feasibility.
-    fn can_add(&self, candidate: Link) -> bool;
-
-    /// Adds `link` to the slot unconditionally, updating internal state.
-    /// (The greedy scheduler opens slots around links that are infeasible
-    /// even alone, so `assign` must not require a prior passing
-    /// [`can_add`](Self::can_add).)
-    fn assign(&mut self, link: Link);
-
-    /// Empties the accumulator without releasing its buffers, so one
-    /// accumulator can be reused across many slots (the verifier re-checks
-    /// every slot of a schedule through a single accumulator this way).
-    fn clear(&mut self);
-
-    /// The links assigned so far, in assignment order.
-    fn links(&self) -> &[Link];
-
-    /// Number of links assigned so far.
-    fn len(&self) -> usize {
-        self.links().len()
-    }
-
-    /// Whether the slot is still empty.
-    fn is_empty(&self) -> bool {
-        self.links().is_empty()
-    }
-
-    /// Whether `link` has already been assigned to this slot.
-    fn contains(&self, link: Link) -> bool {
-        self.links().contains(&link)
-    }
-}
-
-/// Stateful, incrementally-built view of one **multi-channel** slot under
-/// construction: one per-channel sub-slot per orthogonal channel, plus the
-/// cross-channel half-duplex rule (a node has a single radio, so it may not
-/// participate in links on two different channels of the same slot).
-///
-/// Obtained from [`SlotFeasibility::open_channel_slot`]. With one channel
-/// every method degenerates exactly to the single-channel
-/// [`SlotAccumulator`]: the cross-channel check is vacuous (there is no
-/// *other* channel for a node to be busy on), so channel-aware schedulers
-/// make byte-identical decisions to the single-channel ones at `C = 1`.
-pub trait ChannelSlotAccumulator {
-    /// Number of channels in the slot.
+    /// Number of channels in the slot (at least one).
     fn channel_count(&self) -> usize;
 
     /// Whether `candidate` can join the slot on `channel` without breaking
     /// per-channel feasibility or the cross-channel half-duplex rule.
     fn can_add(&self, channel: ChannelId, candidate: Link) -> bool;
 
-    /// Adds `link` to the slot on `channel` unconditionally (the same
-    /// contract as [`SlotAccumulator::assign`]).
+    /// Adds `link` to the slot on `channel` unconditionally, updating
+    /// internal state. (The greedy scheduler opens slots around links that
+    /// are infeasible even alone, so `assign` must not require a prior
+    /// passing [`can_add`](Self::can_add).)
     fn assign(&mut self, channel: ChannelId, link: Link);
 
     /// Empties every channel without releasing buffers, so one accumulator
-    /// can be reused across many slots.
+    /// can be reused across many slots (the verifier re-checks every pattern
+    /// of a schedule through a single accumulator this way).
     fn clear(&mut self);
 
     /// The links assigned to `channel` so far, in assignment order.
@@ -104,23 +71,12 @@ pub trait ChannelSlotAccumulator {
     fn contains_link(&self, link: Link) -> bool {
         (0..self.channel_count()).any(|c| self.links(ChannelId::new(c as u16)).contains(&link))
     }
-
-    /// Total number of links assigned across all channels.
-    fn len(&self) -> usize {
-        (0..self.channel_count())
-            .map(|c| self.links(ChannelId::new(c as u16)).len())
-            .sum()
-    }
-
-    /// Whether no link has been assigned on any channel.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Interference-model interface used by the schedulers.
 pub trait SlotFeasibility {
-    /// Whether the whole set of links can transmit concurrently in one slot.
+    /// Whether the whole set of links can transmit concurrently in one slot
+    /// on one channel.
     fn slot_feasible(&self, links: &[Link]) -> bool;
 
     /// Whether `candidate` can be added to the already-feasible set
@@ -133,22 +89,24 @@ pub trait SlotFeasibility {
         self.slot_feasible(&all)
     }
 
-    /// Opens a stateful accumulator for building one slot incrementally.
+    /// Opens a stateful accumulator for building one slot incrementally,
+    /// with [`channel_count`](Self::channel_count) channels.
     ///
-    /// The default keeps the link list and answers probes through
-    /// [`can_add`](Self::can_add) (correct for any model, from-scratch
-    /// cost); models with additive structure override it with an O(k)
-    /// accumulator.
+    /// The default keeps the per-channel link lists and answers probes
+    /// through [`can_add`](Self::can_add) (correct for any model,
+    /// from-scratch cost); [`RadioEnvironment`] overrides it with the O(k)
+    /// [`ChannelSlotLedger`].
     fn open_slot(&self) -> Box<dyn SlotAccumulator + '_> {
-        Box::new(RecheckAccumulator {
+        Box::new(RecheckSlot {
             model: self,
-            links: Vec::new(),
+            channels: vec![Vec::new(); self.channel_count().max(1)],
+            occupancy: Vec::new(),
         })
     }
 
-    /// Per-link SINR margins of the given slot, in dB relative to the
-    /// model's threshold, for diagnostics. Models without a notion of SINR
-    /// (e.g. graph-based models) return an empty vector.
+    /// Per-link SINR margins of the given single-channel link group, in dB
+    /// relative to the model's threshold, for diagnostics. Models without a
+    /// notion of SINR (e.g. graph-based models) return an empty vector.
     fn slot_margins(&self, _links: &[Link]) -> Vec<LinkSinrMargin> {
         Vec::new()
     }
@@ -159,34 +117,20 @@ pub trait SlotFeasibility {
     fn channel_count(&self) -> usize {
         1
     }
-
-    /// Opens a stateful accumulator for building one **multi-channel** slot
-    /// incrementally, with [`channel_count`](Self::channel_count) channels.
-    ///
-    /// The default composes one [`open_slot`](Self::open_slot) accumulator
-    /// per channel with a generic cross-channel occupancy list (correct for
-    /// any model); [`RadioEnvironment`] overrides it with the O(1)-occupancy
-    /// [`ChannelSlotLedger`](scream_netsim::ChannelSlotLedger).
-    fn open_channel_slot(&self) -> Box<dyn ChannelSlotAccumulator + '_> {
-        Box::new(GenericChannelAccumulator {
-            channels: (0..self.channel_count().max(1))
-                .map(|_| self.open_slot())
-                .collect(),
-            occupancy: Vec::new(),
-        })
-    }
 }
 
-/// The fallback multi-channel accumulator behind the default
-/// [`SlotFeasibility::open_channel_slot`]: one per-channel accumulator plus
-/// an O(k)-scan `(node, channel)` occupancy list for the cross-channel
-/// half-duplex rule.
-struct GenericChannelAccumulator<'a> {
-    channels: Vec<Box<dyn SlotAccumulator + 'a>>,
+/// The fallback accumulator behind the default
+/// [`SlotFeasibility::open_slot`]: per-channel link lists probed through the
+/// model's `can_add`, plus an O(k)-scan `(node, channel)` occupancy list for
+/// the cross-channel half-duplex rule. A model reporting zero channels is
+/// given the one shared channel.
+struct RecheckSlot<'a, M: SlotFeasibility + ?Sized> {
+    model: &'a M,
+    channels: Vec<Vec<Link>>,
     occupancy: Vec<(NodeId, ChannelId)>,
 }
 
-impl ChannelSlotAccumulator for GenericChannelAccumulator<'_> {
+impl<M: SlotFeasibility + ?Sized> SlotAccumulator for RecheckSlot<'_, M> {
     fn channel_count(&self) -> usize {
         self.channels.len()
     }
@@ -196,110 +140,53 @@ impl ChannelSlotAccumulator for GenericChannelAccumulator<'_> {
             .occupancy
             .iter()
             .any(|&(node, c)| c != channel && (node == candidate.head || node == candidate.tail));
-        !busy_elsewhere && self.channels[channel.index()].can_add(candidate)
+        !busy_elsewhere
+            && self
+                .model
+                .can_add(&self.channels[channel.index()], candidate)
     }
 
     fn assign(&mut self, channel: ChannelId, link: Link) {
         self.occupancy.push((link.head, channel));
         self.occupancy.push((link.tail, channel));
-        self.channels[channel.index()].assign(link);
+        self.channels[channel.index()].push(link);
     }
 
     fn clear(&mut self) {
         self.occupancy.clear();
-        for accumulator in &mut self.channels {
-            accumulator.clear();
+        for links in &mut self.channels {
+            links.clear();
         }
     }
 
     fn links(&self, channel: ChannelId) -> &[Link] {
-        self.channels[channel.index()].links()
+        &self.channels[channel.index()]
     }
 }
 
-/// The fallback accumulator behind the default
-/// [`SlotFeasibility::open_slot`]: keeps the link list, probes through the
-/// model's `can_add`.
-struct RecheckAccumulator<'a, M: SlotFeasibility + ?Sized> {
-    model: &'a M,
-    links: Vec<Link>,
-}
-
-impl<M: SlotFeasibility + ?Sized> SlotAccumulator for RecheckAccumulator<'_, M> {
-    fn can_add(&self, candidate: Link) -> bool {
-        self.model.can_add(&self.links, candidate)
-    }
-
-    fn assign(&mut self, link: Link) {
-        self.links.push(link);
-    }
-
-    fn clear(&mut self) {
-        self.links.clear();
-    }
-
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-}
-
-/// Adapter exposing the netsim [`ChannelSlotLedger`] through the
-/// multi-channel accumulator interface.
-struct ChannelLedgerAccumulator<'a> {
-    ledger: ChannelSlotLedger<'a>,
-}
-
-impl ChannelSlotAccumulator for ChannelLedgerAccumulator<'_> {
+impl SlotAccumulator for ChannelSlotLedger<'_> {
     fn channel_count(&self) -> usize {
-        self.ledger.channel_count()
+        ChannelSlotLedger::channel_count(self)
     }
 
     fn can_add(&self, channel: ChannelId, candidate: Link) -> bool {
-        self.ledger.can_add(channel, candidate)
+        ChannelSlotLedger::can_add(self, channel, candidate)
     }
 
     fn assign(&mut self, channel: ChannelId, link: Link) {
-        self.ledger.assign(channel, link);
+        ChannelSlotLedger::assign(self, channel, link);
     }
 
     fn clear(&mut self) {
-        self.ledger.clear();
+        ChannelSlotLedger::clear(self);
     }
 
     fn links(&self, channel: ChannelId) -> &[Link] {
-        self.ledger.links(channel)
+        ChannelSlotLedger::links(self, channel)
     }
 
     fn contains_link(&self, link: Link) -> bool {
-        self.ledger.contains_link(link)
-    }
-
-    fn len(&self) -> usize {
-        self.ledger.len()
-    }
-}
-
-/// Adapter exposing the netsim [`SlotLedger`] through the accumulator
-/// interface.
-struct LedgerAccumulator<'a> {
-    ledger: SlotLedger<'a>,
-}
-
-impl SlotAccumulator for LedgerAccumulator<'_> {
-    fn can_add(&self, candidate: Link) -> bool {
-        self.ledger.can_add(candidate)
-    }
-
-    fn assign(&mut self, link: Link) {
-        self.ledger.assign(link);
-    }
-
-    fn clear(&mut self) {
-        self.ledger.clear();
-    }
-
-    fn links(&self) -> &[Link] {
-        self.ledger.links()
+        ChannelSlotLedger::contains_link(self, link)
     }
 }
 
@@ -313,9 +200,7 @@ impl SlotFeasibility for RadioEnvironment {
     }
 
     fn open_slot(&self) -> Box<dyn SlotAccumulator + '_> {
-        Box::new(LedgerAccumulator {
-            ledger: self.open_slot_ledger(),
-        })
+        Box::new(self.open_channel_ledger())
     }
 
     fn slot_margins(&self, links: &[Link]) -> Vec<LinkSinrMargin> {
@@ -324,12 +209,6 @@ impl SlotFeasibility for RadioEnvironment {
 
     fn channel_count(&self) -> usize {
         RadioEnvironment::channel_count(self)
-    }
-
-    fn open_channel_slot(&self) -> Box<dyn ChannelSlotAccumulator + '_> {
-        Box::new(ChannelLedgerAccumulator {
-            ledger: self.open_channel_ledger(),
-        })
     }
 }
 
@@ -356,48 +235,11 @@ impl<T: SlotFeasibility + ?Sized> SlotFeasibility for &T {
     fn channel_count(&self) -> usize {
         (**self).channel_count()
     }
-
-    fn open_channel_slot(&self) -> Box<dyn ChannelSlotAccumulator + '_> {
-        (**self).open_channel_slot()
-    }
 }
 
-/// Wrapper that deliberately bypasses a model's incremental accumulator,
-/// forcing the provided from-scratch fallback paths of [`SlotFeasibility`].
-///
-/// `FromScratch(&env)` behaves exactly like `&env` decision-for-decision but
-/// answers every probe by re-checking the whole slot, the way the schedulers
-/// worked before the interference ledger existed. It exists so benches (see
-/// `crates/bench/benches/feasibility.rs` and the `schedule_*` benches) can
-/// report the ledger's speedup against the original implementation, and so
-/// tests can cross-check the two paths.
-// lint:allow(H1.hot, reason = "definition of the pre-ledger baseline the benches measure the speedup against")
-pub struct FromScratch<M>(pub M);
-
-// lint:allow(H1.hot, reason = "baseline impl; forwards the from-scratch fallback paths by design")
-impl<M: SlotFeasibility> SlotFeasibility for FromScratch<M> {
-    fn slot_feasible(&self, links: &[Link]) -> bool {
-        self.0.slot_feasible(links)
-    }
-
-    fn can_add(&self, existing: &[Link], candidate: Link) -> bool {
-        self.0.can_add(existing, candidate)
-    }
-
-    fn channel_count(&self) -> usize {
-        self.0.channel_count()
-    }
-
-    // `open_slot`, `open_channel_slot` and `slot_margins` intentionally not
-    // forwarded: the defaults re-check through `can_add`, which is the point
-    // (`channel_count` *is* forwarded so the from-scratch path makes the same
-    // multi-channel decisions, just the slow way).
-}
-
-/// Wrapper around a [`RadioEnvironment`] whose accumulators are built with
-/// spatial pruning **disabled** ([`SlotLedger::exact`] /
-/// `ChannelSlotLedger::exact`), while every other method forwards to the
-/// environment unchanged.
+/// Wrapper around a [`RadioEnvironment`] whose accumulator is built with
+/// spatial pruning **disabled** (`ChannelSlotLedger::exact`), while every
+/// other method forwards to the environment unchanged.
 ///
 /// The pruned ledger is verdict-identical to the exact one by construction
 /// (every screen carries a conservative margin and ambiguity falls back to
@@ -405,10 +247,6 @@ impl<M: SlotFeasibility> SlotFeasibility for FromScratch<M> {
 /// byte-identical schedules. This wrapper exists so that claim is testable
 /// (the `pruned_ledger_matches_exact_*` property tests) and measurable (the
 /// large-scale probe benchmark reports pruned-vs-exact speedup).
-///
-/// Contrast with [`FromScratch`], which bypasses the incremental accumulator
-/// entirely; `ExactPhysical` keeps the O(k) incremental ledger and only
-/// disables the spatial index on top of it.
 pub struct ExactPhysical<'a>(pub &'a RadioEnvironment);
 
 impl SlotFeasibility for ExactPhysical<'_> {
@@ -421,9 +259,7 @@ impl SlotFeasibility for ExactPhysical<'_> {
     }
 
     fn open_slot(&self) -> Box<dyn SlotAccumulator + '_> {
-        Box::new(LedgerAccumulator {
-            ledger: SlotLedger::exact(self.0),
-        })
+        Box::new(ChannelSlotLedger::exact(self.0, self.0.channel_count()))
     }
 
     fn slot_margins(&self, links: &[Link]) -> Vec<LinkSinrMargin> {
@@ -432,12 +268,6 @@ impl SlotFeasibility for ExactPhysical<'_> {
 
     fn channel_count(&self) -> usize {
         RadioEnvironment::channel_count(self.0)
-    }
-
-    fn open_channel_slot(&self) -> Box<dyn ChannelSlotAccumulator + '_> {
-        Box::new(ChannelLedgerAccumulator {
-            ledger: ChannelSlotLedger::exact(self.0, RadioEnvironment::channel_count(self.0)),
-        })
     }
 }
 
@@ -621,24 +451,76 @@ mod tests {
     #[test]
     fn protocol_accumulator_agrees_with_whole_set_checks() {
         let m = ProtocolModel::new(line_graph(12), 1);
+        let c0 = ChannelId::ZERO;
         let mut acc = m.open_slot();
+        assert_eq!(acc.channel_count(), 1);
         let mut assigned: Vec<Link> = Vec::new();
         for candidate in [link(1, 0), link(3, 2), link(5, 4), link(11, 10), link(2, 2)] {
             let mut with_candidate = assigned.clone();
             with_candidate.push(candidate);
             assert_eq!(
-                acc.can_add(candidate),
+                acc.can_add(c0, candidate),
                 m.slot_feasible(&with_candidate),
                 "accumulator diverges adding {candidate}"
             );
-            if acc.can_add(candidate) {
-                acc.assign(candidate);
+            if acc.can_add(c0, candidate) {
+                acc.assign(c0, candidate);
                 assigned.push(candidate);
             }
         }
-        assert_eq!(acc.links(), assigned.as_slice());
-        assert!(!acc.is_empty());
-        assert!(acc.contains(link(1, 0)));
+        assert_eq!(acc.links(c0), assigned.as_slice());
+        assert!(acc.contains_link(link(1, 0)));
+        acc.clear();
+        assert!(acc.links(c0).is_empty());
+        assert!(!acc.contains_link(link(1, 0)));
+    }
+
+    #[test]
+    fn fallback_accumulator_keeps_channels_apart_but_radios_shared() {
+        // A model with two channels and no accumulator of its own: the
+        // provided one prices each channel through `can_add` separately and
+        // refuses a node on two channels of one slot.
+        struct TwoChannels(ProtocolModel);
+        impl SlotFeasibility for TwoChannels {
+            fn slot_feasible(&self, links: &[Link]) -> bool {
+                self.0.slot_feasible(links)
+            }
+            fn channel_count(&self) -> usize {
+                2
+            }
+        }
+        let m = TwoChannels(ProtocolModel::new(line_graph(8), 1));
+        let (c0, c1) = (ChannelId::new(0), ChannelId::new(1));
+        let mut acc = m.open_slot();
+        assert_eq!(acc.channel_count(), 2);
+        acc.assign(c0, link(1, 0));
+        // Conflicting on the shared channel, fine on the orthogonal one.
+        assert!(!acc.can_add(c0, link(3, 2)));
+        assert!(acc.can_add(c1, link(3, 2)));
+        // Node 1 already has its radio on channel 0.
+        assert!(!acc.can_add(c1, link(2, 1)));
+        acc.assign(c1, link(3, 2));
+        assert_eq!(acc.links(c0), &[link(1, 0)]);
+        assert_eq!(acc.links(c1), &[link(3, 2)]);
+        assert!(acc.contains_link(link(3, 2)));
+    }
+
+    #[test]
+    fn a_model_reporting_zero_channels_gets_the_one_shared_channel() {
+        struct NoChannels;
+        impl SlotFeasibility for NoChannels {
+            fn slot_feasible(&self, _links: &[Link]) -> bool {
+                true
+            }
+            fn channel_count(&self) -> usize {
+                0
+            }
+        }
+        let mut acc = NoChannels.open_slot();
+        assert_eq!(acc.channel_count(), 1);
+        assert!(acc.can_add(ChannelId::ZERO, link(1, 0)));
+        acc.assign(ChannelId::ZERO, link(1, 0));
+        assert_eq!(acc.links(ChannelId::ZERO), &[link(1, 0)]);
     }
 
     #[test]
@@ -664,20 +546,21 @@ mod tests {
         let env = scream_netsim::RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
             .build(&d);
+        let c0 = ChannelId::ZERO;
         let mut acc = SlotFeasibility::open_slot(&env);
         let mut assigned: Vec<Link> = Vec::new();
         for candidate in [link(0, 1), link(4, 5), link(2, 3), link(8, 9)] {
             assert_eq!(
-                acc.can_add(candidate),
+                acc.can_add(c0, candidate),
                 env.can_add_to_slot(&assigned, candidate),
                 "ledger accumulator diverges adding {candidate}"
             );
-            if acc.can_add(candidate) {
-                acc.assign(candidate);
+            if acc.can_add(c0, candidate) {
+                acc.assign(c0, candidate);
                 assigned.push(candidate);
             }
         }
-        assert_eq!(acc.links(), assigned.as_slice());
+        assert_eq!(acc.links(c0), assigned.as_slice());
     }
 
     #[test]
@@ -709,46 +592,29 @@ mod tests {
 
         let mut pruned_acc = SlotFeasibility::open_slot(&env);
         let mut exact_acc = SlotFeasibility::open_slot(&exact);
+        let c0 = ChannelId::ZERO;
         // Row-adjacent links across the grid; some conflict, some do not.
         let candidates: Vec<Link> = (0..36u32)
             .filter(|n| n % 6 != 5)
             .map(|n| link(n, n + 1))
             .collect();
         for &candidate in &candidates {
-            let pruned_verdict = pruned_acc.can_add(candidate);
+            let pruned_verdict = pruned_acc.can_add(c0, candidate);
             assert_eq!(
                 pruned_verdict,
-                exact_acc.can_add(candidate),
+                exact_acc.can_add(c0, candidate),
                 "pruned and exact accumulators diverge on {candidate}"
             );
             if pruned_verdict {
-                pruned_acc.assign(candidate);
-                exact_acc.assign(candidate);
+                pruned_acc.assign(c0, candidate);
+                exact_acc.assign(c0, candidate);
             }
         }
-        assert_eq!(pruned_acc.links(), exact_acc.links());
+        assert_eq!(pruned_acc.links(c0), exact_acc.links(c0));
         assert_eq!(
-            SlotFeasibility::slot_margins(&exact, pruned_acc.links()),
-            SlotFeasibility::slot_margins(&env, pruned_acc.links())
+            SlotFeasibility::slot_margins(&exact, pruned_acc.links(c0)),
+            SlotFeasibility::slot_margins(&env, pruned_acc.links(c0))
         );
-
-        // The multi-channel accumulators agree too.
-        let mut pruned_ch = SlotFeasibility::open_channel_slot(&env);
-        let mut exact_ch = SlotFeasibility::open_channel_slot(&exact);
-        let c0 = ChannelId::new(0);
-        for &candidate in &candidates {
-            let verdict = pruned_ch.can_add(c0, candidate);
-            assert_eq!(
-                verdict,
-                exact_ch.can_add(c0, candidate),
-                "channel accumulators diverge on {candidate}"
-            );
-            if verdict {
-                pruned_ch.assign(c0, candidate);
-                exact_ch.assign(c0, candidate);
-            }
-        }
-        assert_eq!(pruned_ch.links(c0), exact_ch.links(c0));
     }
 
     #[test]
@@ -761,7 +627,7 @@ mod tests {
         );
         // The forwarded accumulator still short-circuits pairwise.
         let acc = SlotFeasibility::open_slot(&by_ref);
-        assert!(acc.can_add(link(1, 0)));
+        assert!(acc.can_add(ChannelId::ZERO, link(1, 0)));
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl GreedyPhysical {
     /// appended as one run, making demand magnitude nearly free: the work and
     /// memory are O(#links · #patterns), independent of how many units each
     /// link demands. The probe itself stays O(k) through the model's stateful
-    /// [`ChannelSlotAccumulator`](crate::feasibility::ChannelSlotAccumulator).
+    /// [`SlotAccumulator`](crate::feasibility::SlotAccumulator).
     ///
     /// # Channels
     ///
@@ -117,15 +117,15 @@ impl GreedyPhysical {
     /// schedule length shrinks roughly by the channel count on
     /// interference-limited instances. The cross-channel half-duplex rule
     /// (one radio per node) is enforced by the accumulator. With one channel
-    /// the channel loop degenerates and the decisions are byte-identical to
-    /// the single-channel scheduler — the `C = 1` reduction pinned by the
-    /// `single_channel_reduction_matches_per_unit` property test.
+    /// the channel loop has one iteration and every pattern is untagged.
     ///
-    /// Decision-for-decision equivalence with the seed's per-unit first-fit
-    /// loop (kept as [`schedule_per_unit`](Self::schedule_per_unit)) is
-    /// pinned by the `batched_placement_matches_per_unit` property test for
-    /// every [`EdgeOrdering`], and transitively by the FDD ≡ GreedyPhysical
-    /// suite (Theorem 4).
+    /// Decision-for-decision equivalence with per-unit, from-scratch
+    /// first-fit — one slot per unit of demand, `model.can_add` over plain
+    /// link lists, no ledger and no accumulator — is pinned by the
+    /// `batched_placement_matches_per_unit` property test (the reference
+    /// lives in `tests/properties.rs`) for every [`EdgeOrdering`] and
+    /// `C ∈ {1, 2, 3}`, and the FDD ≡ GreedyPhysical suite (Theorem 4)
+    /// carries it to the distributed runtime.
     pub fn schedule<M: SlotFeasibility>(&self, model: &M, demands: &LinkDemands) -> Schedule {
         let mut edges: Vec<(Link, u64)> = demands.demanded_links().collect();
         self.ordering.sort(&mut edges);
@@ -157,52 +157,6 @@ impl GreedyPhysical {
         scream_obs::gauge_set("greedy.schedule.length", schedule.length() as u64);
         scream_obs::gauge_set("greedy.schedule.patterns", schedule.pattern_count() as u64);
         scream_obs::set_slot(schedule.length() as u64);
-        schedule
-    }
-
-    /// The seed's per-unit first-fit loop: every unit of demand is placed by
-    /// scanning the open slots individually, materializing one slot per unit
-    /// — O(total demand) time and memory.
-    ///
-    /// Kept (like [`FromScratch`](crate::feasibility::FromScratch) for the
-    /// ledger) as the pre-batching baseline: the `heavy_demand` bench and the
-    /// `bench_summary` binary measure [`schedule`](Self::schedule) against
-    /// it, and the equivalence property tests pin that both produce the same
-    /// schedule on every instance and ordering.
-    // lint:allow(H1.hot, reason = "definition of the per-unit baseline the benches and equivalence properties measure against")
-    pub fn schedule_per_unit<M: SlotFeasibility>(
-        &self,
-        model: &M,
-        demands: &LinkDemands,
-    ) -> Schedule {
-        let mut edges: Vec<(Link, u64)> = demands.demanded_links().collect();
-        self.ordering.sort(&mut edges);
-
-        let mut schedule = Schedule::new();
-        let mut open_slots = Vec::new();
-        for (link, demand) in edges {
-            let mut remaining = demand;
-            let mut slot = 0usize;
-            while remaining > 0 {
-                if slot == open_slots.len() {
-                    // lint:allow(H1.alloc, reason = "per-unit baseline kept for bench comparison; opens one accumulator per materialized slot")
-                    let mut accumulator = model.open_slot();
-                    accumulator.assign(link);
-                    open_slots.push(accumulator);
-                    schedule.push_slot(vec![link]);
-                    remaining -= 1;
-                    slot += 1;
-                    continue;
-                }
-                let accumulator = &mut open_slots[slot];
-                if !accumulator.contains(link) && accumulator.can_add(link) {
-                    accumulator.assign(link);
-                    schedule.assign(slot, link);
-                    remaining -= 1;
-                }
-                slot += 1;
-            }
-        }
         schedule
     }
 }
@@ -311,39 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_backed_schedule_equals_from_scratch_schedule() {
-        // The incremental accumulator must make the exact same first-fit
-        // decisions as the original re-check-everything implementation.
-        for seed in [1u64, 3, 9] {
-            let (env, ld) = grid_instance(5, 180.0, seed);
-            let ledger_backed = GreedyPhysical::paper_baseline().schedule(&env, &ld);
-            let from_scratch = GreedyPhysical::paper_baseline()
-                .schedule(&crate::feasibility::FromScratch(&env), &ld);
-            assert_eq!(ledger_backed, from_scratch, "divergence for seed {seed}");
-        }
-    }
-
-    #[test]
-    fn batched_schedule_equals_per_unit_schedule_for_every_ordering() {
-        for seed in [1u64, 4, 9] {
-            let (env, ld) = grid_instance(5, 180.0, seed);
-            for ordering in [
-                EdgeOrdering::DecreasingHeadId,
-                EdgeOrdering::IncreasingHeadId,
-                EdgeOrdering::DecreasingDemand,
-                EdgeOrdering::IncreasingDemand,
-            ] {
-                let batched = GreedyPhysical::new(ordering).schedule(&env, &ld);
-                let per_unit = GreedyPhysical::new(ordering).schedule_per_unit(&env, &ld);
-                assert_eq!(
-                    batched, per_unit,
-                    "batched placement diverged for seed {seed}, ordering {ordering:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn heavy_demand_costs_patterns_not_slots() {
         // Two independent links and one conflicting neighbor, all with huge
         // demands: the schedule must be correct (exact allocation counts) and
@@ -375,7 +296,7 @@ mod tests {
     #[test]
     fn splitting_a_run_preserves_first_fit_order() {
         // Link A demands 5 (one solo run), then B (disjoint) demands 2: B
-        // must land in the *first* two of A's five slots, exactly as the
+        // must land in the *first* two of A's five slots, exactly as a
         // per-unit scan would place it.
         let demands = LinkDemands::from_links(4, &[(link(1, 0), 5), (link(3, 2), 2)]).unwrap();
         let schedule =
@@ -384,11 +305,6 @@ mod tests {
         assert_eq!(schedule.slot(0).links(), &[link(1, 0), link(3, 2)]);
         assert_eq!(schedule.slot(1).links(), &[link(1, 0), link(3, 2)]);
         assert_eq!(schedule.slot(2).links(), &[link(1, 0)]);
-        assert_eq!(
-            schedule,
-            GreedyPhysical::new(EdgeOrdering::DecreasingDemand)
-                .schedule_per_unit(&EndpointOnly, &demands)
-        );
     }
 
     #[test]
@@ -525,21 +441,27 @@ mod tests {
     }
 
     #[test]
-    fn single_channel_environment_reduces_to_the_plain_scheduler() {
-        // C = 1 through the channel-aware path must reproduce the per-unit
-        // baseline exactly — runs, length, metrics and verifier verdict.
-        for seed in [2u64, 6] {
-            let (env, ld) = grid_instance(5, 180.0, seed);
-            assert_eq!(scream_scheduling_channels(&env), 1);
-            let batched = GreedyPhysical::paper_baseline().schedule(&env, &ld);
-            let per_unit = GreedyPhysical::paper_baseline().schedule_per_unit(&env, &ld);
-            assert_eq!(batched, per_unit);
-            assert!(batched.runs().all(|(p, _)| p.is_single_channel()));
-        }
-    }
-
-    fn scream_scheduling_channels(env: &RadioEnvironment) -> usize {
-        SlotFeasibility::channel_count(env)
+    fn a_zero_channel_config_literal_schedules_and_verifies_as_one_channel() {
+        // `RadioConfig::channel_count` is a public field, so a struct literal
+        // bypasses `with_channel_count`'s check. The environment reads the
+        // count as at least one, so the hostile literal behaves exactly like
+        // the default single-channel configuration instead of panicking in
+        // the ledger constructor.
+        let (single, ld) = grid_instance(5, 180.0, 3);
+        let hostile = RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .config(scream_netsim::RadioConfig {
+                channel_count: 0,
+                ..scream_netsim::RadioConfig::mesh_default()
+            })
+            .build(&GridDeployment::new(5, 5, 180.0).build());
+        assert_eq!(hostile.channel_count(), 1);
+        let schedule = GreedyPhysical::paper_baseline().schedule(&hostile, &ld);
+        verify_schedule(&hostile, &schedule, &ld).unwrap();
+        assert_eq!(
+            schedule,
+            GreedyPhysical::paper_baseline().schedule(&single, &ld)
+        );
     }
 
     #[test]

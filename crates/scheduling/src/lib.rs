@@ -53,11 +53,8 @@ pub mod schedule;
 pub mod verify;
 
 pub use feasibility::{
-    ChannelId, ChannelSlotAccumulator, ExactPhysical, LinkSinrMargin, ProtocolModel,
-    SlotAccumulator, SlotFeasibility,
+    ChannelId, ExactPhysical, LinkSinrMargin, ProtocolModel, SlotAccumulator, SlotFeasibility,
 };
-// lint:allow(H1.hot, reason = "re-export of the bench baseline model")
-pub use feasibility::FromScratch;
 pub use frame::{FrameService, NextService, ServiceWindow};
 pub use greedy::{EdgeOrdering, GreedyPhysical};
 pub use linear::serialized_schedule;
@@ -68,11 +65,8 @@ pub use verify::{verify_schedule, verify_slots_feasible, ScheduleViolation};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    // lint:allow(H1.hot, reason = "re-export of the bench baseline model")
-    pub use crate::feasibility::FromScratch;
     pub use crate::feasibility::{
-        ChannelId, ChannelSlotAccumulator, ExactPhysical, LinkSinrMargin, ProtocolModel,
-        SlotAccumulator, SlotFeasibility,
+        ChannelId, ExactPhysical, LinkSinrMargin, ProtocolModel, SlotAccumulator, SlotFeasibility,
     };
     pub use crate::frame::{FrameService, NextService, ServiceWindow};
     pub use crate::greedy::{EdgeOrdering, GreedyPhysical};

@@ -12,13 +12,13 @@
 
 use scream_topology::Link;
 
-use crate::feasibility::{ChannelId, ChannelSlotAccumulator, SlotFeasibility};
+use crate::feasibility::{ChannelId, SlotAccumulator, SlotFeasibility};
 use crate::schedule::{Schedule, SlotPattern};
 
 /// A run under construction: the accumulator of its pattern and the number
 /// of consecutive slots sharing it.
 struct OpenRun<'m> {
-    accumulator: Box<dyn ChannelSlotAccumulator + 'm>,
+    accumulator: Box<dyn SlotAccumulator + 'm>,
     count: u64,
 }
 
@@ -41,18 +41,13 @@ pub(crate) struct Placement {
 /// The open runs of a schedule being built or patched under `model`.
 pub(crate) struct OpenRuns<'m, M: SlotFeasibility + ?Sized> {
     model: &'m M,
-    channels: Vec<ChannelId>,
     runs: Vec<OpenRun<'m>>,
 }
 
 impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
     pub(crate) fn new(model: &'m M) -> Self {
-        let channels = (0..model.channel_count().max(1))
-            .map(|c| ChannelId::new(c as u16))
-            .collect();
         Self {
             model,
-            channels,
             runs: Vec::new(),
         }
     }
@@ -77,7 +72,7 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
         'slots: while remaining > 0 && idx < self.runs.len() {
             let run = &mut self.runs[idx];
             if !run.accumulator.contains_link(link) {
-                for &channel in &self.channels {
+                for channel in channels(run.accumulator.as_ref()) {
                     probed += 1;
                     if !run.accumulator.can_add(channel, link) {
                         rejected += 1;
@@ -94,7 +89,7 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
                     // the run. Rebuilding the augmented accumulator is O(k²),
                     // but a split ends the link's scan, so it happens at most
                     // once per link.
-                    let entries = run_entries(&self.channels, run.accumulator.as_ref());
+                    let entries = run_entries(run.accumulator.as_ref());
                     run.count -= remaining;
                     let augmented = open_run(
                         self.model,
@@ -130,9 +125,8 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
 
     /// The schedule the runs spell out.
     pub(crate) fn into_schedule(self) -> Schedule {
-        let channels = self.channels;
         Schedule::from_pattern_runs(self.runs.into_iter().map(|run| {
-            let entries = run_entries(&channels, run.accumulator.as_ref());
+            let entries = run_entries(run.accumulator.as_ref());
             (SlotPattern::from_entries(entries), run.count)
         }))
     }
@@ -144,21 +138,22 @@ fn open_run<'m, M: SlotFeasibility + ?Sized>(
     entries: impl IntoIterator<Item = (ChannelId, Link)>,
     count: u64,
 ) -> OpenRun<'m> {
-    let mut accumulator = model.open_channel_slot();
+    let mut accumulator = model.open_slot();
     for (channel, link) in entries {
         accumulator.assign(channel, link);
     }
     OpenRun { accumulator, count }
 }
 
+/// The channels of a slot, in increasing order.
+fn channels(accumulator: &dyn SlotAccumulator) -> impl Iterator<Item = ChannelId> {
+    (0..accumulator.channel_count()).map(|c| ChannelId::new(c as u16))
+}
+
 /// A run's `(channel, link)` entries, channel by channel, links in
 /// assignment order within each.
-fn run_entries(
-    channels: &[ChannelId],
-    accumulator: &dyn ChannelSlotAccumulator,
-) -> Vec<(ChannelId, Link)> {
-    channels
-        .iter()
-        .flat_map(|&c| accumulator.links(c).iter().map(move |&l| (c, l)))
+fn run_entries(accumulator: &dyn SlotAccumulator) -> Vec<(ChannelId, Link)> {
+    channels(accumulator)
+        .flat_map(|c| accumulator.links(c).iter().map(move |&l| (c, l)))
         .collect()
 }

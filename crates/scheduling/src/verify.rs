@@ -5,7 +5,7 @@
 //! and every link against its demand. The distributed protocols never get to
 //! "grade their own homework".
 //!
-//! Slots are re-built link by link through the model's stateful
+//! Slots are re-built entry by entry through the model's stateful
 //! [`SlotAccumulator`](crate::feasibility::SlotAccumulator), so verification
 //! of a slot with `k` links costs O(k²) additions under the physical model
 //! (k probes of O(k) each) with no intermediate `Vec` cloning, and an
@@ -20,13 +20,13 @@
 //! million-slot heavy-demand schedule costs O(#patterns · k²), not
 //! O(#slots · k²).
 //!
-//! Channel-annotated patterns are verified per channel: orthogonal channels
-//! do not interfere, so each channel's link group must be feasible on its
-//! own, the channel ids must be within the model's
-//! [`channel_count`](crate::feasibility::SlotFeasibility::channel_count),
+//! Orthogonal channels do not interfere, so each channel's link group of a
+//! pattern must be feasible on its own, the channel ids must be within the
+//! model's [`channel_count`](crate::feasibility::SlotFeasibility::channel_count),
 //! and — because every node has a single radio — no node may appear in links
 //! of two different channels of the same slot (the **cross-channel
-//! half-duplex rule**, [`ScheduleViolation::CrossChannelConflict`]).
+//! half-duplex rule**, [`ScheduleViolation::CrossChannelConflict`]). A
+//! single-channel schedule is the case where every group sits on channel 0.
 
 use scream_topology::{Link, LinkDemands, NodeId};
 
@@ -144,35 +144,6 @@ impl std::fmt::Display for ScheduleViolation {
 
 impl std::error::Error for ScheduleViolation {}
 
-/// Re-checks one slot pattern through a reused accumulator, returning the
-/// violation (with margins) if the pattern is infeasible. `index` is the
-/// first slot the pattern occupies.
-///
-/// Building incrementally is equivalent to checking the whole set because
-/// interference models are downward-closed — see the
-/// [`feasibility`](crate::feasibility) module docs.
-fn check_slot<M: SlotFeasibility>(
-    model: &M,
-    accumulator: &mut (impl crate::feasibility::SlotAccumulator + ?Sized),
-    index: usize,
-    channel: ChannelId,
-    links: &[Link],
-) -> Result<(), ScheduleViolation> {
-    accumulator.clear();
-    for &link in links {
-        if !accumulator.can_add(link) {
-            return Err(ScheduleViolation::InfeasibleSlot {
-                slot: index,
-                channel,
-                links: links.to_vec(),
-                margins: model.slot_margins(links),
-            });
-        }
-        accumulator.assign(link);
-    }
-    Ok(())
-}
-
 /// Verifies that `schedule` satisfies `demands` exactly and that every slot
 /// is feasible under `model`.
 ///
@@ -215,17 +186,19 @@ pub fn verify_schedule<M: SlotFeasibility>(
 /// Verifies only the feasibility of every slot, ignoring demands. Useful for
 /// partially built schedules (e.g. inspecting a distributed run mid-flight).
 ///
-/// Channel-annotated slots are checked per channel (orthogonal channels do
-/// not interfere) through one reused accumulator, after validating the
-/// channel ids against the model's channel count and the cross-channel
-/// half-duplex rule: a node with its single radio may not appear in links of
-/// two different channels of the same slot.
+/// Each pattern is rebuilt entry by entry through one reused accumulator
+/// (orthogonal channels do not interfere), after validating the channel ids
+/// against the accumulator's channel count and the cross-channel half-duplex
+/// rule: a node with its single radio may not appear in links of two
+/// different channels of the same slot. Building incrementally is equivalent
+/// to checking the whole set because interference models are downward-closed
+/// — see the [`feasibility`](crate::feasibility) module docs.
 pub fn verify_slots_feasible<M: SlotFeasibility>(
     model: &M,
     schedule: &Schedule,
 ) -> Result<(), ScheduleViolation> {
-    let channel_count = model.channel_count().max(1);
     let mut accumulator = model.open_slot();
+    let channel_count = accumulator.channel_count();
     let mut t = 0usize;
     for (pattern, count) in schedule.runs() {
         if let Some(channel) = pattern
@@ -242,8 +215,19 @@ pub fn verify_slots_feasible<M: SlotFeasibility>(
         if let Some(node) = pattern.node_on_multiple_channels() {
             return Err(ScheduleViolation::CrossChannelConflict { slot: t, node });
         }
+        accumulator.clear();
         for (channel, links) in pattern.channel_groups() {
-            check_slot(model, accumulator.as_mut(), t, channel, links)?;
+            for &link in links {
+                if !accumulator.can_add(channel, link) {
+                    return Err(ScheduleViolation::InfeasibleSlot {
+                        slot: t,
+                        channel,
+                        links: links.to_vec(),
+                        margins: model.slot_margins(links),
+                    });
+                }
+                accumulator.assign(channel, link);
+            }
         }
         t += count as usize;
     }

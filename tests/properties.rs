@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use scream::prelude::*;
-use scream::scheduling::{verify_slots_feasible, EdgeOrdering};
+use scream::scheduling::{verify_slots_feasible, EdgeOrdering, SlotPattern};
 
 /// Strategy: a connected-ish random deployment description (node count,
 /// region side and seed). Connectivity is ensured by retry inside the tests.
@@ -49,6 +49,54 @@ fn build_connected_on_channels(
     let demands = DemandVector::generate(nodes, DemandConfig::PAPER, &gateways, &mut rng);
     let link_demands = LinkDemands::aggregate(&forest, &demands).ok()?;
     Some((env, link_demands))
+}
+
+/// The reference GreedyPhysical, written from the algorithm's definition and
+/// sharing nothing with the product path but the edge order: **per unit** of
+/// demand (no run batching), **from scratch** (`model.can_add` over plain
+/// link lists — no ledger, no accumulator), first-fit over `(slot, channel)`
+/// pairs in increasing order. A node has one radio, so a link may not join a
+/// channel while an endpoint of it is busy on another; a unit no slot accepts
+/// opens a fresh slot on channel 0, feasible or not.
+fn reference_first_fit<M: SlotFeasibility>(
+    model: &M,
+    ordering: EdgeOrdering,
+    demands: &LinkDemands,
+) -> Schedule {
+    let channels = model.channel_count();
+    let mut edges: Vec<(Link, u64)> = demands.demanded_links().collect();
+    ordering.sort(&mut edges);
+    // slots[t][c]: the links on channel c of slot t, in placement order.
+    let mut slots: Vec<Vec<Vec<Link>>> = Vec::new();
+    for (link, demand) in edges {
+        // A slot holds a link at most once, so each unit resumes the scan
+        // right after the slot the previous unit landed in.
+        let mut from = 0;
+        for _ in 0..demand {
+            let fit = (from..slots.len()).find_map(|t| {
+                let fits = |c: &usize| {
+                    let radio_free = slots[t].iter().enumerate().all(|(other, links)| {
+                        other == *c || links.iter().all(|l| !l.shares_endpoint(&link))
+                    });
+                    radio_free && model.can_add(&slots[t][*c], link)
+                };
+                (0..channels).find(fits).map(|c| (t, c))
+            });
+            let (t, c) = fit.unwrap_or_else(|| {
+                slots.push(vec![Vec::new(); channels]);
+                (slots.len() - 1, 0)
+            });
+            slots[t][c].push(link);
+            from = t + 1;
+        }
+    }
+    Schedule::from_pattern_runs(slots.into_iter().map(|slot| {
+        let entries = slot.into_iter().enumerate().flat_map(|(c, links)| {
+            let channel = ChannelId::new(c as u16);
+            links.into_iter().map(move |l| (channel, l))
+        });
+        (SlotPattern::from_entries(entries), 1)
+    }))
 }
 
 proptest! {
@@ -261,10 +309,13 @@ proptest! {
         }
     }
 
-    /// Batched run-level placement is decision-for-decision identical to the
-    /// seed's per-unit first-fit loop on randomized instances — arbitrary
-    /// density (via the region side), seed, SINR threshold β and every edge
-    /// ordering. This is the equivalence gate of the heavy-demand fast path.
+    /// GreedyPhysical — batched run-level placement over the incremental,
+    /// spatially screened ledger — is decision-for-decision identical to
+    /// [`reference_first_fit`] on randomized instances: arbitrary density
+    /// (via the region side), seed, SINR threshold β, every edge ordering and
+    /// C ∈ {1, 2, 3} channels. At C = 1 no pattern carries a channel tag,
+    /// and the run-aware verifier's verdict is the from-scratch feasibility
+    /// of every channel group.
     #[test]
     fn batched_placement_matches_per_unit(
         (nodes, seed) in (6usize..=18, 0u64..5000),
@@ -274,11 +325,6 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let side = side_scale * (nodes as f64).sqrt();
         let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
-        let env_builder = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0));
-        let env = env_builder
-            .config(scream::netsim::RadioConfig::mesh_default().with_sinr_threshold_db(beta_db))
-            .build(&deployment);
         // Random demanded links with demands spanning several magnitudes.
         let links: Vec<(Link, u64)> = (0..nodes as u32 / 2)
             .map(|i| {
@@ -289,25 +335,43 @@ proptest! {
             })
             .collect();
         let demands = LinkDemands::from_links(nodes, &links).unwrap();
-        for ordering in [
-            EdgeOrdering::DecreasingHeadId,
-            EdgeOrdering::IncreasingHeadId,
-            EdgeOrdering::DecreasingDemand,
-            EdgeOrdering::IncreasingDemand,
-        ] {
-            let batched = GreedyPhysical::new(ordering).schedule(&env, &demands);
-            let per_unit = GreedyPhysical::new(ordering).schedule_per_unit(&env, &demands);
-            prop_assert_eq!(
-                &batched,
-                &per_unit,
-                "batched != per-unit for ordering {:?}, beta {} dB",
-                ordering,
-                beta_db
-            );
-            prop_assert_eq!(
-                verify_schedule(&env, &batched, &demands).is_ok(),
-                verify_schedule(&env, &per_unit, &demands).is_ok()
-            );
+        for channels in 1usize..=3 {
+            let env = RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .config(
+                    scream::netsim::RadioConfig::mesh_default()
+                        .with_sinr_threshold_db(beta_db)
+                        .with_channel_count(channels),
+                )
+                .build(&deployment);
+            for ordering in [
+                EdgeOrdering::DecreasingHeadId,
+                EdgeOrdering::IncreasingHeadId,
+                EdgeOrdering::DecreasingDemand,
+                EdgeOrdering::IncreasingDemand,
+            ] {
+                let batched = GreedyPhysical::new(ordering).schedule(&env, &demands);
+                let reference = reference_first_fit(&env, ordering, &demands);
+                prop_assert_eq!(
+                    &batched,
+                    &reference,
+                    "greedy != reference for ordering {:?}, C = {}, beta {} dB",
+                    ordering,
+                    channels,
+                    beta_db
+                );
+                prop_assert!(batched.channels_used() <= channels);
+                prop_assert!(channels > 1 || batched.runs().all(|(p, _)| p.is_single_channel()));
+                let from_scratch_feasible = batched.runs().all(|(pattern, _)| {
+                    pattern
+                        .channel_groups()
+                        .all(|(_, group)| env.slot_feasible(group))
+                });
+                prop_assert_eq!(
+                    verify_slots_feasible(&env, &batched).is_ok(),
+                    from_scratch_feasible
+                );
+            }
         }
     }
 
@@ -369,58 +433,6 @@ proptest! {
         }
     }
 
-    /// The `C = 1` reduction: the multi-channel GreedyPhysical run with one
-    /// channel (the default `RadioConfig`, stated explicitly here) produces a
-    /// schedule identical to the single-channel per-unit baseline on random
-    /// instances — same runs, same length, same metrics, same verifier
-    /// verdict — and every pattern it emits carries no channel tags at all.
-    #[test]
-    fn single_channel_reduction_matches_per_unit(
-        (nodes, seed) in (6usize..=18, 0u64..5000),
-        side_scale in 90.0f64..220.0,
-        beta_db in 4.0f64..12.0,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xc4a1);
-        let side = side_scale * (nodes as f64).sqrt();
-        let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
-        let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .config(
-                scream::netsim::RadioConfig::mesh_default()
-                    .with_sinr_threshold_db(beta_db)
-                    .with_channel_count(1),
-            )
-            .build(&deployment);
-        let links: Vec<(Link, u64)> = (0..nodes as u32 / 2)
-            .map(|i| {
-                (
-                    Link::new(NodeId::new(2 * i + 1), NodeId::new(2 * i)),
-                    rng.gen_range(1u64..120),
-                )
-            })
-            .collect();
-        let demands = LinkDemands::from_links(nodes, &links).unwrap();
-        let multi_channel_at_one = GreedyPhysical::paper_baseline().schedule(&env, &demands);
-        let per_unit = GreedyPhysical::paper_baseline().schedule_per_unit(&env, &demands);
-        prop_assert_eq!(&multi_channel_at_one, &per_unit);
-        prop_assert_eq!(multi_channel_at_one.length(), per_unit.length());
-        prop_assert_eq!(
-            multi_channel_at_one.pattern_count(),
-            per_unit.pattern_count()
-        );
-        prop_assert_eq!(
-            ScheduleMetrics::compute(&multi_channel_at_one, &demands),
-            ScheduleMetrics::compute(&per_unit, &demands)
-        );
-        prop_assert_eq!(
-            verify_schedule(&env, &multi_channel_at_one, &demands).is_ok(),
-            verify_schedule(&env, &per_unit, &demands).is_ok()
-        );
-        prop_assert!(multi_channel_at_one
-            .runs()
-            .all(|(p, _)| p.is_single_channel()));
-    }
-
     /// Multi-channel schedules on random connected instances always verify
     /// (per-channel SINR, channel range and the cross-channel half-duplex
     /// rule), never use more channels than configured, and are never longer
@@ -479,16 +491,24 @@ proptest! {
         }
     }
 
-    /// The C = 1 runtime reduction is exact: on single-channel environments
-    /// the channel-aware runtime reproduces the retained pre-channel baseline
-    /// byte for byte — schedule, `ProtocolTiming` and `RunStats` — for the
-    /// deterministic protocols and for randomized PDD under a shared seed.
+    /// C = 1 is a value of the one runtime, not a second runtime: capping a
+    /// 2-channel environment at `max_channels = 1` equals running on the same
+    /// geometry built with one channel — schedule, `ProtocolTiming` and
+    /// `RunStats` — for the deterministic protocols and for randomized PDD
+    /// under a shared seed, with one handshake slot per iteration and no
+    /// channel-announcement SCREAM. (That the C = 1 schedule is the paper's
+    /// single-channel GreedyPhysical is `fdd_matches_greedy_physical` plus
+    /// `batched_placement_matches_per_unit`.)
     #[test]
     fn single_channel_runtime_reduction_is_exact(
         (nodes, seed) in small_instance(),
         p in 0.2f64..=1.0,
     ) {
-        if let Some((env, link_demands)) = build_connected(nodes, seed) {
+        if let (Some((env, link_demands)), Some((dual_env, dual_demands))) = (
+            build_connected(nodes, seed),
+            build_connected_on_channels(nodes, seed, 2),
+        ) {
+            prop_assert_eq!(&link_demands, &dual_demands);
             let config = ProtocolConfig::paper_default()
                 .with_scream_slots(env.interference_diameter().max(1))
                 .with_seed(seed);
@@ -497,18 +517,23 @@ proptest! {
                 DistributedScheduler::afdd(),
                 DistributedScheduler::pdd(p).expect("p is in (0, 1]"),
             ] {
-                let generic = scheduler
+                let single = scheduler
                     .with_config(config)
                     .run(&env, &link_demands)
-                    .expect("the channel-aware runtime completes");
-                let baseline = scheduler
-                    .with_config(config)
-                    .run_single_channel(&env, &link_demands)
-                    .expect("the baseline runtime completes");
-                prop_assert_eq!(&generic.schedule, &baseline.schedule);
-                prop_assert_eq!(generic.timing, baseline.timing);
-                prop_assert_eq!(generic.stats, baseline.stats);
-                prop_assert_eq!(generic, baseline);
+                    .expect("the runtime completes on one channel");
+                scream::obs::install();
+                let capped = scheduler
+                    .with_config(config.with_max_channels(1))
+                    .run(&dual_env, &link_demands);
+                let observed = scream::obs::uninstall().expect("installed above").snapshot;
+                let capped = capped.expect("the capped runtime completes");
+                prop_assert_eq!(&capped.schedule, &single.schedule);
+                prop_assert_eq!(capped.timing, single.timing);
+                prop_assert_eq!(capped.stats, single.stats);
+                prop_assert_eq!(&capped, &single);
+                prop_assert_eq!(capped.stats.handshake_steps, capped.stats.slot_iterations);
+                prop_assert_eq!(observed.counter("runtime.announcement_bits"), 0);
+                prop_assert_eq!(observed.counter("runtime.rounds"), capped.stats.rounds);
             }
         }
     }
