@@ -186,40 +186,35 @@ fn main() {
     }
 
     // Distributed channel ablation: the channel-aware FDD runtime on the
-    // same 64-link instance. The runtime executes one round per slot, so the
-    // FDD cells run at a moderate demand (the acceptance instance's 100
-    // slots/link; 50 in quick mode) — the recorded ratios are FDD's own
-    // single-channel length over its C-channel length, which the
+    // same 64-link instance at the same demand as the greedy cells — the
+    // runtime simulates each distinct round once and replays it, so its host
+    // cost does not scale with demand either. The recorded ratios are FDD's
+    // own single-channel length over its C-channel length, which the
     // channel-aware Theorem 4 pins at exactly C on this instance.
-    let fdd_demand: u64 = if quick { 50 } else { 100 };
-    let fdd_reps = 1;
     let mut fdd_lengths = Vec::new();
     for (channels, measurement_name) in [
         (1usize, "fdd_heavy_c1"),
         (2, "fdd_heavy_c2"),
         (4, "fdd_heavy_c4"),
     ] {
-        let (env_c, demands_c) = heavy_demand_instance_on_channels(fdd_demand, channels);
-        let config =
-            ProtocolConfig::paper_default().with_scream_slots(env_c.interference_diameter().max(5));
-        eprintln!("# timing distributed FDD ({channels} channels, demand {fdd_demand}/link)...");
-        // The run is deterministic and dominates this binary's wall clock,
-        // so time it once and keep the result instead of re-executing it for
-        // verification.
-        let start = Instant::now();
-        let run = std::hint::black_box(
-            DistributedScheduler::fdd()
-                .with_config(config)
-                .run(&env_c, &demands_c)
-                .expect("FDD completes on the heavy-demand instance"),
+        let (env_c, demands_c) = heavy_demand_instance_on_channels(heavy_demand, channels);
+        let scheduler = DistributedScheduler::fdd().with_config(
+            ProtocolConfig::paper_default().with_scream_slots(env_c.interference_diameter().max(5)),
         );
-        let timed = start.elapsed().as_secs_f64();
+        let run_fdd = || {
+            scheduler
+                .run(&env_c, &demands_c)
+                .expect("FDD completes on the heavy-demand instance")
+        };
+        eprintln!("# timing distributed FDD ({channels} channels, demand {heavy_demand}/link)...");
+        let timed = time_median(reps, run_fdd);
+        let run = run_fdd();
         verify_schedule(&env_c, &run.schedule, &demands_c)
             .expect("distributed multi-channel schedule verifies");
         measurements.push(Measurement {
             name: measurement_name,
             median_secs: timed,
-            reps: fdd_reps,
+            reps,
         });
         fdd_lengths.push(run.schedule.length());
     }

@@ -1,6 +1,9 @@
-//! Traces one `GreedyPhysical` run on the paper's 64-node grid through the
+//! Traces one scheduling run on the paper's 64-node grid through the
 //! `scream-obs` sink: install the sink, build and verify the schedule, then
-//! print what the instrumentation saw.
+//! print what the instrumentation saw. The run is `GreedyPhysical` by
+//! default; `--protocol fdd|afdd` traces the distributed runtime instead
+//! (`runtime.rounds` logical rounds against the `runtime.rounds.executed`
+//! actually simulated).
 //!
 //! Two modes share one deterministic run:
 //!
@@ -14,22 +17,35 @@
 //!   across runs of the same seed; CI smoke-diffs two runs.
 //!
 //! Usage: `cargo run --release -p scream-bench --bin trace_schedule
-//! [--json] [seed]` (default seed 7).
+//! [--json] [--protocol fdd|afdd] [seed]` (default seed 7).
 
 use scream_bench::{PaperScenario, Table};
+use scream_core::ProtocolKind;
 use scream_scheduling::{verify_schedule, GreedyPhysical};
+
+fn usage() -> ! {
+    eprintln!("usage: trace_schedule [--json] [--protocol fdd|afdd] [seed]");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut json = false;
+    let mut protocol: Option<ProtocolKind> = None;
     let mut seed: u64 = 7;
-    for arg in std::env::args().skip(1) {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         if arg == "--json" {
             json = true;
+        } else if arg == "--protocol" {
+            protocol = Some(match args.next().as_deref() {
+                Some("fdd") => ProtocolKind::Fdd,
+                Some("afdd") => ProtocolKind::Afdd,
+                _ => usage(),
+            });
         } else if let Ok(parsed) = arg.parse() {
             seed = parsed;
         } else {
-            eprintln!("usage: trace_schedule [--json] [seed]");
-            std::process::exit(2);
+            usage();
         }
     }
 
@@ -42,7 +58,10 @@ fn main() {
     );
 
     scream_obs::install();
-    let schedule = GreedyPhysical::paper_baseline().schedule(&instance.env, &instance.link_demands);
+    let schedule = match protocol {
+        Some(kind) => instance.run_protocol(kind).schedule,
+        None => GreedyPhysical::paper_baseline().schedule(&instance.env, &instance.link_demands),
+    };
     verify_schedule(&instance.env, &schedule, &instance.link_demands)
         .expect("the traced paper-grid schedule verifies");
     let report = scream_obs::uninstall().expect("the sink was installed above");

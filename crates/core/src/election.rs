@@ -61,30 +61,33 @@ impl LeaderElection {
         // votedout[i] starts false for candidates; non-candidates are treated
         // as permanently voted out (they only relay).
         let mut votedout: Vec<bool> = candidates.iter().map(|&c| !c).collect();
+        // One SCREAM buffer for every bit: who screams going in, what each
+        // node heard coming out.
+        let mut screams = vec![false; n];
 
         for j in (0..bits).rev() {
-            let screams: Vec<bool> = (0..n)
-                .map(|i| !votedout[i] && NodeId::new(i as u32).bit(j))
-                .collect();
-            let result = channel.network_or(&screams, timing);
-            // `result` is identical at every node when K >= ID; a node only
+            for (i, scream) in screams.iter_mut().enumerate() {
+                *scream = !votedout[i] && NodeId::new(i as u32).bit(j);
+            }
+            channel.network_or_in_place(&mut screams, timing);
+            // The OR is identical at every node when K >= ID; a node only
             // needs its own entry, which is what a real deployment would use.
-            for i in 0..n {
-                if !votedout[i] && !NodeId::new(i as u32).bit(j) && result[i] {
+            for (i, &heard) in screams.iter().enumerate() {
+                if heard && !NodeId::new(i as u32).bit(j) {
                     votedout[i] = true;
                 }
             }
         }
 
-        let survivors: Vec<NodeId> = (0..n)
+        let mut survivors = (0..n)
             .filter(|&i| !votedout[i])
-            .map(|i| NodeId::new(i as u32))
-            .collect();
+            .map(|i| NodeId::new(i as u32));
+        let winner = survivors.next();
         debug_assert!(
-            survivors.len() <= 1,
-            "more than one survivor after leader election: {survivors:?}"
+            survivors.next().is_none(),
+            "more than one survivor after leader election"
         );
-        survivors.into_iter().next()
+        winner
     }
 
     /// Total number of SCREAM slots one election costs on `channel`.

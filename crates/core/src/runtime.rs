@@ -8,6 +8,28 @@
 //! step is charged to a [`ProtocolTiming`] tally so that the wall-clock
 //! execution time of a run (Figures 8 and 9) can be reported alongside the
 //! schedule it computed (Figures 6 and 7).
+//!
+//! # Rounds are run-length
+//!
+//! A round is a value: the slot pattern it seals plus the [`ProtocolTiming`]
+//! and [`RunStats`] it charged (slot construction, channel announcements and
+//! the control-release check; the hand-over election between controllers is
+//! outside it). Under FDD and AFDD that value is a pure function of the
+//! controller and the set of nodes with pending demand — `SelectActive` is an
+//! election or an announcement over the dormant set, the handshakes are the
+//! environment's physics, and the SCREAM flood is deterministic under either
+//! [`ScreamFidelity`](crate::ScreamFidelity) — so until one of the sealed
+//! links runs out of demand the next round is the same value again. The
+//! runtime therefore simulates each distinct round once and applies it
+//! `repeat` times, `repeat` being the least remaining demand over the sealed
+//! links (cut at the round limit): the pattern is pushed with that
+//! multiplicity, the charges are multiplied, and control is released iff the
+//! controller reached zero. The protocol's *simulated* cost — rounds, SCREAM
+//! slots, execution time — is untouched, because every logical round is still
+//! charged; only the host stops re-deriving it. PDD draws fresh activation
+//! randomness in every round, so its `repeat` is always 1: one loop with a
+//! multiplicity, not a second path. The `runtime.rounds.executed` counter
+//! reports the rounds actually simulated next to the logical `runtime.rounds`.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -25,7 +47,6 @@ use crate::election::LeaderElection;
 use crate::error::ProtocolError;
 use crate::protocol::ProtocolKind;
 use crate::scream::ScreamChannel;
-use crate::state::NodeState;
 use crate::stats::RunStats;
 
 /// A distributed scheduler: a protocol variant plus its configuration.
@@ -111,6 +132,14 @@ impl DistributedScheduler {
     /// pinned by the `single_channel_runtime_reduction_is_exact` property
     /// test.
     ///
+    /// # Replay
+    ///
+    /// FDD and AFDD simulate each distinct round once and apply it for its
+    /// multiplicity; PDD, whose rounds draw fresh randomness, applies every
+    /// round once (see the [module docs](self)). The result — schedule,
+    /// [`ProtocolTiming`], [`RunStats`] — is the one a round-at-a-time
+    /// execution produces; only the host cost differs.
+    ///
     /// # Errors
     ///
     /// * [`ProtocolError::NodeCountMismatch`] if the demand instance does not
@@ -144,254 +173,344 @@ impl DistributedScheduler {
             self.config.scream_bytes,
             self.config.clock_skew,
         );
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let election = LeaderElection::new();
-        let id_bits = LeaderElection::id_bits(n) as u64;
-
         let (link_of, mut remaining) = per_node_links(demands)?;
         let round_limit = self.config.round_limit(demands.total_demand());
         let channel_count = self.config.effective_channels(env.channel_count());
-        let channel_bits = channel_announcement_bits(channel_count);
+        let mut sim = Simulation {
+            kind: self.kind,
+            channel,
+            id_bits: LeaderElection::id_bits(n) as u64,
+            channel_count,
+            channel_bits: channel_announcement_bits(channel_count),
+            link_of,
+            rng: ChaCha8Rng::seed_from_u64(self.config.seed),
+            ledger: ChannelSlotLedger::new(env, channel_count),
+            dormant: vec![false; n],
+            flags: vec![false; n],
+            actives: Vec::new(),
+        };
 
-        let mut timing = ProtocolTiming::new();
-        let mut stats = RunStats::new();
+        let mut total = Tally::default();
         let mut schedule = Schedule::new();
-        let mut controller: Option<usize> = None;
-        // One multi-channel interference ledger reused (cleared, not
-        // reallocated) across every round's slot construction.
-        let mut ledger = ChannelSlotLedger::new(env, channel_count);
+        let mut controller: Option<(usize, Link)> = None;
 
         loop {
-            if controller.is_none() {
+            let (ctrl, ctrl_link) = match controller {
+                Some(held) => held,
                 // A new controller must be elected among the nodes that still
-                // have pending demand; completed nodes participate passively.
-                timing.add_sync_step();
-                let candidates: Vec<bool> = remaining.iter().map(|&r| r > 0).collect();
-                let winner = election.elect(&channel, &candidates, &mut timing);
-                stats.elections += 1;
-                stats.scream_invocations += id_bits;
-
-                // Termination detection: the winner (if any) screams; if the
-                // OR comes back false, every node learns that no demand is
-                // left and the algorithm terminates.
-                timing.add_sync_step();
-                let mut exists = vec![false; n];
-                if let Some(w) = winner {
-                    exists[w.index()] = true;
-                }
-                let any_controller = channel.network_or(&exists, &mut timing)[0];
-                stats.scream_invocations += 1;
-                if !any_controller {
-                    break;
-                }
-                controller = winner.map(|w| w.index());
-            }
-            let ctrl = controller.expect("controller is set when the loop body runs");
+                // have pending demand; when nobody is left the algorithm
+                // terminates.
+                None => match sim.elect_controller(&remaining, &mut total) {
+                    Some(elected) => elected,
+                    None => break,
+                },
+            };
 
             // The round limit is checked before the round is constructed, so
             // a limit of k permits exactly k full rounds and no partially
             // applied work is ever discarded.
-            if stats.rounds >= round_limit {
+            if total.stats.rounds >= round_limit {
                 return Err(ProtocolError::RoundLimitExceeded {
                     limit: round_limit,
-                    rounds_executed: stats.rounds,
+                    rounds_executed: total.stats.rounds,
                     unsatisfied_links: remaining.iter().filter(|&&r| r > 0).count(),
                     slots_built: schedule.length(),
                 });
             }
 
-            // ---- GreedyScheduleSlot (one round, one slot) ----
-            let mut state: Vec<NodeState> = (0..n)
-                .map(|i| {
-                    if i == ctrl {
-                        NodeState::Control
-                    } else if remaining[i] > 0 {
-                        NodeState::Dormant
-                    } else {
-                        NodeState::Complete
-                    }
-                })
-                .collect();
+            let (pattern, mut round) = sim.build_round(ctrl, ctrl_link, &remaining);
 
-            // Multi-channel interference ledger for the slot under
-            // construction: the controller opens the slot on channel 0 (a
-            // fresh slot's cheapest channel) and announces the claim.
-            ledger.clear();
-            ledger.assign(
-                ChannelId::ZERO,
-                link_of[ctrl].expect("the controller has pending demand"),
-            );
-            charge_channel_announcement(channel_bits, &channel, &mut timing, &mut stats);
-
-            loop {
-                stats.slot_iterations += 1;
-
-                // SelectActive: the only place the three protocol variants
-                // differ.
-                let actives = self.select_active(
-                    &state,
-                    &channel,
-                    &election,
-                    &mut rng,
-                    &mut timing,
-                    &mut stats,
-                );
-                for &a in &actives {
-                    state[a] = NodeState::Active;
-                }
-
-                // Handshake time step: every CONTROL/ALLOCATED/ACTIVE edge
-                // performs its two-way handshake concurrently. The
-                // channel-assignment phase first-fits each tentative edge
-                // into the cheapest channel whose handshake survives —
-                // per-channel SINR against the scheduled edges and the other
-                // tentatives, plus the half-duplex screen across channels
-                // (one radio per node); a channel whose scheduled edges are
-                // disturbed vetoes its sub-phase and admits no claim. The
-                // phase spans one handshake sub-slot per channel — its
-                // sub-phase structure is fixed in advance, since a one-radio
-                // node cannot probe two channels at once and nobody can know
-                // globally that claims resolved early — so the iteration is
-                // charged C handshake slots, exactly one at C = 1.
-                timing.add_sync_step();
-                for _ in 0..channel_count {
-                    timing.add_handshake_slot();
-                }
-                stats.handshake_steps += channel_count as u64;
-                let active_links: Vec<Link> = actives
+            // A deterministic round recurs unchanged until one of its links
+            // is satisfied (module docs); a randomized one is applied once.
+            let repeat = if self.kind.is_deterministic() {
+                pattern
+                    .links()
                     .iter()
-                    .map(|&i| link_of[i].expect("active nodes have pending demand"))
-                    .collect();
-                let probe = ledger.probe_claims(&active_links);
-
-                // Verification time step: previously scheduled edges hold
-                // veto power — if any of them failed its handshake on its
-                // channel, it SCREAMs; the claims of a vetoed channel have
-                // already withdrawn.
-                timing.add_sync_step();
-                let vetoed = !probe.existing_ok;
-                // The veto travels by SCREAM: one network-wide OR either way.
-                let mut veto_flags = vec![false; n];
-                veto_flags[ctrl] = vetoed;
-                let vetoed = channel.network_or(&veto_flags, &mut timing)[0];
-                stats.scream_invocations += 1;
-                if vetoed {
-                    stats.vetoes += 1;
-                    scream_obs::counter_add("runtime.vetoes", 1);
-                }
-                for (idx, &i) in actives.iter().enumerate() {
-                    match probe.assignments[idx] {
-                        Some(claimed) => {
-                            state[i] = NodeState::Allocated;
-                            ledger.assign(claimed, active_links[idx]);
-                            charge_channel_announcement(
-                                channel_bits,
-                                &channel,
-                                &mut timing,
-                                &mut stats,
-                            );
-                        }
-                        None => {
-                            state[i] = NodeState::Tried;
-                            stats.tried_transitions += 1;
-                        }
-                    }
-                }
-
-                // stillActives check: dormant nodes scream so that everyone
-                // learns whether another iteration is needed.
-                timing.add_sync_step();
-                let dormant_flags: Vec<bool> =
-                    (0..n).map(|i| state[i] == NodeState::Dormant).collect();
-                let still_actives = channel.network_or(&dormant_flags, &mut timing)[0];
-                stats.scream_invocations += 1;
-                if !still_actives {
-                    break;
-                }
+                    .map(|link| remaining[link.head.index()])
+                    .min()
+                    .unwrap_or(1)
+                    .min(round_limit - total.stats.rounds)
+            } else {
+                1
+            };
+            for link in pattern.links() {
+                remaining[link.head.index()] -= repeat;
             }
 
-            // Seal the slot: the controller's edge plus every allocated edge
-            // with its claimed channel — exactly the ledger's contents. At
-            // C = 1 every entry sits on channel 0, so the pattern stores no
-            // channel tags and the representation is the single-channel one.
-            let entries: Vec<(ChannelId, Link)> = ledger.assignments().collect();
-            for (_, link) in &entries {
-                let i = link.head.index();
-                remaining[i] = remaining[i].saturating_sub(1);
-            }
-            let sealed_links = entries.len() as u64;
-            schedule.push_pattern_run(SlotPattern::from_entries(entries), 1);
-            stats.rounds += 1;
-            scream_obs::set_round(stats.rounds);
+            // Control-release check, once per logical round: the controller
+            // screams iff its demand is now satisfied, releasing control for
+            // the next round. Only the last of the `repeat` checks can carry
+            // a scream, and that is the one simulated; all cost the same.
+            round.timing.add_sync_step();
+            let released = sim.scream_from(ctrl, remaining[ctrl] == 0, &mut round);
+            controller = (!released).then_some((ctrl, ctrl_link));
+
+            total.add_repeated(&round, repeat);
+            let claims = pattern.len() as u64;
+            schedule.push_pattern_run(pattern, repeat);
+            scream_obs::set_round(total.stats.rounds);
             scream_obs::set_slot(schedule.length() as u64);
-            scream_obs::counter_add("runtime.rounds", 1);
-            scream_obs::counter_add("runtime.claims", sealed_links);
-            scream_obs::event("runtime.round", &[("claims", sealed_links)]);
-
-            // Control-release check: the controller screams iff its demand is
-            // now satisfied, releasing control for the next round.
-            timing.add_sync_step();
-            let mut release = vec![false; n];
-            release[ctrl] = remaining[ctrl] == 0;
-            let released = channel.network_or(&release, &mut timing)[0];
-            stats.scream_invocations += 1;
-            if released {
-                controller = None;
+            scream_obs::counter_add("runtime.rounds", repeat);
+            scream_obs::counter_add("runtime.rounds.executed", 1);
+            scream_obs::counter_add("runtime.claims", claims * repeat);
+            if round.stats.vetoes > 0 {
+                scream_obs::counter_add("runtime.vetoes", round.stats.vetoes * repeat);
             }
+            if sim.channel_bits > 0 {
+                scream_obs::counter_add(
+                    "runtime.announcement_bits",
+                    sim.channel_bits * claims * repeat,
+                );
+            }
+            scream_obs::event("runtime.round", &[("claims", claims), ("repeat", repeat)]);
         }
 
-        stats.terminated = remaining.iter().all(|&r| r == 0);
+        total.stats.terminated = remaining.iter().all(|&r| r == 0);
         Ok(DistributedRun {
             kind: self.kind,
             schedule,
-            timing,
+            timing: total.timing,
             slot_timing,
-            stats,
+            stats: total.stats,
         })
     }
+}
 
-    /// The `SelectActive()` function of Section III: PDD activates each
-    /// dormant node independently with probability `p`; FDD elects the
-    /// highest-id dormant node through a full leader election; AFDD announces
-    /// the highest-id dormant node with a single SCREAM (see `DESIGN.md`).
-    fn select_active(
-        &self,
-        state: &[NodeState],
-        channel: &ScreamChannel<'_>,
-        election: &LeaderElection,
-        rng: &mut ChaCha8Rng,
-        timing: &mut ProtocolTiming,
-        stats: &mut RunStats,
-    ) -> Vec<usize> {
-        let n = state.len();
-        let dormant: Vec<usize> = (0..n).filter(|&i| state[i] == NodeState::Dormant).collect();
-        match self.kind {
-            ProtocolKind::Pdd { probability } => dormant
-                .into_iter()
-                .filter(|_| rng.gen_bool(probability))
-                .collect(),
+/// The synchronized steps and counters charged by a stretch of protocol
+/// execution — one round, or the whole run.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    timing: ProtocolTiming,
+    stats: RunStats,
+}
+
+impl Tally {
+    /// Charges `round` `repeat` times.
+    fn add_repeated(&mut self, round: &Tally, repeat: u64) {
+        let ProtocolTiming {
+            scream_slots,
+            handshake_slots,
+            sync_steps,
+        } = round.timing;
+        self.timing.scream_slots += scream_slots * repeat;
+        self.timing.handshake_slots += handshake_slots * repeat;
+        self.timing.sync_steps += sync_steps * repeat;
+        let RunStats {
+            rounds,
+            slot_iterations,
+            elections,
+            scream_invocations,
+            handshake_steps,
+            vetoes,
+            tried_transitions,
+            terminated: _,
+        } = round.stats;
+        self.stats.rounds += rounds * repeat;
+        self.stats.slot_iterations += slot_iterations * repeat;
+        self.stats.elections += elections * repeat;
+        self.stats.scream_invocations += scream_invocations * repeat;
+        self.stats.handshake_steps += handshake_steps * repeat;
+        self.stats.vetoes += vetoes * repeat;
+        self.stats.tried_transitions += tried_transitions * repeat;
+    }
+}
+
+/// What one run carries from round to round besides the remaining demand:
+/// the channel, the activation randomness and the buffers every round reuses
+/// (cleared, never reallocated).
+///
+/// Of the per-node states of Figure 1 only dormancy is tracked per node: the
+/// controller is carried by the run loop, ALLOCATED edges are the ledger's
+/// contents, and ACTIVE / TRIED / COMPLETE nodes are exactly the non-dormant
+/// rest — nothing in the protocol reads them apart.
+struct Simulation<'a> {
+    kind: ProtocolKind,
+    channel: ScreamChannel<'a>,
+    id_bits: u64,
+    channel_count: usize,
+    channel_bits: u64,
+    /// The uplink each node owns, if it has demand.
+    link_of: Vec<Option<Link>>,
+    rng: ChaCha8Rng,
+    /// The interference ledger of the slot under construction.
+    ledger: ChannelSlotLedger<'a>,
+    /// `dormant[i]`: node `i` has pending demand and has not been picked
+    /// into an active subset of the current slot.
+    dormant: Vec<bool>,
+    /// Input and output of every single SCREAM the runtime issues.
+    flags: Vec<bool>,
+    /// The edges activated in the current iteration.
+    actives: Vec<Link>,
+}
+
+impl Simulation<'_> {
+    /// One SCREAM over `self.flags` (each node's `var` going in, its view of
+    /// the OR coming out), charged to `tally`. The OR is identical at every
+    /// node when `K ≥ ID`; node 0's view is the one read.
+    fn scream(&mut self, tally: &mut Tally) -> bool {
+        self.channel
+            .network_or_in_place(&mut self.flags, &mut tally.timing);
+        tally.stats.scream_invocations += 1;
+        self.flags.first() == Some(&true)
+    }
+
+    /// One SCREAM in which only `node` may scream, and does iff `var`.
+    fn scream_from(&mut self, node: usize, var: bool, tally: &mut Tally) -> bool {
+        self.flags.fill(false);
+        self.flags[node] = var;
+        self.scream(tally)
+    }
+
+    /// Control hand-over: a full election among the nodes with pending
+    /// demand (completed nodes participate passively), then termination
+    /// detection — the winner, if any, screams; if the OR comes back false,
+    /// every node learns that no demand is left.
+    fn elect_controller(&mut self, remaining: &[u64], tally: &mut Tally) -> Option<(usize, Link)> {
+        tally.timing.add_sync_step();
+        for (flag, &r) in self.flags.iter_mut().zip(remaining) {
+            *flag = r > 0;
+        }
+        let winner = LeaderElection::new().elect(&self.channel, &self.flags, &mut tally.timing);
+        tally.stats.elections += 1;
+        tally.stats.scream_invocations += self.id_bits;
+        let elected = winner.and_then(|w| Some((w.index(), self.link_of[w.index()]?)));
+
+        tally.timing.add_sync_step();
+        self.flags.fill(false);
+        if let Some((w, _)) = elected {
+            self.flags[w] = true;
+        }
+        let any_controller = self.scream(tally);
+        elected.filter(|_| any_controller)
+    }
+
+    /// `GreedyScheduleSlot`: constructs one round's slot around the
+    /// controller's edge and seals it, returning the pattern and what the
+    /// round charged up to the seal.
+    fn build_round(
+        &mut self,
+        ctrl: usize,
+        ctrl_link: Link,
+        remaining: &[u64],
+    ) -> (SlotPattern, Tally) {
+        let mut round = Tally::default();
+        for (i, (dormant, &r)) in self.dormant.iter_mut().zip(remaining).enumerate() {
+            *dormant = r > 0 && i != ctrl;
+        }
+        // The controller opens the slot on channel 0 (a fresh slot's
+        // cheapest channel).
+        self.ledger.clear();
+        self.ledger.assign(ChannelId::ZERO, ctrl_link);
+
+        loop {
+            round.stats.slot_iterations += 1;
+
+            // SelectActive: the only place the three protocol variants
+            // differ. The activated nodes leave DORMANT.
+            self.select_active(&mut round);
+            for link in &self.actives {
+                self.dormant[link.head.index()] = false;
+            }
+
+            // Handshake time step: every CONTROL/ALLOCATED/ACTIVE edge
+            // performs its two-way handshake concurrently. The
+            // channel-assignment phase first-fits each tentative edge
+            // into the cheapest channel whose handshake survives —
+            // per-channel SINR against the scheduled edges and the other
+            // tentatives, plus the half-duplex screen across channels
+            // (one radio per node); a channel whose scheduled edges are
+            // disturbed vetoes its sub-phase and admits no claim. The
+            // phase spans one handshake sub-slot per channel — its
+            // sub-phase structure is fixed in advance, since a one-radio
+            // node cannot probe two channels at once and nobody can know
+            // globally that claims resolved early — so the iteration is
+            // charged C handshake slots, exactly one at C = 1.
+            round.timing.add_sync_step();
+            for _ in 0..self.channel_count {
+                round.timing.add_handshake_slot();
+            }
+            round.stats.handshake_steps += self.channel_count as u64;
+            let probe = self.ledger.probe_claims(&self.actives);
+
+            // Verification time step: previously scheduled edges hold
+            // veto power — if any of them failed its handshake on its
+            // channel, it SCREAMs; the claims of a vetoed channel have
+            // already withdrawn. The veto travels by SCREAM: one
+            // network-wide OR either way.
+            round.timing.add_sync_step();
+            if self.scream_from(ctrl, !probe.existing_ok, &mut round) {
+                round.stats.vetoes += 1;
+            }
+            // A claimed edge is ALLOCATED, the rest are TRIED until the next
+            // round.
+            for (&link, claim) in self.actives.iter().zip(&probe.assignments) {
+                match claim {
+                    Some(claimed) => self.ledger.assign(*claimed, link),
+                    None => round.stats.tried_transitions += 1,
+                }
+            }
+
+            // stillActives check: dormant nodes scream so that everyone
+            // learns whether another iteration is needed.
+            round.timing.add_sync_step();
+            self.flags.copy_from_slice(&self.dormant);
+            if !self.scream(&mut round) {
+                break;
+            }
+        }
+
+        // Seal the slot: the controller's edge plus every allocated edge
+        // with its claimed channel — exactly the ledger's contents. At
+        // C = 1 every entry sits on channel 0, so the pattern stores no
+        // channel tags and the representation is the single-channel one.
+        let pattern = SlotPattern::from_entries(self.ledger.assignments());
+        // Because the handshake outcome is local physics, every claim — the
+        // controller's included — announces its channel: `⌈log₂ C⌉` SCREAM
+        // invocations of `K` slots each, mirroring the per-bit cost of the
+        // elections. Nothing at C = 1: the single shared channel needs no
+        // announcement.
+        let announced = self.channel_bits * pattern.len() as u64;
+        round
+            .timing
+            .add_scream_slots(announced * self.channel.scream_slots() as u64);
+        round.stats.scream_invocations += announced;
+        round.stats.rounds = 1;
+        (pattern, round)
+    }
+
+    /// The `SelectActive()` function of Section III, filling `self.actives`:
+    /// PDD activates each dormant node independently with probability `p`;
+    /// FDD elects the highest-id dormant node through a full leader election;
+    /// AFDD announces the highest-id dormant node with a single SCREAM (see
+    /// `DESIGN.md`).
+    fn select_active(&mut self, round: &mut Tally) {
+        self.actives.clear();
+        let highest = match self.kind {
+            ProtocolKind::Pdd { probability } => {
+                for (i, _) in self.dormant.iter().enumerate().filter(|(_, &d)| d) {
+                    if self.rng.gen_bool(probability) {
+                        self.actives.extend(self.link_of[i]);
+                    }
+                }
+                return;
+            }
             ProtocolKind::Fdd => {
-                let candidates: Vec<bool> =
-                    (0..n).map(|i| state[i] == NodeState::Dormant).collect();
-                let winner = election.elect(channel, &candidates, timing);
-                stats.elections += 1;
-                stats.scream_invocations += LeaderElection::id_bits(n) as u64;
-                winner.map(|w| vec![w.index()]).unwrap_or_default()
+                let winner =
+                    LeaderElection::new().elect(&self.channel, &self.dormant, &mut round.timing);
+                round.stats.elections += 1;
+                round.stats.scream_invocations += self.id_bits;
+                winner.map(|w| w.index())
             }
             ProtocolKind::Afdd => {
                 // One SCREAM announces whether any dormant node remains; the
                 // identity of the highest-id dormant node is known to all from
                 // cached candidate order (our interpretation of AFDD).
-                let flags: Vec<bool> = (0..n).map(|i| state[i] == NodeState::Dormant).collect();
-                let _ = channel.network_or(&flags, timing);
-                stats.scream_invocations += 1;
-                dormant
-                    .into_iter()
-                    .max()
-                    .map(|i| vec![i])
-                    .unwrap_or_default()
+                self.flags.copy_from_slice(&self.dormant);
+                self.scream(round);
+                self.dormant.iter().rposition(|&d| d)
             }
-        }
+        };
+        self.actives.extend(highest.and_then(|i| self.link_of[i]));
     }
 }
 
@@ -424,24 +543,6 @@ fn channel_announcement_bits(channels: usize) -> u64 {
     } else {
         (channels - 1).ilog2() as u64 + 1
     }
-}
-
-/// Charges one channel announcement — `bits` SCREAM invocations of `K` slots
-/// each, mirroring the per-bit cost of the elections — to the tallies. A
-/// no-op at `C = 1` (`bits == 0`): the single shared channel needs no
-/// announcement.
-fn charge_channel_announcement(
-    bits: u64,
-    channel: &ScreamChannel<'_>,
-    timing: &mut ProtocolTiming,
-    stats: &mut RunStats,
-) {
-    if bits == 0 {
-        return;
-    }
-    timing.add_scream_slots(bits * channel.scream_slots() as u64);
-    stats.scream_invocations += bits;
-    scream_obs::counter_add("runtime.announcement_bits", bits);
 }
 
 /// The result of one distributed scheduling run.
@@ -810,43 +911,53 @@ mod tests {
     #[test]
     fn round_limit_boundary_is_exact_and_reports_progress() {
         // `with_max_rounds(k)` permits exactly k full rounds: the number of
-        // rounds the unbounded run needs must succeed, one fewer must fail —
-        // before constructing the final round, with the progress attached.
+        // rounds the unbounded run needs must succeed, and every smaller k
+        // must fail before constructing round k + 1 with exactly the first k
+        // slots' progress attached — a replayed batch that straddles the
+        // limit is cut, never rounded up or down.
         let (_, env, ld) = grid_instance(4, 150.0, 8);
-        let unbounded = DistributedScheduler::fdd()
-            .with_config(config_for(&env))
-            .run(&env, &ld)
-            .unwrap();
-        let rounds_needed = unbounded.stats.rounds;
-        assert!(rounds_needed > 1, "the instance must need several rounds");
+        for scheduler in [DistributedScheduler::fdd(), DistributedScheduler::afdd()] {
+            let unbounded = scheduler
+                .with_config(config_for(&env))
+                .run(&env, &ld)
+                .unwrap();
+            let rounds_needed = unbounded.stats.rounds;
+            assert!(
+                unbounded.schedule.pattern_count() < rounds_needed as usize,
+                "the instance must replay some rounds"
+            );
 
-        let exact = DistributedScheduler::fdd()
-            .with_config(config_for(&env).with_max_rounds(rounds_needed))
-            .run(&env, &ld)
-            .unwrap();
-        assert_eq!(exact.schedule, unbounded.schedule);
-        assert!(exact.stats.terminated);
+            let exact = scheduler
+                .with_config(config_for(&env).with_max_rounds(rounds_needed))
+                .run(&env, &ld)
+                .unwrap();
+            assert_eq!(exact, unbounded);
+            assert!(exact.stats.terminated);
 
-        let err = DistributedScheduler::fdd()
-            .with_config(config_for(&env).with_max_rounds(rounds_needed - 1))
-            .run(&env, &ld)
-            .unwrap_err();
-        match err {
-            ProtocolError::RoundLimitExceeded {
-                limit,
-                rounds_executed,
-                unsatisfied_links,
-                slots_built,
-            } => {
-                assert_eq!(limit, rounds_needed - 1);
-                assert_eq!(rounds_executed, rounds_needed - 1);
-                assert_eq!(slots_built as u64, rounds_needed - 1);
-                assert!(
-                    unsatisfied_links > 0,
-                    "aborting before the final round must leave demand unsatisfied"
+            // What the first k slots of the full schedule leave unserved.
+            let mut unserved: std::collections::BTreeMap<Link, u64> = ld.demanded_links().collect();
+            let mut slots = unbounded.schedule.slots();
+            for k in 0..rounds_needed {
+                let err = scheduler
+                    .with_config(config_for(&env).with_max_rounds(k))
+                    .run(&env, &ld)
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    ProtocolError::RoundLimitExceeded {
+                        limit: k,
+                        rounds_executed: k,
+                        unsatisfied_links: unserved.values().filter(|&&d| d > 0).count(),
+                        slots_built: k as usize,
+                    }
                 );
+                for link in slots.next().expect("slot k exists").links() {
+                    *unserved
+                        .get_mut(link)
+                        .expect("scheduled links are demanded") -= 1;
+                }
             }
-            other => panic!("unexpected error {other:?}"),
+            assert!(unserved.values().all(|&d| d == 0));
         }
     }
 

@@ -106,56 +106,67 @@ impl<'a> ScreamChannel<'a> {
     /// node's view of the network-wide OR after `K` slots. Nodes not listed
     /// participate passively (relay-only), as required by the paper.
     ///
-    /// The `K` executed slots are charged to `timing`.
+    /// The `K` executed slots are charged to `timing`. Allocates the returned
+    /// vector; a caller that screams repeatedly keeps one buffer and uses
+    /// [`network_or_in_place`](Self::network_or_in_place).
     ///
     /// # Panics
     ///
     /// Panics if `initial.len()` differs from the number of nodes.
     pub fn network_or(&self, initial: &[bool], timing: &mut ProtocolTiming) -> Vec<bool> {
+        let mut views = initial.to_vec();
+        self.network_or_in_place(&mut views, timing);
+        views
+    }
+
+    /// [`network_or`](Self::network_or) in the caller's buffer: `vars[i]` is
+    /// node `i`'s local `var` on entry and its view of the network-wide OR on
+    /// return. Under [`ScreamFidelity::Ideal`] it allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars.len()` differs from the number of nodes.
+    pub fn network_or_in_place(&self, vars: &mut [bool], timing: &mut ProtocolTiming) {
         assert_eq!(
-            initial.len(),
+            vars.len(),
             self.env.node_count(),
             "SCREAM needs one boolean per node"
         );
         timing.add_scream_slots(self.scream_slots as u64);
         match self.fidelity {
             ScreamFidelity::Ideal => {
-                let any = initial.iter().any(|&v| v);
-                vec![any; initial.len()]
+                let any = vars.iter().any(|&v| v);
+                vars.fill(any);
             }
-            ScreamFidelity::Physical => self.flood(initial),
+            ScreamFidelity::Physical => self.flood(vars),
         }
     }
 
     /// Physical-layer simulation of the flood: in every slot the current
     /// relay set transmits and every silent node performs energy detection
     /// against the aggregate received power.
-    fn flood(&self, initial: &[bool]) -> Vec<bool> {
-        let n = initial.len();
-        let mut relay = initial.to_vec();
+    fn flood(&self, relay: &mut [bool]) {
+        let mut transmitters: Vec<NodeId> = Vec::with_capacity(relay.len());
         for _slot in 0..self.scream_slots {
-            let transmitters: Vec<NodeId> = (0..n as u32)
-                .map(NodeId::new)
-                .filter(|id| relay[id.index()])
-                .collect();
+            transmitters.clear();
+            transmitters.extend(
+                (0..relay.len() as u32)
+                    .map(NodeId::new)
+                    .filter(|id| relay[id.index()]),
+            );
             if transmitters.is_empty() {
                 break;
             }
-            let mut next = relay.clone();
-            for listener in 0..n {
-                if relay[listener] {
-                    continue;
-                }
-                if self
-                    .env
-                    .carrier_sense(NodeId::new(listener as u32), &transmitters)
-                {
-                    next[listener] = true;
-                }
+            // A listener that detects the scream relays from the next slot
+            // on: this slot's transmitter set is already fixed, so the relay
+            // flags can be raised in place.
+            for (listener, relaying) in relay.iter_mut().enumerate() {
+                *relaying = *relaying
+                    || self
+                        .env
+                        .carrier_sense(NodeId::new(listener as u32), &transmitters);
             }
-            relay = next;
         }
-        relay
     }
 }
 

@@ -32,7 +32,10 @@ impl NodeState {
     // scream on a failed handshake) are no longer dispatched through
     // per-state predicates here — the runtime tracks the slot's confirmed
     // edges in a `ChannelSlotLedger` and prices tentative actives with
-    // its `probe_claims`, which encodes exactly those two roles.
+    // its `probe_claims`, which encodes exactly those two roles. Per node it
+    // keeps only the DORMANT flag (the one state the protocol's SCREAMs and
+    // elections read); the other states are implied by the controller, the
+    // ledger and the remaining demand.
 
     /// Whether a node in this state still has pending demand to schedule in
     /// future rounds (i.e. it competes in the next leader election).

@@ -89,8 +89,14 @@ impl SlotPattern {
         entries.sort_unstable();
         entries.dedup();
         if entries.iter().all(|(c, _)| *c == ChannelId::ZERO) {
+            // The in-place collect keeps the 12-byte-stride `entries`
+            // allocation (and whatever growth slack the caller's iterator
+            // left in it) behind the 8-byte links; a pattern lives as long
+            // as its frame, so hand the slack back.
+            let mut links: Vec<Link> = entries.into_iter().map(|(_, l)| l).collect();
+            links.shrink_to_fit();
             Self {
-                links: entries.into_iter().map(|(_, l)| l).collect(),
+                links,
                 channels: Vec::new(),
             }
         } else {
@@ -299,6 +305,7 @@ impl Schedule {
         for (pattern, count) in runs {
             s.push_pattern_run(pattern, count);
         }
+        s.runs.shrink_to_fit();
         s
     }
 

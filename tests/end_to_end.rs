@@ -7,6 +7,7 @@ use rand_chacha::ChaCha8Rng;
 
 use scream::prelude::*;
 use scream::protocols::ProtocolKind;
+use scream_bench::PaperScenario;
 
 /// Builds a complete scheduling instance on a planned grid.
 fn grid_instance(
@@ -341,4 +342,153 @@ fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
         report.post_recovery_delivery_pct.to_bits(),
         0x4058_184d_703e_9c1d
     );
+}
+
+/// FNV-1a over a schedule's run-length form: multiplicity, then every
+/// `(channel, head, tail)` entry of each pattern in canonical order.
+fn schedule_digest(schedule: &Schedule) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (pattern, multiplicity) in schedule.runs() {
+        mix(multiplicity);
+        mix(pattern.len() as u64);
+        for (channel, link) in pattern.entries() {
+            mix(channel.index() as u64);
+            mix(link.head.0 as u64);
+            mix(link.tail.0 as u64);
+        }
+    }
+    hash
+}
+
+#[test]
+fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
+    // Captured at c3b21a7, the last commit whose runtime simulated every
+    // logical round: FDD, AFDD and one PDD on three seeded paper grids (the
+    // third with two channels). Per run: `ProtocolTiming` (scream slots,
+    // handshake slots, sync steps), `RunStats` (rounds, iterations,
+    // elections, SCREAM invocations, handshake steps, vetoes, tried), then
+    // schedule length, pattern count and digest.
+    type Pin = ([u64; 3], [u64; 7], usize, usize, u64);
+    let grids: [(PaperScenario, u64, f64, [Pin; 3]); 3] = [
+        (
+            PaperScenario::grid(2_000.0).with_node_count(36),
+            1,
+            0.2,
+            [
+                (
+                    [82770, 2028, 6284],
+                    [148, 2028, 2054, 16554, 2028, 1696, 1983],
+                    148,
+                    30,
+                    0x2cf9_fd85_bb57_8b7b,
+                ),
+                (
+                    [32070, 2028, 6284],
+                    [148, 2028, 26, 6414, 2028, 1696, 1983],
+                    148,
+                    30,
+                    0x2cf9_fd85_bb57_8b7b,
+                ),
+                (
+                    [23880, 2209, 6845],
+                    [162, 2209, 28, 4776, 2209, 934, 2231],
+                    162,
+                    49,
+                    0xd209_aeb4_df15_be4e,
+                ),
+            ],
+        ),
+        (
+            PaperScenario::grid(4_000.0),
+            2,
+            0.6,
+            [
+                (
+                    [270005, 6677, 20386],
+                    [263, 6677, 6723, 54001, 6677, 5946, 6582],
+                    263,
+                    58,
+                    0x1ae2_58b6_8ffc_00ca,
+                ),
+                (
+                    [103080, 6677, 20386],
+                    [263, 6677, 46, 20616, 6677, 5946, 6582],
+                    263,
+                    58,
+                    0x1ae2_58b6_8ffc_00ca,
+                ),
+                (
+                    [18575, 1495, 4925],
+                    [326, 1495, 57, 3715, 1495, 1187, 9590],
+                    326,
+                    93,
+                    0x4a1d_6f73_22de_6c20,
+                ),
+            ],
+        ),
+        (
+            PaperScenario::grid(1_000.0)
+                .with_node_count(49)
+                .with_channel_count(2),
+            3,
+            0.8,
+            [
+                (
+                    [64405, 3112, 4786],
+                    [82, 1556, 1574, 12881, 3112, 1442, 1406],
+                    82,
+                    34,
+                    0x452a_af8a_7c3d_d4fe,
+                ),
+                (
+                    [25505, 3112, 4786],
+                    [82, 1556, 18, 5101, 3112, 1442, 1406],
+                    82,
+                    34,
+                    0x452a_af8a_7c3d_d4fe,
+                ),
+                (
+                    [6650, 716, 1283],
+                    [137, 358, 36, 1330, 716, 302, 2756],
+                    137,
+                    111,
+                    0x9c3d_5b01_f7ad_5c5b,
+                ),
+            ],
+        ),
+    ];
+    for (scenario, seed, p, pins) in grids {
+        let instance = scenario.instantiate(seed);
+        let kinds = [
+            ProtocolKind::Fdd,
+            ProtocolKind::Afdd,
+            ProtocolKind::pdd(p).expect("p is in (0, 1]"),
+        ];
+        for (kind, pin) in kinds.into_iter().zip(pins) {
+            let run = instance.run_protocol(kind);
+            let (t, s) = (run.timing, run.stats);
+            let seen: Pin = (
+                [t.scream_slots, t.handshake_slots, t.sync_steps],
+                [
+                    s.rounds,
+                    s.slot_iterations,
+                    s.elections,
+                    s.scream_invocations,
+                    s.handshake_steps,
+                    s.vetoes,
+                    s.tried_transitions,
+                ],
+                run.schedule.length(),
+                run.schedule.pattern_count(),
+                schedule_digest(&run.schedule),
+            );
+            assert_eq!(seen, pin, "{kind} diverged on the seed-{seed} grid");
+            assert!(s.terminated);
+        }
+    }
 }

@@ -78,6 +78,54 @@ fn fdd_tracing_is_deterministic() {
     assert!(!report_a.snapshot.counters.is_empty());
 }
 
+/// The runtime's counters are logical — one per round the protocol
+/// executed, however few the host simulated — and `runtime.rounds.executed`
+/// shows the saving: a deterministic protocol simulates each distinct round
+/// once (one per pattern of the schedule), PDD every round.
+#[test]
+fn runtime_counters_stay_logical_and_report_the_rounds_simulated() {
+    let instance = paper_instance(11);
+    for kind in [
+        ProtocolKind::Fdd,
+        ProtocolKind::Afdd,
+        ProtocolKind::pdd(0.6).expect("p is in (0, 1]"),
+    ] {
+        let (run, report) = observed(|| instance.run_protocol(kind));
+        let counter = |name| report.snapshot.counter(name);
+        assert_eq!(counter("runtime.rounds"), run.stats.rounds);
+        assert_eq!(counter("runtime.vetoes"), run.stats.vetoes);
+        assert_eq!(
+            counter("runtime.claims"),
+            run.schedule.total_transmissions()
+        );
+        let executed = if kind.is_deterministic() {
+            run.schedule.pattern_count() as u64
+        } else {
+            run.stats.rounds
+        };
+        assert_eq!(counter("runtime.rounds.executed"), executed, "{kind}");
+        if kind.is_deterministic() {
+            assert!(executed < run.stats.rounds, "{kind} replayed nothing");
+        }
+
+        // One `runtime.round` event per simulated round, the slot clock
+        // advanced by its multiplicity.
+        assert_eq!(report.dropped_events, 0, "the default ring holds this run");
+        let rounds: Vec<_> = report
+            .trace
+            .iter()
+            .filter(|e| e.name == "runtime.round")
+            .collect();
+        assert_eq!(rounds.len() as u64, executed);
+        let mut slot = 0;
+        for event in rounds {
+            slot += event.field("repeat").expect("the event carries its repeat");
+            assert_eq!((event.slot, event.round), (slot, slot));
+        }
+        assert_eq!(slot, run.stats.rounds);
+    }
+}
+
 #[test]
 fn churn_tracing_is_deterministic() {
     let instance = paper_instance(3);

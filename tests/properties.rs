@@ -905,3 +905,76 @@ proptest! {
         prop_assert_eq!(sorted_loads(&a), sorted_loads(&b));
     }
 }
+
+/// Demand scaling: under FDD and AFDD a round is a function of the controller
+/// and the pending set, so multiplying every demand by `k` multiplies every
+/// run of the schedule by `k` and changes nothing else — the same patterns in
+/// the same order, the same rounds *simulated*, and every cost affine in `k`
+/// (the hand-over elections are the constant term). A plain seeded loop, not
+/// a proptest: the instances are a fixed list.
+#[test]
+fn scaling_every_demand_scales_multiplicities_and_nothing_else() {
+    let mut cases = 0;
+    for seed in 0..24u64 {
+        let nodes = 6 + (seed as usize * 5) % 15;
+        for channels in [1usize, 2] {
+            let Some((env, demands)) = build_connected_on_channels(nodes, seed, channels) else {
+                continue;
+            };
+            let config = ProtocolConfig::paper_default()
+                .with_scream_slots(env.interference_diameter().max(1));
+            for scheduler in [DistributedScheduler::fdd(), DistributedScheduler::afdd()] {
+                let [(one, executed), (two, executed_2), (three, executed_3)] =
+                    [1u64, 2, 3].map(|k| {
+                        let links: Vec<(Link, u64)> =
+                            demands.demanded_links().map(|(l, d)| (l, d * k)).collect();
+                        let scaled = LinkDemands::from_links(nodes, &links)
+                            .expect("scaling keeps the instance well formed");
+                        scream::obs::install();
+                        let run = scheduler.with_config(config).run(&env, &scaled);
+                        let observed = scream::obs::uninstall().expect("installed above");
+                        let run = run.expect("the runtime completes");
+                        verify_schedule(&env, &run.schedule, &scaled)
+                            .expect("the scaled schedule verifies");
+                        (run, observed.snapshot.counter("runtime.rounds.executed"))
+                    });
+                assert_eq!(executed, one.schedule.pattern_count() as u64);
+                assert_eq!([executed_2, executed_3], [executed; 2]);
+                for (k, run) in [(2, &two), (3, &three)] {
+                    let expected: Vec<(SlotPattern, u64)> = one
+                        .schedule
+                        .runs()
+                        .map(|(pattern, multiplicity)| (pattern.clone(), multiplicity * k))
+                        .collect();
+                    assert_eq!(run.schedule, Schedule::from_pattern_runs(expected));
+                }
+                let costs = |run: &DistributedRun| {
+                    let (t, s) = (run.timing, run.stats);
+                    assert!(s.terminated);
+                    [
+                        t.scream_slots,
+                        t.handshake_slots,
+                        t.sync_steps,
+                        s.rounds,
+                        s.slot_iterations,
+                        s.elections,
+                        s.scream_invocations,
+                        s.handshake_steps,
+                        s.vetoes,
+                        s.tried_transitions,
+                    ]
+                };
+                let (c1, c2, c3) = (costs(&one), costs(&two), costs(&three));
+                for field in 0..c1.len() {
+                    assert_eq!(
+                        c3[field] - c2[field],
+                        c2[field] - c1[field],
+                        "cost {field} is not affine in the demand scale (seed {seed}, C = {channels})"
+                    );
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 40, "only {cases} connected cases were drawn");
+}
