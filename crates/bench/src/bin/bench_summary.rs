@@ -31,8 +31,8 @@
 use std::time::Instant;
 
 use scream_bench::{
-    heavy_demand_instance, heavy_demand_instance_on_channels, LargeScaleScenario, PaperScenario,
-    RecoveryExperiment,
+    heavy_demand_instance, heavy_demand_instance_on_channels, BenchError, LargeScaleScenario,
+    PaperScenario, RecoveryExperiment,
 };
 use scream_core::{DistributedScheduler, ProtocolConfig};
 use scream_netsim::SlotLedger;
@@ -100,7 +100,7 @@ fn format_json(
     out
 }
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let out_path = args
@@ -114,7 +114,7 @@ fn main() {
 
     // Heavy-demand scheduling: batched run-level placement on the fixed
     // 64-link instance.
-    let (env, demands) = heavy_demand_instance(heavy_demand);
+    let (env, demands) = heavy_demand_instance(heavy_demand)?;
     eprintln!("# timing batched placement (demand {heavy_demand}/link, 64 links)...");
     let batched = time_median(reps, || {
         GreedyPhysical::paper_baseline().schedule(&env, &demands)
@@ -143,11 +143,10 @@ fn main() {
     });
 
     // Paper-scenario end-to-end scheduling on a 36-node fig6-style instance
-    // (the schedule_grid bench's `centralized` arm, in deterministic quick
-    // form).
+    // (Fig. 6's centralized arm, in deterministic quick form).
     let instance = PaperScenario::grid(2_000.0)
         .with_node_count(36)
-        .instantiate(1);
+        .instantiate(1)?;
     eprintln!("# timing fig6-style centralized scheduling...");
     let ledger = time_median(reps, || instance.run_centralized());
     measurements.push(Measurement {
@@ -170,7 +169,7 @@ fn main() {
         ),
         (4, "greedy_batched_heavy_c4", "channel_ablation_length_c4"),
     ] {
-        let (env_c, demands_c) = heavy_demand_instance_on_channels(heavy_demand, channels);
+        let (env_c, demands_c) = heavy_demand_instance_on_channels(heavy_demand, channels)?;
         eprintln!("# timing channel-aware placement ({channels} channels, same instance)...");
         let timed = time_median(reps, || {
             GreedyPhysical::paper_baseline().schedule(&env_c, &demands_c)
@@ -197,7 +196,7 @@ fn main() {
         (2, "fdd_heavy_c2"),
         (4, "fdd_heavy_c4"),
     ] {
-        let (env_c, demands_c) = heavy_demand_instance_on_channels(heavy_demand, channels);
+        let (env_c, demands_c) = heavy_demand_instance_on_channels(heavy_demand, channels)?;
         let scheduler = DistributedScheduler::fdd().with_config(
             ProtocolConfig::paper_default().with_scream_slots(env_c.interference_diameter().max(5)),
         );
@@ -235,7 +234,7 @@ fn main() {
     // its per-frame service share with deterministic arrivals. The engine is
     // event-driven over the run-length frame, so the measured rate is
     // per-packet cost, independent of frame length.
-    let (traffic_env, traffic_demands) = heavy_demand_instance(100);
+    let (traffic_env, traffic_demands) = heavy_demand_instance(100)?;
     let traffic_frame = GreedyPhysical::paper_baseline().schedule(&traffic_env, &traffic_demands);
     let frame_slots = traffic_frame.length() as u64;
     let traffic_flows = FlowSet::single_hop(traffic_demands.demanded_links().map(|(link, d)| {
@@ -277,7 +276,7 @@ fn main() {
     // on one greedy-filled slot.
     let scale_links: usize = 100_000;
     let (scale_env, scale_demands) =
-        LargeScaleScenario::with_target_links(scale_links).instantiate();
+        LargeScaleScenario::with_target_links(scale_links).instantiate()?;
     eprintln!(
         "# timing large-scale schedule ({scale_links} links, streamed gains, pruned ledger)..."
     );
@@ -422,7 +421,7 @@ fn main() {
     scream_obs::install_with_capacity(0);
     if quick {
         let (obs_env, obs_demands) =
-            LargeScaleScenario::with_target_links(obs_profile_links).instantiate();
+            LargeScaleScenario::with_target_links(obs_profile_links).instantiate()?;
         std::hint::black_box(GreedyPhysical::paper_baseline().schedule(&obs_env, &obs_demands));
     } else {
         std::hint::black_box(GreedyPhysical::paper_baseline().schedule(&scale_env, &scale_demands));
@@ -499,11 +498,11 @@ fn main() {
         "# running fault-injection recovery (64-node paper grid, load 0.8, \
          {recovery_frames} frame repetitions)..."
     );
-    let recovery_instance = PaperScenario::grid(2_000.0).instantiate(7);
+    let recovery_instance = PaperScenario::grid(2_000.0).instantiate(7)?;
     let recovery_experiment = RecoveryExperiment::from_instance(&recovery_instance);
     let start = Instant::now();
     let recovery =
-        std::hint::black_box(recovery_experiment.single_link_outage(0.8, recovery_frames));
+        std::hint::black_box(recovery_experiment.single_link_outage(0.8, recovery_frames)?);
     let recovery_secs = start.elapsed().as_secs_f64();
     measurements.push(Measurement {
         name: "recovery_single_link_64",
@@ -584,4 +583,5 @@ fn main() {
     std::fs::write(&out_path, &json).expect("writing the bench summary file");
     eprintln!("# wrote {out_path}");
     print!("{json}");
+    Ok(())
 }

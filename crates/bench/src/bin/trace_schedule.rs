@@ -19,7 +19,7 @@
 //! Usage: `cargo run --release -p scream-bench --bin trace_schedule
 //! [--json] [--protocol fdd|afdd] [seed]` (default seed 7).
 
-use scream_bench::{PaperScenario, Table};
+use scream_bench::{BenchError, PaperScenario, Table};
 use scream_core::ProtocolKind;
 use scream_scheduling::{verify_schedule, GreedyPhysical};
 
@@ -28,7 +28,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let mut json = false;
     let mut protocol: Option<ProtocolKind> = None;
     let mut seed: u64 = 7;
@@ -49,7 +49,7 @@ fn main() {
         }
     }
 
-    let instance = PaperScenario::grid(2_000.0).instantiate(seed);
+    let instance = PaperScenario::grid(2_000.0).instantiate(seed)?;
     eprintln!(
         "# trace_schedule: {} nodes, seed {}, {} links to schedule",
         instance.deployment.len(),
@@ -59,7 +59,7 @@ fn main() {
 
     scream_obs::install();
     let schedule = match protocol {
-        Some(kind) => instance.run_protocol(kind).schedule,
+        Some(kind) => instance.run_protocol(kind)?.schedule,
         None => GreedyPhysical::paper_baseline().schedule(&instance.env, &instance.link_demands),
     };
     verify_schedule(&instance.env, &schedule, &instance.link_demands)
@@ -71,7 +71,7 @@ fn main() {
         // same-seed runs diff clean.
         print!("{}", report.trace_jsonl());
         println!("{{\"snapshot\":{}}}", report.snapshot.to_json());
-        return;
+        return Ok(());
     }
 
     let mut counters = Table::new("Counters", &["name", "value"]);
@@ -141,4 +141,5 @@ fn main() {
         schedule.pattern_count().to_string(),
     ]);
     println!("{}", derived.render());
+    Ok(())
 }

@@ -1,19 +1,21 @@
 //! Data-series generators for every figure of the paper's evaluation.
 //!
 //! Each function regenerates the series behind one figure and returns plain
-//! data; the corresponding binary prints it with [`Table`](crate::report::Table).
-//! Node counts and repetition counts are parameters so the Criterion benches
-//! and unit tests can run reduced versions of the same pipeline.
+//! data; the `figures` binary's subcommand of the same name prints it with
+//! [`Table`](crate::report::Table). Node counts and repetition counts are
+//! parameters so the unit tests can run reduced versions of the same pipeline.
 
 use serde::{Deserialize, Serialize};
 
-use scream_core::ProtocolKind;
+use scream_core::{DistributedScheduler, ProtocolConfig, ProtocolKind};
 use scream_mote::{DetectionErrorPoint, MoteExperiment, MoteExperimentConfig, RssiTrace};
 use scream_netsim::{ClockSkewConfig, SimTime};
 use scream_scheduling::{verify_schedule, GreedyPhysical, Schedule};
 
+use crate::error::BenchError;
 use crate::report::Table;
 use crate::scenario::{heavy_demand_instance_on_channels, PaperScenario};
+use crate::sweep::ScenarioSweep;
 
 /// One row of the Figure 6 series: percentage improvement over the serialized
 /// schedule, per protocol, at one density.
@@ -43,8 +45,9 @@ pub fn fig6_grid_improvement(
     node_count: usize,
     runs_per_point: usize,
     base_seed: u64,
-) -> Vec<ImprovementRow> {
-    improvement_rows(densities, node_count, runs_per_point, base_seed, true)
+) -> Result<Vec<ImprovementRow>, BenchError> {
+    let base = PaperScenario::grid(1_000.0).with_node_count(node_count);
+    improvement_rows(base, densities, runs_per_point, base_seed)
 }
 
 /// Figure 7: schedule-length improvement for the unplanned uniform-random
@@ -56,57 +59,57 @@ pub fn fig7_uniform_improvement(
     node_count: usize,
     runs_per_point: usize,
     base_seed: u64,
-) -> Vec<ImprovementRow> {
-    improvement_rows(densities, node_count, runs_per_point, base_seed, false)
+) -> Result<Vec<ImprovementRow>, BenchError> {
+    let base = PaperScenario::uniform(1_000.0).with_node_count(node_count);
+    improvement_rows(base, densities, runs_per_point, base_seed)
 }
 
 fn improvement_rows(
+    base: PaperScenario,
     densities: &[f64],
-    node_count: usize,
     runs_per_point: usize,
     base_seed: u64,
-    planned: bool,
-) -> Vec<ImprovementRow> {
-    densities
-        .iter()
-        .map(|&density| {
-            let mut acc = [0.0f64; 5];
-            for run in 0..runs_per_point.max(1) {
-                let seed = base_seed + run as u64 * 1000;
-                let scenario = if planned {
-                    PaperScenario::grid(density)
-                } else {
-                    PaperScenario::uniform(density)
-                }
-                .with_node_count(node_count);
-                let instance = scenario.instantiate(seed);
-                let centralized = instance.metrics(&instance.run_centralized());
-                let fdd = instance
-                    .run_protocol(ProtocolKind::Fdd)
-                    .metrics(&instance.link_demands);
-                let pdd = |p: f64| {
-                    instance
-                        .run_protocol(ProtocolKind::pdd_unchecked(p))
-                        .metrics(&instance.link_demands)
-                        .improvement_over_linear_pct
-                };
-                acc[0] += centralized.improvement_over_linear_pct;
-                acc[1] += fdd.improvement_over_linear_pct;
-                acc[2] += pdd(0.2);
-                acc[3] += pdd(0.6);
-                acc[4] += pdd(0.8);
+) -> Result<Vec<ImprovementRow>, BenchError> {
+    let seeds: Vec<u64> = (0..runs_per_point.max(1) as u64)
+        .map(|run| base_seed + run * 1000)
+        .collect();
+    let cells = ScenarioSweep::new(base)
+        .densities(densities)
+        .seeds(&seeds)
+        .run_with(|instance, _load| {
+            let centralized = instance.metrics(&instance.run_centralized());
+            let mut improvement = [centralized.improvement_over_linear_pct; 5];
+            let pdd = ProtocolKind::pdd_unchecked;
+            let protocols = [ProtocolKind::Fdd, pdd(0.2), pdd(0.6), pdd(0.8)];
+            for (pct, kind) in improvement[1..].iter_mut().zip(protocols) {
+                let metrics = instance.run_protocol(kind)?.metrics(&instance.link_demands);
+                *pct = metrics.improvement_over_linear_pct;
             }
-            let k = runs_per_point.max(1) as f64;
+            Ok(improvement)
+        })?;
+    // Cells come back density-major; each density's runs are summed in seed
+    // order, so the means are the floats a sequential loop produces.
+    Ok(cells
+        .chunks(seeds.len())
+        .map(|runs| {
+            let mut mean = [0.0f64; 5];
+            for run in runs {
+                for (sum, pct) in mean.iter_mut().zip(run.value) {
+                    *sum += pct;
+                }
+            }
+            let [centralized, fdd, pdd_02, pdd_06, pdd_08] =
+                mean.map(|sum| sum / runs.len() as f64);
             ImprovementRow {
-                density_per_km2: density,
-                centralized: acc[0] / k,
-                fdd: acc[1] / k,
-                pdd_02: acc[2] / k,
-                pdd_06: acc[3] / k,
-                pdd_08: acc[4] / k,
+                density_per_km2: runs[0].density_per_km2,
+                centralized,
+                fdd,
+                pdd_02,
+                pdd_06,
+                pdd_08,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Renders improvement rows as a table titled like the paper figure.
@@ -151,44 +154,34 @@ pub fn fig8_execution_time(
     diameters: &[usize],
     node_count: usize,
     seed: u64,
-) -> (Vec<ExecutionTimeRow>, Vec<ExecutionTimeRow>) {
+) -> Result<(Vec<ExecutionTimeRow>, Vec<ExecutionTimeRow>), BenchError> {
     let instance = PaperScenario::grid(5_000.0)
         .with_node_count(node_count)
-        .instantiate(seed);
-    let run_pair = |config: scream_core::ProtocolConfig| {
-        let fdd = instance.run_protocol_with(ProtocolKind::Fdd, config);
-        let pdd = instance.run_protocol_with(ProtocolKind::pdd_unchecked(0.8), config);
-        (fdd.execution_secs(), pdd.execution_secs())
+        .instantiate(seed)?;
+    let row = |parameter: usize, config: ProtocolConfig| {
+        let fdd = instance.run_protocol_with(ProtocolKind::Fdd, config)?;
+        let pdd = instance.run_protocol_with(ProtocolKind::pdd_unchecked(0.8), config)?;
+        Ok(ExecutionTimeRow {
+            parameter,
+            fdd_secs: fdd.execution_secs(),
+            pdd_secs: pdd.execution_secs(),
+        })
     };
 
     let by_size = scream_sizes
         .iter()
-        .map(|&bytes| {
-            let config = instance.protocol_config().with_scream_bytes(bytes);
-            let (fdd_secs, pdd_secs) = run_pair(config);
-            ExecutionTimeRow {
-                parameter: bytes,
-                fdd_secs,
-                pdd_secs,
-            }
-        })
-        .collect();
+        .map(|&bytes| row(bytes, instance.protocol_config().with_scream_bytes(bytes)))
+        .collect::<Result<_, BenchError>>()?;
 
     let by_diameter = diameters
         .iter()
         .map(|&k| {
             let k = k.max(instance.interference_diameter);
-            let config = instance.protocol_config().with_scream_slots(k);
-            let (fdd_secs, pdd_secs) = run_pair(config);
-            ExecutionTimeRow {
-                parameter: k,
-                fdd_secs,
-                pdd_secs,
-            }
+            row(k, instance.protocol_config().with_scream_slots(k))
         })
-        .collect();
+        .collect::<Result<_, BenchError>>()?;
 
-    (by_size, by_diameter)
+    Ok((by_size, by_diameter))
 }
 
 /// Renders Figure 8 rows as a table.
@@ -213,22 +206,26 @@ pub struct ClockSkewRow {
 
 /// Figure 9 data: execution time as a function of the clock-skew bound
 /// (both axes are logarithmic in the paper) for FDD and PDD (p = 0.2).
-pub fn fig9_clock_skew(skews_secs: &[f64], node_count: usize, seed: u64) -> Vec<ClockSkewRow> {
+pub fn fig9_clock_skew(
+    skews_secs: &[f64],
+    node_count: usize,
+    seed: u64,
+) -> Result<Vec<ClockSkewRow>, BenchError> {
     let instance = PaperScenario::grid(5_000.0)
         .with_node_count(node_count)
-        .instantiate(seed);
+        .instantiate(seed)?;
     skews_secs
         .iter()
         .map(|&skew| {
             let config =
                 instance.config_with_skew(ClockSkewConfig::new(SimTime::from_secs_f64(skew)));
-            let fdd = instance.run_protocol_with(ProtocolKind::Fdd, config);
-            let pdd = instance.run_protocol_with(ProtocolKind::pdd_unchecked(0.2), config);
-            ClockSkewRow {
+            let fdd = instance.run_protocol_with(ProtocolKind::Fdd, config)?;
+            let pdd = instance.run_protocol_with(ProtocolKind::pdd_unchecked(0.2), config)?;
+            Ok(ClockSkewRow {
                 skew_secs: skew,
                 fdd_secs: fdd.execution_secs(),
                 pdd_secs: pdd.execution_secs(),
-            }
+            })
         })
         .collect()
 }
@@ -267,9 +264,9 @@ pub struct ChannelAblationRow {
     /// Average concurrent transmissions per slot, across all channels.
     pub spatial_reuse: f64,
     /// Length of the verified channel-aware **distributed** FDD schedule on
-    /// the same instance, when the FDD column was requested
-    /// ([`channel_ablation_with_fdd`]). By the channel-aware Theorem 4 it
-    /// equals `slots`, so FDD reproduces the exact `1/C` shrink.
+    /// the same instance, when the FDD column was requested. By the
+    /// channel-aware Theorem 4 it equals `slots`, so FDD reproduces the
+    /// exact `1/C` shrink.
     pub fdd_slots: Option<usize>,
     /// `fdd_slots / ideal_slots`, when the FDD column was requested.
     pub fdd_ratio_vs_ideal: Option<f64>,
@@ -282,34 +279,19 @@ pub struct ChannelAblationRow {
 /// endpoint-disjoint, so its conflicts are purely SINR-driven — exactly the
 /// regime where orthogonal channels multiply capacity (Halldórsson & Mitra;
 /// Zhou et al.).
-pub fn channel_ablation(demand_per_link: u64, channel_counts: &[usize]) -> Vec<ChannelAblationRow> {
-    channel_ablation_impl(demand_per_link, channel_counts, false)
-}
-
-/// [`channel_ablation`] with the **distributed** column filled in: the
-/// channel-aware FDD runtime is executed (and verified) on every cell and
-/// must reproduce the centralized `1/C` shrink slot for slot. The runtime
-/// executes one round per slot, so this variant costs O(schedule length)
-/// protocol rounds per cell — run it at moderate demand (the acceptance
-/// instance uses 100 slots/link → 1200 → 600 → 300 slots for C = 1, 2, 4),
-/// not at the million-slot demands the centralized column handles.
-pub fn channel_ablation_with_fdd(
-    demand_per_link: u64,
-    channel_counts: &[usize],
-) -> Vec<ChannelAblationRow> {
-    channel_ablation_impl(demand_per_link, channel_counts, true)
-}
-
-fn channel_ablation_impl(
+///
+/// `with_fdd` fills in the **distributed** columns: the channel-aware FDD
+/// runtime is executed (and verified) on every cell and must reproduce the
+/// centralized `1/C` shrink slot for slot (100 slots/link → 1200 → 600 →
+/// 300 slots for C = 1, 2, 4).
+pub fn channel_ablation(
     demand_per_link: u64,
     channel_counts: &[usize],
     with_fdd: bool,
-) -> Vec<ChannelAblationRow> {
-    use scream_core::{DistributedScheduler, ProtocolConfig};
-
-    let (env, demands) = heavy_demand_instance_on_channels(demand_per_link, 1);
+) -> Result<Vec<ChannelAblationRow>, BenchError> {
+    let (env, demands) = heavy_demand_instance_on_channels(demand_per_link, 1)?;
     let single = GreedyPhysical::paper_baseline().schedule(&env, &demands);
-    verify_schedule(&env, &single, &demands).expect("single-channel heavy schedule verifies");
+    verify_schedule(&env, &single, &demands)?;
     channel_counts
         .iter()
         .map(|&channels| {
@@ -317,29 +299,29 @@ fn channel_ablation_impl(
             // already-verified centralized baseline); other channel counts
             // redraw the instance with their own radio configuration.
             let cell = (channels != 1)
-                .then(|| heavy_demand_instance_on_channels(demand_per_link, channels));
+                .then(|| heavy_demand_instance_on_channels(demand_per_link, channels))
+                .transpose()?;
             let (cell_env, cell_demands) = cell.as_ref().map_or((&env, &demands), |(e, d)| (e, d));
             let (length, spatial_reuse) = if channels == 1 {
                 (single.length(), single.spatial_reuse())
             } else {
                 let schedule = GreedyPhysical::paper_baseline().schedule(cell_env, cell_demands);
-                verify_schedule(cell_env, &schedule, cell_demands)
-                    .expect("channel-aware heavy schedule verifies");
+                verify_schedule(cell_env, &schedule, cell_demands)?;
                 (schedule.length(), schedule.spatial_reuse())
             };
             let ideal_slots = single.length().div_ceil(channels);
-            let fdd_slots = with_fdd.then(|| {
+            let fdd_slots = if with_fdd {
                 let config = ProtocolConfig::paper_default()
                     .with_scream_slots(cell_env.interference_diameter().max(5));
                 let run = DistributedScheduler::fdd()
                     .with_config(config)
-                    .run(cell_env, cell_demands)
-                    .expect("FDD completes on the heavy-demand instance");
-                verify_schedule(cell_env, &run.schedule, cell_demands)
-                    .expect("distributed multi-channel heavy schedule verifies");
-                run.schedule.length()
-            });
-            ChannelAblationRow {
+                    .run(cell_env, cell_demands)?;
+                verify_schedule(cell_env, &run.schedule, cell_demands)?;
+                Some(run.schedule.length())
+            } else {
+                None
+            };
+            Ok(ChannelAblationRow {
                 channel_count: channels,
                 slots: length,
                 ideal_slots,
@@ -347,7 +329,7 @@ fn channel_ablation_impl(
                 spatial_reuse,
                 fdd_slots,
                 fdd_ratio_vs_ideal: fdd_slots.map(|f| f as f64 / ideal_slots as f64),
-            }
+            })
         })
         .collect()
 }
@@ -431,16 +413,20 @@ pub fn delay_vs_load(
     node_count: usize,
     seed: u64,
     horizon_frames: u64,
-) -> Vec<DelayVsLoadRow> {
+) -> Result<Vec<DelayVsLoadRow>, BenchError> {
     let instance = PaperScenario::grid(2_000.0)
         .with_node_count(node_count)
-        .instantiate(seed);
+        .instantiate(seed)?;
     let centralized = instance.run_centralized();
-    let fdd = instance.run_protocol(ProtocolKind::Fdd).schedule;
+    let fdd = instance.run_protocol(ProtocolKind::Fdd)?.schedule;
     let pdd = instance
-        .run_protocol(ProtocolKind::pdd_unchecked(0.8))
+        .run_protocol(ProtocolKind::pdd_unchecked(0.8))?
         .schedule;
     let reference = centralized.length() as u64;
+    if reference == 0 {
+        // Every node is a gateway (node_count <= 4): nothing is demanded.
+        return Err(scream_traffic::TrafficError::EmptyFrame.into());
+    }
     loads
         .iter()
         .map(|&load| {
@@ -449,20 +435,20 @@ pub fn delay_vs_load(
                 // budget in units of this schedule's own frame.
                 let slot_budget = reference * horizon_frames;
                 let frames = slot_budget.div_ceil(schedule.length() as u64).max(1);
-                let report = instance.run_traffic_against(schedule, load, reference, frames);
-                LoadPoint {
+                let report = instance.run_traffic_against(schedule, load, reference, frames)?;
+                Ok::<_, BenchError>(LoadPoint {
                     mean_delay_slots: report.delay.mean_slots,
                     delay_p95_slots: report.delay.p95_slots,
                     throughput_pct: report.sustained_throughput_pct,
                     stable: report.verdict.is_stable(),
-                }
+                })
             };
-            DelayVsLoadRow {
+            Ok(DelayVsLoadRow {
                 offered_load: load,
-                centralized: point(&centralized),
-                fdd: point(&fdd),
-                pdd_08: point(&pdd),
-            }
+                centralized: point(&centralized)?,
+                fdd: point(&fdd)?,
+                pdd_08: point(&pdd)?,
+            })
         })
         .collect()
 }
@@ -563,7 +549,7 @@ mod tests {
 
     #[test]
     fn fig6_reduced_instance_shows_fdd_tracking_centralized() {
-        let rows = fig6_grid_improvement(&[2000.0, 8000.0], 16, 1, 3);
+        let rows = fig6_grid_improvement(&[2000.0, 8000.0], 16, 1, 3).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(
@@ -579,14 +565,14 @@ mod tests {
 
     #[test]
     fn fig7_reduced_instance_produces_rows_for_every_density() {
-        let rows = fig7_uniform_improvement(&[3000.0], 16, 1, 5);
+        let rows = fig7_uniform_improvement(&[3000.0], 16, 1, 5).unwrap();
         assert_eq!(rows.len(), 1);
         assert!((rows[0].fdd - rows[0].centralized).abs() < 1e-9);
     }
 
     #[test]
     fn fig8_execution_time_grows_with_both_parameters() {
-        let (by_size, by_diameter) = fig8_execution_time(&[5, 40], &[6, 24], 16, 7);
+        let (by_size, by_diameter) = fig8_execution_time(&[5, 40], &[6, 24], 16, 7).unwrap();
         assert!(by_size[1].fdd_secs > by_size[0].fdd_secs);
         assert!(by_diameter[1].fdd_secs > by_diameter[0].fdd_secs);
         // PDD is always faster than FDD at the same parameter value.
@@ -604,7 +590,7 @@ mod tests {
         // count (and hence the number of iterations per round) is large
         // enough — at toy sizes the two protocols are within noise of each
         // other, which is consistent with the paper evaluating 64 nodes.
-        let rows = fig9_clock_skew(&[1e-6, 1e-3, 1e-1], 36, 9);
+        let rows = fig9_clock_skew(&[1e-6, 1e-3, 1e-1], 36, 9).unwrap();
         assert_eq!(rows.len(), 3);
         assert!(rows[2].fdd_secs > rows[0].fdd_secs * 10.0);
         assert!(rows[2].pdd_secs > rows[0].pdd_secs);
@@ -617,7 +603,7 @@ mod tests {
         // The acceptance criterion: on the fixed 64-link heavy-demand
         // instance the channel-aware schedule length stays within 10 % of
         // ceil(L1 / C) for C in {2, 4}.
-        let rows = channel_ablation(100, &[1, 2, 4]);
+        let rows = channel_ablation(100, &[1, 2, 4], false).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].channel_count, 1);
         assert_eq!(rows[0].slots, rows[0].ideal_slots, "C = 1 is its own ideal");
@@ -652,7 +638,7 @@ mod tests {
         // 1/C shrink of centralized GreedyPhysical on the 64-link
         // heavy-demand instance — 1200 → 600 → 300 slots for C = 1, 2, 4 at
         // 100 slots/link — with every distributed run verified.
-        let rows = channel_ablation_with_fdd(100, &[1, 2, 4]);
+        let rows = channel_ablation(100, &[1, 2, 4], true).unwrap();
         assert_eq!(rows.len(), 3);
         let lengths: Vec<usize> = rows.iter().map(|r| r.fdd_slots.unwrap()).collect();
         assert_eq!(lengths, vec![1200, 600, 300]);
@@ -677,7 +663,7 @@ mod tests {
         // frame's capacity. Below the knee all three frames carry the load
         // (PDD too, unless its frame is long enough that 0.5 already
         // saturates it); far above, every frame saturates and delay blows up.
-        let rows = delay_vs_load(&[0.5, 1.6], 16, 3, 150);
+        let rows = delay_vs_load(&[0.5, 1.6], 16, 3, 150).unwrap();
         assert_eq!(rows.len(), 2);
         let (below, above) = (&rows[0], &rows[1]);
         assert!(below.centralized.stable && below.fdd.stable);

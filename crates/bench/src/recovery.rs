@@ -14,9 +14,12 @@
 use rayon::prelude::*;
 
 use scream_netsim::RadioEnvironment;
-use scream_resilience::{FaultPlan, ReschedulerConfig, ResilienceHarness, ResilienceReport};
+use scream_resilience::{
+    FaultPlan, ReschedulerConfig, ResilienceError, ResilienceHarness, ResilienceReport,
+};
 use scream_topology::{DemandVector, Link, NodeId, RoutingForest};
 
+use crate::error::BenchError;
 use crate::report::Table;
 use crate::scenario::{PaperScenario, ScenarioInstance};
 
@@ -48,17 +51,18 @@ impl RecoveryExperiment {
 
     /// The link the experiment fails: the uplink of the non-gateway node
     /// with the largest routing subtree under the harness's own forest —
-    /// the single-link failure that strands the most traffic.
-    pub fn failed_link(&self) -> Link {
+    /// the single-link failure that strands the most traffic. A world whose
+    /// every reachable node is a gateway has no such link and no traffic
+    /// sources either, which is the error it reports.
+    pub fn failed_link(&self) -> Result<Link, BenchError> {
         let graph = self.env.communication_graph();
-        let (forest, _) = RoutingForest::shortest_path_partial(&graph, &self.gateways, self.seed)
-            .expect("paper-scenario instances have a valid gateway set");
+        let (forest, _) = RoutingForest::shortest_path_partial(&graph, &self.gateways, self.seed)?;
         (0..forest.node_count() as u32)
             .map(NodeId::new)
             .filter(|&v| !forest.is_gateway(v) && forest.is_reachable(v))
             .max_by_key(|&v| (forest.subtree(v).len(), std::cmp::Reverse(v)))
             .and_then(|v| forest.link_of(v))
-            .expect("a non-gateway node with an uplink exists")
+            .ok_or(BenchError::Traffic(ResilienceError::NoSources))
     }
 
     /// A harness over this world at load factor `rho`.
@@ -73,34 +77,36 @@ impl RecoveryExperiment {
 
     /// The initial (pre-fault) frame length at load `rho`, from a one-slot
     /// probe run.
-    pub fn initial_frame_slots(&self, rho: f64) -> u64 {
-        self.harness(rho)
-            .run(&FaultPlan::new().build(), 1, self.seed)
-            .expect("paper-scenario instances offer traffic")
-            .frame_slots_initial
+    pub fn initial_frame_slots(&self, rho: f64) -> Result<u64, BenchError> {
+        let probe = self
+            .harness(rho)
+            .run(&FaultPlan::new().build(), 1, self.seed)?;
+        Ok(probe.frame_slots_initial)
     }
 
     /// Runs the busiest-uplink single-link failure at load `rho` over
     /// `horizon_frames` initial-frame repetitions (fault at one quarter of
     /// the horizon), with and without the rescheduler, and returns both
     /// outcomes as one [`RecoveryPoint`].
-    pub fn single_link_outage(&self, rho: f64, horizon_frames: u64) -> RecoveryPoint {
-        let frame_slots = self.initial_frame_slots(rho);
+    pub fn single_link_outage(
+        &self,
+        rho: f64,
+        horizon_frames: u64,
+    ) -> Result<RecoveryPoint, BenchError> {
+        let frame_slots = self.initial_frame_slots(rho)?;
         let horizon = horizon_frames.max(4) * frame_slots;
         let fault_slot = horizon / 4;
         let trace = FaultPlan::new()
-            .link_down(self.failed_link(), fault_slot)
+            .link_down(self.failed_link()?, fault_slot)
             .build();
-        let repaired = self
-            .harness(rho)
-            .run(&trace, horizon, self.seed)
-            .expect("the repair arm runs to the horizon");
+        let repaired = self.harness(rho).run(&trace, horizon, self.seed)?;
         let baseline = self
             .harness(rho)
             .with_config(ReschedulerConfig::baseline())
-            .run(&trace, horizon, self.seed)
-            .expect("the baseline arm runs to the horizon");
-        RecoveryPoint::from_reports(rho, self.seed, fault_slot, &baseline, &repaired)
+            .run(&trace, horizon, self.seed)?;
+        Ok(RecoveryPoint::from_reports(
+            rho, self.seed, fault_slot, &baseline, &repaired,
+        ))
     }
 }
 
@@ -179,15 +185,16 @@ pub fn recovery_vs_load(
     node_count: usize,
     seed: u64,
     horizon_frames: u64,
-) -> Vec<RecoveryPoint> {
+) -> Result<Vec<RecoveryPoint>, BenchError> {
     let instance = PaperScenario::grid(2_000.0)
         .with_node_count(node_count)
-        .instantiate(seed);
+        .instantiate(seed)?;
     let experiment = RecoveryExperiment::from_instance(&instance);
-    loads
+    let points: Vec<Result<RecoveryPoint, BenchError>> = loads
         .par_iter()
         .map(|&rho| experiment.single_link_outage(rho, horizon_frames))
-        .collect()
+        .collect();
+    points.into_iter().collect()
 }
 
 /// The collected recovery points, exportable as CSV or an aligned table.
@@ -272,13 +279,14 @@ mod tests {
     fn small_experiment() -> RecoveryExperiment {
         let instance = PaperScenario::grid(1_500.0)
             .with_node_count(16)
-            .instantiate(3);
+            .instantiate(3)
+            .unwrap();
         RecoveryExperiment::from_instance(&instance)
     }
 
     #[test]
     fn the_rescheduler_beats_the_baseline_on_the_same_failure() {
-        let point = small_experiment().single_link_outage(0.7, 40);
+        let point = small_experiment().single_link_outage(0.7, 40).unwrap();
         assert!(
             !point.baseline_stable,
             "a dead uplink overloads the baseline"
@@ -305,15 +313,15 @@ mod tests {
     #[test]
     fn recovery_points_are_deterministic() {
         let experiment = small_experiment();
-        let a = experiment.single_link_outage(0.7, 20);
-        let b = experiment.single_link_outage(0.7, 20);
+        let a = experiment.single_link_outage(0.7, 20).unwrap();
+        let b = experiment.single_link_outage(0.7, 20).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn csv_and_table_share_the_column_contract() {
         let report = RecoveryReport {
-            points: vec![small_experiment().single_link_outage(0.7, 20)],
+            points: vec![small_experiment().single_link_outage(0.7, 20).unwrap()],
         };
         let csv = report.to_csv();
         let lines: Vec<&str> = csv.lines().collect();

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use scream_core::{DistributedScheduler, ProtocolConfig, ProtocolKind};
+use scream_core::{DistributedRun, DistributedScheduler, ProtocolConfig, ProtocolKind};
 use scream_netsim::{ClockSkewConfig, PropagationModel, RadioEnvironment};
 use scream_scheduling::{GreedyPhysical, Schedule, ScheduleMetrics};
 use scream_topology::{
@@ -20,6 +20,8 @@ use scream_topology::{
     RoutingForest, UniformDeployment,
 };
 use scream_traffic::{FlowSet, TrafficConfig, TrafficEngine, TrafficReport};
+
+use crate::error::BenchError;
 
 /// Which of the two Section VI-A topology families to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,8 +57,8 @@ pub struct PaperScenario {
     /// multi-hop across the evaluated density range.
     pub tx_power_dbm: f64,
     /// SINR threshold β in dB. The paper does not state β; 6 dB corresponds
-    /// to a DSSS-rate 802.11 link and is the reproduction default (see
-    /// EXPERIMENTS.md for the sensitivity of the figures to this choice).
+    /// to a DSSS-rate 802.11 link and is the reproduction default; every
+    /// table in `FIGURES.txt` is at this β.
     pub sinr_threshold_db: f64,
     /// Number of orthogonal channels available to the schedulers (the paper
     /// — and hence the default — is the single shared channel).
@@ -90,7 +92,7 @@ impl PaperScenario {
     }
 
     /// Overrides the node count (the paper always uses 64; smaller counts are
-    /// useful for fast tests and Criterion benches).
+    /// useful for fast tests).
     pub fn with_node_count(mut self, nodes: usize) -> Self {
         self.node_count = nodes;
         self
@@ -125,17 +127,15 @@ impl PaperScenario {
     ///
     /// Instances are retried (perturbing the draw, never the parameters)
     /// until the SINR communication graph is connected, as the paper's
-    /// analysis assumes; at the densities evaluated disconnection is rare.
-    pub fn instantiate(&self, seed: u64) -> ScenarioInstance {
-        for attempt in 0..64u64 {
-            if let Some(instance) = self.try_instantiate(seed.wrapping_add(attempt * 0x9e37)) {
-                return instance;
-            }
-        }
-        panic!(
-            "could not draw a connected {:?} instance at density {} nodes/km^2",
-            self.topology, self.density_per_km2
-        );
+    /// analysis assumes; at the densities evaluated disconnection is rare,
+    /// and 64 disconnected draws in a row are [`BenchError::Disconnected`].
+    pub fn instantiate(&self, seed: u64) -> Result<ScenarioInstance, BenchError> {
+        (0..64u64)
+            .find_map(|attempt| self.try_instantiate(seed.wrapping_add(attempt * 0x9e37)))
+            .ok_or(BenchError::Disconnected {
+                topology: self.topology,
+                density_per_km2: self.density_per_km2,
+            })
     }
 
     fn try_instantiate(&self, seed: u64) -> Option<ScenarioInstance> {
@@ -201,10 +201,12 @@ impl PaperScenario {
 /// `demand_per_link` slots.
 ///
 /// Unlike [`PaperScenario`], the demand magnitude is the only knob, which is
-/// what the `heavy_demand` bench and the `bench_summary` binary sweep to show
-/// that batched placement and run-length schedules make demand nearly free
-/// (the link set, and hence the packing problem, never changes).
-pub fn heavy_demand_instance(demand_per_link: u64) -> (RadioEnvironment, LinkDemands) {
+/// what the `bench_summary` binary and the `ablate channels` table sweep to
+/// show that batched placement and run-length schedules make demand nearly
+/// free (the link set, and hence the packing problem, never changes).
+pub fn heavy_demand_instance(
+    demand_per_link: u64,
+) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
     heavy_demand_instance_on_channels(demand_per_link, 1)
 }
 
@@ -215,7 +217,7 @@ pub fn heavy_demand_instance(demand_per_link: u64) -> (RadioEnvironment, LinkDem
 pub fn heavy_demand_instance_on_channels(
     demand_per_link: u64,
     channel_count: usize,
-) -> (RadioEnvironment, LinkDemands) {
+) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
     use scream_topology::{Link, NodeId};
 
     const COLUMNS: usize = 16;
@@ -236,9 +238,7 @@ pub fn heavy_demand_instance_on_channels(
             })
         })
         .collect();
-    let demands = LinkDemands::from_links(deployment.len(), &links)
-        .expect("the 64 fixed links are distinct and in range");
-    (env, demands)
+    Ok((env, LinkDemands::from_links(deployment.len(), &links)?))
 }
 
 /// The `large_scale` scenario family: planned grids sized to hit a target
@@ -298,7 +298,7 @@ impl LargeScaleScenario {
 
     /// Builds the instance: a streamed-gain environment plus unit demand on
     /// each of exactly `target_links` disjoint horizontal links.
-    pub fn instantiate(&self) -> (RadioEnvironment, LinkDemands) {
+    pub fn instantiate(&self) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
         use scream_topology::{Link, NodeId};
 
         let (columns, rows) = self.grid_dimensions();
@@ -321,9 +321,7 @@ impl LargeScaleScenario {
             })
             .take(self.target_links)
             .collect();
-        let demands = LinkDemands::from_links(deployment.len(), &links)
-            .expect("the generated links are distinct and in range");
-        (env, demands)
+        Ok((env, LinkDemands::from_links(deployment.len(), &links)?))
     }
 }
 
@@ -364,7 +362,7 @@ impl ScenarioInstance {
 
     /// Runs a distributed protocol on this instance with the default
     /// (paper-sized) configuration.
-    pub fn run_protocol(&self, kind: ProtocolKind) -> scream_core::DistributedRun {
+    pub fn run_protocol(&self, kind: ProtocolKind) -> Result<DistributedRun, BenchError> {
         self.run_protocol_with(kind, self.protocol_config())
     }
 
@@ -374,10 +372,8 @@ impl ScenarioInstance {
         &self,
         kind: ProtocolKind,
         config: ProtocolConfig,
-    ) -> scream_core::DistributedRun {
-        DistributedScheduler::new(kind, config)
-            .run(&self.env, &self.link_demands)
-            .expect("paper-scenario instances are connected and well sized")
+    ) -> Result<DistributedRun, BenchError> {
+        Ok(DistributedScheduler::new(kind, config).run(&self.env, &self.link_demands)?)
     }
 
     /// Schedule metrics of an arbitrary schedule against this instance's
@@ -410,7 +406,12 @@ impl ScenarioInstance {
     /// Runs the packet-level traffic engine over `schedule` (as a repeating
     /// TDMA frame) at load factor `rho` **relative to that schedule's own
     /// capacity**, for `horizon_frames` frame repetitions.
-    pub fn run_traffic(&self, schedule: &Schedule, rho: f64, horizon_frames: u64) -> TrafficReport {
+    pub fn run_traffic(
+        &self,
+        schedule: &Schedule,
+        rho: f64,
+        horizon_frames: u64,
+    ) -> Result<TrafficReport, BenchError> {
         self.run_traffic_against(schedule, rho, schedule.length() as u64, horizon_frames)
     }
 
@@ -424,14 +425,13 @@ impl ScenarioInstance {
         rho: f64,
         reference_frame_slots: u64,
         horizon_frames: u64,
-    ) -> TrafficReport {
-        TrafficEngine::on_schedule(
+    ) -> Result<TrafficReport, BenchError> {
+        let engine = TrafficEngine::on_schedule(
             schedule,
             self.flows_at_load(rho, reference_frame_slots),
             TrafficConfig::new(horizon_frames).with_seed(self.seed),
-        )
-        .expect("paper-scenario instances have non-empty frames and flows")
-        .run()
+        )?;
+        Ok(engine.run())
     }
 }
 
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn grid_scenario_produces_a_connected_64_node_instance() {
-        let instance = PaperScenario::grid(2000.0).instantiate(1);
+        let instance = PaperScenario::grid(2000.0).instantiate(1).unwrap();
         assert_eq!(instance.deployment.len(), 64);
         assert!(instance.env.communication_graph().is_connected());
         assert!(instance.link_demands.total_demand() > 0);
@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn uniform_scenario_uses_heterogeneous_power() {
-        let instance = PaperScenario::uniform(3000.0).instantiate(2);
+        let instance = PaperScenario::uniform(3000.0).instantiate(2).unwrap();
         let powers: Vec<f64> = instance
             .deployment
             .nodes()
@@ -464,8 +464,8 @@ mod tests {
 
     #[test]
     fn instances_are_reproducible_per_seed() {
-        let a = PaperScenario::grid(2000.0).instantiate(7);
-        let b = PaperScenario::grid(2000.0).instantiate(7);
+        let a = PaperScenario::grid(2000.0).instantiate(7).unwrap();
+        let b = PaperScenario::grid(2000.0).instantiate(7).unwrap();
         assert_eq!(a.deployment, b.deployment);
         assert_eq!(a.link_demands, b.link_demands);
     }
@@ -474,9 +474,10 @@ mod tests {
     fn small_instance_protocols_and_baseline_agree_on_validity() {
         let instance = PaperScenario::grid(1500.0)
             .with_node_count(16)
-            .instantiate(3);
+            .instantiate(3)
+            .unwrap();
         let centralized = instance.run_centralized();
-        let fdd = instance.run_protocol(ProtocolKind::Fdd);
+        let fdd = instance.run_protocol(ProtocolKind::Fdd).unwrap();
         scream_scheduling::verify_schedule(&instance.env, &centralized, &instance.link_demands)
             .unwrap();
         scream_scheduling::verify_schedule(&instance.env, &fdd.schedule, &instance.link_demands)
@@ -486,8 +487,8 @@ mod tests {
 
     #[test]
     fn heavy_demand_instance_has_64_links_scaled_by_demand() {
-        let (env, light) = heavy_demand_instance(1);
-        let (_, heavy) = heavy_demand_instance(10_000);
+        let (env, light) = heavy_demand_instance(1).unwrap();
+        let (_, heavy) = heavy_demand_instance(10_000).unwrap();
         assert_eq!(light.demanded_links().count(), 64);
         assert_eq!(heavy.total_demand(), 640_000);
         // The link set is fixed; only multiplicities change, so the greedy
@@ -509,7 +510,8 @@ mod tests {
     fn flows_at_load_put_every_link_at_exactly_rho() {
         let instance = PaperScenario::grid(1500.0)
             .with_node_count(16)
-            .instantiate(3);
+            .instantiate(3)
+            .unwrap();
         let schedule = instance.run_centralized();
         let frame_slots = schedule.length() as u64;
         let flows = instance.flows_at_load(0.7, frame_slots);
@@ -539,12 +541,13 @@ mod tests {
         // reproducibly per seed.
         let instance = PaperScenario::grid(1500.0)
             .with_node_count(16)
-            .instantiate(3);
+            .instantiate(3)
+            .unwrap();
         let centralized = instance.run_centralized();
-        let fdd = instance.run_protocol(ProtocolKind::Fdd);
+        let fdd = instance.run_protocol(ProtocolKind::Fdd).unwrap();
         assert_eq!(fdd.schedule, centralized);
         for schedule in [&centralized, &fdd.schedule] {
-            let below = instance.run_traffic(schedule, 0.6, 300);
+            let below = instance.run_traffic(schedule, 0.6, 300).unwrap();
             assert!(below.verdict.is_stable());
             assert!(below.sustained_throughput_pct > 98.0, "{below}");
             assert!(
@@ -552,15 +555,15 @@ mod tests {
                 "bounded backlog below the knee: {below}"
             );
 
-            let above = instance.run_traffic(schedule, 1.5, 300);
+            let above = instance.run_traffic(schedule, 1.5, 300).unwrap();
             assert!(!above.verdict.is_stable());
             assert!(above.sustained_throughput_pct < 90.0, "{above}");
             // Delay grows with the simulated horizon in overload.
-            let above_longer = instance.run_traffic(schedule, 1.5, 600);
+            let above_longer = instance.run_traffic(schedule, 1.5, 600).unwrap();
             assert!(above_longer.delay.mean_slots > above.delay.mean_slots);
             // Determinism across reruns of the same seed.
-            assert_eq!(below, instance.run_traffic(schedule, 0.6, 300));
-            assert_eq!(above, instance.run_traffic(schedule, 1.5, 300));
+            assert_eq!(below, instance.run_traffic(schedule, 0.6, 300).unwrap());
+            assert_eq!(above, instance.run_traffic(schedule, 1.5, 300).unwrap());
         }
     }
 
@@ -571,7 +574,7 @@ mod tests {
         assert_eq!(columns % 2, 0);
         assert!((columns / 2) * rows >= 2_000);
         assert!((columns / 2) * (rows - 1) < 2_000, "no wasted rows");
-        let (env, demands) = scenario.instantiate();
+        let (env, demands) = scenario.instantiate().unwrap();
         assert!(env.is_streamed(), "large instances must not hold n² gains");
         assert_eq!(demands.demanded_links().count(), 2_000);
         assert_eq!(demands.total_demand(), 2_000);
@@ -591,7 +594,9 @@ mod tests {
         // byte-identically. 4000 links ≈ 22 km across — wide enough that the
         // default ledger actually builds its spatial index (the extent
         // heuristic skips it below the ~25 km far-field cutoff).
-        let (env, demands) = LargeScaleScenario::with_target_links(4_000).instantiate();
+        let (env, demands) = LargeScaleScenario::with_target_links(4_000)
+            .instantiate()
+            .unwrap();
         assert!(
             env.open_slot_ledger().is_pruned(),
             "the instance must be wide enough to engage spatial pruning"
@@ -604,8 +609,8 @@ mod tests {
 
     #[test]
     fn density_changes_the_region_not_the_node_count() {
-        let sparse = PaperScenario::grid(1000.0).instantiate(5);
-        let dense = PaperScenario::grid(10_000.0).instantiate(5);
+        let sparse = PaperScenario::grid(1000.0).instantiate(5).unwrap();
+        let dense = PaperScenario::grid(10_000.0).instantiate(5).unwrap();
         assert_eq!(sparse.deployment.len(), dense.deployment.len());
         assert!(sparse.deployment.region().area() > dense.deployment.region().area());
     }

@@ -20,9 +20,10 @@
 //! let sweep = ScenarioSweep::new(PaperScenario::grid(2_000.0).with_node_count(16))
 //!     .densities(&[1_500.0, 3_000.0])
 //!     .seeds(&[1, 2]);
-//! let points = sweep.run();
+//! let points = sweep.run()?;
 //! assert_eq!(points.len(), 4);
 //! assert!(points.iter().all(|p| p.centralized.improvement_over_linear_pct >= 0.0));
+//! # Ok::<(), scream_bench::BenchError>(())
 //! ```
 
 use rayon::prelude::*;
@@ -30,6 +31,7 @@ use rayon::prelude::*;
 use scream_core::ProtocolKind;
 use scream_scheduling::{serialized_schedule, verify_schedule, ScheduleMetrics};
 
+use crate::error::BenchError;
 use crate::report::Table;
 use crate::scenario::{PaperScenario, ScenarioInstance};
 
@@ -198,119 +200,43 @@ impl ScenarioSweep {
     /// Runs `f` on every instantiated cell in parallel, returning the cells
     /// in grid order regardless of thread scheduling. `f` receives the
     /// drawn instance and the cell's offered-load factor (the instance draw
-    /// itself does not depend on the load).
-    pub fn run_with<T, F>(&self, f: F) -> Vec<SweepCell<T>>
+    /// itself does not depend on the load). The first failing cell, in
+    /// grid order, fails the sweep.
+    pub fn run_with<T, F>(&self, f: F) -> Result<Vec<SweepCell<T>>, BenchError>
     where
         T: Send,
-        F: Fn(&ScenarioInstance, f64) -> T + Sync,
+        F: Fn(&ScenarioInstance, f64) -> Result<T, BenchError> + Sync,
     {
-        let base = self.base;
-        self.grid()
+        let cells: Vec<Result<SweepCell<T>, BenchError>> = self
+            .grid()
             .into_par_iter()
             .map(|(density, channels, load, seed)| {
-                let mut scenario = base;
-                scenario.density_per_km2 = density;
-                scenario.channel_count = channels;
-                let instance = scenario.instantiate(seed);
-                SweepCell {
+                let instance = self.scenario_at(density, channels).instantiate(seed)?;
+                Ok(SweepCell {
                     density_per_km2: density,
                     channel_count: channels,
                     offered_load: load,
                     seed,
-                    value: f(&instance, load),
-                }
+                    value: f(&instance, load)?,
+                })
             })
-            .collect()
+            .collect();
+        cells.into_iter().collect()
+    }
+
+    fn scenario_at(&self, density_per_km2: f64, channel_count: usize) -> PaperScenario {
+        PaperScenario {
+            density_per_km2,
+            channel_count,
+            ..self.base
+        }
     }
 
     /// Runs the sweep like [`run`](Self::run) and wraps the points in a
     /// [`SweepReport`] for CSV/table export.
-    pub fn report(&self) -> SweepReport {
-        SweepReport { points: self.run() }
-    }
-
-    /// Streaming variant of [`run`](Self::run): yields the same points, in
-    /// the same grid order, **without materializing every cell**. Memory
-    /// stays bounded by one `(density, channel)` block — its seeds'
-    /// instances, schedules and metrics — instead of the whole grid, which is
-    /// what lets a million-cell sweep (the `large_scale` regime: many
-    /// densities × loads × seeds) pipe rows straight into a CSV writer.
-    ///
-    /// Within a block the per-seed scheduling runs still execute in parallel
-    /// (and each cell verifies like `run` does); only the load axis and the
-    /// block succession are lazy. Every yielded point is byte-identical to
-    /// the corresponding `run()` entry, pinned by the
-    /// `streaming_rows_match_run` test.
-    pub fn rows_streaming(&self) -> impl Iterator<Item = SweepPoint> + '_ {
-        use std::rc::Rc;
-
-        /// The load-independent part of one (density, channel, seed) cell.
-        struct BaseCell {
-            seed: u64,
-            instance: ScenarioInstance,
-            schedule: scream_scheduling::Schedule,
-            centralized: ScheduleMetrics,
-            fdd: ScheduleMetrics,
-            linear: ScheduleMetrics,
-        }
-
-        let horizon = self.traffic_horizon_frames;
-        let base = self.base;
-        self.densities.iter().flat_map(move |&density| {
-            self.channel_counts.iter().flat_map(move |&channels| {
-                // One block's bases are computed eagerly (and in parallel)
-                // when the iterator first reaches the block, then shared by
-                // every load row via Rc.
-                let bases: Vec<BaseCell> = self
-                    .seeds
-                    .par_iter()
-                    .map(|&seed| {
-                        let mut scenario = base;
-                        scenario.density_per_km2 = density;
-                        scenario.channel_count = channels;
-                        let instance = scenario.instantiate(seed);
-                        let schedule = instance.run_centralized();
-                        verify_schedule(&instance.env, &schedule, &instance.link_demands)
-                            .expect("centralized schedule must verify on every sweep cell");
-                        let fdd = instance.run_protocol(ProtocolKind::Fdd);
-                        verify_schedule(&instance.env, &fdd.schedule, &instance.link_demands)
-                            .expect("FDD schedule must verify on every sweep cell");
-                        let linear = serialized_schedule(&instance.link_demands);
-                        BaseCell {
-                            seed,
-                            centralized: instance.metrics(&schedule),
-                            fdd: instance.metrics(&fdd.schedule),
-                            linear: instance.metrics(&linear),
-                            schedule,
-                            instance,
-                        }
-                    })
-                    .collect();
-                let bases = Rc::new(bases);
-                self.offered_loads.iter().flat_map(move |&load| {
-                    let bases = Rc::clone(&bases);
-                    (0..bases.len()).map(move |i| {
-                        let cell = &bases[i];
-                        let traffic = cell.instance.run_traffic(&cell.schedule, load, horizon);
-                        SweepPoint {
-                            density_per_km2: density,
-                            channel_count: channels,
-                            seed: cell.seed,
-                            interference_diameter: cell.instance.interference_diameter,
-                            total_demand: cell.instance.link_demands.total_demand(),
-                            centralized: cell.centralized,
-                            fdd: cell.fdd,
-                            linear: cell.linear,
-                            traffic: TrafficPoint {
-                                offered_load: load,
-                                sustained_throughput_pct: traffic.sustained_throughput_pct,
-                                delay_p95_slots: traffic.delay.p95_slots,
-                                stable: traffic.verdict.is_stable(),
-                            },
-                        }
-                    })
-                })
-            })
+    pub fn report(&self) -> Result<SweepReport, BenchError> {
+        Ok(SweepReport {
+            points: self.run()?,
         })
     }
 
@@ -318,14 +244,13 @@ impl ScenarioSweep {
     /// the serialized baseline on every cell in parallel, verifying the
     /// centralized and FDD schedules against their instance.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any cell's schedule fails verification — the sweep is a
-    /// measurement harness, and a verification failure means the measurement
-    /// would be garbage.
-    pub fn run(&self) -> Vec<SweepPoint> {
+    /// Fails on the first cell (in grid order) that cannot be drawn, run or
+    /// verified — the sweep is a measurement harness, and a schedule that
+    /// fails verification means the measurement would be garbage.
+    pub fn run(&self) -> Result<Vec<SweepPoint>, BenchError> {
         let horizon = self.traffic_horizon_frames;
-        let base = self.base;
         // The instance draw, the scheduling runs and the verifications are
         // all load-independent, so the load axis fans out *inside* each
         // (density, channel, seed) cell: a multi-load sweep schedules and
@@ -340,19 +265,14 @@ impl ScenarioSweep {
                     .flat_map(move |&c| self.seeds.iter().map(move |&s| (d, c, s)))
             })
             .collect();
-        let per_triple: Vec<Vec<SweepPoint>> = triples
+        let per_triple: Vec<Result<Vec<SweepPoint>, BenchError>> = triples
             .into_par_iter()
             .map(|(density, channels, seed)| {
-                let mut scenario = base;
-                scenario.density_per_km2 = density;
-                scenario.channel_count = channels;
-                let instance = scenario.instantiate(seed);
+                let instance = self.scenario_at(density, channels).instantiate(seed)?;
                 let schedule = instance.run_centralized();
-                verify_schedule(&instance.env, &schedule, &instance.link_demands)
-                    .expect("centralized schedule must verify on every sweep cell");
-                let fdd = instance.run_protocol(ProtocolKind::Fdd);
-                verify_schedule(&instance.env, &fdd.schedule, &instance.link_demands)
-                    .expect("FDD schedule must verify on every sweep cell");
+                verify_schedule(&instance.env, &schedule, &instance.link_demands)?;
+                let fdd = instance.run_protocol(ProtocolKind::Fdd)?;
+                verify_schedule(&instance.env, &fdd.schedule, &instance.link_demands)?;
                 let linear = serialized_schedule(&instance.link_demands);
                 let (centralized, fdd, linear) = (
                     instance.metrics(&schedule),
@@ -362,8 +282,8 @@ impl ScenarioSweep {
                 self.offered_loads
                     .iter()
                     .map(|&load| {
-                        let traffic = instance.run_traffic(&schedule, load, horizon);
-                        SweepPoint {
+                        let traffic = instance.run_traffic(&schedule, load, horizon)?;
+                        Ok(SweepPoint {
                             density_per_km2: density,
                             channel_count: channels,
                             seed,
@@ -378,11 +298,12 @@ impl ScenarioSweep {
                                 delay_p95_slots: traffic.delay.p95_slots,
                                 stable: traffic.verdict.is_stable(),
                             },
-                        }
+                        })
                     })
                     .collect()
             })
             .collect();
+        let per_triple = per_triple.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Reassemble in the documented grid order (loads vary *outside* the
         // seeds): per_triple is (density, channel, seed)-ordered with loads
         // innermost.
@@ -392,7 +313,7 @@ impl ScenarioSweep {
                 points.extend(block.iter().map(|cell| cell[li].clone()));
             }
         }
-        points
+        Ok(points)
     }
 }
 
@@ -532,8 +453,8 @@ mod tests {
     #[test]
     fn parallel_sweep_is_deterministic_and_ordered() {
         let sweep = small_sweep();
-        let first = sweep.run();
-        let second = sweep.run();
+        let first = sweep.run().unwrap();
+        let second = sweep.run().unwrap();
         assert_eq!(first, second, "same grid must reproduce identical results");
         // Results come back in grid order, and the per-cell instances match a
         // sequential instantiation of the same coordinates.
@@ -550,7 +471,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_computation() {
         let sweep = small_sweep();
-        let parallel = sweep.run();
+        let parallel = sweep.run().unwrap();
         let sequential: Vec<SweepPoint> = sweep
             .grid()
             .into_iter()
@@ -558,11 +479,13 @@ mod tests {
                 let mut scenario = PaperScenario::grid(2_000.0).with_node_count(16);
                 scenario.density_per_km2 = density;
                 scenario.channel_count = channels;
-                let instance = scenario.instantiate(seed);
+                let instance = scenario.instantiate(seed).unwrap();
                 let schedule = instance.run_centralized();
-                let fdd = instance.run_protocol(scream_core::ProtocolKind::Fdd);
+                let fdd = instance
+                    .run_protocol(scream_core::ProtocolKind::Fdd)
+                    .unwrap();
                 let linear = serialized_schedule(&instance.link_demands);
-                let traffic = instance.run_traffic(&schedule, load, 50);
+                let traffic = instance.run_traffic(&schedule, load, 50).unwrap();
                 SweepPoint {
                     density_per_km2: density,
                     channel_count: channels,
@@ -585,28 +508,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_rows_match_run() {
-        let sweep = ScenarioSweep::new(PaperScenario::grid(2_000.0).with_node_count(16))
-            .densities(&[1_500.0, 4_000.0])
-            .offered_loads(&[0.6, 1.2])
-            .seeds(&[1, 2]);
-        let materialized = sweep.run();
-        let streamed: Vec<SweepPoint> = sweep.rows_streaming().collect();
-        assert_eq!(streamed, materialized);
-        // Laziness: taking a prefix yields exactly the first grid rows.
-        let prefix: Vec<SweepPoint> = sweep.rows_streaming().take(3).collect();
-        assert_eq!(prefix.as_slice(), &materialized[..3]);
-    }
-
-    #[test]
     fn run_with_exposes_the_instance_and_load() {
         let sweep =
             ScenarioSweep::new(PaperScenario::uniform(3_000.0).with_node_count(16)).seeds(&[5, 6]);
-        let cells = sweep.run_with(|instance, load| {
-            assert_eq!(instance.deployment.len(), 16);
-            assert_eq!(load, 0.9, "the default load axis is a single 0.9 cell");
-            instance.env.communication_graph().edge_count()
-        });
+        let cells = sweep
+            .run_with(|instance, load| {
+                assert_eq!(instance.deployment.len(), 16);
+                assert_eq!(load, 0.9, "the default load axis is a single 0.9 cell");
+                Ok(instance.env.communication_graph().edge_count())
+            })
+            .unwrap();
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.value > 0));
         assert_eq!(cells[0].seed, 5);
@@ -621,7 +532,7 @@ mod tests {
             .offered_loads(&[0.6, 1.5])
             .traffic_horizon(200)
             .seeds(&[3]);
-        let points = sweep.run();
+        let points = sweep.run().unwrap();
         assert_eq!(points.len(), 2);
         let (below, above) = (&points[0], &points[1]);
         assert_eq!(below.traffic.offered_load, 0.6);
@@ -646,7 +557,7 @@ mod tests {
         let sweep = ScenarioSweep::new(PaperScenario::grid(2_000.0).with_node_count(16))
             .densities(&[1_500.0])
             .seeds(&[1, 2]);
-        for p in sweep.run() {
+        for p in sweep.run().unwrap() {
             // Theorem 4: FDD recreates the centralized schedule on
             // single-channel cells.
             assert_eq!(p.fdd.length, p.centralized.length);
@@ -663,7 +574,7 @@ mod tests {
             .densities(&[2_500.0])
             .channel_counts(&[1, 2])
             .seeds(&[4]);
-        let points = sweep.run();
+        let points = sweep.run().unwrap();
         assert_eq!(points.len(), 2);
         let (single, dual) = (&points[0], &points[1]);
         assert_eq!(single.channel_count, 1);
@@ -685,7 +596,7 @@ mod tests {
     #[test]
     fn csv_export_has_a_header_and_one_row_per_cell() {
         let sweep = small_sweep();
-        let report = sweep.report();
+        let report = sweep.report().unwrap();
         let csv = report.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + sweep.len());
@@ -694,7 +605,7 @@ mod tests {
         assert!(lines.iter().all(|l| l.split(',').count() == columns));
         // Rows come in grid order and reproduce deterministically.
         assert!(lines[1].starts_with("1500,1,1,"));
-        assert_eq!(csv, sweep.report().to_csv());
+        assert_eq!(csv, sweep.report().unwrap().to_csv());
         // The table export shares the same columns, kept in lockstep by the
         // shared row() helper.
         let table = report.to_table("sweep");
@@ -712,7 +623,8 @@ mod tests {
         // cell, trailing newline.
         let report = ScenarioSweep::new(PaperScenario::grid(2_000.0).with_node_count(16))
             .seeds(&[1])
-            .report();
+            .report()
+            .unwrap();
         let csv = report.to_csv();
         assert!(!csv.contains('\r'), "rows must be \\n-terminated, not CRLF");
         assert!(!csv.contains('"'), "fields are never quoted");
@@ -731,13 +643,13 @@ mod tests {
         let sweep = ScenarioSweep::new(PaperScenario::grid(2_000.0))
             .densities(&[2_000.0, 8_000.0])
             .seeds(&[7]);
-        let points = sweep.run();
+        let points = sweep.run().unwrap();
         assert_eq!(points.len(), 2);
         for p in &points {
             assert_eq!(p.seed, 7);
             assert!(p.centralized.improvement_over_linear_pct > 0.0);
         }
-        assert_eq!(points, sweep.run());
+        assert_eq!(points, sweep.run().unwrap());
         assert_eq!(
             ScenarioSweep::new(PaperScenario::grid(2_000.0))
                 .base

@@ -13,7 +13,7 @@
 //!   schedulers built from these primitives: **PDD** (partially randomized)
 //!   and **FDD** (fully deterministic), plus the **AFDD** variant mentioned
 //!   in the paper's evaluation section (implemented here as an adaptive FDD
-//!   extension, see `DESIGN.md`);
+//!   extension, see [`ProtocolKind::Afdd`]);
 //! * the [`impossibility`] module contains the constructive counterexample
 //!   behind Theorem 1 (no *localized* algorithm can guarantee feasible
 //!   schedules under physical interference).

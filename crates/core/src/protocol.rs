@@ -26,12 +26,12 @@ pub enum ProtocolKind {
     /// schedule (Theorem 4) and therefore inherits its approximation bound.
     Fdd,
     /// Adaptive FDD — mentioned but not specified in the paper's evaluation
-    /// section; implemented here (see `DESIGN.md`) as FDD with a cheaper
-    /// active-selection step: the next active node is still the highest-id
-    /// dormant node, but the selection is announced with a single SCREAM
-    /// invocation instead of a full `id_bits`-round election, modelling
-    /// nodes caching the candidate order from previous rounds. The schedule
-    /// is identical to FDD; only the execution time differs.
+    /// section; implemented here as FDD with a cheaper active-selection
+    /// step: the next active node is still the highest-id dormant node,
+    /// but the selection is announced with a single SCREAM invocation
+    /// instead of a full `id_bits`-round election, modelling nodes
+    /// caching the candidate order from previous rounds. The schedule is
+    /// identical to FDD; only the execution time differs.
     Afdd,
 }
 

@@ -482,7 +482,7 @@ impl Simulation<'_> {
     /// PDD activates each dormant node independently with probability `p`;
     /// FDD elects the highest-id dormant node through a full leader election;
     /// AFDD announces the highest-id dormant node with a single SCREAM (see
-    /// `DESIGN.md`).
+    /// [`ProtocolKind::Afdd`]).
     fn select_active(&mut self, round: &mut Tally) {
         self.actives.clear();
         let highest = match self.kind {

@@ -16,7 +16,8 @@
 //! radio (38.4 kb/s), staggered relay turnaround delays, collision-tolerant
 //! energy aggregation and a UART-limited monitor that only consumes every
 //! third RSSI sample — the mechanism the paper identifies as the cause of
-//! detection lag. See `DESIGN.md` for the substitution rationale.
+//! detection lag. Its output is Figs. 4 and 5 of
+//! `crates/bench/FIGURES.txt`.
 //!
 //! # Example
 //!

@@ -12,14 +12,14 @@
 //!
 //! Run with: `cargo run --release --example churn_recovery`
 
-use scream_bench::{PaperScenario, RecoveryExperiment};
+use scream_bench::{BenchError, PaperScenario, RecoveryExperiment};
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     // The paper's evaluation grid: 64 nodes at density 2000 m^2/node, four
     // gateway sinks, per-node demands drawn from the paper's distribution.
-    let instance = PaperScenario::grid(2_000.0).instantiate(7);
+    let instance = PaperScenario::grid(2_000.0).instantiate(7)?;
     let experiment = RecoveryExperiment::from_instance(&instance);
-    let failed = experiment.failed_link();
+    let failed = experiment.failed_link()?;
     println!(
         "scenario: {} nodes, seed {}, failing busiest uplink {failed} at T/4",
         instance.deployment.len(),
@@ -27,7 +27,7 @@ fn main() {
     );
 
     // One seeded fault, two arms: no-repair baseline vs. online rescheduler.
-    let point = experiment.single_link_outage(0.8, 40);
+    let point = experiment.single_link_outage(0.8, 40)?;
     println!(
         "frame: {} slots, horizon: {} frames, fault at slot {}",
         point.frame_slots_initial, 40, point.fault_slot
@@ -83,4 +83,5 @@ fn main() {
         .time_to_recover_slots
         .expect("the rescheduler must reach sustained recovery before the horizon");
     println!("recovered: Stable verdict with >= 98.5% sustained delivery after the fault");
+    Ok(())
 }

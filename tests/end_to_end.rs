@@ -463,14 +463,14 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
         ),
     ];
     for (scenario, seed, p, pins) in grids {
-        let instance = scenario.instantiate(seed);
+        let instance = scenario.instantiate(seed).unwrap();
         let kinds = [
             ProtocolKind::Fdd,
             ProtocolKind::Afdd,
             ProtocolKind::pdd(p).expect("p is in (0, 1]"),
         ];
         for (kind, pin) in kinds.into_iter().zip(pins) {
-            let run = instance.run_protocol(kind);
+            let run = instance.run_protocol(kind).unwrap();
             let (t, s) = (run.timing, run.stats);
             let seen: Pin = (
                 [t.scream_slots, t.handshake_slots, t.sync_steps],

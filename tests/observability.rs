@@ -13,6 +13,7 @@ fn paper_instance(seed: u64) -> ScenarioInstance {
     PaperScenario::grid(2_000.0)
         .with_node_count(16)
         .instantiate(seed)
+        .unwrap()
 }
 
 /// Run `work` with the sink installed and hand back its output together
@@ -70,8 +71,8 @@ fn greedy_tracing_is_deterministic() {
 #[test]
 fn fdd_tracing_is_deterministic() {
     let instance = paper_instance(11);
-    let (run_a, report_a) = observed(|| instance.run_protocol(ProtocolKind::Fdd));
-    let (run_b, report_b) = observed(|| instance.run_protocol(ProtocolKind::Fdd));
+    let (run_a, report_a) = observed(|| instance.run_protocol(ProtocolKind::Fdd).unwrap());
+    let (run_b, report_b) = observed(|| instance.run_protocol(ProtocolKind::Fdd).unwrap());
     assert_eq!(run_a.schedule, run_b.schedule);
     assert_eq!(run_a.stats, run_b.stats);
     assert_byte_identical(&report_a, &report_b);
@@ -90,7 +91,7 @@ fn runtime_counters_stay_logical_and_report_the_rounds_simulated() {
         ProtocolKind::Afdd,
         ProtocolKind::pdd(0.6).expect("p is in (0, 1]"),
     ] {
-        let (run, report) = observed(|| instance.run_protocol(kind));
+        let (run, report) = observed(|| instance.run_protocol(kind).unwrap());
         let counter = |name| report.snapshot.counter(name);
         assert_eq!(counter("runtime.rounds"), run.stats.rounds);
         assert_eq!(counter("runtime.vetoes"), run.stats.vetoes);
@@ -130,9 +131,9 @@ fn runtime_counters_stay_logical_and_report_the_rounds_simulated() {
 fn churn_tracing_is_deterministic() {
     let instance = paper_instance(3);
     let experiment = RecoveryExperiment::from_instance(&instance);
-    let f0 = experiment.initial_frame_slots(0.7);
+    let f0 = experiment.initial_frame_slots(0.7).unwrap();
     let trace = FaultPlan::new()
-        .link_down(experiment.failed_link(), 5 * f0)
+        .link_down(experiment.failed_link().unwrap(), 5 * f0)
         .build();
     let run = || {
         experiment
@@ -159,7 +160,7 @@ fn churn_tracing_is_deterministic() {
 fn engine_runs_emit_their_counts_into_the_sink() {
     let instance = paper_instance(7);
     let schedule = instance.run_centralized();
-    let run = || instance.run_traffic(&schedule, 0.8, 50);
+    let run = || instance.run_traffic(&schedule, 0.8, 50).unwrap();
 
     assert!(!obs::is_installed());
     let plain = run();
@@ -197,9 +198,9 @@ fn a_disabled_sink_changes_nothing() {
     );
 
     let experiment = RecoveryExperiment::from_instance(&instance);
-    let f0 = experiment.initial_frame_slots(0.7);
+    let f0 = experiment.initial_frame_slots(0.7).unwrap();
     let trace = FaultPlan::new()
-        .link_down(experiment.failed_link(), 5 * f0)
+        .link_down(experiment.failed_link().unwrap(), 5 * f0)
         .build();
     let run = || {
         experiment
