@@ -7,15 +7,12 @@
 //! and relates them to the bound, giving the empirical counterpart of the
 //! theorem (and the data for the `theory_complexity` binary).
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use scream_core::{DistributedScheduler, ProtocolConfig, ProtocolKind};
-use scream_netsim::{PropagationModel, RadioEnvironment};
-use scream_topology::{
-    DemandConfig, DemandVector, GridDeployment, LinkDemands, NodeId, RoutingForest,
-};
+use scream_core::ProtocolKind;
+use scream_topology::GridDeployment;
+
+use crate::instance::{AnalysisError, Instance};
 
 /// Measured step counts of one protocol run, next to the Theorem 5 bound.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,49 +60,39 @@ pub struct ComplexityReport {
 
 impl ComplexityReport {
     /// Measures FDD (and optionally PDD) on square grids of the given sides.
-    pub fn on_grids(sides: &[usize], step_m: f64, include_pdd: bool, seed: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Disconnected`] if `step_m` exceeds the radio range,
+    /// or whatever routing, demand aggregation or a protocol run refused.
+    pub fn on_grids(
+        sides: &[usize],
+        step_m: f64,
+        include_pdd: bool,
+        seed: u64,
+    ) -> Result<Self, AnalysisError> {
         let mut observations = Vec::new();
         for &side in sides {
-            observations.push(Self::measure(side, step_m, ProtocolKind::Fdd, seed));
+            let deployment = GridDeployment::new(side, side, step_m).build();
+            let instance = Instance::build(&deployment, &deployment.corner_nodes(), 1, seed)?;
+            observations.push(Self::measure(&instance, ProtocolKind::Fdd)?);
             if include_pdd {
-                observations.push(Self::measure(
-                    side,
-                    step_m,
-                    ProtocolKind::pdd_unchecked(0.6),
-                    seed,
-                ));
+                observations.push(Self::measure(&instance, ProtocolKind::pdd(0.6)?)?);
             }
         }
-        Self { observations }
+        Ok(Self { observations })
     }
 
-    fn measure(side: usize, step_m: f64, kind: ProtocolKind, seed: u64) -> ComplexityObservation {
-        let deployment = GridDeployment::new(side, side, step_m).build();
-        let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .build(&deployment);
-        let graph = env.communication_graph();
-        let gateways: Vec<NodeId> = deployment.corner_nodes();
-        let forest =
-            RoutingForest::shortest_path(&graph, &gateways, seed).expect("grid is connected");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let demands =
-            DemandVector::generate(deployment.len(), DemandConfig::PAPER, &gateways, &mut rng);
-        let link_demands = LinkDemands::aggregate(&forest, &demands).expect("sizes match");
-
-        let id = env.interference_diameter();
-        let config = ProtocolConfig::paper_default()
-            .with_scream_slots(id.max(1))
-            .with_seed(seed);
-        let scheduler = DistributedScheduler::new(kind, config);
-        let run = scheduler
-            .run(&env, &link_demands)
-            .expect("protocol completes on connected instances");
-
-        let n = deployment.len();
-        let td = link_demands.total_demand();
+    fn measure(
+        instance: &Instance,
+        kind: ProtocolKind,
+    ) -> Result<ComplexityObservation, AnalysisError> {
+        let run = instance.run(kind)?;
+        let n = instance.env.node_count();
+        let td = instance.link_demands.total_demand();
+        let id = instance.interference_diameter;
         let bound = td as f64 * id.max(1) as f64 * n as f64 * (n as f64).log2().max(1.0);
-        ComplexityObservation {
+        Ok(ComplexityObservation {
             protocol: match kind {
                 ProtocolKind::Fdd => "FDD".to_string(),
                 ProtocolKind::Afdd => "AFDD".to_string(),
@@ -116,7 +103,7 @@ impl ComplexityReport {
             interference_diameter: id,
             measured_steps: run.timing.total_steps(),
             theorem_bound: bound,
-        }
+        })
     }
 
     /// Whether every observation respects the Theorem 5 bound.
@@ -139,14 +126,14 @@ mod tests {
 
     #[test]
     fn measured_steps_respect_theorem_5_bound() {
-        let report = ComplexityReport::on_grids(&[3, 4], 150.0, true, 7);
+        let report = ComplexityReport::on_grids(&[3, 4], 150.0, true, 7).unwrap();
         assert_eq!(report.observations.len(), 4);
         assert!(report.all_within_bound(), "{:#?}", report.observations);
     }
 
     #[test]
     fn utilization_is_well_below_one_in_practice() {
-        let report = ComplexityReport::on_grids(&[4], 150.0, false, 3);
+        let report = ComplexityReport::on_grids(&[4], 150.0, false, 3).unwrap();
         let fdd = report.fdd_observations();
         assert_eq!(fdd.len(), 1);
         assert!(fdd[0].utilization_of_bound() < 0.5);
@@ -155,7 +142,7 @@ mod tests {
 
     #[test]
     fn steps_grow_with_instance_size() {
-        let report = ComplexityReport::on_grids(&[3, 5], 150.0, false, 11);
+        let report = ComplexityReport::on_grids(&[3, 5], 150.0, false, 11).unwrap();
         let fdd = report.fdd_observations();
         assert!(fdd[1].measured_steps > fdd[0].measured_steps);
         assert!(fdd[1].theorem_bound > fdd[0].theorem_bound);
@@ -163,7 +150,7 @@ mod tests {
 
     #[test]
     fn pdd_executes_fewer_steps_than_fdd() {
-        let report = ComplexityReport::on_grids(&[4], 150.0, true, 13);
+        let report = ComplexityReport::on_grids(&[4], 150.0, true, 13).unwrap();
         let fdd = report
             .observations
             .iter()
@@ -175,6 +162,14 @@ mod tests {
             .find(|o| o.protocol == "PDD")
             .unwrap();
         assert!(pdd.measured_steps < fdd.measured_steps);
+    }
+
+    #[test]
+    fn a_grid_step_beyond_radio_range_is_an_error_not_a_panic() {
+        assert_eq!(
+            ComplexityReport::on_grids(&[3], 5_000.0, true, 7),
+            Err(AnalysisError::Disconnected)
+        );
     }
 
     #[test]

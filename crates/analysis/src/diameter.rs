@@ -15,6 +15,8 @@ use scream_topology::{
     Deployment, GridDeployment, NodeId, UniformDeployment, UnitDiskGraphBuilder,
 };
 
+use crate::instance::AnalysisError;
+
 /// Which deployment family an observation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DiameterScenario {
@@ -91,27 +93,29 @@ impl DiameterObservation {
     /// kicks in asymptotically), which keeps `r = Θ(√(ln n / n))` and leaves
     /// the bound's structure unchanged. Draws are retried until the graph is
     /// connected.
-    pub fn random_uniform(n: usize, seed: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Disconnected`] if none of 500 draws is connected.
+    pub fn random_uniform(n: usize, seed: u64) -> Result<Self, AnalysisError> {
         let r = ((f64::ln(n as f64) + 4.0) / (std::f64::consts::PI * n as f64)).sqrt();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         // Work in a 1000 m square so distances stay in meters.
         let side = 1000.0;
         let range = r * side;
-        let deployment = UniformDeployment::new(n, side)
-            .build_connected(&mut rng, range, 500)
-            .expect("connectivity-threshold deployments should admit a connected draw");
+        let deployment = UniformDeployment::new(n, side).build_connected(&mut rng, range, 500)?;
         let graph = UnitDiskGraphBuilder::new(range).build(&deployment);
         // Theorem 3's constructive bound: the diagonal of the region crosses
         // at most diam(R) / (r / (2*sqrt(2))) = 2*sqrt(2)*sqrt(2)*side / r
         // occupied cells of side r/(2*sqrt(2)), i.e. 4*side/r hops.
         let bound = 4.0 * side / range;
-        Self::from_measurement(
+        Ok(Self::from_measurement(
             DiameterScenario::RandomUniform,
             &deployment,
             graph.neighbor_density(),
             graph.interference_diameter(),
             bound,
-        )
+        ))
     }
 
     /// Measures a dense-lattice approximation of the infinite-density model:
@@ -214,7 +218,7 @@ mod tests {
     #[test]
     fn theorem_3_bound_holds_for_random_uniform_deployments() {
         for (n, seed) in [(64usize, 1u64), (128, 2), (256, 3)] {
-            let obs = DiameterObservation::random_uniform(n, seed);
+            let obs = DiameterObservation::random_uniform(n, seed).unwrap();
             assert!(
                 obs.respects_bound(),
                 "uniform n={n}: ID {} exceeds bound {:.2}",
@@ -249,8 +253,8 @@ mod tests {
         let observations = vec![
             DiameterObservation::square_grid(8, 100.0),
             DiameterObservation::square_grid(16, 100.0),
-            DiameterObservation::random_uniform(128, 5),
-            DiameterObservation::random_uniform(256, 6),
+            DiameterObservation::random_uniform(128, 5).unwrap(),
+            DiameterObservation::random_uniform(256, 6).unwrap(),
             DiameterObservation::infinite_density(400.0, 40.0, 200.0),
         ];
         for obs in observations {
@@ -267,7 +271,7 @@ mod tests {
     #[test]
     fn denser_scenarios_have_smaller_relative_diameter() {
         let grid = DiameterObservation::square_grid(16, 100.0); // rho ~ 4
-        let uniform = DiameterObservation::random_uniform(256, 7); // rho ~ log n
+        let uniform = DiameterObservation::random_uniform(256, 7).unwrap(); // rho ~ log n
         let dense = DiameterObservation::infinite_density(400.0, 40.0, 200.0); // rho >> log n
                                                                                // Normalized by sqrt(n), the diameter shrinks as density grows.
         let norm =

@@ -13,13 +13,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use scream_core::{DistributedScheduler, ProtocolConfig};
-use scream_netsim::{PropagationModel, RadioEnvironment};
+use scream_core::ProtocolKind;
 use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical, ScheduleMetrics};
-use scream_topology::{
-    DemandConfig, DemandVector, Deployment, GridDeployment, LinkDemands, RoutingForest,
-    UniformDeployment,
-};
+use scream_topology::{Deployment, GridDeployment, UniformDeployment};
+
+use crate::instance::{AnalysisError, Instance};
 
 /// Outcome of comparing FDD against GreedyPhysical on one instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,108 +54,83 @@ pub struct EquivalenceReport {
 
 impl EquivalenceReport {
     /// Checks the equivalence on `instances` random grid instances of
-    /// `side × side` nodes (seeded deterministically from `base_seed`), on
-    /// the single shared channel.
-    pub fn on_grid_instances(side: usize, step_m: f64, instances: usize, base_seed: u64) -> Self {
-        Self::on_grid_instances_with_channels(side, step_m, instances, base_seed, 1)
-    }
-
-    /// The channel-aware Theorem-4 check: both FDD and GreedyPhysical run
-    /// with `channel_count` orthogonal channels on the same grid instances.
-    /// The structural argument survives the channel dimension — FDD's
-    /// channel-assignment phase first-fits exactly like the centralized
-    /// `(slot, channel)` scan — so the schedules must stay identical,
-    /// channel tags included.
-    pub fn on_grid_instances_with_channels(
+    /// `side × side` nodes (seeded deterministically from `base_seed`), both
+    /// FDD and GreedyPhysical running with `channel_count` orthogonal
+    /// channels (1 is the paper's single shared channel). The structural
+    /// argument survives the channel dimension — FDD's channel-assignment
+    /// phase first-fits exactly like the centralized `(slot, channel)` scan —
+    /// so the schedules must stay identical, channel tags included.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Disconnected`] if `step_m` exceeds the radio range,
+    /// or whatever routing, demand aggregation or the FDD run refused.
+    pub fn on_grid_instances(
         side: usize,
         step_m: f64,
         instances: usize,
         base_seed: u64,
         channel_count: usize,
-    ) -> Self {
+    ) -> Result<Self, AnalysisError> {
+        let deployment = GridDeployment::new(side, side, step_m).build();
         let outcomes = (0..instances)
-            .filter_map(|i| {
-                let seed = base_seed + i as u64;
-                let deployment = GridDeployment::new(side, side, step_m).build();
-                Self::compare(&deployment, seed, channel_count)
-            })
-            .collect();
-        Self { outcomes }
+            .map(|i| Self::compare(&deployment, base_seed + i as u64, channel_count))
+            .collect::<Result<_, _>>()?;
+        Ok(Self { outcomes })
     }
 
-    /// Checks the equivalence on `instances` random uniform (unplanned)
-    /// instances with heterogeneous transmit power, on the single shared
-    /// channel.
+    /// The unplanned-topology variant: `instances` random uniform draws with
+    /// heterogeneous transmit power. A draw whose SINR communication graph
+    /// is disconnected (possible with heterogeneous power, where one-way
+    /// links are discarded) admits no routing forest covering every node and
+    /// is skipped, so the report may hold fewer than `instances` outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Whatever routing, demand aggregation or the FDD run refused on a
+    /// connected draw.
     pub fn on_uniform_instances(
         node_count: usize,
         region_side_m: f64,
         instances: usize,
         base_seed: u64,
-    ) -> Self {
-        Self::on_uniform_instances_with_channels(node_count, region_side_m, instances, base_seed, 1)
-    }
-
-    /// The unplanned-topology variant of the channel-aware check.
-    pub fn on_uniform_instances_with_channels(
-        node_count: usize,
-        region_side_m: f64,
-        instances: usize,
-        base_seed: u64,
         channel_count: usize,
-    ) -> Self {
-        let outcomes = (0..instances)
-            .filter_map(|i| {
-                let seed = base_seed + i as u64;
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let deployment = UniformDeployment::new(node_count, region_side_m)
-                    .heterogeneous_power(6.0)
-                    .build_connected(&mut rng, region_side_m / 4.0, 100)
-                    .ok()?;
-                Self::compare(&deployment, seed, channel_count)
-            })
-            .collect();
-        Self { outcomes }
+    ) -> Result<Self, AnalysisError> {
+        let mut outcomes = Vec::new();
+        for i in 0..instances {
+            let seed = base_seed + i as u64;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let outcome = UniformDeployment::new(node_count, region_side_m)
+                .heterogeneous_power(6.0)
+                .build_connected(&mut rng, region_side_m / 4.0, 100)
+                .map_err(AnalysisError::from)
+                .and_then(|deployment| Self::compare(&deployment, seed, channel_count));
+            match outcome {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(AnalysisError::Disconnected) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(Self { outcomes })
     }
 
-    /// Runs the comparison on one deployment. Returns `None` if the SINR
-    /// communication graph is disconnected (possible for unplanned draws with
-    /// heterogeneous power, where one-way links are discarded), since no
-    /// routing forest covering every node exists in that case.
+    /// Runs the comparison on one deployment.
     fn compare(
         deployment: &Deployment,
         seed: u64,
         channel_count: usize,
-    ) -> Option<EquivalenceOutcome> {
-        let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .config(scream_netsim::RadioConfig::mesh_default().with_channel_count(channel_count))
-            .build(deployment);
-        let graph = env.communication_graph();
-        if !graph.is_connected() {
-            return None;
-        }
-        let gateways = vec![deployment.corner_nodes()[0]];
-        let forest = RoutingForest::shortest_path(&graph, &gateways, seed)
-            .expect("the communication graph was just checked connected");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let demands =
-            DemandVector::generate(deployment.len(), DemandConfig::PAPER, &gateways, &mut rng);
-        let link_demands = LinkDemands::aggregate(&forest, &demands)
-            .expect("demand vector covers exactly the forest nodes");
+    ) -> Result<EquivalenceOutcome, AnalysisError> {
+        let gateways = [deployment.corner_nodes()[0]];
+        let instance = Instance::build(deployment, &gateways, channel_count, seed)?;
+        let (env, link_demands) = (&instance.env, &instance.link_demands);
 
         let centralized =
-            GreedyPhysical::new(EdgeOrdering::DecreasingHeadId).schedule(&env, &link_demands);
-        let config = ProtocolConfig::paper_default()
-            .with_scream_slots(env.interference_diameter().max(1))
-            .with_seed(seed);
-        let fdd = DistributedScheduler::fdd()
-            .with_config(config)
-            .run(&env, &link_demands)
-            .expect("FDD runs to completion on connected instances");
+            GreedyPhysical::new(EdgeOrdering::DecreasingHeadId).schedule(env, link_demands);
+        let fdd = instance.run(ProtocolKind::Fdd)?;
 
-        let both_valid = verify_schedule(&env, &centralized, &link_demands).is_ok()
-            && verify_schedule(&env, &fdd.schedule, &link_demands).is_ok();
-        Some(EquivalenceOutcome {
+        let both_valid = verify_schedule(env, &centralized, link_demands).is_ok()
+            && verify_schedule(env, &fdd.schedule, link_demands).is_ok();
+        Ok(EquivalenceOutcome {
             node_count: deployment.len(),
             channel_count,
             total_demand: link_demands.total_demand(),
@@ -190,40 +163,26 @@ impl EquivalenceReport {
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError::InvalidParameter`](scream_core::ProtocolError)
-/// if `probability` is outside `(0, 1]`, propagated from
-/// [`DistributedScheduler::pdd`].
+/// [`AnalysisError::Protocol`] if `probability` is outside `(0, 1]` or the
+/// PDD run does not finish, [`AnalysisError::Disconnected`] if `step_m`
+/// exceeds the radio range.
 pub fn pdd_vs_centralized(
     side: usize,
     step_m: f64,
     probability: f64,
     seed: u64,
-) -> Result<(ScheduleMetrics, ScheduleMetrics), scream_core::ProtocolError> {
+) -> Result<(ScheduleMetrics, ScheduleMetrics), AnalysisError> {
     // Validate the caller-supplied probability before any expensive work.
-    let scheduler = DistributedScheduler::pdd(probability)?;
+    let kind = ProtocolKind::pdd(probability)?;
     let deployment = GridDeployment::new(side, side, step_m).build();
-    let env = RadioEnvironment::builder()
-        .propagation(PropagationModel::log_distance(3.0))
-        .build(&deployment);
-    let graph = env.communication_graph();
-    let gateways = deployment.corner_nodes();
-    let forest = RoutingForest::shortest_path(&graph, &gateways, seed).expect("grid is connected");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let demands =
-        DemandVector::generate(deployment.len(), DemandConfig::PAPER, &gateways, &mut rng);
-    let link_demands = LinkDemands::aggregate(&forest, &demands).expect("sizes match");
+    let instance = Instance::build(&deployment, &deployment.corner_nodes(), 1, seed)?;
+    let (env, link_demands) = (&instance.env, &instance.link_demands);
 
-    let centralized = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
-    let config = ProtocolConfig::paper_default()
-        .with_scream_slots(env.interference_diameter().max(1))
-        .with_seed(seed);
-    let pdd = scheduler
-        .with_config(config)
-        .run(&env, &link_demands)
-        .expect("PDD runs to completion on connected grid instances");
+    let centralized = GreedyPhysical::paper_baseline().schedule(env, link_demands);
+    let pdd = instance.run(kind)?;
     Ok((
-        ScheduleMetrics::compute(&pdd.schedule, &link_demands),
-        ScheduleMetrics::compute(&centralized, &link_demands),
+        ScheduleMetrics::compute(&pdd.schedule, link_demands),
+        ScheduleMetrics::compute(&centralized, link_demands),
     ))
 }
 
@@ -233,7 +192,7 @@ mod tests {
 
     #[test]
     fn fdd_equals_greedy_physical_on_grid_instances() {
-        let report = EquivalenceReport::on_grid_instances(4, 150.0, 3, 10);
+        let report = EquivalenceReport::on_grid_instances(4, 150.0, 3, 10, 1).unwrap();
         assert_eq!(report.outcomes.len(), 3);
         assert!(report.all_equivalent(), "outcomes: {:?}", report.outcomes);
         assert_eq!(report.equivalence_rate(), 1.0);
@@ -241,7 +200,7 @@ mod tests {
 
     #[test]
     fn fdd_equals_greedy_physical_on_unplanned_instances() {
-        let report = EquivalenceReport::on_uniform_instances(16, 600.0, 3, 42);
+        let report = EquivalenceReport::on_uniform_instances(16, 600.0, 3, 42, 1).unwrap();
         assert!(!report.outcomes.is_empty());
         assert!(report.all_equivalent(), "outcomes: {:?}", report.outcomes);
         assert!(report.outcomes.iter().all(|o| o.channel_count == 1));
@@ -254,8 +213,7 @@ mod tests {
         // decisions as the centralized scan, so the equivalence survives at
         // every channel count.
         for channels in [2usize, 4] {
-            let report =
-                EquivalenceReport::on_grid_instances_with_channels(4, 150.0, 2, 21, channels);
+            let report = EquivalenceReport::on_grid_instances(4, 150.0, 2, 21, channels).unwrap();
             assert_eq!(report.outcomes.len(), 2);
             assert!(
                 report.all_equivalent(),
@@ -264,20 +222,32 @@ mod tests {
             );
             assert!(report.outcomes.iter().all(|o| o.channel_count == channels));
         }
-        let unplanned = EquivalenceReport::on_uniform_instances_with_channels(16, 600.0, 2, 42, 2);
+        let unplanned = EquivalenceReport::on_uniform_instances(16, 600.0, 2, 42, 2).unwrap();
         assert!(!unplanned.outcomes.is_empty());
         assert!(unplanned.all_equivalent(), "{:?}", unplanned.outcomes);
     }
 
     #[test]
     fn multi_channel_instances_never_schedule_longer_than_single_channel() {
-        let single = EquivalenceReport::on_grid_instances_with_channels(4, 150.0, 2, 33, 1);
-        let dual = EquivalenceReport::on_grid_instances_with_channels(4, 150.0, 2, 33, 2);
+        let single = EquivalenceReport::on_grid_instances(4, 150.0, 2, 33, 1).unwrap();
+        let dual = EquivalenceReport::on_grid_instances(4, 150.0, 2, 33, 2).unwrap();
         for (s, d) in single.outcomes.iter().zip(&dual.outcomes) {
             assert_eq!(s.total_demand, d.total_demand);
             assert!(d.centralized_length <= s.centralized_length);
             assert!(d.fdd_length <= s.fdd_length);
         }
+    }
+
+    #[test]
+    fn a_grid_step_beyond_radio_range_is_an_error_not_a_panic() {
+        assert_eq!(
+            pdd_vs_centralized(3, 5_000.0, 0.6, 5),
+            Err(AnalysisError::Disconnected)
+        );
+        assert_eq!(
+            EquivalenceReport::on_grid_instances(3, 5_000.0, 2, 5, 1),
+            Err(AnalysisError::Disconnected)
+        );
     }
 
     #[test]

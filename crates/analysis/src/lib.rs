@@ -25,10 +25,12 @@
 pub mod complexity;
 pub mod diameter;
 pub mod equivalence;
+mod instance;
 
 pub use complexity::{ComplexityObservation, ComplexityReport};
 pub use diameter::{DiameterObservation, DiameterScenario};
 pub use equivalence::{EquivalenceOutcome, EquivalenceReport};
+pub use instance::AnalysisError;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {

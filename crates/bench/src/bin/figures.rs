@@ -318,7 +318,7 @@ fn theory_complexity(_: &Args) -> Run {
         "Theorem 5 — measured synchronized steps vs. TD * ID * n * log n",
         &["protocol", "n", "TD", "ID", "steps", "bound", "utilization"],
     );
-    for obs in ComplexityReport::on_grids(&[4, 6, 8], 150.0, true, 11).observations {
+    for obs in ComplexityReport::on_grids(&[4, 6, 8], 150.0, true, 11)?.observations {
         bound.push_row(vec![
             obs.protocol.clone(),
             obs.node_count.to_string(),
@@ -333,8 +333,8 @@ fn theory_complexity(_: &Args) -> Run {
         "Theorem 4 — FDD schedule equals centralized GreedyPhysical",
         &["scenario", "instances", "identical", "rate"],
     );
-    let grid = EquivalenceReport::on_grid_instances(6, 150.0, 5, 101);
-    let uniform = EquivalenceReport::on_uniform_instances(36, 900.0, 5, 202);
+    let grid = EquivalenceReport::on_grid_instances(6, 150.0, 5, 101, 1)?;
+    let uniform = EquivalenceReport::on_uniform_instances(36, 900.0, 5, 202, 1)?;
     for (name, report) in [("grid", grid), ("uniform", uniform)] {
         let identical = report.outcomes.iter().filter(|o| o.identical).count();
         equivalence.push_row(vec![
@@ -363,10 +363,12 @@ fn theory_id_bounds(_: &Args) -> Run {
     let mut table = Table::new(title, &headers);
     let grids = [4, 8, 12, 16, 20, 24].map(|side| DiameterObservation::square_grid(side, 100.0));
     let uniforms = [(64, 1), (128, 2), (256, 3), (512, 4)]
-        .map(|(n, seed)| DiameterObservation::random_uniform(n, seed));
+        .into_iter()
+        .map(|(n, seed)| DiameterObservation::random_uniform(n, seed))
+        .collect::<Result<Vec<_>, _>>()?;
     let dense = DiameterObservation::infinite_density(500.0, 25.0, 200.0);
     let named = (grids.map(|obs| ("grid", obs)).into_iter())
-        .chain(uniforms.map(|obs| ("uniform", obs)))
+        .chain(uniforms.into_iter().map(|obs| ("uniform", obs)))
         .chain([("infinite-density", dense)]);
     for (name, obs) in named {
         table.push_row(vec![

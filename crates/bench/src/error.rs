@@ -2,6 +2,7 @@
 //! or figure generator can fail with. Only the `figures` CLI's `main` turns
 //! it into an exit code.
 
+use scream_analysis::AnalysisError;
 use scream_core::ProtocolError;
 use scream_resilience::ResilienceError;
 use scream_scheduling::ScheduleViolation;
@@ -28,6 +29,8 @@ pub enum BenchError {
     /// failed (`ResilienceError` is already the union of the topology and
     /// traffic errors).
     Traffic(ResilienceError),
+    /// A theorem check could not build or run its instance.
+    Analysis(AnalysisError),
     /// Malformed command-line arguments; the message is the usage line.
     Usage(String),
 }
@@ -45,6 +48,7 @@ impl std::fmt::Display for BenchError {
             Self::Verify(e) => write!(f, "schedule verification failed: {e}"),
             Self::Protocol(e) => write!(f, "protocol run failed: {e}"),
             Self::Traffic(e) => write!(f, "{e}"),
+            Self::Analysis(e) => write!(f, "{e}"),
             Self::Usage(line) => write!(f, "{line}"),
         }
     }
@@ -67,4 +71,5 @@ wraps!(
     ResilienceError => Traffic,
     TopologyError => Traffic,
     TrafficError => Traffic,
+    AnalysisError => Analysis,
 );

@@ -79,8 +79,8 @@ fn improvement_rows(
         .run_with(|instance, _load| {
             let centralized = instance.metrics(&instance.run_centralized());
             let mut improvement = [centralized.improvement_over_linear_pct; 5];
-            let pdd = ProtocolKind::pdd_unchecked;
-            let protocols = [ProtocolKind::Fdd, pdd(0.2), pdd(0.6), pdd(0.8)];
+            let pdd = ProtocolKind::pdd;
+            let protocols = [ProtocolKind::Fdd, pdd(0.2)?, pdd(0.6)?, pdd(0.8)?];
             for (pct, kind) in improvement[1..].iter_mut().zip(protocols) {
                 let metrics = instance.run_protocol(kind)?.metrics(&instance.link_demands);
                 *pct = metrics.improvement_over_linear_pct;
@@ -160,7 +160,7 @@ pub fn fig8_execution_time(
         .instantiate(seed)?;
     let row = |parameter: usize, config: ProtocolConfig| {
         let fdd = instance.run_protocol_with(ProtocolKind::Fdd, config)?;
-        let pdd = instance.run_protocol_with(ProtocolKind::pdd_unchecked(0.8), config)?;
+        let pdd = instance.run_protocol_with(ProtocolKind::pdd(0.8)?, config)?;
         Ok(ExecutionTimeRow {
             parameter,
             fdd_secs: fdd.execution_secs(),
@@ -220,7 +220,7 @@ pub fn fig9_clock_skew(
             let config =
                 instance.config_with_skew(ClockSkewConfig::new(SimTime::from_secs_f64(skew)));
             let fdd = instance.run_protocol_with(ProtocolKind::Fdd, config)?;
-            let pdd = instance.run_protocol_with(ProtocolKind::pdd_unchecked(0.2), config)?;
+            let pdd = instance.run_protocol_with(ProtocolKind::pdd(0.2)?, config)?;
             Ok(ClockSkewRow {
                 skew_secs: skew,
                 fdd_secs: fdd.execution_secs(),
@@ -419,9 +419,7 @@ pub fn delay_vs_load(
         .instantiate(seed)?;
     let centralized = instance.run_centralized();
     let fdd = instance.run_protocol(ProtocolKind::Fdd)?.schedule;
-    let pdd = instance
-        .run_protocol(ProtocolKind::pdd_unchecked(0.8))?
-        .schedule;
+    let pdd = instance.run_protocol(ProtocolKind::pdd(0.8)?)?.schedule;
     let reference = centralized.length() as u64;
     if reference == 0 {
         // Every node is a gateway (node_count <= 4): nothing is demanded.

@@ -17,6 +17,8 @@ use serde::{Deserialize, Serialize};
 use scream_netsim::{PropagationModel, RadioConfig, RadioEnvironment};
 use scream_topology::{Deployment, Graph, Link, NodeId, Point2, Rect};
 
+use crate::error::ProtocolError;
+
 /// A concrete network and link pair realizing the construction in the proof
 /// of Theorem 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,11 +47,15 @@ impl CounterExample {
     /// push the SINR just below the threshold, while either source alone
     /// stays above it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `k` is zero.
-    pub fn for_locality(k: usize) -> Self {
-        assert!(k > 0, "locality radius must be at least one hop");
+    /// Returns [`ProtocolError::InvalidParameter`] if `k` is zero.
+    pub fn for_locality(k: usize) -> Result<Self, ProtocolError> {
+        if k == 0 {
+            return Err(ProtocolError::InvalidParameter(
+                "locality radius must be at least one hop".to_string(),
+            ));
+        }
         // A line of nodes spaced so that consecutive nodes are well within
         // range (the communication graph is the line) but the two candidate
         // links are Θ(n) hops apart for any fixed k.
@@ -63,10 +69,10 @@ impl CounterExample {
             Point2::new((count - 1) as f64 * spacing, 1.0),
         );
         let deployment = Deployment::from_positions(&positions, 20.0, region)
-            .expect("line construction is non-empty and contiguous");
+            .map_err(|e| ProtocolError::InvalidParameter(e.to_string()))?;
 
         let last = (count - 1) as u32;
-        Self {
+        Ok(Self {
             deployment,
             // Link l at the left end: node 1 transmits to node 0.
             link_l: Link::new(NodeId::new(1), NodeId::new(0)),
@@ -74,7 +80,7 @@ impl CounterExample {
             link_l_prime: Link::new(NodeId::new(last - 1), NodeId::new(last)),
             locality_hops: k,
             sinr_threshold_db: Self::tuned_threshold(&positions, spacing),
-        }
+        })
     }
 
     /// Chooses a SINR threshold strictly between the SINR each candidate link
@@ -170,7 +176,7 @@ mod tests {
     #[test]
     fn both_links_are_individually_feasible_but_jointly_infeasible() {
         for k in [1usize, 2, 3] {
-            let ce = CounterExample::for_locality(k);
+            let ce = CounterExample::for_locality(k).unwrap();
             let env = ce.environment();
             assert!(
                 env.slot_feasible(&[ce.link_l]),
@@ -190,7 +196,7 @@ mod tests {
     #[test]
     fn the_links_are_outside_each_others_locality() {
         let k = 2;
-        let ce = CounterExample::for_locality(k);
+        let ce = CounterExample::for_locality(k).unwrap();
         let env = ce.environment();
         let graph = env.communication_graph();
         assert!(graph.is_connected());
@@ -203,7 +209,7 @@ mod tests {
         // because the other is invisible, and the resulting slot violates the
         // physical model — the constructive content of Theorem 1.
         let k = 2;
-        let ce = CounterExample::for_locality(k);
+        let ce = CounterExample::for_locality(k).unwrap();
         let env = ce.environment();
         let graph = env.communication_graph();
         let alg = LocalizedGreedy::new(k);
@@ -221,22 +227,23 @@ mod tests {
 
     #[test]
     fn a_global_rule_rejects_the_second_link() {
-        let ce = CounterExample::for_locality(2);
+        let ce = CounterExample::for_locality(2).unwrap();
         let env = ce.environment();
         assert!(!env.can_add_to_slot(&[ce.link_l], ce.link_l_prime));
     }
 
     #[test]
     fn construction_scales_with_the_locality_radius() {
-        let small = CounterExample::for_locality(1);
-        let large = CounterExample::for_locality(5);
+        let small = CounterExample::for_locality(1).unwrap();
+        let large = CounterExample::for_locality(5).unwrap();
         assert!(large.deployment.len() > small.deployment.len());
         assert_eq!(large.locality_hops, 5);
     }
 
     #[test]
-    #[should_panic(expected = "at least one hop")]
     fn zero_locality_is_rejected() {
-        let _ = CounterExample::for_locality(0);
+        let err = CounterExample::for_locality(0).unwrap_err();
+        assert!(matches!(err, ProtocolError::InvalidParameter(_)), "{err:?}");
+        assert!(err.to_string().contains("at least one hop"), "{err}");
     }
 }

@@ -59,7 +59,6 @@ pub mod impossibility;
 pub mod protocol;
 pub mod runtime;
 pub mod scream;
-pub mod state;
 pub mod stats;
 
 pub use config::{ProtocolConfig, ScreamFidelity};
@@ -68,7 +67,6 @@ pub use error::ProtocolError;
 pub use protocol::ProtocolKind;
 pub use runtime::{DistributedRun, DistributedScheduler};
 pub use scream::ScreamChannel;
-pub use state::NodeState;
 pub use stats::RunStats;
 
 /// Convenient glob-import of the most commonly used items.
@@ -79,6 +77,5 @@ pub mod prelude {
     pub use crate::protocol::ProtocolKind;
     pub use crate::runtime::{DistributedRun, DistributedScheduler};
     pub use crate::scream::ScreamChannel;
-    pub use crate::state::NodeState;
     pub use crate::stats::RunStats;
 }

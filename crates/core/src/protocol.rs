@@ -42,9 +42,9 @@ impl ProtocolKind {
     ///
     /// Returns [`ProtocolError::InvalidParameter`] if the probability is not
     /// in `(0, 1]` (NaN included) — library code must not panic on a
-    /// caller-supplied parameter. Call sites with compile-time-constant
-    /// probabilities (benches, figure binaries) can use
-    /// [`pdd_unchecked`](Self::pdd_unchecked) instead.
+    /// caller-supplied parameter. Call sites outside the library with
+    /// compile-time-constant probabilities (benches, examples, tests) can
+    /// use [`pdd_unchecked`](Self::pdd_unchecked) instead.
     pub fn pdd(probability: f64) -> Result<Self, ProtocolError> {
         if probability > 0.0 && probability <= 1.0 {
             Ok(ProtocolKind::Pdd { probability })
@@ -62,6 +62,7 @@ impl ProtocolKind {
     ///
     /// Panics if the probability is not in `(0, 1]`.
     pub fn pdd_unchecked(probability: f64) -> Self {
+        // lint:allow(P1, reason = "the documented panicking twin of `pdd`, for constant probabilities in benches, examples and tests; library code calls `pdd`")
         Self::pdd(probability).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -2,8 +2,7 @@
 //!
 //! Operates on [`crate::lexer::scrub`]bed text: tokenizes it, computes a
 //! per-token context (lexical loop depth, `#[cfg(test)]`/`#[test]` region),
-//! and matches the rule patterns. Allow directives are applied here; the
-//! P1 baseline ratchet is applied by the caller (it is a per-file count).
+//! and matches the rule patterns. Allow directives are applied here.
 
 use crate::lexer::{is_ident_char, scrub, AllowDirective};
 use std::collections::BTreeSet;
@@ -33,8 +32,6 @@ pub enum RuleCode {
     U1Conv,
     /// Allocation/formatting inside a `scream_obs` emission argument list.
     O1Sink,
-    /// Public API transitively reaches a panic site (ratchet growth).
-    P2Reach,
     /// Malformed or unknown `lint:allow` directive.
     L1Allow,
     /// Well-formed `lint:allow` that suppresses nothing.
@@ -55,7 +52,6 @@ impl RuleCode {
             RuleCode::U1Bind => "U1.bind",
             RuleCode::U1Conv => "U1.conv",
             RuleCode::O1Sink => "O1.sink",
-            RuleCode::P2Reach => "P2.reach",
             RuleCode::L1Allow => "L1.allow",
             RuleCode::L1Unused => "L1.unused",
         }
@@ -69,7 +65,6 @@ impl RuleCode {
             RuleCode::F1Cmp | RuleCode::F1Eq => "F1",
             RuleCode::U1Mix | RuleCode::U1Bind | RuleCode::U1Conv => "U1",
             RuleCode::O1Sink => "O1",
-            RuleCode::P2Reach => "P2",
             RuleCode::L1Allow | RuleCode::L1Unused => "L1",
         }
     }
@@ -87,7 +82,6 @@ impl RuleCode {
                 | "H1"
                 | "F1"
                 | "U1"
-                | "P2"
                 | "D1.iter"
                 | "D1.clock"
                 | "P1.panic"
@@ -100,15 +94,7 @@ impl RuleCode {
                 | "U1.conv"
                 | "O1"
                 | "O1.sink"
-                | "P2.reach"
         )
-    }
-
-    /// Whether `name` (a directive rule name) belongs to the P2 family.
-    /// P2 allows target the reachability *report*, not token diagnostics,
-    /// so they are exempt from `L1.unused`.
-    pub fn is_p2_name(name: &str) -> bool {
-        name == "P2" || name == "P2.reach"
     }
 }
 
@@ -119,8 +105,6 @@ pub struct Diagnostic {
     pub line: usize,
     pub rule: RuleCode,
     pub message: String,
-    /// Set by the caller when the P1 baseline absorbs this finding.
-    pub baselined: bool,
     /// Resolved class after `--deny`/`--warn` overrides; starts at default.
     pub deny: bool,
 }
@@ -457,27 +441,8 @@ fn collect_hash_idents(toks: &[Token], ctx: &[Ctx]) -> BTreeSet<String> {
     names
 }
 
-/// Everything one file contributes to the workspace report: allow-filtered
-/// diagnostics plus the inputs the P2 call-graph pass needs.
-pub struct FileScan {
-    pub diagnostics: Vec<Diagnostic>,
-    pub symbols: crate::symbols::FileSymbols,
-    /// Lines of P1 findings that survived allow filtering (pre-baseline).
-    pub panic_lines: Vec<usize>,
-    /// Lines targeted by `lint:allow(P2, ..)` directives.
-    pub p2_allowed_lines: Vec<usize>,
-}
-
-/// Scan one scrubbed+tokenized file and return allow-filtered diagnostics.
-///
-/// P1 findings are included un-baselined; the caller applies the per-file
-/// baseline ratchet.
+/// Scan one source file and return its allow-filtered diagnostics.
 pub fn scan_source(path: &str, src: &str, policy: ScanPolicy) -> Vec<Diagnostic> {
-    scan_file(path, src, policy).diagnostics
-}
-
-/// Full per-file scan: diagnostics + symbol table + P2 inputs.
-pub fn scan_file(path: &str, src: &str, policy: ScanPolicy) -> FileScan {
     let scrubbed = scrub(src);
     let toks = tokenize(&scrubbed.text);
     let ctx = contexts(&toks);
@@ -494,7 +459,6 @@ pub fn scan_file(path: &str, src: &str, policy: ScanPolicy) -> FileScan {
             line,
             rule,
             message,
-            baselined: false,
             deny: rule.default_deny(),
         });
     };
@@ -834,35 +798,22 @@ pub fn scan_file(path: &str, src: &str, policy: ScanPolicy) -> FileScan {
         }
     }
 
-    let symbols = crate::symbols::index_tokens(&toks);
     if policy.units {
+        let symbols = crate::symbols::index_tokens(&toks, &ctx);
         crate::units::scan_units(path, &toks, &ctx, &symbols, &mut diags);
     }
 
-    let (diagnostics, p2_allowed_lines) =
-        apply_allows(path, &scrubbed.text, &scrubbed.allows, diags);
-    let panic_lines = diagnostics
-        .iter()
-        .filter(|d| d.rule == RuleCode::P1Panic)
-        .map(|d| d.line)
-        .collect();
-    FileScan {
-        diagnostics,
-        symbols,
-        panic_lines,
-        p2_allowed_lines,
-    }
+    apply_allows(path, &scrubbed.text, &scrubbed.allows, diags)
 }
 
 /// Resolve allow directives against raw diagnostics; emit L1 findings for
-/// malformed, unknown and unused directives. Also returns the target lines
-/// of P2-family directives (consumed by the call-graph pass).
+/// malformed, unknown and unused directives.
 fn apply_allows(
     path: &str,
     scrubbed_text: &str,
     allows: &[AllowDirective],
     diags: Vec<Diagnostic>,
-) -> (Vec<Diagnostic>, Vec<usize>) {
+) -> Vec<Diagnostic> {
     // Per-line "carries code" map for standalone-directive targeting.
     let line_has_code: Vec<bool> = scrubbed_text
         .split('\n')
@@ -879,7 +830,6 @@ fn apply_allows(
 
     let mut out: Vec<Diagnostic> = Vec::new();
     let mut used = vec![false; allows.len()];
-    let mut p2_lines: Vec<usize> = Vec::new();
     // (target_line, allow index) for well-formed directives.
     let mut targets: Vec<(usize, usize)> = Vec::new();
     for (ai, d) in allows.iter().enumerate() {
@@ -889,7 +839,6 @@ fn apply_allows(
                 line: d.line,
                 rule: RuleCode::L1Allow,
                 message: format!("malformed lint:allow — {err}"),
-                baselined: false,
                 deny: RuleCode::L1Allow.default_deny(),
             });
             continue;
@@ -902,7 +851,6 @@ fn apply_allows(
                     line: d.line,
                     rule: RuleCode::L1Allow,
                     message: format!("lint:allow names unknown rule `{r}`"),
-                    baselined: false,
                     deny: RuleCode::L1Allow.default_deny(),
                 });
                 bad_rule = true;
@@ -912,12 +860,6 @@ fn apply_allows(
             continue;
         }
         if let Some(line) = target_of(d) {
-            // P2 allows act on the reachability report, not on token
-            // diagnostics — record the target and exempt from L1.unused.
-            if d.rules.iter().any(|r| RuleCode::is_p2_name(r)) {
-                p2_lines.push(line);
-                used[ai] = true;
-            }
             targets.push((line, ai));
         }
     }
@@ -953,7 +895,6 @@ fn apply_allows(
                     "lint:allow({}) suppresses nothing; remove it",
                     d.rules.join(", ")
                 ),
-                baselined: false,
                 deny: RuleCode::L1Unused.default_deny(),
             });
         }
@@ -961,9 +902,7 @@ fn apply_allows(
 
     out.sort();
     out.dedup();
-    p2_lines.sort_unstable();
-    p2_lines.dedup();
-    (out, p2_lines)
+    out
 }
 
 #[cfg(test)]
@@ -1082,6 +1021,11 @@ fn g(x: Option<u32>) -> u32 {
 }
 "#;
         assert_eq!(codes(src), vec!["P1.panic", "P1.panic", "P1.panic"]);
+        // P1 is a plain deny rule: nothing but a reasoned allow (see
+        // `allow_suppresses_same_line_and_next_line`) lets a site through.
+        assert!(scan_source("crates/x/src/lib.rs", src, ALL)
+            .iter()
+            .all(|d| d.deny));
     }
 
     #[test]

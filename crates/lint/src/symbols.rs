@@ -1,47 +1,15 @@
-//! Per-file symbol indexer built on the scrubbing lexer.
+//! Per-file binding and call-site indexer built on the scrubbing lexer.
 //!
-//! One pass over the token stream recovers the item structure the semantic
-//! rules need: function signatures (name, visibility, params, body span,
-//! enclosing `impl` type), `let`/`const` bindings with their initializer
-//! token ranges, struct fields, and call sites attributed to the enclosing
-//! function. Still purely lexical — no `syn`, no rustc — so it tolerates
-//! code that does not compile and runs in the offline container.
-//!
-//! Consumers: the **U1** unit-hygiene rules (`crate::units`) read bindings
-//! and conversion call sites; the **P2** panic-reachability pass
-//! (`crate::callgraph`) reads functions and call sites.
+//! One pass over the token stream recovers what the **U1** unit-hygiene
+//! rules (`crate::units`) read: `let`/`const`/`static` bindings of a plain
+//! identifier with their initializer token ranges, and call sites with the
+//! position of their argument list. Still purely lexical — no `syn`, no
+//! rustc — so it tolerates code that does not compile and runs in the
+//! offline container.
 
-use crate::scan::{contexts, ident_at, is_loop_for, punct_at, tokenize, Tok, Token};
+use crate::scan::{ident_at, punct_at, Ctx, Tok, Token};
 
-/// Item visibility, as far as a lexical scan can tell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Visibility {
-    /// No `pub` at all.
-    Private,
-    /// `pub(crate)`, `pub(super)`, `pub(in ...)` — not visible cross-crate.
-    Crate,
-    /// Bare `pub` — part of the crate's public API surface.
-    Public,
-}
-
-/// One `fn` item (free function, method, or trait signature).
-#[derive(Debug, Clone)]
-pub struct FnSymbol {
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    pub visibility: Visibility,
-    /// Enclosing `impl` type name, when the fn is a method.
-    pub owner: Option<String>,
-    /// True when declared inside a `#[cfg(test)]`/`#[test]` region.
-    pub in_test: bool,
-    /// Parameter names (excluding `self`), with their lines.
-    pub params: Vec<(String, usize)>,
-    /// 1-based line span of the body braces; `None` for trait signatures.
-    pub body_lines: Option<(usize, usize)>,
-}
-
-/// One `let` or `const` binding of a plain identifier.
+/// One `let`, `const` or `static` binding of a plain identifier.
 #[derive(Debug, Clone)]
 pub struct Binding {
     pub name: String,
@@ -51,27 +19,12 @@ pub struct Binding {
     pub in_test: bool,
 }
 
-/// One struct field declaration.
-#[derive(Debug, Clone)]
-pub struct FieldDecl {
-    pub name: String,
-    pub line: usize,
-    /// The struct the field belongs to.
-    pub owner: String,
-}
-
 /// One call site: `callee(..)`, `path::callee(..)` or `.callee(..)`.
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// Last path segment of the callee.
     pub callee: String,
-    /// The path segment before the callee (`Type` in `Type::callee(..)`).
-    pub qualifier: Option<String>,
-    /// True for `.callee(..)` method-call syntax.
-    pub method: bool,
     pub line: usize,
-    /// Index into [`FileSymbols::functions`] of the enclosing fn, if any.
-    pub caller: Option<usize>,
     /// Token index of the opening `(` — the argument list starts after it.
     pub args_open: usize,
     pub in_test: bool,
@@ -80,9 +33,7 @@ pub struct CallSite {
 /// Everything the indexer recovered from one file.
 #[derive(Debug, Default)]
 pub struct FileSymbols {
-    pub functions: Vec<FnSymbol>,
     pub bindings: Vec<Binding>,
-    pub fields: Vec<FieldDecl>,
     pub calls: Vec<CallSite>,
 }
 
@@ -92,135 +43,6 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "break", "continue", "where", "impl", "dyn", "pub", "crate", "super", "self", "Self", "mut",
     "ref", "use", "mod", "const", "static", "unsafe", "async", "await", "yield",
 ];
-
-#[derive(Debug, Clone, PartialEq)]
-enum Frame {
-    /// `impl` block with the implemented type's name.
-    Impl(Option<String>),
-    /// Function body, by index into `functions`.
-    Fn(usize),
-    /// `struct` body with the struct's name.
-    Struct(String),
-    Other,
-}
-
-/// Scan back from the token before `fn` to classify its visibility.
-fn visibility_before(toks: &[Token], fn_idx: usize) -> Visibility {
-    let mut j = fn_idx as isize - 1;
-    // Skip qualifiers between `pub` and `fn`.
-    while j >= 0 {
-        match ident_at(toks, j as usize) {
-            Some("const" | "unsafe" | "async" | "extern") => j -= 1,
-            _ => break,
-        }
-    }
-    if j < 0 {
-        return Visibility::Private;
-    }
-    if ident_at(toks, j as usize) == Some("pub") {
-        return Visibility::Public;
-    }
-    // `pub(crate)` / `pub(super)` / `pub(in path)` end in `)`.
-    if punct_at(toks, j as usize, ')') {
-        let mut depth = 0i32;
-        while j >= 0 {
-            if punct_at(toks, j as usize, ')') {
-                depth += 1;
-            } else if punct_at(toks, j as usize, '(') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j -= 1;
-        }
-        if j >= 1 && ident_at(toks, j as usize - 1) == Some("pub") {
-            return Visibility::Crate;
-        }
-    }
-    Visibility::Private
-}
-
-/// Token index just past a matching `>` for generics opening at `open`
-/// (which must be `<`). Tolerates nested generics.
-fn skip_generics(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        if punct_at(toks, i, '<') {
-            depth += 1;
-        } else if punct_at(toks, i, '>') {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        } else if punct_at(toks, i, '(') || punct_at(toks, i, '{') || punct_at(toks, i, ';') {
-            // Malformed or not generics after all; bail where we are.
-            return i;
-        }
-        i += 1;
-    }
-    i
-}
-
-/// Parse the parameter list opening at `open` (a `(`): returns the token
-/// index just past the matching `)` plus the named params.
-fn parse_params(toks: &[Token], open: usize) -> (usize, Vec<(String, usize)>) {
-    let mut params = Vec::new();
-    let mut depth = 0i32;
-    let mut angle = 0i32;
-    let mut i = open;
-    let mut seg_start = open + 1;
-    let mut end = toks.len();
-    while i < toks.len() {
-        match &toks[i].tok {
-            Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-            Tok::Punct(')') | Tok::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    param_from_segment(toks, seg_start, i, &mut params);
-                    end = i + 1;
-                    break;
-                }
-            }
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => angle -= 1,
-            Tok::Punct(',') if depth == 1 && angle <= 0 => {
-                param_from_segment(toks, seg_start, i, &mut params);
-                seg_start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    (end, params)
-}
-
-/// Extract `name` from one `name: Type` parameter segment (skipping `self`
-/// receivers, `mut`, `&` and lifetimes).
-fn param_from_segment(toks: &[Token], start: usize, end: usize, out: &mut Vec<(String, usize)>) {
-    let mut i = start;
-    while i < end {
-        match ident_at(toks, i) {
-            Some("mut") | Some("_") => i += 1,
-            Some("self") => return,
-            Some(name) => {
-                if punct_at(toks, i + 1, ':') && !punct_at(toks, i + 2, ':') {
-                    out.push((name.to_string(), toks[i].line));
-                }
-                return;
-            }
-            None => {
-                // `&`, `&'a`, lifetimes, pattern puncts.
-                if punct_at(toks, i, '&') || punct_at(toks, i, '\'') {
-                    i += 1;
-                } else {
-                    return;
-                }
-            }
-        }
-    }
-}
 
 /// Find the initializer token range of a `let`/`const` starting at `eq + 1`:
 /// up to the terminating `;` at zero bracket depth (skipping bodies of
@@ -240,74 +62,11 @@ fn init_range(toks: &[Token], eq: usize) -> (usize, usize) {
     (eq + 1, i)
 }
 
-/// The implemented type name of an `impl` header starting at `impl_idx`:
-/// the first ident after a top-level `for` (trait impls), else the first
-/// ident after the generics (inherent impls).
-fn impl_type_name(toks: &[Token], impl_idx: usize) -> (Option<String>, usize) {
-    let mut i = impl_idx + 1;
-    if punct_at(toks, i, '<') {
-        i = skip_generics(toks, i);
-    }
-    let mut first: Option<String> = None;
-    let mut after_for: Option<String> = None;
-    let mut angle = 0i32;
-    while i < toks.len() {
-        match &toks[i].tok {
-            Tok::Punct('{') | Tok::Punct(';') => break,
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => angle -= 1,
-            Tok::Ident(s) if s == "where" && angle <= 0 => break,
-            Tok::Ident(s) if s == "for" && angle <= 0 => {
-                // The type being implemented follows; skip `&`/`mut`.
-                let mut j = i + 1;
-                while punct_at(toks, j, '&') || ident_at(toks, j) == Some("mut") {
-                    j += 1;
-                }
-                // Walk a path `a::b::C`, keeping the last segment.
-                let mut last = None;
-                while let Some(seg) = ident_at(toks, j) {
-                    last = Some(seg.to_string());
-                    if punct_at(toks, j + 1, ':') && punct_at(toks, j + 2, ':') {
-                        j += 3;
-                    } else {
-                        break;
-                    }
-                }
-                after_for = last;
-                i = j;
-            }
-            Tok::Ident(s) if angle <= 0 && first.is_none() => {
-                // Track the last segment of the leading path.
-                let mut j = i;
-                let mut last = s.clone();
-                while punct_at(toks, j + 1, ':') && punct_at(toks, j + 2, ':') {
-                    j += 3;
-                    if let Some(seg) = ident_at(toks, j) {
-                        last = seg.to_string();
-                    } else {
-                        break;
-                    }
-                }
-                first = Some(last);
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    (after_for.or(first), i)
-}
-
-/// Index one scrubbed file already tokenized by the scanner.
-pub(crate) fn index_tokens(toks: &[Token]) -> FileSymbols {
-    let ctx = contexts(toks);
+/// Index one scrubbed file already tokenized by the scanner; `ctx` is its
+/// per-token context from [`crate::scan::contexts`].
+pub(crate) fn index_tokens(toks: &[Token], ctx: &[Ctx]) -> FileSymbols {
+    let in_test = |i: usize| ctx.get(i).is_some_and(|c| c.in_test);
     let mut syms = FileSymbols::default();
-    // Parallel stack to the brace structure; pushed at `{`.
-    let mut stack: Vec<Frame> = Vec::new();
-    // Item kind waiting for its `{`.
-    let mut pending: Option<Frame> = None;
-    let mut pending_paren = 0i32;
-
     let mut i = 0usize;
     while i < toks.len() {
         // Attributes (`#[cfg(test)]`, `#[derive(..)]`) look like calls;
@@ -335,59 +94,13 @@ pub(crate) fn index_tokens(toks: &[Token]) -> FileSymbols {
                 continue;
             }
         }
-        match &toks[i].tok {
-            Tok::Ident(kw) if kw == "impl" => {
-                let (name, next) = impl_type_name(toks, i);
-                pending = Some(Frame::Impl(name));
-                pending_paren = 0;
-                i = next;
+        match ident_at(toks, i) {
+            // `fn name(` declares; it does not call.
+            Some("fn") if ident_at(toks, i + 1).is_some() => {
+                i += 2;
                 continue;
             }
-            Tok::Ident(kw) if kw == "struct" || kw == "enum" || kw == "union" => {
-                if let Some(name) = ident_at(toks, i + 1) {
-                    if kw == "struct" {
-                        pending = Some(Frame::Struct(name.to_string()));
-                    } else {
-                        pending = Some(Frame::Other);
-                    }
-                    pending_paren = 0;
-                }
-            }
-            Tok::Ident(kw) if kw == "fn" => {
-                let Some(name) = ident_at(toks, i + 1) else {
-                    i += 1;
-                    continue;
-                };
-                let line = toks[i].line;
-                let visibility = visibility_before(toks, i);
-                let owner = stack.iter().rev().find_map(|f| match f {
-                    Frame::Impl(n) => n.clone(),
-                    _ => None,
-                });
-                let mut j = i + 2;
-                if punct_at(toks, j, '<') {
-                    j = skip_generics(toks, j);
-                }
-                let (after_params, params) = if punct_at(toks, j, '(') {
-                    parse_params(toks, j)
-                } else {
-                    (j, Vec::new())
-                };
-                syms.functions.push(FnSymbol {
-                    name: name.to_string(),
-                    line,
-                    visibility,
-                    owner,
-                    in_test: ctx.get(i).map(|c| c.in_test).unwrap_or(false),
-                    params,
-                    body_lines: None,
-                });
-                pending = Some(Frame::Fn(syms.functions.len() - 1));
-                pending_paren = 0;
-                i = after_params;
-                continue;
-            }
-            Tok::Ident(kw) if kw == "let" || kw == "const" || kw == "static" => {
+            Some("let" | "const" | "static") => {
                 // `let [mut] name [: Type] = init ;` — plain identifier
                 // patterns only (destructuring has no single unit).
                 let mut j = i + 1;
@@ -395,7 +108,6 @@ pub(crate) fn index_tokens(toks: &[Token]) -> FileSymbols {
                     j += 1;
                 }
                 if let Some(name) = ident_at(toks, j) {
-                    let name_line = toks[j].line;
                     let mut k = j + 1;
                     if punct_at(toks, k, ':') && !punct_at(toks, k + 1, ':') {
                         // Skip the type ascription up to `=` or `;`.
@@ -422,89 +134,24 @@ pub(crate) fn index_tokens(toks: &[Token]) -> FileSymbols {
                         // `let .. = .. else { .. }` bindings still record the
                         // range up to `;`; the `else` arm is part of the init
                         // and defeats single-term unit inference, harmlessly.
-                        let init = init_range(toks, k);
                         syms.bindings.push(Binding {
                             name: name.to_string(),
-                            line: name_line,
-                            init,
-                            in_test: ctx.get(j).map(|c| c.in_test).unwrap_or(false),
+                            line: toks[j].line,
+                            init: init_range(toks, k),
+                            in_test: in_test(j),
                         });
                     }
                 }
             }
-            Tok::Ident(name) => {
-                // Call sites: `name(..)`, `path::name(..)`, `.name(..)`.
-                if punct_at(toks, i + 1, '(') && !NON_CALL_KEYWORDS.contains(&name.as_str()) {
-                    // Macro invocations (`name!(`) were excluded by `!`
-                    // sitting between; `name !` + `(` never matches here.
-                    let method = punct_at(toks, i.wrapping_sub(1), '.');
-                    let qualifier = if !method
-                        && i >= 3
-                        && punct_at(toks, i - 1, ':')
-                        && punct_at(toks, i - 2, ':')
-                    {
-                        ident_at(toks, i - 3).map(|s| s.to_string())
-                    } else {
-                        None
-                    };
-                    // Skip declarations: `fn name(` was consumed above.
-                    let caller = stack.iter().rev().find_map(|f| match f {
-                        Frame::Fn(fi) => Some(*fi),
-                        _ => None,
-                    });
-                    syms.calls.push(CallSite {
-                        callee: name.clone(),
-                        qualifier,
-                        method,
-                        line: toks[i].line,
-                        caller,
-                        args_open: i + 1,
-                        in_test: ctx.get(i).map(|c| c.in_test).unwrap_or(false),
-                    });
-                }
-                // Struct fields: `name: Type,` directly inside a struct body.
-                if let Some(Frame::Struct(owner)) = stack.last() {
-                    if punct_at(toks, i + 1, ':')
-                        && !punct_at(toks, i + 2, ':')
-                        && !punct_at(toks, i.wrapping_sub(1), ':')
-                    {
-                        syms.fields.push(FieldDecl {
-                            name: name.clone(),
-                            line: toks[i].line,
-                            owner: owner.clone(),
-                        });
-                    }
-                }
-                // Loop/conditional headers may carry parens before `{`.
-                if (name == "while" || name == "loop" || (name == "for" && is_loop_for(toks, i)))
-                    && pending.is_none()
-                {
-                    pending = Some(Frame::Other);
-                    pending_paren = 0;
-                }
-            }
-            Tok::Punct('(') => pending_paren += 1,
-            Tok::Punct(')') => pending_paren -= 1,
-            Tok::Punct(';') if pending_paren <= 0 => {
-                pending = None;
-            }
-            Tok::Punct('{') => {
-                let frame = if pending_paren <= 0 {
-                    pending.take().unwrap_or(Frame::Other)
-                } else {
-                    Frame::Other
-                };
-                if let Frame::Fn(fi) = frame {
-                    syms.functions[fi].body_lines = Some((toks[i].line, toks[i].line));
-                }
-                stack.push(frame);
-            }
-            Tok::Punct('}') => {
-                if let Some(Frame::Fn(fi)) = stack.pop() {
-                    if let Some((start, _)) = syms.functions[fi].body_lines {
-                        syms.functions[fi].body_lines = Some((start, toks[i].line));
-                    }
-                }
+            // Call sites: `name(..)`, `path::name(..)`, `.name(..)`. Macro
+            // invocations (`name!(`) have a `!` in between and never match.
+            Some(name) if punct_at(toks, i + 1, '(') && !NON_CALL_KEYWORDS.contains(&name) => {
+                syms.calls.push(CallSite {
+                    callee: name.to_string(),
+                    line: toks[i].line,
+                    args_open: i + 1,
+                    in_test: in_test(i),
+                });
             }
             _ => {}
         }
@@ -513,82 +160,18 @@ pub(crate) fn index_tokens(toks: &[Token]) -> FileSymbols {
     syms
 }
 
-/// Convenience entry: scrub + tokenize + index one source file.
-pub fn index_source(src: &str) -> FileSymbols {
-    let scrubbed = crate::lexer::scrub(src);
-    let toks = tokenize(&scrubbed.text);
-    index_tokens(&toks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::{contexts, tokenize};
 
-    #[test]
-    fn functions_with_visibility_owner_and_params() {
-        let src = r#"
-pub fn free_fn(cutoff_m: f64, count: usize) -> f64 { cutoff_m }
-pub(crate) fn crate_fn() {}
-fn private_fn() {}
-pub struct Thing { pub cutoff_sq_m2: f64, count: usize }
-impl Thing {
-    pub fn method(&self, x_db: f64) -> f64 { self.cutoff_sq_m2 + x_db }
-    fn helper() {}
-}
-impl std::fmt::Display for Thing {
-    fn fmt(&self, f: &mut Formatter) -> Result { Ok(()) }
-}
-"#;
-        let s = index_source(src);
-        let names: Vec<&str> = s.functions.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "free_fn",
-                "crate_fn",
-                "private_fn",
-                "method",
-                "helper",
-                "fmt"
-            ]
-        );
-        assert_eq!(s.functions[0].visibility, Visibility::Public);
-        assert_eq!(s.functions[1].visibility, Visibility::Crate);
-        assert_eq!(s.functions[2].visibility, Visibility::Private);
-        assert_eq!(
-            s.functions[0]
-                .params
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect::<Vec<_>>(),
-            vec!["cutoff_m", "count"]
-        );
-        assert_eq!(s.functions[3].owner.as_deref(), Some("Thing"));
-        assert_eq!(s.functions[3].params.len(), 1, "self receiver skipped");
-        assert_eq!(s.functions[5].owner.as_deref(), Some("Thing"));
-        let fields: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(fields, vec!["cutoff_sq_m2", "count"]);
-        assert_eq!(s.fields[0].owner, "Thing");
+    fn index_source(src: &str) -> FileSymbols {
+        let toks = tokenize(&crate::lexer::scrub(src).text);
+        index_tokens(&toks, &contexts(&toks))
     }
 
     #[test]
-    fn body_spans_cover_the_braces() {
-        let src = "fn f() {\n    g();\n    h();\n}\nfn g() {}\n";
-        let s = index_source(src);
-        assert_eq!(s.functions[0].body_lines, Some((1, 4)));
-        assert_eq!(s.functions[1].body_lines, Some((5, 5)));
-    }
-
-    #[test]
-    fn trait_signatures_have_no_body() {
-        let src = "trait T { fn probe(&self) -> bool; fn with_default(&self) -> bool { true } }";
-        let s = index_source(src);
-        assert_eq!(s.functions[0].body_lines, None);
-        assert!(s.functions[1].body_lines.is_some());
-    }
-
-    #[test]
-    fn calls_are_attributed_to_the_enclosing_fn() {
+    fn free_path_and_method_calls_are_indexed_but_declarations_are_not() {
         let src = r#"
 fn outer() {
     helper(1);
@@ -598,17 +181,10 @@ fn outer() {
 fn standalone() { nested::path::deep(4); }
 "#;
         let s = index_source(src);
-        assert_eq!(s.calls.len(), 4);
-        assert_eq!(s.calls[0].callee, "helper");
-        assert!(!s.calls[0].method && s.calls[0].qualifier.is_none());
-        assert_eq!(s.calls[0].caller, Some(0));
-        assert_eq!(s.calls[1].callee, "assoc");
-        assert_eq!(s.calls[1].qualifier.as_deref(), Some("Type"));
-        assert_eq!(s.calls[2].callee, "method");
-        assert!(s.calls[2].method);
-        assert_eq!(s.calls[3].callee, "deep");
-        assert_eq!(s.calls[3].qualifier.as_deref(), Some("path"));
-        assert_eq!(s.calls[3].caller, Some(1));
+        let callees: Vec<&str> = s.calls.iter().map(|c| c.callee.as_str()).collect();
+        assert_eq!(callees, vec!["helper", "assoc", "method", "deep"]);
+        assert_eq!(s.calls[0].line, 3);
+        assert_eq!(s.calls[3].line, 7);
     }
 
     #[test]
@@ -644,31 +220,16 @@ fn f() {
     #[test]
     fn test_region_symbols_are_marked() {
         let src = r#"
-fn lib_fn() { helper(); }
+fn lib_fn() { let a_m = helper(); }
 #[cfg(test)]
 mod tests {
-    fn test_helper() { other(); }
+    fn test_helper() { let b_m = other(); }
 }
 "#;
         let s = index_source(src);
-        assert!(!s.functions[0].in_test);
-        assert!(s.functions[1].in_test);
         assert!(!s.calls[0].in_test);
         assert!(s.calls[1].in_test);
-    }
-
-    #[test]
-    fn impl_type_resolves_through_traits_generics_and_paths() {
-        let src = r#"
-impl<T: Clone> Container<T> {
-    fn a(&self) {}
-}
-impl crate::model::SlotFeasibility for ExactPhysical {
-    fn b(&self) {}
-}
-"#;
-        let s = index_source(src);
-        assert_eq!(s.functions[0].owner.as_deref(), Some("Container"));
-        assert_eq!(s.functions[1].owner.as_deref(), Some("ExactPhysical"));
+        assert!(!s.bindings[0].in_test);
+        assert!(s.bindings[1].in_test);
     }
 }

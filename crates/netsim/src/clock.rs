@@ -1,15 +1,14 @@
-//! Per-node clocks with bounded skew.
+//! Bounded clock skew.
 //!
 //! The protocols assume "all nodes have their clocks synchronized to a global
 //! time, within a reasonable degree of accuracy" (Section II) and the
 //! evaluation studies how the execution time degrades as the skew bound grows
-//! (Section VI-C, Figure 9). Here each node carries a fixed offset from the
-//! global clock, drawn uniformly from `[-bound, +bound]`, and protocol slot
+//! (Section VI-C, Figure 9). The model is the bound alone: every node's
+//! offset from the global clock lies in `[-bound, +bound]`, and protocol slot
 //! timings add guard intervals sized from the bound so that slot boundaries
 //! never overlap across nodes — the "implementations compensate for the clock
 //! skew" behaviour described in the paper.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::units::SimTime;
@@ -58,117 +57,9 @@ impl Default for ClockSkewConfig {
     }
 }
 
-/// Concrete per-node clock offsets drawn under a [`ClockSkewConfig`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClockModel {
-    config: ClockSkewConfig,
-    /// Offset of each node's local clock from global time, in signed
-    /// nanoseconds.
-    offsets_ns: Vec<i64>,
-}
-
-impl ClockModel {
-    /// Perfectly synchronized clocks for `node_count` nodes.
-    pub fn perfect(node_count: usize) -> Self {
-        Self {
-            config: ClockSkewConfig::PERFECT,
-            offsets_ns: vec![0; node_count],
-        }
-    }
-
-    /// Draws an offset for every node uniformly from `[-bound, +bound]`.
-    pub fn generate<R: Rng + ?Sized>(
-        node_count: usize,
-        config: ClockSkewConfig,
-        rng: &mut R,
-    ) -> Self {
-        let bound = config.bound.as_nanos() as i64;
-        let offsets_ns = (0..node_count)
-            .map(|_| {
-                if bound == 0 {
-                    0
-                } else {
-                    rng.gen_range(-bound..=bound)
-                }
-            })
-            .collect();
-        Self { config, offsets_ns }
-    }
-
-    /// The skew configuration used to generate this model.
-    pub fn config(&self) -> ClockSkewConfig {
-        self.config
-    }
-
-    /// Number of nodes covered.
-    pub fn node_count(&self) -> usize {
-        self.offsets_ns.len()
-    }
-
-    /// Signed offset of a node's clock from global time, in nanoseconds.
-    pub fn offset_ns(&self, node: usize) -> i64 {
-        self.offsets_ns[node]
-    }
-
-    /// Local time at `node` when the global time is `global`.
-    /// Saturates at zero for offsets that would precede the simulation start.
-    pub fn local_time(&self, node: usize, global: SimTime) -> SimTime {
-        let shifted = global.as_nanos() as i64 + self.offsets_ns[node];
-        SimTime::from_nanos(shifted.max(0) as u64)
-    }
-
-    /// Largest pairwise skew actually realized between any two nodes, in
-    /// nanoseconds. Always at most `2 * bound`.
-    pub fn max_pairwise_skew_ns(&self) -> u64 {
-        let min = self.offsets_ns.iter().copied().min().unwrap_or(0);
-        let max = self.offsets_ns.iter().copied().max().unwrap_or(0);
-        (max - min) as u64
-    }
-
-    /// Whether the guard interval of the configuration is large enough to
-    /// cover the realized pairwise skew (it is, by construction; exposed for
-    /// assertion in tests and protocol self-checks).
-    pub fn guard_covers_realized_skew(&self) -> bool {
-        self.config.guard_interval().as_nanos() >= self.max_pairwise_skew_ns()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn perfect_clocks_have_zero_offsets() {
-        let m = ClockModel::perfect(10);
-        assert_eq!(m.node_count(), 10);
-        assert!((0..10).all(|i| m.offset_ns(i) == 0));
-        assert_eq!(m.max_pairwise_skew_ns(), 0);
-        assert_eq!(
-            m.local_time(3, SimTime::from_millis(5)),
-            SimTime::from_millis(5)
-        );
-    }
-
-    #[test]
-    fn generated_offsets_respect_the_bound() {
-        let cfg = ClockSkewConfig::new(SimTime::from_micros(100));
-        let m = ClockModel::generate(64, cfg, &mut ChaCha8Rng::seed_from_u64(3));
-        for i in 0..64 {
-            assert!(m.offset_ns(i).unsigned_abs() <= 100_000);
-        }
-        assert!(m.guard_covers_realized_skew());
-        assert!(m.max_pairwise_skew_ns() <= cfg.guard_interval().as_nanos());
-    }
-
-    #[test]
-    fn generation_is_reproducible() {
-        let cfg = ClockSkewConfig::new(SimTime::from_micros(10));
-        let a = ClockModel::generate(16, cfg, &mut ChaCha8Rng::seed_from_u64(1));
-        let b = ClockModel::generate(16, cfg, &mut ChaCha8Rng::seed_from_u64(1));
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn guard_interval_is_twice_the_bound() {
@@ -184,18 +75,5 @@ mod tests {
             ClockSkewConfig::distributed_sync().bound,
             SimTime::from_micros(100)
         );
-    }
-
-    #[test]
-    fn local_time_applies_signed_offset_and_saturates() {
-        let m = ClockModel {
-            config: ClockSkewConfig::new(SimTime::from_micros(10)),
-            offsets_ns: vec![5_000, -5_000],
-        };
-        let g = SimTime::from_micros(100);
-        assert_eq!(m.local_time(0, g), SimTime::from_nanos(105_000));
-        assert_eq!(m.local_time(1, g), SimTime::from_nanos(95_000));
-        assert_eq!(m.local_time(1, SimTime::from_nanos(1_000)), SimTime::ZERO);
-        assert_eq!(m.max_pairwise_skew_ns(), 10_000);
     }
 }

@@ -50,7 +50,7 @@ pub mod spatial;
 pub mod timing;
 pub mod units;
 
-pub use clock::{ClockModel, ClockSkewConfig};
+pub use clock::ClockSkewConfig;
 pub use des::{EventQueue, ScheduledEvent};
 pub use environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
 pub use error::NetsimError;
@@ -63,7 +63,7 @@ pub use units::{DataRate, SimTime};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    pub use crate::clock::{ClockModel, ClockSkewConfig};
+    pub use crate::clock::ClockSkewConfig;
     pub use crate::des::{EventQueue, ScheduledEvent};
     pub use crate::environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
     pub use crate::error::NetsimError;

@@ -61,8 +61,6 @@ pub struct ReschedulerConfig {
     pub repair: bool,
     /// Whether to defer flows while the analytic verdict is Overloaded.
     pub admission: bool,
-    /// Per-epoch delivery percentage that counts as recovered.
-    pub recovery_threshold_pct: f64,
 }
 
 impl Default for ReschedulerConfig {
@@ -71,7 +69,6 @@ impl Default for ReschedulerConfig {
             epoch_slots: 0,
             repair: true,
             admission: true,
-            recovery_threshold_pct: 99.0,
         }
     }
 }
@@ -200,8 +197,7 @@ impl ResilienceHarness {
         let mut now = 0u64;
         while now < horizon_slots {
             let mut faulted = false;
-            while events.peek().map(|e| e.slot <= now).unwrap_or(false) {
-                let event = events.next().expect("peeked");
+            while let Some(event) = events.next_if(|e| e.slot <= now) {
                 state.apply_fault(event.kind);
                 scream_obs::counter_add("resilience.faults", 1);
                 faulted = true;
@@ -573,8 +569,8 @@ impl RunState {
         // back in the pre-fault band (pre-fault peak plus one in-flight
         // packet per source — per-epoch delivery ratios fluctuate with
         // boundary carryover, backlog drain does not). Sustained means
-        // *every* later epoch holds it; the caller checks the recovery
-        // threshold against `post_recovery_delivery_pct`.
+        // *every* later epoch holds it; a caller that also wants a delivery
+        // floor reads `post_recovery_delivery_pct`.
         let allowance = self.sources.len() as u64;
         let prefault_cap = first_fault_slot
             .map(|fault| {

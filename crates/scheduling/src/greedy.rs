@@ -302,9 +302,9 @@ mod tests {
         let schedule =
             GreedyPhysical::new(EdgeOrdering::DecreasingDemand).schedule(&EndpointOnly, &demands);
         assert_eq!(schedule.length(), 5);
-        assert_eq!(schedule.slot(0).links(), &[link(1, 0), link(3, 2)]);
-        assert_eq!(schedule.slot(1).links(), &[link(1, 0), link(3, 2)]);
-        assert_eq!(schedule.slot(2).links(), &[link(1, 0)]);
+        assert_eq!(schedule.slot(0).unwrap().links(), &[link(1, 0), link(3, 2)]);
+        assert_eq!(schedule.slot(1).unwrap().links(), &[link(1, 0), link(3, 2)]);
+        assert_eq!(schedule.slot(2).unwrap().links(), &[link(1, 0)]);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! of schedules as slot patterns with multiplicities (Vieira et al.,
 //! arXiv:1106.1590 / arXiv:1504.01647), `Schedule` stores **maximal runs**
 //! `(pattern, multiplicity)` instead of one `Vec<Link>` per slot, so memory
-//! and most queries are O(#patterns) rather than O(#slots). The per-slot API
-//! (`slot`, `slots`, `assign`, …) is preserved on top of the compact form;
-//! consumers that care about heavy demand (the verifier, the metrics, the
-//! greedy scheduler) walk [`runs`](Schedule::runs) directly and pay per
-//! *distinct* pattern, not per slot.
+//! and most queries are O(#patterns) rather than O(#slots).
+//! [`runs`](Schedule::runs) is the API: the verifier, `repair_schedule` and
+//! the packet engine's `FrameService` walk it and pay per *distinct*
+//! pattern, not per slot. [`slots`](Schedule::slots) and
+//! [`expand`](Schedule::expand) remain as the explicit per-slot expansion
+//! the reference packet model and the round-trip tests read.
 //!
 //! # Channel annotations
 //!
@@ -201,15 +202,6 @@ impl SlotPattern {
         }
         None
     }
-
-    /// This pattern with `(channel, link)` added (a no-op if the exact entry
-    /// is already present), re-canonicalized.
-    pub fn with_entry(&self, channel: ChannelId, link: Link) -> Self {
-        if self.contains(channel, link) {
-            return self.clone();
-        }
-        Self::from_entries(self.entries().chain(std::iter::once((channel, link))))
-    }
 }
 
 /// Iterator behind [`SlotPattern::channel_groups`].
@@ -333,15 +325,14 @@ impl Schedule {
         self.runs.iter().map(|(pattern, count)| (pattern, *count))
     }
 
-    /// The pattern of slot `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range.
-    pub fn slot(&self, t: usize) -> &SlotPattern {
-        self.find_run(t)
-            .map(|(run, _)| &self.runs[run].0)
-            .unwrap_or_else(|| panic!("slot {t} out of range (length {})", self.length()))
+    /// The pattern of slot `t`, or `None` if `t` is at or beyond the
+    /// schedule length. Costs O(#patterns).
+    pub fn slot(&self, t: usize) -> Option<&SlotPattern> {
+        let mut end = 0usize;
+        self.runs.iter().find_map(|(pattern, count)| {
+            end += *count as usize;
+            (t < end).then_some(pattern)
+        })
     }
 
     /// Iterator over the slot patterns in order. Expands runs — prefer
@@ -388,69 +379,6 @@ impl Schedule {
             Some((last, multiplicity)) if *last == pattern => *multiplicity += count,
             _ => self.runs.push((pattern, count)),
         }
-    }
-
-    /// Adds `link` to slot `t` on channel 0, extending the schedule with
-    /// empty slots if `t` is beyond the current length. Adding the same
-    /// entry twice has no effect.
-    ///
-    /// Costs O(#patterns): the run containing `t` is split around the
-    /// modified slot and the run list re-canonicalized.
-    pub fn assign(&mut self, t: usize, link: Link) {
-        self.assign_on(t, ChannelId::ZERO, link);
-    }
-
-    /// Adds `link` to slot `t` on the given channel (see
-    /// [`assign`](Self::assign)). The schedule type itself accepts any
-    /// combination — feasibility, including the cross-channel half-duplex
-    /// rule, is the verifier's job.
-    pub fn assign_on(&mut self, t: usize, channel: ChannelId, link: Link) {
-        let length = self.length();
-        if t >= length {
-            self.push_pattern_run(SlotPattern::new(), (t - length + 1) as u64);
-        }
-        let (run, offset) = self
-            .find_run(t)
-            .expect("slot t exists after the extension above");
-        let (pattern, count) = &self.runs[run];
-        if pattern.contains(channel, link) {
-            return;
-        }
-        let with_link = pattern.with_entry(channel, link);
-        let count = *count;
-        // Split the run into (before, the modified slot, after) and replace
-        // it. The pieces are pairwise distinct (old vs old+link), so the only
-        // adjacencies that can need re-merging are the two outer boundaries.
-        let (old_pattern, _) = self.runs.remove(run);
-        let mut insert = run;
-        let mut pieces = 1usize;
-        if offset > 0 {
-            self.runs
-                .insert(insert, (old_pattern.clone(), offset as u64));
-            insert += 1;
-            pieces += 1;
-        }
-        self.runs.insert(insert, (with_link, 1));
-        let after = count - offset as u64 - 1;
-        if after > 0 {
-            self.runs.insert(insert + 1, (old_pattern, after));
-            pieces += 1;
-        }
-        // Higher boundary first so the lower merge's index stays valid.
-        self.merge_into_predecessor(run + pieces);
-        self.merge_into_predecessor(run);
-    }
-
-    /// Whether slot `t` contains `link` on any channel.
-    pub fn contains(&self, t: usize, link: Link) -> bool {
-        self.find_run(t)
-            .is_some_and(|(run, _)| self.runs[run].0.contains_link(link))
-    }
-
-    /// Whether slot `t` contains the exact `(channel, link)` entry.
-    pub fn contains_on(&self, t: usize, channel: ChannelId, link: Link) -> bool {
-        self.find_run(t)
-            .is_some_and(|(run, _)| self.runs[run].0.contains(channel, link))
     }
 
     /// Number of slots allocated to each link (on whatever channel) across
@@ -511,52 +439,6 @@ impl Schedule {
         channels.dedup();
         channels.len()
     }
-
-    /// Removes trailing empty slots (produced by some distributed runs when a
-    /// round seals an empty slot at termination).
-    pub fn trim_empty_slots(&mut self) {
-        while self.runs.last().is_some_and(|(p, _)| p.is_empty()) {
-            let (_, count) = self.runs.pop().expect("checked non-empty");
-            self.total -= count;
-        }
-    }
-
-    /// All distinct nodes that appear as an endpoint of any scheduled link.
-    pub fn participating_nodes(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self
-            .runs
-            .iter()
-            .flat_map(|(pattern, _)| pattern.links().iter())
-            .flat_map(|l| [l.head, l.tail])
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Locates the run containing slot `t`, returning `(run_index, offset)`
-    /// where `offset` is `t`'s position inside the run.
-    fn find_run(&self, t: usize) -> Option<(usize, usize)> {
-        let mut start = 0usize;
-        for (i, (_, count)) in self.runs.iter().enumerate() {
-            let end = start + *count as usize;
-            if t < end {
-                return Some((i, t - start));
-            }
-            start = end;
-        }
-        None
-    }
-
-    /// Merges run `i` into run `i - 1` if their patterns are equal — the O(1)
-    /// boundary repair [`assign`](Self::assign) uses after splicing a run.
-    fn merge_into_predecessor(&mut self, i: usize) {
-        if i == 0 || i >= self.runs.len() || self.runs[i - 1].0 != self.runs[i].0 {
-            return;
-        }
-        let (_, count) = self.runs.remove(i);
-        self.runs[i - 1].1 += count;
-    }
 }
 
 impl std::fmt::Display for Schedule {
@@ -597,37 +479,9 @@ mod tests {
         assert_eq!(s.length(), 0);
         assert!(s.is_empty());
         assert_eq!(s.spatial_reuse(), 0.0);
-        assert!(s.participating_nodes().is_empty());
         assert_eq!(s.pattern_count(), 0);
         assert_eq!(s.channels_used(), 0);
-    }
-
-    #[test]
-    fn push_slot_and_assign_agree() {
-        let mut a = Schedule::new();
-        a.push_slot(vec![link(1, 0), link(3, 2)]);
-        a.push_slot(vec![link(5, 4)]);
-
-        let mut b = Schedule::new();
-        b.assign(0, link(3, 2));
-        b.assign(0, link(1, 0));
-        b.assign(1, link(5, 4));
-
-        assert_eq!(a, b);
-        assert_eq!(a.length(), 2);
-    }
-
-    #[test]
-    fn assign_extends_schedule_and_ignores_duplicates() {
-        let mut s = Schedule::new();
-        s.assign(3, link(1, 0));
-        assert_eq!(s.length(), 4);
-        assert!(s.slot(0).is_empty());
-        s.assign(3, link(1, 0));
-        assert_eq!(s.slot(3).len(), 1);
-        assert!(s.contains(3, link(1, 0)));
-        assert!(!s.contains(0, link(1, 0)));
-        assert!(!s.contains(99, link(1, 0)));
+        assert_eq!(s.slot(0), None);
     }
 
     #[test]
@@ -648,8 +502,11 @@ mod tests {
         assert_eq!(s.pattern_count(), 2);
         assert_eq!(s.allocated_to(link(3, 2)), 1_000_000);
         assert_eq!(s.total_transmissions(), 1_001_000);
-        assert_eq!(s.slot(999).links(), &[link(1, 0)]);
-        assert_eq!(s.slot(1000).links(), &[link(3, 2)]);
+        assert_eq!(s.slot(999).unwrap().links(), &[link(1, 0)]);
+        assert_eq!(s.slot(1000).unwrap().links(), &[link(3, 2)]);
+        // One past the end is `None`, not a panic.
+        assert!(s.slot(s.length() - 1).is_some());
+        assert_eq!(s.slot(s.length()), None);
     }
 
     #[test]
@@ -681,26 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn assign_splits_and_remerges_runs() {
-        // A run of 5 identical slots; assigning into the middle splits it.
-        let mut s = Schedule::from_runs(vec![(vec![link(1, 0)], 5)]);
-        s.assign(2, link(3, 2));
-        assert_eq!(s.length(), 5);
-        assert_eq!(s.pattern_count(), 3);
-        assert_eq!(s.slot(1).links(), &[link(1, 0)]);
-        assert_eq!(s.slot(2).links(), &[link(1, 0), link(3, 2)]);
-        assert_eq!(s.slot(3).links(), &[link(1, 0)]);
-        // Filling the rest re-merges into a single run.
-        for t in [0, 1, 3, 4] {
-            s.assign(t, link(3, 2));
-        }
-        assert_eq!(s.pattern_count(), 1);
-        assert_eq!(s.allocated_to(link(3, 2)), 5);
-        // The round-trip through the expanded form is exact.
-        assert_eq!(Schedule::from_slots(s.expand()), s);
-    }
-
-    #[test]
     fn allocation_counts_track_per_link_slots() {
         let mut s = Schedule::new();
         s.push_slot(vec![link(1, 0), link(3, 2)]);
@@ -721,35 +558,6 @@ mod tests {
         s.push_slot(vec![link(1, 0), link(3, 2)]);
         s.push_slot(vec![link(5, 4)]);
         assert!((s.spatial_reuse() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trim_empty_slots_removes_only_trailing_empties() {
-        let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0)]);
-        s.push_slot(vec![]);
-        s.push_slot(vec![link(3, 2)]);
-        s.push_slot(vec![]);
-        s.push_slot(vec![]);
-        s.trim_empty_slots();
-        assert_eq!(s.length(), 3);
-        assert!(s.slot(1).is_empty());
-    }
-
-    #[test]
-    fn participating_nodes_are_sorted_and_unique() {
-        let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0), link(3, 2)]);
-        s.push_slot(vec![link(1, 0)]);
-        assert_eq!(
-            s.participating_nodes(),
-            vec![
-                NodeId::new(0),
-                NodeId::new(1),
-                NodeId::new(2),
-                NodeId::new(3)
-            ]
-        );
     }
 
     #[test]
@@ -845,32 +653,9 @@ mod tests {
         assert_eq!(s.channels_used(), 2);
         assert_eq!(s.allocated_to(link(3, 2)), 1_000 + 500);
         assert_eq!(s.total_transmissions(), 2 * 1_500 + 2);
-        assert!(s.contains_on(0, ch(1), link(3, 2)));
-        assert!(!s.contains_on(1_501, ch(1), link(3, 2)));
-        assert!(s.contains(0, link(3, 2)));
+        assert_eq!(s.slot(0), Some(&p0));
+        assert!(!s.slot(1_501).unwrap().contains(ch(1), link(3, 2)));
         let rebuilt = Schedule::from_pattern_runs(s.runs().map(|(p, c)| (p.clone(), c)));
         assert_eq!(rebuilt, s);
-    }
-
-    #[test]
-    fn assign_on_splits_runs_per_channel_entry() {
-        let mut s = Schedule::from_runs(vec![(vec![link(1, 0)], 4)]);
-        s.assign_on(1, ch(1), link(3, 2));
-        assert_eq!(s.length(), 4);
-        assert_eq!(s.pattern_count(), 3);
-        assert_eq!(
-            s.slot(1),
-            &SlotPattern::from_entries(vec![(ch(0), link(1, 0)), (ch(1), link(3, 2))])
-        );
-        assert_eq!(s.slot(2).links(), &[link(1, 0)]);
-        // Re-assigning the exact entry is a no-op; assigning it on the other
-        // slots re-merges everything into one run.
-        s.assign_on(1, ch(1), link(3, 2));
-        assert_eq!(s.pattern_count(), 3);
-        for t in [0, 2, 3] {
-            s.assign_on(t, ch(1), link(3, 2));
-        }
-        assert_eq!(s.pattern_count(), 1);
-        assert_eq!(s.channels_used(), 2);
     }
 }

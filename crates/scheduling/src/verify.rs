@@ -170,8 +170,9 @@ pub fn verify_schedule<M: SlotFeasibility>(
     // Every slot must be feasible.
     verify_slots_feasible(model, schedule)?;
     // Every demanded link must get exactly its demand.
+    let counts = schedule.allocation_counts();
     for (link, required) in demands.demanded_links() {
-        let allocated = schedule.allocated_to(link);
+        let allocated = counts.get(&link).copied().unwrap_or(0);
         if allocated != required {
             return Err(ScheduleViolation::DemandMismatch {
                 link,

@@ -118,6 +118,8 @@ pub struct LinkDemands {
     /// `aggregated[v]` is the demand on the edge owned by node `v`
     /// (0 for gateways).
     aggregated: Vec<u64>,
+    /// The scheduled links, sorted (both constructors ascend by owner):
+    /// `demand_of_link` binary-searches it.
     links: Vec<Link>,
 }
 
@@ -250,8 +252,9 @@ impl LinkDemands {
     /// Aggregated demand on `link`, if `link` is one of the scheduled links.
     pub fn demand_of_link(&self, link: Link) -> Option<u64> {
         self.links
-            .contains(&link)
-            .then(|| self.aggregated[link.head.index()])
+            .binary_search(&link)
+            .ok()
+            .map(|_| self.aggregated[link.head.index()])
     }
 
     /// The links to be scheduled, ordered by owner id.
@@ -477,5 +480,40 @@ mod tests {
         let ld = LinkDemands::from_links(3, &[(l1, 0), (l2, 3)]).unwrap();
         assert_eq!(ld.links().len(), 1);
         assert_eq!(ld.demanded_links().count(), 1);
+    }
+
+    #[test]
+    fn demand_of_link_agrees_with_a_linear_scan() {
+        // `demand_of_link` binary-searches `links`; both constructors must
+        // leave it sorted for that to equal the plain membership test.
+        fn check(ld: &LinkDemands) {
+            assert!(ld.links().windows(2).all(|w| w[0] <= w[1]), "sorted");
+            let n = ld.node_count() as u32;
+            for (h, t) in (0..n).flat_map(|h| (0..n).map(move |t| (h, t))) {
+                let link = Link::new(NodeId::new(h), NodeId::new(t));
+                let linear = ld.links().contains(&link).then(|| ld.demand_of(link.head));
+                assert_eq!(ld.demand_of_link(link), linear, "{link}");
+            }
+        }
+
+        // A forest whose two deepest nodes demand nothing: their tree edges
+        // stay scheduled links with demand 0.
+        let demands = DemandVector::from_vec(vec![0, 2, 1, 0, 0]);
+        let agg = LinkDemands::aggregate(&line_forest(5), &demands).unwrap();
+        let leaf_edge = Link::new(NodeId::new(4), NodeId::new(3));
+        assert_eq!(agg.demand_of_link(leaf_edge), Some(0));
+        // Same head as the tree edge 2 -> 1, different tail: not a link.
+        assert_eq!(
+            agg.demand_of_link(Link::new(NodeId::new(2), NodeId::new(0))),
+            None
+        );
+        check(&agg);
+
+        // Unsorted input with a shared head (1 -> 2 and 1 -> 0).
+        let l = |h, t| Link::new(NodeId::new(h), NodeId::new(t));
+        let raw = [(l(5, 4), 1), (l(1, 2), 3), (l(3, 0), 4), (l(1, 0), 2)];
+        let unchecked = LinkDemands::from_links_unchecked(6, &raw).unwrap();
+        assert_eq!(unchecked.demand_of_link(l(1, 3)), None);
+        check(&unchecked);
     }
 }

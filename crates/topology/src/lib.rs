@@ -44,7 +44,7 @@ pub use error::TopologyError;
 pub use geometry::{Point2, Rect};
 pub use graph::{Graph, GraphKind, UnitDiskGraphBuilder};
 pub use node::{NodeId, NodeInfo};
-pub use routing::{FlatLinks, Link, RoutingForest};
+pub use routing::{Link, RoutingForest};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
@@ -57,5 +57,5 @@ pub mod prelude {
     pub use crate::geometry::{Point2, Rect};
     pub use crate::graph::{Graph, GraphKind, UnitDiskGraphBuilder};
     pub use crate::node::{NodeId, NodeInfo};
-    pub use crate::routing::{FlatLinks, Link, RoutingForest};
+    pub use crate::routing::{Link, RoutingForest};
 }

@@ -60,114 +60,6 @@ impl std::fmt::Display for Link {
     }
 }
 
-/// Struct-of-arrays storage for a list of [`Link`]s: two contiguous `u32`
-/// buffers instead of a `Vec<Link>` of id pairs.
-///
-/// At million-link scale the array-of-structs layout wastes cache lines when
-/// an algorithm touches only one endpoint per link (the spatial ledger scans
-/// heads and tails separately), and per-entity maps keyed by `Link` cost a
-/// hash per probe. `FlatLinks` keeps heads and tails in separate flat
-/// buffers; index `i` in both buffers describes the same link, so the index
-/// doubles as a stable dense link id for side tables (`Vec<f64>` gain or
-/// demand caches indexed by link id, no maps).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlatLinks {
-    heads: Vec<u32>,
-    tails: Vec<u32>,
-}
-
-impl FlatLinks {
-    /// Creates empty storage.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates empty storage with room for `capacity` links.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            heads: Vec::with_capacity(capacity),
-            tails: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Builds flat storage from a slice of links, preserving order.
-    pub fn from_links(links: &[Link]) -> Self {
-        Self {
-            heads: links.iter().map(|l| l.head.0).collect(),
-            tails: links.iter().map(|l| l.tail.0).collect(),
-        }
-    }
-
-    /// Appends a link, returning its dense index.
-    pub fn push(&mut self, link: Link) -> usize {
-        let index = self.heads.len();
-        self.heads.push(link.head.0);
-        self.tails.push(link.tail.0);
-        index
-    }
-
-    /// The link at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn get(&self, index: usize) -> Link {
-        Link::new(
-            NodeId::new(self.heads[index]),
-            NodeId::new(self.tails[index]),
-        )
-    }
-
-    /// Number of links stored.
-    pub fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// Whether no links are stored.
-    pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
-    }
-
-    /// The head (transmitter) ids, one per link, in insertion order.
-    pub fn heads(&self) -> &[u32] {
-        &self.heads
-    }
-
-    /// The tail (receiver) ids, one per link, in insertion order.
-    pub fn tails(&self) -> &[u32] {
-        &self.tails
-    }
-
-    /// Iterates the stored links in insertion order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Link> + '_ {
-        self.heads
-            .iter()
-            .zip(&self.tails)
-            .map(|(&h, &t)| Link::new(NodeId::new(h), NodeId::new(t)))
-    }
-
-    /// Materializes the storage back into a `Vec<Link>`.
-    pub fn to_links(&self) -> Vec<Link> {
-        self.iter().collect()
-    }
-
-    /// Empties the storage without releasing its buffers.
-    pub fn clear(&mut self) {
-        self.heads.clear();
-        self.tails.clear();
-    }
-}
-
-impl FromIterator<Link> for FlatLinks {
-    fn from_iter<I: IntoIterator<Item = Link>>(iter: I) -> Self {
-        let mut flat = Self::new();
-        for link in iter {
-            flat.push(link);
-        }
-        flat
-    }
-}
-
 /// A forest of reverse trees rooted at the gateway nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoutingForest {
@@ -635,36 +527,5 @@ mod tests {
         }
         let f = RoutingForest::shortest_path(&g, &[NodeId::new(0)], 0).unwrap();
         assert_eq!(f.max_depth(), 4);
-    }
-
-    #[test]
-    fn flat_links_round_trip_and_preserve_order() {
-        let links: Vec<Link> = [(3u32, 0u32), (1, 0), (7, 4), (2, 5)]
-            .iter()
-            .map(|&(h, t)| Link::new(NodeId::new(h), NodeId::new(t)))
-            .collect();
-        let flat = FlatLinks::from_links(&links);
-        assert_eq!(flat.len(), links.len());
-        assert!(!flat.is_empty());
-        assert_eq!(flat.heads(), &[3, 1, 7, 2]);
-        assert_eq!(flat.tails(), &[0, 0, 4, 5]);
-        assert_eq!(flat.to_links(), links);
-        for (i, &link) in links.iter().enumerate() {
-            assert_eq!(flat.get(i), link);
-        }
-        let collected: FlatLinks = links.iter().copied().collect();
-        assert_eq!(collected, flat);
-    }
-
-    #[test]
-    fn flat_links_push_and_clear_reuse_buffers() {
-        let mut flat = FlatLinks::with_capacity(8);
-        assert!(flat.is_empty());
-        assert_eq!(flat.push(Link::new(NodeId::new(1), NodeId::new(0))), 0);
-        assert_eq!(flat.push(Link::new(NodeId::new(2), NodeId::new(3))), 1);
-        assert_eq!(flat.iter().len(), 2);
-        flat.clear();
-        assert!(flat.is_empty());
-        assert_eq!(flat, FlatLinks::new());
     }
 }

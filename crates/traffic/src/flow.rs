@@ -213,9 +213,11 @@ impl Flow {
         }
     }
 
-    /// The destination node (the tail of the last route link).
+    /// The destination node: the tail of the last route link, or the source
+    /// itself for a literal with an empty route (the fields are public, so
+    /// [`new`](Self::new)'s validation can be bypassed).
     pub fn destination(&self) -> NodeId {
-        self.route.last().expect("routes are non-empty").tail
+        self.route.last().map_or(self.source, |link| link.tail)
     }
 
     /// Number of hops.
@@ -411,6 +413,10 @@ mod tests {
         );
         assert_eq!(f.destination(), NodeId::new(0));
         assert_eq!(f.hop_count(), 2);
+        // A literal can skip `new`'s validation; its queries stay total.
+        let empty = Flow { route: vec![], ..f };
+        assert_eq!(empty.destination(), NodeId::new(3));
+        assert_eq!(empty.hop_count(), 0);
     }
 
     #[test]

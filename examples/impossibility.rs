@@ -13,7 +13,7 @@ use scream::protocols::impossibility::{CounterExample, LocalizedGreedy};
 
 fn main() {
     for k in [1usize, 2, 4] {
-        let ce = CounterExample::for_locality(k);
+        let ce = CounterExample::for_locality(k).expect("k is at least one hop");
         let env = ce.environment();
         let graph = env.communication_graph();
         let separation = ce.link_separation_hops(&graph);

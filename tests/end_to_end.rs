@@ -228,7 +228,7 @@ fn mote_experiment_supports_the_scream_size_used_by_the_protocols() {
 #[test]
 fn localized_scheduling_fails_where_global_scheduling_succeeds() {
     use scream::protocols::impossibility::{CounterExample, LocalizedGreedy};
-    let ce = CounterExample::for_locality(3);
+    let ce = CounterExample::for_locality(3).unwrap();
     let env = ce.environment();
     let graph = env.communication_graph();
     let localized = LocalizedGreedy::new(3);

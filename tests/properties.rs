@@ -416,8 +416,9 @@ proptest! {
         prop_assert_eq!(&Schedule::from_slots(expanded.clone()), &schedule);
         // Per-slot accessors agree with the expansion.
         for (t, slot) in expanded.iter().enumerate().take(20) {
-            prop_assert_eq!(schedule.slot(t).links(), slot.as_slice());
+            prop_assert_eq!(schedule.slot(t).map(|p| p.links()), Some(slot.as_slice()));
         }
+        prop_assert_eq!(schedule.slot(schedule.length()), None);
         // The run-aware verifier agrees with a naive per-slot check.
         let naive_feasible = expanded
             .iter()
