@@ -104,12 +104,6 @@ impl PaperScenario {
         self
     }
 
-    /// Overrides the mean transmit power in dBm.
-    pub fn with_tx_power_dbm(mut self, dbm: f64) -> Self {
-        self.tx_power_dbm = dbm;
-        self
-    }
-
     /// Overrides the SINR threshold β in dB.
     pub fn with_sinr_threshold_db(mut self, beta_db: f64) -> Self {
         self.sinr_threshold_db = beta_db;
@@ -278,7 +272,6 @@ pub struct LargeScaleScenario {
 impl LargeScaleScenario {
     /// The family at its default geometry with the given link count.
     pub fn with_target_links(target_links: usize) -> Self {
-        assert!(target_links > 0, "the scenario needs at least one link");
         Self {
             target_links,
             step_m: 250.0,
@@ -289,18 +282,30 @@ impl LargeScaleScenario {
 
     /// Grid dimensions `(columns, rows)` for the target link count: columns
     /// is the smallest even number making the grid roughly square, rows the
-    /// smallest count fitting `target_links` disjoint column pairs.
+    /// smallest count fitting `target_links` disjoint column pairs (no rows
+    /// at all for a target of zero).
     pub fn grid_dimensions(&self) -> (usize, usize) {
-        let columns = ((2.0 * self.target_links as f64).sqrt().ceil() as usize).next_multiple_of(2);
+        let columns = ((2.0 * self.target_links as f64).sqrt().ceil() as usize)
+            .next_multiple_of(2)
+            .max(2);
         let rows = self.target_links.div_ceil(columns / 2);
         (columns, rows)
     }
 
     /// Builds the instance: a streamed-gain environment plus unit demand on
     /// each of exactly `target_links` disjoint horizontal links.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Usage`] for a target of zero links.
     pub fn instantiate(&self) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
         use scream_topology::{Link, NodeId};
 
+        if self.target_links == 0 {
+            return Err(BenchError::Usage(
+                "a large-scale instance needs at least one link".into(),
+            ));
+        }
         let (columns, rows) = self.grid_dimensions();
         let deployment = GridDeployment::new(columns, rows, self.step_m)
             .tx_power_dbm(self.tx_power_dbm)
@@ -585,6 +590,16 @@ mod tests {
             "kilometer-scale reuse should pack many links per slot, got {}",
             schedule.spatial_reuse()
         );
+    }
+
+    #[test]
+    fn a_large_scale_target_of_zero_links_is_an_error_not_a_panic() {
+        let empty = LargeScaleScenario::with_target_links(0);
+        assert_eq!(empty.grid_dimensions(), (2, 0));
+        assert!(matches!(empty.instantiate(), Err(BenchError::Usage(_))));
+        let one = LargeScaleScenario::with_target_links(1);
+        assert_eq!(one.grid_dimensions(), (2, 1));
+        assert_eq!(one.instantiate().unwrap().1.total_demand(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use scream_topology::{Deployment, Graph, GraphKind, Link, NodeId, Point2};
 use crate::error::NetsimError;
 use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
 use crate::radio::{db_to_linear, mw_to_dbm, RadioConfig};
-use crate::spatial::SpatialGrid;
+use crate::spatial::{bounding_box_m, SpatialGrid};
 
 /// Immutable physical-layer state of a deployed mesh: per-pair channel
 /// gains (dense or streamed), per-node transmit powers and the radio
@@ -49,6 +49,10 @@ pub struct RadioEnvironment {
     ys: Vec<f64>,
     /// Maximum per-node transmit power, in milliwatts (0 with no nodes).
     max_tx_power_mw: f64,
+    /// Bounding box `[min_x, max_x, min_y, max_y]` of the node positions, in
+    /// meters (`min` = +∞ and `max` = −∞ with no nodes), computed once so
+    /// that opening a pruned slot ledger does not re-scan every position.
+    pub(crate) bounding_box_m: [f64; 4],
     /// Maximum shadowing *gain boost* baked into `gains`, in dB: the
     /// magnitude of the most negative shadowing sample (0 when shadowing is
     /// disabled or streamed). Folded into conservative far-field and range
@@ -109,11 +113,6 @@ impl RadioEnvironment {
     /// matrix itself is channel-independent.
     pub fn channel_count(&self) -> usize {
         self.config.channel_count.max(1)
-    }
-
-    /// The deterministic propagation model in force.
-    pub fn propagation(&self) -> &PropagationModel {
-        &self.propagation
     }
 
     /// The shadowing standard deviation the gains were generated with, in dB.
@@ -264,11 +263,6 @@ impl RadioEnvironment {
         self.tx_power_mw[tx.index()] * self.gain(tx, rx)
     }
 
-    /// Received power at `rx` from `tx`, in dBm.
-    pub fn received_power_dbm(&self, tx: NodeId, rx: NodeId) -> f64 {
-        mw_to_dbm(self.received_power_mw(tx, rx))
-    }
-
     /// SINR (linear) at `rx` for a transmission from `tx`, with the given
     /// concurrent interfering transmitters. Interferers equal to `tx` or `rx`
     /// are ignored (a node does not interfere with its own reception).
@@ -282,11 +276,6 @@ impl RadioEnvironment {
             interference += self.received_power_mw(i, rx);
         }
         signal / (self.config.noise_floor_mw() + interference)
-    }
-
-    /// SINR in dB; see [`sinr_linear`](Self::sinr_linear).
-    pub fn sinr_db(&self, tx: NodeId, rx: NodeId, interferers: &[NodeId]) -> f64 {
-        10.0 * self.sinr_linear(tx, rx, interferers).log10()
     }
 
     /// Whether a transmission from `tx` is decodable at `rx` against the
@@ -536,21 +525,6 @@ impl RadioEnvironment {
     pub fn interference_diameter(&self) -> usize {
         self.sensitivity_graph().interference_diameter()
     }
-
-    /// Approximate communication range in meters for a node transmitting at
-    /// `tx_power_dbm`, ignoring shadowing: the distance at which the
-    /// interference-free SNR falls to the threshold β.
-    pub fn nominal_communication_range_m(&self, tx_power_dbm: f64) -> f64 {
-        let max_loss = tx_power_dbm - self.config.noise_floor_dbm - self.config.sinr_threshold_db;
-        self.propagation.distance_for_loss_db(max_loss)
-    }
-
-    /// Approximate carrier-sense range in meters for a node transmitting at
-    /// `tx_power_dbm`, ignoring shadowing.
-    pub fn nominal_carrier_sense_range_m(&self, tx_power_dbm: f64) -> f64 {
-        let max_loss = tx_power_dbm - self.config.carrier_sense_threshold_dbm;
-        self.propagation.distance_for_loss_db(max_loss)
-    }
 }
 
 /// Builder for [`RadioEnvironment`].
@@ -651,6 +625,7 @@ impl RadioEnvironmentBuilder {
             .map(|node| node.tx_power_mw())
             .collect();
         let max_tx_power_mw = tx_power_mw.iter().fold(0.0f64, |m, &p| m.max(p));
+        let bounding_box_m = bounding_box_m(&xs, &ys);
         RadioEnvironment {
             node_count: n,
             gains,
@@ -658,6 +633,7 @@ impl RadioEnvironmentBuilder {
             xs,
             ys,
             max_tx_power_mw,
+            bounding_box_m,
             max_shadow_db,
             gain_profile: self.propagation.gain_profile(),
             config: self.config,
@@ -910,19 +886,6 @@ mod tests {
         let id_dense = env(&dense).interference_diameter();
         assert!(id_dense <= id_sparse);
         assert!(id_sparse < usize::MAX);
-    }
-
-    #[test]
-    fn nominal_ranges_match_hand_computation() {
-        let d = line_deployment(100.0, 2);
-        let e = env(&d);
-        // comm range: loss budget 20-(-100)-10 = 110 dB; 40 + 30 log10(r) = 110
-        // => r = 10^(70/30) ~ 215.44 m
-        let r = e.nominal_communication_range_m(20.0);
-        assert!((r - 10f64.powf(70.0 / 30.0)).abs() < 1e-6);
-        // CS range: loss budget 20-(-91) = 111 dB => r = 10^(71/30) ~ 232 m
-        let rcs = e.nominal_carrier_sense_range_m(20.0);
-        assert!(rcs > r);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!
 //! A `SlotLedger` is one channel. What the schedulers, the verifier and the
 //! distributed runtime hold is a [`ChannelSlotLedger`]: one `SlotLedger` per
-//! orthogonal channel plus a node-occupancy table for the one-radio-per-node
-//! rule, with the slot-claim check
+//! orthogonal channel — their occupancy bits together are the
+//! one-radio-per-node rule — with the slot-claim check
 //! ([`probe_claims`](ChannelSlotLedger::probe_claims)) on top. The paper's
 //! single shared channel is that type with one channel — the cross-channel
 //! rule is vacuous and every decision is the plain ledger's, as the
@@ -183,8 +183,9 @@ struct Victim {
 ///
 /// See the [module docs](self) for the representation; in short, the ledger
 /// holds, per assigned link, its two signal powers and the running sums of
-/// interference at its two receivers, plus an endpoint-occupancy table for
-/// O(1) half-duplex checks.
+/// interference at its two receivers, plus one occupancy bit per node for
+/// O(1) half-duplex checks — state that grows with the slot's links, not
+/// with the network, apart from those ⌈n/64⌉ words.
 #[derive(Debug, Clone)]
 pub struct SlotLedger<'a> {
     env: &'a RadioEnvironment,
@@ -205,8 +206,9 @@ pub struct SlotLedger<'a> {
     /// Cumulative interference at each link's head from the other links'
     /// tails (ACK sub-slot denominator minus noise), mW.
     ack_interference: Vec<f64>,
-    /// How many assigned links touch each node (half-duplex occupancy).
-    endpoint_uses: Vec<u32>,
+    /// One bit per node, set while an assigned link touches it (half-duplex
+    /// occupancy), in ⌈n/64⌉ words.
+    occupied: Vec<u64>,
     /// Whether every pair of assigned links is endpoint-disjoint and no
     /// assigned link is a self-link.
     disjoint: bool,
@@ -244,6 +246,12 @@ struct Pruning {
     /// cached SINR ratio `signal / (noise + interference)`; `+∞` when empty.
     /// Maintained by [`SlotLedger::assign`]/[`SlotLedger::clear`].
     min_sinr: f64,
+}
+
+/// Word index and mask of `node`'s bit in [`SlotLedger::occupied`].
+#[inline]
+fn occupancy_bit(node: NodeId) -> (usize, u64) {
+    (node.index() / 64, 1 << (node.index() % 64))
 }
 
 /// Interference contribution of `interferer` transmitting towards `link`'s
@@ -305,25 +313,16 @@ impl<'a> SlotLedger<'a> {
             let far = env.far_field();
             // A non-positive cutoff means nothing transmits; pruning would
             // only add overhead (and a degenerate grid).
+            let [min_x, max_x, min_y, max_y] = env.bounding_box_m;
             (far.cutoff_m > 0.0
                 && (mode == PruningMode::Forced || {
-                    let (xs, ys) = env.positions();
-                    let span = |vs: &[f64]| {
-                        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                        for &v in vs {
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                        }
-                        (hi - lo).max(0.0)
-                    };
-                    let (dx, dy) = (span(xs), span(ys));
+                    let (dx, dy) = ((max_x - min_x).max(0.0), (max_y - min_y).max(0.0));
                     dx * dx + dy * dy > far.cutoff_sq_m2
                 }))
             .then(|| {
-                let (xs, ys) = env.positions();
                 // Half-cutoff cells keep the disc scan to a few rings while
                 // giving the ring-order early exit useful granularity.
-                let geometry = GridGeometry::covering(xs, ys, far.cutoff_m / 2.0);
+                let geometry = GridGeometry::covering_box(env.bounding_box_m, far.cutoff_m / 2.0);
                 Pruning {
                     far,
                     buckets: EndpointBuckets::new(geometry),
@@ -341,7 +340,7 @@ impl<'a> SlotLedger<'a> {
             ack_signal: Vec::new(),
             data_interference: Vec::new(),
             ack_interference: Vec::new(),
-            endpoint_uses: vec![0; env.node_count()],
+            occupied: vec![0; env.node_count().div_ceil(64)],
             disjoint: true,
             pruning,
             binding: [None; 2],
@@ -354,20 +353,6 @@ impl<'a> SlotLedger<'a> {
         self.pruning.is_some()
     }
 
-    /// Opens an empty ledger with all per-link buffers pre-sized for `slots`
-    /// of up to `capacity` links — the allocation-free lifecycle entry point
-    /// for callers that [`clear`](Self::clear) and refill one ledger many
-    /// times (the verifier across slots, the runtime across rounds).
-    pub fn with_capacity(env: &'a RadioEnvironment, capacity: usize) -> Self {
-        let mut ledger = Self::new(env);
-        ledger.links.reserve(capacity);
-        ledger.data_signal.reserve(capacity);
-        ledger.ack_signal.reserve(capacity);
-        ledger.data_interference.reserve(capacity);
-        ledger.ack_interference.reserve(capacity);
-        ledger
-    }
-
     /// Builds a ledger containing `links`, assigned in the given order.
     pub fn with_links(env: &'a RadioEnvironment, links: &[Link]) -> Self {
         let mut ledger = Self::new(env);
@@ -378,13 +363,14 @@ impl<'a> SlotLedger<'a> {
     }
 
     /// Empties the ledger in O(k) without releasing any buffer, so one ledger
-    /// (and its `endpoint_uses` table) can be reused across many slots. After
-    /// `clear` the ledger is indistinguishable from a freshly
-    /// [`new`](Self::new)-opened one.
+    /// can be reused across many slots (the verifier across patterns, the
+    /// runtime across rounds). After `clear` the ledger is indistinguishable
+    /// from a freshly [`new`](Self::new)-opened one.
     pub fn clear(&mut self) {
         for link in &self.links {
-            self.endpoint_uses[link.head.index()] -= 1;
-            self.endpoint_uses[link.tail.index()] -= 1;
+            for (word, bit) in [link.head, link.tail].map(occupancy_bit) {
+                self.occupied[word] &= !bit;
+            }
         }
         self.links.clear();
         self.data_signal.clear();
@@ -398,11 +384,6 @@ impl<'a> SlotLedger<'a> {
             p.buckets.clear();
             p.min_sinr = f64::INFINITY;
         }
-    }
-
-    /// The environment this ledger prices interference against.
-    pub fn environment(&self) -> &'a RadioEnvironment {
-        self.env
     }
 
     /// The links assigned so far, in assignment order.
@@ -420,27 +401,27 @@ impl<'a> SlotLedger<'a> {
         self.links.is_empty()
     }
 
-    /// Whether `link` is already assigned. Screened through the endpoint
-    /// occupancy table first: a link whose endpoints are both idle cannot be
-    /// in the slot, which turns the common negative answer into O(1) instead
-    /// of an O(k) scan (the difference between quadratic and linear run
-    /// scans in the greedy scheduler at 10⁵ links).
+    /// Whether an assigned link touches `node` (`false` for an id the
+    /// environment does not have).
+    #[inline]
+    fn busy(&self, node: NodeId) -> bool {
+        let (word, bit) = occupancy_bit(node);
+        self.occupied.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Whether `link` is already assigned. Screened through the occupancy
+    /// bits first: a link with an idle endpoint cannot be in the slot, which
+    /// turns the common negative answer into O(1) instead of an O(k) scan
+    /// (the difference between quadratic and linear run scans in the greedy
+    /// scheduler at 10⁵ links).
     pub fn contains(&self, link: Link) -> bool {
-        let used = |node: NodeId| {
-            self.endpoint_uses
-                .get(node.index())
-                .is_some_and(|&uses| uses > 0)
-        };
-        if !used(link.head) || !used(link.tail) {
-            return false;
-        }
-        self.links.contains(&link)
+        self.busy(link.head) && self.busy(link.tail) && self.links.contains(&link)
     }
 
     /// Whether neither endpoint of `link` is used by an assigned link
     /// (the half-duplex precondition for adding it).
     pub fn endpoints_free(&self, link: Link) -> bool {
-        self.endpoint_uses[link.head.index()] == 0 && self.endpoint_uses[link.tail.index()] == 0
+        !self.busy(link.head) && !self.busy(link.tail)
     }
 
     /// Whether `candidate` can join the slot: it must not be a self-link,
@@ -757,8 +738,9 @@ impl<'a> SlotLedger<'a> {
         }
         let (data_intf, ack_intf) = self.interference_on(link);
         let k = self.links.len();
-        self.endpoint_uses[link.head.index()] += 1;
-        self.endpoint_uses[link.tail.index()] += 1;
+        for (word, bit) in [link.head, link.tail].map(occupancy_bit) {
+            self.occupied[word] |= bit;
+        }
         self.links.push(link);
         self.data_signal
             .push(self.env.received_power_mw(link.head, link.tail));
@@ -818,16 +800,13 @@ impl<'a> SlotLedger<'a> {
         }
     }
 
-    /// Whether assigned link `i` currently completes both handshake
+    /// Whether every assigned link currently completes both handshake
     /// directions.
-    pub fn link_ok(&self, i: usize) -> bool {
-        self.meets_beta(self.data_signal[i], self.data_interference[i])
-            && self.meets_beta(self.ack_signal[i], self.ack_interference[i])
-    }
-
-    /// Whether every assigned link currently completes its handshake.
     pub fn all_links_ok(&self) -> bool {
-        (0..self.links.len()).all(|i| self.link_ok(i))
+        (0..self.links.len()).all(|i| {
+            self.meets_beta(self.data_signal[i], self.data_interference[i])
+                && self.meets_beta(self.ack_signal[i], self.ack_interference[i])
+        })
     }
 
     /// Whether the assigned set is a feasible slot in the sense of
@@ -977,14 +956,14 @@ pub struct ChannelLedgerProbe {
 }
 
 /// Incremental interference state of one **multi-channel** STDMA slot under
-/// construction: one [`SlotLedger`] per orthogonal channel plus a
-/// cross-channel node-occupancy table.
+/// construction: one [`SlotLedger`] per orthogonal channel.
 ///
 /// Channels are orthogonal, so interference sums (and every per-channel SINR
 /// decision) live entirely inside the per-channel ledgers; the only coupling
 /// between channels is the **cross-channel half-duplex rule**: a node has a
 /// single radio, so it may not participate in links on two different
-/// channels of the same slot. The occupancy table makes that an O(1) check.
+/// channels of the same slot. "Busy on another channel" is that channel's
+/// occupancy bit, an O(C) check with no state of its own.
 ///
 /// Like [`SlotLedger`], the set has a [`clear`](Self::clear) lifecycle so one
 /// ledger set serves every slot of a schedule (the verifier) or every round
@@ -997,8 +976,6 @@ pub struct ChannelLedgerProbe {
 #[derive(Debug, Clone)]
 pub struct ChannelSlotLedger<'a> {
     channels: Vec<SlotLedger<'a>>,
-    /// How many assigned links (across all channels) touch each node.
-    node_uses: Vec<u32>,
     /// Whether no node participates in links on two distinct channels.
     cross_channel_disjoint: bool,
 }
@@ -1010,12 +987,7 @@ impl<'a> ChannelSlotLedger<'a> {
     ///
     /// Panics if `channel_count` is zero.
     pub fn new(env: &'a RadioEnvironment, channel_count: usize) -> Self {
-        assert!(channel_count >= 1, "at least one channel is required");
-        Self {
-            channels: (0..channel_count).map(|_| SlotLedger::new(env)).collect(),
-            node_uses: vec![0; env.node_count()],
-            cross_channel_disjoint: true,
-        }
+        Self::with_pruning(env, channel_count, PruningMode::Auto)
     }
 
     /// Opens an empty ledger set whose per-channel ledgers have spatial
@@ -1025,14 +997,7 @@ impl<'a> ChannelSlotLedger<'a> {
     ///
     /// Panics if `channel_count` is zero.
     pub fn pruned(env: &'a RadioEnvironment, channel_count: usize) -> Self {
-        assert!(channel_count >= 1, "at least one channel is required");
-        Self {
-            channels: (0..channel_count)
-                .map(|_| SlotLedger::pruned(env))
-                .collect(),
-            node_uses: vec![0; env.node_count()],
-            cross_channel_disjoint: true,
-        }
+        Self::with_pruning(env, channel_count, PruningMode::Forced)
     }
 
     /// Opens an empty ledger set whose per-channel ledgers have spatial
@@ -1042,10 +1007,15 @@ impl<'a> ChannelSlotLedger<'a> {
     ///
     /// Panics if `channel_count` is zero.
     pub fn exact(env: &'a RadioEnvironment, channel_count: usize) -> Self {
+        Self::with_pruning(env, channel_count, PruningMode::Off)
+    }
+
+    fn with_pruning(env: &'a RadioEnvironment, channel_count: usize, mode: PruningMode) -> Self {
         assert!(channel_count >= 1, "at least one channel is required");
         Self {
-            channels: (0..channel_count).map(|_| SlotLedger::exact(env)).collect(),
-            node_uses: vec![0; env.node_count()],
+            channels: (0..channel_count)
+                .map(|_| SlotLedger::with_pruning(env, mode))
+                .collect(),
             cross_channel_disjoint: true,
         }
     }
@@ -1064,16 +1034,10 @@ impl<'a> ChannelSlotLedger<'a> {
         &self.channels[channel.index()]
     }
 
-    /// Empties every channel and the occupancy table in O(k) without
-    /// releasing any buffer, mirroring [`SlotLedger::clear`].
+    /// Empties every channel in O(k) without releasing any buffer,
+    /// mirroring [`SlotLedger::clear`].
     pub fn clear(&mut self) {
-        for ledger in &mut self.channels {
-            for link in &ledger.links {
-                self.node_uses[link.head.index()] -= 1;
-                self.node_uses[link.tail.index()] -= 1;
-            }
-            ledger.clear();
-        }
+        self.channels.iter_mut().for_each(SlotLedger::clear);
         self.cross_channel_disjoint = true;
     }
 
@@ -1087,18 +1051,9 @@ impl<'a> ChannelSlotLedger<'a> {
         self.channels.iter().all(SlotLedger::is_empty)
     }
 
-    /// Whether `link` is assigned on any channel. O(1) for the common
-    /// negative answer, via the same endpoint-occupancy screen as
-    /// [`SlotLedger::contains`].
+    /// Whether `link` is assigned on any channel. O(C) for the common
+    /// negative answer, via each channel's [`SlotLedger::contains`] screen.
     pub fn contains_link(&self, link: Link) -> bool {
-        let used = |node: NodeId| {
-            self.node_uses
-                .get(node.index())
-                .is_some_and(|&uses| uses > 0)
-        };
-        if !used(link.head) || !used(link.tail) {
-            return false;
-        }
         self.channels.iter().any(|l| l.contains(link))
     }
 
@@ -1106,7 +1061,16 @@ impl<'a> ChannelSlotLedger<'a> {
     /// **any** channel — the half-duplex precondition for joining the slot on
     /// whichever channel.
     pub fn endpoints_free(&self, link: Link) -> bool {
-        self.node_uses[link.head.index()] == 0 && self.node_uses[link.tail.index()] == 0
+        self.channels.iter().all(|l| l.endpoints_free(link))
+    }
+
+    /// Whether an endpoint of `link` is busy on a channel other than
+    /// `channel` (one radio per node).
+    fn busy_elsewhere(&self, channel: ChannelId, link: Link) -> bool {
+        self.channels
+            .iter()
+            .enumerate()
+            .any(|(c, l)| c != channel.index() && !l.endpoints_free(link))
     }
 
     /// Whether `candidate` can join the slot on `channel`: its endpoints must
@@ -1114,28 +1078,21 @@ impl<'a> ChannelSlotLedger<'a> {
     /// pass the per-channel [`SlotLedger::can_add`] check (half-duplex within
     /// the channel plus both SINR handshake directions).
     pub fn can_add(&self, channel: ChannelId, candidate: Link) -> bool {
-        let ledger = &self.channels[channel.index()];
-        for node in [candidate.head, candidate.tail] {
-            if self.node_uses[node.index()] > ledger.endpoint_uses[node.index()] {
-                scream_obs::counter_add("ledger.channel.reject_radio", 1);
-                return false;
-            }
+        if self.busy_elsewhere(channel, candidate) {
+            scream_obs::counter_add("ledger.channel.reject_radio", 1);
+            return false;
         }
-        ledger.can_add(candidate)
+        self.channels[channel.index()].can_add(candidate)
     }
 
     /// Adds `link` to the slot on `channel`, unconditionally (mirroring
     /// [`SlotLedger::assign`]): force-assigned cross-channel conflicts are
     /// tracked and surfaced through [`slot_feasible`](Self::slot_feasible).
     pub fn assign(&mut self, channel: ChannelId, link: Link) {
-        let ledger = &mut self.channels[channel.index()];
-        for node in [link.head, link.tail] {
-            if self.node_uses[node.index()] > ledger.endpoint_uses[node.index()] {
-                self.cross_channel_disjoint = false;
-            }
-            self.node_uses[node.index()] += 1;
+        if self.busy_elsewhere(channel, link) {
+            self.cross_channel_disjoint = false;
         }
-        ledger.assign(link);
+        self.channels[channel.index()].assign(link);
     }
 
     /// The links assigned to `channel`, in assignment order.
@@ -1442,7 +1399,7 @@ mod tests {
     #[test]
     fn cleared_ledger_behaves_like_a_fresh_one() {
         let env = line_env(8, 200.0);
-        let mut reused = SlotLedger::with_capacity(&env, 4);
+        let mut reused = SlotLedger::new(&env);
         // Fill with a slot (including a force-assigned endpoint conflict),
         // clear, then replay a different slot; every observable must match a
         // fresh ledger's.
@@ -1968,6 +1925,77 @@ mod tests {
                     full.existing_ok.then_some(full.tentative_ok),
                     "seed {seed}: {tentative:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_answers_match_a_scan_of_the_assigned_links() {
+        // Nothing here reads the occupancy bits: every expected answer is a
+        // `shares_endpoint` scan over what the test itself assigned.
+        for (seed, channel_count) in (0..24u64).flat_map(|seed| [(seed, 1usize), (seed, 3)]) {
+            let env = seeded_world(seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0cc0);
+            let mut set = ChannelSlotLedger::new(&env, channel_count);
+            let mut assigned: Vec<Vec<Link>> = vec![Vec::new(); channel_count];
+            let n = env.node_count() as u32;
+            for step in 0..120 {
+                if step % 40 == 39 {
+                    // Clear, then re-fill through the same buffers.
+                    set.clear();
+                    assigned.iter_mut().for_each(Vec::clear);
+                }
+                let taken = assigned.concat();
+                let candidate = match (rng.gen_range(0..6u32), taken.choose(&mut rng)) {
+                    (0, _) => link(step % n, step % n),
+                    // Forced endpoint sharing, on this channel or another.
+                    (1, Some(t)) => link(t.tail.index() as u32, rng.gen_range(0..n)),
+                    (2, Some(t)) => link(rng.gen_range(0..n), t.head.index() as u32),
+                    _ => draw_link(&env, &mut rng),
+                };
+                let channel = rng.gen_range(0..channel_count);
+                set.assign(ChannelId::new(channel as u16), candidate);
+                assigned[channel].push(candidate);
+
+                let taken = assigned.concat();
+                let disjoint = taken.iter().enumerate().all(|(i, a)| {
+                    a.head != a.tail && taken[i + 1..].iter().all(|b| !a.shares_endpoint(b))
+                });
+                let sinr_ok = set.channels.iter().all(SlotLedger::all_links_ok);
+                assert_eq!(set.slot_feasible(), disjoint && sinr_ok, "seed {seed}");
+
+                let (mut radio_rejects, mut endpoint_rejects) = (0, 0);
+                scream_obs::install_with_capacity(0);
+                for i in 0..30 {
+                    let probe = match i % 3 {
+                        0 => taken[rng.gen_range(0..taken.len())],
+                        1 => taken[rng.gen_range(0..taken.len())].reversed(),
+                        _ => draw_link(&env, &mut rng),
+                    };
+                    let c = rng.gen_range(0..channel_count);
+                    let busy: Vec<bool> = assigned
+                        .iter()
+                        .map(|links| links.iter().any(|l| l.shares_endpoint(&probe)))
+                        .collect();
+                    assert_eq!(
+                        set.channels[c].contains(probe),
+                        assigned[c].contains(&probe)
+                    );
+                    assert_eq!(set.channels[c].endpoints_free(probe), !busy[c]);
+                    assert_eq!(set.contains_link(probe), taken.contains(&probe));
+                    assert_eq!(set.endpoints_free(probe), !busy.contains(&true), "{probe}");
+                    let elsewhere = busy.iter().enumerate().any(|(o, &b)| o != c && b);
+                    radio_rejects += u64::from(elsewhere);
+                    endpoint_rejects +=
+                        u64::from(!elsewhere && (probe.head == probe.tail || busy[c]));
+                    set.can_add(ChannelId::new(c as u16), probe);
+                }
+                let counters = scream_obs::uninstall().expect("installed above").snapshot;
+                let what = format!("seed {seed}, C = {channel_count}, step {step}");
+                let radio = counters.counter("ledger.channel.reject_radio");
+                assert_eq!(radio, radio_rejects, "{what}");
+                let endpoint = counters.counter("ledger.probe.reject_endpoint");
+                assert_eq!(endpoint, endpoint_rejects, "{what}");
             }
         }
     }

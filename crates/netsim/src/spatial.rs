@@ -128,6 +128,22 @@ impl CellRect {
     }
 }
 
+/// Bounding box `[min_x, max_x, min_y, max_y]` of the points `(xs, ys)`, in
+/// meters; `min` = +∞ and `max` = −∞ when there are none.
+pub(crate) fn bounding_box_m(xs: &[f64], ys: &[f64]) -> [f64; 4] {
+    let mut min_x = f64::INFINITY;
+    let mut max_x = f64::NEG_INFINITY;
+    let mut min_y = f64::INFINITY;
+    let mut max_y = f64::NEG_INFINITY;
+    for (&x, &y) in xs.iter().zip(ys) {
+        min_x = min_x.min(x);
+        max_x = max_x.max(x);
+        min_y = min_y.min(y);
+        max_y = max_y.max(y);
+    }
+    [min_x, max_x, min_y, max_y]
+}
+
 impl GridGeometry {
     /// Hard cap on the number of cells: if the target cell size would exceed
     /// it (vast region, small cutoff), the cell size is grown to fit. Pruning
@@ -139,16 +155,12 @@ impl GridGeometry {
     /// [`MAX_CELLS`](Self::MAX_CELLS)). Degenerate inputs (no points, zero
     /// extent, non-finite or non-positive target) collapse to a single cell.
     pub fn covering(xs: &[f64], ys: &[f64], target_cell_m: f64) -> Self {
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for (&x, &y) in xs.iter().zip(ys) {
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            min_y = min_y.min(y);
-            max_y = max_y.max(y);
-        }
+        Self::covering_box(bounding_box_m(xs, ys), target_cell_m)
+    }
+
+    /// [`covering`](Self::covering) for a bounding box
+    /// `[min_x, max_x, min_y, max_y]` already in hand.
+    pub(crate) fn covering_box([min_x, max_x, min_y, max_y]: [f64; 4], target_cell_m: f64) -> Self {
         if !min_x.is_finite() || !min_y.is_finite() {
             // No points: a 1×1 grid anchored at the origin.
             return Self {

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::ClockSkewConfig;
 use crate::radio::RadioConfig;
-use crate::units::{DataRate, SimTime};
+use crate::units::SimTime;
 
 /// Durations of the elementary synchronized steps the protocols execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,12 +59,6 @@ impl SlotTiming {
     pub fn paper_default() -> Self {
         Self::derive(&RadioConfig::mesh_default(), 15, ClockSkewConfig::PERFECT)
     }
-
-    /// The rate used to derive per-byte times (informational; stored
-    /// implicitly in the derived durations).
-    pub fn for_rate(radio: &RadioConfig) -> DataRate {
-        radio.data_rate
-    }
 }
 
 impl Default for SlotTiming {
@@ -108,13 +102,6 @@ impl ProtocolTiming {
     /// Records one global synchronization barrier.
     pub fn add_sync_step(&mut self) {
         self.sync_steps += 1;
-    }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &ProtocolTiming) {
-        self.scream_slots += other.scream_slots;
-        self.handshake_slots += other.handshake_slots;
-        self.sync_steps += other.sync_steps;
     }
 
     /// Total number of synchronized steps of any kind.
@@ -180,24 +167,6 @@ mod tests {
         let expected = t.scream_slot * 10 + t.handshake_slot + t.sync_overhead;
         assert_eq!(p.execution_time(&t), expected);
         assert!((p.execution_secs(&t) - expected.as_secs_f64()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = ProtocolTiming {
-            scream_slots: 5,
-            handshake_slots: 2,
-            sync_steps: 1,
-        };
-        let b = ProtocolTiming {
-            scream_slots: 3,
-            handshake_slots: 4,
-            sync_steps: 7,
-        };
-        a.merge(&b);
-        assert_eq!(a.scream_slots, 8);
-        assert_eq!(a.handshake_slots, 6);
-        assert_eq!(a.sync_steps, 8);
     }
 
     #[test]

@@ -146,16 +146,6 @@ impl DataRate {
         Self::from_bps(mbps * 1_000_000)
     }
 
-    /// Creates a data rate from kilobits per second.
-    pub const fn from_kbps(kbps: u64) -> Self {
-        Self::from_bps(kbps * 1_000)
-    }
-
-    /// The rate in bits per second.
-    pub const fn as_bps(self) -> u64 {
-        self.0
-    }
-
     /// The time needed to serialize `bytes` bytes onto the air at this rate.
     ///
     /// ```

@@ -104,22 +104,6 @@ pub struct ChurnConfig {
     pub fade_sigma_db: f64,
 }
 
-impl ChurnConfig {
-    /// A single-link-failure baseline over the given horizon: one link
-    /// outage lasting (on average) a quarter of the horizon, nothing else.
-    pub fn single_link(horizon_slots: u64) -> Self {
-        Self {
-            horizon_slots,
-            link_failures: 1,
-            node_failures: 0,
-            flow_churns: 0,
-            fades: 0,
-            mean_outage_slots: horizon_slots as f64 / 4.0,
-            fade_sigma_db: 4.0,
-        }
-    }
-}
-
 /// Builder for fault plans: explicit events plus seeded random churn.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {

@@ -20,7 +20,8 @@
 //!   (SINR) interference model of Section II, the paper's subject. Its
 //!   accumulator is the [`ChannelSlotLedger`]: O(k) probes against cached
 //!   per-receiver interference sums instead of the O(k²) from-scratch
-//!   recomputation, and an O(1) node-occupancy table across channels;
+//!   recomputation, and one occupancy bit per node and channel for the
+//!   one-radio-per-node rule;
 //! * [`ProtocolModel`] — the conservative protocol interference model that
 //!   CSMA/CA-style scheduling corresponds to, provided as the comparison
 //!   baseline the paper's introduction argues against. It precomputes the

@@ -79,11 +79,6 @@ impl GreedyPhysical {
         Self::new(EdgeOrdering::DecreasingHeadId)
     }
 
-    /// The configured edge ordering.
-    pub fn ordering(&self) -> EdgeOrdering {
-        self.ordering
-    }
-
     /// Computes a feasible schedule satisfying every link's demand under the
     /// given interference model.
     ///

@@ -27,10 +27,6 @@ impl DemandConfig {
     /// The paper's configuration: uniform in `[1, 10]`.
     pub const PAPER: DemandConfig = DemandConfig { min: 1, max: 10 };
 
-    /// Unit demand on every node (the simplified scenario the paper
-    /// criticizes prior work for assuming).
-    pub const UNIT: DemandConfig = DemandConfig { min: 1, max: 1 };
-
     /// Creates a configuration with the given inclusive bounds.
     ///
     /// # Panics

@@ -314,11 +314,6 @@ impl GridDeployment {
         self
     }
 
-    /// Lattice step in meters.
-    pub fn step_m(&self) -> f64 {
-        self.step_m
-    }
-
     /// Builds the deployment. Node ids are assigned in row-major order.
     pub fn build(&self) -> Deployment {
         let mut nodes = Vec::with_capacity(self.columns * self.rows);

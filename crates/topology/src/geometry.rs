@@ -47,11 +47,6 @@ impl Point2 {
     pub fn midpoint(&self, other: Point2) -> Point2 {
         Point2::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
     }
-
-    /// Translates the point by `(dx, dy)`.
-    pub fn translated(&self, dx: f64, dy: f64) -> Point2 {
-        Point2::new(self.x + dx, self.y + dy)
-    }
 }
 
 impl From<(f64, f64)> for Point2 {

@@ -175,11 +175,6 @@ impl TrafficEngine {
         Self::new(FrameService::from_schedule(schedule), flows, config)
     }
 
-    /// The frame index the engine serves from.
-    pub fn frame(&self) -> &FrameService {
-        &self.frame
-    }
-
     /// The flows the engine drives.
     pub fn flows(&self) -> &FlowSet {
         &self.flows

@@ -3,7 +3,6 @@
 
 use serde::Serialize;
 
-use scream_netsim::SimTime;
 use scream_topology::Link;
 
 /// End-to-end packet delay statistics, in slot-denominated time.
@@ -48,11 +47,6 @@ impl DelayStats {
             p99_slots: pct(99.0),
             max_slots: delays[delays.len() - 1],
         }
-    }
-
-    /// The mean delay converted to wall-clock time for a given slot duration.
-    pub fn mean_time(&self, slot_duration: SimTime) -> SimTime {
-        SimTime::from_secs_f64(self.mean_slots * slot_duration.as_secs_f64())
     }
 }
 
@@ -150,15 +144,6 @@ pub struct TrafficReport {
     pub link_loads: Vec<LinkLoad>,
     /// The analytic stability verdict (offered load vs. per-link share).
     pub verdict: StabilityVerdict,
-}
-
-impl TrafficReport {
-    /// The most loaded link (by utilization), if any flow offered traffic.
-    pub fn bottleneck(&self) -> Option<&LinkLoad> {
-        self.link_loads
-            .iter()
-            .max_by(|a, b| a.utilization().total_cmp(&b.utilization()))
-    }
 }
 
 impl std::fmt::Display for TrafficReport {

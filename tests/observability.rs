@@ -339,3 +339,57 @@ fn the_victim_screen_keeps_probe_counts_and_removes_exact_fallbacks() {
     assert!(reject.field("victim_data").is_some_and(|data| data <= 1));
     assert!(reject.field("head").is_some() && reject.field("tail").is_some());
 }
+
+/// Every counter one build and one repair of the lattice leave behind,
+/// captured at the commit before a slot's occupancy state shrank from two
+/// per-node tables to bitsets (PR 18). The repair fails the first link and
+/// moves its unit of demand onto a new link (2 → 1) that shares node 2 with
+/// the surviving (3 → 2), so the endpoint screen rejects once as well. A
+/// change to what the ledger stores may move none of these: they are the
+/// verdicts, the screens that decided them and the probes first-fit made.
+#[test]
+fn a_build_and_a_repair_leave_the_parent_commits_counters() {
+    let (env, demands) = jittered_lattice_2k();
+    let links: Vec<(Link, u64)> = demands.demanded_links().collect();
+    let (&(_, dead_demand), surviving) = links.split_first().expect("2 000 links");
+    let mut target = surviving.to_vec();
+    target.push((Link::new(NodeId::new(2), NodeId::new(1)), dead_demand));
+    let target = LinkDemands::from_links(env.node_count(), &target).expect("distinct heads");
+    let (repaired, report) = observed(|| {
+        let schedule = GreedyPhysical::paper_baseline().schedule(&env, &demands);
+        repair_schedule(&env, &schedule, &target)
+    });
+    assert_eq!(repaired.outcome, RepairOutcome::Incremental);
+    let counters: Vec<(&str, u64)> = report
+        .snapshot
+        .counters
+        .iter()
+        .map(|(&name, &value)| (name, value))
+        .collect();
+    assert_eq!(
+        counters,
+        [
+            ("greedy.links", 2_000),
+            ("greedy.runs.probed", 61_379),
+            ("greedy.runs.rejected", 59_443),
+            ("greedy.solo_runs", 64),
+            ("ledger.exact.fallback_existing", 32),
+            ("ledger.farfield.accept", 3_884),
+            ("ledger.farfield.skip_existing", 3_852),
+            ("ledger.probe.accept", 3_937),
+            ("ledger.probe.reject", 59_498),
+            ("ledger.probe.reject_endpoint", 1),
+            ("ledger.prune.scan_reject", 4_432),
+            ("ledger.victim.memo_reject", 4_777),
+            ("ledger.victim.reject", 50_277),
+            ("repair.added_allocation", 1),
+            ("repair.outcome.incremental", 1),
+            ("repair.refill.links", 1),
+            ("repair.runs.probed", 56),
+            ("repair.runs.rejected", 55),
+            ("repair.stripped_allocation", 1),
+        ]
+    );
+    let scans = &report.snapshot.histograms["ledger.scan.entries"];
+    assert_eq!((scans.count, scans.sum), (13_542, 394_794));
+}
