@@ -1,6 +1,6 @@
 //! Regenerates every table of the evaluation: the paper's Figs. 4–9, the
 //! ablations, the traffic and recovery figures, the theory checks and the
-//! parallel sweep — one subcommand each, all listed in [`COMMANDS`].
+//! density sweep — one subcommand each, all listed in [`COMMANDS`].
 //!
 //! Usage: `cargo run --release -p scream-bench --bin figures -- <subcommand> [args]`
 //! (`list`, or no arguments, prints the subcommand table). `all` with default
@@ -385,7 +385,7 @@ fn theory_id_bounds(_: &Args) -> Run {
 }
 
 /// The verified centralized baseline, FDD and the serialized baseline per
-/// (density, channel, seed) cell of the 64-node paper grid, across all cores.
+/// (density, channel, seed) cell of the 64-node paper grid.
 fn sweep(args: &Args) -> Run {
     let seeds: Vec<u64> = (1..=args.number(0, 3)).collect();
     let sweep = ScenarioSweep::new(PaperScenario::grid(1_000.0))
@@ -395,11 +395,11 @@ fn sweep(args: &Args) -> Run {
     let start = Instant::now();
     let report = sweep.report()?;
     let (cells, secs) = (report.points.len(), start.elapsed().as_secs_f64());
-    eprintln!("# sweep: {cells} cells (density x channel x load x seed), all cores, {secs:.2}s");
+    eprintln!("# sweep: {cells} cells (density x channel x seed), {secs:.2}s");
     if args.csv {
         return Ok(Output::Csv(report.to_csv()));
     }
-    let title = format!("Parallel density sweep — centralized / FDD / linear ({cells} cells)");
+    let title = format!("Density sweep — centralized / FDD / linear ({cells} cells)");
     one(report.to_table(title))
 }
 

@@ -76,7 +76,7 @@ fn improvement_rows(
     let cells = ScenarioSweep::new(base)
         .densities(densities)
         .seeds(&seeds)
-        .run_with(|instance, _load| {
+        .run_with(|instance| {
             let centralized = instance.metrics(&instance.run_centralized());
             let mut improvement = [centralized.improvement_over_linear_pct; 5];
             let pdd = ProtocolKind::pdd;
@@ -88,7 +88,7 @@ fn improvement_rows(
             Ok(improvement)
         })?;
     // Cells come back density-major; each density's runs are summed in seed
-    // order, so the means are the floats a sequential loop produces.
+    // order.
     Ok(cells
         .chunks(seeds.len())
         .map(|runs| {

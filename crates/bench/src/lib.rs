@@ -17,7 +17,7 @@
 //! | Channel ablation (beyond the paper) | [`figures::channel_ablation`] | `ablate channels` |
 //! | Delay vs. load (traffic engine, beyond the paper) | [`figures::delay_vs_load`] | `delay-vs-load` |
 //! | Recovery vs. load (fault injection, beyond the paper) | [`recovery::recovery_vs_load`] | `recovery-vs-load` |
-//! | Density × channel × load × seed grid | [`ScenarioSweep::report`] | `sweep` |
+//! | Density × channel × seed grid | [`ScenarioSweep::report`] | `sweep` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

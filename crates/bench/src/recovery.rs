@@ -11,8 +11,6 @@
 //! under the largest routing subtree), the worst single-link case short of
 //! partition.
 
-use rayon::prelude::*;
-
 use scream_netsim::RadioEnvironment;
 use scream_resilience::{
     FaultPlan, ReschedulerConfig, ResilienceError, ResilienceHarness, ResilienceReport,
@@ -178,8 +176,8 @@ impl RecoveryPoint {
 }
 
 /// The recovery-vs-load figure data: the busiest-uplink single-link failure
-/// on one paper grid instance, swept across offered-load factors in
-/// parallel. Deterministic per `(node_count, seed)`.
+/// on one paper grid instance, swept across offered-load factors.
+/// Deterministic per `(node_count, seed)`.
 pub fn recovery_vs_load(
     loads: &[f64],
     node_count: usize,
@@ -190,11 +188,10 @@ pub fn recovery_vs_load(
         .with_node_count(node_count)
         .instantiate(seed)?;
     let experiment = RecoveryExperiment::from_instance(&instance);
-    let points: Vec<Result<RecoveryPoint, BenchError>> = loads
-        .par_iter()
+    loads
+        .iter()
         .map(|&rho| experiment.single_link_outage(rho, horizon_frames))
-        .collect();
-    points.into_iter().collect()
+        .collect()
 }
 
 /// The collected recovery points, exportable as CSV or an aligned table.

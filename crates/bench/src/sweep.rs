@@ -1,18 +1,13 @@
-//! Parallel density × channel × load × seed scenario sweeps.
+//! Density × channel × seed scenario sweeps.
 //!
 //! The paper's evaluation (and every dense-scenario workload on the roadmap)
 //! is a grid of independent experiments: one [`PaperScenario`] family,
-//! swept over node densities (and optionally channel counts and packet-level
-//! offered-load factors), with several seeds per cell. Each cell is pure — [`PaperScenario::instantiate`] is
-//! deterministic per seed and `RadioEnvironment` is `Sync` — and since the
-//! interference-ledger refactor all scheduling state is per-slot-local, so
-//! cells parallelize across cores with no shared mutable state.
-//!
-//! [`ScenarioSweep`] runs the grid via rayon's `par_iter`, preserving cell
-//! order, which makes parallel sweeps **deterministic**: the result vector
-//! for a given (scenario, densities, channels, loads, seeds) tuple is
-//! identical however many worker threads execute it, cell by cell, byte for
-//! byte.
+//! swept over node densities (and optionally channel counts), with several
+//! seeds per cell. [`ScenarioSweep`] is that nested loop: it instantiates
+//! the cells one after another in grid order on the caller's thread, so a
+//! sweep is **deterministic** — [`PaperScenario::instantiate`] is
+//! deterministic per seed — and an installed `scream-obs` sink counts every
+//! cell's probes, rounds and packets.
 //!
 //! ```
 //! use scream_bench::{PaperScenario, ScenarioSweep};
@@ -26,8 +21,6 @@
 //! # Ok::<(), scream_bench::BenchError>(())
 //! ```
 
-use rayon::prelude::*;
-
 use scream_core::ProtocolKind;
 use scream_scheduling::{serialized_schedule, verify_schedule, ScheduleMetrics};
 
@@ -35,16 +28,21 @@ use crate::error::BenchError;
 use crate::report::Table;
 use crate::scenario::{PaperScenario, ScenarioInstance};
 
-/// A density × channel × load × seed grid of paper-scenario experiments,
-/// executed across all available cores.
+/// Offered-load factor of every cell's traffic run: each link sits at 90 %
+/// of its per-frame service share, below the stability knee at 1.0 (the
+/// `delay-vs-load` figure is the one that varies load).
+const TRAFFIC_LOAD: f64 = 0.9;
+
+/// Frame repetitions each cell's traffic run simulates.
+const TRAFFIC_HORIZON_FRAMES: u64 = 50;
+
+/// A density × channel × seed grid of paper-scenario experiments.
 #[derive(Debug, Clone)]
 pub struct ScenarioSweep {
     base: PaperScenario,
     densities: Vec<f64>,
     channel_counts: Vec<usize>,
-    offered_loads: Vec<f64>,
     seeds: Vec<u64>,
-    traffic_horizon_frames: u64,
 }
 
 /// One sweep cell's coordinates plus the value the sweep computed for it.
@@ -54,8 +52,6 @@ pub struct SweepCell<T> {
     pub density_per_km2: f64,
     /// Number of orthogonal channels of this cell.
     pub channel_count: usize,
-    /// Offered-load factor of this cell (1.0 = the frame's capacity).
-    pub offered_load: f64,
     /// Instance seed of this cell.
     pub seed: u64,
     /// Whatever the sweep's function computed on the instance.
@@ -63,8 +59,7 @@ pub struct SweepCell<T> {
 }
 
 /// The packet-level outcome of one sweep cell: the traffic engine run on
-/// the cell's verified schedule (used as a repeating TDMA frame) at the
-/// cell's offered-load factor.
+/// the cell's verified schedule (used as a repeating TDMA frame).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficPoint {
     /// Offered-load factor (per-link utilization; 1.0 is the knee).
@@ -103,7 +98,7 @@ pub struct SweepPoint {
     /// Schedule metrics of the serialized (one link per slot) baseline.
     pub linear: ScheduleMetrics,
     /// Packet-level traffic outcome on the centralized frame (which the FDD
-    /// frame equals by Theorem 4) at this cell's offered-load factor.
+    /// frame equals by Theorem 4) at 90 % offered load.
     pub traffic: TrafficPoint,
 }
 
@@ -117,9 +112,7 @@ impl ScenarioSweep {
             base,
             densities: vec![base.density_per_km2],
             channel_counts: vec![base.channel_count],
-            offered_loads: vec![0.9],
             seeds: vec![0],
-            traffic_horizon_frames: 50,
         }
     }
 
@@ -140,56 +133,30 @@ impl ScenarioSweep {
         self
     }
 
-    /// Sets the offered-load factors to sweep (the packet-level load axis):
-    /// every cell's traffic run puts each link at `load ×` its per-frame
-    /// service share, so 1.0 is the stability knee. Default: `[0.9]`.
-    pub fn offered_loads(mut self, loads: &[f64]) -> Self {
-        assert!(!loads.is_empty(), "sweep needs at least one offered load");
-        assert!(
-            loads.iter().all(|l| l.is_finite() && *l > 0.0),
-            "offered loads must be finite and positive"
-        );
-        self.offered_loads = loads.to_vec();
-        self
-    }
-
-    /// Sets how many frame repetitions each cell's traffic run simulates
-    /// (default 50).
-    pub fn traffic_horizon(mut self, frames: u64) -> Self {
-        assert!(frames > 0, "the traffic horizon must be at least one frame");
-        self.traffic_horizon_frames = frames;
-        self
-    }
-
-    /// Sets the seeds to run per (density, channel count, offered load).
+    /// Sets the seeds to run per (density, channel count).
     pub fn seeds(mut self, seeds: &[u64]) -> Self {
         assert!(!seeds.is_empty(), "sweep needs at least one seed");
         self.seeds = seeds.to_vec();
         self
     }
 
-    /// The (density, channel count, offered load, seed) coordinate grid,
-    /// density-major, then channel-major, then by load, then by seed — the
-    /// order every `run` variant returns its cells in.
-    pub fn grid(&self) -> Vec<(f64, usize, f64, u64)> {
+    /// The (density, channel count, seed) coordinate grid, density-major,
+    /// then channel-major, then by seed — the order every `run` variant
+    /// returns its cells in.
+    pub fn grid(&self) -> Vec<(f64, usize, u64)> {
         self.densities
             .iter()
             .flat_map(|&d| {
-                self.channel_counts.iter().flat_map(move |&c| {
-                    self.offered_loads
-                        .iter()
-                        .flat_map(move |&l| self.seeds.iter().map(move |&s| (d, c, l, s)))
-                })
+                self.channel_counts
+                    .iter()
+                    .flat_map(move |&c| self.seeds.iter().map(move |&s| (d, c, s)))
             })
             .collect()
     }
 
     /// Number of cells in the sweep.
     pub fn len(&self) -> usize {
-        self.densities.len()
-            * self.channel_counts.len()
-            * self.offered_loads.len()
-            * self.seeds.len()
+        self.densities.len() * self.channel_counts.len() * self.seeds.len()
     }
 
     /// Whether the sweep grid is empty (never, given the constructors).
@@ -197,39 +164,28 @@ impl ScenarioSweep {
         self.len() == 0
     }
 
-    /// Runs `f` on every instantiated cell in parallel, returning the cells
-    /// in grid order regardless of thread scheduling. `f` receives the
-    /// drawn instance and the cell's offered-load factor (the instance draw
-    /// itself does not depend on the load). The first failing cell, in
-    /// grid order, fails the sweep.
+    /// Runs `f` on every instantiated cell, in grid order. The first
+    /// failing cell fails the sweep.
     pub fn run_with<T, F>(&self, f: F) -> Result<Vec<SweepCell<T>>, BenchError>
     where
-        T: Send,
-        F: Fn(&ScenarioInstance, f64) -> Result<T, BenchError> + Sync,
+        F: Fn(&ScenarioInstance) -> Result<T, BenchError>,
     {
-        let cells: Vec<Result<SweepCell<T>, BenchError>> = self
-            .grid()
-            .into_par_iter()
-            .map(|(density, channels, load, seed)| {
-                let instance = self.scenario_at(density, channels).instantiate(seed)?;
+        self.grid()
+            .into_iter()
+            .map(|(density_per_km2, channel_count, seed)| {
+                let scenario = PaperScenario {
+                    density_per_km2,
+                    channel_count,
+                    ..self.base
+                };
                 Ok(SweepCell {
-                    density_per_km2: density,
-                    channel_count: channels,
-                    offered_load: load,
+                    density_per_km2,
+                    channel_count,
                     seed,
-                    value: f(&instance, load)?,
+                    value: f(&scenario.instantiate(seed)?)?,
                 })
             })
-            .collect();
-        cells.into_iter().collect()
-    }
-
-    fn scenario_at(&self, density_per_km2: f64, channel_count: usize) -> PaperScenario {
-        PaperScenario {
-            density_per_km2,
-            channel_count,
-            ..self.base
-        }
+            .collect()
     }
 
     /// Runs the sweep like [`run`](Self::run) and wraps the points in a
@@ -240,9 +196,9 @@ impl ScenarioSweep {
         })
     }
 
-    /// Runs the centralized GreedyPhysical baseline, the FDD protocol and
-    /// the serialized baseline on every cell in parallel, verifying the
-    /// centralized and FDD schedules against their instance.
+    /// Runs the centralized GreedyPhysical baseline, the FDD protocol, the
+    /// serialized baseline and the packet engine on every cell, verifying
+    /// the centralized and FDD schedules against their instance.
     ///
     /// # Errors
     ///
@@ -250,70 +206,45 @@ impl ScenarioSweep {
     /// verified — the sweep is a measurement harness, and a schedule that
     /// fails verification means the measurement would be garbage.
     pub fn run(&self) -> Result<Vec<SweepPoint>, BenchError> {
-        let horizon = self.traffic_horizon_frames;
-        // The instance draw, the scheduling runs and the verifications are
-        // all load-independent, so the load axis fans out *inside* each
-        // (density, channel, seed) cell: a multi-load sweep schedules and
-        // verifies each instance exactly once and only re-runs the (cheap)
-        // traffic engine per load value.
-        let triples: Vec<(f64, usize, u64)> = self
-            .densities
-            .iter()
-            .flat_map(|&d| {
-                self.channel_counts
-                    .iter()
-                    .flat_map(move |&c| self.seeds.iter().map(move |&s| (d, c, s)))
+        let cells = self.run_with(|instance| {
+            let schedule = instance.run_centralized();
+            verify_schedule(&instance.env, &schedule, &instance.link_demands)?;
+            let fdd = instance.run_protocol(ProtocolKind::Fdd)?;
+            verify_schedule(&instance.env, &fdd.schedule, &instance.link_demands)?;
+            let linear = serialized_schedule(&instance.link_demands);
+            let traffic = instance.run_traffic(&schedule, TRAFFIC_LOAD, TRAFFIC_HORIZON_FRAMES)?;
+            Ok((
+                instance.interference_diameter,
+                instance.link_demands.total_demand(),
+                instance.metrics(&schedule),
+                instance.metrics(&fdd.schedule),
+                instance.metrics(&linear),
+                TrafficPoint {
+                    offered_load: TRAFFIC_LOAD,
+                    sustained_throughput_pct: traffic.sustained_throughput_pct,
+                    delay_p95_slots: traffic.delay.p95_slots,
+                    stable: traffic.verdict.is_stable(),
+                },
+            ))
+        })?;
+        Ok(cells
+            .into_iter()
+            .map(|cell| {
+                let (interference_diameter, total_demand, centralized, fdd, linear, traffic) =
+                    cell.value;
+                SweepPoint {
+                    density_per_km2: cell.density_per_km2,
+                    channel_count: cell.channel_count,
+                    seed: cell.seed,
+                    interference_diameter,
+                    total_demand,
+                    centralized,
+                    fdd,
+                    linear,
+                    traffic,
+                }
             })
-            .collect();
-        let per_triple: Vec<Result<Vec<SweepPoint>, BenchError>> = triples
-            .into_par_iter()
-            .map(|(density, channels, seed)| {
-                let instance = self.scenario_at(density, channels).instantiate(seed)?;
-                let schedule = instance.run_centralized();
-                verify_schedule(&instance.env, &schedule, &instance.link_demands)?;
-                let fdd = instance.run_protocol(ProtocolKind::Fdd)?;
-                verify_schedule(&instance.env, &fdd.schedule, &instance.link_demands)?;
-                let linear = serialized_schedule(&instance.link_demands);
-                let (centralized, fdd, linear) = (
-                    instance.metrics(&schedule),
-                    instance.metrics(&fdd.schedule),
-                    instance.metrics(&linear),
-                );
-                self.offered_loads
-                    .iter()
-                    .map(|&load| {
-                        let traffic = instance.run_traffic(&schedule, load, horizon)?;
-                        Ok(SweepPoint {
-                            density_per_km2: density,
-                            channel_count: channels,
-                            seed,
-                            interference_diameter: instance.interference_diameter,
-                            total_demand: instance.link_demands.total_demand(),
-                            centralized,
-                            fdd,
-                            linear,
-                            traffic: TrafficPoint {
-                                offered_load: load,
-                                sustained_throughput_pct: traffic.sustained_throughput_pct,
-                                delay_p95_slots: traffic.delay.p95_slots,
-                                stable: traffic.verdict.is_stable(),
-                            },
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let per_triple = per_triple.into_iter().collect::<Result<Vec<_>, _>>()?;
-        // Reassemble in the documented grid order (loads vary *outside* the
-        // seeds): per_triple is (density, channel, seed)-ordered with loads
-        // innermost.
-        let mut points = Vec::with_capacity(self.len());
-        for block in per_triple.chunks(self.seeds.len()) {
-            for li in 0..self.offered_loads.len() {
-                points.extend(block.iter().map(|cell| cell[li].clone()));
-            }
-        }
-        Ok(points)
+            .collect())
     }
 }
 
@@ -417,9 +348,9 @@ mod tests {
         assert_eq!(sweep.len(), 6);
         assert!(!sweep.is_empty());
         let grid = sweep.grid();
-        assert_eq!(grid[0], (1_500.0, 1, 0.9, 1));
-        assert_eq!(grid[2], (1_500.0, 1, 0.9, 3));
-        assert_eq!(grid[3], (4_000.0, 1, 0.9, 1));
+        assert_eq!(grid[0], (1_500.0, 1, 1));
+        assert_eq!(grid[2], (1_500.0, 1, 3));
+        assert_eq!(grid[3], (4_000.0, 1, 1));
     }
 
     #[test]
@@ -430,38 +361,22 @@ mod tests {
             .seeds(&[7, 8]);
         assert_eq!(sweep.len(), 8);
         let grid = sweep.grid();
-        assert_eq!(grid[0], (1_500.0, 1, 0.9, 7));
-        assert_eq!(grid[1], (1_500.0, 1, 0.9, 8));
-        assert_eq!(grid[2], (1_500.0, 2, 0.9, 7));
-        assert_eq!(grid[4], (4_000.0, 1, 0.9, 7));
+        assert_eq!(grid[0], (1_500.0, 1, 7));
+        assert_eq!(grid[1], (1_500.0, 1, 8));
+        assert_eq!(grid[2], (1_500.0, 2, 7));
+        assert_eq!(grid[4], (4_000.0, 1, 7));
     }
 
     #[test]
-    fn grid_includes_the_load_axis() {
-        let sweep = ScenarioSweep::new(PaperScenario::grid(2_000.0).with_node_count(16))
-            .densities(&[1_500.0])
-            .offered_loads(&[0.5, 1.5])
-            .seeds(&[7, 8]);
-        assert_eq!(sweep.len(), 4);
-        let grid = sweep.grid();
-        assert_eq!(grid[0], (1_500.0, 1, 0.5, 7));
-        assert_eq!(grid[1], (1_500.0, 1, 0.5, 8));
-        assert_eq!(grid[2], (1_500.0, 1, 1.5, 7));
-        assert_eq!(grid[3], (1_500.0, 1, 1.5, 8));
-    }
-
-    #[test]
-    fn parallel_sweep_is_deterministic_and_ordered() {
+    fn sweep_is_deterministic_and_ordered() {
         let sweep = small_sweep();
         let first = sweep.run().unwrap();
         let second = sweep.run().unwrap();
         assert_eq!(first, second, "same grid must reproduce identical results");
-        // Results come back in grid order, and the per-cell instances match a
-        // sequential instantiation of the same coordinates.
-        for (point, (density, channels, load, seed)) in first.iter().zip(sweep.grid()) {
+        assert_eq!(first.len(), sweep.len());
+        for (point, (density, channels, seed)) in first.iter().zip(sweep.grid()) {
             assert_eq!(point.density_per_km2, density);
             assert_eq!(point.channel_count, channels);
-            assert_eq!(point.traffic.offered_load, load);
             assert_eq!(point.seed, seed);
             assert!(point.total_demand > 0);
             assert!(point.interference_diameter >= 1);
@@ -469,13 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_computation() {
+    fn run_matches_the_hand_rolled_per_cell_computation() {
         let sweep = small_sweep();
-        let parallel = sweep.run().unwrap();
-        let sequential: Vec<SweepPoint> = sweep
+        let by_hand: Vec<SweepPoint> = sweep
             .grid()
             .into_iter()
-            .map(|(density, channels, load, seed)| {
+            .map(|(density, channels, seed)| {
                 let mut scenario = PaperScenario::grid(2_000.0).with_node_count(16);
                 scenario.density_per_km2 = density;
                 scenario.channel_count = channels;
@@ -485,7 +399,7 @@ mod tests {
                     .run_protocol(scream_core::ProtocolKind::Fdd)
                     .unwrap();
                 let linear = serialized_schedule(&instance.link_demands);
-                let traffic = instance.run_traffic(&schedule, load, 50).unwrap();
+                let traffic = instance.run_traffic(&schedule, 0.9, 50).unwrap();
                 SweepPoint {
                     density_per_km2: density,
                     channel_count: channels,
@@ -496,7 +410,7 @@ mod tests {
                     fdd: instance.metrics(&fdd.schedule),
                     linear: instance.metrics(&linear),
                     traffic: TrafficPoint {
-                        offered_load: load,
+                        offered_load: 0.9,
                         sustained_throughput_pct: traffic.sustained_throughput_pct,
                         delay_p95_slots: traffic.delay.p95_slots,
                         stable: traffic.verdict.is_stable(),
@@ -504,17 +418,31 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(parallel, sequential);
+        assert_eq!(sweep.run().unwrap(), by_hand);
     }
 
     #[test]
-    fn run_with_exposes_the_instance_and_load() {
+    fn a_sink_around_a_sweep_sees_every_layer_of_its_cells() {
+        scream_obs::install();
+        small_sweep().run().unwrap();
+        let seen = scream_obs::uninstall().expect("installed above").snapshot;
+        for counter in [
+            "greedy.links",
+            "ledger.probe.accept",
+            "runtime.rounds",
+            "traffic.injected",
+        ] {
+            assert!(seen.counter(counter) > 0, "{counter} is dark");
+        }
+    }
+
+    #[test]
+    fn run_with_exposes_the_instance() {
         let sweep =
             ScenarioSweep::new(PaperScenario::uniform(3_000.0).with_node_count(16)).seeds(&[5, 6]);
         let cells = sweep
-            .run_with(|instance, load| {
+            .run_with(|instance| {
                 assert_eq!(instance.deployment.len(), 16);
-                assert_eq!(load, 0.9, "the default load axis is a single 0.9 cell");
                 Ok(instance.env.communication_graph().edge_count())
             })
             .unwrap();
@@ -522,34 +450,6 @@ mod tests {
         assert!(cells.iter().all(|c| c.value > 0));
         assert_eq!(cells[0].seed, 5);
         assert_eq!(cells[0].channel_count, 1);
-        assert_eq!(cells[0].offered_load, 0.9);
-    }
-
-    #[test]
-    fn load_axis_crosses_the_stability_knee() {
-        let sweep = ScenarioSweep::new(PaperScenario::grid(2_000.0).with_node_count(16))
-            .densities(&[1_500.0])
-            .offered_loads(&[0.6, 1.5])
-            .traffic_horizon(200)
-            .seeds(&[3]);
-        let points = sweep.run().unwrap();
-        assert_eq!(points.len(), 2);
-        let (below, above) = (&points[0], &points[1]);
-        assert_eq!(below.traffic.offered_load, 0.6);
-        assert!(below.traffic.stable);
-        assert!(below.traffic.sustained_throughput_pct > 98.0);
-        assert_eq!(above.traffic.offered_load, 1.5);
-        assert!(!above.traffic.stable);
-        assert!(
-            above.traffic.sustained_throughput_pct < below.traffic.sustained_throughput_pct - 5.0
-        );
-        assert!(above.traffic.delay_p95_slots > below.traffic.delay_p95_slots);
-        // The shared row helper renders both new columns.
-        let row = SweepReport::row(below);
-        assert_eq!(row.len(), SweepReport::COLUMNS.len());
-        assert_eq!(row[14], "0.60");
-        let pct: f64 = row[15].parse().unwrap();
-        assert!(pct > 98.0);
     }
 
     #[test]
@@ -591,6 +491,9 @@ mod tests {
         // The shared row helper reports the tracking as exactly 100%.
         let row = SweepReport::row(dual);
         assert_eq!(row[11], "100.00");
+        // ... and the packet-level columns: 90 % load, below the knee.
+        assert_eq!(row[14], "0.90");
+        assert!(dual.traffic.stable && dual.traffic.sustained_throughput_pct > 98.0);
     }
 
     #[test]
@@ -639,7 +542,7 @@ mod tests {
     #[test]
     fn paper_scale_sweep_runs_at_64_nodes() {
         // The acceptance-criteria scenario: a 64-node paper-family density
-        // sweep, in parallel, deterministic per seed.
+        // sweep, deterministic per seed.
         let sweep = ScenarioSweep::new(PaperScenario::grid(2_000.0))
             .densities(&[2_000.0, 8_000.0])
             .seeds(&[7]);

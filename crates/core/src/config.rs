@@ -51,14 +51,6 @@ pub struct ProtocolConfig {
     /// can never legitimately exceed because every round schedules at least
     /// the controller's edge.
     pub max_rounds: Option<u64>,
-    /// Upper bound on how many of the radio environment's orthogonal
-    /// channels the distributed protocol exploits. `None` (the default) uses
-    /// every channel the environment provides; `Some(1)` pins the protocol
-    /// to the single shared channel of the original SCREAM setting even on a
-    /// multi-channel environment, which is how sweeps compare the
-    /// channel-aware runtime against its single-channel self on identical
-    /// instances.
-    pub max_channels: Option<usize>,
 }
 
 impl ProtocolConfig {
@@ -72,7 +64,6 @@ impl ProtocolConfig {
             clock_skew: ClockSkewConfig::PERFECT,
             seed: 0,
             max_rounds: None,
-            max_channels: None,
         }
     }
 
@@ -112,22 +103,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Caps the number of orthogonal channels the protocol exploits (the
-    /// environment's channel count still bounds it from above).
-    pub fn with_max_channels(mut self, channels: usize) -> Self {
-        self.max_channels = Some(channels);
-        self
-    }
-
-    /// The number of channels a run on an environment with
-    /// `environment_channels` orthogonal channels actually schedules on.
-    pub fn effective_channels(&self, environment_channels: usize) -> usize {
-        self.max_channels
-            .unwrap_or(usize::MAX)
-            .min(environment_channels)
-            .max(1)
-    }
-
     /// Validates the structural parameters (those that do not depend on the
     /// radio environment).
     ///
@@ -144,11 +119,6 @@ impl ProtocolConfig {
         if self.scream_bytes == 0 {
             return Err(ProtocolError::InvalidParameter(
                 "a SCREAM must transmit at least one byte".into(),
-            ));
-        }
-        if self.max_channels == Some(0) {
-            return Err(ProtocolError::InvalidParameter(
-                "a protocol run needs at least one channel (max_channels >= 1)".into(),
             ));
         }
         Ok(())
@@ -217,20 +187,5 @@ mod tests {
             .with_scream_bytes(0)
             .validate()
             .is_err());
-        assert!(ProtocolConfig::paper_default()
-            .with_max_channels(0)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
-    fn effective_channels_is_the_min_of_cap_and_environment() {
-        let unbounded = ProtocolConfig::paper_default();
-        assert_eq!(unbounded.effective_channels(1), 1);
-        assert_eq!(unbounded.effective_channels(4), 4);
-        let capped = ProtocolConfig::paper_default().with_max_channels(2);
-        assert_eq!(capped.effective_channels(1), 1);
-        assert_eq!(capped.effective_channels(4), 2);
-        assert_eq!(capped.max_channels, Some(2));
     }
 }

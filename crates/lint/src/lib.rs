@@ -35,17 +35,11 @@ use std::path::{Path, PathBuf};
 pub struct Config {
     /// Workspace root (the directory holding the `[workspace]` Cargo.toml).
     pub root: PathBuf,
-    /// `--deny`/`--warn` overrides in CLI order: `None` selector = all
-    /// rules, `Some(name)` = one family (`D1`) or code (`D1.iter`).
-    pub class_overrides: Vec<(Option<String>, bool)>,
 }
 
 impl Config {
     pub fn new(root: PathBuf) -> Self {
-        Config {
-            root,
-            class_overrides: Vec::new(),
-        }
+        Config { root }
     }
 }
 
@@ -58,17 +52,9 @@ pub struct Report {
 }
 
 impl Report {
-    pub fn deny_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.deny).count()
-    }
-
-    pub fn warn_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| !d.deny).count()
-    }
-
-    /// True when the run should fail the build.
+    /// True when the run should fail the build: every finding is an error.
     pub fn failed(&self) -> bool {
-        self.deny_count() > 0
+        !self.diagnostics.is_empty()
     }
 }
 
@@ -184,19 +170,6 @@ pub fn lint_workspace(cfg: &Config) -> io::Result<Report> {
         let rel = relative_to(&cfg.root, path);
         let src = std::fs::read_to_string(path)?;
         diagnostics.extend(scan::scan_source(&rel, &src, crate_policy(krate)));
-    }
-
-    // Resolve --deny/--warn overrides, in CLI order.
-    for d in &mut diagnostics {
-        for (selector, deny) in &cfg.class_overrides {
-            let applies = match selector {
-                None => true,
-                Some(s) => s == d.rule.family() || s == d.rule.code(),
-            };
-            if applies {
-                d.deny = *deny;
-            }
-        }
     }
 
     diagnostics.sort();

@@ -13,8 +13,6 @@ USAGE:
 
 OPTIONS:
     --root <PATH>        workspace root (default: walk up to [workspace])
-    --deny[=RULE]        treat all rules (or one family/code) as errors
-    --warn[=RULE]        treat all rules (or one family/code) as warnings
     --json               machine-readable output
     -h, --help           this text
 
@@ -25,7 +23,7 @@ RULES:
     H1.hot    .slots() expansion outside tests
     H1.alloc  ledger/accumulator construction inside loop bodies
     F1.cmp    partial_cmp(..).unwrap() — use total_cmp
-    F1.eq     exact float comparison in verdict code (warn by default)
+    F1.eq     exact float comparison in verdict code
     U1.mix    cross-unit arithmetic/comparison (a_db + b_mw, x_m <= y_m2)
     U1.bind   cross-unit binding/assignment (let range_m = area_m2)
     U1.conv   suffix-dishonest conversion call (dbm_to_mw(-loss_db))
@@ -43,25 +41,18 @@ struct Args {
 fn parse_args() -> Result<Option<Args>, String> {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
-    let mut overrides: Vec<(Option<String>, bool)> = Vec::new();
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "-h" | "--help" => return Ok(None),
             "--json" => json = true,
-            "--deny" => overrides.push((None, true)),
-            "--warn" => overrides.push((None, false)),
             "--root" => match argv.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return Err("--root requires a path".to_string()),
             },
             other => {
-                if let Some(rule) = other.strip_prefix("--deny=") {
-                    overrides.push((Some(rule.to_string()), true));
-                } else if let Some(rule) = other.strip_prefix("--warn=") {
-                    overrides.push((Some(rule.to_string()), false));
-                } else if let Some(path) = other.strip_prefix("--root=") {
+                if let Some(path) = other.strip_prefix("--root=") {
                     root = Some(PathBuf::from(path));
                 } else {
                     return Err(format!("unknown argument `{other}` (see --help)"));
@@ -80,10 +71,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         }
     };
     Ok(Some(Args {
-        config: Config {
-            root,
-            class_overrides: overrides,
-        },
+        config: Config::new(root),
         json,
     }))
 }
@@ -110,21 +98,18 @@ fn print_json(report: &Report) {
         .iter()
         .map(|d| {
             format!(
-                "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"class\":\"{}\",\
-                 \"message\":\"{}\"}}",
+                "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
                 json_escape(&d.path),
                 d.line,
                 d.rule.code(),
-                if d.deny { "deny" } else { "warn" },
                 json_escape(&d.message),
             )
         })
         .collect();
     println!(
-        "{{\"files_scanned\":{},\"deny\":{},\"warn\":{},\"failed\":{},\"diagnostics\":[{}]}}",
+        "{{\"files_scanned\":{},\"deny\":{},\"failed\":{},\"diagnostics\":[{}]}}",
         report.files_scanned,
-        report.deny_count(),
-        report.warn_count(),
+        report.diagnostics.len(),
         report.failed(),
         items.join(",")
     );
@@ -132,9 +117,8 @@ fn print_json(report: &Report) {
 
 fn print_text(report: &Report) {
     for d in &report.diagnostics {
-        let class = if d.deny { "error" } else { "warning" };
         println!(
-            "{}:{}: {class} {}: {}",
+            "{}:{}: error {}: {}",
             d.path,
             d.line,
             d.rule.code(),
@@ -142,10 +126,9 @@ fn print_text(report: &Report) {
         );
     }
     println!(
-        "scream-lint: {} files scanned, {} errors, {} warnings",
+        "scream-lint: {} files scanned, {} errors",
         report.files_scanned,
-        report.deny_count(),
-        report.warn_count(),
+        report.diagnostics.len(),
     );
 }
 

@@ -69,11 +69,6 @@ impl RuleCode {
         }
     }
 
-    /// Default class: deny unless listed here.
-    pub fn default_deny(self) -> bool {
-        !matches!(self, RuleCode::F1Eq | RuleCode::L1Unused)
-    }
-
     /// Rule names accepted inside `lint:allow(...)`.
     pub fn is_allowable_name(name: &str) -> bool {
         matches!(
@@ -105,8 +100,6 @@ pub struct Diagnostic {
     pub line: usize,
     pub rule: RuleCode,
     pub message: String,
-    /// Resolved class after `--deny`/`--warn` overrides; starts at default.
-    pub deny: bool,
 }
 
 /// Which optional rule groups apply to the crate being scanned.
@@ -459,7 +452,6 @@ pub fn scan_source(path: &str, src: &str, policy: ScanPolicy) -> Vec<Diagnostic>
             line,
             rule,
             message,
-            deny: rule.default_deny(),
         });
     };
 
@@ -839,7 +831,6 @@ fn apply_allows(
                 line: d.line,
                 rule: RuleCode::L1Allow,
                 message: format!("malformed lint:allow — {err}"),
-                deny: RuleCode::L1Allow.default_deny(),
             });
             continue;
         }
@@ -851,7 +842,6 @@ fn apply_allows(
                     line: d.line,
                     rule: RuleCode::L1Allow,
                     message: format!("lint:allow names unknown rule `{r}`"),
-                    deny: RuleCode::L1Allow.default_deny(),
                 });
                 bad_rule = true;
             }
@@ -895,7 +885,6 @@ fn apply_allows(
                     "lint:allow({}) suppresses nothing; remove it",
                     d.rules.join(", ")
                 ),
-                deny: RuleCode::L1Unused.default_deny(),
             });
         }
     }
@@ -1021,11 +1010,6 @@ fn g(x: Option<u32>) -> u32 {
 }
 "#;
         assert_eq!(codes(src), vec!["P1.panic", "P1.panic", "P1.panic"]);
-        // P1 is a plain deny rule: nothing but a reasoned allow (see
-        // `allow_suppresses_same_line_and_next_line`) lets a site through.
-        assert!(scan_source("crates/x/src/lib.rs", src, ALL)
-            .iter()
-            .all(|d| d.deny));
     }
 
     #[test]
@@ -1197,17 +1181,6 @@ fn verdict(load: f64) -> bool {
 }
 "#;
         assert!(codes(src).is_empty());
-    }
-
-    #[test]
-    fn f1_eq_is_warn_class_by_default() {
-        let d = scan_source(
-            "crates/x/src/lib.rs",
-            "fn f(x: f64) -> bool { x == 0.0 }",
-            ALL,
-        );
-        assert_eq!(d.len(), 1);
-        assert!(!d[0].deny);
     }
 
     // ---- allows + L1 ----

@@ -334,7 +334,6 @@ pub(crate) fn scan_units(
             line,
             rule,
             message,
-            deny: rule.default_deny(),
         });
     };
 

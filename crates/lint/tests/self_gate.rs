@@ -1,5 +1,5 @@
-//! The self-gate: the workspace must pass its own linter with everything
-//! promoted to deny, exactly as CI runs it (`scream-lint --deny`).
+//! The self-gate: the workspace must pass its own linter, exactly as CI runs
+//! it (every finding is an error).
 //!
 //! If this test fails, a new violation slipped in: fix it or add a
 //! `// lint:allow(RULE, reason = "...")`.
@@ -11,11 +11,7 @@ use std::path::Path;
 fn workspace_is_clean_under_bare_deny() {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = find_workspace_root(manifest).expect("lint crate lives inside the workspace");
-    let mut cfg = Config::new(root);
-    // Bare `--deny`: every rule (including the warn-by-default F1.eq and
-    // L1.unused) becomes an error, as in CI.
-    cfg.class_overrides.push((None, true));
-    let report = lint_workspace(&cfg).expect("workspace scan is readable");
+    let report = lint_workspace(&Config::new(root)).expect("workspace scan is readable");
 
     assert!(
         report.files_scanned > 50,
@@ -28,7 +24,7 @@ fn workspace_is_clean_under_bare_deny() {
         .collect();
     assert!(
         !report.failed() && lines.is_empty(),
-        "scream-lint --deny must pass on the workspace, found:\n{}",
+        "scream-lint must pass on the workspace, found:\n{}",
         lines.join("\n")
     );
 }

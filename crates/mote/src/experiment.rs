@@ -5,6 +5,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use scream_netsim::radio::{dbm_to_mw, mw_to_dbm};
 use scream_netsim::{EventQueue, SimTime};
 
 use crate::config::MoteExperimentConfig;
@@ -193,14 +194,6 @@ fn random_turnaround<R: Rng + ?Sized>(cfg: &MoteExperimentConfig, rng: &mut R) -
     let min = cfg.relay_turnaround_min.as_nanos();
     let max = cfg.relay_turnaround_max.as_nanos().max(min + 1);
     SimTime::from_nanos(rng.gen_range(min..=max))
-}
-
-fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
-}
-
-fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
 }
 
 /// Draws a standard normal sample (Box–Muller), kept local to stay within the

@@ -138,24 +138,8 @@ impl RadioEnvironment {
             !self.is_streamed(),
             "refading requires dense gains; streamed environments carry no shadowing field"
         );
-        let n = self.node_count;
-        let shadowing = ShadowingField::generate(n, sigma_db, seed);
-        let mut gains = vec![1.0; n * n];
-        let mut max_shadow_db = 0.0f64;
-        for i in 0..n {
-            let pi = Point2::new(self.xs[i], self.ys[i]);
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let pj = Point2::new(self.xs[j], self.ys[j]);
-                let dist = pi.distance(pj);
-                let shadow_db = shadowing.shadow_db(i, j);
-                max_shadow_db = max_shadow_db.max(-shadow_db);
-                let loss_db = self.propagation.path_loss_db(dist) + shadow_db;
-                gains[i * n + j] = db_to_linear(-loss_db);
-            }
-        }
+        let (gains, max_shadow_db) =
+            dense_gains(&self.xs, &self.ys, &self.propagation, sigma_db, seed);
         RadioEnvironment {
             gains,
             max_shadow_db,
@@ -589,35 +573,21 @@ impl RadioEnvironmentBuilder {
     pub fn build(self, deployment: &Deployment) -> RadioEnvironment {
         let n = deployment.len();
         let (xs, ys) = deployment.position_buffers();
-        let mut max_shadow_db = 0.0f64;
-        let gains = if self.stream_gains {
+        let (gains, max_shadow_db) = if self.stream_gains {
             assert!(
                 self.shadowing_sigma_db == 0.0,
                 "streamed gains require shadowing to be disabled (σ = 0), got σ = {} dB",
                 self.shadowing_sigma_db
             );
-            Vec::new()
+            (Vec::new(), 0.0)
         } else {
-            let shadowing =
-                ShadowingField::generate(n, self.shadowing_sigma_db, self.shadowing_seed);
-            let mut gains = vec![1.0; n * n];
-            for i in 0..n {
-                let pi = Point2::new(xs[i], ys[i]);
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let pj = Point2::new(xs[j], ys[j]);
-                    let dist = pi.distance(pj);
-                    let shadow_db = shadowing.shadow_db(i, j);
-                    // A negative sample *boosts* the gain; track the largest
-                    // boost for the conservative far-field and range bounds.
-                    max_shadow_db = max_shadow_db.max(-shadow_db);
-                    let loss_db = self.propagation.path_loss_db(dist) + shadow_db;
-                    gains[i * n + j] = db_to_linear(-loss_db);
-                }
-            }
-            gains
+            dense_gains(
+                &xs,
+                &ys,
+                &self.propagation,
+                self.shadowing_sigma_db,
+                self.shadowing_seed,
+            )
         };
         let tx_power_mw: Vec<f64> = deployment
             .nodes()
@@ -641,6 +611,39 @@ impl RadioEnvironmentBuilder {
             shadowing_sigma_db: self.shadowing_sigma_db,
         }
     }
+}
+
+/// The dense `n × n` gain matrix of the nodes at `xs`/`ys` — path loss plus
+/// one shadowing draw per pair — and the largest gain boost (in dB) that
+/// draw contains.
+fn dense_gains(
+    xs: &[f64],
+    ys: &[f64],
+    propagation: &PropagationModel,
+    sigma_db: f64,
+    seed: u64,
+) -> (Vec<f64>, f64) {
+    let n = xs.len();
+    let shadowing = ShadowingField::generate(n, sigma_db, seed);
+    let mut gains = vec![1.0; n * n];
+    let mut max_shadow_db = 0.0f64;
+    for i in 0..n {
+        let pi = Point2::new(xs[i], ys[i]);
+        for j in 0..n {
+            if i == j {
+                continue;
+            }
+            let pj = Point2::new(xs[j], ys[j]);
+            let dist = pi.distance(pj);
+            let shadow_db = shadowing.shadow_db(i, j);
+            // A negative sample *boosts* the gain; track the largest
+            // boost for the conservative far-field and range bounds.
+            max_shadow_db = max_shadow_db.max(-shadow_db);
+            let loss_db = propagation.path_loss_db(dist) + shadow_db;
+            gains[i * n + j] = db_to_linear(-loss_db);
+        }
+    }
+    (gains, max_shadow_db)
 }
 
 #[cfg(test)]

@@ -152,21 +152,8 @@ impl Default for RadioConfig {
     }
 }
 
-/// Converts a power level from dBm to milliwatts (re-exported here so the
-/// crate is usable without `scream-topology` in scope).
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
-}
-
-/// Converts a power level from milliwatts to dBm. Non-positive powers map to
-/// negative infinity.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    if mw <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        10.0 * mw.log10()
-    }
-}
+// Re-exported here so the crate is usable without `scream-topology` in scope.
+pub use scream_topology::node::{dbm_to_mw, mw_to_dbm};
 
 /// Converts a relative dB quantity (path loss, fading margin, gain) to the
 /// equivalent linear power *ratio*. Numerically identical to [`dbm_to_mw`],

@@ -224,6 +224,40 @@ mod tests {
     }
 
     #[test]
+    fn a_node_outage_after_a_fade_acts_on_the_faded_graph() {
+        // A 4 dB fade drops nine of the grid's 24 links and opens seven new
+        // ones, two of them from node 10 straight to the gateways 12 and 15;
+        // the outage that follows must fail, and the reroutes avoid or
+        // reuse, the *faded* world's links. Pinned to the report of the
+        // commit that still rebuilt the communication graph at every fault.
+        let h = harness(0.6);
+        let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();
+        let f0 = probe.frame_slots_initial;
+        let trace = FaultPlan::new()
+            .fade(f0, 4.0, 7)
+            .node_outage(NodeId::new(10), 2 * f0, 4 * f0)
+            .build();
+        let report = h.run(&trace, 6 * f0, 7).unwrap();
+        assert_eq!(
+            format!("{report:?}"),
+            "\
+             ResilienceReport { frame_slots_initial: 16, horizon_slots: 96, epochs: [\
+             EpochMetrics { epoch: 0, start_slot: 0, end_slot: 16, injected: 0, delivered: 0, dropped: 0, backlog_start: 0, backlog_end: 0, delivery_pct: 100.0, stable: true }, \
+             EpochMetrics { epoch: 1, start_slot: 16, end_slot: 32, injected: 12, delivered: 4, dropped: 0, backlog_start: 0, backlog_end: 8, delivery_pct: 33.33333333333333, stable: true }, \
+             EpochMetrics { epoch: 2, start_slot: 32, end_slot: 48, injected: 0, delivered: 6, dropped: 0, backlog_start: 8, backlog_end: 0, delivery_pct: 75.0, stable: true }, \
+             EpochMetrics { epoch: 3, start_slot: 48, end_slot: 64, injected: 10, delivered: 9, dropped: 0, backlog_start: 0, backlog_end: 1, delivery_pct: 90.0, stable: true }, \
+             EpochMetrics { epoch: 4, start_slot: 64, end_slot: 80, injected: 0, delivered: 1, dropped: 0, backlog_start: 1, backlog_end: 0, delivery_pct: 100.0, stable: true }, \
+             EpochMetrics { epoch: 5, start_slot: 80, end_slot: 96, injected: 12, delivered: 11, dropped: 0, backlog_start: 0, backlog_end: 1, delivery_pct: 91.66666666666666, stable: true }], \
+             repairs: [\
+             RepairRecord { slot: 16, outcome: Incremental, frame_slots_before: 16, frame_slots_after: 14, removed_allocation: 8, added_allocation: 8 }, \
+             RepairRecord { slot: 32, outcome: Incremental, frame_slots_before: 14, frame_slots_after: 11, removed_allocation: 5, added_allocation: 2 }, \
+             RepairRecord { slot: 64, outcome: Incremental, frame_slots_before: 11, frame_slots_after: 13, removed_allocation: 2, added_allocation: 5 }], \
+             totals: SessionTotals { injected: 34, delivered: 31, dropped: 2, rescued: 2, in_flight: 1, peak_backlog: 12 }, \
+             first_fault_slot: Some(16), time_to_recover_slots: Some(0), outage_delivery_pct: 33.33333333333333, post_recovery_delivery_pct: 91.17647058823529, disruption_peak_backlog: 12, deferred_flows: 0, final_verdict_stable: true }"
+        );
+    }
+
+    #[test]
     fn flow_churn_pauses_and_resumes_injection() {
         let h = harness(0.8);
         let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();

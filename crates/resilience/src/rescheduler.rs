@@ -10,8 +10,8 @@
 //!    utilization ρ, exactly the paper's load model);
 //! 2. advance a [`TrafficSession`] epoch by epoch, pausing at every fault
 //!    slot;
-//! 3. at each fault, update the fault state and — when
-//!    [`ReschedulerConfig::repair`] is on — **reschedule**: prune the
+//! 3. at each fault, update the fault state and — under
+//!    [`ReschedulerConfig::default`] — **reschedule**: prune the
 //!    communication graph of dead links and nodes, rebuild the routing
 //!    forest around them ([`RoutingForest::shortest_path_partial`]), zero
 //!    the demands of dead and cut-off nodes, patch the compact schedule
@@ -26,9 +26,10 @@
 //! 5. report per-epoch traffic, every repair taken, and the headline
 //!    graceful-degradation metrics ([`ResilienceReport`]).
 //!
-//! With `repair` off the harness is the **no-repair baseline**: faults
-//! still strand packets and kill service, but nothing reroutes — the
-//! degradation the rescheduler is supposed to prevent.
+//! Under [`ReschedulerConfig::baseline`] the harness is the **no-repair
+//! baseline**: faults still strand packets and kill service, but nothing
+//! reroutes or defers — the degradation the rescheduler is supposed to
+//! prevent.
 //!
 //! Shadowing fades ([`FaultKind::Fade`]) redraw the radio environment's
 //! shadowing field. The packet engine does not model SINR loss, so a fade
@@ -51,36 +52,25 @@ use scream_traffic::{
 use crate::fault::{ChurnTrace, FaultKind};
 use crate::report::{EpochMetrics, RepairRecord, ResilienceReport};
 
-/// Knobs of the recovery loop.
+/// Which recovery loop runs: the rescheduler ([`default`](Self::default))
+/// or the no-repair baseline ([`baseline`](Self::baseline)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReschedulerConfig {
-    /// Epoch length in slots; `0` means "one initial frame length".
-    pub epoch_slots: u64,
-    /// Whether to reroute demands and repair the frame after each fault.
-    /// Off = the no-repair baseline.
-    pub repair: bool,
-    /// Whether to defer flows while the analytic verdict is Overloaded.
-    pub admission: bool,
+    /// Whether to reroute demands, repair the frame and defer flows that no
+    /// longer fit after each fault.
+    repair: bool,
 }
 
 impl Default for ReschedulerConfig {
     fn default() -> Self {
-        Self {
-            epoch_slots: 0,
-            repair: true,
-            admission: true,
-        }
+        Self { repair: true }
     }
 }
 
 impl ReschedulerConfig {
     /// The no-repair, no-admission baseline configuration.
     pub fn baseline() -> Self {
-        Self {
-            repair: false,
-            admission: false,
-            ..Self::default()
-        }
+        Self { repair: false }
     }
 }
 
@@ -181,11 +171,8 @@ impl ResilienceHarness {
             return Err(ResilienceError::ZeroHorizon);
         }
         let mut state = RunState::start(self, seed)?;
-        let epoch_slots = if self.config.epoch_slots == 0 {
-            state.frame_slots_initial
-        } else {
-            self.config.epoch_slots
-        };
+        // An epoch is one initial frame length.
+        let epoch_slots = state.frame_slots_initial;
 
         let mut events = trace
             .events()
@@ -205,10 +192,9 @@ impl ResilienceHarness {
             if faulted {
                 if self.config.repair {
                     state.reschedule(now)?;
-                }
-                state.sync_pause_states();
-                if self.config.admission {
                     state.admit();
+                } else {
+                    state.sync_pause_states();
                 }
             }
             let next_fault = events.peek().map(|e| e.slot).unwrap_or(horizon_slots);
@@ -218,7 +204,7 @@ impl ResilienceHarness {
             epoch.add(&segment);
             now = target;
             if now.is_multiple_of(epoch_slots) || now == horizon_slots {
-                let metrics = epoch.flush(&state, now, epoch_slots);
+                let metrics = epoch.flush(&state, now);
                 scream_obs::set_epoch(metrics.epoch);
                 scream_obs::counter_add("resilience.epochs", 1);
                 scream_obs::event(
@@ -269,7 +255,7 @@ impl EpochAccumulator {
         self.dropped += segment.dropped;
     }
 
-    fn flush(&self, state: &RunState, end_slot: u64, epoch_slots: u64) -> EpochMetrics {
+    fn flush(&self, state: &RunState, end_slot: u64) -> EpochMetrics {
         // Delivered packets are charged against what could possibly be
         // delivered this epoch: fresh injections plus the carried-in
         // backlog. Charging injections alone over-counts while a backlog
@@ -283,7 +269,7 @@ impl EpochAccumulator {
         };
         let (_, verdict) = state.session.analytic_loads();
         EpochMetrics {
-            epoch: self.start_slot / epoch_slots,
+            epoch: self.start_slot / state.frame_slots_initial,
             start_slot: self.start_slot,
             end_slot,
             injected: self.injected,
@@ -300,6 +286,8 @@ impl EpochAccumulator {
 /// The live state of one run: session, schedule, and fault bookkeeping.
 struct RunState {
     env: RadioEnvironment,
+    /// `env`'s communication graph; a fade replaces both.
+    graph: Graph,
     gateways: Vec<NodeId>,
     base_demands: DemandVector,
     session: TrafficSession,
@@ -353,6 +341,7 @@ impl RunState {
         )?;
         Ok(Self {
             env,
+            graph,
             gateways: harness.gateways.clone(),
             base_demands: harness.demands.clone(),
             session,
@@ -411,6 +400,7 @@ impl RunState {
             }
             FaultKind::Fade { sigma_db, seed } => {
                 self.env = self.env.refaded(sigma_db, seed);
+                self.graph = self.env.communication_graph();
             }
             FaultKind::FlowStop(node) => {
                 self.stopped.insert(node);
@@ -423,8 +413,7 @@ impl RunState {
 
     /// Every communication-graph link incident to `node`, as drawn links.
     fn incident_links(&self, node: NodeId) -> Vec<Link> {
-        self.env
-            .communication_graph()
+        self.graph
             .edges()
             .filter(|&(u, v)| u == node || v == node)
             .map(|(u, v)| Link::new(u, v))
@@ -438,8 +427,7 @@ impl RunState {
     /// The communication graph with every dead node and link pruned.
     fn pruned_graph(&self) -> Graph {
         let dead_nodes: Vec<NodeId> = self.dead_nodes.iter().copied().collect();
-        self.env
-            .communication_graph()
+        self.graph
             .without_nodes(&dead_nodes)
             .without_edges(self.dead_links.iter().copied())
     }
