@@ -37,7 +37,7 @@ impl ComplexityObservation {
     /// Ratio of measured steps to the bound; Theorem 5 promises this is `O(1)`
     /// (in practice far below 1 because most rounds finish early).
     pub fn utilization_of_bound(&self) -> f64 {
-        // lint:allow(F1.eq, reason = "exact-zero guard before division; any nonzero bound is safe to divide by")
+        // Exact-zero guard: any nonzero bound is safe to divide by.
         if self.theorem_bound == 0.0 {
             0.0
         } else {

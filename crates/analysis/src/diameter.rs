@@ -61,7 +61,7 @@ impl DiameterObservation {
     /// Ratio of the measured diameter to `√(n/ρ)` — the paper's claim is that
     /// this ratio stays bounded by a constant across scenarios.
     pub fn ratio_to_sqrt_n_over_rho(&self) -> f64 {
-        // lint:allow(F1.eq, reason = "exact-zero guard before division; any nonzero reference is safe to divide by")
+        // Exact-zero guard: any nonzero reference is safe to divide by.
         if self.sqrt_n_over_rho == 0.0 {
             0.0
         } else {

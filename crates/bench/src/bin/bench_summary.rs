@@ -25,6 +25,11 @@
 //! instance, the cells and the checks are the same. Full mode regenerates
 //! the committed `BENCH_schedule.json`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D1.clock: the wall clock lives in the bench binaries only, and this one's job is to time the rung"
+)]
+
 use std::time::Instant;
 
 use scream_bench::{BenchError, LargeScaleScenario};

@@ -7,6 +7,11 @@
 //! arguments is committed as `crates/bench/FIGURES.txt`; CI diffs it. Context
 //! lines (`# ...`) go to stderr, so stdout is deterministic.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D1.clock: the wall clock lives in the bench binaries only; here it times `sweep` on a stderr `#` line"
+)]
+
 use std::time::Instant;
 
 use scream_analysis::{ComplexityReport, DiameterObservation, EquivalenceReport};

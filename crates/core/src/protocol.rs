@@ -61,8 +61,11 @@ impl ProtocolKind {
     /// # Panics
     ///
     /// Panics if the probability is not in `(0, 1]`.
+    #[expect(
+        clippy::panic,
+        reason = "the documented panicking twin of `pdd`, for constant probabilities in benches, examples and tests; library code calls `pdd`"
+    )]
     pub fn pdd_unchecked(probability: f64) -> Self {
-        // lint:allow(P1, reason = "the documented panicking twin of `pdd`, for constant probabilities in benches, examples and tests; library code calls `pdd`")
         Self::pdd(probability).unwrap_or_else(|e| panic!("{e}"))
     }
 

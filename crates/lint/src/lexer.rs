@@ -21,7 +21,7 @@ pub struct AllowDirective {
     pub line: usize,
     /// True when nothing but whitespace precedes the comment on its line.
     pub standalone: bool,
-    /// Rule families (`D1`) or full codes (`D1.iter`) being allowed.
+    /// Rule families (`U1`) or full codes (`U1.mix`) being allowed.
     pub rules: Vec<String>,
     /// The mandatory justification string.
     pub reason: Option<String>,
@@ -388,18 +388,18 @@ mod tests {
     #[test]
     fn allow_directive_trailing_and_standalone() {
         let src = "\
-let a = m.iter(); // lint:allow(D1, reason = \"snapshot is sorted below\")
-// lint:allow(P1, reason = \"checked above\")
-let b = x.unwrap();
+let a = env.open_slot(); // lint:allow(H1, reason = \"one per frame, not per probe\")
+// lint:allow(O1, reason = \"cold path\")
+scream_obs::event(&name.to_string(), &[]);
 ";
         let s = scrub(src);
         assert_eq!(s.allows.len(), 2);
         assert!(!s.allows[0].standalone);
         assert_eq!(s.allows[0].line, 1);
-        assert_eq!(s.allows[0].rules, vec!["D1".to_string()]);
+        assert_eq!(s.allows[0].rules, vec!["H1".to_string()]);
         assert_eq!(
             s.allows[0].reason.as_deref(),
-            Some("snapshot is sorted below")
+            Some("one per frame, not per probe")
         );
         assert!(s.allows[1].standalone);
         assert_eq!(s.allows[1].line, 2);
@@ -407,11 +407,11 @@ let b = x.unwrap();
 
     #[test]
     fn allow_directive_requires_reason() {
-        let s = scrub("let a = 1; // lint:allow(D1)\n");
+        let s = scrub("let a = 1; // lint:allow(U1)\n");
         assert_eq!(s.allows.len(), 1);
         assert!(s.allows[0].error.is_some());
 
-        let s = scrub("let a = 1; // lint:allow(D1, reason = \"\")\n");
+        let s = scrub("let a = 1; // lint:allow(U1, reason = \"\")\n");
         assert!(s.allows[0].error.is_some());
 
         let s = scrub("let a = 1; // lint:allow(reason = \"why\")\n");
@@ -421,11 +421,11 @@ let b = x.unwrap();
     #[test]
     fn allow_directive_multiple_rules_and_parens_in_reason() {
         let s =
-            scrub("x(); // lint:allow(D1, H1.alloc, reason = \"see fn docs (amortized O(1))\")\n");
+            scrub("x(); // lint:allow(O1, H1.alloc, reason = \"see fn docs (amortized O(1))\")\n");
         assert_eq!(s.allows.len(), 1);
         let d = &s.allows[0];
         assert!(d.error.is_none(), "{:?}", d.error);
-        assert_eq!(d.rules, vec!["D1".to_string(), "H1.alloc".to_string()]);
+        assert_eq!(d.rules, vec!["O1".to_string(), "H1.alloc".to_string()]);
         assert_eq!(d.reason.as_deref(), Some("see fn docs (amortized O(1))"));
     }
 

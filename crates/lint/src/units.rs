@@ -516,18 +516,10 @@ pub(crate) fn scan_units(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{scan_source, ScanPolicy};
-
-    const POLICY: ScanPolicy = ScanPolicy {
-        hash_iter: false,
-        wall_clock: false,
-        float_eq: false,
-        units: true,
-        obs_sink: false,
-    };
+    use crate::scan::scan_source;
 
     fn codes(src: &str) -> Vec<&'static str> {
-        scan_source("crates/x/src/lib.rs", src, POLICY)
+        scan_source("crates/x/src/lib.rs", src)
             .into_iter()
             .map(|d| d.rule.code())
             .collect()

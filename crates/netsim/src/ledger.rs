@@ -654,7 +654,6 @@ impl<'a> SlotLedger<'a> {
     /// the partial sum already surely rejects the candidate (checked after
     /// each Chebyshev ring, nearest — loudest — cells first) or an in-disc
     /// link fails its exact margin re-check.
-    #[allow(clippy::too_many_arguments)]
     fn scan_disc(
         &self,
         p: &Pruning,

@@ -44,6 +44,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Conventions P1 / D1 / H1 (ROADMAP), carried by clippy; test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod registry;
 pub mod trace;

@@ -37,6 +37,7 @@
 //! verified against the faded environment, falling back to a full rebuild
 //! when the old slot groupings are no longer feasible.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use scream_netsim::RadioEnvironment;
@@ -526,9 +527,11 @@ impl RunState {
                 let rate = source.arrival.mean_rate();
                 let better = match candidate {
                     None => true,
-                    Some((best_rate, best_node)) => {
-                        rate > best_rate || (rate == best_rate && source.node < best_node)
-                    }
+                    Some((best_rate, best_node)) => match rate.total_cmp(&best_rate) {
+                        Ordering::Greater => true,
+                        Ordering::Equal => source.node < best_node,
+                        Ordering::Less => false,
+                    },
                 };
                 if better {
                     candidate = Some((rate, source.node));

@@ -419,6 +419,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test may expand a 4-slot schedule to look at every slot"
+    )]
     fn channel_aware_schedule_respects_half_duplex_across_channels() {
         // Links sharing node 1 can never coexist, not even on different
         // channels: the cross-channel half-duplex rule keeps them apart and

@@ -347,8 +347,11 @@ impl Schedule {
     /// single-channel representation, kept for round-trip tests and per-slot
     /// consumers. Channel tags are dropped; for single-channel schedules the
     /// round trip through [`from_slots`](Self::from_slots) is exact.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "expand() is the explicit expansion entry point; callers opt in"
+    )]
     pub fn expand(&self) -> Vec<Vec<Link>> {
-        // lint:allow(H1.hot, reason = "expand() is the explicit expansion entry point; callers opt in")
         self.slots().map(|p| p.links().to_vec()).collect()
     }
 

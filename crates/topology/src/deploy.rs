@@ -218,6 +218,10 @@ impl Deployment {
     }
 
     /// The node closest to the given point.
+    #[expect(
+        clippy::expect_used,
+        reason = "Deployment constructors reject empty node sets"
+    )]
     pub fn nearest_node(&self, p: Point2) -> NodeId {
         self.nodes
             .iter()
@@ -228,7 +232,6 @@ impl Deployment {
                     .distance_squared(p)
                     .total_cmp(&b.position.distance_squared(p))
             })
-            // lint:allow(P1, reason = "Deployment constructors reject empty node sets")
             .expect("deployment is never empty")
             .id
     }

@@ -15,6 +15,11 @@
 //! * **values captured at the parent commit** (the last one with two
 //!   simulators) for a seeded Poisson mesh run.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the slot-stepped oracle expands the schedule on purpose; H1.hot is a rule for library code"
+)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use rand::SeedableRng;
