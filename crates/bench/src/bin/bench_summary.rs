@@ -16,8 +16,9 @@
 //! * the process's peak resident set (`peak_rss_mib`).
 //!
 //! It is also CI's scale smoke: a repair that is not `Incremental`, a
-//! pruned probe that disagrees with the exact one, an unstable frame or a
-//! peak resident set above 256 MiB exits non-zero.
+//! pruned probe that disagrees with the exact one, an unstable frame, more
+//! than 20 rejected probes per link or a peak resident set above 256 MiB
+//! exits non-zero.
 //!
 //! Usage: `cargo run --release -p scream-bench --bin bench_summary [--quick] [output.json]`
 //!
@@ -44,6 +45,12 @@ const SCALE_LINKS: usize = 100_000;
 /// tables reads over 1 GiB here (708 open slots × 200 256 nodes), one whose
 /// state is O(its links) under 100 MiB.
 const PEAK_RSS_BOUND_MIB: f64 = 256.0;
+
+/// What a placed link may cost in rejected probes at 10⁵ links: 6.5 with the
+/// ledger's refusal screen in front of first-fit, 355.67 without it. A
+/// deterministic count, so a screen that silently stopped answering fails
+/// here on any machine.
+const PROBE_REJECTS_PER_LINK_BOUND: f64 = 20.0;
 
 /// One timed operation: its wall-clock spread over `reps` repetitions.
 struct Cell {
@@ -251,9 +258,10 @@ fn main() -> Result<(), BenchError> {
 
     // Observability profile: replay the build through the scream-obs sink
     // and read the dust-slack headline off the registry — probe rejects per
-    // link (how many occupied runs the first-fit scan burns before a slot
-    // admits each link), the share of them the binding-victim screen decided
-    // and the pruned ledger's far-field hit rate (screens resolved by the
+    // link (how many occupied runs the first-fit scan probes in vain before
+    // a slot admits each link), the runs per link the refusal screen let it
+    // pass by unprobed, the share of the rejects the binding-victim screen
+    // decided and the pruned ledger's far-field hit rate (screens resolved by the
     // aggregate far-field bound without an exact interference sum). Trace
     // capacity 0: registry totals only, every event counted and dropped.
     eprintln!("# profiling the build through scream-obs (untimed)...");
@@ -268,7 +276,9 @@ fn main() -> Result<(), BenchError> {
     let farfield_hits = count("ledger.farfield.accept") + count("ledger.farfield.skip_existing");
     let farfield_screens =
         farfield_hits + count("ledger.exact.fallback") + count("ledger.exact.fallback_existing");
-    let rejects_per_link = rejects / count("greedy.links").max(1.0);
+    let links_placed = count("greedy.links").max(1.0);
+    let rejects_per_link = rejects / links_placed;
+    let skipped_per_link = count("greedy.runs.skipped") / links_placed;
     let farfield_hit_rate_pct = farfield_hits / farfield_screens.max(1.0) * 100.0;
 
     let peak_rss_mib = peak_rss_mib();
@@ -290,6 +300,7 @@ fn main() -> Result<(), BenchError> {
         ],
         &[
             ("probe_rejects_per_link", rejects_per_link),
+            ("runs_skipped_per_link", skipped_per_link),
             (
                 "victim_reject_share_pct",
                 by_victim / rejects.max(1.0) * 100.0,
@@ -303,6 +314,10 @@ fn main() -> Result<(), BenchError> {
     std::fs::write(&out_path, &json).expect("writing the bench summary file");
     eprintln!("# wrote {out_path}");
     print!("{json}");
+    assert!(
+        rejects_per_link <= PROBE_REJECTS_PER_LINK_BOUND,
+        "{rejects_per_link:.2} rejected probes per link: the refusal screen is not answering"
+    );
     if let Some(mib) = peak_rss_mib {
         assert!(
             mib <= PEAK_RSS_BOUND_MIB,
@@ -333,7 +348,10 @@ mod tests {
                 std::slice::from_ref(&cell),
                 &[("repair_over_rebuild", 3.84)],
                 &[("scale_schedule_links_per_sec", 28_571.43)],
-                &[("probe_rejects_per_link", 355.668)],
+                &[
+                    ("probe_rejects_per_link", 6.538),
+                    ("runs_skipped_per_link", 349.13),
+                ],
                 peak_rss_mib,
                 false,
             )
@@ -344,7 +362,8 @@ mod tests {
             keys.join(" "),
             "benchmarks scale_schedule_100k min_secs median_secs max_secs reps \
              speedup_ratios repair_over_rebuild throughput scale_schedule_links_per_sec \
-             observability probe_rejects_per_link peak_rss_mib quick_mode"
+             observability probe_rejects_per_link runs_skipped_per_link peak_rss_mib \
+             quick_mode"
         );
         // Each value follows its key, at the precision the file documents.
         for pair in [
@@ -352,7 +371,8 @@ mod tests {
             "\"reps\": 3 }\n",
             "\"repair_over_rebuild\": 3.8\n",
             "\"scale_schedule_links_per_sec\": 28571.4\n",
-            "\"probe_rejects_per_link\": 355.67\n",
+            "\"probe_rejects_per_link\": 6.54,\n",
+            "\"runs_skipped_per_link\": 349.13\n",
             "\"peak_rss_mib\": 46.0,\n  \"quick_mode\": false\n}\n",
         ] {
             assert!(json.contains(pair), "{pair} is missing from {json}");

@@ -9,8 +9,9 @@
 //!
 //! * default — human-readable tables: every counter, gauge and histogram in
 //!   the final [`Snapshot`](scream_obs::Snapshot), plus the derived probe
-//!   profile (rejects per link, the share of them the binding-victim screen
-//!   decided, far-field hit rate, trace-ring fill);
+//!   profile (rejects per link, runs per link the refusal screen skipped,
+//!   the share of the rejects the binding-victim screen decided, far-field
+//!   hit rate, trace-ring fill);
 //! * `--json` — the slot-clock trace as JSONL (one event object per line,
 //!   stamped with slot/round/epoch/probe — never a wall clock), terminated
 //!   by one `{"snapshot": ...}` line with the full registry. Byte-identical
@@ -109,6 +110,13 @@ fn main() -> Result<(), BenchError> {
     derived.push_row(vec![
         "probe_rejects_per_link".to_string(),
         format!("{:.2}", rejects as f64 / links as f64),
+    ]);
+    derived.push_row(vec![
+        "runs_skipped_per_link".to_string(),
+        format!(
+            "{:.2}",
+            report.snapshot.counter("greedy.runs.skipped") as f64 / links as f64
+        ),
     ]);
     derived.push_row(vec![
         "victim_reject_share_pct".to_string(),

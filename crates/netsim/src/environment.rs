@@ -49,6 +49,13 @@ pub struct RadioEnvironment {
     ys: Vec<f64>,
     /// Maximum per-node transmit power, in milliwatts (0 with no nodes).
     max_tx_power_mw: f64,
+    /// Minimum per-node transmit power, in milliwatts (+∞ with no nodes).
+    min_tx_power_mw: f64,
+    /// Dense gains only: per receiver, the least `received_power_mw(tx, rx)`
+    /// over every other node `tx` (+∞ for a lone node) — what
+    /// [`weakest_interferer_mw`](Self::weakest_interferer_mw) answers with.
+    /// Empty in streamed mode.
+    weakest_rx_mw: Vec<f64>,
     /// Bounding box `[min_x, max_x, min_y, max_y]` of the node positions, in
     /// meters (`min` = +∞ and `max` = −∞ with no nodes), computed once so
     /// that opening a pruned slot ledger does not re-scan every position.
@@ -138,13 +145,31 @@ impl RadioEnvironment {
             !self.is_streamed(),
             "refading requires dense gains; streamed environments carry no shadowing field"
         );
-        let (gains, max_shadow_db) =
-            dense_gains(&self.xs, &self.ys, &self.propagation, sigma_db, seed);
+        let dense = dense_gains(
+            &self.xs,
+            &self.ys,
+            &self.tx_power_mw,
+            &self.propagation,
+            sigma_db,
+            seed,
+        );
+        // Field by field: `..self.clone()` would copy the n² matrix this
+        // call exists to replace.
         RadioEnvironment {
-            gains,
-            max_shadow_db,
+            node_count: self.node_count,
+            gains: dense.gains,
+            tx_power_mw: self.tx_power_mw.clone(),
+            xs: self.xs.clone(),
+            ys: self.ys.clone(),
+            max_tx_power_mw: self.max_tx_power_mw,
+            min_tx_power_mw: self.min_tx_power_mw,
+            weakest_rx_mw: dense.weakest_rx_mw,
+            bounding_box_m: self.bounding_box_m,
+            max_shadow_db: dense.max_shadow_db,
+            gain_profile: self.gain_profile,
+            config: self.config,
+            propagation: self.propagation,
             shadowing_sigma_db: sigma_db,
-            ..self.clone()
         }
     }
 
@@ -162,6 +187,31 @@ impl RadioEnvironment {
     /// when shadowing is disabled or gains are streamed).
     pub fn max_shadow_db(&self) -> f64 {
         self.max_shadow_db
+    }
+
+    /// Minimum per-node transmit power in milliwatts (+∞ with no nodes).
+    pub(crate) fn min_tx_power_mw(&self) -> f64 {
+        self.min_tx_power_mw
+    }
+
+    /// A lower bound, in milliwatts, on
+    /// [`received_power_mw(tx, rx)`](Self::received_power_mw) over every node
+    /// `tx ≠ rx`: the least interference any transmitter of the deployment
+    /// adds at `rx`. Dense environments return the exact minimum (recorded
+    /// while the gain matrix is filled, so shadowing is in it); streamed ones
+    /// the weakest transmitter's power at the corner of the bounding box
+    /// farthest from `rx`, which no node lies beyond. 0 — a bound on anything
+    /// — for an id the environment lacks.
+    pub fn weakest_interferer_mw(&self, rx: NodeId) -> f64 {
+        if !self.gains.is_empty() {
+            return self.weakest_rx_mw.get(rx.index()).copied().unwrap_or(0.0);
+        }
+        let (Some(&x), Some(&y)) = (self.xs.get(rx.index()), self.ys.get(rx.index())) else {
+            return 0.0;
+        };
+        let [min_x, max_x, min_y, max_y] = self.bounding_box_m;
+        let (dx, dy) = ((x - min_x).max(max_x - x), (y - min_y).max(max_y - y));
+        self.min_tx_power_mw * self.gain_profile.gain_floor_within(dx * dx + dy * dy)
     }
 
     /// Position of `node` in meters.
@@ -573,38 +623,42 @@ impl RadioEnvironmentBuilder {
     pub fn build(self, deployment: &Deployment) -> RadioEnvironment {
         let n = deployment.len();
         let (xs, ys) = deployment.position_buffers();
-        let (gains, max_shadow_db) = if self.stream_gains {
-            assert!(
-                self.shadowing_sigma_db == 0.0,
-                "streamed gains require shadowing to be disabled (σ = 0), got σ = {} dB",
-                self.shadowing_sigma_db
-            );
-            (Vec::new(), 0.0)
-        } else {
-            dense_gains(
-                &xs,
-                &ys,
-                &self.propagation,
-                self.shadowing_sigma_db,
-                self.shadowing_seed,
-            )
-        };
         let tx_power_mw: Vec<f64> = deployment
             .nodes()
             .iter()
             .map(|node| node.tx_power_mw())
             .collect();
+        let dense = if self.stream_gains {
+            assert!(
+                self.shadowing_sigma_db == 0.0,
+                "streamed gains require shadowing to be disabled (σ = 0), got σ = {} dB",
+                self.shadowing_sigma_db
+            );
+            DenseGains::default()
+        } else {
+            dense_gains(
+                &xs,
+                &ys,
+                &tx_power_mw,
+                &self.propagation,
+                self.shadowing_sigma_db,
+                self.shadowing_seed,
+            )
+        };
         let max_tx_power_mw = tx_power_mw.iter().fold(0.0f64, |m, &p| m.max(p));
+        let min_tx_power_mw = tx_power_mw.iter().fold(f64::INFINITY, |m, &p| m.min(p));
         let bounding_box_m = bounding_box_m(&xs, &ys);
         RadioEnvironment {
             node_count: n,
-            gains,
+            gains: dense.gains,
             tx_power_mw,
             xs,
             ys,
             max_tx_power_mw,
+            min_tx_power_mw,
+            weakest_rx_mw: dense.weakest_rx_mw,
             bounding_box_m,
-            max_shadow_db,
+            max_shadow_db: dense.max_shadow_db,
             gain_profile: self.propagation.gain_profile(),
             config: self.config,
             propagation: self.propagation,
@@ -613,20 +667,33 @@ impl RadioEnvironmentBuilder {
     }
 }
 
-/// The dense `n × n` gain matrix of the nodes at `xs`/`ys` — path loss plus
-/// one shadowing draw per pair — and the largest gain boost (in dB) that
-/// draw contains.
+/// What one pass over the node pairs derives for a dense environment (all
+/// empty / zero for a streamed one).
+#[derive(Default)]
+struct DenseGains {
+    /// The `n × n` gain matrix, row-major by transmitter.
+    gains: Vec<f64>,
+    /// The largest gain boost (in dB) the shadowing draw contains.
+    max_shadow_db: f64,
+    /// Per receiver, the least received power over every other transmitter.
+    weakest_rx_mw: Vec<f64>,
+}
+
+/// The dense gains of the nodes at `xs`/`ys` transmitting at `tx_power_mw` —
+/// path loss plus one shadowing draw per pair.
 fn dense_gains(
     xs: &[f64],
     ys: &[f64],
+    tx_power_mw: &[f64],
     propagation: &PropagationModel,
     sigma_db: f64,
     seed: u64,
-) -> (Vec<f64>, f64) {
+) -> DenseGains {
     let n = xs.len();
     let shadowing = ShadowingField::generate(n, sigma_db, seed);
     let mut gains = vec![1.0; n * n];
     let mut max_shadow_db = 0.0f64;
+    let mut weakest_rx_mw = vec![f64::INFINITY; n];
     for i in 0..n {
         let pi = Point2::new(xs[i], ys[i]);
         for j in 0..n {
@@ -640,10 +707,17 @@ fn dense_gains(
             // boost for the conservative far-field and range bounds.
             max_shadow_db = max_shadow_db.max(-shadow_db);
             let loss_db = propagation.path_loss_db(dist) + shadow_db;
-            gains[i * n + j] = db_to_linear(-loss_db);
+            let gain = db_to_linear(-loss_db);
+            gains[i * n + j] = gain;
+            // The product `received_power_mw(i, j)` evaluates.
+            weakest_rx_mw[j] = weakest_rx_mw[j].min(tx_power_mw[i] * gain);
         }
     }
-    (gains, max_shadow_db)
+    DenseGains {
+        gains,
+        max_shadow_db,
+        weakest_rx_mw,
+    }
 }
 
 #[cfg(test)]
@@ -683,6 +757,19 @@ mod tests {
             .shadowing(4.0, 7)
             .build(&d);
         assert_eq!(base.refaded(4.0, 7), rebuilt);
+        // The per-receiver floor is refilled with the matrix: it is the
+        // exact minimum over the faded gains, not the base's.
+        assert_ne!(faded.weakest_rx_mw, base.weakest_rx_mw);
+        for e in [&base, &faded] {
+            for rx in (0..6).map(NodeId::new) {
+                let least_mw = (0..6)
+                    .map(NodeId::new)
+                    .filter(|&tx| tx != rx)
+                    .map(|tx| e.received_power_mw(tx, rx))
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(e.weakest_interferer_mw(rx), least_mw);
+            }
+        }
     }
 
     #[test]

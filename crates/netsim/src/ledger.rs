@@ -95,6 +95,20 @@
 //! the screen picks (the slack ranking, the memo's history) can therefore
 //! change a probe's cost but never its verdict.
 //!
+//! # Refusal screen
+//!
+//! [`surely_refuses`](SlotLedger::surely_refuses) lets first-fit pass a slot
+//! by unprobed. Its screen is derived lazily from the two binding victims (a
+//! `Cell` beside the memo, dropped by [`assign`] and `clear`): *closed* when
+//! the least power any node delivers at a victim's receiver already breaks
+//! it, else — streamed gains only, where gain is a function of distance — a
+//! *disc* around that receiver inside which every transmitter does. It
+//! evaluates the victim's own conjunct with a lower bound `floor ≤ term` for
+//! the candidate's received power, and IEEE `+`, `×`, `/`, `sqrt` are
+//! monotone, so `false` at the floor is `false` at the term: `true` implies
+//! `can_add` is `false`, `false` implies nothing, no margin is involved, and
+//! `can_add` never consults it (the private `refusal` module has the rest).
+//!
 //! # Fidelity to the from-scratch computation
 //!
 //! The ledger mirrors [`RadioEnvironment::handshake_ok`] exactly, including
@@ -117,6 +131,7 @@ use scream_topology::{Link, NodeId};
 
 use crate::environment::{FarField, RadioEnvironment};
 use crate::radio::ChannelId;
+use crate::refusal::RefusalScreen;
 use crate::spatial::{entry_is_head, entry_link, EndpointBuckets, GridGeometry};
 
 /// Relative margin separating the conservative spatial screens from the
@@ -222,6 +237,9 @@ pub struct SlotLedger<'a> {
     /// which conjunct a probe evaluates first, never a verdict (see the
     /// module docs), hence interior mutability behind `&self` probes.
     failed_memo: Cell<Option<Victim>>,
+    /// The refusal screen of the current binding victims, derived by the
+    /// first [`surely_refuses`](Self::surely_refuses) after a change.
+    refusal: Cell<Option<RefusalScreen>>,
 }
 
 /// How a [`SlotLedger`] decides whether to build spatial-pruning state.
@@ -345,6 +363,7 @@ impl<'a> SlotLedger<'a> {
             pruning,
             binding: [None; 2],
             failed_memo: Cell::new(None),
+            refusal: Cell::new(None),
         }
     }
 
@@ -380,6 +399,7 @@ impl<'a> SlotLedger<'a> {
         self.disjoint = true;
         self.binding = [None; 2];
         self.failed_memo.set(None);
+        self.refusal.set(None);
         if let Some(p) = &mut self.pruning {
             p.buckets.clear();
             p.min_sinr = f64::INFINITY;
@@ -460,6 +480,26 @@ impl<'a> SlotLedger<'a> {
             1,
         );
         verdict
+    }
+
+    /// The refusal screen (see the [module docs](self)): `true` only if
+    /// [`can_add`](Self::can_add) is `false` for `candidate`, decided without
+    /// probing; `false` decides nothing.
+    pub fn surely_refuses(&self, candidate: Link) -> bool {
+        let screen = self.refusal.get().unwrap_or_else(|| self.derive_refusal());
+        screen.refuses(self.env, candidate)
+    }
+
+    /// Derives and caches the refusal screen of the current binding victims.
+    fn derive_refusal(&self) -> RefusalScreen {
+        let [data, ack] = self.binding.map(|victim| victim.map(|v| v.index));
+        let (signal, interference) = (&self.data_signal, &self.data_interference);
+        let data = data.map(|i| (signal[i], interference[i], self.links[i].tail));
+        let (signal, interference) = (&self.ack_signal, &self.ack_interference);
+        let ack = ack.map(|i| (signal[i], interference[i], self.links[i].head));
+        let screen = RefusalScreen::derive(self.env, self.beta, self.noise_mw, data, ack);
+        self.refusal.set(Some(screen));
+        screen
     }
 
     /// The binding-victim screen (see the [module docs](self)): re-checks
@@ -789,6 +829,7 @@ impl<'a> SlotLedger<'a> {
         }
         self.binding = [(data_binding, true), (ack_binding, false)]
             .map(|(index, data)| Some(Victim { index, data }));
+        self.refusal.set(None);
         if let Some(p) = &mut self.pruning {
             p.buckets.insert(
                 k as u32,
@@ -1061,6 +1102,12 @@ impl<'a> ChannelSlotLedger<'a> {
     /// whichever channel.
     pub fn endpoints_free(&self, link: Link) -> bool {
         self.channels.iter().all(|l| l.endpoints_free(link))
+    }
+
+    /// Whether every channel [surely refuses](SlotLedger::surely_refuses)
+    /// `candidate`, so that [`can_add`](Self::can_add) is `false` on each.
+    pub fn surely_refuses(&self, candidate: Link) -> bool {
+        self.channels.iter().all(|l| l.surely_refuses(candidate))
     }
 
     /// Whether an endpoint of `link` is busy on a channel other than
@@ -1405,16 +1452,24 @@ mod tests {
         reused.assign(link(0, 1));
         reused.assign(link(1, 2));
         assert!(!reused.slot_feasible());
+        // (0, 1) hears node 1 transmit for (1, 2): the slot is broken, hence
+        // closed, and the cached screen says so until `clear` drops it.
+        assert!(reused.surely_refuses(link(4, 5)));
+        assert!(reused.refusal.get().is_some());
         reused.clear();
         assert!(reused.is_empty());
         assert!(reused.slot_feasible());
         assert!(reused.endpoints_free(link(1, 2)));
+        assert_eq!(reused.refusal.get(), None);
+        assert!(!reused.surely_refuses(link(4, 5)));
 
         let mut fresh = env.open_slot_ledger();
         for l in [link(6, 7), link(2, 3)] {
             assert_eq!(reused.can_add(l), fresh.can_add(l));
+            assert_eq!(reused.surely_refuses(l), fresh.surely_refuses(l));
             reused.assign(l);
             fresh.assign(l);
+            assert_eq!(reused.derive_refusal(), fresh.derive_refusal());
         }
         assert_eq!(reused.links(), fresh.links());
         assert_eq!(reused.slot_feasible(), fresh.slot_feasible());
@@ -1715,6 +1770,33 @@ mod tests {
         })
     }
 
+    /// A jittered 120 × 3 lattice with streamed gains, 21.5 m hops, node `i`
+    /// transmitting at 0 dBm + `spread_db` × (−1, 0, +1 by `i mod 3`).
+    fn jittered_lattice(rng: &mut ChaCha8Rng, spread_db: f64) -> RadioEnvironment {
+        let (columns, rows, step_m) = (120usize, 3usize, 21.5);
+        let nodes = (0..columns * rows)
+            .map(|i| {
+                let (dx, dy): (f64, f64) = (rng.gen_range(-0.1..0.1), rng.gen_range(-0.1..0.1));
+                let position = Point2::new(
+                    ((i % columns) as f64 + 0.5 + dx) * step_m,
+                    ((i / columns) as f64 + 0.5 + dy) * step_m,
+                );
+                let power_dbm = spread_db * ((i % 3) as f64 - 1.0);
+                scream_topology::NodeInfo::new(NodeId::new(i as u32), position, power_dbm)
+            })
+            .collect();
+        let region = Rect::new(
+            Point2::new(0.0, 0.0),
+            Point2::new(columns as f64 * step_m, rows as f64 * step_m),
+        );
+        let d =
+            Deployment::from_nodes(nodes, region, scream_topology::DeploymentKind::Custom).unwrap();
+        RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .streamed_gains()
+            .build(&d)
+    }
+
     /// Seeded worlds for the screen's property tests: even seeds draw a
     /// jittered 120 × 3 lattice with streamed gains (0 dBm over 21.5 m hops
     /// keeps the 2.15 km far-field cutoff inside its 2.6 km extent, so
@@ -1723,25 +1805,7 @@ mod tests {
     fn seeded_world(seed: u64) -> RadioEnvironment {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         if seed.is_multiple_of(2) {
-            let (columns, rows, step_m) = (120usize, 3usize, 21.5);
-            let positions: Vec<Point2> = (0..columns * rows)
-                .map(|i| {
-                    let (dx, dy): (f64, f64) = (rng.gen_range(-0.1..0.1), rng.gen_range(-0.1..0.1));
-                    Point2::new(
-                        ((i % columns) as f64 + 0.5 + dx) * step_m,
-                        ((i / columns) as f64 + 0.5 + dy) * step_m,
-                    )
-                })
-                .collect();
-            let region = Rect::new(
-                Point2::new(0.0, 0.0),
-                Point2::new(columns as f64 * step_m, rows as f64 * step_m),
-            );
-            let d = Deployment::from_positions(&positions, 0.0, region).unwrap();
-            RadioEnvironment::builder()
-                .propagation(PropagationModel::log_distance(3.0))
-                .streamed_gains()
-                .build(&d)
+            jittered_lattice(&mut rng, 0.0)
         } else {
             let nodes = rng.gen_range(12usize..=40);
             let d = UniformDeployment::new(nodes, 150.0 * (nodes as f64).sqrt()).build(&mut rng);
@@ -1873,6 +1937,94 @@ mod tests {
                 }
             }
             assert!(set.len() > 1, "seed {seed}: nothing was admitted");
+        }
+    }
+
+    /// Asks both levels of the refusal screen about `draws` random
+    /// candidates and holds every `true` against the probe it stands in for;
+    /// returns how many times a channel's screen said `true`.
+    fn assert_refusals_are_sound(
+        set: &ChannelSlotLedger<'_>,
+        rng: &mut ChaCha8Rng,
+        draws: usize,
+    ) -> usize {
+        let channels = || (0..set.channel_count()).map(|c| ChannelId::new(c as u16));
+        let mut refused = 0;
+        for _ in 0..draws {
+            let candidate = draw_link(set.channels[0].env, rng);
+            for ch in channels() {
+                let ledger = set.channel(ch);
+                if ledger.surely_refuses(candidate) {
+                    refused += 1;
+                    assert!(
+                        !ledger.can_add(candidate),
+                        "{ch} refused {candidate} unasked but admits it: {:?}",
+                        ledger.links()
+                    );
+                }
+            }
+            if set.surely_refuses(candidate) {
+                for ch in channels() {
+                    assert!(!set.can_add(ch, candidate), "{candidate} on {ch}");
+                }
+            }
+        }
+        refused
+    }
+
+    #[test]
+    fn refusal_screen_only_refuses_what_every_channel_refuses() {
+        // The seeded worlds (streamed lattices and shadowed dense meshes),
+        // plus lattices at homogeneous and ± 3 dB power: the disc is sized
+        // from the *weakest* transmitter, which the latter tells apart.
+        let lattices =
+            [0.0, 3.0].map(|spread| jittered_lattice(&mut ChaCha8Rng::seed_from_u64(7), spread));
+        let worlds: Vec<RadioEnvironment> = (0..16).map(seeded_world).chain(lattices).collect();
+        for (w, env) in worlds.iter().enumerate() {
+            for channel_count in [1usize, 2] {
+                for mode in [PruningMode::Forced, PruningMode::Off] {
+                    let what = format!("world {w}, C = {channel_count}, {mode:?}");
+                    let mut rng = ChaCha8Rng::seed_from_u64(w as u64 ^ 0x5c4e);
+                    let mut set = ChannelSlotLedger::with_pruning(env, channel_count, mode);
+                    let mut refused = 0;
+                    // First-fit a dozen links, questioning the screen after
+                    // every assignment.
+                    for _ in 0..12 {
+                        let placed = (0..400).find_map(|_| {
+                            let link = draw_link(env, &mut rng);
+                            (0..channel_count as u16)
+                                .map(ChannelId::new)
+                                .find(|&ch| set.can_add(ch, link))
+                                .map(|ch| (ch, link))
+                        });
+                        let Some((ch, link)) = placed else { break };
+                        set.assign(ch, link);
+                        refused += assert_refusals_are_sound(&set, &mut rng, 200);
+                    }
+                    assert!(set.len() > 1, "{what}: nothing was admitted");
+                    if env.is_streamed() {
+                        assert!(refused > 0, "{what}: the screen never fired");
+                    }
+
+                    // Break channel 0: negative slack is less than any floor,
+                    // so that channel is closed to every pair of nodes.
+                    let broken = &mut set.channels[0];
+                    let breaker = (0..400)
+                        .map(|_| draw_link(env, &mut rng))
+                        .find(|&l| broken.endpoints_free(l) && !broken.can_add(l));
+                    if let Some(breaker) = breaker {
+                        broken.assign(breaker);
+                        if !broken.all_links_ok() {
+                            for _ in 0..40 {
+                                let candidate = draw_link(env, &mut rng);
+                                assert!(broken.surely_refuses(candidate), "{what}: {candidate}");
+                                assert!(!broken.can_add(candidate));
+                            }
+                        }
+                    }
+                    assert_refusals_are_sound(&set, &mut rng, 200);
+                }
+            }
         }
     }
 

@@ -61,6 +61,7 @@ pub mod error;
 pub mod ledger;
 pub mod propagation;
 pub mod radio;
+mod refusal;
 pub mod spatial;
 pub mod timing;
 pub mod units;

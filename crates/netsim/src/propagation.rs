@@ -198,6 +198,38 @@ impl GainProfile {
             GainKind::General { half_exponent } => self.scale * d2.powf(-half_exponent),
         }
     }
+
+    /// The squared distance (m²) at which the gain falls to `gain` — the
+    /// inverse of [`gain_from_distance_squared`](Self::gain_from_distance_squared)
+    /// up to floating-point rounding, clamped to the squared reference
+    /// distance for gains the profile never exceeds. Callers that need a
+    /// guarantee evaluate the forward function at the result.
+    pub fn distance_squared_for_gain(&self, gain: f64) -> f64 {
+        if gain >= self.ref_gain {
+            return self.ref_distance_sq_m2;
+        }
+        let half_exponent = match self.kind {
+            GainKind::FreeSpace => 1.0,
+            GainKind::Cubic => 1.5,
+            GainKind::Quartic => 2.0,
+            GainKind::General { half_exponent } => half_exponent,
+        };
+        (self.scale / gain).powf(1.0 / half_exponent)
+    }
+
+    /// A lower bound on [`gain_from_distance_squared`](Self::gain_from_distance_squared)
+    /// over every squared distance up to `d2`. The closed-form kinds are
+    /// built from IEEE `×`, `/` and `sqrt`, which are monotone, so their own
+    /// value at `d2` (capped by the plateau inside the reference distance) is
+    /// that bound; `powf` promises < 1 ulp of error but not monotonicity, so
+    /// the general kind gives four ulps away.
+    pub(crate) fn gain_floor_within(&self, d2: f64) -> f64 {
+        let at_d2 = self.gain_from_distance_squared(d2).min(self.ref_gain);
+        match self.kind {
+            GainKind::General { .. } => at_d2 * (1.0 - 4.0 * f64::EPSILON),
+            _ => at_d2,
+        }
+    }
 }
 
 impl Default for PropagationModel {
@@ -386,6 +418,30 @@ mod tests {
         for d in [1.0, 2.0, 3.0, 400.0] {
             let exact = shifted.gain(d);
             assert!((p.gain_from_distance_squared(d * d) - exact).abs() <= exact * 1e-12);
+        }
+    }
+
+    #[test]
+    fn distance_for_gain_inverts_the_profile_and_the_floor_stays_below_it() {
+        for exponent in [2.0, 3.0, 4.0, 2.7] {
+            let p = PropagationModel::log_distance(exponent).gain_profile();
+            for d in [1.5, 10.0, 123.0, 5000.0, 250_000.0] {
+                let d2 = d * d;
+                let gain = p.gain_from_distance_squared(d2);
+                let back = p.distance_squared_for_gain(gain);
+                assert!(
+                    (back - d2).abs() <= d2 * 1e-12,
+                    "α={exponent}, d={d}: {back}"
+                );
+                let floor = p.gain_floor_within(d2);
+                assert!(floor <= gain && floor >= gain * (1.0 - 1e-15));
+                for nearer in [0.0, 0.5, d2 / 2.0, d2 * (1.0 - f64::EPSILON)] {
+                    assert!(floor <= p.gain_from_distance_squared(nearer));
+                }
+            }
+            // No distance yields more than the plateau inside the reference.
+            assert_eq!(p.distance_squared_for_gain(1.0), 1.0);
+            assert_eq!(p.distance_squared_for_gain(f64::INFINITY), 1.0);
         }
     }
 

@@ -20,8 +20,10 @@
 //!   (SINR) interference model of Section II, the paper's subject. Its
 //!   accumulator is the [`ChannelSlotLedger`]: O(k) probes against cached
 //!   per-receiver interference sums instead of the O(k²) from-scratch
-//!   recomputation, and one occupancy bit per node and channel for the
-//!   one-radio-per-node rule;
+//!   recomputation, one occupancy bit per node and channel for the
+//!   one-radio-per-node rule, and a
+//!   [refusal screen](SlotAccumulator::surely_refuses) that lets first-fit
+//!   pass a saturated slot by without probing it;
 //! * [`ProtocolModel`] — the conservative protocol interference model that
 //!   CSMA/CA-style scheduling corresponds to, provided as the comparison
 //!   baseline the paper's introduction argues against. It precomputes the
@@ -31,10 +33,12 @@
 //!
 //! Any other implementation gets a correct [`SlotAccumulator`] for free: the
 //! provided `open_slot` keeps the per-channel link lists and re-checks
-//! candidates with [`can_add`](SlotFeasibility::can_add). Implementations
-//! must be *downward-closed* (every subset of a feasible set is feasible) for
-//! incremental building to coincide with whole-set feasibility; interference
-//! models are, since removing a transmitter can only reduce interference.
+//! candidates with [`can_add`](SlotFeasibility::can_add), and screens nothing
+//! ([`surely_refuses`](SlotAccumulator::surely_refuses) is `false`: every
+//! slot is probed). Implementations must be *downward-closed* (every subset
+//! of a feasible set is feasible) for incremental building to coincide with
+//! whole-set feasibility; interference models are, since removing a
+//! transmitter can only reduce interference.
 
 pub use scream_netsim::{ChannelId, LinkSinrMargin, SlotLedger};
 use scream_netsim::{ChannelSlotLedger, RadioEnvironment};
@@ -71,6 +75,14 @@ pub trait SlotAccumulator {
     /// Whether `link` is assigned on any channel.
     fn contains_link(&self, link: Link) -> bool {
         (0..self.channel_count()).any(|c| self.links(ChannelId::new(c as u16)).contains(&link))
+    }
+
+    /// A cheap screen in front of [`can_add`](Self::can_add): `true` only if
+    /// `can_add(c, candidate)` is `false` on every channel `c`, so first-fit
+    /// may pass the slot by without probing it. It can change what a
+    /// placement costs, never what it decides; the default screens nothing.
+    fn surely_refuses(&self, _candidate: Link) -> bool {
+        false
     }
 }
 
@@ -188,6 +200,10 @@ impl SlotAccumulator for ChannelSlotLedger<'_> {
 
     fn contains_link(&self, link: Link) -> bool {
         ChannelSlotLedger::contains_link(self, link)
+    }
+
+    fn surely_refuses(&self, candidate: Link) -> bool {
+        ChannelSlotLedger::surely_refuses(self, candidate)
     }
 }
 

@@ -131,6 +131,7 @@ impl GreedyPhysical {
             scream_obs::counter_add("greedy.links", 1);
             scream_obs::counter_add("greedy.runs.probed", placed.probed);
             scream_obs::counter_add("greedy.runs.rejected", placed.rejected);
+            scream_obs::counter_add("greedy.runs.skipped", placed.skipped);
             if placed.split {
                 scream_obs::counter_add("greedy.splits", 1);
             }

@@ -8,7 +8,10 @@
 //! is claimed (or skipped) with one feasibility probe per channel. A link
 //! that fits only part of a run splits it, the augmented part first so slot
 //! order matches per-unit first-fit exactly; demand no run accepts is
-//! appended as one solo run.
+//! appended as one solo run. A run whose accumulator
+//! [surely refuses](SlotAccumulator::surely_refuses) the link is passed by
+//! unprobed — every probe of it would have been rejected — so the screen
+//! moves what a placement costs and never where the link lands.
 
 use scream_topology::Link;
 
@@ -29,6 +32,11 @@ pub(crate) struct Placement {
     pub(crate) probed: u64,
     /// Probes that were rejected.
     pub(crate) rejected: u64,
+    /// `(run, channel)` pairs passed by unprobed because the run
+    /// [surely refuses](SlotAccumulator::surely_refuses) the link; each would
+    /// have been a rejected probe (unless the run already holds the link,
+    /// which is then not looked up).
+    pub(crate) skipped: u64,
     /// Index of the first run that accepted the link, or the number of open
     /// runs (before any solo run) when none did.
     pub(crate) first_fit_depth: u64,
@@ -67,11 +75,13 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
     pub(crate) fn place(&mut self, link: Link, demand: u64) -> Placement {
         let mut remaining = demand;
         let mut idx = 0usize;
-        let (mut probed, mut rejected, mut split) = (0u64, 0u64, false);
+        let (mut probed, mut rejected, mut skipped, mut split) = (0u64, 0u64, 0u64, false);
         let mut first_fit: Option<u64> = None;
         'slots: while remaining > 0 && idx < self.runs.len() {
             let run = &mut self.runs[idx];
-            if !run.accumulator.contains_link(link) {
+            if run.accumulator.surely_refuses(link) {
+                skipped += run.accumulator.channel_count() as u64;
+            } else if !run.accumulator.contains_link(link) {
                 for channel in channels(run.accumulator.as_ref()) {
                     probed += 1;
                     if !run.accumulator.can_add(channel, link) {
@@ -117,6 +127,7 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
         Placement {
             probed,
             rejected,
+            skipped,
             first_fit_depth,
             split,
             solo,

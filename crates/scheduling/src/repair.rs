@@ -157,6 +157,7 @@ pub fn repair_schedule<M: SlotFeasibility>(
         scream_obs::counter_add("repair.refill.links", 1);
         scream_obs::counter_add("repair.runs.probed", placed.probed);
         scream_obs::counter_add("repair.runs.rejected", placed.rejected);
+        scream_obs::counter_add("repair.runs.skipped", placed.skipped);
         if placed.solo {
             scream_obs::counter_add("repair.refill.solo_runs", 1);
         }
