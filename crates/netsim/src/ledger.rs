@@ -76,7 +76,7 @@
 //! at float-dust slack, and any further transmitter breaks it. Most probes
 //! against such a slot are rejections, and the scans above pay O(nearby)
 //! (plus, often, the exact O(k) fallbacks) to discover what one conjunct
-//! would have shown. [`assign`]'s update loop therefore also tracks, per
+//! would have shown. [`assign`]'s settling pass therefore also tracks, per
 //! handshake direction, the assigned link of least absolute slack
 //! `signal/β − noise − interference` (the *binding victims*), and a `Cell`
 //! memo remembers the last link whose existing-links re-check failed —
@@ -375,9 +375,7 @@ impl<'a> SlotLedger<'a> {
     /// Builds a ledger containing `links`, assigned in the given order.
     pub fn with_links(env: &'a RadioEnvironment, links: &[Link]) -> Self {
         let mut ledger = Self::new(env);
-        for &link in links {
-            ledger.assign(link);
-        }
+        ledger.assign_all(links);
         ledger
     }
 
@@ -770,13 +768,46 @@ impl<'a> SlotLedger<'a> {
     /// O(k). The link is *not* required to pass [`can_add`](Self::can_add):
     /// the greedy scheduler deliberately opens slots around links that are
     /// infeasible even alone (the verifier reports them), and the
-    /// distributed runtime seals whatever its handshakes admitted.
+    /// distributed runtime seals whatever its handshakes admitted. Two
+    /// halves: *charge* the sums, then *settle* what is derived from them.
     pub fn assign(&mut self, link: Link) {
+        self.charge(link);
+        self.settle();
+    }
+
+    /// Adds `links` in order and settles once: the additions of one
+    /// [`assign`](Self::assign) per link in the same order, so every sum,
+    /// victim and bucket is bit-identical to that. How a pattern is filled.
+    pub fn assign_all(&mut self, links: &[Link]) {
+        links.iter().for_each(|&link| self.charge(link));
+        if !links.is_empty() {
+            self.settle();
+        }
+    }
+
+    /// The additive half of [`assign`](Self::assign): the `k` assigned links'
+    /// terms on the newcomer's two sums, in assignment order, and its on theirs.
+    fn charge(&mut self, link: Link) {
         if link.head == link.tail || !self.endpoints_free(link) {
             self.disjoint = false;
         }
-        let (data_intf, ack_intf) = self.interference_on(link);
         let k = self.links.len();
+        let (mut data_intf, mut ack_intf) = (0.0, 0.0);
+        for i in 0..k {
+            let existing = self.links[i];
+            if let Some(term) = data_term(self.env, existing.head, link) {
+                data_intf += term;
+            }
+            if let Some(term) = ack_term(self.env, existing.tail, link) {
+                ack_intf += term;
+            }
+            if let Some(term) = data_term(self.env, link.head, existing) {
+                self.data_interference[i] += term;
+            }
+            if let Some(term) = ack_term(self.env, link.tail, existing) {
+                self.ack_interference[i] += term;
+            }
+        }
         for (word, bit) in [link.head, link.tail].map(occupancy_bit) {
             self.occupied[word] |= bit;
         }
@@ -787,29 +818,24 @@ impl<'a> SlotLedger<'a> {
             .push(self.env.received_power_mw(link.tail, link.head));
         self.data_interference.push(data_intf);
         self.ack_interference.push(ack_intf);
-        // One pass over the slot: charge the newcomer's interference to the
-        // `k` links already there, and — every cached sum may have grown —
-        // re-derive the binding victims and the pruned regime's slot-wide
-        // SINR headroom over all `k + 1`.
+        let (head_at, tail_at) = (self.env.position(link.head), self.env.position(link.tail));
+        if let Some(p) = &mut self.pruning {
+            p.buckets.insert(k as u32, head_at, tail_at);
+        }
+    }
+
+    /// The derived half of [`assign`](Self::assign), over a non-empty slot:
+    /// every sum may have grown, so the binding victims and the pruned
+    /// regime's SINR headroom are re-derived and the refusal screen dropped.
+    fn settle(&mut self) {
         let track_sinr = self.pruning.is_some();
         let (noise_mw, inv_beta) = (self.noise_mw, self.inv_beta);
         let (mut data_least_mw, mut ack_least_mw) = (f64::INFINITY, f64::INFINITY);
-        let (mut data_binding, mut ack_binding) = (k, k);
+        let last = self.links.len() - 1;
+        let (mut data_binding, mut ack_binding) = (last, last);
         let mut min_sinr = f64::INFINITY;
-        for i in 0..=k {
-            let (mut data_intf, mut ack_intf) =
-                (self.data_interference[i], self.ack_interference[i]);
-            if i < k {
-                let existing = self.links[i];
-                if let Some(term) = data_term(self.env, link.head, existing) {
-                    data_intf += term;
-                    self.data_interference[i] = data_intf;
-                }
-                if let Some(term) = ack_term(self.env, link.tail, existing) {
-                    ack_intf += term;
-                    self.ack_interference[i] = ack_intf;
-                }
-            }
+        for i in 0..=last {
+            let (data_intf, ack_intf) = (self.data_interference[i], self.ack_interference[i]);
             let (data_signal, ack_signal) = (self.data_signal[i], self.ack_signal[i]);
             let data_slack_mw = data_signal * inv_beta - noise_mw - data_intf;
             if data_slack_mw < data_least_mw {
@@ -831,11 +857,6 @@ impl<'a> SlotLedger<'a> {
             .map(|(index, data)| Some(Victim { index, data }));
         self.refusal.set(None);
         if let Some(p) = &mut self.pruning {
-            p.buckets.insert(
-                k as u32,
-                self.env.position(link.head),
-                self.env.position(link.tail),
-            );
             p.min_sinr = min_sinr;
         }
     }
@@ -1139,6 +1160,15 @@ impl<'a> ChannelSlotLedger<'a> {
             self.cross_channel_disjoint = false;
         }
         self.channels[channel.index()].assign(link);
+    }
+
+    /// Adds `links` to the slot on `channel` in order: one
+    /// [`assign`](Self::assign) per link, through [`SlotLedger::assign_all`].
+    pub fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
+        if links.iter().any(|&link| self.busy_elsewhere(channel, link)) {
+            self.cross_channel_disjoint = false;
+        }
+        self.channels[channel.index()].assign_all(links);
     }
 
     /// The links assigned to `channel`, in assignment order.
@@ -2026,6 +2056,228 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Everything a `SlotLedger` derives from its assignment history, floats
+    /// as bit patterns: two ledgers with equal fingerprints hold the same
+    /// sums, victims, headroom and bucket index, not merely close ones.
+    fn state_fingerprint(ledger: &SlotLedger<'_>) -> String {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?} {} {:?} {:?} {:?}",
+            ledger.links,
+            bits(&ledger.data_signal),
+            bits(&ledger.ack_signal),
+            bits(&ledger.data_interference),
+            bits(&ledger.ack_interference),
+            ledger.occupied,
+            ledger.disjoint,
+            ledger.binding,
+            ledger.pruning.as_ref().map(|p| p.min_sinr.to_bits()),
+            ledger.pruning.as_ref().map(|p| &p.buckets),
+        )
+    }
+
+    /// A slot's worth of `(channel, link)` entries of the given shape: links
+    /// admitted by `can_add` on a scratch set, then — by `shape` — nothing
+    /// more (feasible), a refused link appended (infeasible at the last
+    /// entry), a refused link in the middle, an endpoint-sharing link, a
+    /// self-link, or a link sharing its radios with one on the next channel.
+    /// `None` when the draws found no link to break the slot with.
+    fn draw_slot(
+        env: &RadioEnvironment,
+        channel_count: usize,
+        rng: &mut ChaCha8Rng,
+        shape: usize,
+    ) -> Option<Vec<(ChannelId, Link)>> {
+        let mut scratch = ChannelSlotLedger::exact(env, channel_count);
+        let mut entries = Vec::new();
+        for _ in 0..60 {
+            let (ch, l) = (
+                ChannelId::new(rng.gen_range(0..channel_count as u16)),
+                draw_link(env, rng),
+            );
+            if scratch.can_add(ch, l) {
+                scratch.assign(ch, l);
+                entries.push((ch, l));
+            }
+        }
+        let &(some_channel, some_link) = entries.first()?;
+        let intruder = match shape {
+            0 => return Some(entries),
+            // Free endpoints everywhere, yet refused: an SINR failure.
+            1 | 2 => (0..400).find_map(|_| {
+                let l = draw_link(env, rng);
+                let ch = ChannelId::new(rng.gen_range(0..channel_count as u16));
+                (scratch.endpoints_free(l) && !scratch.can_add(ch, l)).then_some((ch, l))
+            })?,
+            3 => (
+                some_channel,
+                link(some_link.tail.index() as u32, some_link.head.index() as u32),
+            ),
+            4 => (
+                some_channel,
+                link(some_link.head.index() as u32, some_link.head.index() as u32),
+            ),
+            // The same radio on the next channel (the same one when C = 1).
+            _ => (
+                ChannelId::new((some_channel.index() as u16 + 1) % channel_count as u16),
+                link(some_link.tail.index() as u32, some_link.head.index() as u32),
+            ),
+        };
+        let at = if shape == 2 {
+            entries.len() / 2
+        } else {
+            entries.len()
+        };
+        entries.insert(at, intruder);
+        Some(entries)
+    }
+
+    /// The worlds, channel counts and ledger kinds the fill tests run over.
+    fn fill_cases() -> Vec<(RadioEnvironment, usize, PruningMode)> {
+        let lattice = jittered_lattice(&mut ChaCha8Rng::seed_from_u64(11), 3.0);
+        let mut cases = Vec::new();
+        for env in (0..12).map(seeded_world).chain([lattice]) {
+            for channel_count in [1usize, 2] {
+                for mode in [PruningMode::Auto, PruningMode::Forced, PruningMode::Off] {
+                    cases.push((env.clone(), channel_count, mode));
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn assign_all_leaves_the_state_of_one_assign_per_link() {
+        let mut infeasible = 0;
+        for (case, (env, channel_count, mode)) in fill_cases().into_iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(case as u64 ^ 0xa11);
+            let mut one_by_one = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
+            let mut at_once = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
+            // Every shape, twice through the same two ledger sets: `clear`
+            // and reuse must not tell the two fill paths apart either.
+            for shape in (0..6).chain(0..6) {
+                let Some(entries) = draw_slot(&env, channel_count, &mut rng, shape) else {
+                    continue;
+                };
+                let what = format!("case {case}, C = {channel_count}, {mode:?}, shape {shape}");
+                one_by_one.clear();
+                at_once.clear();
+                for &(ch, l) in &entries {
+                    one_by_one.assign(ch, l);
+                }
+                // Entries arrive as drawn, not channel-major: fill each
+                // same-channel stretch at once, as a run split does.
+                for stretch in entries.chunk_by(|a, b| a.0 == b.0) {
+                    let links: Vec<Link> = stretch.iter().map(|&(_, l)| l).collect();
+                    at_once.assign_all(stretch[0].0, &links);
+                }
+                assert_eq!(
+                    one_by_one.cross_channel_disjoint, at_once.cross_channel_disjoint,
+                    "{what}"
+                );
+                assert_eq!(
+                    one_by_one.slot_feasible(),
+                    at_once.slot_feasible(),
+                    "{what}"
+                );
+                infeasible += usize::from(!at_once.slot_feasible());
+                for ch in (0..channel_count as u16).map(ChannelId::new) {
+                    let (a, b) = (one_by_one.channel(ch), at_once.channel(ch));
+                    assert_eq!(state_fingerprint(a), state_fingerprint(b), "{what}, {ch}");
+                    assert_eq!(a.slot_feasible(), b.slot_feasible(), "{what}, {ch}");
+                    let bits = |m: &LinkSinrMargin| {
+                        (
+                            m.link,
+                            m.data_margin_db.to_bits(),
+                            m.ack_margin_db.to_bits(),
+                        )
+                    };
+                    let margin_bits = |ledger: &SlotLedger<'_>| -> Vec<(Link, u64, u64)> {
+                        ledger.margins().iter().map(bits).collect()
+                    };
+                    assert_eq!(margin_bits(a), margin_bits(b), "{what}, {ch}");
+                    assert_eq!(a.derive_refusal(), b.derive_refusal(), "{what}, {ch}");
+                }
+                for _ in 0..200 {
+                    let candidate = draw_link(&env, &mut rng);
+                    assert_eq!(
+                        one_by_one.surely_refuses(candidate),
+                        at_once.surely_refuses(candidate),
+                        "{what}: {candidate}"
+                    );
+                    for ch in (0..channel_count as u16).map(ChannelId::new) {
+                        assert_eq!(
+                            one_by_one.can_add(ch, candidate),
+                            at_once.can_add(ch, candidate),
+                            "{what}: {candidate} on {ch}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            infeasible > 100,
+            "only {infeasible} broken slots were drawn"
+        );
+    }
+
+    #[test]
+    fn a_filled_slot_is_feasible_exactly_when_every_link_was_admitted_on_its_way_in() {
+        let (mut feasible, mut infeasible) = (0, 0);
+        for (case, (env, channel_count, mode)) in fill_cases().into_iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(case as u64 ^ 0xf111);
+            let mut probed = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
+            let mut filled = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
+            for shape in 0..6 {
+                let Some(mut entries) = draw_slot(&env, channel_count, &mut rng, shape) else {
+                    continue;
+                };
+                // Channel-major, as a pattern's groups are filled.
+                entries.sort_by_key(|&(ch, _)| ch);
+                let what = format!("case {case}, C = {channel_count}, {mode:?}, shape {shape}");
+                probed.clear();
+                filled.clear();
+                // Probe-as-you-go, never stopping early: the conjunction of
+                // every prefix's verdict on its next link, per channel.
+                let mut admitted = vec![true; channel_count];
+                for &(ch, l) in &entries {
+                    admitted[ch.index()] &= probed.can_add(ch, l);
+                    probed.assign(ch, l);
+                }
+                for group in entries.chunk_by(|a, b| a.0 == b.0) {
+                    let links: Vec<Link> = group.iter().map(|&(_, l)| l).collect();
+                    filled.assign_all(group[0].0, &links);
+                }
+                // `can_add` also enforces one radio per node across channels,
+                // which a single channel's verdict does not see; the set's
+                // verdict does.
+                assert_eq!(
+                    admitted.iter().all(|&ok| ok),
+                    filled.slot_feasible(),
+                    "{what}: {entries:?}"
+                );
+                if filled.cross_channel_disjoint {
+                    for ch in (0..channel_count as u16).map(ChannelId::new) {
+                        assert_eq!(
+                            admitted[ch.index()],
+                            filled.channel(ch).slot_feasible(),
+                            "{what}, {ch}: {entries:?}"
+                        );
+                    }
+                }
+                if filled.slot_feasible() {
+                    feasible += 1;
+                } else {
+                    infeasible += 1;
+                }
+            }
+        }
+        assert!(
+            feasible > 50 && infeasible > 150,
+            "{feasible} feasible and {infeasible} infeasible slots were drawn"
+        );
     }
 
     #[test]

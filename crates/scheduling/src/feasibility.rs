@@ -5,7 +5,11 @@
 //! "let me build a slot incrementally, probing candidates as I go". The
 //! [`SlotFeasibility`] trait captures all three; the stateful
 //! [`SlotAccumulator`] returned by [`open_slot`](SlotFeasibility::open_slot)
-//! is what makes the third one cheap.
+//! is what makes the third one cheap. The verifier and repair ask a fourth of
+//! the accumulator — "here is a whole pattern; does it stand?" — by filling
+//! it ([`assign_all`](SlotAccumulator::assign_all)) and reading the verdict
+//! ([`channel_feasible`](SlotAccumulator::channel_feasible)), never by
+//! probing entry by entry.
 //!
 //! A slot is always a set of `(channel, link)` entries: interference accrues
 //! within a channel, and every node has one radio, so it may appear on at
@@ -21,9 +25,9 @@
 //!   accumulator is the [`ChannelSlotLedger`]: O(k) probes against cached
 //!   per-receiver interference sums instead of the O(k²) from-scratch
 //!   recomputation, one occupancy bit per node and channel for the
-//!   one-radio-per-node rule, and a
-//!   [refusal screen](SlotAccumulator::surely_refuses) that lets first-fit
-//!   pass a saturated slot by without probing it;
+//!   one-radio-per-node rule, a filled slot's verdict read off those sums,
+//!   and a [refusal screen](SlotAccumulator::surely_refuses) that lets
+//!   first-fit pass a saturated slot by without probing it;
 //! * [`ProtocolModel`] — the conservative protocol interference model that
 //!   CSMA/CA-style scheduling corresponds to, provided as the comparison
 //!   baseline the paper's introduction argues against. It precomputes the
@@ -32,8 +36,10 @@
 //!   O(k).
 //!
 //! Any other implementation gets a correct [`SlotAccumulator`] for free: the
-//! provided `open_slot` keeps the per-channel link lists and re-checks
-//! candidates with [`can_add`](SlotFeasibility::can_add), and screens nothing
+//! provided `open_slot` keeps the per-channel link lists, re-checks
+//! candidates with [`can_add`](SlotFeasibility::can_add), answers
+//! `channel_feasible` with [`slot_feasible`](SlotFeasibility::slot_feasible)
+//! over the channel's list, and screens nothing
 //! ([`surely_refuses`](SlotAccumulator::surely_refuses) is `false`: every
 //! slot is probed). Implementations must be *downward-closed* (every subset
 //! of a feasible set is feasible) for incremental building to coincide with
@@ -63,6 +69,22 @@ pub trait SlotAccumulator {
     /// are infeasible even alone, so `assign` must not require a prior
     /// passing [`can_add`](Self::can_add).)
     fn assign(&mut self, channel: ChannelId, link: Link);
+
+    /// Adds `links` to the slot on `channel` in order; the same state as one
+    /// [`assign`](Self::assign) per link. How a whole pattern is filled —
+    /// the verifier and repair fill, then read
+    /// [`channel_feasible`](Self::channel_feasible); they never probe.
+    fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
+        for &link in links {
+            self.assign(channel, link);
+        }
+    }
+
+    /// Whether the links on `channel` are a feasible slot as they stand
+    /// (the cross-channel rule is not this question). For a downward-closed
+    /// model it is `true` exactly when every link passed
+    /// [`can_add`](Self::can_add) on its way in.
+    fn channel_feasible(&self, channel: ChannelId) -> bool;
 
     /// Empties every channel without releasing buffers, so one accumulator
     /// can be reused across many slots (the verifier re-checks every pattern
@@ -165,6 +187,10 @@ impl<M: SlotFeasibility + ?Sized> SlotAccumulator for RecheckSlot<'_, M> {
         self.channels[channel.index()].push(link);
     }
 
+    fn channel_feasible(&self, channel: ChannelId) -> bool {
+        self.model.slot_feasible(&self.channels[channel.index()])
+    }
+
     fn clear(&mut self) {
         self.occupancy.clear();
         for links in &mut self.channels {
@@ -188,6 +214,14 @@ impl SlotAccumulator for ChannelSlotLedger<'_> {
 
     fn assign(&mut self, channel: ChannelId, link: Link) {
         ChannelSlotLedger::assign(self, channel, link);
+    }
+
+    fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
+        ChannelSlotLedger::assign_all(self, channel, links);
+    }
+
+    fn channel_feasible(&self, channel: ChannelId) -> bool {
+        self.channel(channel).slot_feasible()
     }
 
     fn clear(&mut self) {

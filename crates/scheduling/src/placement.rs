@@ -62,11 +62,7 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
 
     /// Appends a run of `count` slots holding `entries` (assignment only —
     /// nothing is probed).
-    pub(crate) fn push_run(
-        &mut self,
-        entries: impl IntoIterator<Item = (ChannelId, Link)>,
-        count: u64,
-    ) {
+    pub(crate) fn push_run(&mut self, entries: &[(ChannelId, Link)], count: u64) {
         self.runs.push(open_run(self.model, entries, count));
     }
 
@@ -99,13 +95,10 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
                     // the run. Rebuilding the augmented accumulator is O(k²),
                     // but a split ends the link's scan, so it happens at most
                     // once per link.
-                    let entries = run_entries(run.accumulator.as_ref());
+                    let mut entries = run_entries(run.accumulator.as_ref());
+                    entries.push((channel, link));
                     run.count -= remaining;
-                    let augmented = open_run(
-                        self.model,
-                        entries.into_iter().chain([(channel, link)]),
-                        remaining,
-                    );
+                    let augmented = open_run(self.model, &entries, remaining);
                     self.runs.insert(idx, augmented);
                     remaining = 0;
                     split = true;
@@ -122,7 +115,7 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
             // solo slot is infeasible (link out of range under `model`) it is
             // still allocated so the demand accounting stays consistent — the
             // verifier flags the infeasibility explicitly.
-            self.push_run([(ChannelId::ZERO, link)], remaining);
+            self.push_run(&[(ChannelId::ZERO, link)], remaining);
         }
         Placement {
             probed,
@@ -134,6 +127,20 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
         }
     }
 
+    /// Number of open runs.
+    pub(crate) fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Whether every run's every occupied channel is a feasible slot as it
+    /// stands — read off the accumulators, untouched runs included.
+    pub(crate) fn all_feasible(&self) -> bool {
+        self.runs.iter().all(|run| {
+            let slot = run.accumulator.as_ref();
+            channels(slot).all(|c| slot.links(c).is_empty() || slot.channel_feasible(c))
+        })
+    }
+
     /// The schedule the runs spell out.
     pub(crate) fn into_schedule(self) -> Schedule {
         Schedule::from_pattern_runs(self.runs.into_iter().map(|run| {
@@ -143,15 +150,18 @@ impl<'m, M: SlotFeasibility + ?Sized> OpenRuns<'m, M> {
     }
 }
 
-/// A fresh run of `count` slots with `entries` assigned in order.
+/// A fresh run of `count` slots with `entries` assigned in order, one
+/// same-channel stretch at a time (a split's link comes after the higher
+/// channels' entries, so a channel may have two).
 fn open_run<'m, M: SlotFeasibility + ?Sized>(
     model: &'m M,
-    entries: impl IntoIterator<Item = (ChannelId, Link)>,
+    entries: &[(ChannelId, Link)],
     count: u64,
 ) -> OpenRun<'m> {
     let mut accumulator = model.open_slot();
-    for (channel, link) in entries {
-        accumulator.assign(channel, link);
+    for stretch in entries.chunk_by(|a, b| a.0 == b.0) {
+        let links: Vec<Link> = stretch.iter().map(|&(_, link)| link).collect();
+        accumulator.assign_all(stretch[0].0, &links);
     }
     OpenRun { accumulator, count }
 }

@@ -17,12 +17,14 @@
 //!    (whole-run assignment, run splitting via a rebuilt accumulator, solo
 //!    runs for the remainder), but probing only the deficit links.
 //!
-//! The repaired schedule is then probe-verified with
-//! [`verify_schedule`](crate::verify::verify_schedule); if verification fails
-//! (e.g. the input schedule was stale against a perturbed environment), the
-//! repair falls back to a full [`GreedyPhysical`] rebuild. Either way the
-//! caller receives a schedule whose allocation exactly matches the target,
-//! tagged with which path produced it.
+//! The patched frame is then verified in full. Every run's accumulator —
+//! each filled exactly once, the runs no pass touched included: the input may
+//! be stale (a frame built before a fade replaced the gains), so an untouched
+//! run is not a verified one — is read for feasibility, and every other check
+//! of [`verify_schedule`](crate::verify::verify_schedule) runs on the output.
+//! If one fails, the repair falls back to a full [`GreedyPhysical`] rebuild.
+//! Either way the caller receives a schedule whose allocation exactly matches
+//! the target, tagged with which path produced it.
 
 use std::collections::BTreeMap;
 
@@ -33,7 +35,7 @@ use crate::feasibility::SlotFeasibility;
 use crate::greedy::{EdgeOrdering, GreedyPhysical};
 use crate::placement::OpenRuns;
 use crate::schedule::Schedule;
-use crate::verify::verify_schedule;
+use crate::verify::verify_frame;
 
 /// Which path produced the repaired schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -150,7 +152,7 @@ pub fn repair_schedule<M: SlotFeasibility>(
 
     let mut open_runs = OpenRuns::new(model);
     for (entries, count) in runs {
-        open_runs.push_run(entries, count);
+        open_runs.push_run(&entries, count);
     }
     for (link, demand) in deficits {
         let placed = open_runs.place(link, demand);
@@ -162,13 +164,15 @@ pub fn repair_schedule<M: SlotFeasibility>(
             scream_obs::counter_add("repair.refill.solo_runs", 1);
         }
     }
+    let feasible = open_runs.all_feasible();
+    scream_obs::counter_add("repair.runs.filled", open_runs.len() as u64);
     let repaired = open_runs.into_schedule();
 
     scream_obs::counter_add("repair.stripped_allocation", removed);
     scream_obs::counter_add("repair.added_allocation", added);
     scream_obs::event("repair.patch", &[("removed", removed), ("added", added)]);
 
-    if verify_schedule(model, &repaired, target).is_ok() {
+    if feasible && verify_frame(model, &repaired, Some(target), None).is_ok() {
         scream_obs::counter_add("repair.outcome.incremental", 1);
         return RepairedSchedule {
             schedule: repaired,
@@ -189,6 +193,7 @@ pub fn repair_schedule<M: SlotFeasibility>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_schedule;
     use scream_topology::NodeId;
 
     fn link(a: u32, b: u32) -> Link {

@@ -5,12 +5,16 @@
 //! and every link against its demand. The distributed protocols never get to
 //! "grade their own homework".
 //!
-//! Slots are re-built entry by entry through the model's stateful
-//! [`SlotAccumulator`](crate::feasibility::SlotAccumulator), so verification
-//! of a slot with `k` links costs O(k²) additions under the physical model
-//! (k probes of O(k) each) with no intermediate `Vec` cloning, and an
-//! infeasible slot is reported together with every link's SINR margin so the
-//! failing handshake direction is visible in the error itself.
+//! A slot is *filled* into the model's stateful [`SlotAccumulator`] and its
+//! verdict *read* off the filled state: one O(k²) fill for `k` links under
+//! the physical model and one O(k) read, no probe. That is the verdict of
+//! admitting the links one by one, not an approximation of it: the conjuncts
+//! a probe of link `j` evaluates are the very sums the fill stores, at an
+//! earlier step; interference only grows (`x + t ≥ x` for `t ≥ 0`, in IEEE
+//! arithmetic too) and `signal / (noise + I) ≥ β` is monotone in `I`, so
+//! every prefix admitted its next link exactly when the filled slot is
+//! feasible. An infeasible slot is reported with every link's SINR margin,
+//! so the failing handshake direction is visible in the error itself.
 //!
 //! Verification walks the schedule's run-length form
 //! ([`Schedule::runs`]): every distinct consecutive slot pattern is checked
@@ -30,7 +34,7 @@
 
 use scream_topology::{Link, LinkDemands, NodeId};
 
-use crate::feasibility::{ChannelId, LinkSinrMargin, SlotFeasibility};
+use crate::feasibility::{ChannelId, LinkSinrMargin, SlotAccumulator, SlotFeasibility};
 use crate::schedule::Schedule;
 
 /// Ways a schedule can fail verification.
@@ -156,50 +160,54 @@ pub fn verify_schedule<M: SlotFeasibility>(
     schedule: &Schedule,
     demands: &LinkDemands,
 ) -> Result<(), ScheduleViolation> {
-    // Every scheduled link must be a demanded link (checked per pattern; the
-    // reported slot is the first one the pattern occupies).
-    let mut t = 0usize;
-    for (pattern, count) in schedule.runs() {
-        for &l in pattern.links() {
-            if demands.demand_of_link(l).is_none() {
-                return Err(ScheduleViolation::UnknownLink { link: l, slot: t });
-            }
-        }
-        t += count as usize;
-    }
-    // Every slot must be feasible.
-    verify_slots_feasible(model, schedule)?;
-    // Every demanded link must get exactly its demand.
-    let counts = schedule.allocation_counts();
-    for (link, required) in demands.demanded_links() {
-        let allocated = counts.get(&link).copied().unwrap_or(0);
-        if allocated != required {
-            return Err(ScheduleViolation::DemandMismatch {
-                link,
-                allocated,
-                required,
-            });
-        }
-    }
-    Ok(())
+    verify_frame(
+        model,
+        schedule,
+        Some(demands),
+        Some(model.open_slot().as_mut()),
+    )
 }
 
 /// Verifies only the feasibility of every slot, ignoring demands. Useful for
 /// partially built schedules (e.g. inspecting a distributed run mid-flight).
 ///
-/// Each pattern is rebuilt entry by entry through one reused accumulator
-/// (orthogonal channels do not interfere), after validating the channel ids
-/// against the accumulator's channel count and the cross-channel half-duplex
-/// rule: a node with its single radio may not appear in links of two
-/// different channels of the same slot. Building incrementally is equivalent
-/// to checking the whole set because interference models are downward-closed
-/// — see the [`feasibility`](crate::feasibility) module docs.
+/// The channel ids are validated against the model's channel count, then the
+/// cross-channel half-duplex rule (a node with its single radio may not
+/// appear in links of two different channels of the same slot), then each
+/// channel's link group is filled and read — see the [module docs](self).
 pub fn verify_slots_feasible<M: SlotFeasibility>(
     model: &M,
     schedule: &Schedule,
 ) -> Result<(), ScheduleViolation> {
-    let mut accumulator = model.open_slot();
-    let channel_count = accumulator.channel_count();
+    verify_frame(model, schedule, None, Some(model.open_slot().as_mut()))
+}
+
+/// Every check of [`verify_schedule`], in its order; the one implementation
+/// of each. `fill` is the accumulator every pattern is filled into and read
+/// from — `None` from [`repair_schedule`](crate::repair::repair_schedule),
+/// which has read those verdicts off the accumulators it patched and runs
+/// all the other checks here. With no `demands`, only the per-slot checks run.
+pub(crate) fn verify_frame<M: SlotFeasibility>(
+    model: &M,
+    schedule: &Schedule,
+    demands: Option<&LinkDemands>,
+    mut fill: Option<&mut dyn SlotAccumulator>,
+) -> Result<(), ScheduleViolation> {
+    // Every scheduled link must be a demanded link (checked per pattern; the
+    // reported slot is the first one the pattern occupies).
+    if let Some(demands) = demands {
+        let mut t = 0usize;
+        for (pattern, count) in schedule.runs() {
+            for &l in pattern.links() {
+                if demands.demand_of_link(l).is_none() {
+                    return Err(ScheduleViolation::UnknownLink { link: l, slot: t });
+                }
+            }
+            t += count as usize;
+        }
+    }
+    // Every slot must be feasible.
+    let channel_count = model.channel_count().max(1);
     let mut t = 0usize;
     for (pattern, count) in schedule.runs() {
         if let Some(channel) = pattern
@@ -216,10 +224,13 @@ pub fn verify_slots_feasible<M: SlotFeasibility>(
         if let Some(node) = pattern.node_on_multiple_channels() {
             return Err(ScheduleViolation::CrossChannelConflict { slot: t, node });
         }
-        accumulator.clear();
-        for (channel, links) in pattern.channel_groups() {
-            for &link in links {
-                if !accumulator.can_add(channel, link) {
+        if let Some(accumulator) = fill.as_deref_mut() {
+            accumulator.clear();
+            scream_obs::counter_add("verify.patterns.filled", 1);
+            scream_obs::counter_add("verify.entries.filled", pattern.len() as u64);
+            for (channel, links) in pattern.channel_groups() {
+                accumulator.assign_all(channel, links);
+                if !accumulator.channel_feasible(channel) {
                     return Err(ScheduleViolation::InfeasibleSlot {
                         slot: t,
                         channel,
@@ -227,10 +238,24 @@ pub fn verify_slots_feasible<M: SlotFeasibility>(
                         margins: model.slot_margins(links),
                     });
                 }
-                accumulator.assign(channel, link);
             }
         }
         t += count as usize;
+    }
+    // Every demanded link must get exactly its demand.
+    let Some(demands) = demands else {
+        return Ok(());
+    };
+    let counts = schedule.allocation_counts();
+    for (link, required) in demands.demanded_links() {
+        let allocated = counts.get(&link).copied().unwrap_or(0);
+        if allocated != required {
+            return Err(ScheduleViolation::DemandMismatch {
+                link,
+                allocated,
+                required,
+            });
+        }
     }
     Ok(())
 }

@@ -121,19 +121,14 @@ impl Graph {
     /// out-of-range nodes are ignored, so a stale fault list is harmless.
     /// Node count and ids are preserved — pruning never reindexes.
     pub fn without_edges(&self, dead: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
-        let dead: Vec<(NodeId, NodeId)> = dead.into_iter().collect();
-        let is_dead = |u: NodeId, v: NodeId| {
-            dead.iter().any(|&(a, b)| {
-                (a, b) == (u, v) || (self.kind == GraphKind::Undirected && (a, b) == (v, u))
-            })
-        };
-        let mut pruned = Self::new(self.node_count(), self.kind);
-        for (u, v) in self.edges() {
-            if !is_dead(u, v) {
-                pruned.insert_edge(u, v);
-            }
-        }
-        pruned
+        // Undirected pairs are looked up as `edges` yields them, smaller id first.
+        let undirected = self.kind == GraphKind::Undirected;
+        let mut dead: Vec<(NodeId, NodeId)> = dead
+            .into_iter()
+            .map(|(a, b)| if undirected && b < a { (b, a) } else { (a, b) })
+            .collect();
+        dead.sort_unstable();
+        self.filtered(|u, v| dead.binary_search(&(u, v)).is_err())
     }
 
     /// A copy of this graph with the given nodes isolated (fault pruning):
@@ -141,11 +136,28 @@ impl Graph {
     /// keeps its id so downstream indexing stays valid. Out-of-range ids are
     /// ignored.
     pub fn without_nodes(&self, dead: &[NodeId]) -> Self {
-        let mut pruned = Self::new(self.node_count(), self.kind);
-        for (u, v) in self.edges() {
-            if !dead.contains(&u) && !dead.contains(&v) {
-                pruned.insert_edge(u, v);
+        let mut is_dead = vec![false; self.node_count()];
+        let in_range = dead.iter().filter(|id| id.index() < self.node_count());
+        in_range.for_each(|id| is_dead[id.index()] = true);
+        self.filtered(|u, v| !is_dead[u.index()] && !is_dead[v.index()])
+    }
+
+    /// The edges `keep` admits, re-inserted in [`edges`](Self::edges) order:
+    /// the adjacency order seeded routing reads. The source holds no duplicate
+    /// and no self-loop, so a kept edge is a push into pre-sized lists.
+    fn filtered(&self, keep: impl Fn(NodeId, NodeId) -> bool) -> Self {
+        let reserved = |nbrs: &Vec<NodeId>| Vec::with_capacity(nbrs.len());
+        let mut pruned = Self {
+            kind: self.kind,
+            adjacency: self.adjacency.iter().map(reserved).collect(),
+            edge_count: 0,
+        };
+        for (u, v) in self.edges().filter(|&(u, v)| keep(u, v)) {
+            pruned.adjacency[u.index()].push(v);
+            if self.kind == GraphKind::Undirected {
+                pruned.adjacency[v.index()].push(u);
             }
+            pruned.edge_count += 1;
         }
         pruned
     }
@@ -427,6 +439,99 @@ mod tests {
         assert_eq!(pruned.degree(NodeId::new(2)), 0);
         assert!(pruned.has_edge(NodeId::new(3), NodeId::new(4)));
         assert!(!pruned.is_connected());
+    }
+
+    /// `without_edges` as it stood before the linear-time rebuild: every
+    /// surviving edge re-inserted through `insert_edge`. The reference the
+    /// product path must equal, adjacency order and edge count included.
+    fn reference_without_edges(g: &Graph, dead: &[(NodeId, NodeId)]) -> Graph {
+        let is_dead = |u: NodeId, v: NodeId| {
+            dead.iter().any(|&(a, b)| {
+                (a, b) == (u, v) || (g.kind == GraphKind::Undirected && (a, b) == (v, u))
+            })
+        };
+        let mut pruned = Graph::new(g.node_count(), g.kind);
+        for (u, v) in g.edges() {
+            if !is_dead(u, v) {
+                pruned.insert_edge(u, v);
+            }
+        }
+        pruned
+    }
+
+    /// `without_nodes` as it stood before the linear-time rebuild.
+    fn reference_without_nodes(g: &Graph, dead: &[NodeId]) -> Graph {
+        let mut pruned = Graph::new(g.node_count(), g.kind);
+        for (u, v) in g.edges() {
+            if !dead.contains(&u) && !dead.contains(&v) {
+                pruned.insert_edge(u, v);
+            }
+        }
+        pruned
+    }
+
+    #[test]
+    fn fault_pruning_equals_the_reinsertion_reference_on_every_graph() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9a27);
+        let mut pruned_something = 0;
+        for case in 0..120u32 {
+            let n = rng.gen_range(1..40usize);
+            let kind = if case % 2 == 0 {
+                GraphKind::Undirected
+            } else {
+                GraphKind::Directed
+            };
+            // Shuffled insertion order (adjacency lists are not sorted),
+            // with duplicates, reversed duplicates and self-loops offered.
+            let mut offered: Vec<(u32, u32)> = (0..rng.gen_range(0..4 * n))
+                .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+                .collect();
+            offered.extend(offered.clone().iter().take(n / 2).map(|&(a, b)| (b, a)));
+            offered.shuffle(&mut rng);
+            let mut g = Graph::new(n, kind);
+            for &(a, b) in &offered {
+                g.add_edge(NodeId::new(a), NodeId::new(b)).unwrap();
+            }
+
+            // Dead ids: present, absent, repeated, either orientation, and
+            // out of range.
+            let any_id = |rng: &mut ChaCha8Rng| NodeId::new(rng.gen_range(0..n as u32 + 3));
+            let dead_nodes: Vec<NodeId> =
+                (0..rng.gen_range(0..6)).map(|_| any_id(&mut rng)).collect();
+            let mut dead_edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..8))
+                .map(|_| (any_id(&mut rng), any_id(&mut rng)))
+                .collect();
+            for &(a, b) in offered.iter().take(rng.gen_range(0..6usize)) {
+                let (a, b) = (NodeId::new(a), NodeId::new(b));
+                dead_edges.push(if rng.gen_bool(0.5) { (a, b) } else { (b, a) });
+            }
+
+            let by_nodes = g.without_nodes(&dead_nodes);
+            assert_eq!(
+                by_nodes,
+                reference_without_nodes(&g, &dead_nodes),
+                "case {case}"
+            );
+            let by_edges = g.without_edges(dead_edges.iter().copied());
+            assert_eq!(
+                by_edges,
+                reference_without_edges(&g, &dead_edges),
+                "case {case}"
+            );
+            // The rescheduler's composition, on the already pruned copy.
+            assert_eq!(
+                by_nodes.without_edges(dead_edges.iter().copied()),
+                reference_without_edges(&by_nodes, &dead_edges),
+                "case {case}"
+            );
+            pruned_something += usize::from(by_edges.edge_count() < g.edge_count());
+            pruned_something += usize::from(by_nodes.edge_count() < g.edge_count());
+        }
+        assert!(pruned_something > 60, "the dead lists rarely hit an edge");
     }
 
     #[test]

@@ -354,16 +354,23 @@ fn the_refusal_screen_answers_for_most_visited_runs_and_keeps_the_visits() {
     assert!(reject.field("head").is_some() && reject.field("tail").is_some());
 }
 
-/// Every counter one build and one repair of the lattice leave behind,
-/// captured at the commit before a slot's occupancy state shrank from two
-/// per-node tables to bitsets (PR 18). The repair fails the first link and
-/// moves its unit of demand onto a new link (2 → 1) that shares node 2 with
-/// the surviving (3 → 2), so the endpoint screen rejects once as well. A
-/// change to what the ledger stores may move none of these: they are the
-/// verdicts, the screens that decided them and the probes first-fit made.
+/// Every counter one build, one repair and one verification of the lattice
+/// leave behind, captured at the commit before a slot's occupancy state
+/// shrank from two per-node tables to bitsets (PR 18). The repair fails the
+/// first link and moves its unit of demand onto a new link (2 → 1) that
+/// shares node 2 with the surviving (3 → 2), so the endpoint screen rejects
+/// once as well. A change to what the ledger stores may move none of these:
+/// they are the verdicts, the screens that decided them and the probes
+/// first-fit made.
 /// The refusal screen moved four rows and added two, under one conservation
 /// law: the runs first-fit visits are the parent's (61 379 + 56), and what it
 /// skips is what `ledger.victim.reject` used to count (50 277, now absent).
+/// Fill-and-read moved four more under a second one: verification probes
+/// nothing, so the accepts that left (3 937 → 1 937, with their far-field
+/// screens and six exact fallbacks) are exactly the 2 000 entries the repair
+/// used to re-admit one by one inside its closing `verify_schedule` — and an
+/// explicit `verify_schedule` of the repaired frame, added to this run, puts
+/// none of them back: its work is the three `*.filled` rows.
 #[test]
 fn a_build_and_a_repair_leave_the_parent_commits_counters() {
     let (env, demands) = jittered_lattice_2k();
@@ -374,7 +381,9 @@ fn a_build_and_a_repair_leave_the_parent_commits_counters() {
     let target = LinkDemands::from_links(env.node_count(), &target).expect("distinct heads");
     let (repaired, report) = observed(|| {
         let schedule = GreedyPhysical::paper_baseline().schedule(&env, &demands);
-        repair_schedule(&env, &schedule, &target)
+        let repaired = repair_schedule(&env, &schedule, &target);
+        verify_schedule(&env, &repaired.schedule, &target).expect("the repaired frame verifies");
+        repaired
     });
     assert_eq!(repaired.outcome, RepairOutcome::Incremental);
     let counters: Vec<(&str, u64)> = report
@@ -391,10 +400,10 @@ fn a_build_and_a_repair_leave_the_parent_commits_counters() {
             ("greedy.runs.rejected", 9_214),
             ("greedy.runs.skipped", 50_229),
             ("greedy.solo_runs", 64),
-            ("ledger.exact.fallback_existing", 32),
-            ("ledger.farfield.accept", 3_884),
-            ("ledger.farfield.skip_existing", 3_852),
-            ("ledger.probe.accept", 3_937),
+            ("ledger.exact.fallback_existing", 26),
+            ("ledger.farfield.accept", 1_948),
+            ("ledger.farfield.skip_existing", 1_922),
+            ("ledger.probe.accept", 1_937),
             ("ledger.probe.reject", 9_221),
             ("ledger.probe.reject_endpoint", 1),
             ("ledger.prune.scan_reject", 4_432),
@@ -402,14 +411,19 @@ fn a_build_and_a_repair_leave_the_parent_commits_counters() {
             ("repair.added_allocation", 1),
             ("repair.outcome.incremental", 1),
             ("repair.refill.links", 1),
+            ("repair.runs.filled", 64),
             ("repair.runs.probed", 8),
             ("repair.runs.rejected", 7),
             ("repair.runs.skipped", 48),
             ("repair.stripped_allocation", 1),
+            ("verify.entries.filled", 2_000),
+            ("verify.patterns.filled", 64),
         ]
     );
     let scans = &report.snapshot.histograms["ledger.scan.entries"];
-    assert_eq!((scans.count, scans.sum), (13_542, 394_794));
+    // 13 542 scans over 394 794 entries at the parent: the 3 872 scans (130 836
+    // entries) of the verify-time probes are gone.
+    assert_eq!((scans.count, scans.sum), (9_670, 263_958));
 
     let counter = |name| report.snapshot.counter(name);
     let skipped = counter("greedy.runs.skipped") + counter("repair.runs.skipped");
@@ -422,4 +436,21 @@ fn a_build_and_a_repair_leave_the_parent_commits_counters() {
         59_443 + 55
     );
     assert_eq!(skipped + counter("ledger.victim.reject"), 50_277);
+
+    // Every accept is a placement: 2 000 − 64 links joined a run first-fit
+    // had open (the other 64 opened one) and the repair placed one more.
+    // Neither filling a run nor verifying the frame asks `can_add` anything.
+    let runs = repaired.schedule.runs();
+    let frame_entries: u64 = runs.map(|(pattern, _)| pattern.len() as u64).sum();
+    assert_eq!(frame_entries, 2_000);
+    assert_eq!(counter("verify.entries.filled"), frame_entries);
+    assert_eq!(
+        counter("ledger.probe.accept"),
+        counter("greedy.links") - counter("greedy.solo_runs") + counter("repair.refill.links"),
+    );
+    assert_eq!(3_937 - counter("ledger.probe.accept"), frame_entries);
+    assert_eq!(
+        counter("verify.patterns.filled"),
+        repaired.schedule.pattern_count() as u64
+    );
 }
