@@ -44,11 +44,6 @@ impl ComplexityObservation {
             self.measured_steps as f64 / self.theorem_bound
         }
     }
-
-    /// Whether the measured step count respects the bound.
-    pub fn within_bound(&self) -> bool {
-        (self.measured_steps as f64) <= self.theorem_bound
-    }
 }
 
 /// A batch of complexity observations over growing instance sizes.
@@ -105,19 +100,6 @@ impl ComplexityReport {
             theorem_bound: bound,
         })
     }
-
-    /// Whether every observation respects the Theorem 5 bound.
-    pub fn all_within_bound(&self) -> bool {
-        !self.observations.is_empty() && self.observations.iter().all(|o| o.within_bound())
-    }
-
-    /// The FDD observations only, in instance order.
-    pub fn fdd_observations(&self) -> Vec<&ComplexityObservation> {
-        self.observations
-            .iter()
-            .filter(|o| o.protocol == "FDD")
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +110,20 @@ mod tests {
     fn measured_steps_respect_theorem_5_bound() {
         let report = ComplexityReport::on_grids(&[3, 4], 150.0, true, 7).unwrap();
         assert_eq!(report.observations.len(), 4);
-        assert!(report.all_within_bound(), "{:#?}", report.observations);
+        assert!(
+            report
+                .observations
+                .iter()
+                .all(|o| o.measured_steps as f64 <= o.theorem_bound),
+            "{:#?}",
+            report.observations
+        );
     }
 
     #[test]
     fn utilization_is_well_below_one_in_practice() {
         let report = ComplexityReport::on_grids(&[4], 150.0, false, 3).unwrap();
-        let fdd = report.fdd_observations();
+        let fdd = &report.observations;
         assert_eq!(fdd.len(), 1);
         assert!(fdd[0].utilization_of_bound() < 0.5);
         assert!(fdd[0].utilization_of_bound() > 0.0);
@@ -143,7 +132,7 @@ mod tests {
     #[test]
     fn steps_grow_with_instance_size() {
         let report = ComplexityReport::on_grids(&[3, 5], 150.0, false, 11).unwrap();
-        let fdd = report.fdd_observations();
+        let fdd = &report.observations;
         assert!(fdd[1].measured_steps > fdd[0].measured_steps);
         assert!(fdd[1].theorem_bound > fdd[0].theorem_bound);
     }
@@ -170,10 +159,5 @@ mod tests {
             ComplexityReport::on_grids(&[3], 5_000.0, true, 7),
             Err(AnalysisError::Disconnected)
         );
-    }
-
-    #[test]
-    fn empty_report_is_not_vacuously_within_bound() {
-        assert!(!ComplexityReport::default().all_within_bound());
     }
 }

@@ -11,9 +11,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use scream_topology::{
-    Deployment, GridDeployment, NodeId, UniformDeployment, UnitDiskGraphBuilder,
-};
+use scream_topology::{Deployment, GridDeployment, UniformDeployment, UnitDiskGraphBuilder};
 
 use crate::instance::AnalysisError;
 
@@ -56,17 +54,6 @@ impl DiameterObservation {
     /// whose boundary nodes are not exactly on the region boundary).
     pub fn respects_bound(&self) -> bool {
         (self.interference_diameter as f64) <= self.theoretical_bound + 1.0
-    }
-
-    /// Ratio of the measured diameter to `√(n/ρ)` — the paper's claim is that
-    /// this ratio stays bounded by a constant across scenarios.
-    pub fn ratio_to_sqrt_n_over_rho(&self) -> f64 {
-        // Exact-zero guard: any nonzero reference is safe to divide by.
-        if self.sqrt_n_over_rho == 0.0 {
-            0.0
-        } else {
-            self.interference_diameter as f64 / self.sqrt_n_over_rho
-        }
     }
 
     /// Measures a `side × side` square-grid deployment with the communication
@@ -162,27 +149,6 @@ impl DiameterObservation {
     }
 }
 
-/// Convenience: the exact interference diameter of an arbitrary deployment
-/// under a unit-disk sensitivity model with the given carrier-sense range.
-pub fn measured_interference_diameter(deployment: &Deployment, cs_range_m: f64) -> usize {
-    UnitDiskGraphBuilder::new(cs_range_m)
-        .build(deployment)
-        .interference_diameter()
-}
-
-/// Convenience: hop distance between two nodes of a deployment under the same
-/// model (used by examples to size `K`).
-pub fn measured_hop_distance(
-    deployment: &Deployment,
-    cs_range_m: f64,
-    u: NodeId,
-    v: NodeId,
-) -> Option<usize> {
-    UnitDiskGraphBuilder::new(cs_range_m)
-        .build(deployment)
-        .hop_distance(u, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,7 +224,7 @@ mod tests {
             DiameterObservation::infinite_density(400.0, 40.0, 200.0),
         ];
         for obs in observations {
-            let ratio = obs.ratio_to_sqrt_n_over_rho();
+            let ratio = obs.interference_diameter as f64 / obs.sqrt_n_over_rho;
             assert!(
                 ratio < 8.0,
                 "{:?}: ID/{:.2} = {ratio:.2} is not O(1)-ish",
@@ -278,19 +244,5 @@ mod tests {
             |o: &DiameterObservation| o.interference_diameter as f64 / (o.node_count as f64).sqrt();
         assert!(norm(&grid) > norm(&uniform));
         assert!(norm(&uniform) > norm(&dense));
-    }
-
-    #[test]
-    fn helper_measurements_agree_with_graph_queries() {
-        let d = GridDeployment::new(4, 4, 100.0).build();
-        assert_eq!(measured_interference_diameter(&d, 100.0), 6);
-        assert_eq!(
-            measured_hop_distance(&d, 100.0, NodeId::new(0), NodeId::new(15)),
-            Some(6)
-        );
-        assert_eq!(
-            measured_hop_distance(&d, 100.0, NodeId::new(0), NodeId::new(0)),
-            Some(0)
-        );
     }
 }

@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use scream_core::ProtocolKind;
-use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical, ScheduleMetrics};
+use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical};
 use scream_topology::{Deployment, GridDeployment, UniformDeployment};
 
 use crate::instance::{AnalysisError, Instance};
@@ -143,11 +143,6 @@ impl EquivalenceReport {
         })
     }
 
-    /// Whether every instance produced identical, valid schedules.
-    pub fn all_equivalent(&self) -> bool {
-        !self.outcomes.is_empty() && self.outcomes.iter().all(|o| o.identical && o.both_valid)
-    }
-
     /// Fraction of instances on which the schedules were identical.
     pub fn equivalence_rate(&self) -> f64 {
         if self.outcomes.is_empty() {
@@ -155,35 +150,6 @@ impl EquivalenceReport {
         }
         self.outcomes.iter().filter(|o| o.identical).count() as f64 / self.outcomes.len() as f64
     }
-}
-
-/// Compares PDD against the centralized schedule on one grid instance and
-/// returns `(pdd_metrics, centralized_metrics)` — the per-instance data point
-/// behind the "PDD is ~10 points worse" observation of Section VI-B.
-///
-/// # Errors
-///
-/// [`AnalysisError::Protocol`] if `probability` is outside `(0, 1]` or the
-/// PDD run does not finish, [`AnalysisError::Disconnected`] if `step_m`
-/// exceeds the radio range.
-pub fn pdd_vs_centralized(
-    side: usize,
-    step_m: f64,
-    probability: f64,
-    seed: u64,
-) -> Result<(ScheduleMetrics, ScheduleMetrics), AnalysisError> {
-    // Validate the caller-supplied probability before any expensive work.
-    let kind = ProtocolKind::pdd(probability)?;
-    let deployment = GridDeployment::new(side, side, step_m).build();
-    let instance = Instance::build(&deployment, &deployment.corner_nodes(), 1, seed)?;
-    let (env, link_demands) = (&instance.env, &instance.link_demands);
-
-    let centralized = GreedyPhysical::paper_baseline().schedule(env, link_demands);
-    let pdd = instance.run(kind)?;
-    Ok((
-        ScheduleMetrics::compute(&pdd.schedule, link_demands),
-        ScheduleMetrics::compute(&centralized, link_demands),
-    ))
 }
 
 #[cfg(test)]
@@ -194,7 +160,11 @@ mod tests {
     fn fdd_equals_greedy_physical_on_grid_instances() {
         let report = EquivalenceReport::on_grid_instances(4, 150.0, 3, 10, 1).unwrap();
         assert_eq!(report.outcomes.len(), 3);
-        assert!(report.all_equivalent(), "outcomes: {:?}", report.outcomes);
+        assert!(
+            report.outcomes.iter().all(|o| o.identical && o.both_valid),
+            "outcomes: {:?}",
+            report.outcomes
+        );
         assert_eq!(report.equivalence_rate(), 1.0);
     }
 
@@ -202,7 +172,11 @@ mod tests {
     fn fdd_equals_greedy_physical_on_unplanned_instances() {
         let report = EquivalenceReport::on_uniform_instances(16, 600.0, 3, 42, 1).unwrap();
         assert!(!report.outcomes.is_empty());
-        assert!(report.all_equivalent(), "outcomes: {:?}", report.outcomes);
+        assert!(
+            report.outcomes.iter().all(|o| o.identical && o.both_valid),
+            "outcomes: {:?}",
+            report.outcomes
+        );
         assert!(report.outcomes.iter().all(|o| o.channel_count == 1));
     }
 
@@ -216,7 +190,7 @@ mod tests {
             let report = EquivalenceReport::on_grid_instances(4, 150.0, 2, 21, channels).unwrap();
             assert_eq!(report.outcomes.len(), 2);
             assert!(
-                report.all_equivalent(),
+                report.outcomes.iter().all(|o| o.identical && o.both_valid),
                 "C = {channels} outcomes: {:?}",
                 report.outcomes
             );
@@ -224,7 +198,14 @@ mod tests {
         }
         let unplanned = EquivalenceReport::on_uniform_instances(16, 600.0, 2, 42, 2).unwrap();
         assert!(!unplanned.outcomes.is_empty());
-        assert!(unplanned.all_equivalent(), "{:?}", unplanned.outcomes);
+        assert!(
+            unplanned
+                .outcomes
+                .iter()
+                .all(|o| o.identical && o.both_valid),
+            "{:?}",
+            unplanned.outcomes
+        );
     }
 
     #[test]
@@ -241,10 +222,6 @@ mod tests {
     #[test]
     fn a_grid_step_beyond_radio_range_is_an_error_not_a_panic() {
         assert_eq!(
-            pdd_vs_centralized(3, 5_000.0, 0.6, 5),
-            Err(AnalysisError::Disconnected)
-        );
-        assert_eq!(
             EquivalenceReport::on_grid_instances(3, 5_000.0, 2, 5, 1),
             Err(AnalysisError::Disconnected)
         );
@@ -252,22 +229,6 @@ mod tests {
 
     #[test]
     fn empty_report_is_not_vacuously_equivalent() {
-        let report = EquivalenceReport::default();
-        assert!(!report.all_equivalent());
-        assert_eq!(report.equivalence_rate(), 0.0);
-    }
-
-    #[test]
-    fn pdd_improvement_does_not_exceed_centralized_by_much() {
-        let (pdd, centralized) = pdd_vs_centralized(4, 150.0, 0.6, 5).unwrap();
-        // PDD's schedule can never be shorter than the serialized bound allows
-        // and in practice trails the centralized schedule.
-        assert!(
-            pdd_vs_centralized(4, 150.0, 1.5, 5).is_err(),
-            "out-of-range probabilities propagate as errors, not panics"
-        );
-        assert!(pdd.length >= centralized.length);
-        assert!(pdd.improvement_over_linear_pct <= centralized.improvement_over_linear_pct + 1e-9);
-        assert!(centralized.improvement_over_linear_pct > 0.0);
+        assert_eq!(EquivalenceReport::default().equivalence_rate(), 0.0);
     }
 }

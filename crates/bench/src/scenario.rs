@@ -613,7 +613,7 @@ mod tests {
             .instantiate()
             .unwrap();
         assert!(
-            env.open_slot_ledger().is_pruned(),
+            scream_netsim::SlotLedger::new(&env).is_pruned(),
             "the instance must be wide enough to engage spatial pruning"
         );
         let pruned = GreedyPhysical::paper_baseline().schedule(&env, &demands);

@@ -89,11 +89,6 @@ impl LeaderElection {
         );
         winner
     }
-
-    /// Total number of SCREAM slots one election costs on `channel`.
-    pub fn slot_cost(&self, channel: &ScreamChannel<'_>) -> u64 {
-        Self::id_bits(channel.node_count()) as u64 * channel.scream_slots() as u64
-    }
 }
 
 #[cfg(test)]
@@ -182,11 +177,9 @@ mod tests {
         let env = grid_env(4, 150.0);
         let ch = channel(&env, ScreamFidelity::Ideal);
         let mut t = ProtocolTiming::new();
-        let expected = LeaderElection::new().slot_cost(&ch);
         LeaderElection::new().elect(&ch, &[true; 16], &mut t);
-        assert_eq!(t.scream_slots, expected);
         // 16 nodes -> 4 id bits.
-        assert_eq!(expected, 4 * ch.scream_slots() as u64);
+        assert_eq!(t.scream_slots, 4 * ch.scream_slots() as u64);
     }
 
     #[test]

@@ -39,15 +39,6 @@ impl RunStats {
         Self::default()
     }
 
-    /// Average number of iterations needed to seal a slot.
-    pub fn iterations_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.slot_iterations as f64 / self.rounds as f64
-        }
-    }
-
     /// Fraction of active attempts that were discarded (TRIED) rather than
     /// allocated. A rough measure of how much work the randomized selection
     /// of PDD wastes compared to FDD.
@@ -91,18 +82,7 @@ mod tests {
     #[test]
     fn derived_ratios_handle_zero_denominators() {
         let s = RunStats::new();
-        assert_eq!(s.iterations_per_round(), 0.0);
         assert_eq!(s.tried_fraction(), 0.0);
-    }
-
-    #[test]
-    fn iterations_per_round_is_a_simple_ratio() {
-        let s = RunStats {
-            rounds: 4,
-            slot_iterations: 10,
-            ..RunStats::default()
-        };
-        assert!((s.iterations_per_round() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! | **H1** | `H1.alloc` | hot-path: no ledger/accumulator construction in loops |
 //! | **U1** | `U1.mix`, `U1.bind`, `U1.conv` | unit hygiene: no cross-unit arithmetic/binding on suffix-tagged quantities; honest conversion calls |
 //! | **O1** | `O1.sink` | observability: obs emission arguments stay allocation-free (`&'static str` + `u64`), so a disabled sink is a true no-op |
+//! | **S1** | `S1.caller` | surface: no `pub fn` that only its own file's tests mention |
 //!
 //! Plus **L1** for the allow mechanism itself: malformed/unknown/unused
 //! `// lint:allow(RULE, reason = "...")` directives.
@@ -119,6 +120,28 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
+/// The files that can only *call* library code: integration tests, examples
+/// and the `src/bin/` tool surfaces of the root package and of every crate
+/// [`workspace_files`] covers, plus the standalone `benchmark/` package. No
+/// rule scans them; `S1.caller` counts a mention in one of them as a use.
+fn caller_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    collect_rs_files(&root.join("benchmark/src"), &mut files)?;
+    let mut packages = vec![root.to_path_buf()];
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let entry = entry?;
+        if entry.file_name() != "compat" {
+            packages.push(entry.path());
+        }
+    }
+    for package in packages {
+        for dir in ["tests", "examples", "src/bin"] {
+            collect_rs_files(&package.join(dir), &mut files)?;
+        }
+    }
+    Ok(files)
+}
+
 fn relative_to(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     // Normalize separators so reported paths are portable.
@@ -129,10 +152,15 @@ fn relative_to(root: &Path, path: &Path) -> String {
 /// holding the `[workspace]` Cargo.toml).
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let files = workspace_files(root)?;
+    let read_all = |paths: &[PathBuf]| -> io::Result<Vec<String>> {
+        paths.iter().map(std::fs::read_to_string).collect()
+    };
+    let (sources, callers) = (read_all(&files)?, read_all(&caller_files(root)?)?);
+    let census = scan::files_mentioning(sources.iter().chain(&callers).map(String::as_str));
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    for path in &files {
-        let src = std::fs::read_to_string(path)?;
-        diagnostics.extend(scan::scan_source(&relative_to(root, path), &src));
+    for (path, src) in files.iter().zip(&sources) {
+        let path = relative_to(root, path);
+        diagnostics.extend(scan::scan_source_in(&path, src, Some(&census)));
     }
 
     diagnostics.sort();

@@ -17,6 +17,7 @@ RULES:
     U1.bind   cross-unit binding/assignment (let range_m = area_m2)
     U1.conv   suffix-dishonest conversion call (dbm_to_mw(-loss_db))
     O1.sink   allocation inside a scream_obs emission argument
+    S1.caller pub fn that only its own file's tests mention
     L1.*      malformed or unused lint:allow directives
 
 D1, P1, F1 and H1.hot are carried by clippy (clippy.toml and the deny

@@ -4,6 +4,8 @@
 //! per-token context (lexical loop depth, `#[cfg(test)]`/`#[test]` region),
 //! and matches the rule patterns. Allow directives are applied here.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use crate::lexer::{is_ident_char, scrub, AllowDirective};
 
 /// Every rule the scanner knows, by stable code.
@@ -19,6 +21,8 @@ pub enum RuleCode {
     U1Conv,
     /// Allocation/formatting inside a `scream_obs` emission argument list.
     O1Sink,
+    /// A `pub fn` that only its own file's tests mention.
+    S1Caller,
     /// Malformed or unknown `lint:allow` directive.
     L1Allow,
     /// Well-formed `lint:allow` that suppresses nothing.
@@ -33,6 +37,7 @@ impl RuleCode {
             RuleCode::U1Bind => "U1.bind",
             RuleCode::U1Conv => "U1.conv",
             RuleCode::O1Sink => "O1.sink",
+            RuleCode::S1Caller => "S1.caller",
             RuleCode::L1Allow => "L1.allow",
             RuleCode::L1Unused => "L1.unused",
         }
@@ -53,6 +58,7 @@ impl RuleCode {
             RuleCode::U1Bind,
             RuleCode::U1Conv,
             RuleCode::O1Sink,
+            RuleCode::S1Caller,
         ]
         .iter()
         .any(|r| name == r.code() || name == r.family())
@@ -68,7 +74,7 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-const ACCUMULATOR_OPENERS: &[&str] = &["open_slot", "open_slot_ledger", "open_channel_ledger"];
+const ACCUMULATOR_OPENERS: &[&str] = &["open_slot", "open_channel_ledger"];
 
 const LEDGER_TYPES: &[&str] = &["SlotLedger", "ChannelSlotLedger"];
 
@@ -317,8 +323,77 @@ pub(crate) fn contexts(toks: &[Token]) -> Vec<Ctx> {
     out
 }
 
-/// Scan one source file and return its allow-filtered diagnostics.
+/// The census `S1.caller` reads: for every identifier, how many of `files`
+/// mention it outside comments and literals, test code included.
+pub(crate) fn files_mentioning<'a>(
+    files: impl IntoIterator<Item = &'a str>,
+) -> BTreeMap<String, usize> {
+    let mut counts = BTreeMap::new();
+    for src in files {
+        let names: BTreeSet<String> = tokenize(&scrub(src).text)
+            .into_iter()
+            .filter_map(|t| match t.tok {
+                Tok::Ident(name) => Some(name),
+                _ => None,
+            })
+            .collect();
+        for name in names {
+            *counts.entry(name).or_default() += 1;
+        }
+    }
+    counts
+}
+
+/// S1.caller — code whose only caller is a test is not product. A `pub fn`
+/// is flagged when its name occurs in no other file of the census and, in
+/// this file, only where it is defined and inside test regions.
+fn scan_surface(
+    path: &str,
+    toks: &[Token],
+    ctx: &[Ctx],
+    files_mentioning: &BTreeMap<String, usize>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let used_here: BTreeSet<&str> = (0..toks.len())
+        .filter(|&i| !ctx[i].in_test && (i == 0 || ident_at(toks, i - 1) != Some("fn")))
+        .filter_map(|i| ident_at(toks, i))
+        .collect();
+    for (i, at) in ctx.iter().enumerate() {
+        if at.in_test || ident_at(toks, i) != Some("pub") {
+            continue;
+        }
+        let at_fn = i + 1 + usize::from(ident_at(toks, i + 1) == Some("const"));
+        let (Some("fn"), Some(name)) = (ident_at(toks, at_fn), ident_at(toks, at_fn + 1)) else {
+            continue;
+        };
+        // This file is one of the files that mention the name.
+        if !used_here.contains(name) && files_mentioning.get(name).is_none_or(|&n| n <= 1) {
+            diags.push(Diagnostic {
+                path: path.to_string(),
+                line: toks[at_fn + 1].line,
+                rule: RuleCode::S1Caller,
+                message: format!(
+                    "`pub fn {name}` is mentioned only by this file's own tests; delete it \
+                     with the tests that have no other subject"
+                ),
+            });
+        }
+    }
+}
+
+/// Scan one source file on its own and return its allow-filtered
+/// diagnostics: every rule but `S1.caller`, which needs the other files.
 pub fn scan_source(path: &str, src: &str) -> Vec<Diagnostic> {
+    scan_source_in(path, src, None)
+}
+
+/// [`scan_source`] for a file of a workspace: the [`files_mentioning`] census
+/// of every scanned file, test, example and binary turns `S1.caller` on.
+pub(crate) fn scan_source_in(
+    path: &str,
+    src: &str,
+    files_mentioning: Option<&BTreeMap<String, usize>>,
+) -> Vec<Diagnostic> {
     let scrubbed = scrub(src);
     let toks = tokenize(&scrubbed.text);
     let ctx = contexts(&toks);
@@ -468,6 +543,10 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Diagnostic> {
         }
     }
 
+    if let Some(files_mentioning) = files_mentioning {
+        scan_surface(path, &toks, &ctx, files_mentioning, &mut diags);
+    }
+
     let symbols = crate::symbols::index_tokens(&toks, &ctx);
     crate::units::scan_units(path, &toks, &ctx, &symbols, &mut diags);
 
@@ -607,10 +686,10 @@ fn f(env: &Environment) {
     let outer = ChannelSlotLedger::new(env, 2);
     while remaining > 0 {
         if cond {
-            let inner = env.open_slot_ledger();
+            let inner = env.open_channel_ledger();
         }
     }
-    let after = env.open_slot_ledger();
+    let after = env.open_channel_ledger();
 }
 "#;
         // Only the `while`-nested construction is flagged: the `if` block
@@ -632,6 +711,39 @@ fn f(env: &Environment) {
 }
 "#;
         assert!(codes(src).is_empty());
+    }
+
+    // ---- S1 ----
+
+    #[test]
+    fn s1_flags_a_pub_fn_only_its_own_tests_mention() {
+        let src = r#"
+pub fn used_here() -> u32 { 1 }
+pub fn used_elsewhere() -> u32 { used_here() }
+pub const fn test_only() -> u32 { 2 }
+pub(crate) fn not_public() {}
+// lint:allow(S1.caller, reason = "the negative test needs it")
+pub fn excused() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { assert_eq!(super::test_only(), 2); super::excused(); }
+}
+"#;
+        let census = |other: &str| {
+            let census = files_mentioning([src, other]);
+            scan_source_in("crates/x/src/lib.rs", src, Some(&census))
+        };
+        let alone = census("fn main() { used_elsewhere(); }");
+        assert_eq!(alone.len(), 1, "{alone:?}");
+        assert_eq!((alone[0].rule.code(), alone[0].line), ("S1.caller", 4));
+        // A mention in any other file — a test, an example, a string-free
+        // line of `benchmark/` — is a use; a comment is not.
+        let called = "fn main() { used_elsewhere(); test_only(); /* excused() */ }";
+        assert!(census(called).is_empty());
+        // On its own a file is not judged: the rule needs the census.
+        assert!(codes(src).contains(&"L1.unused"));
+        assert!(!codes(src).contains(&"S1.caller"));
     }
 
     // ---- allows + L1 ----

@@ -60,16 +60,6 @@ impl MovingAverage {
             self.values.iter().sum::<f64>() / self.values.len() as f64
         }
     }
-
-    /// Whether the window has been fully populated.
-    pub fn is_warm(&self) -> bool {
-        self.values.len() == self.window
-    }
-
-    /// Clears the window.
-    pub fn reset(&mut self) {
-        self.values.clear();
-    }
 }
 
 /// A recorded trace of RSSI and moving-average values, used to regenerate the
@@ -142,16 +132,11 @@ mod tests {
     fn moving_average_tracks_the_window() {
         let mut ma = MovingAverage::new(3);
         assert_eq!(ma.current(), f64::NEG_INFINITY);
-        assert!(!ma.is_warm());
         assert_eq!(ma.push(-90.0), -90.0);
         assert_eq!(ma.push(-60.0), -75.0);
         assert_eq!(ma.push(-60.0), -70.0);
-        assert!(ma.is_warm());
         // Window slides: the -90 falls out.
         assert_eq!(ma.push(-60.0), -60.0);
-        ma.reset();
-        assert!(!ma.is_warm());
-        assert_eq!(ma.current(), f64::NEG_INFINITY);
     }
 
     #[test]

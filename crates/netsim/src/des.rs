@@ -114,11 +114,6 @@ impl<E: Eq> EventQueue<E> {
         }));
     }
 
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
@@ -182,15 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(10), "a");
-        q.pop();
-        q.schedule_after(SimTime::from_millis(5), "b");
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(15)));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -206,7 +192,7 @@ mod tests {
         // Each event re-schedules itself 1 ms later; running until 10 ms must
         // deliver exactly 10 events.
         let delivered = q.run_until(SimTime::from_millis(10), |q, ev| {
-            q.schedule_after(SimTime::from_millis(1), ev.event + 1);
+            q.schedule(q.now() + SimTime::from_millis(1), ev.event + 1);
         });
         assert_eq!(delivered, 10);
         assert_eq!(q.now(), SimTime::from_millis(10));
@@ -223,7 +209,8 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::case_stream;
+        use rand::Rng;
 
         /// One step of an interleaved workload: schedule a batch of events
         /// at `now + delay`, then pop up to `pops` events.
@@ -254,30 +241,42 @@ mod tests {
             delivered
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// The contract the module docs pin: events scheduled for the
-            /// same instant are delivered in the order they were scheduled
-            /// (FIFO per timestamp), deliveries never go back in time, and
-            /// the whole interleaving — scheduling more events between pops,
-            /// batches landing on already-popped timestamps' successors —
-            /// replays deterministically.
-            #[test]
-            fn same_timestamp_fifo_is_deterministic_under_interleaving(
-                steps in prop::collection::vec(
-                    (0u8..=255, 0u8..=255, 0u8..=255), 1..40)
-            ) {
+        /// The contract the module docs pin: events scheduled for the
+        /// same instant are delivered in the order they were scheduled
+        /// (FIFO per timestamp), deliveries never go back in time, and
+        /// the whole interleaving — scheduling more events between pops,
+        /// batches landing on already-popped timestamps' successors —
+        /// replays deterministically.
+        #[test]
+        fn same_timestamp_fifo_is_deterministic_under_interleaving() {
+            for case in 0..64 {
+                let mut rng = case_stream(
+                    "same_timestamp_fifo_is_deterministic_under_interleaving",
+                    case,
+                );
+                let steps: Vec<Step> = (0..rng.gen_range(1usize..40))
+                    .map(|_| {
+                        (
+                            rng.gen_range(0u8..=255),
+                            rng.gen_range(0u8..=255),
+                            rng.gen_range(0u8..=255),
+                        )
+                    })
+                    .collect();
+                let failed = format!(
+                    "property 'same_timestamp_fifo_is_deterministic_under_interleaving' \
+                     failed at case {case}"
+                );
                 let delivered = replay(&steps);
                 // Time order is total and non-decreasing.
                 for pair in delivered.windows(2) {
-                    prop_assert!(pair[0].0 <= pair[1].0, "time went backwards");
+                    assert!(pair[0].0 <= pair[1].0, "{failed}: time went backwards");
                     // FIFO tie-break: equal timestamps preserve scheduling
                     // order, which for this workload means increasing ids.
                     if pair[0].0 == pair[1].0 {
-                        prop_assert!(
+                        assert!(
                             pair[0].1 < pair[1].1,
-                            "same-timestamp events left the queue out of \
+                            "{failed}: same-timestamp events left the queue out of \
                              scheduling order: {} before {}",
                             pair[0].1,
                             pair[1].1
@@ -288,9 +287,9 @@ mod tests {
                 let mut ids: Vec<u32> = delivered.iter().map(|&(_, id)| id).collect();
                 ids.sort_unstable();
                 let expected: Vec<u32> = (0..ids.len() as u32).collect();
-                prop_assert_eq!(ids, expected);
+                assert_eq!(ids, expected, "{failed}");
                 // The interleaving replays byte-identically.
-                prop_assert_eq!(delivered, replay(&steps));
+                assert_eq!(delivered, replay(&steps), "{failed}");
             }
         }
     }

@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 
 use scream_topology::{Deployment, Graph, GraphKind, Link, NodeId, Point2};
 
-use crate::error::NetsimError;
 use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
 use crate::radio::{db_to_linear, mw_to_dbm, RadioConfig};
 use crate::spatial::{bounding_box_m, SpatialGrid};
@@ -406,29 +405,6 @@ impl RadioEnvironment {
         let mut all: Vec<Link> = existing.to_vec();
         all.push(candidate);
         all.iter().all(|&l| self.handshake_ok(l, &all))
-    }
-
-    /// Whether a (bidirectional) link between `u` and `v` exists *in the
-    /// absence of interference* — the definition of an edge of the
-    /// communication graph `G` in Section II.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetsimError::SelfLink`] if `u == v` and
-    /// [`NetsimError::UnknownNode`] for out-of-range ids.
-    pub fn link_exists(&self, u: NodeId, v: NodeId) -> Result<bool, NetsimError> {
-        for id in [u, v] {
-            if id.index() >= self.node_count {
-                return Err(NetsimError::UnknownNode {
-                    id,
-                    node_count: self.node_count,
-                });
-            }
-        }
-        if u == v {
-            return Err(NetsimError::SelfLink(u));
-        }
-        Ok(self.handshake_ok(Link::new(u, v), &[]))
     }
 
     /// Node count above which graph construction switches from the O(n²)
@@ -906,14 +882,6 @@ mod tests {
         let d = line_deployment(100.0, 2);
         let e = env(&d);
         assert!(!e.slot_feasible(&[Link::new(NodeId::new(0), NodeId::new(0))]));
-        assert!(matches!(
-            e.link_exists(NodeId::new(1), NodeId::new(1)),
-            Err(NetsimError::SelfLink(_))
-        ));
-        assert!(matches!(
-            e.link_exists(NodeId::new(0), NodeId::new(9)),
-            Err(NetsimError::UnknownNode { .. })
-        ));
     }
 
     #[test]
@@ -1129,7 +1097,7 @@ mod tests {
         assert!(e.decodable(NodeId::new(0), NodeId::new(1), &[]));
         assert!(!e.decodable(NodeId::new(1), NodeId::new(0), &[]));
         // Hence no bidirectional link, and the communication graph drops it.
-        assert!(!e.link_exists(NodeId::new(0), NodeId::new(1)).unwrap());
+        assert!(!e.handshake_ok(Link::new(NodeId::new(0), NodeId::new(1)), &[]));
         assert_eq!(e.communication_graph().edge_count(), 0);
     }
 }

@@ -1293,13 +1293,6 @@ impl<'a> ChannelSlotLedger<'a> {
 }
 
 impl RadioEnvironment {
-    /// Opens an empty [`SlotLedger`] over this environment — the incremental
-    /// equivalent of probing slots with
-    /// [`can_add_to_slot`](RadioEnvironment::can_add_to_slot).
-    pub fn open_slot_ledger(&self) -> SlotLedger<'_> {
-        SlotLedger::new(self)
-    }
-
     /// Opens an empty [`ChannelSlotLedger`] with one [`SlotLedger`] per
     /// configured channel (see [`RadioConfig::channel_count`]).
     ///
@@ -1336,7 +1329,7 @@ mod tests {
     #[test]
     fn can_add_matches_from_scratch_on_a_line() {
         let env = line_env(8, 200.0);
-        let mut ledger = env.open_slot_ledger();
+        let mut ledger = SlotLedger::new(&env);
         let slot = [link(0, 1)];
         ledger.assign(slot[0]);
         for candidate in [link(6, 7), link(2, 3), link(1, 2), link(4, 4)] {
@@ -1362,7 +1355,7 @@ mod tests {
     #[test]
     fn shared_endpoints_are_rejected_by_can_add_and_tracked_by_assign() {
         let env = line_env(6, 150.0);
-        let mut ledger = env.open_slot_ledger();
+        let mut ledger = SlotLedger::new(&env);
         ledger.assign(link(0, 1));
         assert!(
             !ledger.can_add(link(1, 2)),
@@ -1377,7 +1370,7 @@ mod tests {
     #[test]
     fn self_links_are_rejected() {
         let env = line_env(4, 150.0);
-        let mut ledger = env.open_slot_ledger();
+        let mut ledger = SlotLedger::new(&env);
         assert!(!ledger.can_add(link(2, 2)));
         ledger.assign(link(2, 2));
         assert!(!ledger.slot_feasible());
@@ -1387,7 +1380,7 @@ mod tests {
     fn solo_infeasible_link_fails_even_in_an_empty_slot() {
         // Two nodes 100 km apart: not decodable even without interference.
         let env = line_env(2, 100_000.0);
-        let ledger = env.open_slot_ledger();
+        let ledger = SlotLedger::new(&env);
         assert!(!ledger.can_add(link(0, 1)));
         let forced = SlotLedger::with_links(&env, &[link(0, 1)]);
         assert!(!forced.all_links_ok());
@@ -1493,7 +1486,7 @@ mod tests {
         assert_eq!(reused.refusal.get(), None);
         assert!(!reused.surely_refuses(link(4, 5)));
 
-        let mut fresh = env.open_slot_ledger();
+        let mut fresh = SlotLedger::new(&env);
         for l in [link(6, 7), link(2, 3)] {
             assert_eq!(reused.can_add(l), fresh.can_add(l));
             assert_eq!(reused.surely_refuses(l), fresh.surely_refuses(l));
@@ -1512,7 +1505,7 @@ mod tests {
         // plain SlotLedger on the same assignment sequence.
         let env = line_env(10, 200.0);
         let mut set = ChannelSlotLedger::new(&env, 1);
-        let mut plain = env.open_slot_ledger();
+        let mut plain = SlotLedger::new(&env);
         for candidate in [link(0, 1), link(4, 5), link(1, 2), link(8, 9), link(3, 3)] {
             assert_eq!(
                 set.can_add(ChannelId::ZERO, candidate),
@@ -1744,7 +1737,7 @@ mod tests {
         assert!(pruned.is_pruned());
         assert!(!exact.is_pruned());
         assert!(
-            !env.open_slot_ledger().is_pruned(),
+            !SlotLedger::new(&env).is_pruned(),
             "an instance narrower than the cutoff should skip the index"
         );
         for row in 0..8u32 {
@@ -2406,7 +2399,7 @@ mod tests {
     #[test]
     fn contains_screens_idle_endpoints_without_changing_answers() {
         let env = line_env(8, 200.0);
-        let mut ledger = env.open_slot_ledger();
+        let mut ledger = SlotLedger::new(&env);
         ledger.assign(link(0, 1));
         ledger.assign(link(4, 5));
         assert!(ledger.contains(link(0, 1)));

@@ -57,7 +57,6 @@
 pub mod clock;
 pub mod des;
 pub mod environment;
-pub mod error;
 pub mod ledger;
 pub mod propagation;
 pub mod radio;
@@ -69,7 +68,6 @@ pub mod units;
 pub use clock::ClockSkewConfig;
 pub use des::{EventQueue, ScheduledEvent};
 pub use environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
-pub use error::NetsimError;
 pub use ledger::{ChannelLedgerProbe, ChannelSlotLedger, LedgerProbe, LinkSinrMargin, SlotLedger};
 pub use propagation::{GainProfile, PropagationModel, ShadowingField};
 pub use radio::{ChannelId, RadioConfig};
@@ -82,7 +80,6 @@ pub mod prelude {
     pub use crate::clock::ClockSkewConfig;
     pub use crate::des::{EventQueue, ScheduledEvent};
     pub use crate::environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
-    pub use crate::error::NetsimError;
     pub use crate::ledger::{
         ChannelLedgerProbe, ChannelSlotLedger, LedgerProbe, LinkSinrMargin, SlotLedger,
     };
@@ -91,4 +88,17 @@ pub mod prelude {
     pub use crate::spatial::{EndpointBuckets, GridGeometry, SpatialGrid};
     pub use crate::timing::{ProtocolTiming, SlotTiming};
     pub use crate::units::{DataRate, SimTime};
+}
+
+/// The ChaCha8 stream of case `case` of the seeded-loop property `property`:
+/// seeded with FNV-1a(`property`) + `case`, so every property draws its own
+/// instances and draws the same ones on every run.
+#[cfg(test)]
+fn case_stream(property: &str, case: u32) -> rand_chacha::ChaCha8Rng {
+    use rand::SeedableRng;
+    let mut seed = 0xcbf2_9ce4_8422_2325u64;
+    for byte in property.bytes() {
+        seed = (seed ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
+    }
+    rand_chacha::ChaCha8Rng::seed_from_u64(seed.wrapping_add(case as u64))
 }

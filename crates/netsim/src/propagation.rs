@@ -18,19 +18,19 @@ pub struct PropagationModel {
     /// Path-loss exponent `α` (2 = free space, 3 = the paper's setting,
     /// 3.5–4 = dense urban).
     exponent: f64,
-    /// Reference path loss at 1 meter, in dB.
-    reference_loss_db: f64,
-    /// Distance below which the reference loss applies unchanged, in meters.
-    reference_distance_m: f64,
 }
 
 impl PropagationModel {
-    /// Default reference loss at 1 m for a 2.4 GHz ISM-band radio, in dB
+    /// Reference loss at 1 m for a 2.4 GHz ISM-band radio, in dB
     /// (free-space loss at 1 m is ≈ 40 dB).
-    pub const DEFAULT_REFERENCE_LOSS_DB: f64 = 40.0;
+    const REFERENCE_LOSS_DB: f64 = 40.0;
 
-    /// Log-distance path loss with the given exponent and the default
-    /// 2.4 GHz reference loss.
+    /// Distance at or below which the reference loss applies unchanged, in
+    /// meters.
+    const REFERENCE_DISTANCE_M: f64 = 1.0;
+
+    /// Log-distance path loss with the given exponent and the 2.4 GHz
+    /// reference loss.
     ///
     /// # Panics
     ///
@@ -42,16 +42,7 @@ impl PropagationModel {
             exponent > 1.0 && exponent <= 10.0,
             "path-loss exponent must be in (1, 10], got {exponent}"
         );
-        Self {
-            exponent,
-            reference_loss_db: Self::DEFAULT_REFERENCE_LOSS_DB,
-            reference_distance_m: 1.0,
-        }
-    }
-
-    /// Free-space propagation (exponent 2).
-    pub fn free_space() -> Self {
-        Self::log_distance(2.0)
+        Self { exponent }
     }
 
     /// The paper's simulation setting: log-distance with exponent 3 (the
@@ -59,23 +50,6 @@ impl PropagationModel {
     /// [`ShadowingField`]).
     pub fn paper_default() -> Self {
         Self::log_distance(3.0)
-    }
-
-    /// Overrides the reference loss at the reference distance, in dB.
-    pub fn with_reference_loss_db(mut self, loss_db: f64) -> Self {
-        self.reference_loss_db = loss_db;
-        self
-    }
-
-    /// Overrides the reference distance, in meters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distance is not strictly positive.
-    pub fn with_reference_distance_m(mut self, d0: f64) -> Self {
-        assert!(d0 > 0.0, "reference distance must be positive");
-        self.reference_distance_m = d0;
-        self
     }
 
     /// The path-loss exponent `α`.
@@ -86,11 +60,10 @@ impl PropagationModel {
     /// Path loss in dB over a distance of `distance_m` meters. Distances at
     /// or below the reference distance return the reference loss.
     pub fn path_loss_db(&self, distance_m: f64) -> f64 {
-        if distance_m <= self.reference_distance_m {
-            return self.reference_loss_db;
+        if distance_m <= Self::REFERENCE_DISTANCE_M {
+            return Self::REFERENCE_LOSS_DB;
         }
-        self.reference_loss_db
-            + 10.0 * self.exponent * (distance_m / self.reference_distance_m).log10()
+        Self::REFERENCE_LOSS_DB + 10.0 * self.exponent * distance_m.log10()
     }
 
     /// Linear power gain (received power / transmitted power) over the given
@@ -103,11 +76,10 @@ impl PropagationModel {
     /// of [`path_loss_db`](Self::path_loss_db). Used to derive communication
     /// and carrier-sense ranges from power budgets.
     pub fn distance_for_loss_db(&self, loss_db: f64) -> f64 {
-        if loss_db <= self.reference_loss_db {
-            return self.reference_distance_m;
+        if loss_db <= Self::REFERENCE_LOSS_DB {
+            return Self::REFERENCE_DISTANCE_M;
         }
-        self.reference_distance_m
-            * 10f64.powf((loss_db - self.reference_loss_db) / (10.0 * self.exponent))
+        10f64.powf((loss_db - Self::REFERENCE_LOSS_DB) / (10.0 * self.exponent))
     }
 
     /// Precomputes a [`GainProfile`] evaluating this model's linear gain
@@ -123,10 +95,9 @@ impl PropagationModel {
 /// A precomputed evaluator of a [`PropagationModel`]'s linear gain as a
 /// function of squared distance.
 ///
-/// For a log-distance model, `gain(d) = g₀ · (d/d₀)^{-α}` beyond the
-/// reference distance `d₀`; folding `g₀ · d₀^α` into one scale factor gives
-/// `gain = scale · d^{-α} = scale · (d²)^{-α/2}`, which for `α ∈ {2, 3, 4}`
-/// needs only multiplications (and one `sqrt` for `α = 3`) per evaluation.
+/// For a log-distance model, `gain(d) = g₀ · d^{-α} = g₀ · (d²)^{-α/2}`
+/// beyond the 1 m reference distance, which for `α ∈ {2, 3, 4}` needs only
+/// multiplications (and one `sqrt` for `α = 3`) per evaluation.
 /// This is what lets a streamed (matrix-free) [`RadioEnvironment`]
 /// (crate::environment) recompute gains on the fly at millions of pairs per
 /// second.
@@ -136,36 +107,35 @@ impl PropagationModel {
 /// evaluator, so its feasibility verdicts are internally consistent.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GainProfile {
-    /// Gain at or below the reference distance.
+    /// `g₀`, the gain at or below the reference distance: gain is
+    /// `g₀ · d^{-α}` beyond it.
     ref_gain: f64,
-    /// Squared reference distance, in m².
-    ref_distance_sq_m2: f64,
-    /// `g₀ · d₀^α`: gain is `scale · d^{-α}` beyond the reference distance.
-    scale: f64,
     /// Exponent dispatch: `α/2`, with fast paths for `α ∈ {2, 3, 4}`.
     kind: GainKind,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum GainKind {
-    /// `α = 2`: `scale / d²`.
+    /// `α = 2`: `g₀ / d²`.
     FreeSpace,
-    /// `α = 3`: `scale / (d² · √d²)`.
+    /// `α = 3`: `g₀ / (d² · √d²)`.
     Cubic,
-    /// `α = 4`: `scale / (d²)²`.
+    /// `α = 4`: `g₀ / (d²)²`.
     Quartic,
-    /// Any other exponent: `scale · (d²)^{-α/2}`.
+    /// Any other exponent: `g₀ · (d²)^{-α/2}`.
     General {
         /// Half the path-loss exponent.
         half_exponent: f64,
     },
 }
 
+/// The squared reference distance, in m².
+const REFERENCE_DISTANCE_SQ_M2: f64 =
+    PropagationModel::REFERENCE_DISTANCE_M * PropagationModel::REFERENCE_DISTANCE_M;
+
 impl GainProfile {
     /// Builds the evaluator for `model`.
     pub fn from_model(model: &PropagationModel) -> Self {
-        let ref_gain = 10f64.powf(-model.reference_loss_db / 10.0);
-        let d0 = model.reference_distance_m;
         let kind = if model.exponent == 2.0 {
             GainKind::FreeSpace
         } else if model.exponent == 3.0 {
@@ -178,9 +148,7 @@ impl GainProfile {
             }
         };
         Self {
-            ref_gain,
-            ref_distance_sq_m2: d0 * d0,
-            scale: ref_gain * d0.powf(model.exponent),
+            ref_gain: 10f64.powf(-PropagationModel::REFERENCE_LOSS_DB / 10.0),
             kind,
         }
     }
@@ -188,14 +156,14 @@ impl GainProfile {
     /// Linear gain at squared distance `d2` (m²). Always in `(0, 1]`.
     #[inline]
     pub fn gain_from_distance_squared(&self, d2: f64) -> f64 {
-        if d2 <= self.ref_distance_sq_m2 {
+        if d2 <= REFERENCE_DISTANCE_SQ_M2 {
             return self.ref_gain;
         }
         match self.kind {
-            GainKind::FreeSpace => self.scale / d2,
-            GainKind::Cubic => self.scale / (d2 * d2.sqrt()),
-            GainKind::Quartic => self.scale / (d2 * d2),
-            GainKind::General { half_exponent } => self.scale * d2.powf(-half_exponent),
+            GainKind::FreeSpace => self.ref_gain / d2,
+            GainKind::Cubic => self.ref_gain / (d2 * d2.sqrt()),
+            GainKind::Quartic => self.ref_gain / (d2 * d2),
+            GainKind::General { half_exponent } => self.ref_gain * d2.powf(-half_exponent),
         }
     }
 
@@ -206,7 +174,7 @@ impl GainProfile {
     /// guarantee evaluate the forward function at the result.
     pub fn distance_squared_for_gain(&self, gain: f64) -> f64 {
         if gain >= self.ref_gain {
-            return self.ref_distance_sq_m2;
+            return REFERENCE_DISTANCE_SQ_M2;
         }
         let half_exponent = match self.kind {
             GainKind::FreeSpace => 1.0,
@@ -214,7 +182,7 @@ impl GainProfile {
             GainKind::Quartic => 2.0,
             GainKind::General { half_exponent } => half_exponent,
         };
-        (self.scale / gain).powf(1.0 / half_exponent)
+        (self.ref_gain / gain).powf(1.0 / half_exponent)
     }
 
     /// A lower bound on [`gain_from_distance_squared`](Self::gain_from_distance_squared)
@@ -338,14 +306,8 @@ mod tests {
     #[test]
     fn path_loss_at_reference_distance_is_reference_loss() {
         let m = PropagationModel::paper_default();
-        assert_eq!(
-            m.path_loss_db(1.0),
-            PropagationModel::DEFAULT_REFERENCE_LOSS_DB
-        );
-        assert_eq!(
-            m.path_loss_db(0.1),
-            PropagationModel::DEFAULT_REFERENCE_LOSS_DB
-        );
+        assert_eq!(m.path_loss_db(1.0), PropagationModel::REFERENCE_LOSS_DB);
+        assert_eq!(m.path_loss_db(0.1), PropagationModel::REFERENCE_LOSS_DB);
     }
 
     #[test]
@@ -375,8 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn free_space_has_exponent_two() {
-        assert_eq!(PropagationModel::free_space().exponent(), 2.0);
+    fn the_default_model_is_the_papers_exponent_three() {
         assert_eq!(PropagationModel::paper_default().exponent(), 3.0);
         assert_eq!(PropagationModel::default().exponent(), 3.0);
     }
@@ -388,17 +349,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_reference_changes_absolute_loss_not_slope() {
-        let m = PropagationModel::log_distance(3.0).with_reference_loss_db(30.0);
-        assert_eq!(m.path_loss_db(1.0), 30.0);
-        let slope = m.path_loss_db(100.0) - m.path_loss_db(10.0);
-        assert!((slope - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn gain_profile_matches_gain_for_all_exponent_paths() {
         // Covers every GainKind arm: 2 (free space), 3 (paper), 4 (quartic)
-        // and a non-integer general exponent, plus a shifted reference.
+        // and a non-integer general exponent.
         for exponent in [2.0, 3.0, 4.0, 2.7] {
             let m = PropagationModel::log_distance(exponent);
             let p = m.gain_profile();
@@ -410,14 +363,6 @@ mod tests {
                     "α={exponent}, d={d}: profile {fast} vs gain {exact}"
                 );
             }
-        }
-        let shifted = PropagationModel::log_distance(3.0)
-            .with_reference_loss_db(30.0)
-            .with_reference_distance_m(2.0);
-        let p = shifted.gain_profile();
-        for d in [1.0, 2.0, 3.0, 400.0] {
-            let exact = shifted.gain(d);
-            assert!((p.gain_from_distance_squared(d * d) - exact).abs() <= exact * 1e-12);
         }
     }
 

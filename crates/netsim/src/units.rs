@@ -32,11 +32,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Creates a time from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Creates a time from fractional seconds, rounding to the nearest
     /// nanosecond. Negative or non-finite inputs saturate to zero.
     pub fn from_secs_f64(s: f64) -> Self {
@@ -74,13 +69,6 @@ impl SimTime {
     /// Multiplies the duration by an integer factor (saturating).
     pub fn saturating_mul(self, factor: u64) -> SimTime {
         SimTime(self.0.saturating_mul(factor))
-    }
-
-    /// Checked division of one duration by another, yielding how many times
-    /// `other` fits into `self` (rounded down). Returns `None` if `other` is
-    /// zero.
-    pub fn checked_div(self, other: SimTime) -> Option<u64> {
-        (other.0 != 0).then(|| self.0 / other.0)
     }
 }
 
@@ -131,27 +119,12 @@ impl std::fmt::Display for SimTime {
 pub struct DataRate(u64);
 
 impl DataRate {
-    /// Creates a data rate from bits per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is zero.
-    pub const fn from_bps(bps: u64) -> Self {
-        assert!(bps > 0, "data rate must be positive");
-        DataRate(bps)
-    }
-
-    /// Creates a data rate from megabits per second.
-    pub const fn from_mbps(mbps: u64) -> Self {
-        Self::from_bps(mbps * 1_000_000)
-    }
-
     /// The time needed to serialize `bytes` bytes onto the air at this rate.
     ///
     /// ```
     /// use scream_netsim::{DataRate, SimTime};
-    /// let rate = DataRate::from_mbps(1);
-    /// assert_eq!(rate.transmission_time(125), SimTime::from_millis(1));
+    /// // 24 bytes at 38.4 kb/s = 192 bits / 38 400 b/s.
+    /// assert_eq!(DataRate::MICA2.transmission_time(24), SimTime::from_millis(5));
     /// ```
     pub fn transmission_time(self, bytes: usize) -> SimTime {
         let bits = bytes as u128 * 8;
@@ -191,7 +164,6 @@ mod tests {
 
     #[test]
     fn simtime_constructors_agree() {
-        assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2_000));
         assert_eq!(SimTime::from_millis(3), SimTime::from_micros(3_000));
         assert_eq!(SimTime::from_micros(5), SimTime::from_nanos(5_000));
         assert_eq!(SimTime::from_secs_f64(1.5), SimTime::from_millis(1_500));
@@ -211,9 +183,7 @@ mod tests {
         assert_eq!(a + b, SimTime::from_millis(13));
         assert_eq!(a - b, SimTime::from_millis(7));
         assert_eq!(b * 4, SimTime::from_millis(12));
-        assert_eq!(a.saturating_sub(SimTime::from_secs(1)), SimTime::ZERO);
-        assert_eq!(a.checked_div(b), Some(3));
-        assert_eq!(a.checked_div(SimTime::ZERO), None);
+        assert_eq!(a.saturating_sub(SimTime::from_millis(1_000)), SimTime::ZERO);
     }
 
     #[test]
@@ -225,7 +195,7 @@ mod tests {
 
     #[test]
     fn simtime_display_picks_sensible_units() {
-        assert_eq!(SimTime::from_secs(2).to_string(), "2.000s");
+        assert_eq!(SimTime::from_millis(2_000).to_string(), "2.000s");
         assert_eq!(SimTime::from_millis(5).to_string(), "5.000ms");
         assert_eq!(SimTime::from_micros(7).to_string(), "7.000us");
         assert_eq!(SimTime::from_nanos(9).to_string(), "9ns");

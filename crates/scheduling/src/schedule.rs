@@ -156,20 +156,6 @@ impl SlotPattern {
         self.channels.is_empty()
     }
 
-    /// The links scheduled on `channel`, as a contiguous sub-slice.
-    pub fn channel_links(&self, channel: ChannelId) -> &[Link] {
-        if self.channels.is_empty() {
-            return if channel == ChannelId::ZERO {
-                &self.links
-            } else {
-                &[]
-            };
-        }
-        let start = self.channels.partition_point(|&c| c < channel);
-        let end = self.channels.partition_point(|&c| c <= channel);
-        &self.links[start..end]
-    }
-
     /// The non-empty per-channel link groups, in increasing channel order.
     pub fn channel_groups(&self) -> impl Iterator<Item = (ChannelId, &[Link])> + '_ {
         ChannelGroups {
@@ -597,8 +583,8 @@ mod tests {
         assert_eq!(by_links.links(), &[link(1, 0), link(3, 2)]);
         assert_eq!(by_links.channel_of(0), ChannelId::ZERO);
         assert_eq!(by_links.channels_used(), 1);
-        assert_eq!(by_links.channel_links(ChannelId::ZERO), by_links.links());
-        assert!(by_links.channel_links(ch(1)).is_empty());
+        let groups: Vec<(ChannelId, &[Link])> = by_links.channel_groups().collect();
+        assert_eq!(groups, [(ChannelId::ZERO, by_links.links())]);
         assert!(by_links.node_on_multiple_channels().is_none());
     }
 
@@ -614,9 +600,6 @@ mod tests {
         assert_eq!(p.len(), 4);
         assert!(!p.is_single_channel());
         assert_eq!(p.channels_used(), 2);
-        assert_eq!(p.channel_links(ch(0)), &[link(1, 0), link(3, 2)]);
-        assert_eq!(p.channel_links(ch(1)), &[link(5, 4), link(7, 6)]);
-        assert!(p.channel_links(ch(2)).is_empty());
         let groups: Vec<(ChannelId, &[Link])> = p.channel_groups().collect();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0], (ch(0), &[link(1, 0), link(3, 2)][..]));

@@ -167,41 +167,6 @@ impl Deployment {
         (xs, ys)
     }
 
-    /// Ids of the nodes currently flagged as gateways.
-    pub fn gateways(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_gateway)
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// Flags the given nodes as gateways (and clears the flag on all others).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::UnknownNode`] for out-of-range ids and
-    /// [`TopologyError::DuplicateGateway`] for repeated ids.
-    pub fn set_gateways(&mut self, gateways: &[NodeId]) -> Result<(), TopologyError> {
-        let mut seen = vec![false; self.len()];
-        for &g in gateways {
-            if g.index() >= self.len() {
-                return Err(TopologyError::UnknownNode {
-                    id: g,
-                    node_count: self.len(),
-                });
-            }
-            if seen[g.index()] {
-                return Err(TopologyError::DuplicateGateway(g));
-            }
-            seen[g.index()] = true;
-        }
-        for node in &mut self.nodes {
-            node.is_gateway = seen[node.id.index()];
-        }
-        Ok(())
-    }
-
     /// The node closest to each corner of the deployment region, deduplicated
     /// and sorted. The paper places 4 gateways in its 64-node scenarios; the
     /// corner nodes are the natural planned choice.
@@ -241,14 +206,6 @@ impl Deployment {
     pub fn density_per_km2(&self) -> f64 {
         let area_km2 = self.region.area() / 1.0e6;
         self.len() as f64 / area_km2
-    }
-
-    /// Applies heterogeneous transmit powers drawn uniformly from
-    /// `[min_dbm, max_dbm]`, as in the paper's unplanned scenario.
-    pub fn randomize_tx_power<R: Rng + ?Sized>(&mut self, rng: &mut R, min_dbm: f64, max_dbm: f64) {
-        for node in &mut self.nodes {
-            node.tx_power_dbm = rng.gen_range(min_dbm..=max_dbm);
-        }
     }
 }
 
@@ -296,19 +253,6 @@ impl GridDeployment {
             step_m,
             tx_power_dbm: 20.0,
         }
-    }
-
-    /// A square `side x side` grid sized so that the overall node density is
-    /// `density_per_km2` nodes per square kilometer — the configuration swept
-    /// in Figure 6 of the paper.
-    pub fn with_density(side: usize, density_per_km2: f64) -> Self {
-        let n = side * side;
-        let area = density_to_area_m2(n, density_per_km2);
-        // n nodes on a side x side lattice span (side-1)*step in each axis; we
-        // size the step so the bounding region area (one step of margin around
-        // the lattice keeps density consistent) equals the target area.
-        let step = (area / n as f64).sqrt();
-        Self::new(side, side, step)
     }
 
     /// Sets the homogeneous transmit power in dBm.
@@ -367,13 +311,6 @@ impl UniformDeployment {
             tx_power_dbm: 20.0,
             power_spread_db: 0.0,
         }
-    }
-
-    /// `node_count` nodes in a square region sized for the target density
-    /// (nodes per square kilometer) — the configuration swept in Figure 7.
-    pub fn with_density(node_count: usize, density_per_km2: f64) -> Self {
-        let area = density_to_area_m2(node_count, density_per_km2);
-        Self::new(node_count, area.sqrt())
     }
 
     /// Sets the mean transmit power in dBm.
@@ -517,15 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_with_density_hits_target_density_approximately() {
-        let d = GridDeployment::with_density(8, 1000.0).build();
-        // Region is the lattice bounding box, which is (side-1)^2 steps, so the
-        // realized density is a bit above target; it must be within 2x.
-        let realized = d.density_per_km2();
-        assert!((1000.0..=2000.0).contains(&realized), "density {realized}");
-    }
-
-    #[test]
     fn corner_nodes_of_grid_are_the_four_corners() {
         let d = GridDeployment::new(8, 8, 100.0).build();
         let corners = d.corner_nodes();
@@ -538,28 +466,6 @@ mod tests {
                 NodeId::new(63)
             ]
         );
-    }
-
-    #[test]
-    fn set_gateways_flags_only_requested_nodes() {
-        let mut d = GridDeployment::new(4, 4, 100.0).build();
-        d.set_gateways(&[NodeId::new(0), NodeId::new(15)]).unwrap();
-        assert_eq!(d.gateways(), vec![NodeId::new(0), NodeId::new(15)]);
-        d.set_gateways(&[NodeId::new(5)]).unwrap();
-        assert_eq!(d.gateways(), vec![NodeId::new(5)]);
-    }
-
-    #[test]
-    fn set_gateways_rejects_duplicates_and_unknown_ids() {
-        let mut d = GridDeployment::new(2, 2, 100.0).build();
-        assert!(matches!(
-            d.set_gateways(&[NodeId::new(0), NodeId::new(0)]),
-            Err(TopologyError::DuplicateGateway(_))
-        ));
-        assert!(matches!(
-            d.set_gateways(&[NodeId::new(99)]),
-            Err(TopologyError::UnknownNode { .. })
-        ));
     }
 
     #[test]
@@ -599,15 +505,15 @@ mod tests {
     #[test]
     fn density_to_area_matches_definition() {
         let area = density_to_area_m2(64, 25_000.0);
-        let d =
-            UniformDeployment::with_density(64, 25_000.0).build(&mut ChaCha8Rng::seed_from_u64(0));
+        let d = UniformDeployment::new(64, area.sqrt()).build(&mut ChaCha8Rng::seed_from_u64(0));
         assert!((d.region().area() - area).abs() < 1e-6);
         assert!((d.density_per_km2() - 25_000.0).abs() < 1.0);
     }
 
     #[test]
     fn build_connected_returns_connected_topology() {
-        let builder = UniformDeployment::with_density(64, 10_000.0);
+        // 10 000 nodes/km²: 64 nodes on 80 m × 80 m.
+        let builder = UniformDeployment::new(64, 80.0);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let range = 120.0;
         let d = builder.build_connected(&mut rng, range, 50).unwrap();
@@ -669,15 +575,5 @@ mod tests {
         let d = GridDeployment::new(3, 3, 100.0).build();
         assert_eq!(d.nearest_node(Point2::new(10.0, 10.0)), NodeId::new(0));
         assert_eq!(d.nearest_node(Point2::new(190.0, 190.0)), NodeId::new(8));
-    }
-
-    #[test]
-    fn randomize_tx_power_changes_each_node_within_bounds() {
-        let mut d = GridDeployment::new(4, 4, 100.0).build();
-        d.randomize_tx_power(&mut ChaCha8Rng::seed_from_u64(5), 10.0, 30.0);
-        assert!(d
-            .nodes()
-            .iter()
-            .all(|n| (10.0..=30.0).contains(&n.tx_power_dbm)));
     }
 }

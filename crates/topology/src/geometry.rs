@@ -100,12 +100,6 @@ impl Rect {
         Rect::new(Point2::ORIGIN, Point2::new(side, side))
     }
 
-    /// The unit square `[0, 1]^2` used by the asymptotic analysis in
-    /// Section IV-B2 of the paper.
-    pub fn unit_square() -> Self {
-        Rect::square(1.0)
-    }
-
     /// Width of the rectangle in meters.
     pub fn width(&self) -> f64 {
         self.max.x - self.min.x
@@ -154,33 +148,6 @@ impl Rect {
             p.x.clamp(self.min.x, self.max.x),
             p.y.clamp(self.min.y, self.max.y),
         )
-    }
-
-    /// Whether an axis-aligned rectangle is *square-grid convex*
-    /// (Definition 10 in the paper) with respect to a lattice of step `s`
-    /// aligned with the axes.
-    ///
-    /// For any two interior lattice points of an axis-aligned rectangle, both
-    /// monotone staircase lattice paths of the connecting segment stay within
-    /// the rectangle — provided the rectangle is actually tiled by the
-    /// lattice, i.e. its width and height are (integer) multiples of the
-    /// step. A rectangle that ends mid-cell leaves boundary lattice cells
-    /// only partially covered, so the staircase argument of Theorem 2 does
-    /// not apply to it; this method reports that case as `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lattice_step` is not finite and positive.
-    pub fn is_square_grid_convex(&self, lattice_step: f64) -> bool {
-        assert!(
-            lattice_step.is_finite() && lattice_step > 0.0,
-            "lattice step must be finite and positive, got {lattice_step}"
-        );
-        let tiles = |extent: f64| {
-            let cells = extent / lattice_step;
-            (cells - cells.round()).abs() <= 1e-9 * cells.round().max(1.0)
-        };
-        tiles(self.width()) && tiles(self.height())
     }
 }
 
@@ -267,31 +234,8 @@ mod tests {
 
     #[test]
     fn unit_square_has_unit_area_and_sqrt2_diameter() {
-        let r = Rect::unit_square();
+        let r = Rect::square(1.0);
         assert_eq!(r.area(), 1.0);
         assert!((r.diameter() - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn axis_aligned_rectangles_are_square_grid_convex() {
-        assert!(Rect::square(100.0).is_square_grid_convex(10.0));
-    }
-
-    #[test]
-    fn misaligned_lattice_steps_are_not_square_grid_convex() {
-        // 100 m sides are not tiled by a 7 m lattice (100/7 is not integer).
-        assert!(!Rect::square(100.0).is_square_grid_convex(7.0));
-        // Nor by a step larger than the rectangle itself.
-        assert!(!Rect::square(100.0).is_square_grid_convex(150.0));
-        // A non-square rectangle needs both extents to be multiples.
-        let r = Rect::new(Point2::ORIGIN, Point2::new(30.0, 45.0));
-        assert!(r.is_square_grid_convex(15.0));
-        assert!(!r.is_square_grid_convex(10.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "lattice step")]
-    fn non_positive_lattice_steps_are_rejected() {
-        let _ = Rect::square(10.0).is_square_grid_convex(0.0);
     }
 }

@@ -175,11 +175,6 @@ impl Graph {
         &self.adjacency[u.index()]
     }
 
-    /// Degree (number of out-neighbors) of `u`.
-    pub fn degree(&self, u: NodeId) -> usize {
-        self.adjacency[u.index()].len()
-    }
-
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_count() as u32).map(NodeId::new)
@@ -318,19 +313,6 @@ impl Graph {
         self.diameter().unwrap_or(usize::MAX)
     }
 
-    /// Returns `true` if `other` has every edge of `self` (i.e. `self` is a
-    /// subgraph of `other` over the same node set). Used to check the paper's
-    /// observation that the sensitivity graph is a super-graph of the
-    /// communication graph.
-    pub fn is_subgraph_of(&self, other: &Graph) -> bool {
-        if self.node_count() != other.node_count() {
-            return false;
-        }
-        self.edges().all(|(u, v)| {
-            other.has_edge(u, v) && (other.kind == GraphKind::Directed || other.has_edge(v, u))
-        })
-    }
-
     /// Minimum hop distance between two *links* (Definition 3): the minimum
     /// hop distance between any endpoint of `a` and any endpoint of `b`.
     pub fn link_hop_distance(&self, a: (NodeId, NodeId), b: (NodeId, NodeId)) -> Option<usize> {
@@ -436,7 +418,7 @@ mod tests {
         let pruned = g.without_nodes(&[NodeId::new(2)]);
         assert_eq!(pruned.node_count(), 5);
         assert_eq!(pruned.edge_count(), 2);
-        assert_eq!(pruned.degree(NodeId::new(2)), 0);
+        assert_eq!(pruned.neighbors(NodeId::new(2)).len(), 0);
         assert!(pruned.has_edge(NodeId::new(3), NodeId::new(4)));
         assert!(!pruned.is_connected());
     }
@@ -565,8 +547,8 @@ mod tests {
         g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
         g.add_edge(NodeId::new(2), NodeId::new(2)).unwrap();
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.degree(NodeId::new(0)), 1);
-        assert_eq!(g.degree(NodeId::new(2)), 0);
+        assert_eq!(g.neighbors(NodeId::new(0)).len(), 1);
+        assert_eq!(g.neighbors(NodeId::new(2)).len(), 0);
     }
 
     #[test]
@@ -652,16 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn subgraph_relation_holds_for_supersets() {
-        let small = path_graph(4);
-        let mut big = path_graph(4);
-        big.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
-        assert!(small.is_subgraph_of(&big));
-        assert!(!big.is_subgraph_of(&small));
-        assert!(small.is_subgraph_of(&small));
-    }
-
-    #[test]
     fn link_hop_distance_uses_closest_endpoints() {
         let g = path_graph(6);
         let a = (NodeId::new(0), NodeId::new(1));
@@ -676,7 +648,7 @@ mod tests {
         let g = UnitDiskGraphBuilder::new(100.0).build(&d);
         assert!(g.is_connected());
         // Interior nodes have 4 neighbors, corners 2, edges 3.
-        let degrees: Vec<usize> = g.nodes().map(|u| g.degree(u)).collect();
+        let degrees: Vec<usize> = g.nodes().map(|u| g.neighbors(u).len()).collect();
         assert_eq!(*degrees.iter().max().unwrap(), 4);
         assert_eq!(*degrees.iter().min().unwrap(), 2);
         // Diagonal neighbors (distance ~141m) must not be connected.

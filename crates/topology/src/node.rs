@@ -83,26 +83,16 @@ pub struct NodeInfo {
     /// Fixed transmit power, in dBm. Nodes may use different powers but a
     /// node never changes its own (no transmit power control, Section II).
     pub tx_power_dbm: f64,
-    /// Whether the node is a gateway (root of a routing tree). Gateways sink
-    /// traffic to the wired Internet and generate no upstream demand.
-    pub is_gateway: bool,
 }
 
 impl NodeInfo {
-    /// Creates a non-gateway node with the given id, position and power.
+    /// Creates a node with the given id, position and power.
     pub fn new(id: NodeId, position: Point2, tx_power_dbm: f64) -> Self {
         Self {
             id,
             position,
             tx_power_dbm,
-            is_gateway: false,
         }
-    }
-
-    /// Marks the node as a gateway, consuming and returning it.
-    pub fn as_gateway(mut self) -> Self {
-        self.is_gateway = true;
-        self
     }
 
     /// Transmit power in milliwatts.
@@ -188,16 +178,8 @@ mod tests {
         assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
         assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
         assert_eq!(mw_to_dbm(0.0), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn node_info_gateway_marking() {
-        let n = NodeInfo::new(NodeId::new(3), Point2::new(1.0, 2.0), 20.0);
-        assert!(!n.is_gateway);
-        let g = n.as_gateway();
-        assert!(g.is_gateway);
-        assert_eq!(g.id, NodeId::new(3));
-        assert!((g.tx_power_mw() - 100.0).abs() < 1e-9);
+        let node = NodeInfo::new(NodeId::new(3), Point2::new(1.0, 2.0), 20.0);
+        assert!((node.tx_power_mw() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -69,8 +69,6 @@ pub struct RoutingForest {
     /// `depth[v]` is the hop distance from `v` to its gateway (0 for
     /// gateways).
     depth: Vec<usize>,
-    /// `root[v]` is the gateway that `v`'s tree is rooted at.
-    root: Vec<NodeId>,
     gateways: Vec<NodeId>,
 }
 
@@ -138,7 +136,6 @@ impl RoutingForest {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut depth = vec![usize::MAX; n];
-        let mut root = vec![NodeId::new(0); n];
 
         // Multi-source BFS from all gateways. To honor the random
         // tie-breaking rule, candidate parents at equal depth are collected
@@ -146,7 +143,6 @@ impl RoutingForest {
         let mut frontier: Vec<NodeId> = Vec::new();
         for &g in gateways {
             depth[g.index()] = 0;
-            root[g.index()] = g;
             frontier.push(g);
         }
         let mut level = 0usize;
@@ -174,7 +170,6 @@ impl RoutingForest {
                 };
                 parent[v.index()] = Some(chosen);
                 depth[v.index()] = level;
-                root[v.index()] = root[chosen.index()];
             }
             frontier = next_frontier;
         }
@@ -188,7 +183,6 @@ impl RoutingForest {
             Self {
                 parent,
                 depth,
-                root,
                 gateways: gateways.to_vec(),
             },
             unreachable,
@@ -229,21 +223,10 @@ impl RoutingForest {
         self.depth[node.index()]
     }
 
-    /// The gateway that `node` routes to.
-    pub fn root_of(&self, node: NodeId) -> NodeId {
-        self.root[node.index()]
-    }
-
     /// The tree edge owned by `node` (the link from `node` to its parent),
     /// or `None` for gateways.
     pub fn link_of(&self, node: NodeId) -> Option<Link> {
         self.parent(node).map(|p| Link::new(node, p))
-    }
-
-    /// The node that owns `link` under the node↔edge mapping, if `link` is a
-    /// tree edge of this forest.
-    pub fn owner_of(&self, link: Link) -> Option<NodeId> {
-        (self.parent(link.head) == Some(link.tail)).then_some(link.head)
     }
 
     /// Iterator over all tree edges (one per non-gateway node), ordered by
@@ -392,7 +375,7 @@ mod tests {
             let route = f.route_to_gateway(v);
             assert_eq!(route.len(), f.depth(v));
             if let Some(last) = route.last() {
-                assert_eq!(last.tail, f.root_of(v));
+                assert!(f.is_gateway(last.tail));
             }
         }
     }
@@ -405,9 +388,10 @@ mod tests {
         let f = RoutingForest::shortest_path(&g, &gateways, 3).unwrap();
         assert_eq!(f.gateways(), &gateways[..]);
         // Node 9 (row 1, col 1) is closest to gateway 0.
-        assert_eq!(f.root_of(NodeId::new(9)), NodeId::new(0));
+        let gateway_of = |v: u32| f.route_to_gateway(NodeId::new(v)).last().unwrap().tail;
+        assert_eq!(gateway_of(9), NodeId::new(0));
         // Node 54 (row 6, col 6) is closest to gateway 63.
-        assert_eq!(f.root_of(NodeId::new(54)), NodeId::new(63));
+        assert_eq!(gateway_of(54), NodeId::new(63));
         // Depth of any node equals min distance over gateways.
         for v in g.nodes() {
             let min_d = gateways
@@ -427,15 +411,6 @@ mod tests {
         let f1 = RoutingForest::shortest_path(&g, &gws, 42).unwrap();
         let f2 = RoutingForest::shortest_path(&g, &gws, 42).unwrap();
         assert_eq!(f1, f2);
-    }
-
-    #[test]
-    fn owner_of_maps_tree_edges_back_to_their_head() {
-        let (_, f) = grid_forest(4);
-        for link in f.tree_edges() {
-            assert_eq!(f.owner_of(link), Some(link.head));
-            assert_eq!(f.owner_of(link.reversed()), None);
-        }
     }
 
     #[test]
@@ -465,10 +440,9 @@ mod tests {
             assert!(!f.is_gateway(*node));
             assert_eq!(route, &f.route_to_gateway(*node));
             assert_eq!(route[0].head, *node, "routes start at the source");
-            assert_eq!(
-                route.last().unwrap().tail,
-                f.root_of(*node),
-                "routes end at the node's gateway"
+            assert!(
+                f.is_gateway(route.last().unwrap().tail),
+                "routes end at a gateway"
             );
             // Contiguity: each hop hands over to the next.
             for pair in route.windows(2) {

@@ -213,13 +213,6 @@ impl Flow {
         }
     }
 
-    /// The destination node: the tail of the last route link, or the source
-    /// itself for a literal with an empty route (the fields are public, so
-    /// [`new`](Self::new)'s validation can be bypassed).
-    pub fn destination(&self) -> NodeId {
-        self.route.last().map_or(self.source, |link| link.tail)
-    }
-
     /// Number of hops.
     pub fn hop_count(&self) -> usize {
         self.route.len()
@@ -411,11 +404,9 @@ mod tests {
             vec![link(3, 2), link(2, 0)],
             ArrivalProcess::deterministic(0.1),
         );
-        assert_eq!(f.destination(), NodeId::new(0));
         assert_eq!(f.hop_count(), 2);
         // A literal can skip `new`'s validation; its queries stay total.
         let empty = Flow { route: vec![], ..f };
-        assert_eq!(empty.destination(), NodeId::new(3));
         assert_eq!(empty.hop_count(), 0);
     }
 

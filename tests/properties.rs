@@ -1,19 +1,51 @@
-//! Property-based tests (proptest) over the workspace's core invariants:
-//! geometry, graphs, routing, demand aggregation, SINR monotonicity,
-//! scheduling feasibility and the FDD/GreedyPhysical equivalence.
+//! Property tests over the workspace's core invariants: geometry, graphs,
+//! routing, demand aggregation, SINR monotonicity, scheduling feasibility and
+//! the FDD/GreedyPhysical equivalence. Each property is a plain `#[test]`
+//! over [`for_cases`]' seeded streams; there is no shrinking, a failure names
+//! its case and rerunning the test reproduces it.
 
-use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use scream::netsim::RadioConfig;
 use scream::prelude::*;
 use scream::scheduling::{verify_slots_feasible, EdgeOrdering, SlotPattern};
 
-/// Strategy: a connected-ish random deployment description (node count,
-/// region side and seed). Connectivity is ensured by retry inside the tests.
-fn small_instance() -> impl Strategy<Value = (usize, u64)> {
-    (6usize..=20, 0u64..5000)
+/// Cases per property.
+const CASES: u32 = 24;
+
+/// Runs `case` on `cases` ChaCha8 streams, one per case: the stream of case
+/// `i` is seeded with FNV-1a(`name`) + `i`, so every property draws its own
+/// instances and draws the same ones on every run. A panicking case fails the
+/// test as `property '<name>' failed at case <i>` (the case's own panic
+/// message is already on stderr by then).
+fn for_cases(name: &str, cases: u32, mut case: impl FnMut(&mut ChaCha8Rng)) {
+    let mut seed = 0xcbf2_9ce4_8422_2325u64;
+    for byte in name.bytes() {
+        seed = (seed ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
+    }
+    for index in 0..cases {
+        let case_seed = seed.wrapping_add(index as u64);
+        let mut rng = ChaCha8Rng::seed_from_u64(case_seed);
+        if catch_unwind(AssertUnwindSafe(|| case(&mut rng))).is_err() {
+            panic!("property '{name}' failed at case {index} (stream seed {case_seed:#x})");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "property 'always_fails' failed at case 0")]
+fn failing_property_reports_its_case() {
+    for_cases("always_fails", 4, |_| panic!("nope"));
+}
+
+/// A connected-ish random deployment description (node count and seed).
+/// Connectivity is ensured by retry inside [`build_instance`].
+fn small_instance(draw: &mut ChaCha8Rng) -> (usize, u64) {
+    (draw.gen_range(6usize..=20), draw.gen_range(0u64..5000))
 }
 
 fn build_connected(nodes: usize, seed: u64) -> Option<(RadioEnvironment, LinkDemands)> {
@@ -29,6 +61,16 @@ fn build_connected_on_channels(
     seed: u64,
     channel_count: usize,
 ) -> Option<(RadioEnvironment, LinkDemands)> {
+    build_instance(nodes, seed, channel_count).map(|(_, env, demands)| (env, demands))
+}
+
+/// [`build_connected_on_channels`] with the deployment the environment was
+/// built from, which is what [`oracle_accepts`] reads. Shadowing is off.
+fn build_instance(
+    nodes: usize,
+    seed: u64,
+    channel_count: usize,
+) -> Option<(Deployment, RadioEnvironment, LinkDemands)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     // Area scaled so the density stays in a regime where connectivity is
     // plausible with 20 dBm radios (~215 m range).
@@ -38,7 +80,7 @@ fn build_connected_on_channels(
         .ok()?;
     let env = RadioEnvironment::builder()
         .propagation(PropagationModel::log_distance(3.0))
-        .config(scream::netsim::RadioConfig::mesh_default().with_channel_count(channel_count))
+        .config(RadioConfig::mesh_default().with_channel_count(channel_count))
         .build(&deployment);
     let graph = env.communication_graph();
     if !graph.is_connected() {
@@ -48,7 +90,50 @@ fn build_connected_on_channels(
     let forest = RoutingForest::shortest_path(&graph, &gateways, seed).ok()?;
     let demands = DemandVector::generate(nodes, DemandConfig::PAPER, &gateways, &mut rng);
     let link_demands = LinkDemands::aggregate(&forest, &demands).ok()?;
-    Some((env, link_demands))
+    Some((deployment, env, link_demands))
+}
+
+/// The independent SINR oracle (ROADMAP 1(a)): whether every slot of
+/// `schedule` is feasible by the paper's definition, computed from node
+/// coordinates and the constants [`build_instance`] deploys with — path loss
+/// 40 dB at 1 m (flat inside it) plus 10 · 3 · log₁₀ d, per-node transmit
+/// power, the configuration's noise floor and β — and calling no `netsim`
+/// gain, SINR or ledger function. A node has one radio, so the links of a
+/// slot are endpoint-disjoint across all channels; within a channel both
+/// halves of every handshake (data head → tail against the other heads, ACK
+/// tail → head against the other tails) must reach β, a sender that is the
+/// link's own endpoint not counting as interference.
+fn oracle_accepts(deployment: &Deployment, config: &RadioConfig, schedule: &Schedule) -> bool {
+    let mw = |dbm: f64| 10f64.powf(dbm / 10.0);
+    let received_mw = |tx: NodeId, rx: NodeId| {
+        let (a, b) = (deployment.position(tx), deployment.position(rx));
+        let distance_m = (a.x - b.x).hypot(a.y - b.y);
+        let loss_db = 40.0 + 10.0 * 3.0 * distance_m.max(1.0).log10();
+        mw(deployment.tx_power_dbm(tx) - loss_db)
+    };
+    let (noise_mw, beta) = (mw(config.noise_floor_dbm), mw(config.sinr_threshold_db));
+    let decodes = |tx: NodeId, rx: NodeId, senders: &mut dyn Iterator<Item = NodeId>| {
+        let interference_mw: f64 = senders
+            .filter(|&s| s != tx && s != rx)
+            .map(|s| received_mw(s, rx))
+            .sum();
+        received_mw(tx, rx) / (noise_mw + interference_mw) >= beta
+    };
+    schedule.runs().all(|(pattern, _)| {
+        let links = pattern.links();
+        let one_radio_per_node = links
+            .iter()
+            .enumerate()
+            .all(|(i, a)| a.head != a.tail && links[i + 1..].iter().all(|b| !a.shares_endpoint(b)));
+        one_radio_per_node
+            && pattern.channel_groups().all(|(_, group)| {
+                group.iter().enumerate().all(|(i, link)| {
+                    let others = || group.iter().enumerate().filter(move |&(j, _)| j != i);
+                    decodes(link.head, link.tail, &mut others().map(|(_, l)| l.head))
+                        && decodes(link.tail, link.head, &mut others().map(|(_, l)| l.tail))
+                })
+            })
+    })
 }
 
 /// The reference GreedyPhysical, written from the algorithm's definition and
@@ -99,26 +184,33 @@ fn reference_first_fit<M: SlotFeasibility>(
     }))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// The centralized greedy schedule always satisfies every demand with
+/// feasible slots and never exceeds the serialized length.
+#[test]
+fn greedy_physical_schedules_are_always_valid() {
+    for_cases(
+        "greedy_physical_schedules_are_always_valid",
+        CASES,
+        |draw| {
+            let (nodes, seed) = small_instance(draw);
+            if let Some((deployment, env, link_demands)) = build_instance(nodes, seed, 1) {
+                let schedule = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
+                assert!(verify_schedule(&env, &schedule, &link_demands).is_ok());
+                assert!(oracle_accepts(&deployment, env.config(), &schedule));
+                assert!(schedule.length() as u64 <= link_demands.total_demand());
+            }
+        },
+    );
+}
 
-    /// The centralized greedy schedule always satisfies every demand with
-    /// feasible slots and never exceeds the serialized length.
-    #[test]
-    fn greedy_physical_schedules_are_always_valid((nodes, seed) in small_instance()) {
-        if let Some((env, link_demands)) = build_connected(nodes, seed) {
-            let schedule = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
-            prop_assert!(verify_schedule(&env, &schedule, &link_demands).is_ok());
-            prop_assert!(schedule.length() as u64 <= link_demands.total_demand());
-        }
-    }
-
-    /// FDD equals GreedyPhysical (Theorem 4) on arbitrary connected instances.
-    #[test]
-    fn fdd_matches_greedy_physical((nodes, seed) in small_instance()) {
-        if let Some((env, link_demands)) = build_connected(nodes, seed) {
-            let centralized = GreedyPhysical::new(EdgeOrdering::DecreasingHeadId)
-                .schedule(&env, &link_demands);
+/// FDD equals GreedyPhysical (Theorem 4) on arbitrary connected instances.
+#[test]
+fn fdd_matches_greedy_physical() {
+    for_cases("fdd_matches_greedy_physical", CASES, |draw| {
+        let (nodes, seed) = small_instance(draw);
+        if let Some((deployment, env, link_demands)) = build_instance(nodes, seed, 1) {
+            let centralized =
+                GreedyPhysical::new(EdgeOrdering::DecreasingHeadId).schedule(&env, &link_demands);
             let config = ProtocolConfig::paper_default()
                 .with_scream_slots(env.interference_diameter().max(1))
                 .with_seed(seed);
@@ -126,45 +218,58 @@ proptest! {
                 .with_config(config)
                 .run(&env, &link_demands)
                 .expect("FDD completes on connected instances");
-            prop_assert_eq!(run.schedule, centralized);
+            assert_eq!(
+                oracle_accepts(&deployment, env.config(), &run.schedule),
+                verify_schedule(&env, &run.schedule, &link_demands).is_ok()
+            );
+            assert_eq!(run.schedule, centralized);
         }
-    }
+    });
+}
 
-    /// PDD schedules are always valid and never beat FDD's slot count by more
-    /// than the randomness can explain (they can never be shorter than the
-    /// maximum per-link demand).
-    #[test]
-    fn pdd_schedules_are_always_valid(
-        (nodes, seed) in small_instance(),
-        p in 0.1f64..=1.0,
-    ) {
-        if let Some((env, link_demands)) = build_connected(nodes, seed) {
+/// PDD schedules are always valid and never beat FDD's slot count by more
+/// than the randomness can explain (they can never be shorter than the
+/// maximum per-link demand).
+#[test]
+fn pdd_schedules_are_always_valid() {
+    for_cases("pdd_schedules_are_always_valid", CASES, |draw| {
+        let (nodes, seed) = small_instance(draw);
+        let p = draw.gen_range(0.1f64..=1.0);
+        if let Some((deployment, env, link_demands)) = build_instance(nodes, seed, 1) {
             let config = ProtocolConfig::paper_default()
                 .with_scream_slots(env.interference_diameter().max(1))
                 .with_seed(seed);
             let run = DistributedScheduler::pdd(p)
-            .expect("PDD activation probability is in (0, 1]")
+                .expect("PDD activation probability is in (0, 1]")
                 .with_config(config)
                 .run(&env, &link_demands)
                 .expect("PDD completes on connected instances");
-            prop_assert!(verify_schedule(&env, &run.schedule, &link_demands).is_ok());
+            assert!(verify_schedule(&env, &run.schedule, &link_demands).is_ok());
+            assert!(oracle_accepts(&deployment, env.config(), &run.schedule));
             let max_demand = link_demands
                 .demanded_links()
                 .map(|(_, d)| d)
                 .max()
                 .unwrap_or(0);
-            prop_assert!(run.schedule.length() as u64 >= max_demand);
-            prop_assert!(run.schedule.length() as u64 <= link_demands.total_demand());
+            assert!(run.schedule.length() as u64 >= max_demand);
+            assert!(run.schedule.length() as u64 <= link_demands.total_demand());
         }
-    }
+    });
+}
 
-    /// Adding an interferer can only lower the SINR, and removing all
-    /// interference recovers the plain SNR.
-    #[test]
-    fn sinr_is_monotone_in_the_interferer_set(
-        positions in prop::collection::vec((0.0f64..2000.0, 0.0f64..2000.0), 3..12),
-    ) {
-        let points: Vec<Point2> = positions.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+/// Adding an interferer can only lower the SINR, and removing all
+/// interference recovers the plain SNR.
+#[test]
+fn sinr_is_monotone_in_the_interferer_set() {
+    for_cases("sinr_is_monotone_in_the_interferer_set", CASES, |draw| {
+        let points: Vec<Point2> = (0..draw.gen_range(3usize..12))
+            .map(|_| {
+                Point2::new(
+                    draw.gen_range(0.0f64..2000.0),
+                    draw.gen_range(0.0f64..2000.0),
+                )
+            })
+            .collect();
         // Distinct positions only (duplicates make gain = reference gain, fine,
         // but keep the instance meaningful).
         let deployment = Deployment::from_positions(&points, 20.0, Rect::square(2000.0)).unwrap();
@@ -173,58 +278,67 @@ proptest! {
         let rx = NodeId::new(1);
         let all: Vec<NodeId> = (2..points.len() as u32).map(NodeId::new).collect();
         let mut previous = env.sinr_linear(tx, rx, &[]);
-        prop_assert!((previous - env.received_power_mw(tx, rx) / env.config().noise_floor_mw()).abs()
-            <= previous * 1e-9);
+        assert!(
+            (previous - env.received_power_mw(tx, rx) / env.config().noise_floor_mw()).abs()
+                <= previous * 1e-9
+        );
         for k in 0..=all.len() {
             let current = env.sinr_linear(tx, rx, &all[..k]);
-            prop_assert!(current <= previous + previous * 1e-12);
+            assert!(current <= previous + previous * 1e-12);
             previous = current;
         }
-    }
+    });
+}
 
-    /// Demand aggregation conserves flow: the demand entering the gateways
-    /// equals the total generated demand, and every edge carries exactly its
-    /// subtree's demand.
-    #[test]
-    fn demand_aggregation_conserves_flow((nodes, seed) in small_instance()) {
+/// Demand aggregation conserves flow: the demand entering the gateways
+/// equals the total generated demand, and every edge carries exactly its
+/// subtree's demand.
+#[test]
+fn demand_aggregation_conserves_flow() {
+    for_cases("demand_aggregation_conserves_flow", CASES, |draw| {
+        let (nodes, seed) = small_instance(draw);
         if let Some((_env, _)) = build_connected(nodes, seed) {
             // Rebuild explicitly to access forest internals.
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let side = 120.0 * (nodes as f64).sqrt();
-            if let Ok(deployment) = UniformDeployment::new(nodes, side)
-                .build_connected(&mut rng, 200.0, 50) {
+            if let Ok(deployment) =
+                UniformDeployment::new(nodes, side).build_connected(&mut rng, 200.0, 50)
+            {
                 let graph = UnitDiskGraphBuilder::new(200.0).build(&deployment);
                 let gateways = vec![deployment.corner_nodes()[0]];
                 let forest = RoutingForest::shortest_path(&graph, &gateways, seed).unwrap();
-                let demands = DemandVector::generate(nodes, DemandConfig::PAPER, &gateways, &mut rng);
+                let demands =
+                    DemandVector::generate(nodes, DemandConfig::PAPER, &gateways, &mut rng);
                 let agg = LinkDemands::aggregate(&forest, &demands).unwrap();
                 let inflow: u64 = agg
                     .demanded_links()
                     .filter(|(l, _)| gateways.contains(&l.tail))
                     .map(|(_, d)| d)
                     .sum();
-                prop_assert_eq!(inflow, demands.total());
+                assert_eq!(inflow, demands.total());
                 for v in (0..nodes as u32).map(NodeId::new) {
-                    if forest.is_gateway(v) { continue; }
-                    let children_sum: u64 = forest
-                        .children(v)
-                        .iter()
-                        .map(|&c| agg.demand_of(c))
-                        .sum();
-                    prop_assert_eq!(agg.demand_of(v), demands.demand(v) as u64 + children_sum);
+                    if forest.is_gateway(v) {
+                        continue;
+                    }
+                    let children_sum: u64 =
+                        forest.children(v).iter().map(|&c| agg.demand_of(c)).sum();
+                    assert_eq!(agg.demand_of(v), demands.demand(v) as u64 + children_sum);
                 }
             }
         }
-    }
+    });
+}
 
-    /// Routing forests always route towards a gateway with strictly
-    /// decreasing depth, and every non-gateway node owns exactly one link.
-    #[test]
-    fn routing_forest_invariants((nodes, seed) in small_instance()) {
+/// Routing forests always route towards a gateway with strictly
+/// decreasing depth, and every non-gateway node owns exactly one link.
+#[test]
+fn routing_forest_invariants() {
+    for_cases("routing_forest_invariants", CASES, |draw| {
+        let (nodes, seed) = small_instance(draw);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let side = 120.0 * (nodes as f64).sqrt();
-        if let Ok(deployment) = UniformDeployment::new(nodes, side)
-            .build_connected(&mut rng, 200.0, 50)
+        if let Ok(deployment) =
+            UniformDeployment::new(nodes, side).build_connected(&mut rng, 200.0, 50)
         {
             let graph = UnitDiskGraphBuilder::new(200.0).build(&deployment);
             let gateways = vec![deployment.corner_nodes()[0]];
@@ -232,53 +346,60 @@ proptest! {
             let dist = graph.bfs_distances(gateways[0]);
             let mut owned_links = 0;
             for v in (0..nodes as u32).map(NodeId::new) {
-                prop_assert_eq!(forest.depth(v), dist[v.index()]);
+                assert_eq!(forest.depth(v), dist[v.index()]);
                 match forest.parent(v) {
-                    None => prop_assert!(forest.is_gateway(v)),
+                    None => assert!(forest.is_gateway(v)),
                     Some(p) => {
-                        prop_assert!(graph.has_edge(v, p));
-                        prop_assert_eq!(forest.depth(p) + 1, forest.depth(v));
+                        assert!(graph.has_edge(v, p));
+                        assert_eq!(forest.depth(p) + 1, forest.depth(v));
                         owned_links += 1;
                     }
                 }
             }
-            prop_assert_eq!(owned_links, nodes - gateways.len());
+            assert_eq!(owned_links, nodes - gateways.len());
         }
-    }
+    });
+}
 
-    /// The serialized baseline always has zero improvement and any valid
-    /// schedule's improvement is in [0, 100).
-    #[test]
-    fn improvement_metric_is_bounded((nodes, seed) in small_instance()) {
+/// The serialized baseline always has zero improvement and any valid
+/// schedule's improvement is in [0, 100).
+#[test]
+fn improvement_metric_is_bounded() {
+    for_cases("improvement_metric_is_bounded", CASES, |draw| {
+        let (nodes, seed) = small_instance(draw);
         if let Some((env, link_demands)) = build_connected(nodes, seed) {
             let serialized = serialized_schedule(&link_demands);
             let m0 = ScheduleMetrics::compute(&serialized, &link_demands);
-            prop_assert!(m0.improvement_over_linear_pct.abs() < 1e-9);
+            assert!(m0.improvement_over_linear_pct.abs() < 1e-9);
             let greedy = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
             let m1 = ScheduleMetrics::compute(&greedy, &link_demands);
-            prop_assert!(m1.improvement_over_linear_pct >= 0.0);
-            prop_assert!(m1.improvement_over_linear_pct < 100.0);
+            assert!(m1.improvement_over_linear_pct >= 0.0);
+            assert!(m1.improvement_over_linear_pct < 100.0);
         }
-    }
+    });
+}
 
-    /// SimTime arithmetic respects unit conversions for arbitrary values.
-    #[test]
-    fn simtime_roundtrips(us in 0u64..10_000_000) {
+/// SimTime arithmetic respects unit conversions for arbitrary values.
+#[test]
+fn simtime_roundtrips() {
+    for_cases("simtime_roundtrips", CASES, |draw| {
+        let us = draw.gen_range(0u64..10_000_000);
         let t = SimTime::from_micros(us);
-        prop_assert_eq!(t.as_micros(), us);
-        prop_assert!((t.as_secs_f64() - us as f64 / 1e6).abs() < 1e-9);
-        prop_assert_eq!(SimTime::from_nanos(t.as_nanos()), t);
-    }
+        assert_eq!(t.as_micros(), us);
+        assert!((t.as_secs_f64() - us as f64 / 1e6).abs() < 1e-9);
+        assert_eq!(SimTime::from_nanos(t.as_nanos()), t);
+    });
+}
 
-    /// The interference ledger's incremental `can_add`/`slot_feasible` agree
-    /// with the from-scratch SINR computation on randomized environments
-    /// (uniform placements, random shadowing) and randomized link sequences,
-    /// including self-links and endpoint-sharing candidates.
-    #[test]
-    fn ledger_matches_from_scratch_feasibility(
-        (nodes, seed) in (8usize..=24, 0u64..5000),
-        sigma_db in 0.0f64..8.0,
-    ) {
+/// The interference ledger's incremental `can_add`/`slot_feasible` agree
+/// with the from-scratch SINR computation on randomized environments
+/// (uniform placements, random shadowing) and randomized link sequences,
+/// including self-links and endpoint-sharing candidates.
+#[test]
+fn ledger_matches_from_scratch_feasibility() {
+    for_cases("ledger_matches_from_scratch_feasibility", CASES, |draw| {
+        let (nodes, seed) = (draw.gen_range(8usize..=24), draw.gen_range(0u64..5000));
+        let sigma_db = draw.gen_range(0.0f64..8.0);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let side = 150.0 * (nodes as f64).sqrt();
         let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
@@ -287,14 +408,14 @@ proptest! {
             .shadowing(sigma_db, seed)
             .build(&deployment);
 
-        let mut ledger = env.open_slot_ledger();
+        let mut ledger = SlotLedger::new(&env);
         let mut assigned: Vec<Link> = Vec::new();
         for _ in 0..16 {
             let candidate = Link::new(
                 NodeId::new(rng.gen_range(0..nodes as u32)),
                 NodeId::new(rng.gen_range(0..nodes as u32)),
             );
-            prop_assert_eq!(
+            assert_eq!(
                 ledger.can_add(candidate),
                 env.can_add_to_slot(&assigned, candidate),
                 "can_add diverged for {} on {:?}",
@@ -305,23 +426,24 @@ proptest! {
                 ledger.assign(candidate);
                 assigned.push(candidate);
             }
-            prop_assert_eq!(ledger.slot_feasible(), env.slot_feasible(&assigned));
+            assert_eq!(ledger.slot_feasible(), env.slot_feasible(&assigned));
         }
-    }
+    });
+}
 
-    /// GreedyPhysical — batched run-level placement over the incremental,
-    /// spatially screened ledger — is decision-for-decision identical to
-    /// [`reference_first_fit`] on randomized instances: arbitrary density
-    /// (via the region side), seed, SINR threshold β, every edge ordering and
-    /// C ∈ {1, 2, 3} channels. At C = 1 no pattern carries a channel tag,
-    /// and the run-aware verifier's verdict is the from-scratch feasibility
-    /// of every channel group.
-    #[test]
-    fn batched_placement_matches_per_unit(
-        (nodes, seed) in (6usize..=18, 0u64..5000),
-        side_scale in 90.0f64..220.0,
-        beta_db in 4.0f64..12.0,
-    ) {
+/// GreedyPhysical — batched run-level placement over the incremental,
+/// spatially screened ledger — is decision-for-decision identical to
+/// [`reference_first_fit`] on randomized instances: arbitrary density
+/// (via the region side), seed, SINR threshold β, every edge ordering and
+/// C ∈ {1, 2, 3} channels. At C = 1 no pattern carries a channel tag,
+/// and the run-aware verifier's verdict is the from-scratch feasibility
+/// of every channel group.
+#[test]
+fn batched_placement_matches_per_unit() {
+    for_cases("batched_placement_matches_per_unit", CASES, |draw| {
+        let (nodes, seed) = (draw.gen_range(6usize..=18), draw.gen_range(0u64..5000));
+        let side_scale = draw.gen_range(90.0f64..220.0);
+        let beta_db = draw.gen_range(4.0f64..12.0);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let side = side_scale * (nodes as f64).sqrt();
         let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
@@ -339,7 +461,7 @@ proptest! {
             let env = RadioEnvironment::builder()
                 .propagation(PropagationModel::log_distance(3.0))
                 .config(
-                    scream::netsim::RadioConfig::mesh_default()
+                    RadioConfig::mesh_default()
                         .with_sinr_threshold_db(beta_db)
                         .with_channel_count(channels),
                 )
@@ -352,39 +474,39 @@ proptest! {
             ] {
                 let batched = GreedyPhysical::new(ordering).schedule(&env, &demands);
                 let reference = reference_first_fit(&env, ordering, &demands);
-                prop_assert_eq!(
-                    &batched,
-                    &reference,
+                assert_eq!(
+                    &batched, &reference,
                     "greedy != reference for ordering {:?}, C = {}, beta {} dB",
-                    ordering,
-                    channels,
-                    beta_db
+                    ordering, channels, beta_db
                 );
-                prop_assert!(batched.channels_used() <= channels);
-                prop_assert!(channels > 1 || batched.runs().all(|(p, _)| p.is_single_channel()));
+                assert!(batched.channels_used() <= channels);
+                assert!(channels > 1 || batched.runs().all(|(p, _)| p.is_single_channel()));
                 let from_scratch_feasible = batched.runs().all(|(pattern, _)| {
                     pattern
                         .channel_groups()
                         .all(|(_, group)| env.slot_feasible(group))
                 });
-                prop_assert_eq!(
+                assert_eq!(
                     verify_slots_feasible(&env, &batched).is_ok(),
                     from_scratch_feasible
                 );
             }
         }
-    }
+    });
+}
 
-    /// Run-length schedules round-trip through the expanded per-slot form:
-    /// compacting the expansion reproduces the schedule exactly (including
-    /// canonical merging), per-slot accessors agree with the expansion, and
-    /// the run-aware verifier agrees with a naive slot-by-slot feasibility
-    /// check on the expanded form.
-    #[test]
-    fn run_length_schedule_roundtrips(
-        seed in 0u64..5000,
-        runs in prop::collection::vec((0usize..6usize, 1u64..50), 1..12),
-    ) {
+/// Run-length schedules round-trip through the expanded per-slot form:
+/// compacting the expansion reproduces the schedule exactly (including
+/// canonical merging), per-slot accessors agree with the expansion, and
+/// the run-aware verifier agrees with a naive slot-by-slot feasibility
+/// check on the expanded form.
+#[test]
+fn run_length_schedule_roundtrips() {
+    for_cases("run_length_schedule_roundtrips", CASES, |draw| {
+        let seed = draw.gen_range(0u64..5000);
+        let runs: Vec<(usize, u64)> = (0..draw.gen_range(1usize..12))
+            .map(|_| (draw.gen_range(0usize..6), draw.gen_range(1u64..50)))
+            .collect();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let side = 150.0 * 4.0;
         let deployment = UniformDeployment::new(12, side).build(&mut rng);
@@ -406,104 +528,115 @@ proptest! {
             ],
             vec![Link::new(NodeId::new(5), NodeId::new(4))],
         ];
-        let schedule = Schedule::from_runs(
-            runs.iter().map(|&(p, count)| (pool[p].clone(), count)),
-        );
+        let schedule = Schedule::from_runs(runs.iter().map(|&(p, count)| (pool[p].clone(), count)));
 
         // Round-trip: expand ≡ compact.
         let expanded = schedule.expand();
-        prop_assert_eq!(expanded.len(), schedule.length());
-        prop_assert_eq!(&Schedule::from_slots(expanded.clone()), &schedule);
+        assert_eq!(expanded.len(), schedule.length());
+        assert_eq!(&Schedule::from_slots(expanded.clone()), &schedule);
         // Per-slot accessors agree with the expansion.
         for (t, slot) in expanded.iter().enumerate().take(20) {
-            prop_assert_eq!(schedule.slot(t).map(|p| p.links()), Some(slot.as_slice()));
+            assert_eq!(schedule.slot(t).map(|p| p.links()), Some(slot.as_slice()));
         }
-        prop_assert_eq!(schedule.slot(schedule.length()), None);
+        assert_eq!(schedule.slot(schedule.length()), None);
         // The run-aware verifier agrees with a naive per-slot check.
         let naive_feasible = expanded
             .iter()
             .all(|slot| slot.is_empty() || env.slot_feasible(slot));
-        prop_assert_eq!(
+        assert_eq!(
             verify_slots_feasible(&env, &schedule).is_ok(),
             naive_feasible
         );
         // Allocation counts agree with counting over expanded slots.
         for (&link, &count) in schedule.allocation_counts().iter() {
             let expanded_count = expanded.iter().filter(|s| s.contains(&link)).count() as u64;
-            prop_assert_eq!(count, expanded_count);
+            assert_eq!(count, expanded_count);
         }
-    }
+    });
+}
 
-    /// Multi-channel schedules on random connected instances always verify
-    /// (per-channel SINR, channel range and the cross-channel half-duplex
-    /// rule), never use more channels than configured, and are never longer
-    /// than the single-channel schedule on the same instance.
-    #[test]
-    fn multi_channel_schedules_verify_and_never_lengthen(
-        (nodes, seed) in small_instance(),
-        channels in 2usize..=4,
-    ) {
-        if let (Some((env, link_demands)), Some((multi_env, multi_demands))) = (
-            build_connected(nodes, seed),
-            build_connected_on_channels(nodes, seed, channels),
-        ) {
-            prop_assert_eq!(&link_demands, &multi_demands);
-            let single = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
-            let multi = GreedyPhysical::paper_baseline().schedule(&multi_env, &link_demands);
-            prop_assert!(verify_schedule(&multi_env, &multi, &link_demands).is_ok());
-            prop_assert!(multi.length() <= single.length());
-            prop_assert!(multi.channels_used() <= channels);
-            prop_assert!(multi
-                .runs()
-                .all(|(p, _)| p.node_on_multiple_channels().is_none()));
-        }
-    }
+/// Multi-channel schedules on random connected instances always verify
+/// (per-channel SINR, channel range and the cross-channel half-duplex
+/// rule), never use more channels than configured, and are never longer
+/// than the single-channel schedule on the same instance.
+#[test]
+fn multi_channel_schedules_verify_and_never_lengthen() {
+    for_cases(
+        "multi_channel_schedules_verify_and_never_lengthen",
+        CASES,
+        |draw| {
+            let (nodes, seed) = small_instance(draw);
+            let channels = draw.gen_range(2usize..=4);
+            if let (Some((env, link_demands)), Some((deployment, multi_env, multi_demands))) = (
+                build_connected(nodes, seed),
+                build_instance(nodes, seed, channels),
+            ) {
+                assert_eq!(&link_demands, &multi_demands);
+                let single = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
+                let multi = GreedyPhysical::paper_baseline().schedule(&multi_env, &link_demands);
+                assert!(verify_schedule(&multi_env, &multi, &link_demands).is_ok());
+                assert!(oracle_accepts(&deployment, env.config(), &single));
+                assert!(oracle_accepts(&deployment, multi_env.config(), &multi));
+                assert!(multi.length() <= single.length());
+                assert!(multi.channels_used() <= channels);
+                assert!(multi
+                    .runs()
+                    .all(|(p, _)| p.node_on_multiple_channels().is_none()));
+            }
+        },
+    );
+}
 
-    /// The channel-aware Theorem 4: on random connected instances with
-    /// C ∈ {1, 2, 4} orthogonal channels, the channel-aware FDD runtime
-    /// recreates the channel-aware GreedyPhysical schedule exactly (channel
-    /// tags included) — same schedule, same metrics, same verifier verdict.
-    #[test]
-    fn channel_aware_fdd_matches_channel_aware_greedy(
-        (nodes, seed) in small_instance(),
-        channels in prop::sample::select(vec![1usize, 2, 4]),
-    ) {
-        if let Some((env, link_demands)) = build_connected_on_channels(nodes, seed, channels) {
-            let centralized = GreedyPhysical::new(EdgeOrdering::DecreasingHeadId)
-                .schedule(&env, &link_demands);
-            let config = ProtocolConfig::paper_default()
-                .with_scream_slots(env.interference_diameter().max(1))
-                .with_seed(seed);
-            let run = DistributedScheduler::fdd()
-                .with_config(config)
-                .run(&env, &link_demands)
-                .expect("channel-aware FDD completes on connected instances");
-            prop_assert_eq!(&run.schedule, &centralized);
-            prop_assert_eq!(
-                ScheduleMetrics::compute(&run.schedule, &link_demands),
-                ScheduleMetrics::compute(&centralized, &link_demands)
-            );
-            prop_assert_eq!(
-                verify_schedule(&env, &run.schedule, &link_demands).is_ok(),
-                verify_schedule(&env, &centralized, &link_demands).is_ok()
-            );
-            prop_assert!(verify_schedule(&env, &run.schedule, &link_demands).is_ok());
-            prop_assert!(run.schedule.channels_used() <= channels);
-        }
-    }
+/// The channel-aware Theorem 4: on random connected instances with
+/// C ∈ {1, 2, 4} orthogonal channels, the channel-aware FDD runtime
+/// recreates the channel-aware GreedyPhysical schedule exactly (channel
+/// tags included) — same schedule, same metrics, same verifier verdict.
+#[test]
+fn channel_aware_fdd_matches_channel_aware_greedy() {
+    for_cases(
+        "channel_aware_fdd_matches_channel_aware_greedy",
+        CASES,
+        |draw| {
+            let (nodes, seed) = small_instance(draw);
+            let channels = [1usize, 2, 4][draw.gen_range(0..3usize)];
+            if let Some((env, link_demands)) = build_connected_on_channels(nodes, seed, channels) {
+                let centralized = GreedyPhysical::new(EdgeOrdering::DecreasingHeadId)
+                    .schedule(&env, &link_demands);
+                let config = ProtocolConfig::paper_default()
+                    .with_scream_slots(env.interference_diameter().max(1))
+                    .with_seed(seed);
+                let run = DistributedScheduler::fdd()
+                    .with_config(config)
+                    .run(&env, &link_demands)
+                    .expect("channel-aware FDD completes on connected instances");
+                assert_eq!(&run.schedule, &centralized);
+                assert_eq!(
+                    ScheduleMetrics::compute(&run.schedule, &link_demands),
+                    ScheduleMetrics::compute(&centralized, &link_demands)
+                );
+                assert_eq!(
+                    verify_schedule(&env, &run.schedule, &link_demands).is_ok(),
+                    verify_schedule(&env, &centralized, &link_demands).is_ok()
+                );
+                assert!(verify_schedule(&env, &run.schedule, &link_demands).is_ok());
+                assert!(run.schedule.channels_used() <= channels);
+            }
+        },
+    );
+}
 
-    /// C = 1 is a value of the one runtime, not a second runtime: on a
-    /// one-channel environment the deterministic protocols and randomized
-    /// PDD charge one handshake slot per iteration, send no
-    /// channel-announcement SCREAM and produce single-channel patterns only.
-    /// (That the C = 1 schedule is the paper's single-channel GreedyPhysical
-    /// is `fdd_matches_greedy_physical` plus
-    /// `batched_placement_matches_per_unit`.)
-    #[test]
-    fn single_channel_runtime_reduction_is_exact(
-        (nodes, seed) in small_instance(),
-        p in 0.2f64..=1.0,
-    ) {
+/// C = 1 is a value of the one runtime, not a second runtime: on a
+/// one-channel environment the deterministic protocols and randomized
+/// PDD charge one handshake slot per iteration, send no
+/// channel-announcement SCREAM and produce single-channel patterns only.
+/// (That the C = 1 schedule is the paper's single-channel GreedyPhysical
+/// is `fdd_matches_greedy_physical` plus
+/// `batched_placement_matches_per_unit`.)
+#[test]
+fn single_channel_runtime_reduction_is_exact() {
+    for_cases("single_channel_runtime_reduction_is_exact", CASES, |draw| {
+        let (nodes, seed) = small_instance(draw);
+        let p = draw.gen_range(0.2f64..=1.0);
         if let Some((env, link_demands)) = build_connected(nodes, seed) {
             let config = ProtocolConfig::paper_default()
                 .with_scream_slots(env.interference_diameter().max(1))
@@ -517,23 +650,27 @@ proptest! {
                 let run = scheduler.with_config(config).run(&env, &link_demands);
                 let observed = scream::obs::uninstall().expect("installed above").snapshot;
                 let run = run.expect("the runtime completes on one channel");
-                prop_assert!(run.schedule.runs().all(|(pattern, _)| pattern.is_single_channel()));
-                prop_assert_eq!(run.stats.handshake_steps, run.stats.slot_iterations);
-                prop_assert_eq!(observed.counter("runtime.announcement_bits"), 0);
-                prop_assert_eq!(observed.counter("runtime.rounds"), run.stats.rounds);
+                assert!(run
+                    .schedule
+                    .runs()
+                    .all(|(pattern, _)| pattern.is_single_channel()));
+                assert_eq!(run.stats.handshake_steps, run.stats.slot_iterations);
+                assert_eq!(observed.counter("runtime.announcement_bits"), 0);
+                assert_eq!(observed.counter("runtime.rounds"), run.stats.rounds);
             }
         }
-    }
+    });
+}
 
-    /// The ledger's batched runtime probe agrees with per-participant
-    /// `handshake_ok` even when links share endpoints (where the SINR
-    /// interferer-exclusion rules apply), and force-assigned sets report the
-    /// same per-link handshake health as the from-scratch computation.
-    #[test]
-    fn ledger_probe_matches_handshake_ok(
-        (nodes, seed) in (8usize..=20, 0u64..5000),
-        sigma_db in 0.0f64..6.0,
-    ) {
+/// The ledger's batched runtime probe agrees with per-participant
+/// `handshake_ok` even when links share endpoints (where the SINR
+/// interferer-exclusion rules apply), and force-assigned sets report the
+/// same per-link handshake health as the from-scratch computation.
+#[test]
+fn ledger_probe_matches_handshake_ok() {
+    for_cases("ledger_probe_matches_handshake_ok", CASES, |draw| {
+        let (nodes, seed) = (draw.gen_range(8usize..=20), draw.gen_range(0u64..5000));
+        let sigma_db = draw.gen_range(0.0f64..6.0);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xa5a5);
         let side = 140.0 * (nodes as f64).sqrt();
         let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
@@ -554,18 +691,14 @@ proptest! {
         tentative.dedup();
 
         let ledger = SlotLedger::with_links(&env, &assigned);
-        let participants: Vec<Link> = assigned
-            .iter()
-            .chain(tentative.iter())
-            .copied()
-            .collect();
+        let participants: Vec<Link> = assigned.iter().chain(tentative.iter()).copied().collect();
         let probe = ledger.probe(&tentative);
-        prop_assert_eq!(
+        assert_eq!(
             probe.existing_ok,
             assigned.iter().all(|&l| env.handshake_ok(l, &participants))
         );
         for (i, &t) in tentative.iter().enumerate() {
-            prop_assert_eq!(
+            assert_eq!(
                 probe.tentative_ok[i],
                 env.handshake_ok(t, &participants),
                 "probe diverged for tentative {} among {:?} + {:?}",
@@ -575,26 +708,27 @@ proptest! {
             );
         }
         // Slot health of the force-assigned set alone.
-        prop_assert_eq!(
+        assert_eq!(
             ledger.all_links_ok(),
             assigned.iter().all(|&l| env.handshake_ok(l, &assigned))
         );
-    }
+    });
+}
 
-    /// The spatially-pruned ledger is decision-for-decision identical to the
-    /// exact ledger — `can_add` verdicts, accumulated links, margins, probes
-    /// and slot feasibility — on random instances across β, shadowing and
-    /// channel counts. Pruning is forced (the instances are smaller than the
-    /// far-field cutoff disc, where the default constructor would skip the
-    /// index), so every conservative screen is exercised against its exact
-    /// fallback.
-    #[test]
-    fn pruned_ledger_matches_exact_ledger(
-        (nodes, seed) in (8usize..=24, 0u64..5000),
-        sigma_db in 0.0f64..8.0,
-        beta_db in 4.0f64..12.0,
-        channel_count in 1usize..=3,
-    ) {
+/// The spatially-pruned ledger is decision-for-decision identical to the
+/// exact ledger — `can_add` verdicts, accumulated links, margins, probes
+/// and slot feasibility — on random instances across β, shadowing and
+/// channel counts. Pruning is forced (the instances are smaller than the
+/// far-field cutoff disc, where the default constructor would skip the
+/// index), so every conservative screen is exercised against its exact
+/// fallback.
+#[test]
+fn pruned_ledger_matches_exact_ledger() {
+    for_cases("pruned_ledger_matches_exact_ledger", CASES, |draw| {
+        let (nodes, seed) = (draw.gen_range(8usize..=24), draw.gen_range(0u64..5000));
+        let sigma_db = draw.gen_range(0.0f64..8.0);
+        let beta_db = draw.gen_range(4.0f64..12.0);
+        let channel_count = draw.gen_range(1usize..=3);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9d2e);
         let side = 150.0 * (nodes as f64).sqrt();
         let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
@@ -602,7 +736,7 @@ proptest! {
             .propagation(PropagationModel::log_distance(3.0))
             .shadowing(sigma_db, seed)
             .config(
-                scream::netsim::RadioConfig::mesh_default()
+                RadioConfig::mesh_default()
                     .with_sinr_threshold_db(beta_db)
                     .with_channel_count(channel_count),
             )
@@ -615,11 +749,11 @@ proptest! {
 
         let mut pruned = SlotLedger::pruned(&env);
         let mut exact = SlotLedger::exact(&env);
-        prop_assert!(pruned.is_pruned());
+        assert!(pruned.is_pruned());
         for _ in 0..24 {
             let candidate = draw_link(&mut rng);
             let verdict = pruned.can_add(candidate);
-            prop_assert_eq!(
+            assert_eq!(
                 verdict,
                 exact.can_add(candidate),
                 "can_add diverged for {} with beta {} dB, sigma {} dB",
@@ -634,11 +768,11 @@ proptest! {
         }
         // Assign stays exact in both, so the accumulated state is bitwise
         // identical — margins, probes and feasibility included.
-        prop_assert_eq!(pruned.links(), exact.links());
-        prop_assert_eq!(pruned.margins(), exact.margins());
-        prop_assert_eq!(pruned.slot_feasible(), exact.slot_feasible());
+        assert_eq!(pruned.links(), exact.links());
+        assert_eq!(pruned.margins(), exact.margins());
+        assert_eq!(pruned.slot_feasible(), exact.slot_feasible());
         let tentative: Vec<Link> = (0..3).map(|_| draw_link(&mut rng)).collect();
-        prop_assert_eq!(pruned.probe(&tentative), exact.probe(&tentative));
+        assert_eq!(pruned.probe(&tentative), exact.probe(&tentative));
 
         // The channel-set wrapper inherits the equivalence on every channel.
         let mut pruned_set = ChannelSlotLedger::pruned(&env, channel_count);
@@ -647,94 +781,106 @@ proptest! {
             let candidate = draw_link(&mut rng);
             let channel = ChannelId::new((i % channel_count) as u16);
             let verdict = pruned_set.can_add(channel, candidate);
-            prop_assert_eq!(verdict, exact_set.can_add(channel, candidate));
+            assert_eq!(verdict, exact_set.can_add(channel, candidate));
             if verdict {
                 pruned_set.assign(channel, candidate);
                 exact_set.assign(channel, candidate);
             }
         }
         let claims: Vec<Link> = (0..3).map(|_| draw_link(&mut rng)).collect();
-        prop_assert_eq!(pruned_set.probe_claims(&claims), exact_set.probe_claims(&claims));
-    }
+        assert_eq!(
+            pruned_set.probe_claims(&claims),
+            exact_set.probe_claims(&claims)
+        );
+    });
+}
 
-    /// Greedy schedules are byte-identical whether feasibility runs through
-    /// the default (spatially pruned) environment accumulators or through
-    /// [`ExactPhysical`]'s pruning-disabled ledgers — the schedule-level
-    /// guarantee behind the committed pruned-vs-exact scale benchmark.
-    #[test]
-    fn greedy_schedules_do_not_depend_on_pruning((nodes, seed) in small_instance()) {
+/// Greedy schedules are byte-identical whether feasibility runs through
+/// the default (spatially pruned) environment accumulators or through
+/// [`ExactPhysical`]'s pruning-disabled ledgers — the schedule-level
+/// guarantee behind the committed pruned-vs-exact scale benchmark.
+#[test]
+fn greedy_schedules_do_not_depend_on_pruning() {
+    for_cases("greedy_schedules_do_not_depend_on_pruning", CASES, |draw| {
+        let (nodes, seed) = small_instance(draw);
         if let Some((env, link_demands)) = build_connected(nodes, seed) {
             let pruned = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
-            let exact = GreedyPhysical::paper_baseline()
-                .schedule(&ExactPhysical(&env), &link_demands);
-            prop_assert_eq!(pruned, exact);
+            let exact =
+                GreedyPhysical::paper_baseline().schedule(&ExactPhysical(&env), &link_demands);
+            assert_eq!(pruned, exact);
         }
-    }
+    });
+}
 
-    /// Fault injection is reproducible end to end: the same `ChurnConfig`
-    /// and seed draw a byte-identical `ChurnTrace`, and replaying that trace
-    /// through two fresh `ResilienceHarness` runs under the same run seed
-    /// yields byte-identical `ResilienceReport`s — structural equality *and*
-    /// the rendered `Debug` form, so no hidden field can drift.
-    #[test]
-    fn churn_traces_and_resilience_reports_are_seed_deterministic(
-        churn_seed in 0u64..5000,
-        run_seed in 0u64..5000,
-        rho in 0.5f64..0.8,
-    ) {
-        let deployment = GridDeployment::new(4, 4, 200.0).build();
-        let env = RadioEnvironment::builder().build(&deployment);
-        let gateways = deployment.corner_nodes();
-        let demands = DemandVector::from_vec(
-            (0..deployment.len() as u32)
-                .map(|i| u32::from(!gateways.contains(&NodeId::new(i))))
-                .collect(),
-        );
-        let graph = env.communication_graph();
-        let links: Vec<Link> = graph.edges().map(|(u, v)| Link::new(u, v)).collect();
-        let nodes: Vec<NodeId> = (0..deployment.len() as u32)
-            .map(NodeId::new)
-            .filter(|v| !gateways.contains(v))
-            .collect();
-        let config = ChurnConfig {
-            horizon_slots: 600,
-            link_failures: 2,
-            node_failures: 1,
-            flow_churns: 1,
-            fades: 1,
-            mean_outage_slots: 60.0,
-            fade_sigma_db: 2.0,
-        };
-        let draw = || {
-            FaultPlan::new()
-                .random_churn(config, &links, &nodes, churn_seed)
-                .build()
-        };
-        let (trace_a, trace_b) = (draw(), draw());
-        prop_assert_eq!(&trace_a, &trace_b);
-        prop_assert_eq!(format!("{trace_a:?}"), format!("{trace_b:?}"));
+/// Fault injection is reproducible end to end: the same `ChurnConfig`
+/// and seed draw a byte-identical `ChurnTrace`, and replaying that trace
+/// through two fresh `ResilienceHarness` runs under the same run seed
+/// yields byte-identical `ResilienceReport`s — structural equality *and*
+/// the rendered `Debug` form, so no hidden field can drift.
+#[test]
+fn churn_traces_and_resilience_reports_are_seed_deterministic() {
+    for_cases(
+        "churn_traces_and_resilience_reports_are_seed_deterministic",
+        CASES,
+        |draw| {
+            let churn_seed = draw.gen_range(0u64..5000);
+            let run_seed = draw.gen_range(0u64..5000);
+            let rho = draw.gen_range(0.5f64..0.8);
+            let deployment = GridDeployment::new(4, 4, 200.0).build();
+            let env = RadioEnvironment::builder().build(&deployment);
+            let gateways = deployment.corner_nodes();
+            let demands = DemandVector::from_vec(
+                (0..deployment.len() as u32)
+                    .map(|i| u32::from(!gateways.contains(&NodeId::new(i))))
+                    .collect(),
+            );
+            let graph = env.communication_graph();
+            let links: Vec<Link> = graph.edges().map(|(u, v)| Link::new(u, v)).collect();
+            let nodes: Vec<NodeId> = (0..deployment.len() as u32)
+                .map(NodeId::new)
+                .filter(|v| !gateways.contains(v))
+                .collect();
+            let config = ChurnConfig {
+                horizon_slots: 600,
+                link_failures: 2,
+                node_failures: 1,
+                flow_churns: 1,
+                fades: 1,
+                mean_outage_slots: 60.0,
+                fade_sigma_db: 2.0,
+            };
+            let draw = || {
+                FaultPlan::new()
+                    .random_churn(config, &links, &nodes, churn_seed)
+                    .build()
+            };
+            let (trace_a, trace_b) = (draw(), draw());
+            assert_eq!(&trace_a, &trace_b);
+            assert_eq!(format!("{trace_a:?}"), format!("{trace_b:?}"));
 
-        let run = |trace: &ChurnTrace| {
-            ResilienceHarness::new(env.clone(), gateways.clone(), demands.clone(), rho)
-                .run(trace, 600, run_seed)
-                .expect("the grid world offers traffic over a positive horizon")
-        };
-        let (report_a, report_b) = (run(&trace_a), run(&trace_b));
-        prop_assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
-        prop_assert_eq!(report_a, report_b);
-    }
+            let run = |trace: &ChurnTrace| {
+                ResilienceHarness::new(env.clone(), gateways.clone(), demands.clone(), rho)
+                    .run(trace, 600, run_seed)
+                    .expect("the grid world offers traffic over a positive horizon")
+            };
+            let (report_a, report_b) = (run(&trace_a), run(&trace_b));
+            assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
+            assert_eq!(report_a, report_b);
+        },
+    );
+}
 
-    /// Insertion-order independence of the fault pipeline (the D1 invariant
-    /// from the *input* side): a hand-placed `FaultPlan` whose events are
-    /// inserted in a shuffled order builds a byte-identical `ChurnTrace`,
-    /// and replaying it yields a byte-identical `ResilienceReport`. Events
-    /// use distinct slots because same-slot ties are defined to keep the
-    /// listed order (stable sort).
-    #[test]
-    fn churn_traces_ignore_event_insertion_order(
-        shuffle_seed in 0u64..5000,
-        run_seed in 0u64..5000,
-    ) {
+/// Insertion-order independence of the fault pipeline (the D1 invariant
+/// from the *input* side): a hand-placed `FaultPlan` whose events are
+/// inserted in a shuffled order builds a byte-identical `ChurnTrace`,
+/// and replaying it yields a byte-identical `ResilienceReport`. Events
+/// use distinct slots because same-slot ties are defined to keep the
+/// listed order (stable sort).
+#[test]
+fn churn_traces_ignore_event_insertion_order() {
+    for_cases("churn_traces_ignore_event_insertion_order", CASES, |draw| {
+        let shuffle_seed = draw.gen_range(0u64..5000);
+        let run_seed = draw.gen_range(0u64..5000);
         let deployment = GridDeployment::new(4, 4, 200.0).build();
         let env = RadioEnvironment::builder().build(&deployment);
         let gateways = deployment.corner_nodes();
@@ -751,7 +897,13 @@ proptest! {
             (100, FaultKind::LinkDown(links[0])),
             (160, FaultKind::NodeDown(victim_node)),
             (220, FaultKind::FlowStop(churn_node)),
-            (260, FaultKind::Fade { sigma_db: 3.0, seed: 17 }),
+            (
+                260,
+                FaultKind::Fade {
+                    sigma_db: 3.0,
+                    seed: 17,
+                },
+            ),
             (300, FaultKind::LinkUp(links[0])),
             (360, FaultKind::NodeUp(victim_node)),
             (420, FaultKind::FlowStart(churn_node)),
@@ -765,8 +917,8 @@ proptest! {
                 .build()
         };
         let (trace_a, trace_b) = (build(&events), build(&shuffled));
-        prop_assert_eq!(&trace_a, &trace_b);
-        prop_assert_eq!(format!("{trace_a:?}"), format!("{trace_b:?}"));
+        assert_eq!(&trace_a, &trace_b);
+        assert_eq!(format!("{trace_a:?}"), format!("{trace_b:?}"));
 
         let run = |trace: &ChurnTrace| {
             ResilienceHarness::new(env.clone(), gateways.clone(), demands.clone(), 0.6)
@@ -774,131 +926,141 @@ proptest! {
                 .expect("the grid world offers traffic over a positive horizon")
         };
         let (report_a, report_b) = (run(&trace_a), run(&trace_b));
-        prop_assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
-        prop_assert_eq!(report_a, report_b);
-    }
+        assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
+        assert_eq!(report_a, report_b);
+    });
+}
 
-    /// Insertion-order independence of scheduling: shuffling the link list
-    /// fed to `LinkDemands::from_links` changes neither the greedy schedule
-    /// (every `EdgeOrdering`, made total here by distinct heads and distinct
-    /// demands) nor the repaired schedule toward a shifted target.
-    #[test]
-    fn greedy_and_repair_ignore_demand_insertion_order(
-        (nodes, seed) in (8usize..=18, 0u64..5000),
-        shuffle_seed in 0u64..5000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0bad);
-        let side = 140.0 * (nodes as f64).sqrt();
-        let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
-        let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .build(&deployment);
-        // Unique heads and pairwise-distinct demands: every ordering
-        // criterion is a total order, so identical schedules are byte
-        // reproducible regardless of the input permutation.
-        let links: Vec<(Link, u64)> = (0..nodes as u32 / 2)
-            .map(|i| {
-                (
-                    Link::new(NodeId::new(2 * i + 1), NodeId::new(2 * i)),
-                    10 + 7 * i as u64,
+/// Insertion-order independence of scheduling: shuffling the link list
+/// fed to `LinkDemands::from_links` changes neither the greedy schedule
+/// (every `EdgeOrdering`, made total here by distinct heads and distinct
+/// demands) nor the repaired schedule toward a shifted target.
+#[test]
+fn greedy_and_repair_ignore_demand_insertion_order() {
+    for_cases(
+        "greedy_and_repair_ignore_demand_insertion_order",
+        CASES,
+        |draw| {
+            let (nodes, seed) = (draw.gen_range(8usize..=18), draw.gen_range(0u64..5000));
+            let shuffle_seed = draw.gen_range(0u64..5000);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0bad);
+            let side = 140.0 * (nodes as f64).sqrt();
+            let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
+            let env = RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .build(&deployment);
+            // Unique heads and pairwise-distinct demands: every ordering
+            // criterion is a total order, so identical schedules are byte
+            // reproducible regardless of the input permutation.
+            let links: Vec<(Link, u64)> = (0..nodes as u32 / 2)
+                .map(|i| {
+                    (
+                        Link::new(NodeId::new(2 * i + 1), NodeId::new(2 * i)),
+                        10 + 7 * i as u64,
+                    )
+                })
+                .collect();
+            let mut shuffled = links.clone();
+            shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
+            let demands_a = LinkDemands::from_links(nodes, &links).unwrap();
+            let demands_b = LinkDemands::from_links(nodes, &shuffled).unwrap();
+            for ordering in [
+                EdgeOrdering::DecreasingHeadId,
+                EdgeOrdering::IncreasingHeadId,
+                EdgeOrdering::DecreasingDemand,
+                EdgeOrdering::IncreasingDemand,
+            ] {
+                let a = GreedyPhysical::new(ordering).schedule(&env, &demands_a);
+                let b = GreedyPhysical::new(ordering).schedule(&env, &demands_b);
+                assert_eq!(&a, &b, "greedy diverged under ordering {:?}", ordering);
+            }
+            // Repair toward a shifted target (demands scaled, one link dropped)
+            // built from both permutations of the same target list.
+            let schedule = GreedyPhysical::paper_baseline().schedule(&env, &demands_a);
+            let target_links: Vec<(Link, u64)> =
+                links.iter().skip(1).map(|&(l, d)| (l, d * 2 - 5)).collect();
+            let mut target_shuffled = target_links.clone();
+            target_shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed ^ 0xfee1));
+            let target_a = LinkDemands::from_links(nodes, &target_links).unwrap();
+            let target_b = LinkDemands::from_links(nodes, &target_shuffled).unwrap();
+            let repaired_a = repair_schedule(&env, &schedule, &target_a);
+            let repaired_b = repair_schedule(&env, &schedule, &target_b);
+            assert_eq!(&repaired_a.schedule, &repaired_b.schedule);
+            assert_eq!(repaired_a.outcome, repaired_b.outcome);
+        },
+    );
+}
+
+/// Insertion-order independence of the traffic engine: single-hop flows
+/// on disjoint links with deterministic arrivals produce the same
+/// aggregate measurements whatever order the flows are listed in.
+/// Arrival rates are exact binary fractions so float aggregation cannot
+/// drift with summation order; `link_loads` keeps first-appearance
+/// order, so it is compared as a sorted set. (`peak_backlog` is the one
+/// field excluded: it samples the global in-flight count mid-instant,
+/// so same-instant event ties can move it by a transient ±1.)
+#[test]
+fn traffic_reports_ignore_flow_insertion_order() {
+    for_cases(
+        "traffic_reports_ignore_flow_insertion_order",
+        CASES,
+        |draw| {
+            let shuffle_seed = draw.gen_range(0u64..5000);
+            let flow_count = draw.gen_range(3usize..=6);
+            let links: Vec<Link> = (0..flow_count as u32)
+                .map(|i| Link::new(NodeId::new(2 * i + 1), NodeId::new(2 * i)))
+                .collect();
+            // One slot per link, repeating: every flow gets 1/frame service.
+            let schedule = Schedule::from_runs(links.iter().map(|&l| (vec![l], 1)));
+            let arrivals: Vec<(Link, ArrivalProcess)> = links
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| {
+                    // Distinct exact-binary rates: 1/16, 1/32, 1/64, ...
+                    (l, ArrivalProcess::deterministic(1.0 / (16u32 << i) as f64))
+                })
+                .collect();
+            let mut shuffled = arrivals.clone();
+            shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
+            let run = |order: Vec<(Link, ArrivalProcess)>| {
+                TrafficEngine::on_schedule(
+                    &schedule,
+                    FlowSet::single_hop(order),
+                    TrafficConfig::new(64),
                 )
-            })
-            .collect();
-        let mut shuffled = links.clone();
-        shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
-        let demands_a = LinkDemands::from_links(nodes, &links).unwrap();
-        let demands_b = LinkDemands::from_links(nodes, &shuffled).unwrap();
-        for ordering in [
-            EdgeOrdering::DecreasingHeadId,
-            EdgeOrdering::IncreasingHeadId,
-            EdgeOrdering::DecreasingDemand,
-            EdgeOrdering::IncreasingDemand,
-        ] {
-            let a = GreedyPhysical::new(ordering).schedule(&env, &demands_a);
-            let b = GreedyPhysical::new(ordering).schedule(&env, &demands_b);
-            prop_assert_eq!(&a, &b, "greedy diverged under ordering {:?}", ordering);
-        }
-        // Repair toward a shifted target (demands scaled, one link dropped)
-        // built from both permutations of the same target list.
-        let schedule = GreedyPhysical::paper_baseline().schedule(&env, &demands_a);
-        let target_links: Vec<(Link, u64)> = links
-            .iter()
-            .skip(1)
-            .map(|&(l, d)| (l, d * 2 - 5))
-            .collect();
-        let mut target_shuffled = target_links.clone();
-        target_shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed ^ 0xfee1));
-        let target_a = LinkDemands::from_links(nodes, &target_links).unwrap();
-        let target_b = LinkDemands::from_links(nodes, &target_shuffled).unwrap();
-        let repaired_a = repair_schedule(&env, &schedule, &target_a);
-        let repaired_b = repair_schedule(&env, &schedule, &target_b);
-        prop_assert_eq!(&repaired_a.schedule, &repaired_b.schedule);
-        prop_assert_eq!(repaired_a.outcome, repaired_b.outcome);
-    }
-
-    /// Insertion-order independence of the traffic engine: single-hop flows
-    /// on disjoint links with deterministic arrivals produce the same
-    /// aggregate measurements whatever order the flows are listed in.
-    /// Arrival rates are exact binary fractions so float aggregation cannot
-    /// drift with summation order; `link_loads` keeps first-appearance
-    /// order, so it is compared as a sorted set. (`peak_backlog` is the one
-    /// field excluded: it samples the global in-flight count mid-instant,
-    /// so same-instant event ties can move it by a transient ±1.)
-    #[test]
-    fn traffic_reports_ignore_flow_insertion_order(
-        shuffle_seed in 0u64..5000,
-        flow_count in 3usize..=6,
-    ) {
-        let links: Vec<Link> = (0..flow_count as u32)
-            .map(|i| Link::new(NodeId::new(2 * i + 1), NodeId::new(2 * i)))
-            .collect();
-        // One slot per link, repeating: every flow gets 1/frame service.
-        let schedule = Schedule::from_runs(links.iter().map(|&l| (vec![l], 1)));
-        let arrivals: Vec<(Link, ArrivalProcess)> = links
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| {
-                // Distinct exact-binary rates: 1/16, 1/32, 1/64, ...
-                (l, ArrivalProcess::deterministic(1.0 / (16u32 << i) as f64))
-            })
-            .collect();
-        let mut shuffled = arrivals.clone();
-        shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
-        let run = |order: Vec<(Link, ArrivalProcess)>| {
-            TrafficEngine::on_schedule(
-                &schedule,
-                FlowSet::single_hop(order),
-                TrafficConfig::new(64),
-            )
-            .expect("non-degenerate engine")
-            .run()
-        };
-        let (a, b) = (run(arrivals), run(shuffled));
-        prop_assert_eq!(a.frame_slots, b.frame_slots);
-        prop_assert_eq!(a.horizon_slots, b.horizon_slots);
-        prop_assert_eq!(a.flow_count, b.flow_count);
-        prop_assert_eq!(a.offered_per_slot, b.offered_per_slot);
-        prop_assert_eq!(a.injected, b.injected);
-        prop_assert_eq!(a.delivered, b.delivered);
-        prop_assert_eq!(a.final_backlog, b.final_backlog);
-        prop_assert_eq!(a.sustained_throughput_per_slot, b.sustained_throughput_per_slot);
-        prop_assert_eq!(a.delay, b.delay);
-        prop_assert_eq!(&a.verdict, &b.verdict);
-        let sorted_loads = |r: &TrafficReport| {
-            let mut loads = r.link_loads.clone();
-            loads.sort_by_key(|l| l.link);
-            loads
-        };
-        prop_assert_eq!(sorted_loads(&a), sorted_loads(&b));
-    }
+                .expect("non-degenerate engine")
+                .run()
+            };
+            let (a, b) = (run(arrivals), run(shuffled));
+            assert_eq!(a.frame_slots, b.frame_slots);
+            assert_eq!(a.horizon_slots, b.horizon_slots);
+            assert_eq!(a.flow_count, b.flow_count);
+            assert_eq!(a.offered_per_slot, b.offered_per_slot);
+            assert_eq!(a.injected, b.injected);
+            assert_eq!(a.delivered, b.delivered);
+            assert_eq!(a.final_backlog, b.final_backlog);
+            assert_eq!(
+                a.sustained_throughput_per_slot,
+                b.sustained_throughput_per_slot
+            );
+            assert_eq!(a.delay, b.delay);
+            assert_eq!(&a.verdict, &b.verdict);
+            let sorted_loads = |r: &TrafficReport| {
+                let mut loads = r.link_loads.clone();
+                loads.sort_by_key(|l| l.link);
+                loads
+            };
+            assert_eq!(sorted_loads(&a), sorted_loads(&b));
+        },
+    );
 }
 
 /// Demand scaling: under FDD and AFDD a round is a function of the controller
 /// and the pending set, so multiplying every demand by `k` multiplies every
 /// run of the schedule by `k` and changes nothing else — the same patterns in
 /// the same order, the same rounds *simulated*, and every cost affine in `k`
-/// (the hand-over elections are the constant term). A plain seeded loop, not
-/// a proptest: the instances are a fixed list.
+/// (the hand-over elections are the constant term). The instances are a
+/// fixed list, so the loop draws nothing.
 #[test]
 fn scaling_every_demand_scales_multiplicities_and_nothing_else() {
     let mut cases = 0;
