@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use scream_netsim::{PropagationModel, RadioConfig, RadioEnvironment};
+use scream_netsim::{PropagationModel, RadioConfig, RadioEnvironment, SlotLedger};
 use scream_topology::{Deployment, Graph, Link, NodeId, Point2, Rect};
 
 use crate::error::ProtocolError;
@@ -165,7 +165,7 @@ impl LocalizedGreedy {
                     .is_some_and(|d| d <= self.locality_hops)
             })
             .collect();
-        env.can_add_to_slot(&visible, candidate)
+        SlotLedger::with_links(env, &visible).can_add(candidate)
     }
 }
 
@@ -173,21 +173,25 @@ impl LocalizedGreedy {
 mod tests {
     use super::*;
 
+    fn feasible(env: &RadioEnvironment, slot: &[Link]) -> bool {
+        SlotLedger::with_links(env, slot).slot_feasible()
+    }
+
     #[test]
     fn both_links_are_individually_feasible_but_jointly_infeasible() {
         for k in [1usize, 2, 3] {
             let ce = CounterExample::for_locality(k).unwrap();
             let env = ce.environment();
             assert!(
-                env.slot_feasible(&[ce.link_l]),
+                feasible(&env, &[ce.link_l]),
                 "l alone must be feasible (k={k})"
             );
             assert!(
-                env.slot_feasible(&[ce.link_l_prime]),
+                feasible(&env, &[ce.link_l_prime]),
                 "l' alone must be feasible (k={k})"
             );
             assert!(
-                !env.slot_feasible(&[ce.link_l, ce.link_l_prime]),
+                !feasible(&env, &[ce.link_l, ce.link_l_prime]),
                 "l and l' together must be infeasible (k={k})"
             );
         }
@@ -222,14 +226,14 @@ mod tests {
             "the localized rule cannot see link l and admits l'"
         );
         slot.push(ce.link_l_prime);
-        assert!(!env.slot_feasible(&slot), "the produced slot is infeasible");
+        assert!(!feasible(&env, &slot), "the produced slot is infeasible");
     }
 
     #[test]
     fn a_global_rule_rejects_the_second_link() {
         let ce = CounterExample::for_locality(2).unwrap();
         let env = ce.environment();
-        assert!(!env.can_add_to_slot(&[ce.link_l], ce.link_l_prime));
+        assert!(!SlotLedger::with_links(&env, &[ce.link_l]).can_add(ce.link_l_prime));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl DistributedScheduler {
             channel_bits: channel_announcement_bits(channel_count),
             link_of,
             rng: ChaCha8Rng::seed_from_u64(self.config.seed),
-            ledger: ChannelSlotLedger::new(env, channel_count),
+            ledger: ChannelSlotLedger::new(env),
             dormant: vec![false; n],
             flags: vec![false; n],
             actives: Vec::new(),
@@ -848,13 +848,11 @@ mod tests {
             (Link::new(NodeId::new(2), NodeId::new(1)), 2u64),
             (Link::new(NodeId::new(1), NodeId::new(0)), 2),
         ];
-        // Without the screen, both links pass their handshakes concurrently.
-        let both = [chain[0].0, chain[1].0];
-        assert!(env.handshake_ok(chain[0].0, &both));
-        assert!(env.handshake_ok(chain[1].0, &both));
-        assert!(!scream_scheduling::SlotFeasibility::slot_feasible(
-            &env, &both
-        ));
+        // Without the screen, both links pass their handshakes concurrently:
+        // every SINR margin clears β, and only half-duplex fails the slot.
+        let both = scream_netsim::SlotLedger::with_links(&env, &[chain[0].0, chain[1].0]);
+        assert!(both.all_links_ok());
+        assert!(!both.slot_feasible());
 
         let ld = LinkDemands::from_links(6, &chain).unwrap();
         let run = DistributedScheduler::fdd()

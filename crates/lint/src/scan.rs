@@ -683,7 +683,7 @@ fn bad(env: &Environment, xs: &[u32]) {
     fn h1_alloc_tracks_loop_depth_through_nesting() {
         let src = r#"
 fn f(env: &Environment) {
-    let outer = ChannelSlotLedger::new(env, 2);
+    let outer = ChannelSlotLedger::new(env);
     while remaining > 0 {
         if cond {
             let inner = env.open_channel_ledger();

@@ -38,11 +38,6 @@ impl MovingAverage {
         }
     }
 
-    /// The configured window length.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Pushes a new value and returns the current average.
     pub fn push(&mut self, value_dbm: f64) -> f64 {
         self.values.push(value_dbm);
@@ -103,19 +98,6 @@ impl RssiTrace {
             .filter_map(|s| s.moving_average_dbm.map(|ma| (s.time, ma)))
     }
 
-    /// Restricts the trace to samples within `[from, to)` — convenient for
-    /// plotting a short snapshot as the paper does.
-    pub fn window(&self, from: SimTime, to: SimTime) -> RssiTrace {
-        RssiTrace {
-            samples: self
-                .samples
-                .iter()
-                .copied()
-                .filter(|s| s.time >= from && s.time < to)
-                .collect(),
-        }
-    }
-
     /// Maximum moving-average value seen in the trace, in dBm.
     pub fn peak_moving_average_dbm(&self) -> f64 {
         self.moving_average_series()
@@ -146,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_windowing_and_series_extraction() {
+    fn trace_series_extraction() {
         let mut trace = RssiTrace::new();
         for i in 0..10u64 {
             trace.push(RssiSample {
@@ -157,8 +139,6 @@ mod tests {
         }
         assert_eq!(trace.len(), 10);
         assert!(!trace.is_empty());
-        let windowed = trace.window(SimTime::from_millis(2), SimTime::from_millis(5));
-        assert_eq!(windowed.len(), 3);
         let ma_points: Vec<_> = trace.moving_average_series().collect();
         assert_eq!(ma_points.len(), 5);
         assert!((trace.peak_moving_average_dbm() - (-72.0)).abs() < 1e-12);

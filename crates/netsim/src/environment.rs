@@ -1,11 +1,13 @@
-//! The radio environment: per-pair channel gains, SINR queries, carrier
+//! The radio environment: per-pair channel gains, received powers, carrier
 //! sensing and the derived communication / sensitivity graphs.
 //!
 //! [`RadioEnvironment`] is the single source of physical-layer truth shared
 //! by the centralized scheduler, the distributed protocols and the analysis
-//! code. It implements the physical interference model of Section II with
-//! the data/ACK sub-slot variation: a packet on link `(u, v)` scheduled
-//! concurrently with links `(x_i, y_i)` is received correctly iff
+//! code. The physical interference model of Section II, with the data/ACK
+//! sub-slot variation, is evaluated over its received powers by the
+//! [interference ledger](crate::ledger) — the one SINR verdict in the
+//! workspace: a packet on link `(u, v)` scheduled concurrently with links
+//! `(x_i, y_i)` is received correctly iff
 //!
 //! ```text
 //!  P_v(u) / (N + Σ_i P_v(x_i))  ≥ β        (data sub-slot)
@@ -14,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use scream_topology::{Deployment, Graph, GraphKind, Link, NodeId, Point2};
+use scream_topology::{Deployment, Graph, GraphKind, NodeId, Point2};
 
 use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
 use crate::radio::{db_to_linear, mw_to_dbm, RadioConfig};
@@ -296,27 +298,6 @@ impl RadioEnvironment {
         self.tx_power_mw[tx.index()] * self.gain(tx, rx)
     }
 
-    /// SINR (linear) at `rx` for a transmission from `tx`, with the given
-    /// concurrent interfering transmitters. Interferers equal to `tx` or `rx`
-    /// are ignored (a node does not interfere with its own reception).
-    pub fn sinr_linear(&self, tx: NodeId, rx: NodeId, interferers: &[NodeId]) -> f64 {
-        let signal = self.received_power_mw(tx, rx);
-        let mut interference = 0.0;
-        for &i in interferers {
-            if i == tx || i == rx {
-                continue;
-            }
-            interference += self.received_power_mw(i, rx);
-        }
-        signal / (self.config.noise_floor_mw() + interference)
-    }
-
-    /// Whether a transmission from `tx` is decodable at `rx` against the
-    /// given interferer set.
-    pub fn decodable(&self, tx: NodeId, rx: NodeId, interferers: &[NodeId]) -> bool {
-        self.sinr_linear(tx, rx, interferers) >= self.config.sinr_threshold_linear()
-    }
-
     /// Carrier sensing: whether `listener` detects channel activity when the
     /// given set of nodes transmit simultaneously. Energy detection sums the
     /// received powers, so concurrent transmissions (collisions) only make
@@ -332,79 +313,16 @@ impl RadioEnvironment {
         total >= self.config.carrier_sense_threshold_mw()
     }
 
-    /// Checks the *data sub-slot* condition for `link` against the data
-    /// transmitters of the concurrent links. Interference is summed inline
-    /// (same accumulation order as the interferer list the seed collected),
-    /// so the check is allocation-free.
-    pub fn data_subslot_ok(&self, link: Link, concurrent: &[Link]) -> bool {
-        let signal = self.received_power_mw(link.head, link.tail);
-        let mut interference = 0.0;
-        for l in concurrent {
-            if *l == link || l.head == link.head || l.head == link.tail {
-                continue;
-            }
-            interference += self.received_power_mw(l.head, link.tail);
-        }
-        signal / (self.config.noise_floor_mw() + interference)
-            >= self.config.sinr_threshold_linear()
-    }
-
-    /// Checks the *ACK sub-slot* condition for `link` against the ACK
-    /// transmitters (the tails) of the concurrent links, allocation-free like
-    /// [`data_subslot_ok`](Self::data_subslot_ok).
-    pub fn ack_subslot_ok(&self, link: Link, concurrent: &[Link]) -> bool {
-        let signal = self.received_power_mw(link.tail, link.head);
-        let mut interference = 0.0;
-        for l in concurrent {
-            if *l == link || l.tail == link.tail || l.tail == link.head {
-                continue;
-            }
-            interference += self.received_power_mw(l.tail, link.head);
-        }
-        signal / (self.config.noise_floor_mw() + interference)
-            >= self.config.sinr_threshold_linear()
-    }
-
-    /// Whether the two-way handshake on `link` succeeds when scheduled
-    /// concurrently with `concurrent` (which may or may not contain `link`
-    /// itself): both the data packet and the ACK must meet the SINR
-    /// threshold.
-    pub fn handshake_ok(&self, link: Link, concurrent: &[Link]) -> bool {
-        self.data_subslot_ok(link, concurrent) && self.ack_subslot_ok(link, concurrent)
-    }
-
-    /// Whether the whole set of links can be scheduled in the same slot: no
-    /// two links may share an endpoint (half-duplex radios), and every link's
-    /// two-way handshake must succeed against all the others.
-    ///
-    /// This is the paper's definition of a *feasible* transmission set.
-    pub fn slot_feasible(&self, links: &[Link]) -> bool {
-        for (i, a) in links.iter().enumerate() {
-            if a.head == a.tail {
-                return false;
-            }
-            for b in &links[i + 1..] {
-                if a.shares_endpoint(b) {
-                    return false;
-                }
-            }
-        }
-        links.iter().all(|&l| self.handshake_ok(l, links))
-    }
-
-    /// Whether `candidate` can be added to an already-feasible slot without
-    /// making it infeasible. Equivalent to `slot_feasible(existing + candidate)`
-    /// but spelled out for readability at call sites.
-    pub fn can_add_to_slot(&self, existing: &[Link], candidate: Link) -> bool {
-        if candidate.head == candidate.tail {
-            return false;
-        }
-        if existing.iter().any(|l| l.shares_endpoint(&candidate)) {
-            return false;
-        }
-        let mut all: Vec<Link> = existing.to_vec();
-        all.push(candidate);
-        all.iter().all(|&l| self.handshake_ok(l, &all))
+    /// Whether `u` and `v` complete a two-way handshake with nothing else on
+    /// the air: each reaches the other at β over the noise floor alone. The
+    /// edge test of [`communication_graph`](Self::communication_graph).
+    fn decodes_alone(&self, u: NodeId, v: NodeId) -> bool {
+        let (noise_mw, beta) = (
+            self.config.noise_floor_mw(),
+            self.config.sinr_threshold_linear(),
+        );
+        self.received_power_mw(u, v) / noise_mw >= beta
+            && self.received_power_mw(v, u) / noise_mw >= beta
     }
 
     /// Node count above which graph construction switches from the O(n²)
@@ -466,7 +384,7 @@ impl RadioEnvironment {
                         continue;
                     }
                     let v = NodeId::new(jv);
-                    if self.handshake_ok(Link::new(u, v), &[]) {
+                    if self.decodes_alone(u, v) {
                         g.add_edge_unchecked(u, v);
                     }
                 }
@@ -476,7 +394,7 @@ impl RadioEnvironment {
                 for j in (i + 1)..self.node_count {
                     let u = NodeId::new(i as u32);
                     let v = NodeId::new(j as u32);
-                    if self.handshake_ok(Link::new(u, v), &[]) {
+                    if self.decodes_alone(u, v) {
                         g.add_edge_unchecked(u, v);
                     }
                 }
@@ -699,7 +617,17 @@ fn dense_gains(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scream_topology::{GridDeployment, Point2, Rect};
+    use crate::ledger::{LinkSinrMargin, SlotLedger};
+    use scream_topology::{GridDeployment, Link, Point2, Rect};
+
+    fn link(a: u32, b: u32) -> Link {
+        Link::new(NodeId::new(a), NodeId::new(b))
+    }
+
+    /// The SINR margins of `links[0]` in a slot filled with `links`.
+    fn margins_of_first(e: &RadioEnvironment, links: &[Link]) -> LinkSinrMargin {
+        SlotLedger::with_links(e, links).margins()[0]
+    }
 
     fn line_deployment(spacing: f64, count: usize) -> Deployment {
         let positions: Vec<Point2> = (0..count)
@@ -784,33 +712,37 @@ mod tests {
 
     #[test]
     fn sinr_without_interference_is_snr() {
+        // A lone link's margins are its two SNRs over β.
         let d = line_deployment(200.0, 2);
         let e = env(&d);
-        let snr = e.sinr_linear(NodeId::new(0), NodeId::new(1), &[]);
-        let expected =
-            e.received_power_mw(NodeId::new(0), NodeId::new(1)) / e.config().noise_floor_mw();
-        assert!((snr - expected).abs() / expected < 1e-12);
+        let margin = margins_of_first(&e, &[link(0, 1)]);
+        let snr_db = |tx: u32, rx: u32| {
+            mw_to_dbm(e.received_power_mw(NodeId::new(tx), NodeId::new(rx)))
+                - e.config().noise_floor_dbm
+        };
+        let beta_db = e.config().sinr_threshold_db;
+        assert!((margin.data_margin_db - (snr_db(0, 1) - beta_db)).abs() < 1e-9);
+        assert!((margin.ack_margin_db - (snr_db(1, 0) - beta_db)).abs() < 1e-9);
     }
 
     #[test]
     fn interference_lowers_sinr() {
-        let d = line_deployment(150.0, 3);
+        let d = line_deployment(150.0, 4);
         let e = env(&d);
-        let clean = e.sinr_linear(NodeId::new(0), NodeId::new(1), &[]);
-        let jammed = e.sinr_linear(NodeId::new(0), NodeId::new(1), &[NodeId::new(2)]);
-        assert!(jammed < clean);
+        let clean = margins_of_first(&e, &[link(0, 1)]);
+        let jammed = margins_of_first(&e, &[link(0, 1), link(2, 3)]);
+        assert!(jammed.data_margin_db < clean.data_margin_db);
+        assert!(jammed.ack_margin_db < clean.ack_margin_db);
     }
 
     #[test]
     fn sender_and_receiver_are_not_their_own_interferers() {
+        // (1, 0) transmits from (0, 1)'s own two radios: neither counts as
+        // interference to it, in either sub-slot.
         let d = line_deployment(150.0, 3);
         let e = env(&d);
-        let with_self = e.sinr_linear(
-            NodeId::new(0),
-            NodeId::new(1),
-            &[NodeId::new(0), NodeId::new(1)],
-        );
-        let clean = e.sinr_linear(NodeId::new(0), NodeId::new(1), &[]);
+        let with_self = margins_of_first(&e, &[link(0, 1), link(1, 0)]);
+        let clean = margins_of_first(&e, &[link(0, 1)]);
         assert_eq!(with_self, clean);
     }
 
@@ -818,7 +750,7 @@ mod tests {
     fn decodable_matches_threshold() {
         let d = line_deployment(100.0, 2);
         let e = env(&d);
-        assert!(e.decodable(NodeId::new(0), NodeId::new(1), &[]));
+        assert!(SlotLedger::new(&e).can_add(link(0, 1)));
         // A node 100 km away is certainly not decodable.
         let far = Deployment::from_positions(
             &[Point2::new(0.0, 0.0), Point2::new(100_000.0, 0.0)],
@@ -827,7 +759,7 @@ mod tests {
         )
         .unwrap();
         let e_far = env(&far);
-        assert!(!e_far.decodable(NodeId::new(0), NodeId::new(1), &[]));
+        assert!(!SlotLedger::new(&e_far).can_add(link(0, 1)));
     }
 
     #[test]
@@ -854,34 +786,30 @@ mod tests {
     fn handshake_checks_both_directions() {
         let d = line_deployment(150.0, 4);
         let e = env(&d);
-        let link = Link::new(NodeId::new(0), NodeId::new(1));
-        assert!(e.handshake_ok(link, &[]));
+        assert!(SlotLedger::new(&e).can_add(link(0, 1)));
         // With a strong interferer right next to the receiver, the data
-        // sub-slot fails even though the ACK direction would be fine.
-        let interfering = Link::new(NodeId::new(2), NodeId::new(3));
-        let data_ok = e.data_subslot_ok(link, &[link, interfering]);
-        let ack_ok = e.ack_subslot_ok(link, &[link, interfering]);
-        assert_eq!(
-            e.handshake_ok(link, &[link, interfering]),
-            data_ok && ack_ok
-        );
+        // sub-slot fails even though the ACK direction is fine — and one
+        // failing direction fails the handshake.
+        let slot = SlotLedger::with_links(&e, &[link(0, 1), link(2, 3)]);
+        let margin = slot.margins()[0];
+        assert!(margin.data_margin_db < 0.0 && margin.ack_margin_db >= 0.0);
+        assert!(!margin.ok());
+        assert!(!slot.all_links_ok());
     }
 
     #[test]
     fn slot_with_shared_endpoint_is_infeasible() {
         let d = line_deployment(100.0, 3);
         let e = env(&d);
-        let a = Link::new(NodeId::new(0), NodeId::new(1));
-        let b = Link::new(NodeId::new(1), NodeId::new(2));
-        assert!(!e.slot_feasible(&[a, b]));
-        assert!(e.slot_feasible(&[a]));
+        assert!(!SlotLedger::with_links(&e, &[link(0, 1), link(1, 2)]).slot_feasible());
+        assert!(SlotLedger::with_links(&e, &[link(0, 1)]).slot_feasible());
     }
 
     #[test]
     fn self_links_are_rejected() {
         let d = line_deployment(100.0, 2);
         let e = env(&d);
-        assert!(!e.slot_feasible(&[Link::new(NodeId::new(0), NodeId::new(0))]));
+        assert!(!SlotLedger::with_links(&e, &[link(0, 0)]).slot_feasible());
     }
 
     #[test]
@@ -891,23 +819,8 @@ mod tests {
         // the interferer at node 2 is only 200 m from receiver 1.
         let d = line_deployment(200.0, 8);
         let e = env(&d);
-        let a = Link::new(NodeId::new(0), NodeId::new(1));
-        let far = Link::new(NodeId::new(6), NodeId::new(7));
-        let near = Link::new(NodeId::new(2), NodeId::new(3));
-        assert!(e.slot_feasible(&[a, far]));
-        assert!(!e.slot_feasible(&[a, near]));
-    }
-
-    #[test]
-    fn can_add_to_slot_agrees_with_slot_feasible() {
-        let d = line_deployment(200.0, 8);
-        let e = env(&d);
-        let a = Link::new(NodeId::new(0), NodeId::new(1));
-        let far = Link::new(NodeId::new(6), NodeId::new(7));
-        let near = Link::new(NodeId::new(2), NodeId::new(3));
-        assert!(e.can_add_to_slot(&[a], far));
-        assert!(!e.can_add_to_slot(&[a], near));
-        assert_eq!(e.can_add_to_slot(&[a], far), e.slot_feasible(&[a, far]));
+        assert!(SlotLedger::with_links(&e, &[link(0, 1), link(6, 7)]).slot_feasible());
+        assert!(!SlotLedger::with_links(&e, &[link(0, 1), link(2, 3)]).slot_feasible());
     }
 
     #[test]
@@ -922,6 +835,16 @@ mod tests {
         // neighbors (200 m) are connected but diagonal ones (~283 m) are not.
         assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
         assert!(!g.has_edge(NodeId::new(0), NodeId::new(5)));
+        // An edge is exactly a link the ledger admits into an empty slot.
+        for u in 0..16 {
+            for v in (u + 1)..16 {
+                assert_eq!(
+                    g.has_edge(NodeId::new(u), NodeId::new(v)),
+                    SlotLedger::new(&e).can_add(link(u, v)),
+                    "({u}, {v})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1094,10 +1017,10 @@ mod tests {
         .unwrap();
         let e = env(&d);
         // Node 0 is loud, node 1 is quiet: 0->1 decodable, 1->0 not.
-        assert!(e.decodable(NodeId::new(0), NodeId::new(1), &[]));
-        assert!(!e.decodable(NodeId::new(1), NodeId::new(0), &[]));
+        let margin = margins_of_first(&e, &[link(0, 1)]);
+        assert!(margin.data_margin_db >= 0.0 && margin.ack_margin_db < 0.0);
         // Hence no bidirectional link, and the communication graph drops it.
-        assert!(!e.handshake_ok(Link::new(NodeId::new(0), NodeId::new(1)), &[]));
+        assert!(!SlotLedger::new(&e).can_add(link(0, 1)));
         assert_eq!(e.communication_graph().edge_count(), 0);
     }
 }

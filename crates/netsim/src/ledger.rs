@@ -21,9 +21,9 @@
 //! so that [`can_add`](SlotLedger::can_add) is an O(k) pass of
 //! one-multiplication margin checks and [`assign`](SlotLedger::assign) an
 //! O(k) accumulator update — no `Vec` cloning, no from-scratch SINR
-//! recomputation. The distributed runtime's batched variant
-//! ([`probe`](SlotLedger::probe)) prices a whole tentative active set in
-//! O((k + a)·a) instead of O((k + a)²).
+//! recomputation. The distributed runtime's batched claim check
+//! ([`probe_claims`](ChannelSlotLedger::probe_claims)) prices a whole
+//! tentative active set in O((k + a)·a) instead of O((k + a)²).
 //!
 //! A `SlotLedger` is one channel. What the schedulers, the verifier and the
 //! distributed runtime hold is a [`ChannelSlotLedger`]: one `SlotLedger` per
@@ -109,21 +109,27 @@
 //! `can_add` is `false`, `false` implies nothing, no margin is involved, and
 //! `can_add` never consults it (the private `refusal` module has the rest).
 //!
-//! # Fidelity to the from-scratch computation
+//! # Fidelity to the paper's definition
 //!
-//! The ledger mirrors [`RadioEnvironment::handshake_ok`] exactly, including
-//! the interferer-exclusion rule of [`RadioEnvironment::sinr_linear`] (an
-//! interferer equal to the transmitter or receiver of the link under test is
-//! skipped), so ledger decisions and from-scratch decisions agree on every
-//! slot — a property pinned down by the `ledger_matches_from_scratch_*`
-//! property tests in `tests/properties.rs`. The one caveat is inherent to
-//! floating point: interference sums are accumulated in link-insertion order
-//! rather than re-summed in slot order, so a sum can differ from the
-//! from-scratch value in its last ulp. A feasibility decision could in
-//! principle flip on an instance engineered to sit within one ulp of the
-//! SINR threshold β; the seed's own `can_add`/`verify` pair had the same
-//! exposure (it, too, summed in two different orders), and no drawn instance
-//! gets anywhere near it.
+//! The ledger is the workspace's one SINR verdict: no other product code
+//! evaluates the model above. A set of links is a feasible slot (Section II)
+//! when no node serves two of them (half-duplex, no self-links) and both
+//! sub-slots of every link reach β — the data sub-slot at the tail against
+//! the other links' heads, the ACK sub-slot at the head against their tails,
+//! an interferer that is the link's own transmitter or receiver not counting
+//! (a node does not interfere with a transmission it takes part in). That
+//! definition is pinned against an independent oracle in
+//! `tests/common/oracle.rs`, which shares no code with this crate: its own
+//! log-distance path loss from node coordinates, the shadowing draws passed
+//! in as data. `ledger_matches_from_scratch_feasibility` (every `can_add` and
+//! `slot_feasible`), `ledger_probe_matches_handshake_ok` (`probe_claims` at
+//! C = 1) and `batched_placement_matches_per_unit` (whole schedules) in
+//! `tests/properties.rs` hold the ledger to it on shadowed instances, and
+//! every schedule `tests/end_to_end.rs` verifies is checked by it too. The
+//! one caveat is inherent to floating point: the oracle and the ledger
+//! round differently, so a verdict could in principle flip on an instance
+//! engineered to sit within a few ulps of β; no drawn instance gets anywhere
+//! near it.
 
 use std::cell::Cell;
 
@@ -171,19 +177,6 @@ impl std::fmt::Display for LinkSinrMargin {
             self.link, self.data_margin_db, self.ack_margin_db
         )
     }
-}
-
-/// Result of pricing a tentative active set against a ledger slot
-/// (see [`SlotLedger::probe`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LedgerProbe {
-    /// Whether every already-scheduled ledger link still completes its
-    /// handshake when the tentative links transmit concurrently. `false`
-    /// corresponds to the SCREAM veto of the distributed protocols.
-    pub existing_ok: bool,
-    /// Per-tentative-link handshake outcome against the ledger links and all
-    /// other tentative links, in input order.
-    pub tentative_ok: Vec<bool>,
 }
 
 /// One conjunct of the accept verdict: handshake direction `data` (else ACK)
@@ -273,9 +266,9 @@ fn occupancy_bit(node: NodeId) -> (usize, u64) {
 }
 
 /// Interference contribution of `interferer` transmitting towards `link`'s
-/// data receiver, honoring the exclusion rule of
-/// [`RadioEnvironment::sinr_linear`]: a node never interferes with a
-/// transmission it is itself the transmitter or receiver of.
+/// data receiver, honoring the exclusion rule of the paper's definition (see
+/// the [module docs](self)): a node never interferes with a transmission it
+/// is itself the transmitter or receiver of.
 #[inline]
 fn data_term(env: &RadioEnvironment, interferer_head: NodeId, link: Link) -> Option<f64> {
     if interferer_head == link.head || interferer_head == link.tail {
@@ -447,10 +440,10 @@ impl<'a> SlotLedger<'a> {
     /// handshake must survive the slot's accumulated interference, and its
     /// interference must not push any assigned link below the SINR threshold.
     ///
-    /// Equivalent to [`RadioEnvironment::can_add_to_slot`] on the assigned
-    /// link list, but O(k) instead of O(k²) and allocation-free — and on a
-    /// default (pruned) ledger O(nearby) instead of O(k), with a verdict
-    /// identical to the exact computation (see the [module docs](self)).
+    /// O(k) instead of the O(k²) of re-deriving every SINR, allocation-free
+    /// — and on a default (pruned) ledger O(nearby) instead of O(k), with a
+    /// verdict identical to the exact computation (see the
+    /// [module docs](self)).
     pub fn can_add(&self, candidate: Link) -> bool {
         scream_obs::next_probe();
         if candidate.head == candidate.tail || !self.endpoints_free(candidate) {
@@ -870,39 +863,26 @@ impl<'a> SlotLedger<'a> {
         })
     }
 
-    /// Whether the assigned set is a feasible slot in the sense of
-    /// [`RadioEnvironment::slot_feasible`]: pairwise endpoint-disjoint, no
+    /// Whether the assigned set is a feasible slot by the paper's definition
+    /// (see the [module docs](self)): pairwise endpoint-disjoint, no
     /// self-links, and every handshake above threshold.
     pub fn slot_feasible(&self) -> bool {
         self.disjoint && self.all_links_ok()
     }
 
-    /// Prices a tentative active set against the slot without mutating it:
-    /// each tentative link's handshake is evaluated against the assigned
-    /// links *and* the other tentative links, and the assigned links are
-    /// re-checked under the tentative links' added interference, in
-    /// O((k + a) · a) work for `a` tentative links instead of the
-    /// O((k + a)²) of re-deriving every SINR from scratch.
+    /// Prices a tentative active set against the slot without mutating it,
+    /// unless it is vetoed: `None` when some assigned link no longer
+    /// completes its handshake under the tentative links' added interference,
+    /// else each tentative link's handshake against the assigned links *and*
+    /// the other tentative links, in input order — O((k + a) · a) work for
+    /// `a` tentative links instead of the O((k + a)²) of re-deriving every
+    /// SINR.
     ///
-    /// This is a *pure SINR* check mirroring
-    /// [`RadioEnvironment::handshake_ok`] exactly — which means it shares
-    /// that function's blind spot: a tentative link sharing an endpoint with
-    /// a slot link can "pass", because the interferer-exclusion rule skips
-    /// the shared node precisely when it is busy with its own packet.
-    /// Schedulers claiming slot membership must use
-    /// [`ChannelSlotLedger::probe_claims`], which adds the half-duplex
-    /// screen; this raw variant exists for analysis and for cross-checking
-    /// against the from-scratch handshake computation.
-    pub fn probe(&self, tentative: &[Link]) -> LedgerProbe {
-        LedgerProbe {
-            existing_ok: self.existing_survive(tentative),
-            tentative_ok: self.price_tentative(tentative),
-        }
-    }
-
-    /// [`probe`](Self::probe) for a caller that discards the claims of a
-    /// vetoed slot: the tentative links are priced only when every assigned
-    /// link survives them, `None` otherwise.
+    /// A *pure SINR* check: a tentative link sharing an endpoint with a slot
+    /// link can pass, because the interferer-exclusion rule skips the shared
+    /// node precisely when it is busy with its own packet.
+    /// [`ChannelSlotLedger::probe_claims`], its one caller, adds the
+    /// half-duplex screen.
     fn probe_unless_vetoed(&self, tentative: &[Link]) -> Option<Vec<bool>> {
         self.existing_survive(tentative)
             .then(|| self.price_tentative(tentative))
@@ -1004,12 +984,11 @@ impl<'a> SlotLedger<'a> {
 /// per tentative link plus the aggregate health of the already-assigned
 /// links.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChannelLedgerProbe {
+pub struct SlotClaims {
     /// Whether every already-assigned link, on every channel, still completed
     /// its handshake while the tentative set transmitted during the
     /// channel-assignment phase. `false` corresponds to the SCREAM veto of
-    /// the distributed protocols; with one channel this is exactly
-    /// [`LedgerProbe::existing_ok`] on the full tentative set.
+    /// the distributed protocols.
     pub existing_ok: bool,
     /// The channel each tentative link claimed, in input order; `None` means
     /// no channel accepted the claim (the link withdraws as TRIED).
@@ -1042,39 +1021,27 @@ pub struct ChannelSlotLedger<'a> {
 }
 
 impl<'a> ChannelSlotLedger<'a> {
-    /// Opens an empty ledger set with `channel_count` channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_count` is zero.
-    pub fn new(env: &'a RadioEnvironment, channel_count: usize) -> Self {
-        Self::with_pruning(env, channel_count, PruningMode::Auto)
+    /// Opens an empty ledger set with one channel per
+    /// [`RadioEnvironment::channel_count`] (at least one).
+    pub fn new(env: &'a RadioEnvironment) -> Self {
+        Self::with_pruning(env, PruningMode::Auto)
     }
 
     /// Opens an empty ledger set whose per-channel ledgers have spatial
     /// pruning forced on (see [`SlotLedger::pruned`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_count` is zero.
-    pub fn pruned(env: &'a RadioEnvironment, channel_count: usize) -> Self {
-        Self::with_pruning(env, channel_count, PruningMode::Forced)
+    pub fn pruned(env: &'a RadioEnvironment) -> Self {
+        Self::with_pruning(env, PruningMode::Forced)
     }
 
     /// Opens an empty ledger set whose per-channel ledgers have spatial
     /// pruning disabled (see [`SlotLedger::exact`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_count` is zero.
-    pub fn exact(env: &'a RadioEnvironment, channel_count: usize) -> Self {
-        Self::with_pruning(env, channel_count, PruningMode::Off)
+    pub fn exact(env: &'a RadioEnvironment) -> Self {
+        Self::with_pruning(env, PruningMode::Off)
     }
 
-    fn with_pruning(env: &'a RadioEnvironment, channel_count: usize, mode: PruningMode) -> Self {
-        assert!(channel_count >= 1, "at least one channel is required");
+    fn with_pruning(env: &'a RadioEnvironment, mode: PruningMode) -> Self {
         Self {
-            channels: (0..channel_count)
+            channels: (0..env.channel_count())
                 .map(|_| SlotLedger::with_pruning(env, mode))
                 .collect(),
             cross_channel_disjoint: true,
@@ -1200,8 +1167,8 @@ impl<'a> ChannelSlotLedger<'a> {
 
     /// The slot-claim check of the distributed runtime's per-iteration
     /// handshake + SCREAM-veto step: each tentative link first-fits into the
-    /// cheapest channel whose handshake it completes —
-    /// [`SlotLedger::probe`] plus the half-duplex screen, channel by channel.
+    /// cheapest channel whose handshake it completes — a batched SINR probe
+    /// plus the half-duplex screen, channel by channel.
     ///
     /// The phase runs one sub-phase per channel, in increasing channel order.
     /// In sub-phase `c` every still-unassigned tentative link transmits on
@@ -1225,12 +1192,12 @@ impl<'a> ChannelSlotLedger<'a> {
     ///   exactly like the single-channel SCREAM veto.
     ///
     /// Links left unassigned after the last channel withdraw (`None`).
-    /// With one channel there is one sub-phase: `existing_ok` is
-    /// [`LedgerProbe::existing_ok`] on the full tentative set, and
-    /// `assignments[i]` is `Some(ch0)` iff no veto fired,
-    /// [`LedgerProbe::tentative_ok`]`[i]` holds and the screen admits
-    /// claim `i`.
-    pub fn probe_claims(&self, tentative: &[Link]) -> ChannelLedgerProbe {
+    /// With one channel there is one sub-phase: `existing_ok` says whether
+    /// every assigned link completes its handshake with the whole tentative
+    /// set transmitting, and `assignments[i]` is `Some(ch0)` iff no veto
+    /// fired, claim `i` completes its own handshake against the assigned
+    /// links and the other claims, and the screen admits it.
+    pub fn probe_claims(&self, tentative: &[Link]) -> SlotClaims {
         // The half-duplex screen is channel-independent: a link failing it
         // can claim no channel at all, but it keeps transmitting (and hence
         // interfering) in every sub-phase, like any other failed handshake.
@@ -1285,7 +1252,7 @@ impl<'a> ChannelSlotLedger<'a> {
                 })
                 .collect();
         }
-        ChannelLedgerProbe {
+        SlotClaims {
             existing_ok,
             assignments,
         }
@@ -1298,7 +1265,7 @@ impl RadioEnvironment {
     ///
     /// [`RadioConfig::channel_count`]: crate::radio::RadioConfig::channel_count
     pub fn open_channel_ledger(&self) -> ChannelSlotLedger<'_> {
-        ChannelSlotLedger::new(self, self.channel_count())
+        ChannelSlotLedger::new(self)
     }
 }
 
@@ -1306,12 +1273,15 @@ impl RadioEnvironment {
 mod tests {
     use super::*;
     use crate::propagation::PropagationModel;
+    use crate::radio::RadioConfig;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use scream_topology::{Deployment, GridDeployment, Point2, Rect, UniformDeployment};
 
-    fn line_env(count: usize, spacing: f64) -> RadioEnvironment {
+    /// `count` nodes 20 dBm `spacing` m apart on a line, α = 3, β = `beta_db`,
+    /// `channels` orthogonal channels.
+    fn line_env_at(count: usize, spacing: f64, beta_db: f64, channels: usize) -> RadioEnvironment {
         let positions: Vec<Point2> = (0..count)
             .map(|i| Point2::new(i as f64 * spacing, 0.0))
             .collect();
@@ -1319,34 +1289,77 @@ mod tests {
             .unwrap();
         RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
+            .config(
+                RadioConfig::mesh_default()
+                    .with_sinr_threshold_db(beta_db)
+                    .with_channel_count(channels),
+            )
             .build(&d)
+    }
+
+    /// [`line_env_at`] at the mesh default β = 10 dB.
+    fn line_env(count: usize, spacing: f64, channels: usize) -> RadioEnvironment {
+        line_env_at(count, spacing, 10.0, channels)
     }
 
     fn link(a: u32, b: u32) -> Link {
         Link::new(NodeId::new(a), NodeId::new(b))
     }
 
+    /// Each link's two-way handshake in a slot holding all of `links`, read
+    /// off the sums of one exact fill — the paper's definition, no probe.
+    fn handshakes(env: &RadioEnvironment, links: &[Link]) -> Vec<bool> {
+        let mut filled = SlotLedger::exact(env);
+        filled.assign_all(links);
+        (0..links.len())
+            .map(|i| {
+                filled.meets_beta(filled.data_signal[i], filled.data_interference[i])
+                    && filled.meets_beta(filled.ack_signal[i], filled.ack_interference[i])
+            })
+            .collect()
+    }
+
+    /// Whether `slot` plus `candidate` is a feasible slot, by one exact fill.
+    fn feasible_with(env: &RadioEnvironment, slot: &[Link], candidate: Link) -> bool {
+        let mut filled = SlotLedger::exact(env);
+        filled.assign_all(slot);
+        filled.assign(candidate);
+        filled.slot_feasible()
+    }
+
     #[test]
     fn can_add_matches_from_scratch_on_a_line() {
-        let env = line_env(8, 200.0);
+        let env = line_env(8, 200.0, 1);
         let mut ledger = SlotLedger::new(&env);
         let slot = [link(0, 1)];
         ledger.assign(slot[0]);
-        for candidate in [link(6, 7), link(2, 3), link(1, 2), link(4, 4)] {
+        for (candidate, expected) in [
+            (link(6, 7), true),
+            (link(2, 3), false),
+            (link(1, 2), false),
+            (link(4, 4), false),
+        ] {
+            assert_eq!(ledger.can_add(candidate), expected, "{candidate}");
             assert_eq!(
-                ledger.can_add(candidate),
-                env.can_add_to_slot(&slot, candidate),
-                "divergence for candidate {candidate}"
+                expected,
+                feasible_with(&env, &slot, candidate),
+                "{candidate}"
             );
         }
     }
 
     #[test]
     fn incremental_assign_matches_slot_feasible() {
-        let env = line_env(10, 220.0);
+        // Four hops at 220 m is too close: every link's data sub-slot hears
+        // the nearer head 660 m off, and the verdict says so.
+        let env = line_env(10, 220.0, 1);
         let links = [link(0, 1), link(4, 5), link(8, 9)];
-        let ledger = SlotLedger::with_links(&env, &links);
-        assert_eq!(ledger.slot_feasible(), env.slot_feasible(&links));
+        let mut ledger = SlotLedger::new(&env);
+        links.iter().for_each(|&l| ledger.assign(l));
+        let by_margin: Vec<bool> = ledger.margins().iter().map(LinkSinrMargin::ok).collect();
+        assert_eq!(by_margin, [false; 3]);
+        assert_eq!(handshakes(&env, &links), by_margin);
+        assert!(!ledger.slot_feasible());
         assert_eq!(ledger.len(), 3);
         assert!(ledger.contains(link(4, 5)));
         assert!(!ledger.is_empty());
@@ -1354,7 +1367,7 @@ mod tests {
 
     #[test]
     fn shared_endpoints_are_rejected_by_can_add_and_tracked_by_assign() {
-        let env = line_env(6, 150.0);
+        let env = line_env(6, 150.0, 1);
         let mut ledger = SlotLedger::new(&env);
         ledger.assign(link(0, 1));
         assert!(
@@ -1369,7 +1382,7 @@ mod tests {
 
     #[test]
     fn self_links_are_rejected() {
-        let env = line_env(4, 150.0);
+        let env = line_env(4, 150.0, 1);
         let mut ledger = SlotLedger::new(&env);
         assert!(!ledger.can_add(link(2, 2)));
         ledger.assign(link(2, 2));
@@ -1379,7 +1392,7 @@ mod tests {
     #[test]
     fn solo_infeasible_link_fails_even_in_an_empty_slot() {
         // Two nodes 100 km apart: not decodable even without interference.
-        let env = line_env(2, 100_000.0);
+        let env = line_env(2, 100_000.0, 1);
         let ledger = SlotLedger::new(&env);
         assert!(!ledger.can_add(link(0, 1)));
         let forced = SlotLedger::with_links(&env, &[link(0, 1)]);
@@ -1392,42 +1405,41 @@ mod tests {
 
     #[test]
     fn probe_matches_handshake_ok_for_each_participant() {
-        let env = line_env(12, 180.0);
+        // The runtime's batched probe against one exact fill of the assigned
+        // and tentative links together: a tentative set that breaks (0, 1)
+        // is vetoed, one that does not is priced link by link.
+        let env = line_env(12, 180.0, 1);
         let assigned = [link(0, 1), link(6, 7)];
         let ledger = SlotLedger::with_links(&env, &assigned);
-        let tentative = [link(3, 4), link(10, 11)];
-        let probe = ledger.probe(&tentative);
-
-        let participants: Vec<Link> = assigned.iter().chain(tentative.iter()).copied().collect();
-        let expected_existing = assigned.iter().all(|&l| env.handshake_ok(l, &participants));
-        let expected_tentative: Vec<bool> = tentative
-            .iter()
-            .map(|&l| env.handshake_ok(l, &participants))
-            .collect();
-        assert_eq!(probe.existing_ok, expected_existing);
-        assert_eq!(probe.tentative_ok, expected_tentative);
+        for (tentative, vetoed) in [
+            (vec![link(3, 4), link(10, 11)], true),
+            (vec![link(11, 10)], false),
+        ] {
+            let participants: Vec<Link> = assigned.iter().chain(&tentative).copied().collect();
+            let ok = handshakes(&env, &participants);
+            let (existing, claims) = ok.split_at(assigned.len());
+            assert_eq!(existing.iter().all(|&ok| ok), !vetoed, "{tentative:?}");
+            assert_eq!(
+                ledger.probe_unless_vetoed(&tentative),
+                (!vetoed).then(|| claims.to_vec()),
+                "{tentative:?}"
+            );
+        }
     }
 
     #[test]
     fn probe_claims_screens_half_duplex_conflicts_raw_probe_does_not() {
         // Chain 2 -> 1 -> 0 at a low SINR threshold: the exclusion rule skips
-        // the shared node 1 in both handshake directions, so the raw probe
-        // passes the claim — exactly the blind spot probe_claims closes.
-        let positions: Vec<Point2> = (0..6).map(|i| Point2::new(i as f64 * 150.0, 0.0)).collect();
-        let d = Deployment::from_positions(&positions, 20.0, Rect::square(900.0)).unwrap();
-        let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .config(crate::radio::RadioConfig::mesh_default().with_sinr_threshold_db(6.0))
-            .build(&d);
-        let mut ledger = ChannelSlotLedger::new(&env, 1);
+        // the shared node 1 in both handshake directions, so the SINR check
+        // alone passes the claim — exactly the blind spot probe_claims closes.
+        let env = line_env_at(6, 150.0, 6.0, 1);
+        let mut ledger = ChannelSlotLedger::new(&env);
         ledger.assign(ChannelId::ZERO, link(2, 1));
         let chained = link(1, 0);
-        assert!(
-            ledger
-                .channel(ChannelId::ZERO)
-                .probe(&[chained])
-                .tentative_ok[0],
-            "raw SINR probe admits the chain"
+        assert_eq!(
+            handshakes(&env, &[link(2, 1), chained]),
+            [true, true],
+            "the SINR check admits the chain"
         );
         assert_eq!(
             ledger.probe_claims(&[chained]).assignments,
@@ -1446,17 +1458,20 @@ mod tests {
 
     #[test]
     fn probe_with_empty_tentative_reports_current_slot_health() {
-        let env = line_env(8, 200.0);
+        let env = line_env(8, 200.0, 1);
         let ledger = SlotLedger::with_links(&env, &[link(0, 1), link(6, 7)]);
-        let probe = ledger.probe(&[]);
+        assert!(ledger.all_links_ok());
+        assert_eq!(ledger.probe_unless_vetoed(&[]), Some(Vec::new()));
+        let mut set = ChannelSlotLedger::new(&env);
+        set.assign_all(ChannelId::ZERO, ledger.links());
+        let probe = set.probe_claims(&[]);
         assert!(probe.existing_ok);
-        assert!(probe.tentative_ok.is_empty());
-        assert_eq!(probe.existing_ok, ledger.all_links_ok());
+        assert!(probe.assignments.is_empty());
     }
 
     #[test]
     fn margins_are_positive_for_feasible_slots_and_displayable() {
-        let env = line_env(8, 200.0);
+        let env = line_env(8, 200.0, 1);
         let ledger = SlotLedger::with_links(&env, &[link(0, 1), link(6, 7)]);
         assert!(ledger.slot_feasible());
         for margin in ledger.margins() {
@@ -1467,7 +1482,7 @@ mod tests {
 
     #[test]
     fn cleared_ledger_behaves_like_a_fresh_one() {
-        let env = line_env(8, 200.0);
+        let env = line_env(8, 200.0, 1);
         let mut reused = SlotLedger::new(&env);
         // Fill with a slot (including a force-assigned endpoint conflict),
         // clear, then replay a different slot; every observable must match a
@@ -1503,8 +1518,8 @@ mod tests {
     fn single_channel_ledger_set_degenerates_to_the_plain_ledger() {
         // With one channel the set must agree decision-for-decision with a
         // plain SlotLedger on the same assignment sequence.
-        let env = line_env(10, 200.0);
-        let mut set = ChannelSlotLedger::new(&env, 1);
+        let env = line_env(10, 200.0, 1);
+        let mut set = ChannelSlotLedger::new(&env);
         let mut plain = SlotLedger::new(&env);
         for candidate in [link(0, 1), link(4, 5), link(1, 2), link(8, 9), link(3, 3)] {
             assert_eq!(
@@ -1528,12 +1543,13 @@ mod tests {
         // (0,1) and (2,3) are too close to share a single channel, yet they
         // coexist on different channels; (1,2) touches busy nodes and is
         // rejected on *every* channel (one radio per node).
-        let env = line_env(8, 200.0);
-        assert!(!env.slot_feasible(&[link(0, 1), link(2, 3)]));
+        let env = line_env(8, 200.0, 1);
+        assert!(!feasible_with(&env, &[link(0, 1)], link(2, 3)));
         let mut set = env.open_channel_ledger();
         assert_eq!(set.channel_count(), 1, "mesh default is single-channel");
 
-        let mut set2 = ChannelSlotLedger::new(&env, 2);
+        let env2 = line_env(8, 200.0, 2);
+        let mut set2 = ChannelSlotLedger::new(&env2);
         assert!(set2.can_add(ChannelId::new(0), link(0, 1)));
         set2.assign(ChannelId::new(0), link(0, 1));
         assert!(
@@ -1565,8 +1581,8 @@ mod tests {
 
     #[test]
     fn force_assigned_cross_channel_conflicts_are_tracked_and_cleared() {
-        let env = line_env(8, 200.0);
-        let mut set = ChannelSlotLedger::new(&env, 2);
+        let env = line_env(8, 200.0, 2);
+        let mut set = ChannelSlotLedger::new(&env);
         set.assign(ChannelId::new(0), link(0, 1));
         set.assign(ChannelId::new(1), link(1, 2));
         assert!(
@@ -1580,7 +1596,7 @@ mod tests {
         assert!(set.is_empty());
         assert!(set.slot_feasible());
         assert!(set.endpoints_free(link(1, 2)));
-        let mut fresh = ChannelSlotLedger::new(&env, 2);
+        let mut fresh = ChannelSlotLedger::new(&env);
         for (c, l) in [
             (ChannelId::new(1), link(0, 1)),
             (ChannelId::new(0), link(6, 7)),
@@ -1598,17 +1614,12 @@ mod tests {
 
     #[test]
     fn single_channel_probe_claims_degenerates_to_the_plain_probe() {
-        // On one channel the claim check is the plain ledger's raw probe plus
-        // the half-duplex screen (spelled out here) with the veto folded into
-        // the claim — for passing, SINR-failing, half-duplex-failing and
+        // On one channel the claim check is the plain ledger's SINR probe
+        // plus the half-duplex screen (spelled out here) with the veto folded
+        // into the claim — for passing, SINR-failing, half-duplex-failing and
         // self-link claims.
-        let positions: Vec<Point2> = (0..8).map(|i| Point2::new(i as f64 * 150.0, 0.0)).collect();
-        let d = Deployment::from_positions(&positions, 20.0, Rect::square(1200.0)).unwrap();
-        let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .config(crate::radio::RadioConfig::mesh_default().with_sinr_threshold_db(6.0))
-            .build(&d);
-        let mut set = ChannelSlotLedger::new(&env, 1);
+        let env = line_env_at(8, 150.0, 6.0, 1);
+        let mut set = ChannelSlotLedger::new(&env);
         set.assign(ChannelId::ZERO, link(2, 1));
         let plain = SlotLedger::with_links(&env, &[link(2, 1)]);
         for tentative in [
@@ -1618,8 +1629,8 @@ mod tests {
             vec![link(4, 5), link(7, 6), link(3, 3)], // mixed with a self-link
         ] {
             let multi = set.probe_claims(&tentative);
-            let single = plain.probe(&tentative);
-            assert_eq!(multi.existing_ok, single.existing_ok, "{tentative:?}");
+            let single = plain.probe_unless_vetoed(&tentative);
+            assert_eq!(multi.existing_ok, single.is_some(), "{tentative:?}");
             for (i, &claim) in tentative.iter().enumerate() {
                 let half_duplex_ok = claim.head != claim.tail
                     && plain.endpoints_free(claim)
@@ -1627,7 +1638,7 @@ mod tests {
                         .iter()
                         .enumerate()
                         .all(|(j, other)| j == i || !other.shares_endpoint(&claim));
-                let admitted = single.existing_ok && single.tentative_ok[i] && half_duplex_ok;
+                let admitted = single.as_ref().is_some_and(|ok| ok[i]) && half_duplex_ok;
                 let expected = admitted.then_some(ChannelId::ZERO);
                 assert_eq!(
                     multi.assignments[i], expected,
@@ -1642,9 +1653,9 @@ mod tests {
         // (0,1) is on channel 0; (2,3) conflicts with it under SINR, so its
         // claim carries to channel 1; (1,4) touches busy node 1 and claims
         // nothing on any channel.
-        let env = line_env(8, 200.0);
-        assert!(!env.slot_feasible(&[link(0, 1), link(2, 3)]));
-        let mut set = ChannelSlotLedger::new(&env, 2);
+        let env = line_env(8, 200.0, 2);
+        assert!(!feasible_with(&env, &[link(0, 1)], link(2, 3)));
+        let mut set = ChannelSlotLedger::new(&env);
         set.assign(ChannelId::ZERO, link(0, 1));
         let probe = set.probe_claims(&[link(2, 3)]);
         assert_eq!(probe.assignments, vec![Some(ChannelId::new(1))]);
@@ -1667,13 +1678,13 @@ mod tests {
     fn probe_claims_reports_unhealthy_channels_even_with_no_open_claims() {
         // A force-assigned link that cannot complete its handshake even
         // undisturbed (100 km apart) must surface through existing_ok — on
-        // an empty tentative set (mirroring SlotLedger::probe) and when
-        // every claim resolves on an earlier channel.
-        let env = line_env(4, 100_000.0);
-        let mut set = ChannelSlotLedger::new(&env, 1);
+        // an empty tentative set (mirroring the plain ledger's probe) and
+        // when every claim resolves on an earlier channel.
+        let env = line_env(4, 100_000.0, 1);
+        let mut set = ChannelSlotLedger::new(&env);
         set.assign(ChannelId::ZERO, link(0, 1));
         let plain = SlotLedger::with_links(&env, &[link(0, 1)]);
-        assert!(!plain.probe(&[]).existing_ok);
+        assert_eq!(plain.probe_unless_vetoed(&[]), None);
         assert!(
             !set.probe_claims(&[]).existing_ok,
             "the empty-claim probe must still check the assigned links"
@@ -1683,8 +1694,8 @@ mod tests {
         // channel's unhealthy force-assigned links: (0,1) and (2,3) disturb
         // each other on channel 1, the clean claim (6,7) takes channel 0,
         // and channel 1's sub-phase still raises its veto.
-        let env = line_env(8, 200.0);
-        let mut set2 = ChannelSlotLedger::new(&env, 2);
+        let env = line_env(8, 200.0, 2);
+        let mut set2 = ChannelSlotLedger::new(&env);
         set2.assign(ChannelId::new(1), link(0, 1));
         set2.assign(ChannelId::new(1), link(2, 3));
         assert!(!set2.channel(ChannelId::new(1)).all_links_ok());
@@ -1701,17 +1712,11 @@ mod tests {
         // Put (2,1) on channel 0 of a low-β environment; the tentative (4,3)
         // disturbs it there (veto on channel 0) yet claims channel 1, where
         // nothing is scheduled.
-        let positions: Vec<Point2> = (0..6).map(|i| Point2::new(i as f64 * 150.0, 0.0)).collect();
-        let d = Deployment::from_positions(&positions, 20.0, Rect::square(900.0)).unwrap();
-        let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .config(crate::radio::RadioConfig::mesh_default().with_sinr_threshold_db(6.0))
-            .build(&d);
-        let mut set = ChannelSlotLedger::new(&env, 2);
+        let env = line_env_at(6, 150.0, 6.0, 2);
+        let mut set = ChannelSlotLedger::new(&env);
         set.assign(ChannelId::ZERO, link(2, 1));
-        let solo = set.channel(ChannelId::ZERO).probe(&[link(4, 3)]);
         assert!(
-            !solo.existing_ok,
+            !handshakes(&env, &[link(2, 1), link(4, 3)])[0],
             "the scenario needs (4,3) to disturb channel 0"
         );
         let probe = set.probe_claims(&[link(4, 3)]);
@@ -1795,7 +1800,7 @@ mod tests {
 
     /// A jittered 120 × 3 lattice with streamed gains, 21.5 m hops, node `i`
     /// transmitting at 0 dBm + `spread_db` × (−1, 0, +1 by `i mod 3`).
-    fn jittered_lattice(rng: &mut ChaCha8Rng, spread_db: f64) -> RadioEnvironment {
+    fn jittered_lattice(rng: &mut ChaCha8Rng, spread_db: f64, channels: usize) -> RadioEnvironment {
         let (columns, rows, step_m) = (120usize, 3usize, 21.5);
         let nodes = (0..columns * rows)
             .map(|i| {
@@ -1816,6 +1821,7 @@ mod tests {
             Deployment::from_nodes(nodes, region, scream_topology::DeploymentKind::Custom).unwrap();
         RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
+            .config(RadioConfig::mesh_default().with_channel_count(channels))
             .streamed_gains()
             .build(&d)
     }
@@ -1824,11 +1830,12 @@ mod tests {
     /// jittered 120 × 3 lattice with streamed gains (0 dBm over 21.5 m hops
     /// keeps the 2.15 km far-field cutoff inside its 2.6 km extent, so
     /// `SlotLedger::new` prunes), odd seeds a shadowed uniform mesh with a
-    /// dense gain matrix (narrower than its cutoff, so `new` probes exactly).
-    fn seeded_world(seed: u64) -> RadioEnvironment {
+    /// dense gain matrix (narrower than its cutoff, so `new` probes exactly);
+    /// `channels` orthogonal channels either way.
+    fn seeded_world(seed: u64, channels: usize) -> RadioEnvironment {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         if seed.is_multiple_of(2) {
-            jittered_lattice(&mut rng, 0.0)
+            jittered_lattice(&mut rng, 0.0, channels)
         } else {
             let nodes = rng.gen_range(12usize..=40);
             let d = UniformDeployment::new(nodes, 150.0 * (nodes as f64).sqrt()).build(&mut rng);
@@ -1836,8 +1843,9 @@ mod tests {
                 .propagation(PropagationModel::log_distance(3.0))
                 .shadowing(rng.gen_range(0.0..8.0), seed)
                 .config(
-                    crate::radio::RadioConfig::mesh_default()
-                        .with_sinr_threshold_db(rng.gen_range(4.0..12.0)),
+                    RadioConfig::mesh_default()
+                        .with_sinr_threshold_db(rng.gen_range(4.0..12.0))
+                        .with_channel_count(channels),
                 )
                 .build(&d)
         }
@@ -1889,7 +1897,7 @@ mod tests {
         ];
         let mut pruned_by_default = 0;
         for seed in 0..40u64 {
-            let env = seeded_world(seed);
+            let env = seeded_world(seed, 1);
             for (name, mode) in constructors {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
                 let mut ledger = SlotLedger::with_pruning(&env, mode);
@@ -1938,9 +1946,9 @@ mod tests {
     #[test]
     fn binding_victim_screen_is_verdict_neutral_on_two_channels() {
         for seed in 0..20u64 {
-            let env = seeded_world(seed);
+            let env = seeded_world(seed, 2);
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xc2);
-            let mut set = ChannelSlotLedger::new(&env, 2);
+            let mut set = ChannelSlotLedger::new(&env);
             for _ in 0..200 {
                 let candidate = draw_link(&env, &mut rng);
                 let channel = ChannelId::new(rng.gen_range(0..2u16));
@@ -2000,15 +2008,20 @@ mod tests {
         // The seeded worlds (streamed lattices and shadowed dense meshes),
         // plus lattices at homogeneous and ± 3 dB power: the disc is sized
         // from the *weakest* transmitter, which the latter tells apart.
-        let lattices =
-            [0.0, 3.0].map(|spread| jittered_lattice(&mut ChaCha8Rng::seed_from_u64(7), spread));
-        let worlds: Vec<RadioEnvironment> = (0..16).map(seeded_world).chain(lattices).collect();
-        for (w, env) in worlds.iter().enumerate() {
+        let world = |w: u64, channels: usize| match w.checked_sub(16) {
+            None => seeded_world(w, channels),
+            Some(l) => {
+                let spread = [0.0, 3.0][l as usize];
+                jittered_lattice(&mut ChaCha8Rng::seed_from_u64(7), spread, channels)
+            }
+        };
+        for w in 0..18u64 {
             for channel_count in [1usize, 2] {
+                let env = &world(w, channel_count);
                 for mode in [PruningMode::Forced, PruningMode::Off] {
                     let what = format!("world {w}, C = {channel_count}, {mode:?}");
-                    let mut rng = ChaCha8Rng::seed_from_u64(w as u64 ^ 0x5c4e);
-                    let mut set = ChannelSlotLedger::with_pruning(env, channel_count, mode);
+                    let mut rng = ChaCha8Rng::seed_from_u64(w ^ 0x5c4e);
+                    let mut set = ChannelSlotLedger::with_pruning(env, mode);
                     let mut refused = 0;
                     // First-fit a dozen links, questioning the screen after
                     // every assignment.
@@ -2083,7 +2096,7 @@ mod tests {
         rng: &mut ChaCha8Rng,
         shape: usize,
     ) -> Option<Vec<(ChannelId, Link)>> {
-        let mut scratch = ChannelSlotLedger::exact(env, channel_count);
+        let mut scratch = ChannelSlotLedger::exact(env);
         let mut entries = Vec::new();
         for _ in 0..60 {
             let (ch, l) = (
@@ -2129,10 +2142,13 @@ mod tests {
 
     /// The worlds, channel counts and ledger kinds the fill tests run over.
     fn fill_cases() -> Vec<(RadioEnvironment, usize, PruningMode)> {
-        let lattice = jittered_lattice(&mut ChaCha8Rng::seed_from_u64(11), 3.0);
         let mut cases = Vec::new();
-        for env in (0..12).map(seeded_world).chain([lattice]) {
+        for w in 0..13u64 {
             for channel_count in [1usize, 2] {
+                let env = match w {
+                    12 => jittered_lattice(&mut ChaCha8Rng::seed_from_u64(11), 3.0, channel_count),
+                    _ => seeded_world(w, channel_count),
+                };
                 for mode in [PruningMode::Auto, PruningMode::Forced, PruningMode::Off] {
                     cases.push((env.clone(), channel_count, mode));
                 }
@@ -2146,8 +2162,8 @@ mod tests {
         let mut infeasible = 0;
         for (case, (env, channel_count, mode)) in fill_cases().into_iter().enumerate() {
             let mut rng = ChaCha8Rng::seed_from_u64(case as u64 ^ 0xa11);
-            let mut one_by_one = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
-            let mut at_once = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
+            let mut one_by_one = ChannelSlotLedger::with_pruning(&env, mode);
+            let mut at_once = ChannelSlotLedger::with_pruning(&env, mode);
             // Every shape, twice through the same two ledger sets: `clear`
             // and reuse must not tell the two fill paths apart either.
             for shape in (0..6).chain(0..6) {
@@ -2221,8 +2237,8 @@ mod tests {
         let (mut feasible, mut infeasible) = (0, 0);
         for (case, (env, channel_count, mode)) in fill_cases().into_iter().enumerate() {
             let mut rng = ChaCha8Rng::seed_from_u64(case as u64 ^ 0xf111);
-            let mut probed = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
-            let mut filled = ChannelSlotLedger::with_pruning(&env, channel_count, mode);
+            let mut probed = ChannelSlotLedger::with_pruning(&env, mode);
+            let mut filled = ChannelSlotLedger::with_pruning(&env, mode);
             for shape in 0..6 {
                 let Some(mut entries) = draw_slot(&env, channel_count, &mut rng, shape) else {
                     continue;
@@ -2278,7 +2294,7 @@ mod tests {
         // The memo remembers the last failed victim, so its content depends
         // on the order candidates were probed in — verdicts must not.
         for seed in 0..20u64 {
-            let env = seeded_world(seed);
+            let env = seeded_world(seed, 1);
             for mode in [PruningMode::Forced, PruningMode::Off] {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0dde);
                 let mut ledger = SlotLedger::with_pruning(&env, mode);
@@ -2307,7 +2323,7 @@ mod tests {
     #[test]
     fn veto_first_probe_matches_the_full_probe() {
         for seed in 0..30u64 {
-            let env = seeded_world(seed);
+            let env = seeded_world(seed, 1);
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7e70);
             let mut ledger = SlotLedger::new(&env);
             probe_and_fill(&mut ledger, &mut rng, 60, "fill");
@@ -2315,10 +2331,14 @@ mod tests {
                 let tentative: Vec<Link> = (0..rng.gen_range(0..4usize))
                     .map(|_| draw_link(&env, &mut rng))
                     .collect();
-                let full = ledger.probe(&tentative);
+                // The full probe: every participant's handshake in one fill.
+                let participants: Vec<Link> =
+                    ledger.links().iter().chain(&tentative).copied().collect();
+                let ok = handshakes(&env, &participants);
+                let (existing, claims) = ok.split_at(ledger.len());
                 assert_eq!(
                     ledger.probe_unless_vetoed(&tentative),
-                    full.existing_ok.then_some(full.tentative_ok),
+                    existing.iter().all(|&ok| ok).then(|| claims.to_vec()),
                     "seed {seed}: {tentative:?}"
                 );
             }
@@ -2330,9 +2350,9 @@ mod tests {
         // Nothing here reads the occupancy bits: every expected answer is a
         // `shares_endpoint` scan over what the test itself assigned.
         for (seed, channel_count) in (0..24u64).flat_map(|seed| [(seed, 1usize), (seed, 3)]) {
-            let env = seeded_world(seed);
+            let env = seeded_world(seed, channel_count);
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0cc0);
-            let mut set = ChannelSlotLedger::new(&env, channel_count);
+            let mut set = ChannelSlotLedger::new(&env);
             let mut assigned: Vec<Vec<Link>> = vec![Vec::new(); channel_count];
             let n = env.node_count() as u32;
             for step in 0..120 {
@@ -2398,7 +2418,7 @@ mod tests {
 
     #[test]
     fn contains_screens_idle_endpoints_without_changing_answers() {
-        let env = line_env(8, 200.0);
+        let env = line_env(8, 200.0, 1);
         let mut ledger = SlotLedger::new(&env);
         ledger.assign(link(0, 1));
         ledger.assign(link(4, 5));
@@ -2412,7 +2432,8 @@ mod tests {
             !ledger.contains(link(0, 4)),
             "busy endpoints of different links still answer false"
         );
-        let mut set = ChannelSlotLedger::new(&env, 2);
+        let env2 = line_env(8, 200.0, 2);
+        let mut set = ChannelSlotLedger::new(&env2);
         set.assign(ChannelId::new(1), link(0, 1));
         assert!(set.contains_link(link(0, 1)));
         assert!(!set.contains_link(link(0, 2)));
@@ -2426,7 +2447,7 @@ mod tests {
             .propagation(PropagationModel::log_distance(3.0))
             .build(&d);
         // Horizontal links on alternating rows, added one by one; every probe
-        // must agree with the from-scratch computation on the same list.
+        // must agree with an exact fill of the same list plus the candidate.
         // Pruning forced: the grid is narrower than the cutoff disc.
         let mut ledger = SlotLedger::pruned(&env);
         let mut assigned: Vec<Link> = Vec::new();
@@ -2436,12 +2457,15 @@ mod tests {
                     Link::new(NodeId::new(row * 6 + col), NodeId::new(row * 6 + col + 1));
                 assert_eq!(
                     ledger.can_add(candidate),
-                    env.can_add_to_slot(&assigned, candidate),
+                    feasible_with(&env, &assigned, candidate),
                     "divergence adding {candidate} to {assigned:?}"
                 );
                 ledger.assign(candidate);
                 assigned.push(candidate);
-                assert_eq!(ledger.slot_feasible(), env.slot_feasible(&assigned));
+                assert_eq!(
+                    ledger.slot_feasible(),
+                    SlotLedger::with_links(&env, &assigned).slot_feasible()
+                );
             }
         }
         assert_eq!(ledger.links(), assigned.as_slice());

@@ -68,7 +68,7 @@ pub mod units;
 pub use clock::ClockSkewConfig;
 pub use des::{EventQueue, ScheduledEvent};
 pub use environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
-pub use ledger::{ChannelLedgerProbe, ChannelSlotLedger, LedgerProbe, LinkSinrMargin, SlotLedger};
+pub use ledger::{ChannelSlotLedger, LinkSinrMargin, SlotClaims, SlotLedger};
 pub use propagation::{GainProfile, PropagationModel, ShadowingField};
 pub use radio::{ChannelId, RadioConfig};
 pub use spatial::{EndpointBuckets, GridGeometry, SpatialGrid};
@@ -80,9 +80,7 @@ pub mod prelude {
     pub use crate::clock::ClockSkewConfig;
     pub use crate::des::{EventQueue, ScheduledEvent};
     pub use crate::environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
-    pub use crate::ledger::{
-        ChannelLedgerProbe, ChannelSlotLedger, LedgerProbe, LinkSinrMargin, SlotLedger,
-    };
+    pub use crate::ledger::{ChannelSlotLedger, LinkSinrMargin, SlotClaims, SlotLedger};
     pub use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
     pub use crate::radio::{ChannelId, RadioConfig};
     pub use crate::spatial::{EndpointBuckets, GridGeometry, SpatialGrid};

@@ -21,10 +21,12 @@
 //! Two implementations are provided:
 //!
 //! * [`RadioEnvironment`](scream_netsim::RadioEnvironment) — the physical
-//!   (SINR) interference model of Section II, the paper's subject. Its
-//!   accumulator is the [`ChannelSlotLedger`]: O(k) probes against cached
-//!   per-receiver interference sums instead of the O(k²) from-scratch
-//!   recomputation, one occupancy bit per node and channel for the
+//!   (SINR) interference model of Section II, the paper's subject, answered
+//!   by the interference ledger alone: `slot_feasible` fills a
+//!   [`SlotLedger`] and reads it, and the accumulator is the
+//!   [`ChannelSlotLedger`]: O(k) probes against cached per-receiver
+//!   interference sums instead of an O(k²) recomputation, one occupancy bit
+//!   per node and channel for the
 //!   one-radio-per-node rule, a filled slot's verdict read off those sums,
 //!   and a [refusal screen](SlotAccumulator::surely_refuses) that lets
 //!   first-fit pass a saturated slot by without probing it;
@@ -243,11 +245,7 @@ impl SlotAccumulator for ChannelSlotLedger<'_> {
 
 impl SlotFeasibility for RadioEnvironment {
     fn slot_feasible(&self, links: &[Link]) -> bool {
-        RadioEnvironment::slot_feasible(self, links)
-    }
-
-    fn can_add(&self, existing: &[Link], candidate: Link) -> bool {
-        self.can_add_to_slot(existing, candidate)
+        SlotLedger::with_links(self, links).slot_feasible()
     }
 
     fn open_slot(&self) -> Box<dyn SlotAccumulator + '_> {
@@ -288,9 +286,10 @@ impl<T: SlotFeasibility + ?Sized> SlotFeasibility for &T {
     }
 }
 
-/// Wrapper around a [`RadioEnvironment`] whose accumulator is built with
-/// spatial pruning **disabled** (`ChannelSlotLedger::exact`), while every
-/// other method forwards to the environment unchanged.
+/// Wrapper around a [`RadioEnvironment`] whose ledgers are built with
+/// spatial pruning **disabled** (`SlotLedger::exact`,
+/// `ChannelSlotLedger::exact`), while every other method forwards to the
+/// environment unchanged.
 ///
 /// The pruned ledger is verdict-identical to the exact one by construction
 /// (every screen carries a conservative margin and ambiguity falls back to
@@ -302,15 +301,13 @@ pub struct ExactPhysical<'a>(pub &'a RadioEnvironment);
 
 impl SlotFeasibility for ExactPhysical<'_> {
     fn slot_feasible(&self, links: &[Link]) -> bool {
-        RadioEnvironment::slot_feasible(self.0, links)
-    }
-
-    fn can_add(&self, existing: &[Link], candidate: Link) -> bool {
-        self.0.can_add_to_slot(existing, candidate)
+        let mut ledger = SlotLedger::exact(self.0);
+        ledger.assign_all(links);
+        ledger.slot_feasible()
     }
 
     fn open_slot(&self) -> Box<dyn SlotAccumulator + '_> {
-        Box::new(ChannelSlotLedger::exact(self.0, self.0.channel_count()))
+        Box::new(ChannelSlotLedger::exact(self.0))
     }
 
     fn slot_margins(&self, links: &[Link]) -> Vec<LinkSinrMargin> {
@@ -603,7 +600,7 @@ mod tests {
         for candidate in [link(0, 1), link(4, 5), link(2, 3), link(8, 9)] {
             assert_eq!(
                 acc.can_add(c0, candidate),
-                env.can_add_to_slot(&assigned, candidate),
+                SlotFeasibility::can_add(&env, &assigned, candidate),
                 "ledger accumulator diverges adding {candidate}"
             );
             if acc.can_add(c0, candidate) {

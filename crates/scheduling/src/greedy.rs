@@ -355,7 +355,9 @@ mod tests {
         // Walk runs, not slots: each distinct pattern is SINR-checked once.
         let sinr_violations = protocol
             .runs()
-            .filter(|(slot, _)| slot.len() > 1 && !env.slot_feasible(slot.links()))
+            .filter(|(slot, _)| {
+                slot.len() > 1 && !SlotFeasibility::slot_feasible(&env, slot.links())
+            })
             .count();
         assert!(
             sinr_violations > 0,

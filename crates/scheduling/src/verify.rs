@@ -493,8 +493,8 @@ mod tests {
             SlotPattern::from_entries(vec![(ch(0), link(0, 1)), (ch(1), link(1, 2))]),
             1,
         )]);
-        assert!(env.slot_feasible(&[link(0, 1)]));
-        assert!(env.slot_feasible(&[link(1, 2)]));
+        assert!(SlotFeasibility::slot_feasible(&env, &[link(0, 1)]));
+        assert!(SlotFeasibility::slot_feasible(&env, &[link(1, 2)]));
         let err = verify_slots_feasible(&env, &s).unwrap_err();
         assert_eq!(
             err,

@@ -159,18 +159,6 @@ pub struct SegmentReport {
     pub delay: DelayStats,
 }
 
-impl SegmentReport {
-    /// Delivered ÷ injected over this segment, in percent (100 when nothing
-    /// was injected — an idle segment loses nothing).
-    pub fn delivery_pct(&self) -> f64 {
-        if self.injected == 0 {
-            100.0
-        } else {
-            self.delivered as f64 / self.injected as f64 * 100.0
-        }
-    }
-}
-
 /// Cumulative counters over a whole session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
 pub struct SessionTotals {

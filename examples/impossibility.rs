@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example impossibility`
 
+use scream::prelude::*;
 use scream::protocols::impossibility::{CounterExample, LocalizedGreedy};
 
 fn main() {
@@ -17,6 +18,7 @@ fn main() {
         let env = ce.environment();
         let graph = env.communication_graph();
         let separation = ce.link_separation_hops(&graph);
+        let feasible = |slot: &[Link]| SlotLedger::with_links(&env, slot).slot_feasible();
 
         println!(
             "locality k = {k}: line of {} nodes, candidate links {} and {} are {} hops apart",
@@ -25,16 +27,15 @@ fn main() {
             ce.link_l_prime,
             separation
         );
+        let (l_alone, l_prime_alone) = (feasible(&[ce.link_l]), feasible(&[ce.link_l_prime]));
         println!(
-            "  each link alone satisfies the SINR threshold ({:.1} dB): l -> {}, l' -> {}",
+            "  each link alone satisfies the SINR threshold ({:.1} dB): l -> {l_alone}, l' -> {l_prime_alone}",
             ce.sinr_threshold_db,
-            env.slot_feasible(&[ce.link_l]),
-            env.slot_feasible(&[ce.link_l_prime]),
         );
-        println!(
-            "  both links in the same slot are feasible under the physical model: {}",
-            env.slot_feasible(&[ce.link_l, ce.link_l_prime])
-        );
+        assert!(l_alone && l_prime_alone, "each link is feasible alone");
+        let pair = feasible(&[ce.link_l, ce.link_l_prime]);
+        println!("  both links in the same slot are feasible under the physical model: {pair}");
+        assert!(!pair, "the pair is infeasible");
 
         // The strawman localized scheduler admits both links, because each
         // decision only consults links within k hops.
@@ -49,12 +50,17 @@ fn main() {
         }
         println!(
             "  localized greedy (k = {k}) admitted the far link: {admitted_second}; resulting slot feasible: {}",
-            env.slot_feasible(&slot)
+            feasible(&slot)
         );
+        assert!(
+            admitted_second,
+            "the localized rule cannot see l and admits l'"
+        );
+        let global = SlotLedger::with_links(&env, &[ce.link_l]).can_add(ce.link_l_prime);
         println!(
-            "  global SINR check (what FDD's handshake + SCREAM veto implements): admits far link = {}",
-            env.can_add_to_slot(&[ce.link_l], ce.link_l_prime)
+            "  global SINR check (what FDD's handshake + SCREAM veto implements): admits far link = {global}"
         );
+        assert!(!global, "the ledger refuses the far link");
         println!();
     }
     println!("A localized rule builds infeasible slots on these instances for every constant k;");

@@ -45,13 +45,14 @@ fn main() {
     let graph = env.communication_graph();
 
     // How asymmetric did the heterogeneous powers make the physical layer?
+    // A lone link's two margins are its data (u -> v) and ACK (v -> u)
+    // directions over the noise floor: one-way when exactly one clears β.
     let mut one_way = 0usize;
     for u in deployment.node_ids() {
         for v in deployment.node_ids() {
             if u < v {
-                let forward = env.decodable(u, v, &[]);
-                let backward = env.decodable(v, u, &[]);
-                if forward != backward {
+                let lone = SlotLedger::with_links(&env, &[Link::new(u, v)]).margins()[0];
+                if (lone.data_margin_db >= 0.0) != (lone.ack_margin_db >= 0.0) {
                     one_way += 1;
                 }
             }

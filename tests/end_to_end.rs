@@ -1,6 +1,7 @@
 //! End-to-end integration tests spanning every crate in the workspace: from a
 //! deployment through the radio environment, routing, demand aggregation,
-//! distributed scheduling and verification.
+//! distributed scheduling and verification. Every schedule verified here is
+//! also judged by the independent [`Oracle`], which must agree.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -9,13 +10,29 @@ use scream::prelude::*;
 use scream::protocols::ProtocolKind;
 use scream_bench::PaperScenario;
 
+#[path = "common/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
+
+/// `verify_schedule`'s verdict on `schedule`, asserted equal to the oracle's.
+fn verify(
+    oracle: &Oracle,
+    env: &RadioEnvironment,
+    schedule: &Schedule,
+    demands: &LinkDemands,
+) -> Result<(), ScheduleViolation> {
+    let verdict = verify_schedule(env, schedule, demands);
+    assert_eq!(oracle.accepts(schedule), verdict.is_ok(), "{verdict:?}");
+    verdict
+}
+
 /// Builds a complete scheduling instance on a planned grid.
 fn grid_instance(
     side: usize,
     step_m: f64,
     gateway_count: usize,
     seed: u64,
-) -> (RadioEnvironment, LinkDemands) {
+) -> (RadioEnvironment, LinkDemands, Oracle) {
     let deployment = GridDeployment::new(side, side, step_m).build();
     let env = RadioEnvironment::builder()
         .propagation(PropagationModel::log_distance(3.0))
@@ -29,18 +46,19 @@ fn grid_instance(
     let demands =
         DemandVector::generate(deployment.len(), DemandConfig::PAPER, &gateways, &mut rng);
     let link_demands = LinkDemands::aggregate(&forest, &demands).unwrap();
-    (env, link_demands)
+    let oracle = Oracle::unshadowed(&deployment, env.config());
+    (env, link_demands, oracle)
 }
 
 #[test]
 fn full_pipeline_produces_valid_schedules_for_every_protocol() {
-    let (env, link_demands) = grid_instance(5, 140.0, 2, 1);
+    let (env, link_demands, oracle) = grid_instance(5, 140.0, 2, 1);
     let config = ProtocolConfig::paper_default()
         .with_scream_slots(env.interference_diameter())
         .with_seed(1);
 
     let centralized = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
-    verify_schedule(&env, &centralized, &link_demands).unwrap();
+    verify(&oracle, &env, &centralized, &link_demands).unwrap();
 
     for kind in [
         ProtocolKind::Fdd,
@@ -52,7 +70,7 @@ fn full_pipeline_produces_valid_schedules_for_every_protocol() {
         let run = DistributedScheduler::new(kind, config)
             .run(&env, &link_demands)
             .unwrap_or_else(|e| panic!("{kind:?} failed: {e}"));
-        verify_schedule(&env, &run.schedule, &link_demands)
+        verify(&oracle, &env, &run.schedule, &link_demands)
             .unwrap_or_else(|e| panic!("{kind:?} produced an invalid schedule: {e}"));
         assert!(run.stats.terminated, "{kind:?} must terminate");
         assert!(
@@ -66,7 +84,7 @@ fn full_pipeline_produces_valid_schedules_for_every_protocol() {
 #[test]
 fn fdd_and_afdd_recreate_the_centralized_schedule_across_instances() {
     for seed in [3u64, 5, 9] {
-        let (env, link_demands) = grid_instance(4, 160.0, 1, seed);
+        let (env, link_demands, _) = grid_instance(4, 160.0, 1, seed);
         let config = ProtocolConfig::paper_default()
             .with_scream_slots(env.interference_diameter())
             .with_seed(seed);
@@ -88,7 +106,7 @@ fn fdd_and_afdd_recreate_the_centralized_schedule_across_instances() {
 fn schedule_quality_ordering_matches_the_paper() {
     // Centralized == FDD >= PDD(any p), and the serialized schedule is the
     // common upper bound on length.
-    let (env, link_demands) = grid_instance(6, 130.0, 4, 7);
+    let (env, link_demands, _) = grid_instance(6, 130.0, 4, 7);
     let config = ProtocolConfig::paper_default()
         .with_scream_slots(env.interference_diameter())
         .with_seed(7);
@@ -124,7 +142,7 @@ fn schedule_quality_ordering_matches_the_paper() {
 
 #[test]
 fn physical_scream_fidelity_and_ideal_fidelity_agree_end_to_end() {
-    let (env, link_demands) = grid_instance(4, 150.0, 1, 11);
+    let (env, link_demands, _) = grid_instance(4, 150.0, 1, 11);
     let base = ProtocolConfig::paper_default()
         .with_scream_slots(env.interference_diameter())
         .with_seed(11);
@@ -143,7 +161,7 @@ fn physical_scream_fidelity_and_ideal_fidelity_agree_end_to_end() {
 
 #[test]
 fn execution_time_knobs_do_not_change_the_schedule() {
-    let (env, link_demands) = grid_instance(4, 150.0, 2, 13);
+    let (env, link_demands, _) = grid_instance(4, 150.0, 2, 13);
     let base = ProtocolConfig::paper_default()
         .with_scream_slots(env.interference_diameter())
         .with_seed(13);
@@ -197,7 +215,8 @@ fn unplanned_heterogeneous_instance_schedules_end_to_end() {
         .with_config(config)
         .run(&env, &link_demands)
         .unwrap();
-    verify_schedule(&env, &fdd.schedule, &link_demands).unwrap();
+    let oracle = Oracle::unshadowed(&deployment, env.config());
+    verify(&oracle, &env, &fdd.schedule, &link_demands).unwrap();
     assert_eq!(
         fdd.schedule,
         GreedyPhysical::paper_baseline().schedule(&env, &link_demands)
@@ -233,8 +252,21 @@ fn localized_scheduling_fails_where_global_scheduling_succeeds() {
     let graph = env.communication_graph();
     let localized = LocalizedGreedy::new(3);
     assert!(localized.admits(&env, &graph, &[ce.link_l], ce.link_l_prime));
-    assert!(!env.can_add_to_slot(&[ce.link_l], ce.link_l_prime));
-    assert!(!env.slot_feasible(&[ce.link_l, ce.link_l_prime]));
+    assert!(!SlotLedger::with_links(&env, &[ce.link_l]).can_add(ce.link_l_prime));
+    // The construction's own β and −100 dBm noise floor reach the oracle
+    // through the environment's configuration: each link alone verifies,
+    // the pair does not.
+    let oracle = Oracle::unshadowed(&ce.deployment, env.config());
+    let demands =
+        LinkDemands::from_links(ce.deployment.len(), &[(ce.link_l, 1), (ce.link_l_prime, 1)])
+            .unwrap();
+    for (slots, feasible) in [
+        (vec![vec![ce.link_l], vec![ce.link_l_prime]], true),
+        (vec![vec![ce.link_l, ce.link_l_prime]], false),
+    ] {
+        let schedule = Schedule::from_slots(slots);
+        assert_eq!(verify(&oracle, &env, &schedule, &demands).is_ok(), feasible);
+    }
 }
 
 #[test]
@@ -262,7 +294,13 @@ fn traffic_engine_carries_packets_over_a_distributed_schedule() {
         )
         .run(&env, &link_demands)
         .unwrap();
-    verify_schedule(&env, &run.schedule, &link_demands).unwrap();
+    verify(
+        &Oracle::unshadowed(&deployment, env.config()),
+        &env,
+        &run.schedule,
+        &link_demands,
+    )
+    .unwrap();
 
     // 70% of the frame's capacity: one deterministic flow per mesh node.
     let frame = run.frame_service();
@@ -372,7 +410,8 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
     // third with two channels). Per run: `ProtocolTiming` (scream slots,
     // handshake slots, sync steps), `RunStats` (rounds, iterations,
     // elections, SCREAM invocations, handshake steps, vetoes, tried), then
-    // schedule length, pattern count and digest.
+    // schedule length, pattern count and digest. Every schedule verifies,
+    // and so says the oracle over the instance's σ = 4 dB shadowing draws.
     type Pin = ([u64; 3], [u64; 7], usize, usize, u64);
     let grids: [(PaperScenario, u64, f64, [Pin; 3]); 3] = [
         (
@@ -464,6 +503,15 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
     ];
     for (scenario, seed, p, pins) in grids {
         let instance = scenario.instantiate(seed).unwrap();
+        let oracle = Oracle::new(
+            &instance.deployment,
+            instance.env.config(),
+            ShadowingField::generate(
+                instance.deployment.len(),
+                scenario.shadowing_sigma_db,
+                instance.seed,
+            ),
+        );
         let kinds = [
             ProtocolKind::Fdd,
             ProtocolKind::Afdd,
@@ -489,6 +537,13 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
             );
             assert_eq!(seen, pin, "{kind} diverged on the seed-{seed} grid");
             assert!(s.terminated);
+            verify(
+                &oracle,
+                &instance.env,
+                &run.schedule,
+                &instance.link_demands,
+            )
+            .unwrap();
         }
     }
 }

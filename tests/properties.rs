@@ -14,6 +14,10 @@ use scream::netsim::RadioConfig;
 use scream::prelude::*;
 use scream::scheduling::{verify_slots_feasible, EdgeOrdering, SlotPattern};
 
+#[path = "common/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
+
 /// Cases per property.
 const CASES: u32 = 24;
 
@@ -65,7 +69,7 @@ fn build_connected_on_channels(
 }
 
 /// [`build_connected_on_channels`] with the deployment the environment was
-/// built from, which is what [`oracle_accepts`] reads. Shadowing is off.
+/// built from, which is what an [`Oracle`] reads. Shadowing is off.
 fn build_instance(
     nodes: usize,
     seed: u64,
@@ -91,49 +95,6 @@ fn build_instance(
     let demands = DemandVector::generate(nodes, DemandConfig::PAPER, &gateways, &mut rng);
     let link_demands = LinkDemands::aggregate(&forest, &demands).ok()?;
     Some((deployment, env, link_demands))
-}
-
-/// The independent SINR oracle (ROADMAP 1(a)): whether every slot of
-/// `schedule` is feasible by the paper's definition, computed from node
-/// coordinates and the constants [`build_instance`] deploys with — path loss
-/// 40 dB at 1 m (flat inside it) plus 10 · 3 · log₁₀ d, per-node transmit
-/// power, the configuration's noise floor and β — and calling no `netsim`
-/// gain, SINR or ledger function. A node has one radio, so the links of a
-/// slot are endpoint-disjoint across all channels; within a channel both
-/// halves of every handshake (data head → tail against the other heads, ACK
-/// tail → head against the other tails) must reach β, a sender that is the
-/// link's own endpoint not counting as interference.
-fn oracle_accepts(deployment: &Deployment, config: &RadioConfig, schedule: &Schedule) -> bool {
-    let mw = |dbm: f64| 10f64.powf(dbm / 10.0);
-    let received_mw = |tx: NodeId, rx: NodeId| {
-        let (a, b) = (deployment.position(tx), deployment.position(rx));
-        let distance_m = (a.x - b.x).hypot(a.y - b.y);
-        let loss_db = 40.0 + 10.0 * 3.0 * distance_m.max(1.0).log10();
-        mw(deployment.tx_power_dbm(tx) - loss_db)
-    };
-    let (noise_mw, beta) = (mw(config.noise_floor_dbm), mw(config.sinr_threshold_db));
-    let decodes = |tx: NodeId, rx: NodeId, senders: &mut dyn Iterator<Item = NodeId>| {
-        let interference_mw: f64 = senders
-            .filter(|&s| s != tx && s != rx)
-            .map(|s| received_mw(s, rx))
-            .sum();
-        received_mw(tx, rx) / (noise_mw + interference_mw) >= beta
-    };
-    schedule.runs().all(|(pattern, _)| {
-        let links = pattern.links();
-        let one_radio_per_node = links
-            .iter()
-            .enumerate()
-            .all(|(i, a)| a.head != a.tail && links[i + 1..].iter().all(|b| !a.shares_endpoint(b)));
-        one_radio_per_node
-            && pattern.channel_groups().all(|(_, group)| {
-                group.iter().enumerate().all(|(i, link)| {
-                    let others = || group.iter().enumerate().filter(move |&(j, _)| j != i);
-                    decodes(link.head, link.tail, &mut others().map(|(_, l)| l.head))
-                        && decodes(link.tail, link.head, &mut others().map(|(_, l)| l.tail))
-                })
-            })
-    })
 }
 
 /// The reference GreedyPhysical, written from the algorithm's definition and
@@ -196,7 +157,7 @@ fn greedy_physical_schedules_are_always_valid() {
             if let Some((deployment, env, link_demands)) = build_instance(nodes, seed, 1) {
                 let schedule = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
                 assert!(verify_schedule(&env, &schedule, &link_demands).is_ok());
-                assert!(oracle_accepts(&deployment, env.config(), &schedule));
+                assert!(Oracle::unshadowed(&deployment, env.config()).accepts(&schedule));
                 assert!(schedule.length() as u64 <= link_demands.total_demand());
             }
         },
@@ -219,7 +180,7 @@ fn fdd_matches_greedy_physical() {
                 .run(&env, &link_demands)
                 .expect("FDD completes on connected instances");
             assert_eq!(
-                oracle_accepts(&deployment, env.config(), &run.schedule),
+                Oracle::unshadowed(&deployment, env.config()).accepts(&run.schedule),
                 verify_schedule(&env, &run.schedule, &link_demands).is_ok()
             );
             assert_eq!(run.schedule, centralized);
@@ -245,7 +206,7 @@ fn pdd_schedules_are_always_valid() {
                 .run(&env, &link_demands)
                 .expect("PDD completes on connected instances");
             assert!(verify_schedule(&env, &run.schedule, &link_demands).is_ok());
-            assert!(oracle_accepts(&deployment, env.config(), &run.schedule));
+            assert!(Oracle::unshadowed(&deployment, env.config()).accepts(&run.schedule));
             let max_demand = link_demands
                 .demanded_links()
                 .map(|(_, d)| d)
@@ -257,12 +218,17 @@ fn pdd_schedules_are_always_valid() {
     });
 }
 
-/// Adding an interferer can only lower the SINR, and removing all
-/// interference recovers the plain SNR.
+/// Interference sums only grow: on shadowed instances, assigning links to
+/// a ledger one at a time — endpoint sharing allowed — never raises an
+/// assigned link's data or ACK margin, and a lone link's margins are its two
+/// SNRs over β as the oracle computes them. (The fill-and-read verdict of
+/// `verify_schedule` rests on this.)
 #[test]
 fn sinr_is_monotone_in_the_interferer_set() {
     for_cases("sinr_is_monotone_in_the_interferer_set", CASES, |draw| {
-        let points: Vec<Point2> = (0..draw.gen_range(3usize..12))
+        let (nodes, seed) = (draw.gen_range(3usize..12), draw.gen_range(0u64..5000));
+        let sigma_db = draw.gen_range(0.0f64..8.0);
+        let points: Vec<Point2> = (0..nodes)
             .map(|_| {
                 Point2::new(
                     draw.gen_range(0.0f64..2000.0),
@@ -270,22 +236,42 @@ fn sinr_is_monotone_in_the_interferer_set() {
                 )
             })
             .collect();
-        // Distinct positions only (duplicates make gain = reference gain, fine,
-        // but keep the instance meaningful).
         let deployment = Deployment::from_positions(&points, 20.0, Rect::square(2000.0)).unwrap();
-        let env = RadioEnvironment::builder().build(&deployment);
-        let tx = NodeId::new(0);
-        let rx = NodeId::new(1);
-        let all: Vec<NodeId> = (2..points.len() as u32).map(NodeId::new).collect();
-        let mut previous = env.sinr_linear(tx, rx, &[]);
-        assert!(
-            (previous - env.received_power_mw(tx, rx) / env.config().noise_floor_mw()).abs()
-                <= previous * 1e-9
+        let env = RadioEnvironment::builder()
+            .shadowing(sigma_db, seed)
+            .build(&deployment);
+        let oracle = Oracle::new(
+            &deployment,
+            env.config(),
+            ShadowingField::generate(nodes, sigma_db, seed),
         );
-        for k in 0..=all.len() {
-            let current = env.sinr_linear(tx, rx, &all[..k]);
-            assert!(current <= previous + previous * 1e-12);
-            previous = current;
+        let snr_margin_db = |tx: NodeId, rx: NodeId| {
+            10.0 * (oracle.received_mw(tx, rx) / env.config().noise_floor_mw()).log10()
+                - env.config().sinr_threshold_db
+        };
+        let mut ledger = SlotLedger::new(&env);
+        let mut previous: Vec<LinkSinrMargin> = Vec::new();
+        for _ in 0..draw.gen_range(1usize..12) {
+            let head = draw.gen_range(0..nodes as u32);
+            let tail = (head + draw.gen_range(1..nodes as u32)) % nodes as u32;
+            let link = Link::new(NodeId::new(head), NodeId::new(tail));
+            ledger.assign(link);
+            let margins = ledger.margins();
+            if let [lone] = margins.as_slice() {
+                assert!((lone.data_margin_db - snr_margin_db(link.head, link.tail)).abs() < 1e-9);
+                assert!((lone.ack_margin_db - snr_margin_db(link.tail, link.head)).abs() < 1e-9);
+            }
+            for (before, after) in previous.iter().zip(&margins) {
+                assert!(
+                    after.data_margin_db <= before.data_margin_db,
+                    "{before} -> {after}"
+                );
+                assert!(
+                    after.ack_margin_db <= before.ack_margin_db,
+                    "{before} -> {after}"
+                );
+            }
+            previous = margins;
         }
     });
 }
@@ -392,9 +378,10 @@ fn simtime_roundtrips() {
 }
 
 /// The interference ledger's incremental `can_add`/`slot_feasible` agree
-/// with the from-scratch SINR computation on randomized environments
-/// (uniform placements, random shadowing) and randomized link sequences,
-/// including self-links and endpoint-sharing candidates.
+/// with the oracle's from-scratch SINR computation on randomized
+/// environments (uniform placements, random shadowing, the draws handed to
+/// the oracle as data) and randomized link sequences, including self-links
+/// and endpoint-sharing candidates.
 #[test]
 fn ledger_matches_from_scratch_feasibility() {
     for_cases("ledger_matches_from_scratch_feasibility", CASES, |draw| {
@@ -407,6 +394,11 @@ fn ledger_matches_from_scratch_feasibility() {
             .propagation(PropagationModel::log_distance(3.0))
             .shadowing(sigma_db, seed)
             .build(&deployment);
+        let oracle = Oracle::new(
+            &deployment,
+            env.config(),
+            ShadowingField::generate(nodes, sigma_db, seed),
+        );
 
         let mut ledger = SlotLedger::new(&env);
         let mut assigned: Vec<Link> = Vec::new();
@@ -417,7 +409,7 @@ fn ledger_matches_from_scratch_feasibility() {
             );
             assert_eq!(
                 ledger.can_add(candidate),
-                env.can_add_to_slot(&assigned, candidate),
+                oracle.can_add(&assigned, candidate),
                 "can_add diverged for {} on {:?}",
                 candidate,
                 assigned
@@ -426,18 +418,19 @@ fn ledger_matches_from_scratch_feasibility() {
                 ledger.assign(candidate);
                 assigned.push(candidate);
             }
-            assert_eq!(ledger.slot_feasible(), env.slot_feasible(&assigned));
+            assert_eq!(ledger.slot_feasible(), oracle.slot_feasible(&assigned));
         }
     });
 }
 
 /// GreedyPhysical — batched run-level placement over the incremental,
 /// spatially screened ledger — is decision-for-decision identical to
-/// [`reference_first_fit`] on randomized instances: arbitrary density
-/// (via the region side), seed, SINR threshold β, every edge ordering and
-/// C ∈ {1, 2, 3} channels. At C = 1 no pattern carries a channel tag,
-/// and the run-aware verifier's verdict is the from-scratch feasibility
-/// of every channel group.
+/// [`reference_first_fit`] over the [`Oracle`] (so the two share nothing
+/// but the edge order) on randomized instances: arbitrary density (via the
+/// region side), seed, SINR threshold β, every edge ordering and
+/// C ∈ {1, 2, 3} channels. At C = 1 no pattern carries a channel tag, and
+/// the run-aware verifier's verdict is the oracle's feasibility of every
+/// channel group.
 #[test]
 fn batched_placement_matches_per_unit() {
     for_cases("batched_placement_matches_per_unit", CASES, |draw| {
@@ -466,6 +459,7 @@ fn batched_placement_matches_per_unit() {
                         .with_channel_count(channels),
                 )
                 .build(&deployment);
+            let oracle = Oracle::unshadowed(&deployment, env.config());
             for ordering in [
                 EdgeOrdering::DecreasingHeadId,
                 EdgeOrdering::IncreasingHeadId,
@@ -473,7 +467,7 @@ fn batched_placement_matches_per_unit() {
                 EdgeOrdering::IncreasingDemand,
             ] {
                 let batched = GreedyPhysical::new(ordering).schedule(&env, &demands);
-                let reference = reference_first_fit(&env, ordering, &demands);
+                let reference = reference_first_fit(&oracle, ordering, &demands);
                 assert_eq!(
                     &batched, &reference,
                     "greedy != reference for ordering {:?}, C = {}, beta {} dB",
@@ -484,7 +478,7 @@ fn batched_placement_matches_per_unit() {
                 let from_scratch_feasible = batched.runs().all(|(pattern, _)| {
                     pattern
                         .channel_groups()
-                        .all(|(_, group)| env.slot_feasible(group))
+                        .all(|(_, group)| oracle.slot_feasible(group))
                 });
                 assert_eq!(
                     verify_slots_feasible(&env, &batched).is_ok(),
@@ -540,9 +534,10 @@ fn run_length_schedule_roundtrips() {
         }
         assert_eq!(schedule.slot(schedule.length()), None);
         // The run-aware verifier agrees with a naive per-slot check.
+        let oracle = Oracle::unshadowed(&deployment, env.config());
         let naive_feasible = expanded
             .iter()
-            .all(|slot| slot.is_empty() || env.slot_feasible(slot));
+            .all(|slot| slot.is_empty() || oracle.slot_feasible(slot));
         assert_eq!(
             verify_slots_feasible(&env, &schedule).is_ok(),
             naive_feasible
@@ -575,8 +570,8 @@ fn multi_channel_schedules_verify_and_never_lengthen() {
                 let single = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
                 let multi = GreedyPhysical::paper_baseline().schedule(&multi_env, &link_demands);
                 assert!(verify_schedule(&multi_env, &multi, &link_demands).is_ok());
-                assert!(oracle_accepts(&deployment, env.config(), &single));
-                assert!(oracle_accepts(&deployment, multi_env.config(), &multi));
+                assert!(Oracle::unshadowed(&deployment, env.config()).accepts(&single));
+                assert!(Oracle::unshadowed(&deployment, multi_env.config()).accepts(&multi));
                 assert!(multi.length() <= single.length());
                 assert!(multi.channels_used() <= channels);
                 assert!(multi
@@ -662,10 +657,11 @@ fn single_channel_runtime_reduction_is_exact() {
     });
 }
 
-/// The ledger's batched runtime probe agrees with per-participant
-/// `handshake_ok` even when links share endpoints (where the SINR
-/// interferer-exclusion rules apply), and force-assigned sets report the
-/// same per-link handshake health as the from-scratch computation.
+/// The runtime's batched claim check — `probe_claims` on one channel — agrees
+/// with the oracle's per-participant handshakes on shadowed instances, even
+/// when links share endpoints (where the SINR interferer-exclusion rules
+/// apply and only the half-duplex screen refuses a claim), and every link of
+/// a force-assigned set reports the handshake health the oracle computes.
 #[test]
 fn ledger_probe_matches_handshake_ok() {
     for_cases("ledger_probe_matches_handshake_ok", CASES, |draw| {
@@ -678,9 +674,14 @@ fn ledger_probe_matches_handshake_ok() {
             .propagation(PropagationModel::log_distance(3.0))
             .shadowing(sigma_db, seed)
             .build(&deployment);
+        let oracle = Oracle::new(
+            &deployment,
+            env.config(),
+            ShadowingField::generate(nodes, sigma_db, seed),
+        );
 
         // Random links, *not* filtered for feasibility or disjointness:
-        // force-assign some, probe with the rest.
+        // force-assign some, claim with the rest.
         let draw_link = |rng: &mut ChaCha8Rng| {
             let head = rng.gen_range(0..nodes as u32);
             let tail = (head + 1 + rng.gen_range(0..nodes as u32 - 1)) % nodes as u32;
@@ -690,38 +691,56 @@ fn ledger_probe_matches_handshake_ok() {
         let mut tentative: Vec<Link> = (0..3).map(|_| draw_link(&mut rng)).collect();
         tentative.dedup();
 
-        let ledger = SlotLedger::with_links(&env, &assigned);
+        let mut ledger = ChannelSlotLedger::new(&env);
+        ledger.assign_all(ChannelId::ZERO, &assigned);
+        let probe = ledger.probe_claims(&tentative);
         let participants: Vec<Link> = assigned.iter().chain(tentative.iter()).copied().collect();
-        let probe = ledger.probe(&tentative);
-        assert_eq!(
-            probe.existing_ok,
-            assigned.iter().all(|&l| env.handshake_ok(l, &participants))
-        );
+        let existing_ok = assigned
+            .iter()
+            .all(|&l| oracle.handshake_ok(l, &participants));
+        assert_eq!(probe.existing_ok, existing_ok);
         for (i, &t) in tentative.iter().enumerate() {
+            let half_duplex_ok = assigned.iter().all(|l| !l.shares_endpoint(&t))
+                && tentative
+                    .iter()
+                    .enumerate()
+                    .all(|(j, other)| j == i || !other.shares_endpoint(&t));
+            let claimed = existing_ok && half_duplex_ok && oracle.handshake_ok(t, &participants);
             assert_eq!(
-                probe.tentative_ok[i],
-                env.handshake_ok(t, &participants),
-                "probe diverged for tentative {} among {:?} + {:?}",
+                probe.assignments[i],
+                claimed.then_some(ChannelId::ZERO),
+                "claim {} among {:?} + {:?}",
                 t,
                 assigned,
                 tentative
             );
         }
-        // Slot health of the force-assigned set alone.
+        // Slot health of the force-assigned set alone, link by link.
+        let health: Vec<bool> = ledger
+            .margins(ChannelId::ZERO)
+            .iter()
+            .map(LinkSinrMargin::ok)
+            .collect();
+        let expected: Vec<bool> = assigned
+            .iter()
+            .map(|&l| oracle.handshake_ok(l, &assigned))
+            .collect();
+        assert_eq!(health, expected, "{assigned:?}");
         assert_eq!(
-            ledger.all_links_ok(),
-            assigned.iter().all(|&l| env.handshake_ok(l, &assigned))
+            ledger.channel(ChannelId::ZERO).all_links_ok(),
+            expected.iter().all(|&ok| ok)
         );
     });
 }
 
 /// The spatially-pruned ledger is decision-for-decision identical to the
-/// exact ledger — `can_add` verdicts, accumulated links, margins, probes
-/// and slot feasibility — on random instances across β, shadowing and
-/// channel counts. Pruning is forced (the instances are smaller than the
-/// far-field cutoff disc, where the default constructor would skip the
-/// index), so every conservative screen is exercised against its exact
-/// fallback.
+/// exact ledger — `can_add` verdicts, accumulated links, margins, slot
+/// feasibility and claim checks — on random instances across β, shadowing
+/// and channel counts, and both agree with the oracle on the slot they
+/// built and on further probes of it. Pruning is forced (the instances are
+/// smaller than the far-field cutoff disc, where the default constructor
+/// would skip the index), so every conservative screen is exercised against
+/// its exact fallback.
 #[test]
 fn pruned_ledger_matches_exact_ledger() {
     for_cases("pruned_ledger_matches_exact_ledger", CASES, |draw| {
@@ -741,6 +760,11 @@ fn pruned_ledger_matches_exact_ledger() {
                     .with_channel_count(channel_count),
             )
             .build(&deployment);
+        let oracle = Oracle::new(
+            &deployment,
+            env.config(),
+            ShadowingField::generate(nodes, sigma_db, seed),
+        );
         let draw_link = |rng: &mut ChaCha8Rng| {
             let head = rng.gen_range(0..nodes as u32);
             let tail = (head + 1 + rng.gen_range(0..nodes as u32 - 1)) % nodes as u32;
@@ -767,16 +791,21 @@ fn pruned_ledger_matches_exact_ledger() {
             }
         }
         // Assign stays exact in both, so the accumulated state is bitwise
-        // identical — margins, probes and feasibility included.
+        // identical — margins and feasibility included — and the oracle
+        // agrees with the slot both built and with three more probes of it.
         assert_eq!(pruned.links(), exact.links());
         assert_eq!(pruned.margins(), exact.margins());
         assert_eq!(pruned.slot_feasible(), exact.slot_feasible());
-        let tentative: Vec<Link> = (0..3).map(|_| draw_link(&mut rng)).collect();
-        assert_eq!(pruned.probe(&tentative), exact.probe(&tentative));
+        assert_eq!(pruned.slot_feasible(), oracle.slot_feasible(pruned.links()));
+        for candidate in (0..3).map(|_| draw_link(&mut rng)) {
+            let verdict = oracle.can_add(pruned.links(), candidate);
+            assert_eq!(pruned.can_add(candidate), verdict, "{candidate}");
+            assert_eq!(exact.can_add(candidate), verdict, "{candidate}");
+        }
 
         // The channel-set wrapper inherits the equivalence on every channel.
-        let mut pruned_set = ChannelSlotLedger::pruned(&env, channel_count);
-        let mut exact_set = ChannelSlotLedger::exact(&env, channel_count);
+        let mut pruned_set = ChannelSlotLedger::pruned(&env);
+        let mut exact_set = ChannelSlotLedger::exact(&env);
         for i in 0..24 {
             let candidate = draw_link(&mut rng);
             let channel = ChannelId::new((i % channel_count) as u16);
