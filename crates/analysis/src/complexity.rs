@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use scream_core::ProtocolKind;
-use scream_topology::GridDeployment;
+use scream_topology::{GridDeployment, Meters};
 
 use crate::instance::{AnalysisError, Instance};
 
@@ -58,17 +58,17 @@ impl ComplexityReport {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::Disconnected`] if `step_m` exceeds the radio range,
+    /// [`AnalysisError::Disconnected`] if `step` exceeds the radio range,
     /// or whatever routing, demand aggregation or a protocol run refused.
     pub fn on_grids(
         sides: &[usize],
-        step_m: f64,
+        step: Meters,
         include_pdd: bool,
         seed: u64,
     ) -> Result<Self, AnalysisError> {
         let mut observations = Vec::new();
         for &side in sides {
-            let deployment = GridDeployment::new(side, side, step_m).build();
+            let deployment = GridDeployment::new(side, side, step.get()).build();
             let instance = Instance::build(&deployment, &deployment.corner_nodes(), 1, seed)?;
             observations.push(Self::measure(&instance, ProtocolKind::Fdd)?);
             if include_pdd {
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn measured_steps_respect_theorem_5_bound() {
-        let report = ComplexityReport::on_grids(&[3, 4], 150.0, true, 7).unwrap();
+        let report = ComplexityReport::on_grids(&[3, 4], Meters::new(150.0), true, 7).unwrap();
         assert_eq!(report.observations.len(), 4);
         assert!(
             report
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn utilization_is_well_below_one_in_practice() {
-        let report = ComplexityReport::on_grids(&[4], 150.0, false, 3).unwrap();
+        let report = ComplexityReport::on_grids(&[4], Meters::new(150.0), false, 3).unwrap();
         let fdd = &report.observations;
         assert_eq!(fdd.len(), 1);
         assert!(fdd[0].utilization_of_bound() < 0.5);
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn steps_grow_with_instance_size() {
-        let report = ComplexityReport::on_grids(&[3, 5], 150.0, false, 11).unwrap();
+        let report = ComplexityReport::on_grids(&[3, 5], Meters::new(150.0), false, 11).unwrap();
         let fdd = &report.observations;
         assert!(fdd[1].measured_steps > fdd[0].measured_steps);
         assert!(fdd[1].theorem_bound > fdd[0].theorem_bound);
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn pdd_executes_fewer_steps_than_fdd() {
-        let report = ComplexityReport::on_grids(&[4], 150.0, true, 13).unwrap();
+        let report = ComplexityReport::on_grids(&[4], Meters::new(150.0), true, 13).unwrap();
         let fdd = report
             .observations
             .iter()
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn a_grid_step_beyond_radio_range_is_an_error_not_a_panic() {
         assert_eq!(
-            ComplexityReport::on_grids(&[3], 5_000.0, true, 7),
+            ComplexityReport::on_grids(&[3], Meters::new(5_000.0), true, 7),
             Err(AnalysisError::Disconnected)
         );
     }

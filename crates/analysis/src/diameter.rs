@@ -11,7 +11,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use scream_topology::{Deployment, GridDeployment, UniformDeployment, UnitDiskGraphBuilder};
+use scream_topology::{
+    Deployment, GridDeployment, InfiniteDensityDeployment, Meters, UniformDeployment,
+    UnitDiskGraphBuilder,
+};
 
 use crate::instance::AnalysisError;
 
@@ -58,9 +61,9 @@ impl DiameterObservation {
 
     /// Measures a `side × side` square-grid deployment with the communication
     /// range equal to the grid step, as in Theorem 2.
-    pub fn square_grid(side: usize, step_m: f64) -> Self {
-        let deployment = GridDeployment::new(side, side, step_m).build();
-        let graph = UnitDiskGraphBuilder::new(step_m).build(&deployment);
+    pub fn square_grid(side: usize, step: Meters) -> Self {
+        let deployment = GridDeployment::new(side, side, step.get()).build();
+        let graph = UnitDiskGraphBuilder::new(step).build(&deployment);
         let diam = deployment.region().diameter();
         Self::from_measurement(
             DiameterScenario::SquareGrid,
@@ -68,7 +71,7 @@ impl DiameterObservation {
             graph.neighbor_density(),
             graph.interference_diameter(),
             // Theorem 2: ID(G) <= sqrt(2) * diam(R) / r.
-            std::f64::consts::SQRT_2 * diam / step_m,
+            std::f64::consts::SQRT_2 * diam / step.get(),
         )
     }
 
@@ -90,8 +93,9 @@ impl DiameterObservation {
         // Work in a 1000 m square so distances stay in meters.
         let side = 1000.0;
         let range = r * side;
-        let deployment = UniformDeployment::new(n, side).build_connected(&mut rng, range, 500)?;
-        let graph = UnitDiskGraphBuilder::new(range).build(&deployment);
+        let deployment =
+            UniformDeployment::new(n, side).build_connected(&mut rng, Meters::new(range), 500)?;
+        let graph = UnitDiskGraphBuilder::new(Meters::new(range)).build(&deployment);
         // Theorem 3's constructive bound: the diagonal of the region crosses
         // at most diam(R) / (r / (2*sqrt(2))) = 2*sqrt(2)*sqrt(2)*side / r
         // occupied cells of side r/(2*sqrt(2)), i.e. 4*side/r hops.
@@ -108,10 +112,9 @@ impl DiameterObservation {
     /// Measures a dense-lattice approximation of the infinite-density model:
     /// a fixed region filled with a lattice much finer than the communication
     /// range.
-    pub fn infinite_density(region_side_m: f64, lattice_step_m: f64, range_m: f64) -> Self {
-        let deployment =
-            scream_topology::InfiniteDensityDeployment::new(region_side_m, lattice_step_m).build();
-        let graph = UnitDiskGraphBuilder::new(range_m).build(&deployment);
+    pub fn infinite_density(region_side: Meters, lattice_step: Meters, range: Meters) -> Self {
+        let deployment = InfiniteDensityDeployment::new(region_side, lattice_step).build();
+        let graph = UnitDiskGraphBuilder::new(range).build(&deployment);
         let diam = deployment.region().diameter();
         Self::from_measurement(
             DiameterScenario::InfiniteDensity,
@@ -121,7 +124,7 @@ impl DiameterObservation {
             // Tight bound for convex regions at infinite density: diam(R)/r,
             // plus the sqrt(2) lattice detour factor for the finite lattice
             // approximation.
-            std::f64::consts::SQRT_2 * diam / range_m,
+            std::f64::consts::SQRT_2 * diam / range.get(),
         )
     }
 
@@ -153,10 +156,19 @@ impl DiameterObservation {
 mod tests {
     use super::*;
 
+    /// The grids' step (= range) of Theorem 2.
+    const STEP: Meters = Meters::new(100.0);
+
+    /// A `side_m`-square lattice of `step_m` at a 200 m range.
+    fn dense(side_m: f64, step_m: f64) -> DiameterObservation {
+        let range = Meters::new(200.0);
+        DiameterObservation::infinite_density(Meters::new(side_m), Meters::new(step_m), range)
+    }
+
     #[test]
     fn theorem_2_bound_holds_for_square_grids() {
         for side in [4usize, 8, 12, 16, 20] {
-            let obs = DiameterObservation::square_grid(side, 100.0);
+            let obs = DiameterObservation::square_grid(side, STEP);
             assert!(
                 obs.respects_bound(),
                 "grid {side}x{side}: ID {} exceeds bound {:.2}",
@@ -172,8 +184,8 @@ mod tests {
 
     #[test]
     fn grid_interference_diameter_scales_as_sqrt_n() {
-        let small = DiameterObservation::square_grid(5, 100.0);
-        let large = DiameterObservation::square_grid(20, 100.0);
+        let small = DiameterObservation::square_grid(5, STEP);
+        let large = DiameterObservation::square_grid(20, STEP);
         // n grows 16x, sqrt(n) grows 4x; ID should grow by roughly 4-5x.
         let ratio = large.interference_diameter as f64 / small.interference_diameter as f64;
         assert!(ratio > 3.0 && ratio < 6.0, "ratio {ratio}");
@@ -200,8 +212,8 @@ mod tests {
 
     #[test]
     fn infinite_density_diameter_is_independent_of_lattice_refinement() {
-        let coarse = DiameterObservation::infinite_density(500.0, 50.0, 200.0);
-        let fine = DiameterObservation::infinite_density(500.0, 25.0, 200.0);
+        let coarse = dense(500.0, 50.0);
+        let fine = dense(500.0, 25.0);
         assert!(coarse.respects_bound());
         assert!(fine.respects_bound());
         // Refining the lattice multiplies n but leaves the diameter (almost)
@@ -217,11 +229,11 @@ mod tests {
         // The paper's observed relation ID(G) = O(sqrt(n / rho)): the ratio
         // should stay below a modest constant for every scenario.
         let observations = vec![
-            DiameterObservation::square_grid(8, 100.0),
-            DiameterObservation::square_grid(16, 100.0),
+            DiameterObservation::square_grid(8, STEP),
+            DiameterObservation::square_grid(16, STEP),
             DiameterObservation::random_uniform(128, 5).unwrap(),
             DiameterObservation::random_uniform(256, 6).unwrap(),
-            DiameterObservation::infinite_density(400.0, 40.0, 200.0),
+            dense(400.0, 40.0),
         ];
         for obs in observations {
             let ratio = obs.interference_diameter as f64 / obs.sqrt_n_over_rho;
@@ -236,10 +248,10 @@ mod tests {
 
     #[test]
     fn denser_scenarios_have_smaller_relative_diameter() {
-        let grid = DiameterObservation::square_grid(16, 100.0); // rho ~ 4
+        let grid = DiameterObservation::square_grid(16, STEP); // rho ~ 4
         let uniform = DiameterObservation::random_uniform(256, 7).unwrap(); // rho ~ log n
-        let dense = DiameterObservation::infinite_density(400.0, 40.0, 200.0); // rho >> log n
-                                                                               // Normalized by sqrt(n), the diameter shrinks as density grows.
+        let dense = dense(400.0, 40.0); // rho >> log n
+                                        // Normalized by sqrt(n), the diameter shrinks as density grows.
         let norm =
             |o: &DiameterObservation| o.interference_diameter as f64 / (o.node_count as f64).sqrt();
         assert!(norm(&grid) > norm(&uniform));

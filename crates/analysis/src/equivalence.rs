@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use scream_core::ProtocolKind;
 use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical};
-use scream_topology::{Deployment, GridDeployment, UniformDeployment};
+use scream_topology::{Deployment, GridDeployment, Meters, UniformDeployment};
 
 use crate::instance::{AnalysisError, Instance};
 
@@ -63,16 +63,16 @@ impl EquivalenceReport {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::Disconnected`] if `step_m` exceeds the radio range,
+    /// [`AnalysisError::Disconnected`] if `step` exceeds the radio range,
     /// or whatever routing, demand aggregation or the FDD run refused.
     pub fn on_grid_instances(
         side: usize,
-        step_m: f64,
+        step: Meters,
         instances: usize,
         base_seed: u64,
         channel_count: usize,
     ) -> Result<Self, AnalysisError> {
-        let deployment = GridDeployment::new(side, side, step_m).build();
+        let deployment = GridDeployment::new(side, side, step.get()).build();
         let outcomes = (0..instances)
             .map(|i| Self::compare(&deployment, base_seed + i as u64, channel_count))
             .collect::<Result<_, _>>()?;
@@ -91,7 +91,7 @@ impl EquivalenceReport {
     /// connected draw.
     pub fn on_uniform_instances(
         node_count: usize,
-        region_side_m: f64,
+        region_side: Meters,
         instances: usize,
         base_seed: u64,
         channel_count: usize,
@@ -100,9 +100,9 @@ impl EquivalenceReport {
         for i in 0..instances {
             let seed = base_seed + i as u64;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let outcome = UniformDeployment::new(node_count, region_side_m)
+            let outcome = UniformDeployment::new(node_count, region_side.get())
                 .heterogeneous_power(6.0)
-                .build_connected(&mut rng, region_side_m / 4.0, 100)
+                .build_connected(&mut rng, Meters::new(region_side.get() / 4.0), 100)
                 .map_err(AnalysisError::from)
                 .and_then(|deployment| Self::compare(&deployment, seed, channel_count));
             match outcome {
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn fdd_equals_greedy_physical_on_grid_instances() {
-        let report = EquivalenceReport::on_grid_instances(4, 150.0, 3, 10, 1).unwrap();
+        let report = EquivalenceReport::on_grid_instances(4, Meters::new(150.0), 3, 10, 1).unwrap();
         assert_eq!(report.outcomes.len(), 3);
         assert!(
             report.outcomes.iter().all(|o| o.identical && o.both_valid),
@@ -170,7 +170,8 @@ mod tests {
 
     #[test]
     fn fdd_equals_greedy_physical_on_unplanned_instances() {
-        let report = EquivalenceReport::on_uniform_instances(16, 600.0, 3, 42, 1).unwrap();
+        let report =
+            EquivalenceReport::on_uniform_instances(16, Meters::new(600.0), 3, 42, 1).unwrap();
         assert!(!report.outcomes.is_empty());
         assert!(
             report.outcomes.iter().all(|o| o.identical && o.both_valid),
@@ -187,7 +188,9 @@ mod tests {
         // decisions as the centralized scan, so the equivalence survives at
         // every channel count.
         for channels in [2usize, 4] {
-            let report = EquivalenceReport::on_grid_instances(4, 150.0, 2, 21, channels).unwrap();
+            let report =
+                EquivalenceReport::on_grid_instances(4, Meters::new(150.0), 2, 21, channels)
+                    .unwrap();
             assert_eq!(report.outcomes.len(), 2);
             assert!(
                 report.outcomes.iter().all(|o| o.identical && o.both_valid),
@@ -196,7 +199,8 @@ mod tests {
             );
             assert!(report.outcomes.iter().all(|o| o.channel_count == channels));
         }
-        let unplanned = EquivalenceReport::on_uniform_instances(16, 600.0, 2, 42, 2).unwrap();
+        let unplanned =
+            EquivalenceReport::on_uniform_instances(16, Meters::new(600.0), 2, 42, 2).unwrap();
         assert!(!unplanned.outcomes.is_empty());
         assert!(
             unplanned
@@ -210,8 +214,8 @@ mod tests {
 
     #[test]
     fn multi_channel_instances_never_schedule_longer_than_single_channel() {
-        let single = EquivalenceReport::on_grid_instances(4, 150.0, 2, 33, 1).unwrap();
-        let dual = EquivalenceReport::on_grid_instances(4, 150.0, 2, 33, 2).unwrap();
+        let single = EquivalenceReport::on_grid_instances(4, Meters::new(150.0), 2, 33, 1).unwrap();
+        let dual = EquivalenceReport::on_grid_instances(4, Meters::new(150.0), 2, 33, 2).unwrap();
         for (s, d) in single.outcomes.iter().zip(&dual.outcomes) {
             assert_eq!(s.total_demand, d.total_demand);
             assert!(d.centralized_length <= s.centralized_length);
@@ -222,7 +226,7 @@ mod tests {
     #[test]
     fn a_grid_step_beyond_radio_range_is_an_error_not_a_panic() {
         assert_eq!(
-            EquivalenceReport::on_grid_instances(3, 5_000.0, 2, 5, 1),
+            EquivalenceReport::on_grid_instances(3, Meters::new(5_000.0), 2, 5, 1),
             Err(AnalysisError::Disconnected)
         );
     }

@@ -25,7 +25,7 @@ use scream_bench::{
     recovery_vs_load, BenchError, PaperScenario, RecoveryReport, ScenarioSweep, Table,
 };
 use scream_core::ProtocolKind;
-use scream_netsim::SimTime;
+use scream_netsim::{Db, Meters, SimTime};
 
 /// What a subcommand puts on stdout.
 enum Output {
@@ -271,7 +271,7 @@ fn ablate_shadowing(_: &Args) -> Run {
         &["sigma(dB)", "Centralized(%)", "FDD(%)", "PDD p=0.6(%)"],
     );
     for sigma in [0.0, 2.0, 4.0, 6.0, 8.0] {
-        let scenario = PaperScenario::grid(5_000.0).with_shadowing(sigma);
+        let scenario = PaperScenario::grid(5_000.0).with_shadowing(Db::new(sigma));
         let instance = scenario.instantiate(23)?;
         let demands = &instance.link_demands;
         let centralized = instance.metrics(&instance.run_centralized());
@@ -323,7 +323,7 @@ fn theory_complexity(_: &Args) -> Run {
         "Theorem 5 — measured synchronized steps vs. TD * ID * n * log n",
         &["protocol", "n", "TD", "ID", "steps", "bound", "utilization"],
     );
-    for obs in ComplexityReport::on_grids(&[4, 6, 8], 150.0, true, 11)?.observations {
+    for obs in ComplexityReport::on_grids(&[4, 6, 8], Meters::new(150.0), true, 11)?.observations {
         bound.push_row(vec![
             obs.protocol.clone(),
             obs.node_count.to_string(),
@@ -338,8 +338,8 @@ fn theory_complexity(_: &Args) -> Run {
         "Theorem 4 — FDD schedule equals centralized GreedyPhysical",
         &["scenario", "instances", "identical", "rate"],
     );
-    let grid = EquivalenceReport::on_grid_instances(6, 150.0, 5, 101, 1)?;
-    let uniform = EquivalenceReport::on_uniform_instances(36, 900.0, 5, 202, 1)?;
+    let grid = EquivalenceReport::on_grid_instances(6, Meters::new(150.0), 5, 101, 1)?;
+    let uniform = EquivalenceReport::on_uniform_instances(36, Meters::new(900.0), 5, 202, 1)?;
     for (name, report) in [("grid", grid), ("uniform", uniform)] {
         let identical = report.outcomes.iter().filter(|o| o.identical).count();
         equivalence.push_row(vec![
@@ -366,12 +366,17 @@ fn theory_id_bounds(_: &Args) -> Run {
     ];
     let title = "Section IV-B — interference diameter vs. analytical bounds";
     let mut table = Table::new(title, &headers);
-    let grids = [4, 8, 12, 16, 20, 24].map(|side| DiameterObservation::square_grid(side, 100.0));
+    let grids = [4, 8, 12, 16, 20, 24]
+        .map(|side| DiameterObservation::square_grid(side, Meters::new(100.0)));
     let uniforms = [(64, 1), (128, 2), (256, 3), (512, 4)]
         .into_iter()
         .map(|(n, seed)| DiameterObservation::random_uniform(n, seed))
         .collect::<Result<Vec<_>, _>>()?;
-    let dense = DiameterObservation::infinite_density(500.0, 25.0, 200.0);
+    let dense = DiameterObservation::infinite_density(
+        Meters::new(500.0),
+        Meters::new(25.0),
+        Meters::new(200.0),
+    );
     let named = (grids.map(|obs| ("grid", obs)).into_iter())
         .chain(uniforms.into_iter().map(|obs| ("uniform", obs)))
         .chain([("infinite-density", dense)]);

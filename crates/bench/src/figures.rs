@@ -535,7 +535,7 @@ pub fn rssi_trace_table(trace: &RssiTrace) -> Table {
     for (time, value) in trace.moving_average_series() {
         table.push_row(vec![
             format!("{:.1}", time.as_secs_f64() * 1000.0),
-            format!("{value:.1}"),
+            format!("{:.1}", value.get()),
         ]);
     }
     table
@@ -696,7 +696,7 @@ mod tests {
     fn fig5_trace_contains_scream_peaks() {
         let trace = fig5_rssi_trace(24, SimTime::from_millis(350), 2);
         assert!(!trace.is_empty());
-        assert!(trace.peak_moving_average_dbm() > -60.0);
+        assert!(trace.peak_moving_average_dbm().get() > -60.0);
         assert!(rssi_trace_table(&trace).row_count() > 10);
     }
 }

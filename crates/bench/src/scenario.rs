@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use scream_core::{DistributedRun, DistributedScheduler, ProtocolConfig, ProtocolKind};
-use scream_netsim::{ClockSkewConfig, PropagationModel, RadioEnvironment};
+use scream_netsim::{ClockSkewConfig, Db, Dbm, Meters, PropagationModel, RadioEnvironment};
 use scream_scheduling::{GreedyPhysical, Schedule, ScheduleMetrics};
 use scream_topology::{
     density_to_area_m2, DemandConfig, DemandVector, Deployment, GridDeployment, LinkDemands,
@@ -47,19 +47,19 @@ pub struct PaperScenario {
     pub density_per_km2: f64,
     /// Per-node demand distribution (uniform `[1, 10]` in the paper).
     pub demand: DemandConfig,
-    /// Log-normal shadowing standard deviation in dB (0 disables shadowing).
-    pub shadowing_sigma_db: f64,
+    /// Log-normal shadowing standard deviation (0 dB disables shadowing).
+    pub shadowing_sigma_db: Db,
     /// Path-loss exponent (3 in the paper).
     pub path_loss_exponent: f64,
-    /// Mean transmit power in dBm. The paper does not state the power used in
+    /// Mean transmit power. The paper does not state the power used in
     /// GTNetS; 10 dBm gives a ~100 m interference-free range under the
     /// defaults here, which makes the 64-node deployments genuinely
     /// multi-hop across the evaluated density range.
-    pub tx_power_dbm: f64,
-    /// SINR threshold β in dB. The paper does not state β; 6 dB corresponds
-    /// to a DSSS-rate 802.11 link and is the reproduction default; every
-    /// table in `FIGURES.txt` is at this β.
-    pub sinr_threshold_db: f64,
+    pub tx_power_dbm: Dbm,
+    /// SINR threshold β. The paper does not state β; 6 dB corresponds to a
+    /// DSSS-rate 802.11 link and is the reproduction default; every table in
+    /// `FIGURES.txt` is at this β.
+    pub sinr_threshold_db: Db,
     /// Number of orthogonal channels available to the schedulers (the paper
     /// — and hence the default — is the single shared channel).
     pub channel_count: usize,
@@ -74,10 +74,10 @@ impl PaperScenario {
             gateway_count: 4,
             density_per_km2,
             demand: DemandConfig::PAPER,
-            shadowing_sigma_db: 4.0,
+            shadowing_sigma_db: Db::new(4.0),
             path_loss_exponent: 3.0,
-            tx_power_dbm: 10.0,
-            sinr_threshold_db: 6.0,
+            tx_power_dbm: Dbm::new(10.0),
+            sinr_threshold_db: Db::new(6.0),
             channel_count: 1,
         }
     }
@@ -99,14 +99,14 @@ impl PaperScenario {
     }
 
     /// Overrides the shadowing standard deviation.
-    pub fn with_shadowing(mut self, sigma_db: f64) -> Self {
-        self.shadowing_sigma_db = sigma_db;
+    pub fn with_shadowing(mut self, sigma: Db) -> Self {
+        self.shadowing_sigma_db = sigma;
         self
     }
 
-    /// Overrides the SINR threshold β in dB.
-    pub fn with_sinr_threshold_db(mut self, beta_db: f64) -> Self {
-        self.sinr_threshold_db = beta_db;
+    /// Overrides the SINR threshold β.
+    pub fn with_sinr_threshold_db(mut self, beta: Db) -> Self {
+        self.sinr_threshold_db = beta;
         self
     }
 
@@ -137,10 +137,10 @@ impl PaperScenario {
         let deployment = self.build_deployment(&mut rng);
         let env = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(self.path_loss_exponent))
-            .shadowing(self.shadowing_sigma_db, seed)
+            .shadowing(self.shadowing_sigma_db.get(), seed)
             .config(
                 scream_netsim::RadioConfig::mesh_default()
-                    .with_sinr_threshold_db(self.sinr_threshold_db)
+                    .with_sinr_threshold_db(self.sinr_threshold_db.get())
                     .with_channel_count(self.channel_count),
             )
             .build(&deployment);
@@ -178,11 +178,11 @@ impl PaperScenario {
                 let side = (self.node_count as f64).sqrt().round() as usize;
                 let step = (area_m2 / self.node_count as f64).sqrt();
                 GridDeployment::new(side, side.max(1), step)
-                    .tx_power_dbm(self.tx_power_dbm)
+                    .tx_power_dbm(self.tx_power_dbm.get())
                     .build()
             }
             Topology::UnplannedUniform => UniformDeployment::new(self.node_count, area_m2.sqrt())
-                .tx_power_dbm(self.tx_power_dbm)
+                .tx_power_dbm(self.tx_power_dbm.get())
                 .heterogeneous_power(6.0)
                 .build(rng),
         }
@@ -261,10 +261,10 @@ pub fn heavy_demand_instance_on_channels(
 pub struct LargeScaleScenario {
     /// Number of links to generate (the grid is sized to fit exactly this).
     pub target_links: usize,
-    /// Grid lattice step in meters.
-    pub step_m: f64,
-    /// Homogeneous transmit power in dBm.
-    pub tx_power_dbm: f64,
+    /// Grid lattice step.
+    pub step_m: Meters,
+    /// Homogeneous transmit power.
+    pub tx_power_dbm: Dbm,
     /// Number of orthogonal channels.
     pub channel_count: usize,
 }
@@ -274,8 +274,8 @@ impl LargeScaleScenario {
     pub fn with_target_links(target_links: usize) -> Self {
         Self {
             target_links,
-            step_m: 250.0,
-            tx_power_dbm: 32.0,
+            step_m: Meters::new(250.0),
+            tx_power_dbm: Dbm::new(32.0),
             channel_count: 1,
         }
     }
@@ -307,8 +307,8 @@ impl LargeScaleScenario {
             ));
         }
         let (columns, rows) = self.grid_dimensions();
-        let deployment = GridDeployment::new(columns, rows, self.step_m)
-            .tx_power_dbm(self.tx_power_dbm)
+        let deployment = GridDeployment::new(columns, rows, self.step_m.get())
+            .tx_power_dbm(self.tx_power_dbm.get())
             .build();
         let env = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))

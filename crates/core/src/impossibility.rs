@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use scream_netsim::{PropagationModel, RadioConfig, RadioEnvironment, SlotLedger};
+use scream_netsim::{Db, Dbm, Meters, PropagationModel, RadioConfig, RadioEnvironment, SlotLedger};
 use scream_topology::{Deployment, Graph, Link, NodeId, Point2, Rect};
 
 use crate::error::ProtocolError;
@@ -32,7 +32,7 @@ pub struct CounterExample {
     /// The locality radius `k` (in hops) that the construction defeats.
     pub locality_hops: usize,
     /// SINR threshold used by the construction.
-    pub sinr_threshold_db: f64,
+    pub sinr_threshold_db: Db,
 }
 
 impl CounterExample {
@@ -87,24 +87,23 @@ impl CounterExample {
     /// sees when scheduled alone and the SINR it sees when both are
     /// scheduled, so the construction is guaranteed to separate the two
     /// cases.
-    fn tuned_threshold(positions: &[Point2], spacing: f64) -> f64 {
+    fn tuned_threshold(positions: &[Point2], spacing: f64) -> Db {
         let propagation = PropagationModel::log_distance(3.0);
-        let noise_dbm = -100.0;
-        let tx_dbm = 20.0;
+        let noise = Dbm::new(-100.0);
+        let tx = Dbm::new(20.0);
         // Worst affected reception: the ACK of link l is transmitted by node 0
         // and received by node 1, while node count-2 (the data transmitter of
         // l') interferes from (count - 3) * spacing away.
         let n = positions.len();
-        let signal_dbm = tx_dbm - propagation.path_loss_db(spacing);
-        let interferer_distance = positions[1].distance(positions[n - 2]);
-        let interference_dbm = tx_dbm - propagation.path_loss_db(interferer_distance);
-        let noise_mw = 10f64.powf(noise_dbm / 10.0);
-        let interference_mw = 10f64.powf(interference_dbm / 10.0);
-        let signal_mw = 10f64.powf(signal_dbm / 10.0);
-        let sinr_alone_db = 10.0 * (signal_mw / noise_mw).log10();
-        let sinr_both_db = 10.0 * (signal_mw / (noise_mw + interference_mw)).log10();
-        // Midpoint between the two regimes (in dB).
-        (sinr_alone_db + sinr_both_db) / 2.0
+        let signal = tx - propagation.path_loss_db(Meters::new(spacing));
+        let interferer_distance = Meters::new(positions[1].distance(positions[n - 2]));
+        let interference = tx - propagation.path_loss_db(interferer_distance);
+        let (noise_mw, interference_mw, signal_mw) =
+            (noise.to_mw(), interference.to_mw(), signal.to_mw());
+        let sinr_alone = Db::from_linear(signal_mw / noise_mw);
+        let sinr_both = Db::from_linear(signal_mw / (noise_mw + interference_mw));
+        // Midpoint between the two regimes (in dB); `× 0.5` rounds as `/ 2`.
+        (sinr_alone + sinr_both) * 0.5
     }
 
     /// The radio environment realizing the construction.
@@ -113,8 +112,8 @@ impl CounterExample {
             .propagation(PropagationModel::log_distance(3.0))
             .config(
                 RadioConfig::mesh_default()
-                    .with_sinr_threshold_db(self.sinr_threshold_db)
-                    .with_noise_floor_dbm(-100.0),
+                    .with_sinr_threshold_db(self.sinr_threshold_db.get())
+                    .with_noise_floor_dbm(Dbm::new(-100.0)),
             )
             .build(&self.deployment)
     }

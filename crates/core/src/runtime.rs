@@ -595,7 +595,7 @@ mod tests {
     use scream_netsim::{ClockSkewConfig, PropagationModel, RadioEnvironment};
     use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical};
     use scream_topology::{
-        DemandConfig, DemandVector, Deployment, GridDeployment, NodeId, RoutingForest,
+        DemandConfig, DemandVector, Deployment, GridDeployment, Meters, NodeId, RoutingForest,
         UniformDeployment,
     };
 
@@ -1160,7 +1160,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let d = UniformDeployment::new(25, 700.0)
             .heterogeneous_power(6.0)
-            .build_connected(&mut rng, 180.0, 100)
+            .build_connected(&mut rng, Meters::new(180.0), 100)
             .unwrap();
         let env = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))

@@ -21,7 +21,7 @@ pub struct AllowDirective {
     pub line: usize,
     /// True when nothing but whitespace precedes the comment on its line.
     pub standalone: bool,
-    /// Rule families (`U1`) or full codes (`U1.mix`) being allowed.
+    /// Rule families (`H1`) or full codes (`H1.alloc`) being allowed.
     pub rules: Vec<String>,
     /// The mandatory justification string.
     pub reason: Option<String>,
@@ -407,11 +407,11 @@ scream_obs::event(&name.to_string(), &[]);
 
     #[test]
     fn allow_directive_requires_reason() {
-        let s = scrub("let a = 1; // lint:allow(U1)\n");
+        let s = scrub("let a = 1; // lint:allow(H1)\n");
         assert_eq!(s.allows.len(), 1);
         assert!(s.allows[0].error.is_some());
 
-        let s = scrub("let a = 1; // lint:allow(U1, reason = \"\")\n");
+        let s = scrub("let a = 1; // lint:allow(H1, reason = \"\")\n");
         assert!(s.allows[0].error.is_some());
 
         let s = scrub("let a = 1; // lint:allow(reason = \"why\")\n");

@@ -9,17 +9,18 @@
 //! | family | codes | invariant |
 //! |--------|-------|-----------|
 //! | **H1** | `H1.alloc` | hot-path: no ledger/accumulator construction in loops |
-//! | **U1** | `U1.mix`, `U1.bind`, `U1.conv` | unit hygiene: no cross-unit arithmetic/binding on suffix-tagged quantities; honest conversion calls |
 //! | **O1** | `O1.sink` | observability: obs emission arguments stay allocation-free (`&'static str` + `u64`), so a disabled sink is a true no-op |
 //! | **S1** | `S1.caller` | surface: no `pub fn` that only its own file's tests mention |
 //!
 //! Plus **L1** for the allow mechanism itself: malformed/unknown/unused
 //! `// lint:allow(RULE, reason = "...")` directives.
 //!
-//! The scanner is lexical-plus-symbolic (scrubbing lexer + token patterns +
-//! brace tracking + a per-file binding/call-site indexer) — no syn, no
-//! rustc, zero dependencies — so it runs inside the offline build container
-//! and before the workspace compiles.
+//! Units are not here: `Dbm` / `Db` / `Mw` / `Meters` in
+//! `scream_topology::units` make a cross-unit expression a compile error.
+//!
+//! The scanner is lexical (scrubbing lexer + token patterns + brace
+//! tracking) — no syn, no rustc, zero dependencies — so it runs inside the
+//! offline build container and before the workspace compiles.
 
 // Conventions P1 / D1 / H1 (ROADMAP), carried by clippy; test code is exempt.
 #![cfg_attr(
@@ -39,8 +40,6 @@
 
 pub mod lexer;
 pub mod scan;
-pub mod symbols;
-pub mod units;
 
 pub use scan::{Diagnostic, RuleCode};
 
@@ -160,7 +159,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     for (path, src) in files.iter().zip(&sources) {
         let path = relative_to(root, path);
-        diagnostics.extend(scan::scan_source_in(&path, src, Some(&census)));
+        diagnostics.extend(scan::scan_source(&path, src, Some(&census)));
     }
 
     diagnostics.sort();

@@ -13,9 +13,6 @@ USAGE:
 
 RULES:
     H1.alloc  ledger/accumulator construction inside loop bodies
-    U1.mix    cross-unit arithmetic/comparison (a_db + b_mw, x_m <= y_m2)
-    U1.bind   cross-unit binding/assignment (let range_m = area_m2)
-    U1.conv   suffix-dishonest conversion call (dbm_to_mw(-loss_db))
     O1.sink   allocation inside a scream_obs emission argument
     S1.caller pub fn that only its own file's tests mention
     L1.*      malformed or unused lint:allow directives

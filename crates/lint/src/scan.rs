@@ -13,12 +13,6 @@ use crate::lexer::{is_ident_char, scrub, AllowDirective};
 pub enum RuleCode {
     /// Ledger/accumulator construction inside a loop body.
     H1Alloc,
-    /// Cross-unit arithmetic/comparison (`a_db + b_mw`).
-    U1Mix,
-    /// Cross-unit binding/assignment (`let range_m = area_m2`).
-    U1Bind,
-    /// Suffix-dishonest conversion call (`dbm_to_mw(-loss_db)`).
-    U1Conv,
     /// Allocation/formatting inside a `scream_obs` emission argument list.
     O1Sink,
     /// A `pub fn` that only its own file's tests mention.
@@ -30,12 +24,18 @@ pub enum RuleCode {
 }
 
 impl RuleCode {
+    /// Every rule the scanner knows.
+    pub const ALL: &'static [RuleCode] = &[
+        RuleCode::H1Alloc,
+        RuleCode::O1Sink,
+        RuleCode::S1Caller,
+        RuleCode::L1Allow,
+        RuleCode::L1Unused,
+    ];
+
     pub fn code(self) -> &'static str {
         match self {
             RuleCode::H1Alloc => "H1.alloc",
-            RuleCode::U1Mix => "U1.mix",
-            RuleCode::U1Bind => "U1.bind",
-            RuleCode::U1Conv => "U1.conv",
             RuleCode::O1Sink => "O1.sink",
             RuleCode::S1Caller => "S1.caller",
             RuleCode::L1Allow => "L1.allow",
@@ -43,7 +43,7 @@ impl RuleCode {
         }
     }
 
-    /// The part of the code before the dot (`U1` for `U1.mix`).
+    /// The part of the code before the dot (`H1` for `H1.alloc`).
     pub fn family(self) -> &'static str {
         let code = self.code();
         code.split_once('.').map_or(code, |(family, _)| family)
@@ -52,16 +52,10 @@ impl RuleCode {
     /// Rule names accepted inside `lint:allow(...)`: the code or the family
     /// of every rule but L1 itself.
     pub fn is_allowable_name(name: &str) -> bool {
-        [
-            RuleCode::H1Alloc,
-            RuleCode::U1Mix,
-            RuleCode::U1Bind,
-            RuleCode::U1Conv,
-            RuleCode::O1Sink,
-            RuleCode::S1Caller,
-        ]
-        .iter()
-        .any(|r| name == r.code() || name == r.family())
+        Self::ALL
+            .iter()
+            .filter(|r| r.family() != "L1")
+            .any(|r| name == r.code() || name == r.family())
     }
 }
 
@@ -92,19 +86,19 @@ const OBS_EMISSION_FNS: &[&str] = &[
 ];
 
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tok {
+enum Tok {
     Ident(String),
     Punct(char),
     Num,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Token {
-    pub(crate) line: usize,
-    pub(crate) tok: Tok,
+struct Token {
+    line: usize,
+    tok: Tok,
 }
 
-pub(crate) fn tokenize(text: &str) -> Vec<Token> {
+fn tokenize(text: &str) -> Vec<Token> {
     let chars: Vec<char> = text.chars().collect();
     let n = chars.len();
     let mut toks = Vec::new();
@@ -170,9 +164,9 @@ pub(crate) fn tokenize(text: &str) -> Vec<Token> {
 
 /// Lexical context of each token: loop depth and test-region membership.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Ctx {
-    pub(crate) loop_depth: u32,
-    pub(crate) in_test: bool,
+struct Ctx {
+    loop_depth: u32,
+    in_test: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,14 +176,14 @@ enum Frame {
     Other,
 }
 
-pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
+fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) => Some(s.as_str()),
         _ => None,
     }
 }
 
-pub(crate) fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
     matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
 }
 
@@ -214,7 +208,7 @@ fn is_loop_for(toks: &[Token], i: usize) -> bool {
 }
 
 /// One pass of brace/attribute tracking, yielding per-token context.
-pub(crate) fn contexts(toks: &[Token]) -> Vec<Ctx> {
+fn contexts(toks: &[Token]) -> Vec<Ctx> {
     let mut out = Vec::with_capacity(toks.len());
     let mut stack: Vec<Frame> = Vec::new();
     let mut loop_depth = 0u32;
@@ -381,15 +375,10 @@ fn scan_surface(
     }
 }
 
-/// Scan one source file on its own and return its allow-filtered
-/// diagnostics: every rule but `S1.caller`, which needs the other files.
-pub fn scan_source(path: &str, src: &str) -> Vec<Diagnostic> {
-    scan_source_in(path, src, None)
-}
-
-/// [`scan_source`] for a file of a workspace: the [`files_mentioning`] census
-/// of every scanned file, test, example and binary turns `S1.caller` on.
-pub(crate) fn scan_source_in(
+/// Scan one source file and return its allow-filtered diagnostics. The
+/// [`files_mentioning`] census of every scanned file, test, example and
+/// binary turns `S1.caller` on; without it a file is judged on its own.
+pub(crate) fn scan_source(
     path: &str,
     src: &str,
     files_mentioning: Option<&BTreeMap<String, usize>>,
@@ -547,9 +536,6 @@ pub(crate) fn scan_source_in(
         scan_surface(path, &toks, &ctx, files_mentioning, &mut diags);
     }
 
-    let symbols = crate::symbols::index_tokens(&toks, &ctx);
-    crate::units::scan_units(path, &toks, &ctx, &symbols, &mut diags);
-
     apply_allows(path, &scrubbed.text, &scrubbed.allows, diags)
 }
 
@@ -654,7 +640,7 @@ mod tests {
     use super::*;
 
     fn codes(src: &str) -> Vec<&'static str> {
-        scan_source("crates/x/src/lib.rs", src)
+        scan_source("crates/x/src/lib.rs", src, None)
             .into_iter()
             .map(|d| d.rule.code())
             .collect()
@@ -694,7 +680,7 @@ fn f(env: &Environment) {
 "#;
         // Only the `while`-nested construction is flagged: the `if` block
         // adds a brace but not a loop, and `after` is back at depth 0.
-        let d = scan_source("crates/x/src/lib.rs", src);
+        let d = scan_source("crates/x/src/lib.rs", src, None);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule.code(), "H1.alloc");
         assert_eq!(d[0].line, 6);
@@ -732,7 +718,7 @@ mod tests {
 "#;
         let census = |other: &str| {
             let census = files_mentioning([src, other]);
-            scan_source_in("crates/x/src/lib.rs", src, Some(&census))
+            scan_source("crates/x/src/lib.rs", src, Some(&census))
         };
         let alone = census("fn main() { used_elsewhere(); }");
         assert_eq!(alone.len(), 1, "{alone:?}");

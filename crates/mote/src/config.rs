@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use scream_netsim::{DataRate, SimTime};
+use scream_netsim::{DataRate, Db, Dbm, SimTime};
 
 /// Parameters of the simulated Mica2 SCREAM-detection experiment.
 ///
@@ -22,18 +22,18 @@ pub struct MoteExperimentConfig {
     pub scream_interval: SimTime,
     /// Number of SCREAMs the initiator emits during the run.
     pub scream_count: usize,
-    /// RSSI detection threshold at relays and monitor, in dBm.
-    pub rssi_threshold_dbm: f64,
-    /// Received power at the monitor while a single relay transmits, in dBm
-    /// (relays and monitor form a clique a few meters apart).
-    pub relay_rx_power_dbm: f64,
-    /// Received power at the monitor from the initiator, in dBm. The
-    /// initiator is two hops away, so this is below the detection threshold.
-    pub initiator_rx_power_dbm: f64,
-    /// Receiver noise floor, in dBm.
-    pub noise_floor_dbm: f64,
-    /// Standard deviation of the RSSI measurement noise, in dB.
-    pub rssi_noise_sigma_db: f64,
+    /// RSSI detection threshold at relays and monitor.
+    pub rssi_threshold_dbm: Dbm,
+    /// Received power at the monitor while a single relay transmits (relays
+    /// and monitor form a clique a few meters apart).
+    pub relay_rx_power_dbm: Dbm,
+    /// Received power at the monitor from the initiator. The initiator is
+    /// two hops away, so this is below the detection threshold.
+    pub initiator_rx_power_dbm: Dbm,
+    /// Receiver noise floor.
+    pub noise_floor_dbm: Dbm,
+    /// Standard deviation of the RSSI measurement noise.
+    pub rssi_noise_sigma_db: Db,
     /// Radio serialization rate (CC1000 ≈ 38.4 kb/s).
     pub data_rate: DataRate,
     /// Interval between raw RSSI samples at the monitor.
@@ -69,11 +69,11 @@ impl MoteExperimentConfig {
             relay_count: 6,
             scream_interval: SimTime::from_millis(100),
             scream_count: 2000,
-            rssi_threshold_dbm: -60.0,
-            relay_rx_power_dbm: -40.0,
-            initiator_rx_power_dbm: -75.0,
-            noise_floor_dbm: -95.0,
-            rssi_noise_sigma_db: 1.5,
+            rssi_threshold_dbm: Dbm::new(-60.0),
+            relay_rx_power_dbm: Dbm::new(-40.0),
+            initiator_rx_power_dbm: Dbm::new(-75.0),
+            noise_floor_dbm: Dbm::new(-95.0),
+            rssi_noise_sigma_db: Db::new(1.5),
             data_rate: DataRate::MICA2,
             rssi_sample_period: SimTime::from_micros(500),
             ma_sample_stride: 3,
@@ -159,7 +159,7 @@ mod tests {
         assert_eq!(c.relay_count, 6);
         assert_eq!(c.scream_interval, SimTime::from_millis(100));
         assert_eq!(c.scream_count, 2000);
-        assert_eq!(c.rssi_threshold_dbm, -60.0);
+        assert_eq!(c.rssi_threshold_dbm.get(), -60.0);
         assert_eq!(c.ma_sample_stride, 3);
         assert_eq!(c.interval_tolerance, 0.05);
         assert_eq!(MoteExperimentConfig::default(), c);
@@ -191,7 +191,7 @@ mod tests {
     #[should_panic(expected = "two hops away")]
     fn initiator_must_stay_below_threshold_at_the_monitor() {
         let mut c = MoteExperimentConfig::paper_default();
-        c.initiator_rx_power_dbm = -50.0;
+        c.initiator_rx_power_dbm = Dbm::new(-50.0);
         c.validate();
     }
 

@@ -5,7 +5,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use scream_netsim::radio::{dbm_to_mw, mw_to_dbm};
 use scream_netsim::{EventQueue, SimTime};
 
 use crate::config::MoteExperimentConfig;
@@ -90,9 +89,9 @@ impl MoteExperiment {
         let mut detections: Vec<SimTime> = Vec::new();
         let mut trace = RssiTrace::new();
 
-        let noise_mw = dbm_to_mw(cfg.noise_floor_dbm);
-        let relay_mw = dbm_to_mw(cfg.relay_rx_power_dbm);
-        let initiator_mw = dbm_to_mw(cfg.initiator_rx_power_dbm);
+        let noise_mw = cfg.noise_floor_dbm.to_mw();
+        let relay_mw = cfg.relay_rx_power_dbm.to_mw();
+        let initiator_mw = cfg.initiator_rx_power_dbm.to_mw();
 
         while let Some(ev) = queue.pop() {
             if ev.time > horizon {
@@ -147,9 +146,9 @@ impl MoteExperiment {
                     if initiator_active {
                         power_mw += initiator_mw;
                     }
-                    power_mw += relay_active.iter().filter(|&&a| a).count() as f64 * relay_mw;
+                    power_mw += relay_mw * relay_active.iter().filter(|&&a| a).count() as f64;
                     let rssi_dbm =
-                        mw_to_dbm(power_mw) + cfg.rssi_noise_sigma_db * standard_normal(&mut rng);
+                        power_mw.to_dbm() + cfg.rssi_noise_sigma_db * standard_normal(&mut rng);
 
                     sample_counter += 1;
                     let mut ma_value = None;
@@ -366,14 +365,14 @@ mod tests {
         assert!(!trace.is_empty());
         // The moving average must rise above the threshold during screams and
         // fall back to the noise floor in between.
-        let peak = trace.peak_moving_average_dbm();
+        let peak = trace.peak_moving_average_dbm().get();
         assert!(
             peak > -60.0,
             "peak MA {peak} dBm should cross the threshold"
         );
         let floor = trace
             .moving_average_series()
-            .map(|(_, v)| v)
+            .map(|(_, v)| v.get())
             .fold(f64::INFINITY, f64::min);
         assert!(
             floor < -80.0,

@@ -2,18 +2,18 @@
 
 use serde::{Deserialize, Serialize};
 
-use scream_netsim::SimTime;
+use scream_netsim::{Dbm, SimTime};
 
 /// One RSSI reading at the monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RssiSample {
     /// When the sample was taken.
     pub time: SimTime,
-    /// The raw RSSI value, in dBm.
-    pub rssi_dbm: f64,
-    /// The moving-average value after consuming this sample, in dBm, if the
-    /// sample was one of the strided samples fed into the average.
-    pub moving_average_dbm: Option<f64>,
+    /// The raw RSSI value.
+    pub rssi_dbm: Dbm,
+    /// The moving-average value after consuming this sample, if the sample
+    /// was one of the strided samples fed into the average.
+    pub moving_average_dbm: Option<Dbm>,
 }
 
 /// A sliding-window moving average over dBm readings, mimicking the filter
@@ -39,8 +39,8 @@ impl MovingAverage {
     }
 
     /// Pushes a new value and returns the current average.
-    pub fn push(&mut self, value_dbm: f64) -> f64 {
-        self.values.push(value_dbm);
+    pub fn push(&mut self, value: Dbm) -> Dbm {
+        self.values.push(value.get());
         if self.values.len() > self.window {
             self.values.remove(0);
         }
@@ -48,12 +48,14 @@ impl MovingAverage {
     }
 
     /// The current average, or negative infinity if no value has been pushed.
-    pub fn current(&self) -> f64 {
-        if self.values.is_empty() {
+    /// (The paper's monitor averages in the log domain, so the window's sum
+    /// is raw `f64`: dBm values do not add.)
+    pub fn current(&self) -> Dbm {
+        Dbm::new(if self.values.is_empty() {
             f64::NEG_INFINITY
         } else {
             self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
+        })
     }
 }
 
@@ -92,17 +94,19 @@ impl RssiTrace {
 
     /// The subset of samples that carry a moving-average value (the strided
     /// samples actually consumed by the monitor).
-    pub fn moving_average_series(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+    pub fn moving_average_series(&self) -> impl Iterator<Item = (SimTime, Dbm)> + '_ {
         self.samples
             .iter()
             .filter_map(|s| s.moving_average_dbm.map(|ma| (s.time, ma)))
     }
 
-    /// Maximum moving-average value seen in the trace, in dBm.
-    pub fn peak_moving_average_dbm(&self) -> f64 {
-        self.moving_average_series()
-            .map(|(_, v)| v)
-            .fold(f64::NEG_INFINITY, f64::max)
+    /// Maximum moving-average value seen in the trace.
+    pub fn peak_moving_average_dbm(&self) -> Dbm {
+        Dbm::new(
+            self.moving_average_series()
+                .map(|(_, v)| v.get())
+                .fold(f64::NEG_INFINITY, f64::max),
+        )
     }
 }
 
@@ -113,12 +117,13 @@ mod tests {
     #[test]
     fn moving_average_tracks_the_window() {
         let mut ma = MovingAverage::new(3);
-        assert_eq!(ma.current(), f64::NEG_INFINITY);
-        assert_eq!(ma.push(-90.0), -90.0);
-        assert_eq!(ma.push(-60.0), -75.0);
-        assert_eq!(ma.push(-60.0), -70.0);
+        assert_eq!(ma.current().get(), f64::NEG_INFINITY);
+        let mut push = |dbm| ma.push(Dbm::new(dbm)).get();
+        assert_eq!(push(-90.0), -90.0);
+        assert_eq!(push(-60.0), -75.0);
+        assert_eq!(push(-60.0), -70.0);
         // Window slides: the -90 falls out.
-        assert_eq!(ma.push(-60.0), -60.0);
+        assert_eq!(push(-60.0), -60.0);
     }
 
     #[test]
@@ -133,21 +138,21 @@ mod tests {
         for i in 0..10u64 {
             trace.push(RssiSample {
                 time: SimTime::from_millis(i),
-                rssi_dbm: -90.0 + i as f64,
-                moving_average_dbm: (i % 2 == 0).then_some(-80.0 + i as f64),
+                rssi_dbm: Dbm::new(-90.0 + i as f64),
+                moving_average_dbm: (i % 2 == 0).then_some(Dbm::new(-80.0 + i as f64)),
             });
         }
         assert_eq!(trace.len(), 10);
         assert!(!trace.is_empty());
         let ma_points: Vec<_> = trace.moving_average_series().collect();
         assert_eq!(ma_points.len(), 5);
-        assert!((trace.peak_moving_average_dbm() - (-72.0)).abs() < 1e-12);
+        assert!((trace.peak_moving_average_dbm().get() - (-72.0)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_trace_has_no_peak() {
         let trace = RssiTrace::new();
         assert!(trace.is_empty());
-        assert_eq!(trace.peak_moving_average_dbm(), f64::NEG_INFINITY);
+        assert_eq!(trace.peak_moving_average_dbm().get(), f64::NEG_INFINITY);
     }
 }

@@ -19,8 +19,9 @@ use serde::{Deserialize, Serialize};
 use scream_topology::{Deployment, Graph, GraphKind, NodeId, Point2};
 
 use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
-use crate::radio::{db_to_linear, mw_to_dbm, RadioConfig};
+use crate::radio::RadioConfig;
 use crate::spatial::{bounding_box_m, SpatialGrid};
+use crate::units::{Db, Meters, Mw};
 
 /// Immutable physical-layer state of a deployed mesh: per-pair channel
 /// gains (dense or streamed), per-node transmit powers and the radio
@@ -70,7 +71,6 @@ pub struct RadioEnvironment {
     gain_profile: GainProfile,
     config: RadioConfig,
     propagation: PropagationModel,
-    shadowing_sigma_db: f64,
 }
 
 /// Far-field pruning parameters derived from an environment: beyond
@@ -80,14 +80,14 @@ pub struct RadioEnvironment {
 /// feasibility verdict the exact sum would give (see the ledger module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FarField {
-    /// The noise-floor cutoff radius, in meters.
-    pub cutoff_m: f64,
-    /// `cutoff_m²`, for squared-distance comparisons on hot paths.
+    /// The noise-floor cutoff radius.
+    pub cutoff_m: Meters,
+    /// `cutoff_m²`, in m², for squared-distance comparisons on hot paths.
     pub cutoff_sq_m2: f64,
     /// Conservative per-transmitter received-power bound at or beyond the
-    /// cutoff, in milliwatts (includes the maximum transmit power, the
-    /// maximum shadowing gain boost and a floating-point slop factor).
-    pub unit_mw: f64,
+    /// cutoff (includes the maximum transmit power, the maximum shadowing
+    /// gain boost and a floating-point slop factor).
+    pub unit_mw: Mw,
 }
 
 /// Per-interferer far-field bound as a fraction of the noise floor. At this
@@ -123,25 +123,20 @@ impl RadioEnvironment {
         self.config.channel_count.max(1)
     }
 
-    /// The shadowing standard deviation the gains were generated with, in dB.
-    pub fn shadowing_sigma_db(&self) -> f64 {
-        self.shadowing_sigma_db
-    }
-
     /// A copy of this environment with the shadowing field redrawn at
-    /// `sigma_db` from `seed` — the fault-injection hook for time-varying
+    /// `sigma` from `seed` — the fault-injection hook for time-varying
     /// fades. Positions, transmit powers, the propagation model and the
     /// radio configuration are unchanged; only the per-pair gains (and the
     /// conservative `max_shadow_db` pruning bound derived from them) are
     /// regenerated, exactly as [`RadioEnvironmentBuilder::build`] would have
-    /// with this shadowing draw. Deterministic: the same `(sigma_db, seed)`
+    /// with this shadowing draw. Deterministic: the same `(sigma, seed)`
     /// always produces the same environment.
     ///
     /// # Panics
     ///
     /// Panics on streamed-gain environments — streaming recomputes gains on
     /// demand from positions alone and cannot carry an O(n²) shadowing field.
-    pub fn refaded(&self, sigma_db: f64, seed: u64) -> RadioEnvironment {
+    pub fn refaded(&self, sigma: Db, seed: u64) -> RadioEnvironment {
         assert!(
             !self.is_streamed(),
             "refading requires dense gains; streamed environments carry no shadowing field"
@@ -151,7 +146,7 @@ impl RadioEnvironment {
             &self.ys,
             &self.tx_power_mw,
             &self.propagation,
-            sigma_db,
+            sigma,
             seed,
         );
         // Field by field: `..self.clone()` would copy the n² matrix this
@@ -170,24 +165,23 @@ impl RadioEnvironment {
             gain_profile: self.gain_profile,
             config: self.config,
             propagation: self.propagation,
-            shadowing_sigma_db: sigma_db,
         }
     }
 
-    /// Transmit power of `node` in milliwatts.
-    pub fn tx_power_mw(&self, node: NodeId) -> f64 {
-        self.tx_power_mw[node.index()]
+    /// Transmit power of `node`.
+    pub fn tx_power_mw(&self, node: NodeId) -> Mw {
+        Mw::new(self.tx_power_mw[node.index()])
     }
 
-    /// Maximum per-node transmit power in milliwatts (0 with no nodes).
-    pub fn max_tx_power_mw(&self) -> f64 {
-        self.max_tx_power_mw
+    /// Maximum per-node transmit power (0 mW with no nodes).
+    pub fn max_tx_power_mw(&self) -> Mw {
+        Mw::new(self.max_tx_power_mw)
     }
 
-    /// Maximum shadowing gain boost baked into the gain matrix, in dB (0
-    /// when shadowing is disabled or gains are streamed).
-    pub fn max_shadow_db(&self) -> f64 {
-        self.max_shadow_db
+    /// Maximum shadowing gain boost baked into the gain matrix (0 dB when
+    /// shadowing is disabled or gains are streamed).
+    pub fn max_shadow_db(&self) -> Db {
+        Db::new(self.max_shadow_db)
     }
 
     /// Minimum per-node transmit power in milliwatts (+∞ with no nodes).
@@ -195,7 +189,7 @@ impl RadioEnvironment {
         self.min_tx_power_mw
     }
 
-    /// A lower bound, in milliwatts, on
+    /// A lower bound on
     /// [`received_power_mw(tx, rx)`](Self::received_power_mw) over every node
     /// `tx ≠ rx`: the least interference any transmitter of the deployment
     /// adds at `rx`. Dense environments return the exact minimum (recorded
@@ -203,16 +197,16 @@ impl RadioEnvironment {
     /// the weakest transmitter's power at the corner of the bounding box
     /// farthest from `rx`, which no node lies beyond. 0 — a bound on anything
     /// — for an id the environment lacks.
-    pub fn weakest_interferer_mw(&self, rx: NodeId) -> f64 {
+    pub fn weakest_interferer_mw(&self, rx: NodeId) -> Mw {
         if !self.gains.is_empty() {
-            return self.weakest_rx_mw.get(rx.index()).copied().unwrap_or(0.0);
+            return Mw::new(self.weakest_rx_mw.get(rx.index()).copied().unwrap_or(0.0));
         }
         let (Some(&x), Some(&y)) = (self.xs.get(rx.index()), self.ys.get(rx.index())) else {
-            return 0.0;
+            return Mw::new(0.0);
         };
         let [min_x, max_x, min_y, max_y] = self.bounding_box_m;
         let (dx, dy) = ((x - min_x).max(max_x - x), (y - min_y).max(max_y - y));
-        self.min_tx_power_mw * self.gain_profile.gain_floor_within(dx * dx + dy * dy)
+        Mw::new(self.min_tx_power_mw * self.gain_profile.gain_floor_within(dx * dx + dy * dy))
     }
 
     /// Position of `node` in meters.
@@ -239,9 +233,9 @@ impl RadioEnvironment {
     }
 
     /// Builds a uniform-grid spatial index over the node positions with the
-    /// given target cell size in meters.
-    pub fn spatial_grid(&self, target_cell_m: f64) -> SpatialGrid {
-        SpatialGrid::build(&self.xs, &self.ys, target_cell_m)
+    /// given target cell size.
+    pub fn spatial_grid(&self, target_cell: Meters) -> SpatialGrid {
+        SpatialGrid::build(&self.xs, &self.ys, target_cell)
     }
 
     /// Derives the far-field pruning parameters for this environment: the
@@ -252,22 +246,22 @@ impl RadioEnvironment {
         if self.max_tx_power_mw <= 0.0 {
             // Nothing transmits, so every interferer contributes exactly 0.
             return FarField {
-                cutoff_m: 0.0,
+                cutoff_m: Meters::new(0.0),
                 cutoff_sq_m2: 0.0,
-                unit_mw: 0.0,
+                unit_mw: Mw::new(0.0),
             };
         }
-        let target_mw = self.config.noise_floor_mw() * FAR_FIELD_NOISE_FRACTION;
-        let budget_db = mw_to_dbm(self.max_tx_power_mw) + self.max_shadow_db - mw_to_dbm(target_mw);
-        let cutoff_m = self.propagation.distance_for_loss_db(budget_db);
-        let cutoff_sq_m2 = cutoff_m * cutoff_m;
+        let target = self.config.noise_floor_mw() * FAR_FIELD_NOISE_FRACTION;
+        let budget = self.max_tx_power_mw().to_dbm() + self.max_shadow_db() - target.to_dbm();
+        let cutoff_m = self.propagation.distance_for_loss_db(budget);
+        let cutoff_sq_m2 = cutoff_m.get() * cutoff_m.get();
         // Gain is non-increasing in distance, so evaluating the profile *at*
         // the cutoff bounds every transmitter at or beyond it; the slop
         // factor absorbs the floating-point rounding between the profile and
         // the dense matrix's `powf` chain.
-        let unit_mw = self.max_tx_power_mw
+        let unit_mw = self.max_tx_power_mw()
             * self.gain_profile.gain_from_distance_squared(cutoff_sq_m2)
-            * db_to_linear(self.max_shadow_db)
+            * self.max_shadow_db().to_linear()
             * (1.0 + 1e-6);
         FarField {
             cutoff_m,
@@ -292,9 +286,15 @@ impl RadioEnvironment {
             .gain_from_distance_squared(dx * dx + dy * dy)
     }
 
-    /// Received power at `rx` of a transmission from `tx`, in milliwatts
-    /// (`P_rx(tx)` in the paper's notation).
-    pub fn received_power_mw(&self, tx: NodeId, rx: NodeId) -> f64 {
+    /// Received power at `rx` of a transmission from `tx` (`P_rx(tx)` in
+    /// the paper's notation).
+    pub fn received_power_mw(&self, tx: NodeId, rx: NodeId) -> Mw {
+        Mw::new(self.received_mw(tx, rx))
+    }
+
+    /// [`received_power_mw`](Self::received_power_mw) as the raw milliwatts
+    /// the interference kernels sum.
+    pub(crate) fn received_mw(&self, tx: NodeId, rx: NodeId) -> f64 {
         self.tx_power_mw[tx.index()] * self.gain(tx, rx)
     }
 
@@ -303,7 +303,7 @@ impl RadioEnvironment {
     /// received powers, so concurrent transmissions (collisions) only make
     /// detection easier — the property the SCREAM primitive relies on.
     pub fn carrier_sense(&self, listener: NodeId, transmitters: &[NodeId]) -> bool {
-        let mut total = 0.0;
+        let mut total = Mw::new(0.0);
         for &t in transmitters {
             if t == listener {
                 continue;
@@ -317,12 +317,11 @@ impl RadioEnvironment {
     /// the air: each reaches the other at β over the noise floor alone. The
     /// edge test of [`communication_graph`](Self::communication_graph).
     fn decodes_alone(&self, u: NodeId, v: NodeId) -> bool {
-        let (noise_mw, beta) = (
+        let (noise, beta) = (
             self.config.noise_floor_mw(),
             self.config.sinr_threshold_linear(),
         );
-        self.received_power_mw(u, v) / noise_mw >= beta
-            && self.received_power_mw(v, u) / noise_mw >= beta
+        self.received_power_mw(u, v) / noise >= beta && self.received_power_mw(v, u) / noise >= beta
     }
 
     /// Node count above which graph construction switches from the O(n²)
@@ -332,31 +331,31 @@ impl RadioEnvironment {
     /// as the small-instance default and the property-test oracle.
     const GRAPH_GRID_THRESHOLD: usize = 256;
 
-    /// Conservative upper bound in meters on the length of any
+    /// Conservative upper bound on the length of any
     /// interference-free communication edge: past this distance even the
     /// loudest node with the largest shadowing boost falls below β against
     /// noise alone. The pad absorbs floating-point rounding in the loss
     /// inversion, so grid-pruned construction can never drop a borderline
     /// edge the pair scan would keep.
-    fn max_link_range_m(&self) -> f64 {
+    fn max_link_range(&self) -> Meters {
         if self.max_tx_power_mw <= 0.0 {
-            return 0.0;
+            return Meters::new(0.0);
         }
-        let budget_db = mw_to_dbm(self.max_tx_power_mw) + self.max_shadow_db
+        let budget = self.max_tx_power_mw().to_dbm() + self.max_shadow_db()
             - self.config.noise_floor_dbm
             - self.config.sinr_threshold_db;
-        self.propagation.distance_for_loss_db(budget_db) * 1.001
+        Meters::new(self.propagation.distance_for_loss_db(budget).get() * 1.001)
     }
 
-    /// Conservative upper bound in meters on the carrier-sense range of any
-    /// single transmitter, padded like [`max_link_range_m`](Self::max_link_range_m).
-    fn max_carrier_sense_range_m(&self) -> f64 {
+    /// Conservative upper bound on the carrier-sense range of any single
+    /// transmitter, padded like [`max_link_range`](Self::max_link_range).
+    fn max_carrier_sense_range(&self) -> Meters {
         if self.max_tx_power_mw <= 0.0 {
-            return 0.0;
+            return Meters::new(0.0);
         }
-        let budget_db = mw_to_dbm(self.max_tx_power_mw) + self.max_shadow_db
+        let budget = self.max_tx_power_mw().to_dbm() + self.max_shadow_db()
             - self.config.carrier_sense_threshold_dbm;
-        self.propagation.distance_for_loss_db(budget_db) * 1.001
+        Meters::new(self.propagation.distance_for_loss_db(budget).get() * 1.001)
     }
 
     /// Builds the communication graph `G = (V, E)`: an undirected edge per
@@ -370,13 +369,13 @@ impl RadioEnvironment {
     fn communication_graph_impl(&self, use_grid: bool) -> Graph {
         let mut g = Graph::new(self.node_count, GraphKind::Undirected);
         if use_grid {
-            let range_m = self.max_link_range_m();
-            let grid = self.spatial_grid((range_m / 2.0).max(1.0));
+            let range = self.max_link_range();
+            let grid = self.spatial_grid(Meters::new((range.get() / 2.0).max(1.0)));
             let mut near: Vec<u32> = Vec::new();
             for i in 0..self.node_count {
                 let u = NodeId::new(i as u32);
                 near.clear();
-                grid.nodes_within(&self.xs, &self.ys, self.position(u), range_m, &mut near);
+                grid.nodes_within(&self.xs, &self.ys, self.position(u), range, &mut near);
                 // `near` is ascending, so edges appear in the same (i, j>i)
                 // order the pair scan produces.
                 for &jv in &near {
@@ -413,13 +412,13 @@ impl RadioEnvironment {
     fn sensitivity_graph_impl(&self, use_grid: bool) -> Graph {
         let mut g = Graph::new(self.node_count, GraphKind::Directed);
         if use_grid {
-            let range_m = self.max_carrier_sense_range_m();
-            let grid = self.spatial_grid((range_m / 2.0).max(1.0));
+            let range = self.max_carrier_sense_range();
+            let grid = self.spatial_grid(Meters::new((range.get() / 2.0).max(1.0)));
             let mut near: Vec<u32> = Vec::new();
             for i in 0..self.node_count {
                 let u = NodeId::new(i as u32);
                 near.clear();
-                grid.nodes_within(&self.xs, &self.ys, self.position(u), range_m, &mut near);
+                grid.nodes_within(&self.xs, &self.ys, self.position(u), range, &mut near);
                 for &jv in &near {
                     if jv as usize == i {
                         continue;
@@ -520,7 +519,7 @@ impl RadioEnvironmentBuilder {
         let tx_power_mw: Vec<f64> = deployment
             .nodes()
             .iter()
-            .map(|node| node.tx_power_mw())
+            .map(|node| node.tx_power_mw().get())
             .collect();
         let dense = if self.stream_gains {
             assert!(
@@ -535,7 +534,7 @@ impl RadioEnvironmentBuilder {
                 &ys,
                 &tx_power_mw,
                 &self.propagation,
-                self.shadowing_sigma_db,
+                Db::new(self.shadowing_sigma_db),
                 self.shadowing_seed,
             )
         };
@@ -556,7 +555,6 @@ impl RadioEnvironmentBuilder {
             gain_profile: self.propagation.gain_profile(),
             config: self.config,
             propagation: self.propagation,
-            shadowing_sigma_db: self.shadowing_sigma_db,
         }
     }
 }
@@ -580,11 +578,11 @@ fn dense_gains(
     ys: &[f64],
     tx_power_mw: &[f64],
     propagation: &PropagationModel,
-    sigma_db: f64,
+    sigma: Db,
     seed: u64,
 ) -> DenseGains {
     let n = xs.len();
-    let shadowing = ShadowingField::generate(n, sigma_db, seed);
+    let shadowing = ShadowingField::generate(n, sigma, seed);
     let mut gains = vec![1.0; n * n];
     let mut max_shadow_db = 0.0f64;
     let mut weakest_rx_mw = vec![f64::INFINITY; n];
@@ -596,12 +594,12 @@ fn dense_gains(
             }
             let pj = Point2::new(xs[j], ys[j]);
             let dist = pi.distance(pj);
-            let shadow_db = shadowing.shadow_db(i, j);
+            let shadow_db = shadowing.shadow_db(i, j).get();
             // A negative sample *boosts* the gain; track the largest
             // boost for the conservative far-field and range bounds.
             max_shadow_db = max_shadow_db.max(-shadow_db);
-            let loss_db = propagation.path_loss_db(dist) + shadow_db;
-            let gain = db_to_linear(-loss_db);
+            let loss_db = propagation.path_loss_db(Meters::new(dist)).get() + shadow_db;
+            let gain = Db::new(-loss_db).to_linear();
             gains[i * n + j] = gain;
             // The product `received_power_mw(i, j)` evaluates.
             weakest_rx_mw[j] = weakest_rx_mw[j].min(tx_power_mw[i] * gain);
@@ -618,6 +616,7 @@ fn dense_gains(
 mod tests {
     use super::*;
     use crate::ledger::{LinkSinrMargin, SlotLedger};
+    use crate::units::Dbm;
     use scream_topology::{GridDeployment, Link, Point2, Rect};
 
     fn link(a: u32, b: u32) -> Link {
@@ -649,8 +648,8 @@ mod tests {
             .propagation(PropagationModel::log_distance(3.0))
             .shadowing(4.0, 7)
             .build(&d);
-        let faded = base.refaded(4.0, 8);
-        let faded_again = base.refaded(4.0, 8);
+        let faded = base.refaded(Db::new(4.0), 8);
+        let faded_again = base.refaded(Db::new(4.0), 8);
         assert_eq!(faded, faded_again, "same (sigma, seed) must reproduce");
         assert_ne!(faded, base, "a fresh seed redraws the field");
         assert_eq!(faded.positions(), base.positions());
@@ -660,7 +659,7 @@ mod tests {
             .propagation(PropagationModel::log_distance(3.0))
             .shadowing(4.0, 7)
             .build(&d);
-        assert_eq!(base.refaded(4.0, 7), rebuilt);
+        assert_eq!(base.refaded(Db::new(4.0), 7), rebuilt);
         // The per-receiver floor is refilled with the matrix: it is the
         // exact minimum over the faded gains, not the base's.
         assert_ne!(faded.weakest_rx_mw, base.weakest_rx_mw);
@@ -669,9 +668,9 @@ mod tests {
                 let least_mw = (0..6)
                     .map(NodeId::new)
                     .filter(|&tx| tx != rx)
-                    .map(|tx| e.received_power_mw(tx, rx))
+                    .map(|tx| e.received_power_mw(tx, rx).get())
                     .fold(f64::INFINITY, f64::min);
-                assert_eq!(e.weakest_interferer_mw(rx), least_mw);
+                assert_eq!(e.weakest_interferer_mw(rx).get(), least_mw);
             }
         }
     }
@@ -684,7 +683,7 @@ mod tests {
             .propagation(PropagationModel::log_distance(3.0))
             .streamed_gains()
             .build(&d);
-        let _ = streamed.refaded(2.0, 1);
+        let _ = streamed.refaded(Db::new(2.0), 1);
     }
 
     #[test]
@@ -716,13 +715,14 @@ mod tests {
         let d = line_deployment(200.0, 2);
         let e = env(&d);
         let margin = margins_of_first(&e, &[link(0, 1)]);
-        let snr_db = |tx: u32, rx: u32| {
-            mw_to_dbm(e.received_power_mw(NodeId::new(tx), NodeId::new(rx)))
+        let snr = |tx: u32, rx: u32| {
+            e.received_power_mw(NodeId::new(tx), NodeId::new(rx))
+                .to_dbm()
                 - e.config().noise_floor_dbm
         };
-        let beta_db = e.config().sinr_threshold_db;
-        assert!((margin.data_margin_db - (snr_db(0, 1) - beta_db)).abs() < 1e-9);
-        assert!((margin.ack_margin_db - (snr_db(1, 0) - beta_db)).abs() < 1e-9);
+        let beta = e.config().sinr_threshold_db;
+        assert!((margin.data_margin_db - (snr(0, 1) - beta)).get().abs() < 1e-9);
+        assert!((margin.ack_margin_db - (snr(1, 0) - beta)).get().abs() < 1e-9);
     }
 
     #[test]
@@ -770,7 +770,7 @@ mod tests {
         let mut e = env(&d);
         let single = e.received_power_mw(NodeId::new(0), NodeId::new(2));
         // Craft a threshold between 1x and 2x the single received power.
-        e.config.carrier_sense_threshold_dbm = mw_to_dbm(single * 1.5);
+        e.config.carrier_sense_threshold_dbm = (single * 1.5).to_dbm();
         assert!(!e.carrier_sense(NodeId::new(2), &[NodeId::new(0)]));
         assert!(e.carrier_sense(NodeId::new(2), &[NodeId::new(0), NodeId::new(1)]));
     }
@@ -792,7 +792,7 @@ mod tests {
         // failing direction fails the handshake.
         let slot = SlotLedger::with_links(&e, &[link(0, 1), link(2, 3)]);
         let margin = slot.margins()[0];
-        assert!(margin.data_margin_db < 0.0 && margin.ack_margin_db >= 0.0);
+        assert!(margin.data_margin_db < Db::new(0.0) && margin.ack_margin_db >= Db::new(0.0));
         assert!(!margin.ok());
         assert!(!slot.all_links_ok());
     }
@@ -882,8 +882,6 @@ mod tests {
             base.gain(NodeId::new(0), NodeId::new(1)),
             shadowed_a.gain(NodeId::new(0), NodeId::new(1))
         );
-        assert_eq!(base.shadowing_sigma_db(), 0.0);
-        assert_eq!(shadowed_a.shadowing_sigma_db(), 6.0);
     }
 
     #[test]
@@ -935,7 +933,7 @@ mod tests {
         // Shadowed environments keep the equivalence because the range bound
         // folds in the largest shadowing boost.
         let es = RadioEnvironment::builder().shadowing(8.0, 7).build(&d);
-        assert!(es.max_shadow_db() > 0.0);
+        assert!(es.max_shadow_db().get() > 0.0);
         assert_eq!(
             es.communication_graph_impl(true),
             es.communication_graph_impl(false)
@@ -954,8 +952,9 @@ mod tests {
         let shadowed = RadioEnvironment::builder().shadowing(8.0, 3).build(&d);
         for (e, expect_beyond) in [(env(&d), true), (shadowed, false)] {
             let ff = e.far_field();
-            assert!(ff.cutoff_m > 0.0 && ff.unit_mw > 0.0);
-            assert!((ff.cutoff_sq_m2 - ff.cutoff_m * ff.cutoff_m).abs() <= f64::EPSILON);
+            assert!(ff.cutoff_m.get() > 0.0 && ff.unit_mw.get() > 0.0);
+            let cutoff_m = ff.cutoff_m.get();
+            assert!((ff.cutoff_sq_m2 - cutoff_m * cutoff_m).abs() <= f64::EPSILON);
             let mut beyond = 0;
             for i in 0..16u32 {
                 for j in 0..16u32 {
@@ -995,7 +994,7 @@ mod tests {
             assert_eq!(xs[i as usize], p.x);
             assert_eq!(ys[i as usize], p.y);
         }
-        assert_eq!(e.max_tx_power_mw(), crate::radio::dbm_to_mw(20.0));
+        assert_eq!(e.max_tx_power_mw(), Dbm::new(20.0).to_mw());
     }
 
     #[test]
@@ -1006,7 +1005,7 @@ mod tests {
             nodes.push(scream_topology::NodeInfo::new(
                 NodeId::new(i as u32),
                 p,
-                if i == 0 { 20.0 } else { 0.0 },
+                Dbm::new(if i == 0 { 20.0 } else { 0.0 }),
             ));
         }
         let d = Deployment::from_nodes(
@@ -1018,7 +1017,7 @@ mod tests {
         let e = env(&d);
         // Node 0 is loud, node 1 is quiet: 0->1 decodable, 1->0 not.
         let margin = margins_of_first(&e, &[link(0, 1)]);
-        assert!(margin.data_margin_db >= 0.0 && margin.ack_margin_db < 0.0);
+        assert!(margin.data_margin_db >= Db::new(0.0) && margin.ack_margin_db < Db::new(0.0));
         // Hence no bidirectional link, and the communication graph drops it.
         assert!(!SlotLedger::new(&e).can_add(link(0, 1)));
         assert_eq!(e.communication_graph().edge_count(), 0);

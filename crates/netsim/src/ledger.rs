@@ -139,6 +139,7 @@ use crate::environment::{FarField, RadioEnvironment};
 use crate::radio::ChannelId;
 use crate::refusal::RefusalScreen;
 use crate::spatial::{entry_is_head, entry_link, EndpointBuckets, GridGeometry};
+use crate::units::Db;
 
 /// Relative margin separating the conservative spatial screens from the
 /// exact threshold comparisons. Floating-point rearrangement between a
@@ -156,16 +157,16 @@ const VERDICT_MARGIN: f64 = 1e-9;
 pub struct LinkSinrMargin {
     /// The link the margins belong to.
     pub link: Link,
-    /// SINR slack of the data sub-slot (head → tail), in dB.
-    pub data_margin_db: f64,
-    /// SINR slack of the ACK sub-slot (tail → head), in dB.
-    pub ack_margin_db: f64,
+    /// SINR slack of the data sub-slot (head → tail).
+    pub data_margin_db: Db,
+    /// SINR slack of the ACK sub-slot (tail → head).
+    pub ack_margin_db: Db,
 }
 
 impl LinkSinrMargin {
     /// Whether both handshake directions meet the threshold.
     pub fn ok(&self) -> bool {
-        self.data_margin_db >= 0.0 && self.ack_margin_db >= 0.0
+        self.data_margin_db >= Db::new(0.0) && self.ack_margin_db >= Db::new(0.0)
     }
 }
 
@@ -174,7 +175,9 @@ impl std::fmt::Display for LinkSinrMargin {
         write!(
             f,
             "{}: data {:+.2} dB, ack {:+.2} dB",
-            self.link, self.data_margin_db, self.ack_margin_db
+            self.link,
+            self.data_margin_db.get(),
+            self.ack_margin_db.get()
         )
     }
 }
@@ -274,7 +277,7 @@ fn data_term(env: &RadioEnvironment, interferer_head: NodeId, link: Link) -> Opt
     if interferer_head == link.head || interferer_head == link.tail {
         None
     } else {
-        Some(env.received_power_mw(interferer_head, link.tail))
+        Some(env.received_mw(interferer_head, link.tail))
     }
 }
 
@@ -285,7 +288,7 @@ fn ack_term(env: &RadioEnvironment, interferer_tail: NodeId, link: Link) -> Opti
     if interferer_tail == link.tail || interferer_tail == link.head {
         None
     } else {
-        Some(env.received_power_mw(interferer_tail, link.head))
+        Some(env.received_mw(interferer_tail, link.head))
     }
 }
 
@@ -325,7 +328,7 @@ impl<'a> SlotLedger<'a> {
             // A non-positive cutoff means nothing transmits; pruning would
             // only add overhead (and a degenerate grid).
             let [min_x, max_x, min_y, max_y] = env.bounding_box_m;
-            (far.cutoff_m > 0.0
+            (far.cutoff_m.get() > 0.0
                 && (mode == PruningMode::Forced || {
                     let (dx, dy) = ((max_x - min_x).max(0.0), (max_y - min_y).max(0.0));
                     dx * dx + dy * dy > far.cutoff_sq_m2
@@ -333,7 +336,8 @@ impl<'a> SlotLedger<'a> {
             .then(|| {
                 // Half-cutoff cells keep the disc scan to a few rings while
                 // giving the ring-order early exit useful granularity.
-                let geometry = GridGeometry::covering_box(env.bounding_box_m, far.cutoff_m / 2.0);
+                let geometry =
+                    GridGeometry::covering_box(env.bounding_box_m, far.cutoff_m.get() / 2.0);
                 Pruning {
                     far,
                     buckets: EndpointBuckets::new(geometry),
@@ -345,7 +349,7 @@ impl<'a> SlotLedger<'a> {
             env,
             beta: env.config().sinr_threshold_linear(),
             inv_beta: 1.0 / env.config().sinr_threshold_linear(),
-            noise_mw: env.config().noise_floor_mw(),
+            noise_mw: env.config().noise_floor_mw().get(),
             links: Vec::new(),
             data_signal: Vec::new(),
             ack_signal: Vec::new(),
@@ -571,10 +575,10 @@ impl<'a> SlotLedger<'a> {
     fn candidate_handshake_exact(&self, candidate: Link) -> bool {
         let (cand_data_intf, cand_ack_intf) = self.interference_on(candidate);
         self.meets_beta(
-            self.env.received_power_mw(candidate.head, candidate.tail),
+            self.env.received_mw(candidate.head, candidate.tail),
             cand_data_intf,
         ) && self.meets_beta(
-            self.env.received_power_mw(candidate.tail, candidate.head),
+            self.env.received_mw(candidate.tail, candidate.head),
             cand_ack_intf,
         )
     }
@@ -614,14 +618,14 @@ impl<'a> SlotLedger<'a> {
     ///   expressions themselves;
     /// * anything not decided by a screen falls through to the exact code.
     fn can_add_pruned(&self, p: &Pruning, candidate: Link) -> bool {
-        let data_signal = self.env.received_power_mw(candidate.head, candidate.tail);
-        let ack_signal = self.env.received_power_mw(candidate.tail, candidate.head);
+        let data_signal = self.env.received_mw(candidate.head, candidate.tail);
+        let ack_signal = self.env.received_mw(candidate.tail, candidate.head);
         // An interference-free failure fails a fortiori with interference.
         if !self.meets_beta(data_signal, 0.0) || !self.meets_beta(ack_signal, 0.0) {
             return false;
         }
         let far_links_surely_ok = p.min_sinr
-            >= self.beta * (1.0 + p.far.unit_mw / self.noise_mw) * (1.0 + VERDICT_MARGIN);
+            >= self.beta * (1.0 + p.far.unit_mw.get() / self.noise_mw) * (1.0 + VERDICT_MARGIN);
 
         // Scan A — disc around the candidate's tail. In-disc *heads* feed
         // the candidate's data-direction near sum; each one's link also gets
@@ -653,8 +657,8 @@ impl<'a> SlotLedger<'a> {
         };
 
         let k = self.links.len();
-        let data_upper = data_near_sum + (k - data_near_count) as f64 * p.far.unit_mw;
-        let ack_upper = ack_near_sum + (k - ack_near_count) as f64 * p.far.unit_mw;
+        let data_upper = data_near_sum + (k - data_near_count) as f64 * p.far.unit_mw.get();
+        let ack_upper = ack_near_sum + (k - ack_near_count) as f64 * p.far.unit_mw.get();
         let candidate_ok = if self.surely_meets_beta(data_signal, data_upper)
             && self.surely_meets_beta(ack_signal, ack_upper)
         {
@@ -719,7 +723,7 @@ impl<'a> SlotLedger<'a> {
                     }
                     near_sum.set(
                         near_sum.get()
-                            + self.env.received_power_mw(node, {
+                            + self.env.received_mw(node, {
                                 if want_head {
                                     candidate.tail
                                 } else {
@@ -806,9 +810,9 @@ impl<'a> SlotLedger<'a> {
         }
         self.links.push(link);
         self.data_signal
-            .push(self.env.received_power_mw(link.head, link.tail));
+            .push(self.env.received_mw(link.head, link.tail));
         self.ack_signal
-            .push(self.env.received_power_mw(link.tail, link.head));
+            .push(self.env.received_mw(link.tail, link.head));
         self.data_interference.push(data_intf);
         self.ack_interference.push(ack_intf);
         let (head_at, tail_at) = (self.env.position(link.head), self.env.position(link.tail));
@@ -914,26 +918,25 @@ impl<'a> SlotLedger<'a> {
                         ack += term;
                     }
                 }
-                self.meets_beta(self.env.received_power_mw(t.head, t.tail), data)
-                    && self.meets_beta(self.env.received_power_mw(t.tail, t.head), ack)
+                self.meets_beta(self.env.received_mw(t.head, t.tail), data)
+                    && self.meets_beta(self.env.received_mw(t.tail, t.head), ack)
             })
             .collect()
     }
 
-    /// Per-link SINR margins of the current slot, in dB relative to β.
+    /// Per-link SINR margins of the current slot, relative to β.
     pub fn margins(&self) -> Vec<LinkSinrMargin> {
-        let beta_db = self.env.config().sinr_threshold_db;
+        let beta = self.env.config().sinr_threshold_db;
+        let margin = |signal: f64, interference: f64| {
+            Db::from_linear(signal / (self.noise_mw + interference)) - beta
+        };
         self.links
             .iter()
             .enumerate()
             .map(|(i, &link)| LinkSinrMargin {
                 link,
-                data_margin_db: 10.0
-                    * (self.data_signal[i] / (self.noise_mw + self.data_interference[i])).log10()
-                    - beta_db,
-                ack_margin_db: 10.0
-                    * (self.ack_signal[i] / (self.noise_mw + self.ack_interference[i])).log10()
-                    - beta_db,
+                data_margin_db: margin(self.data_signal[i], self.data_interference[i]),
+                ack_margin_db: margin(self.ack_signal[i], self.ack_interference[i]),
             })
             .collect()
     }
@@ -1274,6 +1277,7 @@ mod tests {
     use super::*;
     use crate::propagation::PropagationModel;
     use crate::radio::RadioConfig;
+    use crate::units::Dbm;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1399,7 +1403,7 @@ mod tests {
         assert!(!forced.all_links_ok());
         let margins = forced.margins();
         assert_eq!(margins.len(), 1);
-        assert!(margins[0].data_margin_db < 0.0);
+        assert!(margins[0].data_margin_db < Db::new(0.0));
         assert!(!margins[0].ok());
     }
 
@@ -1810,7 +1814,7 @@ mod tests {
                     ((i / columns) as f64 + 0.5 + dy) * step_m,
                 );
                 let power_dbm = spread_db * ((i % 3) as f64 - 1.0);
-                scream_topology::NodeInfo::new(NodeId::new(i as u32), position, power_dbm)
+                scream_topology::NodeInfo::new(NodeId::new(i as u32), position, Dbm::new(power_dbm))
             })
             .collect();
         let region = Rect::new(
@@ -2199,8 +2203,8 @@ mod tests {
                     let bits = |m: &LinkSinrMargin| {
                         (
                             m.link,
-                            m.data_margin_db.to_bits(),
-                            m.ack_margin_db.to_bits(),
+                            m.data_margin_db.get().to_bits(),
+                            m.ack_margin_db.get().to_bits(),
                         )
                     };
                     let margin_bits = |ledger: &SlotLedger<'_>| -> Vec<(Link, u64, u64)> {

@@ -73,7 +73,7 @@ pub use propagation::{GainProfile, PropagationModel, ShadowingField};
 pub use radio::{ChannelId, RadioConfig};
 pub use spatial::{EndpointBuckets, GridGeometry, SpatialGrid};
 pub use timing::{ProtocolTiming, SlotTiming};
-pub use units::{DataRate, SimTime};
+pub use units::{DataRate, Db, Dbm, Meters, Mw, SimTime};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::radio::{ChannelId, RadioConfig};
     pub use crate::spatial::{EndpointBuckets, GridGeometry, SpatialGrid};
     pub use crate::timing::{ProtocolTiming, SlotTiming};
-    pub use crate::units::{DataRate, SimTime};
+    pub use crate::units::{DataRate, Db, Dbm, Meters, Mw, SimTime};
 }
 
 /// The ChaCha8 stream of case `case` of the seeded-loop property `property`:

@@ -12,6 +12,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::units::{Db, Meters};
+
 /// Deterministic (distance-dependent) part of the path loss.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PropagationModel {
@@ -57,29 +59,31 @@ impl PropagationModel {
         self.exponent
     }
 
-    /// Path loss in dB over a distance of `distance_m` meters. Distances at
-    /// or below the reference distance return the reference loss.
-    pub fn path_loss_db(&self, distance_m: f64) -> f64 {
+    /// Path loss over `distance`. Distances at or below the reference
+    /// distance return the reference loss.
+    pub fn path_loss_db(&self, distance: Meters) -> Db {
+        let distance_m = distance.get();
         if distance_m <= Self::REFERENCE_DISTANCE_M {
-            return Self::REFERENCE_LOSS_DB;
+            return Db::new(Self::REFERENCE_LOSS_DB);
         }
-        Self::REFERENCE_LOSS_DB + 10.0 * self.exponent * distance_m.log10()
+        Db::new(Self::REFERENCE_LOSS_DB + 10.0 * self.exponent * distance_m.log10())
     }
 
     /// Linear power gain (received power / transmitted power) over the given
     /// distance. Always in `(0, 1]`.
-    pub fn gain(&self, distance_m: f64) -> f64 {
-        10f64.powf(-self.path_loss_db(distance_m) / 10.0)
+    pub fn gain(&self, distance: Meters) -> f64 {
+        (-self.path_loss_db(distance)).to_linear()
     }
 
-    /// The distance at which the path loss reaches `loss_db` dB — the inverse
-    /// of [`path_loss_db`](Self::path_loss_db). Used to derive communication
-    /// and carrier-sense ranges from power budgets.
-    pub fn distance_for_loss_db(&self, loss_db: f64) -> f64 {
+    /// The distance at which the path loss reaches `loss` — the inverse of
+    /// [`path_loss_db`](Self::path_loss_db). Used to derive communication and
+    /// carrier-sense ranges from power budgets.
+    pub fn distance_for_loss_db(&self, loss: Db) -> Meters {
+        let loss_db = loss.get();
         if loss_db <= Self::REFERENCE_LOSS_DB {
-            return Self::REFERENCE_DISTANCE_M;
+            return Meters::new(Self::REFERENCE_DISTANCE_M);
         }
-        10f64.powf((loss_db - Self::REFERENCE_LOSS_DB) / (10.0 * self.exponent))
+        Meters::new(10f64.powf((loss_db - Self::REFERENCE_LOSS_DB) / (10.0 * self.exponent)))
     }
 
     /// Precomputes a [`GainProfile`] evaluating this model's linear gain
@@ -215,7 +219,6 @@ impl Default for PropagationModel {
 /// environment: it models terrain, not fast fading.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShadowingField {
-    sigma_db: f64,
     node_count: usize,
     /// Upper-triangular matrix of shadowing values in dB, row-major over
     /// pairs `(i, j)` with `i < j`.
@@ -226,19 +229,19 @@ impl ShadowingField {
     /// A field with zero variance (no shadowing) over `node_count` nodes.
     pub fn disabled(node_count: usize) -> Self {
         Self {
-            sigma_db: 0.0,
             node_count,
             values_db: Vec::new(),
         }
     }
 
-    /// Generates a field with standard deviation `sigma_db` dB over
-    /// `node_count` nodes, reproducibly from `seed`.
+    /// Generates a field with standard deviation `sigma` over `node_count`
+    /// nodes, reproducibly from `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `sigma_db` is negative or not finite.
-    pub fn generate(node_count: usize, sigma_db: f64, seed: u64) -> Self {
+    /// Panics if `sigma` is negative or not finite.
+    pub fn generate(node_count: usize, sigma: Db, seed: u64) -> Self {
+        let sigma_db = sigma.get();
         assert!(
             sigma_db.is_finite() && sigma_db >= 0.0,
             "shadowing sigma must be non-negative, got {sigma_db}"
@@ -252,28 +255,22 @@ impl ShadowingField {
             .map(|_| sigma_db * standard_normal(&mut rng))
             .collect();
         Self {
-            sigma_db,
             node_count,
             values_db,
         }
     }
 
-    /// The configured standard deviation in dB.
-    pub fn sigma_db(&self) -> f64 {
-        self.sigma_db
-    }
-
-    /// Shadowing offset in dB between nodes `i` and `j` (symmetric; zero on
-    /// the diagonal and when shadowing is disabled).
-    pub fn shadow_db(&self, i: usize, j: usize) -> f64 {
+    /// Shadowing offset between nodes `i` and `j` (symmetric; zero on the
+    /// diagonal and when shadowing is disabled).
+    pub fn shadow_db(&self, i: usize, j: usize) -> Db {
         if self.values_db.is_empty() || i == j {
-            return 0.0;
+            return Db::new(0.0);
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         debug_assert!(b < self.node_count);
         // Index of (a, b), a < b, in the upper-triangular packing.
         let idx = a * self.node_count - a * (a + 1) / 2 + (b - a - 1);
-        self.values_db[idx]
+        Db::new(self.values_db[idx])
     }
 }
 
@@ -299,30 +296,35 @@ mod tests {
     fn path_loss_grows_with_distance_and_exponent() {
         let m2 = PropagationModel::log_distance(2.0);
         let m3 = PropagationModel::log_distance(3.0);
-        assert!(m2.path_loss_db(100.0) < m2.path_loss_db(200.0));
-        assert!(m3.path_loss_db(100.0) > m2.path_loss_db(100.0));
+        let (near, far) = (Meters::new(100.0), Meters::new(200.0));
+        assert!(m2.path_loss_db(near) < m2.path_loss_db(far));
+        assert!(m3.path_loss_db(near) > m2.path_loss_db(near));
     }
 
     #[test]
     fn path_loss_at_reference_distance_is_reference_loss() {
         let m = PropagationModel::paper_default();
-        assert_eq!(m.path_loss_db(1.0), PropagationModel::REFERENCE_LOSS_DB);
-        assert_eq!(m.path_loss_db(0.1), PropagationModel::REFERENCE_LOSS_DB);
+        for d in [1.0, 0.1] {
+            assert_eq!(
+                m.path_loss_db(Meters::new(d)).get(),
+                PropagationModel::REFERENCE_LOSS_DB
+            );
+        }
     }
 
     #[test]
     fn log_distance_slope_is_10_alpha_per_decade() {
         let m = PropagationModel::log_distance(3.0);
-        let slope = m.path_loss_db(1000.0) - m.path_loss_db(100.0);
-        assert!((slope - 30.0).abs() < 1e-9);
+        let slope = m.path_loss_db(Meters::new(1000.0)) - m.path_loss_db(Meters::new(100.0));
+        assert!((slope.get() - 30.0).abs() < 1e-9);
     }
 
     #[test]
     fn gain_is_inverse_of_path_loss() {
         let m = PropagationModel::paper_default();
-        let d = 123.0;
+        let d = Meters::new(123.0);
         let gain = m.gain(d);
-        assert!((10.0 * gain.log10() + m.path_loss_db(d)).abs() < 1e-9);
+        assert!((10.0 * gain.log10() + m.path_loss_db(d).get()).abs() < 1e-9);
         assert!(gain > 0.0 && gain <= 1.0);
     }
 
@@ -330,10 +332,10 @@ mod tests {
     fn distance_for_loss_inverts_path_loss() {
         let m = PropagationModel::log_distance(3.0);
         for d in [5.0, 50.0, 500.0] {
-            let loss = m.path_loss_db(d);
-            assert!((m.distance_for_loss_db(loss) - d).abs() / d < 1e-9);
+            let loss = m.path_loss_db(Meters::new(d));
+            assert!((m.distance_for_loss_db(loss).get() - d).abs() / d < 1e-9);
         }
-        assert_eq!(m.distance_for_loss_db(0.0), 1.0);
+        assert_eq!(m.distance_for_loss_db(Db::new(0.0)).get(), 1.0);
     }
 
     #[test]
@@ -356,7 +358,7 @@ mod tests {
             let m = PropagationModel::log_distance(exponent);
             let p = m.gain_profile();
             for d in [0.5, 1.0, 1.5, 10.0, 123.0, 5000.0, 250_000.0] {
-                let exact = m.gain(d);
+                let exact = m.gain(Meters::new(d));
                 let fast = p.gain_from_distance_squared(d * d);
                 assert!(
                     (fast - exact).abs() <= exact * 1e-12,
@@ -403,40 +405,39 @@ mod tests {
 
     #[test]
     fn shadowing_is_symmetric_and_reproducible() {
-        let f1 = ShadowingField::generate(20, 6.0, 77);
-        let f2 = ShadowingField::generate(20, 6.0, 77);
-        let f3 = ShadowingField::generate(20, 6.0, 78);
+        let f1 = ShadowingField::generate(20, Db::new(6.0), 77);
+        let f2 = ShadowingField::generate(20, Db::new(6.0), 77);
+        let f3 = ShadowingField::generate(20, Db::new(6.0), 78);
         assert_eq!(f1, f2);
         assert_ne!(f1, f3);
         for i in 0..20 {
             for j in 0..20 {
                 assert_eq!(f1.shadow_db(i, j), f1.shadow_db(j, i));
             }
-            assert_eq!(f1.shadow_db(i, i), 0.0);
+            assert_eq!(f1.shadow_db(i, i).get(), 0.0);
         }
     }
 
     #[test]
     fn disabled_shadowing_is_identically_zero() {
         let f = ShadowingField::disabled(10);
-        assert_eq!(f.sigma_db(), 0.0);
         for i in 0..10 {
             for j in 0..10 {
-                assert_eq!(f.shadow_db(i, j), 0.0);
+                assert_eq!(f.shadow_db(i, j).get(), 0.0);
             }
         }
-        let f0 = ShadowingField::generate(10, 0.0, 3);
+        let f0 = ShadowingField::generate(10, Db::new(0.0), 3);
         assert_eq!(f0, ShadowingField::disabled(10));
     }
 
     #[test]
     fn shadowing_samples_have_roughly_the_requested_spread() {
         let sigma = 8.0;
-        let f = ShadowingField::generate(80, sigma, 5);
+        let f = ShadowingField::generate(80, Db::new(sigma), 5);
         let mut values = Vec::new();
         for i in 0..80 {
             for j in (i + 1)..80 {
-                values.push(f.shadow_db(i, j));
+                values.push(f.shadow_db(i, j).get());
             }
         }
         let n = values.len() as f64;
@@ -455,11 +456,11 @@ mod tests {
         // Every pair must map to a distinct entry: perturbing one pair's value
         // must not affect any other pair.
         let n = 12;
-        let f = ShadowingField::generate(n, 4.0, 9);
+        let f = ShadowingField::generate(n, Db::new(4.0), 9);
         let mut seen = std::collections::HashSet::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                let bits = f.shadow_db(i, j).to_bits();
+                let bits = f.shadow_db(i, j).get().to_bits();
                 seen.insert(bits);
             }
         }

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::DataRate;
+use crate::units::{DataRate, Db, Dbm, Mw};
 
 /// Identifier of one orthogonal frequency channel.
 ///
@@ -48,15 +48,15 @@ impl std::fmt::Display for ChannelId {
 /// SCREAM builds its network-wide OR on.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RadioConfig {
-    /// Background noise power `N`, in dBm (thermal noise plus receiver noise
-    /// figure over the channel bandwidth).
-    pub noise_floor_dbm: f64,
-    /// SINR threshold `β`, in dB. A transmission is decodable iff its SINR is
-    /// at least this value.
-    pub sinr_threshold_db: f64,
-    /// Carrier-sense (energy-detection) threshold, in dBm. A listening node
-    /// detects activity iff the total received power exceeds this value.
-    pub carrier_sense_threshold_dbm: f64,
+    /// Background noise power `N` (thermal noise plus receiver noise figure
+    /// over the channel bandwidth).
+    pub noise_floor_dbm: Dbm,
+    /// SINR threshold `β`. A transmission is decodable iff its SINR is at
+    /// least this value.
+    pub sinr_threshold_db: Db,
+    /// Carrier-sense (energy-detection) threshold. A listening node detects
+    /// activity iff the total received power exceeds this value.
+    pub carrier_sense_threshold_dbm: Dbm,
     /// Link data rate used for data packets and ACKs.
     pub data_rate: DataRate,
     /// Size of a data packet, in bytes (payload plus headers).
@@ -75,9 +75,9 @@ impl RadioConfig {
     /// 11 Mb/s, 1500-byte data packets, 38-byte ACKs.
     pub fn mesh_default() -> Self {
         Self {
-            noise_floor_dbm: -100.0,
-            sinr_threshold_db: 10.0,
-            carrier_sense_threshold_dbm: -91.0,
+            noise_floor_dbm: Dbm::new(-100.0),
+            sinr_threshold_db: Db::new(10.0),
+            carrier_sense_threshold_dbm: Dbm::new(-91.0),
             data_rate: DataRate::MBPS_11,
             data_packet_bytes: 1500,
             ack_bytes: 38,
@@ -92,13 +92,13 @@ impl RadioConfig {
     /// Panics if the threshold is not finite.
     pub fn with_sinr_threshold_db(mut self, beta_db: f64) -> Self {
         assert!(beta_db.is_finite(), "SINR threshold must be finite");
-        self.sinr_threshold_db = beta_db;
+        self.sinr_threshold_db = Db::new(beta_db);
         self
     }
 
-    /// Sets the noise floor in dBm.
-    pub fn with_noise_floor_dbm(mut self, dbm: f64) -> Self {
-        self.noise_floor_dbm = dbm;
+    /// Sets the noise floor.
+    pub fn with_noise_floor_dbm(mut self, noise: Dbm) -> Self {
+        self.noise_floor_dbm = noise;
         self
     }
 
@@ -119,46 +119,24 @@ impl RadioConfig {
     }
 
     /// Noise power in milliwatts.
-    pub fn noise_floor_mw(&self) -> f64 {
-        dbm_to_mw(self.noise_floor_dbm)
+    pub fn noise_floor_mw(&self) -> Mw {
+        self.noise_floor_dbm.to_mw()
     }
 
     /// SINR threshold as a linear ratio.
     pub fn sinr_threshold_linear(&self) -> f64 {
-        10f64.powf(self.sinr_threshold_db / 10.0)
+        self.sinr_threshold_db.to_linear()
     }
 
     /// Carrier-sense threshold in milliwatts.
-    pub fn carrier_sense_threshold_mw(&self) -> f64 {
-        dbm_to_mw(self.carrier_sense_threshold_dbm)
+    pub fn carrier_sense_threshold_mw(&self) -> Mw {
+        self.carrier_sense_threshold_dbm.to_mw()
     }
 }
 
 impl Default for RadioConfig {
     fn default() -> Self {
         Self::mesh_default()
-    }
-}
-
-// Re-exported here so the crate is usable without `scream-topology` in scope.
-pub use scream_topology::node::{dbm_to_mw, mw_to_dbm};
-
-/// Converts a relative dB quantity (path loss, fading margin, gain) to the
-/// equivalent linear power *ratio*. Numerically identical to [`dbm_to_mw`],
-/// but dimensionally distinct: dB is a ratio, dBm an absolute power. Use
-/// this for `-loss_db`-style arguments so the units stay honest.
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts a linear power ratio to relative dB. Non-positive ratios map to
-/// negative infinity, mirroring [`mw_to_dbm`].
-// lint:allow(S1.caller, reason = "the inverse U1.conv tells callers to use for a linear ratio; its property pins it to mw_to_dbm bit for bit")
-pub fn linear_to_db(ratio: f64) -> f64 {
-    if ratio <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        10.0 * ratio.log10()
     }
 }
 
@@ -174,10 +152,17 @@ mod tests {
     #[test]
     fn linear_conversions_are_consistent() {
         let c = RadioConfig::mesh_default();
-        assert!((mw_to_dbm(c.noise_floor_mw()) - c.noise_floor_dbm).abs() < 1e-9);
+        assert!(
+            (c.noise_floor_mw().to_dbm() - c.noise_floor_dbm)
+                .get()
+                .abs()
+                < 1e-9
+        );
         assert!((c.sinr_threshold_linear() - 10.0).abs() < 1e-9);
         assert!(
-            (mw_to_dbm(c.carrier_sense_threshold_mw()) - c.carrier_sense_threshold_dbm).abs()
+            (c.carrier_sense_threshold_mw().to_dbm() - c.carrier_sense_threshold_dbm)
+                .get()
+                .abs()
                 < 1e-9
         );
     }
@@ -189,13 +174,12 @@ mod tests {
 
         const CASES: u32 = 256;
 
-        /// dBm↔mW round-trips: the refactor that introduced the
-        /// dB-ratio helpers must keep the absolute-power pair exact.
+        /// dBm↔mW round-trips: `Dbm::to_mw` and `Mw::to_dbm` are inverse.
         #[test]
         fn dbm_mw_round_trip() {
             for case in 0..CASES {
                 let x = case_stream("dbm_mw_round_trip", case).gen_range(-120.0f64..60.0);
-                let back = mw_to_dbm(dbm_to_mw(x));
+                let back = Dbm::new(x).to_mw().to_dbm().get();
                 assert!(
                     (back - x).abs() < 1e-9,
                     "property 'dbm_mw_round_trip' failed at case {case}: {x} -> {back}"
@@ -203,17 +187,16 @@ mod tests {
             }
         }
 
-        /// `db_to_linear` is numerically identical to `dbm_to_mw` (the
-        /// distinction is dimensional, not arithmetic), so migrating
-        /// `dbm_to_mw(-loss_db)` call sites is behavior-preserving.
+        /// `Db::to_linear` is numerically identical to `Dbm::to_mw` (the
+        /// distinction is dimensional, not arithmetic).
         #[test]
         fn db_to_linear_matches_dbm_to_mw() {
             for case in 0..CASES {
                 let x =
                     case_stream("db_to_linear_matches_dbm_to_mw", case).gen_range(-200.0f64..60.0);
                 assert_eq!(
-                    db_to_linear(x).to_bits(),
-                    dbm_to_mw(x).to_bits(),
+                    Db::new(x).to_linear().to_bits(),
+                    Dbm::new(x).to_mw().get().to_bits(),
                     "property 'db_to_linear_matches_dbm_to_mw' failed at case {case}: {x}"
                 );
             }
@@ -226,11 +209,11 @@ mod tests {
                 let r =
                     case_stream("linear_to_db_matches_mw_to_dbm", case).gen_range(1e-20f64..1e6);
                 assert_eq!(
-                    linear_to_db(r).to_bits(),
-                    mw_to_dbm(r).to_bits(),
+                    Db::from_linear(r).get().to_bits(),
+                    Mw::new(r).to_dbm().get().to_bits(),
                     "property 'linear_to_db_matches_mw_to_dbm' failed at case {case}: {r}"
                 );
-                let back = db_to_linear(linear_to_db(r));
+                let back = Db::from_linear(r).to_linear();
                 assert!(
                     (back - r).abs() <= 1e-9 * r,
                     "property 'linear_to_db_matches_mw_to_dbm' failed at case {case}: {r} -> {back}"
@@ -243,9 +226,9 @@ mod tests {
     fn builder_style_setters_update_fields() {
         let c = RadioConfig::mesh_default()
             .with_sinr_threshold_db(6.0)
-            .with_noise_floor_dbm(-95.0);
-        assert_eq!(c.sinr_threshold_db, 6.0);
-        assert_eq!(c.noise_floor_dbm, -95.0);
+            .with_noise_floor_dbm(Dbm::new(-95.0));
+        assert_eq!(c.sinr_threshold_db.get(), 6.0);
+        assert_eq!(c.noise_floor_dbm.get(), -95.0);
     }
 
     #[test]
@@ -275,6 +258,8 @@ mod tests {
         // Energy detection must trigger on signals too weak to decode,
         // otherwise SCREAM relaying would be no more robust than decoding.
         let c = RadioConfig::mesh_default();
-        assert!(c.carrier_sense_threshold_dbm < c.noise_floor_dbm + c.sinr_threshold_db + 20.0);
+        assert!(
+            c.carrier_sense_threshold_dbm < c.noise_floor_dbm + c.sinr_threshold_db + Db::new(20.0)
+        );
     }
 }

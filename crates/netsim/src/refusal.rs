@@ -57,7 +57,7 @@ pub(crate) fn refused_radius_sq_m2(
 ) -> f64 {
     // The ledger's `meets_beta` on the sum its `victim_ok` accumulates.
     let survives = |term_mw: f64| signal_mw / (noise_mw + (interference_mw + term_mw)) >= beta;
-    if !survives(env.weakest_interferer_mw(rx)) {
+    if !survives(env.weakest_interferer_mw(rx).get()) {
         return f64::INFINITY;
     }
     if !env.is_streamed() {
@@ -134,6 +134,7 @@ impl RefusalScreen {
 mod tests {
     use super::*;
     use crate::propagation::PropagationModel;
+    use crate::units::Dbm;
     use crate::SlotLedger;
     use scream_topology::{Deployment, DeploymentKind, NodeInfo, Rect};
 
@@ -146,7 +147,8 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                NodeInfo::new(NodeId::new(i as u32), p, powers_dbm[i % powers_dbm.len()])
+                let power = Dbm::new(powers_dbm[i % powers_dbm.len()]);
+                NodeInfo::new(NodeId::new(i as u32), p, power)
             })
             .collect();
         let d = Deployment::from_nodes(nodes, Rect::square(1.0), DeploymentKind::Custom).unwrap();
@@ -159,12 +161,14 @@ mod tests {
     /// The screen's radius for the victim (0 → 1) alone in its slot, in the
     /// direction whose receiver is `rx`.
     fn lone_victim_radius_sq_m2(env: &RadioEnvironment, rx: u32) -> f64 {
-        let signal_mw = env.received_power_mw(NodeId::new(1 - rx), NodeId::new(rx));
+        let signal_mw = env
+            .received_power_mw(NodeId::new(1 - rx), NodeId::new(rx))
+            .get();
         let config = env.config();
         refused_radius_sq_m2(
             env,
             config.sinr_threshold_linear(),
-            config.noise_floor_mw(),
+            config.noise_floor_mw().get(),
             (signal_mw, 0.0, NodeId::new(rx)),
         )
     }
@@ -256,8 +260,8 @@ mod tests {
         let d = Deployment::from_positions(&positions, 0.0, Rect::square(100.0)).unwrap();
         let env = RadioEnvironment::builder().build(&d);
         let rx = NodeId::new(1);
-        let floor_mw = env.weakest_interferer_mw(rx);
-        assert_eq!(floor_mw, env.received_power_mw(NodeId::new(2), rx));
+        let floor_mw = env.weakest_interferer_mw(rx).get();
+        assert_eq!(floor_mw, env.received_power_mw(NodeId::new(2), rx).get());
         let (beta, noise_mw, interference_mw) = (2.0, 1e-10, 3e-11);
         let signal_mw = beta * (noise_mw + (interference_mw + floor_mw));
         assert_eq!(signal_mw / (noise_mw + (interference_mw + floor_mw)), beta);
@@ -304,7 +308,7 @@ mod tests {
         for positions in [vec![at(0.0, 0.0)], vec![at(0.0, 0.0), at(30.0, 0.0)]] {
             for env in [streamed(&positions, &[0.0], 3.0), dense(&positions)] {
                 let last = positions.len() as u32 - 1;
-                assert_eq!(env.weakest_interferer_mw(NodeId::new(9)), 0.0);
+                assert_eq!(env.weakest_interferer_mw(NodeId::new(9)).get(), 0.0);
                 let mut ledger = SlotLedger::new(&env);
                 assert_eq!(assert_sound_for_every_pair(&ledger, &env), 0, "empty slot");
                 ledger.assign(link(0, last));

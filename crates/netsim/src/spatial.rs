@@ -26,6 +26,8 @@ use serde::{Deserialize, Serialize};
 
 use scream_topology::Point2;
 
+use crate::units::Meters;
+
 /// Geometry of a uniform grid of square cells covering a bounding box.
 ///
 /// Cells are indexed `(cx, cy)` with `cx ∈ 0..cols`, `cy ∈ 0..rows`,
@@ -151,11 +153,11 @@ impl GridGeometry {
     pub const MAX_CELLS: usize = 1 << 20;
 
     /// Builds a grid covering the bounding box of `(xs, ys)` with cells of
-    /// roughly `target_cell_m` meters (grown if needed to respect
+    /// roughly `target_cell` (grown if needed to respect
     /// [`MAX_CELLS`](Self::MAX_CELLS)). Degenerate inputs (no points, zero
     /// extent, non-finite or non-positive target) collapse to a single cell.
-    pub fn covering(xs: &[f64], ys: &[f64], target_cell_m: f64) -> Self {
-        Self::covering_box(bounding_box_m(xs, ys), target_cell_m)
+    pub fn covering(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
+        Self::covering_box(bounding_box_m(xs, ys), target_cell.get())
     }
 
     /// [`covering`](Self::covering) for a bounding box
@@ -194,11 +196,6 @@ impl GridGeometry {
             }
             cell *= 2.0;
         }
-    }
-
-    /// Cell edge length in meters.
-    pub fn cell_size_m(&self) -> f64 {
-        self.cell_size_m
     }
 
     /// Number of columns.
@@ -240,7 +237,8 @@ impl GridGeometry {
     /// The inclusive rectangle of cells intersecting the disc of the given
     /// radius around `center` (conservative: may include cells that only
     /// touch the disc's bounding square).
-    pub fn cells_intersecting(&self, center: Point2, radius_m: f64) -> CellRect {
+    pub fn cells_intersecting(&self, center: Point2, radius: Meters) -> CellRect {
+        let radius_m = radius.get();
         let lo = Point2::new(center.x - radius_m, center.y - radius_m);
         let hi = Point2::new(center.x + radius_m, center.y + radius_m);
         let (x0, y0) = self.cell_of(lo);
@@ -264,9 +262,9 @@ pub struct SpatialGrid {
 
 impl SpatialGrid {
     /// Builds the index over node positions with cells of roughly
-    /// `target_cell_m` meters.
-    pub fn build(xs: &[f64], ys: &[f64], target_cell_m: f64) -> Self {
-        let geometry = GridGeometry::covering(xs, ys, target_cell_m);
+    /// `target_cell`.
+    pub fn build(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
+        let geometry = GridGeometry::covering(xs, ys, target_cell);
         let cells = geometry.cell_count();
         let mut counts = vec![0u32; cells + 1];
         for (&x, &y) in xs.iter().zip(ys) {
@@ -303,20 +301,19 @@ impl SpatialGrid {
         &self.bucket_nodes[lo..hi]
     }
 
-    /// Appends to `out` the ids of all indexed nodes within `radius_m` of
-    /// `p` (inclusive, compared on squared distances), in ascending id
-    /// order.
+    /// Appends to `out` the ids of all indexed nodes within `radius` of `p`
+    /// (inclusive, compared on squared distances), in ascending id order.
     pub fn nodes_within(
         &self,
         xs: &[f64],
         ys: &[f64],
         p: Point2,
-        radius_m: f64,
+        radius: Meters,
         out: &mut Vec<u32>,
     ) {
         let start = out.len();
-        let rect = self.geometry.cells_intersecting(p, radius_m);
-        let r2 = radius_m * radius_m;
+        let rect = self.geometry.cells_intersecting(p, radius);
+        let r2 = radius.get() * radius.get();
         for cy in rect.y0..=rect.y1 {
             for cx in rect.x0..=rect.x1 {
                 for &id in self.nodes_in_cell(self.geometry.cell_index(cx, cy)) {
@@ -420,8 +417,8 @@ mod tests {
     fn covering_spans_the_bounding_box() {
         let xs = [0.0, 950.0, 120.0];
         let ys = [0.0, 40.0, 460.0];
-        let g = GridGeometry::covering(&xs, &ys, 100.0);
-        assert_eq!(g.cell_size_m(), 100.0);
+        let g = GridGeometry::covering(&xs, &ys, Meters::new(100.0));
+        assert_eq!(g.cell_size_m, 100.0);
         assert_eq!(g.cols(), 10);
         assert_eq!(g.rows(), 5);
         assert_eq!(g.cell_count(), 50);
@@ -434,12 +431,12 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_collapse_to_one_cell() {
-        let g = GridGeometry::covering(&[], &[], 10.0);
+        let g = GridGeometry::covering(&[], &[], Meters::new(10.0));
         assert_eq!(g.cell_count(), 1);
-        let g = GridGeometry::covering(&[5.0], &[5.0], 10.0);
+        let g = GridGeometry::covering(&[5.0], &[5.0], Meters::new(10.0));
         assert_eq!(g.cell_count(), 1);
         assert_eq!(g.cell_index_of(Point2::new(5.0, 5.0)), 0);
-        let g = GridGeometry::covering(&[0.0, 100.0], &[0.0, 100.0], f64::NAN);
+        let g = GridGeometry::covering(&[0.0, 100.0], &[0.0, 100.0], Meters::new(f64::NAN));
         assert_eq!(g.cell_count(), 1);
     }
 
@@ -447,14 +444,14 @@ mod tests {
     fn cell_count_respects_the_cap() {
         // A 1e9 m region at 1 m cells would want 1e18 cells; the builder must
         // grow the cell size until the count fits.
-        let g = GridGeometry::covering(&[0.0, 1e9], &[0.0, 1e9], 1.0);
+        let g = GridGeometry::covering(&[0.0, 1e9], &[0.0, 1e9], Meters::new(1.0));
         assert!(g.cell_count() <= GridGeometry::MAX_CELLS);
-        assert!(g.cell_size_m() > 1.0);
+        assert!(g.cell_size_m > 1.0);
     }
 
     #[test]
     fn ring_traversal_covers_every_cell_exactly_once() {
-        let g = GridGeometry::covering(&[0.0, 900.0], &[0.0, 600.0], 100.0);
+        let g = GridGeometry::covering(&[0.0, 900.0], &[0.0, 600.0], Meters::new(100.0));
         let rect = CellRect {
             x0: 0,
             x1: g.cols() - 1,
@@ -476,7 +473,7 @@ mod tests {
 
     #[test]
     fn ring_traversal_orders_cells_by_chebyshev_distance() {
-        let g = GridGeometry::covering(&[0.0, 500.0], &[0.0, 500.0], 100.0);
+        let g = GridGeometry::covering(&[0.0, 500.0], &[0.0, 500.0], Meters::new(100.0));
         let rect = CellRect {
             x0: 0,
             x1: g.cols() - 1,
@@ -532,7 +529,7 @@ mod tests {
         let n = 400;
         let xs: Vec<f64> = (0..n).map(|_| next() * 3000.0).collect();
         let ys: Vec<f64> = (0..n).map(|_| next() * 2000.0).collect();
-        let grid = SpatialGrid::build(&xs, &ys, 250.0);
+        let grid = SpatialGrid::build(&xs, &ys, Meters::new(250.0));
         for &(qx, qy, r) in &[
             (0.0, 0.0, 400.0),
             (1500.0, 1000.0, 300.0),
@@ -542,7 +539,7 @@ mod tests {
         ] {
             let p = Point2::new(qx, qy);
             let mut got = Vec::new();
-            grid.nodes_within(&xs, &ys, p, r, &mut got);
+            grid.nodes_within(&xs, &ys, p, Meters::new(r), &mut got);
             let expected: Vec<u32> = (0..n as u32)
                 .filter(|&i| {
                     p.distance_squared(Point2::new(xs[i as usize], ys[i as usize])) <= r * r
@@ -554,7 +551,7 @@ mod tests {
 
     #[test]
     fn endpoint_buckets_insert_query_clear_roundtrip() {
-        let g = GridGeometry::covering(&[0.0, 1000.0], &[0.0, 1000.0], 100.0);
+        let g = GridGeometry::covering(&[0.0, 1000.0], &[0.0, 1000.0], Meters::new(100.0));
         let mut buckets = EndpointBuckets::new(g);
         let head = Point2::new(50.0, 50.0);
         let tail = Point2::new(850.0, 850.0);

@@ -1,10 +1,14 @@
-//! Simulation time and data-rate units.
+//! Simulation time and data-rate units, plus the power and length units of
+//! the link budget ([`Dbm`], [`Db`], [`Mw`], [`Meters`], re-exported from
+//! `scream_topology::units`, which defines their algebra).
 //!
 //! Simulated time is kept as an integer number of nanoseconds so that event
 //! ordering is exact and runs are bit-reproducible; floating-point seconds
 //! are only used at the reporting boundary.
 
 use serde::{Deserialize, Serialize};
+
+pub use scream_topology::units::{Db, Dbm, Meters, Mw};
 
 /// A point in simulated time, in integer nanoseconds since the start of the
 /// simulation.

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use scream_topology::{Link, NodeId};
+use scream_topology::{Db, Link, NodeId};
 
 /// One kind of injected fault (or repair).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -139,9 +139,15 @@ impl FaultPlan {
             .at(up_slot, FaultKind::NodeUp(node))
     }
 
-    /// Redraws the shadowing field at `slot`.
-    pub fn fade(self, slot: u64, sigma_db: f64, seed: u64) -> Self {
-        self.at(slot, FaultKind::Fade { sigma_db, seed })
+    /// Redraws the shadowing field at `slot` with deviation `sigma`.
+    pub fn fade(self, slot: u64, sigma: Db, seed: u64) -> Self {
+        self.at(
+            slot,
+            FaultKind::Fade {
+                sigma_db: sigma.get(),
+                seed,
+            },
+        )
     }
 
     /// Stops `node`'s flow at `stop_slot` and restarts it at `start_slot`.

@@ -63,7 +63,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use scream_netsim::RadioEnvironment;
+    use scream_netsim::{Db, RadioEnvironment};
     use scream_topology::{DemandVector, GridDeployment, Link, NodeId, RoutingForest};
 
     /// A 4×4 grid with the four corners as gateways and unit demand at
@@ -232,7 +232,7 @@ mod tests {
         let h = harness(0.6);
         let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();
         let f0 = probe.frame_slots_initial;
-        let trace = FaultPlan::new().fade(10 * f0, 3.0, 99).build();
+        let trace = FaultPlan::new().fade(10 * f0, Db::new(3.0), 99).build();
         let report = h.run(&trace, 30 * f0, 7).unwrap();
         // Admission control guarantees the verdict even if the faded world
         // needs a longer frame or cuts nodes off.
@@ -250,7 +250,7 @@ mod tests {
         let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();
         let f0 = probe.frame_slots_initial;
         let trace = FaultPlan::new()
-            .fade(f0, 4.0, 7)
+            .fade(f0, Db::new(4.0), 7)
             .node_outage(NodeId::new(10), 2 * f0, 4 * f0)
             .build();
         let report = h.run(&trace, 6 * f0, 7).unwrap();
@@ -270,6 +270,33 @@ mod tests {
              RepairRecord { slot: 64, outcome: Incremental, frame_slots_before: 11, frame_slots_after: 13, removed_allocation: 2, added_allocation: 5 }], \
              totals: SessionTotals { injected: 34, delivered: 31, dropped: 2, rescued: 2, in_flight: 1, peak_backlog: 12 }, \
              first_fault_slot: Some(16), time_to_recover_slots: Some(0), outage_delivery_pct: 33.33333333333333, post_recovery_delivery_pct: 91.17647058823529, disruption_peak_backlog: 12, deferred_flows: 0, final_verdict_stable: true }"
+        );
+    }
+
+    /// A fade that cannot be applied — a negative or NaN σ, or any σ on an
+    /// environment that streams its gains — is refused before the first
+    /// slot instead of panicking inside `refaded` mid-run.
+    #[test]
+    fn a_fade_that_cannot_apply_is_an_error_before_the_run() {
+        let h = harness(0.8);
+        for sigma in [-1.0, f64::NAN] {
+            let trace = FaultPlan::new().fade(50, Db::new(sigma), 3).build();
+            assert_eq!(
+                h.run(&trace, 100, 7),
+                Err(ResilienceError::BadFade { slot: 50 })
+            );
+            // Past the horizon the fade never happens, so it is no error.
+            assert!(h.run(&trace, 50, 7).is_ok());
+        }
+        let (_, gateways, demands) = grid_world();
+        let streamed = RadioEnvironment::builder()
+            .streamed_gains()
+            .build(&GridDeployment::new(4, 4, 200.0).build());
+        let h = ResilienceHarness::new(streamed, gateways, demands, 0.8);
+        let trace = FaultPlan::new().fade(50, Db::new(4.0), 3).build();
+        assert_eq!(
+            h.run(&trace, 100, 7),
+            Err(ResilienceError::BadFade { slot: 50 })
         );
     }
 
@@ -296,7 +323,7 @@ mod tests {
         let dead = busiest_uplink(&env, &gateways, 3);
         let trace = FaultPlan::new()
             .link_outage(dead, 100, 300)
-            .fade(200, 2.0, 5)
+            .fade(200, Db::new(2.0), 5)
             .build();
         let a = h.run(&trace, 800, 3).unwrap();
         let b = h.run(&trace, 800, 3).unwrap();

@@ -40,7 +40,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use scream_netsim::RadioEnvironment;
+use scream_netsim::{Db, RadioEnvironment};
 use scream_scheduling::{repair_schedule, FrameService, GreedyPhysical, Schedule};
 use scream_topology::{
     DemandVector, Graph, Link, LinkDemands, NodeId, RoutingForest, TopologyError,
@@ -86,6 +86,13 @@ pub enum ResilienceError {
     NoSources,
     /// The horizon is zero slots.
     ZeroHorizon,
+    /// The [`FaultKind::Fade`] at `slot` cannot be applied: its σ is negative
+    /// or not finite, or the environment streams its gains and so carries no
+    /// shadowing field to redraw.
+    BadFade {
+        /// The slot of the first such fade.
+        slot: u64,
+    },
 }
 
 impl std::fmt::Display for ResilienceError {
@@ -95,6 +102,11 @@ impl std::fmt::Display for ResilienceError {
             Self::Traffic(e) => write!(f, "traffic error: {e}"),
             Self::NoSources => write!(f, "no reachable node offers traffic"),
             Self::ZeroHorizon => write!(f, "the horizon must be at least one slot"),
+            Self::BadFade { slot } => write!(
+                f,
+                "the fade at slot {slot} needs a finite σ ≥ 0 dB and an environment with \
+                 dense gains"
+            ),
         }
     }
 }
@@ -160,8 +172,9 @@ impl ResilienceHarness {
     ///
     /// # Errors
     ///
-    /// Fails on an empty gateway set, zero horizon, or when no reachable
-    /// node offers traffic.
+    /// Fails on an empty gateway set, zero horizon, a fade inside the
+    /// horizon that cannot be applied, or when no reachable node offers
+    /// traffic.
     pub fn run(
         &self,
         trace: &ChurnTrace,
@@ -170,6 +183,16 @@ impl ResilienceHarness {
     ) -> Result<ResilienceReport, ResilienceError> {
         if horizon_slots == 0 {
             return Err(ResilienceError::ZeroHorizon);
+        }
+        let bad_fade = trace.events().iter().find(|e| {
+            let FaultKind::Fade { sigma_db, .. } = e.kind else {
+                return false;
+            };
+            e.slot < horizon_slots
+                && (!(sigma_db.is_finite() && sigma_db >= 0.0) || self.env.is_streamed())
+        });
+        if let Some(e) = bad_fade {
+            return Err(ResilienceError::BadFade { slot: e.slot });
         }
         let mut state = RunState::start(self, seed)?;
         // An epoch is one initial frame length.
@@ -400,7 +423,7 @@ impl RunState {
                 }
             }
             FaultKind::Fade { sigma_db, seed } => {
-                self.env = self.env.refaded(sigma_db, seed);
+                self.env = self.env.refaded(Db::new(sigma_db), seed);
                 self.graph = self.env.communication_graph();
             }
             FaultKind::FlowStop(node) => {

@@ -442,7 +442,7 @@ impl SlotFeasibility for ProtocolModel {
 mod tests {
     use super::*;
     use scream_netsim::PropagationModel;
-    use scream_topology::{GridDeployment, NodeId, UnitDiskGraphBuilder};
+    use scream_topology::{GridDeployment, Meters, NodeId, UnitDiskGraphBuilder};
 
     fn link(a: u32, b: u32) -> Link {
         Link::new(NodeId::new(a), NodeId::new(b))
@@ -450,7 +450,7 @@ mod tests {
 
     fn line_graph(n: usize) -> Graph {
         let d = GridDeployment::new(n, 1, 100.0).build();
-        UnitDiskGraphBuilder::new(100.0).build(&d)
+        UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d)
     }
 
     #[test]

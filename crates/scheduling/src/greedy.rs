@@ -166,7 +166,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use scream_netsim::{PropagationModel, RadioEnvironment};
     use scream_topology::{
-        DemandConfig, DemandVector, Deployment, GridDeployment, NodeId, RoutingForest,
+        DemandConfig, DemandVector, Deployment, GridDeployment, Meters, NodeId, RoutingForest,
         UnitDiskGraphBuilder,
     };
 
@@ -349,7 +349,8 @@ mod tests {
         let physical = GreedyPhysical::paper_baseline().schedule(&env, &ld);
         verify_schedule(&env, &physical, &ld).unwrap();
 
-        let protocol_model = ProtocolModel::new(UnitDiskGraphBuilder::new(260.0).build(&d), 2);
+        let protocol_model =
+            ProtocolModel::new(UnitDiskGraphBuilder::new(Meters::new(260.0)).build(&d), 2);
         let protocol = GreedyPhysical::paper_baseline().schedule(&protocol_model, &ld);
         verify_schedule(&protocol_model, &protocol, &ld).unwrap();
         // Walk runs, not slots: each distinct pattern is SINR-checked once.

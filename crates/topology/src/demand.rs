@@ -288,6 +288,7 @@ mod tests {
     use super::*;
     use crate::deploy::GridDeployment;
     use crate::graph::UnitDiskGraphBuilder;
+    use crate::units::Meters;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -361,7 +362,7 @@ mod tests {
         // At every non-gateway node: outgoing demand = generated + sum of
         // children's outgoing demands.
         let d = GridDeployment::new(6, 6, 100.0).build();
-        let g = UnitDiskGraphBuilder::new(100.0).build(&d);
+        let g = UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d);
         let gws = d.corner_nodes();
         let forest = RoutingForest::shortest_path(&g, &gws, 7).unwrap();
         let demands = DemandVector::generate(
@@ -387,7 +388,7 @@ mod tests {
     #[test]
     fn gateway_inflow_equals_total_generated_demand() {
         let d = GridDeployment::new(8, 8, 100.0).build();
-        let g = UnitDiskGraphBuilder::new(100.0).build(&d);
+        let g = UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d);
         let gws = d.corner_nodes();
         let forest = RoutingForest::shortest_path(&g, &gws, 3).unwrap();
         let demands = DemandVector::generate(

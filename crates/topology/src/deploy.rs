@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::TopologyError;
 use crate::geometry::{Point2, Rect};
 use crate::node::{NodeId, NodeInfo};
+use crate::units::{Dbm, Meters};
 
 /// How a deployment was generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -102,7 +103,7 @@ impl Deployment {
         let nodes = positions
             .iter()
             .enumerate()
-            .map(|(i, &p)| NodeInfo::new(NodeId::new(i as u32), p, tx_power_dbm))
+            .map(|(i, &p)| NodeInfo::new(NodeId::new(i as u32), p, Dbm::new(tx_power_dbm)))
             .collect();
         Self::from_nodes(nodes, region, DeploymentKind::Custom)
     }
@@ -148,8 +149,8 @@ impl Deployment {
     }
 
     /// Transmit power of node `id` in dBm.
-    pub fn tx_power_dbm(&self, id: NodeId) -> f64 {
-        self.node(id).tx_power_dbm
+    pub fn tx_power_dbm(&self, id: NodeId) -> Dbm {
+        Dbm::new(self.node(id).tx_power_dbm)
     }
 
     /// Iterator over all node ids.
@@ -268,7 +269,7 @@ impl GridDeployment {
             for col in 0..self.columns {
                 let id = NodeId::new((row * self.columns + col) as u32);
                 let pos = Point2::new(col as f64 * self.step_m, row as f64 * self.step_m);
-                nodes.push(NodeInfo::new(id, pos, self.tx_power_dbm));
+                nodes.push(NodeInfo::new(id, pos, Dbm::new(self.tx_power_dbm)));
             }
         }
         let region = Rect::new(
@@ -342,13 +343,13 @@ impl UniformDeployment {
                 } else {
                     self.tx_power_dbm
                 };
-                NodeInfo::new(NodeId::new(i as u32), pos, power)
+                NodeInfo::new(NodeId::new(i as u32), pos, Dbm::new(power))
             })
             .collect();
         Deployment::from_contiguous_nodes(nodes, Rect::square(side), DeploymentKind::UniformRandom)
     }
 
-    /// Builds deployments until one whose unit-disk graph at `range_m` is
+    /// Builds deployments until one whose unit-disk graph at `range` is
     /// connected is found, trying at most `max_attempts` times.
     ///
     /// The paper's analysis assumes a (strongly) connected communication
@@ -360,10 +361,10 @@ impl UniformDeployment {
     pub fn build_connected<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        range_m: f64,
+        range: Meters,
         max_attempts: usize,
     ) -> Result<Deployment, TopologyError> {
-        let builder = crate::graph::UnitDiskGraphBuilder::new(range_m);
+        let builder = crate::graph::UnitDiskGraphBuilder::new(range);
         let mut last_unreachable = self.node_count;
         for _ in 0..max_attempts.max(1) {
             let d = self.build(rng);
@@ -381,12 +382,12 @@ impl UniformDeployment {
 
 /// Builder approximating the *infinite density* model of Section IV-B3 with a
 /// very fine lattice: for every node, every distance within communication
-/// range and every direction, some node exists nearby.
+/// range and every direction, some node exists nearby. Every node transmits
+/// at [`GridDeployment`]'s default 20 dBm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InfiniteDensityDeployment {
     region_side_m: f64,
     lattice_step_m: f64,
-    tx_power_dbm: f64,
 }
 
 impl InfiniteDensityDeployment {
@@ -397,7 +398,8 @@ impl InfiniteDensityDeployment {
     ///
     /// Panics if parameters are not positive or the implied node count
     /// exceeds one million (guarding against accidental memory blow-up).
-    pub fn new(region_side_m: f64, lattice_step_m: f64) -> Self {
+    pub fn new(region_side: Meters, lattice_step: Meters) -> Self {
+        let (region_side_m, lattice_step_m) = (region_side.get(), lattice_step.get());
         assert!(region_side_m > 0.0 && lattice_step_m > 0.0);
         let per_side = (region_side_m / lattice_step_m).floor() as usize + 1;
         assert!(
@@ -408,22 +410,13 @@ impl InfiniteDensityDeployment {
         Self {
             region_side_m,
             lattice_step_m,
-            tx_power_dbm: 20.0,
         }
-    }
-
-    /// Sets the homogeneous transmit power in dBm.
-    pub fn tx_power_dbm(mut self, dbm: f64) -> Self {
-        self.tx_power_dbm = dbm;
-        self
     }
 
     /// Builds the dense lattice deployment.
     pub fn build(&self) -> Deployment {
         let per_side = (self.region_side_m / self.lattice_step_m).floor() as usize + 1;
-        let grid = GridDeployment::new(per_side, per_side, self.lattice_step_m)
-            .tx_power_dbm(self.tx_power_dbm);
-        let mut d = grid.build();
+        let mut d = GridDeployment::new(per_side, per_side, self.lattice_step_m).build();
         d.kind = DeploymentKind::InfiniteDensity;
         d
     }
@@ -515,7 +508,7 @@ mod tests {
         // 10 000 nodes/km²: 64 nodes on 80 m × 80 m.
         let builder = UniformDeployment::new(64, 80.0);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let range = 120.0;
+        let range = Meters::new(120.0);
         let d = builder.build_connected(&mut rng, range, 50).unwrap();
         let g = crate::graph::UnitDiskGraphBuilder::new(range).build(&d);
         assert!(g.is_connected());
@@ -525,13 +518,15 @@ mod tests {
     fn build_connected_fails_for_hopeless_range() {
         let builder = UniformDeployment::new(50, 10_000.0);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let err = builder.build_connected(&mut rng, 1.0, 3).unwrap_err();
+        let err = builder
+            .build_connected(&mut rng, Meters::new(1.0), 3)
+            .unwrap_err();
         assert!(matches!(err, TopologyError::Disconnected { .. }));
     }
 
     #[test]
     fn infinite_density_lattice_is_dense() {
-        let d = InfiniteDensityDeployment::new(100.0, 5.0).build();
+        let d = InfiniteDensityDeployment::new(Meters::new(100.0), Meters::new(5.0)).build();
         assert_eq!(d.kind(), DeploymentKind::InfiniteDensity);
         assert_eq!(d.len(), 21 * 21);
     }
@@ -539,7 +534,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "coarser step")]
     fn infinite_density_guards_against_blowup() {
-        let _ = InfiniteDensityDeployment::new(10_000.0, 1.0);
+        let _ = InfiniteDensityDeployment::new(Meters::new(10_000.0), Meters::new(1.0));
     }
 
     #[test]
@@ -551,13 +546,17 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.len(), 2);
-        assert_eq!(d.tx_power_dbm(NodeId::new(1)), 17.0);
+        assert_eq!(d.tx_power_dbm(NodeId::new(1)).get(), 17.0);
         assert_eq!(d.kind(), DeploymentKind::Custom);
     }
 
     #[test]
     fn from_nodes_rejects_non_contiguous_ids() {
-        let nodes = vec![NodeInfo::new(NodeId::new(1), Point2::ORIGIN, 20.0)];
+        let nodes = vec![NodeInfo::new(
+            NodeId::new(1),
+            Point2::ORIGIN,
+            Dbm::new(20.0),
+        )];
         let err =
             Deployment::from_nodes(nodes, Rect::square(1.0), DeploymentKind::Custom).unwrap_err();
         assert!(matches!(err, TopologyError::InvalidParameter(_)));

@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::deploy::Deployment;
 use crate::error::TopologyError;
 use crate::node::NodeId;
+use crate::units::Meters;
 
 /// Whether a [`Graph`] is directed or undirected.
 ///
@@ -340,7 +341,7 @@ impl Graph {
 /// see `scream-netsim`'s `RadioEnvironment::communication_graph`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UnitDiskGraphBuilder {
-    range_m: f64,
+    range: Meters,
 }
 
 impl UnitDiskGraphBuilder {
@@ -349,24 +350,20 @@ impl UnitDiskGraphBuilder {
     /// # Panics
     ///
     /// Panics if the range is not strictly positive and finite.
-    pub fn new(range_m: f64) -> Self {
+    pub fn new(range: Meters) -> Self {
+        let range_m = range.get();
         assert!(
             range_m.is_finite() && range_m > 0.0,
             "communication range must be positive and finite, got {range_m}"
         );
-        Self { range_m }
-    }
-
-    /// The configured range in meters.
-    pub fn range_m(&self) -> f64 {
-        self.range_m
+        Self { range }
     }
 
     /// Builds the undirected unit-disk graph over the deployment's nodes.
     pub fn build(&self, deployment: &Deployment) -> Graph {
         let n = deployment.len();
         let mut g = Graph::new(n, GraphKind::Undirected);
-        let r2 = self.range_m * self.range_m;
+        let r2 = self.range.get() * self.range.get();
         for i in 0..n {
             let pi = deployment.position(NodeId::new(i as u32));
             for j in (i + 1)..n {
@@ -645,7 +642,7 @@ mod tests {
     #[test]
     fn unit_disk_graph_on_grid_connects_lattice_neighbors_only() {
         let d = GridDeployment::new(4, 4, 100.0).build();
-        let g = UnitDiskGraphBuilder::new(100.0).build(&d);
+        let g = UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d);
         assert!(g.is_connected());
         // Interior nodes have 4 neighbors, corners 2, edges 3.
         let degrees: Vec<usize> = g.nodes().map(|u| g.neighbors(u).len()).collect();
@@ -658,7 +655,7 @@ mod tests {
     #[test]
     fn unit_disk_grid_diameter_is_manhattan_diameter() {
         let d = GridDeployment::new(4, 4, 100.0).build();
-        let g = UnitDiskGraphBuilder::new(100.0).build(&d);
+        let g = UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d);
         // Manhattan distance corner to corner of a 4x4 grid: 3 + 3 = 6 hops.
         assert_eq!(g.diameter(), Some(6));
     }
@@ -666,6 +663,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn unit_disk_builder_rejects_nonpositive_range() {
-        let _ = UnitDiskGraphBuilder::new(0.0);
+        let _ = UnitDiskGraphBuilder::new(Meters::new(0.0));
     }
 }

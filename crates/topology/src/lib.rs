@@ -15,7 +15,7 @@
 //!
 //! // 64 routers in an 8x8 planned grid, 4 gateways at the corners.
 //! let deployment = GridDeployment::new(8, 8, 250.0).build();
-//! let graph = UnitDiskGraphBuilder::new(260.0).build(&deployment);
+//! let graph = UnitDiskGraphBuilder::new(Meters::new(260.0)).build(&deployment);
 //! assert!(graph.is_connected());
 //!
 //! let gateways = deployment.corner_nodes();
@@ -49,6 +49,7 @@ pub mod geometry;
 pub mod graph;
 pub mod node;
 pub mod routing;
+pub mod units;
 
 pub use demand::{DemandConfig, DemandVector, LinkDemands};
 pub use deploy::{
@@ -60,6 +61,7 @@ pub use geometry::{Point2, Rect};
 pub use graph::{Graph, GraphKind, UnitDiskGraphBuilder};
 pub use node::{NodeId, NodeInfo};
 pub use routing::{Link, RoutingForest};
+pub use units::{Db, Dbm, Meters, Mw};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
@@ -73,4 +75,5 @@ pub mod prelude {
     pub use crate::graph::{Graph, GraphKind, UnitDiskGraphBuilder};
     pub use crate::node::{NodeId, NodeInfo};
     pub use crate::routing::{Link, RoutingForest};
+    pub use crate::units::{Db, Dbm, Meters, Mw};
 }

@@ -7,6 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::Point2;
+use crate::units::{Dbm, Mw};
 
 /// Identifier of a mesh node.
 ///
@@ -87,33 +88,17 @@ pub struct NodeInfo {
 
 impl NodeInfo {
     /// Creates a node with the given id, position and power.
-    pub fn new(id: NodeId, position: Point2, tx_power_dbm: f64) -> Self {
+    pub fn new(id: NodeId, position: Point2, tx_power: Dbm) -> Self {
         Self {
             id,
             position,
-            tx_power_dbm,
+            tx_power_dbm: tx_power.get(),
         }
     }
 
     /// Transmit power in milliwatts.
-    pub fn tx_power_mw(&self) -> f64 {
-        dbm_to_mw(self.tx_power_dbm)
-    }
-}
-
-/// Converts a power level from dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
-}
-
-/// Converts a power level from milliwatts to dBm.
-///
-/// Returns negative infinity for non-positive powers.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    if mw <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        10.0 * mw.log10()
+    pub fn tx_power_mw(&self) -> Mw {
+        Dbm::new(self.tx_power_dbm).to_mw()
     }
 }
 
@@ -172,14 +157,14 @@ mod tests {
     #[test]
     fn dbm_mw_conversions_are_inverse() {
         for dbm in [-90.0, -30.0, 0.0, 10.0, 20.0, 30.0] {
-            let mw = dbm_to_mw(dbm);
-            assert!((mw_to_dbm(mw) - dbm).abs() < 1e-9);
+            let mw = Dbm::new(dbm).to_mw();
+            assert!((mw.to_dbm().get() - dbm).abs() < 1e-9);
         }
-        assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
-        assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
-        assert_eq!(mw_to_dbm(0.0), f64::NEG_INFINITY);
-        let node = NodeInfo::new(NodeId::new(3), Point2::new(1.0, 2.0), 20.0);
-        assert!((node.tx_power_mw() - 100.0).abs() < 1e-9);
+        assert!((Dbm::new(0.0).to_mw().get() - 1.0).abs() < 1e-12);
+        assert!((Dbm::new(30.0).to_mw().get() - 1000.0).abs() < 1e-9);
+        assert_eq!(Mw::new(0.0).to_dbm().get(), f64::NEG_INFINITY);
+        let node = NodeInfo::new(NodeId::new(3), Point2::new(1.0, 2.0), Dbm::new(20.0));
+        assert!((node.tx_power_mw().get() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -293,10 +293,11 @@ mod tests {
     use super::*;
     use crate::deploy::GridDeployment;
     use crate::graph::{GraphKind, UnitDiskGraphBuilder};
+    use crate::units::Meters;
 
     fn grid_forest(side: usize) -> (Graph, RoutingForest) {
         let d = GridDeployment::new(side, side, 100.0).build();
-        let g = UnitDiskGraphBuilder::new(100.0).build(&d);
+        let g = UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d);
         let gateways = vec![NodeId::new(0)];
         let f = RoutingForest::shortest_path(&g, &gateways, 1).unwrap();
         (g, f)
@@ -383,7 +384,7 @@ mod tests {
     #[test]
     fn multi_gateway_forest_assigns_nearest_gateway() {
         let d = GridDeployment::new(8, 8, 100.0).build();
-        let g = UnitDiskGraphBuilder::new(100.0).build(&d);
+        let g = UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d);
         let gateways = d.corner_nodes();
         let f = RoutingForest::shortest_path(&g, &gateways, 3).unwrap();
         assert_eq!(f.gateways(), &gateways[..]);
@@ -406,7 +407,7 @@ mod tests {
     #[test]
     fn tie_breaking_is_deterministic_per_seed() {
         let d = GridDeployment::new(6, 6, 100.0).build();
-        let g = UnitDiskGraphBuilder::new(100.0).build(&d);
+        let g = UnitDiskGraphBuilder::new(Meters::new(100.0)).build(&d);
         let gws = d.corner_nodes();
         let f1 = RoutingForest::shortest_path(&g, &gws, 42).unwrap();
         let f2 = RoutingForest::shortest_path(&g, &gws, 42).unwrap();

@@ -30,7 +30,7 @@ fn main() {
         let (l_alone, l_prime_alone) = (feasible(&[ce.link_l]), feasible(&[ce.link_l_prime]));
         println!(
             "  each link alone satisfies the SINR threshold ({:.1} dB): l -> {l_alone}, l' -> {l_prime_alone}",
-            ce.sinr_threshold_db,
+            ce.sinr_threshold_db.get(),
         );
         assert!(l_alone && l_prime_alone, "each link is feasible alone");
         let pair = feasible(&[ce.link_l, ce.link_l_prime]);

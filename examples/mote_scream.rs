@@ -40,6 +40,7 @@ fn main() {
         "moving average of the monitor's RSSI around two 24-byte SCREAMs (threshold -60 dBm):"
     );
     for (time, value) in result.trace().moving_average_series() {
+        let value = value.get();
         let bar_len = ((value + 100.0).max(0.0) / 2.0) as usize;
         println!(
             "{:>8.1} ms  {:>7.1} dBm  |{}",

@@ -52,7 +52,7 @@ fn main() {
         for v in deployment.node_ids() {
             if u < v {
                 let lone = SlotLedger::with_links(&env, &[Link::new(u, v)]).margins()[0];
-                if (lone.data_margin_db >= 0.0) != (lone.ack_margin_db >= 0.0) {
+                if (lone.data_margin_db >= Db::new(0.0)) != (lone.ack_margin_db >= Db::new(0.0)) {
                     one_way += 1;
                 }
             }

@@ -5,7 +5,9 @@
 //! power, the configuration's noise floor, β and channel count — calling no
 //! `netsim` gain, SINR or ledger function. Shadowing enters only as data:
 //! the draws `ShadowingField::generate(n, σ, seed)` makes, which is the field
-//! an environment built with `.shadowing(σ, seed)` carries.
+//! an environment built with `.shadowing(σ, seed)` carries. Every input is
+//! read out as a raw `f64` and the arithmetic is its own: no unit type's
+//! operator or conversion (`Dbm::to_mw`, …) is on its path.
 
 use scream::netsim::{RadioConfig, ShadowingField};
 use scream::prelude::*;
@@ -39,12 +41,13 @@ impl Oracle {
                 .map(|v| deployment.position(v))
                 .collect(),
             tx_power_dbm: deployment
-                .node_ids()
-                .map(|v| deployment.tx_power_dbm(v))
+                .nodes()
+                .iter()
+                .map(|node| node.tx_power_dbm)
                 .collect(),
             shadowing,
-            noise_mw: mw(config.noise_floor_dbm),
-            beta: mw(config.sinr_threshold_db),
+            noise_mw: mw(config.noise_floor_dbm.get()),
+            beta: mw(config.sinr_threshold_db.get()),
             channel_count: config.channel_count.max(1),
         }
     }
@@ -64,7 +67,7 @@ impl Oracle {
         let distance_m = (a.x - b.x).hypot(a.y - b.y);
         let loss_db = REFERENCE_LOSS_DB
             + 10.0 * EXPONENT * distance_m.max(1.0).log10()
-            + self.shadowing.shadow_db(tx.index(), rx.index());
+            + self.shadowing.shadow_db(tx.index(), rx.index()).get();
         mw(self.tx_power_dbm[tx.index()] - loss_db)
     }
 

@@ -191,7 +191,7 @@ fn unplanned_heterogeneous_instance_schedules_end_to_end() {
     let deployment = UniformDeployment::new(36, 800.0)
         .tx_power_dbm(16.0)
         .heterogeneous_power(8.0)
-        .build_connected(&mut rng, 200.0, 200)
+        .build_connected(&mut rng, Meters::new(200.0), 200)
         .unwrap();
     let env = RadioEnvironment::builder()
         .propagation(PropagationModel::log_distance(3.0))

@@ -80,7 +80,7 @@ fn build_instance(
     // plausible with 20 dBm radios (~215 m range).
     let side = 120.0 * (nodes as f64).sqrt();
     let deployment = UniformDeployment::new(nodes, side)
-        .build_connected(&mut rng, 200.0, 50)
+        .build_connected(&mut rng, Meters::new(200.0), 50)
         .ok()?;
     let env = RadioEnvironment::builder()
         .propagation(PropagationModel::log_distance(3.0))
@@ -243,11 +243,11 @@ fn sinr_is_monotone_in_the_interferer_set() {
         let oracle = Oracle::new(
             &deployment,
             env.config(),
-            ShadowingField::generate(nodes, sigma_db, seed),
+            ShadowingField::generate(nodes, Db::new(sigma_db), seed),
         );
         let snr_margin_db = |tx: NodeId, rx: NodeId| {
-            10.0 * (oracle.received_mw(tx, rx) / env.config().noise_floor_mw()).log10()
-                - env.config().sinr_threshold_db
+            10.0 * (oracle.received_mw(tx, rx) / env.config().noise_floor_mw().get()).log10()
+                - env.config().sinr_threshold_db.get()
         };
         let mut ledger = SlotLedger::new(&env);
         let mut previous: Vec<LinkSinrMargin> = Vec::new();
@@ -258,8 +258,9 @@ fn sinr_is_monotone_in_the_interferer_set() {
             ledger.assign(link);
             let margins = ledger.margins();
             if let [lone] = margins.as_slice() {
-                assert!((lone.data_margin_db - snr_margin_db(link.head, link.tail)).abs() < 1e-9);
-                assert!((lone.ack_margin_db - snr_margin_db(link.tail, link.head)).abs() < 1e-9);
+                let (data_db, ack_db) = (lone.data_margin_db.get(), lone.ack_margin_db.get());
+                assert!((data_db - snr_margin_db(link.head, link.tail)).abs() < 1e-9);
+                assert!((ack_db - snr_margin_db(link.tail, link.head)).abs() < 1e-9);
             }
             for (before, after) in previous.iter().zip(&margins) {
                 assert!(
@@ -287,10 +288,12 @@ fn demand_aggregation_conserves_flow() {
             // Rebuild explicitly to access forest internals.
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let side = 120.0 * (nodes as f64).sqrt();
-            if let Ok(deployment) =
-                UniformDeployment::new(nodes, side).build_connected(&mut rng, 200.0, 50)
-            {
-                let graph = UnitDiskGraphBuilder::new(200.0).build(&deployment);
+            if let Ok(deployment) = UniformDeployment::new(nodes, side).build_connected(
+                &mut rng,
+                Meters::new(200.0),
+                50,
+            ) {
+                let graph = UnitDiskGraphBuilder::new(Meters::new(200.0)).build(&deployment);
                 let gateways = vec![deployment.corner_nodes()[0]];
                 let forest = RoutingForest::shortest_path(&graph, &gateways, seed).unwrap();
                 let demands =
@@ -324,9 +327,9 @@ fn routing_forest_invariants() {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let side = 120.0 * (nodes as f64).sqrt();
         if let Ok(deployment) =
-            UniformDeployment::new(nodes, side).build_connected(&mut rng, 200.0, 50)
+            UniformDeployment::new(nodes, side).build_connected(&mut rng, Meters::new(200.0), 50)
         {
-            let graph = UnitDiskGraphBuilder::new(200.0).build(&deployment);
+            let graph = UnitDiskGraphBuilder::new(Meters::new(200.0)).build(&deployment);
             let gateways = vec![deployment.corner_nodes()[0]];
             let forest = RoutingForest::shortest_path(&graph, &gateways, seed).unwrap();
             let dist = graph.bfs_distances(gateways[0]);
@@ -397,7 +400,7 @@ fn ledger_matches_from_scratch_feasibility() {
         let oracle = Oracle::new(
             &deployment,
             env.config(),
-            ShadowingField::generate(nodes, sigma_db, seed),
+            ShadowingField::generate(nodes, Db::new(sigma_db), seed),
         );
 
         let mut ledger = SlotLedger::new(&env);
@@ -677,7 +680,7 @@ fn ledger_probe_matches_handshake_ok() {
         let oracle = Oracle::new(
             &deployment,
             env.config(),
-            ShadowingField::generate(nodes, sigma_db, seed),
+            ShadowingField::generate(nodes, Db::new(sigma_db), seed),
         );
 
         // Random links, *not* filtered for feasibility or disjointness:
@@ -763,7 +766,7 @@ fn pruned_ledger_matches_exact_ledger() {
         let oracle = Oracle::new(
             &deployment,
             env.config(),
-            ShadowingField::generate(nodes, sigma_db, seed),
+            ShadowingField::generate(nodes, Db::new(sigma_db), seed),
         );
         let draw_link = |rng: &mut ChaCha8Rng| {
             let head = rng.gen_range(0..nodes as u32);
