@@ -14,15 +14,18 @@ pub enum ScreamFidelity {
     /// aggregate received power, and the relay set grows hop by hop through
     /// the sensitivity graph. The OR result *emerges* from the physics.
     ///
-    /// This is the faithful (and slower) mode; it is the default for small
-    /// networks and validation tests.
+    /// This is the faithful (and slower) mode, selected explicitly by the
+    /// tests that cross-check it against [`Ideal`](Self::Ideal).
     Physical,
     /// The primitive is assumed to compute the exact network-wide OR,
     /// provided `K ≥ ID(G_S)` (checked once at startup); only its time cost
-    /// (`K` scream slots per invocation) is accounted. Results are identical
-    /// to [`Physical`](Self::Physical) whenever the precondition holds —
-    /// this is exactly the paper's correctness argument for SCREAM — and the
-    /// runtime cross-checks the two modes in its test-suite.
+    /// (`K` scream slots per invocation) is accounted, and the runtime reads
+    /// each OR — and each leader election, `id_bits` such ORs — off its
+    /// inputs. Results are identical to [`Physical`](Self::Physical) whenever
+    /// the precondition holds — this is exactly the paper's correctness
+    /// argument for SCREAM — and the test-suite pins the two modes to the
+    /// same runs. The default, and the setting of
+    /// [`ProtocolConfig::paper_default`].
     #[default]
     Ideal,
 }

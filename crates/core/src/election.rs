@@ -9,10 +9,17 @@
 //! the one with the highest id — survives.
 //!
 //! Cost: `id_bits` SCREAM invocations, i.e. `O(K · log n)` slots.
+//!
+//! Under [`ScreamFidelity::Ideal`](crate::ScreamFidelity::Ideal) every one of
+//! those ORs is exact, so the loop provably leaves the highest-id candidate:
+//! the election reads it off the candidate list and charges the same
+//! `id_bits × K` slots. Only [`ScreamFidelity::Physical`](crate::ScreamFidelity::Physical)
+//! runs the bitwise loop.
 
 use scream_netsim::ProtocolTiming;
 use scream_topology::NodeId;
 
+use crate::error::ProtocolError;
 use crate::scream::ScreamChannel;
 
 /// The distributed leader-election procedure.
@@ -42,25 +49,55 @@ impl LeaderElection {
     /// Returns the winner — the highest-id candidate — or `None` if there are
     /// no candidates. The SCREAM slots consumed are charged to `timing`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `candidates.len()` differs from the channel's node count.
+    /// [`ProtocolError::NodeVectorLength`] if `candidates.len()` differs from
+    /// the channel's node count; nothing is charged then.
     pub fn elect(
         &self,
         channel: &ScreamChannel<'_>,
         candidates: &[bool],
         timing: &mut ProtocolTiming,
+    ) -> Result<Option<NodeId>, ProtocolError> {
+        if candidates.len() != channel.node_count() {
+            return Err(ProtocolError::NodeVectorLength {
+                nodes: channel.node_count(),
+                len: candidates.len(),
+            });
+        }
+        let ids: Vec<NodeId> = (0..candidates.len() as u32)
+            .map(NodeId::new)
+            .filter(|id| candidates[id.index()])
+            .collect();
+        Ok(self.elect_among(channel, &ids, timing))
+    }
+
+    /// [`elect`](Self::elect) among `candidates` given as ascending node ids,
+    /// each below the channel's node count.
+    pub(crate) fn elect_among(
+        &self,
+        channel: &ScreamChannel<'_>,
+        candidates: &[NodeId],
+        timing: &mut ProtocolTiming,
     ) -> Option<NodeId> {
-        assert_eq!(
-            candidates.len(),
-            channel.node_count(),
-            "leader election needs one candidacy flag per node"
+        debug_assert!(
+            candidates.windows(2).all(|pair| pair[0] < pair[1]),
+            "candidates must be ascending ids"
         );
-        let n = candidates.len();
+        let n = channel.node_count();
         let bits = Self::id_bits(n);
+        if !channel.simulates_flood() {
+            // Every per-bit OR is exact, so the loop below leaves exactly
+            // the highest id: the list's last entry, for the same charge.
+            timing.add_scream_slots(u64::from(bits) * channel.scream_slots() as u64);
+            return candidates.last().copied();
+        }
         // votedout[i] starts false for candidates; non-candidates are treated
         // as permanently voted out (they only relay).
-        let mut votedout: Vec<bool> = candidates.iter().map(|&c| !c).collect();
+        let mut votedout = vec![true; n];
+        for candidate in candidates {
+            votedout[candidate.index()] = false;
+        }
         // One SCREAM buffer for every bit: who screams going in, what each
         // node heard coming out.
         let mut screams = vec![false; n];
@@ -69,7 +106,7 @@ impl LeaderElection {
             for (i, scream) in screams.iter_mut().enumerate() {
                 *scream = !votedout[i] && NodeId::new(i as u32).bit(j);
             }
-            channel.network_or_in_place(&mut screams, timing);
+            channel.invoke(&mut screams, timing);
             // The OR is identical at every node when K >= ID; a node only
             // needs its own entry, which is what a real deployment would use.
             for (i, &heard) in screams.iter().enumerate() {
@@ -95,8 +132,10 @@ impl LeaderElection {
 mod tests {
     use super::*;
     use crate::config::{ProtocolConfig, ScreamFidelity};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use scream_netsim::{PropagationModel, RadioEnvironment};
-    use scream_topology::GridDeployment;
+    use scream_topology::{GridDeployment, Meters, UniformDeployment};
 
     fn grid_env(side: usize, spacing: f64) -> RadioEnvironment {
         let d = GridDeployment::new(side, side, spacing).build();
@@ -127,7 +166,7 @@ mod tests {
         }
         assert_eq!(
             LeaderElection::new().elect(&ch, &candidates, &mut t),
-            Some(NodeId::new(11))
+            Ok(Some(NodeId::new(11)))
         );
     }
 
@@ -140,9 +179,12 @@ mod tests {
         candidates[4] = true;
         assert_eq!(
             LeaderElection::new().elect(&ch, &candidates, &mut t),
-            Some(NodeId::new(4))
+            Ok(Some(NodeId::new(4)))
         );
-        assert_eq!(LeaderElection::new().elect(&ch, &[false; 9], &mut t), None);
+        assert_eq!(
+            LeaderElection::new().elect(&ch, &[false; 9], &mut t),
+            Ok(None)
+        );
     }
 
     #[test]
@@ -152,23 +194,64 @@ mod tests {
         let mut t = ProtocolTiming::new();
         assert_eq!(
             LeaderElection::new().elect(&ch, &[true; 16], &mut t),
-            Some(NodeId::new(15))
+            Ok(Some(NodeId::new(15)))
         );
+    }
+
+    /// An unplanned mesh: uniform placement, heterogeneous power and
+    /// σ = 4 dB shadowing.
+    fn shadowed_mesh_env() -> RadioEnvironment {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let d = UniformDeployment::new(25, 700.0)
+            .heterogeneous_power(6.0)
+            .build_connected(&mut rng, Meters::new(180.0), 100)
+            .unwrap();
+        RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .shadowing(4.0, 21)
+            .build(&d)
     }
 
     #[test]
     fn physical_and_ideal_fidelity_elect_the_same_leader() {
-        let env = grid_env(4, 150.0);
-        let ideal = channel(&env, ScreamFidelity::Ideal);
-        let physical = channel(&env, ScreamFidelity::Physical);
-        let mut t = ProtocolTiming::new();
-        for seedish in 0..8u32 {
-            let candidates: Vec<bool> = (0..16).map(|i| (i * 7 + seedish) % 3 == 0).collect();
-            assert_eq!(
-                LeaderElection::new().elect(&ideal, &candidates, &mut t),
-                LeaderElection::new().elect(&physical, &candidates, &mut t),
-                "divergence for candidate pattern {seedish}"
-            );
+        // The closed form is the bitwise loop's answer: same winner, same
+        // charge, on a planned grid and a shadowed unplanned mesh, for
+        // patterned candidate sets plus the empty, single and full ones.
+        for env in [grid_env(4, 150.0), shadowed_mesh_env()] {
+            let n = env.node_count();
+            let ideal = channel(&env, ScreamFidelity::Ideal);
+            let physical = channel(&env, ScreamFidelity::Physical);
+            let mut sets: Vec<Vec<bool>> = (0..8)
+                .map(|seedish| (0..n).map(|i| (i * 7 + seedish) % 3 == 0).collect())
+                .collect();
+            sets.push(vec![false; n]);
+            sets.push((0..n).map(|i| i == n / 2).collect());
+            sets.push(vec![true; n]);
+            for candidates in &sets {
+                let (mut by_ideal, mut by_physical) =
+                    (ProtocolTiming::new(), ProtocolTiming::new());
+                let winner = LeaderElection::new().elect(&ideal, candidates, &mut by_ideal);
+                assert_eq!(
+                    winner,
+                    LeaderElection::new().elect(&physical, candidates, &mut by_physical),
+                    "{n} nodes, candidates {candidates:?}"
+                );
+                assert_eq!(
+                    winner,
+                    Ok(candidates
+                        .iter()
+                        .rposition(|&c| c)
+                        .map(|i| NodeId::new(i as u32)))
+                );
+                assert_eq!(
+                    by_ideal, by_physical,
+                    "{n} nodes, candidates {candidates:?}"
+                );
+                assert_eq!(
+                    by_ideal.scream_slots,
+                    u64::from(LeaderElection::id_bits(n)) * ideal.scream_slots() as u64
+                );
+            }
         }
     }
 
@@ -177,7 +260,9 @@ mod tests {
         let env = grid_env(4, 150.0);
         let ch = channel(&env, ScreamFidelity::Ideal);
         let mut t = ProtocolTiming::new();
-        LeaderElection::new().elect(&ch, &[true; 16], &mut t);
+        LeaderElection::new()
+            .elect(&ch, &[true; 16], &mut t)
+            .unwrap();
         // 16 nodes -> 4 id bits.
         assert_eq!(t.scream_slots, 4 * ch.scream_slots() as u64);
     }
@@ -190,7 +275,10 @@ mod tests {
         let mut t = ProtocolTiming::new();
         let mut candidates = vec![true; 9];
         let mut order = Vec::new();
-        while let Some(winner) = LeaderElection::new().elect(&ch, &candidates, &mut t) {
+        while let Some(winner) = LeaderElection::new()
+            .elect(&ch, &candidates, &mut t)
+            .unwrap()
+        {
             order.push(winner.0);
             candidates[winner.index()] = false;
         }
@@ -198,11 +286,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "candidacy flag per node")]
-    fn wrong_candidate_vector_length_panics() {
+    fn wrong_candidate_vector_length_is_an_error() {
         let env = grid_env(3, 150.0);
         let ch = channel(&env, ScreamFidelity::Ideal);
         let mut t = ProtocolTiming::new();
-        let _ = LeaderElection::new().elect(&ch, &[true; 4], &mut t);
+        assert_eq!(
+            LeaderElection::new().elect(&ch, &[true; 4], &mut t),
+            Err(ProtocolError::NodeVectorLength { nodes: 9, len: 4 })
+        );
+        assert_eq!(t, ProtocolTiming::new(), "a refused input is not charged");
     }
 }

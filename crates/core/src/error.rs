@@ -27,6 +27,14 @@ pub enum ProtocolError {
         /// Nodes covered by the demand instance.
         demands: usize,
     },
+    /// A per-node input — SCREAM `var`s, election candidacy flags — whose
+    /// length is not the channel's node count.
+    NodeVectorLength {
+        /// Nodes on the channel.
+        nodes: usize,
+        /// Entries in the input.
+        len: usize,
+    },
     /// A protocol parameter is outside its valid range.
     InvalidParameter(String),
     /// Two demanded links share a head node. The paper's model gives every
@@ -79,6 +87,10 @@ impl std::fmt::Display for ProtocolError {
                 f,
                 "radio environment has {environment} nodes but the demand instance covers {demands}"
             ),
+            ProtocolError::NodeVectorLength { nodes, len } => write!(
+                f,
+                "expected one entry per node ({nodes}), got {len}"
+            ),
             ProtocolError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             ProtocolError::ConflictingLinkOwnership { node } => write!(
                 f,
@@ -116,6 +128,9 @@ mod tests {
             demands: 32,
         };
         assert!(e.to_string().contains("64") && e.to_string().contains("32"));
+
+        let e = ProtocolError::NodeVectorLength { nodes: 16, len: 9 };
+        assert!(e.to_string().contains("16") && e.to_string().contains('9'));
 
         let e = ProtocolError::RoundLimitExceeded {
             limit: 1000,

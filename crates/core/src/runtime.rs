@@ -30,6 +30,21 @@
 //! randomness in every round, so its `repeat` is always 1: one loop with a
 //! multiplicity, not a second path. The `runtime.rounds.executed` counter
 //! reports the rounds actually simulated next to the logical `runtime.rounds`.
+//!
+//! # The exact OR is a value
+//!
+//! The dormant set is a list of node ids in ascending order. Under
+//! [`ScreamFidelity::Ideal`](crate::ScreamFidelity::Ideal) the runtime reads
+//! what it would otherwise simulate: FDD's election winner is the list's last
+//! id, the veto OR is `!existing_ok`, the still-active OR is whether the list
+//! is non-empty and the release OR is whether the controller's demand reached
+//! zero. Under [`ScreamFidelity::Physical`](crate::ScreamFidelity::Physical)
+//! the same calls fill one flag per node from the list and flood it. Either
+//! way every invocation is charged its `K` slots, so [`RunStats`],
+//! [`ProtocolTiming`] and the `core.scream_invocations` count stay logical —
+//! they count the SCREAMs the protocol performs, not the host work; the
+//! decision between reading and flooding is made in [`ScreamChannel`] and
+//! [`LeaderElection`], not here.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -40,7 +55,7 @@ use scream_netsim::{
     ChannelId, ChannelSlotLedger, ProtocolTiming, RadioEnvironment, SimTime, SlotTiming,
 };
 use scream_scheduling::{FrameService, Schedule, ScheduleMetrics, SlotPattern};
-use scream_topology::{Link, LinkDemands};
+use scream_topology::{Link, LinkDemands, NodeId};
 
 use crate::config::ProtocolConfig;
 use crate::election::LeaderElection;
@@ -181,17 +196,17 @@ impl DistributedScheduler {
             link_of,
             rng: ChaCha8Rng::seed_from_u64(self.config.seed),
             ledger: ChannelSlotLedger::new(env),
-            dormant: vec![false; n],
-            flags: vec![false; n],
+            dormant: Vec::with_capacity(n),
+            activated: vec![NodeId::default(); n],
             actives: Vec::new(),
         };
 
         let mut total = Tally::default();
         let mut schedule = Schedule::new();
-        let mut controller: Option<(usize, Link)> = None;
+        let mut controller: Option<Link> = None;
 
         loop {
-            let (ctrl, ctrl_link) = match controller {
+            let ctrl = match controller {
                 Some(held) => held,
                 // A new controller must be elected among the nodes that still
                 // have pending demand; when nobody is left the algorithm
@@ -214,7 +229,7 @@ impl DistributedScheduler {
                 });
             }
 
-            let (pattern, mut round) = sim.build_round(ctrl, ctrl_link, &remaining);
+            let (pattern, mut round) = sim.build_round(ctrl, &remaining);
 
             // A deterministic round recurs unchanged until one of its links
             // is satisfied (module docs); a randomized one is applied once.
@@ -238,8 +253,9 @@ impl DistributedScheduler {
             // the next round. Only the last of the `repeat` checks can carry
             // a scream, and that is the one simulated; all cost the same.
             round.timing.add_sync_step();
-            let released = sim.scream_from(ctrl, remaining[ctrl] == 0, &mut round);
-            controller = (!released).then_some((ctrl, ctrl_link));
+            let released =
+                sim.scream_from(ctrl.head, remaining[ctrl.head.index()] == 0, &mut round);
+            controller = (!released).then_some(ctrl);
 
             total.add_repeated(&round, repeat);
             let claims = pattern.len() as u64;
@@ -315,7 +331,7 @@ impl Tally {
 /// the channel, the activation randomness and the buffers every round reuses
 /// (cleared, never reallocated).
 ///
-/// Of the per-node states of Figure 1 only dormancy is tracked per node: the
+/// Of the per-node states of Figure 1 only dormancy is tracked: the
 /// controller is carried by the run loop, ALLOCATED edges are the ledger's
 /// contents, and ACTIVE / TRIED / COMPLETE nodes are exactly the non-dormant
 /// rest — nothing in the protocol reads them apart.
@@ -330,73 +346,61 @@ struct Simulation<'a> {
     rng: ChaCha8Rng,
     /// The interference ledger of the slot under construction.
     ledger: ChannelSlotLedger<'a>,
-    /// `dormant[i]`: node `i` has pending demand and has not been picked
-    /// into an active subset of the current slot.
-    dormant: Vec<bool>,
-    /// Input and output of every single SCREAM the runtime issues.
-    flags: Vec<bool>,
+    /// The nodes with pending demand not yet picked into an active subset of
+    /// the current slot, in ascending id order — at a hand-over, every node
+    /// with pending demand (the election's candidates).
+    dormant: Vec<NodeId>,
+    /// PDD's scratch, one entry per node: the nodes one activation pass
+    /// picked, in ascending order.
+    activated: Vec<NodeId>,
     /// The edges activated in the current iteration.
     actives: Vec<Link>,
 }
 
 impl Simulation<'_> {
-    /// One SCREAM over `self.flags` (each node's `var` going in, its view of
-    /// the OR coming out), charged to `tally`. The OR is identical at every
-    /// node when `K ≥ ID`; node 0's view is the one read.
-    fn scream(&mut self, tally: &mut Tally) -> bool {
-        self.channel
-            .network_or_in_place(&mut self.flags, &mut tally.timing);
+    /// One SCREAM in which exactly `screamers` (ascending ids) scream,
+    /// charged to `tally`: whether anyone did, as every node learns it.
+    fn scream(&self, screamers: &[NodeId], tally: &mut Tally) -> bool {
         tally.stats.scream_invocations += 1;
-        self.flags.first() == Some(&true)
+        self.channel.any_screams(screamers, &mut tally.timing)
     }
 
     /// One SCREAM in which only `node` may scream, and does iff `var`.
-    fn scream_from(&mut self, node: usize, var: bool, tally: &mut Tally) -> bool {
-        self.flags.fill(false);
-        self.flags[node] = var;
-        self.scream(tally)
+    fn scream_from(&self, node: NodeId, var: bool, tally: &mut Tally) -> bool {
+        self.scream(var.then_some(node).as_slice(), tally)
     }
 
     /// Control hand-over: a full election among the nodes with pending
     /// demand (completed nodes participate passively), then termination
     /// detection — the winner, if any, screams; if the OR comes back false,
     /// every node learns that no demand is left.
-    fn elect_controller(&mut self, remaining: &[u64], tally: &mut Tally) -> Option<(usize, Link)> {
+    fn elect_controller(&mut self, remaining: &[u64], tally: &mut Tally) -> Option<Link> {
         tally.timing.add_sync_step();
-        for (flag, &r) in self.flags.iter_mut().zip(remaining) {
-            *flag = r > 0;
-        }
-        let winner = LeaderElection::new().elect(&self.channel, &self.flags, &mut tally.timing);
+        self.dormant.clear();
+        self.dormant.extend(pending(remaining));
+        let winner =
+            LeaderElection::new().elect_among(&self.channel, &self.dormant, &mut tally.timing);
         tally.stats.elections += 1;
         tally.stats.scream_invocations += self.id_bits;
-        let elected = winner.and_then(|w| Some((w.index(), self.link_of[w.index()]?)));
+        let elected = winner.and_then(|w| self.link_of[w.index()]);
 
         tally.timing.add_sync_step();
-        self.flags.fill(false);
-        if let Some((w, _)) = elected {
-            self.flags[w] = true;
-        }
-        let any_controller = self.scream(tally);
+        let any_controller = self.scream(elected.map(|link| link.head).as_slice(), tally);
         elected.filter(|_| any_controller)
     }
 
     /// `GreedyScheduleSlot`: constructs one round's slot around the
     /// controller's edge and seals it, returning the pattern and what the
     /// round charged up to the seal.
-    fn build_round(
-        &mut self,
-        ctrl: usize,
-        ctrl_link: Link,
-        remaining: &[u64],
-    ) -> (SlotPattern, Tally) {
+    fn build_round(&mut self, ctrl: Link, remaining: &[u64]) -> (SlotPattern, Tally) {
         let mut round = Tally::default();
-        for (i, (dormant, &r)) in self.dormant.iter_mut().zip(remaining).enumerate() {
-            *dormant = r > 0 && i != ctrl;
-        }
+        self.dormant.clear();
+        self.dormant
+            .extend(pending(remaining).filter(|&node| node != ctrl.head));
         // The controller opens the slot on channel 0 (a fresh slot's
         // cheapest channel).
         self.ledger.clear();
-        self.ledger.assign(ChannelId::ZERO, ctrl_link);
+        self.ledger.assign(ChannelId::ZERO, ctrl);
 
         loop {
             round.stats.slot_iterations += 1;
@@ -404,9 +408,6 @@ impl Simulation<'_> {
             // SelectActive: the only place the three protocol variants
             // differ. The activated nodes leave DORMANT.
             self.select_active(&mut round);
-            for link in &self.actives {
-                self.dormant[link.head.index()] = false;
-            }
 
             // Handshake time step: every CONTROL/ALLOCATED/ACTIVE edge
             // performs its two-way handshake concurrently. The
@@ -434,7 +435,7 @@ impl Simulation<'_> {
             // already withdrawn. The veto travels by SCREAM: one
             // network-wide OR either way.
             round.timing.add_sync_step();
-            if self.scream_from(ctrl, !probe.existing_ok, &mut round) {
+            if self.scream_from(ctrl.head, !probe.existing_ok, &mut round) {
                 round.stats.vetoes += 1;
             }
             // A claimed edge is ALLOCATED, the rest are TRIED until the next
@@ -449,8 +450,7 @@ impl Simulation<'_> {
             // stillActives check: dormant nodes scream so that everyone
             // learns whether another iteration is needed.
             round.timing.add_sync_step();
-            self.flags.copy_from_slice(&self.dormant);
-            if !self.scream(&mut round) {
+            if !self.scream(&self.dormant, &mut round) {
                 break;
             }
         }
@@ -474,40 +474,70 @@ impl Simulation<'_> {
         (pattern, round)
     }
 
-    /// The `SelectActive()` function of Section III, filling `self.actives`:
-    /// PDD activates each dormant node independently with probability `p`;
-    /// FDD elects the highest-id dormant node through a full leader election;
-    /// AFDD announces the highest-id dormant node with a single SCREAM (see
+    /// The `SelectActive()` function of Section III, filling `self.actives`
+    /// and taking the activated nodes out of `self.dormant`: PDD activates
+    /// each dormant node independently with probability `p`; FDD elects the
+    /// highest-id dormant node through a full leader election; AFDD announces
+    /// the highest-id dormant node with a single SCREAM (see
     /// [`ProtocolKind::Afdd`]).
     fn select_active(&mut self, round: &mut Tally) {
         self.actives.clear();
         let highest = match self.kind {
             ProtocolKind::Pdd { probability } => {
-                for (i, _) in self.dormant.iter().enumerate().filter(|(_, &d)| d) {
-                    if self.rng.gen_bool(probability) {
-                        self.actives.extend(self.link_of[i]);
-                    }
+                // One draw per dormant node in ascending order — the order
+                // the seeded draw stream is consumed in. Each node is written
+                // to both lists and only the count of the one it belongs to
+                // advances: the draw is a coin flip no branch predictor
+                // learns, so nothing branches on it.
+                let (mut kept, mut picked) = (0, 0);
+                for at in 0..self.dormant.len() {
+                    let node = self.dormant[at];
+                    let active = self.rng.gen_bool(probability);
+                    self.dormant[kept] = node;
+                    self.activated[picked] = node;
+                    kept += usize::from(!active);
+                    picked += usize::from(active);
                 }
+                self.dormant.truncate(kept);
+                self.actives.extend(
+                    self.activated[..picked]
+                        .iter()
+                        .filter_map(|node| self.link_of[node.index()]),
+                );
                 return;
             }
             ProtocolKind::Fdd => {
-                let winner =
-                    LeaderElection::new().elect(&self.channel, &self.dormant, &mut round.timing);
+                let winner = LeaderElection::new().elect_among(
+                    &self.channel,
+                    &self.dormant,
+                    &mut round.timing,
+                );
                 round.stats.elections += 1;
                 round.stats.scream_invocations += self.id_bits;
-                winner.map(|w| w.index())
+                winner
             }
             ProtocolKind::Afdd => {
                 // One SCREAM announces whether any dormant node remains; the
                 // identity of the highest-id dormant node is known to all from
                 // cached candidate order (our interpretation of AFDD).
-                self.flags.copy_from_slice(&self.dormant);
-                self.scream(round);
-                self.dormant.iter().rposition(|&d| d)
+                self.scream(&self.dormant, round);
+                self.dormant.last().copied()
             }
         };
-        self.actives.extend(highest.and_then(|i| self.link_of[i]));
+        if let Some(node) = highest {
+            if let Ok(at) = self.dormant.binary_search(&node) {
+                self.dormant.remove(at);
+            }
+            self.actives.extend(self.link_of[node.index()]);
+        }
     }
+}
+
+/// The nodes with pending demand, in ascending id order.
+fn pending(remaining: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
+    (0..remaining.len() as u32)
+        .map(NodeId::new)
+        .filter(|node| remaining[node.index()] > 0)
 }
 
 /// Builds the per-node view of the demand instance — the link each node owns

@@ -111,35 +111,82 @@ impl<'a> ScreamChannel<'a> {
     /// vector; a caller that screams repeatedly keeps one buffer and uses
     /// [`network_or_in_place`](Self::network_or_in_place).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `initial.len()` differs from the number of nodes.
-    pub fn network_or(&self, initial: &[bool], timing: &mut ProtocolTiming) -> Vec<bool> {
+    /// [`ProtocolError::NodeVectorLength`] if `initial.len()` differs from
+    /// the number of nodes; nothing is charged then.
+    pub fn network_or(
+        &self,
+        initial: &[bool],
+        timing: &mut ProtocolTiming,
+    ) -> Result<Vec<bool>, ProtocolError> {
         let mut views = initial.to_vec();
-        self.network_or_in_place(&mut views, timing);
-        views
+        self.network_or_in_place(&mut views, timing)?;
+        Ok(views)
     }
 
     /// [`network_or`](Self::network_or) in the caller's buffer: `vars[i]` is
     /// node `i`'s local `var` on entry and its view of the network-wide OR on
     /// return. Under [`ScreamFidelity::Ideal`] it allocates nothing.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `vars.len()` differs from the number of nodes.
-    pub fn network_or_in_place(&self, vars: &mut [bool], timing: &mut ProtocolTiming) {
-        assert_eq!(
-            vars.len(),
-            self.env.node_count(),
-            "SCREAM needs one boolean per node"
-        );
+    /// [`ProtocolError::NodeVectorLength`] if `vars.len()` differs from the
+    /// number of nodes; `vars` is untouched and nothing is charged then.
+    pub fn network_or_in_place(
+        &self,
+        vars: &mut [bool],
+        timing: &mut ProtocolTiming,
+    ) -> Result<(), ProtocolError> {
+        if vars.len() != self.node_count() {
+            return Err(ProtocolError::NodeVectorLength {
+                nodes: self.node_count(),
+                len: vars.len(),
+            });
+        }
+        self.invoke(vars, timing);
+        Ok(())
+    }
+
+    /// One invocation in which exactly the nodes of `screamers` — ascending
+    /// ids — scream: the network-wide OR as node 0 learns it, which is every
+    /// node's view when `K ≥ ID(G_S)`. Charged like
+    /// [`network_or_in_place`](Self::network_or_in_place). Under
+    /// [`ScreamFidelity::Ideal`] the OR of a set is whether it is empty, read
+    /// in O(1); under [`ScreamFidelity::Physical`] one flag per node is
+    /// filled from the list and flooded.
+    pub(crate) fn any_screams(&self, screamers: &[NodeId], timing: &mut ProtocolTiming) -> bool {
+        if !self.simulates_flood() {
+            timing.add_scream_slots(self.scream_slots as u64);
+            return !screamers.is_empty();
+        }
+        let mut vars = vec![false; self.node_count()];
+        for &screamer in screamers {
+            vars[screamer.index()] = true;
+        }
+        self.invoke(&mut vars, timing);
+        vars.first() == Some(&true)
+    }
+
+    /// Whether invocations are simulated slot by slot
+    /// ([`ScreamFidelity::Physical`]). Otherwise every invocation returns
+    /// the plain OR of its inputs at every node — the paper's guarantee under
+    /// `K ≥ ID(G_S)`, which [`new`](Self::new) checked — so a caller may read
+    /// a sequence of invocations off their inputs, charging `K` slots for
+    /// each as if it had run.
+    pub(crate) fn simulates_flood(&self) -> bool {
+        self.fidelity == ScreamFidelity::Physical
+    }
+
+    /// One invocation over `vars`, one per node: `K` slots charged to
+    /// `timing`, then each node's view of the OR written back.
+    pub(crate) fn invoke(&self, vars: &mut [bool], timing: &mut ProtocolTiming) {
         timing.add_scream_slots(self.scream_slots as u64);
-        match self.fidelity {
-            ScreamFidelity::Ideal => {
-                let any = vars.iter().any(|&v| v);
-                vars.fill(any);
-            }
-            ScreamFidelity::Physical => self.flood(vars),
+        if self.simulates_flood() {
+            self.flood(vars);
+        } else {
+            let any = vars.contains(&true);
+            vars.fill(any);
         }
     }
 
@@ -222,9 +269,39 @@ mod tests {
         let mut t = timing();
         assert_eq!(
             ch.network_or(&[false, false, true, false, false], &mut t),
-            vec![true; 5]
+            Ok(vec![true; 5])
         );
-        assert_eq!(ch.network_or(&[false; 5], &mut t), vec![false; 5]);
+        assert_eq!(ch.network_or(&[false; 5], &mut t), Ok(vec![false; 5]));
+    }
+
+    #[test]
+    fn the_id_list_form_reads_what_the_flag_form_floods() {
+        // Both fidelities, every single screamer, nobody and everybody: the
+        // id-list OR equals node 0's view of the per-node OR and charges the
+        // same K slots.
+        let env = line_env(7, 140.0);
+        let id = env.interference_diameter();
+        for fidelity in [ScreamFidelity::Ideal, ScreamFidelity::Physical] {
+            let config = ProtocolConfig::paper_default()
+                .with_scream_slots(id)
+                .with_fidelity(fidelity);
+            let ch = ScreamChannel::new(&env, &config).unwrap();
+            let mut lists: Vec<Vec<NodeId>> = (0..7).map(|i| vec![NodeId::new(i)]).collect();
+            lists.push(Vec::new());
+            lists.push((0..7).map(NodeId::new).collect());
+            for screamers in lists {
+                let mut flags = vec![false; 7];
+                for s in &screamers {
+                    flags[s.index()] = true;
+                }
+                let (mut by_flags, mut by_ids) = (timing(), timing());
+                let views = ch.network_or(&flags, &mut by_flags).unwrap();
+                let heard = ch.any_screams(&screamers, &mut by_ids);
+                assert_eq!(heard, views[0], "{fidelity:?}, screamers {screamers:?}");
+                assert_eq!(heard, !screamers.is_empty());
+                assert_eq!(by_ids, by_flags);
+            }
+        }
     }
 
     #[test]
@@ -239,9 +316,9 @@ mod tests {
         // A single screamer at one end must be heard by the far end.
         let mut initial = vec![false; 8];
         initial[0] = true;
-        assert_eq!(ch.network_or(&initial, &mut t), vec![true; 8]);
+        assert_eq!(ch.network_or(&initial, &mut t), Ok(vec![true; 8]));
         // No screamer: everyone stays false.
-        assert_eq!(ch.network_or(&[false; 8], &mut t), vec![false; 8]);
+        assert_eq!(ch.network_or(&[false; 8], &mut t), Ok(vec![false; 8]));
     }
 
     #[test]
@@ -256,7 +333,7 @@ mod tests {
         let mut t = timing();
         let mut initial = vec![false; 8];
         initial[0] = true;
-        let result = ch.network_or(&initial, &mut t);
+        let result = ch.network_or(&initial, &mut t).unwrap();
         assert!(result[1], "direct sensitivity neighbors hear one slot");
         assert!(
             !result[7],
@@ -300,18 +377,23 @@ mod tests {
         let config = ProtocolConfig::paper_default().with_scream_slots(7);
         let ch = ScreamChannel::new(&env, &config).unwrap();
         let mut t = timing();
-        ch.network_or(&[false; 5], &mut t);
-        ch.network_or(&[true, false, false, false, false], &mut t);
+        ch.network_or(&[false; 5], &mut t).unwrap();
+        ch.network_or(&[true, false, false, false, false], &mut t)
+            .unwrap();
         assert_eq!(t.scream_slots, 14);
     }
 
     #[test]
-    #[should_panic(expected = "one boolean per node")]
-    fn wrong_input_length_panics() {
+    fn wrong_input_length_is_an_error() {
         let env = line_env(4, 150.0);
         let ch = ScreamChannel::new(&env, &ProtocolConfig::paper_default()).unwrap();
         let mut t = timing();
-        let _ = ch.network_or(&[true; 3], &mut t);
+        let wrong = ProtocolError::NodeVectorLength { nodes: 4, len: 3 };
+        assert_eq!(ch.network_or(&[true; 3], &mut t), Err(wrong.clone()));
+        let mut vars = [true, false, true];
+        assert_eq!(ch.network_or_in_place(&mut vars, &mut t), Err(wrong));
+        assert_eq!(vars, [true, false, true], "a refused input is untouched");
+        assert_eq!(t, timing(), "a refused input is not charged");
     }
 
     #[test]

@@ -1201,10 +1201,71 @@ impl<'a> ChannelSlotLedger<'a> {
     /// fired, claim `i` completes its own handshake against the assigned
     /// links and the other claims, and the screen admits it.
     pub fn probe_claims(&self, tentative: &[Link]) -> SlotClaims {
-        // The half-duplex screen is channel-independent: a link failing it
-        // can claim no channel at all, but it keeps transmitting (and hence
-        // interfering) in every sub-phase, like any other failed handshake.
-        let claimable: Vec<bool> = tentative
+        let mut assignments: Vec<Option<ChannelId>> = vec![None; tentative.len()];
+        let mut existing_ok = true;
+        // Until a sub-phase has priced the claims, the unassigned set is
+        // `tentative` itself and is read in place; after, it is `unassigned`
+        // (indices into `tentative`), copied out into `links` per sub-phase.
+        let mut priced = false;
+        let mut unassigned: Vec<usize> = Vec::new();
+        let mut links: Vec<Link> = Vec::new();
+        // The half-duplex screen, computed by the first sub-phase that is
+        // not vetoed: under a veto nobody claims, so nobody reads it.
+        let mut claimable: Vec<bool> = Vec::new();
+        for (c, ledger) in self.channels.iter().enumerate() {
+            let pending: &[Link] = if priced {
+                links.clear();
+                links.extend(unassigned.iter().map(|&i| tentative[i]));
+                &links
+            } else {
+                tentative
+            };
+            if pending.is_empty() {
+                // Every claim is resolved, but the sub-phase still happens:
+                // a channel whose force-assigned links cannot complete their
+                // handshakes even undisturbed must raise its veto exactly as
+                // the single-channel probe does on an empty tentative set.
+                if !ledger.all_links_ok() {
+                    existing_ok = false;
+                }
+                continue;
+            }
+            let Some(tentative_ok) = ledger.probe_unless_vetoed(pending) else {
+                // Veto on this channel: its scheduled links were disturbed,
+                // so nobody claims it; the whole set carries to the next
+                // channel.
+                existing_ok = false;
+                continue;
+            };
+            if claimable.is_empty() {
+                claimable = self.half_duplex_screen(tentative);
+            }
+            let channel = ChannelId::new(c as u16);
+            let mut still_unassigned = Vec::new();
+            for (at, &ok) in tentative_ok.iter().enumerate() {
+                let idx = if priced { unassigned[at] } else { at };
+                if ok && claimable[idx] {
+                    assignments[idx] = Some(channel);
+                } else {
+                    still_unassigned.push(idx);
+                }
+            }
+            unassigned = still_unassigned;
+            priced = true;
+        }
+        SlotClaims {
+            existing_ok,
+            assignments,
+        }
+    }
+
+    /// The channel-independent half of a claim check, per tentative link: not
+    /// a self-link, both endpoints idle on every channel, and no endpoint
+    /// shared with another tentative link. A link failing it can claim no
+    /// channel at all, but it keeps transmitting (and hence interfering) in
+    /// every sub-phase, like any other failed handshake.
+    fn half_duplex_screen(&self, tentative: &[Link]) -> Vec<bool> {
+        tentative
             .iter()
             .enumerate()
             .map(|(idx, link)| {
@@ -1215,50 +1276,7 @@ impl<'a> ChannelSlotLedger<'a> {
                         .enumerate()
                         .all(|(other, l)| other == idx || !l.shares_endpoint(link))
             })
-            .collect();
-
-        let mut assignments: Vec<Option<ChannelId>> = vec![None; tentative.len()];
-        let mut unassigned: Vec<usize> = (0..tentative.len()).collect();
-        let mut existing_ok = true;
-        let mut links: Vec<Link> = Vec::with_capacity(tentative.len());
-        for (c, ledger) in self.channels.iter().enumerate() {
-            if unassigned.is_empty() {
-                // Every claim is resolved, but the sub-phase still happens:
-                // a channel whose force-assigned links cannot complete their
-                // handshakes even undisturbed must raise its veto exactly as
-                // the single-channel probe does on an empty tentative set.
-                if !ledger.all_links_ok() {
-                    existing_ok = false;
-                }
-                continue;
-            }
-            links.clear();
-            links.extend(unassigned.iter().map(|&i| tentative[i]));
-            let Some(tentative_ok) = ledger.probe_unless_vetoed(&links) else {
-                // Veto on this channel: its scheduled links were disturbed,
-                // so nobody claims it; the whole set carries to the next
-                // channel.
-                existing_ok = false;
-                continue;
-            };
-            let channel = ChannelId::new(c as u16);
-            unassigned = unassigned
-                .iter()
-                .zip(&tentative_ok)
-                .filter_map(|(&idx, &ok)| {
-                    if ok && claimable[idx] {
-                        assignments[idx] = Some(channel);
-                        None
-                    } else {
-                        Some(idx)
-                    }
-                })
-                .collect();
-        }
-        SlotClaims {
-            existing_ok,
-            assignments,
-        }
+            .collect()
     }
 }
 

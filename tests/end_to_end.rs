@@ -142,21 +142,27 @@ fn schedule_quality_ordering_matches_the_paper() {
 
 #[test]
 fn physical_scream_fidelity_and_ideal_fidelity_agree_end_to_end() {
+    // Ideal reads elections and ORs off the dormant list, Physical floods
+    // every one of them: the whole run — schedule, timing, every counter —
+    // must not tell them apart, for every protocol.
     let (env, link_demands, _) = grid_instance(4, 150.0, 1, 11);
     let base = ProtocolConfig::paper_default()
         .with_scream_slots(env.interference_diameter())
         .with_seed(11);
-    let ideal = DistributedScheduler::fdd()
-        .with_config(base.with_fidelity(ScreamFidelity::Ideal))
-        .run(&env, &link_demands)
-        .unwrap();
-    let physical = DistributedScheduler::fdd()
-        .with_config(base.with_fidelity(ScreamFidelity::Physical))
-        .run(&env, &link_demands)
-        .unwrap();
-    assert_eq!(ideal.schedule, physical.schedule);
-    assert_eq!(ideal.timing, physical.timing);
-    assert_eq!(ideal.stats.rounds, physical.stats.rounds);
+    for kind in [
+        ProtocolKind::Fdd,
+        ProtocolKind::Afdd,
+        ProtocolKind::pdd_unchecked(0.6),
+    ] {
+        let ideal = DistributedScheduler::new(kind, base.with_fidelity(ScreamFidelity::Ideal))
+            .run(&env, &link_demands)
+            .unwrap();
+        let physical =
+            DistributedScheduler::new(kind, base.with_fidelity(ScreamFidelity::Physical))
+                .run(&env, &link_demands)
+                .unwrap();
+        assert_eq!(ideal, physical, "{kind}");
+    }
 }
 
 #[test]
@@ -412,6 +418,8 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
     // elections, SCREAM invocations, handshake steps, vetoes, tried), then
     // schedule length, pattern count and digest. Every schedule verifies,
     // and so says the oracle over the instance's σ = 4 dB shadowing draws.
+    // Each run is made under both SCREAM fidelities, against the same pin:
+    // `Ideal` reads what `Physical` floods.
     type Pin = ([u64; 3], [u64; 7], usize, usize, u64);
     let grids: [(PaperScenario, u64, f64, [Pin; 3]); 3] = [
         (
@@ -518,32 +526,38 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
             ProtocolKind::pdd(p).expect("p is in (0, 1]"),
         ];
         for (kind, pin) in kinds.into_iter().zip(pins) {
-            let run = instance.run_protocol(kind).unwrap();
-            let (t, s) = (run.timing, run.stats);
-            let seen: Pin = (
-                [t.scream_slots, t.handshake_slots, t.sync_steps],
-                [
-                    s.rounds,
-                    s.slot_iterations,
-                    s.elections,
-                    s.scream_invocations,
-                    s.handshake_steps,
-                    s.vetoes,
-                    s.tried_transitions,
-                ],
-                run.schedule.length(),
-                run.schedule.pattern_count(),
-                schedule_digest(&run.schedule),
-            );
-            assert_eq!(seen, pin, "{kind} diverged on the seed-{seed} grid");
-            assert!(s.terminated);
-            verify(
-                &oracle,
-                &instance.env,
-                &run.schedule,
-                &instance.link_demands,
-            )
-            .unwrap();
+            for fidelity in [ScreamFidelity::Ideal, ScreamFidelity::Physical] {
+                let config = instance.protocol_config().with_fidelity(fidelity);
+                let run = instance.run_protocol_with(kind, config).unwrap();
+                let (t, s) = (run.timing, run.stats);
+                let seen: Pin = (
+                    [t.scream_slots, t.handshake_slots, t.sync_steps],
+                    [
+                        s.rounds,
+                        s.slot_iterations,
+                        s.elections,
+                        s.scream_invocations,
+                        s.handshake_steps,
+                        s.vetoes,
+                        s.tried_transitions,
+                    ],
+                    run.schedule.length(),
+                    run.schedule.pattern_count(),
+                    schedule_digest(&run.schedule),
+                );
+                assert_eq!(
+                    seen, pin,
+                    "{kind} under {fidelity:?} diverged on the seed-{seed} grid"
+                );
+                assert!(s.terminated);
+                verify(
+                    &oracle,
+                    &instance.env,
+                    &run.schedule,
+                    &instance.link_demands,
+                )
+                .unwrap();
+            }
         }
     }
 }
