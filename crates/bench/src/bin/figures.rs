@@ -307,13 +307,13 @@ fn recovery_figure(args: &Args) -> Run {
     eprintln!("# recovery-vs-load: {nodes}-node paper grid, {frames} frames, seed {seed}");
     let loads = [0.5, 0.6, 0.7, 0.8, 0.9];
     let points = recovery_vs_load(&loads, nodes as usize, seed, frames)?;
-    let report = RecoveryReport { points };
-    if args.csv {
-        return Ok(Output::Csv(report.to_csv()));
-    }
-    one(report.to_table(
+    let table = RecoveryReport { points }.to_table(
         "Recovery vs. offered load — single-link failure, no-repair baseline vs rescheduler",
-    ))
+    );
+    if args.csv {
+        return Ok(Output::Csv(table.to_csv()));
+    }
+    one(table)
 }
 
 /// Theorem 5's complexity bound and Theorem 4's FDD/GreedyPhysical
@@ -406,11 +406,12 @@ fn sweep(args: &Args) -> Run {
     let report = sweep.report()?;
     let (cells, secs) = (report.points.len(), start.elapsed().as_secs_f64());
     eprintln!("# sweep: {cells} cells (density x channel x seed), {secs:.2}s");
-    if args.csv {
-        return Ok(Output::Csv(report.to_csv()));
-    }
     let title = format!("Density sweep — centralized / FDD / linear ({cells} cells)");
-    one(report.to_table(title))
+    let table = report.to_table(title);
+    if args.csv {
+        return Ok(Output::Csv(table.to_csv()));
+    }
+    one(table)
 }
 
 /// Every figure at its default arguments, in table order: `FIGURES.txt`.

@@ -2,7 +2,7 @@
 //!
 //! Each function regenerates the series behind one figure and returns plain
 //! data; the `figures` binary's subcommand of the same name prints it with
-//! [`Table`](crate::report::Table). Node counts and repetition counts are
+//! [`Table`]. Node counts and repetition counts are
 //! parameters so the unit tests can run reduced versions of the same pipeline.
 
 use serde::{Deserialize, Serialize};

@@ -202,7 +202,7 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Column headers shared by the CSV and table exports.
+    /// The table's column headers.
     pub const COLUMNS: [&'static str; 16] = [
         "offered_load",
         "seed",
@@ -248,18 +248,8 @@ impl RecoveryReport {
         ]
     }
 
-    /// Plain `\n`-terminated CSV: a header row plus one row per point.
-    pub fn to_csv(&self) -> String {
-        let mut out = Self::COLUMNS.join(",");
-        out.push('\n');
-        for p in &self.points {
-            out.push_str(&Self::row(p).join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the points as an aligned text [`Table`].
+    /// The points as a [`Table`], one row per point; [`Table::to_csv`] is
+    /// its CSV.
     pub fn to_table(&self, title: impl Into<String>) -> Table {
         let mut table = Table::new(title, &Self::COLUMNS);
         for p in &self.points {
@@ -320,14 +310,15 @@ mod tests {
         let report = RecoveryReport {
             points: vec![small_experiment().single_link_outage(0.7, 20).unwrap()],
         };
-        let csv = report.to_csv();
+        let table = report.to_table("recovery");
+        let csv = table.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
             assert_eq!(line.split(',').count(), RecoveryReport::COLUMNS.len());
         }
         assert!(!csv.contains('\r') && !csv.contains('"'));
-        let rendered = report.to_table("recovery").render();
+        let rendered = table.render();
         for column in RecoveryReport::COLUMNS {
             assert!(rendered.contains(column), "table misses column {column}");
         }

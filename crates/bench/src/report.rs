@@ -90,6 +90,20 @@ impl Table {
         }
         out
     }
+
+    /// Renders the table as plain comma-separated CSV: the header row plus
+    /// one row per data row, fields joined by `,` and every row terminated
+    /// by `\n` (no CRLF, no quoting, no title). The cells are written as
+    /// they were pushed, so a report's CSV and aligned text can never drift
+    /// apart.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::new();
+        for line in std::iter::once(&self.headers).chain(&self.rows) {
+            out.push_str(&line.join(","));
+            out.push('\n');
+        }
+        out
+    }
 }
 
 impl std::fmt::Display for Table {

@@ -248,12 +248,10 @@ impl ScenarioSweep {
     }
 }
 
-/// The collected result of a [`ScenarioSweep::report`] run, exportable as
-/// CSV (for plotting pipelines) or as an aligned text [`Table`] (for eyes).
-///
-/// The per-protocol columns (centralized, FDD, serialized baseline) come
-/// from one shared [`row`](Self::row) helper, so the CSV and table exports
-/// can never drift apart in column count or order.
+/// The collected result of a [`ScenarioSweep::report`] run, exported as a
+/// [`Table`]: aligned text for eyes, [`Table::to_csv`] for plotting
+/// pipelines. Both are the same cells, so they can never drift apart in
+/// column count or order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Per-cell results in grid (density-major) order.
@@ -261,7 +259,7 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Column headers shared by the CSV and table exports.
+    /// The table's column headers.
     const COLUMNS: [&'static str; 16] = [
         "density_per_km2",
         "channel_count",
@@ -304,24 +302,10 @@ impl SweepReport {
         ]
     }
 
-    /// Renders the report as plain comma-separated CSV — a header row plus
-    /// one row per cell, fields joined by `,` and rows terminated by `\n`
-    /// (no CRLF, no quoting; every field is numeric, so none is ever
-    /// needed), in grid order. This is the machine-readable export the
-    /// ROADMAP's dense-scenario workloads pipe into plotting tools; the
-    /// exact contract is pinned by the `csv_contract_is_plain_newline_csv`
-    /// test.
-    pub fn to_csv(&self) -> String {
-        let mut out = Self::COLUMNS.join(",");
-        out.push('\n');
-        for p in &self.points {
-            out.push_str(&Self::row(p).join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the report as an aligned text [`Table`] with the given title.
+    /// The report as a [`Table`] with the given title: one row per cell, in
+    /// grid order. Every field is numeric, so its [`Table::to_csv`] needs no
+    /// quoting; that contract is pinned by the
+    /// `csv_contract_is_plain_newline_csv` test.
     pub fn to_table(&self, title: impl Into<String>) -> Table {
         let mut table = Table::new(title, &Self::COLUMNS);
         for p in &self.points {
@@ -500,7 +484,7 @@ mod tests {
     fn csv_export_has_a_header_and_one_row_per_cell() {
         let sweep = small_sweep();
         let report = sweep.report().unwrap();
-        let csv = report.to_csv();
+        let csv = report.to_table("sweep").to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + sweep.len());
         assert!(lines[0].starts_with("density_per_km2,channel_count,seed,"));
@@ -508,9 +492,8 @@ mod tests {
         assert!(lines.iter().all(|l| l.split(',').count() == columns));
         // Rows come in grid order and reproduce deterministically.
         assert!(lines[1].starts_with("1500,1,1,"));
-        assert_eq!(csv, sweep.report().unwrap().to_csv());
-        // The table export shares the same columns, kept in lockstep by the
-        // shared row() helper.
+        assert_eq!(csv, sweep.report().unwrap().to_table("sweep").to_csv());
+        // The aligned rendering of the same table carries the same columns.
         let table = report.to_table("sweep");
         assert_eq!(table.row_count(), sweep.len());
         let rendered = table.render();
@@ -528,7 +511,7 @@ mod tests {
             .seeds(&[1])
             .report()
             .unwrap();
-        let csv = report.to_csv();
+        let csv = report.to_table("sweep").to_csv();
         assert!(!csv.contains('\r'), "rows must be \\n-terminated, not CRLF");
         assert!(!csv.contains('"'), "fields are never quoted");
         assert!(csv.ends_with('\n'));

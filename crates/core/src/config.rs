@@ -6,30 +6,6 @@ use scream_netsim::ClockSkewConfig;
 
 use crate::error::ProtocolError;
 
-/// How the SCREAM primitive's carrier-sensing flood is simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum ScreamFidelity {
-    /// Every SCREAM slot is simulated at the physical layer: screaming nodes
-    /// transmit, every other node performs energy detection against the
-    /// aggregate received power, and the relay set grows hop by hop through
-    /// the sensitivity graph. The OR result *emerges* from the physics.
-    ///
-    /// This is the faithful (and slower) mode, selected explicitly by the
-    /// tests that cross-check it against [`Ideal`](Self::Ideal).
-    Physical,
-    /// The primitive is assumed to compute the exact network-wide OR,
-    /// provided `K ≥ ID(G_S)` (checked once at startup); only its time cost
-    /// (`K` scream slots per invocation) is accounted, and the runtime reads
-    /// each OR — and each leader election, `id_bits` such ORs — off its
-    /// inputs. Results are identical to [`Physical`](Self::Physical) whenever
-    /// the precondition holds — this is exactly the paper's correctness
-    /// argument for SCREAM — and the test-suite pins the two modes to the
-    /// same runs. The default, and the setting of
-    /// [`ProtocolConfig::paper_default`].
-    #[default]
-    Ideal,
-}
-
 /// Configuration of a distributed scheduling run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolConfig {
@@ -41,8 +17,6 @@ pub struct ProtocolConfig {
     /// simulations use 15 bytes; the mote experiments show ≥ 15–20 bytes make
     /// detection reliable.
     pub scream_bytes: usize,
-    /// How the SCREAM flood is simulated.
-    pub fidelity: ScreamFidelity,
     /// Clock-skew bound the protocol must compensate for (guard intervals are
     /// derived from it).
     pub clock_skew: ClockSkewConfig,
@@ -57,13 +31,12 @@ pub struct ProtocolConfig {
 }
 
 impl ProtocolConfig {
-    /// The paper's simulation setting: `K = 5`, 15-byte SCREAMs, ideal OR,
-    /// perfect clocks, seed 0.
+    /// The paper's simulation setting: `K = 5`, 15-byte SCREAMs, perfect
+    /// clocks, seed 0.
     pub fn paper_default() -> Self {
         Self {
             scream_slots: 5,
             scream_bytes: 15,
-            fidelity: ScreamFidelity::Ideal,
             clock_skew: ClockSkewConfig::PERFECT,
             seed: 0,
             max_rounds: None,
@@ -79,12 +52,6 @@ impl ProtocolConfig {
     /// Sets the SCREAM payload size in bytes.
     pub fn with_scream_bytes(mut self, bytes: usize) -> Self {
         self.scream_bytes = bytes;
-        self
-    }
-
-    /// Sets the SCREAM simulation fidelity.
-    pub fn with_fidelity(mut self, fidelity: ScreamFidelity) -> Self {
-        self.fidelity = fidelity;
         self
     }
 
@@ -149,7 +116,6 @@ mod tests {
         let c = ProtocolConfig::paper_default();
         assert_eq!(c.scream_slots, 5);
         assert_eq!(c.scream_bytes, 15);
-        assert_eq!(c.fidelity, ScreamFidelity::Ideal);
         assert_eq!(c.clock_skew, ClockSkewConfig::PERFECT);
         assert_eq!(ProtocolConfig::default(), c);
         c.validate().unwrap();
@@ -160,13 +126,11 @@ mod tests {
         let c = ProtocolConfig::paper_default()
             .with_scream_slots(9)
             .with_scream_bytes(24)
-            .with_fidelity(ScreamFidelity::Physical)
             .with_clock_skew(ClockSkewConfig::new(SimTime::from_micros(50)))
             .with_seed(99)
             .with_max_rounds(123);
         assert_eq!(c.scream_slots, 9);
         assert_eq!(c.scream_bytes, 24);
-        assert_eq!(c.fidelity, ScreamFidelity::Physical);
         assert_eq!(c.clock_skew.bound, SimTime::from_micros(50));
         assert_eq!(c.seed, 99);
         assert_eq!(c.max_rounds, Some(123));

@@ -10,11 +10,11 @@
 //!
 //! Cost: `id_bits` SCREAM invocations, i.e. `O(K · log n)` slots.
 //!
-//! Under [`ScreamFidelity::Ideal`](crate::ScreamFidelity::Ideal) every one of
-//! those ORs is exact, so the loop provably leaves the highest-id candidate:
-//! the election reads it off the candidate list and charges the same
-//! `id_bits × K` slots. Only [`ScreamFidelity::Physical`](crate::ScreamFidelity::Physical)
-//! runs the bitwise loop.
+//! A [`ScreamChannel`] exists only where `K ≥ ID(G_S)`, so every one of
+//! those ORs is exact and the loop provably leaves the highest-id candidate:
+//! the election reads it off the candidate list and charges the `id_bits × K`
+//! slots the loop takes. The loop itself is the integration tests' oracle,
+//! run over its own flood.
 
 use scream_netsim::ProtocolTiming;
 use scream_topology::NodeId;
@@ -55,7 +55,7 @@ impl LeaderElection {
     /// the channel's node count; nothing is charged then.
     pub fn elect(
         &self,
-        channel: &ScreamChannel<'_>,
+        channel: &ScreamChannel,
         candidates: &[bool],
         timing: &mut ProtocolTiming,
     ) -> Result<Option<NodeId>, ProtocolError> {
@@ -76,7 +76,7 @@ impl LeaderElection {
     /// each below the channel's node count.
     pub(crate) fn elect_among(
         &self,
-        channel: &ScreamChannel<'_>,
+        channel: &ScreamChannel,
         candidates: &[NodeId],
         timing: &mut ProtocolTiming,
     ) -> Option<NodeId> {
@@ -84,58 +84,18 @@ impl LeaderElection {
             candidates.windows(2).all(|pair| pair[0] < pair[1]),
             "candidates must be ascending ids"
         );
-        let n = channel.node_count();
-        let bits = Self::id_bits(n);
-        if !channel.simulates_flood() {
-            // Every per-bit OR is exact, so the loop below leaves exactly
-            // the highest id: the list's last entry, for the same charge.
-            timing.add_scream_slots(u64::from(bits) * channel.scream_slots() as u64);
-            return candidates.last().copied();
-        }
-        // votedout[i] starts false for candidates; non-candidates are treated
-        // as permanently voted out (they only relay).
-        let mut votedout = vec![true; n];
-        for candidate in candidates {
-            votedout[candidate.index()] = false;
-        }
-        // One SCREAM buffer for every bit: who screams going in, what each
-        // node heard coming out.
-        let mut screams = vec![false; n];
-
-        for j in (0..bits).rev() {
-            for (i, scream) in screams.iter_mut().enumerate() {
-                *scream = !votedout[i] && NodeId::new(i as u32).bit(j);
-            }
-            channel.invoke(&mut screams, timing);
-            // The OR is identical at every node when K >= ID; a node only
-            // needs its own entry, which is what a real deployment would use.
-            for (i, &heard) in screams.iter().enumerate() {
-                if heard && !NodeId::new(i as u32).bit(j) {
-                    votedout[i] = true;
-                }
-            }
-        }
-
-        let mut survivors = (0..n)
-            .filter(|&i| !votedout[i])
-            .map(|i| NodeId::new(i as u32));
-        let winner = survivors.next();
-        debug_assert!(
-            survivors.next().is_none(),
-            "more than one survivor after leader election"
-        );
-        winner
+        let bits = Self::id_bits(channel.node_count());
+        timing.add_scream_slots(u64::from(bits) * channel.scream_slots() as u64);
+        candidates.last().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ProtocolConfig, ScreamFidelity};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use crate::config::ProtocolConfig;
     use scream_netsim::{PropagationModel, RadioEnvironment};
-    use scream_topology::{GridDeployment, Meters, UniformDeployment};
+    use scream_topology::GridDeployment;
 
     fn grid_env(side: usize, spacing: f64) -> RadioEnvironment {
         let d = GridDeployment::new(side, side, spacing).build();
@@ -144,13 +104,11 @@ mod tests {
             .build(&d)
     }
 
-    fn channel(env: &RadioEnvironment, fidelity: ScreamFidelity) -> ScreamChannel<'_> {
+    fn channel(env: &RadioEnvironment) -> ScreamChannel {
         let id = env.interference_diameter();
         ScreamChannel::new(
             env,
-            &ProtocolConfig::paper_default()
-                .with_scream_slots(id.max(1))
-                .with_fidelity(fidelity),
+            &ProtocolConfig::paper_default().with_scream_slots(id.max(1)),
         )
         .unwrap()
     }
@@ -158,7 +116,7 @@ mod tests {
     #[test]
     fn elects_the_highest_id_candidate() {
         let env = grid_env(4, 150.0);
-        let ch = channel(&env, ScreamFidelity::Ideal);
+        let ch = channel(&env);
         let mut t = ProtocolTiming::new();
         let mut candidates = vec![false; 16];
         for i in [3usize, 7, 11] {
@@ -173,7 +131,7 @@ mod tests {
     #[test]
     fn single_candidate_wins_and_no_candidate_returns_none() {
         let env = grid_env(3, 150.0);
-        let ch = channel(&env, ScreamFidelity::Ideal);
+        let ch = channel(&env);
         let mut t = ProtocolTiming::new();
         let mut candidates = vec![false; 9];
         candidates[4] = true;
@@ -190,7 +148,7 @@ mod tests {
     #[test]
     fn all_candidates_yields_the_maximum_id() {
         let env = grid_env(4, 150.0);
-        let ch = channel(&env, ScreamFidelity::Ideal);
+        let ch = channel(&env);
         let mut t = ProtocolTiming::new();
         assert_eq!(
             LeaderElection::new().elect(&ch, &[true; 16], &mut t),
@@ -198,67 +156,10 @@ mod tests {
         );
     }
 
-    /// An unplanned mesh: uniform placement, heterogeneous power and
-    /// σ = 4 dB shadowing.
-    fn shadowed_mesh_env() -> RadioEnvironment {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let d = UniformDeployment::new(25, 700.0)
-            .heterogeneous_power(6.0)
-            .build_connected(&mut rng, Meters::new(180.0), 100)
-            .unwrap();
-        RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(3.0))
-            .shadowing(4.0, 21)
-            .build(&d)
-    }
-
-    #[test]
-    fn physical_and_ideal_fidelity_elect_the_same_leader() {
-        // The closed form is the bitwise loop's answer: same winner, same
-        // charge, on a planned grid and a shadowed unplanned mesh, for
-        // patterned candidate sets plus the empty, single and full ones.
-        for env in [grid_env(4, 150.0), shadowed_mesh_env()] {
-            let n = env.node_count();
-            let ideal = channel(&env, ScreamFidelity::Ideal);
-            let physical = channel(&env, ScreamFidelity::Physical);
-            let mut sets: Vec<Vec<bool>> = (0..8)
-                .map(|seedish| (0..n).map(|i| (i * 7 + seedish) % 3 == 0).collect())
-                .collect();
-            sets.push(vec![false; n]);
-            sets.push((0..n).map(|i| i == n / 2).collect());
-            sets.push(vec![true; n]);
-            for candidates in &sets {
-                let (mut by_ideal, mut by_physical) =
-                    (ProtocolTiming::new(), ProtocolTiming::new());
-                let winner = LeaderElection::new().elect(&ideal, candidates, &mut by_ideal);
-                assert_eq!(
-                    winner,
-                    LeaderElection::new().elect(&physical, candidates, &mut by_physical),
-                    "{n} nodes, candidates {candidates:?}"
-                );
-                assert_eq!(
-                    winner,
-                    Ok(candidates
-                        .iter()
-                        .rposition(|&c| c)
-                        .map(|i| NodeId::new(i as u32)))
-                );
-                assert_eq!(
-                    by_ideal, by_physical,
-                    "{n} nodes, candidates {candidates:?}"
-                );
-                assert_eq!(
-                    by_ideal.scream_slots,
-                    u64::from(LeaderElection::id_bits(n)) * ideal.scream_slots() as u64
-                );
-            }
-        }
-    }
-
     #[test]
     fn election_cost_is_id_bits_times_k() {
         let env = grid_env(4, 150.0);
-        let ch = channel(&env, ScreamFidelity::Ideal);
+        let ch = channel(&env);
         let mut t = ProtocolTiming::new();
         LeaderElection::new()
             .elect(&ch, &[true; 16], &mut t)
@@ -271,7 +172,7 @@ mod tests {
     fn repeated_elections_with_shrinking_candidate_sets_enumerate_ids_in_decreasing_order() {
         // This is exactly how FDD walks through the nodes.
         let env = grid_env(3, 150.0);
-        let ch = channel(&env, ScreamFidelity::Ideal);
+        let ch = channel(&env);
         let mut t = ProtocolTiming::new();
         let mut candidates = vec![true; 9];
         let mut order = Vec::new();
@@ -288,7 +189,7 @@ mod tests {
     #[test]
     fn wrong_candidate_vector_length_is_an_error() {
         let env = grid_env(3, 150.0);
-        let ch = channel(&env, ScreamFidelity::Ideal);
+        let ch = channel(&env);
         let mut t = ProtocolTiming::new();
         assert_eq!(
             LeaderElection::new().elect(&ch, &[true; 4], &mut t),

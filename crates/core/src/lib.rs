@@ -19,9 +19,10 @@
 //!   schedules under physical interference).
 //!
 //! The protocols run against the radio environment of `scream-netsim`, so
-//! handshake successes, carrier-sense detections and the effect of the
-//! interference diameter all emerge from the SINR physics rather than being
-//! assumed.
+//! handshake successes and the interference diameter emerge from the SINR
+//! physics rather than being assumed. The SCREAM OR is the one thing taken
+//! from the paper's proof: once `K ≥ ID(G_S)` is checked it is exact at every
+//! node, and the runtime reads it instead of flooding it.
 //!
 //! # Example: scheduling a small mesh with FDD
 //!
@@ -76,7 +77,7 @@ pub mod runtime;
 pub mod scream;
 pub mod stats;
 
-pub use config::{ProtocolConfig, ScreamFidelity};
+pub use config::ProtocolConfig;
 pub use election::LeaderElection;
 pub use error::ProtocolError;
 pub use protocol::ProtocolKind;
@@ -86,7 +87,7 @@ pub use stats::RunStats;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    pub use crate::config::{ProtocolConfig, ScreamFidelity};
+    pub use crate::config::ProtocolConfig;
     pub use crate::election::LeaderElection;
     pub use crate::error::ProtocolError;
     pub use crate::protocol::ProtocolKind;

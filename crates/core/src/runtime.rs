@@ -17,9 +17,8 @@
 //! outside it). Under FDD and AFDD that value is a pure function of the
 //! controller and the set of nodes with pending demand — `SelectActive` is an
 //! election or an announcement over the dormant set, the handshakes are the
-//! environment's physics, and the SCREAM flood is deterministic under either
-//! [`ScreamFidelity`](crate::ScreamFidelity) — so until one of the sealed
-//! links runs out of demand the next round is the same value again. The
+//! environment's physics, and every SCREAM OR is exact — so until one of the
+//! sealed links runs out of demand the next round is the same value again. The
 //! runtime therefore simulates each distinct round once and applies it
 //! `repeat` times, `repeat` being the least remaining demand over the sealed
 //! links (cut at the round limit): the pattern is pushed with that
@@ -33,18 +32,15 @@
 //!
 //! # The exact OR is a value
 //!
-//! The dormant set is a list of node ids in ascending order. Under
-//! [`ScreamFidelity::Ideal`](crate::ScreamFidelity::Ideal) the runtime reads
-//! what it would otherwise simulate: FDD's election winner is the list's last
-//! id, the veto OR is `!existing_ok`, the still-active OR is whether the list
-//! is non-empty and the release OR is whether the controller's demand reached
-//! zero. Under [`ScreamFidelity::Physical`](crate::ScreamFidelity::Physical)
-//! the same calls fill one flag per node from the list and flood it. Either
-//! way every invocation is charged its `K` slots, so [`RunStats`],
-//! [`ProtocolTiming`] and the `core.scream_invocations` count stay logical —
-//! they count the SCREAMs the protocol performs, not the host work; the
-//! decision between reading and flooding is made in [`ScreamChannel`] and
-//! [`LeaderElection`], not here.
+//! The dormant set is a list of node ids in ascending order. A
+//! [`ScreamChannel`] exists only where `K ≥ ID(G_S)`, so every OR is exact
+//! and the runtime reads what a deployment would flood: FDD's election
+//! winner is the list's last id, the veto OR is `!existing_ok`, the
+//! still-active OR is whether the list is non-empty and the release OR is
+//! whether the controller's demand reached zero. Every invocation is still
+//! charged its `K` slots, so [`RunStats`], [`ProtocolTiming`] and the
+//! `core.scream_invocations` count stay logical — they count the SCREAMs the
+//! protocol performs, not the host work.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -337,7 +333,7 @@ impl Tally {
 /// rest — nothing in the protocol reads them apart.
 struct Simulation<'a> {
     kind: ProtocolKind,
-    channel: ScreamChannel<'a>,
+    channel: ScreamChannel,
     id_bits: u64,
     channel_count: usize,
     channel_bits: u64,
@@ -621,7 +617,6 @@ impl DistributedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ScreamFidelity;
     use scream_netsim::{ClockSkewConfig, PropagationModel, RadioEnvironment};
     use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical};
     use scream_topology::{
@@ -791,21 +786,6 @@ mod tests {
             pdd_a.schedule != pdd_b.schedule || pdd_a.stats != pdd_b.stats,
             "different seeds should change a randomized run"
         );
-    }
-
-    #[test]
-    fn physical_and_ideal_scream_fidelity_agree_on_the_schedule() {
-        let (_, env, ld) = grid_instance(3, 150.0, 3);
-        let ideal = DistributedScheduler::fdd()
-            .with_config(config_for(&env).with_fidelity(ScreamFidelity::Ideal))
-            .run(&env, &ld)
-            .unwrap();
-        let physical = DistributedScheduler::fdd()
-            .with_config(config_for(&env).with_fidelity(ScreamFidelity::Physical))
-            .run(&env, &ld)
-            .unwrap();
-        assert_eq!(ideal.schedule, physical.schedule);
-        assert_eq!(ideal.timing, physical.timing);
     }
 
     #[test]

@@ -102,9 +102,9 @@ impl PropagationModel {
 /// For a log-distance model, `gain(d) = g₀ · d^{-α} = g₀ · (d²)^{-α/2}`
 /// beyond the 1 m reference distance, which for `α ∈ {2, 3, 4}` needs only
 /// multiplications (and one `sqrt` for `α = 3`) per evaluation.
-/// This is what lets a streamed (matrix-free) [`RadioEnvironment`]
-/// (crate::environment) recompute gains on the fly at millions of pairs per
-/// second.
+/// This is what lets a streamed (matrix-free)
+/// [`RadioEnvironment`](crate::RadioEnvironment) recompute gains on the fly
+/// at millions of pairs per second.
 ///
 /// Values agree with [`PropagationModel::gain`] up to floating-point
 /// rearrangement (≲ 1 ulp relative); a streamed environment uses *only* this

@@ -20,7 +20,7 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`RadioEnvironment`](scream_netsim::RadioEnvironment) — the physical
+//! * [`RadioEnvironment`] — the physical
 //!   (SINR) interference model of Section II, the paper's subject, answered
 //!   by the interference ledger alone: `slot_feasible` fills a
 //!   [`SlotLedger`] and reads it, and the accumulator is the

@@ -9,11 +9,11 @@
 //! * the [`SlotFeasibility`] abstraction over interference models (the
 //!   physical SINR model of `scream-netsim`, and a protocol-interference
 //!   baseline for comparison);
-//! * the centralized [`GreedyPhysical`](greedy::GreedyPhysical) algorithm
+//! * the centralized [`GreedyPhysical`] algorithm
 //!   from the authors' earlier work \[4\], which the paper uses as its
 //!   baseline and which the FDD protocol provably recreates;
 //! * the serialized ("linear") [baseline](linear) that Figures 6 and 7
-//!   normalize against, and schedule-quality [metrics](metrics).
+//!   normalize against, and schedule-quality [metrics].
 //!
 //! # Example
 //!

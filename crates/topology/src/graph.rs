@@ -88,7 +88,7 @@ impl Graph {
 
     /// Adds an edge whose endpoints the caller guarantees are in range, e.g.
     /// builders iterating node indices `0..n` of this very graph. Public
-    /// counterpart of [`Self::insert_edge`] for those callers, so in-range
+    /// counterpart of `insert_edge` for those callers, so in-range
     /// insertion does not force an `expect` on an error that cannot occur
     /// (P1). Out-of-range endpoints are a caller bug, checked in debug builds.
     pub fn add_edge_unchecked(&mut self, u: NodeId, v: NodeId) {

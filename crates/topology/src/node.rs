@@ -46,14 +46,6 @@ impl NodeId {
             (usize::BITS - (n - 1).leading_zeros()).max(1)
         }
     }
-
-    /// The `j`-th bit of the identifier, with bit 0 the least significant.
-    ///
-    /// Used by [`LeaderElection`](https://docs.rs/scream-core) which iterates
-    /// from the most significant bit downwards.
-    pub fn bit(self, j: u32) -> bool {
-        (self.0 >> j) & 1 == 1
-    }
 }
 
 impl From<u32> for NodeId {
@@ -126,18 +118,6 @@ mod tests {
         assert_eq!(NodeId::id_bits(100), 7);
         assert_eq!(NodeId::id_bits(128), 7);
         assert_eq!(NodeId::id_bits(129), 8);
-    }
-
-    #[test]
-    fn bit_extraction_matches_binary_representation() {
-        let id = NodeId::new(0b1011_0101);
-        assert!(id.bit(0));
-        assert!(!id.bit(1));
-        assert!(id.bit(2));
-        assert!(id.bit(4));
-        assert!(!id.bit(6));
-        assert!(id.bit(7));
-        assert!(!id.bit(8));
     }
 
     #[test]

@@ -219,8 +219,8 @@ impl Flow {
     }
 }
 
-/// A set of flows driven together through one [`TrafficEngine`]
-/// (crate::TrafficEngine) run.
+/// A set of flows driven together through one
+/// [`TrafficEngine`](crate::TrafficEngine) run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct FlowSet {
     flows: Vec<Flow>,

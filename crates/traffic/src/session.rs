@@ -26,7 +26,7 @@
 //!
 //! Routing is by **forwarding table** (one uplink per node, gateway sinks),
 //! the hop-by-hop reading of a
-//! [`RoutingForest`](scream_topology::RoutingForest) — which is what makes
+//! [`RoutingForest`] — which is what makes
 //! online rerouting well-defined for packets already mid-path. Every
 //! mutator is an edit of the simulator's state between two segments; the
 //! FIFO reconstruction at each segment start (see the packet-model docs) is

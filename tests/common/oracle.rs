@@ -8,6 +8,15 @@
 //! an environment built with `.shadowing(σ, seed)` carries. Every input is
 //! read out as a raw `f64` and the arithmetic is its own: no unit type's
 //! operator or conversion (`Dbm::to_mw`, …) is on its path.
+//!
+//! Above the SINR test it holds the paper's own primitive (ROADMAP 3): the
+//! carrier-sense detection rule of Section III-A over the same gains, the
+//! sensitivity graph and interference diameter it induces (Definitions 1–2),
+//! the slot-by-slot SCREAM flood and the bitwise leader election of Section
+//! III-B run over that flood.
+#![allow(dead_code, reason = "each suite uses the part it judges")]
+
+use std::cell::OnceCell;
 
 use scream::netsim::{RadioConfig, ShadowingField};
 use scream::prelude::*;
@@ -29,6 +38,9 @@ pub struct Oracle {
     noise_mw: f64,
     beta: f64,
     channel_count: usize,
+    carrier_sense_mw: f64,
+    /// `received_mw(tx, rx)` at `tx · n + rx`, filled on the first detection.
+    received: OnceCell<Vec<f64>>,
 }
 
 impl Oracle {
@@ -49,6 +61,8 @@ impl Oracle {
             noise_mw: mw(config.noise_floor_dbm.get()),
             beta: mw(config.sinr_threshold_db.get()),
             channel_count: config.channel_count.max(1),
+            carrier_sense_mw: mw(config.carrier_sense_threshold_dbm.get()),
+            received: OnceCell::new(),
         }
     }
 
@@ -100,6 +114,123 @@ impl Oracle {
                     channel.index() < self.channel_count && self.slot_feasible(group)
                 })
         })
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone {
+        (0..self.positions.len() as u32).map(NodeId::new)
+    }
+
+    /// Whether `listener` detects a slot in which `screamers` transmit: the
+    /// summed power it receives from them, itself excluded, reaches the
+    /// carrier-sense threshold.
+    fn detects(&self, listener: NodeId, screamers: &[NodeId]) -> bool {
+        let n = self.positions.len();
+        let received = self.received.get_or_init(|| {
+            let nodes = self.nodes();
+            nodes
+                .clone()
+                .flat_map(|tx| nodes.clone().map(move |rx| self.received_mw(tx, rx)))
+                .collect()
+        });
+        let power: f64 = screamers
+            .iter()
+            .filter(|&&s| s != listener)
+            .map(|s| received[s.index() * n + listener.index()])
+            .sum();
+        power >= self.carrier_sense_mw
+    }
+
+    /// The sensitivity graph `G_S` of Definition 1, as `(u, v)` pairs in
+    /// ascending order: `v` detects `u` transmitting alone.
+    pub fn sensitivity_edges(&self) -> Vec<(NodeId, NodeId)> {
+        let nodes = self.nodes();
+        nodes
+            .clone()
+            .flat_map(|u| nodes.clone().map(move |v| (u, v)))
+            .filter(|&(u, v)| u != v && self.detects(v, &[u]))
+            .collect()
+    }
+
+    /// `ID(G_S)` (Definition 2): the largest breadth-first eccentricity over
+    /// the sensitivity edges, `usize::MAX` when some node cannot reach
+    /// another.
+    pub fn interference_diameter(&self) -> usize {
+        let n = self.positions.len();
+        let mut out = vec![Vec::new(); n];
+        for (u, v) in self.sensitivity_edges() {
+            out[u.index()].push(v.index());
+        }
+        let mut diameter = 0;
+        for source in 0..n {
+            let mut hops = vec![usize::MAX; n];
+            hops[source] = 0;
+            let mut frontier = vec![source];
+            for depth in 1.. {
+                let mut next = Vec::new();
+                for &u in &frontier {
+                    for &v in &out[u] {
+                        if hops[v] == usize::MAX {
+                            hops[v] = depth;
+                            next.push(v);
+                        }
+                    }
+                }
+                if next.is_empty() {
+                    break;
+                }
+                frontier = next;
+            }
+            diameter = diameter.max(hops.into_iter().max().unwrap_or(0));
+        }
+        diameter
+    }
+
+    /// Each node's view after `k` SCREAM slots that `screamers` start
+    /// (Section III-A): in every slot the current relays transmit, and every
+    /// silent node that [`detects`](Self::detects) them relays from the next
+    /// slot on.
+    pub fn flood(&self, screamers: &[NodeId], k: usize) -> Vec<bool> {
+        let mut relaying = vec![false; self.positions.len()];
+        for s in screamers {
+            relaying[s.index()] = true;
+        }
+        for _ in 0..k {
+            let relays: Vec<NodeId> = self.nodes().filter(|v| relaying[v.index()]).collect();
+            let heard: Vec<NodeId> = self
+                .nodes()
+                .filter(|&v| !relaying[v.index()] && self.detects(v, &relays))
+                .collect();
+            for v in heard {
+                relaying[v.index()] = true;
+            }
+        }
+        relaying
+    }
+
+    /// The fewest bits that number every node, and at least one.
+    pub fn id_bits(&self) -> u32 {
+        let mut bits = 1;
+        while (1usize << bits) < self.positions.len() {
+            bits += 1;
+        }
+        bits
+    }
+
+    /// Section III-B's election among `candidates`, one `k`-slot
+    /// [`flood`](Self::flood) per id bit: from the most significant bit down,
+    /// the candidates still standing whose bit is 1 scream, and a standing
+    /// candidate whose bit is 0 steps down if it hears them. Returns who is
+    /// left standing, ascending — the highest id alone when every flood
+    /// reached every node.
+    pub fn elect(&self, candidates: &[NodeId], k: usize) -> Vec<NodeId> {
+        let mut standing = candidates.to_vec();
+        for j in (0..self.id_bits()).rev() {
+            let bit = |v: NodeId| (v.0 >> j) & 1 == 1;
+            let screamers: Vec<NodeId> = standing.iter().copied().filter(|&v| bit(v)).collect();
+            let heard = self.flood(&screamers, k);
+            standing.retain(|&v| bit(v) || !heard[v.index()]);
+        }
+        standing
     }
 }
 

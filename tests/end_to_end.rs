@@ -13,6 +13,9 @@ use scream_bench::PaperScenario;
 #[path = "common/oracle.rs"]
 mod oracle;
 use oracle::Oracle;
+#[path = "common/meshes.rs"]
+mod meshes;
+use meshes::{paper_oracle, Mesh};
 
 /// `verify_schedule`'s verdict on `schedule`, asserted equal to the oracle's.
 fn verify(
@@ -33,10 +36,12 @@ fn grid_instance(
     gateway_count: usize,
     seed: u64,
 ) -> (RadioEnvironment, LinkDemands, Oracle) {
-    let deployment = GridDeployment::new(side, side, step_m).build();
-    let env = RadioEnvironment::builder()
-        .propagation(PropagationModel::log_distance(3.0))
-        .build(&deployment);
+    let Mesh {
+        deployment,
+        env,
+        oracle,
+        ..
+    } = Mesh::planned(side, side, step_m);
     let graph = env.communication_graph();
     assert!(graph.is_connected(), "test instance must be connected");
     let mut gateways = deployment.corner_nodes();
@@ -46,7 +51,6 @@ fn grid_instance(
     let demands =
         DemandVector::generate(deployment.len(), DemandConfig::PAPER, &gateways, &mut rng);
     let link_demands = LinkDemands::aggregate(&forest, &demands).unwrap();
-    let oracle = Oracle::unshadowed(&deployment, env.config());
     (env, link_demands, oracle)
 }
 
@@ -137,31 +141,6 @@ fn schedule_quality_ordering_matches_the_paper() {
             fdd.length
         );
         assert!(pdd.length as u64 <= link_demands.total_demand());
-    }
-}
-
-#[test]
-fn physical_scream_fidelity_and_ideal_fidelity_agree_end_to_end() {
-    // Ideal reads elections and ORs off the dormant list, Physical floods
-    // every one of them: the whole run — schedule, timing, every counter —
-    // must not tell them apart, for every protocol.
-    let (env, link_demands, _) = grid_instance(4, 150.0, 1, 11);
-    let base = ProtocolConfig::paper_default()
-        .with_scream_slots(env.interference_diameter())
-        .with_seed(11);
-    for kind in [
-        ProtocolKind::Fdd,
-        ProtocolKind::Afdd,
-        ProtocolKind::pdd_unchecked(0.6),
-    ] {
-        let ideal = DistributedScheduler::new(kind, base.with_fidelity(ScreamFidelity::Ideal))
-            .run(&env, &link_demands)
-            .unwrap();
-        let physical =
-            DistributedScheduler::new(kind, base.with_fidelity(ScreamFidelity::Physical))
-                .run(&env, &link_demands)
-                .unwrap();
-        assert_eq!(ideal, physical, "{kind}");
     }
 }
 
@@ -280,10 +259,12 @@ fn traffic_engine_carries_packets_over_a_distributed_schedule() {
     // The full pipeline one layer further than scheduling: deployment ->
     // routing -> demands -> distributed FDD schedule -> packet-level traffic
     // over that schedule as a repeating TDMA frame, via the facade prelude.
-    let deployment = GridDeployment::new(4, 4, 150.0).build();
-    let env = RadioEnvironment::builder()
-        .propagation(PropagationModel::log_distance(3.0))
-        .build(&deployment);
+    let Mesh {
+        deployment,
+        env,
+        oracle,
+        ..
+    } = Mesh::planned(4, 4, 150.0);
     let graph = env.communication_graph();
     let gateways = vec![deployment.corner_nodes()[0]];
     let forest = RoutingForest::shortest_path(&graph, &gateways, 5).unwrap();
@@ -300,13 +281,7 @@ fn traffic_engine_carries_packets_over_a_distributed_schedule() {
         )
         .run(&env, &link_demands)
         .unwrap();
-    verify(
-        &Oracle::unshadowed(&deployment, env.config()),
-        &env,
-        &run.schedule,
-        &link_demands,
-    )
-    .unwrap();
+    verify(&oracle, &env, &run.schedule, &link_demands).unwrap();
 
     // 70% of the frame's capacity: one deterministic flow per mesh node.
     let frame = run.frame_service();
@@ -418,8 +393,8 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
     // elections, SCREAM invocations, handshake steps, vetoes, tried), then
     // schedule length, pattern count and digest. Every schedule verifies,
     // and so says the oracle over the instance's σ = 4 dB shadowing draws.
-    // Each run is made under both SCREAM fidelities, against the same pin:
-    // `Ideal` reads what `Physical` floods.
+    // The pins predate the closed-form OR and election: they were made by
+    // the bitwise loop over per-node flags.
     type Pin = ([u64; 3], [u64; 7], usize, usize, u64);
     let grids: [(PaperScenario, u64, f64, [Pin; 3]); 3] = [
         (
@@ -511,53 +486,39 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
     ];
     for (scenario, seed, p, pins) in grids {
         let instance = scenario.instantiate(seed).unwrap();
-        let oracle = Oracle::new(
-            &instance.deployment,
-            instance.env.config(),
-            ShadowingField::generate(
-                instance.deployment.len(),
-                scenario.shadowing_sigma_db,
-                instance.seed,
-            ),
-        );
+        let oracle = paper_oracle(&scenario, &instance);
         let kinds = [
             ProtocolKind::Fdd,
             ProtocolKind::Afdd,
             ProtocolKind::pdd(p).expect("p is in (0, 1]"),
         ];
         for (kind, pin) in kinds.into_iter().zip(pins) {
-            for fidelity in [ScreamFidelity::Ideal, ScreamFidelity::Physical] {
-                let config = instance.protocol_config().with_fidelity(fidelity);
-                let run = instance.run_protocol_with(kind, config).unwrap();
-                let (t, s) = (run.timing, run.stats);
-                let seen: Pin = (
-                    [t.scream_slots, t.handshake_slots, t.sync_steps],
-                    [
-                        s.rounds,
-                        s.slot_iterations,
-                        s.elections,
-                        s.scream_invocations,
-                        s.handshake_steps,
-                        s.vetoes,
-                        s.tried_transitions,
-                    ],
-                    run.schedule.length(),
-                    run.schedule.pattern_count(),
-                    schedule_digest(&run.schedule),
-                );
-                assert_eq!(
-                    seen, pin,
-                    "{kind} under {fidelity:?} diverged on the seed-{seed} grid"
-                );
-                assert!(s.terminated);
-                verify(
-                    &oracle,
-                    &instance.env,
-                    &run.schedule,
-                    &instance.link_demands,
-                )
-                .unwrap();
-            }
+            let run = instance.run_protocol(kind).unwrap();
+            let (t, s) = (run.timing, run.stats);
+            let seen: Pin = (
+                [t.scream_slots, t.handshake_slots, t.sync_steps],
+                [
+                    s.rounds,
+                    s.slot_iterations,
+                    s.elections,
+                    s.scream_invocations,
+                    s.handshake_steps,
+                    s.vetoes,
+                    s.tried_transitions,
+                ],
+                run.schedule.length(),
+                run.schedule.pattern_count(),
+                schedule_digest(&run.schedule),
+            );
+            assert_eq!(seen, pin, "{kind} diverged on the seed-{seed} grid");
+            assert!(s.terminated);
+            verify(
+                &oracle,
+                &instance.env,
+                &run.schedule,
+                &instance.link_demands,
+            )
+            .unwrap();
         }
     }
 }
