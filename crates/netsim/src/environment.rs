@@ -33,7 +33,8 @@ use crate::units::{Db, Meters, Mw};
 ///   O(1) lookup, supports log-normal shadowing;
 /// * **streamed** ([`RadioEnvironmentBuilder::streamed_gains`]): no matrix —
 ///   gains are recomputed on demand from the struct-of-arrays node positions
-///   through a precomputed [`GainProfile`], O(n) memory instead of O(n²).
+///   through a precomputed squared-distance gain evaluator, O(n) memory
+///   instead of O(n²).
 ///   This is what makes 10⁵–10⁶-link instances buildable; it requires
 ///   shadowing to be disabled (a shadowing field is itself O(n²) state).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,7 +80,7 @@ pub struct RadioEnvironment {
 /// replace far transmitters with `count × unit_mw` without ever flipping a
 /// feasibility verdict the exact sum would give (see the ledger module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FarField {
+pub(crate) struct FarField {
     /// The noise-floor cutoff radius.
     pub cutoff_m: Meters,
     /// `cutoff_m²`, in m², for squared-distance comparisons on hot paths.
@@ -222,7 +223,7 @@ impl RadioEnvironment {
 
     /// The squared-distance evaluator of the deterministic part of the
     /// propagation model.
-    pub fn gain_profile(&self) -> &GainProfile {
+    pub(crate) fn gain_profile(&self) -> &GainProfile {
         &self.gain_profile
     }
 
@@ -234,7 +235,7 @@ impl RadioEnvironment {
 
     /// Builds a uniform-grid spatial index over the node positions with the
     /// given target cell size.
-    pub fn spatial_grid(&self, target_cell: Meters) -> SpatialGrid {
+    pub(crate) fn spatial_grid(&self, target_cell: Meters) -> SpatialGrid {
         SpatialGrid::build(&self.xs, &self.ys, target_cell)
     }
 
@@ -242,7 +243,7 @@ impl RadioEnvironment {
     /// cutoff radius beyond which any single transmitter delivers at most
     /// [`FarField::unit_mw`] — a 10⁻⁴ fraction of the noise floor — no matter
     /// its power or shadowing draw.
-    pub fn far_field(&self) -> FarField {
+    pub(crate) fn far_field(&self) -> FarField {
         if self.max_tx_power_mw <= 0.0 {
             // Nothing transmits, so every interferer contributes exactly 0.
             return FarField {
@@ -272,7 +273,7 @@ impl RadioEnvironment {
 
     /// Linear channel gain from `tx` to `rx` (1.0 on the diagonal). Dense
     /// environments read the precomputed matrix; streamed environments
-    /// evaluate the [`GainProfile`] on the squared node distance.
+    /// evaluate the propagation model on the squared node distance.
     pub fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
         if !self.gains.is_empty() {
             return self.gains[tx.index() * self.node_count + rx.index()];
@@ -501,7 +502,7 @@ impl RadioEnvironmentBuilder {
 
     /// Switches the build to *streamed* gains: no n×n matrix is materialized
     /// and [`RadioEnvironment::gain`] evaluates the propagation model's
-    /// [`GainProfile`] on demand from node positions. Memory drops from O(n²)
+    /// gain on demand from node squared distances. Memory drops from O(n²)
     /// to O(n), which is what makes 10⁵–10⁶-link instances representable.
     ///
     /// Requires shadowing to stay disabled (σ = 0): a shadowing field is
@@ -609,6 +610,33 @@ fn dense_gains(
         gains,
         max_shadow_db,
         weakest_rx_mw,
+    }
+}
+
+#[cfg(test)]
+impl RadioEnvironment {
+    /// This dense environment as if every pair had drawn a `boost` of
+    /// shadowing gain — the largest boost the environment carries, on every
+    /// pair at once: the far-field bound's worst case, which no random draw
+    /// reaches.
+    pub(crate) fn boosted_everywhere(mut self, boost: Db) -> Self {
+        assert!(!self.is_streamed(), "only a dense matrix carries shadowing");
+        let (n, factor) = (self.node_count, boost.to_linear());
+        for (at, gain) in self.gains.iter_mut().enumerate() {
+            if at / n != at % n {
+                *gain *= factor;
+            }
+        }
+        self.weakest_rx_mw = (0..n)
+            .map(|rx| {
+                (0..n)
+                    .filter(|&tx| tx != rx)
+                    .map(|tx| self.tx_power_mw[tx] * self.gains[tx * n + rx])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        self.max_shadow_db = boost.get();
+        self
     }
 }
 

@@ -10,15 +10,18 @@
 //!
 //! [`SlotLedger`] exploits the additive structure of the physical model:
 //! the only slot-dependent quantity in a link's SINR is the *sum* of
-//! interfering received powers at its two receivers. The ledger caches, per
-//! scheduled link,
+//! interfering received powers at its two receivers. A handshake has two
+//! directions — data (head → tail) and ACK (tail → head) — and the paper's
+//! condition is the same in each: the direction's receiver must hear its
+//! transmitter at β over noise plus the other links' transmitters *of that
+//! direction*. The ledger caches, per scheduled link and per direction,
 //!
-//! * its data- and ACK-direction signal powers (slot-independent), and
-//! * the cumulative interference power at its data receiver (the tail, from
-//!   the other links' heads) and at its ACK receiver (the head, from the
-//!   other links' tails),
+//! * the signal power (slot-independent), and
+//! * the cumulative interference power at the direction's receiver from the
+//!   other links' transmitters of the same direction,
 //!
-//! so that [`can_add`](SlotLedger::can_add) is an O(k) pass of
+//! and every verdict below is that one expression evaluated per direction,
+//! data first, so that [`can_add`](SlotLedger::can_add) is an O(k) pass of
 //! one-multiplication margin checks and [`assign`](SlotLedger::assign) an
 //! O(k) accumulator update — no `Vec` cloning, no from-scratch SINR
 //! recomputation. The distributed runtime's batched claim check
@@ -38,21 +41,24 @@
 //!
 //! At 10⁵–10⁶ links even the O(k) `can_add` pass dominates: a slot holds
 //! thousands of links, nearly all of them geometrically irrelevant to any
-//! one candidate. A default-constructed ledger on a deployment wider than
-//! the far-field cutoff therefore threads an [`EndpointBuckets`] spatial
-//! index (cells sized from the environment's
-//! [far-field cutoff](RadioEnvironment::far_field)) through the feasibility
-//! probe (deployments that fit inside one cutoff disc skip the index — every
-//! link is "near", so it could never pay for itself; see
+//! one candidate. Beyond the environment's *far-field cutoff* any single
+//! transmitter delivers at most a fixed `unit_mw`, a 10⁻⁴ fraction of the
+//! noise floor, whatever its power or shadowing draw. A default-constructed
+//! ledger on a deployment wider than that cutoff therefore threads a private
+//! bucket index of the assigned endpoints (half-cutoff cells) through the
+//! feasibility probe (deployments that fit inside one cutoff disc skip the
+//! index — every link is "near", so it could never pay for itself; see
 //! [`SlotLedger::new`]):
 //!
-//! * the candidate's two interference sums are taken over the assigned
-//!   endpoints within the cutoff disc only, visited in Chebyshev rings so a
-//!   doomed candidate is **rejected** as soon as its nearby partial sum
-//!   already exceeds the admissible interference;
-//! * the (≤ `unit_mw`-each) far endpoints are replaced by one aggregated
-//!   upper bound, which **accepts** the candidate when even that
-//!   overestimate keeps both directions above β;
+//! * in each direction, the candidate's interference sum is taken over the
+//!   assigned transmitters within the cutoff disc around its receiver only,
+//!   visited in Chebyshev rings so a doomed candidate is **rejected** as soon
+//!   as its nearby partial sum already exceeds the admissible interference;
+//! * the (≤ `unit_mw`-each) far transmitters are replaced by one aggregated
+//!   upper bound, `near + (k − near_count) × unit_mw`, which **accepts** the
+//!   candidate when even that overestimate keeps both directions above β
+//!   (`the_far_field_bound_holds_against_a_ring_at_maximum_boost` attacks
+//!   it with a thousand transmitters at the bound's worst case);
 //! * assigned links are re-checked individually only when an endpoint of
 //!   theirs lies inside the candidate's cutoff disc, provided the slot-wide
 //!   worst SINR ratio has more than the far-field unit's worth of headroom.
@@ -182,21 +188,63 @@ impl std::fmt::Display for LinkSinrMargin {
     }
 }
 
-/// One conjunct of the accept verdict: handshake direction `data` (else ACK)
-/// of the assigned link at `index`.
+/// One direction of a link's two-way handshake (see the [module docs](self)):
+/// the same SINR condition, read with the roles of head and tail swapped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dir {
+    /// The data sub-slot: head → tail.
+    Data = 0,
+    /// The ACK sub-slot: tail → head.
+    Ack = 1,
+}
+
+/// Both directions, data first — the order every verdict reads them in.
+pub(crate) const DIRS: [Dir; 2] = [Dir::Data, Dir::Ack];
+
+impl Dir {
+    /// The node transmitting in this direction of `link`.
+    #[inline]
+    pub(crate) fn tx(self, link: Link) -> NodeId {
+        match self {
+            Dir::Data => link.head,
+            Dir::Ack => link.tail,
+        }
+    }
+
+    /// The node receiving in this direction of `link`.
+    #[inline]
+    pub(crate) fn rx(self, link: Link) -> NodeId {
+        match self {
+            Dir::Data => link.tail,
+            Dir::Ack => link.head,
+        }
+    }
+
+    /// The opposite direction.
+    #[inline]
+    fn other(self) -> Dir {
+        match self {
+            Dir::Data => Dir::Ack,
+            Dir::Ack => Dir::Data,
+        }
+    }
+}
+
+/// One conjunct of the accept verdict: direction `dir` of the assigned link
+/// at `index`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Victim {
     index: usize,
-    data: bool,
+    dir: Dir,
 }
 
 /// Incremental interference state of one STDMA slot under construction.
 ///
 /// See the [module docs](self) for the representation; in short, the ledger
-/// holds, per assigned link, its two signal powers and the running sums of
-/// interference at its two receivers, plus one occupancy bit per node for
-/// O(1) half-duplex checks — state that grows with the slot's links, not
-/// with the network, apart from those ⌈n/64⌉ words.
+/// holds, per assigned link and handshake direction, its signal power and the
+/// running sum of interference at its receiver, plus one occupancy bit per
+/// node for O(1) half-duplex checks — state that grows with the slot's links,
+/// not with the network, apart from those ⌈n/64⌉ words.
 #[derive(Debug, Clone)]
 pub struct SlotLedger<'a> {
     env: &'a RadioEnvironment,
@@ -207,16 +255,12 @@ pub struct SlotLedger<'a> {
     /// Cached noise floor in milliwatts.
     noise_mw: f64,
     links: Vec<Link>,
-    /// Signal power of the data direction (head → tail), per link, mW.
-    data_signal: Vec<f64>,
-    /// Signal power of the ACK direction (tail → head), per link, mW.
-    ack_signal: Vec<f64>,
-    /// Cumulative interference at each link's tail from the other links'
-    /// heads (data sub-slot denominator minus noise), mW.
-    data_interference: Vec<f64>,
-    /// Cumulative interference at each link's head from the other links'
-    /// tails (ACK sub-slot denominator minus noise), mW.
-    ack_interference: Vec<f64>,
+    /// Per link, the signal power of each direction, indexed by [`Dir`], mW.
+    signal: Vec<[f64; 2]>,
+    /// Per link, the cumulative interference at each direction's receiver
+    /// from the other links' transmitters of that direction (the sub-slot's
+    /// denominator minus noise), indexed by [`Dir`], mW.
+    interference: Vec<[f64; 2]>,
     /// One bit per node, set while an assigned link touches it (half-duplex
     /// occupancy), in ⌈n/64⌉ words.
     occupied: Vec<u64>,
@@ -225,8 +269,8 @@ pub struct SlotLedger<'a> {
     disjoint: bool,
     /// Spatial pruning state; `None` for an [`exact`](Self::exact) ledger.
     pruning: Option<Pruning>,
-    /// The binding victims: per direction (data, ACK), the assigned link of
-    /// least absolute slack `signal/β − noise − interference`. Maintained by
+    /// The binding victims: per direction, the assigned link of least
+    /// absolute slack `signal/β − noise − interference`. Maintained by
     /// [`assign`](Self::assign), `None` after [`clear`](Self::clear).
     binding: [Option<Victim>; 2],
     /// The last victim that failed an existing-links re-check. Only steers
@@ -268,28 +312,32 @@ fn occupancy_bit(node: NodeId) -> (usize, u64) {
     (node.index() / 64, 1 << (node.index() % 64))
 }
 
-/// Interference contribution of `interferer` transmitting towards `link`'s
-/// data receiver, honoring the exclusion rule of the paper's definition (see
-/// the [module docs](self)): a node never interferes with a transmission it
-/// is itself the transmitter or receiver of.
+/// Interference contribution of `interferer`'s `dir` transmitter towards
+/// `link`'s `dir` receiver, honoring the exclusion rule of the paper's
+/// definition (see the [module docs](self)): a node never interferes with a
+/// transmission it is itself the transmitter or receiver of — which also
+/// leaves a link's own terms out of its sums.
 #[inline]
-fn data_term(env: &RadioEnvironment, interferer_head: NodeId, link: Link) -> Option<f64> {
-    if interferer_head == link.head || interferer_head == link.tail {
-        None
-    } else {
-        Some(env.received_mw(interferer_head, link.tail))
-    }
+fn term(env: &RadioEnvironment, dir: Dir, interferer: Link, link: Link) -> Option<f64> {
+    let tx = dir.tx(interferer);
+    (tx != link.head && tx != link.tail).then(|| env.received_mw(tx, dir.rx(link)))
 }
 
-/// Interference contribution of `interferer` (an ACK transmitter, i.e. a
-/// tail) towards `link`'s ACK receiver, with the same exclusion rule.
+/// The far-field accept bound: an upper bound on a direction's exact
+/// interference over `k` assigned transmitters, `near_count` of which lie in
+/// the cutoff disc and sum to `near_mw`, the rest delivering at most
+/// `unit_mw` each.
 #[inline]
-fn ack_term(env: &RadioEnvironment, interferer_tail: NodeId, link: Link) -> Option<f64> {
-    if interferer_tail == link.tail || interferer_tail == link.head {
-        None
-    } else {
-        Some(env.received_mw(interferer_tail, link.head))
-    }
+fn far_field_upper_mw(near_mw: f64, k: usize, near_count: usize, unit_mw: f64) -> f64 {
+    near_mw + (k - near_count) as f64 * unit_mw
+}
+
+/// The skip-existing headroom screen: whether a slot whose worst cached SINR
+/// ratio is `min_sinr` keeps every link above `beta` (by [`VERDICT_MARGIN`])
+/// when a transmitter adds at most `unit_mw` over `noise_mw` to its sum.
+#[inline]
+fn far_links_surely_ok(min_sinr: f64, beta: f64, unit_mw: f64, noise_mw: f64) -> bool {
+    min_sinr >= beta * (1.0 + unit_mw / noise_mw) * (1.0 + VERDICT_MARGIN)
 }
 
 impl<'a> SlotLedger<'a> {
@@ -351,10 +399,8 @@ impl<'a> SlotLedger<'a> {
             inv_beta: 1.0 / env.config().sinr_threshold_linear(),
             noise_mw: env.config().noise_floor_mw().get(),
             links: Vec::new(),
-            data_signal: Vec::new(),
-            ack_signal: Vec::new(),
-            data_interference: Vec::new(),
-            ack_interference: Vec::new(),
+            signal: Vec::new(),
+            interference: Vec::new(),
             occupied: vec![0; env.node_count().div_ceil(64)],
             disjoint: true,
             pruning,
@@ -387,10 +433,8 @@ impl<'a> SlotLedger<'a> {
             }
         }
         self.links.clear();
-        self.data_signal.clear();
-        self.ack_signal.clear();
-        self.data_interference.clear();
-        self.ack_interference.clear();
+        self.signal.clear();
+        self.interference.clear();
         self.disjoint = true;
         self.binding = [None; 2];
         self.failed_memo.set(None);
@@ -435,7 +479,7 @@ impl<'a> SlotLedger<'a> {
 
     /// Whether neither endpoint of `link` is used by an assigned link
     /// (the half-duplex precondition for adding it).
-    pub fn endpoints_free(&self, link: Link) -> bool {
+    fn endpoints_free(&self, link: Link) -> bool {
         !self.busy(link.head) && !self.busy(link.tail)
     }
 
@@ -487,12 +531,17 @@ impl<'a> SlotLedger<'a> {
 
     /// Derives and caches the refusal screen of the current binding victims.
     fn derive_refusal(&self) -> RefusalScreen {
-        let [data, ack] = self.binding.map(|victim| victim.map(|v| v.index));
-        let (signal, interference) = (&self.data_signal, &self.data_interference);
-        let data = data.map(|i| (signal[i], interference[i], self.links[i].tail));
-        let (signal, interference) = (&self.ack_signal, &self.ack_interference);
-        let ack = ack.map(|i| (signal[i], interference[i], self.links[i].head));
-        let screen = RefusalScreen::derive(self.env, self.beta, self.noise_mw, data, ack);
+        let victims = self.binding.map(|victim| {
+            victim.map(|Victim { index: i, dir }| {
+                let d = dir as usize;
+                (
+                    self.signal[i][d],
+                    self.interference[i][d],
+                    dir.rx(self.links[i]),
+                )
+            })
+        });
+        let screen = RefusalScreen::derive(self.env, self.beta, self.noise_mw, victims);
         self.refusal.set(Some(screen));
         screen
     }
@@ -518,34 +567,23 @@ impl<'a> SlotLedger<'a> {
     /// direction still meets β with the `tentative` links' interference
     /// added, in order, on top of its cached sum.
     #[inline]
-    fn victim_ok(&self, victim: Victim, tentative: &[Link]) -> bool {
-        let i = victim.index;
+    fn victim_ok(&self, Victim { index: i, dir }: Victim, tentative: &[Link]) -> bool {
         let link = self.links[i];
-        if victim.data {
-            let mut interference_mw = self.data_interference[i];
-            for t in tentative {
-                if let Some(term) = data_term(self.env, t.head, link) {
-                    interference_mw += term;
-                }
+        let mut interference_mw = self.interference[i][dir as usize];
+        for &t in tentative {
+            if let Some(term) = term(self.env, dir, t, link) {
+                interference_mw += term;
             }
-            self.meets_beta(self.data_signal[i], interference_mw)
-        } else {
-            let mut interference_mw = self.ack_interference[i];
-            for t in tentative {
-                if let Some(term) = ack_term(self.env, t.tail, link) {
-                    interference_mw += term;
-                }
-            }
-            self.meets_beta(self.ack_signal[i], interference_mw)
         }
+        self.meets_beta(self.signal[i][dir as usize], interference_mw)
     }
 
     /// The first assigned link (data direction before ACK) that `tentative`
     /// would push below β, memoised for the next probe's screen.
     fn first_disturbed(&self, tentative: &[Link]) -> Option<Victim> {
         for index in 0..self.links.len() {
-            for data in [true, false] {
-                let victim = Victim { index, data };
+            for dir in DIRS {
+                let victim = Victim { index, dir };
                 if !self.victim_ok(victim, tentative) {
                     self.failed_memo.set(Some(victim));
                     return Some(victim);
@@ -565,7 +603,7 @@ impl<'a> SlotLedger<'a> {
                 ("tail", candidate.tail.index() as u64),
                 ("victim_head", link.head.index() as u64),
                 ("victim_tail", link.tail.index() as u64),
-                ("victim_data", victim.data as u64),
+                ("victim_data", (victim.dir == Dir::Data) as u64),
             ],
         );
     }
@@ -573,14 +611,20 @@ impl<'a> SlotLedger<'a> {
     /// The candidate's own two-way handshake against the accumulated slot,
     /// summed exactly in assignment order.
     fn candidate_handshake_exact(&self, candidate: Link) -> bool {
-        let (cand_data_intf, cand_ack_intf) = self.interference_on(candidate);
-        self.meets_beta(
-            self.env.received_mw(candidate.head, candidate.tail),
-            cand_data_intf,
-        ) && self.meets_beta(
-            self.env.received_mw(candidate.tail, candidate.head),
-            cand_ack_intf,
-        )
+        self.handshake_ok(candidate, self.interference_on(candidate))
+    }
+
+    /// Whether `link` meets β in both directions over the given per-direction
+    /// interference sums.
+    fn handshake_ok(&self, link: Link, interference_mw: [f64; 2]) -> bool {
+        DIRS.iter()
+            .all(|&dir| self.meets_beta(self.signal_of(dir, link), interference_mw[dir as usize]))
+    }
+
+    /// The power `link`'s `dir` receiver hears from its transmitter.
+    #[inline]
+    fn signal_of(&self, dir: Dir, link: Link) -> f64 {
+        self.env.received_mw(dir.tx(link), dir.rx(link))
     }
 
     /// Every assigned link's handshake with the candidate's contribution
@@ -618,50 +662,36 @@ impl<'a> SlotLedger<'a> {
     ///   expressions themselves;
     /// * anything not decided by a screen falls through to the exact code.
     fn can_add_pruned(&self, p: &Pruning, candidate: Link) -> bool {
-        let data_signal = self.env.received_mw(candidate.head, candidate.tail);
-        let ack_signal = self.env.received_mw(candidate.tail, candidate.head);
+        let signal = DIRS.map(|dir| self.signal_of(dir, candidate));
         // An interference-free failure fails a fortiori with interference.
-        if !self.meets_beta(data_signal, 0.0) || !self.meets_beta(ack_signal, 0.0) {
+        if signal
+            .iter()
+            .any(|&signal_mw| !self.meets_beta(signal_mw, 0.0))
+        {
             return false;
         }
-        let far_links_surely_ok = p.min_sinr
-            >= self.beta * (1.0 + p.far.unit_mw.get() / self.noise_mw) * (1.0 + VERDICT_MARGIN);
+        let unit_mw = p.far.unit_mw.get();
+        let far_links_ok = far_links_surely_ok(p.min_sinr, self.beta, unit_mw, self.noise_mw);
 
-        // Scan A — disc around the candidate's tail. In-disc *heads* feed
-        // the candidate's data-direction near sum; each one's link also gets
-        // its exact ACK-margin re-check (its head is close enough to the
-        // candidate's tail for the ACK extra to exceed the far-field unit).
-        let Some((data_near_sum, data_near_count)) = self.scan_disc(
-            p,
-            candidate,
-            self.env.position(candidate.tail),
-            true,
-            data_signal,
-            far_links_surely_ok,
-        ) else {
-            scream_obs::counter_add("ledger.prune.scan_reject", 1);
-            return false;
-        };
-        // Scan B — disc around the candidate's head: in-disc *tails* feed
-        // the ACK near sum and trigger their links' exact data re-checks.
-        let Some((ack_near_sum, ack_near_count)) = self.scan_disc(
-            p,
-            candidate,
-            self.env.position(candidate.head),
-            false,
-            ack_signal,
-            far_links_surely_ok,
-        ) else {
-            scream_obs::counter_add("ledger.prune.scan_reject", 1);
-            return false;
-        };
+        // One scan per direction, data first: the disc around the candidate's
+        // receiver, whose in-disc transmitters feed the near sum.
+        let mut near = [(0.0, 0); 2];
+        for dir in DIRS {
+            let Some(scanned) =
+                self.scan_disc(p, candidate, dir, signal[dir as usize], far_links_ok)
+            else {
+                scream_obs::counter_add("ledger.prune.scan_reject", 1);
+                return false;
+            };
+            near[dir as usize] = scanned;
+        }
 
         let k = self.links.len();
-        let data_upper = data_near_sum + (k - data_near_count) as f64 * p.far.unit_mw.get();
-        let ack_upper = ack_near_sum + (k - ack_near_count) as f64 * p.far.unit_mw.get();
-        let candidate_ok = if self.surely_meets_beta(data_signal, data_upper)
-            && self.surely_meets_beta(ack_signal, ack_upper)
-        {
+        let candidate_ok = if DIRS.iter().all(|&dir| {
+            let (near_mw, near_count) = near[dir as usize];
+            let upper_mw = far_field_upper_mw(near_mw, k, near_count, unit_mw);
+            self.surely_meets_beta(signal[dir as usize], upper_mw)
+        }) {
             scream_obs::counter_add("ledger.farfield.accept", 1);
             true
         } else {
@@ -674,7 +704,7 @@ impl<'a> SlotLedger<'a> {
         // Nearby links were re-checked during the scans (a failure returned
         // early); far links are pre-cleared by the headroom screen, or the
         // whole set is re-checked exactly.
-        if far_links_surely_ok {
+        if far_links_ok {
             scream_obs::counter_add("ledger.farfield.skip_existing", 1);
             true
         } else {
@@ -683,22 +713,26 @@ impl<'a> SlotLedger<'a> {
         }
     }
 
-    /// Ring-scans the bucket index over the cutoff disc at `center`,
-    /// returning the candidate's near interference sum and the number of
-    /// in-disc endpoints of role `want_head`, or `None` as soon as either
+    /// Ring-scans the bucket index over the cutoff disc around the
+    /// candidate's `dir` receiver, returning its near interference sum and
+    /// the number of in-disc `dir` transmitters, or `None` as soon as either
     /// the partial sum already surely rejects the candidate (checked after
     /// each Chebyshev ring, nearest — loudest — cells first) or an in-disc
-    /// link fails its exact margin re-check.
+    /// link fails its exact re-check. That re-check is of the in-disc link's
+    /// *other* direction: its `dir` transmitter sits near the candidate's
+    /// `dir` receiver, so the candidate's opposite transmitter sits near the
+    /// in-disc link's opposite receiver, close enough for its extra to exceed
+    /// the far-field unit.
     fn scan_disc(
         &self,
         p: &Pruning,
         candidate: Link,
-        center: scream_topology::Point2,
-        want_head: bool,
+        dir: Dir,
         signal_mw: f64,
         check_in_disc_links: bool,
     ) -> Option<(f64, usize)> {
         let geometry = p.buckets.geometry();
+        let (rx, center) = (dir.rx(candidate), self.env.position(dir.rx(candidate)));
         let rect = geometry.cells_intersecting(center, p.far.cutoff_m);
         let near_sum = Cell::new(0.0f64);
         let near_count = Cell::new(0usize);
@@ -712,33 +746,22 @@ impl<'a> SlotLedger<'a> {
                 }
                 for &entry in p.buckets.entries(geometry.cell_index(cx, cy)) {
                     scanned_entries.set(scanned_entries.get() + 1);
-                    if entry_is_head(entry) != want_head {
+                    if entry_is_head(entry) != (dir == Dir::Data) {
                         continue;
                     }
                     let i = entry_link(entry);
-                    let link = self.links[i];
-                    let node = if want_head { link.head } else { link.tail };
-                    if self.env.position(node).distance_squared(center) > p.far.cutoff_sq_m2 {
+                    let tx = dir.tx(self.links[i]);
+                    if self.env.position(tx).distance_squared(center) > p.far.cutoff_sq_m2 {
                         continue;
                     }
-                    near_sum.set(
-                        near_sum.get()
-                            + self.env.received_mw(node, {
-                                if want_head {
-                                    candidate.tail
-                                } else {
-                                    candidate.head
-                                }
-                            }),
-                    );
+                    near_sum.set(near_sum.get() + self.env.received_mw(tx, rx));
                     near_count.set(near_count.get() + 1);
                     if check_in_disc_links {
-                        // Exact re-check of the disc link's opposite
-                        // direction — the same expression the exact
-                        // existing-links loop evaluates.
+                        // The same expression the exact existing-links loop
+                        // evaluates.
                         let victim = Victim {
                             index: i,
-                            data: !want_head,
+                            dir: dir.other(),
                         };
                         if !self.victim_ok(victim, std::slice::from_ref(&candidate)) {
                             failed_link.set(Some(victim));
@@ -789,32 +812,24 @@ impl<'a> SlotLedger<'a> {
             self.disjoint = false;
         }
         let k = self.links.len();
-        let (mut data_intf, mut ack_intf) = (0.0, 0.0);
+        let mut own = [0.0; 2];
         for i in 0..k {
             let existing = self.links[i];
-            if let Some(term) = data_term(self.env, existing.head, link) {
-                data_intf += term;
-            }
-            if let Some(term) = ack_term(self.env, existing.tail, link) {
-                ack_intf += term;
-            }
-            if let Some(term) = data_term(self.env, link.head, existing) {
-                self.data_interference[i] += term;
-            }
-            if let Some(term) = ack_term(self.env, link.tail, existing) {
-                self.ack_interference[i] += term;
+            for dir in DIRS {
+                if let Some(term) = term(self.env, dir, existing, link) {
+                    own[dir as usize] += term;
+                }
+                if let Some(term) = term(self.env, dir, link, existing) {
+                    self.interference[i][dir as usize] += term;
+                }
             }
         }
         for (word, bit) in [link.head, link.tail].map(occupancy_bit) {
             self.occupied[word] |= bit;
         }
         self.links.push(link);
-        self.data_signal
-            .push(self.env.received_mw(link.head, link.tail));
-        self.ack_signal
-            .push(self.env.received_mw(link.tail, link.head));
-        self.data_interference.push(data_intf);
-        self.ack_interference.push(ack_intf);
+        self.signal.push(DIRS.map(|dir| self.signal_of(dir, link)));
+        self.interference.push(own);
         let (head_at, tail_at) = (self.env.position(link.head), self.env.position(link.tail));
         if let Some(p) = &mut self.pruning {
             p.buckets.insert(k as u32, head_at, tail_at);
@@ -827,31 +842,28 @@ impl<'a> SlotLedger<'a> {
     fn settle(&mut self) {
         let track_sinr = self.pruning.is_some();
         let (noise_mw, inv_beta) = (self.noise_mw, self.inv_beta);
-        let (mut data_least_mw, mut ack_least_mw) = (f64::INFINITY, f64::INFINITY);
-        let last = self.links.len() - 1;
-        let (mut data_binding, mut ack_binding) = (last, last);
+        let mut least_mw = [f64::INFINITY; 2];
+        let mut binding = [self.links.len() - 1; 2];
         let mut min_sinr = f64::INFINITY;
-        for i in 0..=last {
-            let (data_intf, ack_intf) = (self.data_interference[i], self.ack_interference[i]);
-            let (data_signal, ack_signal) = (self.data_signal[i], self.ack_signal[i]);
-            let data_slack_mw = data_signal * inv_beta - noise_mw - data_intf;
-            if data_slack_mw < data_least_mw {
-                data_least_mw = data_slack_mw;
-                data_binding = i;
-            }
-            let ack_slack_mw = ack_signal * inv_beta - noise_mw - ack_intf;
-            if ack_slack_mw < ack_least_mw {
-                ack_least_mw = ack_slack_mw;
-                ack_binding = i;
-            }
-            if track_sinr {
-                min_sinr = min_sinr
-                    .min(data_signal / (noise_mw + data_intf))
-                    .min(ack_signal / (noise_mw + ack_intf));
+        for (i, (signal, interference)) in self.signal.iter().zip(&self.interference).enumerate() {
+            for dir in DIRS {
+                let d = dir as usize;
+                let slack_mw = signal[d] * inv_beta - noise_mw - interference[d];
+                if slack_mw < least_mw[d] {
+                    least_mw[d] = slack_mw;
+                    binding[d] = i;
+                }
+                if track_sinr {
+                    min_sinr = min_sinr.min(signal[d] / (noise_mw + interference[d]));
+                }
             }
         }
-        self.binding = [(data_binding, true), (ack_binding, false)]
-            .map(|(index, data)| Some(Victim { index, data }));
+        self.binding = DIRS.map(|dir| {
+            Some(Victim {
+                index: binding[dir as usize],
+                dir,
+            })
+        });
         self.refusal.set(None);
         if let Some(p) = &mut self.pruning {
             p.min_sinr = min_sinr;
@@ -861,10 +873,13 @@ impl<'a> SlotLedger<'a> {
     /// Whether every assigned link currently completes both handshake
     /// directions.
     pub fn all_links_ok(&self) -> bool {
-        (0..self.links.len()).all(|i| {
-            self.meets_beta(self.data_signal[i], self.data_interference[i])
-                && self.meets_beta(self.ack_signal[i], self.ack_interference[i])
-        })
+        self.signal
+            .iter()
+            .zip(&self.interference)
+            .all(|(signal, interference)| {
+                DIRS.iter()
+                    .all(|&dir| self.meets_beta(signal[dir as usize], interference[dir as usize]))
+            })
     }
 
     /// Whether the assigned set is a feasible slot by the paper's definition
@@ -905,22 +920,7 @@ impl<'a> SlotLedger<'a> {
     fn price_tentative(&self, tentative: &[Link]) -> Vec<bool> {
         tentative
             .iter()
-            .map(|&t| {
-                let (mut data, mut ack) = self.interference_on(t);
-                for &other in tentative {
-                    if other == t {
-                        continue;
-                    }
-                    if let Some(term) = data_term(self.env, other.head, t) {
-                        data += term;
-                    }
-                    if let Some(term) = ack_term(self.env, other.tail, t) {
-                        ack += term;
-                    }
-                }
-                self.meets_beta(self.env.received_mw(t.head, t.tail), data)
-                    && self.meets_beta(self.env.received_mw(t.tail, t.head), ack)
-            })
+            .map(|&t| self.handshake_ok(t, self.add_terms(self.interference_on(t), tentative, t)))
             .collect()
     }
 
@@ -933,31 +933,39 @@ impl<'a> SlotLedger<'a> {
         self.links
             .iter()
             .enumerate()
-            .map(|(i, &link)| LinkSinrMargin {
-                link,
-                data_margin_db: margin(self.data_signal[i], self.data_interference[i]),
-                ack_margin_db: margin(self.ack_signal[i], self.ack_interference[i]),
+            .map(|(i, &link)| {
+                let [data_margin_db, ack_margin_db] = DIRS.map(|dir| {
+                    margin(
+                        self.signal[i][dir as usize],
+                        self.interference[i][dir as usize],
+                    )
+                });
+                LinkSinrMargin {
+                    link,
+                    data_margin_db,
+                    ack_margin_db,
+                }
             })
             .collect()
     }
 
-    /// Accumulated (data, ACK) interference the current slot inflicts on
+    /// Accumulated per-direction interference the current slot inflicts on
     /// `link`, summed in assignment order.
-    fn interference_on(&self, link: Link) -> (f64, f64) {
-        let mut data = 0.0;
-        let mut ack = 0.0;
-        for &existing in &self.links {
-            if existing == link {
-                continue;
-            }
-            if let Some(term) = data_term(self.env, existing.head, link) {
-                data += term;
-            }
-            if let Some(term) = ack_term(self.env, existing.tail, link) {
-                ack += term;
+    fn interference_on(&self, link: Link) -> [f64; 2] {
+        self.add_terms([0.0; 2], &self.links, link)
+    }
+
+    /// `sums` plus, per direction and in order, the terms `interferers`
+    /// inflict on `link`.
+    fn add_terms(&self, mut sums: [f64; 2], interferers: &[Link], link: Link) -> [f64; 2] {
+        for &interferer in interferers {
+            for dir in DIRS {
+                if let Some(term) = term(self.env, dir, interferer, link) {
+                    sums[dir as usize] += term;
+                }
             }
         }
-        (data, ack)
+        sums
     }
 
     #[inline]
@@ -1091,7 +1099,7 @@ impl<'a> ChannelSlotLedger<'a> {
     /// Whether neither endpoint of `link` is used by any assigned link on
     /// **any** channel — the half-duplex precondition for joining the slot on
     /// whichever channel.
-    pub fn endpoints_free(&self, link: Link) -> bool {
+    fn endpoints_free(&self, link: Link) -> bool {
         self.channels.iter().all(|l| l.endpoints_free(link))
     }
 
@@ -1295,7 +1303,7 @@ mod tests {
     use super::*;
     use crate::propagation::PropagationModel;
     use crate::radio::RadioConfig;
-    use crate::units::Dbm;
+    use crate::units::{Dbm, Meters, Mw};
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1335,8 +1343,10 @@ mod tests {
         filled.assign_all(links);
         (0..links.len())
             .map(|i| {
-                filled.meets_beta(filled.data_signal[i], filled.data_interference[i])
-                    && filled.meets_beta(filled.ack_signal[i], filled.ack_interference[i])
+                DIRS.iter().all(|&dir| {
+                    let d = dir as usize;
+                    filled.meets_beta(filled.signal[i][d], filled.interference[i][d])
+                })
             })
             .collect()
     }
@@ -1811,12 +1821,11 @@ mod tests {
             return false;
         }
         ledger.links.iter().enumerate().all(|(i, &link)| {
-            let data_extra = data_term(ledger.env, candidate.head, link).unwrap_or(0.0);
-            let ack_extra = ack_term(ledger.env, candidate.tail, link).unwrap_or(0.0);
-            ledger.meets_beta(
-                ledger.data_signal[i],
-                ledger.data_interference[i] + data_extra,
-            ) && ledger.meets_beta(ledger.ack_signal[i], ledger.ack_interference[i] + ack_extra)
+            DIRS.iter().all(|&dir| {
+                let (d, extra) = (dir as usize, term(ledger.env, dir, candidate, link));
+                let interference = ledger.interference[i][d] + extra.unwrap_or(0.0);
+                ledger.meets_beta(ledger.signal[i][d], interference)
+            })
         })
     }
 
@@ -2090,14 +2099,18 @@ mod tests {
     /// as bit patterns: two ledgers with equal fingerprints hold the same
     /// sums, victims, headroom and bucket index, not merely close ones.
     fn state_fingerprint(ledger: &SlotLedger<'_>) -> String {
-        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |values: &[[f64; 2]]| {
+            values
+                .iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
         format!(
-            "{:?} {:?} {:?} {:?} {:?} {:?} {} {:?} {:?} {:?}",
+            "{:?} {:?} {:?} {:?} {} {:?} {:?} {:?}",
             ledger.links,
-            bits(&ledger.data_signal),
-            bits(&ledger.ack_signal),
-            bits(&ledger.data_interference),
-            bits(&ledger.ack_interference),
+            bits(&ledger.signal),
+            bits(&ledger.interference),
             ledger.occupied,
             ledger.disjoint,
             ledger.binding,
@@ -2491,5 +2504,151 @@ mod tests {
             }
         }
         assert_eq!(ledger.links(), assigned.as_slice());
+    }
+
+    /// ROADMAP 1(b): the far-field bound under attack. A thousand links ring
+    /// the origin just outside the pruning cutoff, with every pair of the
+    /// environment at the largest shadowing boost it carries, so each far
+    /// term comes within a few percent of the unit the bound charges for it.
+    /// Two families of candidates receive at the origin — one in the data
+    /// direction, one in the ACK direction — with lengths swept through the
+    /// one at which that direction meets β exactly; the other direction's
+    /// transmitter is 6 dB louder, so it never decides. No ring endpoint is
+    /// near a candidate, so every probe reaches the aggregated bound, which
+    /// must accept the comfortable candidates and fall back to the exact sum
+    /// for those inside its slack — the victim at β among them.
+    #[test]
+    fn the_far_field_bound_holds_against_a_ring_at_maximum_boost() {
+        let model = PropagationModel::log_distance(3.0);
+        let (boost, loud, quiet) = (Db::new(8.0), Dbm::new(20.0), Dbm::new(14.0));
+        let node = |id: usize, at: Point2, power: Dbm| {
+            scream_topology::NodeInfo::new(NodeId::new(id as u32), at, power)
+        };
+        let dense = |nodes: Vec<scream_topology::NodeInfo>| {
+            let kind = scream_topology::DeploymentKind::Custom;
+            let d = Deployment::from_nodes(nodes, Rect::square(1.0), kind).unwrap();
+            RadioEnvironment::builder()
+                .propagation(model)
+                .build(&d)
+                .boosted_everywhere(boost)
+        };
+        // The cutoff and the unit depend on the loudest power and the boost.
+        let pair = (0..2).map(|i| node(i, Point2::new(i as f64, 0.0), loud));
+        let far = dense(pair.collect()).far_field();
+        let (cutoff_m, unit_mw) = (far.cutoff_m.get(), far.unit_mw.get());
+        let config = RadioConfig::mesh_default();
+        let (noise_mw, beta) = (
+            config.noise_floor_mw().get(),
+            config.sinr_threshold_linear(),
+        );
+
+        // The length at which a quiet transmitter meets β at the origin over
+        // `interference_mw`, by the model's own inversion.
+        let length_at_beta = |interference_mw: f64| {
+            let received = Mw::new(beta * (noise_mw + interference_mw)).to_dbm();
+            model.distance_for_loss_db(quiet + boost - received).get()
+        };
+        // Ring heads sit far enough out that no candidate endpoint, at most
+        // 1.03 × the interference-free length from the origin, is within the
+        // cutoff of one; tails sit 2 m further out.
+        let ring_links = 1000;
+        let head_radius_m = cutoff_m + 1.04 * length_at_beta(0.0) + 1.0;
+        let mut nodes = Vec::new();
+        for i in 0..ring_links {
+            let (sin, cos) = (i as f64 * std::f64::consts::TAU / ring_links as f64).sin_cos();
+            for radius_m in [head_radius_m, head_radius_m + 2.0] {
+                nodes.push(node(
+                    nodes.len(),
+                    Point2::new(radius_m * cos, radius_m * sin),
+                    loud,
+                ));
+            }
+        }
+        let ring: Vec<Link> = (0..ring_links as u32)
+            .map(|i| link(2 * i, 2 * i + 1))
+            .collect();
+        let offsets = [-3e-2, -1e-3, -1e-5, -1e-7, -1e-9, -1e-11, 0.0];
+        let mut candidates = Vec::new();
+        for dir in DIRS {
+            // The ring's exact sum at the origin, all terms alike.
+            let tx_radius_m = head_radius_m + if dir == Dir::Data { 0.0 } else { 2.0 };
+            let term_mw = (loud + boost).to_mw().get() * model.gain(Meters::new(tx_radius_m));
+            let at_beta_m = length_at_beta(ring_links as f64 * term_mw);
+            let side = if dir == Dir::Data { 1.0 } else { -1.0 };
+            for e in offsets.into_iter().chain(offsets.map(|e| -e)) {
+                let (rx, tx) = (nodes.len(), nodes.len() + 1);
+                let tx_at = Point2::new(side * at_beta_m * (1.0 + e), 0.0);
+                nodes.push(node(rx, Point2::new(0.0, 0.0), loud));
+                nodes.push(node(tx, tx_at, quiet));
+                let [rx, tx] = [rx, tx].map(|i| i as u32);
+                let candidate = if dir == Dir::Data {
+                    link(tx, rx)
+                } else {
+                    link(rx, tx)
+                };
+                candidates.push((candidate, dir, e));
+            }
+        }
+        let env = dense(nodes);
+        assert_eq!(env.far_field(), far);
+
+        let mut pruned = SlotLedger::new(&env);
+        let mut exact = SlotLedger::exact(&env);
+        pruned.assign_all(&ring);
+        exact.assign_all(&ring);
+        assert!(pruned.is_pruned() && pruned.all_links_ok());
+        let k = ring.len();
+        for &(candidate, dir, e) in &candidates {
+            let d = dir as usize;
+            // The pure bound: above the exact sum, and within 10 % of it.
+            let exact_mw = exact.interference_on(candidate)[d];
+            let upper_mw = far_field_upper_mw(0.0, k, 0, unit_mw);
+            assert!(
+                exact_mw <= upper_mw && upper_mw < 1.1 * exact_mw,
+                "{exact_mw} {upper_mw}"
+            );
+            let sinr = exact.signal_of(dir, candidate) / (noise_mw + exact_mw);
+            if e == 0.0 {
+                assert!(
+                    (sinr / beta - 1.0).abs() < 1e-12,
+                    "not at β: {sinr} vs {beta}"
+                );
+            }
+        }
+
+        scream_obs::install_with_capacity(0);
+        let verdicts: Vec<bool> = candidates
+            .iter()
+            .map(|&(candidate, ..)| pruned.can_add(candidate))
+            .collect();
+        let counters = scream_obs::uninstall().expect("installed above").snapshot;
+        for (&(candidate, dir, e), &verdict) in candidates.iter().zip(&verdicts) {
+            let expected = exact.can_add(candidate);
+            assert_eq!(verdict, expected, "{dir:?} at {e:+e}: {candidate}");
+            // Shorter than the length at β is louder; the one at β may go
+            // either way.
+            if e != 0.0 {
+                assert_eq!(verdict, e < 0.0, "{dir:?} at {e:+e}");
+            }
+        }
+        let accepted = verdicts.iter().filter(|&&ok| ok).count() as u64;
+        let (bound, fallback) = (
+            counters.counter("ledger.farfield.accept"),
+            counters.counter("ledger.exact.fallback"),
+        );
+        assert_eq!(
+            bound + fallback,
+            candidates.len() as u64,
+            "a probe skipped the bound"
+        );
+        assert!(
+            bound > 0 && fallback > 0,
+            "bound {bound}, fallback {fallback}"
+        );
+        assert!(
+            accepted > bound,
+            "no candidate was accepted after a fallback"
+        );
+        assert_eq!(counters.counter("ledger.farfield.skip_existing"), accepted);
     }
 }

@@ -34,6 +34,32 @@
 //! let g = env.communication_graph();
 //! assert!(g.is_connected());
 //! ```
+//!
+//! # What stays inside
+//!
+//! The spatial pruning kernels behind the ledger's verdict — the node and
+//! endpoint grids, the far-field bound, the squared-distance gain evaluator —
+//! are implementation, not API; no path outside this crate names them:
+//!
+//! ```compile_fail,E0432
+//! use scream_netsim::SpatialGrid;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use scream_netsim::GridGeometry;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use scream_netsim::EndpointBuckets;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use scream_netsim::FarField;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use scream_netsim::GainProfile;
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,17 +87,16 @@ pub mod ledger;
 pub mod propagation;
 pub mod radio;
 mod refusal;
-pub mod spatial;
+mod spatial;
 pub mod timing;
 pub mod units;
 
 pub use clock::ClockSkewConfig;
 pub use des::{EventQueue, ScheduledEvent};
-pub use environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
+pub use environment::{RadioEnvironment, RadioEnvironmentBuilder};
 pub use ledger::{ChannelSlotLedger, LinkSinrMargin, SlotClaims, SlotLedger};
-pub use propagation::{GainProfile, PropagationModel, ShadowingField};
+pub use propagation::{PropagationModel, ShadowingField};
 pub use radio::{ChannelId, RadioConfig};
-pub use spatial::{EndpointBuckets, GridGeometry, SpatialGrid};
 pub use timing::{ProtocolTiming, SlotTiming};
 pub use units::{DataRate, Db, Dbm, Meters, Mw, SimTime};
 
@@ -79,11 +104,10 @@ pub use units::{DataRate, Db, Dbm, Meters, Mw, SimTime};
 pub mod prelude {
     pub use crate::clock::ClockSkewConfig;
     pub use crate::des::{EventQueue, ScheduledEvent};
-    pub use crate::environment::{FarField, RadioEnvironment, RadioEnvironmentBuilder};
+    pub use crate::environment::{RadioEnvironment, RadioEnvironmentBuilder};
     pub use crate::ledger::{ChannelSlotLedger, LinkSinrMargin, SlotClaims, SlotLedger};
-    pub use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
+    pub use crate::propagation::{PropagationModel, ShadowingField};
     pub use crate::radio::{ChannelId, RadioConfig};
-    pub use crate::spatial::{EndpointBuckets, GridGeometry, SpatialGrid};
     pub use crate::timing::{ProtocolTiming, SlotTiming};
     pub use crate::units::{DataRate, Db, Dbm, Meters, Mw, SimTime};
 }

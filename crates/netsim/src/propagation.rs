@@ -91,7 +91,7 @@ impl PropagationModel {
     /// after a [`Point2::distance_squared`](scream_topology::Point2) — with
     /// closed-form fast paths for the common integer exponents that avoid
     /// the `log10`/`powf` round-trip of [`gain`](Self::gain).
-    pub fn gain_profile(&self) -> GainProfile {
+    pub(crate) fn gain_profile(&self) -> GainProfile {
         GainProfile::from_model(self)
     }
 }
@@ -110,7 +110,7 @@ impl PropagationModel {
 /// rearrangement (≲ 1 ulp relative); a streamed environment uses *only* this
 /// evaluator, so its feasibility verdicts are internally consistent.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GainProfile {
+pub(crate) struct GainProfile {
     /// `g₀`, the gain at or below the reference distance: gain is
     /// `g₀ · d^{-α}` beyond it.
     ref_gain: f64,

@@ -31,6 +31,7 @@
 use scream_topology::{Link, NodeId, Point2};
 
 use crate::environment::RadioEnvironment;
+use crate::ledger::DIRS;
 
 /// Squared radius of a victim that refuses nobody unasked.
 const NOBODY_SQ_M2: f64 = f64::NEG_INFINITY;
@@ -76,42 +77,37 @@ pub(crate) fn refused_radius_sq_m2(
 }
 
 /// What one channel's slot refuses unasked, derived from its two binding
-/// victims: data transmitters (heads) near the data victim's receiver, ACK
-/// transmitters (tails) near the ACK victim's.
+/// victims: per handshake direction, that direction's transmitters near the
+/// direction's victim's receiver — heads near the data victim's tail, tails
+/// near the ACK victim's head.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct RefusalScreen {
     /// Either radius is `+∞`: nobody needs to be located.
     closed: bool,
-    data_rx: Point2,
-    data_radius_sq_m2: f64,
-    ack_rx: Point2,
-    ack_radius_sq_m2: f64,
+    /// Per direction (data, ACK), the victim's receiver and the squared
+    /// radius around it.
+    discs: [(Point2, f64); 2],
 }
 
 impl RefusalScreen {
-    /// The screen of a slot whose binding victims are `data` and `ack`
+    /// The screen of a slot whose binding victims are `victims`, data first
     /// (`None` in an empty slot, which refuses nobody).
     pub(crate) fn derive(
         env: &RadioEnvironment,
         beta: f64,
         noise_mw: f64,
-        data: Option<VictimState>,
-        ack: Option<VictimState>,
+        victims: [Option<VictimState>; 2],
     ) -> Self {
-        let reach = |victim: Option<VictimState>| match victim {
+        let discs = victims.map(|victim| match victim {
             Some(v) => (
                 env.position(v.2),
                 refused_radius_sq_m2(env, beta, noise_mw, v),
             ),
             None => (Point2::new(0.0, 0.0), NOBODY_SQ_M2),
-        };
-        let ((data_rx, data_radius_sq_m2), (ack_rx, ack_radius_sq_m2)) = (reach(data), reach(ack));
+        });
         Self {
-            closed: data_radius_sq_m2.max(ack_radius_sq_m2) == f64::INFINITY,
-            data_rx,
-            data_radius_sq_m2,
-            ack_rx,
-            ack_radius_sq_m2,
+            closed: discs[0].1.max(discs[1].1) == f64::INFINITY,
+            discs,
         }
     }
 
@@ -125,8 +121,10 @@ impl RefusalScreen {
         }
         // The squared distances `RadioEnvironment::gain` streams from.
         self.closed
-            || env.position(candidate.head).distance_squared(self.data_rx) <= self.data_radius_sq_m2
-            || env.position(candidate.tail).distance_squared(self.ack_rx) <= self.ack_radius_sq_m2
+            || DIRS.iter().any(|&dir| {
+                let (rx, radius_sq_m2) = self.discs[dir as usize];
+                env.position(dir.tx(candidate)).distance_squared(rx) <= radius_sq_m2
+            })
     }
 }
 

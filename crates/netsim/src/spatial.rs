@@ -57,17 +57,6 @@ pub struct CellRect {
 }
 
 impl CellRect {
-    /// Number of cells in the rectangle.
-    pub fn len(&self) -> usize {
-        ((self.x1 - self.x0 + 1) as usize) * ((self.y1 - self.y0 + 1) as usize)
-    }
-
-    /// Whether the rectangle is empty (it never is — kept for clippy's
-    /// `len_without_is_empty` and API symmetry).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Visits every cell of the rectangle in Chebyshev rings of increasing
     /// radius around `center` (clamped into the rectangle): ring 0 is the
     /// center cell, ring `r` the cells at Chebyshev distance exactly `r`.
@@ -198,16 +187,6 @@ impl GridGeometry {
         }
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> u32 {
-        self.cols
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> u32 {
-        self.rows
-    }
-
     /// Total number of cells.
     pub fn cell_count(&self) -> usize {
         self.cols as usize * self.rows as usize
@@ -287,11 +266,6 @@ impl SpatialGrid {
             bucket_start,
             bucket_nodes,
         }
-    }
-
-    /// The grid geometry.
-    pub fn geometry(&self) -> &GridGeometry {
-        &self.geometry
     }
 
     /// Node ids in the cell with linear index `c`, ascending.
@@ -419,8 +393,8 @@ mod tests {
         let ys = [0.0, 40.0, 460.0];
         let g = GridGeometry::covering(&xs, &ys, Meters::new(100.0));
         assert_eq!(g.cell_size_m, 100.0);
-        assert_eq!(g.cols(), 10);
-        assert_eq!(g.rows(), 5);
+        assert_eq!(g.cols, 10);
+        assert_eq!(g.rows, 5);
         assert_eq!(g.cell_count(), 50);
         // Corners map inside the grid.
         assert_eq!(g.cell_of(Point2::new(0.0, 0.0)), (0, 0));
@@ -454,9 +428,9 @@ mod tests {
         let g = GridGeometry::covering(&[0.0, 900.0], &[0.0, 600.0], Meters::new(100.0));
         let rect = CellRect {
             x0: 0,
-            x1: g.cols() - 1,
+            x1: g.cols - 1,
             y0: 0,
-            y1: g.rows() - 1,
+            y1: g.rows - 1,
         };
         for center in [(0u32, 0u32), (5, 3), (9, 6), (20, 20)] {
             let mut seen = std::collections::HashSet::new();
@@ -467,7 +441,7 @@ mod tests {
                 },
                 || false,
             );
-            assert_eq!(seen.len(), rect.len(), "center {center:?}");
+            assert_eq!(seen.len(), g.cell_count(), "center {center:?}");
         }
     }
 
@@ -476,9 +450,9 @@ mod tests {
         let g = GridGeometry::covering(&[0.0, 500.0], &[0.0, 500.0], Meters::new(100.0));
         let rect = CellRect {
             x0: 0,
-            x1: g.cols() - 1,
+            x1: g.cols - 1,
             y0: 0,
-            y1: g.rows() - 1,
+            y1: g.rows - 1,
         };
         let (cx, cy) = (2u32, 3u32);
         let mut last_ring = 0u32;

@@ -13,7 +13,7 @@
 //!
 //! The simulation is event-driven, never slot-driven: the only events are
 //! packet **arrivals** (drawn from each source's
-//! [`ArrivalProcess`](crate::ArrivalProcess)) and per-hop **departures**.
+//! [`ArrivalProcess`]) and per-hop **departures**.
 //! Because service is FIFO and each scheduled slot serves a fixed number of
 //! packets, a packet's departure slot is determined the moment it joins the
 //! queue:

@@ -827,6 +827,76 @@ fn pruned_ledger_matches_exact_ledger() {
     });
 }
 
+/// The handshake's two directions are one condition: the data sub-slot of
+/// `(u, v)` is the ACK sub-slot of `(v, u)` — the same transmitter, the same
+/// receiver, the other links' terms in the same order. Reversing every link
+/// of a slot therefore swaps each link's data and ACK margins bit for bit and
+/// moves no `can_add` or `slot_feasible` verdict, on shadowed instances and
+/// on heterogeneous-power ones (where a link's two directions differ), for
+/// the default and the pruned ledger alike. Links are drawn unfiltered, so
+/// self-links, shared endpoints and duplicates are in the slots too.
+#[test]
+fn reversing_every_link_swaps_the_handshake_directions() {
+    for_cases(
+        "reversing_every_link_swaps_the_handshake_directions",
+        CASES,
+        |draw| {
+            let (nodes, seed) = (draw.gen_range(8usize..=24), draw.gen_range(0u64..5000));
+            let mut placement = UniformDeployment::new(nodes, 150.0 * (nodes as f64).sqrt());
+            let mut builder = RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .config(
+                    RadioConfig::mesh_default().with_sinr_threshold_db(draw.gen_range(4.0..12.0)),
+                );
+            if draw.gen_bool(0.5) {
+                builder = builder.shadowing(draw.gen_range(0.0..8.0), seed);
+            } else {
+                placement = placement.heterogeneous_power(draw.gen_range(2.0..10.0));
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x2e7e);
+            let env = builder.build(&placement.build(&mut rng));
+            let draw_link = |rng: &mut ChaCha8Rng| {
+                let [head, tail] = [0; 2].map(|_| NodeId::new(rng.gen_range(0..nodes as u32)));
+                Link::new(head, tail)
+            };
+            let links: Vec<Link> = (0..rng.gen_range(1..=10))
+                .map(|_| draw_link(&mut rng))
+                .collect();
+            let reversed: Vec<Link> = links.iter().map(Link::reversed).collect();
+
+            let (forward, backward) = (
+                SlotLedger::with_links(&env, &links),
+                SlotLedger::with_links(&env, &reversed),
+            );
+            let bits = |db: Db| db.get().to_bits();
+            for (f, b) in forward.margins().iter().zip(&backward.margins()) {
+                assert_eq!(b.link, f.link.reversed());
+                assert_eq!(bits(b.data_margin_db), bits(f.ack_margin_db), "{links:?}");
+                assert_eq!(bits(b.ack_margin_db), bits(f.data_margin_db), "{links:?}");
+            }
+            assert_eq!(forward.slot_feasible(), backward.slot_feasible());
+
+            for pruned in [false, true] {
+                let open = || match pruned {
+                    false => SlotLedger::new(&env),
+                    true => SlotLedger::pruned(&env),
+                };
+                let (mut forward, mut backward) = (open(), open());
+                forward.assign_all(&links);
+                backward.assign_all(&reversed);
+                for _ in 0..16 {
+                    let candidate = draw_link(&mut rng);
+                    assert_eq!(
+                        forward.can_add(candidate),
+                        backward.can_add(candidate.reversed()),
+                        "{candidate} against {links:?}"
+                    );
+                }
+            }
+        },
+    );
+}
+
 /// Greedy schedules are byte-identical whether feasibility runs through
 /// the default (spatially pruned) environment accumulators or through
 /// [`ExactPhysical`]'s pruning-disabled ledgers — the schedule-level
