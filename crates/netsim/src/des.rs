@@ -7,7 +7,11 @@
 //!
 //! Determinism: events scheduled for the same instant are delivered in the
 //! order they were scheduled (FIFO per timestamp), so a run is fully
-//! reproducible from its inputs.
+//! reproducible from its inputs. "Scheduled" means the moment the event's
+//! sequence number was taken: [`EventQueue::reserve`] takes one ahead of
+//! time and [`EventQueue::schedule_reserved`] enters the event under it
+//! later, at a time no earlier than the clock. A reserved sequence is
+//! scheduled at most once.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -93,23 +97,48 @@ impl<E: Eq> EventQueue<E> {
         self.delivered
     }
 
-    /// Schedules an event at an absolute time.
+    /// Schedules an event at an absolute time: [`reserve`](Self::reserve)
+    /// followed by [`schedule_reserved`](Self::schedule_reserved).
     ///
     /// # Panics
     ///
     /// Panics if the time is in the past (before the last delivered event),
     /// which would violate causality.
     pub fn schedule(&mut self, time: SimTime, event: E) {
+        let sequence = self.reserve();
+        self.schedule_reserved(time, sequence, event);
+    }
+
+    /// Takes the next sequence number without scheduling anything, so an
+    /// event can be ordered now and entered later. Events at the same instant
+    /// leave in sequence order, so a reserved event ties exactly as if it
+    /// had been scheduled at the moment of the reservation.
+    pub fn reserve(&mut self) -> u64 {
+        let sequence = self.next_sequence;
+        self.next_sequence += 1;
+        sequence
+    }
+
+    /// Schedules an event under a sequence number taken earlier with
+    /// [`reserve`](Self::reserve).
+    ///
+    /// The caller keeps the contract: each reserved sequence is scheduled at
+    /// most once, and before its `(time, sequence)` key could be the
+    /// smallest in the queue — then the pop order is the one scheduling it
+    /// at the reservation would have given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the time is in the past, as [`schedule`](Self::schedule).
+    pub fn schedule_reserved(&mut self, time: SimTime, sequence: u64, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule an event at {time} when the clock is already at {}",
             self.now
         );
-        let seq = self.next_sequence;
-        self.next_sequence += 1;
         self.heap.push(Reverse(ScheduledEvent {
             time,
-            sequence: seq,
+            sequence,
             event,
         }));
     }
@@ -174,6 +203,19 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_reserved_event_ties_as_if_scheduled_at_its_reservation() {
+        let mut q = EventQueue::new();
+        let early = q.reserve();
+        q.schedule(SimTime::from_millis(2), "scheduled after the reservation");
+        q.schedule(SimTime::from_millis(1), "first");
+        assert_eq!(q.pop().unwrap().event, "first");
+        // Entered after the clock moved, but keyed by its reservation.
+        q.schedule_reserved(SimTime::from_millis(2), early, "reserved");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, ["reserved", "scheduled after the reservation"]);
     }
 
     #[test]

@@ -32,18 +32,18 @@ use crate::schedule::Schedule;
 /// schedule; > 1 only for degenerate patterns repeating a link on several
 /// channels, which the verifier rejects but the type admits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ServiceWindow {
+struct ServiceWindow {
     /// First frame slot of the window.
-    pub start: u64,
+    start: u64,
     /// Number of consecutive slots in the window.
-    pub len: u64,
+    len: u64,
     /// Packets the link can send per slot of this window.
-    pub capacity: u32,
+    capacity: u32,
 }
 
 impl ServiceWindow {
     /// One past the last frame slot of the window.
-    pub fn end(&self) -> u64 {
+    fn end(&self) -> u64 {
         self.start + self.len
     }
 }
@@ -67,6 +67,15 @@ pub struct NextService {
     pub slot: u64,
     /// Packets the link can send in that slot.
     pub capacity: u32,
+}
+
+/// A link's place in one [`FrameService`], from
+/// [`FrameService::position`]. Opaque: it is only good for
+/// [`FrameService::next_service_slot_at`] on the frame it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServicePos {
+    index: usize,
+    link: Link,
 }
 
 /// Per-link service index of a schedule executed as a repeating TDMA frame.
@@ -160,12 +169,13 @@ impl FrameService {
         self.service_slots(link) as f64 / self.frame_slots as f64
     }
 
-    /// The maximal service windows of `link`, frame-relative and in
-    /// increasing slot order (empty if the link is never served).
-    pub fn windows(&self, link: Link) -> &[ServiceWindow] {
+    /// Where `link`'s service is indexed in this frame, for repeated
+    /// [`next_service_slot_at`](Self::next_service_slot_at) queries without
+    /// a lookup each. `None` if the link is never served.
+    pub fn position(&self, link: Link) -> Option<ServicePos> {
         self.by_link
             .get(&link)
-            .map_or(&[], |&i| &self.links[i].1.windows)
+            .map(|&index| ServicePos { index, link })
     }
 
     /// The first absolute slot `≥ from` in which `link` transmits, treating
@@ -174,7 +184,19 @@ impl FrameService {
     ///
     /// O(log #windows) via binary search, plus O(1) frame wrap-around.
     pub fn next_service_slot(&self, link: Link, from: u64) -> Option<NextService> {
-        let windows = self.windows(link);
+        self.next_service_slot_at(self.position(link)?, from)
+    }
+
+    /// [`next_service_slot`](Self::next_service_slot) for the link at
+    /// `pos`. A position taken from another frame answers only if it names
+    /// the same link at the same place here; otherwise `None`, as for a
+    /// link this frame never serves.
+    pub fn next_service_slot_at(&self, pos: ServicePos, from: u64) -> Option<NextService> {
+        let (link, service) = self.links.get(pos.index)?;
+        if *link != pos.link {
+            return None;
+        }
+        let windows = service.windows.as_slice();
         let first = windows.first()?;
         let frame = from / self.frame_slots;
         let offset = from % self.frame_slots;
@@ -207,6 +229,13 @@ mod tests {
         Link::new(NodeId::new(a), NodeId::new(b))
     }
 
+    /// The maximal service windows of `link`, in increasing slot order.
+    fn windows(frame: &FrameService, link: Link) -> &[ServiceWindow] {
+        frame
+            .position(link)
+            .map_or(&[], |pos| &frame.links[pos.index].1.windows)
+    }
+
     #[test]
     fn empty_schedule_serves_nothing() {
         let frame = FrameService::from_schedule(&Schedule::new());
@@ -229,7 +258,7 @@ mod tests {
         // a is served in slots 0..5 — one maximal window despite spanning two
         // runs; b in slots 3..6.
         assert_eq!(
-            frame.windows(a),
+            windows(&frame, a),
             &[ServiceWindow {
                 start: 0,
                 len: 5,
@@ -237,7 +266,7 @@ mod tests {
             }]
         );
         assert_eq!(
-            frame.windows(b),
+            windows(&frame, b),
             &[ServiceWindow {
                 start: 3,
                 len: 3,
@@ -269,6 +298,35 @@ mod tests {
     }
 
     #[test]
+    fn positions_answer_on_their_own_frame_and_nowhere_else() {
+        let a = link(1, 0);
+        let b = link(3, 2);
+        let s = Schedule::from_runs(vec![(vec![a], 3), (vec![a, b], 2), (vec![b], 1)]);
+        let frame = FrameService::from_schedule(&s);
+        let (pa, pb) = (frame.position(a).unwrap(), frame.position(b).unwrap());
+        for from in 0..20 {
+            assert_eq!(
+                frame.next_service_slot_at(pa, from),
+                frame.next_service_slot(a, from)
+            );
+            assert_eq!(
+                frame.next_service_slot_at(pb, from),
+                frame.next_service_slot(b, from)
+            );
+        }
+        assert_eq!(frame.position(link(5, 4)), None);
+        // In a frame serving b alone, a's index holds b and b's is out of
+        // range: both positions are stale there, and neither panics.
+        let only_b = FrameService::from_schedule(&Schedule::from_runs(vec![(vec![b], 1)]));
+        assert_eq!(only_b.next_service_slot_at(pa, 0), None);
+        assert_eq!(only_b.next_service_slot_at(pb, 0), None);
+        // The same link at the same place answers for the frame it is asked.
+        let swapped =
+            FrameService::from_schedule(&Schedule::from_runs(vec![(vec![a], 1), (vec![b], 1)]));
+        assert_eq!(swapped.next_service_slot_at(pa, 1).unwrap().slot, 2);
+    }
+
+    #[test]
     fn heavy_demand_frames_index_in_pattern_time() {
         // A million-slot frame with two patterns: the index must see two
         // windows, not a million slots.
@@ -279,7 +337,7 @@ mod tests {
         s.push_slot_run(vec![b], 500_000);
         let frame = FrameService::from_schedule(&s);
         assert_eq!(frame.frame_slots(), 1_500_000);
-        assert_eq!(frame.windows(a).len(), 1);
+        assert_eq!(windows(&frame, a).len(), 1);
         assert_eq!(frame.service_slots(a), 1_000_000);
         assert_eq!(
             frame.next_service_slot(b, 0).unwrap().slot,
@@ -309,7 +367,7 @@ mod tests {
         s.push_pattern_run(doubled, 4);
         let frame = FrameService::from_schedule(&s);
         assert_eq!(
-            frame.windows(a),
+            windows(&frame, a),
             &[ServiceWindow {
                 start: 0,
                 len: 4,
@@ -331,7 +389,7 @@ mod tests {
         s.push_pattern_run(double, 3);
         let frame = FrameService::from_schedule(&s);
         assert_eq!(
-            frame.windows(a),
+            windows(&frame, a),
             &[
                 ServiceWindow {
                     start: 0,

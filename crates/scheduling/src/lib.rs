@@ -70,7 +70,7 @@ pub mod verify;
 pub use feasibility::{
     ChannelId, ExactPhysical, LinkSinrMargin, ProtocolModel, SlotAccumulator, SlotFeasibility,
 };
-pub use frame::{FrameService, NextService, ServiceWindow};
+pub use frame::{FrameService, NextService, ServicePos};
 pub use greedy::{EdgeOrdering, GreedyPhysical};
 pub use linear::serialized_schedule;
 pub use metrics::ScheduleMetrics;
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::feasibility::{
         ChannelId, ExactPhysical, LinkSinrMargin, ProtocolModel, SlotAccumulator, SlotFeasibility,
     };
-    pub use crate::frame::{FrameService, NextService, ServiceWindow};
+    pub use crate::frame::{FrameService, NextService};
     pub use crate::greedy::{EdgeOrdering, GreedyPhysical};
     pub use crate::linear::serialized_schedule;
     pub use crate::metrics::ScheduleMetrics;

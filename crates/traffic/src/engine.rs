@@ -97,13 +97,13 @@ struct SourceRoutes {
 impl Router for SourceRoutes {
     type Tag = (u32, u32);
 
-    fn first_hop(&self, source: u32, _: &mut Links<Self::Tag>) -> Option<(u32, Self::Tag)> {
+    fn first_hop(&mut self, source: u32, _: &mut Links<Self::Tag>) -> Option<(u32, Self::Tag)> {
         let first = *self.hop_links[source as usize].first()?;
         Some((first, (source, 0)))
     }
 
     fn next_hop(
-        &self,
+        &mut self,
         _: u32,
         (flow, hop): Self::Tag,
         _: &mut Links<Self::Tag>,

@@ -23,21 +23,26 @@ pub struct DelayStats {
 }
 
 impl DelayStats {
-    /// Computes the statistics from raw per-packet delays (slots), sorting
-    /// `delays` in place — no copy, so a multi-million-packet run does not
-    /// hold its delay buffer twice.
-    pub(crate) fn from_delays(delays: &mut [f64]) -> Self {
+    /// Computes the statistics from raw per-packet delays in nanoseconds,
+    /// for slots of `slot_ns` nanoseconds, sorting `delays_ns` in place —
+    /// no copy, so a multi-million-packet run does not hold its delay buffer
+    /// twice.
+    pub(crate) fn from_delays(delays_ns: &mut [u64], slot_ns: u64) -> Self {
         // A total outage delivers nothing: the delay block is all zeros
         // (`count == 0`), never a panic.
-        if delays.is_empty() {
+        if delays_ns.is_empty() {
             return Self::default();
         }
-        delays.sort_by(f64::total_cmp);
-        let count = delays.len() as u64;
-        let sum: f64 = delays.iter().sum();
+        // Nanoseconds to slots is monotone, so the sorted integers give the
+        // sorted slot values: the sum runs in the same order and every rank
+        // reads the same value as sorting the floats would.
+        delays_ns.sort_unstable();
+        let slots = |ns: u64| ns as f64 / slot_ns as f64;
+        let count = delays_ns.len() as u64;
+        let sum: f64 = delays_ns.iter().map(|&ns| slots(ns)).sum();
         let pct = |p: f64| {
-            let idx = ((p / 100.0 * count as f64).ceil() as usize).clamp(1, delays.len());
-            delays[idx - 1]
+            let idx = ((p / 100.0 * count as f64).ceil() as usize).clamp(1, delays_ns.len());
+            slots(delays_ns[idx - 1])
         };
         Self {
             count,
@@ -45,7 +50,7 @@ impl DelayStats {
             p50_slots: pct(50.0),
             p95_slots: pct(95.0),
             p99_slots: pct(99.0),
-            max_slots: delays[delays.len() - 1],
+            max_slots: slots(delays_ns[delays_ns.len() - 1]),
         }
     }
 }
@@ -186,8 +191,8 @@ mod tests {
 
     #[test]
     fn delay_stats_percentiles_are_order_statistics() {
-        let mut delays: Vec<f64> = (1..=100).rev().map(|i| i as f64).collect();
-        let stats = DelayStats::from_delays(&mut delays);
+        let mut delays: Vec<u64> = (1..=100).rev().map(|i| i * 1_000).collect();
+        let stats = DelayStats::from_delays(&mut delays, 1_000);
         assert_eq!(stats.count, 100);
         assert_eq!(stats.mean_slots, 50.5);
         assert_eq!(stats.p50_slots, 50.0);
@@ -197,8 +202,59 @@ mod tests {
     }
 
     #[test]
+    fn integer_delays_give_the_statistics_of_sorted_float_delays() {
+        // The statistics of the delays converted to slots first and sorted
+        // as floats, which is how they were computed before the buffer held
+        // integers. Spans ties, distinct integers that round to one float
+        // (above 2^53 ns) and a slot length that is not a power of two.
+        let float_reference = |ns: &[u64], slot_ns: u64| {
+            let mut slots: Vec<f64> = ns.iter().map(|&d| d as f64 / slot_ns as f64).collect();
+            slots.sort_by(f64::total_cmp);
+            let n = slots.len();
+            let rank = |p: f64| slots[((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1];
+            DelayStats {
+                count: n as u64,
+                mean_slots: slots.iter().sum::<f64>() / n as f64,
+                p50_slots: rank(50.0),
+                p95_slots: rank(95.0),
+                p99_slots: rank(99.0),
+                max_slots: slots[n - 1],
+            }
+        };
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [1usize, 2, 7, 100, 1_001] {
+            for slot_ns in [1u64, 1_000_000, 1_024_000, 999_983] {
+                let ns: Vec<u64> = (0..len)
+                    .map(|i| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        match i % 3 {
+                            0 => x % 64 * slot_ns,
+                            1 => x % 100_000_000_000,
+                            _ => (1 << 60) + x % 4_096,
+                        }
+                    })
+                    .collect();
+                let expected = float_reference(&ns, slot_ns);
+                let got = DelayStats::from_delays(&mut ns.clone(), slot_ns);
+                for (a, b) in [
+                    (got.mean_slots, expected.mean_slots),
+                    (got.p50_slots, expected.p50_slots),
+                    (got.p95_slots, expected.p95_slots),
+                    (got.p99_slots, expected.p99_slots),
+                    (got.max_slots, expected.max_slots),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "len {len}, slot {slot_ns} ns");
+                }
+                assert_eq!(got.count, expected.count);
+            }
+        }
+    }
+
+    #[test]
     fn empty_delay_stats_are_zero() {
-        let stats = DelayStats::from_delays(&mut []);
+        let stats = DelayStats::from_delays(&mut [], 1);
         assert_eq!(stats.count, 0);
         assert_eq!(stats.max_slots, 0.0);
     }

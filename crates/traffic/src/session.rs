@@ -118,23 +118,51 @@ pub struct Source {
 struct TableRouter {
     routes: ForwardingTable,
     sources: Vec<Source>,
+    /// Registry index of each node's uplink under `routes`, filled on first
+    /// use through [`Links::idx`] — so links register when a packet first
+    /// needs them, as without the cache — and cleared with every new table.
+    uplinks: Vec<Option<u32>>,
+}
+
+impl TableRouter {
+    fn new(routes: ForwardingTable, sources: Vec<Source>) -> Self {
+        Self {
+            uplinks: vec![None; routes.node_count()],
+            routes,
+            sources,
+        }
+    }
+
+    fn set_routes(&mut self, routes: ForwardingTable) {
+        self.uplinks = vec![None; routes.node_count()];
+        self.routes = routes;
+    }
+
+    /// The registry index of `node`'s uplink, or `None` if it has none.
+    fn uplink(&mut self, node: NodeId, links: &mut Links<()>) -> Option<u32> {
+        let cached = self.uplinks.get_mut(node.index())?;
+        if cached.is_none() {
+            *cached = Some(links.idx(self.routes.next_hop(node)?));
+        }
+        *cached
+    }
 }
 
 impl Router for TableRouter {
     type Tag = ();
 
-    fn first_hop(&self, source: u32, links: &mut Links<()>) -> Option<(u32, ())> {
-        let first = self.routes.next_hop(self.sources[source as usize].node)?;
-        Some((links.idx(first), ()))
+    fn first_hop(&mut self, source: u32, links: &mut Links<()>) -> Option<(u32, ())> {
+        let node = self.sources[source as usize].node;
+        Some((self.uplink(node, links)?, ()))
     }
 
-    fn next_hop(&self, served: u32, (): (), links: &mut Links<()>) -> NextHop<()> {
+    fn next_hop(&mut self, served: u32, (): (), links: &mut Links<()>) -> NextHop<()> {
         let node = links.queues[served as usize].link.tail;
         if self.routes.is_sink(node) {
             return NextHop::Deliver;
         }
-        match self.routes.next_hop(node) {
-            Some(next) => NextHop::Forward(links.idx(next), ()),
+        match self.uplink(node, links) {
+            Some(next) => NextHop::Forward(next, ()),
             None => NextHop::Drop,
         }
     }
@@ -181,6 +209,8 @@ pub struct SessionTotals {
 pub struct TrafficSession {
     frame: FrameService,
     sim: Sim<TableRouter>,
+    /// Each node's first source, by node index.
+    source_of: Vec<Option<usize>>,
 }
 
 impl TrafficSession {
@@ -211,14 +241,26 @@ impl TrafficSession {
         if config.slot_duration == SimTime::ZERO {
             return Err(TrafficError::ZeroSlotDuration);
         }
+        let mut source_of: Vec<Option<usize>> = Vec::new();
+        for (i, source) in sources.iter().enumerate() {
+            let node = source.node.index();
+            if source_of.len() <= node {
+                source_of.resize(node + 1, None);
+            }
+            source_of[node].get_or_insert(i);
+        }
         let arrivals: Vec<ArrivalProcess> = sources.iter().map(|s| s.arrival).collect();
         let sim = Sim::new(
-            TableRouter { routes, sources },
+            TableRouter::new(routes, sources),
             Links::default(),
             arrivals.into_iter(),
             &config,
         );
-        Ok(Self { frame, sim })
+        Ok(Self {
+            frame,
+            sim,
+            source_of,
+        })
     }
 
     /// The current absolute slot (start of the next segment).
@@ -283,11 +325,11 @@ impl TrafficSession {
     /// Installs a new forwarding table. Packets already in flight follow it
     /// from their current position at their next hop.
     pub fn set_routes(&mut self, routes: ForwardingTable) {
-        self.sim.router.routes = routes;
+        self.sim.router.set_routes(routes);
     }
 
     fn source_index(&self, node: NodeId) -> Option<usize> {
-        self.sim.router.sources.iter().position(|s| s.node == node)
+        self.source_of.get(node.index()).copied().flatten()
     }
 
     /// Pauses a source (admission control): it injects nothing until
@@ -618,6 +660,30 @@ mod tests {
         assert!(resumed.injected > 0);
         // Fast-forward: roughly the paused interval's arrivals are gone.
         assert!(resumed.injected <= 11);
+    }
+
+    #[test]
+    fn a_node_names_its_first_source_and_unknown_nodes_are_ignored() {
+        let (frame, table) = path_setup();
+        let source = |node| Source {
+            node: NodeId::new(node),
+            arrival: ArrivalProcess::deterministic(0.25),
+        };
+        let mut s = TrafficSession::new(
+            FrameService::from_schedule(&frame),
+            vec![source(3), source(2), source(3)],
+            table,
+            TrafficConfig::new(1),
+        )
+        .unwrap();
+        s.pause_source(NodeId::new(3));
+        s.pause_source(NodeId::new(99));
+        assert!(s.is_source_paused(NodeId::new(3)));
+        assert!(!s.is_source_paused(NodeId::new(2)));
+        assert!(!s.is_source_paused(NodeId::new(99)));
+        // Node 3's second source still injects: arrivals at 4, 8, …, 36 from
+        // two of the three sources.
+        assert_eq!(s.advance(40).injected, 2 * 9);
     }
 
     #[test]

@@ -21,19 +21,37 @@
 //! > `departure(p) = next scheduled slot ≥ max(packet ready slot,
 //! >  first slot the server is free after the previous packet)`
 //!
-//! which [`FrameService::next_service_slot`] answers in O(log #windows), so
-//! a run costs O(packet-hops · log #windows + events) whatever the frame's
-//! slot count — an idle million-slot frame is as cheap as an idle ten-slot
-//! one. Slots are absolute; the frame repeats from `frame_epoch` (the slot
-//! it was installed at), not from slot 0.
+//! which [`FrameService::next_service_slot_at`] answers in O(log #windows)
+//! from a position resolved once per link and segment, so no hop looks a
+//! link up by value. Slots are absolute; the frame repeats from
+//! `frame_epoch` (the slot it was installed at), not from slot 0.
+//!
+//! The departure instant (the end of the assigned slot) and the event
+//! sequence number are both taken at enqueue and travel with the packet,
+//! but only each FIFO **head**'s departure is in the event queue: a packet
+//! joining an empty queue enters its own, and a departing head enters its
+//! successor's under the sequence reserved for it. The pop order is the one
+//! a queue holding every packet's departure would give, because events pop
+//! in `(time, sequence)` order and a successor's key is larger than its
+//! predecessor's (later or equal slot, later reservation): it cannot be the
+//! smallest key before its predecessor has popped, and it is in the queue
+//! from that moment on. The sequence must be the reserved one — a fresh
+//! number would put the departure behind arrivals armed in between and
+//! reorder same-instant ties. So the event queue holds at most one
+//! departure per registered link plus one arrival per source, whatever the
+//! backlog, and a run costs O(packet-hops · log(links + sources)) plus
+//! O(log #windows) per hop — whatever the frame's slot count, so an idle
+//! million-slot frame is as cheap as an idle ten-slot one.
 //!
 //! # Segments
 //!
 //! [`Sim::advance`] runs one segment and returns with queues, samplers and
 //! in-flight packets intact. Departure events are not carried across
-//! segments: at every segment start the cursors are reset and each queue's
-//! packets are re-assigned in FIFO order with the segment start as their
-//! ready slot. A packet that had not left by then could not have been
+//! segments: at every segment start the links' service positions are
+//! resolved against the frame, the cursors are reset and each queue's
+//! packets are re-assigned (and given sequence numbers) in FIFO order with
+//! the segment start as their ready slot; then each head's departure enters
+//! the event queue. A packet that had not left by then could not have been
 //! served earlier, so this yields exactly the slots a continuous run would
 //! have assigned — and it is what lets a caller kill links, swap the frame
 //! or move packets between segments without patching pending events.
@@ -48,7 +66,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use scream_netsim::{EventQueue, SimTime};
-use scream_scheduling::FrameService;
+use scream_scheduling::{FrameService, ServicePos};
 use scream_topology::Link;
 
 use crate::engine::TrafficConfig;
@@ -73,11 +91,11 @@ pub(crate) trait Router {
 
     /// The first link of a packet injected by source `source`, or `None`
     /// when the source is cut off (the packet is lost at injection).
-    fn first_hop(&self, source: u32, links: &mut Links<Self::Tag>) -> Option<(u32, Self::Tag)>;
+    fn first_hop(&mut self, source: u32, links: &mut Links<Self::Tag>) -> Option<(u32, Self::Tag)>;
 
     /// Where a packet tagged `tag` goes after being served on link `served`.
     fn next_hop(
-        &self,
+        &mut self,
         served: u32,
         tag: Self::Tag,
         links: &mut Links<Self::Tag>,
@@ -88,6 +106,17 @@ pub(crate) trait Router {
 pub(crate) struct Packet<T> {
     created: SimTime,
     tag: T,
+    /// The departure booked when the packet joined its current queue;
+    /// `None` when it does not fall inside the segment.
+    due: Option<Due>,
+}
+
+/// A booked departure: the end of the assigned service slot, and the event
+/// sequence number reserved for it at enqueue (module docs).
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    at: SimTime,
+    seq: u64,
 }
 
 /// Per-link FIFO queue plus the TDMA server cursor.
@@ -97,6 +126,8 @@ pub(crate) struct LinkQueue<T> {
     pub(crate) queue: VecDeque<Packet<T>>,
     /// `(absolute slot, used, capacity)` of the last assigned service slot.
     pub(crate) cursor: Option<(u64, u32, u32)>,
+    /// Where the segment's frame indexes this link (`None`: never served).
+    service: Option<ServicePos>,
     /// A dead link serves nothing; its packets strand.
     pub(crate) dead: bool,
 }
@@ -106,6 +137,9 @@ pub(crate) struct LinkQueue<T> {
 pub(crate) struct Links<T> {
     index: HashMap<Link, u32>,
     pub(crate) queues: Vec<LinkQueue<T>>,
+    /// Queues `..resolved` hold their service position in the current
+    /// segment's frame; links registered since are resolved on first use.
+    resolved: usize,
 }
 
 impl<T> Default for Links<T> {
@@ -113,6 +147,7 @@ impl<T> Default for Links<T> {
         Self {
             index: HashMap::new(),
             queues: Vec::new(),
+            resolved: 0,
         }
     }
 }
@@ -128,6 +163,7 @@ impl<T> Links<T> {
             link,
             queue: VecDeque::new(),
             cursor: None,
+            service: None,
             dead: false,
         });
         self.index.insert(link, idx);
@@ -137,6 +173,15 @@ impl<T> Links<T> {
     /// The queue of `link`, if the link was ever registered.
     pub(crate) fn get(&self, link: Link) -> Option<&LinkQueue<T>> {
         self.index.get(&link).map(|&i| &self.queues[i as usize])
+    }
+
+    /// Resolves the service positions in `frame` of the links registered
+    /// since the last resolution.
+    fn resolve(&mut self, frame: &FrameService) {
+        for q in &mut self.queues[self.resolved..] {
+            q.service = frame.position(q.link);
+        }
+        self.resolved = self.queues.len();
     }
 }
 
@@ -162,9 +207,9 @@ pub(crate) struct Sim<R: Router> {
     slot_duration: SimTime,
     slot_ns: u64,
     pub(crate) totals: SessionTotals,
-    /// Delay of every delivered packet, in slots; each finished segment's
-    /// stretch is sorted.
-    delays_slots: Vec<f64>,
+    /// Delay of every delivered packet, in nanoseconds; each finished
+    /// segment's stretch is sorted.
+    delays_ns: Vec<u64>,
 }
 
 impl<R: Router> Sim<R> {
@@ -195,7 +240,7 @@ impl<R: Router> Sim<R> {
             slot_duration: config.slot_duration,
             slot_ns: config.slot_duration.as_nanos(),
             totals: SessionTotals::default(),
-            delays_slots: Vec::new(),
+            delays_ns: Vec::new(),
         }
     }
 
@@ -206,7 +251,7 @@ impl<R: Router> Sim<R> {
 
     /// Delay statistics over every packet delivered so far.
     pub(crate) fn delay(&self) -> DelayStats {
-        DelayStats::from_delays(&mut self.delays_slots.clone())
+        DelayStats::from_delays(&mut self.delays_ns.clone(), self.slot_ns)
     }
 
     /// A new frame was installed: it counts its slot 0 from the current slot.
@@ -242,6 +287,9 @@ impl<R: Router> Sim<R> {
     /// `None` for dead links and links the frame never serves (the packet
     /// is parked).
     fn assign_departure(&mut self, frame: &FrameService, link: u32, ready: u64) -> Option<u64> {
+        if link as usize >= self.links.resolved {
+            self.links.resolve(frame);
+        }
         let epoch = self.frame_epoch;
         let q = &mut self.links.queues[link as usize];
         if q.dead {
@@ -257,15 +305,15 @@ impl<R: Router> Sim<R> {
             }
             _ => ready,
         };
-        let next = frame.next_service_slot(q.link, from.saturating_sub(epoch))?;
+        let next = frame.next_service_slot_at(q.service?, from.saturating_sub(epoch))?;
         let slot = next.slot + epoch;
         q.cursor = Some((slot, 1, next.capacity));
         Some(slot)
     }
 
-    /// Books the next service slot of `link` for its next unbooked packet
-    /// and schedules the departure (at the end of that slot) if it falls
-    /// inside the segment.
+    /// Books the next service slot of `link` for its next unbooked packet:
+    /// the departure (at the end of that slot) if it falls inside the
+    /// segment, under a sequence number reserved now.
     fn book_departure(
         &mut self,
         frame: &FrameService,
@@ -273,29 +321,34 @@ impl<R: Router> Sim<R> {
         end: SimTime,
         link: u32,
         ready: u64,
-    ) {
-        if let Some(slot) = self.assign_departure(frame, link, ready) {
-            let at = self.slot_duration.saturating_mul(slot + 1);
-            if at <= end {
-                events.schedule(at, Event::Departure { link });
-            }
-        }
+    ) -> Option<Due> {
+        let slot = self.assign_departure(frame, link, ready)?;
+        let at = self.slot_duration.saturating_mul(slot + 1);
+        (at <= end).then(|| Due {
+            at,
+            seq: events.reserve(),
+        })
     }
 
-    /// Queues `packet` (ready at `now`) on `link` and books its departure.
+    /// Queues `packet` (ready at `now`) on `link` and books its departure,
+    /// which enters the event queue only if the packet is the head.
     fn enqueue(
         &mut self,
         frame: &FrameService,
         events: &mut EventQueue<Event>,
         end: SimTime,
         link: u32,
-        packet: Packet<R::Tag>,
+        mut packet: Packet<R::Tag>,
         now: SimTime,
     ) {
-        self.links.queues[link as usize].queue.push_back(packet);
         // Ready for the slot starting at or after `now`.
         let ready = now.as_nanos().div_ceil(self.slot_ns);
-        self.book_departure(frame, events, end, link, ready);
+        packet.due = self.book_departure(frame, events, end, link, ready);
+        let queue = &mut self.links.queues[link as usize].queue;
+        if queue.is_empty() {
+            schedule_departure(events, link, packet.due);
+        }
+        queue.push_back(packet);
     }
 
     fn arm_arrival(&mut self, events: &mut EventQueue<Event>, end: SimTime, source: u32) {
@@ -331,7 +384,11 @@ impl<R: Router> Sim<R> {
                         self.totals.in_flight += 1;
                         self.totals.peak_backlog =
                             self.totals.peak_backlog.max(self.totals.in_flight);
-                        let packet = Packet { created: now, tag };
+                        let packet = Packet {
+                            created: now,
+                            tag,
+                            due: None,
+                        };
                         self.enqueue(frame, events, end, link, packet, now);
                     }
                     None => {
@@ -341,10 +398,12 @@ impl<R: Router> Sim<R> {
                 self.arm_arrival(events, end, source);
             }
             Event::Departure { link } => {
-                // Departure events match queued packets one to one.
-                let Some(packet) = self.links.queues[link as usize].queue.pop_front() else {
+                // The event is the head's; its successor's enters now.
+                let queue = &mut self.links.queues[link as usize].queue;
+                let Some(packet) = queue.pop_front() else {
                     return;
                 };
+                schedule_departure(events, link, queue.front().and_then(|next| next.due));
                 match self.router.next_hop(link, packet.tag, &mut self.links) {
                     NextHop::Forward(next, tag) => {
                         self.enqueue(frame, events, end, next, Packet { tag, ..packet }, now);
@@ -352,9 +411,8 @@ impl<R: Router> Sim<R> {
                     NextHop::Deliver => {
                         self.totals.delivered += 1;
                         self.totals.in_flight -= 1;
-                        let delay = now.saturating_sub(packet.created);
-                        self.delays_slots
-                            .push(delay.as_nanos() as f64 / self.slot_ns as f64);
+                        self.delays_ns
+                            .push(now.saturating_sub(packet.created).as_nanos());
                     }
                     NextHop::Drop => {
                         self.totals.dropped += 1;
@@ -371,18 +429,23 @@ impl<R: Router> Sim<R> {
         let start_slot = self.now_slot;
         let end_slot = start_slot.saturating_add(slots);
         let end = self.slot_duration.saturating_mul(end_slot);
-        let first_delay = self.delays_slots.len();
+        let first_delay = self.delays_ns.len();
         let before = self.totals;
         let mut events: EventQueue<Event> = EventQueue::new();
 
         // FIFO reconstruction (module docs): every queued packet is booked
-        // afresh, ready at the segment start.
+        // afresh, ready at the segment start, in the segment's frame.
+        self.links.resolved = 0;
+        self.links.resolve(frame);
         for link in 0..self.links.queues.len() as u32 {
             let q = &mut self.links.queues[link as usize];
             q.cursor = None;
-            for _ in 0..q.queue.len() {
-                self.book_departure(frame, &mut events, end, link, start_slot);
+            for i in 0..q.queue.len() {
+                let due = self.book_departure(frame, &mut events, end, link, start_slot);
+                self.links.queues[link as usize].queue[i].due = due;
             }
+            let head = self.links.queues[link as usize].queue.front();
+            schedule_departure(&mut events, link, head.and_then(|p| p.due));
         }
         for source in 0..self.samplers.len() as u32 {
             if !self.paused[source as usize] {
@@ -390,7 +453,11 @@ impl<R: Router> Sim<R> {
             }
         }
 
-        events.run_until(end, |q, ev| self.handle(frame, q, end, ev.event, ev.time));
+        let mut pending_peak = events.len();
+        let handled = events.run_until(end, |q, ev| {
+            self.handle(frame, q, end, ev.event, ev.time);
+            pending_peak = pending_peak.max(q.len());
+        });
         self.now_slot = end_slot;
         // Rescue passes move the totals only between segments, so the
         // differences are exactly what this segment did.
@@ -401,13 +468,15 @@ impl<R: Router> Sim<R> {
             delivered: self.totals.delivered - before.delivered,
             dropped: self.totals.dropped - before.dropped,
             backlog_end: self.totals.in_flight,
-            delay: DelayStats::from_delays(&mut self.delays_slots[first_delay..]),
+            delay: DelayStats::from_delays(&mut self.delays_ns[first_delay..], self.slot_ns),
         };
         scream_obs::set_slot(end_slot);
         scream_obs::counter_add("traffic.injected", segment.injected);
         scream_obs::counter_add("traffic.delivered", segment.delivered);
         scream_obs::counter_add("traffic.dropped", segment.dropped);
         scream_obs::gauge_set("traffic.backlog", segment.backlog_end);
+        scream_obs::counter_add("traffic.events", handled);
+        scream_obs::gauge_set("traffic.events.pending_peak", pending_peak as u64);
         scream_obs::event(
             "traffic.segment",
             &[
@@ -418,6 +487,13 @@ impl<R: Router> Sim<R> {
             ],
         );
         segment
+    }
+}
+
+/// Enters the departure `due` of the head of `link`'s queue, if it has one.
+fn schedule_departure(events: &mut EventQueue<Event>, link: u32, due: Option<Due>) {
+    if let Some(Due { at, seq }) = due {
+        events.schedule_reserved(at, seq, Event::Departure { link });
     }
 }
 

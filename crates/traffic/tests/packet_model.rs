@@ -12,15 +12,19 @@
 //!   ticks, no arrival coincides with a slot boundary inside the horizon
 //!   (where the event order would depend on scheduling history), and every
 //!   delay is exact in `f64` — equality below is bit equality;
-//! * **values captured at the parent commit** (the last one with two
-//!   simulators) for a seeded Poisson mesh run.
+//! * **values captured at earlier commits**: a seeded Poisson mesh run at
+//!   0.9 load (the last commit with two simulators), the same mesh at 1.2
+//!   load and a small instance whose arrivals tie with departures on slot
+//!   boundaries (the last commit that held one departure event per queued
+//!   packet, so same-instant order is pinned where the oracle above avoids
+//!   it).
 
 #![expect(
     clippy::disallowed_methods,
     reason = "the slot-stepped oracle expands the schedule on purpose; H1.hot is a rule for library code"
 )]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -265,11 +269,9 @@ fn a_link_on_two_channels_serves_two_packets_per_slot() {
     check_against_reference(&frame);
 }
 
-#[test]
-fn a_seeded_poisson_mesh_report_is_bit_identical_to_the_parent_commit() {
-    // Captured at ae1eebc, the last commit where the engine had a simulator
-    // of its own. Covers the greedy frame too, so the shared placement loop
-    // is pinned by the same numbers.
+/// The seeded 5×5 Poisson mesh on its greedy frame at `load` times the
+/// frame's capacity, 300 frames.
+fn poisson_mesh_engine(load: f64) -> TrafficEngine {
     let d = GridDeployment::new(5, 5, 150.0).build();
     let env = RadioEnvironment::builder()
         .propagation(PropagationModel::log_distance(3.0))
@@ -280,12 +282,18 @@ fn a_seeded_poisson_mesh_report_is_bit_identical_to_the_parent_commit() {
     let demands = DemandVector::generate(d.len(), DemandConfig::PAPER, &gateways, &mut rng);
     let link_demands = LinkDemands::aggregate(&forest, &demands).unwrap();
     let schedule = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
-    let unit = 0.9 / schedule.length() as f64;
+    let unit = load / schedule.length() as f64;
     let flows =
         FlowSet::along_forest_with(&forest, &demands, unit, |_, r| ArrivalProcess::poisson(r));
-    let r = TrafficEngine::on_schedule(&schedule, flows, TrafficConfig::new(300).with_seed(42))
-        .unwrap()
-        .run();
+    TrafficEngine::on_schedule(&schedule, flows, TrafficConfig::new(300).with_seed(42)).unwrap()
+}
+
+#[test]
+fn a_seeded_poisson_mesh_report_is_bit_identical_to_the_parent_commit() {
+    // Captured at ae1eebc, the last commit where the engine had a simulator
+    // of its own. Covers the greedy frame too, so the shared placement loop
+    // is pinned by the same numbers.
+    let r = poisson_mesh_engine(0.9).run();
     assert_eq!((r.frame_slots, r.flow_count), (121, 21));
     assert_eq!((r.injected, r.delivered), (32_636, 32_528));
     assert_eq!((r.peak_backlog, r.final_backlog), (215, 108));
@@ -300,4 +308,124 @@ fn a_seeded_poisson_mesh_report_is_bit_identical_to_the_parent_commit() {
         0x3fec_acc1_109d_8567
     );
     assert_eq!(r.sustained_throughput_pct.to_bits(), 0x4058_ead2_28b9_ffd0);
+}
+
+#[test]
+fn a_seeded_overloaded_poisson_mesh_report_is_bit_identical_to_the_parent_commit() {
+    // The same mesh at 1.2 times capacity: queues grow to thousands of
+    // packets, so almost every departure waits behind a backlog. Captured at
+    // de488f1, where every queued packet held its own departure event.
+    let r = poisson_mesh_engine(1.2).run();
+    assert_eq!((r.frame_slots, r.flow_count), (121, 21));
+    assert_eq!((r.injected, r.delivered), (43_446, 36_488));
+    assert_eq!((r.peak_backlog, r.final_backlog), (6_958, 6_958));
+    assert_eq!(r.delay.count, 36_488);
+    let scream_traffic::StabilityVerdict::Overloaded { bottlenecks } = &r.verdict else {
+        panic!("1.2 times capacity must be overloaded");
+    };
+    assert_eq!(bottlenecks.len(), 21);
+    assert_eq!(r.offered_per_slot.to_bits(), 0x3ff3_5bd2_4d02_f643);
+    assert_eq!(r.delay.mean_slots.to_bits(), 0x40a6_9d0f_1393_53e0);
+    assert_eq!(r.delay.p50_slots.to_bits(), 0x40a3_9ccb_736c_df26);
+    assert_eq!(r.delay.p95_slots.to_bits(), 0x40bb_0213_fb69_984a);
+    assert_eq!(r.delay.p99_slots.to_bits(), 0x40c0_2f8f_d966_3843);
+    assert_eq!(r.delay.max_slots.to_bits(), 0x40c1_8c66_95bf_f045);
+    assert_eq!(
+        r.sustained_throughput_per_slot.to_bits(),
+        0x3ff0_1536_a43c_2472
+    );
+    assert_eq!(r.sustained_throughput_pct.to_bits(), 0x4054_ff05_9906_6024);
+}
+
+#[test]
+fn the_event_queue_holds_one_departure_per_link_not_one_per_packet() {
+    // Thousands of packets queue at 1.2 times capacity, but only each
+    // queue's head has its departure in the event queue, beside one pending
+    // arrival per source. When every queued packet held its own departure
+    // (de488f1) the pending peak was 5 774.
+    let engine = poisson_mesh_engine(1.2);
+    let flows = engine.flows().flows();
+    let links: BTreeSet<Link> = flows.iter().flat_map(|f| f.route.iter().copied()).collect();
+    scream_obs::install();
+    let report = engine.run();
+    let trace = scream_obs::uninstall().unwrap().snapshot;
+    assert_eq!(report.peak_backlog, 6_958);
+    let pending_peak = trace.gauges["traffic.events.pending_peak"];
+    assert!(
+        pending_peak <= (links.len() + flows.len()) as u64,
+        "{pending_peak} events pending at once for {} links and {} sources",
+        links.len(),
+        flows.len()
+    );
+    // Every event popped at the parent commit is popped here.
+    assert_eq!(trace.counter("traffic.events"), 94_605);
+}
+
+/// Delays in whole slots: `count` packets whose delays sum to `sum`, with
+/// the given p50 / p95 (= p99 = max) order statistics.
+fn whole_slot_delays(count: u64, sum: u64, p50: u64, p95: u64) -> DelayStats {
+    DelayStats {
+        count,
+        mean_slots: sum as f64 / count as f64,
+        p50_slots: p50 as f64,
+        p95_slots: p95 as f64,
+        p99_slots: p95 as f64,
+        max_slots: p95 as f64,
+    }
+}
+
+#[test]
+fn a_departure_and_arrivals_on_one_instant_keep_the_parent_commits_order() {
+    // Three sources of period 2 share one link served every slot, so at
+    // every even instant three arrivals and one departure coincide behind a
+    // growing queue. The departure was booked when its packet joined the
+    // queue, before the three arrivals were armed, so it leaves first; a
+    // departure booked later (when its predecessor left, at the odd instant
+    // before) would leave after them and raise the peak backlog by one.
+    // Captured at de488f1, where every queued packet held its own event.
+    let l = link(1, 0);
+    let frame = Schedule::from_slots(vec![vec![l]]);
+    let arrival = ArrivalProcess::deterministic(0.5);
+    let flows = FlowSet::single_hop(vec![(l, arrival); 3]);
+    let r = TrafficEngine::on_schedule(&frame, flows, TrafficConfig::new(40))
+        .unwrap()
+        .run();
+    assert_eq!((r.injected, r.delivered), (57, 38));
+    assert_eq!((r.peak_backlog, r.final_backlog), (21, 19));
+    assert_eq!(r.delay, whole_slot_delays(38, 297, 8, 14));
+
+    // The same through a session cut into segments, so that queues of two
+    // to six packets are re-booked at segment starts.
+    let mut g = Graph::new(2, GraphKind::Undirected);
+    g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
+    let forest = RoutingForest::shortest_path(&g, &[NodeId::new(0)], 1).unwrap();
+    let source = Source {
+        node: NodeId::new(1),
+        arrival,
+    };
+    let mut session = TrafficSession::new(
+        FrameService::from_schedule(&frame),
+        vec![source; 3],
+        ForwardingTable::from_forest(&forest),
+        TrafficConfig::new(1),
+    )
+    .unwrap();
+    let expected = [
+        (3, (3, 1, 2), whole_slot_delays(1, 1, 1, 1)),
+        (6, (9, 6, 5), whole_slot_delays(6, 17, 3, 4)),
+        (2, (3, 2, 6), whole_slot_delays(2, 9, 4, 5)),
+        (29, (42, 29, 19), whole_slot_delays(29, 270, 9, 14)),
+    ];
+    for (slots, counts, delay) in expected {
+        let segment = session.advance(slots);
+        assert_eq!(
+            (segment.injected, segment.delivered, segment.backlog_end),
+            counts
+        );
+        assert_eq!(segment.delay, delay);
+    }
+    let totals = session.totals();
+    assert_eq!((totals.injected, totals.delivered), (57, 38));
+    assert_eq!((totals.peak_backlog, totals.in_flight), (21, 19));
+    assert_eq!(session.delay(), whole_slot_delays(38, 297, 8, 14));
 }
