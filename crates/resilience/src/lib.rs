@@ -64,7 +64,9 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use scream_netsim::{Db, RadioEnvironment};
-    use scream_topology::{DemandVector, GridDeployment, Link, NodeId, RoutingForest};
+    use scream_topology::{
+        DemandVector, GridDeployment, Link, NodeId, RoutingForest, TopologyError,
+    };
 
     /// A 4×4 grid with the four corners as gateways and unit demand at
     /// every mesh node — small enough to run fast, rich enough to reroute.
@@ -298,6 +300,31 @@ mod tests {
             h.run(&trace, 100, 7),
             Err(ResilienceError::BadFade { slot: 50 })
         );
+    }
+
+    /// A demand vector longer than the environment used to panic inside
+    /// `RoutingForest::is_reachable`; a shorter one failed only after the
+    /// routes were built. Both are refused before the run, with the lengths.
+    #[test]
+    fn a_demand_vector_of_the_wrong_length_is_an_error_before_the_run() {
+        let (env, gateways, _) = grid_world();
+        for len in [15, 17, 40] {
+            let h = ResilienceHarness::new(
+                env.clone(),
+                gateways.clone(),
+                DemandVector::from_vec(vec![1; len]),
+                0.8,
+            );
+            assert_eq!(
+                h.run(&ChurnTrace::default(), 100, 7),
+                Err(ResilienceError::Topology(
+                    TopologyError::DemandLengthMismatch {
+                        demands: len,
+                        nodes: 16
+                    }
+                ))
+            );
+        }
     }
 
     #[test]

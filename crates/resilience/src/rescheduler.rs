@@ -11,9 +11,9 @@
 //! 2. advance a [`TrafficSession`] epoch by epoch, pausing at every fault
 //!    slot;
 //! 3. at each fault, update the fault state and — under
-//!    [`ReschedulerConfig::default`] — **reschedule**: prune the
-//!    communication graph of dead links and nodes, rebuild the routing
-//!    forest around them ([`RoutingForest::shortest_path_partial`]), zero
+//!    [`ReschedulerConfig::default`] — **reschedule**: rebuild the routing
+//!    forest over the live communication graph, masked by the dead links
+//!    and nodes ([`RoutingForest::shortest_path_masked`]; no copy), zero
 //!    the demands of dead and cut-off nodes, patch the compact schedule
 //!    with [`repair_schedule`] (incremental run-level repair,
 //!    verify-or-rebuild), swap the repaired frame and new routes into the
@@ -172,7 +172,8 @@ impl ResilienceHarness {
     ///
     /// # Errors
     ///
-    /// Fails on an empty gateway set, zero horizon, a fade inside the
+    /// Fails on an empty gateway set, a demand vector whose length is not
+    /// the environment's node count, zero horizon, a fade inside the
     /// horizon that cannot be applied, or when no reachable node offers
     /// traffic.
     pub fn run(
@@ -181,6 +182,10 @@ impl ResilienceHarness {
         horizon_slots: u64,
         seed: u64,
     ) -> Result<ResilienceReport, ResilienceError> {
+        let (demands, nodes) = (self.demands.len(), self.env.node_count());
+        if demands != nodes {
+            return Err(TopologyError::DemandLengthMismatch { demands, nodes }.into());
+        }
         if horizon_slots == 0 {
             return Err(ResilienceError::ZeroHorizon);
         }
@@ -219,6 +224,7 @@ impl ResilienceHarness {
                     state.admit();
                 } else {
                     state.sync_pause_states();
+                    state.stable = state.session.analytic_loads().1.is_stable();
                 }
             }
             let next_fault = events.peek().map(|e| e.slot).unwrap_or(horizon_slots);
@@ -291,7 +297,6 @@ impl EpochAccumulator {
         } else {
             self.delivered as f64 / deliverable as f64 * 100.0
         };
-        let (_, verdict) = state.session.analytic_loads();
         EpochMetrics {
             epoch: self.start_slot / state.frame_slots_initial,
             start_slot: self.start_slot,
@@ -302,7 +307,7 @@ impl EpochAccumulator {
             backlog_start: self.backlog_start,
             backlog_end: state.session.totals().in_flight,
             delivery_pct,
-            stable: verdict.is_stable(),
+            stable: state.stable,
         }
     }
 }
@@ -321,8 +326,11 @@ struct RunState {
     route_seed: u64,
     /// Canonically ordered endpoints of explicitly failed links.
     dead_links: BTreeSet<(NodeId, NodeId)>,
-    /// Explicitly failed nodes.
-    dead_nodes: BTreeSet<NodeId>,
+    /// Explicitly failed nodes, by node index.
+    dead_nodes: Vec<bool>,
+    /// The session's analytic verdict. Only a fault batch can move it:
+    /// `advance` touches no source, pause, route, dead flag or frame.
+    stable: bool,
     /// Flows stopped by churn events.
     stopped: BTreeSet<NodeId>,
     /// Flows deferred by admission control.
@@ -337,7 +345,8 @@ impl RunState {
         let env = harness.env.clone();
         let graph = env.communication_graph();
         let (forest, _) = RoutingForest::shortest_path_partial(&graph, &harness.gateways, seed)?;
-        let demands = effective_demands(&harness.demands, &forest, &BTreeSet::new());
+        let dead_nodes = vec![false; graph.node_count()];
+        let demands = effective_demands(&harness.demands, &forest, &dead_nodes);
         let link_demands = LinkDemands::aggregate(&forest, &demands)?;
         let schedule = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
         let frame_slots = schedule.length() as u64;
@@ -363,6 +372,7 @@ impl RunState {
             ForwardingTable::from_forest(&forest),
             TrafficConfig::new(1).with_seed(seed),
         )?;
+        let stable = session.analytic_loads().1.is_stable();
         Ok(Self {
             env,
             graph,
@@ -374,7 +384,8 @@ impl RunState {
             frame_slots_initial: frame_slots,
             route_seed: seed,
             dead_links: BTreeSet::new(),
-            dead_nodes: BTreeSet::new(),
+            dead_nodes,
+            stable,
             stopped: BTreeSet::new(),
             deferred: BTreeSet::new(),
             cut_off: BTreeSet::new(),
@@ -393,33 +404,26 @@ impl RunState {
             }
             FaultKind::LinkUp(link) => {
                 self.dead_links.remove(&endpoints(link));
-                if !self.touches_dead_node(link) {
+                if self.is_up(link) {
                     self.session.restore_link(link);
                     self.session.restore_link(link.reversed());
                 }
             }
-            FaultKind::NodeDown(node) => {
-                self.dead_nodes.insert(node);
-                for link in self.incident_links(node) {
-                    self.session.fail_link(link);
-                    self.session.fail_link(link.reversed());
-                }
-            }
-            FaultKind::NodeUp(node) => {
-                self.dead_nodes.remove(&node);
-                for link in self.incident_links(node) {
-                    let other = if link.head == node {
-                        link.tail
-                    } else {
-                        link.head
-                    };
-                    if self.dead_nodes.contains(&other)
-                        || self.dead_links.contains(&endpoints(link))
-                    {
-                        continue;
+            FaultKind::NodeDown(node) | FaultKind::NodeUp(node) => {
+                let down = matches!(kind, FaultKind::NodeDown(_));
+                // A node the environment does not have changes nothing.
+                let Some(dead) = self.dead_nodes.get_mut(node.index()) else {
+                    return;
+                };
+                *dead = down;
+                for link in incident_links(&self.graph, node) {
+                    if down {
+                        self.session.fail_link(link);
+                        self.session.fail_link(link.reversed());
+                    } else if self.is_up(link) {
+                        self.session.restore_link(link);
+                        self.session.restore_link(link.reversed());
                     }
-                    self.session.restore_link(link);
-                    self.session.restore_link(link.reversed());
                 }
             }
             FaultKind::Fade { sigma_db, seed } => {
@@ -435,35 +439,26 @@ impl RunState {
         }
     }
 
-    /// Every communication-graph link incident to `node`, as drawn links.
-    fn incident_links(&self, node: NodeId) -> Vec<Link> {
-        self.graph
-            .edges()
-            .filter(|&(u, v)| u == node || v == node)
-            .map(|(u, v)| Link::new(u, v))
-            .collect()
+    fn is_dead(&self, node: NodeId) -> bool {
+        self.dead_nodes.get(node.index()) == Some(&true)
     }
 
-    fn touches_dead_node(&self, link: Link) -> bool {
-        self.dead_nodes.contains(&link.head) || self.dead_nodes.contains(&link.tail)
-    }
-
-    /// The communication graph with every dead node and link pruned.
-    fn pruned_graph(&self) -> Graph {
-        let dead_nodes: Vec<NodeId> = self.dead_nodes.iter().copied().collect();
-        self.graph
-            .without_nodes(&dead_nodes)
-            .without_edges(self.dead_links.iter().copied())
+    /// Whether `link` is up: neither it nor an endpoint has failed.
+    fn is_up(&self, link: Link) -> bool {
+        !self.is_dead(link.head)
+            && !self.is_dead(link.tail)
+            && !self.dead_links.contains(&endpoints(link))
     }
 
     /// Reroutes demands around the current fault state, repairs the frame
     /// and swaps both into the live session.
     fn reschedule(&mut self, slot: u64) -> Result<(), ResilienceError> {
         scream_obs::counter_add("resilience.reschedules", 1);
-        let (forest, cut) = RoutingForest::shortest_path_partial(
-            &self.pruned_graph(),
+        let (forest, cut) = RoutingForest::shortest_path_masked(
+            &self.graph,
             &self.gateways,
             self.route_seed,
+            |u, v| self.is_up(Link::new(u, v)),
         )?;
         self.cut_off = cut.into_iter().collect();
         let demands = effective_demands(&self.base_demands, &forest, &self.dead_nodes);
@@ -508,7 +503,7 @@ impl RunState {
         for i in 0..self.sources.len() {
             let node = self.sources[i].node;
             let want_paused = self.stopped.contains(&node)
-                || self.dead_nodes.contains(&node)
+                || self.is_dead(node)
                 || self.cut_off.contains(&node)
                 || self.deferred.contains(&node);
             if want_paused {
@@ -521,12 +516,14 @@ impl RunState {
 
     /// Admission control: first re-admit every admission-deferred source,
     /// then — while the analytic verdict is Overloaded — defer the
-    /// highest-rate active source crossing a bottleneck link.
+    /// highest-rate active source crossing a bottleneck link. Leaves the
+    /// last verdict it read in `stable`.
     fn admit(&mut self) {
         self.deferred.clear();
         self.sync_pause_states();
         loop {
             let (_, verdict) = self.session.analytic_loads();
+            self.stable = verdict.is_stable();
             let StabilityVerdict::Overloaded { bottlenecks } = verdict else {
                 break;
             };
@@ -646,7 +643,6 @@ impl RunState {
         };
 
         let totals = self.session.totals();
-        let (_, verdict) = self.session.analytic_loads();
         ResilienceReport {
             frame_slots_initial: self.frame_slots_initial,
             horizon_slots,
@@ -659,7 +655,7 @@ impl RunState {
             post_recovery_delivery_pct,
             disruption_peak_backlog: totals.peak_backlog,
             deferred_flows: self.deferred.len(),
-            final_verdict_stable: verdict.is_stable(),
+            final_verdict_stable: self.stable,
         }
     }
 }
@@ -670,17 +666,25 @@ fn endpoints(link: Link) -> (NodeId, NodeId) {
     (a.min(b), a.max(b))
 }
 
-/// `base` with dead and unreachable nodes zeroed.
+/// Every communication-graph link incident to `node`, smaller id first, in
+/// [`Graph::edges`] order (adjacency lists are ascending).
+fn incident_links(graph: &Graph, node: NodeId) -> impl Iterator<Item = Link> + '_ {
+    let canonical = move |&other: &NodeId| Link::new(node.min(other), node.max(other));
+    graph.neighbors(node).iter().map(canonical)
+}
+
+/// `base` with dead and unreachable nodes zeroed; `base` has one entry per
+/// node.
 fn effective_demands(
     base: &DemandVector,
     forest: &RoutingForest,
-    dead_nodes: &BTreeSet<NodeId>,
+    dead_nodes: &[bool],
 ) -> DemandVector {
     DemandVector::from_vec(
         (0..base.len() as u32)
             .map(|i| {
                 let v = NodeId::new(i);
-                if dead_nodes.contains(&v) || !forest.is_reachable(v) {
+                if dead_nodes[v.index()] || !forest.is_reachable(v) {
                     0
                 } else {
                     base.demand(v)

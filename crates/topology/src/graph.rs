@@ -101,7 +101,7 @@ impl Graph {
     }
 
     /// Edge insertion for callers that guarantee both endpoints are in range
-    /// (pruned copies, transposes, builders iterating `0..n`). Keeps the
+    /// (transposes, builders iterating `0..n`). Keeps the
     /// duplicate/self-loop handling of [`Self::add_edge`] without forcing an
     /// `expect` on an error that cannot occur (P1).
     fn insert_edge(&mut self, u: NodeId, v: NodeId) {
@@ -129,31 +129,17 @@ impl Graph {
             .map(|(a, b)| if undirected && b < a { (b, a) } else { (a, b) })
             .collect();
         dead.sort_unstable();
-        self.filtered(|u, v| dead.binary_search(&(u, v)).is_err())
-    }
-
-    /// A copy of this graph with the given nodes isolated (fault pruning):
-    /// every edge incident to a dead node is dropped, but the node itself
-    /// keeps its id so downstream indexing stays valid. Out-of-range ids are
-    /// ignored.
-    pub fn without_nodes(&self, dead: &[NodeId]) -> Self {
-        let mut is_dead = vec![false; self.node_count()];
-        let in_range = dead.iter().filter(|id| id.index() < self.node_count());
-        in_range.for_each(|id| is_dead[id.index()] = true);
-        self.filtered(|u, v| !is_dead[u.index()] && !is_dead[v.index()])
-    }
-
-    /// The edges `keep` admits, re-inserted in [`edges`](Self::edges) order:
-    /// the adjacency order seeded routing reads. The source holds no duplicate
-    /// and no self-loop, so a kept edge is a push into pre-sized lists.
-    fn filtered(&self, keep: impl Fn(NodeId, NodeId) -> bool) -> Self {
+        // The survivors are re-inserted in `edges` order: the adjacency order
+        // seeded routing reads. The source holds no duplicate and no
+        // self-loop, so a kept edge is a push into pre-sized lists.
         let reserved = |nbrs: &Vec<NodeId>| Vec::with_capacity(nbrs.len());
         let mut pruned = Self {
             kind: self.kind,
             adjacency: self.adjacency.iter().map(reserved).collect(),
             edge_count: 0,
         };
-        for (u, v) in self.edges().filter(|&(u, v)| keep(u, v)) {
+        let alive = |pair: &(NodeId, NodeId)| dead.binary_search(pair).is_err();
+        for (u, v) in self.edges().filter(alive) {
             pruned.adjacency[u.index()].push(v);
             if self.kind == GraphKind::Undirected {
                 pruned.adjacency[v.index()].push(u);
@@ -409,17 +395,6 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
     }
 
-    #[test]
-    fn without_nodes_isolates_but_never_reindexes() {
-        let g = path_graph(5);
-        let pruned = g.without_nodes(&[NodeId::new(2)]);
-        assert_eq!(pruned.node_count(), 5);
-        assert_eq!(pruned.edge_count(), 2);
-        assert_eq!(pruned.neighbors(NodeId::new(2)).len(), 0);
-        assert!(pruned.has_edge(NodeId::new(3), NodeId::new(4)));
-        assert!(!pruned.is_connected());
-    }
-
     /// `without_edges` as it stood before the linear-time rebuild: every
     /// surviving edge re-inserted through `insert_edge`. The reference the
     /// product path must equal, adjacency order and edge count included.
@@ -432,17 +407,6 @@ mod tests {
         let mut pruned = Graph::new(g.node_count(), g.kind);
         for (u, v) in g.edges() {
             if !is_dead(u, v) {
-                pruned.insert_edge(u, v);
-            }
-        }
-        pruned
-    }
-
-    /// `without_nodes` as it stood before the linear-time rebuild.
-    fn reference_without_nodes(g: &Graph, dead: &[NodeId]) -> Graph {
-        let mut pruned = Graph::new(g.node_count(), g.kind);
-        for (u, v) in g.edges() {
-            if !dead.contains(&u) && !dead.contains(&v) {
                 pruned.insert_edge(u, v);
             }
         }
@@ -476,11 +440,9 @@ mod tests {
                 g.add_edge(NodeId::new(a), NodeId::new(b)).unwrap();
             }
 
-            // Dead ids: present, absent, repeated, either orientation, and
+            // Dead pairs: present, absent, repeated, either orientation, and
             // out of range.
             let any_id = |rng: &mut ChaCha8Rng| NodeId::new(rng.gen_range(0..n as u32 + 3));
-            let dead_nodes: Vec<NodeId> =
-                (0..rng.gen_range(0..6)).map(|_| any_id(&mut rng)).collect();
             let mut dead_edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..8))
                 .map(|_| (any_id(&mut rng), any_id(&mut rng)))
                 .collect();
@@ -489,26 +451,13 @@ mod tests {
                 dead_edges.push(if rng.gen_bool(0.5) { (a, b) } else { (b, a) });
             }
 
-            let by_nodes = g.without_nodes(&dead_nodes);
-            assert_eq!(
-                by_nodes,
-                reference_without_nodes(&g, &dead_nodes),
-                "case {case}"
-            );
             let by_edges = g.without_edges(dead_edges.iter().copied());
             assert_eq!(
                 by_edges,
                 reference_without_edges(&g, &dead_edges),
                 "case {case}"
             );
-            // The rescheduler's composition, on the already pruned copy.
-            assert_eq!(
-                by_nodes.without_edges(dead_edges.iter().copied()),
-                reference_without_edges(&by_nodes, &dead_edges),
-                "case {case}"
-            );
             pruned_something += usize::from(by_edges.edge_count() < g.edge_count());
-            pruned_something += usize::from(by_nodes.edge_count() < g.edge_count());
         }
         assert!(pruned_something > 60, "the dead lists rarely hit an edge");
     }

@@ -115,6 +115,29 @@ impl RoutingForest {
         gateways: &[NodeId],
         seed: u64,
     ) -> Result<(Self, Vec<NodeId>), TopologyError> {
+        Self::shortest_path_masked(graph, gateways, seed, |_, _| true)
+    }
+
+    /// Like [`shortest_path_partial`](Self::shortest_path_partial), over
+    /// only the edges `alive(u, v)` admits (a faulted topology, without a
+    /// pruned copy of the graph). The mask is asked about each adjacency
+    /// entry `u → v` the search reaches, `u` on the frontier.
+    ///
+    /// Where every adjacency list of `graph` is ascending — as every
+    /// communication graph's is — this returns exactly what
+    /// `shortest_path_partial` returns over a copy of `graph` holding only
+    /// the admitted edges, re-inserted in [`Graph::edges`] order: the
+    /// candidate order, and so the seeded draws, are the same.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`shortest_path_partial`](Self::shortest_path_partial).
+    pub fn shortest_path_masked(
+        graph: &Graph,
+        gateways: &[NodeId],
+        seed: u64,
+        alive: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Result<(Self, Vec<NodeId>), TopologyError> {
         let n = graph.node_count();
         if gateways.is_empty() {
             return Err(TopologyError::NoGateways);
@@ -137,41 +160,41 @@ impl RoutingForest {
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut depth = vec![usize::MAX; n];
 
-        // Multi-source BFS from all gateways. To honor the random
-        // tie-breaking rule, candidate parents at equal depth are collected
-        // per node and one is chosen uniformly at random.
+        // Multi-source BFS from all gateways over the admitted edges. To
+        // honor the random tie-breaking rule, candidate parents at equal
+        // depth are collected per node and one is chosen uniformly at random.
         let mut frontier: Vec<NodeId> = Vec::new();
         for &g in gateways {
             depth[g.index()] = 0;
             frontier.push(g);
         }
+        // One level's `(child, parent)` pairs in frontier-then-adjacency
+        // order. The stable sort by child keeps that order inside each
+        // child's group and visits the children in id order, which fixes
+        // the rng consumption order.
+        let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
         let mut level = 0usize;
         while !frontier.is_empty() {
             level += 1;
-            // Collect candidate parents for each node at the next level.
-            // BTreeMap keeps the per-level node order (and hence the rng
-            // consumption order) deterministic without an explicit sort.
-            let mut candidates: std::collections::BTreeMap<NodeId, Vec<NodeId>> =
-                std::collections::BTreeMap::new();
+            candidates.clear();
             for &u in &frontier {
                 for &v in graph.neighbors(u) {
-                    if depth[v.index()] == usize::MAX {
-                        candidates.entry(v).or_default().push(u);
+                    if depth[v.index()] == usize::MAX && alive(u, v) {
+                        candidates.push((v, u));
                     }
                 }
             }
-            let next_frontier: Vec<NodeId> = candidates.keys().copied().collect();
-            for &v in &next_frontier {
-                let parents = &candidates[&v];
-                // Candidate lists are created non-empty (entry().push() above);
-                // an empty one would just leave `v` to the unreachable check.
-                let Some(&chosen) = parents.choose(&mut rng) else {
+            candidates.sort_by_key(|&(child, _)| child);
+            frontier.clear();
+            for group in candidates.chunk_by(|a, b| a.0 == b.0) {
+                // `chunk_by` yields no empty group.
+                let Some(&(child, chosen)) = group.choose(&mut rng) else {
                     continue;
                 };
-                parent[v.index()] = Some(chosen);
-                depth[v.index()] = level;
+                parent[child.index()] = Some(chosen);
+                depth[child.index()] = level;
+                frontier.push(child);
             }
-            frontier = next_frontier;
         }
 
         let unreachable: Vec<NodeId> = (0..n as u32)

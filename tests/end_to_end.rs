@@ -304,12 +304,10 @@ fn flows_with_demand(forest: &RoutingForest, demands: &DemandVector) -> usize {
         .count()
 }
 
-#[test]
-fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
-    // Captured at ae1eebc, the last commit where `TrafficSession` was a
-    // simulator of its own: 11 reschedules (fail / reroute / repair / swap /
-    // rescue / pause) over 45 epochs, so every session mutator is on
-    // the path to these numbers.
+/// The seeded churn world of the two parent-commit pins below: a 5 × 5 paper
+/// grid at load 0.8 under six link outages, two node outages, three flow
+/// churns and one fade over 6 000 slots.
+fn seeded_churn_world() -> (ResilienceHarness, ChurnTrace) {
     let deployment = GridDeployment::new(5, 5, 180.0).build();
     let env = RadioEnvironment::builder().build(&deployment);
     let gateways = deployment.corner_nodes();
@@ -334,9 +332,81 @@ fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
     let trace = FaultPlan::new()
         .random_churn(churn, &links, &nodes, 17)
         .build();
-    let report = ResilienceHarness::new(env, gateways, demands, 0.8)
-        .run(&trace, 6000, 9)
-        .unwrap();
+    (ResilienceHarness::new(env, gateways, demands, 0.8), trace)
+}
+
+/// FNV-1a over every field of every epoch, floats by `to_bits`.
+fn epochs_digest(epochs: &[EpochMetrics]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for e in epochs {
+        for word in [
+            e.epoch,
+            e.start_slot,
+            e.end_slot,
+            e.injected,
+            e.delivered,
+            e.dropped,
+            e.backlog_start,
+            e.backlog_end,
+            e.delivery_pct.to_bits(),
+            u64::from(e.stable),
+        ] {
+            mix(word);
+        }
+    }
+    hash
+}
+
+/// Every repair as `(slot, incremental, frame before, frame after, removed,
+/// added)`.
+fn repair_rows(report: &ResilienceReport) -> Vec<(u64, bool, u64, u64, u64, u64)> {
+    report
+        .repairs
+        .iter()
+        .map(|r| {
+            (
+                r.slot,
+                r.outcome == RepairOutcome::Incremental,
+                r.frame_slots_before,
+                r.frame_slots_after,
+                r.removed_allocation,
+                r.added_allocation,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
+    // Captured at ae1eebc, the last commit where `TrafficSession` was a
+    // simulator of its own: 11 reschedules (fail / reroute / repair / swap /
+    // rescue / pause) over 45 epochs, so every session mutator is on
+    // the path to these numbers. The repairs and the epoch digest were
+    // captured at the last commit that routed over a pruned graph copy.
+    let (harness, trace) = seeded_churn_world();
+    let report = harness.run(&trace, 6000, 9).unwrap();
+    assert_eq!(
+        repair_rows(&report),
+        [
+            (1390, true, 134, 122, 109, 106),
+            (1606, true, 122, 122, 48, 48),
+            (1749, true, 122, 120, 116, 119),
+            (1776, true, 120, 120, 28, 28),
+            (2044, true, 120, 148, 131, 109),
+            (2111, true, 148, 150, 2, 4),
+            (2485, true, 150, 148, 4, 2),
+            (3308, true, 148, 147, 44, 53),
+            (3695, true, 147, 148, 53, 44),
+            (4408, true, 148, 142, 39, 33),
+            (5369, true, 142, 148, 33, 39),
+        ]
+    );
+    assert_eq!(epochs_digest(&report.epochs), 0xd902_7933_12aa_f6de);
     assert_eq!(
         report.totals,
         SessionTotals {
@@ -360,6 +430,42 @@ fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
     assert_eq!(
         report.post_recovery_delivery_pct.to_bits(),
         0x4058_184d_703e_9c1d
+    );
+}
+
+#[test]
+fn a_seeded_churn_run_without_repair_is_identical_to_the_parent_commit() {
+    // The same world under the no-repair baseline, captured at the last
+    // commit that read the analytic verdict afresh at every epoch flush.
+    let (harness, trace) = seeded_churn_world();
+    let report = harness
+        .with_config(ReschedulerConfig::baseline())
+        .run(&trace, 6000, 9)
+        .unwrap();
+    assert_eq!(
+        report.totals,
+        SessionTotals {
+            injected: 3987,
+            delivered: 3891,
+            dropped: 0,
+            rescued: 0,
+            in_flight: 96,
+            peak_backlog: 157,
+        }
+    );
+    assert!(report.repairs.is_empty(), "the baseline never repairs");
+    assert!(report.final_verdict_stable);
+    // Six epochs flush an Overloaded verdict between faults, so the digest
+    // also pins *when* the verdict changes.
+    assert_eq!(report.epochs.iter().filter(|e| !e.stable).count(), 6);
+    assert_eq!(epochs_digest(&report.epochs), 0xfbb4_8d68_ca73_4bc2);
+    assert_eq!((report.epochs.len(), report.deferred_flows), (45, 0));
+    assert_eq!(report.first_fault_slot, Some(1390));
+    assert_eq!(report.time_to_recover_slots, Some(3166));
+    assert_eq!(report.outage_delivery_pct.to_bits(), 0x4057_ad31_800e_b365);
+    assert_eq!(
+        report.post_recovery_delivery_pct.to_bits(),
+        0x4056_c1cb_5d4e_f40a
     );
 }
 

@@ -152,6 +152,108 @@ fn churn_tracing_is_deterministic() {
     );
 }
 
+/// The recovery loop's counter laws, each read off `ResilienceHarness::run`:
+/// - every in-horizon trace event is applied once (`resilience.faults`);
+/// - a batch of events on one slot is rescheduled once, and the baseline
+///   never reschedules (`resilience.reschedules`);
+/// - a reschedule that still has demand calls `repair_schedule` once, which
+///   books exactly one outcome — on this mesh the four corner gateways are
+///   never all cut off, so every reschedule has demand;
+/// - one `resilience.epochs` per flushed epoch, horizon remainder included;
+/// - `traffic.rescued` is the report's `totals.rescued`;
+/// - a frame is swapped only with a repair record, so `traffic.frame_swaps`
+///   is at most `report.repairs.len()` (a record may change routes only).
+///
+/// Each trace carries a three-event batch on one slot, a flow stop alone
+/// on another (a reschedule that changes neither frame nor routes) and
+/// events past the horizon.
+#[test]
+fn the_recovery_loop_counters_obey_their_laws() {
+    let deployment = GridDeployment::new(5, 5, 180.0).build();
+    let env = RadioEnvironment::builder().build(&deployment);
+    let gateways = deployment.corner_nodes();
+    let demands = DemandVector::from_vec(
+        (0..deployment.len() as u32)
+            .map(|i| u32::from(!gateways.contains(&NodeId::new(i))))
+            .collect(),
+    );
+    let graph = env.communication_graph();
+    let links: Vec<Link> = graph.edges().map(|(u, v)| Link::new(u, v)).collect();
+    let nodes: Vec<NodeId> = (0..deployment.len() as u32)
+        .map(NodeId::new)
+        .filter(|v| !gateways.contains(v))
+        .collect();
+    let churn = ChurnConfig {
+        horizon_slots: 3_000,
+        link_failures: 3,
+        node_failures: 2,
+        flow_churns: 2,
+        fades: 1,
+        mean_outage_slots: 300.0,
+        fade_sigma_db: 4.0,
+    };
+    let horizon = 2_400;
+    let (mut rescued, mut unchanged_reschedules) = (0, 0);
+    for seed in 0..4u64 {
+        let i = seed as usize;
+        let trace = FaultPlan::new()
+            .random_churn(churn, &links, &nodes, seed)
+            .at(700, FaultKind::LinkDown(links[i]))
+            .at(700, FaultKind::NodeDown(nodes[i + 4]))
+            .at(700, FaultKind::FlowStop(nodes[i]))
+            .at(1_111, FaultKind::FlowStop(nodes[i + 8]))
+            .build();
+        let mut slots: Vec<u64> = trace
+            .events()
+            .iter()
+            .map(|e| e.slot)
+            .filter(|&slot| slot < horizon)
+            .collect();
+        let faults = slots.len() as u64;
+        assert!(
+            faults < trace.events().len() as u64,
+            "nothing past the horizon"
+        );
+        slots.dedup();
+        let batches = slots.len() as u64;
+        assert!(batches < faults, "no two faults share a slot");
+
+        for config in [ReschedulerConfig::default(), ReschedulerConfig::baseline()] {
+            let harness =
+                ResilienceHarness::new(env.clone(), gateways.clone(), demands.clone(), 0.8)
+                    .with_config(config);
+            let (report, obs) = observed(|| harness.run(&trace, horizon, seed).unwrap());
+            let counter = |name| obs.snapshot.counter(name);
+            let reschedules = if config == ReschedulerConfig::baseline() {
+                0
+            } else {
+                batches
+            };
+            assert_eq!(counter("resilience.faults"), faults, "seed {seed}");
+            assert_eq!(
+                counter("resilience.reschedules"),
+                reschedules,
+                "seed {seed}"
+            );
+            assert_eq!(
+                counter("repair.outcome.incremental") + counter("repair.outcome.rebuilt"),
+                reschedules,
+                "seed {seed}"
+            );
+            assert_eq!(counter("resilience.epochs"), report.epochs.len() as u64);
+            assert_eq!(counter("traffic.rescued"), report.totals.rescued);
+            assert!(counter("traffic.frame_swaps") <= report.repairs.len() as u64);
+            rescued += report.totals.rescued;
+            unchanged_reschedules += reschedules - report.repairs.len() as u64;
+        }
+    }
+    assert!(rescued > 0, "no packet was ever rescued");
+    assert!(
+        unchanged_reschedules > 0,
+        "every reschedule changed the frame or the routes"
+    );
+}
+
 /// Emission lives in the shared packet model, so an engine run is observable
 /// like a session: the counters are the report's own counts, two runs
 /// snapshot byte-identically, and the report is the one an uninstalled sink

@@ -4,6 +4,7 @@
 //! over [`for_cases`]' seeded streams; there is no shrinking, a failure names
 //! its case and rerunning the test reproduces it.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::seq::SliceRandom;
@@ -348,6 +349,89 @@ fn routing_forest_invariants() {
             assert_eq!(owned_links, nodes - gateways.len());
         }
     });
+}
+
+/// Fault pruning by node as it stood before the rescheduler routed over a
+/// mask: every edge between two live nodes re-inserted in `edges` order.
+fn reference_without_nodes(graph: &Graph, dead: &[NodeId]) -> Graph {
+    let mut pruned = Graph::new(graph.node_count(), graph.kind());
+    for (u, v) in graph.edges() {
+        if !dead.contains(&u) && !dead.contains(&v) {
+            pruned.add_edge(u, v).unwrap();
+        }
+    }
+    pruned
+}
+
+/// The rescheduler reroutes over the live communication graph with a mask
+/// of dead nodes and links. That is the forest, and the cut-off list, the
+/// seeded search finds over a pruned copy — because every communication
+/// graph's adjacency lists are ascending, which is asserted too. Graphs
+/// from the pair scan and (above 256 nodes) the spatial grid, shadowed and
+/// refaded.
+#[test]
+fn a_masked_reroute_equals_routing_over_a_pruned_copy() {
+    let mut cut_off_cases = 0;
+    for_cases(
+        "a_masked_reroute_equals_routing_over_a_pruned_copy",
+        CASES,
+        |draw| {
+            let (columns, rows) = if draw.gen_bool(0.25) {
+                (17, 16)
+            } else {
+                (draw.gen_range(3usize..=8), draw.gen_range(3usize..=8))
+            };
+            let deployment =
+                GridDeployment::new(columns, rows, draw.gen_range(140.0..190.0)).build();
+            let mut builder = RadioEnvironment::builder();
+            if draw.gen_bool(0.5) {
+                builder = builder.shadowing(draw.gen_range(1.0..6.0), draw.gen_range(0u64..1000));
+            }
+            let mut env = builder.build(&deployment);
+            if draw.gen_bool(0.5) {
+                env = env.refaded(
+                    Db::new(draw.gen_range(1.0..6.0)),
+                    draw.gen_range(0u64..1000),
+                );
+            }
+            let graph = env.communication_graph();
+            for v in graph.nodes() {
+                let neighbors = graph.neighbors(v);
+                assert!(
+                    neighbors.windows(2).all(|w| w[0] < w[1]),
+                    "{v}: {neighbors:?}"
+                );
+            }
+
+            let n = graph.node_count() as u32;
+            let gateways = deployment.corner_nodes()[..draw.gen_range(1usize..=4)].to_vec();
+            let dead_nodes: Vec<NodeId> = (0..draw.gen_range(0..=n / 4))
+                .map(|_| NodeId::new(draw.gen_range(0..n)))
+                .collect();
+            let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
+            let dead_links: BTreeSet<(NodeId, NodeId)> = (0..draw.gen_range(0..=edges.len() / 4))
+                .map(|_| edges[draw.gen_range(0..edges.len())])
+                .collect();
+            let seed = draw.gen_range(0..u64::MAX);
+
+            let copy = reference_without_nodes(&graph, &dead_nodes)
+                .without_edges(dead_links.iter().copied());
+            let expected = RoutingForest::shortest_path_partial(&copy, &gateways, seed).unwrap();
+            let alive = |u: NodeId, v: NodeId| {
+                !dead_nodes.contains(&u)
+                    && !dead_nodes.contains(&v)
+                    && !dead_links.contains(&(u.min(v), u.max(v)))
+            };
+            let masked =
+                RoutingForest::shortest_path_masked(&graph, &gateways, seed, alive).unwrap();
+            assert_eq!(masked, expected);
+            cut_off_cases += usize::from(!masked.1.is_empty());
+        },
+    );
+    assert!(
+        cut_off_cases >= CASES as usize / 4,
+        "{cut_off_cases} cases cut a node off"
+    );
 }
 
 /// The serialized baseline always has zero improvement and any valid
