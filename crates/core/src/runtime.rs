@@ -270,7 +270,7 @@ impl DistributedScheduler {
                     sim.channel_bits * claims * repeat,
                 );
             }
-            scream_obs::event("runtime.round", &[("claims", claims), ("repeat", repeat)]);
+            scream_obs::event("runtime.round", [("claims", claims), ("repeat", repeat)]);
         }
 
         total.stats.terminated = remaining.iter().all(|&r| r == 0);

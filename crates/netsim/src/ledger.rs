@@ -598,7 +598,7 @@ impl<'a> SlotLedger<'a> {
         let link = self.links[victim.index];
         scream_obs::event(
             "ledger.reject",
-            &[
+            [
                 ("head", candidate.head.index() as u64),
                 ("tail", candidate.tail.index() as u64),
                 ("victim_head", link.head.index() as u64),

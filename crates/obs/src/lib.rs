@@ -23,10 +23,11 @@
 //!   Obs` threaded through its signatures.
 //!
 //! Instrumented hot paths must route *all* formatting and allocation
-//! through this sink (the `O1.sink` lint rule): emission takes only
-//! `&'static str` names and `u64` values, so a disabled sink allocates
-//! nothing and the instrumented code path is byte-identical to the
-//! uninstrumented one.
+//! through this sink (`O1.sink`, which the signatures carry): emission takes
+//! only `&'static str` names, `u64` values and, for [`event`], an array of
+//! fields by value, so a heap-built name or field list does not compile, a
+//! disabled sink allocates nothing and the instrumented code path is
+//! byte-identical to the uninstrumented one.
 //!
 //! # Usage
 //!
@@ -34,7 +35,7 @@
 //! scream_obs::install();
 //! scream_obs::set_slot(3);
 //! scream_obs::counter_add("ledger.probe.reject", 1);
-//! scream_obs::event("greedy.link", &[("link", 7), ("rejects", 2)]);
+//! scream_obs::event("greedy.link", [("link", 7), ("rejects", 2)]);
 //! let report = scream_obs::uninstall().expect("sink was installed");
 //! assert_eq!(report.snapshot.counter("ledger.probe.reject"), 1);
 //! assert_eq!(report.trace.len(), 1);
@@ -203,7 +204,15 @@ pub fn snapshot() -> Option<Snapshot> {
     with_sink(|state| state.snapshot())
 }
 
-/// Adds `delta` to the named counter (no-op when disabled).
+/// Adds `delta` to the named counter (no-op when disabled). The name is a
+/// `&'static str`, so the first call compiles and the second does not:
+///
+/// ```
+/// scream_obs::counter_add("ledger.probe.reject", 1);
+/// ```
+/// ```compile_fail,E0308
+/// scream_obs::counter_add("ledger.probe.reject".to_string(), 1);
+/// ```
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
     with_sink(|state| {
@@ -212,7 +221,15 @@ pub fn counter_add(name: &'static str, delta: u64) {
     });
 }
 
-/// Sets the named gauge to `value` (no-op when disabled).
+/// Sets the named gauge to `value` (no-op when disabled). The name is
+/// static here too:
+///
+/// ```
+/// scream_obs::gauge_set("fill", 3);
+/// ```
+/// ```compile_fail,E0308
+/// scream_obs::gauge_set(String::from("fill"), 3);
+/// ```
 #[inline]
 pub fn gauge_set(name: &'static str, value: u64) {
     with_sink(|state| {
@@ -230,10 +247,26 @@ pub fn observe(name: &'static str, value: u64) {
 }
 
 /// Emits a trace event stamped with the current slot clock (no-op when
-/// disabled). `fields` are copied into the ring only when a sink is
-/// installed, so a disabled sink allocates nothing.
+/// disabled). `fields` are an array taken by value and copied into the ring
+/// only when a sink is installed, so a disabled sink allocates nothing. The
+/// name is static and the fields an array, so neither can be built on the
+/// heap: the first call compiles, and each of the others differs from it in
+/// one expression and does not.
+///
+/// ```
+/// scream_obs::event("greedy.link", [("head", 7)]);
+/// ```
+/// ```compile_fail,E0716
+/// scream_obs::event(&format!("greedy.link.{}", 7), [("head", 7)]);
+/// ```
+/// ```compile_fail,E0308
+/// scream_obs::event("greedy.link", &vec![("head", 7)]);
+/// ```
+/// ```compile_fail,E0308
+/// scream_obs::event("greedy.link", vec![("head", 7)]);
+/// ```
 #[inline]
-pub fn event(name: &'static str, fields: &[(&'static str, u64)]) {
+pub fn event<const N: usize>(name: &'static str, fields: [(&'static str, u64); N]) {
     with_sink(|state| {
         let seq = state.emitted_events;
         state.emitted_events = seq.saturating_add(1);
@@ -293,7 +326,7 @@ mod tests {
         counter_add("c", 1);
         gauge_set("g", 2);
         observe("h", 3);
-        event("e", &[("k", 4)]);
+        event("e", [("k", 4)]);
         assert_eq!(next_probe(), 0);
         assert!(snapshot().is_none());
         assert!(uninstall().is_none());
@@ -322,7 +355,7 @@ mod tests {
         set_round(2);
         set_epoch(1);
         let p = next_probe();
-        event("probe.done", &[("ok", 1)]);
+        event("probe.done", [("ok", 1)]);
         let report = uninstall().expect("installed");
         let e = &report.trace[0];
         assert_eq!((e.slot, e.round, e.epoch, e.probe), (5, 2, 1, p));
@@ -333,9 +366,9 @@ mod tests {
     #[test]
     fn trace_ring_keeps_first_and_counts_drops() {
         install_with_capacity(2);
-        event("a", &[]);
-        event("b", &[]);
-        event("c", &[]);
+        event("a", []);
+        event("b", []);
+        event("c", []);
         let report = uninstall().expect("installed");
         assert_eq!(report.trace.len(), 2);
         assert_eq!(report.dropped_events, 1);

@@ -239,7 +239,7 @@ impl ResilienceHarness {
                 scream_obs::counter_add("resilience.epochs", 1);
                 scream_obs::event(
                     "resilience.epoch",
-                    &[
+                    [
                         ("injected", metrics.injected),
                         ("delivered", metrics.delivered),
                         ("dropped", metrics.dropped),

@@ -141,7 +141,7 @@ impl GreedyPhysical {
             scream_obs::observe("greedy.firstfit.depth", placed.first_fit_depth);
             scream_obs::event(
                 "greedy.link",
-                &[
+                [
                     ("head", link.head.index() as u64),
                     ("tail", link.tail.index() as u64),
                     ("probed", placed.probed),

@@ -170,7 +170,7 @@ pub fn repair_schedule<M: SlotFeasibility>(
 
     scream_obs::counter_add("repair.stripped_allocation", removed);
     scream_obs::counter_add("repair.added_allocation", added);
-    scream_obs::event("repair.patch", &[("removed", removed), ("added", added)]);
+    scream_obs::event("repair.patch", [("removed", removed), ("added", added)]);
 
     if feasible && verify_frame(model, &repaired, Some(target), None).is_ok() {
         scream_obs::counter_add("repair.outcome.incremental", 1);

@@ -37,7 +37,15 @@
 //! smallest key before its predecessor has popped, and it is in the queue
 //! from that moment on. The sequence must be the reserved one — a fresh
 //! number would put the departure behind arrivals armed in between and
-//! reorder same-instant ties. So the event queue holds at most one
+//! reorder same-instant ties. At one instant, then, a head's departure and
+//! an arrival pop in the order they were *booked* — the departure when its
+//! packet joined the queue, the arrival when its source's previous arrival
+//! was handled — while the next hop's enqueue is no event at all but part
+//! of the departure that causes it: it happens before anything else at that
+//! instant pops, so a forwarded packet joins the next queue ahead of a
+//! same-instant arrival booked later, and its own departure falls at least
+//! one slot on (it is ready only for the slot after the instant). So the
+//! event queue holds at most one
 //! departure per registered link plus one arrival per source, whatever the
 //! backlog, and a run costs O(packet-hops · log(links + sources)) plus
 //! O(log #windows) per hop — whatever the frame's slot count, so an idle
@@ -479,7 +487,7 @@ impl<R: Router> Sim<R> {
         scream_obs::gauge_set("traffic.events.pending_peak", pending_peak as u64);
         scream_obs::event(
             "traffic.segment",
-            &[
+            [
                 ("injected", segment.injected),
                 ("delivered", segment.delivered),
                 ("dropped", segment.dropped),

@@ -3,9 +3,17 @@
 //! schedulers and churn runs, and a disabled (or zero-capacity) sink must
 //! leave every schedule and report byte-identical to the uninstrumented run.
 
+use std::collections::BTreeSet;
+
+use rand::Rng;
+
 use scream::obs;
 use scream::prelude::*;
 use scream_bench::{PaperScenario, RecoveryExperiment, ScenarioInstance};
+
+#[path = "common/cases.rs"]
+mod cases;
+use cases::for_cases;
 
 /// The 16-node paper grid at 2000 nodes/km² — the same world the unit tests
 /// and `trace_schedule` exercise, small enough to schedule in milliseconds.
@@ -252,6 +260,128 @@ fn the_recovery_loop_counters_obey_their_laws() {
         unchanged_reschedules > 0,
         "every reschedule changed the frame or the routes"
     );
+}
+
+/// Three laws of the scheduling counters, over shadowed planned and
+/// unplanned paper meshes of 9–25 nodes on one and two channels:
+/// - a verification that passes fills each run of the frame once, so
+///   `verify.patterns.filled` is `schedule.runs().count()` and
+///   `verify.entries.filled` the runs' summed pattern sizes;
+/// - `greedy.schedule.length` is the returned schedule's `length()`;
+/// - first-fit rejects only runs it probed: `greedy.runs.probed ≥
+///   greedy.runs.rejected`.
+#[test]
+fn the_scheduling_counters_obey_their_laws() {
+    for_cases("the_scheduling_counters_obey_their_laws", 16, |draw| {
+        let density = draw.gen_range(1_000.0..4_000.0);
+        let scenario = if draw.gen_bool(0.5) {
+            PaperScenario::grid(density)
+        } else {
+            PaperScenario::uniform(density)
+        };
+        let instance = scenario
+            .with_node_count(draw.gen_range(9usize..=25))
+            .with_shadowing(Db::new(draw.gen_range(2.0..8.0)))
+            .with_channel_count(draw.gen_range(1usize..=2))
+            .instantiate(draw.gen_range(0u64..1_000))
+            .expect("dense paper meshes connect");
+
+        let (schedule, build) = observed(|| instance.run_centralized());
+        let length = build.snapshot.gauges.get("greedy.schedule.length");
+        assert_eq!(length, Some(&(schedule.length() as u64)));
+        let counter = |name| build.snapshot.counter(name);
+        assert!(counter("greedy.runs.probed") >= counter("greedy.runs.rejected"));
+
+        let (verdict, verify) =
+            observed(|| verify_schedule(&instance.env, &schedule, &instance.link_demands));
+        verdict.expect("a greedy frame verifies");
+        let counter = |name| verify.snapshot.counter(name);
+        let entries: u64 = schedule
+            .runs()
+            .map(|(pattern, _)| pattern.len() as u64)
+            .sum();
+        assert_eq!(
+            counter("verify.patterns.filled"),
+            schedule.runs().count() as u64
+        );
+        assert_eq!(counter("verify.entries.filled"), entries);
+    });
+}
+
+/// Every metric name product code emits, counter, gauge or histogram. A name
+/// the sink sees that is missing here (new, renamed or misspelt) fails
+/// [`the_sink_sees_only_documented_names`]: list it in the change that emits it.
+const METRIC_NAMES: &str = "\
+    ledger.channel.reject_radio ledger.exact.fallback ledger.exact.fallback_existing \
+    ledger.farfield.accept ledger.farfield.skip_existing ledger.probe.accept \
+    ledger.probe.reject ledger.probe.reject_endpoint ledger.prune.scan_reject \
+    ledger.scan.entries ledger.victim.memo_reject ledger.victim.reject \
+    greedy.firstfit.depth greedy.links greedy.runs.probed greedy.runs.rejected \
+    greedy.runs.skipped greedy.schedule.length greedy.schedule.patterns greedy.solo_runs \
+    greedy.splits verify.entries.filled verify.patterns.filled \
+    repair.added_allocation repair.outcome.incremental repair.outcome.rebuilt \
+    repair.refill.links repair.refill.solo_runs repair.runs.filled repair.runs.probed \
+    repair.runs.rejected repair.runs.skipped repair.stripped_allocation \
+    runtime.announcement_bits runtime.claims runtime.rounds runtime.rounds.executed \
+    runtime.vetoes traffic.backlog traffic.delivered traffic.dropped traffic.events \
+    traffic.events.pending_peak traffic.frame_swaps traffic.injected traffic.link_failures \
+    traffic.rescue_dropped traffic.rescued resilience.epochs resilience.faults \
+    resilience.reschedules";
+
+/// The names a build, its verification, a fade and its repair, an FDD and a
+/// PDD run, a traffic run and a churn run leave in the sink, on one channel
+/// and on two, are all in [`METRIC_NAMES`], and every layer emitted some.
+#[test]
+fn the_sink_sees_only_documented_names() {
+    let documented: BTreeSet<&str> = METRIC_NAMES.split_whitespace().collect();
+    let mut seen = BTreeSet::new();
+    for channels in [1, 2] {
+        let instance = PaperScenario::grid(2_000.0)
+            .with_node_count(16)
+            .with_channel_count(channels)
+            .instantiate(7)
+            .unwrap();
+        let experiment = RecoveryExperiment::from_instance(&instance);
+        let f0 = experiment.initial_frame_slots(0.7).unwrap();
+        let trace = FaultPlan::new()
+            .link_down(experiment.failed_link().unwrap(), 5 * f0)
+            .build();
+        let ((), report) = observed(|| {
+            let schedule = instance.run_centralized();
+            verify_schedule(&instance.env, &schedule, &instance.link_demands).unwrap();
+            let faded = instance.env.refaded(Db::new(6.0), 11);
+            repair_schedule(&faded, &schedule, &instance.link_demands);
+            instance.run_protocol(ProtocolKind::Fdd).unwrap();
+            instance
+                .run_protocol(ProtocolKind::pdd(0.6).unwrap())
+                .unwrap();
+            instance.run_traffic(&schedule, 0.8, 50).unwrap();
+            experiment.harness(0.7).run(&trace, 20 * f0, 3).unwrap();
+        });
+        let snapshot = report.snapshot;
+        seen.extend(snapshot.counters.keys().chain(snapshot.gauges.keys()));
+        seen.extend(snapshot.histograms.keys());
+    }
+    let undocumented: Vec<&str> = seen.difference(&documented).copied().collect();
+    assert!(
+        undocumented.is_empty(),
+        "emitted but not in METRIC_NAMES: {undocumented:?}"
+    );
+    for layer in [
+        "ledger",
+        "greedy",
+        "verify",
+        "repair",
+        "runtime",
+        "traffic",
+        "resilience",
+    ] {
+        let prefix = format!("{layer}.");
+        assert!(
+            seen.iter().any(|name| name.starts_with(&prefix)),
+            "nothing from {layer}"
+        );
+    }
 }
 
 /// Emission lives in the shared packet model, so an engine run is observable
