@@ -74,6 +74,15 @@
     )
 )]
 
+// The API census's scrub and scan (`tests/api_census.rs`), unit-tested with
+// the facade: test code only, nothing of it reaches the library.
+#[cfg(test)]
+#[path = "../tests/common/lexer.rs"]
+mod lexer;
+#[cfg(test)]
+#[path = "../tests/common/scan.rs"]
+mod scan;
+
 /// Node deployments, graphs, routing forests and demands (`scream-topology`).
 pub mod topology {
     pub use scream_topology::*;

@@ -10,219 +10,17 @@
 //! *names*, so a caller-less fn whose name a field or another fn shares is
 //! invisible to it. [`every_product_lib_opts_into_the_clippy_carried_rules`]
 //! checks that every product crate opts into the rules clippy carries.
+//! The scrub and the per-file scan are `tests/common/{lexer,scan}.rs`, whose
+//! unit tests the facade's `src/lib.rs` runs too.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::iter;
+#[path = "common/lexer.rs"]
+mod lexer;
+#[path = "common/scan.rs"]
+mod scan;
+
 use std::path::{Path, PathBuf};
 
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// Whether a token of [`tokens`] is an identifier (a keyword counts).
-fn is_ident(token: &str) -> bool {
-    token.starts_with(is_ident_char)
-}
-
-/// `src` with every comment, string, byte string, raw string and char
-/// literal blanked to spaces, newlines kept, so that a name inside prose or a
-/// literal is not taken for a use and lines still count. Lifetimes and labels
-/// (`'a`) survive; char literals (`'a'`, `'\n'`) do not.
-fn scrub(src: &str) -> String {
-    let chars: Vec<char> = src.chars().collect();
-    let n = chars.len();
-    let mut out = chars.clone();
-    let mut i = 0;
-    while i < n {
-        let next = chars.get(i + 1).copied();
-        let end = match chars[i] {
-            '/' if next == Some('/') => (i..n).find(|&k| chars[k] == '\n').unwrap_or(n),
-            '/' if next == Some('*') => block_comment_end(&chars, i),
-            '"' => quoted_end(&chars, i),
-            '\'' if next == Some('\\') || chars.get(i + 2) == Some(&'\'') => quoted_end(&chars, i),
-            'r' | 'b' if i == 0 || !is_ident_char(chars[i - 1]) => {
-                raw_or_byte_end(&chars, i).unwrap_or(i)
-            }
-            _ => i,
-        };
-        if end > i {
-            for c in &mut out[i..end] {
-                if *c != '\n' {
-                    *c = ' ';
-                }
-            }
-            i = end;
-        } else {
-            i += 1;
-        }
-    }
-    out.into_iter().collect()
-}
-
-/// End (exclusive) of the block comment opening at `i`; block comments nest.
-fn block_comment_end(chars: &[char], i: usize) -> usize {
-    let (mut k, mut depth) = (i + 2, 1);
-    while k < chars.len() && depth > 0 {
-        match (chars[k], chars.get(k + 1)) {
-            ('/', Some('*')) => (depth, k) = (depth + 1, k + 2),
-            ('*', Some('/')) => (depth, k) = (depth - 1, k + 2),
-            _ => k += 1,
-        }
-    }
-    k.min(chars.len())
-}
-
-/// End (exclusive) of the string or char literal whose opening quote is at
-/// `i`, skipping escaped characters.
-fn quoted_end(chars: &[char], i: usize) -> usize {
-    let mut k = i + 1;
-    while k < chars.len() {
-        match chars[k] {
-            '\\' => k += 2,
-            c if c == chars[i] => return k + 1,
-            _ => k += 1,
-        }
-    }
-    chars.len()
-}
-
-/// If `i` starts a raw string, byte string or byte char (`r"`, `r#"`, `b"`,
-/// `b'`, `br"`, `br#"`), its end (exclusive); `None` for an identifier such
-/// as `r#type` or `bar`.
-fn raw_or_byte_end(chars: &[char], i: usize) -> Option<usize> {
-    let j = i + usize::from(chars[i] == 'b');
-    match chars.get(j) {
-        Some('\'' | '"') if j > i => return Some(quoted_end(chars, j)),
-        Some('r') => {}
-        _ => return None,
-    }
-    let hashes = chars[j + 1..].iter().take_while(|&&c| c == '#').count();
-    let open = j + 1 + hashes;
-    if chars.get(open) != Some(&'"') {
-        return None;
-    }
-    let close: Vec<char> = iter::once('"').chain(iter::repeat_n('#', hashes)).collect();
-    let end = (open + 1..chars.len()).find(|&k| chars[k..].starts_with(&close));
-    Some(end.map_or(chars.len(), |k| k + close.len()))
-}
-
-/// The identifiers and punctuation characters of scrubbed text, each with its
-/// 1-based line. Numeric literals, suffix included, are dropped.
-fn tokens(text: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut line = 1;
-    let mut chars = text.char_indices().peekable();
-    while let Some((at, c)) = chars.next() {
-        if c == '\n' {
-            line += 1;
-        } else if is_ident_char(c) {
-            let mut end = at + 1;
-            while let Some((k, _)) = chars.next_if(|&(_, d)| is_ident_char(d)) {
-                end = k + 1;
-            }
-            if !c.is_ascii_digit() {
-                out.push((line, &text[at..end]));
-            }
-        } else if !c.is_whitespace() {
-            out.push((line, &text[at..at + c.len_utf8()]));
-        }
-    }
-    out
-}
-
-/// For each token, whether it is test code: inside the braces of an item
-/// under `#[test]`, `#[cfg(test)]` or any attribute naming `test` without
-/// `not`. An attribute's own tokens belong to the code around it.
-fn test_regions(toks: &[(usize, &str)]) -> Vec<bool> {
-    let at = |i: usize| toks.get(i).map(|t| t.1);
-    let mut in_test = Vec::with_capacity(toks.len());
-    // One entry per open brace: whether it opened a test region.
-    let mut braces: Vec<bool> = Vec::new();
-    let (mut open_tests, mut parens, mut pending) = (0, 0, false);
-    let mut i = 0;
-    while i < toks.len() {
-        let here = open_tests > 0;
-        let bracket = i + 1 + usize::from(at(i + 1) == Some("!"));
-        if at(i) == Some("#") && at(bracket) == Some("[") {
-            let (mut depth, mut end) = (0, bracket);
-            while end < toks.len() {
-                depth += i32::from(toks[end].1 == "[") - i32::from(toks[end].1 == "]");
-                end += 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            let names = &toks[bracket..end];
-            if names.iter().any(|t| t.1 == "test") && !names.iter().any(|t| t.1 == "not") {
-                (pending, parens) = (true, 0);
-            }
-            in_test.resize(end, here);
-            i = end;
-            continue;
-        }
-        in_test.push(here);
-        match toks[i].1 {
-            "(" => parens += 1,
-            ")" => parens -= 1,
-            ";" if parens <= 0 => pending = false,
-            "{" => {
-                let opens_test = pending && parens <= 0;
-                if opens_test {
-                    (pending, open_tests) = (false, open_tests + 1);
-                }
-                braces.push(opens_test);
-            }
-            "}" => open_tests -= i32::from(braces.pop() == Some(true)),
-            _ => {}
-        }
-        i += 1;
-    }
-    in_test
-}
-
-/// For every identifier, how many of `files` mention it outside comments
-/// and literals, test code included.
-fn mentions<'a>(files: impl IntoIterator<Item = &'a str>) -> BTreeMap<String, usize> {
-    let mut counts = BTreeMap::new();
-    for src in files {
-        let text = scrub(src);
-        let names: BTreeSet<&str> = tokens(&text)
-            .into_iter()
-            .map(|t| t.1)
-            .filter(|t| is_ident(t))
-            .collect();
-        for name in names {
-            *counts.entry(name.to_string()).or_default() += 1;
-        }
-    }
-    counts
-}
-
-/// `S1.caller` over one library file: the `(line, name)` of each non-test
-/// `pub fn` (or `pub const fn`) that no other file of `census` mentions and
-/// that `src` mentions only where it defines it and in test code.
-fn test_only_pub_fns(src: &str, census: &BTreeMap<String, usize>) -> Vec<(usize, String)> {
-    let text = scrub(src);
-    let toks = tokens(&text);
-    let in_test = test_regions(&toks);
-    let name_at = |i: usize| toks.get(i).map(|t| t.1).filter(|t| is_ident(t));
-    let used_here: BTreeSet<&str> = (0..toks.len())
-        .filter(|&i| !in_test[i] && (i == 0 || toks[i - 1].1 != "fn"))
-        .filter_map(name_at)
-        .collect();
-    let mut found = Vec::new();
-    for i in (0..toks.len()).filter(|&i| !in_test[i] && toks[i].1 == "pub") {
-        let at_fn = i + 1 + usize::from(name_at(i + 1) == Some("const"));
-        let (Some("fn"), Some(name)) = (name_at(at_fn), name_at(at_fn + 1)) else {
-            continue;
-        };
-        // The file itself is one of the files that mention the name.
-        if !used_here.contains(name) && census.get(name).is_none_or(|&n| n <= 1) {
-            found.push((toks[at_fn + 1].0, name.to_string()));
-        }
-    }
-    found
-}
+use scan::{mentions, test_only_pub_fns};
 
 /// The workspace root, which holds this test's package.
 fn root() -> &'static Path {
@@ -342,34 +140,4 @@ fn every_product_lib_opts_into_the_clippy_carried_rules() {
         let entry = format!("path = \"{path}\"");
         assert!(toml.contains(&entry), "clippy.toml must list {entry}");
     }
-}
-
-/// The census on a fixture: of the three `pub fn`s only the one that just
-/// its own tests mention is flagged, at its line, and a mention in another
-/// file clears it. No mention inside a comment or literal counts: the scrub
-/// blanks line and nested block comments, strings with escaped quotes, raw
-/// and byte raw strings and char literals, and keeps lifetimes, code and the
-/// newlines inside literals.
-#[test]
-fn the_census_flags_a_pub_fn_only_its_own_tests_mention() {
-    let src = r#"
-pub fn used_here() -> &'static str { "one
-two" }
-pub fn used_elsewhere<'a>(s: &'a str) -> &'a str { used_here(); s }
-pub const fn test_only() -> u32 { 2 }
-pub(crate) fn not_public() {}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { assert_eq!(super::test_only(), 2); }
-}
-"#;
-    let judged = |other: &str| test_only_pub_fns(src, &mentions([src, other]));
-    let flagged = vec![(5, "test_only".to_string())];
-    assert_eq!(judged("fn main() { used_elsewhere(); }"), flagged);
-    assert!(judged("fn main() { used_elsewhere(); test_only(); }").is_empty());
-    let unheard = r###"fn main() { used_elsewhere(); /* a /* b */ test_only() */
-        let _ = ("\" test_only", r#"a"test_only"#, br#"b"test_only"#, '"', "test_only");
-    } // test_only()"###;
-    assert_eq!(judged(unheard), flagged);
 }
