@@ -20,7 +20,7 @@ use crate::instance::AnalysisError;
 
 /// Which deployment family an observation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DiameterScenario {
+pub(crate) enum DiameterScenario {
     /// Square grid with range equal to the grid step (Theorem 2).
     SquareGrid,
     /// Uniform random deployment in the unit square with the
@@ -36,7 +36,7 @@ pub enum DiameterScenario {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiameterObservation {
     /// The deployment family.
-    pub scenario: DiameterScenario,
+    pub(crate) scenario: DiameterScenario,
     /// Number of nodes.
     pub node_count: usize,
     /// Average node degree `ρ(G)` (Definition 6).

@@ -23,26 +23,26 @@ use crate::instance::{AnalysisError, Instance};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EquivalenceOutcome {
     /// Number of nodes in the instance.
-    pub node_count: usize,
+    pub(crate) node_count: usize,
     /// Number of orthogonal channels both schedulers ran with (1 is the
     /// paper's single shared channel).
-    pub channel_count: usize,
+    pub(crate) channel_count: usize,
     /// Total traffic demand of the instance.
-    pub total_demand: u64,
+    pub(crate) total_demand: u64,
     /// Length of the centralized GreedyPhysical schedule.
-    pub centralized_length: usize,
+    pub(crate) centralized_length: usize,
     /// Length of the FDD schedule.
-    pub fdd_length: usize,
+    pub(crate) fdd_length: usize,
     /// Distinct slot patterns in the centralized schedule's run-length form
     /// (its actual memory footprint; `centralized_length` can be arbitrarily
     /// larger under heavy demand).
-    pub centralized_patterns: usize,
+    pub(crate) centralized_patterns: usize,
     /// Distinct slot patterns in the FDD schedule's run-length form.
-    pub fdd_patterns: usize,
+    pub(crate) fdd_patterns: usize,
     /// Whether the two schedules are identical slot-by-slot.
     pub identical: bool,
     /// Whether both schedules passed feasibility + demand verification.
-    pub both_valid: bool,
+    pub(crate) both_valid: bool,
 }
 
 /// Aggregated result over a batch of random instances.

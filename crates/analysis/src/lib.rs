@@ -44,13 +44,13 @@ pub mod equivalence;
 mod instance;
 
 pub use complexity::{ComplexityObservation, ComplexityReport};
-pub use diameter::{DiameterObservation, DiameterScenario};
+pub use diameter::DiameterObservation;
 pub use equivalence::{EquivalenceOutcome, EquivalenceReport};
 pub use instance::AnalysisError;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
     pub use crate::complexity::{ComplexityObservation, ComplexityReport};
-    pub use crate::diameter::{DiameterObservation, DiameterScenario};
+    pub use crate::diameter::DiameterObservation;
     pub use crate::equivalence::{EquivalenceOutcome, EquivalenceReport};
 }

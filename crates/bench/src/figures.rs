@@ -14,7 +14,7 @@ use scream_scheduling::{verify_schedule, GreedyPhysical, Schedule};
 
 use crate::error::BenchError;
 use crate::report::Table;
-use crate::scenario::{heavy_demand_instance_on_channels, PaperScenario};
+use crate::scenario::{heavy_demand_instance, PaperScenario};
 use crate::sweep::ScenarioSweep;
 
 /// One row of the Figure 6 series: percentage improvement over the serialized
@@ -22,17 +22,17 @@ use crate::sweep::ScenarioSweep;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ImprovementRow {
     /// Node density in nodes per square kilometer.
-    pub density_per_km2: f64,
+    pub(crate) density_per_km2: f64,
     /// Centralized GreedyPhysical improvement (%).
-    pub centralized: f64,
+    pub(crate) centralized: f64,
     /// FDD improvement (%).
-    pub fdd: f64,
+    pub(crate) fdd: f64,
     /// PDD improvement (%) with p = 0.2.
-    pub pdd_02: f64,
+    pub(crate) pdd_02: f64,
     /// PDD improvement (%) with p = 0.6.
-    pub pdd_06: f64,
+    pub(crate) pdd_06: f64,
     /// PDD improvement (%) with p = 0.8.
-    pub pdd_08: f64,
+    pub(crate) pdd_08: f64,
 }
 
 /// Figure 6: schedule-length improvement over the serialized schedule for the
@@ -139,11 +139,11 @@ pub fn improvement_table(title: &str, rows: &[ImprovementRow]) -> Table {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionTimeRow {
     /// The swept parameter value (bytes or slots, depending on the series).
-    pub parameter: usize,
+    pub(crate) parameter: usize,
     /// FDD execution time in seconds.
-    pub fdd_secs: f64,
+    pub(crate) fdd_secs: f64,
     /// PDD (p = 0.8) execution time in seconds.
-    pub pdd_secs: f64,
+    pub(crate) pdd_secs: f64,
 }
 
 /// Figure 8 data: execution time as a function of SCREAM size (first vector)
@@ -197,11 +197,11 @@ pub fn execution_time_table(title: &str, parameter_name: &str, rows: &[Execution
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClockSkewRow {
     /// Clock-skew bound in seconds.
-    pub skew_secs: f64,
+    pub(crate) skew_secs: f64,
     /// FDD execution time in seconds.
-    pub fdd_secs: f64,
+    pub(crate) fdd_secs: f64,
     /// PDD (p = 0.2) execution time in seconds.
-    pub pdd_secs: f64,
+    pub(crate) pdd_secs: f64,
 }
 
 /// Figure 9 data: execution time as a function of the clock-skew bound
@@ -253,27 +253,27 @@ pub fn clock_skew_table(rows: &[ClockSkewRow]) -> Table {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChannelAblationRow {
     /// Number of orthogonal channels.
-    pub channel_count: usize,
+    pub(crate) channel_count: usize,
     /// Length of the channel-aware centralized schedule.
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// The ideal multi-channel length `ceil(single_channel_slots / C)`.
-    pub ideal_slots: usize,
+    pub(crate) ideal_slots: usize,
     /// `slots / ideal_slots` — 1.0 means the schedule achieves the full
     /// `1/C` shrink; the acceptance bar is ≤ 1.1 (within 10 % of ideal).
-    pub ratio_vs_ideal: f64,
+    pub(crate) ratio_vs_ideal: f64,
     /// Average concurrent transmissions per slot, across all channels.
-    pub spatial_reuse: f64,
+    pub(crate) spatial_reuse: f64,
     /// Length of the verified channel-aware **distributed** FDD schedule on
     /// the same instance, when the FDD column was requested. By the
     /// channel-aware Theorem 4 it equals `slots`, so FDD reproduces the
     /// exact `1/C` shrink.
-    pub fdd_slots: Option<usize>,
+    pub(crate) fdd_slots: Option<usize>,
     /// `fdd_slots / ideal_slots`, when the FDD column was requested.
-    pub fdd_ratio_vs_ideal: Option<f64>,
+    pub(crate) fdd_ratio_vs_ideal: Option<f64>,
 }
 
 /// Channel-ablation data: the centralized schedule on the fixed 64-link
-/// heavy-demand instance ([`heavy_demand_instance_on_channels`]) for each
+/// heavy-demand instance (`heavy_demand_instance`) for each
 /// requested channel count, each verified, compared against the ideal
 /// `ceil(L₁ / C)` shrink. The instance's links are pairwise
 /// endpoint-disjoint, so its conflicts are purely SINR-driven — exactly the
@@ -289,7 +289,7 @@ pub fn channel_ablation(
     channel_counts: &[usize],
     with_fdd: bool,
 ) -> Result<Vec<ChannelAblationRow>, BenchError> {
-    let (env, demands) = heavy_demand_instance_on_channels(demand_per_link, 1)?;
+    let (env, demands) = heavy_demand_instance(demand_per_link, 1)?;
     let single = GreedyPhysical::paper_baseline().schedule(&env, &demands);
     verify_schedule(&env, &single, &demands)?;
     channel_counts
@@ -299,7 +299,7 @@ pub fn channel_ablation(
             // already-verified centralized baseline); other channel counts
             // redraw the instance with their own radio configuration.
             let cell = (channels != 1)
-                .then(|| heavy_demand_instance_on_channels(demand_per_link, channels))
+                .then(|| heavy_demand_instance(demand_per_link, channels))
                 .transpose()?;
             let (cell_env, cell_demands) = cell.as_ref().map_or((&env, &demands), |(e, d)| (e, d));
             let (length, spatial_reuse) = if channels == 1 {
@@ -369,15 +369,15 @@ pub fn channel_ablation_table(demand_per_link: u64, rows: &[ChannelAblationRow])
 
 /// One schedule's packet-level outcome at one offered-load factor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LoadPoint {
+pub(crate) struct LoadPoint {
     /// Mean end-to-end delay over delivered packets, in slots.
-    pub mean_delay_slots: f64,
+    pub(crate) mean_delay_slots: f64,
     /// 95th-percentile end-to-end delay, in slots.
-    pub delay_p95_slots: f64,
+    pub(crate) delay_p95_slots: f64,
     /// Percentage of injected packets delivered within the horizon.
-    pub throughput_pct: f64,
+    pub(crate) throughput_pct: f64,
     /// Analytic stability verdict at this load.
-    pub stable: bool,
+    pub(crate) stable: bool,
 }
 
 /// One row of the delay-vs-load series: the traffic engine's outcome on the
@@ -386,16 +386,16 @@ pub struct LoadPoint {
 pub struct DelayVsLoadRow {
     /// Offered-load factor relative to the **centralized** frame's capacity
     /// (1.0 saturates every link of the centralized/FDD frame).
-    pub offered_load: f64,
+    pub(crate) offered_load: f64,
     /// Outcome on the centralized GreedyPhysical frame.
-    pub centralized: LoadPoint,
+    pub(crate) centralized: LoadPoint,
     /// Outcome on the distributed FDD frame (equal to the centralized frame
     /// by Theorem 4, so its knee coincides).
-    pub fdd: LoadPoint,
+    pub(crate) fdd: LoadPoint,
     /// Outcome on the distributed PDD (p = 0.8) frame. PDD frames are
     /// longer, so their per-link shares are smaller and the knee arrives at
     /// a lower absolute load — the measurable cost of randomization.
-    pub pdd_08: LoadPoint,
+    pub(crate) pdd_08: LoadPoint,
 }
 
 /// Delay-vs-load data on the paper grid scenario: the same absolute packet

@@ -48,8 +48,5 @@ pub mod sweep;
 pub use error::BenchError;
 pub use recovery::{recovery_vs_load, RecoveryExperiment, RecoveryPoint, RecoveryReport};
 pub use report::Table;
-pub use scenario::{
-    heavy_demand_instance, heavy_demand_instance_on_channels, LargeScaleScenario, PaperScenario,
-    ScenarioInstance, Topology,
-};
-pub use sweep::{ScenarioSweep, SweepCell, SweepPoint, SweepReport, TrafficPoint};
+pub use scenario::{LargeScaleScenario, PaperScenario, ScenarioInstance, Topology};
+pub use sweep::{ScenarioSweep, SweepPoint, SweepReport};

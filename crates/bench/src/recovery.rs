@@ -113,9 +113,9 @@ impl RecoveryExperiment {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPoint {
     /// Offered-load factor (per-link utilization of the pre-fault frame).
-    pub offered_load: f64,
+    pub(crate) offered_load: f64,
     /// Instance seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Pre-fault frame length in slots.
     pub frame_slots_initial: u64,
     /// Slot of the injected link failure.
@@ -141,7 +141,7 @@ pub struct RecoveryPoint {
     /// Rescheduler: peak in-flight backlog (the disruption cost).
     pub disruption_peak_backlog: u64,
     /// Rescheduler: flows still deferred by admission at the horizon.
-    pub deferred_flows: usize,
+    pub(crate) deferred_flows: usize,
     /// Rescheduler: analytic verdict at the horizon.
     pub stable: bool,
 }
@@ -203,7 +203,7 @@ pub struct RecoveryReport {
 
 impl RecoveryReport {
     /// The table's column headers.
-    pub const COLUMNS: [&'static str; 16] = [
+    pub(crate) const COLUMNS: [&'static str; 16] = [
         "offered_load",
         "seed",
         "frame_slots",

@@ -49,11 +49,6 @@ impl Table {
         self.push_row(cells);
     }
 
-    /// The table's title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -127,7 +122,6 @@ mod tests {
         assert!(text.contains("55.0"));
         assert!(text.contains("44.1"));
         assert_eq!(t.row_count(), 2);
-        assert_eq!(t.title(), "Fig. X");
         // Every data line has the same number of columns.
         let lines: Vec<&str> = text.lines().skip(3).collect();
         assert!(lines.iter().all(|l| l.split_whitespace().count() == 3));

@@ -39,45 +39,41 @@ pub struct PaperScenario {
     /// Topology family.
     pub topology: Topology,
     /// Number of mesh nodes (64 in the paper).
-    pub node_count: usize,
-    /// Number of gateway nodes (4 in the paper).
-    pub gateway_count: usize,
+    pub(crate) node_count: usize,
     /// Node density in nodes per square kilometer (the paper sweeps roughly
     /// 1 000 – 25 000).
     pub density_per_km2: f64,
-    /// Per-node demand distribution (uniform `[1, 10]` in the paper).
-    pub demand: DemandConfig,
     /// Log-normal shadowing standard deviation (0 dB disables shadowing).
     pub shadowing_sigma_db: Db,
+    /// Number of orthogonal channels available to the schedulers (the paper
+    /// — and hence the default — is the single shared channel).
+    pub(crate) channel_count: usize,
+}
+
+impl PaperScenario {
+    /// Number of gateway nodes (4 in the paper).
+    pub(crate) const GATEWAY_COUNT: usize = 4;
+    /// Per-node demand distribution (uniform `[1, 10]` in the paper).
+    pub(crate) const DEMAND: DemandConfig = DemandConfig::PAPER;
     /// Path-loss exponent (3 in the paper).
-    pub path_loss_exponent: f64,
+    pub(crate) const PATH_LOSS_EXPONENT: f64 = 3.0;
     /// Mean transmit power. The paper does not state the power used in
     /// GTNetS; 10 dBm gives a ~100 m interference-free range under the
     /// defaults here, which makes the 64-node deployments genuinely
     /// multi-hop across the evaluated density range.
-    pub tx_power_dbm: Dbm,
+    pub(crate) const TX_POWER_DBM: Dbm = Dbm::new(10.0);
     /// SINR threshold β. The paper does not state β; 6 dB corresponds to a
     /// DSSS-rate 802.11 link and is the reproduction default; every table in
     /// `FIGURES.txt` is at this β.
-    pub sinr_threshold_db: Db,
-    /// Number of orthogonal channels available to the schedulers (the paper
-    /// — and hence the default — is the single shared channel).
-    pub channel_count: usize,
-}
+    pub(crate) const SINR_THRESHOLD_DB: Db = Db::new(6.0);
 
-impl PaperScenario {
     /// The planned (grid) scenario of Figure 6 at the given density.
     pub fn grid(density_per_km2: f64) -> Self {
         Self {
             topology: Topology::PlannedGrid,
             node_count: 64,
-            gateway_count: 4,
             density_per_km2,
-            demand: DemandConfig::PAPER,
             shadowing_sigma_db: Db::new(4.0),
-            path_loss_exponent: 3.0,
-            tx_power_dbm: Dbm::new(10.0),
-            sinr_threshold_db: Db::new(6.0),
             channel_count: 1,
         }
     }
@@ -101,12 +97,6 @@ impl PaperScenario {
     /// Overrides the shadowing standard deviation.
     pub fn with_shadowing(mut self, sigma: Db) -> Self {
         self.shadowing_sigma_db = sigma;
-        self
-    }
-
-    /// Overrides the SINR threshold β.
-    pub fn with_sinr_threshold_db(mut self, beta: Db) -> Self {
-        self.sinr_threshold_db = beta;
         self
     }
 
@@ -136,11 +126,11 @@ impl PaperScenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let deployment = self.build_deployment(&mut rng);
         let env = RadioEnvironment::builder()
-            .propagation(PropagationModel::log_distance(self.path_loss_exponent))
+            .propagation(PropagationModel::log_distance(Self::PATH_LOSS_EXPONENT))
             .shadowing(self.shadowing_sigma_db.get(), seed)
             .config(
                 scream_netsim::RadioConfig::mesh_default()
-                    .with_sinr_threshold_db(self.sinr_threshold_db.get())
+                    .with_sinr_threshold_db(Self::SINR_THRESHOLD_DB.get())
                     .with_channel_count(self.channel_count),
             )
             .build(&deployment);
@@ -149,12 +139,12 @@ impl PaperScenario {
             return None;
         }
         // Gateways: the nodes closest to the region corners (up to
-        // gateway_count of them), mirroring the planned placement of 4
+        // `GATEWAY_COUNT` of them), mirroring the planned placement of 4
         // gateways in the paper.
         let mut gateways = deployment.corner_nodes();
-        gateways.truncate(self.gateway_count);
+        gateways.truncate(Self::GATEWAY_COUNT);
         let forest = RoutingForest::shortest_path(&graph, &gateways, seed).ok()?;
-        let demands = DemandVector::generate(deployment.len(), self.demand, &gateways, &mut rng);
+        let demands = DemandVector::generate(deployment.len(), Self::DEMAND, &gateways, &mut rng);
         let link_demands = LinkDemands::aggregate(&forest, &demands).ok()?;
         let interference_diameter = env.interference_diameter();
         if interference_diameter == usize::MAX {
@@ -178,11 +168,11 @@ impl PaperScenario {
                 let side = (self.node_count as f64).sqrt().round() as usize;
                 let step = (area_m2 / self.node_count as f64).sqrt();
                 GridDeployment::new(side, side.max(1), step)
-                    .tx_power_dbm(self.tx_power_dbm.get())
+                    .tx_power_dbm(Self::TX_POWER_DBM.get())
                     .build()
             }
             Topology::UnplannedUniform => UniformDeployment::new(self.node_count, area_m2.sqrt())
-                .tx_power_dbm(self.tx_power_dbm.get())
+                .tx_power_dbm(Self::TX_POWER_DBM.get())
                 .heterogeneous_power(6.0)
                 .build(rng),
         }
@@ -194,21 +184,14 @@ impl PaperScenario {
 /// horizontal links** — one per disjoint column pair per row — each demanding
 /// `demand_per_link` slots.
 ///
-/// Unlike [`PaperScenario`], the demand magnitude is the only knob, which is
-/// what the `bench_summary` binary and the `ablate channels` table sweep to
-/// show that batched placement and run-length schedules make demand nearly
-/// free (the link set, and hence the packing problem, never changes).
-pub fn heavy_demand_instance(
-    demand_per_link: u64,
-) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
-    heavy_demand_instance_on_channels(demand_per_link, 1)
-}
-
-/// [`heavy_demand_instance`] with `channel_count` orthogonal channels — the
-/// channel-ablation instance: the 64 links are pairwise endpoint-disjoint, so
-/// their conflicts are purely SINR-driven and orthogonal channels shrink the
-/// schedule by almost exactly `1/C`.
-pub fn heavy_demand_instance_on_channels(
+/// Unlike [`PaperScenario`], the demand magnitude and the channel count are
+/// the only knobs, which is what the `ablate channels` table sweeps to show
+/// that batched placement and run-length schedules make demand nearly free
+/// (the link set, and hence the packing problem, never changes). The 64 links
+/// are pairwise endpoint-disjoint, so their conflicts are purely SINR-driven
+/// and `channel_count` orthogonal channels shrink the schedule by almost
+/// exactly `1/C`.
+pub(crate) fn heavy_demand_instance(
     demand_per_link: u64,
     channel_count: usize,
 ) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
@@ -239,7 +222,7 @@ pub fn heavy_demand_instance_on_channels(
 /// **link** count (10⁴–10⁶), the scale axis of the ROADMAP's million-node
 /// item.
 ///
-/// The construction generalizes [`heavy_demand_instance`]: nodes on a
+/// The construction generalizes `heavy_demand_instance`: nodes on a
 /// `columns × rows` grid (columns kept even), one horizontal link per
 /// disjoint column pair per row — links are pairwise endpoint-disjoint, every
 /// head is distinct and conflicts are purely SINR-driven — with unit demand
@@ -260,13 +243,13 @@ pub fn heavy_demand_instance_on_channels(
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LargeScaleScenario {
     /// Number of links to generate (the grid is sized to fit exactly this).
-    pub target_links: usize,
+    pub(crate) target_links: usize,
     /// Grid lattice step.
-    pub step_m: Meters,
+    pub(crate) step_m: Meters,
     /// Homogeneous transmit power.
-    pub tx_power_dbm: Dbm,
+    pub(crate) tx_power_dbm: Dbm,
     /// Number of orthogonal channels.
-    pub channel_count: usize,
+    pub(crate) channel_count: usize,
 }
 
 impl LargeScaleScenario {
@@ -339,9 +322,9 @@ pub struct ScenarioInstance {
     pub env: RadioEnvironment,
     /// The routing forest towards the gateways (the flow routes of the
     /// packet-level traffic evaluation).
-    pub forest: RoutingForest,
+    pub(crate) forest: RoutingForest,
     /// The generated per-node demands the link demands were aggregated from.
-    pub demands: DemandVector,
+    pub(crate) demands: DemandVector,
     /// Aggregated per-link demands along the routing forest.
     pub link_demands: LinkDemands,
     /// Interference diameter of the sensitivity graph.
@@ -388,7 +371,7 @@ impl ScenarioInstance {
     }
 
     /// A clock-skew-adjusted configuration for the Figure 9 sweep.
-    pub fn config_with_skew(&self, skew: ClockSkewConfig) -> ProtocolConfig {
+    pub(crate) fn config_with_skew(&self, skew: ClockSkewConfig) -> ProtocolConfig {
         self.protocol_config().with_clock_skew(skew)
     }
 
@@ -402,7 +385,7 @@ impl ScenarioInstance {
     /// link at utilization exactly `rho`: the whole network crosses its
     /// stability knee together at `rho = 1`, which is what makes `rho` a
     /// clean sweep axis.
-    pub fn flows_at_load(&self, rho: f64, frame_slots: u64) -> FlowSet {
+    pub(crate) fn flows_at_load(&self, rho: f64, frame_slots: u64) -> FlowSet {
         assert!(rho > 0.0 && rho.is_finite(), "load factor must be positive");
         assert!(frame_slots > 0, "the frame must have slots");
         FlowSet::along_forest(&self.forest, &self.demands, rho / frame_slots as f64)
@@ -424,7 +407,7 @@ impl ScenarioInstance {
     /// expressed relative to an explicit reference frame length — the
     /// absolute-rate comparison the `delay_vs_load` figure uses so that
     /// Centralized, FDD and PDD face the *same* packet streams.
-    pub fn run_traffic_against(
+    pub(crate) fn run_traffic_against(
         &self,
         schedule: &Schedule,
         rho: f64,
@@ -492,8 +475,8 @@ mod tests {
 
     #[test]
     fn heavy_demand_instance_has_64_links_scaled_by_demand() {
-        let (env, light) = heavy_demand_instance(1).unwrap();
-        let (_, heavy) = heavy_demand_instance(10_000).unwrap();
+        let (env, light) = heavy_demand_instance(1, 1).unwrap();
+        let (_, heavy) = heavy_demand_instance(10_000, 1).unwrap();
         assert_eq!(light.demanded_links().count(), 64);
         assert_eq!(heavy.total_demand(), 640_000);
         // The link set is fixed; only multiplicities change, so the greedy

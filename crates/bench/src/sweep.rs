@@ -47,29 +47,29 @@ pub struct ScenarioSweep {
 
 /// One sweep cell's coordinates plus the value the sweep computed for it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepCell<T> {
+pub(crate) struct SweepCell<T> {
     /// Node density of this cell, in nodes per km².
-    pub density_per_km2: f64,
+    pub(crate) density_per_km2: f64,
     /// Number of orthogonal channels of this cell.
-    pub channel_count: usize,
+    pub(crate) channel_count: usize,
     /// Instance seed of this cell.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Whatever the sweep's function computed on the instance.
-    pub value: T,
+    pub(crate) value: T,
 }
 
 /// The packet-level outcome of one sweep cell: the traffic engine run on
 /// the cell's verified schedule (used as a repeating TDMA frame).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrafficPoint {
+pub(crate) struct TrafficPoint {
     /// Offered-load factor (per-link utilization; 1.0 is the knee).
-    pub offered_load: f64,
+    pub(crate) offered_load: f64,
     /// Percentage of injected packets delivered within the horizon.
-    pub sustained_throughput_pct: f64,
+    pub(crate) sustained_throughput_pct: f64,
     /// 95th-percentile end-to-end delay, in slots.
-    pub delay_p95_slots: f64,
+    pub(crate) delay_p95_slots: f64,
     /// Analytic stability verdict (offered load vs. per-link share).
-    pub stable: bool,
+    pub(crate) stable: bool,
 }
 
 /// The default per-cell result of [`ScenarioSweep::run`]: the verified
@@ -78,15 +78,15 @@ pub struct TrafficPoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Node density of this cell, in nodes per km².
-    pub density_per_km2: f64,
+    pub(crate) density_per_km2: f64,
     /// Number of orthogonal channels of this cell.
-    pub channel_count: usize,
+    pub(crate) channel_count: usize,
     /// Instance seed of this cell.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Measured interference diameter of the drawn instance.
-    pub interference_diameter: usize,
+    pub(crate) interference_diameter: usize,
     /// Total traffic demand `TD` of the drawn instance.
-    pub total_demand: u64,
+    pub(crate) total_demand: u64,
     /// Schedule metrics of the verified centralized GreedyPhysical schedule.
     pub centralized: ScheduleMetrics,
     /// Schedule metrics of the verified FDD run on the same instance. The
@@ -94,12 +94,12 @@ pub struct SweepPoint {
     /// is a true distributed multi-channel schedule — by the channel-aware
     /// Theorem 4 it tracks the centralized column exactly, and the
     /// `fdd_vs_centralized_pct` report column pins that at 100.
-    pub fdd: ScheduleMetrics,
+    pub(crate) fdd: ScheduleMetrics,
     /// Schedule metrics of the serialized (one link per slot) baseline.
-    pub linear: ScheduleMetrics,
+    pub(crate) linear: ScheduleMetrics,
     /// Packet-level traffic outcome on the centralized frame (which the FDD
     /// frame equals by Theorem 4) at 90 % offered load.
-    pub traffic: TrafficPoint,
+    pub(crate) traffic: TrafficPoint,
 }
 
 impl ScenarioSweep {
@@ -143,7 +143,7 @@ impl ScenarioSweep {
     /// The (density, channel count, seed) coordinate grid, density-major,
     /// then channel-major, then by seed — the order every `run` variant
     /// returns its cells in.
-    pub fn grid(&self) -> Vec<(f64, usize, u64)> {
+    pub(crate) fn grid(&self) -> Vec<(f64, usize, u64)> {
         self.densities
             .iter()
             .flat_map(|&d| {
@@ -154,19 +154,9 @@ impl ScenarioSweep {
             .collect()
     }
 
-    /// Number of cells in the sweep.
-    pub fn len(&self) -> usize {
-        self.densities.len() * self.channel_counts.len() * self.seeds.len()
-    }
-
-    /// Whether the sweep grid is empty (never, given the constructors).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Runs `f` on every instantiated cell, in grid order. The first
     /// failing cell fails the sweep.
-    pub fn run_with<T, F>(&self, f: F) -> Result<Vec<SweepCell<T>>, BenchError>
+    pub(crate) fn run_with<T, F>(&self, f: F) -> Result<Vec<SweepCell<T>>, BenchError>
     where
         F: Fn(&ScenarioInstance) -> Result<T, BenchError>,
     {
@@ -329,9 +319,8 @@ mod tests {
     #[test]
     fn grid_enumerates_density_major_cells() {
         let sweep = small_sweep();
-        assert_eq!(sweep.len(), 6);
-        assert!(!sweep.is_empty());
         let grid = sweep.grid();
+        assert_eq!(grid.len(), 6);
         assert_eq!(grid[0], (1_500.0, 1, 1));
         assert_eq!(grid[2], (1_500.0, 1, 3));
         assert_eq!(grid[3], (4_000.0, 1, 1));
@@ -343,8 +332,8 @@ mod tests {
             .densities(&[1_500.0, 4_000.0])
             .channel_counts(&[1, 2])
             .seeds(&[7, 8]);
-        assert_eq!(sweep.len(), 8);
         let grid = sweep.grid();
+        assert_eq!(grid.len(), 8);
         assert_eq!(grid[0], (1_500.0, 1, 7));
         assert_eq!(grid[1], (1_500.0, 1, 8));
         assert_eq!(grid[2], (1_500.0, 2, 7));
@@ -357,7 +346,7 @@ mod tests {
         let first = sweep.run().unwrap();
         let second = sweep.run().unwrap();
         assert_eq!(first, second, "same grid must reproduce identical results");
-        assert_eq!(first.len(), sweep.len());
+        assert_eq!(first.len(), sweep.grid().len());
         for (point, (density, channels, seed)) in first.iter().zip(sweep.grid()) {
             assert_eq!(point.density_per_km2, density);
             assert_eq!(point.channel_count, channels);
@@ -486,7 +475,7 @@ mod tests {
         let report = sweep.report().unwrap();
         let csv = report.to_table("sweep").to_csv();
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + sweep.len());
+        assert_eq!(lines.len(), 1 + sweep.grid().len());
         assert!(lines[0].starts_with("density_per_km2,channel_count,seed,"));
         let columns = lines[0].split(',').count();
         assert!(lines.iter().all(|l| l.split(',').count() == columns));
@@ -495,7 +484,7 @@ mod tests {
         assert_eq!(csv, sweep.report().unwrap().to_table("sweep").to_csv());
         // The aligned rendering of the same table carries the same columns.
         let table = report.to_table("sweep");
-        assert_eq!(table.row_count(), sweep.len());
+        assert_eq!(table.row_count(), sweep.grid().len());
         let rendered = table.render();
         for column in SweepReport::COLUMNS {
             assert!(rendered.contains(column), "table misses column {column}");

@@ -12,22 +12,22 @@ pub struct ProtocolConfig {
     /// Number of SCREAM slots `K` per invocation of the primitive. Must be at
     /// least the interference diameter of the sensitivity graph for the
     /// network-wide OR to be correct; the paper's simulations use `K = 5`.
-    pub scream_slots: usize,
+    pub(crate) scream_slots: usize,
     /// Number of bytes transmitted by `Scream()` (`SMBytes`). The paper's
     /// simulations use 15 bytes; the mote experiments show ≥ 15–20 bytes make
     /// detection reliable.
-    pub scream_bytes: usize,
+    pub(crate) scream_bytes: usize,
     /// Clock-skew bound the protocol must compensate for (guard intervals are
     /// derived from it).
-    pub clock_skew: ClockSkewConfig,
+    pub(crate) clock_skew: ClockSkewConfig,
     /// Seed for all protocol-level randomness (PDD active selection,
     /// clock-offset draws).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Safety bound on the number of rounds (slots) before the run is
     /// declared stuck. Defaults to 4× the total demand, which the protocols
     /// can never legitimately exceed because every round schedules at least
     /// the controller's edge.
-    pub max_rounds: Option<u64>,
+    pub(crate) max_rounds: Option<u64>,
 }
 
 impl ProtocolConfig {
@@ -80,7 +80,7 @@ impl ProtocolConfig {
     ///
     /// Returns [`ProtocolError::InvalidParameter`] if `K` is zero or the
     /// SCREAM payload is empty.
-    pub fn validate(&self) -> Result<(), ProtocolError> {
+    pub(crate) fn validate(&self) -> Result<(), ProtocolError> {
         if self.scream_slots == 0 {
             return Err(ProtocolError::InvalidParameter(
                 "the SCREAM primitive needs at least one slot (K >= 1)".into(),
@@ -95,7 +95,7 @@ impl ProtocolConfig {
     }
 
     /// The effective round limit for a given total demand.
-    pub fn round_limit(&self, total_demand: u64) -> u64 {
+    pub(crate) fn round_limit(&self, total_demand: u64) -> u64 {
         self.max_rounds.unwrap_or_else(|| 4 * total_demand.max(1))
     }
 }

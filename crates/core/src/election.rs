@@ -38,7 +38,7 @@ impl LeaderElection {
 
     /// Number of bits used to represent ids for an `n`-node network
     /// (`id_bits` in the paper's pseudocode).
-    pub fn id_bits(node_count: usize) -> u32 {
+    pub(crate) fn id_bits(node_count: usize) -> u32 {
         NodeId::id_bits(node_count)
     }
 

@@ -30,7 +30,7 @@ pub struct CounterExample {
     /// The distant link `l'` outside any constant-hop neighborhood of `l`.
     pub link_l_prime: Link,
     /// The locality radius `k` (in hops) that the construction defeats.
-    pub locality_hops: usize,
+    pub(crate) locality_hops: usize,
     /// SINR threshold used by the construction.
     pub sinr_threshold_db: Db,
 }
@@ -137,7 +137,7 @@ impl CounterExample {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LocalizedGreedy {
     /// The locality radius in hops.
-    pub locality_hops: usize,
+    pub(crate) locality_hops: usize,
 }
 
 impl LocalizedGreedy {

@@ -104,16 +104,6 @@ impl DistributedScheduler {
         self
     }
 
-    /// The protocol variant.
-    pub fn kind(&self) -> ProtocolKind {
-        self.kind
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
     /// Executes the protocol on the given radio environment and demand
     /// instance, returning the computed schedule together with its timing and
     /// statistics.
@@ -175,11 +165,7 @@ impl DistributedScheduler {
         }
         let channel = ScreamChannel::new(env, &self.config)?;
         let n = env.node_count();
-        let slot_timing = SlotTiming::derive(
-            env.config(),
-            self.config.scream_bytes,
-            self.config.clock_skew,
-        );
+        let slot_timing = SlotTiming::derive(self.config.scream_bytes, self.config.clock_skew);
         let (link_of, mut remaining) = per_node_links(demands)?;
         let round_limit = self.config.round_limit(demands.total_demand());
         let channel_count = env.channel_count();
@@ -581,7 +567,7 @@ pub struct DistributedRun {
     /// Counts of synchronized steps executed by the protocol.
     pub timing: ProtocolTiming,
     /// The per-step durations used to convert `timing` to wall-clock time.
-    pub slot_timing: SlotTiming,
+    pub(crate) slot_timing: SlotTiming,
     /// Execution statistics (rounds, elections, vetoes, ...).
     pub stats: RunStats,
 }

@@ -32,7 +32,6 @@ use crate::error::ProtocolError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScreamChannel {
     scream_slots: usize,
-    interference_diameter: usize,
     node_count: usize,
 }
 
@@ -60,7 +59,6 @@ impl ScreamChannel {
         }
         Ok(Self {
             scream_slots: config.scream_slots,
-            interference_diameter: id,
             node_count: env.node_count(),
         })
     }
@@ -70,13 +68,8 @@ impl ScreamChannel {
         self.scream_slots
     }
 
-    /// The interference diameter of the underlying sensitivity graph.
-    pub fn interference_diameter(&self) -> usize {
-        self.interference_diameter
-    }
-
     /// Number of nodes on the channel.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.node_count
     }
 
@@ -225,6 +218,5 @@ mod tests {
         let ch = ScreamChannel::new(&env, &config).unwrap();
         assert_eq!(ch.scream_slots(), 9);
         assert_eq!(ch.node_count(), 5);
-        assert!(ch.interference_diameter() <= 9);
     }
 }

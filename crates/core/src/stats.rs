@@ -34,11 +34,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fraction of active attempts that were discarded (TRIED) rather than
     /// allocated. A rough measure of how much work the randomized selection
     /// of PDD wastes compared to FDD.
@@ -81,7 +76,7 @@ mod tests {
 
     #[test]
     fn derived_ratios_handle_zero_denominators() {
-        let s = RunStats::new();
+        let s = RunStats::default();
         assert_eq!(s.tried_fraction(), 0.0);
     }
 

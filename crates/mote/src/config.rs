@@ -6,82 +6,70 @@ use scream_netsim::{DataRate, Db, Dbm, SimTime};
 
 /// Parameters of the simulated Mica2 SCREAM-detection experiment.
 ///
-/// The defaults reproduce the setup of Section V-A: 8 motes (1 initiator,
-/// 6 relays, 1 monitor), 100 ms SCREAM period, 2000 SCREAMs per run,
-/// −60 dBm detection threshold, CC1000-class 38.4 kb/s radio, and a monitor
-/// whose moving average only consumes every third RSSI sample because of
-/// device/UART limitations.
+/// The setup of Section V-A is fixed: 8 motes (1 initiator, 6 relays,
+/// 1 monitor), 100 ms SCREAM period, −60 dBm detection threshold,
+/// CC1000-class 38.4 kb/s radio, and a monitor whose moving average only
+/// consumes every third RSSI sample because of device/UART limitations. Those
+/// values are the associated constants; what a run may vary is the SCREAM
+/// size (the parameter Figure 4 sweeps), the run length (2000 SCREAMs in the
+/// paper) and the seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MoteExperimentConfig {
     /// SCREAM payload size in bytes (`SMBytes`), the swept parameter of
     /// Figure 4.
-    pub scream_bytes: usize,
-    /// Number of relay motes (the paper uses 6).
-    pub relay_count: usize,
-    /// Period between initiator SCREAMs.
-    pub scream_interval: SimTime,
+    pub(crate) scream_bytes: usize,
     /// Number of SCREAMs the initiator emits during the run.
-    pub scream_count: usize,
-    /// RSSI detection threshold at relays and monitor.
-    pub rssi_threshold_dbm: Dbm,
-    /// Received power at the monitor while a single relay transmits (relays
-    /// and monitor form a clique a few meters apart).
-    pub relay_rx_power_dbm: Dbm,
-    /// Received power at the monitor from the initiator. The initiator is
-    /// two hops away, so this is below the detection threshold.
-    pub initiator_rx_power_dbm: Dbm,
-    /// Receiver noise floor.
-    pub noise_floor_dbm: Dbm,
-    /// Standard deviation of the RSSI measurement noise.
-    pub rssi_noise_sigma_db: Db,
-    /// Radio serialization rate (CC1000 ≈ 38.4 kb/s).
-    pub data_rate: DataRate,
-    /// Interval between raw RSSI samples at the monitor.
-    pub rssi_sample_period: SimTime,
-    /// The monitor only feeds every `ma_sample_stride`-th RSSI sample into
-    /// its moving average (the paper samples every 3rd value owing to device
-    /// and UART limitations).
-    pub ma_sample_stride: usize,
-    /// Number of (strided) samples in the moving-average window.
-    pub ma_window: usize,
-    /// Minimum relay turnaround: time from detecting activity to starting to
-    /// re-scream.
-    pub relay_turnaround_min: SimTime,
-    /// Maximum relay turnaround (uniform between min and max).
-    pub relay_turnaround_max: SimTime,
-    /// Dead time after a detection during which the monitor does not report
-    /// another detection (one SCREAM produces one detection).
-    pub detection_holdoff: SimTime,
-    /// Relative tolerance on the inter-detection interval: an interval is an
-    /// error if it deviates from the SCREAM period by more than this fraction
-    /// (the paper uses ±5 %).
-    pub interval_tolerance: f64,
+    pub(crate) scream_count: usize,
     /// Seed for all randomness (turnaround delays, measurement noise).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl MoteExperimentConfig {
+    /// Number of relay motes (the paper uses 6).
+    pub(crate) const RELAY_COUNT: usize = 6;
+    /// Period between initiator SCREAMs.
+    pub(crate) const SCREAM_INTERVAL: SimTime = SimTime::from_millis(100);
+    /// RSSI detection threshold at relays and monitor.
+    pub(crate) const RSSI_THRESHOLD_DBM: Dbm = Dbm::new(-60.0);
+    /// Received power at the monitor while a single relay transmits (relays
+    /// and monitor form a clique a few meters apart).
+    pub(crate) const RELAY_RX_POWER_DBM: Dbm = Dbm::new(-40.0);
+    /// Received power at the monitor from the initiator. The initiator is
+    /// two hops away, so this is below the detection threshold.
+    pub(crate) const INITIATOR_RX_POWER_DBM: Dbm = Dbm::new(-75.0);
+    /// Receiver noise floor.
+    pub(crate) const NOISE_FLOOR_DBM: Dbm = Dbm::new(-95.0);
+    /// Standard deviation of the RSSI measurement noise.
+    pub(crate) const RSSI_NOISE_SIGMA_DB: Db = Db::new(1.5);
+    /// Radio serialization rate (CC1000 ≈ 38.4 kb/s).
+    pub(crate) const DATA_RATE: DataRate = DataRate::MICA2;
+    /// Interval between raw RSSI samples at the monitor.
+    pub(crate) const RSSI_SAMPLE_PERIOD: SimTime = SimTime::from_micros(500);
+    /// The monitor only feeds every `MA_SAMPLE_STRIDE`-th RSSI sample into
+    /// its moving average (the paper samples every 3rd value owing to device
+    /// and UART limitations).
+    pub(crate) const MA_SAMPLE_STRIDE: usize = 3;
+    /// Number of (strided) samples in the moving-average window.
+    pub(crate) const MA_WINDOW: usize = 3;
+    /// Minimum relay turnaround: time from detecting activity to starting to
+    /// re-scream.
+    pub(crate) const RELAY_TURNAROUND_MIN: SimTime = SimTime::from_micros(400);
+    /// Maximum relay turnaround (uniform between min and max).
+    pub(crate) const RELAY_TURNAROUND_MAX: SimTime = SimTime::from_micros(2_000);
+    /// Dead time after a detection during which the monitor does not report
+    /// another detection (one SCREAM produces one detection).
+    pub(crate) const DETECTION_HOLDOFF: SimTime = SimTime::from_millis(50);
+    /// Relative tolerance on the inter-detection interval: an interval is an
+    /// error if it deviates from the SCREAM period by more than this fraction
+    /// (the paper uses ±5 %).
+    pub(crate) const INTERVAL_TOLERANCE: f64 = 0.05;
+
     /// The configuration of Section V-A with the paper's 2000-SCREAM run
     /// length.
     pub fn paper_default() -> Self {
         Self {
             scream_bytes: 24,
-            relay_count: 6,
-            scream_interval: SimTime::from_millis(100),
             scream_count: 2000,
-            rssi_threshold_dbm: Dbm::new(-60.0),
-            relay_rx_power_dbm: Dbm::new(-40.0),
-            initiator_rx_power_dbm: Dbm::new(-75.0),
-            noise_floor_dbm: Dbm::new(-95.0),
-            rssi_noise_sigma_db: Db::new(1.5),
-            data_rate: DataRate::MICA2,
-            rssi_sample_period: SimTime::from_micros(500),
-            ma_sample_stride: 3,
-            ma_window: 3,
-            relay_turnaround_min: SimTime::from_micros(400),
-            relay_turnaround_max: SimTime::from_micros(2_000),
-            detection_holdoff: SimTime::from_millis(50),
-            interval_tolerance: 0.05,
             seed: 0,
         }
     }
@@ -105,42 +93,45 @@ impl MoteExperimentConfig {
     }
 
     /// Time the radio needs to serialize one SCREAM onto the air.
-    pub fn scream_air_time(&self) -> SimTime {
-        self.data_rate.transmission_time(self.scream_bytes)
+    pub(crate) fn scream_air_time(&self) -> SimTime {
+        Self::DATA_RATE.transmission_time(self.scream_bytes)
     }
 
-    /// Validates the structural constraints of the configuration.
+    /// Validates what a caller can set; the constants are checked at compile
+    /// time.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is internally inconsistent (zero relays,
-    /// zero screams, zero-size scream, an initiator audible at the monitor,
-    /// or a non-positive tolerance).
-    pub fn validate(&self) {
+    /// Panics on a zero-size SCREAM or fewer than two SCREAMs.
+    pub(crate) fn validate(&self) {
         assert!(
             self.scream_bytes > 0,
             "a SCREAM must contain at least one byte"
         );
         assert!(
-            self.relay_count > 0,
-            "the experiment needs at least one relay"
-        );
-        assert!(
             self.scream_count > 1,
             "need at least two SCREAMs to measure an interval"
         );
-        assert!(
-            self.initiator_rx_power_dbm < self.rssi_threshold_dbm,
-            "the initiator must not be directly detectable at the monitor (it is two hops away)"
-        );
-        assert!(
-            self.relay_rx_power_dbm > self.rssi_threshold_dbm,
-            "relays must be detectable at the monitor"
-        );
-        assert!(self.interval_tolerance > 0.0 && self.interval_tolerance < 1.0);
-        assert!(self.ma_window > 0 && self.ma_sample_stride > 0);
     }
 }
+
+const _: () = {
+    type C = MoteExperimentConfig;
+    assert!(
+        C::RELAY_COUNT > 0,
+        "the experiment needs at least one relay"
+    );
+    assert!(
+        C::INITIATOR_RX_POWER_DBM.get() < C::RSSI_THRESHOLD_DBM.get(),
+        "the initiator must not be directly detectable at the monitor (it is two hops away)"
+    );
+    assert!(
+        C::RELAY_RX_POWER_DBM.get() > C::RSSI_THRESHOLD_DBM.get(),
+        "relays must be detectable at the monitor"
+    );
+    assert!(C::INTERVAL_TOLERANCE > 0.0 && C::INTERVAL_TOLERANCE < 1.0);
+    assert!(C::MA_WINDOW > 0 && C::MA_SAMPLE_STRIDE > 0);
+};
 
 impl Default for MoteExperimentConfig {
     fn default() -> Self {
@@ -156,12 +147,15 @@ mod tests {
     fn paper_default_matches_section_v() {
         let c = MoteExperimentConfig::paper_default();
         c.validate();
-        assert_eq!(c.relay_count, 6);
-        assert_eq!(c.scream_interval, SimTime::from_millis(100));
+        assert_eq!(MoteExperimentConfig::RELAY_COUNT, 6);
+        assert_eq!(
+            MoteExperimentConfig::SCREAM_INTERVAL,
+            SimTime::from_millis(100)
+        );
         assert_eq!(c.scream_count, 2000);
-        assert_eq!(c.rssi_threshold_dbm.get(), -60.0);
-        assert_eq!(c.ma_sample_stride, 3);
-        assert_eq!(c.interval_tolerance, 0.05);
+        assert_eq!(MoteExperimentConfig::RSSI_THRESHOLD_DBM.get(), -60.0);
+        assert_eq!(MoteExperimentConfig::MA_SAMPLE_STRIDE, 3);
+        assert_eq!(MoteExperimentConfig::INTERVAL_TOLERANCE, 0.05);
         assert_eq!(MoteExperimentConfig::default(), c);
     }
 
@@ -185,14 +179,6 @@ mod tests {
         assert_eq!(c.scream_bytes, 10);
         assert_eq!(c.scream_count, 500);
         assert_eq!(c.seed, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "two hops away")]
-    fn initiator_must_stay_below_threshold_at_the_monitor() {
-        let mut c = MoteExperimentConfig::paper_default();
-        c.initiator_rx_power_dbm = Dbm::new(-50.0);
-        c.validate();
     }
 
     #[test]

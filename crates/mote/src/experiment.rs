@@ -37,15 +37,10 @@ impl MoteExperiment {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
-    /// [`MoteExperimentConfig::validate`]).
+    /// `MoteExperimentConfig::validate`).
     pub fn new(config: MoteExperimentConfig) -> Self {
         config.validate();
         Self { config }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &MoteExperimentConfig {
-        &self.config
     }
 
     /// Runs the experiment without recording an RSSI trace.
@@ -64,12 +59,12 @@ impl MoteExperiment {
         let cfg = &self.config;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let air_time = cfg.scream_air_time();
-        let horizon = cfg.scream_interval * (cfg.scream_count as u64 + 1);
+        let horizon = MoteExperimentConfig::SCREAM_INTERVAL * (cfg.scream_count as u64 + 1);
 
         let mut queue: EventQueue<Event> = EventQueue::new();
         for k in 0..cfg.scream_count {
             queue.schedule(
-                cfg.scream_interval * k as u64,
+                MoteExperimentConfig::SCREAM_INTERVAL * k as u64,
                 Event::InitiatorScream { index: k },
             );
         }
@@ -77,21 +72,21 @@ impl MoteExperiment {
 
         // Radio state visible at the monitor.
         let mut initiator_active = false;
-        let mut relay_active = vec![false; cfg.relay_count];
+        let mut relay_active = [false; MoteExperimentConfig::RELAY_COUNT];
         // Whether each relay has already re-screamed for the current
         // initiator SCREAM (refractory until the next one).
-        let mut relay_triggered = vec![false; cfg.relay_count];
+        let mut relay_triggered = [false; MoteExperimentConfig::RELAY_COUNT];
 
         // Monitor state.
-        let mut ma = MovingAverage::new(cfg.ma_window);
+        let mut ma = MovingAverage::new(MoteExperimentConfig::MA_WINDOW);
         let mut sample_counter: usize = 0;
         let mut last_detection: Option<SimTime> = None;
         let mut detections: Vec<SimTime> = Vec::new();
         let mut trace = RssiTrace::new();
 
-        let noise_mw = cfg.noise_floor_dbm.to_mw();
-        let relay_mw = cfg.relay_rx_power_dbm.to_mw();
-        let initiator_mw = cfg.initiator_rx_power_dbm.to_mw();
+        let noise_mw = MoteExperimentConfig::NOISE_FLOOR_DBM.to_mw();
+        let relay_mw = MoteExperimentConfig::RELAY_RX_POWER_DBM.to_mw();
+        let initiator_mw = MoteExperimentConfig::INITIATOR_RX_POWER_DBM.to_mw();
 
         while let Some(ev) = queue.pop() {
             if ev.time > horizon {
@@ -109,7 +104,7 @@ impl MoteExperiment {
                     // short SCREAMs are therefore easy to miss — the effect
                     // the paper measures.
                     for (relay, triggered) in relay_triggered.iter_mut().enumerate() {
-                        let turnaround = random_turnaround(cfg, &mut rng);
+                        let turnaround = random_turnaround(&mut rng);
                         if turnaround < air_time && !*triggered {
                             *triggered = true;
                             queue.schedule(now + turnaround, Event::RelayStart { relay });
@@ -129,7 +124,7 @@ impl MoteExperiment {
                         if *triggered {
                             continue;
                         }
-                        let turnaround = random_turnaround(cfg, &mut rng);
+                        let turnaround = random_turnaround(&mut rng);
                         if turnaround < air_time {
                             *triggered = true;
                             queue.schedule(now + turnaround, Event::RelayStart { relay: other });
@@ -147,17 +142,17 @@ impl MoteExperiment {
                         power_mw += initiator_mw;
                     }
                     power_mw += relay_mw * relay_active.iter().filter(|&&a| a).count() as f64;
-                    let rssi_dbm =
-                        power_mw.to_dbm() + cfg.rssi_noise_sigma_db * standard_normal(&mut rng);
+                    let rssi_dbm = power_mw.to_dbm()
+                        + MoteExperimentConfig::RSSI_NOISE_SIGMA_DB * standard_normal(&mut rng);
 
                     sample_counter += 1;
                     let mut ma_value = None;
-                    if sample_counter.is_multiple_of(cfg.ma_sample_stride) {
+                    if sample_counter.is_multiple_of(MoteExperimentConfig::MA_SAMPLE_STRIDE) {
                         let avg = ma.push(rssi_dbm);
                         ma_value = Some(avg);
-                        let in_holdoff =
-                            last_detection.is_some_and(|t| now < t + cfg.detection_holdoff);
-                        if avg >= cfg.rssi_threshold_dbm && !in_holdoff {
+                        let in_holdoff = last_detection
+                            .is_some_and(|t| now < t + MoteExperimentConfig::DETECTION_HOLDOFF);
+                        if avg >= MoteExperimentConfig::RSSI_THRESHOLD_DBM && !in_holdoff {
                             detections.push(now);
                             last_detection = Some(now);
                         }
@@ -173,8 +168,11 @@ impl MoteExperiment {
                         }
                     }
 
-                    if now + cfg.rssi_sample_period <= horizon {
-                        queue.schedule(now + cfg.rssi_sample_period, Event::MonitorSample);
+                    if now + MoteExperimentConfig::RSSI_SAMPLE_PERIOD <= horizon {
+                        queue.schedule(
+                            now + MoteExperimentConfig::RSSI_SAMPLE_PERIOD,
+                            Event::MonitorSample,
+                        );
                     }
                 }
             }
@@ -189,9 +187,11 @@ impl MoteExperiment {
 }
 
 /// Draws a relay turnaround delay uniformly in the configured range.
-fn random_turnaround<R: Rng + ?Sized>(cfg: &MoteExperimentConfig, rng: &mut R) -> SimTime {
-    let min = cfg.relay_turnaround_min.as_nanos();
-    let max = cfg.relay_turnaround_max.as_nanos().max(min + 1);
+fn random_turnaround<R: Rng + ?Sized>(rng: &mut R) -> SimTime {
+    let min = MoteExperimentConfig::RELAY_TURNAROUND_MIN.as_nanos();
+    let max = MoteExperimentConfig::RELAY_TURNAROUND_MAX
+        .as_nanos()
+        .max(min + 1);
     SimTime::from_nanos(rng.gen_range(min..=max))
 }
 
@@ -212,16 +212,6 @@ pub struct MoteExperimentResult {
 }
 
 impl MoteExperimentResult {
-    /// The configuration the run used.
-    pub fn config(&self) -> &MoteExperimentConfig {
-        &self.config
-    }
-
-    /// Times at which the monitor declared a SCREAM detection.
-    pub fn detections(&self) -> &[SimTime] {
-        &self.detections
-    }
-
     /// The recorded RSSI trace (empty unless the run was started with
     /// [`MoteExperiment::run_with_trace`]).
     pub fn trace(&self) -> &RssiTrace {
@@ -229,7 +219,7 @@ impl MoteExperimentResult {
     }
 
     /// Intervals between consecutive detections, in seconds.
-    pub fn intervals_secs(&self) -> Vec<f64> {
+    pub(crate) fn intervals_secs(&self) -> Vec<f64> {
         self.detections
             .windows(2)
             .map(|w| (w[1] - w[0]).as_secs_f64())
@@ -241,8 +231,8 @@ impl MoteExperimentResult {
     /// configured tolerance (±5 %). Missed SCREAMs surface here as doubled
     /// (or longer) intervals; completely undetected runs count as 100 %.
     pub fn error_percentage(&self) -> f64 {
-        let expected = self.config.scream_interval.as_secs_f64();
-        let tolerance = self.config.interval_tolerance * expected;
+        let expected = MoteExperimentConfig::SCREAM_INTERVAL.as_secs_f64();
+        let tolerance = MoteExperimentConfig::INTERVAL_TOLERANCE * expected;
         let intervals = self.intervals_secs();
         // Every emitted SCREAM (after the first) should produce one interval;
         // account for intervals that never materialized because detections
@@ -259,7 +249,7 @@ impl MoteExperimentResult {
     }
 
     /// Fraction of emitted SCREAMs that produced a detection at the monitor.
-    pub fn detection_rate(&self) -> f64 {
+    pub(crate) fn detection_rate(&self) -> f64 {
         self.detections.len() as f64 / self.config.scream_count as f64
     }
 }
@@ -353,8 +343,11 @@ mod tests {
         let a = MoteExperiment::new(quick_config().with_seed(3)).run();
         let b = MoteExperiment::new(quick_config().with_seed(3)).run();
         let c = MoteExperiment::new(quick_config().with_seed(4)).run();
-        assert_eq!(a.detections(), b.detections());
-        assert!(a.detections() != c.detections() || a.error_percentage() == c.error_percentage());
+        assert_eq!(a.intervals_secs(), b.intervals_secs());
+        assert!(
+            a.intervals_secs() != c.intervals_secs()
+                || a.error_percentage() == c.error_percentage()
+        );
     }
 
     #[test]

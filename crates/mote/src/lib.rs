@@ -56,11 +56,11 @@ pub mod rssi;
 
 pub use config::MoteExperimentConfig;
 pub use experiment::{DetectionErrorPoint, MoteExperiment, MoteExperimentResult};
-pub use rssi::{MovingAverage, RssiSample, RssiTrace};
+pub use rssi::RssiTrace;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
     pub use crate::config::MoteExperimentConfig;
     pub use crate::experiment::{DetectionErrorPoint, MoteExperiment, MoteExperimentResult};
-    pub use crate::rssi::{MovingAverage, RssiSample, RssiTrace};
+    pub use crate::rssi::RssiTrace;
 }

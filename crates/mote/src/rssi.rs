@@ -6,20 +6,20 @@ use scream_netsim::{Dbm, SimTime};
 
 /// One RSSI reading at the monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RssiSample {
+pub(crate) struct RssiSample {
     /// When the sample was taken.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// The raw RSSI value.
-    pub rssi_dbm: Dbm,
+    pub(crate) rssi_dbm: Dbm,
     /// The moving-average value after consuming this sample, if the sample
     /// was one of the strided samples fed into the average.
-    pub moving_average_dbm: Option<Dbm>,
+    pub(crate) moving_average_dbm: Option<Dbm>,
 }
 
 /// A sliding-window moving average over dBm readings, mimicking the filter
 /// the paper's Monitor mote applies to its RSSI stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MovingAverage {
+pub(crate) struct MovingAverage {
     window: usize,
     values: Vec<f64>,
 }
@@ -30,7 +30,7 @@ impl MovingAverage {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         assert!(window > 0, "moving-average window must be non-empty");
         Self {
             window,
@@ -39,7 +39,7 @@ impl MovingAverage {
     }
 
     /// Pushes a new value and returns the current average.
-    pub fn push(&mut self, value: Dbm) -> Dbm {
+    pub(crate) fn push(&mut self, value: Dbm) -> Dbm {
         self.values.push(value.get());
         if self.values.len() > self.window {
             self.values.remove(0);
@@ -50,7 +50,7 @@ impl MovingAverage {
     /// The current average, or negative infinity if no value has been pushed.
     /// (The paper's monitor averages in the log domain, so the window's sum
     /// is raw `f64`: dBm values do not add.)
-    pub fn current(&self) -> Dbm {
+    pub(crate) fn current(&self) -> Dbm {
         Dbm::new(if self.values.is_empty() {
             f64::NEG_INFINITY
         } else {
@@ -68,23 +68,13 @@ pub struct RssiTrace {
 
 impl RssiTrace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a sample.
-    pub fn push(&mut self, sample: RssiSample) {
+    pub(crate) fn push(&mut self, sample: RssiSample) {
         self.samples.push(sample);
-    }
-
-    /// All recorded samples in time order.
-    pub fn samples(&self) -> &[RssiSample] {
-        &self.samples
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
     }
 
     /// Returns `true` if nothing was recorded.
@@ -142,7 +132,7 @@ mod tests {
                 moving_average_dbm: (i % 2 == 0).then_some(Dbm::new(-80.0 + i as f64)),
             });
         }
-        assert_eq!(trace.len(), 10);
+        assert_eq!(trace.samples.len(), 10);
         assert!(!trace.is_empty());
         let ma_points: Vec<_> = trace.moving_average_series().collect();
         assert_eq!(ma_points.len(), 5);

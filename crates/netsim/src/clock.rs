@@ -46,7 +46,7 @@ impl ClockSkewConfig {
     /// The guard interval that must be added to every synchronized slot so that a
     /// maximally-early node and a maximally-late node still overlap for the
     /// whole nominal slot: twice the bound.
-    pub fn guard_interval(&self) -> SimTime {
+    pub(crate) fn guard_interval(&self) -> SimTime {
         self.bound.saturating_mul(2)
     }
 }

@@ -24,7 +24,7 @@ pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub time: SimTime,
     /// Monotone sequence number used to break ties deterministically.
-    pub sequence: u64,
+    pub(crate) sequence: u64,
     /// The event payload.
     pub event: E,
 }
@@ -63,7 +63,6 @@ pub struct EventQueue<E: Eq> {
     heap: BinaryHeap<Reverse<ScheduledEvent<E>>>,
     now: SimTime,
     next_sequence: u64,
-    delivered: u64,
 }
 
 impl<E: Eq> EventQueue<E> {
@@ -73,7 +72,6 @@ impl<E: Eq> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_sequence: 0,
-            delivered: 0,
         }
     }
 
@@ -90,11 +88,6 @@ impl<E: Eq> EventQueue<E> {
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// Schedules an event at an absolute time: [`reserve`](Self::reserve)
@@ -144,7 +137,7 @@ impl<E: Eq> EventQueue<E> {
     }
 
     /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
@@ -152,7 +145,6 @@ impl<E: Eq> EventQueue<E> {
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let Reverse(event) = self.heap.pop()?;
         self.now = event.time;
-        self.delivered += 1;
         Some(event)
     }
 
@@ -192,7 +184,7 @@ mod tests {
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, vec![1, 3, 5]);
         assert_eq!(q.now(), SimTime::from_millis(5));
-        assert_eq!(q.delivered(), 3);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -82,13 +82,13 @@ pub struct RadioEnvironment {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FarField {
     /// The noise-floor cutoff radius.
-    pub cutoff_m: Meters,
+    pub(crate) cutoff_m: Meters,
     /// `cutoff_m²`, in m², for squared-distance comparisons on hot paths.
-    pub cutoff_sq_m2: f64,
+    pub(crate) cutoff_sq_m2: f64,
     /// Conservative per-transmitter received-power bound at or beyond the
     /// cutoff (includes the maximum transmit power, the maximum shadowing
     /// gain boost and a floating-point slop factor).
-    pub unit_mw: Mw,
+    pub(crate) unit_mw: Mw,
 }
 
 /// Per-interferer far-field bound as a fraction of the noise floor. At this
@@ -133,15 +133,12 @@ impl RadioEnvironment {
     /// with this shadowing draw. Deterministic: the same `(sigma, seed)`
     /// always produces the same environment.
     ///
-    /// # Panics
-    ///
-    /// Panics on streamed-gain environments — streaming recomputes gains on
+    /// `None` for a streamed-gain environment: streaming recomputes gains on
     /// demand from positions alone and cannot carry an O(n²) shadowing field.
-    pub fn refaded(&self, sigma: Db, seed: u64) -> RadioEnvironment {
-        assert!(
-            !self.is_streamed(),
-            "refading requires dense gains; streamed environments carry no shadowing field"
-        );
+    pub fn refaded(&self, sigma: Db, seed: u64) -> Option<RadioEnvironment> {
+        if self.is_streamed() {
+            return None;
+        }
         let dense = dense_gains(
             &self.xs,
             &self.ys,
@@ -152,7 +149,7 @@ impl RadioEnvironment {
         );
         // Field by field: `..self.clone()` would copy the n² matrix this
         // call exists to replace.
-        RadioEnvironment {
+        Some(RadioEnvironment {
             node_count: self.node_count,
             gains: dense.gains,
             tx_power_mw: self.tx_power_mw.clone(),
@@ -166,22 +163,17 @@ impl RadioEnvironment {
             gain_profile: self.gain_profile,
             config: self.config,
             propagation: self.propagation,
-        }
-    }
-
-    /// Transmit power of `node`.
-    pub fn tx_power_mw(&self, node: NodeId) -> Mw {
-        Mw::new(self.tx_power_mw[node.index()])
+        })
     }
 
     /// Maximum per-node transmit power (0 mW with no nodes).
-    pub fn max_tx_power_mw(&self) -> Mw {
+    pub(crate) fn max_tx_power_mw(&self) -> Mw {
         Mw::new(self.max_tx_power_mw)
     }
 
     /// Maximum shadowing gain boost baked into the gain matrix (0 dB when
     /// shadowing is disabled or gains are streamed).
-    pub fn max_shadow_db(&self) -> Db {
+    pub(crate) fn max_shadow_db(&self) -> Db {
         Db::new(self.max_shadow_db)
     }
 
@@ -198,7 +190,7 @@ impl RadioEnvironment {
     /// the weakest transmitter's power at the corner of the bounding box
     /// farthest from `rx`, which no node lies beyond. 0 — a bound on anything
     /// — for an id the environment lacks.
-    pub fn weakest_interferer_mw(&self, rx: NodeId) -> Mw {
+    pub(crate) fn weakest_interferer_mw(&self, rx: NodeId) -> Mw {
         if !self.gains.is_empty() {
             return Mw::new(self.weakest_rx_mw.get(rx.index()).copied().unwrap_or(0.0));
         }
@@ -211,14 +203,8 @@ impl RadioEnvironment {
     }
 
     /// Position of `node` in meters.
-    pub fn position(&self, node: NodeId) -> Point2 {
+    pub(crate) fn position(&self, node: NodeId) -> Point2 {
         Point2::new(self.xs[node.index()], self.ys[node.index()])
-    }
-
-    /// Struct-of-arrays node coordinates `(xs, ys)`, in meters — contiguous
-    /// buffers indexed by node id, shared with the spatial index.
-    pub fn positions(&self) -> (&[f64], &[f64]) {
-        (&self.xs, &self.ys)
     }
 
     /// The squared-distance evaluator of the deterministic part of the
@@ -274,7 +260,7 @@ impl RadioEnvironment {
     /// Linear channel gain from `tx` to `rx` (1.0 on the diagonal). Dense
     /// environments read the precomputed matrix; streamed environments
     /// evaluate the propagation model on the squared node distance.
-    pub fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
+    pub(crate) fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
         if !self.gains.is_empty() {
             return self.gains[tx.index() * self.node_count + rx.index()];
         }
@@ -289,7 +275,7 @@ impl RadioEnvironment {
 
     /// Received power at `rx` of a transmission from `tx` (`P_rx(tx)` in
     /// the paper's notation).
-    pub fn received_power_mw(&self, tx: NodeId, rx: NodeId) -> Mw {
+    pub(crate) fn received_power_mw(&self, tx: NodeId, rx: NodeId) -> Mw {
         Mw::new(self.received_mw(tx, rx))
     }
 
@@ -303,7 +289,7 @@ impl RadioEnvironment {
     /// given set of nodes transmit simultaneously. Energy detection sums the
     /// received powers, so concurrent transmissions (collisions) only make
     /// detection easier — the property the SCREAM primitive relies on.
-    pub fn carrier_sense(&self, listener: NodeId, transmitters: &[NodeId]) -> bool {
+    pub(crate) fn carrier_sense(&self, listener: NodeId, transmitters: &[NodeId]) -> bool {
         let mut total = Mw::new(0.0);
         for &t in transmitters {
             if t == listener {
@@ -311,7 +297,7 @@ impl RadioEnvironment {
             }
             total += self.received_power_mw(t, listener);
         }
-        total >= self.config.carrier_sense_threshold_mw()
+        total >= RadioConfig::CARRIER_SENSE_THRESHOLD_DBM.to_mw()
     }
 
     /// Whether `u` and `v` complete a two-way handshake with nothing else on
@@ -355,7 +341,7 @@ impl RadioEnvironment {
             return Meters::new(0.0);
         }
         let budget = self.max_tx_power_mw().to_dbm() + self.max_shadow_db()
-            - self.config.carrier_sense_threshold_dbm;
+            - RadioConfig::CARRIER_SENSE_THRESHOLD_DBM;
         Meters::new(self.propagation.distance_for_loss_db(budget).get() * 1.001)
     }
 
@@ -501,7 +487,7 @@ impl RadioEnvironmentBuilder {
     }
 
     /// Switches the build to *streamed* gains: no n×n matrix is materialized
-    /// and [`RadioEnvironment::gain`] evaluates the propagation model's
+    /// and `RadioEnvironment::gain` evaluates the propagation model's
     /// gain on demand from node squared distances. Memory drops from O(n²)
     /// to O(n), which is what makes 10⁵–10⁶-link instances representable.
     ///
@@ -676,18 +662,18 @@ mod tests {
             .propagation(PropagationModel::log_distance(3.0))
             .shadowing(4.0, 7)
             .build(&d);
-        let faded = base.refaded(Db::new(4.0), 8);
-        let faded_again = base.refaded(Db::new(4.0), 8);
+        let faded = base.refaded(Db::new(4.0), 8).unwrap();
+        let faded_again = base.refaded(Db::new(4.0), 8).unwrap();
         assert_eq!(faded, faded_again, "same (sigma, seed) must reproduce");
         assert_ne!(faded, base, "a fresh seed redraws the field");
-        assert_eq!(faded.positions(), base.positions());
+        assert_eq!((&faded.xs, &faded.ys), (&base.xs, &base.ys));
         assert_eq!(faded.config(), base.config());
         // Redrawing with the builder's own draw reproduces build() exactly.
         let rebuilt = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
             .shadowing(4.0, 7)
             .build(&d);
-        assert_eq!(base.refaded(Db::new(4.0), 7), rebuilt);
+        assert_eq!(base.refaded(Db::new(4.0), 7), Some(rebuilt));
         // The per-receiver floor is refilled with the matrix: it is the
         // exact minimum over the faded gains, not the base's.
         assert_ne!(faded.weakest_rx_mw, base.weakest_rx_mw);
@@ -704,14 +690,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "streamed")]
-    fn refading_a_streamed_environment_panics() {
+    fn refading_a_streamed_environment_is_none() {
         let d = line_deployment(150.0, 4);
         let streamed = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
             .streamed_gains()
             .build(&d);
-        let _ = streamed.refaded(Db::new(2.0), 1);
+        assert_eq!(streamed.refaded(Db::new(2.0), 1), None);
     }
 
     #[test]
@@ -795,10 +780,18 @@ mod tests {
         // Place two transmitters at a distance where one alone is just below
         // the carrier-sense threshold but two together are above it.
         let d = line_deployment(1.0, 3);
-        let mut e = env(&d);
-        let single = e.received_power_mw(NodeId::new(0), NodeId::new(2));
-        // Craft a threshold between 1x and 2x the single received power.
-        e.config.carrier_sense_threshold_dbm = (single * 1.5).to_dbm();
+        let single = env(&d).received_power_mw(NodeId::new(0), NodeId::new(2));
+        // Shift every node's power so that the threshold sits at 1.5x the
+        // single received power.
+        let shift = RadioConfig::CARRIER_SENSE_THRESHOLD_DBM - (single * 1.5).to_dbm();
+        let positions: Vec<Point2> = d.node_ids().map(|id| d.position(id)).collect();
+        let shifted = Deployment::from_positions(
+            &positions,
+            (Dbm::new(20.0) + shift).get(),
+            Rect::square(3.0),
+        )
+        .unwrap();
+        let e = env(&shifted);
         assert!(!e.carrier_sense(NodeId::new(2), &[NodeId::new(0)]));
         assert!(e.carrier_sense(NodeId::new(2), &[NodeId::new(0), NodeId::new(1)]));
     }
@@ -1014,7 +1007,7 @@ mod tests {
     fn positions_roundtrip_through_environment() {
         let d = GridDeployment::new(3, 2, 75.0).build();
         let e = env(&d);
-        let (xs, ys) = e.positions();
+        let (xs, ys) = (&e.xs, &e.ys);
         assert_eq!(xs.len(), 6);
         for i in 0..6u32 {
             let p = d.position(NodeId::new(i));

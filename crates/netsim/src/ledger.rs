@@ -103,7 +103,7 @@
 //!
 //! # Refusal screen
 //!
-//! [`surely_refuses`](SlotLedger::surely_refuses) lets first-fit pass a slot
+//! `SlotLedger::surely_refuses` lets first-fit pass a slot
 //! by unprobed. Its screen is derived lazily from the two binding victims (a
 //! `Cell` beside the memo, dropped by [`assign`] and `clear`): *closed* when
 //! the least power any node delivers at a victim's receiver already breaks
@@ -473,7 +473,7 @@ impl<'a> SlotLedger<'a> {
     /// turns the common negative answer into O(1) instead of an O(k) scan
     /// (the difference between quadratic and linear run scans in the greedy
     /// scheduler at 10⁵ links).
-    pub fn contains(&self, link: Link) -> bool {
+    pub(crate) fn contains(&self, link: Link) -> bool {
         self.busy(link.head) && self.busy(link.tail) && self.links.contains(&link)
     }
 
@@ -524,7 +524,7 @@ impl<'a> SlotLedger<'a> {
     /// The refusal screen (see the [module docs](self)): `true` only if
     /// [`can_add`](Self::can_add) is `false` for `candidate`, decided without
     /// probing; `false` decides nothing.
-    pub fn surely_refuses(&self, candidate: Link) -> bool {
+    pub(crate) fn surely_refuses(&self, candidate: Link) -> bool {
         let screen = self.refusal.get().unwrap_or_else(|| self.derive_refusal());
         screen.refuses(self.env, candidate)
     }
@@ -1022,8 +1022,9 @@ pub struct SlotClaims {
 ///
 /// With one channel the set degenerates exactly to its single [`SlotLedger`]:
 /// the cross-channel check is vacuous (there is no *other* channel), so
-/// [`can_add`](Self::can_add) and [`slot_feasible`](Self::slot_feasible)
-/// agree decision-for-decision with the plain ledger.
+/// [`can_add`](Self::can_add) and the per-channel
+/// [`SlotLedger::slot_feasible`] verdicts agree decision-for-decision with the
+/// plain ledger.
 #[derive(Debug, Clone)]
 pub struct ChannelSlotLedger<'a> {
     channels: Vec<SlotLedger<'a>>,
@@ -1080,18 +1081,8 @@ impl<'a> ChannelSlotLedger<'a> {
         self.cross_channel_disjoint = true;
     }
 
-    /// Total number of assigned links across all channels.
-    pub fn len(&self) -> usize {
-        self.channels.iter().map(SlotLedger::len).sum()
-    }
-
-    /// Whether no link has been assigned on any channel.
-    pub fn is_empty(&self) -> bool {
-        self.channels.iter().all(SlotLedger::is_empty)
-    }
-
     /// Whether `link` is assigned on any channel. O(C) for the common
-    /// negative answer, via each channel's [`SlotLedger::contains`] screen.
+    /// negative answer, via each channel's `SlotLedger::contains` screen.
     pub fn contains_link(&self, link: Link) -> bool {
         self.channels.iter().any(|l| l.contains(link))
     }
@@ -1103,7 +1094,7 @@ impl<'a> ChannelSlotLedger<'a> {
         self.channels.iter().all(|l| l.endpoints_free(link))
     }
 
-    /// Whether every channel [surely refuses](SlotLedger::surely_refuses)
+    /// Whether every channel surely refuses (`SlotLedger::surely_refuses`)
     /// `candidate`, so that [`can_add`](Self::can_add) is `false` on each.
     pub fn surely_refuses(&self, candidate: Link) -> bool {
         self.channels.iter().all(|l| l.surely_refuses(candidate))
@@ -1132,7 +1123,7 @@ impl<'a> ChannelSlotLedger<'a> {
 
     /// Adds `link` to the slot on `channel`, unconditionally (mirroring
     /// [`SlotLedger::assign`]): force-assigned cross-channel conflicts are
-    /// tracked and surfaced through [`slot_feasible`](Self::slot_feasible).
+    /// tracked and keep the slot infeasible.
     pub fn assign(&mut self, channel: ChannelId, link: Link) {
         if self.busy_elsewhere(channel, link) {
             self.cross_channel_disjoint = false;
@@ -1166,8 +1157,10 @@ impl<'a> ChannelSlotLedger<'a> {
 
     /// Whether the assigned multi-channel set is a feasible slot: every
     /// channel is feasible on its own ([`SlotLedger::slot_feasible`]) and no
-    /// node appears on two distinct channels.
-    pub fn slot_feasible(&self) -> bool {
+    /// node appears on two distinct channels. The whole-slot verdict the
+    /// tests read; product code reads each channel's.
+    #[cfg(test)]
+    pub(crate) fn slot_feasible(&self) -> bool {
         self.cross_channel_disjoint && self.channels.iter().all(SlotLedger::slot_feasible)
     }
 
@@ -1196,7 +1189,7 @@ impl<'a> ChannelSlotLedger<'a> {
     ///   checks alone cannot see this, because the interferer-exclusion rule
     ///   skips a shared node exactly when it is busy with its own packet, so
     ///   admitting claims through the raw probe reintroduces endpoint-sharing
-    ///   chains at low β that [`slot_feasible`](Self::slot_feasible) (and the
+    ///   chains at low β that the whole-slot verdict (and the
     ///   verifier) reject — and
     /// * channel `c`'s already-assigned links all survive the sub-phase —
     ///   otherwise the sub-phase is vetoed and **no** link claims `c`,
@@ -1566,7 +1559,7 @@ mod tests {
             assert_eq!(set.slot_feasible(), plain.slot_feasible());
         }
         assert_eq!(set.links(ChannelId::ZERO), plain.links());
-        assert_eq!(set.len(), plain.len());
+        assert_eq!(set.assignments().count(), plain.len());
         assert_eq!(set.margins(ChannelId::ZERO), plain.margins());
     }
 
@@ -1600,7 +1593,7 @@ mod tests {
             !set2.can_add(ChannelId::new(1), link(1, 4)),
             "node 1 is already busy on channel 0"
         );
-        assert_eq!(set2.len(), 2);
+        assert_eq!(set2.assignments().count(), 2);
         assert_eq!(
             set2.assignments().collect::<Vec<_>>(),
             vec![
@@ -1625,7 +1618,7 @@ mod tests {
         assert!(set.channel(ChannelId::new(1)).slot_feasible());
         // clear() restores a fresh, reusable set.
         set.clear();
-        assert!(set.is_empty());
+        assert_eq!(set.assignments().next(), None);
         assert!(set.slot_feasible());
         assert!(set.endpoints_free(link(1, 2)));
         let mut fresh = ChannelSlotLedger::new(&env);
@@ -1998,7 +1991,10 @@ mod tests {
                     set.assign(channel, candidate);
                 }
             }
-            assert!(set.len() > 1, "seed {seed}: nothing was admitted");
+            assert!(
+                set.assignments().count() > 1,
+                "seed {seed}: nothing was admitted"
+            );
         }
     }
 
@@ -2068,7 +2064,10 @@ mod tests {
                         set.assign(ch, link);
                         refused += assert_refusals_are_sound(&set, &mut rng, 200);
                     }
-                    assert!(set.len() > 1, "{what}: nothing was admitted");
+                    assert!(
+                        set.assignments().count() > 1,
+                        "{what}: nothing was admitted"
+                    );
                     if env.is_streamed() {
                         assert!(refused > 0, "{what}: the screen never fired");
                     }

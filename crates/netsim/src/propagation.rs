@@ -50,13 +50,8 @@ impl PropagationModel {
     /// The paper's simulation setting: log-distance with exponent 3 (the
     /// log-normal shadowing component is added separately through
     /// [`ShadowingField`]).
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Self::log_distance(3.0)
-    }
-
-    /// The path-loss exponent `α`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Path loss over `distance`. Distances at or below the reference
@@ -70,15 +65,17 @@ impl PropagationModel {
     }
 
     /// Linear power gain (received power / transmitted power) over the given
-    /// distance. Always in `(0, 1]`.
-    pub fn gain(&self, distance: Meters) -> f64 {
+    /// distance. Always in `(0, 1]`. The reference the tests hold
+    /// [`GainProfile`] to.
+    #[cfg(test)]
+    pub(crate) fn gain(&self, distance: Meters) -> f64 {
         (-self.path_loss_db(distance)).to_linear()
     }
 
     /// The distance at which the path loss reaches `loss` — the inverse of
     /// [`path_loss_db`](Self::path_loss_db). Used to derive communication and
     /// carrier-sense ranges from power budgets.
-    pub fn distance_for_loss_db(&self, loss: Db) -> Meters {
+    pub(crate) fn distance_for_loss_db(&self, loss: Db) -> Meters {
         let loss_db = loss.get();
         if loss_db <= Self::REFERENCE_LOSS_DB {
             return Meters::new(Self::REFERENCE_DISTANCE_M);
@@ -90,7 +87,7 @@ impl PropagationModel {
     /// directly from *squared* distances — the form hot paths have at hand
     /// after a [`Point2::distance_squared`](scream_topology::Point2) — with
     /// closed-form fast paths for the common integer exponents that avoid
-    /// the `log10`/`powf` round-trip of [`gain`](Self::gain).
+    /// the `log10`/`powf` round-trip of the path loss in dB.
     pub(crate) fn gain_profile(&self) -> GainProfile {
         GainProfile::from_model(self)
     }
@@ -106,7 +103,8 @@ impl PropagationModel {
 /// [`RadioEnvironment`](crate::RadioEnvironment) recompute gains on the fly
 /// at millions of pairs per second.
 ///
-/// Values agree with [`PropagationModel::gain`] up to floating-point
+/// Values agree with the linear form of
+/// [`path_loss_db`](PropagationModel::path_loss_db) up to floating-point
 /// rearrangement (≲ 1 ulp relative); a streamed environment uses *only* this
 /// evaluator, so its feasibility verdicts are internally consistent.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -139,7 +137,7 @@ const REFERENCE_DISTANCE_SQ_M2: f64 =
 
 impl GainProfile {
     /// Builds the evaluator for `model`.
-    pub fn from_model(model: &PropagationModel) -> Self {
+    pub(crate) fn from_model(model: &PropagationModel) -> Self {
         let kind = if model.exponent == 2.0 {
             GainKind::FreeSpace
         } else if model.exponent == 3.0 {
@@ -159,7 +157,7 @@ impl GainProfile {
 
     /// Linear gain at squared distance `d2` (m²). Always in `(0, 1]`.
     #[inline]
-    pub fn gain_from_distance_squared(&self, d2: f64) -> f64 {
+    pub(crate) fn gain_from_distance_squared(&self, d2: f64) -> f64 {
         if d2 <= REFERENCE_DISTANCE_SQ_M2 {
             return self.ref_gain;
         }
@@ -176,7 +174,7 @@ impl GainProfile {
     /// up to floating-point rounding, clamped to the squared reference
     /// distance for gains the profile never exceeds. Callers that need a
     /// guarantee evaluate the forward function at the result.
-    pub fn distance_squared_for_gain(&self, gain: f64) -> f64 {
+    pub(crate) fn distance_squared_for_gain(&self, gain: f64) -> f64 {
         if gain >= self.ref_gain {
             return REFERENCE_DISTANCE_SQ_M2;
         }
@@ -340,8 +338,8 @@ mod tests {
 
     #[test]
     fn the_default_model_is_the_papers_exponent_three() {
-        assert_eq!(PropagationModel::paper_default().exponent(), 3.0);
-        assert_eq!(PropagationModel::default().exponent(), 3.0);
+        assert_eq!(PropagationModel::paper_default().exponent, 3.0);
+        assert_eq!(PropagationModel::default().exponent, 3.0);
     }
 
     #[test]

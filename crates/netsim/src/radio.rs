@@ -1,5 +1,6 @@
-//! Radio front-end configuration: noise floor, SINR threshold, carrier-sense
-//! threshold, data rate and frame sizes.
+//! Radio front-end configuration: noise floor, SINR threshold and channel
+//! count, plus the carrier-sense threshold, data rate and frame sizes every
+//! configuration shares.
 
 use serde::{Deserialize, Serialize};
 
@@ -54,15 +55,6 @@ pub struct RadioConfig {
     /// SINR threshold `β`. A transmission is decodable iff its SINR is at
     /// least this value.
     pub sinr_threshold_db: Db,
-    /// Carrier-sense (energy-detection) threshold. A listening node detects
-    /// activity iff the total received power exceeds this value.
-    pub carrier_sense_threshold_dbm: Dbm,
-    /// Link data rate used for data packets and ACKs.
-    pub data_rate: DataRate,
-    /// Size of a data packet, in bytes (payload plus headers).
-    pub data_packet_bytes: usize,
-    /// Size of a link-layer ACK, in bytes.
-    pub ack_bytes: usize,
     /// Number of orthogonal frequency channels available to the schedulers.
     /// Interference only accrues within a channel; the original SCREAM
     /// setting is `1` (a single shared channel).
@@ -70,17 +62,23 @@ pub struct RadioConfig {
 }
 
 impl RadioConfig {
+    /// Carrier-sense (energy-detection) threshold of an 802.11-class radio.
+    /// A listening node detects activity iff the total received power
+    /// exceeds this value.
+    pub const CARRIER_SENSE_THRESHOLD_DBM: Dbm = Dbm::new(-91.0);
+    /// Link data rate used for data packets and ACKs.
+    pub(crate) const DATA_RATE: DataRate = DataRate::MBPS_11;
+    /// Size of a data packet, in bytes (payload plus headers).
+    pub(crate) const DATA_PACKET_BYTES: usize = 1500;
+    /// Size of a link-layer ACK, in bytes.
+    pub(crate) const ACK_BYTES: usize = 38;
+
     /// Default configuration for an 802.11-class mesh backbone:
-    /// −100 dBm noise floor, β = 10 dB, −91 dBm carrier-sense threshold,
-    /// 11 Mb/s, 1500-byte data packets, 38-byte ACKs.
+    /// −100 dBm noise floor, β = 10 dB, one channel.
     pub fn mesh_default() -> Self {
         Self {
             noise_floor_dbm: Dbm::new(-100.0),
             sinr_threshold_db: Db::new(10.0),
-            carrier_sense_threshold_dbm: Dbm::new(-91.0),
-            data_rate: DataRate::MBPS_11,
-            data_packet_bytes: 1500,
-            ack_bytes: 38,
             channel_count: 1,
         }
     }
@@ -124,13 +122,8 @@ impl RadioConfig {
     }
 
     /// SINR threshold as a linear ratio.
-    pub fn sinr_threshold_linear(&self) -> f64 {
+    pub(crate) fn sinr_threshold_linear(&self) -> f64 {
         self.sinr_threshold_db.to_linear()
-    }
-
-    /// Carrier-sense threshold in milliwatts.
-    pub fn carrier_sense_threshold_mw(&self) -> Mw {
-        self.carrier_sense_threshold_dbm.to_mw()
     }
 }
 
@@ -159,12 +152,6 @@ mod tests {
                 < 1e-9
         );
         assert!((c.sinr_threshold_linear() - 10.0).abs() < 1e-9);
-        assert!(
-            (c.carrier_sense_threshold_mw().to_dbm() - c.carrier_sense_threshold_dbm)
-                .get()
-                .abs()
-                < 1e-9
-        );
     }
 
     mod conversion_properties {
@@ -259,7 +246,8 @@ mod tests {
         // otherwise SCREAM relaying would be no more robust than decoding.
         let c = RadioConfig::mesh_default();
         assert!(
-            c.carrier_sense_threshold_dbm < c.noise_floor_dbm + c.sinr_threshold_db + Db::new(20.0)
+            RadioConfig::CARRIER_SENSE_THRESHOLD_DBM
+                < c.noise_floor_dbm + c.sinr_threshold_db + Db::new(20.0)
         );
     }
 }

@@ -34,7 +34,7 @@ use crate::units::Meters;
 /// row-major linearization `cy * cols + cx`. Points outside the bounding box
 /// clamp to the nearest boundary cell, so the mapping is total.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GridGeometry {
+pub(crate) struct GridGeometry {
     min_x: f64,
     min_y: f64,
     cell_size_m: f64,
@@ -45,15 +45,15 @@ pub struct GridGeometry {
 /// An inclusive rectangle of cell indices, as returned by
 /// [`GridGeometry::cells_intersecting`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellRect {
+pub(crate) struct CellRect {
     /// First column (inclusive).
-    pub x0: u32,
+    pub(crate) x0: u32,
     /// Last column (inclusive).
-    pub x1: u32,
+    pub(crate) x1: u32,
     /// First row (inclusive).
-    pub y0: u32,
+    pub(crate) y0: u32,
     /// Last row (inclusive).
-    pub y1: u32,
+    pub(crate) y1: u32,
 }
 
 impl CellRect {
@@ -63,7 +63,7 @@ impl CellRect {
     /// After each completed ring, `ring_done()` may return `true` to stop the
     /// traversal early — the early-exit hook interference scans use once a
     /// partial sum already exceeds a rejection threshold.
-    pub fn visit_rings(
+    pub(crate) fn visit_rings(
         &self,
         center: (u32, u32),
         mut visit: impl FnMut(u32, u32),
@@ -139,13 +139,13 @@ impl GridGeometry {
     /// Hard cap on the number of cells: if the target cell size would exceed
     /// it (vast region, small cutoff), the cell size is grown to fit. Pruning
     /// gets coarser but stays correct.
-    pub const MAX_CELLS: usize = 1 << 20;
+    pub(crate) const MAX_CELLS: usize = 1 << 20;
 
     /// Builds a grid covering the bounding box of `(xs, ys)` with cells of
     /// roughly `target_cell` (grown if needed to respect
     /// [`MAX_CELLS`](Self::MAX_CELLS)). Degenerate inputs (no points, zero
     /// extent, non-finite or non-positive target) collapse to a single cell.
-    pub fn covering(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
+    pub(crate) fn covering(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
         Self::covering_box(bounding_box_m(xs, ys), target_cell.get())
     }
 
@@ -188,12 +188,12 @@ impl GridGeometry {
     }
 
     /// Total number of cells.
-    pub fn cell_count(&self) -> usize {
+    pub(crate) fn cell_count(&self) -> usize {
         self.cols as usize * self.rows as usize
     }
 
     /// The cell containing `p`, clamped into the grid.
-    pub fn cell_of(&self, p: Point2) -> (u32, u32) {
+    pub(crate) fn cell_of(&self, p: Point2) -> (u32, u32) {
         let cx = ((p.x - self.min_x) / self.cell_size_m).floor();
         let cy = ((p.y - self.min_y) / self.cell_size_m).floor();
         (
@@ -203,12 +203,12 @@ impl GridGeometry {
     }
 
     /// Row-major linear index of cell `(cx, cy)`.
-    pub fn cell_index(&self, cx: u32, cy: u32) -> usize {
+    pub(crate) fn cell_index(&self, cx: u32, cy: u32) -> usize {
         cy as usize * self.cols as usize + cx as usize
     }
 
     /// Linear index of the cell containing `p` (clamped).
-    pub fn cell_index_of(&self, p: Point2) -> usize {
+    pub(crate) fn cell_index_of(&self, p: Point2) -> usize {
         let (cx, cy) = self.cell_of(p);
         self.cell_index(cx, cy)
     }
@@ -216,7 +216,7 @@ impl GridGeometry {
     /// The inclusive rectangle of cells intersecting the disc of the given
     /// radius around `center` (conservative: may include cells that only
     /// touch the disc's bounding square).
-    pub fn cells_intersecting(&self, center: Point2, radius: Meters) -> CellRect {
+    pub(crate) fn cells_intersecting(&self, center: Point2, radius: Meters) -> CellRect {
         let radius_m = radius.get();
         let lo = Point2::new(center.x - radius_m, center.y - radius_m);
         let hi = Point2::new(center.x + radius_m, center.y + radius_m);
@@ -230,7 +230,7 @@ impl GridGeometry {
 /// contiguous node-id array plus per-cell offsets — flat `Vec<u32>` state,
 /// no per-entity maps).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpatialGrid {
+pub(crate) struct SpatialGrid {
     geometry: GridGeometry,
     /// `bucket_start[c]..bucket_start[c + 1]` indexes `bucket_nodes` for
     /// cell `c`; length `cell_count() + 1`.
@@ -242,7 +242,7 @@ pub struct SpatialGrid {
 impl SpatialGrid {
     /// Builds the index over node positions with cells of roughly
     /// `target_cell`.
-    pub fn build(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
+    pub(crate) fn build(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
         let geometry = GridGeometry::covering(xs, ys, target_cell);
         let cells = geometry.cell_count();
         let mut counts = vec![0u32; cells + 1];
@@ -269,7 +269,7 @@ impl SpatialGrid {
     }
 
     /// Node ids in the cell with linear index `c`, ascending.
-    pub fn nodes_in_cell(&self, c: usize) -> &[u32] {
+    pub(crate) fn nodes_in_cell(&self, c: usize) -> &[u32] {
         let lo = self.bucket_start[c] as usize;
         let hi = self.bucket_start[c + 1] as usize;
         &self.bucket_nodes[lo..hi]
@@ -277,7 +277,7 @@ impl SpatialGrid {
 
     /// Appends to `out` the ids of all indexed nodes within `radius` of `p`
     /// (inclusive, compared on squared distances), in ascending id order.
-    pub fn nodes_within(
+    pub(crate) fn nodes_within(
         &self,
         xs: &[f64],
         ys: &[f64],
@@ -310,14 +310,14 @@ fn pack_entry(link_idx: u32, is_head: bool) -> u32 {
 
 /// The link index of a packed bucket entry.
 #[inline]
-pub fn entry_link(entry: u32) -> usize {
+pub(crate) fn entry_link(entry: u32) -> usize {
     (entry >> 1) as usize
 }
 
 /// Whether a packed bucket entry indexes the link's head (transmitter of the
 /// data sub-slot) rather than its tail.
 #[inline]
-pub fn entry_is_head(entry: u32) -> bool {
+pub(crate) fn entry_is_head(entry: u32) -> bool {
     entry & 1 == 1
 }
 
@@ -331,7 +331,7 @@ pub fn entry_is_head(entry: u32) -> bool {
 /// O(touched cells), matching [`SlotLedger::clear`](crate::ledger)'s
 /// O(assigned) lifecycle.
 #[derive(Debug, Clone)]
-pub struct EndpointBuckets {
+pub(crate) struct EndpointBuckets {
     geometry: GridGeometry,
     cells: Vec<Vec<u32>>,
     touched: Vec<u32>,
@@ -339,7 +339,7 @@ pub struct EndpointBuckets {
 
 impl EndpointBuckets {
     /// Empty buckets over the given geometry.
-    pub fn new(geometry: GridGeometry) -> Self {
+    pub(crate) fn new(geometry: GridGeometry) -> Self {
         let cells = vec![Vec::new(); geometry.cell_count()];
         Self {
             geometry,
@@ -349,12 +349,12 @@ impl EndpointBuckets {
     }
 
     /// The grid geometry.
-    pub fn geometry(&self) -> &GridGeometry {
+    pub(crate) fn geometry(&self) -> &GridGeometry {
         &self.geometry
     }
 
     /// Indexes the endpoints of the link with ledger index `link_idx`.
-    pub fn insert(&mut self, link_idx: u32, head: Point2, tail: Point2) {
+    pub(crate) fn insert(&mut self, link_idx: u32, head: Point2, tail: Point2) {
         let hc = self.geometry.cell_index_of(head);
         let tc = self.geometry.cell_index_of(tail);
         for (cell, entry) in [
@@ -370,12 +370,12 @@ impl EndpointBuckets {
 
     /// The packed entries of the cell with linear index `c` (see
     /// [`entry_link`], [`entry_is_head`]).
-    pub fn entries(&self, c: usize) -> &[u32] {
+    pub(crate) fn entries(&self, c: usize) -> &[u32] {
         &self.cells[c]
     }
 
     /// Removes all entries in O(touched cells), keeping allocations.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for &c in &self.touched {
             self.cells[c as usize].clear();
         }

@@ -19,22 +19,23 @@ use crate::units::SimTime;
 pub struct SlotTiming {
     /// Duration of a single SCREAM slot (one hop of the carrier-sensing
     /// flood): the time to transmit `SMBytes` plus turnaround and guard time.
-    pub scream_slot: SimTime,
+    pub(crate) scream_slot: SimTime,
     /// Duration of one two-way handshake step: data sub-slot plus ACK
     /// sub-slot plus turnaround and guard time.
-    pub handshake_slot: SimTime,
+    pub(crate) handshake_slot: SimTime,
     /// Fixed overhead charged for every `GlobalSync()` barrier (processing
     /// and radio turnaround), in addition to the guard interval already
     /// folded into the slot durations.
-    pub sync_overhead: SimTime,
+    pub(crate) sync_overhead: SimTime,
 }
 
 impl SlotTiming {
     /// Radio/MAC turnaround time between receive and transmit (SIFS-like).
-    pub const TURNAROUND: SimTime = SimTime::from_micros(10);
+    pub(crate) const TURNAROUND: SimTime = SimTime::from_micros(10);
 
-    /// Derives slot durations from the radio configuration, the SCREAM
-    /// payload size and the clock-skew guard.
+    /// Derives slot durations from the radio's data rate and frame sizes
+    /// ([`RadioConfig`]'s constants), the SCREAM payload size and the
+    /// clock-skew guard.
     ///
     /// * a SCREAM slot is `scream_bytes` on the air plus turnaround plus the
     ///   guard interval;
@@ -42,11 +43,11 @@ impl SlotTiming {
     ///   the guard interval (data and ACK live in separate sub-slots per the
     ///   model of Section II);
     /// * every synchronized step additionally pays `sync_overhead`.
-    pub fn derive(radio: &RadioConfig, scream_bytes: usize, skew: ClockSkewConfig) -> Self {
+    pub fn derive(scream_bytes: usize, skew: ClockSkewConfig) -> Self {
         let guard = skew.guard_interval();
-        let scream_tx = radio.data_rate.transmission_time(scream_bytes);
-        let data_tx = radio.data_rate.transmission_time(radio.data_packet_bytes);
-        let ack_tx = radio.data_rate.transmission_time(radio.ack_bytes);
+        let scream_tx = RadioConfig::DATA_RATE.transmission_time(scream_bytes);
+        let data_tx = RadioConfig::DATA_RATE.transmission_time(RadioConfig::DATA_PACKET_BYTES);
+        let ack_tx = RadioConfig::DATA_RATE.transmission_time(RadioConfig::ACK_BYTES);
         Self {
             scream_slot: scream_tx + Self::TURNAROUND + guard,
             handshake_slot: data_tx + ack_tx + Self::TURNAROUND * 2 + guard,
@@ -56,8 +57,8 @@ impl SlotTiming {
 
     /// Slot timing for the paper's default simulation setting: 15-byte
     /// SCREAMs, 11 Mb/s, perfect clocks.
-    pub fn paper_default() -> Self {
-        Self::derive(&RadioConfig::mesh_default(), 15, ClockSkewConfig::PERFECT)
+    pub(crate) fn paper_default() -> Self {
+        Self::derive(15, ClockSkewConfig::PERFECT)
     }
 }
 
@@ -115,11 +116,6 @@ impl ProtocolTiming {
             + timing.handshake_slot.saturating_mul(self.handshake_slots)
             + timing.sync_overhead.saturating_mul(self.sync_steps)
     }
-
-    /// Wall-clock execution time in seconds (convenience for plotting).
-    pub fn execution_secs(&self, timing: &SlotTiming) -> f64 {
-        self.execution_time(timing).as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -128,18 +124,16 @@ mod tests {
 
     #[test]
     fn derived_slots_scale_with_scream_size() {
-        let radio = RadioConfig::mesh_default();
-        let small = SlotTiming::derive(&radio, 5, ClockSkewConfig::PERFECT);
-        let large = SlotTiming::derive(&radio, 60, ClockSkewConfig::PERFECT);
+        let small = SlotTiming::derive(5, ClockSkewConfig::PERFECT);
+        let large = SlotTiming::derive(60, ClockSkewConfig::PERFECT);
         assert!(large.scream_slot > small.scream_slot);
         assert_eq!(large.handshake_slot, small.handshake_slot);
     }
 
     #[test]
     fn derived_slots_scale_with_clock_skew() {
-        let radio = RadioConfig::mesh_default();
-        let tight = SlotTiming::derive(&radio, 15, ClockSkewConfig::gps());
-        let loose = SlotTiming::derive(&radio, 15, ClockSkewConfig::new(SimTime::from_millis(10)));
+        let tight = SlotTiming::derive(15, ClockSkewConfig::gps());
+        let loose = SlotTiming::derive(15, ClockSkewConfig::new(SimTime::from_millis(10)));
         assert!(loose.scream_slot > tight.scream_slot);
         assert!(loose.handshake_slot > tight.handshake_slot);
         assert!(loose.sync_overhead > tight.sync_overhead);
@@ -166,7 +160,6 @@ mod tests {
         assert_eq!(p.total_steps(), 12);
         let expected = t.scream_slot * 10 + t.handshake_slot + t.sync_overhead;
         assert_eq!(p.execution_time(&t), expected);
-        assert!((p.execution_secs(&t) - expected.as_secs_f64()).abs() < 1e-15);
     }
 
     #[test]

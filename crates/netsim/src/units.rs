@@ -60,11 +60,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, other: SimTime) -> SimTime {
-        SimTime(self.0.saturating_add(other.0))
-    }
-
     /// Saturating subtraction of a duration.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
@@ -138,7 +133,7 @@ impl DataRate {
 
     /// The IEEE 802.11b-era 11 Mb/s rate used as the default mesh backbone
     /// rate in this reproduction.
-    pub const MBPS_11: DataRate = DataRate(11_000_000);
+    pub(crate) const MBPS_11: DataRate = DataRate(11_000_000);
 
     /// The Mica2 CC1000 radio rate (~38.4 kb/s) used by the mote experiment.
     pub const MICA2: DataRate = DataRate(38_400);

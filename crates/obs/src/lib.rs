@@ -65,13 +65,13 @@ pub mod registry;
 pub mod trace;
 
 pub use registry::{Histogram, Snapshot};
-pub use trace::{trace_to_jsonl, TraceEvent};
+pub use trace::TraceEvent;
 
 use std::cell::RefCell;
 
 /// Default trace-ring capacity: large enough to keep every event of the
 /// paper-scale scenarios, bounded so million-link runs stay O(1) memory.
-pub const DEFAULT_TRACE_CAPACITY: usize = 16_384;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
 /// The logical clock every trace event is stamped with. All four components
 /// advance monotonically under the caller's control — the crate never reads
@@ -157,7 +157,7 @@ pub struct ObsReport {
 impl ObsReport {
     /// The retained trace as JSONL (one event object per line).
     pub fn trace_jsonl(&self) -> String {
-        trace_to_jsonl(&self.trace)
+        trace::trace_to_jsonl(&self.trace)
     }
 }
 

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// `floor(log2(value)) == i - 1` (bucket 0 counts zeros), with one overflow
 /// bucket at the top. 33 buckets cover the full `u32` range — slot counts,
 /// scan depths and reject tallies all fit far below that.
-pub const HISTOGRAM_BUCKETS: usize = 34;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 34;
 
 /// A log₂-bucket histogram over `u64` samples.
 ///
@@ -31,7 +31,7 @@ pub struct Histogram {
     /// Largest recorded sample (0 when empty).
     pub max: u64,
     /// Log₂ bucket tallies; see [`HISTOGRAM_BUCKETS`].
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
+    pub(crate) buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl Default for Histogram {
@@ -59,7 +59,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         if self.count == 0 || value < self.min {
             self.min = value;
         }

@@ -8,7 +8,7 @@
 //! retained prefix of a long run is deterministic no matter when the run
 //! stops.
 //!
-//! [`trace_to_jsonl`] renders events one JSON object per line, fields in
+//! `trace_to_jsonl` renders events one JSON object per line, fields in
 //! emission order, suitable for byte-diffing two same-seed runs in CI.
 
 use crate::registry::escape_json;
@@ -17,7 +17,7 @@ use crate::registry::escape_json;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Emission ordinal within the session (0-based, counts drops too).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Event name (dot-separated, e.g. `greedy.link`).
     pub name: &'static str,
     /// Slot-clock stamp: schedule slot.
@@ -25,11 +25,11 @@ pub struct TraceEvent {
     /// Slot-clock stamp: distributed-protocol round.
     pub round: u64,
     /// Slot-clock stamp: resilience epoch.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Slot-clock stamp: feasibility-probe ordinal.
-    pub probe: u64,
+    pub(crate) probe: u64,
     /// Event payload, in emission order.
-    pub fields: Vec<(&'static str, u64)>,
+    pub(crate) fields: Vec<(&'static str, u64)>,
 }
 
 impl TraceEvent {
@@ -42,7 +42,7 @@ impl TraceEvent {
     }
 
     /// This event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"seq\":{},\"name\":\"{}\",\"slot\":{},\"round\":{},\"epoch\":{},\"probe\":{}",
             self.seq,
@@ -66,7 +66,7 @@ impl TraceEvent {
 
 /// Renders events as JSONL: one [`TraceEvent::to_json`] object per line,
 /// newline-terminated. Byte-identical for equal event slices.
-pub fn trace_to_jsonl(events: &[TraceEvent]) -> String {
+pub(crate) fn trace_to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for event in events {
         out.push_str(&event.to_json());

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use scream_topology::{Db, Link, NodeId};
+use scream_topology::{Link, NodeId};
 
 /// One kind of injected fault (or repair).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -59,7 +59,7 @@ impl ChurnTrace {
     /// Builds a trace from events, sorting them by slot. Events at the same
     /// slot keep their given order (a `LinkDown` listed before a `LinkUp`
     /// at the same slot loses the race, deterministically).
-    pub fn new(mut events: Vec<FaultEvent>) -> Self {
+    pub(crate) fn new(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| e.slot);
         Self { events }
     }
@@ -75,7 +75,7 @@ impl ChurnTrace {
     }
 
     /// The slot of the first fault, if any.
-    pub fn first_slot(&self) -> Option<u64> {
+    pub(crate) fn first_slot(&self) -> Option<u64> {
         self.events.first().map(|e| e.slot)
     }
 
@@ -122,38 +122,9 @@ impl FaultPlan {
         self
     }
 
-    /// Fails `link` at `down_slot` and repairs it at `up_slot`.
-    pub fn link_outage(self, link: Link, down_slot: u64, up_slot: u64) -> Self {
-        self.at(down_slot, FaultKind::LinkDown(link))
-            .at(up_slot, FaultKind::LinkUp(link))
-    }
-
     /// Fails `link` at `down_slot`, permanently.
     pub fn link_down(self, link: Link, down_slot: u64) -> Self {
         self.at(down_slot, FaultKind::LinkDown(link))
-    }
-
-    /// Kills `node` at `down_slot` and revives it at `up_slot`.
-    pub fn node_outage(self, node: NodeId, down_slot: u64, up_slot: u64) -> Self {
-        self.at(down_slot, FaultKind::NodeDown(node))
-            .at(up_slot, FaultKind::NodeUp(node))
-    }
-
-    /// Redraws the shadowing field at `slot` with deviation `sigma`.
-    pub fn fade(self, slot: u64, sigma: Db, seed: u64) -> Self {
-        self.at(
-            slot,
-            FaultKind::Fade {
-                sigma_db: sigma.get(),
-                seed,
-            },
-        )
-    }
-
-    /// Stops `node`'s flow at `stop_slot` and restarts it at `start_slot`.
-    pub fn flow_churn(self, node: NodeId, stop_slot: u64, start_slot: u64) -> Self {
-        self.at(stop_slot, FaultKind::FlowStop(node))
-            .at(start_slot, FaultKind::FlowStart(node))
     }
 
     /// Appends seeded random churn over the given candidate links and

@@ -63,7 +63,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use scream_netsim::{Db, RadioEnvironment};
+    use scream_netsim::RadioEnvironment;
     use scream_topology::{
         DemandVector, GridDeployment, Link, NodeId, RoutingForest, TopologyError,
     };
@@ -215,7 +215,8 @@ mod tests {
         let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();
         let f0 = probe.frame_slots_initial;
         let trace = FaultPlan::new()
-            .node_outage(victim, 8 * f0, 20 * f0)
+            .at(8 * f0, FaultKind::NodeDown(victim))
+            .at(20 * f0, FaultKind::NodeUp(victim))
             .build();
         let report = h.run(&trace, 44 * f0, 7).unwrap();
         assert!(report.final_verdict_stable, "the node came back");
@@ -234,7 +235,15 @@ mod tests {
         let h = harness(0.6);
         let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();
         let f0 = probe.frame_slots_initial;
-        let trace = FaultPlan::new().fade(10 * f0, Db::new(3.0), 99).build();
+        let trace = FaultPlan::new()
+            .at(
+                10 * f0,
+                FaultKind::Fade {
+                    sigma_db: 3.0,
+                    seed: 99,
+                },
+            )
+            .build();
         let report = h.run(&trace, 30 * f0, 7).unwrap();
         // Admission control guarantees the verdict even if the faded world
         // needs a longer frame or cuts nodes off.
@@ -252,8 +261,15 @@ mod tests {
         let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();
         let f0 = probe.frame_slots_initial;
         let trace = FaultPlan::new()
-            .fade(f0, Db::new(4.0), 7)
-            .node_outage(NodeId::new(10), 2 * f0, 4 * f0)
+            .at(
+                f0,
+                FaultKind::Fade {
+                    sigma_db: 4.0,
+                    seed: 7,
+                },
+            )
+            .at(2 * f0, FaultKind::NodeDown(NodeId::new(10)))
+            .at(4 * f0, FaultKind::NodeUp(NodeId::new(10)))
             .build();
         let report = h.run(&trace, 6 * f0, 7).unwrap();
         assert_eq!(
@@ -277,12 +293,20 @@ mod tests {
 
     /// A fade that cannot be applied — a negative or NaN σ, or any σ on an
     /// environment that streams its gains — is refused before the first
-    /// slot instead of panicking inside `refaded` mid-run.
+    /// slot instead of failing inside `refaded` mid-run.
     #[test]
     fn a_fade_that_cannot_apply_is_an_error_before_the_run() {
         let h = harness(0.8);
         for sigma in [-1.0, f64::NAN] {
-            let trace = FaultPlan::new().fade(50, Db::new(sigma), 3).build();
+            let trace = FaultPlan::new()
+                .at(
+                    50,
+                    FaultKind::Fade {
+                        sigma_db: sigma,
+                        seed: 3,
+                    },
+                )
+                .build();
             assert_eq!(
                 h.run(&trace, 100, 7),
                 Err(ResilienceError::BadFade { slot: 50 })
@@ -295,7 +319,15 @@ mod tests {
             .streamed_gains()
             .build(&GridDeployment::new(4, 4, 200.0).build());
         let h = ResilienceHarness::new(streamed, gateways, demands, 0.8);
-        let trace = FaultPlan::new().fade(50, Db::new(4.0), 3).build();
+        let trace = FaultPlan::new()
+            .at(
+                50,
+                FaultKind::Fade {
+                    sigma_db: 4.0,
+                    seed: 3,
+                },
+            )
+            .build();
         assert_eq!(
             h.run(&trace, 100, 7),
             Err(ResilienceError::BadFade { slot: 50 })
@@ -333,7 +365,10 @@ mod tests {
         let probe = h.run(&ChurnTrace::default(), 1, 7).unwrap();
         let f0 = probe.frame_slots_initial;
         let node = NodeId::new(5);
-        let trace = FaultPlan::new().flow_churn(node, 5 * f0, 15 * f0).build();
+        let trace = FaultPlan::new()
+            .at(5 * f0, FaultKind::FlowStop(node))
+            .at(15 * f0, FaultKind::FlowStart(node))
+            .build();
         let report = h.run(&trace, 30 * f0, 7).unwrap();
         let churn_free = h.run(&ChurnTrace::default(), 30 * f0, 7).unwrap();
         assert!(
@@ -349,8 +384,15 @@ mod tests {
         let (env, gateways, _) = grid_world();
         let dead = busiest_uplink(&env, &gateways, 3);
         let trace = FaultPlan::new()
-            .link_outage(dead, 100, 300)
-            .fade(200, Db::new(2.0), 5)
+            .at(100, FaultKind::LinkDown(dead))
+            .at(300, FaultKind::LinkUp(dead))
+            .at(
+                200,
+                FaultKind::Fade {
+                    sigma_db: 2.0,
+                    seed: 5,
+                },
+            )
             .build();
         let a = h.run(&trace, 800, 3).unwrap();
         let b = h.run(&trace, 800, 3).unwrap();

@@ -62,7 +62,7 @@ pub struct ResilienceReport {
     /// Frame length of the initial (pre-fault) schedule.
     pub frame_slots_initial: u64,
     /// Simulated horizon in slots.
-    pub horizon_slots: u64,
+    pub(crate) horizon_slots: u64,
     /// Per-epoch traffic measurements, in order.
     pub epochs: Vec<EpochMetrics>,
     /// Every rescheduling action, in order.

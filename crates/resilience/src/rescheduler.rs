@@ -427,7 +427,11 @@ impl RunState {
                 }
             }
             FaultKind::Fade { sigma_db, seed } => {
-                self.env = self.env.refaded(Db::new(sigma_db), seed);
+                // `run` refused a streamed environment up front (`BadFade`).
+                let Some(faded) = self.env.refaded(Db::new(sigma_db), seed) else {
+                    return;
+                };
+                self.env = faded;
                 self.graph = self.env.communication_graph();
             }
             FaultKind::FlowStop(node) => {

@@ -377,14 +377,9 @@ impl ProtocolModel {
         }
     }
 
-    /// The configured interference range in hops.
-    pub fn interference_range_hops(&self) -> usize {
-        self.interference_range_hops
-    }
-
     /// Precomputed hop distance between two nodes, or `None` when they are
     /// disconnected. Equivalent to `graph.hop_distance(a, b)` at O(1) cost.
-    pub fn hop_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
+    pub(crate) fn hop_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
         let n = self.graph.node_count();
         match self.hop_matrix[a.index() * n + b.index()] {
             UNREACHABLE => None,
@@ -400,7 +395,7 @@ impl ProtocolModel {
     /// Whether two links cannot share a slot under this model: they share an
     /// endpoint, or a transmitter of one is within interference range of a
     /// receiver of the other (both data and ACK directions considered).
-    pub fn links_conflict(&self, a: Link, b: Link) -> bool {
+    pub(crate) fn links_conflict(&self, a: Link, b: Link) -> bool {
         a.shares_endpoint(&b)
             || self.within_interference_range(a.head, b.tail)
             || self.within_interference_range(b.head, a.tail)
@@ -470,7 +465,7 @@ mod tests {
         let links = [link(1, 0), link(5, 4)];
         assert!(near.slot_feasible(&links));
         assert!(!far.slot_feasible(&links));
-        assert_eq!(far.interference_range_hops(), 3);
+        assert_eq!(far.interference_range_hops, 3);
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl FrameService {
         self.frame_slots == 0
     }
 
-    /// The links served anywhere in the frame, in first-appearance order.
-    pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
-        self.links.iter().map(|(l, _)| *l)
-    }
-
     /// Transmission opportunities per frame for `link` (0 if never served).
     pub fn service_slots(&self, link: Link) -> u64 {
         self.by_link
@@ -241,7 +236,7 @@ mod tests {
         let frame = FrameService::from_schedule(&Schedule::new());
         assert!(frame.is_empty());
         assert_eq!(frame.frame_slots(), 0);
-        assert_eq!(frame.links().count(), 0);
+        assert_eq!(frame.links.len(), 0);
         assert_eq!(frame.service_share(link(1, 0)), 0.0);
         assert!(frame.next_service_slot(link(1, 0), 0).is_none());
     }
@@ -254,7 +249,7 @@ mod tests {
         let s = Schedule::from_runs(vec![(vec![a], 3), (vec![a, b], 2), (vec![b], 1)]);
         let frame = FrameService::from_schedule(&s);
         assert_eq!(frame.frame_slots(), 6);
-        assert_eq!(frame.links().count(), 2);
+        assert_eq!(frame.links.len(), 2);
         // a is served in slots 0..5 — one maximal window despite spanning two
         // runs; b in slots 3..6.
         assert_eq!(

@@ -116,11 +116,11 @@ mod tests {
         let mut s = Schedule::new();
         // Pack links two per slot where possible: 5 slots for TD=10.
         for _ in 0..2 {
-            s.push_slot(vec![link(1, 0), link(3, 2)]);
-            s.push_slot(vec![link(1, 0), link(5, 4)]);
+            s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
+            s.push_slot_run(vec![link(1, 0), link(5, 4)], 1);
         }
-        s.push_slot(vec![link(3, 2)]);
-        s.push_slot(vec![link(3, 2)]);
+        s.push_slot_run(vec![link(3, 2)], 1);
+        s.push_slot_run(vec![link(3, 2)], 1);
         let m = ScheduleMetrics::compute(&s, &d);
         assert_eq!(m.length, 6);
         assert!((m.improvement_over_linear_pct - 40.0).abs() < 1e-12);
@@ -140,7 +140,7 @@ mod tests {
         let serialized = ScheduleMetrics::compute(&serialized_schedule(&d), &d);
         let mut half = Schedule::new();
         for _ in 0..5 {
-            half.push_slot(vec![link(1, 0)]);
+            half.push_slot_run(vec![link(1, 0)], 1);
         }
         let half = ScheduleMetrics::compute(&half, &d);
         assert!((half.length_ratio_pct(&serialized) - 50.0).abs() < 1e-12);
@@ -163,7 +163,7 @@ mod tests {
         let d = demands();
         let empty = ScheduleMetrics::compute(&Schedule::new(), &d);
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0)]);
+        s.push_slot_run(vec![link(1, 0)], 1);
         let nonempty = ScheduleMetrics::compute(&s, &d);
         // Non-empty vs empty is infinitely longer, never "equal length".
         assert_eq!(nonempty.length_ratio_pct(&empty), f64::INFINITY);

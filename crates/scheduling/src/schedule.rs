@@ -117,7 +117,7 @@ impl SlotPattern {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn channel_of(&self, i: usize) -> ChannelId {
+    pub(crate) fn channel_of(&self, i: usize) -> ChannelId {
         assert!(i < self.links.len(), "entry {i} out of range");
         self.channels.get(i).copied().unwrap_or(ChannelId::ZERO)
     }
@@ -141,16 +141,6 @@ impl SlotPattern {
         self.links.is_empty()
     }
 
-    /// Whether `link` is scheduled on any channel.
-    pub fn contains_link(&self, link: Link) -> bool {
-        self.links.contains(&link)
-    }
-
-    /// Whether the exact `(channel, link)` entry is present.
-    pub fn contains(&self, channel: ChannelId, link: Link) -> bool {
-        self.entries().any(|e| e == (channel, link))
-    }
-
     /// Whether every entry sits on channel 0 (true for the empty pattern).
     pub fn is_single_channel(&self) -> bool {
         self.channels.is_empty()
@@ -162,11 +152,6 @@ impl SlotPattern {
             pattern: self,
             start: 0,
         }
-    }
-
-    /// Number of distinct channels used by the pattern (0 when empty).
-    pub fn channels_used(&self) -> usize {
-        self.channel_groups().count()
     }
 
     /// A node that appears in links of two *different* channels of this slot,
@@ -341,13 +326,6 @@ impl Schedule {
         self.slots().map(|p| p.links().to_vec()).collect()
     }
 
-    /// Appends a new slot containing the given links on channel 0 and returns
-    /// its index, in O(pattern) (the cached length makes the index free).
-    pub fn push_slot(&mut self, links: Vec<Link>) -> usize {
-        self.push_slot_run(links, 1);
-        (self.total - 1) as usize
-    }
-
     /// Appends `count` consecutive slots with the same channel-0 `links`
     /// pattern in O(pattern) — the run-length fast path the greedy scheduler
     /// and the serialized baseline use for leftover demand. A zero `count` is
@@ -385,15 +363,6 @@ impl Schedule {
             }
         }
         counts
-    }
-
-    /// Number of slots in which `link` appears (on any channel).
-    pub fn allocated_to(&self, link: Link) -> u64 {
-        self.runs
-            .iter()
-            .filter(|(pattern, _)| pattern.contains_link(link))
-            .map(|(_, count)| count)
-            .sum()
     }
 
     /// Total number of (channel, link, slot) transmission opportunities in
@@ -484,12 +453,15 @@ mod tests {
     fn identical_consecutive_slots_share_one_run() {
         let mut s = Schedule::new();
         for _ in 0..1000 {
-            s.push_slot(vec![link(1, 0)]);
+            s.push_slot_run(vec![link(1, 0)], 1);
         }
         s.push_slot_run(vec![link(3, 2)], 1_000_000);
         assert_eq!(s.length(), 1_001_000);
         assert_eq!(s.pattern_count(), 2);
-        assert_eq!(s.allocated_to(link(3, 2)), 1_000_000);
+        assert_eq!(
+            s.allocation_counts().get(&link(3, 2)).copied().unwrap_or(0),
+            1_000_000
+        );
         assert_eq!(s.total_transmissions(), 1_001_000);
         assert_eq!(s.slot(999).unwrap().links(), &[link(1, 0)]);
         assert_eq!(s.slot(1000).unwrap().links(), &[link(3, 2)]);
@@ -529,12 +501,21 @@ mod tests {
     #[test]
     fn allocation_counts_track_per_link_slots() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0), link(3, 2)]);
-        s.push_slot(vec![link(1, 0)]);
-        s.push_slot(vec![link(5, 4)]);
-        assert_eq!(s.allocated_to(link(1, 0)), 2);
-        assert_eq!(s.allocated_to(link(3, 2)), 1);
-        assert_eq!(s.allocated_to(link(9, 8)), 0);
+        s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
+        s.push_slot_run(vec![link(1, 0)], 1);
+        s.push_slot_run(vec![link(5, 4)], 1);
+        assert_eq!(
+            s.allocation_counts().get(&link(1, 0)).copied().unwrap_or(0),
+            2
+        );
+        assert_eq!(
+            s.allocation_counts().get(&link(3, 2)).copied().unwrap_or(0),
+            1
+        );
+        assert_eq!(
+            s.allocation_counts().get(&link(9, 8)).copied().unwrap_or(0),
+            0
+        );
         let counts = s.allocation_counts();
         assert_eq!(counts[&link(1, 0)], 2);
         assert_eq!(counts.len(), 3);
@@ -544,16 +525,16 @@ mod tests {
     #[test]
     fn spatial_reuse_is_average_concurrency() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0), link(3, 2)]);
-        s.push_slot(vec![link(5, 4)]);
+        s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
+        s.push_slot_run(vec![link(5, 4)], 1);
         assert!((s.spatial_reuse() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn display_mentions_every_slot() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0)]);
-        s.push_slot(vec![link(3, 2)]);
+        s.push_slot_run(vec![link(1, 0)], 1);
+        s.push_slot_run(vec![link(3, 2)], 1);
         let text = s.to_string();
         assert!(text.contains("2 slots"));
         assert!(text.contains("n1->n0"));
@@ -582,7 +563,7 @@ mod tests {
         assert!(by_entries.is_single_channel());
         assert_eq!(by_links.links(), &[link(1, 0), link(3, 2)]);
         assert_eq!(by_links.channel_of(0), ChannelId::ZERO);
-        assert_eq!(by_links.channels_used(), 1);
+        assert_eq!(by_links.channel_groups().count(), 1);
         let groups: Vec<(ChannelId, &[Link])> = by_links.channel_groups().collect();
         assert_eq!(groups, [(ChannelId::ZERO, by_links.links())]);
         assert!(by_links.node_on_multiple_channels().is_none());
@@ -599,14 +580,14 @@ mod tests {
         ]);
         assert_eq!(p.len(), 4);
         assert!(!p.is_single_channel());
-        assert_eq!(p.channels_used(), 2);
+        assert_eq!(p.channel_groups().count(), 2);
         let groups: Vec<(ChannelId, &[Link])> = p.channel_groups().collect();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0], (ch(0), &[link(1, 0), link(3, 2)][..]));
         assert_eq!(groups[1], (ch(1), &[link(5, 4), link(7, 6)][..]));
-        assert!(p.contains(ch(1), link(7, 6)));
-        assert!(!p.contains(ch(0), link(7, 6)));
-        assert!(p.contains_link(link(7, 6)));
+        assert!(p.entries().any(|e| e == (ch(1), link(7, 6))));
+        assert!(!p.entries().any(|e| e == (ch(0), link(7, 6))));
+        assert!(p.links().contains(&link(7, 6)));
         assert_eq!(
             p.to_string(),
             "n1->n0@ch0, n3->n2@ch0, n5->n4@ch1, n7->n6@ch1"
@@ -637,10 +618,17 @@ mod tests {
         assert_eq!(s.length(), 1_502);
         assert_eq!(s.pattern_count(), 2);
         assert_eq!(s.channels_used(), 2);
-        assert_eq!(s.allocated_to(link(3, 2)), 1_000 + 500);
+        assert_eq!(
+            s.allocation_counts().get(&link(3, 2)).copied().unwrap_or(0),
+            1_000 + 500
+        );
         assert_eq!(s.total_transmissions(), 2 * 1_500 + 2);
         assert_eq!(s.slot(0), Some(&p0));
-        assert!(!s.slot(1_501).unwrap().contains(ch(1), link(3, 2)));
+        assert!(!s
+            .slot(1_501)
+            .unwrap()
+            .entries()
+            .any(|e| e == (ch(1), link(3, 2))));
         let rebuilt = Schedule::from_pattern_runs(s.runs().map(|(p, c)| (p.clone(), c)));
         assert_eq!(rebuilt, s);
     }

@@ -297,8 +297,8 @@ mod tests {
     #[test]
     fn valid_schedule_passes() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0), link(3, 2)]);
-        s.push_slot(vec![link(1, 0)]);
+        s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
+        s.push_slot_run(vec![link(1, 0)], 1);
         verify_schedule(&EndpointOnly, &s, &demands()).unwrap();
         verify_slots_feasible(&EndpointOnly, &s).unwrap();
     }
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn underallocation_is_reported() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0), link(3, 2)]);
+        s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
         let err = verify_schedule(&EndpointOnly, &s, &demands()).unwrap_err();
         assert_eq!(
             err,
@@ -322,9 +322,9 @@ mod tests {
     #[test]
     fn overallocation_is_reported() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0)]);
-        s.push_slot(vec![link(1, 0)]);
-        s.push_slot(vec![link(1, 0), link(3, 2)]);
+        s.push_slot_run(vec![link(1, 0)], 1);
+        s.push_slot_run(vec![link(1, 0)], 1);
+        s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
         let err = verify_schedule(&EndpointOnly, &s, &demands()).unwrap_err();
         assert!(matches!(
             err,
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn infeasible_slot_is_reported_with_its_contents() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(1, 0), link(2, 1)]);
+        s.push_slot_run(vec![link(1, 0), link(2, 1)], 1);
         let err = verify_slots_feasible(&EndpointOnly, &s).unwrap_err();
         match err {
             ScheduleViolation::InfeasibleSlot {
@@ -363,7 +363,7 @@ mod tests {
             .propagation(PropagationModel::log_distance(3.0))
             .build(&d);
         let mut s = Schedule::new();
-        s.push_slot(vec![link(0, 1), link(2, 3)]);
+        s.push_slot_run(vec![link(0, 1), link(2, 3)], 1);
         let err = verify_slots_feasible(&env, &s).unwrap_err();
         match err {
             ScheduleViolation::InfeasibleSlot {
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn unknown_link_is_reported() {
         let mut s = Schedule::new();
-        s.push_slot(vec![link(5, 4)]);
+        s.push_slot_run(vec![link(5, 4)], 1);
         let err = verify_schedule(&EndpointOnly, &s, &demands()).unwrap_err();
         assert!(matches!(err, ScheduleViolation::UnknownLink { .. }));
         assert!(err.to_string().contains("n5->n4"));

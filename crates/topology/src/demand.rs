@@ -26,18 +26,6 @@ pub struct DemandConfig {
 impl DemandConfig {
     /// The paper's configuration: uniform in `[1, 10]`.
     pub const PAPER: DemandConfig = DemandConfig { min: 1, max: 10 };
-
-    /// Creates a configuration with the given inclusive bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max` or `min == 0` (zero-demand nodes are expressed by
-    /// making the node a gateway or by building the vector explicitly).
-    pub fn new(min: u32, max: u32) -> Self {
-        assert!(min <= max, "demand bounds are inverted: [{min}, {max}]");
-        assert!(min > 0, "minimum demand must be at least 1");
-        Self { min, max }
-    }
 }
 
 impl Default for DemandConfig {
@@ -306,12 +294,6 @@ mod tests {
         assert_eq!(DemandConfig::PAPER.min, 1);
         assert_eq!(DemandConfig::PAPER.max, 10);
         assert_eq!(DemandConfig::default(), DemandConfig::PAPER);
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted")]
-    fn demand_config_rejects_inverted_bounds() {
-        let _ = DemandConfig::new(5, 2);
     }
 
     #[test]

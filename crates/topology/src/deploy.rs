@@ -124,11 +124,6 @@ impl Deployment {
         self.region
     }
 
-    /// How the deployment was generated.
-    pub fn kind(&self) -> DeploymentKind {
-        self.kind
-    }
-
     /// All nodes, indexed by id.
     pub fn nodes(&self) -> &[NodeInfo] {
         &self.nodes
@@ -139,18 +134,13 @@ impl Deployment {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &NodeInfo {
+    pub(crate) fn node(&self, id: NodeId) -> &NodeInfo {
         &self.nodes[id.index()]
     }
 
     /// Position of node `id` in meters.
     pub fn position(&self, id: NodeId) -> Point2 {
         self.node(id).position
-    }
-
-    /// Transmit power of node `id` in dBm.
-    pub fn tx_power_dbm(&self, id: NodeId) -> Dbm {
-        Dbm::new(self.node(id).tx_power_dbm)
     }
 
     /// Iterator over all node ids.
@@ -188,7 +178,7 @@ impl Deployment {
         clippy::expect_used,
         reason = "Deployment constructors reject empty node sets"
     )]
-    pub fn nearest_node(&self, p: Point2) -> NodeId {
+    pub(crate) fn nearest_node(&self, p: Point2) -> NodeId {
         self.nodes
             .iter()
             .min_by(|a, b| {
@@ -200,13 +190,6 @@ impl Deployment {
             })
             .expect("deployment is never empty")
             .id
-    }
-
-    /// Node density in nodes per square kilometer (the x-axis of Figures 6
-    /// and 7 in the paper).
-    pub fn density_per_km2(&self) -> f64 {
-        let area_km2 = self.region.area() / 1.0e6;
-        self.len() as f64 / area_km2
     }
 }
 
@@ -425,6 +408,11 @@ impl InfiniteDensityDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `p` lies in `region`, boundary included.
+    fn inside(region: Rect, p: Point2) -> bool {
+        (region.min.x..=region.max.x).contains(&p.x) && (region.min.y..=region.max.y).contains(&p.y)
+    }
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -436,14 +424,14 @@ mod tests {
         assert_eq!(d.position(NodeId::new(2)), Point2::new(20.0, 0.0));
         assert_eq!(d.position(NodeId::new(3)), Point2::new(0.0, 10.0));
         assert_eq!(d.position(NodeId::new(5)), Point2::new(20.0, 10.0));
-        assert_eq!(d.kind(), DeploymentKind::Grid);
+        assert_eq!(d.kind, DeploymentKind::Grid);
     }
 
     #[test]
     fn grid_region_spans_the_lattice() {
         let d = GridDeployment::new(8, 8, 250.0).build();
         assert_eq!(d.region().width(), 7.0 * 250.0);
-        assert!(d.node_ids().all(|id| d.region().contains(d.position(id))));
+        assert!(d.node_ids().all(|id| inside(d.region(), d.position(id))));
     }
 
     #[test]
@@ -474,8 +462,8 @@ mod tests {
     #[test]
     fn uniform_deployment_stays_in_region() {
         let d = UniformDeployment::new(200, 500.0).build(&mut ChaCha8Rng::seed_from_u64(1));
-        assert!(d.node_ids().all(|id| d.region().contains(d.position(id))));
-        assert_eq!(d.kind(), DeploymentKind::UniformRandom);
+        assert!(d.node_ids().all(|id| inside(d.region(), d.position(id))));
+        assert_eq!(d.kind, DeploymentKind::UniformRandom);
     }
 
     #[test]
@@ -500,7 +488,7 @@ mod tests {
         let area = density_to_area_m2(64, 25_000.0);
         let d = UniformDeployment::new(64, area.sqrt()).build(&mut ChaCha8Rng::seed_from_u64(0));
         assert!((d.region().area() - area).abs() < 1e-6);
-        assert!((d.density_per_km2() - 25_000.0).abs() < 1.0);
+        assert!((d.len() as f64 / (d.region().area() / 1.0e6) - 25_000.0).abs() < 1.0);
     }
 
     #[test]
@@ -527,7 +515,7 @@ mod tests {
     #[test]
     fn infinite_density_lattice_is_dense() {
         let d = InfiniteDensityDeployment::new(Meters::new(100.0), Meters::new(5.0)).build();
-        assert_eq!(d.kind(), DeploymentKind::InfiniteDensity);
+        assert_eq!(d.kind, DeploymentKind::InfiniteDensity);
         assert_eq!(d.len(), 21 * 21);
     }
 
@@ -546,8 +534,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.len(), 2);
-        assert_eq!(d.tx_power_dbm(NodeId::new(1)).get(), 17.0);
-        assert_eq!(d.kind(), DeploymentKind::Custom);
+        assert_eq!(d.node(NodeId::new(1)).tx_power_dbm, 17.0);
+        assert_eq!(d.kind, DeploymentKind::Custom);
     }
 
     #[test]

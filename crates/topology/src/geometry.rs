@@ -42,11 +42,6 @@ impl Point2 {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Midpoint of the segment between `self` and `other`.
-    pub fn midpoint(&self, other: Point2) -> Point2 {
-        Point2::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
 }
 
 impl From<(f64, f64)> for Point2 {
@@ -75,9 +70,9 @@ impl std::fmt::Display for Point2 {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Rect {
     /// Minimum corner (lower-left).
-    pub min: Point2,
+    pub(crate) min: Point2,
     /// Maximum corner (upper-right).
-    pub max: Point2,
+    pub(crate) max: Point2,
 }
 
 impl Rect {
@@ -101,12 +96,12 @@ impl Rect {
     }
 
     /// Width of the rectangle in meters.
-    pub fn width(&self) -> f64 {
+    pub(crate) fn width(&self) -> f64 {
         self.max.x - self.min.x
     }
 
     /// Height of the rectangle in meters.
-    pub fn height(&self) -> f64 {
+    pub(crate) fn height(&self) -> f64 {
         self.max.y - self.min.y
     }
 
@@ -121,33 +116,14 @@ impl Rect {
         self.min.distance(self.max)
     }
 
-    /// Returns `true` if the point lies inside the rectangle (inclusive of
-    /// the boundary).
-    pub fn contains(&self, p: Point2) -> bool {
-        p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// Center of the rectangle.
-    pub fn center(&self) -> Point2 {
-        self.min.midpoint(self.max)
-    }
-
     /// The four corners in counter-clockwise order starting from `min`.
-    pub fn corners(&self) -> [Point2; 4] {
+    pub(crate) fn corners(&self) -> [Point2; 4] {
         [
             self.min,
             Point2::new(self.max.x, self.min.y),
             self.max,
             Point2::new(self.min.x, self.max.y),
         ]
-    }
-
-    /// Clamps a point to lie inside the rectangle.
-    pub fn clamp(&self, p: Point2) -> Point2 {
-        Point2::new(
-            p.x.clamp(self.min.x, self.max.x),
-            p.y.clamp(self.min.y, self.max.y),
-        )
     }
 }
 
@@ -178,13 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_is_halfway() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(2.0, 6.0);
-        assert_eq!(a.midpoint(b), Point2::new(1.0, 3.0));
-    }
-
-    #[test]
     fn point_tuple_conversions_roundtrip() {
         let p = Point2::new(2.5, -1.0);
         let t: (f64, f64) = p.into();
@@ -201,26 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn rect_contains_boundary_and_interior() {
-        let r = Rect::square(10.0);
-        assert!(r.contains(Point2::new(0.0, 0.0)));
-        assert!(r.contains(Point2::new(10.0, 10.0)));
-        assert!(r.contains(Point2::new(5.0, 5.0)));
-        assert!(!r.contains(Point2::new(10.01, 5.0)));
-        assert!(!r.contains(Point2::new(-0.01, 5.0)));
-    }
-
-    #[test]
-    fn rect_clamp_moves_outside_points_to_boundary() {
-        let r = Rect::square(10.0);
-        assert_eq!(r.clamp(Point2::new(-5.0, 20.0)), Point2::new(0.0, 10.0));
-        assert_eq!(r.clamp(Point2::new(3.0, 4.0)), Point2::new(3.0, 4.0));
-    }
-
-    #[test]
     fn rect_center_and_corners() {
         let r = Rect::square(2.0);
-        assert_eq!(r.center(), Point2::new(1.0, 1.0));
         let corners = r.corners();
         assert_eq!(corners[0], Point2::new(0.0, 0.0));
         assert_eq!(corners[2], Point2::new(2.0, 2.0));

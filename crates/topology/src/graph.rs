@@ -64,7 +64,7 @@ impl Graph {
     }
 
     /// Returns `true` if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.adjacency.is_empty()
     }
 
@@ -247,7 +247,7 @@ impl Graph {
     }
 
     /// Number of nodes unreachable from `source`.
-    pub fn unreachable_from(&self, source: NodeId) -> usize {
+    pub(crate) fn unreachable_from(&self, source: NodeId) -> usize {
         self.bfs_distances(source)
             .iter()
             .filter(|&&d| d == usize::MAX)
@@ -256,7 +256,7 @@ impl Graph {
 
     /// The transposed graph (edges reversed). For undirected graphs this is
     /// a clone.
-    pub fn transposed(&self) -> Graph {
+    pub(crate) fn transposed(&self) -> Graph {
         match self.kind {
             GraphKind::Undirected => self.clone(),
             GraphKind::Directed => {
@@ -277,7 +277,7 @@ impl Graph {
     /// diameter* `ID(G_S)` of Definition 2, which lower-bounds the number of
     /// scream slots `K` needed for the SCREAM primitive to implement a
     /// network-wide OR.
-    pub fn diameter(&self) -> Option<usize> {
+    pub(crate) fn diameter(&self) -> Option<usize> {
         if !self.is_connected() {
             return None;
         }

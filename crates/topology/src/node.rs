@@ -70,7 +70,7 @@ impl std::fmt::Display for NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeInfo {
     /// Unique identifier of the node.
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     /// Position of the node in the deployment region, in meters.
     pub position: Point2,
     /// Fixed transmit power, in dBm. Nodes may use different powers but a

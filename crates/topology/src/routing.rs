@@ -37,7 +37,7 @@ impl Link {
     }
 
     /// Returns `true` if `node` is one of the two endpoints.
-    pub fn touches(&self, node: NodeId) -> bool {
+    pub(crate) fn touches(&self, node: NodeId) -> bool {
         self.head == node || self.tail == node
     }
 
@@ -218,7 +218,7 @@ impl RoutingForest {
     }
 
     /// The gateway nodes (tree roots).
-    pub fn gateways(&self) -> &[NodeId] {
+    pub(crate) fn gateways(&self) -> &[NodeId] {
         &self.gateways
     }
 
@@ -261,7 +261,7 @@ impl RoutingForest {
     }
 
     /// The route from `node` to its gateway, starting with `node`'s own link.
-    pub fn route_to_gateway(&self, node: NodeId) -> Vec<Link> {
+    pub(crate) fn route_to_gateway(&self, node: NodeId) -> Vec<Link> {
         let mut route = Vec::new();
         let mut current = node;
         while let Some(p) = self.parent(current) {

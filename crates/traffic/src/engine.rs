@@ -20,12 +20,12 @@ use crate::sim::{analytic_loads, Links, NextHop, Router, Sim};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficConfig {
     /// How many frame repetitions to simulate.
-    pub horizon_frames: u64,
+    pub(crate) horizon_frames: u64,
     /// Seed for the arrival processes (each flow derives its own stream).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Wall-clock duration of one slot (only used to anchor [`SimTime`]
     /// event timestamps; all report metrics are slot-denominated).
-    pub slot_duration: SimTime,
+    pub(crate) slot_duration: SimTime,
 }
 
 impl TrafficConfig {
@@ -183,7 +183,7 @@ impl TrafficEngine {
     /// The per-link offered load vs. service share, and the resulting
     /// analytic stability verdict — computable without simulating. A flow
     /// contributes its rate once per *distinct* link on its route.
-    pub fn link_loads(&self) -> (Vec<LinkLoad>, StabilityVerdict) {
+    pub(crate) fn link_loads(&self) -> (Vec<LinkLoad>, StabilityVerdict) {
         let paths = self.flows.flows().iter().map(|flow| {
             let distinct = flow
                 .route

@@ -179,7 +179,7 @@ impl ArrivalSampler {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Flow {
     /// The node generating the packets (the head of the first route link).
-    pub source: NodeId,
+    pub(crate) source: NodeId,
     /// The multi-hop route, in traversal order; each link's tail is the next
     /// link's head, and the last tail is the destination (a gateway, for
     /// forest routes).
@@ -309,7 +309,7 @@ impl FlowSet {
     }
 
     /// Aggregate injection rate over all flows, in packets per slot.
-    pub fn total_offered(&self) -> f64 {
+    pub(crate) fn total_offered(&self) -> f64 {
         self.flows.iter().map(|f| f.arrival.mean_rate()).sum()
     }
 }

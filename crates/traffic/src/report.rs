@@ -61,10 +61,10 @@ pub struct LinkLoad {
     /// The link.
     pub link: Link,
     /// Long-run mean packets per slot offered to the link by the flows.
-    pub offered_per_slot: f64,
+    pub(crate) offered_per_slot: f64,
     /// Fraction of frame slots serving the link (its service capacity in
     /// packets per slot).
-    pub service_share: f64,
+    pub(crate) service_share: f64,
 }
 
 impl LinkLoad {
@@ -84,7 +84,7 @@ impl LinkLoad {
     }
 
     /// Whether the link's offered load is strictly below its service share.
-    pub fn is_stable(&self) -> bool {
+    pub(crate) fn is_stable(&self) -> bool {
         self.utilization() < 1.0
     }
 }

@@ -70,17 +70,17 @@ impl ForwardingTable {
     }
 
     /// Number of nodes covered.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.next_hop.len()
     }
 
     /// The uplink `node` forwards on, or `None` for sinks and cut-off nodes.
-    pub fn next_hop(&self, node: NodeId) -> Option<Link> {
+    pub(crate) fn next_hop(&self, node: NodeId) -> Option<Link> {
         self.next_hop.get(node.index()).copied().flatten()
     }
 
     /// Whether `node` is a delivery sink (gateway).
-    pub fn is_sink(&self, node: NodeId) -> bool {
+    pub(crate) fn is_sink(&self, node: NodeId) -> bool {
         self.sink.get(node.index()).copied().unwrap_or(false)
     }
 
@@ -268,11 +268,6 @@ impl TrafficSession {
         self.sim.now_slot()
     }
 
-    /// The frame currently being served.
-    pub fn frame(&self) -> &FrameService {
-        &self.frame
-    }
-
     /// The current forwarding table.
     pub fn routes(&self) -> &ForwardingTable {
         &self.sim.router.routes
@@ -304,7 +299,7 @@ impl TrafficSession {
     }
 
     /// Whether `link` is currently marked dead.
-    pub fn is_link_dead(&self, link: Link) -> bool {
+    pub(crate) fn is_link_dead(&self, link: Link) -> bool {
         self.sim.links.get(link).is_some_and(|q| q.dead)
     }
 

@@ -61,7 +61,7 @@ impl Oracle {
             noise_mw: mw(config.noise_floor_dbm.get()),
             beta: mw(config.sinr_threshold_db.get()),
             channel_count: config.channel_count.max(1),
-            carrier_sense_mw: mw(config.carrier_sense_threshold_dbm.get()),
+            carrier_sense_mw: mw(RadioConfig::CARRIER_SENSE_THRESHOLD_DBM.get()),
             received: OnceCell::new(),
         }
     }

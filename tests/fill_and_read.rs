@@ -252,7 +252,7 @@ fn a_run_a_fade_broke_forces_a_rebuild_even_when_the_edit_is_elsewhere() {
         // target keeps the links that still decode alone (the rest left the
         // communication graph; a rebuild could not verify with them) and
         // takes one unit from the first link that has two.
-        let faded = env.refaded(Db::new(4.0), fade_seed);
+        let faded = env.refaded(Db::new(4.0), fade_seed).expect("dense gains");
         let mut target: Vec<(Link, u64)> = demands
             .demanded_links()
             .filter(|&(link, _)| SlotFeasibility::slot_feasible(&faded, &[link]))

@@ -273,18 +273,7 @@ fn the_recovery_loop_counters_obey_their_laws() {
 #[test]
 fn the_scheduling_counters_obey_their_laws() {
     for_cases("the_scheduling_counters_obey_their_laws", 16, |draw| {
-        let density = draw.gen_range(1_000.0..4_000.0);
-        let scenario = if draw.gen_bool(0.5) {
-            PaperScenario::grid(density)
-        } else {
-            PaperScenario::uniform(density)
-        };
-        let instance = scenario
-            .with_node_count(draw.gen_range(9usize..=25))
-            .with_shadowing(Db::new(draw.gen_range(2.0..8.0)))
-            .with_channel_count(draw.gen_range(1usize..=2))
-            .instantiate(draw.gen_range(0u64..1_000))
-            .expect("dense paper meshes connect");
+        let instance = drawn_paper_mesh(draw);
 
         let (schedule, build) = observed(|| instance.run_centralized());
         let length = build.snapshot.gauges.get("greedy.schedule.length");
@@ -306,6 +295,138 @@ fn the_scheduling_counters_obey_their_laws() {
         );
         assert_eq!(counter("verify.entries.filled"), entries);
     });
+}
+
+/// A shadowed planned or unplanned paper mesh of 9–25 nodes on one or two
+/// channels, drawn from `draw`.
+fn drawn_paper_mesh(draw: &mut impl Rng) -> ScenarioInstance {
+    let density = draw.gen_range(1_000.0..4_000.0);
+    let scenario = if draw.gen_bool(0.5) {
+        PaperScenario::grid(density)
+    } else {
+        PaperScenario::uniform(density)
+    };
+    scenario
+        .with_node_count(draw.gen_range(9usize..=25))
+        .with_shadowing(Db::new(draw.gen_range(2.0..8.0)))
+        .with_channel_count(draw.gen_range(1usize..=2))
+        .instantiate(draw.gen_range(0u64..1_000))
+        .expect("dense paper meshes connect")
+}
+
+/// The distributed runtime's counter laws, read off `DistributedScheduler::run`
+/// (one emission per simulated round, each scaled by the round's `repeat`):
+/// - `runtime.rounds` is `run.stats.rounds` (both add `repeat`);
+/// - `runtime.rounds.executed` counts simulated rounds, so it is at most
+///   `runtime.rounds`, and equal under PDD, whose `repeat` is always 1;
+/// - `runtime.claims` is the schedule's `total_transmissions()` (each round
+///   pushes its pattern `repeat` times and books `len × repeat` claims);
+/// - `runtime.vetoes` is `run.stats.vetoes`.
+#[test]
+fn the_runtime_counters_obey_their_laws() {
+    for_cases("the_runtime_counters_obey_their_laws", 12, |draw| {
+        let instance = drawn_paper_mesh(draw);
+        let pdd = ProtocolKind::pdd(draw.gen_range(0.3..1.0)).expect("p is in (0, 1]");
+        for kind in [ProtocolKind::Fdd, ProtocolKind::Afdd, pdd] {
+            let (run, report) = observed(|| instance.run_protocol(kind).unwrap());
+            let counter = |name| report.snapshot.counter(name);
+            assert_eq!(counter("runtime.rounds"), run.stats.rounds, "{kind}");
+            let executed = counter("runtime.rounds.executed");
+            assert!(executed <= counter("runtime.rounds"), "{kind}");
+            if !kind.is_deterministic() {
+                assert_eq!(executed, counter("runtime.rounds"), "{kind}");
+            }
+            assert_eq!(
+                counter("runtime.claims"),
+                run.schedule.total_transmissions(),
+                "{kind}"
+            );
+            assert_eq!(counter("runtime.vetoes"), run.stats.vetoes, "{kind}");
+        }
+    });
+}
+
+/// Packet conservation, read off the packet model's counters for one front
+/// end at a time: every injected packet was delivered, dropped by a segment
+/// (no route on arrival or at a hop), dropped by a rescue pass, or is still
+/// queued when the last segment ends, so `traffic.injected =
+/// traffic.delivered + traffic.dropped + traffic.rescue_dropped +
+/// traffic.backlog` (the last a gauge, set at each segment's end). Checked
+/// for a `TrafficEngine` run below and above saturation, and for a
+/// `TrafficSession` that cuts the busiest node off mid-run: its links die,
+/// the table routes around it (its own arrivals and the packets that reach
+/// it drop), and a rescue pass re-homes or drops what its links held.
+#[test]
+fn the_packet_model_conserves_packets() {
+    let (mut dropped, mut rescue_dropped) = (0, 0);
+    for_cases("the_packet_model_conserves_packets", 8, |draw| {
+        let instance = drawn_paper_mesh(draw);
+        let conserved = |report: &obs::ObsReport| {
+            let counter = |name| report.snapshot.counter(name);
+            let backlog = report.snapshot.gauges.get("traffic.backlog").copied();
+            assert_eq!(
+                counter("traffic.injected"),
+                counter("traffic.delivered")
+                    + counter("traffic.dropped")
+                    + counter("traffic.rescue_dropped")
+                    + backlog.expect("every segment sets the backlog")
+            );
+        };
+        let schedule = instance.run_centralized();
+        let rho = draw.gen_range(0.6..1.4);
+        let (traffic, engine) = observed(|| instance.run_traffic(&schedule, rho, 200).unwrap());
+        assert!(traffic.injected > 0);
+        conserved(&engine);
+
+        let graph = instance.env.communication_graph();
+        let mut gateways = instance.deployment.corner_nodes();
+        gateways.truncate(4);
+        let forest = RoutingForest::shortest_path(&graph, &gateways, instance.seed).unwrap();
+        let frame_slots = schedule.length() as u64;
+        let sources: Vec<Source> = (0..instance.deployment.len() as u32)
+            .map(NodeId::new)
+            .filter(|&v| !forest.is_gateway(v))
+            .map(|node| Source {
+                node,
+                arrival: ArrivalProcess::poisson(rho / frame_slots as f64),
+            })
+            .collect();
+        let victim = sources
+            .iter()
+            .map(|s| s.node)
+            .max_by_key(|&v| (forest.subtree(v).len(), std::cmp::Reverse(v)))
+            .expect("a mesh has non-gateway nodes");
+        let mut session = TrafficSession::new(
+            FrameService::from_schedule(&schedule),
+            sources,
+            ForwardingTable::from_forest(&forest),
+            TrafficConfig::new(1).with_seed(instance.seed),
+        )
+        .unwrap();
+        let ((), report) = observed(|| {
+            session.advance(20 * frame_slots);
+            for &u in graph.neighbors(victim) {
+                session.fail_link(Link::new(victim, u));
+                session.fail_link(Link::new(u, victim));
+            }
+            let (rerouted, _) =
+                RoutingForest::shortest_path_masked(&graph, &gateways, instance.seed, |u, v| {
+                    u != victim && v != victim
+                })
+                .unwrap();
+            session.set_routes(ForwardingTable::from_forest(&rerouted));
+            session.advance(5 * frame_slots);
+            session.rescue_stranded();
+            session.advance(20 * frame_slots);
+        });
+        conserved(&report);
+        dropped += report.snapshot.counter("traffic.dropped");
+        rescue_dropped += report.snapshot.counter("traffic.rescue_dropped");
+    });
+    assert!(
+        dropped > 0 && rescue_dropped > 0,
+        "every term was exercised"
+    );
 }
 
 /// Every metric name product code emits, counter, gauge or histogram. A name
@@ -349,7 +470,7 @@ fn the_sink_sees_only_documented_names() {
         let ((), report) = observed(|| {
             let schedule = instance.run_centralized();
             verify_schedule(&instance.env, &schedule, &instance.link_demands).unwrap();
-            let faded = instance.env.refaded(Db::new(6.0), 11);
+            let faded = instance.env.refaded(Db::new(6.0), 11).expect("dense gains");
             repair_schedule(&faded, &schedule, &instance.link_demands);
             instance.run_protocol(ProtocolKind::Fdd).unwrap();
             instance

@@ -372,10 +372,12 @@ fn a_masked_reroute_equals_routing_over_a_pruned_copy() {
             }
             let mut env = builder.build(&deployment);
             if draw.gen_bool(0.5) {
-                env = env.refaded(
-                    Db::new(draw.gen_range(1.0..6.0)),
-                    draw.gen_range(0u64..1000),
-                );
+                env = env
+                    .refaded(
+                        Db::new(draw.gen_range(1.0..6.0)),
+                        draw.gen_range(0u64..1000),
+                    )
+                    .expect("dense gains");
             }
             let graph = env.communication_graph();
             for v in graph.nodes() {
