@@ -322,7 +322,7 @@ pub struct ScenarioInstance {
     pub env: RadioEnvironment,
     /// The routing forest towards the gateways (the flow routes of the
     /// packet-level traffic evaluation).
-    pub(crate) forest: RoutingForest,
+    pub forest: RoutingForest,
     /// The generated per-node demands the link demands were aggregated from.
     pub(crate) demands: DemandVector,
     /// Aggregated per-link demands along the routing forest.

@@ -343,11 +343,8 @@ mod tests {
         let a = MoteExperiment::new(quick_config().with_seed(3)).run();
         let b = MoteExperiment::new(quick_config().with_seed(3)).run();
         let c = MoteExperiment::new(quick_config().with_seed(4)).run();
-        assert_eq!(a.intervals_secs(), b.intervals_secs());
-        assert!(
-            a.intervals_secs() != c.intervals_secs()
-                || a.error_percentage() == c.error_percentage()
-        );
+        assert_eq!(a.detections, b.detections);
+        assert!(a.detections != c.detections || a.error_percentage() == c.error_percentage());
     }
 
     #[test]

@@ -429,6 +429,7 @@ impl RunState {
             FaultKind::Fade { sigma_db, seed } => {
                 // `run` refused a streamed environment up front (`BadFade`).
                 let Some(faded) = self.env.refaded(Db::new(sigma_db), seed) else {
+                    debug_assert!(false, "a fade reached a streamed environment");
                     return;
                 };
                 self.env = faded;

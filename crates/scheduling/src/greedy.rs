@@ -228,14 +228,7 @@ mod tests {
         let demands = LinkDemands::from_links(3, &[(link(1, 0), 4)]).unwrap();
         let schedule = GreedyPhysical::paper_baseline().schedule(&EndpointOnly, &demands);
         assert_eq!(schedule.length(), 4);
-        assert_eq!(
-            schedule
-                .allocation_counts()
-                .get(&link(1, 0))
-                .copied()
-                .unwrap_or(0),
-            4
-        );
+        assert_eq!(schedule.allocation_counts()[&link(1, 0)], 4);
     }
 
     #[test]
@@ -283,30 +276,10 @@ mod tests {
         .unwrap();
         let schedule =
             GreedyPhysical::new(EdgeOrdering::DecreasingDemand).schedule(&EndpointOnly, &demands);
-        assert_eq!(
-            schedule
-                .allocation_counts()
-                .get(&link(1, 0))
-                .copied()
-                .unwrap_or(0),
-            1_000_000
-        );
-        assert_eq!(
-            schedule
-                .allocation_counts()
-                .get(&link(3, 2))
-                .copied()
-                .unwrap_or(0),
-            700_000
-        );
-        assert_eq!(
-            schedule
-                .allocation_counts()
-                .get(&link(2, 1))
-                .copied()
-                .unwrap_or(0),
-            500_000
-        );
+        let counts = schedule.allocation_counts();
+        assert_eq!(counts[&link(1, 0)], 1_000_000);
+        assert_eq!(counts[&link(3, 2)], 700_000);
+        assert_eq!(counts[&link(2, 1)], 500_000);
         verify_schedule(&EndpointOnly, &schedule, &demands).unwrap();
         assert!(
             schedule.pattern_count() <= 6,

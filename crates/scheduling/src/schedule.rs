@@ -458,10 +458,7 @@ mod tests {
         s.push_slot_run(vec![link(3, 2)], 1_000_000);
         assert_eq!(s.length(), 1_001_000);
         assert_eq!(s.pattern_count(), 2);
-        assert_eq!(
-            s.allocation_counts().get(&link(3, 2)).copied().unwrap_or(0),
-            1_000_000
-        );
+        assert_eq!(s.allocation_counts()[&link(3, 2)], 1_000_000);
         assert_eq!(s.total_transmissions(), 1_001_000);
         assert_eq!(s.slot(999).unwrap().links(), &[link(1, 0)]);
         assert_eq!(s.slot(1000).unwrap().links(), &[link(3, 2)]);
@@ -504,20 +501,10 @@ mod tests {
         s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
         s.push_slot_run(vec![link(1, 0)], 1);
         s.push_slot_run(vec![link(5, 4)], 1);
-        assert_eq!(
-            s.allocation_counts().get(&link(1, 0)).copied().unwrap_or(0),
-            2
-        );
-        assert_eq!(
-            s.allocation_counts().get(&link(3, 2)).copied().unwrap_or(0),
-            1
-        );
-        assert_eq!(
-            s.allocation_counts().get(&link(9, 8)).copied().unwrap_or(0),
-            0
-        );
         let counts = s.allocation_counts();
         assert_eq!(counts[&link(1, 0)], 2);
+        assert_eq!(counts[&link(3, 2)], 1);
+        assert!(!counts.contains_key(&link(9, 8)));
         assert_eq!(counts.len(), 3);
         assert_eq!(s.total_transmissions(), 4);
     }
@@ -618,10 +605,7 @@ mod tests {
         assert_eq!(s.length(), 1_502);
         assert_eq!(s.pattern_count(), 2);
         assert_eq!(s.channels_used(), 2);
-        assert_eq!(
-            s.allocation_counts().get(&link(3, 2)).copied().unwrap_or(0),
-            1_000 + 500
-        );
+        assert_eq!(s.allocation_counts()[&link(3, 2)], 1_000 + 500);
         assert_eq!(s.total_transmissions(), 2 * 1_500 + 2);
         assert_eq!(s.slot(0), Some(&p0));
         assert!(!s

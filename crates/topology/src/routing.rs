@@ -218,7 +218,7 @@ impl RoutingForest {
     }
 
     /// The gateway nodes (tree roots).
-    pub(crate) fn gateways(&self) -> &[NodeId] {
+    pub fn gateways(&self) -> &[NodeId] {
         &self.gateways
     }
 

@@ -379,9 +379,7 @@ fn the_packet_model_conserves_packets() {
         conserved(&engine);
 
         let graph = instance.env.communication_graph();
-        let mut gateways = instance.deployment.corner_nodes();
-        gateways.truncate(4);
-        let forest = RoutingForest::shortest_path(&graph, &gateways, instance.seed).unwrap();
+        let forest = &instance.forest;
         let frame_slots = schedule.length() as u64;
         let sources: Vec<Source> = (0..instance.deployment.len() as u32)
             .map(NodeId::new)
@@ -399,7 +397,7 @@ fn the_packet_model_conserves_packets() {
         let mut session = TrafficSession::new(
             FrameService::from_schedule(&schedule),
             sources,
-            ForwardingTable::from_forest(&forest),
+            ForwardingTable::from_forest(forest),
             TrafficConfig::new(1).with_seed(instance.seed),
         )
         .unwrap();
@@ -409,11 +407,13 @@ fn the_packet_model_conserves_packets() {
                 session.fail_link(Link::new(victim, u));
                 session.fail_link(Link::new(u, victim));
             }
-            let (rerouted, _) =
-                RoutingForest::shortest_path_masked(&graph, &gateways, instance.seed, |u, v| {
-                    u != victim && v != victim
-                })
-                .unwrap();
+            let (rerouted, _) = RoutingForest::shortest_path_masked(
+                &graph,
+                forest.gateways(),
+                instance.seed,
+                |u, v| u != victim && v != victim,
+            )
+            .unwrap();
             session.set_routes(ForwardingTable::from_forest(&rerouted));
             session.advance(5 * frame_slots);
             session.rescue_stranded();
