@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use scream_topology::{Deployment, Graph, GraphKind, NodeId, Point2};
 
+use crate::ledger::fx;
 use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
 use crate::radio::RadioConfig;
 use crate::spatial::{bounding_box_m, SpatialGrid};
@@ -280,9 +281,27 @@ impl RadioEnvironment {
     }
 
     /// [`received_power_mw`](Self::received_power_mw) as the raw milliwatts
-    /// the interference kernels sum.
+    /// the interference kernels sum: NaN when either node is one the
+    /// environment lacks, which the ledger reads as a link that cannot
+    /// decode and a term that breaks every victim.
     pub(crate) fn received_mw(&self, tx: NodeId, rx: NodeId) -> f64 {
+        if tx.index().max(rx.index()) >= self.node_count {
+            return f64::NAN;
+        }
         self.tx_power_mw[tx.index()] * self.gain(tx, rx)
+    }
+
+    /// `[received_mw(a, b), received_mw(b, a)]` in the ledger's fixed point
+    /// (`ledger::fx`). A streamed gain is a function of the squared distance,
+    /// the same bits both ways (`x − y = −(y − x)` in IEEE arithmetic), so it
+    /// is evaluated once.
+    #[inline]
+    pub(crate) fn received_pair_fx(&self, a: NodeId, b: NodeId) -> [i128; 2] {
+        if !self.gains.is_empty() || a.index().max(b.index()) >= self.node_count {
+            return [(a, b), (b, a)].map(|(tx, rx)| fx(self.received_mw(tx, rx)));
+        }
+        let gain = self.gain(a, b);
+        [a, b].map(|tx| fx(self.tx_power_mw[tx.index()] * gain))
     }
 
     /// Carrier sensing: whether `listener` detects channel activity when the

@@ -14,19 +14,29 @@
 //! directions — data (head → tail) and ACK (tail → head) — and the paper's
 //! condition is the same in each: the direction's receiver must hear its
 //! transmitter at β over noise plus the other links' transmitters *of that
-//! direction*. The ledger caches, per scheduled link and per direction,
+//! direction*, `signal/β − noise − Σ interference ≥ 0`. The ledger keeps
+//! that left-hand side, per scheduled link and per direction, as one exact
+//! integer, the link's **slack**:
 //!
-//! * the signal power (slot-independent), and
-//! * the cumulative interference power at the direction's receiver from the
-//!   other links' transmitters of the same direction,
+//! * every power is read in fixed point, `fx(p) = ⌊p · 2⁸⁰⌋` for `p` in mW
+//!   (±1.4 · 10¹⁴ mW at a resolution of 8 · 10⁻²⁵ mW, fourteen orders of
+//!   magnitude below a −100 dBm floor): one `f64 → i64` truncation for any
+//!   term up to −51 dBm, a decode of the `f64` bits beyond;
+//! * a slack starts at the link's *cap* `fx(signal/β) − fx(noise)` and loses
+//!   `fx(term)` per interferer.
 //!
-//! and every verdict below is that one expression evaluated per direction,
-//! data first, so that [`can_add`](SlotLedger::can_add) is an O(k) pass of
-//! one-multiplication margin checks and [`assign`](SlotLedger::assign) an
-//! O(k) accumulator update — no `Vec` cloning, no from-scratch SINR
-//! recomputation. The distributed runtime's batched claim check
-//! ([`probe_claims`](ChannelSlotLedger::probe_claims)) prices a whole
-//! tentative active set in O((k + a)·a) instead of O((k + a)²).
+//! Integer addition is associative, so a slack — and every verdict below,
+//! "slack minus the tentative links' terms is ≥ 0", data first — is a
+//! function of the set of links alone, not of the order they were assigned
+//! or probed in. [`can_add`](SlotLedger::can_add) is an O(k) pass of such
+//! comparisons and [`assign`](SlotLedger::assign) an O(k) update — no `Vec`
+//! cloning, no from-scratch SINR recomputation. The distributed runtime's
+//! batched claim check ([`probe_claims`](ChannelSlotLedger::probe_claims))
+//! prices a whole tentative active set in O((k + a)·a) instead of
+//! O((k + a)²). The conversion saturates, and a non-finite value never
+//! accepts: a term beyond the range (co-located loud nodes) or NaN counts as
+//! `i128::MAX`, a non-finite cap as `i128::MIN`. Terms are non-negative, so a
+//! saturating subtraction ends at `max(i128::MIN, cap − Σ)` in any order.
 //!
 //! A `SlotLedger` is one channel. What the schedulers, the verifier and the
 //! distributed runtime hold is a [`ChannelSlotLedger`]: one `SlotLedger` per
@@ -53,53 +63,53 @@
 //! * in each direction, the candidate's interference sum is taken over the
 //!   assigned transmitters within the cutoff disc around its receiver only,
 //!   visited in Chebyshev rings so a doomed candidate is **rejected** as soon
-//!   as its nearby partial sum already exceeds the admissible interference;
+//!   as that near partial sum exceeds its cap;
 //! * the (≤ `unit_mw`-each) far transmitters are replaced by one aggregated
-//!   upper bound, `near + (k − near_count) × unit_mw`, which **accepts** the
-//!   candidate when even that overestimate keeps both directions above β
+//!   upper bound, `near + (k − near_count) · fx(unit_mw)`, which **accepts**
+//!   the candidate when it is within the cap in both directions
 //!   (`the_far_field_bound_holds_against_a_ring_at_maximum_boost` attacks
 //!   it with a thousand transmitters at the bound's worst case);
 //! * assigned links are re-checked individually only when an endpoint of
-//!   theirs lies inside the candidate's cutoff disc, provided the slot-wide
-//!   worst SINR ratio has more than the far-field unit's worth of headroom.
+//!   theirs lies inside the candidate's cutoff disc, provided the binding
+//!   victims' least slack is at least `fx(unit_mw)`, the most a far
+//!   transmitter can take from any link.
 //!
-//! Every screen carries a 10⁻⁹ relative margin — about six orders of
-//! magnitude beyond any floating-point rearrangement between a partial sum
-//! and the exact accumulation — and anything inside the margin band falls
-//! back to the exact O(k) computation, so **pruned and exact verdicts are
-//! identical**, not merely close: [`SlotLedger::exact`] /
-//! [`ChannelSlotLedger::exact`] disable pruning and the
-//! `pruned_ledger_matches_exact_*` property tests pin decision-for-decision
+//! A screen sums the very integers the exact sum adds, and `fx` is monotone
+//! (`p ≤ unit_mw` implies `fx(p) ≤ fx(unit_mw)`), so each screen is one
+//! exact comparison of a sub-sum or an upper bound of the exact sum: no
+//! margin is involved, anything a screen does not decide falls back to the
+//! exact O(k) computation, and **pruned and exact verdicts are identical**:
+//! [`SlotLedger::exact`] / [`ChannelSlotLedger::exact`] disable pruning and
+//! the `pruned_ledger_matches_exact_*` property tests pin decision-for-decision
 //! agreement (and byte-identical schedules) between the two. [`assign`]
-//! itself stays exact, so the cached sums, margins and feasibility state
-//! never depend on pruning at all.
+//! itself stays exact, so the slacks never depend on pruning at all.
 //!
 //! [`assign`]: SlotLedger::assign
 //!
 //! # Binding-victim screen
 //!
-//! A slot that first-fit has filled is *saturated*: some assigned link sits
-//! at float-dust slack, and any further transmitter breaks it. Most probes
+//! A slot that first-fit has filled is *saturated*: some assigned link has
+//! almost no slack left, and any further transmitter breaks it. Most probes
 //! against such a slot are rejections, and the scans above pay O(nearby)
 //! (plus, often, the exact O(k) fallbacks) to discover what one conjunct
 //! would have shown. [`assign`]'s settling pass therefore also tracks, per
-//! handshake direction, the assigned link of least absolute slack
-//! `signal/β − noise − interference` (the *binding victims*), and a `Cell`
-//! memo remembers the last link whose existing-links re-check failed —
-//! consecutive candidates probing one slot tend to be neighbours and to
-//! break the same victim. [`can_add`](SlotLedger::can_add) evaluates those
-//! ≤ 3 links' exact re-check expressions right after the endpoint screen, in
-//! the exact and the pruned regime alike, and rejects when one fails.
+//! handshake direction, the assigned link of least slack (the *binding
+//! victims*, which also answer [`all_links_ok`](SlotLedger::all_links_ok) in
+//! O(1)), and a `Cell` memo remembers the last link whose existing-links
+//! re-check failed — consecutive candidates probing one slot tend to be
+//! neighbours and to break the same victim.
+//! [`can_add`](SlotLedger::can_add) evaluates those ≤ 3 links' re-checks
+//! right after the endpoint screen, in the exact and the pruned regime alike,
+//! and rejects when one fails.
 //!
 //! Soundness is a matter of conjunction order: the accept verdict is the
 //! conjunction, over every assigned link and both directions, of
-//! `signal_i / (noise + interference_i + extra_i(candidate)) ≥ β` (and of
-//! the candidate's own handshake). The screen evaluates some of those very
-//! conjuncts — same expression, same operands — so a failing one makes the
-//! verdict `false` whatever the others say, and a passing one decides
-//! nothing: the probe proceeds as if the screen were absent. Which links
-//! the screen picks (the slack ranking, the memo's history) can therefore
-//! change a probe's cost but never its verdict.
+//! `slack_i − fx(term_i(candidate)) ≥ 0` (and of the candidate's own
+//! handshake). The screen evaluates some of those very conjuncts, so a
+//! failing one makes the verdict `false` whatever the others say, and a
+//! passing one decides nothing: the probe proceeds as if the screen were
+//! absent. Which links the screen picks (the slack ranking, the memo's
+//! history) can therefore change a probe's cost but never its verdict.
 //!
 //! # Refusal screen
 //!
@@ -110,32 +120,35 @@
 //! it, else — streamed gains only, where gain is a function of distance — a
 //! *disc* around that receiver inside which every transmitter does. It
 //! evaluates the victim's own conjunct with a lower bound `floor ≤ term` for
-//! the candidate's received power, and IEEE `+`, `×`, `/`, `sqrt` are
-//! monotone, so `false` at the floor is `false` at the term: `true` implies
-//! `can_add` is `false`, `false` implies nothing, no margin is involved, and
-//! `can_add` never consults it (the private `refusal` module has the rest).
+//! the candidate's received power, and `fx` is monotone, so `false` at the
+//! floor is `false` at the term: `true` implies `can_add` is `false`, `false`
+//! implies nothing, and `can_add` never consults it (the private `refusal`
+//! module has the rest).
 //!
 //! # Fidelity to the paper's definition
 //!
 //! The ledger is the workspace's one SINR verdict: no other product code
 //! evaluates the model above. A set of links is a feasible slot (Section II)
-//! when no node serves two of them (half-duplex, no self-links) and both
-//! sub-slots of every link reach β — the data sub-slot at the tail against
-//! the other links' heads, the ACK sub-slot at the head against their tails,
-//! an interferer that is the link's own transmitter or receiver not counting
-//! (a node does not interfere with a transmission it takes part in). That
-//! definition is pinned against an independent oracle in
-//! `tests/common/oracle.rs`, which shares no code with this crate: its own
-//! log-distance path loss from node coordinates, the shadowing draws passed
-//! in as data. `ledger_matches_from_scratch_feasibility` (every `can_add` and
-//! `slot_feasible`), `ledger_probe_matches_handshake_ok` (`probe_claims` at
-//! C = 1) and `batched_placement_matches_per_unit` (whole schedules) in
-//! `tests/properties.rs` hold the ledger to it on shadowed instances, and
-//! every schedule `tests/end_to_end.rs` verifies is checked by it too. The
-//! one caveat is inherent to floating point: the oracle and the ledger
-//! round differently, so a verdict could in principle flip on an instance
-//! engineered to sit within a few ulps of β; no drawn instance gets anywhere
-//! near it.
+//! when no node serves two of them (half-duplex, no self-links, no node the
+//! environment lacks) and both sub-slots of every link reach β — the data
+//! sub-slot at the tail against the other links' heads, the ACK sub-slot at
+//! the head against their tails, an interferer that is the link's own
+//! transmitter or receiver not counting (a node does not interfere with a
+//! transmission it takes part in). That definition is pinned against an
+//! independent oracle in `tests/common/oracle.rs`, which shares no code with
+//! this crate: its own log-distance path loss from node coordinates, the
+//! shadowing draws passed in as data. `ledger_matches_from_scratch_feasibility`
+//! (every `can_add` and `slot_feasible`), `ledger_probe_matches_handshake_ok`
+//! (`probe_claims` at C = 1) and `batched_placement_matches_per_unit` (whole
+//! schedules) in `tests/properties.rs` hold the ledger to it on shadowed
+//! instances, and every schedule `tests/end_to_end.rs` verifies is checked by
+//! it too. The oracle sums in floating point, so it answers "too close to
+//! call" within an error bound of its own sum; the suites compare decisive
+//! verdicts only and assert that no drawn instance is undecided. Where the
+//! undecided ones are — instances bisected to the last ulp of a feasibility
+//! boundary — `one_verdict_whatever_the_order_at_the_feasibility_boundary`
+//! holds the ledger to the same verdict under every assignment order, and
+//! every greedy frame to its verifier under every `EdgeOrdering`.
 
 use std::cell::Cell;
 
@@ -147,12 +160,61 @@ use crate::refusal::RefusalScreen;
 use crate::spatial::{entry_is_head, entry_link, EndpointBuckets, GridGeometry};
 use crate::units::Db;
 
-/// Relative margin separating the conservative spatial screens from the
-/// exact threshold comparisons. Floating-point rearrangement between a
-/// bucket-order partial sum and the assignment-order exact sum perturbs a
-/// quotient by ~10⁻¹⁵ relative; any verdict closer than 10⁻⁹ to the
-/// threshold is re-derived through the exact code path instead.
-const VERDICT_MARGIN: f64 = 1e-9;
+/// Fraction bits of the ledger's fixed point: one unit is 2⁻⁸⁰ mW, so that
+/// `i64` holds every term up to −51 dBm and one truncation converts it.
+const FX_FRACTION_BITS: i32 = 80;
+
+/// `mw` milliwatts in the ledger's fixed point: `⌊mw · 2⁸⁰⌋`, saturating at
+/// the ends of `i128`; NaN saturates upwards, like a term too loud to
+/// represent.
+#[inline]
+pub(crate) fn fx(mw: f64) -> i128 {
+    // Exact: a power-of-two scale only moves the exponent (or overflows to
+    // ∞, which the decode below saturates).
+    let scaled = mw * (1u128 << FX_FRACTION_BITS) as f64;
+    if (0.0..(1u64 << 63) as f64).contains(&scaled) {
+        // Below 2⁶³ units (7.6 · 10⁻⁶ mW, −51 dBm: every interference term
+        // short of near-field ones) the hardware truncation is the floor.
+        return i128::from(scaled as i64);
+    }
+    fx_decoded(mw)
+}
+
+/// [`fx`] off its fast path: NaN and ±∞ saturate like what is too large for
+/// the range, negative values floor away from zero, and the rest are
+/// integers beyond 2⁶³ units, `mantissa · 2^exponent` with `exponent ≥ 11`.
+#[cold]
+fn fx_decoded(mw: f64) -> i128 {
+    let (scale, limit) = ((1u128 << FX_FRACTION_BITS) as f64, (1u128 << 127) as f64);
+    match mw * scale {
+        scaled if scaled.is_nan() || scaled >= limit => i128::MAX,
+        scaled if scaled <= -limit => i128::MIN,
+        // ⌊x⌋ = −(−⌊x⌋), whose magnitude is an integer and converts exactly.
+        scaled if scaled < 0.0 => -fx(-scaled.floor() / scale),
+        scaled => {
+            let bits = scaled.to_bits();
+            i128::from(bits & ((1 << 52) - 1) | 1 << 52) << ((bits >> 52) as i32 - 1075)
+        }
+    }
+}
+
+/// A fixed-point amount back in milliwatts (rounded), for diagnostics and
+/// for sizing the refusal disc.
+pub(crate) fn mw_of(value: i128) -> f64 {
+    value as f64 / 2f64.powi(FX_FRACTION_BITS)
+}
+
+/// The slack a link with `signal_mw` at its receiver has before any
+/// interference: `fx(signal/β) − fx(noise)`, or `i128::MIN` when the ratio
+/// is not finite.
+pub(crate) fn cap(signal_mw: f64, beta: f64, noise_fx: i128) -> i128 {
+    let ratio_mw = signal_mw / beta;
+    if ratio_mw.is_finite() {
+        fx(ratio_mw).saturating_sub(noise_fx)
+    } else {
+        i128::MIN
+    }
+}
 
 /// Per-link SINR slack relative to the threshold β, in dB.
 ///
@@ -241,37 +303,32 @@ struct Victim {
 /// Incremental interference state of one STDMA slot under construction.
 ///
 /// See the [module docs](self) for the representation; in short, the ledger
-/// holds, per assigned link and handshake direction, its signal power and the
-/// running sum of interference at its receiver, plus one occupancy bit per
-/// node for O(1) half-duplex checks — state that grows with the slot's links,
-/// not with the network, apart from those ⌈n/64⌉ words.
+/// holds, per assigned link and handshake direction, its fixed-point slack,
+/// plus one occupancy bit per node for O(1) half-duplex checks — state that
+/// grows with the slot's links, not with the network, apart from those
+/// ⌈n/64⌉ words.
 #[derive(Debug, Clone)]
 pub struct SlotLedger<'a> {
     env: &'a RadioEnvironment,
     /// Cached linear SINR threshold β.
     beta: f64,
-    /// 1/β, so ranking links by absolute slack costs no division.
-    inv_beta: f64,
-    /// Cached noise floor in milliwatts.
-    noise_mw: f64,
+    /// The noise floor in fixed point.
+    noise_fx: i128,
     links: Vec<Link>,
-    /// Per link, the signal power of each direction, indexed by [`Dir`], mW.
-    signal: Vec<[f64; 2]>,
-    /// Per link, the cumulative interference at each direction's receiver
-    /// from the other links' transmitters of that direction (the sub-slot's
-    /// denominator minus noise), indexed by [`Dir`], mW.
-    interference: Vec<[f64; 2]>,
+    /// Per link, each direction's slack (indexed by [`Dir`]): its cap minus
+    /// the terms of the other links' transmitters of that direction.
+    slack: Vec<[i128; 2]>,
     /// One bit per node, set while an assigned link touches it (half-duplex
     /// occupancy), in ⌈n/64⌉ words.
     occupied: Vec<u64>,
     /// Whether every pair of assigned links is endpoint-disjoint and no
-    /// assigned link is a self-link.
+    /// assigned link is a self-link or has a node the environment lacks.
     disjoint: bool,
     /// Spatial pruning state; `None` for an [`exact`](Self::exact) ledger.
     pruning: Option<Pruning>,
-    /// The binding victims: per direction, the assigned link of least
-    /// absolute slack `signal/β − noise − interference`. Maintained by
-    /// [`assign`](Self::assign), `None` after [`clear`](Self::clear).
+    /// The binding victims: per direction, the assigned link of least slack.
+    /// Maintained by [`assign`](Self::assign), `None` after
+    /// [`clear`](Self::clear).
     binding: [Option<Victim>; 2],
     /// The last victim that failed an existing-links re-check. Only steers
     /// which conjunct a probe evaluates first, never a verdict (see the
@@ -293,17 +350,14 @@ enum PruningMode {
     Off,
 }
 
-/// Spatial-pruning state of a [`SlotLedger`]: the far-field parameters, the
-/// endpoint bucket index, and the slot-wide SINR headroom that licenses
-/// skipping far links in the existing-links re-check.
+/// Spatial-pruning state of a [`SlotLedger`]: the far-field parameters and
+/// the endpoint bucket index.
 #[derive(Debug, Clone)]
 struct Pruning {
     far: FarField,
     buckets: EndpointBuckets,
-    /// Minimum over assigned links and both handshake directions of the
-    /// cached SINR ratio `signal / (noise + interference)`; `+∞` when empty.
-    /// Maintained by [`SlotLedger::assign`]/[`SlotLedger::clear`].
-    min_sinr: f64,
+    /// `fx(unit_mw)`: no far transmitter's term exceeds it.
+    unit_fx: i128,
 }
 
 /// Word index and mask of `node`'s bit in [`SlotLedger::occupied`].
@@ -312,32 +366,23 @@ fn occupancy_bit(node: NodeId) -> (usize, u64) {
     (node.index() / 64, 1 << (node.index() % 64))
 }
 
-/// Interference contribution of `interferer`'s `dir` transmitter towards
-/// `link`'s `dir` receiver, honoring the exclusion rule of the paper's
+/// Interference term of `interferer`'s `dir` transmitter at `link`'s `dir`
+/// receiver, in fixed point, honoring the exclusion rule of the paper's
 /// definition (see the [module docs](self)): a node never interferes with a
 /// transmission it is itself the transmitter or receiver of — which also
 /// leaves a link's own terms out of its sums.
 #[inline]
-fn term(env: &RadioEnvironment, dir: Dir, interferer: Link, link: Link) -> Option<f64> {
+fn term(env: &RadioEnvironment, dir: Dir, interferer: Link, link: Link) -> Option<i128> {
     let tx = dir.tx(interferer);
-    (tx != link.head && tx != link.tail).then(|| env.received_mw(tx, dir.rx(link)))
+    (tx != link.head && tx != link.tail).then(|| fx(env.received_mw(tx, dir.rx(link))))
 }
 
 /// The far-field accept bound: an upper bound on a direction's exact
 /// interference over `k` assigned transmitters, `near_count` of which lie in
-/// the cutoff disc and sum to `near_mw`, the rest delivering at most
-/// `unit_mw` each.
+/// the cutoff disc and sum to `near`, the rest taking at most `unit` each.
 #[inline]
-fn far_field_upper_mw(near_mw: f64, k: usize, near_count: usize, unit_mw: f64) -> f64 {
-    near_mw + (k - near_count) as f64 * unit_mw
-}
-
-/// The skip-existing headroom screen: whether a slot whose worst cached SINR
-/// ratio is `min_sinr` keeps every link above `beta` (by [`VERDICT_MARGIN`])
-/// when a transmitter adds at most `unit_mw` over `noise_mw` to its sum.
-#[inline]
-fn far_links_surely_ok(min_sinr: f64, beta: f64, unit_mw: f64, noise_mw: f64) -> bool {
-    min_sinr >= beta * (1.0 + unit_mw / noise_mw) * (1.0 + VERDICT_MARGIN)
+fn far_field_upper(near: i128, k: usize, near_count: usize, unit: i128) -> i128 {
+    near.saturating_add(unit.saturating_mul((k - near_count) as i128))
 }
 
 impl<'a> SlotLedger<'a> {
@@ -389,18 +434,16 @@ impl<'a> SlotLedger<'a> {
                 Pruning {
                     far,
                     buckets: EndpointBuckets::new(geometry),
-                    min_sinr: f64::INFINITY,
+                    unit_fx: fx(far.unit_mw.get()),
                 }
             })
         };
         Self {
             env,
             beta: env.config().sinr_threshold_linear(),
-            inv_beta: 1.0 / env.config().sinr_threshold_linear(),
-            noise_mw: env.config().noise_floor_mw().get(),
+            noise_fx: fx(env.config().noise_floor_mw().get()),
             links: Vec::new(),
-            signal: Vec::new(),
-            interference: Vec::new(),
+            slack: Vec::new(),
             occupied: vec![0; env.node_count().div_ceil(64)],
             disjoint: true,
             pruning,
@@ -429,19 +472,19 @@ impl<'a> SlotLedger<'a> {
     pub fn clear(&mut self) {
         for link in &self.links {
             for (word, bit) in [link.head, link.tail].map(occupancy_bit) {
-                self.occupied[word] &= !bit;
+                if let Some(w) = self.occupied.get_mut(word) {
+                    *w &= !bit;
+                }
             }
         }
         self.links.clear();
-        self.signal.clear();
-        self.interference.clear();
+        self.slack.clear();
         self.disjoint = true;
         self.binding = [None; 2];
         self.failed_memo.set(None);
         self.refusal.set(None);
         if let Some(p) = &mut self.pruning {
             p.buckets.clear();
-            p.min_sinr = f64::INFINITY;
         }
     }
 
@@ -460,12 +503,13 @@ impl<'a> SlotLedger<'a> {
         self.links.is_empty()
     }
 
-    /// Whether an assigned link touches `node` (`false` for an id the
-    /// environment does not have).
+    /// Whether `node` is unavailable to a new link: an assigned link touches
+    /// it, or the environment does not have it.
     #[inline]
     fn busy(&self, node: NodeId) -> bool {
         let (word, bit) = occupancy_bit(node);
-        self.occupied.get(word).is_some_and(|w| w & bit != 0)
+        node.index() >= self.env.node_count()
+            || self.occupied.get(word).is_some_and(|w| w & bit != 0)
     }
 
     /// Whether `link` is already assigned. Screened through the occupancy
@@ -477,8 +521,9 @@ impl<'a> SlotLedger<'a> {
         self.busy(link.head) && self.busy(link.tail) && self.links.contains(&link)
     }
 
-    /// Whether neither endpoint of `link` is used by an assigned link
-    /// (the half-duplex precondition for adding it).
+    /// Whether neither endpoint of `link` is used by an assigned link and
+    /// both are nodes of the environment (the half-duplex precondition for
+    /// adding it).
     fn endpoints_free(&self, link: Link) -> bool {
         !self.busy(link.head) && !self.busy(link.tail)
     }
@@ -533,15 +578,10 @@ impl<'a> SlotLedger<'a> {
     fn derive_refusal(&self) -> RefusalScreen {
         let victims = self.binding.map(|victim| {
             victim.map(|Victim { index: i, dir }| {
-                let d = dir as usize;
-                (
-                    self.signal[i][d],
-                    self.interference[i][d],
-                    dir.rx(self.links[i]),
-                )
+                (self.slack[i][dir as usize], dir.rx(self.links[i]))
             })
         });
-        let screen = RefusalScreen::derive(self.env, self.beta, self.noise_mw, victims);
+        let screen = RefusalScreen::derive(self.env, victims);
         self.refusal.set(Some(screen));
         screen
     }
@@ -564,18 +604,16 @@ impl<'a> SlotLedger<'a> {
     }
 
     /// One conjunct of the accept verdict: whether `victim`'s handshake
-    /// direction still meets β with the `tentative` links' interference
-    /// added, in order, on top of its cached sum.
+    /// direction keeps a non-negative slack with the `tentative` links'
+    /// terms taken from it.
     #[inline]
     fn victim_ok(&self, Victim { index: i, dir }: Victim, tentative: &[Link]) -> bool {
         let link = self.links[i];
-        let mut interference_mw = self.interference[i][dir as usize];
-        for &t in tentative {
-            if let Some(term) = term(self.env, dir, t, link) {
-                interference_mw += term;
-            }
-        }
-        self.meets_beta(self.signal[i][dir as usize], interference_mw)
+        tentative
+            .iter()
+            .filter_map(|&t| term(self.env, dir, t, link))
+            .fold(self.slack[i][dir as usize], i128::saturating_sub)
+            >= 0
     }
 
     /// The first assigned link (data direction before ACK) that `tentative`
@@ -608,27 +646,28 @@ impl<'a> SlotLedger<'a> {
         );
     }
 
-    /// The candidate's own two-way handshake against the accumulated slot,
-    /// summed exactly in assignment order.
+    /// The candidate's own two-way handshake against every assigned link.
+    /// Terms only shrink a slack, so the first negative one decides.
     fn candidate_handshake_exact(&self, candidate: Link) -> bool {
-        self.handshake_ok(candidate, self.interference_on(candidate))
+        let mut slack = self.caps(candidate);
+        slack.iter().all(|&s| s >= 0)
+            && self.links.iter().all(|existing| {
+                slack = self.slack_against(slack, std::slice::from_ref(existing), candidate);
+                slack.iter().all(|&s| s >= 0)
+            })
     }
 
-    /// Whether `link` meets β in both directions over the given per-direction
-    /// interference sums.
-    fn handshake_ok(&self, link: Link, interference_mw: [f64; 2]) -> bool {
-        DIRS.iter()
-            .all(|&dir| self.meets_beta(self.signal_of(dir, link), interference_mw[dir as usize]))
-    }
-
-    /// The power `link`'s `dir` receiver hears from its transmitter.
+    /// `link`'s cap in each direction: its slack in an empty slot.
     #[inline]
-    fn signal_of(&self, dir: Dir, link: Link) -> f64 {
-        self.env.received_mw(dir.tx(link), dir.rx(link))
+    fn caps(&self, link: Link) -> [i128; 2] {
+        DIRS.map(|dir| {
+            let signal_mw = self.env.received_mw(dir.tx(link), dir.rx(link));
+            cap(signal_mw, self.beta, self.noise_fx)
+        })
     }
 
-    /// Every assigned link's handshake with the candidate's contribution
-    /// added on top of its cached interference sums.
+    /// Every assigned link's handshake with the candidate's term taken from
+    /// its slack.
     fn existing_ok_exact(&self, candidate: Link) -> bool {
         match self.first_disturbed(std::slice::from_ref(&candidate)) {
             Some(victim) => {
@@ -645,40 +684,37 @@ impl<'a> SlotLedger<'a> {
     /// vacuously `Some` — each of the slot's `k` heads contributes to the
     /// candidate's data sum and each of its `k` tails to the ACK sum.
     ///
-    /// Soundness of each screen (why verdicts cannot differ from
-    /// [`exact`](Self::exact)):
+    /// Why its verdicts are [`exact`](Self::exact)'s — every screen compares
+    /// integers the exact sums are made of:
     ///
-    /// * **reject** — the nearby partial sum is a lower bound (up to
-    ///   reordering ulps) on the exact interference, so exceeding the
-    ///   admissible interference by [`VERDICT_MARGIN`] relative means the
-    ///   exact check fails too;
-    /// * **accept** — `near + far_count × unit_mw` is an upper bound (the
-    ///   far-field unit bounds every beyond-cutoff term), so clearing β by
-    ///   the margin means the exact check passes too;
-    /// * **far-links skip** — every far link gains at most `unit_mw`
-    ///   interference, so when the worst cached SINR ratio exceeds
-    ///   `β · (1 + unit/noise)` by the margin, every far link's exact
-    ///   re-check passes; nearby links are re-checked with the exact
-    ///   expressions themselves;
+    /// * **reject** — the near partial sum is part of the exact sum and every
+    ///   term is non-negative, so exceeding the cap means the exact check
+    ///   fails too;
+    /// * **accept** — `near + far_count · fx(unit_mw)` bounds the exact sum
+    ///   from above, so staying within the cap means the exact check passes;
+    /// * **far-links skip** — a far link loses at most `fx(unit_mw)`, so
+    ///   when the least slack is at least that, every far link's exact
+    ///   re-check passes; nearby links are re-checked by the exact conjuncts
+    ///   themselves;
     /// * anything not decided by a screen falls through to the exact code.
     fn can_add_pruned(&self, p: &Pruning, candidate: Link) -> bool {
-        let signal = DIRS.map(|dir| self.signal_of(dir, candidate));
+        let caps = self.caps(candidate);
         // An interference-free failure fails a fortiori with interference.
-        if signal
-            .iter()
-            .any(|&signal_mw| !self.meets_beta(signal_mw, 0.0))
-        {
+        if caps.iter().any(|&cap| cap < 0) {
+            scream_obs::counter_add("ledger.prune.signal_reject", 1);
             return false;
         }
-        let unit_mw = p.far.unit_mw.get();
-        let far_links_ok = far_links_surely_ok(p.min_sinr, self.beta, unit_mw, self.noise_mw);
+        let far_links_ok = self
+            .binding
+            .iter()
+            .flatten()
+            .all(|v| self.slack[v.index][v.dir as usize] >= p.unit_fx);
 
         // One scan per direction, data first: the disc around the candidate's
         // receiver, whose in-disc transmitters feed the near sum.
-        let mut near = [(0.0, 0); 2];
+        let mut near = [(0, 0); 2];
         for dir in DIRS {
-            let Some(scanned) =
-                self.scan_disc(p, candidate, dir, signal[dir as usize], far_links_ok)
+            let Some(scanned) = self.scan_disc(p, candidate, dir, caps[dir as usize], far_links_ok)
             else {
                 scream_obs::counter_add("ledger.prune.scan_reject", 1);
                 return false;
@@ -688,9 +724,8 @@ impl<'a> SlotLedger<'a> {
 
         let k = self.links.len();
         let candidate_ok = if DIRS.iter().all(|&dir| {
-            let (near_mw, near_count) = near[dir as usize];
-            let upper_mw = far_field_upper_mw(near_mw, k, near_count, unit_mw);
-            self.surely_meets_beta(signal[dir as usize], upper_mw)
+            let (near_fx, near_count) = near[dir as usize];
+            far_field_upper(near_fx, k, near_count, p.unit_fx) <= caps[dir as usize]
         }) {
             scream_obs::counter_add("ledger.farfield.accept", 1);
             true
@@ -702,7 +737,7 @@ impl<'a> SlotLedger<'a> {
             return false;
         }
         // Nearby links were re-checked during the scans (a failure returned
-        // early); far links are pre-cleared by the headroom screen, or the
+        // early); far links are pre-cleared by the slack screen, or the
         // whole set is re-checked exactly.
         if far_links_ok {
             scream_obs::counter_add("ledger.farfield.skip_existing", 1);
@@ -716,25 +751,25 @@ impl<'a> SlotLedger<'a> {
     /// Ring-scans the bucket index over the cutoff disc around the
     /// candidate's `dir` receiver, returning its near interference sum and
     /// the number of in-disc `dir` transmitters, or `None` as soon as either
-    /// the partial sum already surely rejects the candidate (checked after
-    /// each Chebyshev ring, nearest — loudest — cells first) or an in-disc
-    /// link fails its exact re-check. That re-check is of the in-disc link's
+    /// the partial sum exceeds the candidate's `cap` (checked after each
+    /// Chebyshev ring, nearest — loudest — cells first) or an in-disc link
+    /// fails its exact re-check. That re-check is of the in-disc link's
     /// *other* direction: its `dir` transmitter sits near the candidate's
     /// `dir` receiver, so the candidate's opposite transmitter sits near the
-    /// in-disc link's opposite receiver, close enough for its extra to exceed
-    /// the far-field unit.
+    /// in-disc link's opposite receiver, close enough to take more than the
+    /// far-field unit.
     fn scan_disc(
         &self,
         p: &Pruning,
         candidate: Link,
         dir: Dir,
-        signal_mw: f64,
+        cap: i128,
         check_in_disc_links: bool,
-    ) -> Option<(f64, usize)> {
+    ) -> Option<(i128, usize)> {
         let geometry = p.buckets.geometry();
         let (rx, center) = (dir.rx(candidate), self.env.position(dir.rx(candidate)));
         let rect = geometry.cells_intersecting(center, p.far.cutoff_m);
-        let near_sum = Cell::new(0.0f64);
+        let near_sum = Cell::new(0i128);
         let near_count = Cell::new(0usize);
         let failed_link = Cell::new(None);
         let scanned_entries = Cell::new(0u64);
@@ -754,23 +789,25 @@ impl<'a> SlotLedger<'a> {
                     if self.env.position(tx).distance_squared(center) > p.far.cutoff_sq_m2 {
                         continue;
                     }
-                    near_sum.set(near_sum.get() + self.env.received_mw(tx, rx));
+                    // The in-disc transmitter's term at the candidate, and the
+                    // candidate's opposite transmitter's term back at it.
+                    let [to_candidate, from_candidate] = self.env.received_pair_fx(tx, rx);
+                    near_sum.set(near_sum.get().saturating_add(to_candidate));
                     near_count.set(near_count.get() + 1);
-                    if check_in_disc_links {
-                        // The same expression the exact existing-links loop
-                        // evaluates.
-                        let victim = Victim {
+                    let other = dir.other();
+                    // The conjunct the exact existing-links loop evaluates.
+                    if check_in_disc_links
+                        && self.slack[i][other as usize].saturating_sub(from_candidate) < 0
+                    {
+                        failed_link.set(Some(Victim {
                             index: i,
-                            dir: dir.other(),
-                        };
-                        if !self.victim_ok(victim, std::slice::from_ref(&candidate)) {
-                            failed_link.set(Some(victim));
-                            return;
-                        }
+                            dir: other,
+                        }));
+                        return;
                     }
                 }
             },
-            || failed_link.get().is_some() || self.surely_fails_beta(signal_mw, near_sum.get()),
+            || failed_link.get().is_some() || near_sum.get() > cap,
         );
         scream_obs::observe("ledger.scan.entries", scanned_entries.get());
         if let Some(victim) = failed_link.get() {
@@ -778,26 +815,23 @@ impl<'a> SlotLedger<'a> {
             self.trace_reject(candidate, victim);
             return None;
         }
-        if self.surely_fails_beta(signal_mw, near_sum.get()) {
-            return None;
-        }
-        Some((near_sum.get(), near_count.get()))
+        (near_sum.get() <= cap).then(|| (near_sum.get(), near_count.get()))
     }
 
-    /// Adds `link` to the slot, updating every cached interference sum in
-    /// O(k). The link is *not* required to pass [`can_add`](Self::can_add):
-    /// the greedy scheduler deliberately opens slots around links that are
-    /// infeasible even alone (the verifier reports them), and the
-    /// distributed runtime seals whatever its handshakes admitted. Two
-    /// halves: *charge* the sums, then *settle* what is derived from them.
+    /// Adds `link` to the slot, updating every slack in O(k). The link is
+    /// *not* required to pass [`can_add`](Self::can_add): the greedy
+    /// scheduler deliberately opens slots around links that are infeasible
+    /// even alone (the verifier reports them), and the distributed runtime
+    /// seals whatever its handshakes admitted. Two halves: *charge* the
+    /// slacks, then *settle* what is derived from them.
     pub fn assign(&mut self, link: Link) {
         self.charge(link);
         self.settle();
     }
 
     /// Adds `links` in order and settles once: the additions of one
-    /// [`assign`](Self::assign) per link in the same order, so every sum,
-    /// victim and bucket is bit-identical to that. How a pattern is filled.
+    /// [`assign`](Self::assign) per link in the same order, so every slack,
+    /// victim and bucket is identical to that. How a pattern is filled.
     pub fn assign_all(&mut self, links: &[Link]) {
         links.iter().for_each(|&link| self.charge(link));
         if !links.is_empty() {
@@ -806,80 +840,78 @@ impl<'a> SlotLedger<'a> {
     }
 
     /// The additive half of [`assign`](Self::assign): the `k` assigned links'
-    /// terms on the newcomer's two sums, in assignment order, and its on theirs.
+    /// terms off the newcomer's two slacks, and its terms off theirs.
     fn charge(&mut self, link: Link) {
         if link.head == link.tail || !self.endpoints_free(link) {
             self.disjoint = false;
         }
-        let k = self.links.len();
-        let mut own = [0.0; 2];
-        for i in 0..k {
-            let existing = self.links[i];
+        let mut own = self.caps(link);
+        for (slack, &existing) in self.slack.iter_mut().zip(&self.links) {
+            // The existing link's `dir` transmitter and the newcomer's `dir`
+            // receiver are one node pair, which the newcomer's opposite
+            // transmitter reaches the existing link's opposite receiver over:
+            // one pair, two terms, with `term`'s exclusion rule for each.
             for dir in DIRS {
-                if let Some(term) = term(self.env, dir, existing, link) {
-                    own[dir as usize] += term;
+                let (a, b) = (dir.tx(existing), dir.rx(link));
+                let [a_to_b, b_to_a] = self.env.received_pair_fx(a, b);
+                if a != link.head && a != link.tail {
+                    own[dir as usize] = own[dir as usize].saturating_sub(a_to_b);
                 }
-                if let Some(term) = term(self.env, dir, link, existing) {
-                    self.interference[i][dir as usize] += term;
+                if b != existing.head && b != existing.tail {
+                    let d = dir.other() as usize;
+                    slack[d] = slack[d].saturating_sub(b_to_a);
                 }
             }
         }
         for (word, bit) in [link.head, link.tail].map(occupancy_bit) {
-            self.occupied[word] |= bit;
+            if let Some(w) = self.occupied.get_mut(word) {
+                *w |= bit;
+            }
         }
+        let k = self.links.len();
         self.links.push(link);
-        self.signal.push(DIRS.map(|dir| self.signal_of(dir, link)));
-        self.interference.push(own);
-        let (head_at, tail_at) = (self.env.position(link.head), self.env.position(link.tail));
+        self.slack.push(own);
+        let n = self.env.node_count();
         if let Some(p) = &mut self.pruning {
-            p.buckets.insert(k as u32, head_at, tail_at);
+            // A link with a node the environment lacks has no position; its
+            // own slack is `i128::MIN`, so it is the binding victim that
+            // rejects every later probe before any scan.
+            if link.head.index() < n && link.tail.index() < n {
+                let (head_at, tail_at) =
+                    (self.env.position(link.head), self.env.position(link.tail));
+                p.buckets.insert(k as u32, head_at, tail_at);
+            }
         }
     }
 
     /// The derived half of [`assign`](Self::assign), over a non-empty slot:
-    /// every sum may have grown, so the binding victims and the pruned
-    /// regime's SINR headroom are re-derived and the refusal screen dropped.
+    /// every slack may have shrunk, so the binding victims are re-derived and
+    /// the refusal screen dropped.
     fn settle(&mut self) {
-        let track_sinr = self.pruning.is_some();
-        let (noise_mw, inv_beta) = (self.noise_mw, self.inv_beta);
-        let mut least_mw = [f64::INFINITY; 2];
-        let mut binding = [self.links.len() - 1; 2];
-        let mut min_sinr = f64::INFINITY;
-        for (i, (signal, interference)) in self.signal.iter().zip(&self.interference).enumerate() {
-            for dir in DIRS {
-                let d = dir as usize;
-                let slack_mw = signal[d] * inv_beta - noise_mw - interference[d];
-                if slack_mw < least_mw[d] {
-                    least_mw[d] = slack_mw;
-                    binding[d] = i;
-                }
-                if track_sinr {
-                    min_sinr = min_sinr.min(signal[d] / (noise_mw + interference[d]));
+        let mut least = [(i128::MAX, self.links.len() - 1); 2];
+        for (i, slack) in self.slack.iter().enumerate() {
+            for d in 0..2 {
+                if slack[d] < least[d].0 {
+                    least[d] = (slack[d], i);
                 }
             }
         }
         self.binding = DIRS.map(|dir| {
             Some(Victim {
-                index: binding[dir as usize],
+                index: least[dir as usize].1,
                 dir,
             })
         });
         self.refusal.set(None);
-        if let Some(p) = &mut self.pruning {
-            p.min_sinr = min_sinr;
-        }
     }
 
     /// Whether every assigned link currently completes both handshake
-    /// directions.
+    /// directions: whether the binding victims' slacks are non-negative.
     pub fn all_links_ok(&self) -> bool {
-        self.signal
+        self.binding
             .iter()
-            .zip(&self.interference)
-            .all(|(signal, interference)| {
-                DIRS.iter()
-                    .all(|&dir| self.meets_beta(signal[dir as usize], interference[dir as usize]))
-            })
+            .flatten()
+            .all(|v| self.slack[v.index][v.dir as usize] >= 0)
     }
 
     /// Whether the assigned set is a feasible slot by the paper's definition
@@ -908,37 +940,43 @@ impl<'a> SlotLedger<'a> {
     }
 
     /// Whether every assigned link still completes its handshake with the
-    /// tentative links' interference on top of its cached sums — the binding
-    /// victims first, since one failure settles it.
+    /// tentative links' terms taken from its slack — the binding victims
+    /// first, since one failure settles it.
     fn existing_survive(&self, tentative: &[Link]) -> bool {
         self.failing_binding_victim(tentative).is_none()
             && self.first_disturbed(tentative).is_none()
     }
 
-    /// Each tentative link's handshake against the ledger's interference
-    /// plus the other tentative links', in input order.
+    /// Each tentative link's handshake against the assigned links plus the
+    /// other tentative links, in input order.
     fn price_tentative(&self, tentative: &[Link]) -> Vec<bool> {
         tentative
             .iter()
-            .map(|&t| self.handshake_ok(t, self.add_terms(self.interference_on(t), tentative, t)))
+            .map(|&t| {
+                let slack = self.slack_against(self.caps(t), &self.links, t);
+                self.slack_against(slack, tentative, t)
+                    .iter()
+                    .all(|&s| s >= 0)
+            })
             .collect()
     }
 
-    /// Per-link SINR margins of the current slot, relative to β.
+    /// Per-link SINR margins of the current slot, relative to β: diagnostics
+    /// only, in floating point from the environment's powers and each
+    /// direction's exact interference sum `cap − slack`.
     pub fn margins(&self) -> Vec<LinkSinrMargin> {
-        let beta = self.env.config().sinr_threshold_db;
-        let margin = |signal: f64, interference: f64| {
-            Db::from_linear(signal / (self.noise_mw + interference)) - beta
-        };
+        let config = self.env.config();
+        let noise_mw = config.noise_floor_mw().get();
         self.links
             .iter()
-            .enumerate()
-            .map(|(i, &link)| {
+            .zip(&self.slack)
+            .map(|(&link, slack)| {
+                let caps = self.caps(link);
                 let [data_margin_db, ack_margin_db] = DIRS.map(|dir| {
-                    margin(
-                        self.signal[i][dir as usize],
-                        self.interference[i][dir as usize],
-                    )
+                    let signal_mw = self.env.received_mw(dir.tx(link), dir.rx(link));
+                    let interference = caps[dir as usize].saturating_sub(slack[dir as usize]);
+                    let sinr = signal_mw / (noise_mw + mw_of(interference));
+                    Db::from_linear(sinr) - config.sinr_threshold_db
                 });
                 LinkSinrMargin {
                     link,
@@ -949,44 +987,17 @@ impl<'a> SlotLedger<'a> {
             .collect()
     }
 
-    /// Accumulated per-direction interference the current slot inflicts on
-    /// `link`, summed in assignment order.
-    fn interference_on(&self, link: Link) -> [f64; 2] {
-        self.add_terms([0.0; 2], &self.links, link)
-    }
-
-    /// `sums` plus, per direction and in order, the terms `interferers`
-    /// inflict on `link`.
-    fn add_terms(&self, mut sums: [f64; 2], interferers: &[Link], link: Link) -> [f64; 2] {
+    /// `slack` minus, per direction, the terms `interferers` inflict on
+    /// `link`.
+    fn slack_against(&self, mut slack: [i128; 2], interferers: &[Link], link: Link) -> [i128; 2] {
         for &interferer in interferers {
             for dir in DIRS {
                 if let Some(term) = term(self.env, dir, interferer, link) {
-                    sums[dir as usize] += term;
+                    slack[dir as usize] = slack[dir as usize].saturating_sub(term);
                 }
             }
         }
-        sums
-    }
-
-    #[inline]
-    fn meets_beta(&self, signal_mw: f64, interference_mw: f64) -> bool {
-        signal_mw / (self.noise_mw + interference_mw) >= self.beta
-    }
-
-    /// Conservative accept: `interference_upper_mw` over-estimates the exact
-    /// accumulated interference, so clearing β by [`VERDICT_MARGIN`] relative
-    /// guarantees the exact [`meets_beta`](Self::meets_beta) check passes.
-    #[inline]
-    fn surely_meets_beta(&self, signal_mw: f64, interference_upper_mw: f64) -> bool {
-        signal_mw / (self.noise_mw + interference_upper_mw) >= self.beta * (1.0 + VERDICT_MARGIN)
-    }
-
-    /// Conservative reject: `interference_lower_mw` under-estimates the exact
-    /// accumulated interference, so missing β by the margin guarantees the
-    /// exact check fails.
-    #[inline]
-    fn surely_fails_beta(&self, signal_mw: f64, interference_lower_mw: f64) -> bool {
-        signal_mw / (self.noise_mw + interference_lower_mw) < self.beta * (1.0 - VERDICT_MARGIN)
+        slack
     }
 }
 
@@ -1334,13 +1345,10 @@ mod tests {
     fn handshakes(env: &RadioEnvironment, links: &[Link]) -> Vec<bool> {
         let mut filled = SlotLedger::exact(env);
         filled.assign_all(links);
-        (0..links.len())
-            .map(|i| {
-                DIRS.iter().all(|&dir| {
-                    let d = dir as usize;
-                    filled.meets_beta(filled.signal[i][d], filled.interference[i][d])
-                })
-            })
+        filled
+            .slack
+            .iter()
+            .map(|slack| slack.iter().all(|&s| s >= 0))
             .collect()
     }
 
@@ -1350,6 +1358,109 @@ mod tests {
         filled.assign_all(slot);
         filled.assign(candidate);
         filled.slot_feasible()
+    }
+
+    /// `fx` is the floor of the exactly scaled float on every binade it can
+    /// represent (the reference is the `as i128` libcall), saturates beyond
+    /// them, never lets a non-finite value through as an ordinary number,
+    /// and is monotone.
+    #[test]
+    fn fixed_point_is_the_floor_of_the_scaled_float_and_saturates() {
+        let (scale, limit) = (2f64.powi(FX_FRACTION_BITS), 2f64.powi(127));
+        let mut rng = ChaCha8Rng::seed_from_u64(0xf1);
+        let mut values = Vec::new();
+        for _ in 0..50_000 {
+            let binade = 2f64.powi(rng.gen_range(-1074..40));
+            let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let x: f64 = sign * binade * rng.gen_range(1.0..2.0);
+            let reference = (x * scale).floor();
+            if reference.abs() < limit {
+                assert_eq!(fx(x), reference as i128, "{x:e}");
+            } else {
+                assert_eq!(fx(x), if x > 0.0 { i128::MAX } else { i128::MIN }, "{x:e}");
+            }
+            values.push(x);
+        }
+        let edge = 2f64.powi(127 - FX_FRACTION_BITS);
+        assert_eq!(fx(edge), i128::MAX);
+        assert_eq!(
+            fx(edge * (1.0 - f64::EPSILON / 2.0)),
+            i128::MAX - (1 << 74) + 1
+        );
+        assert_eq!(fx(-edge), i128::MIN);
+        assert_eq!(fx(f64::MIN_POSITIVE / 4.0), 0);
+        assert_eq!(fx(-f64::MIN_POSITIVE / 4.0), -1);
+        assert_eq!([fx(0.0), fx(-0.0)], [0, 0]);
+        assert_eq!([fx(f64::INFINITY), fx(f64::NAN)], [i128::MAX; 2]);
+        assert_eq!(fx(f64::NEG_INFINITY), i128::MIN);
+        assert_eq!(
+            [cap(f64::NAN, 10.0, 0), cap(f64::INFINITY, 10.0, 0)],
+            [i128::MIN; 2]
+        );
+        values.sort_by(f64::total_cmp);
+        assert!(values.windows(2).all(|w| fx(w[0]) <= fx(w[1])));
+    }
+
+    /// Hostile links get a verdict, not a panic or an overflow: a node the
+    /// environment lacks is never free, its link's slack is `i128::MIN`
+    /// (as transmitter or receiver), and a co-located transmitter loud
+    /// enough to saturate the fixed point breaks its victim — on dense and
+    /// streamed gains, pruned or exact.
+    #[test]
+    fn unknown_nodes_and_saturating_terms_reject_without_panicking() {
+        // The victim 0 → 1; node 2 at the victim's receiver, at 190 dBm;
+        // 4 → 5 a clean link 1 km off.
+        let nodes = [(0.0, 20.0), (30.0, 20.0), (30.0, 190.0), (60.0, 20.0)]
+            .into_iter()
+            .chain([(1_000.0, 20.0), (1_030.0, 20.0)])
+            .enumerate()
+            .map(|(i, (x, dbm))| {
+                scream_topology::NodeInfo::new(
+                    NodeId::new(i as u32),
+                    Point2::new(x, 0.0),
+                    Dbm::new(dbm),
+                )
+            })
+            .collect::<Vec<_>>();
+        let kind = scream_topology::DeploymentKind::Custom;
+        let d = Deployment::from_nodes(nodes, Rect::square(1.0), kind).unwrap();
+        let dense = RadioEnvironment::builder().build(&d);
+        let streamed = RadioEnvironment::builder().streamed_gains().build(&d);
+        for env in [&dense, &streamed] {
+            assert_eq!(
+                fx(env.received_mw(NodeId::new(2), NodeId::new(1))),
+                i128::MAX
+            );
+            assert!(env.received_mw(NodeId::new(0), NodeId::new(9)).is_nan());
+            for mode in [PruningMode::Auto, PruningMode::Forced, PruningMode::Off] {
+                let mut ledger = SlotLedger::with_pruning(env, mode);
+                ledger.assign(link(0, 1));
+                assert!(ledger.slot_feasible() && ledger.can_add(link(4, 5)));
+                assert!(!ledger.can_add(link(2, 3)), "{mode:?}");
+                for unknown in [link(9, 4), link(4, 9), link(9, 8)] {
+                    assert!(!ledger.can_add(unknown) && !ledger.surely_refuses(unknown));
+                }
+                ledger.assign(link(2, 3));
+                assert!(!ledger.slot_feasible() && !ledger.can_add(link(4, 5)));
+                assert_eq!(ledger.margins().len(), 2);
+
+                ledger.clear();
+                ledger.assign(link(4, 9));
+                assert_eq!(ledger.slack, [[i128::MIN; 2]]);
+                assert!(!ledger.slot_feasible() && !ledger.all_links_ok());
+                assert!(!ledger.can_add(link(0, 1)) && ledger.surely_refuses(link(0, 1)));
+                ledger.assign(link(0, 1));
+                assert!(ledger
+                    .margins()
+                    .iter()
+                    .all(|m| m.link == link(0, 1) || !m.ok()));
+
+                let mut set = ChannelSlotLedger::with_pruning(env, mode);
+                set.assign(ChannelId::ZERO, link(0, 1));
+                let claims = set.probe_claims(&[link(2, 3), link(9, 4)]);
+                assert!(!claims.existing_ok && claims.assignments == [None, None]);
+            }
+        }
     }
 
     #[test]
@@ -1816,8 +1927,7 @@ mod tests {
         ledger.links.iter().enumerate().all(|(i, &link)| {
             DIRS.iter().all(|&dir| {
                 let (d, extra) = (dir as usize, term(ledger.env, dir, candidate, link));
-                let interference = ledger.interference[i][d] + extra.unwrap_or(0.0);
-                ledger.meets_beta(ledger.signal[i][d], interference)
+                ledger.slack[i][d].saturating_sub(extra.unwrap_or(0)) >= 0
             })
         })
     }
@@ -2094,26 +2204,17 @@ mod tests {
         }
     }
 
-    /// Everything a `SlotLedger` derives from its assignment history, floats
-    /// as bit patterns: two ledgers with equal fingerprints hold the same
-    /// sums, victims, headroom and bucket index, not merely close ones.
+    /// Everything a `SlotLedger` derives from its assignment history: two
+    /// ledgers with equal fingerprints hold the same slacks, victims and
+    /// bucket index.
     fn state_fingerprint(ledger: &SlotLedger<'_>) -> String {
-        let bits = |values: &[[f64; 2]]| {
-            values
-                .iter()
-                .flatten()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
         format!(
-            "{:?} {:?} {:?} {:?} {} {:?} {:?} {:?}",
+            "{:?} {:?} {:?} {} {:?} {:?}",
             ledger.links,
-            bits(&ledger.signal),
-            bits(&ledger.interference),
+            ledger.slack,
             ledger.occupied,
             ledger.disjoint,
             ledger.binding,
-            ledger.pruning.as_ref().map(|p| p.min_sinr.to_bits()),
             ledger.pruning.as_ref().map(|p| &p.buckets),
         )
     }
@@ -2534,7 +2635,7 @@ mod tests {
         // The cutoff and the unit depend on the loudest power and the boost.
         let pair = (0..2).map(|i| node(i, Point2::new(i as f64, 0.0), loud));
         let far = dense(pair.collect()).far_field();
-        let (cutoff_m, unit_mw) = (far.cutoff_m.get(), far.unit_mw.get());
+        let (cutoff_m, unit_fx) = (far.cutoff_m.get(), fx(far.unit_mw.get()));
         let config = RadioConfig::mesh_default();
         let (noise_mw, beta) = (
             config.noise_floor_mw().get(),
@@ -2600,13 +2701,17 @@ mod tests {
         for &(candidate, dir, e) in &candidates {
             let d = dir as usize;
             // The pure bound: above the exact sum, and within 10 % of it.
-            let exact_mw = exact.interference_on(candidate)[d];
-            let upper_mw = far_field_upper_mw(0.0, k, 0, unit_mw);
+            let caps = exact.caps(candidate);
+            let exact_fx = caps[d] - exact.slack_against(caps, &ring, candidate)[d];
+            let upper_fx = far_field_upper(0, k, 0, unit_fx);
             assert!(
-                exact_mw <= upper_mw && upper_mw < 1.1 * exact_mw,
-                "{exact_mw} {upper_mw}"
+                exact_fx <= upper_fx && mw_of(upper_fx) < 1.1 * mw_of(exact_fx),
+                "{exact_fx} {upper_fx}"
             );
-            let sinr = exact.signal_of(dir, candidate) / (noise_mw + exact_mw);
+            // At β by the float sum the construction solved for.
+            let rx = dir.rx(candidate);
+            let ring_mw: f64 = ring.iter().map(|&l| env.received_mw(dir.tx(l), rx)).sum();
+            let sinr = env.received_mw(dir.tx(candidate), rx) / (noise_mw + ring_mw);
             if e == 0.0 {
                 assert!(
                     (sinr / beta - 1.0).abs() < 1e-12,

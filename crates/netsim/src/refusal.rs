@@ -2,10 +2,10 @@
 //!
 //! First-fit asks every open run, in order, whether a link fits, and a
 //! saturated run answers "no" to nearly everyone for one reason: its binding
-//! victim (see the [ledger docs](crate::ledger)) has float-dust slack left,
-//! and that slack is less than what the candidate's transmitter adds at the
-//! victim's receiver. That reason does not need the candidate's gain — a
-//! *lower bound* on it is enough:
+//! victim (see the [ledger docs](crate::ledger)) has almost no slack left,
+//! and that slack is less than what the candidate's transmitter takes from
+//! it at the victim's receiver. That reason does not need the candidate's
+//! gain — a *lower bound* on it is enough:
 //!
 //! * **closed** — the bound that holds for every node of the deployment
 //!   ([`RadioEnvironment::weakest_interferer_mw`]) already breaks the victim:
@@ -15,23 +15,22 @@
 //!   it: the slot refuses every transmitter inside that disc.
 //!
 //! Soundness is the binding-victim screen's argument one level up. The
-//! verdict contains the conjunct `signal / (noise + (interference + term))
-//! ≥ β` for each binding victim, `term` being the candidate's received power
-//! there. The screen evaluates that very expression with `floor ≤ term` in
-//! its place, and IEEE `+`, `×`, `/` and `sqrt` are monotone, so
-//! `interference + floor ≤ interference + term`, the quotient can only
-//! shrink, and a conjunct that is `false` at the floor is `false` at the
-//! term: no epsilon is involved. The radius is obtained by inverting the
-//! gain profile, which does round, so it is shrunk and then *checked* with
-//! the forward expression; an unchecked radius is never used. The two cases
-//! where the ledger skips the addend (the candidate shares an endpoint with
-//! the victim) or has no conjunct to evaluate (a self-link) are refused by
-//! the endpoint screen whatever this one says.
+//! verdict contains the conjunct `slack − fx(term) ≥ 0` for each binding
+//! victim, `term` being the candidate's received power there. The screen
+//! evaluates that very conjunct with `floor ≤ term` in its place, and the
+//! fixed-point conversion `fx` is monotone, so `fx(floor) ≤ fx(term)` and a
+//! conjunct that is `false` at the floor is `false` at the term: no epsilon
+//! is involved. The radius is obtained by inverting the gain profile, which
+//! does round, so it is shrunk and then *checked* with the forward
+//! expression; an unchecked radius is never used. The two cases where the
+//! ledger skips the term (the candidate shares an endpoint with the victim)
+//! or has no conjunct to evaluate (a self-link) are refused by the endpoint
+//! screen whatever this one says.
 
 use scream_topology::{Link, NodeId, Point2};
 
 use crate::environment::RadioEnvironment;
-use crate::ledger::DIRS;
+use crate::ledger::{fx, mw_of, DIRS};
 
 /// Squared radius of a victim that refuses nobody unasked.
 const NOBODY_SQ_M2: f64 = f64::NEG_INFINITY;
@@ -40,24 +39,18 @@ const NOBODY_SQ_M2: f64 = f64::NEG_INFINITY;
 const RADIUS_SHRINK: f64 = 1e-9;
 
 /// One binding victim as [`SlotLedger`](crate::SlotLedger) caches it: its
-/// signal and accumulated interference in milliwatts and the node receiving
-/// them, so that its conjunct is `signal / (noise + interference + term) ≥ β`
-/// with `term` received at that node.
-pub(crate) type VictimState = (f64, f64, NodeId);
+/// slack and the node receiving, so that its conjunct is
+/// `slack − fx(term) ≥ 0` with `term` received at that node.
+pub(crate) type VictimState = (i128, NodeId);
 
 /// The squared radius around the victim's receiver inside which every
 /// transmitter (other than the victim's own endpoints) breaks the victim:
 /// `+∞` when the victim is closed to the whole deployment, [`NOBODY_SQ_M2`]
 /// when no radius could be certified (always, short of closed, on dense
 /// gains).
-pub(crate) fn refused_radius_sq_m2(
-    env: &RadioEnvironment,
-    beta: f64,
-    noise_mw: f64,
-    (signal_mw, interference_mw, rx): VictimState,
-) -> f64 {
-    // The ledger's `meets_beta` on the sum its `victim_ok` accumulates.
-    let survives = |term_mw: f64| signal_mw / (noise_mw + (interference_mw + term_mw)) >= beta;
+pub(crate) fn refused_radius_sq_m2(env: &RadioEnvironment, (slack, rx): VictimState) -> f64 {
+    // The ledger's `victim_ok` with one tentative term.
+    let survives = |term_mw: f64| slack.saturating_sub(fx(term_mw)) >= 0;
     if !survives(env.weakest_interferer_mw(rx).get()) {
         return f64::INFINITY;
     }
@@ -65,9 +58,8 @@ pub(crate) fn refused_radius_sq_m2(
         return NOBODY_SQ_M2;
     }
     let (profile, min_tx_power_mw) = (env.gain_profile(), env.min_tx_power_mw());
-    let slack_mw = signal_mw / beta - noise_mw - interference_mw;
     let radius_sq_m2 =
-        profile.distance_squared_for_gain(slack_mw / min_tx_power_mw) * (1.0 - RADIUS_SHRINK);
+        profile.distance_squared_for_gain(mw_of(slack) / min_tx_power_mw) * (1.0 - RADIUS_SHRINK);
     [radius_sq_m2, radius_sq_m2 * 0.999]
         .into_iter()
         .find(|&r_sq_m2| {
@@ -91,19 +83,16 @@ pub(crate) struct RefusalScreen {
 
 impl RefusalScreen {
     /// The screen of a slot whose binding victims are `victims`, data first
-    /// (`None` in an empty slot, which refuses nobody).
-    pub(crate) fn derive(
-        env: &RadioEnvironment,
-        beta: f64,
-        noise_mw: f64,
-        victims: [Option<VictimState>; 2],
-    ) -> Self {
-        let discs = victims.map(|victim| match victim {
-            Some(v) => (
-                env.position(v.2),
-                refused_radius_sq_m2(env, beta, noise_mw, v),
-            ),
-            None => (Point2::new(0.0, 0.0), NOBODY_SQ_M2),
+    /// (`None` in an empty slot, which refuses nobody). Only a finite disc
+    /// needs its receiver's position, which a closed victim's node (one the
+    /// environment may lack) is never asked for.
+    pub(crate) fn derive(env: &RadioEnvironment, victims: [Option<VictimState>; 2]) -> Self {
+        let discs = victims.map(|victim| {
+            let radius_sq_m2 = victim.map_or(NOBODY_SQ_M2, |v| refused_radius_sq_m2(env, v));
+            match victim {
+                Some((_, rx)) if radius_sq_m2.is_finite() => (env.position(rx), radius_sq_m2),
+                _ => (Point2::new(0.0, 0.0), radius_sq_m2),
+            }
         });
         Self {
             closed: discs[0].1.max(discs[1].1) == f64::INFINITY,
@@ -131,6 +120,7 @@ impl RefusalScreen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::cap;
     use crate::propagation::PropagationModel;
     use crate::units::Dbm;
     use crate::SlotLedger;
@@ -163,12 +153,9 @@ mod tests {
             .received_power_mw(NodeId::new(1 - rx), NodeId::new(rx))
             .get();
         let config = env.config();
-        refused_radius_sq_m2(
-            env,
-            config.sinr_threshold_linear(),
-            config.noise_floor_mw().get(),
-            (signal_mw, 0.0, NodeId::new(rx)),
-        )
+        let noise_fx = fx(config.noise_floor_mw().get());
+        let slack = cap(signal_mw, config.sinr_threshold_linear(), noise_fx);
+        refused_radius_sq_m2(env, (slack, NodeId::new(rx)))
     }
 
     /// ROADMAP 1(b) for this bound: candidates whose transmitter sits at
@@ -244,10 +231,9 @@ mod tests {
     }
 
     /// The closed test's own boundary, which no drawn instance lands on: a
-    /// victim that meets β *with equality* once the floor is added still
-    /// admits the node whose term is the floor (on dense gains the floor is
-    /// some node's exact term), so it must not be closed; one ulp less signal
-    /// and it must. β = 2 keeps the quotient exact.
+    /// victim whose slack is exactly the floor's term still admits the node
+    /// whose term is the floor (on dense gains the floor is some node's exact
+    /// term), so it must not be closed; one unit less slack and it must.
     #[test]
     fn a_victim_exactly_at_beta_under_the_floor_is_not_closed() {
         let positions = [
@@ -260,14 +246,9 @@ mod tests {
         let rx = NodeId::new(1);
         let floor_mw = env.weakest_interferer_mw(rx).get();
         assert_eq!(floor_mw, env.received_power_mw(NodeId::new(2), rx).get());
-        let (beta, noise_mw, interference_mw) = (2.0, 1e-10, 3e-11);
-        let signal_mw = beta * (noise_mw + (interference_mw + floor_mw));
-        assert_eq!(signal_mw / (noise_mw + (interference_mw + floor_mw)), beta);
-        let radius_at = |signal_mw| {
-            refused_radius_sq_m2(&env, beta, noise_mw, (signal_mw, interference_mw, rx))
-        };
-        assert_eq!(radius_at(signal_mw), NOBODY_SQ_M2);
-        assert_eq!(radius_at(signal_mw * (1.0 - f64::EPSILON)), f64::INFINITY);
+        let radius_at = |slack| refused_radius_sq_m2(&env, (slack, rx));
+        assert_eq!(radius_at(fx(floor_mw)), NOBODY_SQ_M2);
+        assert_eq!(radius_at(fx(floor_mw) - 1), f64::INFINITY);
     }
 
     /// Every ordered pair of the environment's nodes plus two ids it lacks:

@@ -292,8 +292,8 @@ impl<T: SlotFeasibility + ?Sized> SlotFeasibility for &T {
 /// environment unchanged.
 ///
 /// The pruned ledger is verdict-identical to the exact one by construction
-/// (every screen carries a conservative margin and ambiguity falls back to
-/// the exact code path), so `ExactPhysical(&env)` and `&env` must produce
+/// (every screen is an exact comparison of the same fixed-point sums, and
+/// what it leaves open falls back to the exact code path), so `ExactPhysical(&env)` and `&env` must produce
 /// byte-identical schedules. This wrapper exists so that claim is testable
 /// (the `pruned_ledger_matches_exact_*` property tests) and measurable (the
 /// large-scale probe benchmark reports pruned-vs-exact speedup).

@@ -9,11 +9,11 @@
 //! verdict *read* off the filled state: one O(k²) fill for `k` links under
 //! the physical model and one O(k) read, no probe. That is the verdict of
 //! admitting the links one by one, not an approximation of it: the conjuncts
-//! a probe of link `j` evaluates are the very sums the fill stores, at an
-//! earlier step; interference only grows (`x + t ≥ x` for `t ≥ 0`, in IEEE
-//! arithmetic too) and `signal / (noise + I) ≥ β` is monotone in `I`, so
-//! every prefix admitted its next link exactly when the filled slot is
-//! feasible. An infeasible slot is reported with every link's SINR margin,
+//! a probe of link `j` evaluates are the very slacks the fill stores, at an
+//! earlier step; a slack only shrinks (the terms are non-negative integers)
+//! and its verdict is `slack ≥ 0`, so every prefix admitted its next link
+//! exactly when the filled slot is feasible — in any order, since integer
+//! sums do not depend on one. An infeasible slot is reported with every link's SINR margin,
 //! so the failing handshake direction is visible in the error itself.
 //!
 //! Verification walks the schedule's run-length form
@@ -352,6 +352,70 @@ mod tests {
             }
             other => panic!("unexpected violation {other:?}"),
         }
+    }
+
+    /// A link with a node the environment lacks — as transmitter, or as
+    /// receiver, whose dense-gain lookup would alias another pair's — is
+    /// infeasible: greedy places it, the verifier reports its slot, and
+    /// neither they nor repair panic. So is a slot shared with a co-located
+    /// transmitter loud enough to saturate the ledger's fixed point, which
+    /// greedy therefore keeps apart.
+    #[test]
+    fn unknown_nodes_and_saturating_terms_are_infeasible_slots_not_panics() {
+        use crate::greedy::{EdgeOrdering, GreedyPhysical};
+        use crate::repair::repair_schedule;
+        use scream_topology::{Dbm, Deployment, DeploymentKind, NodeInfo, Point2, Rect};
+
+        let grid = RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .build(&GridDeployment::new(5, 2, 100.0).build());
+        assert_eq!(grid.node_count(), 10);
+        let (lone_tx, lone_rx) = (link(15, 0), link(3, 12));
+        let demands =
+            LinkDemands::from_links(20, &[(lone_tx, 2), (lone_rx, 1), (link(5, 6), 1)]).unwrap();
+        for ordering in [
+            EdgeOrdering::DecreasingHeadId,
+            EdgeOrdering::IncreasingHeadId,
+            EdgeOrdering::DecreasingDemand,
+            EdgeOrdering::IncreasingDemand,
+        ] {
+            let schedule = GreedyPhysical::new(ordering).schedule(&grid, &demands);
+            assert!(schedule
+                .runs()
+                .all(|(p, _)| p.len() == 1 || !p.links().iter().any(|l| l.tail.index() >= 10)));
+            match verify_schedule(&grid, &schedule, &demands) {
+                Err(ScheduleViolation::InfeasibleSlot { links, margins, .. }) => {
+                    assert!(links == [lone_tx] || links == [lone_rx], "{links:?}");
+                    assert!(!margins[0].ok());
+                }
+                other => panic!("{ordering:?}: {other:?}"),
+            }
+            let repaired = repair_schedule(&grid, &schedule, &demands);
+            assert!(verify_schedule(&grid, &repaired.schedule, &demands).is_err());
+        }
+
+        // The victim 0 → 1, and node 2 at the victim's receiver transmitting
+        // at 190 dBm: 10¹⁵ mW there, beyond the fixed point's 1.4 · 10¹⁴.
+        let nodes = [(0.0, 20.0), (30.0, 20.0), (30.0, 190.0), (60.0, 20.0)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, dbm))| {
+                NodeInfo::new(NodeId::new(i as u32), Point2::new(x, 0.0), Dbm::new(dbm))
+            })
+            .collect();
+        let d = Deployment::from_nodes(nodes, Rect::square(100.0), DeploymentKind::Custom).unwrap();
+        let loud = RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .build(&d);
+        let demands = LinkDemands::from_links(4, &[(link(0, 1), 1), (link(2, 3), 1)]).unwrap();
+        let schedule = GreedyPhysical::paper_baseline().schedule(&loud, &demands);
+        assert_eq!(schedule.length(), 2);
+        verify_schedule(&loud, &schedule, &demands).unwrap();
+        let together = Schedule::from_slots(vec![vec![link(0, 1), link(2, 3)]]);
+        assert!(matches!(
+            verify_schedule(&loud, &together, &demands),
+            Err(ScheduleViolation::InfeasibleSlot { .. })
+        ));
     }
 
     #[test]

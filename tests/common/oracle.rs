@@ -14,9 +14,16 @@
 //! sensitivity graph and interference diameter it induces (Definitions 1–2),
 //! the slot-by-slot SCREAM flood and the bitwise leader election of Section
 //! III-B run over that flood.
+//!
+//! Its SINR verdicts are three-valued: `Some(true)`, `Some(false)`, or
+//! `None` — too close to call — when the computed ratio lies within an error
+//! bound of β that covers the oracle's own arithmetic ([`TERM_ERROR`] per
+//! received power, one rounding per addend of its `f64` sum, the quotient).
+//! A suite compares the ledger with decisive verdicts only and asserts how
+//! many were undecided ([`Oracle::undecided`]): none, on drawn instances.
 #![allow(dead_code, reason = "each suite uses the part it judges")]
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 
 use scream::netsim::{RadioConfig, ShadowingField};
 use scream::prelude::*;
@@ -25,6 +32,10 @@ use scream::prelude::*;
 const EXPONENT: f64 = 3.0;
 /// Path loss at (and inside) the 1 m reference distance, in dB.
 const REFERENCE_LOSS_DB: f64 = 40.0;
+/// Relative error allowed each received power (and β): the oracle's `hypot`
+/// / `log10` / `powf` chain is good to a few ulps, and the ledger floors each
+/// term to 2⁻⁸⁰ mW, 10⁻¹⁴ of a −100 dBm floor; generous for both.
+const TERM_ERROR: f64 = 1e-10;
 
 fn mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
@@ -41,6 +52,23 @@ pub struct Oracle {
     carrier_sense_mw: f64,
     /// `received_mw(tx, rx)` at `tx · n + rx`, filled on the first detection.
     received: OnceCell<Vec<f64>>,
+    /// How many verdicts asked of this oracle were too close to call.
+    undecided: Cell<usize>,
+}
+
+/// The conjunction of three-valued verdicts: `false` if any is, else
+/// undecided if any is, else `true`.
+fn all(verdicts: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
+    let (mut refused, mut decided) = (false, true);
+    for verdict in verdicts {
+        refused |= verdict == Some(false);
+        decided &= verdict.is_some();
+    }
+    if refused {
+        Some(false)
+    } else {
+        decided.then_some(true)
+    }
 }
 
 impl Oracle {
@@ -63,6 +91,7 @@ impl Oracle {
             channel_count: config.channel_count.max(1),
             carrier_sense_mw: mw(RadioConfig::CARRIER_SENSE_THRESHOLD_DBM.get()),
             received: OnceCell::new(),
+            undecided: Cell::new(0),
         }
     }
 
@@ -85,35 +114,118 @@ impl Oracle {
         mw(self.tx_power_dbm[tx.index()] - loss_db)
     }
 
-    /// Whether `link`'s two-way handshake completes while `concurrent` (which
-    /// may hold `link` itself) transmits on its channel: the data sub-slot
-    /// (head → tail, against the other links' heads) and the ACK sub-slot
-    /// (tail → head, against their tails) both reach β, a sender that is
-    /// one of `link`'s own endpoints not counting as interference.
-    pub fn handshake_ok(&self, link: Link, concurrent: &[Link]) -> bool {
-        let decodes = |tx: NodeId, rx: NodeId, senders: &mut dyn Iterator<Item = NodeId>| {
-            let interference_mw: f64 = senders
-                .filter(|&s| s != tx && s != rx)
-                .map(|s| self.received_mw(s, rx))
-                .sum();
-            self.received_mw(tx, rx) / (self.noise_mw + interference_mw) >= self.beta
-        };
-        let others = || concurrent.iter().filter(|&&l| l != link);
-        decodes(link.head, link.tail, &mut others().map(|l| l.head))
-            && decodes(link.tail, link.head, &mut others().map(|l| l.tail))
+    /// How many of the verdicts asked of this oracle so far were too close
+    /// to call.
+    pub fn undecided(&self) -> usize {
+        self.undecided.get()
     }
 
-    /// Whether every slot of `schedule` is feasible: a node has one radio, so
-    /// a pattern's links are endpoint-disjoint across all its channels; every
-    /// channel is one the configuration has, and every channel group is a
-    /// feasible slot.
-    pub fn accepts(&self, schedule: &Schedule) -> bool {
-        schedule.runs().all(|(pattern, _)| {
-            endpoint_disjoint(pattern.links())
-                && pattern.channel_groups().all(|(channel, group)| {
-                    channel.index() < self.channel_count && self.slot_feasible(group)
-                })
-        })
+    /// Counts `verdict` in [`undecided`](Self::undecided) if it is `None`.
+    fn tally(&self, verdict: Option<bool>) -> Option<bool> {
+        if verdict.is_none() {
+            self.undecided.set(self.undecided.get() + 1);
+        }
+        verdict
+    }
+
+    /// Whether `rx` hears `tx` at β over the noise and `senders`, a sender
+    /// that is `tx` or `rx` not counting; with `decisive_only`, `None` when
+    /// the computed ratio is within the oracle's error bound of β.
+    fn decodes(
+        &self,
+        tx: NodeId,
+        rx: NodeId,
+        senders: impl Iterator<Item = NodeId>,
+        decisive_only: bool,
+    ) -> Option<bool> {
+        let (mut interference_mw, mut addends) = (0.0, 0);
+        for s in senders.filter(|&s| s != tx && s != rx) {
+            interference_mw += self.received_mw(s, rx);
+            addends += 1;
+        }
+        let ratio = self.received_mw(tx, rx) / (self.noise_mw + interference_mw) / self.beta;
+        let bound = if decisive_only {
+            3.0 * TERM_ERROR + f64::from(addends + 3) * f64::EPSILON
+        } else {
+            0.0
+        };
+        if ratio >= 1.0 + bound {
+            Some(true)
+        } else if ratio < 1.0 - bound {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// `link`'s two-way handshake while `concurrent` (which may hold `link`
+    /// itself) transmits on its channel: the data sub-slot (head → tail,
+    /// against the other links' heads) and the ACK sub-slot (tail → head,
+    /// against their tails) both reach β, a sender that is one of `link`'s
+    /// own endpoints not counting as interference.
+    fn handshake_verdict(
+        &self,
+        link: Link,
+        concurrent: &[Link],
+        decisive_only: bool,
+    ) -> Option<bool> {
+        let others = || concurrent.iter().filter(|&&l| l != link);
+        all([
+            self.decodes(
+                link.head,
+                link.tail,
+                others().map(|l| l.head),
+                decisive_only,
+            ),
+            self.decodes(
+                link.tail,
+                link.head,
+                others().map(|l| l.tail),
+                decisive_only,
+            ),
+        ])
+    }
+
+    /// One channel's slot by the paper's definition.
+    fn slot_verdict(&self, links: &[Link], decisive_only: bool) -> Option<bool> {
+        if !endpoint_disjoint(links) {
+            return Some(false);
+        }
+        all(links
+            .iter()
+            .map(|&l| self.handshake_verdict(l, links, decisive_only)))
+    }
+
+    /// `link`'s two-way handshake while `concurrent` transmits (see
+    /// `handshake_verdict`), or `None` if too close to call.
+    pub fn handshake(&self, link: Link, concurrent: &[Link]) -> Option<bool> {
+        self.tally(self.handshake_verdict(link, concurrent, true))
+    }
+
+    /// Whether `links` are a feasible slot on one channel, or `None` if too
+    /// close to call.
+    pub fn slot(&self, links: &[Link]) -> Option<bool> {
+        self.tally(self.slot_verdict(links, true))
+    }
+
+    /// Whether every slot of `schedule` is feasible, or `None` if that is
+    /// too close to call: a node has one radio, so a pattern's links are
+    /// endpoint-disjoint across all its channels; every channel is one the
+    /// configuration has, and every channel group is a feasible slot.
+    pub fn judge(&self, schedule: &Schedule) -> Option<bool> {
+        let verdict = all(schedule.runs().map(|(pattern, _)| {
+            if !endpoint_disjoint(pattern.links()) {
+                return Some(false);
+            }
+            all(pattern.channel_groups().map(|(channel, group)| {
+                if channel.index() < self.channel_count {
+                    self.slot_verdict(group, true)
+                } else {
+                    Some(false)
+                }
+            }))
+        }));
+        self.tally(verdict)
     }
 
     fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone {
@@ -243,10 +355,14 @@ fn endpoint_disjoint(links: &[Link]) -> bool {
 }
 
 /// One channel's slot by the paper's definition; `can_add` and the
-/// per-channel accumulator are the trait's from-scratch defaults.
+/// per-channel accumulator are the trait's from-scratch defaults. A trait
+/// verdict must be a yes or a no: one too close to call is counted in
+/// [`Oracle::undecided`] and answered by the plain `≥ β` comparison.
 impl SlotFeasibility for Oracle {
     fn slot_feasible(&self, links: &[Link]) -> bool {
-        endpoint_disjoint(links) && links.iter().all(|&l| self.handshake_ok(l, links))
+        self.slot(links)
+            .or_else(|| self.slot_verdict(links, false))
+            .unwrap_or(false)
     }
 
     fn channel_count(&self) -> usize {
