@@ -18,25 +18,10 @@ use scream_topology::{
 
 use crate::instance::AnalysisError;
 
-/// Which deployment family an observation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub(crate) enum DiameterScenario {
-    /// Square grid with range equal to the grid step (Theorem 2).
-    SquareGrid,
-    /// Uniform random deployment in the unit square with the
-    /// connectivity-threshold range `r = √(ln n / (π n))` (Theorem 3).
-    RandomUniform,
-    /// Dense lattice approximating the infinite-density model
-    /// (Section IV-B3).
-    InfiniteDensity,
-}
-
 /// One measured instance: node count, neighbor density, measured interference
 /// diameter and the theoretical bound it must respect.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiameterObservation {
-    /// The deployment family.
-    pub(crate) scenario: DiameterScenario,
     /// Number of nodes.
     pub node_count: usize,
     /// Average node degree `ρ(G)` (Definition 6).
@@ -66,7 +51,6 @@ impl DiameterObservation {
         let graph = UnitDiskGraphBuilder::new(step).build(&deployment);
         let diam = deployment.region().diameter();
         Self::from_measurement(
-            DiameterScenario::SquareGrid,
             &deployment,
             graph.neighbor_density(),
             graph.interference_diameter(),
@@ -101,7 +85,6 @@ impl DiameterObservation {
         // occupied cells of side r/(2*sqrt(2)), i.e. 4*side/r hops.
         let bound = 4.0 * side / range;
         Ok(Self::from_measurement(
-            DiameterScenario::RandomUniform,
             &deployment,
             graph.neighbor_density(),
             graph.interference_diameter(),
@@ -117,7 +100,6 @@ impl DiameterObservation {
         let graph = UnitDiskGraphBuilder::new(range).build(&deployment);
         let diam = deployment.region().diameter();
         Self::from_measurement(
-            DiameterScenario::InfiniteDensity,
             &deployment,
             graph.neighbor_density(),
             graph.interference_diameter(),
@@ -129,7 +111,6 @@ impl DiameterObservation {
     }
 
     fn from_measurement(
-        scenario: DiameterScenario,
         deployment: &Deployment,
         neighbor_density: f64,
         interference_diameter: usize,
@@ -142,7 +123,6 @@ impl DiameterObservation {
             f64::INFINITY
         };
         Self {
-            scenario,
             node_count: n,
             neighbor_density,
             interference_diameter,
@@ -239,8 +219,7 @@ mod tests {
             let ratio = obs.interference_diameter as f64 / obs.sqrt_n_over_rho;
             assert!(
                 ratio < 8.0,
-                "{:?}: ID/{:.2} = {ratio:.2} is not O(1)-ish",
-                obs.scenario,
+                "{obs:?}: ID/{:.2} = {ratio:.2} is not O(1)-ish",
                 obs.sqrt_n_over_rho
             );
         }

@@ -22,8 +22,6 @@ use crate::instance::{AnalysisError, Instance};
 /// Outcome of comparing FDD against GreedyPhysical on one instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EquivalenceOutcome {
-    /// Number of nodes in the instance.
-    pub(crate) node_count: usize,
     /// Number of orthogonal channels both schedulers ran with (1 is the
     /// paper's single shared channel).
     pub(crate) channel_count: usize,
@@ -33,12 +31,6 @@ pub struct EquivalenceOutcome {
     pub(crate) centralized_length: usize,
     /// Length of the FDD schedule.
     pub(crate) fdd_length: usize,
-    /// Distinct slot patterns in the centralized schedule's run-length form
-    /// (its actual memory footprint; `centralized_length` can be arbitrarily
-    /// larger under heavy demand).
-    pub(crate) centralized_patterns: usize,
-    /// Distinct slot patterns in the FDD schedule's run-length form.
-    pub(crate) fdd_patterns: usize,
     /// Whether the two schedules are identical slot-by-slot.
     pub identical: bool,
     /// Whether both schedules passed feasibility + demand verification.
@@ -131,13 +123,10 @@ impl EquivalenceReport {
         let both_valid = verify_schedule(env, &centralized, link_demands).is_ok()
             && verify_schedule(env, &fdd.schedule, link_demands).is_ok();
         Ok(EquivalenceOutcome {
-            node_count: deployment.len(),
             channel_count,
             total_demand: link_demands.total_demand(),
             centralized_length: centralized.length(),
             fdd_length: fdd.schedule.length(),
-            centralized_patterns: centralized.pattern_count(),
-            fdd_patterns: fdd.schedule.pattern_count(),
             identical: fdd.schedule == centralized,
             both_valid,
         })

@@ -47,10 +47,3 @@ pub use complexity::{ComplexityObservation, ComplexityReport};
 pub use diameter::DiameterObservation;
 pub use equivalence::{EquivalenceOutcome, EquivalenceReport};
 pub use instance::AnalysisError;
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::complexity::{ComplexityObservation, ComplexityReport};
-    pub use crate::diameter::DiameterObservation;
-    pub use crate::equivalence::{EquivalenceOutcome, EquivalenceReport};
-}

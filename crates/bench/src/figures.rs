@@ -370,8 +370,6 @@ pub fn channel_ablation_table(demand_per_link: u64, rows: &[ChannelAblationRow])
 /// One schedule's packet-level outcome at one offered-load factor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub(crate) struct LoadPoint {
-    /// Mean end-to-end delay over delivered packets, in slots.
-    pub(crate) mean_delay_slots: f64,
     /// 95th-percentile end-to-end delay, in slots.
     pub(crate) delay_p95_slots: f64,
     /// Percentage of injected packets delivered within the horizon.
@@ -435,7 +433,6 @@ pub fn delay_vs_load(
                 let frames = slot_budget.div_ceil(schedule.length() as u64).max(1);
                 let report = instance.run_traffic_against(schedule, load, reference, frames)?;
                 Ok::<_, BenchError>(LoadPoint {
-                    mean_delay_slots: report.delay.mean_slots,
                     delay_p95_slots: report.delay.p95_slots,
                     throughput_pct: report.sustained_throughput_pct,
                     stable: report.verdict.is_stable(),

@@ -66,8 +66,6 @@ pub(crate) struct TrafficPoint {
     pub(crate) offered_load: f64,
     /// Percentage of injected packets delivered within the horizon.
     pub(crate) sustained_throughput_pct: f64,
-    /// 95th-percentile end-to-end delay, in slots.
-    pub(crate) delay_p95_slots: f64,
     /// Analytic stability verdict (offered load vs. per-link share).
     pub(crate) stable: bool,
 }
@@ -212,7 +210,6 @@ impl ScenarioSweep {
                 TrafficPoint {
                     offered_load: TRAFFIC_LOAD,
                     sustained_throughput_pct: traffic.sustained_throughput_pct,
-                    delay_p95_slots: traffic.delay.p95_slots,
                     stable: traffic.verdict.is_stable(),
                 },
             ))
@@ -385,7 +382,6 @@ mod tests {
                     traffic: TrafficPoint {
                         offered_load: 0.9,
                         sustained_throughput_pct: traffic.sustained_throughput_pct,
-                        delay_p95_slots: traffic.delay.p95_slots,
                         stable: traffic.verdict.is_stable(),
                     },
                 }

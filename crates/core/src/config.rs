@@ -100,12 +100,6 @@ impl ProtocolConfig {
     }
 }
 
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +111,6 @@ mod tests {
         assert_eq!(c.scream_slots, 5);
         assert_eq!(c.scream_bytes, 15);
         assert_eq!(c.clock_skew, ClockSkewConfig::PERFECT);
-        assert_eq!(ProtocolConfig::default(), c);
         c.validate().unwrap();
     }
 

@@ -29,8 +29,6 @@ pub struct CounterExample {
     pub link_l: Link,
     /// The distant link `l'` outside any constant-hop neighborhood of `l`.
     pub link_l_prime: Link,
-    /// The locality radius `k` (in hops) that the construction defeats.
-    pub(crate) locality_hops: usize,
     /// SINR threshold used by the construction.
     pub sinr_threshold_db: Db,
 }
@@ -78,7 +76,6 @@ impl CounterExample {
             link_l: Link::new(NodeId::new(1), NodeId::new(0)),
             // Link l' at the right end: node count-2 transmits to node count-1.
             link_l_prime: Link::new(NodeId::new(last - 1), NodeId::new(last)),
-            locality_hops: k,
             sinr_threshold_db: Self::tuned_threshold(&positions, spacing),
         })
     }
@@ -240,7 +237,7 @@ mod tests {
         let small = CounterExample::for_locality(1).unwrap();
         let large = CounterExample::for_locality(5).unwrap();
         assert!(large.deployment.len() > small.deployment.len());
-        assert_eq!(large.locality_hops, 5);
+        assert_eq!(large.deployment.len(), 4 * 5 + 8);
     }
 
     #[test]

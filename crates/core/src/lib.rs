@@ -27,10 +27,10 @@
 //! # Example: scheduling a small mesh with FDD
 //!
 //! ```
-//! use scream_core::prelude::*;
-//! use scream_netsim::prelude::*;
-//! use scream_scheduling::prelude::*;
-//! use scream_topology::prelude::*;
+//! use scream_core::DistributedScheduler;
+//! use scream_netsim::RadioEnvironment;
+//! use scream_scheduling::verify_schedule;
+//! use scream_topology::{DemandConfig, DemandVector, GridDeployment, LinkDemands, RoutingForest};
 //! use rand::SeedableRng;
 //!
 //! let deployment = GridDeployment::new(4, 4, 150.0).build();
@@ -84,14 +84,3 @@ pub use protocol::ProtocolKind;
 pub use runtime::{DistributedRun, DistributedScheduler};
 pub use scream::ScreamChannel;
 pub use stats::RunStats;
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::config::ProtocolConfig;
-    pub use crate::election::LeaderElection;
-    pub use crate::error::ProtocolError;
-    pub use crate::protocol::ProtocolKind;
-    pub use crate::runtime::{DistributedRun, DistributedScheduler};
-    pub use crate::scream::ScreamChannel;
-    pub use crate::stats::RunStats;
-}

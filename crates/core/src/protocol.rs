@@ -96,12 +96,6 @@ impl ProtocolKind {
     }
 }
 
-impl std::fmt::Display for ProtocolKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +105,7 @@ mod tests {
         assert_eq!(ProtocolKind::fdd().name(), "FDD");
         assert_eq!(ProtocolKind::afdd().name(), "AFDD");
         assert_eq!(ProtocolKind::pdd(0.2).unwrap().name(), "PDD(p=0.2)");
-        assert_eq!(ProtocolKind::pdd_unchecked(0.2).to_string(), "PDD(p=0.2)");
+        assert_eq!(ProtocolKind::pdd_unchecked(0.2).name(), "PDD(p=0.2)");
     }
 
     #[test]

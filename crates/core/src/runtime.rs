@@ -48,7 +48,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use scream_netsim::{
-    ChannelId, ChannelSlotLedger, ProtocolTiming, RadioEnvironment, SimTime, SlotTiming,
+    ChannelId, ChannelSlotLedger, ProtocolTiming, RadioEnvironment, SimTime, SlotAccumulator,
+    SlotTiming,
 };
 use scream_scheduling::{FrameService, Schedule, ScheduleMetrics, SlotPattern};
 use scream_topology::{Link, LinkDemands, NodeId};

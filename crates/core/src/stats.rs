@@ -53,23 +53,6 @@ impl RunStats {
     }
 }
 
-impl std::fmt::Display for RunStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} rounds, {} iterations, {} elections, {} screams, {} handshakes, {} vetoes, {} tried, terminated={}",
-            self.rounds,
-            self.slot_iterations,
-            self.elections,
-            self.scream_invocations,
-            self.handshake_steps,
-            self.vetoes,
-            self.tried_transitions,
-            self.terminated
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,19 +71,5 @@ mod tests {
             ..RunStats::default()
         };
         assert!((s.tried_fraction() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_mentions_the_headline_counters() {
-        let s = RunStats {
-            rounds: 3,
-            elections: 5,
-            terminated: true,
-            ..RunStats::default()
-        };
-        let text = s.to_string();
-        assert!(text.contains("3 rounds"));
-        assert!(text.contains("5 elections"));
-        assert!(text.contains("terminated=true"));
     }
 }

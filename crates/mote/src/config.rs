@@ -133,12 +133,6 @@ const _: () = {
     assert!(C::MA_WINDOW > 0 && C::MA_SAMPLE_STRIDE > 0);
 };
 
-impl Default for MoteExperimentConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +150,6 @@ mod tests {
         assert_eq!(MoteExperimentConfig::RSSI_THRESHOLD_DBM.get(), -60.0);
         assert_eq!(MoteExperimentConfig::MA_SAMPLE_STRIDE, 3);
         assert_eq!(MoteExperimentConfig::INTERVAL_TOLERANCE, 0.05);
-        assert_eq!(MoteExperimentConfig::default(), c);
     }
 
     #[test]

@@ -162,7 +162,6 @@ impl MoteExperiment {
                         if now >= from && now < to {
                             trace.push(RssiSample {
                                 time: now,
-                                rssi_dbm,
                                 moving_average_dbm: ma_value,
                             });
                         }

@@ -57,10 +57,3 @@ pub mod rssi;
 pub use config::MoteExperimentConfig;
 pub use experiment::{DetectionErrorPoint, MoteExperiment, MoteExperimentResult};
 pub use rssi::RssiTrace;
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::config::MoteExperimentConfig;
-    pub use crate::experiment::{DetectionErrorPoint, MoteExperiment, MoteExperimentResult};
-    pub use crate::rssi::RssiTrace;
-}

@@ -4,13 +4,11 @@ use serde::{Deserialize, Serialize};
 
 use scream_netsim::{Dbm, SimTime};
 
-/// One RSSI reading at the monitor.
+/// One RSSI reading at the monitor, as the trace keeps it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub(crate) struct RssiSample {
     /// When the sample was taken.
     pub(crate) time: SimTime,
-    /// The raw RSSI value.
-    pub(crate) rssi_dbm: Dbm,
     /// The moving-average value after consuming this sample, if the sample
     /// was one of the strided samples fed into the average.
     pub(crate) moving_average_dbm: Option<Dbm>,
@@ -128,7 +126,6 @@ mod tests {
         for i in 0..10u64 {
             trace.push(RssiSample {
                 time: SimTime::from_millis(i),
-                rssi_dbm: Dbm::new(-90.0 + i as f64),
                 moving_average_dbm: (i % 2 == 0).then_some(Dbm::new(-80.0 + i as f64)),
             });
         }

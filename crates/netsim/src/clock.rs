@@ -51,12 +51,6 @@ impl ClockSkewConfig {
     }
 }
 
-impl Default for ClockSkewConfig {
-    fn default() -> Self {
-        Self::PERFECT
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

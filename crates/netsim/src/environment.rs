@@ -1048,12 +1048,7 @@ mod tests {
                 Dbm::new(if i == 0 { 20.0 } else { 0.0 }),
             ));
         }
-        let d = Deployment::from_nodes(
-            nodes,
-            Rect::square(250.0),
-            scream_topology::DeploymentKind::Custom,
-        )
-        .unwrap();
+        let d = Deployment::from_nodes(nodes, Rect::square(250.0)).unwrap();
         let e = env(&d);
         // Node 0 is loud, node 1 is quiet: 0->1 decodable, 1->0 not.
         let margin = margins_of_first(&e, &[link(0, 1)]);

@@ -47,6 +47,13 @@
 //! rule is vacuous and every decision is the plain ledger's, as the
 //! `single_channel_*_degenerates_*` tests pin — not a separate code path.
 //!
+//! The schedulers' incremental slot interface, [`SlotAccumulator`], is
+//! defined here too (`scream_scheduling` re-exports it), and
+//! `ChannelSlotLedger` implements it directly: its probe, fill, read and
+//! `clear` are the trait's methods, not inherent twins. Only
+//! [`ChannelSlotLedger::assign`] is both, so that a caller without the trait
+//! in scope can still fill a slot.
+//!
 //! # Spatial pruning
 //!
 //! At 10⁵–10⁶ links even the O(k) `can_add` pass dominates: a slot holds
@@ -1017,6 +1024,65 @@ pub struct SlotClaims {
     pub assignments: Vec<Option<ChannelId>>,
 }
 
+/// Stateful, incrementally-built view of one slot under construction: one
+/// sub-slot per orthogonal channel plus the cross-channel half-duplex rule.
+///
+/// The schedulers keep one accumulator per open run (`scream_scheduling`'s
+/// `SlotFeasibility::open_slot` opens it) so that every feasibility probe is
+/// answered from accumulated state instead of re-deriving it from the link
+/// list. [`ChannelSlotLedger`] is the physical model's.
+pub trait SlotAccumulator {
+    /// Number of channels in the slot (at least one).
+    fn channel_count(&self) -> usize;
+
+    /// Whether `candidate` can join the slot on `channel` without breaking
+    /// per-channel feasibility or the cross-channel half-duplex rule.
+    fn can_add(&self, channel: ChannelId, candidate: Link) -> bool;
+
+    /// Adds `link` to the slot on `channel` unconditionally, updating
+    /// internal state. (The greedy scheduler opens slots around links that
+    /// are infeasible even alone, so `assign` must not require a prior
+    /// passing [`can_add`](Self::can_add).)
+    fn assign(&mut self, channel: ChannelId, link: Link);
+
+    /// Adds `links` to the slot on `channel` in order; the same state as one
+    /// [`assign`](Self::assign) per link. How a whole pattern is filled —
+    /// the verifier and repair fill, then read
+    /// [`channel_feasible`](Self::channel_feasible); they never probe.
+    fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
+        for &link in links {
+            self.assign(channel, link);
+        }
+    }
+
+    /// Whether the links on `channel` are a feasible slot as they stand
+    /// (the cross-channel rule is not this question). For a downward-closed
+    /// model it is `true` exactly when every link passed
+    /// [`can_add`](Self::can_add) on its way in.
+    fn channel_feasible(&self, channel: ChannelId) -> bool;
+
+    /// Empties every channel without releasing buffers, so one accumulator
+    /// can be reused across many slots (the verifier re-checks every pattern
+    /// of a schedule through a single accumulator this way).
+    fn clear(&mut self);
+
+    /// The links assigned to `channel` so far, in assignment order.
+    fn links(&self, channel: ChannelId) -> &[Link];
+
+    /// Whether `link` is assigned on any channel.
+    fn contains_link(&self, link: Link) -> bool {
+        (0..self.channel_count()).any(|c| self.links(ChannelId::new(c as u16)).contains(&link))
+    }
+
+    /// A cheap screen in front of [`can_add`](Self::can_add): `true` only if
+    /// `can_add(c, candidate)` is `false` on every channel `c`, so first-fit
+    /// may pass the slot by without probing it. It can change what a
+    /// placement costs, never what it decides; the default screens nothing.
+    fn surely_refuses(&self, _candidate: Link) -> bool {
+        false
+    }
+}
+
 /// Incremental interference state of one **multi-channel** STDMA slot under
 /// construction: one [`SlotLedger`] per orthogonal channel.
 ///
@@ -1027,13 +1093,14 @@ pub struct SlotClaims {
 /// channels of the same slot. "Busy on another channel" is that channel's
 /// occupancy bit, an O(C) check with no state of its own.
 ///
-/// Like [`SlotLedger`], the set has a [`clear`](Self::clear) lifecycle so one
-/// ledger set serves every slot of a schedule (the verifier) or every round
-/// of a run — buffers are retained across `clear`s.
+/// Like [`SlotLedger`], the set has a [`clear`](SlotAccumulator::clear)
+/// lifecycle so one ledger set serves every slot of a schedule (the
+/// verifier) or every round of a run — buffers are retained across
+/// `clear`s.
 ///
 /// With one channel the set degenerates exactly to its single [`SlotLedger`]:
 /// the cross-channel check is vacuous (there is no *other* channel), so
-/// [`can_add`](Self::can_add) and the per-channel
+/// [`can_add`](SlotAccumulator::can_add) and the per-channel
 /// [`SlotLedger::slot_feasible`] verdicts agree decision-for-decision with the
 /// plain ledger.
 #[derive(Debug, Clone)]
@@ -1071,11 +1138,6 @@ impl<'a> ChannelSlotLedger<'a> {
         }
     }
 
-    /// Number of channels in the set.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// The per-channel ledger for `channel`.
     ///
     /// # Panics
@@ -1085,30 +1147,11 @@ impl<'a> ChannelSlotLedger<'a> {
         &self.channels[channel.index()]
     }
 
-    /// Empties every channel in O(k) without releasing any buffer,
-    /// mirroring [`SlotLedger::clear`].
-    pub fn clear(&mut self) {
-        self.channels.iter_mut().for_each(SlotLedger::clear);
-        self.cross_channel_disjoint = true;
-    }
-
-    /// Whether `link` is assigned on any channel. O(C) for the common
-    /// negative answer, via each channel's `SlotLedger::contains` screen.
-    pub fn contains_link(&self, link: Link) -> bool {
-        self.channels.iter().any(|l| l.contains(link))
-    }
-
     /// Whether neither endpoint of `link` is used by any assigned link on
     /// **any** channel — the half-duplex precondition for joining the slot on
     /// whichever channel.
     fn endpoints_free(&self, link: Link) -> bool {
         self.channels.iter().all(|l| l.endpoints_free(link))
-    }
-
-    /// Whether every channel surely refuses (`SlotLedger::surely_refuses`)
-    /// `candidate`, so that [`can_add`](Self::can_add) is `false` on each.
-    pub fn surely_refuses(&self, candidate: Link) -> bool {
-        self.channels.iter().all(|l| l.surely_refuses(candidate))
     }
 
     /// Whether an endpoint of `link` is busy on a channel other than
@@ -1120,18 +1163,6 @@ impl<'a> ChannelSlotLedger<'a> {
             .any(|(c, l)| c != channel.index() && !l.endpoints_free(link))
     }
 
-    /// Whether `candidate` can join the slot on `channel`: its endpoints must
-    /// be idle on every *other* channel (one radio per node), and it must
-    /// pass the per-channel [`SlotLedger::can_add`] check (half-duplex within
-    /// the channel plus both SINR handshake directions).
-    pub fn can_add(&self, channel: ChannelId, candidate: Link) -> bool {
-        if self.busy_elsewhere(channel, candidate) {
-            scream_obs::counter_add("ledger.channel.reject_radio", 1);
-            return false;
-        }
-        self.channels[channel.index()].can_add(candidate)
-    }
-
     /// Adds `link` to the slot on `channel`, unconditionally (mirroring
     /// [`SlotLedger::assign`]): force-assigned cross-channel conflicts are
     /// tracked and keep the slot infeasible.
@@ -1140,20 +1171,6 @@ impl<'a> ChannelSlotLedger<'a> {
             self.cross_channel_disjoint = false;
         }
         self.channels[channel.index()].assign(link);
-    }
-
-    /// Adds `links` to the slot on `channel` in order: one
-    /// [`assign`](Self::assign) per link, through [`SlotLedger::assign_all`].
-    pub fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
-        if links.iter().any(|&link| self.busy_elsewhere(channel, link)) {
-            self.cross_channel_disjoint = false;
-        }
-        self.channels[channel.index()].assign_all(links);
-    }
-
-    /// The links assigned to `channel`, in assignment order.
-    pub fn links(&self, channel: ChannelId) -> &[Link] {
-        self.channels[channel.index()].links()
     }
 
     /// Every `(channel, link)` assignment, channel-major.
@@ -1292,6 +1309,63 @@ impl<'a> ChannelSlotLedger<'a> {
     }
 }
 
+impl SlotAccumulator for ChannelSlotLedger<'_> {
+    fn channel_count(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// Its endpoints must be idle on every *other* channel (one radio per
+    /// node), and it must pass the per-channel [`SlotLedger::can_add`] check
+    /// (half-duplex within the channel plus both SINR handshake directions).
+    fn can_add(&self, channel: ChannelId, candidate: Link) -> bool {
+        if self.busy_elsewhere(channel, candidate) {
+            scream_obs::counter_add("ledger.channel.reject_radio", 1);
+            return false;
+        }
+        self.channels[channel.index()].can_add(candidate)
+    }
+
+    fn assign(&mut self, channel: ChannelId, link: Link) {
+        ChannelSlotLedger::assign(self, channel, link);
+    }
+
+    /// One [`assign`](ChannelSlotLedger::assign) per link, through
+    /// [`SlotLedger::assign_all`].
+    fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
+        if links.iter().any(|&link| self.busy_elsewhere(channel, link)) {
+            self.cross_channel_disjoint = false;
+        }
+        self.channels[channel.index()].assign_all(links);
+    }
+
+    fn channel_feasible(&self, channel: ChannelId) -> bool {
+        self.channel(channel).slot_feasible()
+    }
+
+    /// Empties every channel in O(k) without releasing any buffer,
+    /// mirroring [`SlotLedger::clear`].
+    fn clear(&mut self) {
+        self.channels.iter_mut().for_each(SlotLedger::clear);
+        self.cross_channel_disjoint = true;
+    }
+
+    fn links(&self, channel: ChannelId) -> &[Link] {
+        self.channels[channel.index()].links()
+    }
+
+    /// O(C) for the common negative answer, via each channel's
+    /// `SlotLedger::contains` screen.
+    fn contains_link(&self, link: Link) -> bool {
+        self.channels.iter().any(|l| l.contains(link))
+    }
+
+    /// Whether every channel surely refuses (`SlotLedger::surely_refuses`)
+    /// `candidate`.
+    fn surely_refuses(&self, candidate: Link) -> bool {
+        self.channels.iter().all(|l| l.surely_refuses(candidate))
+    }
+}
+
 impl RadioEnvironment {
     /// Opens an empty [`ChannelSlotLedger`] with one [`SlotLedger`] per
     /// configured channel (see [`RadioConfig::channel_count`]).
@@ -1422,8 +1496,7 @@ mod tests {
                 )
             })
             .collect::<Vec<_>>();
-        let kind = scream_topology::DeploymentKind::Custom;
-        let d = Deployment::from_nodes(nodes, Rect::square(1.0), kind).unwrap();
+        let d = Deployment::from_nodes(nodes, Rect::square(1.0)).unwrap();
         let dense = RadioEnvironment::builder().build(&d);
         let streamed = RadioEnvironment::builder().streamed_gains().build(&d);
         for env in [&dense, &streamed] {
@@ -1951,8 +2024,7 @@ mod tests {
             Point2::new(0.0, 0.0),
             Point2::new(columns as f64 * step_m, rows as f64 * step_m),
         );
-        let d =
-            Deployment::from_nodes(nodes, region, scream_topology::DeploymentKind::Custom).unwrap();
+        let d = Deployment::from_nodes(nodes, region).unwrap();
         RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
             .config(RadioConfig::mesh_default().with_channel_count(channels))
@@ -2625,8 +2697,7 @@ mod tests {
             scream_topology::NodeInfo::new(NodeId::new(id as u32), at, power)
         };
         let dense = |nodes: Vec<scream_topology::NodeInfo>| {
-            let kind = scream_topology::DeploymentKind::Custom;
-            let d = Deployment::from_nodes(nodes, Rect::square(1.0), kind).unwrap();
+            let d = Deployment::from_nodes(nodes, Rect::square(1.0)).unwrap();
             RadioEnvironment::builder()
                 .propagation(model)
                 .build(&d)

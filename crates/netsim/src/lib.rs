@@ -22,8 +22,8 @@
 //! # Example: building a radio environment and checking a slot
 //!
 //! ```
-//! use scream_netsim::prelude::*;
-//! use scream_topology::prelude::*;
+//! use scream_netsim::{PropagationModel, RadioEnvironment};
+//! use scream_topology::GridDeployment;
 //!
 //! let deployment = GridDeployment::new(4, 4, 200.0).build();
 //! let env = RadioEnvironment::builder()
@@ -94,23 +94,11 @@ pub mod units;
 pub use clock::ClockSkewConfig;
 pub use des::{EventQueue, ScheduledEvent};
 pub use environment::{RadioEnvironment, RadioEnvironmentBuilder};
-pub use ledger::{ChannelSlotLedger, LinkSinrMargin, SlotClaims, SlotLedger};
+pub use ledger::{ChannelSlotLedger, LinkSinrMargin, SlotAccumulator, SlotClaims, SlotLedger};
 pub use propagation::{PropagationModel, ShadowingField};
 pub use radio::{ChannelId, RadioConfig};
 pub use timing::{ProtocolTiming, SlotTiming};
 pub use units::{DataRate, Db, Dbm, Meters, Mw, SimTime};
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::clock::ClockSkewConfig;
-    pub use crate::des::{EventQueue, ScheduledEvent};
-    pub use crate::environment::{RadioEnvironment, RadioEnvironmentBuilder};
-    pub use crate::ledger::{ChannelSlotLedger, LinkSinrMargin, SlotClaims, SlotLedger};
-    pub use crate::propagation::{PropagationModel, ShadowingField};
-    pub use crate::radio::{ChannelId, RadioConfig};
-    pub use crate::timing::{ProtocolTiming, SlotTiming};
-    pub use crate::units::{DataRate, Db, Dbm, Meters, Mw, SimTime};
-}
 
 /// The ChaCha8 stream of case `case` of the seeded-loop property `property`:
 /// seeded with FNV-1a(`property`) + `case`, so every property draws its own

@@ -69,7 +69,7 @@ impl PropagationModel {
     /// [`GainProfile`] to.
     #[cfg(test)]
     pub(crate) fn gain(&self, distance: Meters) -> f64 {
-        (-self.path_loss_db(distance)).to_linear()
+        Db::new(-self.path_loss_db(distance).get()).to_linear()
     }
 
     /// The distance at which the path loss reaches `loss` — the inverse of
@@ -202,12 +202,6 @@ impl GainProfile {
     }
 }
 
-impl Default for PropagationModel {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 /// A reproducible, symmetric per-node-pair log-normal shadowing field.
 ///
 /// Shadowing in the log-normal model is a zero-mean Gaussian random variable
@@ -275,15 +269,11 @@ impl ShadowingField {
 /// Draws a standard normal sample via the Box–Muller transform. Implemented
 /// locally to stay within the approved dependency set (`rand` provides
 /// uniform sampling but the normal distribution lives in `rand_distr`).
+/// `u1 ≥ f64::MIN_POSITIVE` keeps `ln u1` finite, so every draw is finite.
 fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        if z.is_finite() {
-            return z;
-        }
-    }
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -339,7 +329,6 @@ mod tests {
     #[test]
     fn the_default_model_is_the_papers_exponent_three() {
         assert_eq!(PropagationModel::paper_default().exponent, 3.0);
-        assert_eq!(PropagationModel::default().exponent, 3.0);
     }
 
     #[test]

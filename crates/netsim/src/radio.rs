@@ -127,20 +127,9 @@ impl RadioConfig {
     }
 }
 
-impl Default for RadioConfig {
-    fn default() -> Self {
-        Self::mesh_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_is_mesh_default() {
-        assert_eq!(RadioConfig::default(), RadioConfig::mesh_default());
-    }
 
     #[test]
     fn linear_conversions_are_consistent() {

@@ -124,7 +124,7 @@ mod tests {
     use crate::propagation::PropagationModel;
     use crate::units::Dbm;
     use crate::SlotLedger;
-    use scream_topology::{Deployment, DeploymentKind, NodeInfo, Rect};
+    use scream_topology::{Deployment, NodeInfo, Rect};
 
     fn link(head: u32, tail: u32) -> Link {
         Link::new(NodeId::new(head), NodeId::new(tail))
@@ -139,7 +139,7 @@ mod tests {
                 NodeInfo::new(NodeId::new(i as u32), p, power)
             })
             .collect();
-        let d = Deployment::from_nodes(nodes, Rect::square(1.0), DeploymentKind::Custom).unwrap();
+        let d = Deployment::from_nodes(nodes, Rect::square(1.0)).unwrap();
         RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(exponent))
             .streamed_gains()

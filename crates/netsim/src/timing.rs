@@ -54,18 +54,6 @@ impl SlotTiming {
             sync_overhead: SimTime::from_micros(5) + guard,
         }
     }
-
-    /// Slot timing for the paper's default simulation setting: 15-byte
-    /// SCREAMs, 11 Mb/s, perfect clocks.
-    pub(crate) fn paper_default() -> Self {
-        Self::derive(15, ClockSkewConfig::PERFECT)
-    }
-}
-
-impl Default for SlotTiming {
-    fn default() -> Self {
-        Self::paper_default()
-    }
 }
 
 /// Running tally of synchronized protocol steps, convertible to wall-clock
@@ -122,6 +110,12 @@ impl ProtocolTiming {
 mod tests {
     use super::*;
 
+    /// Slot timing for the paper's default simulation setting: 15-byte
+    /// SCREAMs, 11 Mb/s, perfect clocks.
+    fn paper_timing() -> SlotTiming {
+        SlotTiming::derive(15, ClockSkewConfig::PERFECT)
+    }
+
     #[test]
     fn derived_slots_scale_with_scream_size() {
         let small = SlotTiming::derive(5, ClockSkewConfig::PERFECT);
@@ -145,13 +139,13 @@ mod tests {
     #[test]
     fn handshake_slot_is_longer_than_scream_slot() {
         // A 1500-byte data packet plus ACK always outweighs a short scream.
-        let t = SlotTiming::paper_default();
+        let t = paper_timing();
         assert!(t.handshake_slot > t.scream_slot);
     }
 
     #[test]
     fn protocol_timing_accumulates_and_converts() {
-        let t = SlotTiming::paper_default();
+        let t = paper_timing();
         let mut p = ProtocolTiming::new();
         assert_eq!(p.execution_time(&t), SimTime::ZERO);
         p.add_scream_slots(10);
@@ -164,7 +158,7 @@ mod tests {
 
     #[test]
     fn execution_time_monotone_in_every_counter() {
-        let t = SlotTiming::paper_default();
+        let t = paper_timing();
         let base = ProtocolTiming {
             scream_slots: 100,
             handshake_slots: 50,

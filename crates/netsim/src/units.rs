@@ -78,12 +78,6 @@ impl std::ops::Add for SimTime {
     }
 }
 
-impl std::ops::AddAssign for SimTime {
-    fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
-    }
-}
-
 impl std::ops::Sub for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimTime) -> SimTime {
@@ -139,24 +133,6 @@ impl DataRate {
     pub const MICA2: DataRate = DataRate(38_400);
 }
 
-impl Default for DataRate {
-    fn default() -> Self {
-        DataRate::MBPS_11
-    }
-}
-
-impl std::fmt::Display for DataRate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0 >= 1_000_000 {
-            write!(f, "{:.1} Mb/s", self.0 as f64 / 1e6)
-        } else if self.0 >= 1_000 {
-            write!(f, "{:.1} kb/s", self.0 as f64 / 1e3)
-        } else {
-            write!(f, "{} b/s", self.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,16 +186,5 @@ mod tests {
         // 1500 bytes at 11 Mb/s ~ 1.09 ms.
         let t = DataRate::MBPS_11.transmission_time(1500);
         assert!(t > SimTime::from_micros(1_000) && t < SimTime::from_micros(1_200));
-    }
-
-    #[test]
-    fn datarate_display() {
-        assert_eq!(DataRate::MBPS_11.to_string(), "11.0 Mb/s");
-        assert_eq!(DataRate::MICA2.to_string(), "38.4 kb/s");
-    }
-
-    #[test]
-    fn default_rate_is_11mbps() {
-        assert_eq!(DataRate::default(), DataRate::MBPS_11);
     }
 }

@@ -53,16 +53,9 @@ pub use fault::{ChurnConfig, ChurnTrace, FaultEvent, FaultKind, FaultPlan};
 pub use report::{EpochMetrics, RepairRecord, ResilienceReport};
 pub use rescheduler::{ReschedulerConfig, ResilienceError, ResilienceHarness};
 
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::fault::{ChurnConfig, ChurnTrace, FaultEvent, FaultKind, FaultPlan};
-    pub use crate::report::{EpochMetrics, RepairRecord, ResilienceReport};
-    pub use crate::rescheduler::{ReschedulerConfig, ResilienceError, ResilienceHarness};
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
+    use super::*;
     use scream_netsim::RadioEnvironment;
     use scream_topology::{
         DemandVector, GridDeployment, Link, NodeId, RoutingForest, TopologyError,
@@ -275,7 +268,7 @@ mod tests {
         assert_eq!(
             format!("{report:?}"),
             "\
-             ResilienceReport { frame_slots_initial: 16, horizon_slots: 96, epochs: [\
+             ResilienceReport { frame_slots_initial: 16, epochs: [\
              EpochMetrics { epoch: 0, start_slot: 0, end_slot: 16, injected: 0, delivered: 0, dropped: 0, backlog_start: 0, backlog_end: 0, delivery_pct: 100.0, stable: true }, \
              EpochMetrics { epoch: 1, start_slot: 16, end_slot: 32, injected: 12, delivered: 4, dropped: 0, backlog_start: 0, backlog_end: 8, delivery_pct: 33.33333333333333, stable: true }, \
              EpochMetrics { epoch: 2, start_slot: 32, end_slot: 48, injected: 0, delivered: 6, dropped: 0, backlog_start: 8, backlog_end: 0, delivery_pct: 75.0, stable: true }, \

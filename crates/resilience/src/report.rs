@@ -61,8 +61,6 @@ pub struct RepairRecord {
 pub struct ResilienceReport {
     /// Frame length of the initial (pre-fault) schedule.
     pub frame_slots_initial: u64,
-    /// Simulated horizon in slots.
-    pub(crate) horizon_slots: u64,
     /// Per-epoch traffic measurements, in order.
     pub epochs: Vec<EpochMetrics>,
     /// Every rescheduling action, in order.
@@ -109,34 +107,5 @@ impl ResilienceReport {
             .iter()
             .filter(|r| r.outcome == RepairOutcome::Incremental)
             .count()
-    }
-}
-
-impl std::fmt::Display for ResilienceReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} epochs over {} slots: {:.1}% delivered overall, \
-             {:.1}% during outage, recovery {}, peak backlog {}, \
-             {} repair(s) ({} incremental), {} stranded rescued, {} dropped, {}",
-            self.epochs.len(),
-            self.horizon_slots,
-            self.delivery_pct(),
-            self.outage_delivery_pct,
-            match self.time_to_recover_slots {
-                Some(slots) => format!("in {slots} slots"),
-                None => "never".to_string(),
-            },
-            self.disruption_peak_backlog,
-            self.repairs.len(),
-            self.incremental_repairs(),
-            self.totals.rescued,
-            self.totals.dropped,
-            if self.final_verdict_stable {
-                "stable"
-            } else {
-                "OVERLOADED"
-            },
-        )
     }
 }

@@ -650,7 +650,6 @@ impl RunState {
         let totals = self.session.totals();
         ResilienceReport {
             frame_slots_initial: self.frame_slots_initial,
-            horizon_slots,
             epochs,
             repairs: self.repairs,
             totals,

@@ -5,7 +5,9 @@
 //! "let me build a slot incrementally, probing candidates as I go". The
 //! [`SlotFeasibility`] trait captures all three; the stateful
 //! [`SlotAccumulator`] returned by [`open_slot`](SlotFeasibility::open_slot)
-//! is what makes the third one cheap. The verifier and repair ask a fourth of
+//! is what makes the third one cheap. The accumulator trait lives beside its
+//! physical implementation, the ledger, in `scream_netsim::ledger`; this
+//! module re-exports it. The verifier and repair ask a fourth of
 //! the accumulator — "here is a whole pattern; does it stand?" — by filling
 //! it ([`assign_all`](SlotAccumulator::assign_all)) and reading the verdict
 //! ([`channel_feasible`](SlotAccumulator::channel_feasible)), never by
@@ -48,67 +50,9 @@
 //! whole-set feasibility; interference models are, since removing a
 //! transmitter can only reduce interference.
 
-pub use scream_netsim::{ChannelId, LinkSinrMargin, SlotLedger};
+pub use scream_netsim::{ChannelId, LinkSinrMargin, SlotAccumulator, SlotLedger};
 use scream_netsim::{ChannelSlotLedger, RadioEnvironment};
 use scream_topology::{Graph, Link, NodeId};
-
-/// Stateful, incrementally-built view of one slot under construction: one
-/// sub-slot per orthogonal channel plus the cross-channel half-duplex rule.
-///
-/// Obtained from [`SlotFeasibility::open_slot`]; the schedulers keep one
-/// accumulator per open run so that every feasibility probe is answered
-/// from accumulated state instead of re-deriving it from the link list.
-pub trait SlotAccumulator {
-    /// Number of channels in the slot (at least one).
-    fn channel_count(&self) -> usize;
-
-    /// Whether `candidate` can join the slot on `channel` without breaking
-    /// per-channel feasibility or the cross-channel half-duplex rule.
-    fn can_add(&self, channel: ChannelId, candidate: Link) -> bool;
-
-    /// Adds `link` to the slot on `channel` unconditionally, updating
-    /// internal state. (The greedy scheduler opens slots around links that
-    /// are infeasible even alone, so `assign` must not require a prior
-    /// passing [`can_add`](Self::can_add).)
-    fn assign(&mut self, channel: ChannelId, link: Link);
-
-    /// Adds `links` to the slot on `channel` in order; the same state as one
-    /// [`assign`](Self::assign) per link. How a whole pattern is filled —
-    /// the verifier and repair fill, then read
-    /// [`channel_feasible`](Self::channel_feasible); they never probe.
-    fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
-        for &link in links {
-            self.assign(channel, link);
-        }
-    }
-
-    /// Whether the links on `channel` are a feasible slot as they stand
-    /// (the cross-channel rule is not this question). For a downward-closed
-    /// model it is `true` exactly when every link passed
-    /// [`can_add`](Self::can_add) on its way in.
-    fn channel_feasible(&self, channel: ChannelId) -> bool;
-
-    /// Empties every channel without releasing buffers, so one accumulator
-    /// can be reused across many slots (the verifier re-checks every pattern
-    /// of a schedule through a single accumulator this way).
-    fn clear(&mut self);
-
-    /// The links assigned to `channel` so far, in assignment order.
-    fn links(&self, channel: ChannelId) -> &[Link];
-
-    /// Whether `link` is assigned on any channel.
-    fn contains_link(&self, link: Link) -> bool {
-        (0..self.channel_count()).any(|c| self.links(ChannelId::new(c as u16)).contains(&link))
-    }
-
-    /// A cheap screen in front of [`can_add`](Self::can_add): `true` only if
-    /// `can_add(c, candidate)` is `false` on every channel `c`, so first-fit
-    /// may pass the slot by without probing it. It can change what a
-    /// placement costs, never what it decides; the default screens nothing.
-    fn surely_refuses(&self, _candidate: Link) -> bool {
-        false
-    }
-}
 
 /// Interference-model interface used by the schedulers.
 pub trait SlotFeasibility {
@@ -205,44 +149,6 @@ impl<M: SlotFeasibility + ?Sized> SlotAccumulator for RecheckSlot<'_, M> {
     }
 }
 
-impl SlotAccumulator for ChannelSlotLedger<'_> {
-    fn channel_count(&self) -> usize {
-        ChannelSlotLedger::channel_count(self)
-    }
-
-    fn can_add(&self, channel: ChannelId, candidate: Link) -> bool {
-        ChannelSlotLedger::can_add(self, channel, candidate)
-    }
-
-    fn assign(&mut self, channel: ChannelId, link: Link) {
-        ChannelSlotLedger::assign(self, channel, link);
-    }
-
-    fn assign_all(&mut self, channel: ChannelId, links: &[Link]) {
-        ChannelSlotLedger::assign_all(self, channel, links);
-    }
-
-    fn channel_feasible(&self, channel: ChannelId) -> bool {
-        self.channel(channel).slot_feasible()
-    }
-
-    fn clear(&mut self) {
-        ChannelSlotLedger::clear(self);
-    }
-
-    fn links(&self, channel: ChannelId) -> &[Link] {
-        ChannelSlotLedger::links(self, channel)
-    }
-
-    fn contains_link(&self, link: Link) -> bool {
-        ChannelSlotLedger::contains_link(self, link)
-    }
-
-    fn surely_refuses(&self, candidate: Link) -> bool {
-        ChannelSlotLedger::surely_refuses(self, candidate)
-    }
-}
-
 impl SlotFeasibility for RadioEnvironment {
     fn slot_feasible(&self, links: &[Link]) -> bool {
         SlotLedger::with_links(self, links).slot_feasible()
@@ -258,31 +164,6 @@ impl SlotFeasibility for RadioEnvironment {
 
     fn channel_count(&self) -> usize {
         RadioEnvironment::channel_count(self)
-    }
-}
-
-/// Blanket implementation so shared references can be passed where an owner
-/// is expected. Forwards every method, so a `&RadioEnvironment` still gets
-/// the ledger-backed accumulator.
-impl<T: SlotFeasibility + ?Sized> SlotFeasibility for &T {
-    fn slot_feasible(&self, links: &[Link]) -> bool {
-        (**self).slot_feasible(links)
-    }
-
-    fn can_add(&self, existing: &[Link], candidate: Link) -> bool {
-        (**self).can_add(existing, candidate)
-    }
-
-    fn open_slot(&self) -> Box<dyn SlotAccumulator + '_> {
-        (**self).open_slot()
-    }
-
-    fn slot_margins(&self, links: &[Link]) -> Vec<LinkSinrMargin> {
-        (**self).slot_margins(links)
-    }
-
-    fn channel_count(&self) -> usize {
-        (**self).channel_count()
     }
 }
 
@@ -658,19 +539,6 @@ mod tests {
             SlotFeasibility::slot_margins(&exact, pruned_acc.links(c0)),
             SlotFeasibility::slot_margins(&env, pruned_acc.links(c0))
         );
-    }
-
-    #[test]
-    fn reference_blanket_impl_delegates() {
-        let m = ProtocolModel::new(line_graph(8), 1);
-        let by_ref: &ProtocolModel = &m;
-        assert_eq!(
-            SlotFeasibility::slot_feasible(&by_ref, &[link(1, 0), link(5, 4)]),
-            m.slot_feasible(&[link(1, 0), link(5, 4)])
-        );
-        // The forwarded accumulator still short-circuits pairwise.
-        let acc = SlotFeasibility::open_slot(&by_ref);
-        assert!(acc.can_add(ChannelId::ZERO, link(1, 0)));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! # Example
 //!
 //! ```
-//! use scream_scheduling::prelude::*;
-//! use scream_netsim::prelude::*;
-//! use scream_topology::prelude::*;
+//! use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical};
+//! use scream_netsim::RadioEnvironment;
+//! use scream_topology::{DemandConfig, DemandVector, GridDeployment, LinkDemands, RoutingForest};
 //! use rand::SeedableRng;
 //!
 //! let deployment = GridDeployment::new(4, 4, 200.0).build();
@@ -77,17 +77,3 @@ pub use metrics::ScheduleMetrics;
 pub use repair::{repair_schedule, RepairOutcome, RepairedSchedule};
 pub use schedule::{Schedule, SlotPattern};
 pub use verify::{verify_schedule, verify_slots_feasible, ScheduleViolation};
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::feasibility::{
-        ChannelId, ExactPhysical, LinkSinrMargin, ProtocolModel, SlotAccumulator, SlotFeasibility,
-    };
-    pub use crate::frame::{FrameService, NextService};
-    pub use crate::greedy::{EdgeOrdering, GreedyPhysical};
-    pub use crate::linear::serialized_schedule;
-    pub use crate::metrics::ScheduleMetrics;
-    pub use crate::repair::{repair_schedule, RepairOutcome, RepairedSchedule};
-    pub use crate::schedule::{Schedule, SlotPattern};
-    pub use crate::verify::{verify_schedule, verify_slots_feasible, ScheduleViolation};
-}

@@ -399,26 +399,6 @@ impl Schedule {
     }
 }
 
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "schedule with {} slots:", self.length())?;
-        let mut start = 0usize;
-        for (pattern, count) in &self.runs {
-            if *count == 1 {
-                writeln!(f, "  slot {start:>3}: {pattern}")?;
-            } else {
-                writeln!(
-                    f,
-                    "  slots {start}..={} (x{count}): {pattern}",
-                    start + *count as usize - 1,
-                )?;
-            }
-            start += *count as usize;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,24 +495,6 @@ mod tests {
         s.push_slot_run(vec![link(1, 0), link(3, 2)], 1);
         s.push_slot_run(vec![link(5, 4)], 1);
         assert!((s.spatial_reuse() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_mentions_every_slot() {
-        let mut s = Schedule::new();
-        s.push_slot_run(vec![link(1, 0)], 1);
-        s.push_slot_run(vec![link(3, 2)], 1);
-        let text = s.to_string();
-        assert!(text.contains("2 slots"));
-        assert!(text.contains("n1->n0"));
-        assert!(text.contains("n3->n2"));
-        // Runs display as compact ranges rather than one line per slot.
-        let mut heavy = Schedule::new();
-        heavy.push_slot_run(vec![link(1, 0)], 1_000_000);
-        let text = heavy.to_string();
-        assert!(text.contains("1000000 slots"));
-        assert!(text.contains("x1000000"));
-        assert!(text.lines().count() < 5);
     }
 
     #[test]

@@ -364,7 +364,7 @@ mod tests {
     fn unknown_nodes_and_saturating_terms_are_infeasible_slots_not_panics() {
         use crate::greedy::{EdgeOrdering, GreedyPhysical};
         use crate::repair::repair_schedule;
-        use scream_topology::{Dbm, Deployment, DeploymentKind, NodeInfo, Point2, Rect};
+        use scream_topology::{Dbm, Deployment, NodeInfo, Point2, Rect};
 
         let grid = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
@@ -403,7 +403,7 @@ mod tests {
                 NodeInfo::new(NodeId::new(i as u32), Point2::new(x, 0.0), Dbm::new(dbm))
             })
             .collect();
-        let d = Deployment::from_nodes(nodes, Rect::square(100.0), DeploymentKind::Custom).unwrap();
+        let d = Deployment::from_nodes(nodes, Rect::square(100.0)).unwrap();
         let loud = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
             .build(&d);

@@ -28,12 +28,6 @@ impl DemandConfig {
     pub const PAPER: DemandConfig = DemandConfig { min: 1, max: 10 };
 }
 
-impl Default for DemandConfig {
-    fn default() -> Self {
-        Self::PAPER
-    }
-}
-
 /// Per-node generated traffic demands, in packets per scheduling period.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DemandVector {
@@ -293,7 +287,6 @@ mod tests {
     fn demand_config_paper_bounds() {
         assert_eq!(DemandConfig::PAPER.min, 1);
         assert_eq!(DemandConfig::PAPER.max, 10);
-        assert_eq!(DemandConfig::default(), DemandConfig::PAPER);
     }
 
     #[test]

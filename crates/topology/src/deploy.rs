@@ -18,19 +18,6 @@ use crate::geometry::{Point2, Rect};
 use crate::node::{NodeId, NodeInfo};
 use crate::units::{Dbm, Meters};
 
-/// How a deployment was generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DeploymentKind {
-    /// Planned placement on a square lattice.
-    Grid,
-    /// Unplanned placement, uniform at random in the region.
-    UniformRandom,
-    /// Dense lattice approximating the infinite-density model.
-    InfiniteDensity,
-    /// Hand-built placement (e.g. for tests and counterexamples).
-    Custom,
-}
-
 /// A concrete set of mesh nodes with positions and transmit powers.
 ///
 /// A deployment is the physical-layer input shared by every other crate in
@@ -40,7 +27,6 @@ pub enum DeploymentKind {
 pub struct Deployment {
     nodes: Vec<NodeInfo>,
     region: Rect,
-    kind: DeploymentKind,
 }
 
 impl Deployment {
@@ -51,11 +37,7 @@ impl Deployment {
     /// Returns [`TopologyError::EmptyDeployment`] if `nodes` is empty, or
     /// [`TopologyError::InvalidParameter`] if node ids are not the contiguous
     /// range `0..n`.
-    pub fn from_nodes(
-        nodes: Vec<NodeInfo>,
-        region: Rect,
-        kind: DeploymentKind,
-    ) -> Result<Self, TopologyError> {
+    pub fn from_nodes(nodes: Vec<NodeInfo>, region: Rect) -> Result<Self, TopologyError> {
         if nodes.is_empty() {
             return Err(TopologyError::EmptyDeployment);
         }
@@ -68,11 +50,7 @@ impl Deployment {
                 )));
             }
         }
-        Ok(Self {
-            nodes,
-            region,
-            kind,
-        })
+        Ok(Self { nodes, region })
     }
 
     /// Constructor for the workspace builders ([`GridDeployment`],
@@ -80,17 +58,13 @@ impl Deployment {
     /// contiguity [`Self::from_nodes`] re-validates holds by construction, so
     /// the fallible path would only add an `expect` on an impossible error
     /// (P1). The invariants are checked in debug builds instead.
-    fn from_contiguous_nodes(nodes: Vec<NodeInfo>, region: Rect, kind: DeploymentKind) -> Self {
+    fn from_contiguous_nodes(nodes: Vec<NodeInfo>, region: Rect) -> Self {
         debug_assert!(!nodes.is_empty(), "builders emit at least one node");
         debug_assert!(
             nodes.iter().enumerate().all(|(i, n)| n.id.index() == i),
             "builders assign contiguous ids 0..n"
         );
-        Self {
-            nodes,
-            region,
-            kind,
-        }
+        Self { nodes, region }
     }
 
     /// Builds a custom deployment from bare positions, all with the same
@@ -105,7 +79,7 @@ impl Deployment {
             .enumerate()
             .map(|(i, &p)| NodeInfo::new(NodeId::new(i as u32), p, Dbm::new(tx_power_dbm)))
             .collect();
-        Self::from_nodes(nodes, region, DeploymentKind::Custom)
+        Self::from_nodes(nodes, region)
     }
 
     /// Number of nodes.
@@ -262,7 +236,7 @@ impl GridDeployment {
                 (self.rows - 1) as f64 * self.step_m,
             ),
         );
-        Deployment::from_contiguous_nodes(nodes, region, DeploymentKind::Grid)
+        Deployment::from_contiguous_nodes(nodes, region)
     }
 }
 
@@ -329,7 +303,7 @@ impl UniformDeployment {
                 NodeInfo::new(NodeId::new(i as u32), pos, Dbm::new(power))
             })
             .collect();
-        Deployment::from_contiguous_nodes(nodes, Rect::square(side), DeploymentKind::UniformRandom)
+        Deployment::from_contiguous_nodes(nodes, Rect::square(side))
     }
 
     /// Builds deployments until one whose unit-disk graph at `range` is
@@ -399,9 +373,7 @@ impl InfiniteDensityDeployment {
     /// Builds the dense lattice deployment.
     pub fn build(&self) -> Deployment {
         let per_side = (self.region_side_m / self.lattice_step_m).floor() as usize + 1;
-        let mut d = GridDeployment::new(per_side, per_side, self.lattice_step_m).build();
-        d.kind = DeploymentKind::InfiniteDensity;
-        d
+        GridDeployment::new(per_side, per_side, self.lattice_step_m).build()
     }
 }
 
@@ -424,7 +396,6 @@ mod tests {
         assert_eq!(d.position(NodeId::new(2)), Point2::new(20.0, 0.0));
         assert_eq!(d.position(NodeId::new(3)), Point2::new(0.0, 10.0));
         assert_eq!(d.position(NodeId::new(5)), Point2::new(20.0, 10.0));
-        assert_eq!(d.kind, DeploymentKind::Grid);
     }
 
     #[test]
@@ -463,7 +434,6 @@ mod tests {
     fn uniform_deployment_stays_in_region() {
         let d = UniformDeployment::new(200, 500.0).build(&mut ChaCha8Rng::seed_from_u64(1));
         assert!(d.node_ids().all(|id| inside(d.region(), d.position(id))));
-        assert_eq!(d.kind, DeploymentKind::UniformRandom);
     }
 
     #[test]
@@ -515,7 +485,6 @@ mod tests {
     #[test]
     fn infinite_density_lattice_is_dense() {
         let d = InfiniteDensityDeployment::new(Meters::new(100.0), Meters::new(5.0)).build();
-        assert_eq!(d.kind, DeploymentKind::InfiniteDensity);
         assert_eq!(d.len(), 21 * 21);
     }
 
@@ -535,7 +504,6 @@ mod tests {
         .unwrap();
         assert_eq!(d.len(), 2);
         assert_eq!(d.node(NodeId::new(1)).tx_power_dbm, 17.0);
-        assert_eq!(d.kind, DeploymentKind::Custom);
     }
 
     #[test]
@@ -545,15 +513,13 @@ mod tests {
             Point2::ORIGIN,
             Dbm::new(20.0),
         )];
-        let err =
-            Deployment::from_nodes(nodes, Rect::square(1.0), DeploymentKind::Custom).unwrap_err();
+        let err = Deployment::from_nodes(nodes, Rect::square(1.0)).unwrap_err();
         assert!(matches!(err, TopologyError::InvalidParameter(_)));
     }
 
     #[test]
     fn empty_deployment_is_rejected() {
-        let err =
-            Deployment::from_nodes(vec![], Rect::square(1.0), DeploymentKind::Custom).unwrap_err();
+        let err = Deployment::from_nodes(vec![], Rect::square(1.0)).unwrap_err();
         assert_eq!(err, TopologyError::EmptyDeployment);
     }
 

@@ -44,18 +44,6 @@ impl Point2 {
     }
 }
 
-impl From<(f64, f64)> for Point2 {
-    fn from((x, y): (f64, f64)) -> Self {
-        Point2::new(x, y)
-    }
-}
-
-impl From<Point2> for (f64, f64) {
-    fn from(p: Point2) -> Self {
-        (p.x, p.y)
-    }
-}
-
 impl std::fmt::Display for Point2 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "({:.2}, {:.2})", self.x, self.y)
@@ -127,12 +115,6 @@ impl Rect {
     }
 }
 
-impl std::fmt::Display for Rect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{} .. {}]", self.min, self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,13 +133,6 @@ mod tests {
         let b = Point2::new(3.0, 4.0);
         assert!((a.distance(b) - 5.0).abs() < 1e-12);
         assert!((a.distance_squared(b) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn point_tuple_conversions_roundtrip() {
-        let p = Point2::new(2.5, -1.0);
-        let t: (f64, f64) = p.into();
-        assert_eq!(Point2::from(t), p);
     }
 
     #[test]

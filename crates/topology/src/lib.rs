@@ -11,7 +11,7 @@
 //! # Quick example
 //!
 //! ```
-//! use scream_topology::prelude::*;
+//! use scream_topology::{GridDeployment, Meters, RoutingForest, UnitDiskGraphBuilder};
 //!
 //! // 64 routers in an 8x8 planned grid, 4 gateways at the corners.
 //! let deployment = GridDeployment::new(8, 8, 250.0).build();
@@ -53,8 +53,7 @@ pub mod units;
 
 pub use demand::{DemandConfig, DemandVector, LinkDemands};
 pub use deploy::{
-    density_to_area_m2, Deployment, DeploymentKind, GridDeployment, InfiniteDensityDeployment,
-    UniformDeployment,
+    density_to_area_m2, Deployment, GridDeployment, InfiniteDensityDeployment, UniformDeployment,
 };
 pub use error::TopologyError;
 pub use geometry::{Point2, Rect};
@@ -62,18 +61,3 @@ pub use graph::{Graph, GraphKind, UnitDiskGraphBuilder};
 pub use node::{NodeId, NodeInfo};
 pub use routing::{Link, RoutingForest};
 pub use units::{Db, Dbm, Meters, Mw};
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::demand::{DemandConfig, DemandVector, LinkDemands};
-    pub use crate::deploy::{
-        density_to_area_m2, Deployment, DeploymentKind, GridDeployment, InfiniteDensityDeployment,
-        UniformDeployment,
-    };
-    pub use crate::error::TopologyError;
-    pub use crate::geometry::{Point2, Rect};
-    pub use crate::graph::{Graph, GraphKind, UnitDiskGraphBuilder};
-    pub use crate::node::{NodeId, NodeInfo};
-    pub use crate::routing::{Link, RoutingForest};
-    pub use crate::units::{Db, Dbm, Meters, Mw};
-}

@@ -48,18 +48,6 @@ impl NodeId {
     }
 }
 
-impl From<u32> for NodeId {
-    fn from(raw: u32) -> Self {
-        NodeId(raw)
-    }
-}
-
-impl From<NodeId> for u32 {
-    fn from(id: NodeId) -> Self {
-        id.0
-    }
-}
-
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "n{}", self.0)
@@ -101,9 +89,8 @@ mod tests {
     #[test]
     fn node_id_roundtrips_through_u32() {
         let id = NodeId::new(17);
-        assert_eq!(u32::from(id), 17);
-        assert_eq!(NodeId::from(17u32), id);
         assert_eq!(id.index(), 17);
+        assert_eq!(NodeId::new(id.index() as u32), id);
     }
 
     #[test]

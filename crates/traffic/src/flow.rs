@@ -174,12 +174,11 @@ impl ArrivalSampler {
     }
 }
 
-/// One traffic flow: packets created at `source` traverse `route` link by
-/// link (head to tail) and exit the network after the last link.
+/// One traffic flow: packets created at the head of the first route link
+/// traverse `route` link by link (head to tail) and exit the network after
+/// the last link.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Flow {
-    /// The node generating the packets (the head of the first route link).
-    pub(crate) source: NodeId,
     /// The multi-hop route, in traversal order; each link's tail is the next
     /// link's head, and the last tail is the destination (a gateway, for
     /// forest routes).
@@ -206,11 +205,7 @@ impl Flow {
                 pair[0], pair[1]
             );
         }
-        Self {
-            source,
-            route,
-            arrival,
-        }
+        Self { route, arrival }
     }
 
     /// Number of hops.
@@ -449,6 +444,6 @@ mod tests {
         ]);
         assert_eq!(set.len(), 2);
         assert!(set.flows().iter().all(|f| f.hop_count() == 1));
-        assert_eq!(set.flows()[0].source, NodeId::new(1));
+        assert_eq!(set.flows()[0].route[0].head, NodeId::new(1));
     }
 }

@@ -86,14 +86,3 @@ pub use session::{ForwardingTable, SegmentReport, SessionTotals, Source, Traffic
 // Re-exported so traffic consumers can build frame indexes without also
 // depending on scream-scheduling directly.
 pub use scream_scheduling::{FrameService, Schedule};
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::engine::{TrafficConfig, TrafficEngine, TrafficError};
-    pub use crate::flow::{ArrivalProcess, Flow, FlowSet};
-    pub use crate::report::{DelayStats, LinkLoad, StabilityVerdict, TrafficReport};
-    pub use crate::session::{
-        ForwardingTable, SegmentReport, SessionTotals, Source, TrafficSession,
-    };
-    pub use scream_scheduling::FrameService;
-}

@@ -134,13 +134,40 @@ pub mod obs {
     pub use scream_obs::*;
 }
 
-/// One-stop import of the most commonly used items across all crates.
+/// One-stop import of the most commonly used items across all crates, each
+/// named once.
 pub mod prelude {
-    pub use scream_core::prelude::*;
-    pub use scream_mote::prelude::*;
-    pub use scream_netsim::prelude::*;
-    pub use scream_resilience::prelude::*;
-    pub use scream_scheduling::prelude::*;
-    pub use scream_topology::prelude::*;
-    pub use scream_traffic::prelude::*;
+    pub use scream_core::{
+        DistributedRun, DistributedScheduler, LeaderElection, ProtocolConfig, ProtocolError,
+        ProtocolKind, RunStats, ScreamChannel,
+    };
+    pub use scream_mote::{
+        DetectionErrorPoint, MoteExperiment, MoteExperimentConfig, MoteExperimentResult, RssiTrace,
+    };
+    pub use scream_netsim::{
+        ChannelId, ChannelSlotLedger, ClockSkewConfig, DataRate, EventQueue, LinkSinrMargin,
+        PropagationModel, ProtocolTiming, RadioConfig, RadioEnvironment, RadioEnvironmentBuilder,
+        ScheduledEvent, ShadowingField, SimTime, SlotAccumulator, SlotClaims, SlotLedger,
+        SlotTiming,
+    };
+    pub use scream_resilience::{
+        ChurnConfig, ChurnTrace, EpochMetrics, FaultEvent, FaultKind, FaultPlan, RepairRecord,
+        ReschedulerConfig, ResilienceError, ResilienceHarness, ResilienceReport,
+    };
+    pub use scream_scheduling::{
+        repair_schedule, serialized_schedule, verify_schedule, verify_slots_feasible, EdgeOrdering,
+        ExactPhysical, FrameService, GreedyPhysical, NextService, ProtocolModel, RepairOutcome,
+        RepairedSchedule, Schedule, ScheduleMetrics, ScheduleViolation, SlotFeasibility,
+        SlotPattern,
+    };
+    pub use scream_topology::{
+        density_to_area_m2, Db, Dbm, DemandConfig, DemandVector, Deployment, Graph, GraphKind,
+        GridDeployment, InfiniteDensityDeployment, Link, LinkDemands, Meters, Mw, NodeId, NodeInfo,
+        Point2, Rect, RoutingForest, TopologyError, UniformDeployment, UnitDiskGraphBuilder,
+    };
+    pub use scream_traffic::{
+        ArrivalProcess, DelayStats, Flow, FlowSet, ForwardingTable, LinkLoad, SegmentReport,
+        SessionTotals, Source, StabilityVerdict, TrafficConfig, TrafficEngine, TrafficError,
+        TrafficReport, TrafficSession,
+    };
 }

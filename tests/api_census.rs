@@ -9,7 +9,9 @@
 //! `tests/`, `examples/`, `src/bin/` and `benchmark/src`. The census counts
 //! *names*, so a caller-less fn whose name a field or another fn shares is
 //! invisible to it. [`every_product_lib_opts_into_the_clippy_carried_rules`]
-//! checks that every product crate opts into the rules clippy carries.
+//! checks that every product crate opts into the rules clippy carries, and
+//! [`only_the_facade_declares_a_prelude`] that no crate grows a second
+//! re-export path.
 //! The scrub and the per-file scan are `tests/common/{lexer,scan}.rs`, whose
 //! unit tests the facade's `src/lib.rs` runs too.
 
@@ -140,4 +142,29 @@ fn every_product_lib_opts_into_the_clippy_carried_rules() {
         let entry = format!("path = \"{path}\"");
         assert!(toml.contains(&entry), "clippy.toml must list {entry}");
     }
+}
+
+/// One re-export path: a crate's items are imported from its root, and the
+/// facade's `scream::prelude` is the one glob, naming each item once. A
+/// crate that grows its own `prelude` again fails `cargo test`.
+#[test]
+fn only_the_facade_declares_a_prelude() {
+    let declares = |lib: &Path| {
+        std::fs::read_to_string(lib)
+            .expect("listed file is readable")
+            .lines()
+            .any(|line| line.trim_start().starts_with("pub mod prelude"))
+    };
+    let facade = root().join("src/lib.rs");
+    assert!(declares(&facade), "the facade keeps `scream::prelude`");
+    let crates: Vec<PathBuf> = library_files()
+        .into_iter()
+        .filter(|path| path.ends_with("src/lib.rs") && *path != facade)
+        .collect();
+    assert!(crates.len() >= 10, "ten crates: {crates:?}");
+    let with_prelude: Vec<&PathBuf> = crates.iter().filter(|lib| declares(lib)).collect();
+    assert!(
+        with_prelude.is_empty(),
+        "import from the crate root; only the facade has a prelude: {with_prelude:?}"
+    );
 }

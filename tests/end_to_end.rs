@@ -621,7 +621,7 @@ fn protocol_runs_are_identical_to_the_round_at_a_time_parent() {
                 run.schedule.pattern_count(),
                 schedule_digest(&run.schedule),
             );
-            assert_eq!(seen, pin, "{kind} diverged on the seed-{seed} grid");
+            assert_eq!(seen, pin, "{kind:?} diverged on the seed-{seed} grid");
             assert!(s.terminated);
             verify(
                 &oracle,

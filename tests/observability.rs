@@ -112,9 +112,9 @@ fn runtime_counters_stay_logical_and_report_the_rounds_simulated() {
         } else {
             run.stats.rounds
         };
-        assert_eq!(counter("runtime.rounds.executed"), executed, "{kind}");
+        assert_eq!(counter("runtime.rounds.executed"), executed, "{kind:?}");
         if kind.is_deterministic() {
-            assert!(executed < run.stats.rounds, "{kind} replayed nothing");
+            assert!(executed < run.stats.rounds, "{kind:?} replayed nothing");
         }
 
         // One `runtime.round` event per simulated round, the slot clock
@@ -438,18 +438,18 @@ fn the_runtime_counters_obey_their_laws() {
         for kind in [ProtocolKind::Fdd, ProtocolKind::Afdd, pdd] {
             let (run, report) = observed(|| instance.run_protocol(kind).unwrap());
             let counter = |name| report.snapshot.counter(name);
-            assert_eq!(counter("runtime.rounds"), run.stats.rounds, "{kind}");
+            assert_eq!(counter("runtime.rounds"), run.stats.rounds, "{kind:?}");
             let executed = counter("runtime.rounds.executed");
-            assert!(executed <= counter("runtime.rounds"), "{kind}");
+            assert!(executed <= counter("runtime.rounds"), "{kind:?}");
             if !kind.is_deterministic() {
-                assert_eq!(executed, counter("runtime.rounds"), "{kind}");
+                assert_eq!(executed, counter("runtime.rounds"), "{kind:?}");
             }
             assert_eq!(
                 counter("runtime.claims"),
                 run.schedule.total_transmissions(),
-                "{kind}"
+                "{kind:?}"
             );
-            assert_eq!(counter("runtime.vetoes"), run.stats.vetoes, "{kind}");
+            assert_eq!(counter("runtime.vetoes"), run.stats.vetoes, "{kind:?}");
         }
     });
 }
@@ -486,43 +486,11 @@ fn the_packet_model_conserves_packets() {
         assert!(traffic.injected > 0);
         conserved(&engine);
 
-        let graph = instance.env.communication_graph();
-        let forest = &instance.forest;
         let frame_slots = schedule.length() as u64;
-        let sources: Vec<Source> = (0..instance.deployment.len() as u32)
-            .map(NodeId::new)
-            .filter(|&v| !forest.is_gateway(v))
-            .map(|node| Source {
-                node,
-                arrival: ArrivalProcess::poisson(rho / frame_slots as f64),
-            })
-            .collect();
-        let victim = sources
-            .iter()
-            .map(|s| s.node)
-            .max_by_key(|&v| (forest.subtree(v).len(), std::cmp::Reverse(v)))
-            .expect("a mesh has non-gateway nodes");
-        let mut session = TrafficSession::new(
-            FrameService::from_schedule(&schedule),
-            sources,
-            ForwardingTable::from_forest(forest),
-            TrafficConfig::new(1).with_seed(instance.seed),
-        )
-        .unwrap();
+        let (mut session, victim) = session_with_busiest_node(&instance, &schedule, rho);
         let ((), report) = observed(|| {
             session.advance(20 * frame_slots);
-            for &u in graph.neighbors(victim) {
-                session.fail_link(Link::new(victim, u));
-                session.fail_link(Link::new(u, victim));
-            }
-            let (rerouted, _) = RoutingForest::shortest_path_masked(
-                &graph,
-                forest.gateways(),
-                instance.seed,
-                |u, v| u != victim && v != victim,
-            )
-            .unwrap();
-            session.set_routes(ForwardingTable::from_forest(&rerouted));
+            cut_off(&mut session, &instance, victim);
             session.advance(5 * frame_slots);
             session.rescue_stranded();
             session.advance(20 * frame_slots);
@@ -534,6 +502,116 @@ fn the_packet_model_conserves_packets() {
     assert!(
         dropped > 0 && rescue_dropped > 0,
         "every term was exercised"
+    );
+}
+
+/// A `TrafficSession` over `schedule` with a Poisson source at load `rho` on
+/// every non-gateway node of the instance's forest, and the node whose
+/// subtree is largest — the one the packet-model tests cut off mid-run.
+fn session_with_busiest_node(
+    instance: &ScenarioInstance,
+    schedule: &Schedule,
+    rho: f64,
+) -> (TrafficSession, NodeId) {
+    let forest = &instance.forest;
+    let sources: Vec<Source> = (0..instance.deployment.len() as u32)
+        .map(NodeId::new)
+        .filter(|&v| !forest.is_gateway(v))
+        .map(|node| Source {
+            node,
+            arrival: ArrivalProcess::poisson(rho / schedule.length() as f64),
+        })
+        .collect();
+    let victim = sources
+        .iter()
+        .map(|s| s.node)
+        .max_by_key(|&v| (forest.subtree(v).len(), std::cmp::Reverse(v)))
+        .expect("a mesh has non-gateway nodes");
+    let session = TrafficSession::new(
+        FrameService::from_schedule(schedule),
+        sources,
+        ForwardingTable::from_forest(forest),
+        TrafficConfig::new(1).with_seed(instance.seed),
+    )
+    .unwrap();
+    (session, victim)
+}
+
+/// Cuts `victim` off: its links die both ways, and the table routes around
+/// it (its own arrivals and the packets that reach it drop).
+fn cut_off(session: &mut TrafficSession, instance: &ScenarioInstance, victim: NodeId) {
+    let graph = instance.env.communication_graph();
+    for &u in graph.neighbors(victim) {
+        session.fail_link(Link::new(victim, u));
+        session.fail_link(Link::new(u, victim));
+    }
+    let (rerouted, _) = RoutingForest::shortest_path_masked(
+        &graph,
+        instance.forest.gateways(),
+        instance.seed,
+        |u, v| u != victim && v != victim,
+    )
+    .unwrap();
+    session.set_routes(ForwardingTable::from_forest(&rerouted));
+}
+
+/// The event queue's bound, read off `traffic.events.pending_peak` (a gauge
+/// each segment sets): only the head of a link's queue has its departure
+/// pending, beside at most one arrival per source, so the peak is at most
+/// the links the routes use plus the sources. Checked for a `TrafficEngine`
+/// run (the report's `link_loads` are its route links) and for each segment
+/// of a `TrafficSession` that cuts the busiest node off mid-run, where the
+/// links are both tables' routes: packets stranded on the old routes keep
+/// their queues until the rescue pass. Drawn meshes on one or two channels,
+/// at load 0.6–1.4.
+#[test]
+fn the_event_queue_holds_one_event_per_link_and_source() {
+    for_cases(
+        "the_event_queue_holds_one_event_per_link_and_source",
+        8,
+        |draw| {
+            let instance = drawn_paper_mesh(draw);
+            let schedule = instance.run_centralized();
+            let rho = draw.gen_range(0.6..1.4);
+            let peak =
+                |report: &obs::ObsReport| report.snapshot.gauges["traffic.events.pending_peak"];
+
+            let (traffic, engine) = observed(|| instance.run_traffic(&schedule, rho, 200).unwrap());
+            let bound = traffic.link_loads.len() + traffic.flow_count;
+            assert!(
+                peak(&engine) <= bound as u64,
+                "engine: {} > {bound}",
+                peak(&engine)
+            );
+
+            let frame_slots = schedule.length() as u64;
+            let (mut session, victim) = session_with_busiest_node(&instance, &schedule, rho);
+            let sources = instance.deployment.len() - instance.forest.gateways().len();
+            let mut links = BTreeSet::new();
+            let mut route_links = |table: &ForwardingTable| {
+                for v in 0..instance.deployment.len() as u32 {
+                    links.extend(table.path_links(NodeId::new(v)));
+                }
+                links.len()
+            };
+            let mut bound = route_links(session.routes()) + sources;
+            for segment in 0..3 {
+                let ((), report) = observed(|| {
+                    session.advance(10 * frame_slots);
+                });
+                assert!(
+                    peak(&report) <= bound as u64,
+                    "session segment {segment}: {} > {bound}",
+                    peak(&report)
+                );
+                if segment == 0 {
+                    cut_off(&mut session, &instance, victim);
+                    bound = route_links(session.routes()) + sources;
+                } else {
+                    session.rescue_stranded();
+                }
+            }
+        },
     );
 }
 
