@@ -1,5 +1,7 @@
-//! The radio environment: per-pair channel gains, received powers, carrier
-//! sensing and the derived communication / sensitivity graphs.
+//! The radio environment: per-pair channel gains, received powers and the
+//! two graphs the paper defines pair by pair — the communication graph
+//! (Section II) and the sensitivity graph `G_S` (Definition 1), each built
+//! by one scan over the node pairs.
 //!
 //! [`RadioEnvironment`] is the single source of physical-layer truth shared
 //! by the centralized scheduler, the distributed protocols and the analysis
@@ -21,7 +23,7 @@ use scream_topology::{Deployment, Graph, GraphKind, NodeId, Point2};
 use crate::ledger::fx;
 use crate::propagation::{GainProfile, PropagationModel, ShadowingField};
 use crate::radio::RadioConfig;
-use crate::spatial::{bounding_box_m, SpatialGrid};
+use crate::spatial::bounding_box_m;
 use crate::units::{Db, Meters, Mw};
 
 /// Immutable physical-layer state of a deployed mesh: per-pair channel
@@ -66,8 +68,8 @@ pub struct RadioEnvironment {
     pub(crate) bounding_box_m: [f64; 4],
     /// Maximum shadowing *gain boost* baked into `gains`, in dB: the
     /// magnitude of the most negative shadowing sample (0 when shadowing is
-    /// disabled or streamed). Folded into conservative far-field and range
-    /// bounds so spatial pruning stays sound under shadowing.
+    /// disabled or streamed). Folded into the conservative far-field bound
+    /// so spatial pruning stays sound under shadowing.
     max_shadow_db: f64,
     /// Precomputed squared-distance gain evaluator for the propagation model.
     gain_profile: GainProfile,
@@ -220,12 +222,6 @@ impl RadioEnvironment {
         self.gains.is_empty() && self.node_count > 0
     }
 
-    /// Builds a uniform-grid spatial index over the node positions with the
-    /// given target cell size.
-    pub(crate) fn spatial_grid(&self, target_cell: Meters) -> SpatialGrid {
-        SpatialGrid::build(&self.xs, &self.ys, target_cell)
-    }
-
     /// Derives the far-field pruning parameters for this environment: the
     /// cutoff radius beyond which any single transmitter delivers at most
     /// [`FarField::unit_mw`] — a 10⁻⁴ fraction of the noise floor — no matter
@@ -304,21 +300,6 @@ impl RadioEnvironment {
         [a, b].map(|tx| fx(self.tx_power_mw[tx.index()] * gain))
     }
 
-    /// Carrier sensing: whether `listener` detects channel activity when the
-    /// given set of nodes transmit simultaneously. Energy detection sums the
-    /// received powers, so concurrent transmissions (collisions) only make
-    /// detection easier — the property the SCREAM primitive relies on.
-    pub(crate) fn carrier_sense(&self, listener: NodeId, transmitters: &[NodeId]) -> bool {
-        let mut total = Mw::new(0.0);
-        for &t in transmitters {
-            if t == listener {
-                continue;
-            }
-            total += self.received_power_mw(t, listener);
-        }
-        total >= RadioConfig::CARRIER_SENSE_THRESHOLD_DBM.to_mw()
-    }
-
     /// Whether `u` and `v` complete a two-way handshake with nothing else on
     /// the air: each reaches the other at β over the noise floor alone. The
     /// edge test of [`communication_graph`](Self::communication_graph).
@@ -330,78 +311,17 @@ impl RadioEnvironment {
         self.received_power_mw(u, v) / noise >= beta && self.received_power_mw(v, u) / noise >= beta
     }
 
-    /// Node count above which graph construction switches from the O(n²)
-    /// pair scan to grid-accelerated neighbor enumeration. The two paths
-    /// build identical graphs — same edges inserted in the same order — so
-    /// the threshold is purely a constant-factor knob; the pair scan stays
-    /// as the small-instance default and the property-test oracle.
-    const GRAPH_GRID_THRESHOLD: usize = 256;
-
-    /// Conservative upper bound on the length of any
-    /// interference-free communication edge: past this distance even the
-    /// loudest node with the largest shadowing boost falls below β against
-    /// noise alone. The pad absorbs floating-point rounding in the loss
-    /// inversion, so grid-pruned construction can never drop a borderline
-    /// edge the pair scan would keep.
-    fn max_link_range(&self) -> Meters {
-        if self.max_tx_power_mw <= 0.0 {
-            return Meters::new(0.0);
-        }
-        let budget = self.max_tx_power_mw().to_dbm() + self.max_shadow_db()
-            - self.config.noise_floor_dbm
-            - self.config.sinr_threshold_db;
-        Meters::new(self.propagation.distance_for_loss_db(budget).get() * 1.001)
-    }
-
-    /// Conservative upper bound on the carrier-sense range of any single
-    /// transmitter, padded like [`max_link_range`](Self::max_link_range).
-    fn max_carrier_sense_range(&self) -> Meters {
-        if self.max_tx_power_mw <= 0.0 {
-            return Meters::new(0.0);
-        }
-        let budget = self.max_tx_power_mw().to_dbm() + self.max_shadow_db()
-            - RadioConfig::CARRIER_SENSE_THRESHOLD_DBM;
-        Meters::new(self.propagation.distance_for_loss_db(budget).get() * 1.001)
-    }
-
     /// Builds the communication graph `G = (V, E)`: an undirected edge per
-    /// node pair whose two-way handshake succeeds without interference.
-    /// Unidirectional links are excluded by construction, as required by the
-    /// link-layer-reliability assumption of Section II.
+    /// node pair whose two-way handshake succeeds without interference, one
+    /// pair at a time. Unidirectional links are excluded by construction, as
+    /// required by the link-layer-reliability assumption of Section II.
     pub fn communication_graph(&self) -> Graph {
-        self.communication_graph_impl(self.node_count > Self::GRAPH_GRID_THRESHOLD)
-    }
-
-    fn communication_graph_impl(&self, use_grid: bool) -> Graph {
         let mut g = Graph::new(self.node_count, GraphKind::Undirected);
-        if use_grid {
-            let range = self.max_link_range();
-            let grid = self.spatial_grid(Meters::new((range.get() / 2.0).max(1.0)));
-            let mut near: Vec<u32> = Vec::new();
-            for i in 0..self.node_count {
-                let u = NodeId::new(i as u32);
-                near.clear();
-                grid.nodes_within(&self.xs, &self.ys, self.position(u), range, &mut near);
-                // `near` is ascending, so edges appear in the same (i, j>i)
-                // order the pair scan produces.
-                for &jv in &near {
-                    if (jv as usize) <= i {
-                        continue;
-                    }
-                    let v = NodeId::new(jv);
-                    if self.decodes_alone(u, v) {
-                        g.add_edge_unchecked(u, v);
-                    }
-                }
-            }
-        } else {
-            for i in 0..self.node_count {
-                for j in (i + 1)..self.node_count {
-                    let u = NodeId::new(i as u32);
-                    let v = NodeId::new(j as u32);
-                    if self.decodes_alone(u, v) {
-                        g.add_edge_unchecked(u, v);
-                    }
+        for i in 0..self.node_count {
+            for j in (i + 1)..self.node_count {
+                let (u, v) = (NodeId::new(i as u32), NodeId::new(j as u32));
+                if self.decodes_alone(u, v) {
+                    g.add_edge_unchecked(u, v);
                 }
             }
         }
@@ -410,42 +330,15 @@ impl RadioEnvironment {
 
     /// Builds the sensitivity graph `G_S = (V, E_S)` of Definition 1: a
     /// directed edge `(u, v)` whenever `v` detects channel activity when only
-    /// `u` transmits.
+    /// `u` transmits — `u`'s power at `v` reaches the carrier-sense threshold.
     pub fn sensitivity_graph(&self) -> Graph {
-        self.sensitivity_graph_impl(self.node_count > Self::GRAPH_GRID_THRESHOLD)
-    }
-
-    fn sensitivity_graph_impl(&self, use_grid: bool) -> Graph {
+        let threshold = RadioConfig::CARRIER_SENSE_THRESHOLD_DBM.to_mw();
         let mut g = Graph::new(self.node_count, GraphKind::Directed);
-        if use_grid {
-            let range = self.max_carrier_sense_range();
-            let grid = self.spatial_grid(Meters::new((range.get() / 2.0).max(1.0)));
-            let mut near: Vec<u32> = Vec::new();
-            for i in 0..self.node_count {
-                let u = NodeId::new(i as u32);
-                near.clear();
-                grid.nodes_within(&self.xs, &self.ys, self.position(u), range, &mut near);
-                for &jv in &near {
-                    if jv as usize == i {
-                        continue;
-                    }
-                    let v = NodeId::new(jv);
-                    if self.carrier_sense(v, &[u]) {
-                        g.add_edge_unchecked(u, v);
-                    }
-                }
-            }
-        } else {
-            for i in 0..self.node_count {
-                for j in 0..self.node_count {
-                    if i == j {
-                        continue;
-                    }
-                    let u = NodeId::new(i as u32);
-                    let v = NodeId::new(j as u32);
-                    if self.carrier_sense(v, &[u]) {
-                        g.add_edge_unchecked(u, v);
-                    }
+        for i in 0..self.node_count {
+            for j in 0..self.node_count {
+                let (u, v) = (NodeId::new(i as u32), NodeId::new(j as u32));
+                if i != j && self.received_power_mw(u, v) >= threshold {
+                    g.add_edge_unchecked(u, v);
                 }
             }
         }
@@ -602,7 +495,7 @@ fn dense_gains(
             let dist = pi.distance(pj);
             let shadow_db = shadowing.shadow_db(i, j).get();
             // A negative sample *boosts* the gain; track the largest
-            // boost for the conservative far-field and range bounds.
+            // boost for the conservative far-field bound.
             max_shadow_db = max_shadow_db.max(-shadow_db);
             let loss_db = propagation.path_loss_db(Meters::new(dist)).get() + shadow_db;
             let gain = Db::new(-loss_db).to_linear();
@@ -795,34 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn carrier_sense_aggregates_power_from_collisions() {
-        // Place two transmitters at a distance where one alone is just below
-        // the carrier-sense threshold but two together are above it.
-        let d = line_deployment(1.0, 3);
-        let single = env(&d).received_power_mw(NodeId::new(0), NodeId::new(2));
-        // Shift every node's power so that the threshold sits at 1.5x the
-        // single received power.
-        let shift = RadioConfig::CARRIER_SENSE_THRESHOLD_DBM - (single * 1.5).to_dbm();
-        let positions: Vec<Point2> = d.node_ids().map(|id| d.position(id)).collect();
-        let shifted = Deployment::from_positions(
-            &positions,
-            (Dbm::new(20.0) + shift).get(),
-            Rect::square(3.0),
-        )
-        .unwrap();
-        let e = env(&shifted);
-        assert!(!e.carrier_sense(NodeId::new(2), &[NodeId::new(0)]));
-        assert!(e.carrier_sense(NodeId::new(2), &[NodeId::new(0), NodeId::new(1)]));
-    }
-
-    #[test]
-    fn carrier_sense_ignores_own_transmission() {
-        let d = line_deployment(100.0, 2);
-        let e = env(&d);
-        assert!(!e.carrier_sense(NodeId::new(0), &[NodeId::new(0)]));
-    }
-
-    #[test]
     fn handshake_checks_both_directions() {
         let d = line_deployment(150.0, 4);
         let e = env(&d);
@@ -956,32 +821,6 @@ mod tests {
             .shadowing(6.0, 1)
             .streamed_gains()
             .build(&d);
-    }
-
-    #[test]
-    fn grid_graphs_match_pair_scan_graphs() {
-        let d = GridDeployment::new(5, 5, 170.0).build();
-        let e = env(&d);
-        assert_eq!(
-            e.communication_graph_impl(true),
-            e.communication_graph_impl(false)
-        );
-        assert_eq!(
-            e.sensitivity_graph_impl(true),
-            e.sensitivity_graph_impl(false)
-        );
-        // Shadowed environments keep the equivalence because the range bound
-        // folds in the largest shadowing boost.
-        let es = RadioEnvironment::builder().shadowing(8.0, 7).build(&d);
-        assert!(es.max_shadow_db().get() > 0.0);
-        assert_eq!(
-            es.communication_graph_impl(true),
-            es.communication_graph_impl(false)
-        );
-        assert_eq!(
-            es.sensitivity_graph_impl(true),
-            es.sensitivity_graph_impl(false)
-        );
     }
 
     #[test]

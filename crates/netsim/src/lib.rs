@@ -11,9 +11,11 @@
 //! * **SINR** — received power, noise and interference bookkeeping under the
 //!   physical interference model of Section II, including the data/ACK
 //!   sub-slot structure;
-//! * **carrier sensing** — energy detection above a threshold, which is the
-//!   mechanism the SCREAM primitive relies on and which is assumed resilient
-//!   to collisions;
+//! * **carrier sensing** — energy detection above a threshold, the mechanism
+//!   the SCREAM primitive relies on. The environment judges it one
+//!   transmitter at a time, which is all the sensitivity graph `G_S` of
+//!   Definition 1 asks; like the communication graph, `G_S` is one scan over
+//!   the node pairs;
 //! * **clocks** — per-node bounded clock skew and the guard times the
 //!   protocol implementations use to compensate for it (Section VI-C);
 //! * **discrete-event engine** — a small deterministic event queue used by
@@ -37,13 +39,9 @@
 //!
 //! # What stays inside
 //!
-//! The spatial pruning kernels behind the ledger's verdict — the node and
-//! endpoint grids, the far-field bound, the squared-distance gain evaluator —
-//! are implementation, not API; no path outside this crate names them:
-//!
-//! ```compile_fail,E0432
-//! use scream_netsim::SpatialGrid;
-//! ```
+//! The spatial pruning kernels behind the ledger's verdict — the endpoint
+//! grid, the far-field bound, the squared-distance gain evaluator — are
+//! implementation, not API; no path outside this crate names them:
 //!
 //! ```compile_fail,E0432
 //! use scream_netsim::GridGeometry;

@@ -85,9 +85,9 @@ impl PropagationModel {
 
     /// Precomputes a [`GainProfile`] evaluating this model's linear gain
     /// directly from *squared* distances — the form hot paths have at hand
-    /// after a [`Point2::distance_squared`](scream_topology::Point2) — with
-    /// closed-form fast paths for the common integer exponents that avoid
-    /// the `log10`/`powf` round-trip of the path loss in dB.
+    /// after a [`Point2::distance_squared`](scream_topology::Point2) — with a
+    /// closed form for the paper's α = 3 that avoids the `log10`/`powf`
+    /// round-trip of the path loss in dB.
     pub(crate) fn gain_profile(&self) -> GainProfile {
         GainProfile::from_model(self)
     }
@@ -97,8 +97,9 @@ impl PropagationModel {
 /// function of squared distance.
 ///
 /// For a log-distance model, `gain(d) = g₀ · d^{-α} = g₀ · (d²)^{-α/2}`
-/// beyond the 1 m reference distance, which for `α ∈ {2, 3, 4}` needs only
-/// multiplications (and one `sqrt` for `α = 3`) per evaluation.
+/// beyond the 1 m reference distance, which for the paper's `α = 3` needs
+/// one multiplication, one division and one `sqrt` per evaluation; any
+/// other exponent takes one `powf`.
 /// This is what lets a streamed (matrix-free)
 /// [`RadioEnvironment`](crate::RadioEnvironment) recompute gains on the fly
 /// at millions of pairs per second.
@@ -112,18 +113,14 @@ pub(crate) struct GainProfile {
     /// `g₀`, the gain at or below the reference distance: gain is
     /// `g₀ · d^{-α}` beyond it.
     ref_gain: f64,
-    /// Exponent dispatch: `α/2`, with fast paths for `α ∈ {2, 3, 4}`.
+    /// Exponent dispatch: the closed form for `α = 3`, `powf` otherwise.
     kind: GainKind,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum GainKind {
-    /// `α = 2`: `g₀ / d²`.
-    FreeSpace,
     /// `α = 3`: `g₀ / (d² · √d²)`.
     Cubic,
-    /// `α = 4`: `g₀ / (d²)²`.
-    Quartic,
     /// Any other exponent: `g₀ · (d²)^{-α/2}`.
     General {
         /// Half the path-loss exponent.
@@ -138,12 +135,8 @@ const REFERENCE_DISTANCE_SQ_M2: f64 =
 impl GainProfile {
     /// Builds the evaluator for `model`.
     pub(crate) fn from_model(model: &PropagationModel) -> Self {
-        let kind = if model.exponent == 2.0 {
-            GainKind::FreeSpace
-        } else if model.exponent == 3.0 {
+        let kind = if model.exponent == 3.0 {
             GainKind::Cubic
-        } else if model.exponent == 4.0 {
-            GainKind::Quartic
         } else {
             GainKind::General {
                 half_exponent: model.exponent / 2.0,
@@ -162,9 +155,7 @@ impl GainProfile {
             return self.ref_gain;
         }
         match self.kind {
-            GainKind::FreeSpace => self.ref_gain / d2,
             GainKind::Cubic => self.ref_gain / (d2 * d2.sqrt()),
-            GainKind::Quartic => self.ref_gain / (d2 * d2),
             GainKind::General { half_exponent } => self.ref_gain * d2.powf(-half_exponent),
         }
     }
@@ -179,25 +170,23 @@ impl GainProfile {
             return REFERENCE_DISTANCE_SQ_M2;
         }
         let half_exponent = match self.kind {
-            GainKind::FreeSpace => 1.0,
             GainKind::Cubic => 1.5,
-            GainKind::Quartic => 2.0,
             GainKind::General { half_exponent } => half_exponent,
         };
         (self.ref_gain / gain).powf(1.0 / half_exponent)
     }
 
     /// A lower bound on [`gain_from_distance_squared`](Self::gain_from_distance_squared)
-    /// over every squared distance up to `d2`. The closed-form kinds are
-    /// built from IEEE `×`, `/` and `sqrt`, which are monotone, so their own
-    /// value at `d2` (capped by the plateau inside the reference distance) is
-    /// that bound; `powf` promises < 1 ulp of error but not monotonicity, so
-    /// the general kind gives four ulps away.
+    /// over every squared distance up to `d2`. The closed form is built from
+    /// IEEE `×`, `/` and `sqrt`, which are monotone, so its own value at `d2`
+    /// (capped by the plateau inside the reference distance) is that bound;
+    /// `powf` promises < 1 ulp of error but not monotonicity, so the general
+    /// kind gives four ulps away.
     pub(crate) fn gain_floor_within(&self, d2: f64) -> f64 {
         let at_d2 = self.gain_from_distance_squared(d2).min(self.ref_gain);
         match self.kind {
+            GainKind::Cubic => at_d2,
             GainKind::General { .. } => at_d2 * (1.0 - 4.0 * f64::EPSILON),
-            _ => at_d2,
         }
     }
 }
@@ -339,8 +328,8 @@ mod tests {
 
     #[test]
     fn gain_profile_matches_gain_for_all_exponent_paths() {
-        // Covers every GainKind arm: 2 (free space), 3 (paper), 4 (quartic)
-        // and a non-integer general exponent.
+        // Covers both GainKind arms: 3 (the paper's closed form), and 2, 4
+        // and a non-integer exponent through `powf`.
         for exponent in [2.0, 3.0, 4.0, 2.7] {
             let m = PropagationModel::log_distance(exponent);
             let p = m.gain_profile();

@@ -12,15 +12,13 @@
 //!   box, with clamped point→cell mapping, conservative cell/disc range
 //!   queries and Chebyshev-ring traversal (nearest cells first, so partial
 //!   interference sums hit rejection thresholds early);
-//! * [`SpatialGrid`] — a static CSR bucket index over node positions, used
-//!   by [`RadioEnvironment`](crate::environment) to build communication and
-//!   sensitivity graphs in O(n · nearby) instead of O(n²);
 //! * [`EndpointBuckets`] — a dynamic per-slot index of assigned link
 //!   endpoints, maintained by [`SlotLedger`](crate::ledger) so feasibility
 //!   probes sum only nearby interferers plus one aggregated far-field bound.
 //!
 //! All range comparisons are done on **squared** distances (no `sqrt` per
-//! pair).
+//! pair). The communication and sensitivity graphs use no index: each is one
+//! scan over the node pairs (see [`RadioEnvironment`](crate::environment)).
 
 use serde::{Deserialize, Serialize};
 
@@ -141,16 +139,11 @@ impl GridGeometry {
     /// gets coarser but stays correct.
     pub(crate) const MAX_CELLS: usize = 1 << 20;
 
-    /// Builds a grid covering the bounding box of `(xs, ys)` with cells of
-    /// roughly `target_cell` (grown if needed to respect
-    /// [`MAX_CELLS`](Self::MAX_CELLS)). Degenerate inputs (no points, zero
-    /// extent, non-finite or non-positive target) collapse to a single cell.
-    pub(crate) fn covering(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
-        Self::covering_box(bounding_box_m(xs, ys), target_cell.get())
-    }
-
-    /// [`covering`](Self::covering) for a bounding box
-    /// `[min_x, max_x, min_y, max_y]` already in hand.
+    /// Builds a grid covering the bounding box `[min_x, max_x, min_y, max_y]`
+    /// (see [`bounding_box_m`]) with cells of roughly `target_cell_m` meters,
+    /// grown if needed to respect [`MAX_CELLS`](Self::MAX_CELLS). Degenerate
+    /// inputs (no points, zero extent, non-finite or non-positive target)
+    /// collapse to a single cell.
     pub(crate) fn covering_box([min_x, max_x, min_y, max_y]: [f64; 4], target_cell_m: f64) -> Self {
         if !min_x.is_finite() || !min_y.is_finite() {
             // No points: a 1×1 grid anchored at the origin.
@@ -223,82 +216,6 @@ impl GridGeometry {
         let (x0, y0) = self.cell_of(lo);
         let (x1, y1) = self.cell_of(hi);
         CellRect { x0, x1, y0, y1 }
-    }
-}
-
-/// A static uniform-grid bucket index over node positions (CSR layout:
-/// contiguous node-id array plus per-cell offsets — flat `Vec<u32>` state,
-/// no per-entity maps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct SpatialGrid {
-    geometry: GridGeometry,
-    /// `bucket_start[c]..bucket_start[c + 1]` indexes `bucket_nodes` for
-    /// cell `c`; length `cell_count() + 1`.
-    bucket_start: Vec<u32>,
-    /// Node ids grouped by cell, ascending within each bucket.
-    bucket_nodes: Vec<u32>,
-}
-
-impl SpatialGrid {
-    /// Builds the index over node positions with cells of roughly
-    /// `target_cell`.
-    pub(crate) fn build(xs: &[f64], ys: &[f64], target_cell: Meters) -> Self {
-        let geometry = GridGeometry::covering(xs, ys, target_cell);
-        let cells = geometry.cell_count();
-        let mut counts = vec![0u32; cells + 1];
-        for (&x, &y) in xs.iter().zip(ys) {
-            counts[geometry.cell_index_of(Point2::new(x, y)) + 1] += 1;
-        }
-        for c in 0..cells {
-            counts[c + 1] += counts[c];
-        }
-        let bucket_start = counts;
-        let mut cursor = bucket_start.clone();
-        let mut bucket_nodes = vec![0u32; xs.len()];
-        // Ascending id order within each bucket comes from the ascending scan.
-        for (id, (&x, &y)) in xs.iter().zip(ys).enumerate() {
-            let c = geometry.cell_index_of(Point2::new(x, y));
-            bucket_nodes[cursor[c] as usize] = id as u32;
-            cursor[c] += 1;
-        }
-        Self {
-            geometry,
-            bucket_start,
-            bucket_nodes,
-        }
-    }
-
-    /// Node ids in the cell with linear index `c`, ascending.
-    pub(crate) fn nodes_in_cell(&self, c: usize) -> &[u32] {
-        let lo = self.bucket_start[c] as usize;
-        let hi = self.bucket_start[c + 1] as usize;
-        &self.bucket_nodes[lo..hi]
-    }
-
-    /// Appends to `out` the ids of all indexed nodes within `radius` of `p`
-    /// (inclusive, compared on squared distances), in ascending id order.
-    pub(crate) fn nodes_within(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        p: Point2,
-        radius: Meters,
-        out: &mut Vec<u32>,
-    ) {
-        let start = out.len();
-        let rect = self.geometry.cells_intersecting(p, radius);
-        let r2 = radius.get() * radius.get();
-        for cy in rect.y0..=rect.y1 {
-            for cx in rect.x0..=rect.x1 {
-                for &id in self.nodes_in_cell(self.geometry.cell_index(cx, cy)) {
-                    let i = id as usize;
-                    if p.distance_squared(Point2::new(xs[i], ys[i])) <= r2 {
-                        out.push(id);
-                    }
-                }
-            }
-        }
-        out[start..].sort_unstable();
     }
 }
 
@@ -391,7 +308,7 @@ mod tests {
     fn covering_spans_the_bounding_box() {
         let xs = [0.0, 950.0, 120.0];
         let ys = [0.0, 40.0, 460.0];
-        let g = GridGeometry::covering(&xs, &ys, Meters::new(100.0));
+        let g = GridGeometry::covering_box(bounding_box_m(&xs, &ys), 100.0);
         assert_eq!(g.cell_size_m, 100.0);
         assert_eq!(g.cols, 10);
         assert_eq!(g.rows, 5);
@@ -405,12 +322,12 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_collapse_to_one_cell() {
-        let g = GridGeometry::covering(&[], &[], Meters::new(10.0));
+        let g = GridGeometry::covering_box(bounding_box_m(&[], &[]), 10.0);
         assert_eq!(g.cell_count(), 1);
-        let g = GridGeometry::covering(&[5.0], &[5.0], Meters::new(10.0));
+        let g = GridGeometry::covering_box(bounding_box_m(&[5.0], &[5.0]), 10.0);
         assert_eq!(g.cell_count(), 1);
         assert_eq!(g.cell_index_of(Point2::new(5.0, 5.0)), 0);
-        let g = GridGeometry::covering(&[0.0, 100.0], &[0.0, 100.0], Meters::new(f64::NAN));
+        let g = GridGeometry::covering_box(bounding_box_m(&[0.0, 100.0], &[0.0, 100.0]), f64::NAN);
         assert_eq!(g.cell_count(), 1);
     }
 
@@ -418,14 +335,14 @@ mod tests {
     fn cell_count_respects_the_cap() {
         // A 1e9 m region at 1 m cells would want 1e18 cells; the builder must
         // grow the cell size until the count fits.
-        let g = GridGeometry::covering(&[0.0, 1e9], &[0.0, 1e9], Meters::new(1.0));
+        let g = GridGeometry::covering_box(bounding_box_m(&[0.0, 1e9], &[0.0, 1e9]), 1.0);
         assert!(g.cell_count() <= GridGeometry::MAX_CELLS);
         assert!(g.cell_size_m > 1.0);
     }
 
     #[test]
     fn ring_traversal_covers_every_cell_exactly_once() {
-        let g = GridGeometry::covering(&[0.0, 900.0], &[0.0, 600.0], Meters::new(100.0));
+        let g = GridGeometry::covering_box(bounding_box_m(&[0.0, 900.0], &[0.0, 600.0]), 100.0);
         let rect = CellRect {
             x0: 0,
             x1: g.cols - 1,
@@ -447,7 +364,7 @@ mod tests {
 
     #[test]
     fn ring_traversal_orders_cells_by_chebyshev_distance() {
-        let g = GridGeometry::covering(&[0.0, 500.0], &[0.0, 500.0], Meters::new(100.0));
+        let g = GridGeometry::covering_box(bounding_box_m(&[0.0, 500.0], &[0.0, 500.0]), 100.0);
         let rect = CellRect {
             x0: 0,
             x1: g.cols - 1,
@@ -490,42 +407,8 @@ mod tests {
     }
 
     #[test]
-    fn spatial_grid_range_queries_match_brute_force() {
-        // Deterministic pseudo-random points via an LCG (no rand dependency
-        // needed at this layer).
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let n = 400;
-        let xs: Vec<f64> = (0..n).map(|_| next() * 3000.0).collect();
-        let ys: Vec<f64> = (0..n).map(|_| next() * 2000.0).collect();
-        let grid = SpatialGrid::build(&xs, &ys, Meters::new(250.0));
-        for &(qx, qy, r) in &[
-            (0.0, 0.0, 400.0),
-            (1500.0, 1000.0, 300.0),
-            (2999.0, 1999.0, 700.0),
-            (1000.0, 500.0, 0.0),
-            (-200.0, 4000.0, 1000.0),
-        ] {
-            let p = Point2::new(qx, qy);
-            let mut got = Vec::new();
-            grid.nodes_within(&xs, &ys, p, Meters::new(r), &mut got);
-            let expected: Vec<u32> = (0..n as u32)
-                .filter(|&i| {
-                    p.distance_squared(Point2::new(xs[i as usize], ys[i as usize])) <= r * r
-                })
-                .collect();
-            assert_eq!(got, expected, "query ({qx},{qy}) r={r}");
-        }
-    }
-
-    #[test]
     fn endpoint_buckets_insert_query_clear_roundtrip() {
-        let g = GridGeometry::covering(&[0.0, 1000.0], &[0.0, 1000.0], Meters::new(100.0));
+        let g = GridGeometry::covering_box(bounding_box_m(&[0.0, 1000.0], &[0.0, 1000.0]), 100.0);
         let mut buckets = EndpointBuckets::new(g);
         let head = Point2::new(50.0, 50.0);
         let tail = Point2::new(850.0, 850.0);

@@ -11,7 +11,10 @@
 //! invisible to it. [`every_product_lib_opts_into_the_clippy_carried_rules`]
 //! checks that every product crate opts into the rules clippy carries, and
 //! [`only_the_facade_declares_a_prelude`] that no crate grows a second
-//! re-export path.
+//! re-export path. [`every_privacy_pin_names_an_item_its_crate_declares`]
+//! keeps the `compile_fail,E0432` doctests that pin an item as private from
+//! outliving the item: once it is deleted, the pin fails to compile for the
+//! wrong reason.
 //! The scrub and the per-file scan are `tests/common/{lexer,scan}.rs`, whose
 //! unit tests the facade's `src/lib.rs` runs too.
 
@@ -20,8 +23,10 @@ mod lexer;
 #[path = "common/scan.rs"]
 mod scan;
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use lexer::{is_ident_char, scrub};
 use scan::{mentions, test_only_pub_fns};
 
 /// The workspace root, which holds this test's package.
@@ -166,5 +171,86 @@ fn only_the_facade_declares_a_prelude() {
     assert!(
         with_prelude.is_empty(),
         "import from the crate root; only the facade has a prelude: {with_prelude:?}"
+    );
+}
+
+/// The keywords that open a named item.
+const ITEM_KEYWORDS: [&str; 9] = [
+    "struct", "enum", "union", "trait", "type", "fn", "const", "static", "mod",
+];
+
+/// The names a source file declares as items, read from its scrubbed text:
+/// each identifier that follows an item keyword.
+fn declared_names(src: &str) -> BTreeSet<String> {
+    let scrubbed = scrub(src);
+    let words: Vec<&str> = scrubbed
+        .split(|c: char| !is_ident_char(c))
+        .filter(|word| !word.is_empty())
+        .collect();
+    words
+        .windows(2)
+        .filter(|pair| ITEM_KEYWORDS.contains(&pair[0]))
+        .map(|pair| pair[1].to_string())
+        .collect()
+}
+
+/// A `compile_fail,E0432` doctest whose one line is `use <crate>::Name;`
+/// pins `Name` as private to its crate. It fails to compile for the right
+/// reason only while the crate's `src/` still declares `Name`; a pin on a
+/// deleted item passes for nothing, so it goes with the item.
+#[test]
+fn every_privacy_pin_names_an_item_its_crate_declares() {
+    let (mut pins, mut stale) = (0, Vec::new());
+    for package in packages() {
+        let manifest =
+            std::fs::read_to_string(package.join("Cargo.toml")).expect("every package has one");
+        let name = manifest
+            .lines()
+            .find_map(|line| line.strip_prefix("name = \""))
+            .and_then(|rest| rest.strip_suffix('"'))
+            .expect("the manifest names its package");
+        let krate = name.replace('-', "_");
+        let files = rs_files(&package.join("src"));
+        let sources: Vec<String> = files
+            .iter()
+            .map(std::fs::read_to_string)
+            .collect::<Result<_, _>>()
+            .expect("listed files are readable");
+        let declared: BTreeSet<String> =
+            sources.iter().flat_map(|src| declared_names(src)).collect();
+        for (path, src) in files.iter().zip(&sources) {
+            let doc: Vec<&str> = src
+                .lines()
+                .map(|line| {
+                    let line = line.trim_start();
+                    let text = line
+                        .strip_prefix("//!")
+                        .or_else(|| line.strip_prefix("///"));
+                    text.unwrap_or("").trim()
+                })
+                .collect();
+            for (at, pair) in doc.windows(2).enumerate() {
+                if pair[0] != "```compile_fail,E0432" {
+                    continue;
+                }
+                let pinned = pair[1]
+                    .strip_prefix(&format!("use {krate}::"))
+                    .and_then(|rest| rest.strip_suffix(';'));
+                let Some(item) = pinned else {
+                    continue;
+                };
+                pins += 1;
+                if !declared.contains(item) {
+                    let path = path.strip_prefix(root()).unwrap_or(path).display();
+                    stale.push(format!("{path}:{}: `use {krate}::{item};`", at + 2));
+                }
+            }
+        }
+    }
+    assert!(pins >= 4, "expected netsim's privacy pins, found {pins}");
+    assert!(
+        stale.is_empty(),
+        "privacy pins on items their crate no longer declares — delete each with its item:\n{}",
+        stale.join("\n")
     );
 }

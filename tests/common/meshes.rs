@@ -1,6 +1,7 @@
 //! The seeded meshes the integration suites build and hand to the
-//! [`Oracle`]: planned grids and lines, the σ = 4 dB unplanned mesh, and
-//! paper-scenario instances with the oracle over their shadowing draws.
+//! [`Oracle`]: planned grids and lines (one with streamed gains), the
+//! σ = 4 dB and the heterogeneous-power unplanned meshes, and paper-scenario
+//! instances with the oracle over their shadowing draws.
 #![allow(dead_code, reason = "each suite uses the meshes it judges")]
 
 use rand::SeedableRng;
@@ -35,6 +36,50 @@ impl Mesh {
             env,
             oracle,
         }
+    }
+
+    /// [`planned`](Self::planned) with streamed gains: no matrix, every gain
+    /// evaluated from the squared node distance on demand.
+    pub fn planned_streamed(cols: usize, rows: usize, step_m: f64) -> Self {
+        let mut mesh = Self::planned(cols, rows, step_m);
+        mesh.env = RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .streamed_gains()
+            .build(&mesh.deployment);
+        mesh.label += ", streamed gains";
+        mesh
+    }
+
+    /// 36 nodes placed uniformly over 800 m × 800 m, transmit power drawn
+    /// from 16 ± 4 dBm, no shadowing: the first draw from seed 31 whose
+    /// SINR communication graph is connected, searching at most `DRAWS`
+    /// draws whose unit-disk graph at 200 m is (the 100th is). The
+    /// unit-disk check alone does not give it: the weakest transmitter
+    /// reaches only about 117 m at β over the noise floor.
+    pub fn unplanned_heterogeneous() -> Self {
+        const DRAWS: usize = 200;
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let placement = UniformDeployment::new(36, 800.0)
+            .tx_power_dbm(16.0)
+            .heterogeneous_power(8.0);
+        for draw in 1..=DRAWS {
+            let deployment = placement
+                .build_connected(&mut rng, Meters::new(200.0), 200)
+                .unwrap();
+            let env = RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .build(&deployment);
+            if env.communication_graph().is_connected() {
+                let oracle = Oracle::unshadowed(&deployment, env.config());
+                return Self {
+                    label: format!("36-node heterogeneous-power mesh, draw {draw} of seed 31"),
+                    deployment,
+                    env,
+                    oracle,
+                };
+            }
+        }
+        panic!("none of {DRAWS} draws from seed 31 has a connected SINR graph");
     }
 
     /// 25 nodes placed uniformly over 700 m × 700 m, transmit power spread
@@ -86,15 +131,18 @@ pub fn paper_oracle(scenario: &PaperScenario, instance: &ScenarioInstance) -> Or
     Oracle::new(&instance.deployment, instance.env.config(), shadowing)
 }
 
-/// The eight meshes the SCREAM oracle suite runs over: three planned grids,
-/// the shadowed unplanned mesh, and two planned and two unplanned 64-node
-/// paper instances.
+/// The ten meshes the SCREAM oracle suite runs over: three planned grids, a
+/// streamed-gain 8×8 grid, the shadowed and the heterogeneous-power
+/// unplanned meshes, and two planned and two unplanned 64-node paper
+/// instances.
 pub fn scream_meshes() -> Vec<Mesh> {
     vec![
         Mesh::planned(4, 4, 150.0),
         Mesh::planned(5, 5, 140.0),
         Mesh::planned(6, 6, 130.0),
+        Mesh::planned_streamed(8, 8, 150.0),
         Mesh::unplanned_shadowed(),
+        Mesh::unplanned_heterogeneous(),
         Mesh::paper(&PaperScenario::grid(2_000.0), 1),
         Mesh::paper(&PaperScenario::grid(4_000.0), 2),
         Mesh::paper(&PaperScenario::uniform(3_000.0), 3),

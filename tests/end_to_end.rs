@@ -177,21 +177,16 @@ fn execution_time_knobs_do_not_change_the_schedule() {
 
 #[test]
 fn unplanned_heterogeneous_instance_schedules_end_to_end() {
-    let mut rng = ChaCha8Rng::seed_from_u64(31);
-    let deployment = UniformDeployment::new(36, 800.0)
-        .tx_power_dbm(16.0)
-        .heterogeneous_power(8.0)
-        .build_connected(&mut rng, Meters::new(200.0), 200)
-        .unwrap();
-    let env = RadioEnvironment::builder()
-        .propagation(PropagationModel::log_distance(3.0))
-        .build(&deployment);
+    let Mesh {
+        deployment,
+        env,
+        oracle,
+        ..
+    } = Mesh::unplanned_heterogeneous();
     let graph = env.communication_graph();
-    if !graph.is_connected() {
-        // The SINR graph can be sparser than the unit-disk draw check; this
-        // particular seed is known connected, but guard against flakiness.
-        return;
-    }
+    assert!(graph.is_connected());
+    assert!(env.interference_diameter() < usize::MAX);
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
     let gateways = vec![deployment.corner_nodes()[0], deployment.corner_nodes()[1]];
     let forest = RoutingForest::shortest_path(&graph, &gateways, 31).unwrap();
     let demands =
@@ -205,7 +200,6 @@ fn unplanned_heterogeneous_instance_schedules_end_to_end() {
         .with_config(config)
         .run(&env, &link_demands)
         .unwrap();
-    let oracle = Oracle::unshadowed(&deployment, env.config());
     verify(&oracle, &env, &fdd.schedule, &link_demands).unwrap();
     assert_eq!(
         fdd.schedule,

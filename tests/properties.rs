@@ -356,8 +356,8 @@ fn reference_without_nodes(graph: &Graph, dead: &[NodeId]) -> Graph {
 /// of dead nodes and links. That is the forest, and the cut-off list, the
 /// seeded search finds over a pruned copy — because every communication
 /// graph's adjacency lists are ascending, which is asserted too. Graphs
-/// from the pair scan and (above 256 nodes) the spatial grid, shadowed and
-/// refaded.
+/// from the pair scan, which inserts `(i, j > i)` in order, on grids up to
+/// 17 × 16, shadowed and refaded.
 #[test]
 fn a_masked_reroute_equals_routing_over_a_pruned_copy() {
     let mut cut_off_cases = 0;
