@@ -82,32 +82,35 @@ impl Graph {
                 return Err(TopologyError::UnknownNode { id, node_count: n });
             }
         }
-        self.insert_edge(u, v);
+        if u != v && !self.has_edge(u, v) {
+            self.push_edge(u, v);
+        }
         Ok(())
     }
 
-    /// Adds an edge whose endpoints the caller guarantees are in range, e.g.
-    /// builders iterating node indices `0..n` of this very graph. Public
-    /// counterpart of `insert_edge` for those callers, so in-range
-    /// insertion does not force an `expect` on an error that cannot occur
-    /// (P1). Out-of-range endpoints are a caller bug, checked in debug builds.
+    /// Adds an edge the caller guarantees is new: both endpoints in range,
+    /// `u ≠ v`, and neither `(u, v)` nor, in an undirected graph, `(v, u)`
+    /// already present — e.g. builders visiting each node pair of `0..n`
+    /// once. An O(1) push with none of [`Self::add_edge`]'s duplicate and
+    /// self-loop handling; a broken contract is a caller bug, checked in
+    /// debug builds.
     pub fn add_edge_unchecked(&mut self, u: NodeId, v: NodeId) {
         debug_assert!(
             u.index() < self.node_count() && v.index() < self.node_count(),
             "add_edge_unchecked endpoints out of range: ({u}, {v}) with {} nodes",
             self.node_count()
         );
-        self.insert_edge(u, v);
+        debug_assert!(u != v, "add_edge_unchecked self-loop at {u}");
+        debug_assert!(
+            !self.has_edge(u, v),
+            "add_edge_unchecked duplicate edge ({u}, {v})"
+        );
+        self.push_edge(u, v);
     }
 
-    /// Edge insertion for callers that guarantee both endpoints are in range
-    /// (transposes, builders iterating `0..n`). Keeps the
-    /// duplicate/self-loop handling of [`Self::add_edge`] without forcing an
-    /// `expect` on an error that cannot occur (P1).
-    fn insert_edge(&mut self, u: NodeId, v: NodeId) {
-        if u == v || self.has_edge(u, v) {
-            return;
-        }
+    /// Appends the edge `(u, v)` (and its reverse in an undirected graph)
+    /// with no check at all.
+    fn push_edge(&mut self, u: NodeId, v: NodeId) {
         self.adjacency[u.index()].push(v);
         if self.kind == GraphKind::Undirected {
             self.adjacency[v.index()].push(u);
@@ -140,11 +143,7 @@ impl Graph {
         };
         let alive = |pair: &(NodeId, NodeId)| dead.binary_search(pair).is_err();
         for (u, v) in self.edges().filter(alive) {
-            pruned.adjacency[u.index()].push(v);
-            if self.kind == GraphKind::Undirected {
-                pruned.adjacency[v.index()].push(u);
-            }
-            pruned.edge_count += 1;
+            pruned.push_edge(u, v);
         }
         pruned
     }
@@ -255,14 +254,15 @@ impl Graph {
     }
 
     /// The transposed graph (edges reversed). For undirected graphs this is
-    /// a clone.
+    /// a clone. The source holds no duplicate and no self-loop, so each
+    /// reversed edge is a push.
     pub(crate) fn transposed(&self) -> Graph {
         match self.kind {
             GraphKind::Undirected => self.clone(),
             GraphKind::Directed => {
                 let mut t = Graph::new(self.node_count(), GraphKind::Directed);
                 for (u, v) in self.edges() {
-                    t.insert_edge(v, u);
+                    t.push_edge(v, u);
                 }
                 t
             }
@@ -277,19 +277,56 @@ impl Graph {
     /// diameter* `ID(G_S)` of Definition 2, which lower-bounds the number of
     /// scream slots `K` needed for the SCREAM primitive to implement a
     /// network-wide OR.
+    ///
+    /// One BFS per source over bit rows: node `u`'s out-neighbours are one
+    /// `u64` row, and a BFS level is the OR of the frontier's rows minus the
+    /// nodes already seen. A source that does not reach every node answers
+    /// `None` at once, which is the strong-connectivity check.
     pub(crate) fn diameter(&self) -> Option<usize> {
-        if !self.is_connected() {
-            return None;
+        let n = self.node_count();
+        let words = n.div_ceil(64).max(1);
+        let mut rows = vec![0u64; n * words];
+        for (row, nbrs) in rows.chunks_exact_mut(words).zip(&self.adjacency) {
+            for v in nbrs {
+                row[v.index() / 64] |= 1 << (v.index() % 64);
+            }
         }
-        let mut best = 0usize;
-        for u in self.nodes() {
-            let far = self
-                .bfs_distances(u)
-                .into_iter()
-                .filter(|&d| d != usize::MAX)
-                .max()
-                .unwrap_or(0);
-            best = best.max(far);
+        let (mut seen, mut frontier, mut next) =
+            (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
+        let mut best = 0;
+        for source in 0..n {
+            seen.fill(0);
+            frontier.fill(0);
+            seen[source / 64] = 1 << (source % 64);
+            frontier[source / 64] = seen[source / 64];
+            let (mut reached, mut depth) = (1, 0);
+            while reached < n {
+                next.fill(0);
+                for (w, &bits) in frontier.iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        let u = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let row = &rows[u * words..(u + 1) * words];
+                        for (out, &r) in next.iter_mut().zip(row) {
+                            *out |= r;
+                        }
+                    }
+                }
+                let mut fresh = 0;
+                for (out, seen) in next.iter_mut().zip(seen.iter_mut()) {
+                    *out &= !*seen;
+                    *seen |= *out;
+                    fresh += out.count_ones() as usize;
+                }
+                if fresh == 0 {
+                    return None;
+                }
+                reached += fresh;
+                depth += 1;
+                std::mem::swap(&mut frontier, &mut next);
+            }
+            best = best.max(depth);
         }
         Some(best)
     }
@@ -355,7 +392,7 @@ impl UnitDiskGraphBuilder {
             for j in (i + 1)..n {
                 let pj = deployment.position(NodeId::new(j as u32));
                 if pi.distance_squared(pj) <= r2 {
-                    g.insert_edge(NodeId::new(i as u32), NodeId::new(j as u32));
+                    g.add_edge_unchecked(NodeId::new(i as u32), NodeId::new(j as u32));
                 }
             }
         }
@@ -396,7 +433,7 @@ mod tests {
     }
 
     /// `without_edges` as it stood before the linear-time rebuild: every
-    /// surviving edge re-inserted through `insert_edge`. The reference the
+    /// surviving edge re-inserted through `add_edge`. The reference the
     /// product path must equal, adjacency order and edge count included.
     fn reference_without_edges(g: &Graph, dead: &[(NodeId, NodeId)]) -> Graph {
         let is_dead = |u: NodeId, v: NodeId| {
@@ -407,7 +444,7 @@ mod tests {
         let mut pruned = Graph::new(g.node_count(), g.kind);
         for (u, v) in g.edges() {
             if !is_dead(u, v) {
-                pruned.insert_edge(u, v);
+                pruned.add_edge(u, v).unwrap();
             }
         }
         pruned
@@ -552,6 +589,134 @@ mod tests {
         chain.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
         chain.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
         assert!(!chain.is_connected());
+    }
+
+    /// `diameter` by its definition: the largest finite `bfs_distances`
+    /// entry over every source, or `None` once some node is unreachable
+    /// from some source.
+    fn reference_diameter(g: &Graph) -> Option<usize> {
+        let mut best = 0;
+        for u in g.nodes() {
+            for d in g.bfs_distances(u) {
+                if d == usize::MAX {
+                    return None;
+                }
+                best = best.max(d);
+            }
+        }
+        Some(best)
+    }
+
+    /// A seeded connected draw over `n ≥ 2` nodes: a path (undirected) or a
+    /// one-way cycle (directed) through a shuffled order ending at node
+    /// `n − 1`, plus `chords` random chords. No chord enters node `n − 1`
+    /// (nor, undirected, touches it), so the returned edge into it is its
+    /// only way in: the one one-way edge whose removal disconnects the draw.
+    fn drawn_graph(
+        n: usize,
+        kind: GraphKind,
+        chords: usize,
+        rng: &mut rand_chacha::ChaCha8Rng,
+    ) -> (Graph, (NodeId, NodeId)) {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+
+        let last = n as u32 - 1;
+        let mut order: Vec<u32> = (0..last).collect();
+        order.shuffle(rng);
+        order.push(last);
+        let mut g = Graph::new(n, kind);
+        let id = NodeId::new;
+        for hop in order.windows(2) {
+            g.add_edge(id(hop[0]), id(hop[1])).unwrap();
+        }
+        if kind == GraphKind::Directed {
+            g.add_edge(id(last), id(order[0])).unwrap();
+        }
+        let tails = if kind == GraphKind::Directed {
+            n as u32
+        } else {
+            last
+        };
+        for _ in 0..chords {
+            let (a, b) = (rng.gen_range(0..tails), rng.gen_range(0..last));
+            g.add_edge(id(a), id(b)).unwrap();
+        }
+        (g, (id(order[order.len() - 2]), id(last)))
+    }
+
+    #[test]
+    fn bit_parallel_diameter_equals_the_bfs_reference_across_word_boundaries() {
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0xd1a3);
+        let mut broken = 0;
+        for n in [0, 1, 2, 63, 64, 65, 127, 128, 129, 200] {
+            for kind in [GraphKind::Undirected, GraphKind::Directed] {
+                if n < 2 {
+                    let g = Graph::new(n, kind);
+                    assert_eq!(g.diameter(), Some(0), "{kind:?} n = {n}");
+                    continue;
+                }
+                // Sparse (a path or cycle plus a few chords) to dense.
+                for chords in [0, n / 8, n, n * n / 4] {
+                    let (g, bridge) = drawn_graph(n, kind, chords, &mut rng);
+                    let want = reference_diameter(&g);
+                    assert!(want.is_some(), "{kind:?} n = {n}: the draw is connected");
+                    assert_eq!(g.diameter(), want, "{kind:?} n = {n}, {chords} chords");
+
+                    let cut = g.without_edges([bridge]);
+                    assert_eq!(cut.edge_count() + 1, g.edge_count());
+                    assert_eq!(reference_diameter(&cut), None);
+                    assert_eq!(cut.diameter(), None, "{kind:?} n = {n}, {bridge:?} cut");
+                    broken += 1;
+                }
+            }
+        }
+        assert_eq!(broken, 8 * 8);
+
+        // The closed forms: a line's diameter is its length, a one-way
+        // cycle's is one hop short of its size.
+        assert_eq!(path_graph(8).diameter(), Some(7));
+        for n in [2usize, 3, 64, 65, 129] {
+            let mut cycle = Graph::new(n, GraphKind::Directed);
+            for u in 0..n {
+                let v = (u + 1) % n;
+                cycle.add_edge_unchecked(NodeId::new(u as u32), NodeId::new(v as u32));
+            }
+            assert_eq!(cycle.diameter(), Some(n - 1), "one-way {n}-cycle");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate edge")]
+    fn add_edge_unchecked_refuses_a_repeated_pair_in_debug_builds() {
+        let mut g = Graph::new(2, GraphKind::Undirected);
+        g.add_edge_unchecked(NodeId::new(0), NodeId::new(1));
+        g.add_edge_unchecked(NodeId::new(1), NodeId::new(0));
+    }
+
+    #[test]
+    fn transposing_twice_gives_back_the_edge_set() {
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7a05);
+        for n in [2, 9, 65] {
+            for kind in [GraphKind::Undirected, GraphKind::Directed] {
+                let (g, _) = drawn_graph(n, kind, n, &mut rng);
+                let sorted = |g: &Graph| {
+                    let mut edges: Vec<_> = g.edges().collect();
+                    edges.sort_unstable();
+                    edges
+                };
+                let twice = g.transposed().transposed();
+                assert_eq!(twice.edge_count(), g.edge_count());
+                assert_eq!(sorted(&twice), sorted(&g), "{kind:?} n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -113,6 +113,43 @@ fn a_lone_screamer_is_heard_everywhere_at_k_equal_id() {
 }
 
 #[test]
+fn the_least_k_that_carries_every_lone_screamer_never_exceeds_id() {
+    // Section III-A's sufficiency from the other side: the least K at which
+    // the oracle's flood carries every single screamer to every node is at
+    // most ID(G_S), and summed relay power often makes it less. The pairs
+    // (ID, least K) are ROADMAP item 3(e)'s table.
+    let pinned = [
+        (7, 7),
+        (3, 3),
+        (4, 3),
+        (5, 4),
+        (7, 5),
+        (4, 3),
+        (10, 5),
+        (2, 2),
+        (2, 2),
+        (2, 2),
+        (2, 2),
+    ];
+    let meshes = std::iter::once(Mesh::planned(8, 1, 150.0)).chain(scream_meshes());
+    let mut measured = Vec::new();
+    for mesh in meshes {
+        let n = mesh.deployment.len();
+        let id = mesh.oracle.interference_diameter();
+        let carries_everyone = |k: usize| {
+            (0..n as u32).all(|v| mesh.oracle.flood(&[NodeId::new(v)], k) == vec![true; n])
+        };
+        let least_k = (1..=n)
+            .find(|&k| carries_everyone(k))
+            .unwrap_or_else(|| panic!("{}: no K carries every lone screamer", mesh.label));
+        assert!(least_k <= id, "{}: least K {least_k} > ID {id}", mesh.label);
+        assert_eq!(mesh.oracle.undecided(), 0, "{}", mesh.label);
+        measured.push((id, least_k));
+    }
+    assert_eq!(measured, pinned);
+}
+
+#[test]
 fn network_or_equals_the_oracle_flood_at_k_equal_id() {
     for (seed, mesh) in (0u64..).zip(scream_meshes()) {
         let channel = tightest_channel(&mesh);
