@@ -5,8 +5,6 @@
 //! [`Table`]. Node counts and repetition counts are
 //! parameters so the unit tests can run reduced versions of the same pipeline.
 
-use serde::{Deserialize, Serialize};
-
 use scream_core::{DistributedScheduler, ProtocolConfig, ProtocolKind};
 use scream_mote::{DetectionErrorPoint, MoteExperiment, MoteExperimentConfig, RssiTrace};
 use scream_netsim::{ClockSkewConfig, SimTime};
@@ -19,7 +17,7 @@ use crate::sweep::ScenarioSweep;
 
 /// One row of the Figure 6 series: percentage improvement over the serialized
 /// schedule, per protocol, at one density.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImprovementRow {
     /// Node density in nodes per square kilometer.
     pub(crate) density_per_km2: f64,
@@ -136,7 +134,7 @@ pub fn improvement_table(title: &str, rows: &[ImprovementRow]) -> Table {
 
 /// One row of the Figure 8 series: protocol execution time for a given value
 /// of the swept parameter (SCREAM size in bytes, or interference diameter).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionTimeRow {
     /// The swept parameter value (bytes or slots, depending on the series).
     pub(crate) parameter: usize,
@@ -194,7 +192,7 @@ pub fn execution_time_table(title: &str, parameter_name: &str, rows: &[Execution
 }
 
 /// One row of the Figure 9 series: execution time under a clock-skew bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockSkewRow {
     /// Clock-skew bound in seconds.
     pub(crate) skew_secs: f64,
@@ -250,7 +248,7 @@ pub fn clock_skew_table(rows: &[ClockSkewRow]) -> Table {
 /// centralized schedule on the fixed 64-link heavy-demand instance, per
 /// channel count, optionally alongside the distributed FDD run on the same
 /// instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelAblationRow {
     /// Number of orthogonal channels.
     pub(crate) channel_count: usize,
@@ -368,7 +366,7 @@ pub fn channel_ablation_table(demand_per_link: u64, rows: &[ChannelAblationRow])
 }
 
 /// One schedule's packet-level outcome at one offered-load factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct LoadPoint {
     /// 95th-percentile end-to-end delay, in slots.
     pub(crate) delay_p95_slots: f64,
@@ -380,7 +378,7 @@ pub(crate) struct LoadPoint {
 
 /// One row of the delay-vs-load series: the traffic engine's outcome on the
 /// Centralized, FDD and PDD (p = 0.8) frames at one offered-load factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayVsLoadRow {
     /// Offered-load factor relative to the **centralized** frame's capacity
     /// (1.0 saturates every link of the centralized/FDD frame).

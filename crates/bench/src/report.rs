@@ -5,10 +5,8 @@
 //! ASCII-friendly analogue of the paper's figures and is easy to diff or pipe
 //! into a plotting tool.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned table.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

@@ -10,7 +10,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use scream_core::{DistributedRun, DistributedScheduler, ProtocolConfig, ProtocolKind};
 use scream_netsim::{ClockSkewConfig, Db, Dbm, Meters, PropagationModel, RadioEnvironment};
@@ -24,7 +23,7 @@ use scream_traffic::{FlowSet, TrafficConfig, TrafficEngine, TrafficReport};
 use crate::error::BenchError;
 
 /// Which of the two Section VI-A topology families to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// Planned grid layout with homogeneous transmission power.
     PlannedGrid,
@@ -34,7 +33,7 @@ pub enum Topology {
 }
 
 /// Generator for the paper's simulation scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperScenario {
     /// Topology family.
     pub topology: Topology,
@@ -240,7 +239,7 @@ pub(crate) fn heavy_demand_instance(
 /// with the far-field bound. (With only ≈ 1 dB of headroom the budget drops
 /// below the aggregate far field, a single row of links saturates each slot,
 /// and both paths degenerate to small-k scans.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargeScaleScenario {
     /// Number of links to generate (the grid is sized to fit exactly this).
     pub(crate) target_links: usize,

@@ -12,9 +12,9 @@
 //!
 //! A [`ScreamChannel`] exists only where `K ≥ ID(G_S)`, so every one of
 //! those ORs is exact and the loop provably leaves the highest-id candidate:
-//! the election reads it off the candidate list and charges the `id_bits × K`
-//! slots the loop takes. The loop itself is the integration tests' oracle,
-//! run over its own flood.
+//! the election reads it off the candidate flags and charges the `id_bits × K`
+//! slots the loop takes (saturating). The loop itself is the integration
+//! tests' oracle, run over its own flood.
 
 use scream_netsim::ProtocolTiming;
 use scream_topology::NodeId;
@@ -24,9 +24,10 @@ use crate::scream::ScreamChannel;
 
 /// The distributed leader-election procedure.
 ///
-/// The struct is stateless; it exists so the procedure has a home for its
-/// documentation and can be mocked/extended (e.g. the AFDD variant reuses it
-/// over restricted candidate sets).
+/// Stateless: the home of the flag form below, which charges a
+/// [`ProtocolTiming`] as it goes. The distributed runtime does not call it;
+/// its elections (every hand-over, and FDD's `SelectActive`) count their
+/// SCREAMs in its `RunStats`. AFDD's `SelectActive` is one SCREAM, no election.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeaderElection;
 
@@ -34,12 +35,6 @@ impl LeaderElection {
     /// Creates the election procedure.
     pub fn new() -> Self {
         Self
-    }
-
-    /// Number of bits used to represent ids for an `n`-node network
-    /// (`id_bits` in the paper's pseudocode).
-    pub(crate) fn id_bits(node_count: usize) -> u32 {
-        NodeId::id_bits(node_count)
     }
 
     /// Runs one election among the nodes flagged in `candidates`
@@ -65,28 +60,10 @@ impl LeaderElection {
                 len: candidates.len(),
             });
         }
-        let ids: Vec<NodeId> = (0..candidates.len() as u32)
-            .map(NodeId::new)
-            .filter(|id| candidates[id.index()])
-            .collect();
-        Ok(self.elect_among(channel, &ids, timing))
-    }
-
-    /// [`elect`](Self::elect) among `candidates` given as ascending node ids,
-    /// each below the channel's node count.
-    pub(crate) fn elect_among(
-        &self,
-        channel: &ScreamChannel,
-        candidates: &[NodeId],
-        timing: &mut ProtocolTiming,
-    ) -> Option<NodeId> {
-        debug_assert!(
-            candidates.windows(2).all(|pair| pair[0] < pair[1]),
-            "candidates must be ascending ids"
-        );
-        let bits = Self::id_bits(channel.node_count());
-        timing.add_scream_slots(u64::from(bits) * channel.scream_slots() as u64);
-        candidates.last().copied()
+        let bits = NodeId::id_bits(channel.node_count());
+        timing.add_scream_slots(u64::from(bits).saturating_mul(channel.scream_slots() as u64));
+        let winner = candidates.iter().rposition(|&competes| competes);
+        Ok(winner.map(|at| NodeId::new(at as u32)))
     }
 }
 

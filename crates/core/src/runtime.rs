@@ -3,44 +3,41 @@
 //!
 //! The runtime executes the protocols exactly as specified in Section III:
 //! rounds of leader election and iterative slot construction, with every
-//! handshake outcome taken from the SINR physics of the environment and every
-//! network-wide OR executed through the [`ScreamChannel`]. Every synchronized
-//! step is charged to a [`ProtocolTiming`] tally so that the wall-clock
-//! execution time of a run (Figures 8 and 9) can be reported alongside the
-//! schedule it computed (Figures 6 and 7).
+//! handshake outcome taken from the SINR physics of the environment.
+//!
+//! # One tally, and the exact OR is a value
+//!
+//! A run has one tally, its [`RunStats`]: every SCREAM, handshake step and
+//! `GlobalSync()` barrier is one count there. The [`ProtocolTiming`] behind
+//! the execution time (Figures 8 and 9) is derived from it once, at the end
+//! of the run — `K` slots per SCREAM, one handshake slot per handshake step,
+//! one barrier per sync step — so the two cannot disagree, and a hostile `K`
+//! saturates instead of overflowing. The run builds a [`ScreamChannel`] only
+//! to check `K ≥ ID(G_S)`; with it every OR is exact, so the runtime reads
+//! what a deployment would flood off the ascending list of dormant node ids:
+//! an election's winner is the list's last id, the veto OR is
+//! `!existing_ok`, the still-active OR is whether the list is non-empty and
+//! the release OR is whether the controller's demand reached zero. Every
+//! SCREAM is still counted, so the tally stays logical: it counts what the
+//! protocol performs, not the host work.
 //!
 //! # Rounds are run-length
 //!
-//! A round is a value: the slot pattern it seals plus the [`ProtocolTiming`]
-//! and [`RunStats`] it charged (slot construction, channel announcements and
-//! the control-release check; the hand-over election between controllers is
-//! outside it). Under FDD and AFDD that value is a pure function of the
-//! controller and the set of nodes with pending demand — `SelectActive` is an
-//! election or an announcement over the dormant set, the handshakes are the
-//! environment's physics, and every SCREAM OR is exact — so until one of the
-//! sealed links runs out of demand the next round is the same value again. The
-//! runtime therefore simulates each distinct round once and applies it
-//! `repeat` times, `repeat` being the least remaining demand over the sealed
-//! links (cut at the round limit): the pattern is pushed with that
-//! multiplicity, the charges are multiplied, and control is released iff the
-//! controller reached zero. The protocol's *simulated* cost — rounds, SCREAM
-//! slots, execution time — is untouched, because every logical round is still
-//! charged; only the host stops re-deriving it. PDD draws fresh activation
-//! randomness in every round, so its `repeat` is always 1: one loop with a
-//! multiplicity, not a second path. The `runtime.rounds.executed` counter
-//! reports the rounds actually simulated next to the logical `runtime.rounds`.
-//!
-//! # The exact OR is a value
-//!
-//! The dormant set is a list of node ids in ascending order. A
-//! [`ScreamChannel`] exists only where `K ≥ ID(G_S)`, so every OR is exact
-//! and the runtime reads what a deployment would flood: FDD's election
-//! winner is the list's last id, the veto OR is `!existing_ok`, the
-//! still-active OR is whether the list is non-empty and the release OR is
-//! whether the controller's demand reached zero. Every invocation is still
-//! charged its `K` slots, so [`RunStats`], [`ProtocolTiming`] and the
-//! `core.scream_invocations` count stay logical — they count the SCREAMs the
-//! protocol performs, not the host work.
+//! A round is a value: the slot pattern it seals plus the [`RunStats`] it
+//! charged (slot construction, channel announcements and the control-release
+//! check; the hand-over election between controllers is outside it). Under
+//! FDD and AFDD that value is a pure function of the controller and the set
+//! of nodes with pending demand, so until one of the sealed links runs out of
+//! demand the next round is the same value again. The runtime therefore
+//! simulates each distinct round once and applies it `repeat` times, `repeat`
+//! being the least remaining demand over the sealed links (cut at the round
+//! limit): the pattern is pushed with that multiplicity, the counts are
+//! multiplied, and control is released iff the controller reached zero. Every
+//! logical round is still charged; only the host stops re-deriving it. PDD
+//! draws fresh activation randomness in every round, so its `repeat` is
+//! always 1: one loop with a multiplicity, not a second path. The
+//! `runtime.rounds.executed` counter reports the rounds actually simulated
+//! next to the logical `runtime.rounds`.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -55,7 +52,6 @@ use scream_scheduling::{FrameService, Schedule, ScheduleMetrics, SlotPattern};
 use scream_topology::{Link, LinkDemands, NodeId};
 
 use crate::config::ProtocolConfig;
-use crate::election::LeaderElection;
 use crate::error::ProtocolError;
 use crate::protocol::ProtocolKind;
 use crate::scream::ScreamChannel;
@@ -111,24 +107,17 @@ impl DistributedScheduler {
     ///
     /// # Channels
     ///
-    /// The runtime is channel-aware: when the environment provides several
-    /// orthogonal channels, each round's slot is built as a set of
-    /// `(channel, link)` claims. The controller opens the slot on channel
-    /// 0 and announces a channel-assignment phase; every newly activated edge
-    /// then first-fits into the cheapest channel whose handshake it completes
-    /// ([`ChannelSlotLedger::probe_claims`] — per-channel SINR plus the
-    /// one-radio-per-node cross-channel table). Because the handshake
-    /// outcome is local physics, a successful claim must announce which
-    /// channel it took: every allocation is charged `⌈log₂ C⌉` extra SCREAM
-    /// invocations (one per channel-id bit), exactly like the per-bit
-    /// elections, and each iteration's handshake step spans one sub-slot per
-    /// channel (a one-radio node probes the channels sequentially).
-    ///
-    /// With one channel — the paper's setting — the assignment phase has one
-    /// sub-phase, the announcement costs zero bits and every iteration is
-    /// charged exactly one handshake slot: the paper's protocol is the
-    /// `C = 1` value of this loop, not a second one (pinned by the
-    /// `single_channel_runtime_reduction_is_exact` property test).
+    /// Each round's slot is a set of `(channel, link)` claims. The controller
+    /// opens it on channel 0; every newly activated edge first-fits into the
+    /// cheapest channel whose handshake it completes
+    /// ([`ChannelSlotLedger::probe_claims`]: per-channel SINR plus one radio
+    /// per node). Every allocation announces its channel in `⌈log₂ C⌉` extra
+    /// SCREAMs, like the per-bit elections, and each iteration's handshake
+    /// step spans one sub-slot per channel. With one channel — the paper's
+    /// setting — that is no announcement and one handshake slot per
+    /// iteration: the paper's protocol is the `C = 1` value of this loop
+    /// (pinned by the `single_channel_runtime_reduction_is_exact` property
+    /// test).
     ///
     /// # Replay
     ///
@@ -164,7 +153,7 @@ impl DistributedScheduler {
                 demands: demands.node_count(),
             });
         }
-        let channel = ScreamChannel::new(env, &self.config)?;
+        let k = ScreamChannel::new(env, &self.config)?.scream_slots() as u64;
         let n = env.node_count();
         let slot_timing = SlotTiming::derive(self.config.scream_bytes, self.config.clock_skew);
         let (link_of, mut remaining) = per_node_links(demands)?;
@@ -172,8 +161,7 @@ impl DistributedScheduler {
         let channel_count = env.channel_count();
         let mut sim = Simulation {
             kind: self.kind,
-            channel,
-            id_bits: LeaderElection::id_bits(n) as u64,
+            id_bits: u64::from(NodeId::id_bits(n)),
             channel_count,
             channel_bits: channel_announcement_bits(channel_count),
             link_of,
@@ -184,7 +172,7 @@ impl DistributedScheduler {
             actives: Vec::new(),
         };
 
-        let mut total = Tally::default();
+        let mut stats = RunStats::default();
         let mut schedule = Schedule::new();
         let mut controller: Option<Link> = None;
 
@@ -194,7 +182,7 @@ impl DistributedScheduler {
                 // A new controller must be elected among the nodes that still
                 // have pending demand; when nobody is left the algorithm
                 // terminates.
-                None => match sim.elect_controller(&remaining, &mut total) {
+                None => match sim.elect_controller(&remaining, &mut stats) {
                     Some(elected) => elected,
                     None => break,
                 },
@@ -203,10 +191,10 @@ impl DistributedScheduler {
             // The round limit is checked before the round is constructed, so
             // a limit of k permits exactly k full rounds and no partially
             // applied work is ever discarded.
-            if total.stats.rounds >= round_limit {
+            if stats.rounds >= round_limit {
                 return Err(ProtocolError::RoundLimitExceeded {
                     limit: round_limit,
-                    rounds_executed: total.stats.rounds,
+                    rounds_executed: stats.rounds,
                     unsatisfied_links: remaining.iter().filter(|&&r| r > 0).count(),
                     slots_built: schedule.length(),
                 });
@@ -223,7 +211,7 @@ impl DistributedScheduler {
                     .map(|link| remaining[link.head.index()])
                     .min()
                     .unwrap_or(1)
-                    .min(round_limit - total.stats.rounds)
+                    .min(round_limit - stats.rounds)
             } else {
                 1
             };
@@ -235,21 +223,20 @@ impl DistributedScheduler {
             // screams iff its demand is now satisfied, releasing control for
             // the next round. Only the last of the `repeat` checks can carry
             // a scream, and that is the one simulated; all cost the same.
-            round.timing.add_sync_step();
-            let released =
-                sim.scream_from(ctrl.head, remaining[ctrl.head.index()] == 0, &mut round);
+            round.sync_steps += 1;
+            let released = scream(&mut round, remaining[ctrl.head.index()] == 0);
             controller = (!released).then_some(ctrl);
 
-            total.add_repeated(&round, repeat);
+            stats.add_repeated(&round, repeat);
             let claims = pattern.len() as u64;
             schedule.push_pattern_run(pattern, repeat);
-            scream_obs::set_round(total.stats.rounds);
+            scream_obs::set_round(stats.rounds);
             scream_obs::set_slot(schedule.length() as u64);
             scream_obs::counter_add("runtime.rounds", repeat);
             scream_obs::counter_add("runtime.rounds.executed", 1);
             scream_obs::counter_add("runtime.claims", claims * repeat);
-            if round.stats.vetoes > 0 {
-                scream_obs::counter_add("runtime.vetoes", round.stats.vetoes * repeat);
+            if round.vetoes > 0 {
+                scream_obs::counter_add("runtime.vetoes", round.vetoes * repeat);
             }
             if sim.channel_bits > 0 {
                 scream_obs::counter_add(
@@ -260,58 +247,23 @@ impl DistributedScheduler {
             scream_obs::event("runtime.round", [("claims", claims), ("repeat", repeat)]);
         }
 
-        total.stats.terminated = remaining.iter().all(|&r| r == 0);
+        stats.terminated = remaining.iter().all(|&r| r == 0);
         Ok(DistributedRun {
             kind: self.kind,
             schedule,
-            timing: total.timing,
+            timing: ProtocolTiming {
+                scream_slots: stats.scream_invocations.saturating_mul(k),
+                handshake_slots: stats.handshake_steps,
+                sync_steps: stats.sync_steps,
+            },
             slot_timing,
-            stats: total.stats,
+            stats,
         })
     }
 }
 
-/// The synchronized steps and counters charged by a stretch of protocol
-/// execution — one round, or the whole run.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    timing: ProtocolTiming,
-    stats: RunStats,
-}
-
-impl Tally {
-    /// Charges `round` `repeat` times.
-    fn add_repeated(&mut self, round: &Tally, repeat: u64) {
-        let ProtocolTiming {
-            scream_slots,
-            handshake_slots,
-            sync_steps,
-        } = round.timing;
-        self.timing.scream_slots += scream_slots * repeat;
-        self.timing.handshake_slots += handshake_slots * repeat;
-        self.timing.sync_steps += sync_steps * repeat;
-        let RunStats {
-            rounds,
-            slot_iterations,
-            elections,
-            scream_invocations,
-            handshake_steps,
-            vetoes,
-            tried_transitions,
-            terminated: _,
-        } = round.stats;
-        self.stats.rounds += rounds * repeat;
-        self.stats.slot_iterations += slot_iterations * repeat;
-        self.stats.elections += elections * repeat;
-        self.stats.scream_invocations += scream_invocations * repeat;
-        self.stats.handshake_steps += handshake_steps * repeat;
-        self.stats.vetoes += vetoes * repeat;
-        self.stats.tried_transitions += tried_transitions * repeat;
-    }
-}
-
 /// What one run carries from round to round besides the remaining demand:
-/// the channel, the activation randomness and the buffers every round reuses
+/// the activation randomness and the buffers every round reuses
 /// (cleared, never reallocated).
 ///
 /// Of the per-node states of Figure 1 only dormancy is tracked: the
@@ -320,7 +272,6 @@ impl Tally {
 /// rest — nothing in the protocol reads them apart.
 struct Simulation<'a> {
     kind: ProtocolKind,
-    channel: ScreamChannel,
     id_bits: u64,
     channel_count: usize,
     channel_bits: u64,
@@ -341,42 +292,35 @@ struct Simulation<'a> {
 }
 
 impl Simulation<'_> {
-    /// One SCREAM in which exactly `screamers` (ascending ids) scream,
-    /// charged to `tally`: whether anyone did, as every node learns it.
-    fn scream(&self, screamers: &[NodeId], tally: &mut Tally) -> bool {
-        tally.stats.scream_invocations += 1;
-        self.channel.any_screams(screamers, &mut tally.timing)
-    }
-
-    /// One SCREAM in which only `node` may scream, and does iff `var`.
-    fn scream_from(&self, node: NodeId, var: bool, tally: &mut Tally) -> bool {
-        self.scream(var.then_some(node).as_slice(), tally)
+    /// A full leader election among the dormant nodes, counted as its
+    /// `id_bits` SCREAMs: the highest id wins (Section III-B), which with
+    /// every OR exact is the list's last id.
+    fn elect(&self, stats: &mut RunStats) -> Option<NodeId> {
+        stats.elections += 1;
+        stats.scream_invocations += self.id_bits;
+        self.dormant.last().copied()
     }
 
     /// Control hand-over: a full election among the nodes with pending
     /// demand (completed nodes participate passively), then termination
     /// detection — the winner, if any, screams; if the OR comes back false,
     /// every node learns that no demand is left.
-    fn elect_controller(&mut self, remaining: &[u64], tally: &mut Tally) -> Option<Link> {
-        tally.timing.add_sync_step();
+    fn elect_controller(&mut self, remaining: &[u64], stats: &mut RunStats) -> Option<Link> {
+        stats.sync_steps += 1;
         self.dormant.clear();
         self.dormant.extend(pending(remaining));
-        let winner =
-            LeaderElection::new().elect_among(&self.channel, &self.dormant, &mut tally.timing);
-        tally.stats.elections += 1;
-        tally.stats.scream_invocations += self.id_bits;
-        let elected = winner.and_then(|w| self.link_of[w.index()]);
+        let elected = self.elect(stats).and_then(|w| self.link_of[w.index()]);
 
-        tally.timing.add_sync_step();
-        let any_controller = self.scream(elected.map(|link| link.head).as_slice(), tally);
+        stats.sync_steps += 1;
+        let any_controller = scream(stats, elected.is_some());
         elected.filter(|_| any_controller)
     }
 
     /// `GreedyScheduleSlot`: constructs one round's slot around the
     /// controller's edge and seals it, returning the pattern and what the
     /// round charged up to the seal.
-    fn build_round(&mut self, ctrl: Link, remaining: &[u64]) -> (SlotPattern, Tally) {
-        let mut round = Tally::default();
+    fn build_round(&mut self, ctrl: Link, remaining: &[u64]) -> (SlotPattern, RunStats) {
+        let mut round = RunStats::default();
         self.dormant.clear();
         self.dormant
             .extend(pending(remaining).filter(|&node| node != ctrl.head));
@@ -386,30 +330,21 @@ impl Simulation<'_> {
         self.ledger.assign(ChannelId::ZERO, ctrl);
 
         loop {
-            round.stats.slot_iterations += 1;
+            round.slot_iterations += 1;
 
             // SelectActive: the only place the three protocol variants
             // differ. The activated nodes leave DORMANT.
             self.select_active(&mut round);
 
             // Handshake time step: every CONTROL/ALLOCATED/ACTIVE edge
-            // performs its two-way handshake concurrently. The
-            // channel-assignment phase first-fits each tentative edge
-            // into the cheapest channel whose handshake survives —
-            // per-channel SINR against the scheduled edges and the other
-            // tentatives, plus the half-duplex screen across channels
-            // (one radio per node); a channel whose scheduled edges are
-            // disturbed vetoes its sub-phase and admits no claim. The
-            // phase spans one handshake sub-slot per channel — its
-            // sub-phase structure is fixed in advance, since a one-radio
-            // node cannot probe two channels at once and nobody can know
-            // globally that claims resolved early — so the iteration is
-            // charged C handshake slots, exactly one at C = 1.
-            round.timing.add_sync_step();
-            for _ in 0..self.channel_count {
-                round.timing.add_handshake_slot();
-            }
-            round.stats.handshake_steps += self.channel_count as u64;
+            // performs its two-way handshake concurrently, each tentative
+            // edge first-fitting into the cheapest channel it survives on
+            // (a channel whose scheduled edges are disturbed admits no
+            // claim). The phase is one sub-slot per channel, fixed in
+            // advance — a one-radio node cannot probe two channels at once
+            // — so the iteration counts C handshake steps.
+            round.sync_steps += 1;
+            round.handshake_steps += self.channel_count as u64;
             let probe = self.ledger.probe_claims(&self.actives);
 
             // Verification time step: previously scheduled edges hold
@@ -417,23 +352,23 @@ impl Simulation<'_> {
             // channel, it SCREAMs; the claims of a vetoed channel have
             // already withdrawn. The veto travels by SCREAM: one
             // network-wide OR either way.
-            round.timing.add_sync_step();
-            if self.scream_from(ctrl.head, !probe.existing_ok, &mut round) {
-                round.stats.vetoes += 1;
+            round.sync_steps += 1;
+            if scream(&mut round, !probe.existing_ok) {
+                round.vetoes += 1;
             }
             // A claimed edge is ALLOCATED, the rest are TRIED until the next
             // round.
             for (&link, claim) in self.actives.iter().zip(&probe.assignments) {
                 match claim {
                     Some(claimed) => self.ledger.assign(*claimed, link),
-                    None => round.stats.tried_transitions += 1,
+                    None => round.tried_transitions += 1,
                 }
             }
 
             // stillActives check: dormant nodes scream so that everyone
             // learns whether another iteration is needed.
-            round.timing.add_sync_step();
-            if !self.scream(&self.dormant, &mut round) {
+            round.sync_steps += 1;
+            if !scream(&mut round, !self.dormant.is_empty()) {
                 break;
             }
         }
@@ -445,15 +380,10 @@ impl Simulation<'_> {
         let pattern = SlotPattern::from_entries(self.ledger.assignments());
         // Because the handshake outcome is local physics, every claim — the
         // controller's included — announces its channel: `⌈log₂ C⌉` SCREAM
-        // invocations of `K` slots each, mirroring the per-bit cost of the
-        // elections. Nothing at C = 1: the single shared channel needs no
-        // announcement.
-        let announced = self.channel_bits * pattern.len() as u64;
-        round
-            .timing
-            .add_scream_slots(announced * self.channel.scream_slots() as u64);
-        round.stats.scream_invocations += announced;
-        round.stats.rounds = 1;
+        // invocations, mirroring the per-bit cost of the elections. Nothing
+        // at C = 1: the single shared channel needs no announcement.
+        round.scream_invocations += self.channel_bits * pattern.len() as u64;
+        round.rounds = 1;
         (pattern, round)
     }
 
@@ -463,7 +393,7 @@ impl Simulation<'_> {
     /// highest-id dormant node through a full leader election; AFDD announces
     /// the highest-id dormant node with a single SCREAM (see
     /// [`ProtocolKind::Afdd`]).
-    fn select_active(&mut self, round: &mut Tally) {
+    fn select_active(&mut self, round: &mut RunStats) {
         self.actives.clear();
         let highest = match self.kind {
             ProtocolKind::Pdd { probability } => {
@@ -489,21 +419,12 @@ impl Simulation<'_> {
                 );
                 return;
             }
-            ProtocolKind::Fdd => {
-                let winner = LeaderElection::new().elect_among(
-                    &self.channel,
-                    &self.dormant,
-                    &mut round.timing,
-                );
-                round.stats.elections += 1;
-                round.stats.scream_invocations += self.id_bits;
-                winner
-            }
+            ProtocolKind::Fdd => self.elect(round),
             ProtocolKind::Afdd => {
                 // One SCREAM announces whether any dormant node remains; the
                 // identity of the highest-id dormant node is known to all from
                 // cached candidate order (our interpretation of AFDD).
-                self.scream(&self.dormant, round);
+                scream(round, !self.dormant.is_empty());
                 self.dormant.last().copied()
             }
         };
@@ -514,6 +435,13 @@ impl Simulation<'_> {
             self.actives.extend(self.link_of[node.index()]);
         }
     }
+}
+
+/// One SCREAM, counted in `stats`: whether anyone screamed (`any`), as every
+/// node learns it — the OR is exact (module docs).
+fn scream(stats: &mut RunStats, any: bool) -> bool {
+    stats.scream_invocations += 1;
+    any
 }
 
 /// The nodes with pending demand, in ascending id order.
@@ -547,11 +475,7 @@ fn per_node_links(demands: &LinkDemands) -> Result<(Vec<Option<Link>>, Vec<u64>)
 /// orthogonal channels it claimed: `⌈log₂ C⌉`, i.e. zero on the single shared
 /// channel.
 fn channel_announcement_bits(channels: usize) -> u64 {
-    if channels <= 1 {
-        0
-    } else {
-        (channels - 1).ilog2() as u64 + 1
-    }
+    channels.next_power_of_two().trailing_zeros().into()
 }
 
 /// The result of one distributed scheduling run.
@@ -604,6 +528,7 @@ impl DistributedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::election::LeaderElection;
     use scream_netsim::{ClockSkewConfig, PropagationModel, RadioEnvironment};
     use scream_scheduling::{verify_schedule, EdgeOrdering, GreedyPhysical};
     use scream_topology::{
@@ -884,6 +809,32 @@ mod tests {
             .run(&env, &ld)
             .unwrap_err();
         assert!(matches!(err, ProtocolError::ScreamSlotsTooSmall { .. }));
+    }
+
+    #[test]
+    fn a_hostile_scream_length_saturates_instead_of_overflowing() {
+        // K = usize::MAX passes the K ≥ ID(G_S) check, so every product and
+        // sum involving it must saturate — in a debug build too.
+        let (_, env, ld) = grid_instance(3, 150.0, 1);
+        let config = ProtocolConfig::paper_default().with_scream_slots(usize::MAX);
+        for scheduler in [
+            DistributedScheduler::fdd(),
+            DistributedScheduler::afdd(),
+            DistributedScheduler::pdd(0.6).unwrap(),
+        ] {
+            let run = scheduler.with_config(config).run(&env, &ld).unwrap();
+            assert!(run.stats.terminated && run.stats.rounds > 0);
+            assert_eq!(run.timing.scream_slots, u64::MAX);
+            assert_eq!(run.execution_time(), SimTime::from_nanos(u64::MAX));
+        }
+        let channel = ScreamChannel::new(&env, &config).unwrap();
+        let mut timing = ProtocolTiming::new();
+        let flags = vec![true; env.node_count()];
+        channel.network_or(&flags, &mut timing).unwrap();
+        channel.network_or(&flags, &mut timing).unwrap();
+        let winner = LeaderElection::new().elect(&channel, &flags, &mut timing);
+        assert_eq!(winner, Ok(Some(NodeId::new(8))));
+        assert_eq!(timing.scream_slots, u64::MAX);
     }
 
     #[test]

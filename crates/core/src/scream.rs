@@ -20,15 +20,15 @@
 //! its own gains and judges this closed form against it.
 
 use scream_netsim::{ProtocolTiming, RadioEnvironment};
-use scream_topology::NodeId;
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 
 /// A configured SCREAM channel: how many slots each invocation runs for
 /// (`K`), checked against the interference diameter of the environment it
-/// was built for. Every slot it executes is accounted into a
-/// [`ProtocolTiming`] tally.
+/// was built for. [`network_or`](Self::network_or) charges the `K` slots of
+/// each invocation to a [`ProtocolTiming`]; the distributed runtime counts
+/// its invocations instead and derives the slots at the end of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScreamChannel {
     scream_slots: usize,
@@ -99,14 +99,6 @@ impl ScreamChannel {
         timing.add_scream_slots(self.scream_slots as u64);
         Ok(vec![initial.contains(&true); self.node_count])
     }
-
-    /// One invocation in which exactly the nodes of `screamers` scream:
-    /// whether anyone did, as every node learns it, charged like
-    /// [`network_or`](Self::network_or).
-    pub(crate) fn any_screams(&self, screamers: &[NodeId], timing: &mut ProtocolTiming) -> bool {
-        timing.add_scream_slots(self.scream_slots as u64);
-        !screamers.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -163,30 +155,6 @@ mod tests {
             Ok(vec![true; 5])
         );
         assert_eq!(ch.network_or(&[false; 5], &mut t), Ok(vec![false; 5]));
-    }
-
-    #[test]
-    fn the_id_list_form_reads_what_the_flag_form_floods() {
-        // Every single screamer, nobody and everybody: the id-list OR equals
-        // node 0's view of the per-node OR and charges the same K slots.
-        let env = line_env(7, 140.0);
-        let config = ProtocolConfig::paper_default().with_scream_slots(env.interference_diameter());
-        let ch = ScreamChannel::new(&env, &config).unwrap();
-        let mut lists: Vec<Vec<NodeId>> = (0..7).map(|i| vec![NodeId::new(i)]).collect();
-        lists.push(Vec::new());
-        lists.push((0..7).map(NodeId::new).collect());
-        for screamers in lists {
-            let mut flags = vec![false; 7];
-            for s in &screamers {
-                flags[s.index()] = true;
-            }
-            let (mut by_flags, mut by_ids) = (timing(), timing());
-            let views = ch.network_or(&flags, &mut by_flags).unwrap();
-            let heard = ch.any_screams(&screamers, &mut by_ids);
-            assert_eq!(heard, views[0], "screamers {screamers:?}");
-            assert_eq!(heard, !screamers.is_empty());
-            assert_eq!(by_ids, by_flags);
-        }
     }
 
     #[test]

@@ -2,13 +2,29 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Counters describing how a PDD/FDD/AFDD run unfolded.
+/// Counters describing how a PDD/FDD/AFDD run unfolded: the run's one tally.
 ///
-/// These are the quantities behind the complexity analysis of Theorem 5 and
-/// the execution-time figures (Figures 8 and 9): the wall-clock cost of a run
-/// is fully determined by the number of SCREAM slots, handshake steps and
-/// synchronization barriers it executed, which in turn are determined by the
-/// counters recorded here.
+/// They determine the complexity of Theorem 5 and the execution time of
+/// Figures 8 and 9: the runtime derives the run's
+/// [`ProtocolTiming`](scream_netsim::ProtocolTiming) from them once, at the
+/// end — `K` slots per SCREAM invocation, one handshake slot per handshake
+/// step, one barrier per sync step.
+///
+/// # Cost laws
+///
+/// With `C` channels, `h = elections − [FDD]·slot_iterations` hand-over
+/// elections (the last, empty one included), `id_bits = ⌈log₂ n⌉` and
+/// `transmissions` the schedule's `(slot, link)` allocations:
+///
+/// ```text
+/// handshake_steps    = C·slot_iterations
+/// sync_steps         = 2h + 3·slot_iterations + rounds
+/// scream_invocations = h·(id_bits + 1) + rounds + 2·slot_iterations
+///                      + [FDD]·id_bits·slot_iterations + [AFDD]·slot_iterations
+///                      + ⌈log₂ C⌉·transmissions
+/// ```
+///
+/// `tests/properties.rs` states them independently of the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RunStats {
     /// Number of rounds executed (one slot is sealed per round).
@@ -21,8 +37,13 @@ pub struct RunStats {
     pub elections: u64,
     /// Number of SCREAM-primitive invocations of any kind.
     pub scream_invocations: u64,
-    /// Number of two-way handshake time steps executed.
+    /// Number of two-way handshake time steps executed (one sub-slot per
+    /// channel in every iteration).
     pub handshake_steps: u64,
+    /// Number of `GlobalSync()` barriers executed outside SCREAM slots: two
+    /// per hand-over election, three per iteration (handshake, verification,
+    /// still-active check) and one per round (the control-release check).
+    pub sync_steps: u64,
     /// Number of iterations in which a previously scheduled edge vetoed the
     /// tentative active set.
     pub vetoes: u64,
@@ -44,6 +65,29 @@ impl RunStats {
         } else {
             self.tried_transitions as f64 / attempts as f64
         }
+    }
+
+    /// Charges `round` `repeat` times.
+    pub(crate) fn add_repeated(&mut self, round: &RunStats, repeat: u64) {
+        let RunStats {
+            rounds,
+            slot_iterations,
+            elections,
+            scream_invocations,
+            handshake_steps,
+            sync_steps,
+            vetoes,
+            tried_transitions,
+            terminated: _,
+        } = *round;
+        self.rounds += rounds * repeat;
+        self.slot_iterations += slot_iterations * repeat;
+        self.elections += elections * repeat;
+        self.scream_invocations += scream_invocations * repeat;
+        self.handshake_steps += handshake_steps * repeat;
+        self.sync_steps += sync_steps * repeat;
+        self.vetoes += vetoes * repeat;
+        self.tried_transitions += tried_transitions * repeat;
     }
 
     /// Lower bound on the number of successful allocations: every round

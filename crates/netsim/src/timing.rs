@@ -56,12 +56,14 @@ impl SlotTiming {
     }
 }
 
-/// Running tally of synchronized protocol steps, convertible to wall-clock
+/// Counts of synchronized protocol steps, convertible to wall-clock
 /// execution time.
 ///
-/// The distributed runtime increments these counters as it executes; the
-/// figure-reproduction harness then reads off the execution time exactly the
-/// way the paper reports it.
+/// The distributed runtime derives these counts from its run statistics at
+/// the end of a run; the figure-reproduction harness then reads off the
+/// execution time exactly the way the paper reports it. Every sum and product
+/// saturates, so a hostile SCREAM length `K` caps the time instead of
+/// overflowing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ProtocolTiming {
     /// Number of SCREAM slots executed (every node participates in each).
@@ -80,29 +82,26 @@ impl ProtocolTiming {
 
     /// Records `count` SCREAM slots.
     pub fn add_scream_slots(&mut self, count: u64) {
-        self.scream_slots += count;
-    }
-
-    /// Records one handshake step.
-    pub fn add_handshake_slot(&mut self) {
-        self.handshake_slots += 1;
-    }
-
-    /// Records one global synchronization barrier.
-    pub fn add_sync_step(&mut self) {
-        self.sync_steps += 1;
+        self.scream_slots = self.scream_slots.saturating_add(count);
     }
 
     /// Total number of synchronized steps of any kind.
     pub fn total_steps(&self) -> u64 {
-        self.scream_slots + self.handshake_slots + self.sync_steps
+        self.scream_slots
+            .saturating_add(self.handshake_slots)
+            .saturating_add(self.sync_steps)
     }
 
     /// Wall-clock execution time under the given slot timing.
     pub fn execution_time(&self, timing: &SlotTiming) -> SimTime {
-        timing.scream_slot.saturating_mul(self.scream_slots)
-            + timing.handshake_slot.saturating_mul(self.handshake_slots)
-            + timing.sync_overhead.saturating_mul(self.sync_steps)
+        let nanos = [
+            timing.scream_slot.saturating_mul(self.scream_slots),
+            timing.handshake_slot.saturating_mul(self.handshake_slots),
+            timing.sync_overhead.saturating_mul(self.sync_steps),
+        ]
+        .iter()
+        .fold(0u64, |sum, part| sum.saturating_add(part.as_nanos()));
+        SimTime::from_nanos(nanos)
     }
 }
 
@@ -149,11 +148,27 @@ mod tests {
         let mut p = ProtocolTiming::new();
         assert_eq!(p.execution_time(&t), SimTime::ZERO);
         p.add_scream_slots(10);
-        p.add_handshake_slot();
-        p.add_sync_step();
+        p.handshake_slots += 1;
+        p.sync_steps += 1;
         assert_eq!(p.total_steps(), 12);
         let expected = t.scream_slot * 10 + t.handshake_slot + t.sync_overhead;
         assert_eq!(p.execution_time(&t), expected);
+    }
+
+    #[test]
+    fn hostile_counts_saturate_instead_of_overflowing() {
+        let mut p = ProtocolTiming {
+            scream_slots: u64::MAX - 1,
+            handshake_slots: u64::MAX,
+            sync_steps: 1,
+        };
+        p.add_scream_slots(u64::MAX);
+        assert_eq!(p.scream_slots, u64::MAX);
+        assert_eq!(p.total_steps(), u64::MAX);
+        assert_eq!(
+            p.execution_time(&paper_timing()),
+            SimTime::from_nanos(u64::MAX)
+        );
     }
 
     #[test]

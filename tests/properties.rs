@@ -744,6 +744,87 @@ fn single_channel_runtime_reduction_is_exact() {
     });
 }
 
+/// The cost laws of a run, stated from the protocol text rather than read
+/// off the runtime's tally. With `C` channels and `h = elections −
+/// [FDD]·slot_iterations` hand-over elections (the last, empty one
+/// included): every iteration is `C` handshake sub-slots and three barriers
+/// (handshake, verification, still-active); every hand-over is an election
+/// plus a termination SCREAM behind two barriers; every round ends with a
+/// barrier and a release SCREAM; every iteration SCREAMs a veto and a
+/// still-active OR, plus an election under FDD or one announcement under
+/// AFDD; every allocation announces its channel in `⌈log₂ C⌉` SCREAMs. The
+/// execution-time counts are these, `K` slots per SCREAM.
+#[test]
+fn run_costs_follow_the_protocol_laws() {
+    let mut runs = 0;
+    for channels in [1u64, 2, 3] {
+        for seed in [1u64, 7, 11] {
+            let deployment = GridDeployment::new(5, 5, 150.0).build();
+            let env = RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .config(RadioConfig::mesh_default().with_channel_count(channels as usize))
+                .build(&deployment);
+            let gateways = deployment.corner_nodes();
+            let forest = RoutingForest::shortest_path(&env.communication_graph(), &gateways, seed)
+                .expect("the 5 × 5 grid is connected");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let vector = DemandVector::generate(25, DemandConfig::PAPER, &gateways, &mut rng);
+            let demands = LinkDemands::aggregate(&forest, &vector).expect("routes cover demand");
+            let k = env.interference_diameter().max(1);
+            let config = ProtocolConfig::paper_default()
+                .with_scream_slots(k)
+                .with_seed(seed);
+            let id_bits = u64::from(NodeId::id_bits(25));
+            let channel_bits = (0..).find(|&bits| 1 << bits >= channels).expect("C ≥ 1");
+            for scheduler in [
+                DistributedScheduler::fdd(),
+                DistributedScheduler::afdd(),
+                DistributedScheduler::pdd(0.3).expect("p is in (0, 1]"),
+                DistributedScheduler::pdd(0.8).expect("p is in (0, 1]"),
+            ] {
+                let run = scheduler
+                    .with_config(config)
+                    .run(&env, &demands)
+                    .expect("the runtime completes on the grid");
+                let s = run.stats;
+                assert!(s.terminated && s.rounds > 0);
+                let fdd = u64::from(matches!(run.kind, ProtocolKind::Fdd));
+                let afdd = u64::from(matches!(run.kind, ProtocolKind::Afdd));
+                let h = s.elections - fdd * s.slot_iterations;
+                assert!((1..=demands.demanded_links().count() as u64 + 1).contains(&h));
+                let case = format!("{:?}, C = {channels}, seed {seed}", run.kind);
+                assert_eq!(s.handshake_steps, channels * s.slot_iterations, "{case}");
+                assert_eq!(
+                    s.sync_steps,
+                    2 * h + 3 * s.slot_iterations + s.rounds,
+                    "{case}"
+                );
+                assert_eq!(
+                    s.scream_invocations,
+                    h * (id_bits + 1)
+                        + s.rounds
+                        + 2 * s.slot_iterations
+                        + fdd * id_bits * s.slot_iterations
+                        + afdd * s.slot_iterations
+                        + channel_bits * run.schedule.total_transmissions(),
+                    "{case}"
+                );
+                assert_eq!(
+                    run.timing,
+                    ProtocolTiming {
+                        scream_slots: s.scream_invocations * k as u64,
+                        handshake_slots: s.handshake_steps,
+                        sync_steps: s.sync_steps,
+                    },
+                    "{case}"
+                );
+                runs += 1;
+            }
+        }
+    }
+    assert_eq!(runs, 36);
+}
+
 /// The runtime's batched claim check — `probe_claims` on one channel — agrees
 /// with the oracle's per-participant handshakes on shadowed instances, even
 /// when links share endpoints (where the SINR interferer-exclusion rules
