@@ -168,7 +168,7 @@ impl RecoveryPoint {
             time_to_recover_slots: repaired.time_to_recover_slots,
             repairs: repaired.repairs.len(),
             incremental_repairs: repaired.incremental_repairs(),
-            disruption_peak_backlog: repaired.disruption_peak_backlog,
+            disruption_peak_backlog: repaired.totals.peak_backlog,
             deferred_flows: repaired.deferred_flows,
             stable: repaired.final_verdict_stable,
         }

@@ -94,9 +94,11 @@ impl ProtocolConfig {
         Ok(())
     }
 
-    /// The effective round limit for a given total demand.
+    /// The effective round limit for a given total demand (saturating: a
+    /// hostile demand gets the largest limit, not an overflow).
     pub(crate) fn round_limit(&self, total_demand: u64) -> u64 {
-        self.max_rounds.unwrap_or_else(|| 4 * total_demand.max(1))
+        self.max_rounds
+            .unwrap_or_else(|| total_demand.max(1).saturating_mul(4))
     }
 }
 

@@ -1,7 +1,5 @@
 //! Error types for the distributed protocols.
 
-use scream_topology::NodeId;
-
 /// Errors produced while configuring or running PDD/FDD.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -37,15 +35,6 @@ pub enum ProtocolError {
     },
     /// A protocol parameter is outside its valid range.
     InvalidParameter(String),
-    /// Two demanded links share a head node. The paper's model gives every
-    /// node exactly one owned uplink; the runtime keys its per-node demand
-    /// state by the owning head, so a shared head would silently alias two
-    /// links' demands onto one counter and drop traffic. The run refuses the
-    /// instance instead of corrupting state.
-    ConflictingLinkOwnership {
-        /// The node that owns more than one demanded link.
-        node: NodeId,
-    },
     /// The protocol would exceed its safety bound on rounds without having
     /// satisfied all demands (this indicates an infeasible instance, e.g. a
     /// demanded link that cannot meet the SINR threshold even alone). The
@@ -92,10 +81,6 @@ impl std::fmt::Display for ProtocolError {
                 "expected one entry per node ({nodes}), got {len}"
             ),
             ProtocolError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
-            ProtocolError::ConflictingLinkOwnership { node } => write!(
-                f,
-                "node {node} owns more than one demanded link; the model allows one uplink per node"
-            ),
             ProtocolError::RoundLimitExceeded {
                 limit,
                 rounds_executed,
@@ -139,12 +124,6 @@ mod tests {
             slots_built: 1000,
         };
         assert!(e.to_string().contains("1000") && e.to_string().contains('2'));
-
-        let e = ProtocolError::ConflictingLinkOwnership {
-            node: NodeId::new(7),
-        };
-        assert!(e.to_string().contains("n7"), "{e}");
-        assert!(e.to_string().contains("one uplink"), "{e}");
     }
 
     #[test]

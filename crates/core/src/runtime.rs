@@ -131,9 +131,6 @@ impl DistributedScheduler {
     ///
     /// * [`ProtocolError::NodeCountMismatch`] if the demand instance does not
     ///   cover the environment's nodes;
-    /// * [`ProtocolError::ConflictingLinkOwnership`] if two demanded links
-    ///   share a head node (each node owns at most one uplink in the paper's
-    ///   model; aliasing them would silently drop demand);
     /// * [`ProtocolError::ScreamSlotsTooSmall`] /
     ///   [`ProtocolError::DisconnectedSensitivityGraph`] if the SCREAM
     ///   precondition `K ≥ ID(G_S)` cannot be met;
@@ -156,7 +153,7 @@ impl DistributedScheduler {
         let k = ScreamChannel::new(env, &self.config)?.scream_slots() as u64;
         let n = env.node_count();
         let slot_timing = SlotTiming::derive(self.config.scream_bytes, self.config.clock_skew);
-        let (link_of, mut remaining) = per_node_links(demands)?;
+        let (link_of, mut remaining) = per_node_links(demands);
         let round_limit = self.config.round_limit(demands.total_demand());
         let channel_count = env.channel_count();
         let mut sim = Simulation {
@@ -181,11 +178,16 @@ impl DistributedScheduler {
                 Some(held) => held,
                 // A new controller must be elected among the nodes that still
                 // have pending demand; when nobody is left the algorithm
-                // terminates.
-                None => match sim.elect_controller(&remaining, &mut stats) {
-                    Some(elected) => elected,
-                    None => break,
-                },
+                // terminates. The hand-over is charged like a round, once.
+                None => {
+                    let mut handover = RunStats::default();
+                    let elected = sim.elect_controller(&remaining, &mut handover);
+                    stats.add_repeated(&handover, 1);
+                    match elected {
+                        Some(elected) => elected,
+                        None => break,
+                    }
+                }
             };
 
             // The round limit is checked before the round is constructed, so
@@ -234,14 +236,14 @@ impl DistributedScheduler {
             scream_obs::set_slot(schedule.length() as u64);
             scream_obs::counter_add("runtime.rounds", repeat);
             scream_obs::counter_add("runtime.rounds.executed", 1);
-            scream_obs::counter_add("runtime.claims", claims * repeat);
+            scream_obs::counter_add("runtime.claims", claims.saturating_mul(repeat));
             if round.vetoes > 0 {
-                scream_obs::counter_add("runtime.vetoes", round.vetoes * repeat);
+                scream_obs::counter_add("runtime.vetoes", round.vetoes.saturating_mul(repeat));
             }
             if sim.channel_bits > 0 {
                 scream_obs::counter_add(
                     "runtime.announcement_bits",
-                    sim.channel_bits * claims * repeat,
+                    (sim.channel_bits * claims).saturating_mul(repeat),
                 );
             }
             scream_obs::event("runtime.round", [("claims", claims), ("repeat", repeat)]);
@@ -452,23 +454,17 @@ fn pending(remaining: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
 }
 
 /// Builds the per-node view of the demand instance — the link each node owns
-/// and its remaining demand — rejecting instances where two demanded links
-/// share a head node: the paper's model is one owned uplink per node, and
-/// aliasing both links onto one counter would silently drop demand (while
-/// `stats.terminated` could still read true).
-fn per_node_links(demands: &LinkDemands) -> Result<(Vec<Option<Link>>, Vec<u64>), ProtocolError> {
+/// and its remaining demand. `LinkDemands` holds one owned link per head
+/// node, the paper's model, so no two links share an entry.
+fn per_node_links(demands: &LinkDemands) -> (Vec<Option<Link>>, Vec<u64>) {
     let n = demands.node_count();
     let mut link_of: Vec<Option<Link>> = vec![None; n];
     let mut remaining: Vec<u64> = vec![0; n];
     for (link, demand) in demands.demanded_links() {
-        let i = link.head.index();
-        if link_of[i].is_some() {
-            return Err(ProtocolError::ConflictingLinkOwnership { node: link.head });
-        }
-        link_of[i] = Some(link);
-        remaining[i] = demand;
+        link_of[link.head.index()] = Some(link);
+        remaining[link.head.index()] = demand;
     }
-    Ok((link_of, remaining))
+    (link_of, remaining)
 }
 
 /// Number of SCREAM bits an allocation spends announcing which of `channels`
@@ -907,32 +903,29 @@ mod tests {
         }
     }
 
+    /// A demand near `u64::MAX` saturates the run's counts instead of
+    /// overflowing them: one link on a 3-node line, sealed in one round that
+    /// FDD and AFDD replay `u64::MAX / 2` times. (PDD simulates every round,
+    /// so it would never finish this demand.)
     #[test]
-    fn conflicting_link_ownership_is_rejected_not_aliased() {
-        // Two demanded links sharing head node 1: the guarded constructor
-        // refuses the instance, and a runtime handed one anyway (via the
-        // unchecked constructor) must reject it instead of silently aliasing
-        // both demands onto one per-node counter and dropping traffic.
-        let d = GridDeployment::new(4, 1, 150.0).build();
+    fn a_hostile_demand_saturates_instead_of_overflowing() {
+        let d = GridDeployment::new(3, 1, 150.0).build();
         let env = RadioEnvironment::builder()
             .propagation(PropagationModel::log_distance(3.0))
             .build(&d);
-        let shared_head = [
-            (Link::new(NodeId::new(1), NodeId::new(0)), 2u64),
-            (Link::new(NodeId::new(1), NodeId::new(2)), 2),
-        ];
-        assert!(LinkDemands::from_links(4, &shared_head).is_err());
-        let ld = LinkDemands::from_links_unchecked(4, &shared_head).unwrap();
-        let err = DistributedScheduler::fdd()
-            .with_config(config_for(&env))
-            .run(&env, &ld)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ProtocolError::ConflictingLinkOwnership {
-                node: NodeId::new(1)
-            }
-        );
+        let demand = u64::MAX / 2;
+        let link = Link::new(NodeId::new(1), NodeId::new(0));
+        let ld = LinkDemands::from_links(3, &[(link, demand)]).unwrap();
+        for scheduler in [DistributedScheduler::fdd(), DistributedScheduler::afdd()] {
+            let run = scheduler
+                .with_config(config_for(&env))
+                .run(&env, &ld)
+                .unwrap();
+            assert_eq!(run.schedule.length() as u64, demand);
+            assert_eq!(run.stats.rounds, demand);
+            assert_eq!(run.stats.sync_steps, u64::MAX);
+            assert_eq!(run.timing.scream_slots, u64::MAX);
+        }
     }
 
     /// Builds a grid instance whose radio config provides `channels`

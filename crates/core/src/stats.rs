@@ -67,7 +67,8 @@ impl RunStats {
         }
     }
 
-    /// Charges `round` `repeat` times.
+    /// Charges `round` `repeat` times, saturating: a run whose demand is
+    /// near `u64::MAX` pins its counts at the maximum instead of wrapping.
     pub(crate) fn add_repeated(&mut self, round: &RunStats, repeat: u64) {
         let RunStats {
             rounds,
@@ -80,14 +81,17 @@ impl RunStats {
             tried_transitions,
             terminated: _,
         } = *round;
-        self.rounds += rounds * repeat;
-        self.slot_iterations += slot_iterations * repeat;
-        self.elections += elections * repeat;
-        self.scream_invocations += scream_invocations * repeat;
-        self.handshake_steps += handshake_steps * repeat;
-        self.sync_steps += sync_steps * repeat;
-        self.vetoes += vetoes * repeat;
-        self.tried_transitions += tried_transitions * repeat;
+        let charge = |total: &mut u64, count: u64| {
+            *total = total.saturating_add(count.saturating_mul(repeat));
+        };
+        charge(&mut self.rounds, rounds);
+        charge(&mut self.slot_iterations, slot_iterations);
+        charge(&mut self.elections, elections);
+        charge(&mut self.scream_invocations, scream_invocations);
+        charge(&mut self.handshake_steps, handshake_steps);
+        charge(&mut self.sync_steps, sync_steps);
+        charge(&mut self.vetoes, vetoes);
+        charge(&mut self.tried_transitions, tried_transitions);
     }
 
     /// Lower bound on the number of successful allocations: every round

@@ -142,67 +142,14 @@ impl FaultPlan {
         seed: u64,
     ) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let horizon = config.horizon_slots;
-        let window_start = horizon / 5;
-        let window_end = (horizon * 4) / 5;
-        let outage_window = |rng: &mut ChaCha8Rng| {
-            let down = rng.gen_range(window_start..window_end.max(window_start + 1));
-            let length = exponential(rng, config.mean_outage_slots).max(1.0) as u64;
-            (down, down.saturating_add(length))
-        };
-        for _ in 0..config.link_failures {
-            if links.is_empty() {
-                break;
-            }
-            let link = links[rng.gen_range(0..links.len())];
-            let (down, up) = outage_window(&mut rng);
-            self.events.push(FaultEvent {
-                slot: down,
-                kind: FaultKind::LinkDown(link),
-            });
-            if up < horizon {
-                self.events.push(FaultEvent {
-                    slot: up,
-                    kind: FaultKind::LinkUp(link),
-                });
-            }
-        }
-        for _ in 0..config.node_failures {
-            if nodes.is_empty() {
-                break;
-            }
-            let node = nodes[rng.gen_range(0..nodes.len())];
-            let (down, up) = outage_window(&mut rng);
-            self.events.push(FaultEvent {
-                slot: down,
-                kind: FaultKind::NodeDown(node),
-            });
-            if up < horizon {
-                self.events.push(FaultEvent {
-                    slot: up,
-                    kind: FaultKind::NodeUp(node),
-                });
-            }
-        }
-        for _ in 0..config.flow_churns {
-            if nodes.is_empty() {
-                break;
-            }
-            let node = nodes[rng.gen_range(0..nodes.len())];
-            let (stop, start) = outage_window(&mut rng);
-            self.events.push(FaultEvent {
-                slot: stop,
-                kind: FaultKind::FlowStop(node),
-            });
-            if start < horizon {
-                self.events.push(FaultEvent {
-                    slot: start,
-                    kind: FaultKind::FlowStart(node),
-                });
-            }
-        }
+        let (down, up) = (FaultKind::LinkDown, FaultKind::LinkUp);
+        self.push_outages(&mut rng, &config, config.link_failures, links, down, up);
+        let (down, up) = (FaultKind::NodeDown, FaultKind::NodeUp);
+        self.push_outages(&mut rng, &config, config.node_failures, nodes, down, up);
+        let (down, up) = (FaultKind::FlowStop, FaultKind::FlowStart);
+        self.push_outages(&mut rng, &config, config.flow_churns, nodes, down, up);
         for _ in 0..config.fades {
-            let slot = rng.gen_range(window_start..window_end.max(window_start + 1));
+            let slot = rng.gen_range(start_window(config.horizon_slots));
             let fade_seed = rng.gen_range(0..u64::MAX);
             self.events.push(FaultEvent {
                 slot,
@@ -215,10 +162,51 @@ impl FaultPlan {
         self
     }
 
+    /// Appends `count` outages drawn from `candidates`: for each, the
+    /// candidate, then the start (uniform in the [`start_window`]), then the
+    /// exponential length. An outage ending past the horizon is permanent.
+    fn push_outages<T: Copy>(
+        &mut self,
+        rng: &mut ChaCha8Rng,
+        config: &ChurnConfig,
+        count: usize,
+        candidates: &[T],
+        down: impl Fn(T) -> FaultKind,
+        up: impl Fn(T) -> FaultKind,
+    ) {
+        if candidates.is_empty() {
+            return;
+        }
+        for _ in 0..count {
+            let candidate = candidates[rng.gen_range(0..candidates.len())];
+            let start = rng.gen_range(start_window(config.horizon_slots));
+            let length = exponential(rng, config.mean_outage_slots).max(1.0) as u64;
+            let end = start.saturating_add(length);
+            self.events.push(FaultEvent {
+                slot: start,
+                kind: down(candidate),
+            });
+            if end < config.horizon_slots {
+                self.events.push(FaultEvent {
+                    slot: end,
+                    kind: up(candidate),
+                });
+            }
+        }
+    }
+
     /// Finalizes the plan into a slot-ordered trace.
     pub fn build(self) -> ChurnTrace {
         ChurnTrace::new(self.events)
     }
+}
+
+/// The slots random churn starts outages and fades in: the middle 60% of
+/// the horizon, never empty (computed in `u128`, so no horizon overflows).
+fn start_window(horizon: u64) -> std::ops::Range<u64> {
+    let start = horizon / 5;
+    let end = (u128::from(horizon) * 4 / 5) as u64;
+    start..end.max(start + 1)
 }
 
 /// `Exp(mean)`-distributed draw in slots.
@@ -282,6 +270,28 @@ mod tests {
                 event.kind
             {
                 assert!((200..800).contains(&event.slot), "outages start mid-run");
+            }
+        }
+    }
+
+    #[test]
+    fn a_horizon_near_u64_max_draws_in_its_window() {
+        let config = ChurnConfig {
+            horizon_slots: u64::MAX,
+            link_failures: 1,
+            node_failures: 0,
+            flow_churns: 0,
+            fades: 1,
+            mean_outage_slots: 1.0,
+            fade_sigma_db: 4.0,
+        };
+        let trace = FaultPlan::new()
+            .random_churn(config, &[link(1, 0)], &[], 5)
+            .build();
+        assert_eq!(trace.events().len(), 3, "outage, repair and fade");
+        for e in trace.events() {
+            if !matches!(e.kind, FaultKind::LinkUp(_)) {
+                assert!((u64::MAX / 5..u64::MAX / 5 * 4).contains(&e.slot));
             }
         }
     }

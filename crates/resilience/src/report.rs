@@ -6,7 +6,9 @@ use serde::Serialize;
 use scream_scheduling::RepairOutcome;
 use scream_traffic::SessionTotals;
 
-/// Traffic measurements of one epoch.
+/// Traffic measurements of one epoch: the difference of the session's
+/// [`SessionTotals`] at the epoch's two ends. Every packet is counted once,
+/// so `injected + backlog_start == delivered + dropped + backlog_end`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EpochMetrics {
     /// Epoch index (0-based).
@@ -19,10 +21,13 @@ pub struct EpochMetrics {
     pub injected: u64,
     /// Packets delivered during the epoch.
     pub delivered: u64,
-    /// Packets dropped during the epoch (lost routes, unrescuable strands).
+    /// Packets dropped during the epoch: lost routes at a live hop, and
+    /// the strands a rescue pass could not re-home, counted in the epoch
+    /// their fault batch opens.
     pub dropped: u64,
     /// In-flight packets when the epoch started (the previous epoch's
-    /// `backlog_end`; 0 for epoch 0).
+    /// `backlog_end`; 0 for epoch 0), read before the rescue pass of a fault
+    /// batch on the epoch's first slot.
     pub backlog_start: u64,
     /// In-flight packets when the epoch ended.
     pub backlog_end: u64,
@@ -66,15 +71,17 @@ pub struct ResilienceReport {
     /// Every rescheduling action, in order.
     pub repairs: Vec<RepairRecord>,
     /// Cumulative session counters (injected / delivered / dropped /
-    /// rescued / in-flight / peak backlog).
+    /// rescued / in-flight / peak backlog — the disruption cost of the
+    /// outage plus any frame-swap churn). The epochs partition them:
+    /// their `injected`, `delivered` and `dropped` sum to these.
     pub totals: SessionTotals,
     /// The slot of the first injected fault, if the trace was non-empty.
     pub first_fault_slot: Option<u64>,
     /// Slots from the first fault until sustained recovery: the first epoch
-    /// boundary after which every remaining epoch dropped nothing, kept a
-    /// Stable analytic verdict, and held its backlog inside the pre-fault
-    /// band (outage strands fully drained). `None` if the run never
-    /// recovered (or saw no fault).
+    /// boundary after which every remaining epoch dropped nothing (rescue
+    /// drops included), kept a Stable analytic verdict, and held its
+    /// backlog inside the pre-fault band (outage strands fully drained).
+    /// `None` if the run never recovered (or saw no fault).
     pub time_to_recover_slots: Option<u64>,
     /// Delivery percentage over the outage window (first fault to recovery,
     /// or to the horizon when the run never recovered).
@@ -82,9 +89,6 @@ pub struct ResilienceReport {
     /// Delivery percentage over the epochs after recovery (100 if the run
     /// ends at the recovery point).
     pub post_recovery_delivery_pct: f64,
-    /// Peak in-flight backlog over the whole run — the disruption cost of
-    /// the outage plus any frame-swap churn.
-    pub disruption_peak_backlog: u64,
     /// Flows the admission controller was holding paused at the horizon.
     pub deferred_flows: usize,
     /// Whether the analytic verdict at the horizon was Stable.

@@ -23,8 +23,11 @@
 //!    verdict is Overloaded, defer (pause) the highest-rate source crossing
 //!    a bottleneck link — deferred sources are re-admitted at the next
 //!    reschedule if capacity has returned;
-//! 5. report per-epoch traffic, every repair taken, and the headline
-//!    graceful-degradation metrics ([`ResilienceReport`]).
+//! 5. at each epoch boundary, read the session's cumulative
+//!    [`SessionTotals`]: an epoch is the difference of the readings at its
+//!    two ends, so the packets a rescue drops between segments count in the
+//!    epoch their fault batch opens; report the epochs, every repair taken,
+//!    and the headline graceful-degradation metrics ([`ResilienceReport`]).
 //!
 //! Under [`ReschedulerConfig::baseline`] the harness is the **no-repair
 //! baseline**: faults still strand packets and kill service, but nothing
@@ -46,7 +49,7 @@ use scream_topology::{
     DemandVector, Graph, Link, LinkDemands, NodeId, RoutingForest, TopologyError,
 };
 use scream_traffic::{
-    ArrivalProcess, ForwardingTable, SegmentReport, Source, StabilityVerdict, TrafficConfig,
+    ArrivalProcess, ForwardingTable, SessionTotals, Source, StabilityVerdict, TrafficConfig,
     TrafficError, TrafficSession,
 };
 
@@ -208,7 +211,7 @@ impl ResilienceHarness {
             .iter()
             .filter(|e| e.slot < horizon_slots)
             .peekable();
-        let mut epoch = EpochAccumulator::new(0, state.session.totals().in_flight);
+        let mut opened = (0u64, state.session.totals());
         let mut epochs: Vec<EpochMetrics> = Vec::new();
         let mut now = 0u64;
         while now < horizon_slots {
@@ -230,11 +233,11 @@ impl ResilienceHarness {
             let next_fault = events.peek().map(|e| e.slot).unwrap_or(horizon_slots);
             let next_epoch = ((now / epoch_slots) + 1) * epoch_slots;
             let target = next_fault.min(next_epoch).min(horizon_slots);
-            let segment = state.session.advance(target - now);
-            epoch.add(&segment);
+            state.session.advance(target - now);
             now = target;
             if now.is_multiple_of(epoch_slots) || now == horizon_slots {
-                let metrics = epoch.flush(&state, now);
+                let closed = (now, state.session.totals());
+                let metrics = epoch_metrics(opened, closed, epoch_slots, state.stable);
                 scream_obs::set_epoch(metrics.epoch);
                 scream_obs::counter_add("resilience.epochs", 1);
                 scream_obs::event(
@@ -247,7 +250,7 @@ impl ResilienceHarness {
                     ],
                 );
                 epochs.push(metrics);
-                epoch = EpochAccumulator::new(now, state.session.totals().in_flight);
+                opened = closed;
             }
         }
 
@@ -255,60 +258,33 @@ impl ResilienceHarness {
     }
 }
 
-/// Running per-epoch counters between flushes.
-struct EpochAccumulator {
-    start_slot: u64,
-    /// Packets in flight when the epoch opened. Delivered packets either
-    /// arrived this epoch or were part of this carry-in, so
-    /// `delivered <= injected + backlog_start` and the delivery percentage
-    /// is mathematically <= 100.
-    backlog_start: u64,
-    injected: u64,
-    delivered: u64,
-    dropped: u64,
-}
-
-impl EpochAccumulator {
-    fn new(start_slot: u64, backlog_start: u64) -> Self {
-        Self {
-            start_slot,
-            backlog_start,
-            injected: 0,
-            delivered: 0,
-            dropped: 0,
-        }
-    }
-
-    fn add(&mut self, segment: &SegmentReport) {
-        self.injected += segment.injected;
-        self.delivered += segment.delivered;
-        self.dropped += segment.dropped;
-    }
-
-    fn flush(&self, state: &RunState, end_slot: u64) -> EpochMetrics {
-        // Delivered packets are charged against what could possibly be
-        // delivered this epoch: fresh injections plus the carried-in
-        // backlog. Charging injections alone over-counts while a backlog
-        // drains (the pre-fix committed recovery_post_delivery_pct of
-        // 100.4 was exactly that artifact).
-        let deliverable = self.injected + self.backlog_start;
-        let delivery_pct = if deliverable == 0 {
-            100.0
-        } else {
-            self.delivered as f64 / deliverable as f64 * 100.0
-        };
-        EpochMetrics {
-            epoch: self.start_slot / state.frame_slots_initial,
-            start_slot: self.start_slot,
-            end_slot,
-            injected: self.injected,
-            delivered: self.delivered,
-            dropped: self.dropped,
-            backlog_start: self.backlog_start,
-            backlog_end: state.session.totals().in_flight,
-            delivery_pct,
-            stable: state.stable,
-        }
+/// The epoch between two `(slot, totals)` readings of the session.
+fn epoch_metrics(
+    (start_slot, start): (u64, SessionTotals),
+    (end_slot, end): (u64, SessionTotals),
+    epoch_slots: u64,
+    stable: bool,
+) -> EpochMetrics {
+    let injected = end.injected - start.injected;
+    let delivered = end.delivered - start.delivered;
+    // Charging injections alone would read above 100 while a backlog drains.
+    let deliverable = injected + start.in_flight;
+    let delivery_pct = if deliverable == 0 {
+        100.0
+    } else {
+        delivered as f64 / deliverable as f64 * 100.0
+    };
+    EpochMetrics {
+        epoch: start_slot / epoch_slots,
+        start_slot,
+        end_slot,
+        injected,
+        delivered,
+        dropped: end.dropped - start.dropped,
+        backlog_start: start.in_flight,
+        backlog_end: end.in_flight,
+        delivery_pct,
+        stable,
     }
 }
 
@@ -344,10 +320,10 @@ impl RunState {
     fn start(harness: &ResilienceHarness, seed: u64) -> Result<Self, ResilienceError> {
         let env = harness.env.clone();
         let graph = env.communication_graph();
-        let (forest, _) = RoutingForest::shortest_path_partial(&graph, &harness.gateways, seed)?;
         let dead_nodes = vec![false; graph.node_count()];
-        let demands = effective_demands(&harness.demands, &forest, &dead_nodes);
-        let link_demands = LinkDemands::aggregate(&forest, &demands)?;
+        let demands = &harness.demands;
+        let (forest, _, link_demands) =
+            route(&graph, &harness.gateways, seed, demands, |_, _| true)?;
         let schedule = GreedyPhysical::paper_baseline().schedule(&env, &link_demands);
         let frame_slots = schedule.length() as u64;
         if frame_slots == 0 {
@@ -459,15 +435,14 @@ impl RunState {
     /// and swaps both into the live session.
     fn reschedule(&mut self, slot: u64) -> Result<(), ResilienceError> {
         scream_obs::counter_add("resilience.reschedules", 1);
-        let (forest, cut) = RoutingForest::shortest_path_masked(
+        let (forest, cut, link_demands) = route(
             &self.graph,
             &self.gateways,
             self.route_seed,
+            &self.base_demands,
             |u, v| self.is_up(Link::new(u, v)),
         )?;
         self.cut_off = cut.into_iter().collect();
-        let demands = effective_demands(&self.base_demands, &forest, &self.dead_nodes);
-        let link_demands = LinkDemands::aggregate(&forest, &demands)?;
         if link_demands.total_demand() == 0 {
             // Everything is dead or cut off; keep the old frame (nothing can
             // route anyway) and let the pause-state sync silence the sources.
@@ -647,17 +622,15 @@ impl RunState {
             None => (100.0, window_pct(0, horizon_slots)),
         };
 
-        let totals = self.session.totals();
         ResilienceReport {
             frame_slots_initial: self.frame_slots_initial,
             epochs,
             repairs: self.repairs,
-            totals,
+            totals: self.session.totals(),
             first_fault_slot,
             time_to_recover_slots,
             outage_delivery_pct,
             post_recovery_delivery_pct,
-            disruption_peak_backlog: totals.peak_backlog,
             deferred_flows: self.deferred.len(),
             final_verdict_stable: self.stable,
         }
@@ -677,23 +650,30 @@ fn incident_links(graph: &Graph, node: NodeId) -> impl Iterator<Item = Link> + '
     graph.neighbors(node).iter().map(canonical)
 }
 
-/// `base` with dead and unreachable nodes zeroed; `base` has one entry per
-/// node.
-fn effective_demands(
+/// The routing step of a run's start and of every reschedule: the routing
+/// forest over the links `is_up` admits, the nodes it cuts off, and the link
+/// demands it aggregates from `base` (one entry per node) with cut-off nodes
+/// zeroed. A dead node is cut off — the mask admits none of its links — or a
+/// gateway, whose own demand rides no link.
+fn route(
+    graph: &Graph,
+    gateways: &[NodeId],
+    seed: u64,
     base: &DemandVector,
-    forest: &RoutingForest,
-    dead_nodes: &[bool],
-) -> DemandVector {
-    DemandVector::from_vec(
-        (0..base.len() as u32)
-            .map(|i| {
-                let v = NodeId::new(i);
-                if dead_nodes[v.index()] || !forest.is_reachable(v) {
-                    0
-                } else {
-                    base.demand(v)
-                }
-            })
-            .collect(),
-    )
+    is_up: impl Fn(NodeId, NodeId) -> bool,
+) -> Result<(RoutingForest, Vec<NodeId>, LinkDemands), ResilienceError> {
+    let (forest, cut) = RoutingForest::shortest_path_masked(graph, gateways, seed, is_up)?;
+    let demands = (0..base.len() as u32)
+        .map(NodeId::new)
+        .map(|v| {
+            if forest.is_reachable(v) {
+                base.demand(v)
+            } else {
+                0
+            }
+        })
+        .collect();
+    let demands = DemandVector::from_vec(demands);
+    let link_demands = LinkDemands::aggregate(&forest, &demands)?;
+    Ok((forest, cut, link_demands))
 }

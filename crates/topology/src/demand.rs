@@ -158,40 +158,6 @@ impl LinkDemands {
         node_count: usize,
         link_demands: &[(Link, u64)],
     ) -> Result<Self, TopologyError> {
-        Self::build_from_links(node_count, link_demands, true)
-    }
-
-    /// Like [`from_links`](Self::from_links) but *without* the unique-owner
-    /// guard: links sharing a head node are all kept, and the shared
-    /// aggregated entry holds the last demand written (the representation
-    /// stores one demand per owning head, so distinct demands on a shared
-    /// head cannot be expressed).
-    ///
-    /// Such an instance violates the paper's one-uplink-per-node model; this
-    /// constructor exists so downstream defensive checks — the distributed
-    /// runtime's `ConflictingLinkOwnership` rejection — can be exercised, and
-    /// for experiments that feed deliberately malformed instances to the
-    /// verifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::UnknownNode`] if a link endpoint is out of
-    /// range.
-    pub fn from_links_unchecked(
-        node_count: usize,
-        link_demands: &[(Link, u64)],
-    ) -> Result<Self, TopologyError> {
-        Self::build_from_links(node_count, link_demands, false)
-    }
-
-    /// Shared body of [`from_links`](Self::from_links) and
-    /// [`from_links_unchecked`](Self::from_links_unchecked); the two differ
-    /// only in whether the unique-owner guard is enforced.
-    fn build_from_links(
-        node_count: usize,
-        link_demands: &[(Link, u64)],
-        enforce_unique_owner: bool,
-    ) -> Result<Self, TopologyError> {
         let mut aggregated = vec![0u64; node_count];
         let mut links = Vec::with_capacity(link_demands.len());
         for &(link, demand) in link_demands {
@@ -205,7 +171,7 @@ impl LinkDemands {
                     node_count,
                 });
             }
-            if enforce_unique_owner && aggregated[link.head.index()] != 0 {
+            if aggregated[link.head.index()] != 0 {
                 return Err(TopologyError::InvalidParameter(format!(
                     "node {} owns more than one link",
                     link.head
@@ -424,28 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn from_links_unchecked_admits_shared_heads() {
-        // The guarded constructor rejects the shared head; the unchecked one
-        // keeps both links (the runtime's ConflictingLinkOwnership check is
-        // the consumer-side defense this enables testing).
-        let l1 = Link::new(NodeId::new(1), NodeId::new(0));
-        let l2 = Link::new(NodeId::new(1), NodeId::new(2));
-        assert!(LinkDemands::from_links(3, &[(l1, 5), (l2, 2)]).is_err());
-        let ld = LinkDemands::from_links_unchecked(3, &[(l1, 5), (l2, 2)]).unwrap();
-        assert_eq!(ld.links().len(), 2);
-        // One demand cell per owning head: the last write wins for both.
-        assert_eq!(ld.demand_of_link(l1), Some(2));
-        assert_eq!(ld.demand_of_link(l2), Some(2));
-        assert_eq!(ld.demanded_links().count(), 2);
-        // Out-of-range endpoints are still rejected.
-        let bad = Link::new(NodeId::new(9), NodeId::new(0));
-        assert!(matches!(
-            LinkDemands::from_links_unchecked(3, &[(bad, 1)]),
-            Err(TopologyError::UnknownNode { .. })
-        ));
-    }
-
-    #[test]
     fn zero_demand_links_are_dropped() {
         let l1 = Link::new(NodeId::new(1), NodeId::new(0));
         let l2 = Link::new(NodeId::new(2), NodeId::new(0));
@@ -481,11 +425,11 @@ mod tests {
         );
         check(&agg);
 
-        // Unsorted input with a shared head (1 -> 2 and 1 -> 0).
+        // Unsorted input; 1 -> 0 is no link although node 1 owns 1 -> 2.
         let l = |h, t| Link::new(NodeId::new(h), NodeId::new(t));
-        let raw = [(l(5, 4), 1), (l(1, 2), 3), (l(3, 0), 4), (l(1, 0), 2)];
-        let unchecked = LinkDemands::from_links_unchecked(6, &raw).unwrap();
-        assert_eq!(unchecked.demand_of_link(l(1, 3)), None);
-        check(&unchecked);
+        let raw = [(l(5, 4), 1), (l(1, 2), 3), (l(3, 0), 4), (l(2, 0), 2)];
+        let listed = LinkDemands::from_links(6, &raw).unwrap();
+        assert_eq!(listed.demand_of_link(l(1, 0)), None);
+        check(&listed);
     }
 }

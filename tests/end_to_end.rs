@@ -385,8 +385,13 @@ fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
     // Captured at ae1eebc, the last commit where `TrafficSession` was a
     // simulator of its own: 11 reschedules (fail / reroute / repair / swap /
     // rescue / pause) over 45 epochs, so every session mutator is on
-    // the path to these numbers. The repairs and the epoch digest were
-    // captured at the last commit that routed over a pruned graph copy.
+    // the path to these numbers. The repairs were captured at the last
+    // commit that routed over a pruned graph copy, and so was the epoch
+    // digest but for one field: epoch 32 (slots 4288–4422, holding the
+    // repair at 4408) now counts the 8 packets a rescue pass drops in it,
+    // which it read as 0 while epochs re-summed segment reports. So the no-drop
+    // suffix starts at epoch 33 (slot 4422, not 2412) and the recovery
+    // time and both delivery windows were re-captured with it.
     let (harness, trace) = seeded_churn_world();
     let report = harness.run(&trace, 6000, 9).unwrap();
     assert_eq!(
@@ -405,7 +410,7 @@ fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
             (5369, true, 142, 148, 33, 39),
         ]
     );
-    assert_eq!(epochs_digest(&report.epochs), 0xd902_7933_12aa_f6de);
+    assert_eq!(epochs_digest(&report.epochs), 0xe201_859e_b2cd_5da6);
     assert_eq!(
         report.totals,
         SessionTotals {
@@ -424,11 +429,11 @@ fn a_seeded_churn_run_is_identical_to_the_parent_commit() {
     );
     assert_eq!((report.epochs.len(), report.deferred_flows), (45, 0));
     assert_eq!(report.frame_slots_initial, 134);
-    assert_eq!(report.time_to_recover_slots, Some(1022));
-    assert_eq!(report.outage_delivery_pct.to_bits(), 0x4055_4afa_fafa_fafb);
+    assert_eq!(report.time_to_recover_slots, Some(3032));
+    assert_eq!(report.outage_delivery_pct.to_bits(), 0x4058_2384_0d59_25a9);
     assert_eq!(
         report.post_recovery_delivery_pct.to_bits(),
-        0x4058_184d_703e_9c1d
+        0x4057_2279_981b_f3e3
     );
 }
 

@@ -170,7 +170,11 @@ fn churn_tracing_is_deterministic() {
 /// - one `resilience.epochs` per flushed epoch, horizon remainder included;
 /// - `traffic.rescued` is the report's `totals.rescued`;
 /// - a frame is swapped only with a repair record, so `traffic.frame_swaps`
-///   is at most `report.repairs.len()` (a record may change routes only).
+///   is at most `report.repairs.len()` (a record may change routes only);
+/// - every epoch conserves packets, `injected + backlog_start == delivered +
+///   dropped + backlog_end`, and the epochs' drops are the run's:
+///   `Σ dropped == totals.dropped == traffic.dropped +
+///   traffic.rescue_dropped`, rescue drops included (the runs drop some).
 ///
 /// Each trace carries a three-event batch on one slot, a flow stop alone
 /// on another (a reschedule that changes neither frame nor routes) and
@@ -201,7 +205,7 @@ fn the_recovery_loop_counters_obey_their_laws() {
         fade_sigma_db: 4.0,
     };
     let horizon = 2_400;
-    let (mut rescued, mut unchanged_reschedules) = (0, 0);
+    let (mut rescued, mut rescue_dropped, mut unchanged_reschedules) = (0, 0, 0);
     for seed in 0..4u64 {
         let i = seed as usize;
         let trace = FaultPlan::new()
@@ -251,11 +255,28 @@ fn the_recovery_loop_counters_obey_their_laws() {
             assert_eq!(counter("resilience.epochs"), report.epochs.len() as u64);
             assert_eq!(counter("traffic.rescued"), report.totals.rescued);
             assert!(counter("traffic.frame_swaps") <= report.repairs.len() as u64);
+            for e in &report.epochs {
+                assert_eq!(
+                    e.injected + e.backlog_start,
+                    e.delivered + e.dropped + e.backlog_end,
+                    "seed {seed}, epoch {}",
+                    e.epoch
+                );
+            }
+            let epoch_drops: u64 = report.epochs.iter().map(|e| e.dropped).sum();
+            assert_eq!(epoch_drops, report.totals.dropped, "seed {seed}");
+            assert_eq!(
+                report.totals.dropped,
+                counter("traffic.dropped") + counter("traffic.rescue_dropped"),
+                "seed {seed}"
+            );
             rescued += report.totals.rescued;
+            rescue_dropped += counter("traffic.rescue_dropped");
             unchanged_reschedules += reschedules - report.repairs.len() as u64;
         }
     }
     assert!(rescued > 0, "no packet was ever rescued");
+    assert!(rescue_dropped > 0, "no rescue pass ever dropped a packet");
     assert!(
         unchanged_reschedules > 0,
         "every reschedule changed the frame or the routes"
