@@ -7,11 +7,7 @@
 //!
 //! Determinism: events scheduled for the same instant are delivered in the
 //! order they were scheduled (FIFO per timestamp), so a run is fully
-//! reproducible from its inputs. "Scheduled" means the moment the event's
-//! sequence number was taken: [`EventQueue::reserve`] takes one ahead of
-//! time and [`EventQueue::schedule_reserved`] enters the event under it
-//! later, at a time no earlier than the clock. A reserved sequence is
-//! scheduled at most once.
+//! reproducible from its inputs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,11 +52,12 @@ impl<E: Eq> PartialOrd for ScheduledEvent<E> {
 /// q.schedule(SimTime::from_millis(2), "second");
 /// q.schedule(SimTime::from_millis(1), "first");
 /// assert_eq!(q.pop().unwrap().event, "first");
-/// assert_eq!(q.now(), SimTime::from_millis(1));
+/// assert_eq!(q.pop().unwrap().time, SimTime::from_millis(2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E: Eq> {
     heap: BinaryHeap<Reverse<ScheduledEvent<E>>>,
+    /// The timestamp of the last delivered event.
     now: SimTime,
     next_sequence: u64,
 }
@@ -75,60 +72,20 @@ impl<E: Eq> EventQueue<E> {
         }
     }
 
-    /// Current simulated time: the timestamp of the last delivered event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events waiting in the queue.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules an event at an absolute time: [`reserve`](Self::reserve)
-    /// followed by [`schedule_reserved`](Self::schedule_reserved).
+    /// Schedules an event at an absolute time.
     ///
     /// # Panics
     ///
     /// Panics if the time is in the past (before the last delivered event),
     /// which would violate causality.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let sequence = self.reserve();
-        self.schedule_reserved(time, sequence, event);
-    }
-
-    /// Takes the next sequence number without scheduling anything, so an
-    /// event can be ordered now and entered later. Events at the same instant
-    /// leave in sequence order, so a reserved event ties exactly as if it
-    /// had been scheduled at the moment of the reservation.
-    pub fn reserve(&mut self) -> u64 {
-        let sequence = self.next_sequence;
-        self.next_sequence += 1;
-        sequence
-    }
-
-    /// Schedules an event under a sequence number taken earlier with
-    /// [`reserve`](Self::reserve).
-    ///
-    /// The caller keeps the contract: each reserved sequence is scheduled at
-    /// most once, and before its `(time, sequence)` key could be the
-    /// smallest in the queue — then the pop order is the one scheduling it
-    /// at the reservation would have given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the time is in the past, as [`schedule`](Self::schedule).
-    pub fn schedule_reserved(&mut self, time: SimTime, sequence: u64, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule an event at {time} when the clock is already at {}",
             self.now
         );
+        let sequence = self.next_sequence;
+        self.next_sequence += 1;
         self.heap.push(Reverse(ScheduledEvent {
             time,
             sequence,
@@ -136,32 +93,11 @@ impl<E: Eq> EventQueue<E> {
         }));
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Removes and returns the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let Reverse(event) = self.heap.pop()?;
         self.now = event.time;
         Some(event)
-    }
-
-    /// Drains and delivers events to `handler` until the queue is empty or
-    /// the clock passes `until`. The handler can schedule further events
-    /// through the mutable reference it receives.
-    pub fn run_until<F>(&mut self, until: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Self, ScheduledEvent<E>),
-    {
-        let mut count = 0;
-        while self.peek_time().is_some_and(|t| t <= until) {
-            let Some(ev) = self.pop() else { break };
-            handler(self, ev);
-            count += 1;
-        }
-        count
     }
 }
 
@@ -183,8 +119,8 @@ mod tests {
         q.schedule(SimTime::from_millis(3), 3u32);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, vec![1, 3, 5]);
-        assert_eq!(q.now(), SimTime::from_millis(5));
-        assert!(q.is_empty());
+        assert_eq!(q.now, SimTime::from_millis(5));
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -198,19 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn a_reserved_event_ties_as_if_scheduled_at_its_reservation() {
-        let mut q = EventQueue::new();
-        let early = q.reserve();
-        q.schedule(SimTime::from_millis(2), "scheduled after the reservation");
-        q.schedule(SimTime::from_millis(1), "first");
-        assert_eq!(q.pop().unwrap().event, "first");
-        // Entered after the clock moved, but keyed by its reservation.
-        q.schedule_reserved(SimTime::from_millis(2), early, "reserved");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, ["reserved", "scheduled after the reservation"]);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -220,25 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_the_horizon_and_allows_rescheduling() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), 0u32);
-        // Each event re-schedules itself 1 ms later; running until 10 ms must
-        // deliver exactly 10 events.
-        let delivered = q.run_until(SimTime::from_millis(10), |q, ev| {
-            q.schedule(q.now() + SimTime::from_millis(1), ev.event + 1);
-        });
-        assert_eq!(delivered, 10);
-        assert_eq!(q.now(), SimTime::from_millis(10));
-        assert_eq!(q.len(), 1, "one future event remains beyond the horizon");
-    }
-
-    #[test]
     fn empty_queue_reports_empty() {
-        let q: EventQueue<()> = EventQueue::default();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.peek_time(), None);
+        let mut q: EventQueue<()> = EventQueue::default();
+        assert!(q.pop().is_none());
+        assert_eq!(q.now, SimTime::ZERO);
     }
 
     mod properties {
@@ -258,7 +166,7 @@ mod tests {
             let mut next_id = 0u32;
             let mut delivered = Vec::new();
             for &(batch, delay, pops) in steps {
-                let at = q.now() + SimTime::from_millis(u64::from(delay % 8));
+                let at = q.now + SimTime::from_millis(u64::from(delay % 8));
                 for _ in 0..batch % 4 {
                     q.schedule(at, next_id);
                     next_id += 1;

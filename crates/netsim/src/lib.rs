@@ -18,8 +18,9 @@
 //!   the node pairs;
 //! * **clocks** — per-node bounded clock skew and the guard times the
 //!   protocol implementations use to compensate for it (Section VI-C);
-//! * **discrete-event engine** — a small deterministic event queue used by
-//!   the mote experiment simulation and available for packet-level studies.
+//! * **discrete-event engine** — a small deterministic event queue, the
+//!   mote experiment's clock (the traffic engine keeps a slot calendar of
+//!   its own).
 //!
 //! # Example: building a radio environment and checking a slot
 //!

@@ -6,8 +6,7 @@
 //! (centralized GreedyPhysical, distributed FDD/PDD/AFDD, the serialized
 //! baseline — anything), treats it as an endlessly repeating TDMA frame,
 //! and drives multi-hop packet [flows](FlowSet) through per-link FIFO
-//! queues on the deterministic discrete-event engine of
-//! `scream_netsim::des`:
+//! queues, event by event, on a slot calendar of its own:
 //!
 //! * **flows** follow routing-forest routes (one per mesh node, ending at
 //!   its gateway) or arbitrary explicit routes, with deterministic, Poisson

@@ -684,7 +684,7 @@ mod tests {
     #[test]
     fn advance_saturates_at_the_end_of_the_slot_clock() {
         let (frame, table) = path_setup();
-        let mut s = session(&frame, table, 0.25, 5);
+        let mut s = session(&frame, table.clone(), 0.25, 5);
         s.pause_source(NodeId::new(3));
         s.advance(10);
         // Nothing queued and nothing arriving: the segment is empty, and its
@@ -692,6 +692,51 @@ mod tests {
         let rest = s.advance(u64::MAX);
         assert_eq!((rest.start_slot, rest.end_slot), (10, u64::MAX));
         assert_eq!(s.now_slot(), u64::MAX);
+        assert_eq!(s.advance(1).end_slot, u64::MAX);
+
+        // With 1-ns slots the slot clock and the time clock end together.
+        // Node 2's one arrival falls about 4 096 slots before the end, and
+        // packets stranded on a dead link are booked again from 1 000 slots
+        // before it, so the pending events sit within one event-calendar
+        // window of `u64::MAX`.
+        let far = 1.0 / (u64::MAX - 4_096) as f64;
+        let sources = [
+            (3, ArrivalProcess::deterministic(0.25)),
+            (2, ArrivalProcess::deterministic(far)),
+        ]
+        .map(|(node, arrival)| Source {
+            node: NodeId::new(node),
+            arrival,
+        });
+        let config = TrafficConfig::new(1).with_slot_duration(SimTime::from_nanos(1));
+        let mut s = TrafficSession::new(
+            FrameService::from_schedule(&frame),
+            sources.to_vec(),
+            table,
+            config,
+        )
+        .unwrap();
+        s.advance(10);
+        s.fail_link(link(1, 0));
+        s.advance(20);
+        s.pause_source(NodeId::new(3));
+        let stranded = s.advance(u64::MAX - 1_030);
+        assert_eq!(stranded.end_slot, u64::MAX - 1_000);
+        assert_eq!((stranded.injected, stranded.delivered), (1, 0));
+        let queued = s.totals().in_flight;
+        assert_eq!(queued, 7);
+        assert_eq!(
+            s.sim.links.get(link(1, 0)).map(|q| q.queue.len()),
+            Some(queued as usize)
+        );
+        s.restore_link(link(1, 0));
+        let last = s.advance(u64::MAX);
+        assert_eq!(
+            (last.start_slot, last.end_slot),
+            (u64::MAX - 1_000, u64::MAX)
+        );
+        assert_eq!((last.injected, last.delivered), (0, queued));
+        assert_eq!(s.totals().in_flight, 0);
         assert_eq!(s.advance(1).end_slot, u64::MAX);
     }
 

@@ -45,11 +45,25 @@
 //! instant pops, so a forwarded packet joins the next queue ahead of a
 //! same-instant arrival booked later, and its own departure falls at least
 //! one slot on (it is ready only for the slot after the instant). So the
-//! event queue holds at most one
-//! departure per registered link plus one arrival per source, whatever the
-//! backlog, and a run costs O(packet-hops · log(links + sources)) plus
-//! O(log #windows) per hop — whatever the frame's slot count, so an idle
-//! million-slot frame is as cheap as an idle ten-slot one.
+//! event queue holds at most one departure per registered link plus one
+//! arrival per source, whatever the backlog.
+//!
+//! The event queue is a slot [`Calendar`] with one entry (a *leaf*) per
+//! source and per link, keyed `(time, sequence)` in one `u128`. A pending
+//! leaf hangs in the bucket of its slot on a ring of [`RING_SLOTS`]
+//! buckets — an intrusive list threaded through the leaves, with one
+//! occupancy bit per bucket — or, when it is a ring or more ahead, in an
+//! overflow min-heap that it leaves once, when the window reaches it. The
+//! slot being drained is sorted once and popped from its end; the rare
+//! event booked into that slot (an arrival inside it, or the second
+//! departure of a link served on two channels) is inserted in sorted
+//! position. So an event costs O(1) amortized, plus the sort of its slot,
+//! when it falls within `RING_SLOTS` slots, and O(log n) beyond, and a hop
+//! adds O(log #windows) for its service slot. Storage is the leaves, a
+//! `RING_SLOTS`-entry ring and the overflow, never a structure per slot:
+//! the window jumps straight to the next occupied bucket or to the
+//! overflow's minimum, so an idle million-slot frame costs no more than an
+//! idle ten-slot one.
 //!
 //! # Segments
 //!
@@ -67,13 +81,15 @@
 //! # Determinism
 //!
 //! Source `i` draws from its own ChaCha stream seeded `seed + i · φ`, the
-//! event queue breaks timestamp ties in scheduling order (the contract
-//! `des.rs` pins), and no wall-clock value enters, so the same inputs
-//! reproduce the same measurements bit for bit.
+//! calendar breaks timestamp ties in booking order (its property test holds
+//! every pop to a sorted `(time, sequence)` reference), and no wall-clock
+//! value enters, so the same inputs reproduce the same measurements bit for
+//! bit.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
-use scream_netsim::{EventQueue, SimTime};
+use scream_netsim::SimTime;
 use scream_scheduling::{FrameService, ServicePos};
 use scream_topology::Link;
 
@@ -199,6 +215,208 @@ enum Event {
     Departure { link: u32 },
 }
 
+/// Slots the calendar's ring spans. An event booked fewer slots ahead of
+/// the slot being drained goes straight into its bucket; one booked further
+/// ahead waits in the overflow heap until the window reaches it.
+const RING_SLOTS: usize = 1024;
+
+/// The end of a bucket's list.
+const NIL: u32 = u32::MAX;
+
+/// The pending events of a segment, popped in `(time, sequence)` order
+/// (module docs, § Event structure).
+///
+/// Each source owns one leaf, its next arrival, and each registered link
+/// one, its head's departure; a pending leaf sits in exactly one of
+/// `current` (the slot being drained), a ring bucket (the next
+/// [`RING_SLOTS`] slots) or `overflow` (later). A key is the event's
+/// instant in the high 64 bits and its sequence number in the low 64.
+#[derive(Debug)]
+struct Calendar {
+    /// Leaves `..sources` are arrivals, leaf `sources + l` is link `l`'s
+    /// departure.
+    sources: u32,
+    slot_ns: u64,
+    /// Each leaf's key while it waits in a bucket.
+    keys: Vec<u128>,
+    /// The next leaf in the same bucket, or [`NIL`].
+    next: Vec<u32>,
+    /// The first leaf of each bucket; slot `s` hangs in bucket
+    /// `s % RING_SLOTS`.
+    heads: Box<[u32]>,
+    /// One bit per non-empty bucket.
+    occupied: [u64; RING_SLOTS / 64],
+    /// The slot being drained; the ring covers `base .. base + RING_SLOTS`.
+    base: u64,
+    /// Whether slot `base` has left its bucket for `current`.
+    open: bool,
+    /// The pending `(key, leaf)`s of slot `base`, by descending key.
+    current: Vec<(u128, u32)>,
+    /// The `(key, leaf)`s `RING_SLOTS` or more slots past `base`.
+    overflow: BinaryHeap<Reverse<(u128, u32)>>,
+    /// The instant of the last popped event ([`SimTime::ZERO`] before the
+    /// segment's first).
+    now: SimTime,
+    next_sequence: u64,
+    /// The number of pending events.
+    len: usize,
+}
+
+impl Calendar {
+    fn new(sources: usize, slot_ns: u64) -> Self {
+        Self {
+            sources: sources as u32,
+            slot_ns,
+            keys: vec![0; sources],
+            next: vec![NIL; sources],
+            heads: vec![NIL; RING_SLOTS].into_boxed_slice(),
+            occupied: [0; RING_SLOTS / 64],
+            base: 0,
+            open: false,
+            current: Vec::new(),
+            overflow: BinaryHeap::new(),
+            now: SimTime::ZERO,
+            next_sequence: 0,
+            len: 0,
+        }
+    }
+
+    /// Starts a segment at `start` on a drained calendar: the window
+    /// opens there, and the clock and the sequence numbers restart at 0.
+    fn restart(&mut self, start: SimTime) {
+        debug_assert_eq!(self.len, 0, "a segment drains its calendar");
+        self.base = start.as_nanos() / self.slot_ns;
+        self.open = false;
+        self.now = SimTime::ZERO;
+        self.next_sequence = 0;
+    }
+
+    /// Takes the next sequence number, so an event can be ordered now and
+    /// entered later: it then ties as if it had been entered now.
+    fn reserve(&mut self) -> u64 {
+        let sequence = self.next_sequence;
+        self.next_sequence += 1;
+        sequence
+    }
+
+    /// Enters `event` at `at` under a fresh sequence number.
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        let sequence = self.reserve();
+        self.schedule_reserved(at, sequence, event);
+    }
+
+    /// Enters `event` at `at` under a sequence number taken earlier with
+    /// [`reserve`](Self::reserve). Its leaf must not be pending, and its key
+    /// must not be below the last popped one.
+    fn schedule_reserved(&mut self, at: SimTime, sequence: u64, event: Event) {
+        let leaf = match event {
+            Event::Arrival { source } => source,
+            Event::Departure { link } => self.sources + link,
+        };
+        if leaf as usize >= self.keys.len() {
+            // A link registered since the leaves were last grown.
+            self.keys.resize(leaf as usize + 1, 0);
+            self.next.resize(leaf as usize + 1, NIL);
+        }
+        let key = (u128::from(at.as_nanos()) << 64) | u128::from(sequence);
+        let slot = self.slot_of(key);
+        if slot == self.base && self.open {
+            // Rare: an arrival inside the slot being drained, or a second
+            // departure from a slot that serves the link on two channels.
+            let i = self.current.partition_point(|&(k, _)| k > key);
+            self.current.insert(i, (key, leaf));
+        } else if slot - self.base < RING_SLOTS as u64 {
+            self.hang(slot, key, leaf);
+        } else {
+            self.overflow.push(Reverse((key, leaf)));
+        }
+        self.len += 1;
+    }
+
+    /// Removes and returns the earliest pending event, advancing the clock
+    /// to its instant.
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        if self.current.is_empty() && !self.open_next() {
+            return None;
+        }
+        let (key, leaf) = self.current.pop()?;
+        self.len -= 1;
+        self.now = SimTime::from_nanos((key >> 64) as u64);
+        let event = match leaf.checked_sub(self.sources) {
+            None => Event::Arrival { source: leaf },
+            Some(link) => Event::Departure { link },
+        };
+        Some((self.now, event))
+    }
+
+    /// The slot holding `key`'s instant, or `base` if that is earlier.
+    fn slot_of(&self, key: u128) -> u64 {
+        ((key >> 64) as u64 / self.slot_ns).max(self.base)
+    }
+
+    /// Hangs `leaf` in the bucket of `slot`, inside the window.
+    fn hang(&mut self, slot: u64, key: u128, leaf: u32) {
+        let bucket = (slot % RING_SLOTS as u64) as usize;
+        self.keys[leaf as usize] = key;
+        self.next[leaf as usize] = self.heads[bucket];
+        self.heads[bucket] = leaf;
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
+    }
+
+    /// The earliest slot of the window whose bucket holds a leaf.
+    fn next_occupied(&self) -> Option<u64> {
+        const WORDS: usize = RING_SLOTS / 64;
+        let start = (self.base % RING_SLOTS as u64) as usize;
+        let (word, bit) = (start / 64, start % 64);
+        // `start`'s word from `start` on, the other words in ring order,
+        // then `start`'s word below `start`.
+        (0..=WORDS).find_map(|i| {
+            let w = (word + i) % WORDS;
+            let bits = match i {
+                0 => self.occupied[w] & (!0 << bit),
+                WORDS => self.occupied[w] & !(!0 << bit),
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| {
+                let bucket = w * 64 + bits.trailing_zeros() as usize;
+                self.base + ((bucket + RING_SLOTS - start) % RING_SLOTS) as u64
+            })
+        })
+    }
+
+    /// Opens the earliest slot holding an event: the window moves there,
+    /// refills from the overflow, and the slot's bucket is sorted into
+    /// `current`. `false` when nothing is pending.
+    fn open_next(&mut self) -> bool {
+        let Some(slot) = self.next_occupied().or_else(|| {
+            self.overflow
+                .peek()
+                .map(|&Reverse((key, _))| self.slot_of(key))
+        }) else {
+            return false;
+        };
+        self.base = slot;
+        self.open = true;
+        while let Some(&Reverse((key, leaf))) = self.overflow.peek() {
+            let slot = self.slot_of(key);
+            if slot - self.base >= RING_SLOTS as u64 {
+                break;
+            }
+            self.overflow.pop();
+            self.hang(slot, key, leaf);
+        }
+        let bucket = (slot % RING_SLOTS as u64) as usize;
+        self.occupied[bucket / 64] &= !(1 << (bucket % 64));
+        let mut leaf = std::mem::replace(&mut self.heads[bucket], NIL);
+        while leaf != NIL {
+            self.current.push((self.keys[leaf as usize], leaf));
+            leaf = self.next[leaf as usize];
+        }
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
+        true
+    }
+}
+
 /// One simulation's state between segments. The frame is passed to
 /// [`advance`](Self::advance) by the front end that owns it.
 #[derive(Debug)]
@@ -215,6 +433,8 @@ pub(crate) struct Sim<R: Router> {
     slot_duration: SimTime,
     slot_ns: u64,
     pub(crate) totals: SessionTotals,
+    /// The segment's pending events; empty between segments.
+    events: Calendar,
     /// Delay of every delivered packet, in nanoseconds; each finished
     /// segment's stretch is sorted.
     delays_ns: Vec<u64>,
@@ -242,6 +462,7 @@ impl<R: Router> Sim<R> {
             links,
             pending_arrival: vec![None; samplers.len()],
             paused: vec![false; samplers.len()],
+            events: Calendar::new(samplers.len(), config.slot_duration.as_nanos()),
             samplers,
             frame_epoch: 0,
             now_slot: 0,
@@ -325,7 +546,6 @@ impl<R: Router> Sim<R> {
     fn book_departure(
         &mut self,
         frame: &FrameService,
-        events: &mut EventQueue<Event>,
         end: SimTime,
         link: u32,
         ready: u64,
@@ -334,7 +554,7 @@ impl<R: Router> Sim<R> {
         let at = self.slot_duration.saturating_mul(slot + 1);
         (at <= end).then(|| Due {
             at,
-            seq: events.reserve(),
+            seq: self.events.reserve(),
         })
     }
 
@@ -343,7 +563,6 @@ impl<R: Router> Sim<R> {
     fn enqueue(
         &mut self,
         frame: &FrameService,
-        events: &mut EventQueue<Event>,
         end: SimTime,
         link: u32,
         mut packet: Packet<R::Tag>,
@@ -351,15 +570,15 @@ impl<R: Router> Sim<R> {
     ) {
         // Ready for the slot starting at or after `now`.
         let ready = now.as_nanos().div_ceil(self.slot_ns);
-        packet.due = self.book_departure(frame, events, end, link, ready);
+        packet.due = self.book_departure(frame, end, link, ready);
         let queue = &mut self.links.queues[link as usize].queue;
         if queue.is_empty() {
-            schedule_departure(events, link, packet.due);
+            schedule_departure(&mut self.events, link, packet.due);
         }
         queue.push_back(packet);
     }
 
-    fn arm_arrival(&mut self, events: &mut EventQueue<Event>, end: SimTime, source: u32) {
+    fn arm_arrival(&mut self, end: SimTime, source: u32) {
         let i = source as usize;
         let slots = match self.pending_arrival[i] {
             Some(slots) => slots,
@@ -371,18 +590,12 @@ impl<R: Router> Sim<R> {
         };
         let at = SimTime::from_nanos((slots * self.slot_ns as f64).round() as u64);
         if at < end {
-            events.schedule(at.max(events.now()), Event::Arrival { source });
+            let at = at.max(self.events.now);
+            self.events.schedule(at, Event::Arrival { source });
         }
     }
 
-    fn handle(
-        &mut self,
-        frame: &FrameService,
-        events: &mut EventQueue<Event>,
-        end: SimTime,
-        event: Event,
-        now: SimTime,
-    ) {
+    fn handle(&mut self, frame: &FrameService, end: SimTime, event: Event, now: SimTime) {
         match event {
             Event::Arrival { source } => {
                 self.pending_arrival[source as usize] = None;
@@ -397,13 +610,13 @@ impl<R: Router> Sim<R> {
                             tag,
                             due: None,
                         };
-                        self.enqueue(frame, events, end, link, packet, now);
+                        self.enqueue(frame, end, link, packet, now);
                     }
                     None => {
                         self.totals.dropped += 1;
                     }
                 }
-                self.arm_arrival(events, end, source);
+                self.arm_arrival(end, source);
             }
             Event::Departure { link } => {
                 // The event is the head's; its successor's enters now.
@@ -411,10 +624,11 @@ impl<R: Router> Sim<R> {
                 let Some(packet) = queue.pop_front() else {
                     return;
                 };
-                schedule_departure(events, link, queue.front().and_then(|next| next.due));
+                let due = queue.front().and_then(|next| next.due);
+                schedule_departure(&mut self.events, link, due);
                 match self.router.next_hop(link, packet.tag, &mut self.links) {
                     NextHop::Forward(next, tag) => {
-                        self.enqueue(frame, events, end, next, Packet { tag, ..packet }, now);
+                        self.enqueue(frame, end, next, Packet { tag, ..packet }, now);
                     }
                     NextHop::Deliver => {
                         self.totals.delivered += 1;
@@ -439,7 +653,8 @@ impl<R: Router> Sim<R> {
         let end = self.slot_duration.saturating_mul(end_slot);
         let first_delay = self.delays_ns.len();
         let before = self.totals;
-        let mut events: EventQueue<Event> = EventQueue::new();
+        self.events
+            .restart(self.slot_duration.saturating_mul(start_slot));
 
         // FIFO reconstruction (module docs): every queued packet is booked
         // afresh, ready at the segment start, in the segment's frame.
@@ -449,23 +664,26 @@ impl<R: Router> Sim<R> {
             let q = &mut self.links.queues[link as usize];
             q.cursor = None;
             for i in 0..q.queue.len() {
-                let due = self.book_departure(frame, &mut events, end, link, start_slot);
+                let due = self.book_departure(frame, end, link, start_slot);
                 self.links.queues[link as usize].queue[i].due = due;
             }
             let head = self.links.queues[link as usize].queue.front();
-            schedule_departure(&mut events, link, head.and_then(|p| p.due));
+            schedule_departure(&mut self.events, link, head.and_then(|p| p.due));
         }
         for source in 0..self.samplers.len() as u32 {
             if !self.paused[source as usize] {
-                self.arm_arrival(&mut events, end, source);
+                self.arm_arrival(end, source);
             }
         }
 
-        let mut pending_peak = events.len();
-        let handled = events.run_until(end, |q, ev| {
-            self.handle(frame, q, end, ev.event, ev.time);
-            pending_peak = pending_peak.max(q.len());
-        });
+        // Nothing is booked past `end`, so the segment drains the calendar.
+        let mut pending_peak = self.events.len;
+        let mut handled = 0u64;
+        while let Some((now, event)) = self.events.pop() {
+            self.handle(frame, end, event, now);
+            handled += 1;
+            pending_peak = pending_peak.max(self.events.len);
+        }
         self.now_slot = end_slot;
         // Rescue passes move the totals only between segments, so the
         // differences are exactly what this segment did.
@@ -499,7 +717,7 @@ impl<R: Router> Sim<R> {
 }
 
 /// Enters the departure `due` of the head of `link`'s queue, if it has one.
-fn schedule_departure(events: &mut EventQueue<Event>, link: u32, due: Option<Due>) {
+fn schedule_departure(events: &mut Calendar, link: u32, due: Option<Due>) {
     if let Some(Due { at, seq }) = due {
         events.schedule_reserved(at, seq, Event::Departure { link });
     }
@@ -536,4 +754,198 @@ pub(crate) fn analytic_loads<P: IntoIterator<Item = Link>>(
         StabilityVerdict::Overloaded { bottlenecks }
     };
     (loads, verdict)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    const SLOT_NS: u64 = 1_000;
+    const RING: u64 = RING_SLOTS as u64;
+
+    /// An instant at or after `now`: on it, inside its slot, on a later
+    /// slot end (where departures fall), elsewhere in the ring, around the
+    /// ring's far edge, or one to four rings ahead.
+    fn instant_after(rng: &mut ChaCha8Rng, now: u64) -> u64 {
+        let slot = now / SLOT_NS;
+        let at_slot = |s: u64| s.saturating_mul(SLOT_NS);
+        match rng.gen_range(0..6) {
+            0 => now,
+            1 => now.saturating_add(rng.gen_range(0..SLOT_NS)),
+            2 => at_slot(slot.saturating_add(rng.gen_range(1..4u64))),
+            3 => at_slot(slot.saturating_add(rng.gen_range(1..RING)))
+                .saturating_add(rng.gen_range(0..SLOT_NS)),
+            4 => at_slot(slot.saturating_add(RING - 2 + rng.gen_range(0..4u64))),
+            _ => at_slot(slot.saturating_add(rng.gen_range(RING..5 * RING)))
+                .saturating_add(rng.gen_range(0..SLOT_NS)),
+        }
+    }
+
+    /// How often each case the property must reach was reached.
+    #[derive(Default)]
+    struct Reached {
+        tie_on_a_slot_end: u64,
+        reserved_entered_late: u64,
+        inserted_into_the_open_slot: u64,
+        beyond_the_ring: u64,
+        only_the_overflow_pending: u64,
+        leaf_added_mid_run: u64,
+    }
+
+    /// Random interleavings of arrivals, fresh and reserved departures, new
+    /// links and pops, over three segments of one calendar: every pop is the
+    /// first key of a sorted `(time, sequence)` reference, and every case of
+    /// [`Reached`] is drawn.
+    #[test]
+    fn the_calendar_pops_in_reference_order() {
+        const NAME: &str = "the_calendar_pops_in_reference_order";
+        let mut seed = 0xcbf2_9ce4_8422_2325u64;
+        for byte in NAME.bytes() {
+            seed = (seed ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+        }
+        let mut reached = Reached::default();
+        for case in 0..200u64 {
+            let failed = format!("property '{NAME}' failed at case {case}");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(case));
+            let sources = rng.gen_range(1..6u32);
+            let mut calendar = Calendar::new(sources as usize, SLOT_NS);
+            let mut links = rng.gen_range(1..4u32);
+            // Some cases run at the end of the clock, where slots saturate.
+            let mut start = match rng.gen_range(0..6) {
+                0 => u64::MAX - rng.gen_range(0..3 * RING * SLOT_NS),
+                _ => rng.gen_range(0..3 * RING) * SLOT_NS,
+            };
+            for _segment in 0..3 {
+                calendar.restart(SimTime::from_nanos(start));
+                let mut reference: BTreeMap<(u64, u64), Event> = BTreeMap::new();
+                let mut arrival_pending = vec![false; sources as usize];
+                let mut departure_pending = vec![false; links as usize];
+                let mut reserved: Vec<u64> = Vec::new();
+                let mut last = (start, 0u64);
+                let pop = |calendar: &mut Calendar,
+                           reference: &mut BTreeMap<(u64, u64), Event>,
+                           reached: &mut Reached| {
+                    if calendar.current.is_empty()
+                        && calendar.next_occupied().is_none()
+                        && !calendar.overflow.is_empty()
+                    {
+                        reached.only_the_overflow_pending += 1;
+                    }
+                    let expected = reference.pop_first();
+                    let popped = calendar.pop();
+                    assert_eq!(
+                        popped,
+                        expected.map(|((at, _), event)| (SimTime::from_nanos(at), event)),
+                        "{failed}"
+                    );
+                    assert_eq!(calendar.len, reference.len(), "{failed}");
+                    expected
+                };
+                // Whether an event of the other kind is pending at `at`.
+                let ties = |reference: &BTreeMap<(u64, u64), Event>, at: u64, arrival: bool| {
+                    reference
+                        .range((at, 0)..=(at, u64::MAX))
+                        .any(|(_, event)| matches!(event, Event::Arrival { .. }) != arrival)
+                };
+                for _ in 0..rng.gen_range(50..300) {
+                    let now = calendar.now.as_nanos().max(start);
+                    match rng.gen_range(0..12) {
+                        0..=2 => {
+                            let source = rng.gen_range(0..sources);
+                            if std::mem::replace(&mut arrival_pending[source as usize], true) {
+                                continue;
+                            }
+                            let at = instant_after(&mut rng, now);
+                            let sequence = calendar.next_sequence;
+                            if calendar.open && at / SLOT_NS == calendar.base {
+                                reached.inserted_into_the_open_slot += 1;
+                            }
+                            if ties(&reference, at, true) {
+                                reached.tie_on_a_slot_end += 1;
+                            }
+                            calendar.schedule(SimTime::from_nanos(at), Event::Arrival { source });
+                            reference.insert((at, sequence), Event::Arrival { source });
+                        }
+                        3..=4 => reserved.push(calendar.reserve()),
+                        5..=7 => {
+                            let link = rng.gen_range(0..links);
+                            if std::mem::replace(&mut departure_pending[link as usize], true) {
+                                continue;
+                            }
+                            // Departures leave on slot ends.
+                            let at = instant_after(&mut rng, now)
+                                .div_ceil(SLOT_NS)
+                                .saturating_mul(SLOT_NS);
+                            let sequence = match reserved.pop() {
+                                Some(sequence) if (at, sequence) > last => {
+                                    reached.reserved_entered_late += 1;
+                                    sequence
+                                }
+                                _ => calendar.reserve(),
+                            };
+                            if at / SLOT_NS - now / SLOT_NS >= RING {
+                                reached.beyond_the_ring += 1;
+                            }
+                            if ties(&reference, at, false) {
+                                reached.tie_on_a_slot_end += 1;
+                            }
+                            let event = Event::Departure { link };
+                            calendar.schedule_reserved(SimTime::from_nanos(at), sequence, event);
+                            reference.insert((at, sequence), event);
+                        }
+                        8 => {
+                            links += 1;
+                            departure_pending.push(false);
+                            reached.leaf_added_mid_run += 1;
+                        }
+                        _ => {
+                            for _ in 0..rng.gen_range(1..6) {
+                                if let Some((key, event)) =
+                                    pop(&mut calendar, &mut reference, &mut reached)
+                                {
+                                    last = key;
+                                    match event {
+                                        Event::Arrival { source } => {
+                                            arrival_pending[source as usize] = false;
+                                        }
+                                        Event::Departure { link } => {
+                                            departure_pending[link as usize] = false;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                while pop(&mut calendar, &mut reference, &mut reached).is_some() {}
+                assert!(
+                    calendar.current.is_empty() && calendar.overflow.is_empty(),
+                    "{failed}"
+                );
+                assert_eq!(calendar.occupied, [0; RING_SLOTS / 64], "{failed}");
+                start = calendar.now.as_nanos().max(start);
+            }
+        }
+        for (case, count) in [
+            (
+                "an arrival tied with a departure on a slot end",
+                reached.tie_on_a_slot_end,
+            ),
+            ("a reserved key entered late", reached.reserved_entered_late),
+            (
+                "an arrival into the slot being drained",
+                reached.inserted_into_the_open_slot,
+            ),
+            ("a departure a ring or more ahead", reached.beyond_the_ring),
+            (
+                "an empty ring with a pending overflow",
+                reached.only_the_overflow_pending,
+            ),
+            ("a leaf added mid-run", reached.leaf_added_mid_run),
+        ] {
+            assert!(count >= 20, "only {count} draws reached {case}");
+        }
+    }
 }

@@ -429,3 +429,112 @@ fn a_departure_and_arrivals_on_one_instant_keep_the_parent_commits_order() {
     assert_eq!((totals.peak_backlog, totals.in_flight), (21, 19));
     assert_eq!(session.delay(), whole_slot_delays(38, 297, 8, 14));
 }
+
+/// A 17 000-slot frame on the path 3 → 2 → 1 → 0: each link is served in
+/// one long window, and gaps of 5 000 – 6 000 idle slots separate them.
+fn long_frame() -> Schedule {
+    let run = |links: Vec<Link>, slots| (SlotPattern::from_links(links), slots);
+    Schedule::from_pattern_runs(vec![
+        run(vec![link(3, 2)], 200),
+        run(vec![], 5_000),
+        run(vec![link(2, 1)], 300),
+        run(vec![], 5_000),
+        run(vec![link(1, 0)], 500),
+        run(vec![], 6_000),
+    ])
+}
+
+/// Node 3 Poisson, node 2 bursty, node 1 one packet per 1 500.3 slots.
+fn long_frame_arrivals() -> [(u32, ArrivalProcess); 3] {
+    [
+        (3, ArrivalProcess::poisson(0.01)),
+        (2, ArrivalProcess::on_off(0.05, 200.0, 2_000.0)),
+        (1, ArrivalProcess::deterministic(1.0 / 1_500.3)),
+    ]
+}
+
+#[test]
+fn a_frame_longer_than_the_event_calendar_keeps_the_parent_commits_report() {
+    // The frame spans more than four times the packet model's slot ring, so
+    // most departures are booked thousands of slots ahead and node 1's
+    // arrivals come more than a ring apart. Captured at d05740a, where one
+    // binary heap held every pending event.
+    let frame = long_frame();
+    assert_eq!(frame.length(), 17_000);
+    let flows = long_frame_arrivals()
+        .into_iter()
+        .map(|(node, arrival)| {
+            let route: Vec<Link> = (1..=node).rev().map(|n| link(n, n - 1)).collect();
+            Flow::new(NodeId::new(node), route, arrival)
+        })
+        .collect();
+    let config = TrafficConfig::new(20).with_seed(11);
+    let engine = TrafficEngine::on_schedule(&frame, FlowSet::new(flows), config).unwrap();
+    scream_obs::install();
+    let r = engine.run();
+    let trace = scream_obs::uninstall().unwrap().snapshot;
+    assert_eq!((r.frame_slots, r.horizon_slots), (17_000, 340_000));
+    assert_eq!((r.injected, r.delivered), (4_875, 4_689));
+    assert_eq!((r.peak_backlog, r.final_backlog), (424, 186));
+    assert_eq!(r.delay.count, 4_689);
+    assert!(r.verdict.is_stable());
+    assert_eq!(r.offered_per_slot.to_bits(), 0x3f8f_2776_747d_08c9);
+    assert_eq!(r.delay.mean_slots.to_bits(), 0x40d0_ab71_ec16_5cba);
+    assert_eq!(r.delay.p50_slots.to_bits(), 0x40d0_677e_3d18_8f43);
+    assert_eq!(r.delay.p95_slots.to_bits(), 0x40d9_710b_8f36_6949);
+    assert_eq!(r.delay.p99_slots.to_bits(), 0x40da_7fb0_8438_0885);
+    assert_eq!(r.delay.max_slots.to_bits(), 0x40da_bed6_ba0e_8427);
+    assert_eq!(
+        r.sustained_throughput_per_slot.to_bits(),
+        0x3f8c_3e8c_5f50_faf7
+    );
+    assert_eq!(r.sustained_throughput_pct.to_bits(), 0x4058_0bd0_bd0b_d0bd);
+    assert_eq!(trace.counter("traffic.events"), 17_290);
+    assert_eq!(trace.gauges["traffic.events.pending_peak"], 6);
+
+    // The same flows through a session cut into segments shorter and
+    // longer than the ring, so far-booked queues are re-booked at each cut.
+    let mut g = Graph::new(4, GraphKind::Undirected);
+    for (u, v) in [(0u32, 1u32), (1, 2), (2, 3)] {
+        g.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
+    }
+    let forest = RoutingForest::shortest_path(&g, &[NodeId::new(0)], 1).unwrap();
+    let sources = long_frame_arrivals()
+        .into_iter()
+        .map(|(node, arrival)| Source {
+            node: NodeId::new(node),
+            arrival,
+        })
+        .collect();
+    let mut session = TrafficSession::new(
+        FrameService::from_schedule(&frame),
+        sources,
+        ForwardingTable::from_forest(&forest),
+        config,
+    )
+    .unwrap();
+    // `(slots, injected, delivered, backlog_end)` per segment.
+    let expected = [
+        (1, 0, 0, 0),
+        (700, 20, 0, 20),
+        (5_000, 54, 0, 74),
+        (1_023, 14, 0, 88),
+        (1_025, 11, 0, 99),
+        (40_000, 653, 530, 222),
+        (292_251, 4_123, 4_159, 186),
+    ];
+    for (slots, injected, delivered, backlog) in expected {
+        let s = session.advance(slots);
+        assert_eq!(
+            (s.injected, s.delivered, s.backlog_end),
+            (injected, delivered, backlog)
+        );
+    }
+    let totals = session.totals();
+    assert_eq!(
+        (totals.injected, totals.delivered),
+        (r.injected, r.delivered)
+    );
+    assert_eq!((totals.peak_backlog, totals.in_flight), (424, 186));
+    assert_eq!(session.delay(), r.delay);
+}
