@@ -56,9 +56,10 @@ pub use rescheduler::{ReschedulerConfig, ResilienceError, ResilienceHarness};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scream_netsim::RadioEnvironment;
+    use scream_netsim::{Db, RadioEnvironment};
+    use scream_scheduling::RepairOutcome;
     use scream_topology::{
-        DemandVector, GridDeployment, Link, NodeId, RoutingForest, TopologyError,
+        DemandVector, GridDeployment, Link, LinkDemands, NodeId, RoutingForest, TopologyError,
     };
 
     /// A 4×4 grid with the four corners as gateways and unit demand at
@@ -288,6 +289,46 @@ mod tests {
              totals: SessionTotals { injected: 34, delivered: 31, dropped: 2, rescued: 2, in_flight: 1, peak_backlog: 12 }, \
              first_fault_slot: Some(16), time_to_recover_slots: Some(32), outage_delivery_pct: 83.33333333333334, post_recovery_delivery_pct: 95.45454545454545, deferred_flows: 0, final_verdict_stable: true }"
         );
+    }
+
+    /// A fade re-verifies the frame even when it moves no route: the frame
+    /// was built for the old gains, so a batch that leaves the target, the
+    /// routes and the dead set as they were still repairs after a fade. On
+    /// the 5×5 grid a 1 dB fade (seed 0) keeps every route, and the old
+    /// frame fails on the faded gains, so the repair rebuilds it.
+    #[test]
+    fn a_fade_that_keeps_the_target_still_repairs() {
+        let deployment = GridDeployment::new(5, 5, 180.0).build();
+        let env = RadioEnvironment::builder().build(&deployment);
+        let gateways = deployment.corner_nodes();
+        let demands = DemandVector::from_vec(
+            (0..deployment.len() as u32)
+                .map(|i| u32::from(!gateways.contains(&NodeId::new(i))))
+                .collect(),
+        );
+        let target = |env: &RadioEnvironment| {
+            let graph = env.communication_graph();
+            let forest = RoutingForest::shortest_path(&graph, &gateways, 7).unwrap();
+            LinkDemands::aggregate(&forest, &demands).unwrap()
+        };
+        let faded = env.refaded(Db::new(1.0), 0).expect("dense gains");
+        assert_eq!(target(&faded), target(&env), "the fade moves no route");
+
+        let h = ResilienceHarness::new(env, gateways.clone(), demands.clone(), 0.6);
+        let f0 = h
+            .run(&ChurnTrace::default(), 1, 7)
+            .unwrap()
+            .frame_slots_initial;
+        let fade = FaultKind::Fade {
+            sigma_db: 1.0,
+            seed: 0,
+        };
+        let report = h
+            .run(&FaultPlan::new().at(2 * f0, fade).build(), 4 * f0, 7)
+            .unwrap();
+        let slots_and_outcomes: Vec<_> =
+            report.repairs.iter().map(|r| (r.slot, r.outcome)).collect();
+        assert_eq!(slots_and_outcomes, [(2 * f0, RepairOutcome::Rebuilt)]);
     }
 
     /// A fade that cannot be applied — a negative or NaN σ, or any σ on an

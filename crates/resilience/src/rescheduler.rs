@@ -18,7 +18,11 @@
 //!    with [`repair_schedule`] (incremental run-level repair,
 //!    verify-or-rebuild), swap the repaired frame and new routes into the
 //!    live session, and [rescue](TrafficSession::rescue_stranded) the
-//!    packets stranded on dead or no-longer-served links;
+//!    packets stranded on dead or no-longer-served links. A batch that
+//!    leaves the demand target, the routes and the environment as they were
+//!    (a non-tree link going down, a flow stop) skips the repair: the frame
+//!    was built or repaired for that target on that environment, and
+//!    repairing such a frame hands it back unchanged;
 //! 4. after each repair, run **admission control**: while the analytic
 //!    verdict is Overloaded, defer (pause) the highest-rate source crossing
 //!    a bottleneck link — deferred sources are re-admitted at the next
@@ -297,6 +301,10 @@ struct RunState {
     base_demands: DemandVector,
     session: TrafficSession,
     schedule: Schedule,
+    /// The target `schedule` was last built or repaired for on `env`, so
+    /// that repairing it for that target returns it unchanged; a fade
+    /// clears it.
+    built_for: Option<LinkDemands>,
     sources: Vec<Source>,
     frame_slots_initial: u64,
     route_seed: u64,
@@ -356,6 +364,7 @@ impl RunState {
             base_demands: harness.demands.clone(),
             session,
             schedule,
+            built_for: Some(link_demands),
             sources,
             frame_slots_initial: frame_slots,
             route_seed: seed,
@@ -410,6 +419,7 @@ impl RunState {
                 };
                 self.env = faded;
                 self.graph = self.env.communication_graph();
+                self.built_for = None;
             }
             FaultKind::FlowStop(node) => {
                 self.stopped.insert(node);
@@ -432,7 +442,10 @@ impl RunState {
     }
 
     /// Reroutes demands around the current fault state, repairs the frame
-    /// and swaps both into the live session.
+    /// and swaps both into the live session. A batch that leaves the target,
+    /// the routes and the environment as they were skips the repair (module
+    /// docs), as does one that leaves no demand; either books
+    /// `resilience.repairs_skipped` instead of a repair outcome.
     fn reschedule(&mut self, slot: u64) -> Result<(), ResilienceError> {
         scream_obs::counter_add("resilience.reschedules", 1);
         let (forest, cut, link_demands) = route(
@@ -443,18 +456,22 @@ impl RunState {
             |u, v| self.is_up(Link::new(u, v)),
         )?;
         self.cut_off = cut.into_iter().collect();
-        if link_demands.total_demand() == 0 {
+        let routes = ForwardingTable::from_forest(&forest);
+        let routes_changed = &routes != self.session.routes();
+        let no_demand = link_demands.total_demand() == 0;
+        if no_demand {
             // Everything is dead or cut off; keep the old frame (nothing can
             // route anyway) and let the pause-state sync silence the sources.
             self.cut_off.extend(self.sources.iter().map(|s| s.node));
+        }
+        if no_demand || (!routes_changed && self.built_for.as_ref() == Some(&link_demands)) {
+            scream_obs::counter_add("resilience.repairs_skipped", 1);
             self.session.rescue_stranded();
             return Ok(());
         }
         let before = self.schedule.length() as u64;
         let repaired = repair_schedule(&self.env, &self.schedule, &link_demands);
-        let routes = ForwardingTable::from_forest(&forest);
         let frame_changed = repaired.schedule != self.schedule;
-        let routes_changed = &routes != self.session.routes();
         if frame_changed {
             self.session
                 .swap_frame(FrameService::from_schedule(&repaired.schedule))?;
@@ -471,8 +488,9 @@ impl RunState {
                 removed_allocation: repaired.removed_allocation,
                 added_allocation: repaired.added_allocation,
             });
-            self.schedule = repaired.schedule;
         }
+        self.schedule = repaired.schedule;
+        self.built_for = Some(link_demands);
         self.session.rescue_stranded();
         Ok(())
     }

@@ -175,7 +175,8 @@ impl FrameService {
 
     /// The first absolute slot `≥ from` in which `link` transmits, treating
     /// the frame as repeating forever (absolute slot `s` runs frame slot
-    /// `s mod frame_slots`). `None` if the link is never served.
+    /// `s mod frame_slots`). `None` if the link is never served, or not
+    /// served again before the slot clock ends at `u64::MAX`.
     ///
     /// O(log #windows) via binary search, plus O(1) frame wrap-around.
     pub fn next_service_slot(&self, link: Link, from: u64) -> Option<NextService> {
@@ -198,15 +199,16 @@ impl FrameService {
         // First window that ends after the offset, if any, else wrap.
         let i = windows.partition_point(|w| w.end() <= offset);
         match windows.get(i) {
-            Some(w) => {
-                let slot_in_frame = w.start.max(offset);
-                Some(NextService {
-                    slot: frame * self.frame_slots + slot_in_frame,
-                    capacity: w.capacity,
-                })
-            }
+            // `frame * frame_slots` is at most `from`; the slot past it may
+            // lie beyond the clock.
+            Some(w) => Some(NextService {
+                slot: (frame * self.frame_slots).checked_add(w.start.max(offset))?,
+                capacity: w.capacity,
+            }),
             None => Some(NextService {
-                slot: (frame + 1) * self.frame_slots + first.start,
+                slot: (frame + 1)
+                    .checked_mul(self.frame_slots)?
+                    .checked_add(first.start)?,
                 capacity: first.capacity,
             }),
         }
@@ -290,6 +292,41 @@ mod tests {
         // a's window covers slots 0..5, so from-slot 5 wraps to slot 6.
         assert_eq!(frame.next_service_slot(a, 5).unwrap().slot, 6);
         assert_eq!(frame.next_service_slot(a, 17).unwrap().slot, 18);
+    }
+
+    /// The slot clock ends at `u64::MAX`: a service slot past it does not
+    /// exist, so the link is not served again (`None`, never a wrapped slot
+    /// in the past or an overflow panic). On `[b], [a], [b]` the clock's last
+    /// slot, `u64::MAX`, runs frame slot 0 (3 divides `u64::MAX`).
+    #[test]
+    fn no_service_slot_lies_past_the_end_of_the_clock() {
+        let (a, b) = (link(1, 0), link(3, 2));
+        let s = Schedule::from_runs(vec![(vec![b], 1), (vec![a], 1), (vec![b], 1)]);
+        let frame = FrameService::from_schedule(&s);
+        let frame_slots = frame.frame_slots();
+        let slot = |link, from| frame.next_service_slot(link, from).map(|n| n.slot);
+        assert_eq!(slot(a, u64::MAX - 1), None, "wraps past the clock");
+        assert_eq!(slot(a, u64::MAX), None, "later in the clock's last frame");
+        assert_eq!(slot(a, u64::MAX - frame_slots), Some(u64::MAX - 2));
+        assert_eq!(slot(b, u64::MAX), Some(u64::MAX));
+        assert_eq!(slot(b, u64::MAX - 1), Some(u64::MAX - 1));
+        assert_eq!(
+            slot(b, u64::MAX - frame_slots),
+            Some(u64::MAX - frame_slots)
+        );
+        // Every start within two frames of the end agrees with a scan of
+        // the slots that exist.
+        for link in [a, b] {
+            for k in 0..=2 * frame_slots {
+                let from = u64::MAX - k;
+                let served = |t: u64| match t % frame_slots {
+                    1 => link == a,
+                    _ => link == b,
+                };
+                let scanned = (from..=u64::MAX).find(|&t| served(t));
+                assert_eq!(slot(link, from), scanned, "{link} from u64::MAX - {k}");
+            }
+        }
     }
 
     #[test]

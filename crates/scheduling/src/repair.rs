@@ -275,6 +275,151 @@ mod tests {
         assert_eq!(repaired.schedule.length(), 6, "conflicts serialized");
     }
 
+    /// Which stale frame a case repairs, and what the property reached.
+    #[derive(Default)]
+    struct Reached {
+        greedy_input: u32,
+        stale_input_patched: u32,
+        rebuilt: u32,
+        infeasible_alone: u32,
+        unplanned: u32,
+        two_channels: u32,
+    }
+
+    /// `repair_schedule` is idempotent: repairing a repaired frame for the
+    /// same target on the same model hands the frame back, whichever path
+    /// produced it. So a recovery loop whose target and environment have
+    /// not moved since its frame was built or repaired may skip the repair.
+    ///
+    /// Seeded shadowed planned and unplanned paper meshes of 9–25 nodes, on
+    /// one or two channels; the frame repaired first is the greedy frame
+    /// for the target, one built for another target (another demand draw
+    /// or routing seed) or one built on other gains (a fade). Sparse meshes
+    /// (300–600 nodes/km², three cases in ten) add a gateway's link to its
+    /// farthest node where that link is infeasible even alone, which only a
+    /// rebuild schedules.
+    #[test]
+    fn a_repaired_frame_repairs_to_itself() {
+        use rand::{Rng, RngCore, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use scream_netsim::{Db, PropagationModel, RadioConfig, RadioEnvironment};
+        use scream_topology::{
+            density_to_area_m2, DemandConfig, DemandVector, Deployment, GridDeployment,
+            RoutingForest, UniformDeployment,
+        };
+
+        const NAME: &str = "a_repaired_frame_repairs_to_itself";
+        let mut seed = 0xcbf2_9ce4_8422_2325u64;
+        for byte in NAME.bytes() {
+            seed = (seed ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+        }
+        let mut reached = Reached::default();
+        for case in 0..120u64 {
+            let failed = format!("property '{NAME}' failed at case {case}");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(case));
+            let side = rng.gen_range(3..=5usize);
+            let nodes = side * side;
+            // A sparse mesh, where a far link is out of range.
+            let far_link = rng.gen_bool(0.3);
+            let density = if far_link {
+                rng.gen_range(300.0..600.0)
+            } else {
+                rng.gen_range(1_000.0..4_000.0)
+            };
+            let area_m2 = density_to_area_m2(nodes, density);
+            let deployment: Deployment = if rng.gen_bool(0.5) {
+                let step = (area_m2 / nodes as f64).sqrt();
+                GridDeployment::new(side, side, step)
+                    .tx_power_dbm(10.0)
+                    .build()
+            } else {
+                reached.unplanned += 1;
+                UniformDeployment::new(nodes, area_m2.sqrt())
+                    .tx_power_dbm(10.0)
+                    .heterogeneous_power(6.0)
+                    .build(&mut rng)
+            };
+            let channels = rng.gen_range(1..=2usize);
+            if channels == 2 {
+                reached.two_channels += 1;
+            }
+            let shadowing = rng.next_u64();
+            let env = RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .shadowing(4.0, shadowing)
+                .config(
+                    RadioConfig::mesh_default()
+                        .with_sinr_threshold_db(6.0)
+                        .with_channel_count(channels),
+                )
+                .build(&deployment);
+            let gateways = deployment.corner_nodes();
+            let graph = env.communication_graph();
+            let target_for = |rng: &mut ChaCha8Rng| {
+                let demands =
+                    DemandVector::generate(nodes, DemandConfig::PAPER, &gateways, &mut *rng);
+                let (forest, _) =
+                    RoutingForest::shortest_path_partial(&graph, &gateways, rng.next_u64())
+                        .unwrap();
+                LinkDemands::aggregate(&forest, &demands).unwrap()
+            };
+            let mut target = target_for(&mut rng);
+            if far_link {
+                // A gateway's link to the node farthest from it.
+                let gateway = gateways[0];
+                let at = deployment.position(gateway);
+                let far = deployment
+                    .node_ids()
+                    .max_by(|&u, &v| {
+                        let (du, dv) = (deployment.position(u), deployment.position(v));
+                        du.distance(at).total_cmp(&dv.distance(at))
+                    })
+                    .unwrap();
+                let far = Link::new(gateway, far);
+                if !env.slot_feasible(&[far]) {
+                    reached.infeasible_alone += 1;
+                    let mut links: Vec<(Link, u64)> = target.demanded_links().collect();
+                    links.push((far, rng.gen_range(1..4u64)));
+                    target = LinkDemands::from_links(nodes, &links).unwrap();
+                }
+            }
+            let greedy = GreedyPhysical::paper_baseline();
+            let built = rng.gen_range(0..3) == 0;
+            let stale = if built {
+                reached.greedy_input += 1;
+                greedy.schedule(&env, &target)
+            } else if rng.gen_bool(0.5) {
+                greedy.schedule(&env, &target_for(&mut rng))
+            } else {
+                let faded = env.refaded(Db::new(4.0), rng.next_u64()).unwrap();
+                greedy.schedule(&faded, &target)
+            };
+            let once = repair_schedule(&env, &stale, &target);
+            if built {
+                assert!(once.schedule == stale, "{failed}");
+            }
+            match once.outcome {
+                RepairOutcome::Rebuilt => reached.rebuilt += 1,
+                RepairOutcome::Incremental if once.schedule != stale => {
+                    reached.stale_input_patched += 1;
+                }
+                RepairOutcome::Incremental => {}
+            }
+            let twice = repair_schedule(&env, &once.schedule, &target);
+            assert!(twice.schedule == once.schedule, "{failed}");
+        }
+        for (case, count) in [
+            ("the greedy frame for the target", reached.greedy_input),
+            ("a stale frame patched", reached.stale_input_patched),
+            ("a rebuild", reached.rebuilt),
+            ("a link infeasible even alone", reached.infeasible_alone),
+            ("an unplanned mesh", reached.unplanned),
+            ("two channels", reached.two_channels),
+        ] {
+            assert!(count >= 20, "only {count} draws reached {case}");
+        }
+    }
+
     #[test]
     fn repair_is_deterministic() {
         let demands =

@@ -361,8 +361,7 @@ impl TrafficSession {
         for idx in 0..links.queues.len() {
             let q = &mut links.queues[idx];
             let link = q.link;
-            let stranded = q.dead || self.frame.service_slots(link) == 0;
-            if !stranded || q.queue.is_empty() {
+            if q.queue.is_empty() || !(q.dead || self.frame.service_slots(link) == 0) {
                 continue;
             }
             // The merged queue is booked afresh at the next segment start.
@@ -541,6 +540,31 @@ mod tests {
         assert!(!verdict.is_stable());
         let dead = loads.iter().find(|l| l.link == link(2, 1)).unwrap();
         assert!(dead.utilization().is_infinite());
+    }
+
+    /// A swap that moves links to other places in the frame serves each at
+    /// the new frame's slots. `[(3,2)], [(2,1)], [(1,0)]` gives way at slot
+    /// 33 to `[(1,0)], [(2,1)], [(3,2)]`, where the gateway link (1,0) and
+    /// the source's uplink (3,2) trade places: the gateway link delivered in
+    /// the slots `≡ 2 (mod 3)` and delivers in the slots `≡ 0` once a packet
+    /// of the backlog on (3,2), served last now, has crossed the path.
+    #[test]
+    fn a_swap_that_moves_a_link_serves_it_at_the_new_frames_slots() {
+        let (frame, table) = path_setup();
+        // Overloaded: every link has a packet for each of its slots.
+        let mut s = session(&frame, table, 0.5, 5);
+        s.advance(18);
+        let delivering = |s: &mut TrafficSession| {
+            let from = s.now_slot();
+            (from..from + 15)
+                .filter(|_| s.advance(1).delivered > 0)
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(delivering(&mut s), [20, 23, 26, 29, 32]);
+        let moved =
+            Schedule::from_slots(vec![vec![link(1, 0)], vec![link(2, 1)], vec![link(3, 2)]]);
+        s.swap_frame(FrameService::from_schedule(&moved)).unwrap();
+        assert_eq!(delivering(&mut s), [39, 42, 45]);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! >  first slot the server is free after the previous packet)`
 //!
 //! which [`FrameService::next_service_slot_at`] answers in O(log #windows)
-//! from a position resolved once per link and segment, so no hop looks a
-//! link up by value. Slots are absolute; the frame repeats from
+//! from a position resolved once per link and installed frame, so no hop
+//! looks a link up by value. Slots are absolute; the frame repeats from
 //! `frame_epoch` (the slot it was installed at), not from slot 0.
 //!
 //! The departure instant (the end of the assigned slot) and the event
@@ -69,14 +69,16 @@
 //!
 //! [`Sim::advance`] runs one segment and returns with queues, samplers and
 //! in-flight packets intact. Departure events are not carried across
-//! segments: at every segment start the links' service positions are
-//! resolved against the frame, the cursors are reset and each queue's
+//! segments: at every segment start the cursors are reset and each queue's
 //! packets are re-assigned (and given sequence numbers) in FIFO order with
 //! the segment start as their ready slot; then each head's departure enters
 //! the event queue. A packet that had not left by then could not have been
 //! served earlier, so this yields exactly the slots a continuous run would
 //! have assigned — and it is what lets a caller kill links, swap the frame
-//! or move packets between segments without patching pending events.
+//! or move packets between segments without patching pending events. The
+//! links' service positions outlive segments: they are resolved once per
+//! installed frame ([`Sim::restart_frame`]), a link registered later on its
+//! first use.
 //!
 //! # Determinism
 //!
@@ -161,8 +163,8 @@ pub(crate) struct LinkQueue<T> {
 pub(crate) struct Links<T> {
     index: HashMap<Link, u32>,
     pub(crate) queues: Vec<LinkQueue<T>>,
-    /// Queues `..resolved` hold their service position in the current
-    /// segment's frame; links registered since are resolved on first use.
+    /// Queues `..resolved` hold their service position in the installed
+    /// frame; links registered since are resolved on first use.
     resolved: usize,
 }
 
@@ -483,9 +485,11 @@ impl<R: Router> Sim<R> {
         DelayStats::from_delays(&mut self.delays_ns.clone(), self.slot_ns)
     }
 
-    /// A new frame was installed: it counts its slot 0 from the current slot.
+    /// A new frame was installed: it counts its slot 0 from the current
+    /// slot, and every link's service position is resolved in it afresh.
     pub(crate) fn restart_frame(&mut self) {
         self.frame_epoch = self.now_slot;
+        self.links.resolved = 0;
     }
 
     pub(crate) fn is_paused(&self, source: usize) -> bool {
@@ -513,8 +517,8 @@ impl<R: Router> Sim<R> {
 
     /// Assigns the departure slot for a packet joining `link`'s FIFO queue
     /// with the given ready slot, honoring per-slot service capacity.
-    /// `None` for dead links and links the frame never serves (the packet
-    /// is parked).
+    /// `None` for dead links, links the frame never serves and service past
+    /// the end of the slot clock (the packet is parked).
     fn assign_departure(&mut self, frame: &FrameService, link: u32, ready: u64) -> Option<u64> {
         if link as usize >= self.links.resolved {
             self.links.resolve(frame);
@@ -530,19 +534,20 @@ impl<R: Router> Sim<R> {
                     q.cursor = Some((slot, used + 1, capacity));
                     return Some(slot);
                 }
-                slot + 1
+                slot.checked_add(1)?
             }
             _ => ready,
         };
         let next = frame.next_service_slot_at(q.service?, from.saturating_sub(epoch))?;
-        let slot = next.slot + epoch;
+        let slot = next.slot.checked_add(epoch)?;
         q.cursor = Some((slot, 1, next.capacity));
         Some(slot)
     }
 
     /// Books the next service slot of `link` for its next unbooked packet:
     /// the departure (at the end of that slot) if it falls inside the
-    /// segment, under a sequence number reserved now.
+    /// segment, under a sequence number reserved now. Slot `u64::MAX` ends
+    /// past the clock, so nothing served in it is booked.
     fn book_departure(
         &mut self,
         frame: &FrameService,
@@ -551,7 +556,7 @@ impl<R: Router> Sim<R> {
         ready: u64,
     ) -> Option<Due> {
         let slot = self.assign_departure(frame, link, ready)?;
-        let at = self.slot_duration.saturating_mul(slot + 1);
+        let at = self.slot_duration.saturating_mul(slot.checked_add(1)?);
         (at <= end).then(|| Due {
             at,
             seq: self.events.reserve(),
@@ -645,8 +650,9 @@ impl<R: Router> Sim<R> {
         }
     }
 
-    /// Runs the simulation forward `slots` slots over `frame` and returns
-    /// the segment's measurements.
+    /// Runs the simulation forward `slots` slots over `frame`, the frame
+    /// installed at the last [`restart_frame`](Self::restart_frame) (or at
+    /// the start), and returns the segment's measurements.
     pub(crate) fn advance(&mut self, frame: &FrameService, slots: u64) -> SegmentReport {
         let start_slot = self.now_slot;
         let end_slot = start_slot.saturating_add(slots);
@@ -658,7 +664,6 @@ impl<R: Router> Sim<R> {
 
         // FIFO reconstruction (module docs): every queued packet is booked
         // afresh, ready at the segment start, in the segment's frame.
-        self.links.resolved = 0;
         self.links.resolve(frame);
         for link in 0..self.links.queues.len() as u32 {
             let q = &mut self.links.queues[link as usize];
@@ -761,6 +766,8 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use scream_scheduling::Schedule;
+    use scream_topology::NodeId;
 
     const SLOT_NS: u64 = 1_000;
     const RING: u64 = RING_SLOTS as u64;
@@ -781,6 +788,59 @@ mod tests {
             _ => at_slot(slot.saturating_add(rng.gen_range(RING..5 * RING)))
                 .saturating_add(rng.gen_range(0..SLOT_NS)),
         }
+    }
+
+    /// Every packet is delivered after its first hop, on link 0.
+    struct OneHop;
+
+    impl Router for OneHop {
+        type Tag = ();
+
+        fn first_hop(&mut self, _: u32, _: &mut Links<()>) -> Option<(u32, ())> {
+            Some((0, ()))
+        }
+
+        fn next_hop(&mut self, _: u32, (): (), _: &mut Links<()>) -> NextHop<()> {
+            NextHop::Deliver
+        }
+    }
+
+    /// The slot clock ends at `u64::MAX`, and slot `u64::MAX` ends past it:
+    /// a packet ready within one frame of the end is booked a departure only
+    /// in a slot that ends on the clock. On `[b], [a], [b]` at 1-ns slots
+    /// (3 divides `u64::MAX`, so the clock's last slot runs frame slot 0),
+    /// from `u64::MAX − k` for k ∈ {0, 1, 3}.
+    #[test]
+    fn nothing_is_booked_past_the_end_of_the_clock() {
+        let link = |head: u32, tail: u32| Link::new(NodeId::new(head), NodeId::new(tail));
+        let (a, b) = (link(1, 0), link(3, 2));
+        let frame = FrameService::from_schedule(&Schedule::from_runs(vec![
+            (vec![b], 1),
+            (vec![a], 1),
+            (vec![b], 1),
+        ]));
+        let config = TrafficConfig::new(1).with_slot_duration(SimTime::from_nanos(1));
+        let end = SimTime::from_nanos(u64::MAX);
+        // The departure instants of `packets` packets joining `link`'s
+        // empty queue, each ready at `ready`.
+        let book = |served: Link, ready: u64, packets: usize| {
+            let mut links = Links::default();
+            let idx = links.idx(served);
+            let mut sim = Sim::new(OneHop, links, std::iter::empty(), &config);
+            (0..packets)
+                .map(|_| {
+                    sim.book_departure(&frame, end, idx, ready)
+                        .map(|due| due.at.as_nanos())
+                })
+                .collect::<Vec<_>>()
+        };
+        let max = u64::MAX;
+        assert_eq!(book(a, max, 1), [None]);
+        assert_eq!(book(a, max - 1, 1), [None]);
+        assert_eq!(book(a, max - 3, 2), [Some(max - 1), None]);
+        assert_eq!(book(b, max, 1), [None], "slot u64::MAX ends past the clock");
+        assert_eq!(book(b, max - 1, 3), [Some(max), None, None]);
+        assert_eq!(book(b, max - 3, 4), [Some(max - 2), Some(max), None, None]);
     }
 
     /// How often each case the property must reach was reached.

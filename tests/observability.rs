@@ -164,9 +164,11 @@ fn churn_tracing_is_deterministic() {
 /// - every in-horizon trace event is applied once (`resilience.faults`);
 /// - a batch of events on one slot is rescheduled once, and the baseline
 ///   never reschedules (`resilience.reschedules`);
-/// - a reschedule that still has demand calls `repair_schedule` once, which
-///   books exactly one outcome — on this mesh the four corner gateways are
-///   never all cut off, so every reschedule has demand;
+/// - a reschedule either calls `repair_schedule` once, which books exactly
+///   one outcome, or skips it and books `resilience.repairs_skipped`: it
+///   skips when its batch left the target, the routes and the environment
+///   as they were (the repair would hand the frame back unchanged) or left
+///   no demand, and a skip installs nothing, so it takes no repair record;
 /// - one `resilience.epochs` per flushed epoch, horizon remainder included;
 /// - `traffic.rescued` is the report's `totals.rescued`;
 /// - a frame is swapped only with a repair record, so `traffic.frame_swaps`
@@ -177,8 +179,8 @@ fn churn_tracing_is_deterministic() {
 ///   traffic.rescue_dropped`, rescue drops included (the runs drop some).
 ///
 /// Each trace carries a three-event batch on one slot, a flow stop alone
-/// on another (a reschedule that changes neither frame nor routes) and
-/// events past the horizon.
+/// on another (a reschedule that changes neither frame nor routes, and
+/// skips its repair) and events past the horizon.
 #[test]
 fn the_recovery_loop_counters_obey_their_laws() {
     let deployment = GridDeployment::new(5, 5, 180.0).build();
@@ -236,6 +238,7 @@ fn the_recovery_loop_counters_obey_their_laws() {
                     .with_config(config);
             let (report, obs) = observed(|| harness.run(&trace, horizon, seed).unwrap());
             let counter = |name| obs.snapshot.counter(name);
+            let skipped = counter("resilience.repairs_skipped");
             let reschedules = if config == ReschedulerConfig::baseline() {
                 0
             } else {
@@ -248,10 +251,27 @@ fn the_recovery_loop_counters_obey_their_laws() {
                 "seed {seed}"
             );
             assert_eq!(
-                counter("repair.outcome.incremental") + counter("repair.outcome.rebuilt"),
+                counter("repair.outcome.incremental") + counter("repair.outcome.rebuilt") + skipped,
                 reschedules,
                 "seed {seed}"
             );
+            assert!(
+                report.repairs.len() as u64 <= reschedules - skipped,
+                "seed {seed}"
+            );
+            if config == ReschedulerConfig::default() {
+                // The flow stop alone on slot 1 111 is one reschedule, and a
+                // skipped one.
+                let skipped_before = |horizon| {
+                    let (_, obs) = observed(|| harness.run(&trace, horizon, seed).unwrap());
+                    obs.snapshot.counter("resilience.repairs_skipped")
+                };
+                assert_eq!(
+                    skipped_before(1_112) - skipped_before(1_111),
+                    1,
+                    "seed {seed}"
+                );
+            }
             assert_eq!(counter("resilience.epochs"), report.epochs.len() as u64);
             assert_eq!(counter("traffic.rescued"), report.totals.rescued);
             assert!(counter("traffic.frame_swaps") <= report.repairs.len() as u64);
@@ -655,7 +675,7 @@ const METRIC_NAMES: &str = "\
     runtime.vetoes traffic.backlog traffic.delivered traffic.dropped traffic.events \
     traffic.events.pending_peak traffic.frame_swaps traffic.injected traffic.link_failures \
     traffic.rescue_dropped traffic.rescued resilience.epochs resilience.faults \
-    resilience.reschedules";
+    resilience.repairs_skipped resilience.reschedules";
 
 /// The names a build, its verification, a fade and its repair, an FDD and a
 /// PDD run, a traffic run and a churn run leave in the sink, on one channel
