@@ -4,16 +4,15 @@
 //! whole frame with [`GreedyPhysical`] pays the full first-fit placement cost
 //! for *every* link. Most of that work is wasted: a single link failure
 //! leaves the vast majority of runs untouched. [`repair_schedule`] instead
-//! patches the existing run-length schedule in three passes —
+//! patches the existing run-length schedule in two passes —
 //!
-//! 1. **strip** links that the new demand target no longer schedules (dead
-//!    links, rerouted-away links) from every run they appear in; slot
-//!    patterns are downward-closed under the physical model, so removing a
-//!    transmitter never invalidates a feasible pattern;
-//! 2. **trim** surplus allocation of links whose target demand shrank,
-//!    splitting tail runs where needed;
-//! 3. **place** the deficits — links whose target grew or that are new —
-//!    with exactly the batched first-fit probing [`GreedyPhysical`] uses
+//! 1. **keep**, in one forward pass over the runs: in slot order, each
+//!    target link keeps its first `demand` slots of the stale frame, on
+//!    channels the model has, and every other entry goes. Slot patterns are
+//!    downward-closed under the physical model, so removing a transmitter
+//!    never invalidates a feasible pattern;
+//! 2. **place** the deficits, in the paper's decreasing-head-id order, with
+//!    exactly the batched first-fit probing [`GreedyPhysical`] uses
 //!    (whole-run assignment, run splitting via a rebuilt accumulator, solo
 //!    runs for the remainder), but probing only the deficit links.
 //!
@@ -26,13 +25,10 @@
 //! Either way the caller receives a schedule whose allocation exactly matches
 //! the target, tagged with which path produced it.
 
-use std::collections::BTreeMap;
-
-use scream_netsim::ChannelId;
 use scream_topology::{Link, LinkDemands};
 
 use crate::feasibility::SlotFeasibility;
-use crate::greedy::{EdgeOrdering, GreedyPhysical};
+use crate::greedy::GreedyPhysical;
 use crate::placement::OpenRuns;
 use crate::schedule::Schedule;
 use crate::verify::verify_frame;
@@ -56,10 +52,12 @@ pub struct RepairedSchedule {
     pub schedule: Schedule,
     /// Which path produced it.
     pub outcome: RepairOutcome,
-    /// Link-slot allocations removed by the strip/trim passes (meaningful
+    /// Link-slot allocations of the input the keep rule dropped — its
+    /// allocation less what was kept, saturating at `u64::MAX` (meaningful
     /// for the incremental path; 0 when rebuilt).
     pub removed_allocation: u64,
-    /// Link-slot allocations added by the deficit pass (0 when rebuilt).
+    /// Link-slot allocations the deficit pass placed — the target's total
+    /// less what was kept, saturating at `u64::MAX` (0 when rebuilt).
     pub added_allocation: u64,
 }
 
@@ -75,87 +73,57 @@ pub fn repair_schedule<M: SlotFeasibility>(
     schedule: &Schedule,
     target: &LinkDemands,
 ) -> RepairedSchedule {
-    // BTreeMap, not HashMap: both trim and deficit passes iterate `want`, so
-    // the map order must be the deterministic Link order (D1.iter).
-    let want: BTreeMap<Link, u64> = target.demanded_links().collect();
-
-    // Working copy of the run list as raw entry vectors.
-    let mut runs: Vec<(Vec<(ChannelId, Link)>, u64)> = schedule
-        .runs()
-        .map(|(pattern, count)| (pattern.entries().collect(), count))
-        .collect();
-
-    // Pass 1: strip links the target no longer schedules.
-    let mut removed: u64 = 0;
-    for (entries, count) in &mut runs {
-        let before = entries.len();
-        entries.retain(|(_, link)| want.contains_key(link));
-        removed += (before - entries.len()) as u64 * *count;
+    // `budget[v]`: the link `v` owns in the target and how many more stale
+    // slots it may keep — its demand, spent by the keep pass; then its deficit.
+    let mut budget: Vec<Option<(Link, u64)>> = vec![None; target.node_count()];
+    for (link, demand) in target.demanded_links() {
+        budget[link.head.index()] = Some((link, demand));
     }
+    let left = |budget: &[Option<(Link, u64)>], link: Link| match budget.get(link.head.index()) {
+        Some(&Some((owned, left))) if owned == link => left,
+        _ => 0,
+    };
+    let channels = model.channel_count().max(1);
 
-    // Current allocation after stripping.
-    let mut alloc: BTreeMap<Link, u64> = BTreeMap::new();
-    for (entries, count) in &runs {
-        for &(_, link) in entries {
-            *alloc.entry(link).or_insert(0) += *count;
-        }
-    }
-
-    // Pass 2: trim surplus from the tail, splitting runs where needed.
-    // Already in ascending Link order because `want` is a BTreeMap — the
-    // order the old explicit sort produced.
-    let surplus: Vec<(Link, u64)> = want
-        .iter()
-        .filter_map(|(&link, &w)| {
-            let have = alloc.get(&link).copied().unwrap_or(0);
-            (have > w).then(|| (link, have - w))
-        })
-        .collect();
-    for (link, mut excess) in surplus {
-        removed += excess;
-        let mut idx = runs.len();
-        while excess > 0 && idx > 0 {
-            idx -= 1;
-            let (entries, count) = &runs[idx];
-            if !entries.iter().any(|&(_, l)| l == link) {
-                continue;
-            }
-            if *count <= excess {
-                excess -= *count;
-                runs[idx].0.retain(|&(_, l)| l != link);
-            } else {
-                // Split: keep `count - excess` slots with the link, then
-                // `excess` slots without it, preserving slot order.
-                let mut tail = runs[idx].0.clone();
-                tail.retain(|&(_, l)| l != link);
-                let tail_count = excess;
-                runs[idx].1 -= excess;
-                runs.insert(idx + 1, (tail, tail_count));
-                excess = 0;
-            }
-        }
-    }
-    runs.retain(|(entries, _)| !entries.is_empty());
-
-    // Pass 3: place deficits with the batched first-fit probe. Rebuild one
-    // accumulator per surviving run (assignment only — no probing), then
-    // first-fit each deficit link exactly as `GreedyPhysical::schedule` does.
-    let mut deficits: Vec<(Link, u64)> = want
-        .iter()
-        .filter_map(|(&link, &w)| {
-            let have = alloc.get(&link).copied().unwrap_or(0);
-            (have < w).then(|| (link, w - have))
-        })
-        .collect();
-    EdgeOrdering::DecreasingHeadId.sort(&mut deficits);
-    let added: u64 = deficits.iter().map(|&(_, d)| d).sum();
-
+    // Keep: each run goes in as pieces that end where a kept link's budget
+    // runs out (assignment only — no probing).
     let mut open_runs = OpenRuns::new(model);
-    for (entries, count) in runs {
-        open_runs.push_run(&entries, count);
+    let mut kept = Vec::new();
+    let mut removed: u64 = 0;
+    for (pattern, count) in schedule.runs() {
+        kept.clear();
+        kept.extend(
+            pattern
+                .entries()
+                .filter(|&(c, link)| c.index() < channels && left(&budget, link) > 0),
+        );
+        let mut rest = count;
+        while rest > 0 {
+            let piece = kept
+                .iter()
+                .map(|&(_, link)| left(&budget, link))
+                .fold(rest, u64::min);
+            let dropped = (pattern.len() - kept.len()) as u64;
+            removed = removed.saturating_add(dropped.saturating_mul(piece));
+            if !kept.is_empty() {
+                open_runs.push_run(&kept, piece);
+            }
+            for &(_, link) in &kept {
+                // Saturating: a link on two channels of one slot spends twice.
+                if let Some((_, spare)) = &mut budget[link.head.index()] {
+                    *spare = spare.saturating_sub(piece);
+                }
+            }
+            kept.retain(|&(_, link)| left(&budget, link) > 0);
+            rest -= piece;
+        }
     }
-    for (link, demand) in deficits {
-        let placed = open_runs.place(link, demand);
+
+    // Place: the leftover budgets are the deficits, highest head first.
+    let mut added: u64 = 0;
+    for &(link, deficit) in budget.iter().rev().flatten().filter(|(_, d)| *d > 0) {
+        added = added.saturating_add(deficit);
+        let placed = open_runs.place(link, deficit);
         scream_obs::counter_add("repair.refill.links", 1);
         scream_obs::counter_add("repair.runs.probed", placed.probed);
         scream_obs::counter_add("repair.runs.rejected", placed.rejected);
@@ -259,6 +227,65 @@ mod tests {
         // All three links are pairwise disjoint, so the frame is exactly the
         // longest single demand.
         assert_eq!(repaired.schedule.length(), 11);
+    }
+
+    /// A two-channel frame on a one-channel model: the channel-1 entry goes
+    /// like a dead link's and its demand is placed again, on channel 0 —
+    /// under the default accumulator and under the radio's ledger alike.
+    #[test]
+    fn an_entry_on_a_channel_the_model_lacks_is_dropped_and_placed_again() {
+        use crate::schedule::SlotPattern;
+        use scream_netsim::{ChannelId, RadioEnvironment};
+        use scream_topology::GridDeployment;
+
+        let (ch0, ch1) = (ChannelId::new(0), ChannelId::new(1));
+        let mut stale = Schedule::new();
+        stale.push_pattern_run(
+            SlotPattern::from_entries([(ch0, link(1, 0)), (ch1, link(3, 2))]),
+            2,
+        );
+        let target = LinkDemands::from_links(4, &[(link(1, 0), 2), (link(3, 2), 2)]).unwrap();
+        let env = RadioEnvironment::builder().build(&GridDeployment::new(4, 1, 60.0).build());
+        assert_eq!(env.channel_count(), 1);
+        for repaired in [
+            repair_schedule(&EndpointOnly, &stale, &target),
+            repair_schedule(&env, &stale, &target),
+        ] {
+            assert_eq!(repaired.outcome, RepairOutcome::Incremental);
+            assert_eq!(repaired.removed_allocation, 2);
+            assert_eq!(repaired.added_allocation, 2);
+            assert_eq!(repaired.schedule.channels_used(), 1);
+        }
+        verify_schedule(
+            &env,
+            &repair_schedule(&env, &stale, &target).schedule,
+            &target,
+        )
+        .unwrap();
+    }
+
+    /// The allocation counts saturate instead of overflowing: dropping two
+    /// links from a `u64::MAX`-slot run removes `2 · u64::MAX` link-slots,
+    /// and placing two `u64::MAX` demands into nothing adds as many.
+    #[test]
+    fn allocation_counts_saturate_at_u64_max() {
+        let mut stale = Schedule::new();
+        stale.push_slot_run(vec![link(1, 0), link(3, 2)], u64::MAX);
+        let dropped = repair_schedule(
+            &EndpointOnly,
+            &stale,
+            &LinkDemands::from_links(4, &[]).unwrap(),
+        );
+        assert_eq!(dropped.outcome, RepairOutcome::Incremental);
+        assert_eq!(dropped.removed_allocation, u64::MAX);
+        assert!(dropped.schedule.is_empty());
+
+        let target =
+            LinkDemands::from_links(4, &[(link(1, 0), u64::MAX), (link(3, 2), u64::MAX)]).unwrap();
+        let placed = repair_schedule(&EndpointOnly, &Schedule::new(), &target);
+        assert_eq!(placed.outcome, RepairOutcome::Incremental);
+        assert_eq!(placed.added_allocation, u64::MAX);
+        assert_eq!(placed.schedule, stale);
     }
 
     #[test]

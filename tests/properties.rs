@@ -4,10 +4,10 @@
 //! over [`for_cases`]' seeded streams; there is no shrinking, a failure names
 //! its case and rerunning the test reproduces it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use scream::netsim::RadioConfig;
@@ -81,29 +81,45 @@ fn build_instance(
     Some((deployment, env, link_demands))
 }
 
+/// One slot of a per-unit reference: the links on each channel, in
+/// placement order.
+type RefSlot = Vec<Vec<Link>>;
+
 /// The reference GreedyPhysical, written from the algorithm's definition and
 /// sharing nothing with the product path but the edge order: **per unit** of
 /// demand (no run batching), **from scratch** (`model.can_add` over plain
 /// link lists — no ledger, no accumulator), first-fit over `(slot, channel)`
-/// pairs in increasing order. A node has one radio, so a link may not join a
-/// channel while an endpoint of it is busy on another; a unit no slot accepts
-/// opens a fresh slot on channel 0, feasible or not.
+/// pairs in increasing order (see [`reference_fill`]), from an empty frame.
 fn reference_first_fit<M: SlotFeasibility>(
     model: &M,
     ordering: EdgeOrdering,
     demands: &LinkDemands,
 ) -> Schedule {
-    let channels = model.channel_count();
     let mut edges: Vec<(Link, u64)> = demands.demanded_links().collect();
     ordering.sort(&mut edges);
-    // slots[t][c]: the links on channel c of slot t, in placement order.
-    let mut slots: Vec<Vec<Vec<Link>>> = Vec::new();
+    reference_schedule(reference_fill(model, Vec::new(), edges))
+}
+
+/// First-fits `edges`, in the order given and unit by unit, into `slots`
+/// (each `model.channel_count()` channels wide). A node has one radio, so a
+/// link may not join a channel while an endpoint of it is busy on another,
+/// and a slot holds a link at most once; a unit no slot accepts opens a
+/// fresh slot on channel 0, feasible or not.
+fn reference_fill<M: SlotFeasibility>(
+    model: &M,
+    mut slots: Vec<RefSlot>,
+    edges: impl IntoIterator<Item = (Link, u64)>,
+) -> Vec<RefSlot> {
+    let channels = model.channel_count();
     for (link, demand) in edges {
-        // A slot holds a link at most once, so each unit resumes the scan
-        // right after the slot the previous unit landed in.
+        // Each unit resumes the scan right after the slot the previous unit
+        // landed in.
         let mut from = 0;
         for _ in 0..demand {
             let fit = (from..slots.len()).find_map(|t| {
+                if slots[t].iter().any(|links| links.contains(&link)) {
+                    return None;
+                }
                 let fits = |c: &usize| {
                     let radio_free = slots[t].iter().enumerate().all(|(other, links)| {
                         other == *c || links.iter().all(|l| !l.shares_endpoint(&link))
@@ -120,6 +136,11 @@ fn reference_first_fit<M: SlotFeasibility>(
             from = t + 1;
         }
     }
+    slots
+}
+
+/// The schedule a per-unit reference's slots spell out.
+fn reference_schedule(slots: Vec<RefSlot>) -> Schedule {
     Schedule::from_pattern_runs(slots.into_iter().map(|slot| {
         let entries = slot.into_iter().enumerate().flat_map(|(c, links)| {
             let channel = ChannelId::new(c as u16);
@@ -127,6 +148,57 @@ fn reference_first_fit<M: SlotFeasibility>(
         });
         (SlotPattern::from_entries(entries), 1)
     }))
+}
+
+/// The reference repair, at slot level and sharing no run logic with
+/// `repair_schedule`: expand `stale`; in slot order, keep each target link's
+/// first `demand` occurrences on channels `model` has and drop every other
+/// entry and every slot left empty; first-fit the deficits into the kept
+/// slots unit by unit, highest head first ([`reference_fill`]). Where the
+/// patched frame is not feasible under `model`, the answer is
+/// [`reference_first_fit`] from an empty frame instead. Returns the schedule,
+/// the outcome and the link-slots kept.
+fn reference_repair(
+    model: &Oracle,
+    stale: &Schedule,
+    target: &LinkDemands,
+) -> (Schedule, RepairOutcome, u64) {
+    let channels = model.channel_count();
+    let mut kept: BTreeMap<Link, u64> = BTreeMap::new();
+    let mut slots: Vec<RefSlot> = Vec::new();
+    for (pattern, count) in stale.runs() {
+        for _ in 0..count {
+            let mut slot: RefSlot = vec![Vec::new(); channels];
+            for (channel, link) in pattern.entries() {
+                let Some(demand) = target.demand_of_link(link) else {
+                    continue;
+                };
+                let used = kept.entry(link).or_insert(0);
+                if channel.index() < channels && *used < demand {
+                    *used += 1;
+                    slot[channel.index()].push(link);
+                }
+            }
+            if slot.iter().any(|links| !links.is_empty()) {
+                slots.push(slot);
+            }
+        }
+    }
+    let mut deficits: Vec<(Link, u64)> = target
+        .demanded_links()
+        .map(|(link, demand)| (link, demand - kept.get(&link).copied().unwrap_or(0)))
+        .collect();
+    EdgeOrdering::DecreasingHeadId.sort(&mut deficits);
+    let patched = reference_schedule(reference_fill(model, slots, deficits));
+    let kept = kept.values().sum();
+    match model.judge(&patched) {
+        Some(true) => (patched, RepairOutcome::Incremental, kept),
+        _ => (
+            reference_first_fit(model, EdgeOrdering::DecreasingHeadId, target),
+            RepairOutcome::Rebuilt,
+            kept,
+        ),
+    }
 }
 
 /// The centralized greedy schedule always satisfies every demand with
@@ -570,6 +642,167 @@ fn batched_placement_matches_per_unit() {
             assert_eq!(oracle.undecided(), 0);
         }
     });
+}
+
+/// Which of a repair property's cases a draw reached.
+#[derive(Default)]
+struct RepairReach {
+    dropped: u32,
+    raised: u32,
+    lowered: u32,
+    rerouted: u32,
+    surplus_over_runs: u32,
+    one_channel: u32,
+    two_channels: u32,
+    wider_frame: u32,
+    faded_rebuilt: u32,
+    patched: u32,
+}
+
+/// `repair_schedule` is [`reference_repair`] run for run: the same schedule
+/// and outcome, and the allocation counts are what the keep rule kept —
+/// `removed` = the stale frame's allocation less it, `added` = the target's
+/// total less it (both 0 after a rebuild).
+///
+/// A stale greedy frame of disjoint links (≤ 300 slots) is repaired toward a
+/// target that drops links, raises and lowers demands and reroutes heads to
+/// new tails, on C ∈ {1, 2} channels; the stale frame may be two channels
+/// wide on a one-channel model, or built on faded gains (which mostly ends
+/// in a rebuild).
+#[test]
+fn repair_matches_the_slot_level_reference() {
+    const NAME: &str = "repair_matches_the_slot_level_reference";
+    let mut reach = RepairReach::default();
+    for_cases(NAME, 200, |draw| {
+        let pairs = draw.gen_range(4u32..=8);
+        let nodes = 2 * pairs as usize;
+        let side = draw.gen_range(90.0f64..200.0) * (nodes as f64).sqrt();
+        let beta_db = draw.gen_range(4.0f64..10.0);
+        let deployment = UniformDeployment::new(nodes, side).build(&mut *draw);
+        let channels = draw.gen_range(1usize..=2);
+        let stale_channels = if channels == 1 && draw.gen_bool(0.5) {
+            reach.wider_frame += 1;
+            2
+        } else {
+            channels
+        };
+        let env_on = |c: usize| {
+            RadioEnvironment::builder()
+                .propagation(PropagationModel::log_distance(3.0))
+                .config(
+                    RadioConfig::mesh_default()
+                        .with_sinr_threshold_db(beta_db)
+                        .with_channel_count(c),
+                )
+                .build(&deployment)
+        };
+        let env = env_on(channels);
+        let oracle = Oracle::unshadowed(&deployment, env.config());
+        let mut stale_env = env_on(stale_channels);
+        let faded = draw.gen_bool(0.3);
+        if faded {
+            stale_env = stale_env.refaded(Db::new(8.0), draw.next_u64()).unwrap();
+        }
+        let stale_links: Vec<(Link, u64)> = (0..pairs)
+            .map(|i| {
+                let link = Link::new(NodeId::new(2 * i + 1), NodeId::new(2 * i));
+                (link, draw.gen_range(1u64..=12))
+            })
+            .collect();
+        let stale_demands = LinkDemands::from_links(nodes, &stale_links).unwrap();
+        let stale = GreedyPhysical::paper_baseline().schedule(&stale_env, &stale_demands);
+        assert!(stale.length() <= 300);
+
+        let (mut dropped, mut raised, mut lowered, mut rerouted) = (false, false, false, false);
+        let mut surplus_runs = 0;
+        let mut target_links = Vec::new();
+        for &(link, demand) in &stale_links {
+            match draw.gen_range(0..6) {
+                0 => dropped = true,
+                1 => {
+                    raised = true;
+                    target_links.push((link, demand + draw.gen_range(1u64..=6)));
+                }
+                2 if demand > 1 => {
+                    lowered = true;
+                    let new = draw.gen_range(1..demand);
+                    target_links.push((link, new));
+                    // The stale runs holding the occurrences past `new`.
+                    let mut seen = 0;
+                    let runs_cut = stale
+                        .runs()
+                        .filter(|(pattern, count)| {
+                            let holds = pattern.links().contains(&link);
+                            seen += if holds { *count } else { 0 };
+                            holds && seen > new
+                        })
+                        .count();
+                    surplus_runs = surplus_runs.max(runs_cut);
+                }
+                3 => {
+                    rerouted = true;
+                    let tail = loop {
+                        let tail = NodeId::new(draw.gen_range(0..nodes as u32));
+                        if tail != link.head && tail != link.tail {
+                            break tail;
+                        }
+                    };
+                    target_links.push((Link::new(link.head, tail), draw.gen_range(1u64..=12)));
+                }
+                _ => target_links.push((link, demand)),
+            }
+        }
+        let target = LinkDemands::from_links(nodes, &target_links).unwrap();
+
+        let repaired = repair_schedule(&env, &stale, &target);
+        let (schedule, outcome, kept) = reference_repair(&oracle, &stale, &target);
+        assert_eq!(repaired.schedule, schedule);
+        assert_eq!(repaired.outcome, outcome);
+        if outcome == RepairOutcome::Incremental {
+            assert_eq!(
+                repaired.removed_allocation,
+                stale.total_transmissions() - kept
+            );
+            assert_eq!(repaired.added_allocation, target.total_demand() - kept);
+        } else {
+            assert_eq!(
+                (repaired.removed_allocation, repaired.added_allocation),
+                (0, 0)
+            );
+        }
+        assert_eq!(
+            oracle.undecided(),
+            0,
+            "a drawn instance the oracle cannot decide"
+        );
+
+        reach.dropped += u32::from(dropped);
+        reach.raised += u32::from(raised);
+        reach.lowered += u32::from(lowered);
+        reach.rerouted += u32::from(rerouted);
+        reach.surplus_over_runs += u32::from(surplus_runs >= 2);
+        reach.one_channel += u32::from(channels == 1);
+        reach.two_channels += u32::from(channels == 2);
+        reach.faded_rebuilt += u32::from(faded && outcome == RepairOutcome::Rebuilt);
+        reach.patched += u32::from(outcome == RepairOutcome::Incremental && schedule != stale);
+    });
+    for (case, count) in [
+        ("a dropped link", reach.dropped),
+        ("a raised demand", reach.raised),
+        ("a lowered demand", reach.lowered),
+        ("a head rerouted to a new tail", reach.rerouted),
+        ("a surplus spanning several runs", reach.surplus_over_runs),
+        ("one channel", reach.one_channel),
+        ("two channels", reach.two_channels),
+        (
+            "a two-channel frame on a one-channel model",
+            reach.wider_frame,
+        ),
+        ("a frame built on faded gains, rebuilt", reach.faded_rebuilt),
+        ("a stale frame patched", reach.patched),
+    ] {
+        assert!(count >= 20, "only {count} draws reached {case}");
+    }
 }
 
 /// Run-length schedules round-trip through the expanded per-slot form:
