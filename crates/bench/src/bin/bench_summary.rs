@@ -17,8 +17,9 @@
 //!
 //! It is also CI's scale smoke: a repair that is not `Incremental` or not
 //! at least twice as fast as the build, a pruned probe that disagrees with
-//! the exact one, an unstable frame, more than 20 rejected probes per link
-//! or a peak resident set above 256 MiB exits non-zero.
+//! the exact one, an unstable frame, more than 20 rejected probes per link,
+//! more than 130 refusal-screen calls per link or a peak resident set above
+//! 256 MiB exits non-zero.
 //!
 //! Usage: `cargo run --release -p scream-bench --bin bench_summary [--quick] [output.json]`
 //!
@@ -51,6 +52,12 @@ const PEAK_RSS_BOUND_MIB: f64 = 256.0;
 /// deterministic count, so a screen that silently stopped answering fails
 /// here on any machine.
 const PROBE_REJECTS_PER_LINK_BOUND: f64 = 20.0;
+
+/// What a placed link may cost in refusal-screen calls at 10⁵ links: the
+/// runs first-fit visits less those latched closed, which it passes by
+/// unasked (357 per link without the latch). A deterministic count, so a
+/// latch that stopped holding fails here on any machine.
+const SCREENS_PER_LINK_BOUND: f64 = 130.0;
 
 /// What patching one failed link may cost against building the frame: the
 /// repair fills every run once and reads it (3.2× at 10⁵ links); at 1.2× it
@@ -267,7 +274,8 @@ fn main() -> Result<(), BenchError> {
     // and read the dust-slack headline off the registry — probe rejects per
     // link (how many occupied runs the first-fit scan probes in vain before
     // a slot admits each link), the runs per link the refusal screen let it
-    // pass by unprobed, the share of the rejects the binding-victim screen
+    // pass by unprobed, the part of those passed by unscreened because the
+    // run was latched closed, the share of the rejects the binding-victim screen
     // decided and the pruned ledger's far-field hit rate (screens resolved by the
     // aggregate far-field bound without an exact interference sum). Trace
     // capacity 0: registry totals only, every event counted and dropped.
@@ -286,6 +294,12 @@ fn main() -> Result<(), BenchError> {
     let links_placed = count("greedy.links").max(1.0);
     let rejects_per_link = rejects / links_placed;
     let skipped_per_link = count("greedy.runs.skipped") / links_placed;
+    let dropped_per_link = count("greedy.runs.dropped") / links_placed;
+    // Every visited run is screened unless it is latched: one call per
+    // run at this instance's one channel.
+    let screens_per_link = (count("greedy.runs.probed") + count("greedy.runs.skipped")
+        - count("greedy.runs.dropped"))
+        / links_placed;
     let farfield_hit_rate_pct = farfield_hits / farfield_screens.max(1.0) * 100.0;
 
     let peak_rss_mib = peak_rss_mib();
@@ -309,6 +323,7 @@ fn main() -> Result<(), BenchError> {
         &[
             ("probe_rejects_per_link", rejects_per_link),
             ("runs_skipped_per_link", skipped_per_link),
+            ("runs_dropped_per_link", dropped_per_link),
             (
                 "victim_reject_share_pct",
                 by_victim / rejects.max(1.0) * 100.0,
@@ -329,6 +344,10 @@ fn main() -> Result<(), BenchError> {
     assert!(
         rejects_per_link <= PROBE_REJECTS_PER_LINK_BOUND,
         "{rejects_per_link:.2} rejected probes per link: the refusal screen is not answering"
+    );
+    assert!(
+        screens_per_link <= SCREENS_PER_LINK_BOUND,
+        "{screens_per_link:.2} refusal-screen calls per link: first-fit is screening closed runs again"
     );
     if let Some(mib) = peak_rss_mib {
         assert!(
@@ -363,6 +382,7 @@ mod tests {
                 &[
                     ("probe_rejects_per_link", 6.538),
                     ("runs_skipped_per_link", 349.13),
+                    ("runs_dropped_per_link", 240.0),
                 ],
                 peak_rss_mib,
                 false,
@@ -374,8 +394,8 @@ mod tests {
             keys.join(" "),
             "benchmarks scale_schedule_100k min_secs median_secs max_secs reps \
              speedup_ratios repair_over_rebuild throughput scale_schedule_links_per_sec \
-             observability probe_rejects_per_link runs_skipped_per_link peak_rss_mib \
-             quick_mode"
+             observability probe_rejects_per_link runs_skipped_per_link runs_dropped_per_link \
+             peak_rss_mib quick_mode"
         );
         // Each value follows its key, at the precision the file documents.
         for pair in [
@@ -384,7 +404,8 @@ mod tests {
             "\"repair_over_rebuild\": 3.8\n",
             "\"scale_schedule_links_per_sec\": 28571.4\n",
             "\"probe_rejects_per_link\": 6.54,\n",
-            "\"runs_skipped_per_link\": 349.13\n",
+            "\"runs_skipped_per_link\": 349.13,\n",
+            "\"runs_dropped_per_link\": 240.00\n",
             "\"peak_rss_mib\": 46.0,\n  \"quick_mode\": false\n}\n",
         ] {
             assert!(json.contains(pair), "{pair} is missing from {json}");

@@ -16,6 +16,8 @@
 //!  P_u(v) / (N + Σ_i P_u(y_i))  ≥ β        (ACK sub-slot)
 //! ```
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use scream_topology::{Deployment, Graph, GraphKind, NodeId, Point2};
@@ -75,6 +77,23 @@ pub struct RadioEnvironment {
     gain_profile: GainProfile,
     config: RadioConfig,
     propagation: PropagationModel,
+    /// `ID(G_S)`, computed by the first
+    /// [`interference_diameter`](Self::interference_diameter) call. A cache
+    /// of the gains, so it has no place in a serialized form.
+    #[serde(skip)]
+    interference_diameter: DiameterMemo,
+}
+
+/// A memo of the interference diameter. It is derived from the gains, so
+/// equality ignores it: an environment equals its clone whether or not
+/// either has computed it.
+#[derive(Debug, Clone, Default)]
+struct DiameterMemo(OnceLock<usize>);
+
+impl PartialEq for DiameterMemo {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
 }
 
 /// Far-field pruning parameters derived from an environment: beyond
@@ -166,6 +185,7 @@ impl RadioEnvironment {
             gain_profile: self.gain_profile,
             config: self.config,
             propagation: self.propagation,
+            interference_diameter: DiameterMemo::default(),
         })
     }
 
@@ -303,11 +323,9 @@ impl RadioEnvironment {
     /// Whether `u` and `v` complete a two-way handshake with nothing else on
     /// the air: each reaches the other at β over the noise floor alone. The
     /// edge test of [`communication_graph`](Self::communication_graph).
-    fn decodes_alone(&self, u: NodeId, v: NodeId) -> bool {
-        let (noise, beta) = (
-            self.config.noise_floor_mw(),
-            self.config.sinr_threshold_linear(),
-        );
+    /// `noise` and `beta` are the configuration's noise floor and linear
+    /// threshold, evaluated once per graph by the caller.
+    fn decodes_alone(&self, u: NodeId, v: NodeId, noise: Mw, beta: f64) -> bool {
         self.received_power_mw(u, v) / noise >= beta && self.received_power_mw(v, u) / noise >= beta
     }
 
@@ -316,11 +334,15 @@ impl RadioEnvironment {
     /// pair at a time. Unidirectional links are excluded by construction, as
     /// required by the link-layer-reliability assumption of Section II.
     pub fn communication_graph(&self) -> Graph {
+        let (noise, beta) = (
+            self.config.noise_floor_mw(),
+            self.config.sinr_threshold_linear(),
+        );
         let mut g = Graph::new(self.node_count, GraphKind::Undirected);
         for i in 0..self.node_count {
             for j in (i + 1)..self.node_count {
                 let (u, v) = (NodeId::new(i as u32), NodeId::new(j as u32));
-                if self.decodes_alone(u, v) {
+                if self.decodes_alone(u, v, noise, beta) {
                     g.add_edge_unchecked(u, v);
                 }
             }
@@ -347,9 +369,14 @@ impl RadioEnvironment {
 
     /// The interference diameter `ID(G_S)` of the sensitivity graph
     /// (Definition 2), with `usize::MAX` standing in for infinity when the
-    /// sensitivity graph is not strongly connected.
+    /// sensitivity graph is not strongly connected. Computed once per
+    /// environment (every protocol run's SCREAM channel asks for it) and
+    /// remembered.
     pub fn interference_diameter(&self) -> usize {
-        self.sensitivity_graph().interference_diameter()
+        *self
+            .interference_diameter
+            .0
+            .get_or_init(|| self.sensitivity_graph().interference_diameter())
     }
 }
 
@@ -454,6 +481,7 @@ impl RadioEnvironmentBuilder {
             gain_profile: self.propagation.gain_profile(),
             config: self.config,
             propagation: self.propagation,
+            interference_diameter: DiameterMemo::default(),
         }
     }
 }
@@ -534,6 +562,7 @@ impl RadioEnvironment {
             })
             .collect();
         self.max_shadow_db = boost.get();
+        self.interference_diameter = DiameterMemo::default();
         self
     }
 }
@@ -772,6 +801,37 @@ mod tests {
         let id_dense = env(&dense).interference_diameter();
         assert!(id_dense <= id_sparse);
         assert!(id_sparse < usize::MAX);
+    }
+
+    /// The memo is the diameter `G_S` has, on a fresh environment and on a
+    /// refaded copy (which starts with an empty memo and other gains), and
+    /// equality does not see it.
+    #[test]
+    fn the_remembered_interference_diameter_is_the_sensitivity_graphs() {
+        let d = GridDeployment::new(5, 5, 90.0).build();
+        let env = RadioEnvironment::builder().shadowing(8.0, 3).build(&d);
+        let unfilled = env.clone();
+        let expected = env.sensitivity_graph().interference_diameter();
+        assert_eq!(env.interference_diameter(), expected);
+        assert_eq!(env.interference_diameter.0.get(), Some(&expected));
+        assert_eq!(env, unfilled, "a filled memo against an empty one");
+        let filled = env.clone();
+        assert_eq!(filled.interference_diameter.0.get(), Some(&expected));
+        assert_eq!(env, filled);
+        assert_eq!(unfilled, unfilled.clone());
+
+        let mut changed = false;
+        for seed in 0..8 {
+            let faded = env.refaded(Db::new(8.0), seed).unwrap();
+            assert_eq!(faded.interference_diameter.0.get(), None);
+            let id = faded.sensitivity_graph().interference_diameter();
+            assert_eq!(faded.interference_diameter(), id);
+            changed |= id != expected;
+        }
+        assert!(
+            changed,
+            "no fade moved the diameter, so no stale memo shows"
+        );
     }
 
     #[test]

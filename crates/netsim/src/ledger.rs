@@ -581,6 +581,14 @@ impl<'a> SlotLedger<'a> {
         screen.refuses(self.env, candidate)
     }
 
+    /// Whether the refusal screen of the current binding victims is closed:
+    /// `true` only if [`can_add`](Self::can_add) is `false` for every
+    /// candidate, now and after any later [`assign`](Self::assign).
+    pub(crate) fn closed(&self) -> bool {
+        let screen = self.refusal.get().unwrap_or_else(|| self.derive_refusal());
+        screen.is_closed()
+    }
+
     /// Derives and caches the refusal screen of the current binding victims.
     fn derive_refusal(&self) -> RefusalScreen {
         let victims = self.binding.map(|victim| {
@@ -1081,6 +1089,17 @@ pub trait SlotAccumulator {
     fn surely_refuses(&self, _candidate: Link) -> bool {
         false
     }
+
+    /// The candidate-free half of the screen: `true` only if `can_add(c, l)`
+    /// is `false` on every channel `c` for every link `l`, however many
+    /// links are assigned after this reads `true` (see the private `refusal`
+    /// module for why a refusal of everyone survives assignment although
+    /// this reading may not). First-fit latches a run that refused a link
+    /// and reads closed, and never screens it again; the default is never
+    /// closed.
+    fn closed(&self) -> bool {
+        false
+    }
 }
 
 /// Incremental interference state of one **multi-channel** STDMA slot under
@@ -1363,6 +1382,12 @@ impl SlotAccumulator for ChannelSlotLedger<'_> {
     /// `candidate`.
     fn surely_refuses(&self, candidate: Link) -> bool {
         self.channels.iter().all(|l| l.surely_refuses(candidate))
+    }
+
+    /// Whether every channel's refusal screen is closed
+    /// (`SlotLedger::closed`).
+    fn closed(&self) -> bool {
+        self.channels.iter().all(SlotLedger::closed)
     }
 }
 

@@ -26,6 +26,23 @@
 //! ledger skips the term (the candidate shares an endpoint with the victim)
 //! or has no conjunct to evaluate (a self-link) are refused by the endpoint
 //! screen whatever this one says.
+//!
+//! # Closed is a latch
+//!
+//! A closed screen refuses every candidate, and that refusal outlives the
+//! screen. A later assignment only subtracts terms from every slack, so the
+//! victim that was closed stays closed: its slack is still below the floor
+//! at its receiver, and the floor is a function of the receiver alone. The
+//! screen re-derived after that assignment need not say so. The binding
+//! victims are re-ranked by slack, a different link can become binding, and
+//! that link's receiver may have a weaker floor than its slack, so the new
+//! screen can read open while the old victim still refuses everyone.
+//! Whoever remembers a closed reading (first-fit latches its runs) must
+//! therefore keep the reading instead of re-deriving it. A candidate with a
+//! node id the environment lacks is never refused by the screen (`refuses`
+//! is `false` for it), so it never sets a latch. It is still probed where no
+//! latch is set, and `can_add` rejects it at the endpoint screen, so a
+//! latched run that passes it by unprobed returns the same placement.
 
 use scream_topology::{Link, NodeId, Point2};
 
@@ -98,6 +115,13 @@ impl RefusalScreen {
             closed: discs[0].1.max(discs[1].1) == f64::INFINITY,
             discs,
         }
+    }
+
+    /// Whether a victim is closed to the whole deployment, so the slot
+    /// refuses every candidate (see the module docs for why that outlives
+    /// the screen).
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
     }
 
     /// Whether the slot surely refuses `candidate`. `false` for a node id

@@ -132,6 +132,7 @@ impl GreedyPhysical {
             scream_obs::counter_add("greedy.runs.probed", placed.probed);
             scream_obs::counter_add("greedy.runs.rejected", placed.rejected);
             scream_obs::counter_add("greedy.runs.skipped", placed.skipped);
+            scream_obs::counter_add("greedy.runs.dropped", placed.dropped);
             if placed.split {
                 scream_obs::counter_add("greedy.splits", 1);
             }

@@ -128,6 +128,7 @@ pub fn repair_schedule<M: SlotFeasibility>(
         scream_obs::counter_add("repair.runs.probed", placed.probed);
         scream_obs::counter_add("repair.runs.rejected", placed.rejected);
         scream_obs::counter_add("repair.runs.skipped", placed.skipped);
+        scream_obs::counter_add("repair.runs.dropped", placed.dropped);
         if placed.solo {
             scream_obs::counter_add("repair.refill.solo_runs", 1);
         }

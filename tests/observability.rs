@@ -310,7 +310,8 @@ fn the_recovery_loop_counters_obey_their_laws() {
 ///   `verify.entries.filled` the runs' summed pattern sizes;
 /// - `greedy.schedule.length` is the returned schedule's `length()`;
 /// - first-fit rejects only runs it probed: `greedy.runs.probed ≥
-///   greedy.runs.rejected`.
+///   greedy.runs.rejected`, and passes by unscreened only runs it skipped:
+///   `greedy.runs.skipped ≥ greedy.runs.dropped`.
 #[test]
 fn the_scheduling_counters_obey_their_laws() {
     for_cases("the_scheduling_counters_obey_their_laws", 16, |draw| {
@@ -321,6 +322,7 @@ fn the_scheduling_counters_obey_their_laws() {
         assert_eq!(length, Some(&(schedule.length() as u64)));
         let counter = |name| build.snapshot.counter(name);
         assert!(counter("greedy.runs.probed") >= counter("greedy.runs.rejected"));
+        assert!(counter("greedy.runs.skipped") >= counter("greedy.runs.dropped"));
 
         let (verdict, verify) =
             observed(|| verify_schedule(&instance.env, &schedule, &instance.link_demands));
@@ -665,12 +667,13 @@ const METRIC_NAMES: &str = "\
     ledger.probe.reject ledger.probe.reject_endpoint ledger.prune.scan_reject \
     ledger.prune.signal_reject \
     ledger.scan.entries ledger.victim.memo_reject ledger.victim.reject \
-    greedy.firstfit.depth greedy.links greedy.runs.probed greedy.runs.rejected \
-    greedy.runs.skipped greedy.schedule.length greedy.schedule.patterns greedy.solo_runs \
+    greedy.firstfit.depth greedy.links greedy.runs.dropped greedy.runs.probed \
+    greedy.runs.rejected greedy.runs.skipped greedy.schedule.length \
+    greedy.schedule.patterns greedy.solo_runs \
     greedy.splits verify.entries.filled verify.patterns.filled \
     repair.added_allocation repair.outcome.incremental repair.outcome.rebuilt \
-    repair.refill.links repair.refill.solo_runs repair.runs.filled repair.runs.probed \
-    repair.runs.rejected repair.runs.skipped repair.stripped_allocation \
+    repair.refill.links repair.refill.solo_runs repair.runs.dropped repair.runs.filled \
+    repair.runs.probed repair.runs.rejected repair.runs.skipped repair.stripped_allocation \
     runtime.announcement_bits runtime.claims runtime.rounds runtime.rounds.executed \
     runtime.vetoes traffic.backlog traffic.delivered traffic.dropped traffic.events \
     traffic.events.pending_peak traffic.frame_swaps traffic.injected traffic.link_failures \
@@ -883,9 +886,12 @@ fn jittered_lattice_2k() -> (RadioEnvironment, LinkDemands) {
 /// exact O(k) fallbacks are 0: the victim screen brought them from 38 374 to
 /// 24, and the exact slack screen for far links, which fires wherever the
 /// old min-SINR headroom did and more often, took the last 24 (every one of
-/// them an existing-links fallback). All of these are logical counts, so a change that
-/// silently disables either screen — or perturbs the schedule — fails here on
-/// any machine.
+/// them an existing-links fallback). A run latched closed keeps counting its
+/// pairs as skipped, and `greedy.runs.dropped` (35 694) counts the skips no
+/// screen was asked for: re-reading the closed flag on every visit instead
+/// of latching it on the first refusal moves that count. All of these are
+/// logical counts, so a change that silently disables either screen or the
+/// latch — or perturbs the schedule — fails here on any machine.
 #[test]
 fn the_refusal_screen_answers_for_most_visited_runs_and_keeps_the_visits() {
     let (env, demands) = jittered_lattice_2k();
@@ -902,6 +908,10 @@ fn the_refusal_screen_answers_for_most_visited_runs_and_keeps_the_visits() {
     assert_eq!((probed, rejected, skipped), (11_150, 9_214, 50_229));
     assert_eq!(probed + skipped, 61_379, "the visits are the parent's");
     assert_eq!(rejected + skipped, 59_443, "and so are the refusals");
+    // Of the skips, the runs latched closed answered without a screen.
+    let dropped = counter("greedy.runs.dropped");
+    assert_eq!(dropped, 35_694);
+    assert!(dropped <= skipped, "{dropped} dropped of {skipped} skipped");
     assert_eq!(
         counter("ledger.probe.reject"),
         rejected,
@@ -995,6 +1005,7 @@ fn a_build_and_a_repair_leave_the_parent_commits_counters() {
         counters,
         [
             ("greedy.links", 2_000),
+            ("greedy.runs.dropped", 35_694),
             ("greedy.runs.probed", 11_150),
             ("greedy.runs.rejected", 9_214),
             ("greedy.runs.skipped", 50_229),
@@ -1009,6 +1020,7 @@ fn a_build_and_a_repair_leave_the_parent_commits_counters() {
             ("repair.added_allocation", 1),
             ("repair.outcome.incremental", 1),
             ("repair.refill.links", 1),
+            ("repair.runs.dropped", 0),
             ("repair.runs.filled", 64),
             ("repair.runs.probed", 8),
             ("repair.runs.rejected", 7),
