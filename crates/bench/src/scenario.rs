@@ -15,8 +15,8 @@ use scream_core::{DistributedRun, DistributedScheduler, ProtocolConfig, Protocol
 use scream_netsim::{ClockSkewConfig, Db, Dbm, Meters, PropagationModel, RadioEnvironment};
 use scream_scheduling::{GreedyPhysical, Schedule, ScheduleMetrics};
 use scream_topology::{
-    density_to_area_m2, DemandConfig, DemandVector, Deployment, GridDeployment, LinkDemands,
-    RoutingForest, UniformDeployment,
+    density_to_area_m2, DemandConfig, DemandVector, Deployment, GridDeployment, Link, LinkDemands,
+    NodeId, RoutingForest, UniformDeployment,
 };
 use scream_traffic::{FlowSet, TrafficConfig, TrafficEngine, TrafficReport};
 
@@ -194,8 +194,6 @@ pub(crate) fn heavy_demand_instance(
     demand_per_link: u64,
     channel_count: usize,
 ) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
-    use scream_topology::{Link, NodeId};
-
     const COLUMNS: usize = 16;
     const ROWS: usize = 8;
     let deployment = GridDeployment::new(COLUMNS, ROWS, 150.0).build();
@@ -203,18 +201,19 @@ pub(crate) fn heavy_demand_instance(
         .propagation(PropagationModel::log_distance(3.0))
         .config(scream_netsim::RadioConfig::mesh_default().with_channel_count(channel_count))
         .build(&deployment);
-    let links: Vec<(Link, u64)> = (0..ROWS)
-        .flat_map(|row| {
-            (0..COLUMNS / 2).map(move |pair| {
-                let tail = (row * COLUMNS + 2 * pair) as u32;
-                (
-                    Link::new(NodeId::new(tail + 1), NodeId::new(tail)),
-                    demand_per_link,
-                )
-            })
-        })
-        .collect();
+    let links: Vec<(Link, u64)> = row_pair_links(COLUMNS, ROWS, demand_per_link).collect();
     Ok((env, LinkDemands::from_links(deployment.len(), &links)?))
+}
+
+/// The horizontal links of a `columns × rows` grid, row by row: one link
+/// `(tail + 1 → tail)` per disjoint column pair, each demanding `demand`.
+fn row_pair_links(columns: usize, rows: usize, demand: u64) -> impl Iterator<Item = (Link, u64)> {
+    (0..rows).flat_map(move |row| {
+        (0..columns / 2).map(move |pair| {
+            let tail = (row * columns + 2 * pair) as u32;
+            (Link::new(NodeId::new(tail + 1), NodeId::new(tail)), demand)
+        })
+    })
 }
 
 /// The `large_scale` scenario family: planned grids sized to hit a target
@@ -281,8 +280,6 @@ impl LargeScaleScenario {
     ///
     /// [`BenchError::Usage`] for a target of zero links.
     pub fn instantiate(&self) -> Result<(RadioEnvironment, LinkDemands), BenchError> {
-        use scream_topology::{Link, NodeId};
-
         if self.target_links == 0 {
             return Err(BenchError::Usage(
                 "a large-scale instance needs at least one link".into(),
@@ -299,13 +296,7 @@ impl LargeScaleScenario {
             )
             .streamed_gains()
             .build(&deployment);
-        let links: Vec<(Link, u64)> = (0..rows)
-            .flat_map(|row| {
-                (0..columns / 2).map(move |pair| {
-                    let tail = (row * columns + 2 * pair) as u32;
-                    (Link::new(NodeId::new(tail + 1), NodeId::new(tail)), 1)
-                })
-            })
+        let links: Vec<(Link, u64)> = row_pair_links(columns, rows, 1)
             .take(self.target_links)
             .collect();
         Ok((env, LinkDemands::from_links(deployment.len(), &links)?))

@@ -214,12 +214,11 @@ impl LinkDemands {
     /// Total traffic demand `TD`: the sum of aggregated demands over all
     /// links. This is the quantity appearing in the complexity bound of
     /// Theorem 5 and the length of the *serialized* (linear) schedule that
-    /// Figures 6 and 7 normalize against.
+    /// Figures 6 and 7 normalize against. Saturates at `u64::MAX`.
     pub fn total_demand(&self) -> u64 {
-        self.links
-            .iter()
-            .map(|l| self.aggregated[l.head.index()])
-            .sum()
+        self.links.iter().fold(0u64, |sum, l| {
+            sum.saturating_add(self.aggregated[l.head.index()])
+        })
     }
 
     /// Links with non-zero demand, paired with their demand.
@@ -372,6 +371,14 @@ mod tests {
         );
         assert_eq!(ld.total_demand(), 7);
         assert_eq!(ld.links().len(), 2);
+    }
+
+    #[test]
+    fn total_demand_saturates_at_u64_max() {
+        let l1 = Link::new(NodeId::new(1), NodeId::new(0));
+        let l2 = Link::new(NodeId::new(2), NodeId::new(3));
+        let ld = LinkDemands::from_links(4, &[(l1, u64::MAX), (l2, 1)]).unwrap();
+        assert_eq!(ld.total_demand(), u64::MAX);
     }
 
     #[test]

@@ -30,7 +30,14 @@
 //! online rerouting well-defined for packets already mid-path. Every
 //! mutator is an edit of the simulator's state between two segments; the
 //! FIFO reconstruction at each segment start (see the packet-model docs) is
-//! what makes those edits, and segmentation itself, safe. The model is
+//! what makes those edits, and segmentation itself, safe: the service
+//! cursors are reset, every queued packet is made ready at the segment start
+//! and renumbered in FIFO order, and only each queue's head is booked a
+//! departure slot. The rest are booked as they reach the head, which gives
+//! the slots a booking at the segment start would have given, because the
+//! frame is fixed within a segment and a link's cursor moves only in FIFO
+//! order; the numbers keep their relative order, and one reserved for a
+//! packet still queued at the segment's end only leaves a gap. The model is
 //! checked against a slot-stepped reference that shares none of this code
 //! in `tests/packet_model.rs`.
 
@@ -305,8 +312,8 @@ impl TrafficSession {
 
     /// Installs a repaired frame. The new frame's slot 0 is the current
     /// slot, so service windows are phase-aligned with the swap, not with
-    /// the session origin. Queued packets are re-assigned to the new frame's
-    /// slots at the start of the next segment.
+    /// the session origin. Queued packets are served at the new frame's
+    /// slots from the start of the next segment.
     pub fn swap_frame(&mut self, frame: FrameService) -> Result<(), TrafficError> {
         if frame.is_empty() {
             return Err(TrafficError::EmptyFrame);
@@ -364,7 +371,7 @@ impl TrafficSession {
             if q.queue.is_empty() || !(q.dead || self.frame.service_slots(link) == 0) {
                 continue;
             }
-            // The merged queue is booked afresh at the next segment start.
+            // The merged queue is renumbered at the next segment start.
             let packets = std::mem::take(&mut q.queue);
             let target = self.sim.router.routes.next_hop(link.head);
             match target.filter(|&t| t != link) {

@@ -15,8 +15,7 @@
 //! packet **arrivals** (drawn from each source's
 //! [`ArrivalProcess`]) and per-hop **departures**.
 //! Because service is FIFO and each scheduled slot serves a fixed number of
-//! packets, a packet's departure slot is determined the moment it joins the
-//! queue:
+//! packets, a packet's departure slot is
 //!
 //! > `departure(p) = next scheduled slot ≥ max(packet ready slot,
 //! >  first slot the server is free after the previous packet)`
@@ -26,27 +25,28 @@
 //! looks a link up by value. Slots are absolute; the frame repeats from
 //! `frame_epoch` (the slot it was installed at), not from slot 0.
 //!
-//! The departure instant (the end of the assigned slot) and the event
-//! sequence number are both taken at enqueue and travel with the packet,
-//! but only each FIFO **head**'s departure is in the event queue: a packet
-//! joining an empty queue enters its own, and a departing head enters its
-//! successor's under the sequence reserved for it. The pop order is the one
-//! a queue holding every packet's departure would give, because events pop
-//! in `(time, sequence)` order and a successor's key is larger than its
-//! predecessor's (later or equal slot, later reservation): it cannot be the
-//! smallest key before its predecessor has popped, and it is in the queue
-//! from that moment on. The sequence must be the reserved one — a fresh
-//! number would put the departure behind arrivals armed in between and
-//! reorder same-instant ties. At one instant, then, a head's departure and
-//! an arrival pop in the order they were *booked* — the departure when its
-//! packet joined the queue, the arrival when its source's previous arrival
-//! was handled — while the next hop's enqueue is no event at all but part
-//! of the departure that causes it: it happens before anything else at that
-//! instant pops, so a forwarded packet joins the next queue ahead of a
-//! same-instant arrival booked later, and its own departure falls at least
-//! one slot on (it is ready only for the slot after the instant). So the
-//! event queue holds at most one departure per registered link plus one
-//! arrival per source, whatever the backlog.
+//! A packet takes its ready slot and its event sequence number when it joins
+//! a queue; its departure slot is assigned, and its departure (the end of
+//! that slot) enters the event queue under its number, only when it becomes
+//! the FIFO **head**: on joining an empty queue, or when its predecessor
+//! departs. That is the slot enqueue would have assigned, since the frame is
+//! fixed within a segment and a link's cursor moves only in FIFO order. The
+//! pop order is the one a queue holding every packet's departure would give,
+//! because events pop in `(time, sequence)` order and a successor's key is
+//! larger than its predecessor's (later or equal slot, later reservation):
+//! it cannot be the smallest key before its predecessor has popped, and it
+//! is in the queue from that moment on. The sequence must be the reserved
+//! one — a fresh number would put the departure behind arrivals armed in
+//! between and reorder same-instant ties. At one instant, then, a head's
+//! departure and an arrival pop in the order they were *numbered* — the
+//! departure when its packet joined the queue, the arrival when its source's
+//! previous arrival was handled — while the next hop's enqueue is no event
+//! at all but part of the departure that causes it: it happens before
+//! anything else at that instant pops, so a forwarded packet joins the next
+//! queue ahead of a same-instant arrival numbered later, and its own
+//! departure falls at least one slot on (it is ready only for the slot after
+//! the instant). So the event queue holds at most one departure per
+//! registered link plus one arrival per source, whatever the backlog.
 //!
 //! The event queue is a slot [`Calendar`] with one entry (a *leaf*) per
 //! source and per link, keyed `(time, sequence)` in one `u128`. A pending
@@ -69,13 +69,15 @@
 //!
 //! [`Sim::advance`] runs one segment and returns with queues, samplers and
 //! in-flight packets intact. Departure events are not carried across
-//! segments: at every segment start the cursors are reset and each queue's
-//! packets are re-assigned (and given sequence numbers) in FIFO order with
-//! the segment start as their ready slot; then each head's departure enters
-//! the event queue. A packet that had not left by then could not have been
-//! served earlier, so this yields exactly the slots a continuous run would
-//! have assigned — and it is what lets a caller kill links, swap the frame
-//! or move packets between segments without patching pending events. The
+//! segments: at every segment start the cursors are reset, each queue's
+//! packets are renumbered in FIFO order with the segment start as their
+//! ready slot, and each head is booked. A packet that had not left by then
+//! could not have been served earlier, so this yields exactly the slots a
+//! continuous run would have assigned; the numbers keep their relative
+//! order (an unused one only leaves a gap), and all are taken before any
+//! arrival is armed, so a carried departure goes ahead of an arrival at the
+//! same instant. This is what lets a caller kill links, swap the frame or
+//! move packets between segments without patching pending events. The
 //! links' service positions outlive segments: they are resolved once per
 //! installed frame ([`Sim::restart_frame`]), a link registered later on its
 //! first use.
@@ -132,16 +134,10 @@ pub(crate) trait Router {
 pub(crate) struct Packet<T> {
     created: SimTime,
     tag: T,
-    /// The departure booked when the packet joined its current queue;
-    /// `None` when it does not fall inside the segment.
-    due: Option<Due>,
-}
-
-/// A booked departure: the end of the assigned service slot, and the event
-/// sequence number reserved for it at enqueue (module docs).
-#[derive(Debug, Clone, Copy)]
-struct Due {
-    at: SimTime,
+    /// The first slot it may be served in on its current link.
+    ready: u64,
+    /// The event sequence number reserved for its departure when it joined
+    /// its current queue (module docs).
     seq: u64,
 }
 
@@ -544,43 +540,57 @@ impl<R: Router> Sim<R> {
         Some(slot)
     }
 
-    /// Books the next service slot of `link` for its next unbooked packet:
-    /// the departure (at the end of that slot) if it falls inside the
-    /// segment, under a sequence number reserved now. Slot `u64::MAX` ends
-    /// past the clock, so nothing served in it is booked.
+    /// Assigns `link`'s next service slot to a packet ready at `ready`: the
+    /// departure instant (the end of that slot) if it falls inside the
+    /// segment. Slot `u64::MAX` ends past the clock, so nothing served in it
+    /// leaves.
     fn book_departure(
         &mut self,
         frame: &FrameService,
         end: SimTime,
         link: u32,
         ready: u64,
-    ) -> Option<Due> {
+    ) -> Option<SimTime> {
         let slot = self.assign_departure(frame, link, ready)?;
         let at = self.slot_duration.saturating_mul(slot.checked_add(1)?);
-        (at <= end).then(|| Due {
-            at,
-            seq: self.events.reserve(),
-        })
+        (at <= end).then_some(at)
     }
 
-    /// Queues `packet` (ready at `now`) on `link` and books its departure,
-    /// which enters the event queue only if the packet is the head.
+    /// Books the head of `link`'s queue: its service slot, and its departure
+    /// under the number it reserved at enqueue. Called when it becomes head.
+    fn book_head(&mut self, frame: &FrameService, end: SimTime, link: u32) {
+        let Some(&Packet { ready, seq, .. }) = self.links.queues[link as usize].queue.front()
+        else {
+            return;
+        };
+        if let Some(at) = self.book_departure(frame, end, link, ready) {
+            self.events
+                .schedule_reserved(at, seq, Event::Departure { link });
+        }
+    }
+
+    /// Queues a packet on `link`, ready for the slot starting at or after
+    /// `now`, under a fresh number; one joining an empty queue is booked.
     fn enqueue(
         &mut self,
         frame: &FrameService,
         end: SimTime,
         link: u32,
-        mut packet: Packet<R::Tag>,
+        created: SimTime,
+        tag: R::Tag,
         now: SimTime,
     ) {
-        // Ready for the slot starting at or after `now`.
-        let ready = now.as_nanos().div_ceil(self.slot_ns);
-        packet.due = self.book_departure(frame, end, link, ready);
+        let packet = Packet {
+            created,
+            tag,
+            ready: now.as_nanos().div_ceil(self.slot_ns),
+            seq: self.events.reserve(),
+        };
         let queue = &mut self.links.queues[link as usize].queue;
-        if queue.is_empty() {
-            schedule_departure(&mut self.events, link, packet.due);
-        }
         queue.push_back(packet);
+        if queue.len() == 1 {
+            self.book_head(frame, end, link);
+        }
     }
 
     fn arm_arrival(&mut self, end: SimTime, source: u32) {
@@ -610,12 +620,7 @@ impl<R: Router> Sim<R> {
                         self.totals.in_flight += 1;
                         self.totals.peak_backlog =
                             self.totals.peak_backlog.max(self.totals.in_flight);
-                        let packet = Packet {
-                            created: now,
-                            tag,
-                            due: None,
-                        };
-                        self.enqueue(frame, end, link, packet, now);
+                        self.enqueue(frame, end, link, now, tag, now);
                     }
                     None => {
                         self.totals.dropped += 1;
@@ -624,16 +629,14 @@ impl<R: Router> Sim<R> {
                 self.arm_arrival(end, source);
             }
             Event::Departure { link } => {
-                // The event is the head's; its successor's enters now.
-                let queue = &mut self.links.queues[link as usize].queue;
-                let Some(packet) = queue.pop_front() else {
+                // The event is the head's; its successor becomes the head.
+                let Some(packet) = self.links.queues[link as usize].queue.pop_front() else {
                     return;
                 };
-                let due = queue.front().and_then(|next| next.due);
-                schedule_departure(&mut self.events, link, due);
+                self.book_head(frame, end, link);
                 match self.router.next_hop(link, packet.tag, &mut self.links) {
                     NextHop::Forward(next, tag) => {
-                        self.enqueue(frame, end, next, Packet { tag, ..packet }, now);
+                        self.enqueue(frame, end, next, packet.created, tag, now);
                     }
                     NextHop::Deliver => {
                         self.totals.delivered += 1;
@@ -662,18 +665,17 @@ impl<R: Router> Sim<R> {
         self.events
             .restart(self.slot_duration.saturating_mul(start_slot));
 
-        // FIFO reconstruction (module docs): every queued packet is booked
-        // afresh, ready at the segment start, in the segment's frame.
-        self.links.resolve(frame);
+        // FIFO reconstruction (module docs): every queued packet is ready at
+        // the segment start and renumbered in FIFO order; only heads are
+        // booked, in the segment's frame.
         for link in 0..self.links.queues.len() as u32 {
             let q = &mut self.links.queues[link as usize];
             q.cursor = None;
-            for i in 0..q.queue.len() {
-                let due = self.book_departure(frame, end, link, start_slot);
-                self.links.queues[link as usize].queue[i].due = due;
+            for packet in &mut q.queue {
+                packet.ready = start_slot;
+                packet.seq = self.events.reserve();
             }
-            let head = self.links.queues[link as usize].queue.front();
-            schedule_departure(&mut self.events, link, head.and_then(|p| p.due));
+            self.book_head(frame, end, link);
         }
         for source in 0..self.samplers.len() as u32 {
             if !self.paused[source as usize] {
@@ -718,13 +720,6 @@ impl<R: Router> Sim<R> {
             ],
         );
         segment
-    }
-}
-
-/// Enters the departure `due` of the head of `link`'s queue, if it has one.
-fn schedule_departure(events: &mut Calendar, link: u32, due: Option<Due>) {
-    if let Some(Due { at, seq }) = due {
-        events.schedule_reserved(at, seq, Event::Departure { link });
     }
 }
 
@@ -830,7 +825,7 @@ mod tests {
             (0..packets)
                 .map(|_| {
                     sim.book_departure(&frame, end, idx, ready)
-                        .map(|due| due.at.as_nanos())
+                        .map(SimTime::as_nanos)
                 })
                 .collect::<Vec<_>>()
         };

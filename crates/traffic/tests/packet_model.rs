@@ -430,6 +430,55 @@ fn a_departure_and_arrivals_on_one_instant_keep_the_parent_commits_order() {
     assert_eq!(session.delay(), whole_slot_delays(38, 297, 8, 14));
 }
 
+#[test]
+fn a_departure_carried_across_a_segment_start_leaves_before_a_same_instant_arrival() {
+    // On the path 2 → 1 → 0 under the frame [(2,1)], [(1,0)], node 2's
+    // packet X (created at slot 3) is still queued when the first segment
+    // ends at slot 4. The second segment serves it in slot 4, so it reaches
+    // node 1 at instant 5, exactly when node 1's first packet Y arrives, and
+    // both join (1,0) ready for slot 5. A segment start books every carried
+    // departure, under numbers taken in FIFO order, before it arms any
+    // arrival, so X leaves first and is delivered at 6 (3 slots); Y waits
+    // for slot 7, past the segment. Had X kept the number it took in the
+    // first segment while the arrivals were numbered from 0 again, Y would
+    // go first and the second segment would deliver Y after 1 slot.
+    let mut g = Graph::new(3, GraphKind::Undirected);
+    g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
+    g.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
+    let forest = RoutingForest::shortest_path(&g, &[NodeId::new(0)], 1).unwrap();
+    let frame = Schedule::from_slots(vec![vec![link(2, 1)], vec![link(1, 0)]]);
+    let sources = vec![
+        Source {
+            node: NodeId::new(1),
+            arrival: ArrivalProcess::deterministic(0.2),
+        },
+        Source {
+            node: NodeId::new(2),
+            arrival: ArrivalProcess::deterministic(1.0 / 3.0),
+        },
+    ];
+    let mut session = TrafficSession::new(
+        FrameService::from_schedule(&frame),
+        sources,
+        ForwardingTable::from_forest(&forest),
+        TrafficConfig::new(1),
+    )
+    .unwrap();
+    let expected = [
+        (4, (1, 0, 1), DelayStats::default()),
+        (3, (2, 1, 2), whole_slot_delays(1, 3, 3, 3)),
+        (4, (2, 2, 2), whole_slot_delays(2, 7, 3, 4)),
+    ];
+    for (slots, counts, delay) in expected {
+        let segment = session.advance(slots);
+        assert_eq!(
+            (segment.injected, segment.delivered, segment.backlog_end),
+            counts
+        );
+        assert_eq!(segment.delay, delay);
+    }
+}
+
 /// A 17 000-slot frame on the path 3 → 2 → 1 → 0: each link is served in
 /// one long window, and gaps of 5 000 – 6 000 idle slots separate them.
 fn long_frame() -> Schedule {
